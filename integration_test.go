@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -718,4 +719,177 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 	t.Logf("%d SU requests, zero failed decisions across the shard-0 owner kill "+
 		"(%d retries, %d transport faults, %d failovers)",
 		len(requests), stats.Retries, stats.TransportFaults, stats.Failovers)
+}
+
+// countingSTP counts the SU-key fetches one role makes through its STP
+// client: each is one KindSUKeyRequest round trip on the wire.
+type countingSTP struct {
+	pisa.STPService
+	suKeyCalls atomic.Int64
+}
+
+func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
+	c.suKeyCalls.Add(1)
+	return c.STPService.SUKey(id)
+}
+
+// TestNetworkedSUKeyFetchedOnce is the regression test for the cost
+// that existed only in the socketed deployment: an SU key fetched
+// through node.STPClient arrives with nothing but its modulus, and the
+// SDC and the shard router used to fetch one per request and pay a
+// full-width exponentiation to encrypt the license under it (and fill
+// its derived fields from several workers at once). Both topologies the
+// daemons run — one SDC, and a router over windowed shards, every role
+// with its own STP client — must ask the STP for an SU's key at most
+// once per client and compute no full-width nonce once the first
+// request has warmed the caches.
+func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked system")
+	}
+	grid, err := geo.NewGrid(5, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := watch.Params{
+		Channels:    3,
+		Grid:        grid,
+		UnitsPerMW:  1e9,
+		SUMaxEIRPmW: 4000,
+		SMinPUmW:    1e-5,
+		DeltaInt:    32,
+		Secondary:   propagation.LogDistance{RefLossDB: 40, Exponent: 3.5},
+		WorstCase:   propagation.LogDistance{RefLossDB: 60, Exponent: 4},
+	}
+	params := pisa.TestParams(wp)
+
+	serve := func(srv interface {
+		Serve(net.Listener) error
+		Close() error
+	}) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { srv.Close() })
+		return ln.Addr().String()
+	}
+
+	// The STP as cmd/stpd brings it up.
+	stp, err := pisa.NewSTP(nil, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
+		t.Fatal(err)
+	}
+	stpAddr := serve(node.NewSTPServer(stp, nil, time.Minute))
+	var counters []*countingSTP
+	dialSTP := func() *countingSTP {
+		c, err := node.DialSTP(stpAddr, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		counted := &countingSTP{STPService: c}
+		counters = append(counters, counted)
+		return counted
+	}
+
+	// Topology 1: one SDC behind a server.
+	mono, err := pisa.NewSDC("mono", params, nil, dialSTP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mono.Close)
+	monoCli := node.DialSDC(serve(node.NewSDCServer(mono, nil, time.Minute)), time.Minute)
+	t.Cleanup(func() { monoCli.Close() })
+
+	// Topology 2: a router over two windowed shards, each behind its own
+	// server, the router behind a third.
+	windows, err := shard.Windows(wp.Channels, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := make([]shard.Service, len(windows))
+	for i, w := range windows {
+		s, err := pisa.NewSDC("shard", params, nil, dialSTP(), pisa.WithChannelWindow(w[0], w[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		cli := node.DialSDC(serve(node.NewSDCServer(s, nil, time.Minute)), time.Minute)
+		t.Cleanup(func() { cli.Close() })
+		services[i] = cli
+	}
+	router, err := shard.NewRouter("router", params, nil, dialSTP(), services)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerCli := node.DialSDC(serve(node.NewSDCServer(router, nil, time.Minute)), time.Minute)
+	t.Cleanup(func() { routerCli.Close() })
+
+	// One SU, registered over the wire like suctl does.
+	suSTP, err := node.DialSTP(stpAddr, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { suSTP.Close() })
+	planner, err := watch.NewPlanner(wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := pisa.NewSU(nil, "su-once", 7, params, planner, suSTP.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(su.Close)
+	if err := suSTP.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	base, err := su.PrepareRequest(map[int]int64{1: wp.Quantize(1)}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const requests = 4
+	for _, front := range []struct {
+		name string
+		cli  *node.SDCClient
+	}{{"mono", monoCli}, {"sharded", routerCli}} {
+		verify, err := front.cli.VerifyKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var warm uint64
+		for i := 0; i < requests; i++ {
+			req, err := su.RefreshRequest(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := front.cli.SendRequest(req)
+			if err != nil {
+				t.Fatalf("%s request %d: %v", front.name, i, err)
+			}
+			grant, err := su.OpenResponse(resp, req, verify)
+			if err != nil {
+				t.Fatalf("%s request %d: open response: %v", front.name, i, err)
+			}
+			if !grant.Granted {
+				t.Fatalf("%s request %d denied on an empty grid", front.name, i)
+			}
+			if i == 0 {
+				warm = paillier.FullWidthNonces()
+			}
+		}
+		if got := paillier.FullWidthNonces(); got != warm {
+			t.Errorf("%s: %d full-width nonce exponentiations after the first request, want 0", front.name, got-warm)
+		}
+	}
+	for i, c := range counters {
+		if got := c.suKeyCalls.Load(); got != 1 {
+			t.Errorf("STP client %d fetched the SU key %d times over %d requests, want 1", i, got, requests)
+		}
+	}
 }

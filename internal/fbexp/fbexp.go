@@ -17,8 +17,12 @@
 // ~3000 multiplication-equivalents of a full-width sliding-window Exp.
 //
 // The trade-off is table memory: L * 2^w entries of one modulus-sized
-// value each (about 1.4 MiB at the parameters above). Tables are built
-// once per (key, base) and shared; see SizeBytes.
+// value each (about 1.4 MiB at the parameters above). Every entry is
+// copied out of the arithmetic scratch into one exact-size slab, so
+// that figure is what the table really retains: math/big leaves a
+// product's double-width backing array behind the reduced result, and
+// keeping those results directly held 8.3 MiB per table. Tables are
+// built once per (key, base) and shared; see SizeBytes.
 //
 // A Table is immutable after New returns, so any number of goroutines
 // may call Exp concurrently.
@@ -49,7 +53,9 @@ type Table struct {
 	modulus *big.Int
 	window  int
 	maxBits int
-	levels  [][]*big.Int // levels[i][j] = base^(j << (i*window)) mod modulus
+	// pow[i<<window|j] = base^(j << (i*window)) mod modulus. The limbs
+	// of every entry are exact-size slices of one shared slab.
+	pow []big.Int
 }
 
 // New precomputes the windowed power table for base modulo modulus,
@@ -75,31 +81,38 @@ func New(base, modulus *big.Int, window, maxBits int) (*Table, error) {
 		return nil, fmt.Errorf("fbexp: table would hold %d entries (max %d); shrink window or maxBits",
 			numLevels<<uint(window), maxTableEntries)
 	}
+	size := 1 << uint(window)
 	t := &Table{
 		base:    new(big.Int).Mod(base, modulus),
 		modulus: modulus,
 		window:  window,
 		maxBits: maxBits,
-		levels:  make([][]*big.Int, numLevels),
+		pow:     make([]big.Int, numLevels*size),
+	}
+	limbs := len(modulus.Bits())
+	slab := make([]big.Word, len(t.pow)*limbs)
+	// store copies v into entry k's slab segment. The capacity is capped
+	// at the segment so nothing can grow one entry into the next.
+	store := func(k int, v *big.Int) {
+		seg := slab[k*limbs : k*limbs : (k+1)*limbs]
+		t.pow[k].SetBits(append(seg, v.Bits()...))
 	}
 	one := big.NewInt(1)
-	size := 1 << uint(window)
-	cur := t.base // base^(2^(i*window)) for the current level
-	for i := range t.levels {
-		row := make([]*big.Int, size)
-		row[0] = one
-		row[1] = cur
-		for j := 2; j < size; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], cur)
-			row[j].Mod(row[j], modulus)
+	cur := new(big.Int).Set(t.base) // base^(2^(i*window)) for the current level
+	// Scratch: the double-width product and the reduced power live in
+	// two reused integers and only exact-size copies are retained.
+	acc, prod := new(big.Int), new(big.Int)
+	for i := 0; i < numLevels; i++ {
+		store(i*size, one)
+		acc.Set(cur)
+		for j := 1; j < size; j++ {
+			store(i*size+j, acc)
+			// After the last entry this is cur^(2^window), the next
+			// level's base: one multiplication instead of window squarings.
+			prod.Mul(acc, cur)
+			acc.Mod(prod, modulus)
 		}
-		t.levels[i] = row
-		if i+1 < len(t.levels) {
-			// Next level's base is cur^(2^window) = row[2^window - 1] * cur:
-			// one multiplication instead of window squarings.
-			next := new(big.Int).Mul(row[size-1], cur)
-			cur = next.Mod(next, modulus)
-		}
+		cur.Set(acc)
 	}
 	return t, nil
 }
@@ -119,7 +132,7 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 		if d == 0 {
 			continue
 		}
-		acc.Mul(acc, t.levels[i][d])
+		acc.Mul(acc, &t.pow[uint(i)<<uint(t.window)|d])
 		acc.Mod(acc, t.modulus)
 	}
 	return acc
@@ -141,11 +154,11 @@ func (t *Table) Window() int { return t.window }
 func (t *Table) MaxExpBits() int { return t.maxBits }
 
 // Levels reports the number of digit levels (table rows).
-func (t *Table) Levels() int { return len(t.levels) }
+func (t *Table) Levels() int { return len(t.pow) >> uint(t.window) }
 
-// SizeBytes estimates the table's memory footprint: every entry holds
-// a modulus-sized value.
+// SizeBytes reports the table's memory footprint: one modulus-sized
+// value per entry (the slab New fills; entry headers add a few percent).
 func (t *Table) SizeBytes() int {
 	entryBytes := (t.modulus.BitLen() + 7) / 8
-	return len(t.levels) * (1 << uint(t.window)) * entryBytes
+	return len(t.pow) * entryBytes
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -154,6 +155,51 @@ func TestTableAccessors(t *testing.T) {
 	if tab.SizeBytes() <= 0 {
 		t.Fatalf("SizeBytes %d", tab.SizeBytes())
 	}
+}
+
+// TestSizeBytesIsTrue holds SizeBytes against the heap a table really
+// retains, at the Paillier hot-path geometry (4096-bit modulus, 256-bit
+// exponents, window 6). Keeping math/big's reduced products directly
+// retained their double-width backing arrays, 8.3 MiB against a
+// reported 1.4 MiB.
+func TestSizeBytesIsTrue(t *testing.T) {
+	m := randMod(t, 4096)
+	base, err := rand.Int(rand.Reader, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tables = 4 // several, so unrelated heap noise stays small beside them
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	kept := make([]*Table, tables)
+	for i := range kept {
+		if kept[i], err = New(base, m, 6, 256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	reported := uint64(tables * kept[0].SizeBytes())
+	retained := after - before
+	if after < before {
+		retained = 0
+	}
+	t.Logf("reported %d B, retained %d B (%.2fx)", reported, retained, float64(retained)/float64(reported))
+	if float64(retained) > 1.25*float64(reported) {
+		t.Fatalf("%d tables retain %d B, more than 1.25x the %d B SizeBytes reports", tables, retained, reported)
+	}
+	// The exact-size copies must still be the right powers.
+	e := new(big.Int).Lsh(big.NewInt(1), 255)
+	e.Sub(e, big.NewInt(12345))
+	if got, want := kept[0].Exp(e), new(big.Int).Exp(base, e, m); got.Cmp(want) != 0 {
+		t.Fatal("Exp over the exact-size table disagrees with big.Int.Exp")
+	}
+	runtime.KeepAlive(kept)
 }
 
 // TestConcurrentExp exercises shared-table reads from many goroutines

@@ -495,7 +495,9 @@ func DialSTPWith(opts Options, addrs ...string) (*STPClient, error) {
 		c.Close()
 		return nil, fmt.Errorf("node: STP returned no group key")
 	}
-	c.groupKey = resp.Paillier
+	// The decoded key carries only its modulus; fill the derived fields
+	// before the roles built over this client share it across workers.
+	c.groupKey = resp.Paillier.Prepare()
 	return c, nil
 }
 

@@ -264,3 +264,61 @@ func TestNoncePoolCloseStopsRefills(t *testing.T) {
 	pool.Close() // double Close is fine
 	waitForGoroutines(t, baseline)
 }
+
+// TestFullWidthNonceCounter pins what pisa_paillier_fullwidth_nonce_total
+// counts: every nonce factor computed as r^n by full-width
+// exponentiation, whichever entry point asked for it, and nothing an
+// armed key does — arming itself included.
+func TestFullWidthNonceCounter(t *testing.T) {
+	sk := fastKey(t, 512)
+	ops := func(pk *PublicKey) {
+		t.Helper()
+		ct, err := pk.Encrypt(rand.Reader, big.NewInt(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pk.Rerandomize(rand.Reader, ct); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pk.NewNonce(rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := &PublicKey{N: sk.N}
+	before := FullWidthNonces()
+	ops(bare)
+	if got := FullWidthNonces() - before; got != 3 {
+		t.Fatalf("unarmed encrypt + rerandomize + nonce counted %d full-width nonces, want 3", got)
+	}
+	before = FullWidthNonces()
+	if err := bare.EnableFastExp(rand.Reader, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	ops(bare)
+	if got := FullWidthNonces() - before; got != 0 {
+		t.Fatalf("arming and armed operations counted %d full-width nonces, want 0", got)
+	}
+}
+
+// TestPrepareMakesBareKeyShareable: a key that arrived with only its
+// modulus is safe to hand to concurrent workers once Prepare ran (the
+// lazy fill it replaces is an unsynchronised write; run under -race).
+func TestPrepareMakesBareKeyShareable(t *testing.T) {
+	sk := fastKey(t, 512)
+	ct, err := sk.Encrypt(rand.Reader, big.NewInt(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := (&PublicKey{N: sk.N}).Prepare()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := bare.ScalarMul(big.NewInt(-1), ct); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}

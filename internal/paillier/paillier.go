@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"pisa/internal/fbexp"
+	"pisa/internal/obs"
 )
 
 // Errors returned by the package.
@@ -168,12 +170,49 @@ func lFunc(u, d *big.Int) *big.Int {
 func (sk *PrivateKey) Public() *PublicKey { return &sk.PublicKey }
 
 // ensureCache lazily fills derived fields on keys that were
-// deserialised (e.g. received over gob with only N populated).
+// deserialised (e.g. received over gob with only N populated). The
+// write is unsynchronised: a key that several goroutines will use must
+// be prepared (Prepare, EnableFastExp) before it is shared.
 func (pk *PublicKey) ensureCache() {
 	if pk.nSquared == nil {
 		pk.nSquared = new(big.Int).Mul(pk.N, pk.N)
 		pk.half = new(big.Int).Rsh(pk.N, 1)
 	}
+}
+
+// Prepare fills the derived fields (n^2, n/2) now instead of on first
+// use and returns pk. A key that crossed a socket or came out of a
+// store carries only N; whoever receives it calls Prepare (or
+// EnableFastExp, which implies it) before handing the key to worker
+// goroutines, after which the key is read-only.
+func (pk *PublicKey) Prepare() *PublicKey {
+	pk.ensureCache()
+	return pk
+}
+
+// fullWidthNonces counts nonce factors r^n produced by a full-width
+// exponentiation (exponent n, modulus n^2) — the legacy path every hot
+// loop is supposed to have left for the fixed-base engine. Bridged to
+// the obs registry, so a request path that is silently running on an
+// unarmed key shows on /metrics as a counter that keeps growing.
+var fullWidthNonces atomic.Uint64
+
+func init() {
+	obs.Default().CounterFunc("pisa_paillier_fullwidth_nonce_total",
+		"nonce factors r^n computed by a full-width exponentiation (key without a fixed-base table)",
+		nil, fullWidthNonces.Load)
+}
+
+// FullWidthNonces reports how many nonce factors this process has
+// computed by full-width exponentiation. Building a key's fixed-base
+// table (one exponentiation per key) is set-up and not counted.
+func FullWidthNonces() uint64 { return fullWidthNonces.Load() }
+
+// fullWidthRn computes r^n mod n^2 the legacy way and counts it.
+func (pk *PublicKey) fullWidthRn(r *big.Int) *big.Int {
+	pk.ensureCache()
+	fullWidthNonces.Add(1)
+	return new(big.Int).Exp(r, pk.N, pk.nSquared)
 }
 
 // NSquared returns n^2, the ciphertext modulus.
@@ -337,9 +376,7 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 // batch nonce generation. Always takes the legacy path — the engine
 // cannot reproduce an arbitrary caller-chosen r.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	pk.ensureCache()
-	rn := new(big.Int).Exp(r, pk.N, pk.nSquared)
-	return pk.encryptWithRn(m, rn)
+	return pk.encryptWithRn(m, pk.fullWidthRn(r))
 }
 
 // encryptWithRn assembles the ciphertext (1 + m*n) * rn mod n^2 from a
@@ -544,7 +581,7 @@ func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, 
 		if err != nil {
 			return nil, err
 		}
-		rn = new(big.Int).Exp(r, pk.N, pk.nSquared)
+		rn = pk.fullWidthRn(r)
 	}
 	c := new(big.Int).Mul(rn, a.C)
 	c.Mod(c, pk.nSquared)
@@ -576,7 +613,7 @@ func (pk *PublicKey) NewNonce(random io.Reader) (*Nonce, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Nonce{rn: new(big.Int).Exp(r, pk.N, pk.nSquared)}, nil
+	return &Nonce{rn: pk.fullWidthRn(r)}, nil
 }
 
 // RerandomizeWith refreshes a ciphertext with a precomputed nonce:

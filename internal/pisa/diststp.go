@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"sync"
 
 	"pisa/internal/paillier"
 	"pisa/internal/parallel"
@@ -93,13 +92,8 @@ type DistSTP struct {
 	random  io.Reader
 	workers int
 
-	mu     sync.RWMutex
-	suKeys map[string]*paillier.PublicKey
-
-	// Fixed-base engine configuration (SetFastExp), mirroring STP.
-	fbArmed     bool
-	fbWindow    int
-	fbShortBits int
+	// sus is the SU key registry, shared in kind with STP.
+	sus *suRegistry
 }
 
 var (
@@ -149,15 +143,16 @@ func NewDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders [
 	if random == nil {
 		random = rand.Reader
 	}
+	// The combine loop fans out over a worker pool, so the source is
+	// shared-reader wrapped up front (crypto/rand passes through
+	// unchanged).
+	random = paillier.SharedReader(random)
 	return &DistSTP{
 		group:   group,
 		holders: holders,
-		// The combine loop fans out over a worker pool, so the source
-		// is shared-reader wrapped up front (crypto/rand passes
-		// through unchanged).
-		random:  paillier.SharedReader(random),
+		random:  random,
 		workers: 1,
-		suKeys:  make(map[string]*paillier.PublicKey),
+		sus:     newSURegistry(random),
 	}, nil
 }
 
@@ -186,32 +181,7 @@ func (d *DistSTP) SetFastExp(window, shortBits int) error {
 	if err := d.group.EnableFastExp(d.random, window, shortBits); err != nil {
 		return fmt.Errorf("pisa: arm group key: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.fbArmed = true
-	d.fbWindow = window
-	d.fbShortBits = shortBits
-	for id, pk := range d.suKeys {
-		armed, err := d.armedCopy(pk)
-		if err != nil {
-			return fmt.Errorf("pisa: arm SU %q key: %w", id, err)
-		}
-		d.suKeys[id] = armed
-	}
-	return nil
-}
-
-// armedCopy returns a table-enabled shallow copy of pk without
-// mutating the caller's key object (see STP.armedCopy).
-func (d *DistSTP) armedCopy(pk *paillier.PublicKey) (*paillier.PublicKey, error) {
-	if pk.FastExpEnabled() {
-		return pk, nil
-	}
-	cp := &paillier.PublicKey{N: pk.N}
-	if err := cp.EnableFastExp(d.random, d.fbWindow, d.fbShortBits); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	return d.sus.armAll(window, shortBits)
 }
 
 // Holders reports the number of co-STP share holders.
@@ -220,34 +190,12 @@ func (d *DistSTP) Holders() int { return len(d.holders) }
 // RegisterSU stores an SU public key, with the same substitution
 // protection as the single STP.
 func (d *DistSTP) RegisterSU(id string, pk *paillier.PublicKey) error {
-	if id == "" {
-		return fmt.Errorf("pisa: empty SU id")
-	}
-	if pk == nil || pk.N == nil {
-		return fmt.Errorf("pisa: nil public key for SU %q", id)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if existing, ok := d.suKeys[id]; ok && !existing.Equal(pk) {
-		return fmt.Errorf("pisa: SU %q already registered with a different key", id)
-	}
-	stored := pk
-	if d.fbArmed {
-		armed, err := d.armedCopy(pk)
-		if err != nil {
-			return fmt.Errorf("pisa: arm SU %q key: %w", id, err)
-		}
-		stored = armed
-	}
-	d.suKeys[id] = stored
-	return nil
+	return d.sus.register(id, pk)
 }
 
 // SUKey implements STPService.
 func (d *DistSTP) SUKey(id string) (*paillier.PublicKey, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	pk, ok := d.suKeys[id]
+	pk, ok := d.sus.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("pisa: SU %q not registered with distributed STP", id)
 	}

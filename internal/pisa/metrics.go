@@ -37,6 +37,11 @@ type sdcMetrics struct {
 	colRebuildStale *obs.Histogram
 	colRebuildErr   *obs.Histogram
 	colRetries      *obs.Counter
+	// updateShift times moving one PU update's owned columns into their
+	// packed slot (one full-width exponentiation per channel). Its count
+	// is the number of updates shifted: with the memo it grows by one
+	// per accepted update, not by one per PU of the group per rebuild.
+	updateShift *obs.Histogram
 
 	blindDepth     *obs.Gauge
 	blindRefills   *obs.Counter // result="ok"
@@ -60,6 +65,12 @@ type sdcMetrics struct {
 	cacheEntries *obs.Gauge
 	cacheAggHit  *obs.Histogram // path="hit": re-randomise cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": full eq. 11-12 recompute
+
+	// SU-key cache (sukeys.go): a miss is one STP round trip plus, for
+	// an arming owner, one table build.
+	suKeyHits   *obs.Counter // event="hit"
+	suKeyMisses *obs.Counter // event="miss"
+	suKeyEvicts *obs.Counter // event="evict"
 }
 
 // requestStages enumerates the per-stage histogram labels in pipeline
@@ -98,6 +109,8 @@ func metrics() *sdcMetrics {
 				obs.Labels{"outcome": "error"}, nil),
 			colRetries: r.Counter("pisa_sdc_column_rebuild_retries_total",
 				"column rebuild passes discarded because a newer update raced in", nil),
+			updateShift: r.Histogram("pisa_sdc_update_shift_seconds",
+				"shifting one PU update's columns into their packed slot (memoised per stored update)", nil, nil),
 			blindDepth: r.Gauge("pisa_sdc_blind_pool_depth",
 				"precomputed blinding tuples currently pooled", nil),
 			blindRefills: r.Counter("pisa_sdc_blind_pool_refills_total",
@@ -135,6 +148,12 @@ func metrics() *sdcMetrics {
 			cacheAggMiss: r.Histogram("pisa_sdc_cache_aggregate_seconds",
 				"aggregate stage cost split by cache path (hit = re-randomise, miss = recompute)",
 				obs.Labels{"path": "miss"}, obs.IOBuckets),
+			suKeyHits: r.Counter("pisa_sdc_sukey_cache_events_total",
+				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "hit"}),
+			suKeyMisses: r.Counter("pisa_sdc_sukey_cache_events_total",
+				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "miss"}),
+			suKeyEvicts: r.Counter("pisa_sdc_sukey_cache_events_total",
+				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "evict"}),
 		}
 		for _, s := range requestStages {
 			m.stage[s] = r.Histogram("pisa_sdc_request_stage_seconds",

@@ -10,6 +10,7 @@ import (
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/paillier"
+	"pisa/internal/parallel"
 	"pisa/internal/store"
 	"pisa/internal/watch"
 )
@@ -64,7 +65,7 @@ func (s *SDC) ExportState() ([]byte, error) {
 		st.NEnc = s.nEnc.Clone()
 	}
 	for _, u := range s.puUpdates {
-		st.Updates = append(st.Updates, u)
+		st.Updates = append(st.Updates, u.PUUpdate)
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Updates, func(i, j int) bool { return st.Updates[i].PUID < st.Updates[j].PUID })
@@ -201,7 +202,7 @@ func (s *SDC) registerRestored(u *PUUpdate) error {
 		return fmt.Errorf("pisa: restored PU %q moves from block %d to %d", u.PUID, prev, u.Block)
 	}
 	s.puBlocks[u.PUID] = u.Block
-	s.puUpdates[u.PUID] = u
+	s.puUpdates[u.PUID] = &storedUpdate{PUUpdate: u}
 	return nil
 }
 
@@ -302,16 +303,15 @@ const stpRegistryVersion = 1
 
 // ExportRegistry serialises the SU key registry for a snapshot.
 func (s *STP) ExportRegistry() ([]byte, error) {
-	s.mu.RLock()
+	keys := s.sus.snapshot()
 	reg := stpRegistryV1{Version: stpRegistryVersion}
-	for id := range s.suKeys {
+	for id := range keys {
 		reg.IDs = append(reg.IDs, id)
 	}
 	sort.Strings(reg.IDs)
 	for _, id := range reg.IDs {
-		reg.Moduli = append(reg.Moduli, s.suKeys[id].N)
+		reg.Moduli = append(reg.Moduli, keys[id].N)
 	}
-	s.mu.RUnlock()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&reg); err != nil {
 		return nil, fmt.Errorf("pisa: export SU registry: %w", err)
@@ -356,12 +356,18 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 		}
 		keys[id] = pk
 	}
-	s.mu.Lock()
-	for id, pk := range keys {
-		s.suKeys[id] = pk
+	// Through the same door as live registrations: the recovered keys
+	// arrive bare (modulus only) and are stored prepared, and armed when
+	// SetFastExp already ran, as cmd/stpd orders it. Arming is one table
+	// build per key and nothing else runs during recovery, so it takes
+	// every CPU.
+	ids := make([]string, 0, len(keys))
+	for id := range keys {
+		ids = append(ids, id)
 	}
-	s.mu.Unlock()
-	return nil
+	return parallel.For(parallel.Auto(), len(ids), func(i int) error {
+		return s.sus.register(ids[i], keys[ids[i]])
+	})
 }
 
 // suRegistrationV1 is one WAL record of the STP registry log.
@@ -395,8 +401,4 @@ func DecodeSURegistration(data []byte) (string, *paillier.PublicKey, error) {
 }
 
 // RegisteredSUs reports the registry size, for shutdown summaries.
-func (s *STP) RegisteredSUs() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.suKeys)
-}
+func (s *STP) RegisteredSUs() int { return s.sus.len() }

@@ -284,6 +284,23 @@ func TestRegistryExportRestore(t *testing.T) {
 		}
 	}
 
+	// cmd/stpd arms the engine before it restores the registry: the
+	// recovered keys must come out armed, not bare.
+	t.Run("restore after SetFastExp arms", func(t *testing.T) {
+		s := NewSTPWithKey(rand.Reader, d.sk)
+		if err := s.SetFastExp(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RestoreRegistry(snap, tail); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"su-1", "su-2", "su-3"} {
+			if pk, err := s.SUKey(id); err != nil || !pk.FastExpEnabled() {
+				t.Fatalf("restored key %s not armed (err %v)", id, err)
+			}
+		}
+	})
+
 	t.Run("conflicting tail registration", func(t *testing.T) {
 		other, err := paillier.GenerateKey(rand.Reader, d.params.PaillierBits)
 		if err != nil {

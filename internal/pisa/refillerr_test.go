@@ -56,6 +56,13 @@ func TestSDCBlindingRefillFailureDisarmsExplicitly(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Fetch and arm the SU's key while entropy still works: arming draws
+	// randomness of its own and would otherwise fail the request below
+	// before it reaches the blinding pool.
+	if _, err := sdc.suKeys.Get("su-1"); err != nil {
+		t.Fatal(err)
+	}
+
 	if err := sdc.EnableBlindingAutoRefill(4); err != nil {
 		t.Fatal(err)
 	}

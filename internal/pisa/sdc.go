@@ -75,17 +75,22 @@ type SDC struct {
 	// fast-nonce machinery SU refreshes use. Nil when the cache is off.
 	cacheNonces *paillier.NoncePool
 
+	// suKeys resolves a request's SU id to a prepared key, asking the
+	// STP once per id; armed unless this instance is a windowed shard,
+	// which never encrypts under an SU key (sukeys.go).
+	suKeys *SUKeyCache
+
 	// cacheCtr mirrors the obs cache counters per instance: the obs
 	// registry aggregates process-wide, so a sharded deployment reads
 	// each shard's hit/miss/stale split from here (CacheStats).
 	cacheCtr cacheCounters
 
 	mu        sync.Mutex
-	nEnc      *matrix.Enc                // N~: encrypted budgets (unpacked mode)
-	nPack     *matrix.Packed             // N~: packed budgets (packed mode)
-	puUpdates map[watch.PUID]*PUUpdate   // latest update per PU
-	puBlocks  map[watch.PUID]geo.BlockID // fixed registered locations
-	colVer    map[geo.BlockID]uint64     // bumped on every update registration
+	nEnc      *matrix.Enc                  // N~: encrypted budgets (unpacked mode)
+	nPack     *matrix.Packed               // N~: packed budgets (packed mode)
+	puUpdates map[watch.PUID]*storedUpdate // latest update per PU
+	puBlocks  map[watch.PUID]geo.BlockID   // fixed registered locations
+	colVer    map[geo.BlockID]uint64       // bumped on every update registration
 	// colApplied is bumped to the registration version a rebuild pass
 	// actually folded into the stored budget, in the same critical
 	// section as the write-back. It trails colVer while a rebuild is in
@@ -122,14 +127,35 @@ type SDC struct {
 	blindWG         sync.WaitGroup // outstanding background refills
 }
 
-// blindFactors is one precomputed (alpha, E(beta), epsilon) tuple for
+// blindFactors is one precomputed (alpha, beta, epsilon) tuple for
 // eq. 14. The beta encryption is the expensive part; precomputing it
 // offline is what keeps online request processing at homomorphic-op
 // speed (the paper's 219 s figure counts only the online SDC work).
+// beta is stored already signed for its epsilon — betaEnc encrypts
+// -eps*beta — so that blinding is V~ = I~^(eps*alpha) * betaEnc: one
+// exponentiation and one multiplication, with a single modular inverse
+// (of I~) when eps = -1 and none otherwise.
 type blindFactors struct {
 	alpha   *big.Int
-	betaEnc *paillier.Ciphertext
+	betaEnc *paillier.Ciphertext // E(-eps*beta), slot-wise when packed
 	eps     int64
+}
+
+// storedUpdate is a PU's latest accepted update together with the memo
+// of its slot-shifted ciphertexts. A packed rebuild folds the update
+// into its group as Cts[c]^(2^(slot*W)) — one full-width exponentiation
+// per owned channel — and that value depends on nothing but the update
+// and its block, so it is computed by the first rebuild pass that folds
+// the update and reused by every later rebuild of the group (another
+// PU of the group changing). The memo lives and dies with the
+// stored update: replacing the update stores a new one without a memo,
+// a journal rollback re-installs the previous one with its own, and a
+// restored SDC starts without any.
+type storedUpdate struct {
+	*PUUpdate
+	// shifted[j] is Cts[chanLo+j] shifted to the block's slot; nil until
+	// first folded. Guarded by SDC.mu.
+	shifted []*paillier.Ciphertext
 }
 
 // SDCOption customises SDC construction.
@@ -236,7 +262,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		random:     rand.Reader,
 		now:        time.Now,
 		licTTL:     24 * time.Hour,
-		puUpdates:  make(map[watch.PUID]*PUUpdate),
+		puUpdates:  make(map[watch.PUID]*storedUpdate),
 		puBlocks:   make(map[watch.PUID]geo.BlockID),
 		colVer:     make(map[geo.BlockID]uint64),
 		colApplied: make(map[geo.BlockID]uint64),
@@ -255,6 +281,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	// source; SharedReader serialises injected readers (crypto/rand is
 	// passed through) without changing the byte stream.
 	s.random = paillier.SharedReader(s.random)
+	s.suKeys = NewSUKeyCache(stp, params, s.random, !s.windowed())
 	// Arm the fixed-base engine on the group key: budget encryptions,
 	// column rebuilds and blinding-factor generation all take the
 	// windowed fast path. Idempotent on a group key another role
@@ -425,15 +452,16 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	if err := s.validateUpdate(u); err != nil {
 		return err
 	}
+	stored := &storedUpdate{PUUpdate: u}
 	s.mu.Lock()
-	prev, hadPrev := s.puUpdates[u.PUID]
-	if hadPrev && prev.Block != u.Block {
+	prev := s.puUpdates[u.PUID] // nil when the PU had no update before
+	if prev != nil && prev.Block != u.Block {
 		s.mu.Unlock()
 		return fmt.Errorf("pisa: PU %q registered at block %d, update claims %d (TV receiver locations are fixed)",
 			u.PUID, prev.Block, u.Block)
 	}
 	s.puBlocks[u.PUID] = u.Block
-	s.puUpdates[u.PUID] = u
+	s.puUpdates[u.PUID] = stored
 	s.colVer[u.Block]++
 	journal := s.journal
 	s.mu.Unlock()
@@ -447,7 +475,7 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	// interleavings are independent.
 	if journal != nil {
 		if err := journal(u); err != nil {
-			if rerr := s.unregisterUpdate(u, prev, hadPrev); rerr != nil {
+			if rerr := s.unregisterUpdate(stored, prev); rerr != nil {
 				return fmt.Errorf("pisa: journal PU update: %w (rollback rebuild also failed: %v)", err, rerr)
 			}
 			return fmt.Errorf("pisa: journal PU update: %w", err)
@@ -462,13 +490,13 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 // rebuild already folded the rejected ciphertexts in. A newer update
 // from the same PU that registered meanwhile is left in place — its own
 // journal/rebuild path governs it.
-func (s *SDC) unregisterUpdate(u, prev *PUUpdate, hadPrev bool) error {
+func (s *SDC) unregisterUpdate(u, prev *storedUpdate) error {
 	s.mu.Lock()
 	if s.puUpdates[u.PUID] != u {
 		s.mu.Unlock()
 		return nil
 	}
-	if hadPrev {
+	if prev != nil {
 		s.puUpdates[u.PUID] = prev
 	} else {
 		delete(s.puUpdates, u.PUID)
@@ -530,7 +558,7 @@ func (s *SDC) rebuildColumn(b geo.BlockID) error {
 		ver := s.colVer[b]
 		// Ciphertexts are immutable once stored, so snapshotting the
 		// slice pointers is enough.
-		var updates []*PUUpdate
+		var updates []*storedUpdate
 		for _, u := range s.puUpdates {
 			if u.Block == b {
 				updates = append(updates, u)
@@ -597,7 +625,10 @@ func (s *SDC) rebuildColumn(b geo.BlockID) error {
 // packed encryption of the group's E slots (padding packs 1, the
 // always-positive indicator) with every stored W~ column at any block
 // of the group folded in at its slot via the shift scalar 2^(slot*W).
-// The staleness check covers every block version in the group.
+// The shifted columns are memoised per stored update (storedUpdate), so
+// a pass exponentiates only for updates no earlier pass has folded —
+// normally the one that just arrived. The staleness check covers every
+// block version in the group.
 func (s *SDC) rebuildGroup(g int) error {
 	m := metrics()
 	k := s.codec.Slots()
@@ -612,13 +643,30 @@ func (s *SDC) rebuildGroup(g int) error {
 		for b := lo; b < hi; b++ {
 			vers[b-lo] = s.colVer[geo.BlockID(b)]
 		}
-		var updates []*PUUpdate
+		var updates []*storedUpdate
+		var shifted [][]*paillier.Ciphertext // index-aligned with updates
 		for _, u := range s.puUpdates {
 			if int(u.Block) >= lo && int(u.Block) < hi {
 				updates = append(updates, u)
+				shifted = append(shifted, u.shifted)
 			}
 		}
 		s.mu.Unlock()
+
+		for i, u := range updates {
+			if shifted[i] != nil {
+				continue
+			}
+			cts, err := s.shiftUpdate(u.PUUpdate, int(u.Block)-lo)
+			if err != nil {
+				m.colRebuildErr.ObserveSince(passStart)
+				return err
+			}
+			shifted[i] = cts
+			s.mu.Lock()
+			u.shifted = cts
+			s.mu.Unlock()
+		}
 
 		col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
 		err := parallel.For(s.workers, len(col), func(j int) error {
@@ -639,12 +687,8 @@ func (s *SDC) rebuildGroup(g int) error {
 			if err != nil {
 				return fmt.Errorf("pisa: pack-encrypt E(%d, group %d): %w", c, g, err)
 			}
-			for _, u := range updates {
-				shifted, err := s.group.ScalarMul(s.codec.ShiftScalar(int(u.Block)-lo), u.Cts[c])
-				if err != nil {
-					return fmt.Errorf("pisa: shift update from %q: %w", u.PUID, err)
-				}
-				if acc, err = s.group.Add(acc, shifted); err != nil {
+			for i, u := range updates {
+				if acc, err = s.group.Add(acc, shifted[i][j]); err != nil {
 					return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
 				}
 			}
@@ -686,6 +730,31 @@ func (s *SDC) rebuildGroup(g int) error {
 		m.colRebuildOK.ObserveSince(passStart)
 		return nil
 	}
+}
+
+// shiftUpdate moves a PU update's owned channel columns into the given
+// slot of their packed group: Cts[c]^(2^(slot*W)), one full-width
+// exponentiation per channel (slot 0 needs none). Pure function of its
+// inputs; the caller memoises the result on the stored update.
+func (s *SDC) shiftUpdate(u *PUUpdate, slot int) ([]*paillier.Ciphertext, error) {
+	if slot == 0 {
+		return u.Cts[s.chanLo:s.chanHi], nil
+	}
+	defer metrics().updateShift.ObserveSince(time.Now())
+	scalar := s.codec.ShiftScalar(slot)
+	out := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
+	err := parallel.For(s.workers, len(out), func(j int) error {
+		ct, err := s.group.ScalarMul(scalar, u.Cts[s.chanLo+j])
+		if err != nil {
+			return fmt.Errorf("pisa: shift update from %q: %w", u.PUID, err)
+		}
+		out[j] = ct
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // requestCell tracks one request element through the blinded sign
@@ -1010,7 +1079,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 			return nil, 0, nil, fmt.Errorf("pisa: request matrix is empty")
 		}
 	}
-	suKey, err = s.stp.SUKey(req.SUID)
+	suKey, err = s.suKeys.Get(req.SUID)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -1243,35 +1312,40 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 	}
 	m.stage["stp_convert"].ObserveSince(stageStart)
 
-	// Step 9's unblinding half: Q~ = eps (x) X~ under the SU key
-	// (eq. 16, offset deferred to the caller). The epsilon scalar-muls
-	// are independent and fan out; the final sum is a cheap
-	// modular-multiplication fold (commutative, so the fold order
-	// cannot change the result). In packed mode every element carries
+	// Step 9's unblinding half: sum(Q~) = sum(eps (x) X~) under the SU
+	// key (eq. 16, offset deferred to the caller). eps is +-1, so the
+	// sum is the product of the eps=+1 signs over the product of the
+	// eps=-1 signs: one modular multiplication per element and a single
+	// inverse per request, instead of an inverse (or a degenerate
+	// exponentiation) per element. In packed mode every element carries
 	// k slot tests (padding slots always pass), so the count handed
 	// back is cells x slots and the grant condition sum(Q) == 0 is
 	// unchanged.
 	stageStart = time.Now()
-	unblinded := make([]*paillier.Ciphertext, len(cells))
-	err = parallel.For(s.workers, len(cells), func(k int) error {
-		u, err := suKey.ScalarMul(big.NewInt(cells[k].bf.eps), signResp.X[k])
-		if err != nil {
-			return fmt.Errorf("pisa: unblind sign %d: %w", k, err)
+	var plus, minus *paillier.Ciphertext
+	for k, x := range signResp.X {
+		side := &plus
+		if cells[k].bf.eps < 0 {
+			side = &minus
 		}
-		unblinded[k] = u
-		return nil
-	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	for _, u := range unblinded {
-		if sumQ == nil {
-			sumQ = u
+		if *side == nil {
+			*side = x
 			continue
 		}
-		if sumQ, err = suKey.Add(sumQ, u); err != nil {
+		if *side, err = suKey.Add(*side, x); err != nil {
 			return nil, 0, nil, fmt.Errorf("pisa: accumulate Q: %w", err)
 		}
+	}
+	switch {
+	case minus == nil:
+		sumQ = plus
+	case plus == nil:
+		sumQ, err = suKey.Neg(minus)
+	default:
+		sumQ, err = suKey.Sub(plus, minus)
+	}
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("pisa: unblind signs: %w", err)
 	}
 	slotsPer := 1
 	if s.codec != nil {
@@ -1295,7 +1369,7 @@ func (s *SDC) newBlindFactors() (blindFactors, error) {
 	return fresh[0], nil
 }
 
-// newBlindFactorsBatch generates count (alpha, E(beta), epsilon)
+// newBlindFactorsBatch generates count (alpha, E(-eps*beta), epsilon)
 // tuples — the offline-precomputable part of eq. 14 — on the worker
 // pool. Safe for concurrent use (the randomness source is
 // shared-reader wrapped at construction).
@@ -1316,26 +1390,6 @@ func (s *SDC) newBlindFactorsBatch(count int) ([]blindFactors, error) {
 		if err != nil {
 			return err
 		}
-		var betaEnc *paillier.Ciphertext
-		if s.codec != nil {
-			betas := make([]*big.Int, s.codec.Slots())
-			for j := range betas {
-				if betas[j], err = paillier.RandomInRange(s.random, big.NewInt(1), betaHi); err != nil {
-					return err
-				}
-			}
-			if betaEnc, err = s.group.PackEncrypt(s.random, s.betaCodec, betas); err != nil {
-				return err
-			}
-		} else {
-			beta, err := paillier.RandomInRange(s.random, big.NewInt(1), betaHi)
-			if err != nil {
-				return err
-			}
-			if betaEnc, err = s.group.Encrypt(s.random, beta); err != nil {
-				return err
-			}
-		}
 		epsBit := make([]byte, 1)
 		if _, err := io.ReadFull(s.random, epsBit); err != nil {
 			return fmt.Errorf("draw epsilon: %w", err)
@@ -1343,6 +1397,38 @@ func (s *SDC) newBlindFactorsBatch(count int) ([]blindFactors, error) {
 		eps := int64(1)
 		if epsBit[0]&1 == 1 {
 			eps = -1
+		}
+		// signedBeta draws beta in [1, 2^BetaBits) and returns -eps*beta,
+		// the plaintext blindWith adds to eps*alpha*I.
+		signedBeta := func() (*big.Int, error) {
+			beta, err := paillier.RandomInRange(s.random, big.NewInt(1), betaHi)
+			if err != nil {
+				return nil, err
+			}
+			if eps > 0 {
+				beta.Neg(beta)
+			}
+			return beta, nil
+		}
+		var betaEnc *paillier.Ciphertext
+		if s.codec != nil {
+			betas := make([]*big.Int, s.codec.Slots())
+			for j := range betas {
+				if betas[j], err = signedBeta(); err != nil {
+					return err
+				}
+			}
+			if betaEnc, err = s.group.PackEncrypt(s.random, s.betaCodec, betas); err != nil {
+				return err
+			}
+		} else {
+			beta, err := signedBeta()
+			if err != nil {
+				return err
+			}
+			if betaEnc, err = s.group.Encrypt(s.random, beta); err != nil {
+				return err
+			}
 		}
 		fresh[i] = blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}
 		return nil
@@ -1493,16 +1579,18 @@ func (s *SDC) PooledBlinding() int {
 
 // blindWith applies eq. 14 to one encrypted budget slack I~ using the
 // supplied tuple: one-time alpha > beta > 0 hide the magnitude,
-// epsilon in {-1, +1} hides the sign from the STP. Pure function of
-// its inputs — callable concurrently.
+// epsilon in {-1, +1} hides the sign from the STP. The tuple carries
+// E(-eps*beta), so V~ = eps*(alpha*I - beta) is I~^(eps*alpha) times
+// that: the only inverse is of I~, and only when eps = -1. Pure
+// function of its inputs — callable concurrently.
 func (s *SDC) blindWith(i *paillier.Ciphertext, bf blindFactors) (*paillier.Ciphertext, error) {
-	scaled, err := s.group.ScalarMul(bf.alpha, i)
+	k := bf.alpha
+	if bf.eps < 0 {
+		k = new(big.Int).Neg(k) // ScalarMul inverts I~ for a negative scalar
+	}
+	scaled, err := s.group.ScalarMul(k, i)
 	if err != nil {
 		return nil, err
 	}
-	diff, err := s.group.Sub(scaled, bf.betaEnc)
-	if err != nil {
-		return nil, err
-	}
-	return s.group.ScalarMul(big.NewInt(bf.eps), diff)
+	return s.group.Add(scaled, bf.betaEnc)
 }

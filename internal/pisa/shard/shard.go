@@ -74,7 +74,7 @@ func Windows(channels, n int) ([][2]int, error) {
 type Router struct {
 	params  pisa.Params
 	issuer  string
-	stp     pisa.STPService
+	suKeys  *pisa.SUKeyCache // the license tail encrypts under these: armed
 	public  *watch.System
 	signer  *dsig.Signer
 	random  io.Reader
@@ -169,7 +169,6 @@ func NewRouter(issuer string, params pisa.Params, transmitters []watch.TVTransmi
 	r := &Router{
 		params:  params,
 		issuer:  issuer,
-		stp:     stp,
 		public:  public,
 		random:  rand.Reader,
 		now:     time.Now,
@@ -182,6 +181,7 @@ func NewRouter(issuer string, params pisa.Params, transmitters []watch.TVTransmi
 	}
 	// Concurrent ProcessRequest calls share the randomness source.
 	r.random = paillier.SharedReader(r.random)
+	r.suKeys = pisa.NewSUKeyCache(stp, params, r.random, true)
 	if r.signer, err = dsig.NewSigner(r.random, params.SignerBits); err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 	if err != nil {
 		return nil, err
 	}
-	suKey, err := r.stp.SUKey(req.SUID)
+	suKey, err := r.suKeys.Get(req.SUID)
 	if err != nil {
 		return nil, err
 	}

@@ -42,16 +42,13 @@ type STP struct {
 	random  io.Reader
 	workers int
 
-	mu      sync.RWMutex
-	suKeys  map[string]*paillier.PublicKey
-	journal func(id string, pk *paillier.PublicKey) error // WAL hook for registrations
+	// sus is the SU key registry; once SetFastExp ran, every key in it
+	// carries a fixed-base table, so the re-encryptions of ConvertSigns
+	// take the fast path.
+	sus *suRegistry
 
-	// Fixed-base engine configuration (SetFastExp). When armed, every
-	// registered SU key is wrapped in a table-enabled copy so the
-	// re-encryptions of ConvertSigns take the fast path.
-	fbArmed     bool
-	fbWindow    int
-	fbShortBits int
+	mu      sync.Mutex
+	journal func(id string, pk *paillier.PublicKey) error // WAL hook for registrations
 
 	// observer, when set (tests only), receives the plaintext V
 	// values the STP decrypts, enabling the leakage analysis of
@@ -82,14 +79,15 @@ func NewSTPWithKey(random io.Reader, group *paillier.PrivateKey) *STP {
 	if random == nil {
 		random = rand.Reader
 	}
+	// Sign conversion fans out over a worker pool, so the source is
+	// shared-reader wrapped up front (crypto/rand passes through
+	// unchanged).
+	random = paillier.SharedReader(random)
 	return &STP{
-		group: group,
-		// Sign conversion fans out over a worker pool, so the source
-		// is shared-reader wrapped up front (crypto/rand passes
-		// through unchanged).
-		random:  paillier.SharedReader(random),
+		group:   group,
+		random:  random,
 		workers: 1,
-		suKeys:  make(map[string]*paillier.PublicKey),
+		sus:     newSURegistry(random),
 	}
 }
 
@@ -115,65 +113,22 @@ func (s *STP) SetFastExp(window, shortBits int) error {
 	if err := s.group.PublicKey.EnableFastExp(s.random, window, shortBits); err != nil {
 		return fmt.Errorf("pisa: arm group key: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fbArmed = true
-	s.fbWindow = window
-	s.fbShortBits = shortBits
-	for id, pk := range s.suKeys {
-		armed, err := s.armedCopy(pk)
-		if err != nil {
-			return fmt.Errorf("pisa: arm SU %q key: %w", id, err)
-		}
-		s.suKeys[id] = armed
-	}
-	return nil
-}
-
-// armedCopy returns a table-enabled shallow copy of pk (sharing N but
-// not mutating the caller's object — SUs hand their key to RegisterSU
-// and keep using it). A key that already has a table is returned
-// as-is.
-func (s *STP) armedCopy(pk *paillier.PublicKey) (*paillier.PublicKey, error) {
-	if pk.FastExpEnabled() {
-		return pk, nil
-	}
-	cp := &paillier.PublicKey{N: pk.N}
-	if err := cp.EnableFastExp(s.random, s.fbWindow, s.fbShortBits); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	return s.sus.armAll(window, shortBits)
 }
 
 // RegisterSU stores an SU's public key for later key conversion.
 // Re-registration with the same key is idempotent; changing the key
 // for an existing ID is rejected (it would let an attacker redirect
-// another SU's responses).
+// another SU's responses). The registry keeps its own key object (a
+// table-armed copy once SetFastExp ran) and never writes to pk.
 func (s *STP) RegisterSU(id string, pk *paillier.PublicKey) error {
-	if id == "" {
-		return fmt.Errorf("pisa: empty SU id")
-	}
-	if pk == nil || pk.N == nil {
-		return fmt.Errorf("pisa: nil public key for SU %q", id)
+	if err := s.sus.register(id, pk); err != nil {
+		return err
 	}
 	s.mu.Lock()
-	if existing, ok := s.suKeys[id]; ok && !existing.Equal(pk) {
-		s.mu.Unlock()
-		return fmt.Errorf("pisa: SU %q already registered with a different key", id)
-	}
-	stored := pk
-	if s.fbArmed {
-		armed, err := s.armedCopy(pk)
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("pisa: arm SU %q key: %w", id, err)
-		}
-		stored = armed
-	}
-	s.suKeys[id] = stored
 	journal := s.journal
 	s.mu.Unlock()
-	// As with SDC updates, the WAL append happens outside the lock and
+	// As with SDC updates, the WAL append happens outside every lock and
 	// gates the acknowledgement: a journal failure surfaces to the SU,
 	// which retries. The idempotent re-registration path journals too —
 	// replay tolerates duplicate same-key records, and skipping it would
@@ -198,9 +153,7 @@ func (s *STP) SetRegistrationJournal(fn func(id string, pk *paillier.PublicKey) 
 
 // SUKey implements STPService.
 func (s *STP) SUKey(id string) (*paillier.PublicKey, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pk, ok := s.suKeys[id]
+	pk, ok := s.sus.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("pisa: SU %q not registered with STP", id)
 	}
