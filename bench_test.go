@@ -366,15 +366,12 @@ func BenchmarkCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Blinding tuples and cache-hit nonces are offline precomputation
-	// (§VI-A), matching the other Figure 6 benchmarks.
+	// Blinding tuples are offline precomputation (§VI-A), matching the
+	// other Figure 6 benchmarks.
 	if err := u.SDC.PrecomputeBlinding(req.Ciphertexts() * b.N); err != nil {
 		b.Fatal(err)
 	}
 	if on {
-		if err := u.SDC.PrecomputeCacheNonces(req.Ciphertexts() * b.N); err != nil {
-			b.Fatal(err)
-		}
 		// Fill the cache so every timed iteration is a hit.
 		if _, err := u.SDC.ProcessRequest(req); err != nil {
 			b.Fatal(err)

@@ -86,8 +86,8 @@ func run(args []string) error {
 	}
 	group := stp.GroupKey()
 	if params.FastExp {
-		// The key arrived over RPC without its precomputed tables
-		// (only N travels), so the engine is re-armed locally before
+		// The key arrived over RPC without its precomputed table (only
+		// N and the nonce base H travel), so H is tabled locally before
 		// the C nonce exponentiations of the update.
 		if err := group.EnableFastExp(nil, params.FastExpWindow, params.ShortExpBits); err != nil {
 			return fmt.Errorf("arm fixed-base engine: %w", err)

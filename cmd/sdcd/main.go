@@ -71,6 +71,7 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/node"
 	"pisa/internal/obs"
+	"pisa/internal/paillier"
 	"pisa/internal/pir"
 	"pisa/internal/pisa"
 	"pisa/internal/pisa/shard"
@@ -293,6 +294,12 @@ func run(args []string) error {
 			logRouterSummary(log, router)
 		}
 		logSTPClient(log, stp)
+		// Both should be flat while requests flow: a full-width nonce is
+		// a key on the request path without its table, and this process
+		// holds no secret key to decrypt with.
+		short, full := paillier.Decrypts()
+		log.Info("paillier summary", "fullWidthNonces", paillier.FullWidthNonces(),
+			"decryptShort", short, "decryptFull", full)
 		err := srv.Close()
 		for _, u := range units {
 			if snapErr := u.finish(log, *snapOnExit); snapErr != nil && err == nil {

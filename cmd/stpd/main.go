@@ -155,6 +155,12 @@ func run(args []string) error {
 		log.Info("server summary", "connections", stats.Connections,
 			"requests", stats.Requests, "errors", stats.Errors,
 			"sus", stp.RegisteredSUs())
+		// decryptFull > 0 names a sender whose nonces are not powers of
+		// the group key's H: a fleet member still arming a private base,
+		// or budgets from a snapshot that predates H.
+		short, full := paillier.Decrypts()
+		log.Info("paillier summary", "decryptShort", short, "decryptFull", full,
+			"fullWidthNonces", paillier.FullWidthNonces())
 		return srv.Close()
 	case err := <-errCh:
 		return err

@@ -6,6 +6,7 @@ package repro
 // paper's Figure 3 on one machine".
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -335,6 +336,13 @@ func TestSTPFailoverUnderLoad(t *testing.T) {
 // recovered controller to be indistinguishable from the control:
 // identical public E columns, identical decrypted budget matrix, and
 // identical SU decisions.
+//
+// The crashed SDC is moreover a pre-upgrade one: it armed a private
+// nonce base, so the budgets in its snapshot carry nonces outside the
+// group key's <H>. The recovered controller must decide correctly on
+// them all the same (the STP's decryption detects them and continues to
+// the full exponent) and be back on the short exponent as soon as the
+// last such column has been rebuilt.
 // decryptBudgets opens an SDC's budget matrix in whichever layout the
 // deployment runs — slot-packed (the default) or one ciphertext per
 // cell — so the recovery comparison below is layout-agnostic.
@@ -344,6 +352,16 @@ func decryptBudgets(sk *paillier.PrivateKey, sdc *pisa.SDC) (*matrix.Int, error)
 	}
 	return matrix.Decrypt(sk, sdc.BudgetSnapshot())
 }
+
+// preUpgradeSTP serves the group key as a build from before the nonce
+// base was published did: the bare modulus. An SDC built over it arms a
+// private base, and every nonce it draws is foreign to the STP.
+type preUpgradeSTP struct {
+	pisa.STPService
+	bare *paillier.PublicKey
+}
+
+func (p preUpgradeSTP) GroupKey() *paillier.PublicKey { return p.bare }
 
 func TestRestartRecovery(t *testing.T) {
 	if testing.Short() {
@@ -368,7 +386,8 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable, err := pisa.RestoreSDC("it-sdc", params, nil, stp, nil, nil)
+	durable, err := pisa.RestoreSDC("it-sdc", params, nil,
+		preUpgradeSTP{STPService: stp, bare: &paillier.PublicKey{N: sk.N}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +478,11 @@ func TestRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 2: more updates land in the WAL after the snapshot.
-	pu3 := newPU("tv-3", 12)
+	// Phase 2: more updates land in the WAL after the snapshot. No
+	// receiver sits beyond block 11, so whatever the slot geometry,
+	// recovery rebuilds the groups that hold one and takes at least the
+	// last group as the snapshot has it.
+	pu3 := newPU("tv-3", 10)
 	apply(tune(pu3, 2, 4*sigMin))
 	apply(tune(pu1, 0, 2*sigMin)) // retune: replay must supersede the snapshot's column
 
@@ -540,9 +562,39 @@ func TestRestartRecovery(t *testing.T) {
 		"max power ch0": {0: params.Watch.Quantize(params.Watch.SUMaxEIRPmW)},
 		"modest ch2":    {2: params.Watch.Quantize(params.Watch.SUMaxEIRPmW) / 1000},
 	} {
-		if d, c := decide(restored, eirp), decide(control, eirp); d != c {
+		_, full := paillier.Decrypts()
+		d := decide(restored, eirp)
+		if _, after := paillier.Decrypts(); after == full {
+			t.Fatalf("post-recovery decision %q: the snapshot's private-base budgets decrypted without a continuation", name)
+		}
+		if c := decide(control, eirp); d != c {
 			t.Fatalf("post-recovery decision %q diverges: restored=%v control=%v", name, d, c)
 		}
+	}
+
+	// A receiver appears in every block: the rebuilds replace the last
+	// column the pre-upgrade build encrypted, and the recovered
+	// controller is back on the short exponent.
+	apply = func(u *pisa.PUUpdate) {
+		t.Helper()
+		if err := restored.HandlePUUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+		if err := control.HandlePUUpdate(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 0; b < params.Watch.Grid.Blocks(); b++ {
+		apply(tune(newPU(watch.PUID(fmt.Sprintf("tv-new-%d", b)), geo.BlockID(b)), 2, sigMin))
+	}
+	short, full := paillier.Decrypts()
+	d := decide(restored, maxPower)
+	if shortAfter, fullAfter := paillier.Decrypts(); fullAfter != full || shortAfter == short {
+		t.Fatalf("after every column was rebuilt: %d short and %d full decryptions, want short only",
+			shortAfter-short, fullAfter-full)
+	}
+	if c := decide(control, maxPower); d != c {
+		t.Fatalf("post-rebuild decision diverges: restored=%v control=%v", d, c)
 	}
 }
 
@@ -743,6 +795,12 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // with its own STP client — must ask the STP for an SU's key at most
 // once per client and compute no full-width nonce once the first
 // request has warmed the caches.
+//
+// Every key here crossed a socket, with its owner's nonce base H beside
+// the modulus, and was tabled by whoever received it. So once set-up is
+// over, with a PU update sent over the wire and folded into the budgets,
+// no decryption — the STP's of every blinded V~, the SU's of its
+// license — may need more than the short exponent.
 func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
@@ -854,6 +912,7 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	}
 
 	const requests = 4
+	_, fullAfterSetup := paillier.Decrypts()
 	for _, front := range []struct {
 		name string
 		cli  *node.SDCClient
@@ -861,6 +920,24 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		verify, err := front.cli.VerifyKey()
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A TV receiver next to the SU on another channel, as puctl
+		// sends it: the rebuilt column mixes the PU's nonces with the
+		// SDC's, and the request on channel 1 is still granted.
+		eCol, err := front.cli.EColumn(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pu, err := pisa.NewPU(nil, "tv-once", 8, eCol, suSTP.GroupKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		update, err := pu.Tune(0, wp.Quantize(wp.SMinPUmW))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := front.cli.SendUpdate(update); err != nil {
+			t.Fatalf("%s: PU update: %v", front.name, err)
 		}
 		var warm uint64
 		for i := 0; i < requests; i++ {
@@ -872,12 +949,16 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s request %d: %v", front.name, i, err)
 			}
+			shortBefore, _ := paillier.Decrypts()
 			grant, err := su.OpenResponse(resp, req, verify)
 			if err != nil {
 				t.Fatalf("%s request %d: open response: %v", front.name, i, err)
 			}
 			if !grant.Granted {
-				t.Fatalf("%s request %d denied on an empty grid", front.name, i)
+				t.Fatalf("%s request %d denied on its free channel", front.name, i)
+			}
+			if short, _ := paillier.Decrypts(); short == shortBefore {
+				t.Errorf("%s request %d: OpenResponse decrypted nothing on the short exponent", front.name, i)
 			}
 			if i == 0 {
 				warm = paillier.FullWidthNonces()
@@ -885,6 +966,10 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		}
 		if got := paillier.FullWidthNonces(); got != warm {
 			t.Errorf("%s: %d full-width nonce exponentiations after the first request, want 0", front.name, got-warm)
+		}
+		if _, full := paillier.Decrypts(); full != fullAfterSetup {
+			t.Errorf("%s: %d decryptions continued to the full exponent, want 0 (STP and SU.OpenResponse alike)",
+				front.name, full-fullAfterSetup)
 		}
 	}
 	for i, c := range counters {

@@ -16,16 +16,16 @@ import (
 
 // CacheStats is one fleet-concentration row: Concentration requests
 // of one shape, so the first is a miss (full recompute, which fills
-// the cache) and the rest are hits (re-randomise the cached column).
+// the cache) and the rest are hits (blind the cached column directly).
 type CacheStats struct {
 	// Concentration is how many same-shape requests were issued —
 	// the model for N co-located SUs asking the same question.
-	Concentration int `json:"concentration"`
-	Requests      int `json:"requests"`
-	Hits          int `json:"hits"`
+	Concentration int     `json:"concentration"`
+	Requests      int     `json:"requests"`
+	Hits          int     `json:"hits"`
 	HitRate       float64 `json:"hitRate"`
 	// AggregateHitNs is the mean served-from-cache aggregate stage
-	// (batch re-randomisation); AggregateMissNs the mean cold
+	// (a slice handed on); AggregateMissNs the mean cold
 	// recompute. Their ratio is Speedup — the number the cache earns
 	// its memory with.
 	AggregateHitNs  int64   `json:"aggregateHitNs"`
@@ -81,10 +81,10 @@ func MeasureCache(channels, cols, rows, bits, entries int, concentrations []int)
 	hits := r.Counter("pisa_sdc_cache_events_total",
 		"encrypted-decision cache events by kind", obs.Labels{"event": "hit"})
 	aggHit := r.Histogram("pisa_sdc_cache_aggregate_seconds",
-		"aggregate stage cost split by cache path (hit = re-randomise, miss = recompute)",
+		"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 		obs.Labels{"path": "hit"}, obs.IOBuckets)
 	aggMiss := r.Histogram("pisa_sdc_cache_aggregate_seconds",
-		"aggregate stage cost split by cache path (hit = re-randomise, miss = recompute)",
+		"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 		obs.Labels{"path": "miss"}, obs.IOBuckets)
 
 	for i, c := range concentrations {
@@ -95,13 +95,6 @@ func MeasureCache(channels, cols, rows, bits, entries int, concentrations []int)
 		eirp := map[int]int64{0: params.Watch.Quantize(float64(100 * (i + 1)))}
 		req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
 		if err != nil {
-			return nil, err
-		}
-		// The r^n factors behind the hit path are prepared while idle,
-		// the same offline accounting as the SU's refresh pool and the
-		// SDC's blinding pool (§VI-A); a burst otherwise outruns the
-		// background refill and hits fall back to online generation.
-		if err := u.SDC.PrecomputeCacheNonces(c * req.Ciphertexts()); err != nil {
 			return nil, err
 		}
 		hits0 := hits.Value()

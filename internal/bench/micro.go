@@ -20,7 +20,7 @@ import (
 // MicroResult is one measured operation configuration.
 type MicroResult struct {
 	// Op names the operation: encrypt, newNonce, rerandomize,
-	// nonceBatch32, decrypt, scalarMul100.
+	// nonceBatch32, decryptShort, decryptContinued, scalarMul100.
 	Op string `json:"op"`
 	// Engine reports whether the fixed-base engine was armed.
 	Engine bool `json:"engine"`
@@ -89,10 +89,13 @@ func measureOp(iters int, op func() error) (nsPerOp, allocsPerOp int64, err erro
 	return elapsed.Nanoseconds() / n, int64(after.Mallocs-before.Mallocs) / n, nil
 }
 
-// microOps enumerates the hot-path operations for one key view.
-// decrypt and scalarMul100 are engine-independent control rows; the
-// rest take the fast path when pk is armed.
-func microOps(pk *paillier.PublicKey, sk *paillier.PrivateKey, ct *paillier.Ciphertext, workers int) []struct {
+// microOps enumerates the hot-path operations for one key view. The
+// two decrypt rows and scalarMul100 are engine-independent control
+// rows; the rest take the fast path when pk is armed. own carries a
+// nonce that is a power of the key's published H and decrypts on the
+// subgroup-order exponent; ct carries a foreign one and pays the
+// continuation to p-1, as every decryption did before H was published.
+func microOps(pk *paillier.PublicKey, sk *paillier.PrivateKey, ct, own *paillier.Ciphertext, workers int) []struct {
 	name    string
 	workers int
 	op      func() error
@@ -108,7 +111,8 @@ func microOps(pk *paillier.PublicKey, sk *paillier.PrivateKey, ct *paillier.Ciph
 		{"newNonce", 1, func() error { _, err := pk.NewNonce(rand.Reader); return err }},
 		{"rerandomize", 1, func() error { _, err := pk.Rerandomize(rand.Reader, ct); return err }},
 		{"nonceBatch32", workers, func() error { _, err := pk.NewNonceBatch(rand.Reader, 32, workers); return err }},
-		{"decrypt", 1, func() error { _, err := sk.Decrypt(ct); return err }},
+		{"decryptShort", 1, func() error { _, err := sk.Decrypt(own); return err }},
+		{"decryptContinued", 1, func() error { _, err := sk.Decrypt(ct); return err }},
 		{"scalarMul100", 1, func() error { _, err := pk.ScalarMul(k100, ct); return err }},
 	}
 }
@@ -127,7 +131,10 @@ func MeasureMicro(bits, window, shortBits, iters, workers int) (*MicroReport, er
 	if err != nil {
 		return nil, err
 	}
-	legacy := sk.PublicKey // value copies: independent engine state
+	// The seed baseline is a key known by its modulus alone: full-width
+	// r^n nonces, foreign to the owner. The engine row tables the
+	// published H.
+	legacy := paillier.PublicKey{N: sk.N}
 	fast := sk.PublicKey
 	if err := fast.EnableFastExp(rand.Reader, window, shortBits); err != nil {
 		return nil, err
@@ -143,12 +150,16 @@ func MeasureMicro(bits, window, shortBits, iters, workers int) (*MicroReport, er
 	if err != nil {
 		return nil, err
 	}
+	own, err := fast.Encrypt(rand.Reader, big.NewInt(424242))
+	if err != nil {
+		return nil, err
+	}
 	legacyNs := make(map[string]int64)
 	for _, cfg := range []struct {
 		pk     *paillier.PublicKey
 		engine bool
 	}{{&legacy, false}, {&fast, true}} {
-		for _, o := range microOps(cfg.pk, sk, ct, workers) {
+		for _, o := range microOps(cfg.pk, sk, ct, own, workers) {
 			n := iters
 			if o.name == "nonceBatch32" {
 				if n = iters / 8; n < 1 {

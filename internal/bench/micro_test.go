@@ -15,7 +15,7 @@ func TestMeasureMicro(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MeasureMicro: %v", err)
 	}
-	wantOps := []string{"encrypt", "newNonce", "rerandomize", "nonceBatch32", "decrypt", "scalarMul100"}
+	wantOps := []string{"encrypt", "newNonce", "rerandomize", "nonceBatch32", "decryptShort", "decryptContinued", "scalarMul100"}
 	if got, want := len(report.Results), 2*len(wantOps); got != want {
 		t.Fatalf("got %d rows, want %d", got, want)
 	}

@@ -495,8 +495,13 @@ func DialSTPWith(opts Options, addrs ...string) (*STPClient, error) {
 		c.Close()
 		return nil, fmt.Errorf("node: STP returned no group key")
 	}
-	// The decoded key carries only its modulus; fill the derived fields
-	// before the roles built over this client share it across workers.
+	if err := resp.Paillier.Check(); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("node: STP group key: %w", err)
+	}
+	// The decoded key carries only its modulus and nonce base; fill the
+	// derived fields before the roles built over this client share it
+	// across workers.
 	c.groupKey = resp.Paillier.Prepare()
 	return c, nil
 }

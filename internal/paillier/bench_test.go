@@ -42,22 +42,47 @@ func BenchmarkEncrypt(b *testing.B) {
 	}
 }
 
-// BenchmarkDecryptCRT measures the CRT-optimised decryption.
-func BenchmarkDecryptCRT(b *testing.B) {
-	for _, bits := range []int{512, 1024, 2048} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			sk := benchKey(b, bits)
-			ct, err := sk.PublicKey.EncryptInt(rand.Reader, 123456789)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+// BenchmarkDecrypt measures CRT decryption at 2048 bits on its two
+// exponents: short for a ciphertext whose nonce is a power of the
+// key's H (everything Encrypt and the homomorphic operations produce),
+// continued for a foreign nonce, which pays the full p-1 as every
+// decryption did before H was published.
+func BenchmarkDecrypt(b *testing.B) {
+	sk := benchKey(b, 2048)
+	m := big.NewInt(123456789)
+	short, err := sk.PublicKey.Encrypt(rand.Reader, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := sk.randomUnit(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	continued, err := sk.EncryptWithNonce(m, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ct   *Ciphertext
+	}{{"short", short}, {"continued", continued}} {
+		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sk.Decrypt(ct); err != nil {
+				if _, err := sk.Decrypt(tc.ct); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGenerateKey measures key generation at 2048 bits: two
+// primes of the form 2*a*k+1 and the nonce base H.
+func BenchmarkGenerateKey(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateKey(rand.Reader, 2048); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -128,8 +153,9 @@ func BenchmarkRerandomize(b *testing.B) {
 // BenchmarkHotPath measures the operations the fixed-base engine
 // accelerates, under one set of benchmark names so benchstat can
 // compare across runs. The engine is toggled by environment —
-// PISA_ENGINE=off selects legacy full-width nonces, anything else (or
-// unset) the windowed-table fast path:
+// PISA_ENGINE=off leaves the key without its table (nonces are H^s by
+// plain square-and-multiply), anything else (or unset) selects the
+// windowed-table fast path:
 //
 //	PISA_ENGINE=off go test -bench HotPath -count 10 > old.txt
 //	PISA_ENGINE=on  go test -bench HotPath -count 10 > new.txt

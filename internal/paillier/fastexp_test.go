@@ -18,13 +18,14 @@ func fastKey(t testing.TB, bits int) *PrivateKey {
 	return sk
 }
 
-// TestFastExpCrossParity proves fast-path and legacy ciphertexts are
+// TestFastExpCrossParity proves fast-path and legacy (full-width r^n,
+// what a key rebuilt from its bare modulus draws) ciphertexts are
 // interchangeable: each decrypts under the same private key, and they
 // compose homomorphically in both directions (enc fast / add legacy /
 // dec, and vice versa).
 func TestFastExpCrossParity(t *testing.T) {
 	sk := fastKey(t, 512)
-	legacy := sk.PublicKey // value copy: engine disarmed
+	legacy := PublicKey{N: sk.N}
 	fast := sk.PublicKey
 	if err := fast.EnableFastExp(rand.Reader, 0, 0); err != nil {
 		t.Fatal(err)

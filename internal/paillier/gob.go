@@ -22,20 +22,31 @@ func gobDecode(data []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// privateKeyGob is the serialised private key: the prime factors are
-// sufficient to rebuild every cached field.
+// privateKeyGob is the serialised private key: the prime factors, plus
+// the subgroup orders and the nonce base that go with them. Every
+// cached field is rebuilt from these. A key written before the last
+// three existed decodes to one without a nonce base, which decrypts
+// everything with the full exponent.
 type privateKeyGob struct {
-	P, Q *big.Int
+	P, Q   *big.Int
+	AP, AQ *big.Int
+	H      *big.Int
 }
 
 // GobEncode implements gob.GobEncoder for key persistence (e.g. the
 // STP storing its group key across restarts). The encoding is secret
 // key material; store it with restrictive permissions.
 func (sk *PrivateKey) GobEncode() ([]byte, error) {
-	return gobEncode(privateKeyGob{P: sk.p, Q: sk.q})
+	payload := privateKeyGob{P: sk.p.d, Q: sk.q.d}
+	if sk.H != nil {
+		payload.AP, payload.AQ, payload.H = sk.p.a, sk.q.a, sk.H
+	}
+	return gobEncode(payload)
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. The subgroup fields are checked
+// against the primes (newPrivateKey): a file that declares orders its
+// H does not have would make every decryption silently wrong.
 func (sk *PrivateKey) GobDecode(data []byte) error {
 	var payload privateKeyGob
 	if err := gobDecode(data, &payload); err != nil {
@@ -46,6 +57,10 @@ func (sk *PrivateKey) GobDecode(data []byte) error {
 		payload.P.Cmp(payload.Q) == 0 {
 		return errors.New("paillier: decoded private key malformed")
 	}
-	*sk = *newPrivateKey(payload.P, payload.Q)
+	key, err := newPrivateKey(payload.P, payload.Q, payload.AP, payload.AQ, payload.H)
+	if err != nil {
+		return fmt.Errorf("paillier: decoded private key malformed: %w", err)
+	}
+	*sk = *key
 	return nil
 }

@@ -15,7 +15,9 @@
 //	E(m, r) = (1 + m*n) * r^n  mod n^2
 //
 // Decryption uses the usual L-function with a CRT speed-up over the
-// prime factors of n.
+// prime factors of n, and — for ciphertexts whose nonces are powers of
+// the key's published base H — an exponent a quarter as wide (see
+// PrivateKey and DESIGN.md §10).
 package paillier
 
 import (
@@ -35,6 +37,7 @@ var (
 	ErrMessageTooLarge   = errors.New("paillier: message outside plaintext domain (-n/2, n/2)")
 	ErrInvalidCiphertext = errors.New("paillier: ciphertext outside Z_{n^2} or not invertible")
 	ErrKeyTooSmall       = errors.New("paillier: modulus must be at least 128 bits")
+	ErrInvalidNonceBase  = errors.New("paillier: nonce base H outside (1, n^2) or not a unit")
 )
 
 var (
@@ -60,33 +63,49 @@ const (
 type PublicKey struct {
 	// N is the public modulus n = p*q.
 	N *big.Int
+	// H is the nonce base the key owner publishes: an n-th residue
+	// mod n^2 whose order (a_p*a_q, about 2^512) only the owner knows.
+	// Nonce factors are h^s for a short random s, so every ciphertext
+	// built from Encrypt, Rerandomize, NewNonce and the homomorphic
+	// operations on them carries a nonce inside <H>, which is what lets
+	// the owner decrypt with a_p and a_q in place of p-1 and q-1
+	// (DESIGN.md §10). Nil on a key that predates the field or was
+	// rebuilt from its modulus alone; such a key draws a private base
+	// when armed and full-width r^n otherwise.
+	H *big.Int
 
 	nSquared *big.Int // n^2
 	half     *big.Int // floor(n/2), threshold for centred decoding
 
-	// Fixed-base exponentiation engine (nil = legacy full-width
-	// nonces). fb tables h = x^n mod n^2 for a random unit x; nonce
-	// factors become h^s with a short exponent s of shortBits bits.
-	// Set once by EnableFastExp before the key is shared across
-	// goroutines; the table itself is immutable and read-safe.
+	// Fixed-base exponentiation engine: the windowed power table of H
+	// covering exponents of shortBits bits. Set once by EnableFastExp
+	// before the key is shared across goroutines; the table itself is
+	// immutable and read-safe.
 	fb        *fbexp.Table
 	shortBits int
 }
 
-// PrivateKey holds the Paillier key pair. The secret material is
-// (lambda, mu) in the textbook formulation; the CRT fields accelerate
-// decryption roughly fourfold.
+// PrivateKey holds the Paillier key pair: the prime factors of n, each
+// with the constants of its half of the CRT decryption.
 type PrivateKey struct {
 	PublicKey
 
-	p, q      *big.Int // prime factors of n
-	pSquared  *big.Int
-	qSquared  *big.Int
-	pMinusOne *big.Int
-	qMinusOne *big.Int
-	hp        *big.Int // L_p(g^{p-1} mod p^2)^{-1} mod p
-	hq        *big.Int // L_q(g^{q-1} mod q^2)^{-1} mod q
-	qInvP     *big.Int // q^{-1} mod p, for CRT recombination
+	p, q  crtPrime
+	qInvP *big.Int // q^{-1} mod p, for CRT recombination
+}
+
+// crtPrime is one prime factor d of n with what decryption modulo d^2
+// needs. a divides d-1 and is the order of H modulo d^2: for a
+// ciphertext c = (1+n)^m * H^s, c^a = (1+n)^(m*a) already — the nonce
+// is gone after an exponent of a's width, not (d-1)'s. A key without H
+// has a = 1: the first step is the identity and every decryption runs
+// the continuation, i.e. the textbook c^(d-1).
+type crtPrime struct {
+	d, dSquared *big.Int
+	a           *big.Int // order of H mod d^2; 1 without H
+	cofactor    *big.Int // (d-1)/a
+	invShort    *big.Int // L_d(g^a mod d^2)^{-1} mod d
+	invFull     *big.Int // L_d(g^(d-1) mod d^2)^{-1} mod d
 }
 
 // Ciphertext is a Paillier ciphertext: an element of Z_{n^2}^*.
@@ -98,23 +117,31 @@ type Ciphertext struct {
 }
 
 // GenerateKey creates a Paillier key pair whose modulus n has the
-// given bit length. Primes are drawn from random, which must be a
-// cryptographically secure source (crypto/rand.Reader in production).
+// given bit length, together with its nonce base H. Each prime has the
+// form 2*a*k + 1 for a prime a of DefaultShortExpBits bits (at most a
+// quarter of the prime, for small test keys) and a random cofactor k,
+// and H generates the subgroup of n-th residues of order a_p*a_q.
+// Primes are drawn from random, which must be a cryptographically
+// secure source (crypto/rand.Reader in production).
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 	random = orDefaultRand(random)
 	if bits < 128 {
 		return nil, ErrKeyTooSmall
 	}
+	aBits := DefaultShortExpBits
+	if aBits > bits/8 {
+		aBits = bits / 8
+	}
 	for {
-		p, err := rand.Prime(random, bits/2)
+		p, ap, err := subgroupPrime(random, bits/2, aBits)
 		if err != nil {
 			return nil, fmt.Errorf("generate p: %w", err)
 		}
-		q, err := rand.Prime(random, bits-bits/2)
+		q, aq, err := subgroupPrime(random, bits-bits/2, aBits)
 		if err != nil {
 			return nil, fmt.Errorf("generate q: %w", err)
 		}
-		if p.Cmp(q) == 0 {
+		if p.Cmp(q) == 0 || ap.Cmp(aq) == 0 {
 			continue
 		}
 		n := new(big.Int).Mul(p, q)
@@ -123,54 +150,142 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		}
 		// gcd(n, (p-1)(q-1)) must be 1; guaranteed when p, q are
 		// distinct primes of the same size, but verify anyway.
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		phi := new(big.Int).Mul(pm1, qm1)
+		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
 		if new(big.Int).GCD(nil, nil, n, phi).Cmp(one) != 0 {
 			continue
 		}
-		return newPrivateKey(p, q), nil
+		// H is a random element of the subgroup of order a_p*a_q — all
+		// n-th residues, a_p*a_q being prime to n — assembled from its
+		// halves modulo p^2 and q^2, a quarter of the cost of one
+		// y^(n*phi/(a_p*a_q)) mod n^2. newPrivateKey refuses a half that
+		// landed on 1 (one draw in a_p) and primes where a_q divides p-1
+		// or a_p divides q-1; both are as good as impossible at real
+		// sizes and merely rare at test sizes, so start over.
+		hp, pSquared, err := subgroupElement(random, p, ap)
+		if err != nil {
+			return nil, fmt.Errorf("generate h: %w", err)
+		}
+		hq, qSquared, err := subgroupElement(random, q, aq)
+		if err != nil {
+			return nil, fmt.Errorf("generate h: %w", err)
+		}
+		// CRT: h = hq + q^2 * ((hp - hq) * q^-2 mod p^2)
+		h := hp.Sub(hp, hq)
+		h.Mul(h, new(big.Int).ModInverse(qSquared, pSquared))
+		h.Mod(h, pSquared)
+		h.Mul(h, qSquared)
+		h.Add(h, hq)
+		if sk, err := newPrivateKey(p, q, ap, aq, h); err == nil {
+			return sk, nil
+		}
 	}
 }
 
-// newPrivateKey derives all cached fields from the prime factors.
-func newPrivateKey(p, q *big.Int) *PrivateKey {
+// subgroupElement draws a random element of the subgroup of order a of
+// Z_{d^2}^*, for a prime a dividing d-1: y^(d*(d-1)/a) mod d^2.
+func subgroupElement(random io.Reader, d, a *big.Int) (h, dSquared *big.Int, err error) {
+	dSquared = new(big.Int).Mul(d, d)
+	y, err := rand.Int(random, dSquared)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := new(big.Int).Sub(d, one)
+	e.Div(e, a).Mul(e, d)
+	return y.Exp(y, e, dSquared), dSquared, nil
+}
+
+// subgroupPrime draws a prime a of aBits bits and a prime p = 2*a*k + 1
+// of exactly bits bits with its top two bits set (as rand.Prime sets
+// them, so that the product of two such primes has exactly twice the
+// bits).
+func subgroupPrime(random io.Reader, bits, aBits int) (p, a *big.Int, err error) {
+	a, err = rand.Prime(random, aBits)
+	if err != nil {
+		return nil, nil, err
+	}
+	twoA := new(big.Int).Lsh(a, 1)
+	lo := new(big.Int).Lsh(big.NewInt(3), uint(bits-2))
+	lo.Div(lo, twoA).Add(lo, one)
+	hi := new(big.Int).Lsh(one, uint(bits))
+	hi.Div(hi, twoA)
+	p = new(big.Int)
+	for {
+		k, err := RandomInRange(random, lo, hi)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.Mul(k, twoA).Add(p, one)
+		if p.ProbablyPrime(20) {
+			return p, a, nil
+		}
+	}
+}
+
+// newPrivateKey derives all cached fields from the prime factors and
+// the subgroup description (ap, aq, h), verifying the latter: ap | p-1,
+// aq | q-1, h a unit in (1, n^2), h^ap = 1 mod p^2 and h^aq = 1 mod
+// q^2 — the condition under which the short exponent strips every
+// nonce h^s — and h != 1 modulo either square. A nil h (with nil ap,
+// aq) builds a key without a nonce base.
+func newPrivateKey(p, q, ap, aq, h *big.Int) (*PrivateKey, error) {
+	if (ap == nil) != (h == nil) || (aq == nil) != (h == nil) {
+		return nil, errors.New("paillier: subgroup orders and nonce base must come together")
+	}
 	n := new(big.Int).Mul(p, q)
-	sk := &PrivateKey{
-		PublicKey: PublicKey{
-			N:        n,
-			nSquared: new(big.Int).Mul(n, n),
-			half:     new(big.Int).Rsh(n, 1),
-		},
-		p:         new(big.Int).Set(p),
-		q:         new(big.Int).Set(q),
-		pSquared:  new(big.Int).Mul(p, p),
-		qSquared:  new(big.Int).Mul(q, q),
-		pMinusOne: new(big.Int).Sub(p, one),
-		qMinusOne: new(big.Int).Sub(q, one),
+	sk := &PrivateKey{PublicKey: PublicKey{N: n, H: h}}
+	sk.ensureCache()
+	if h == nil {
+		ap, aq = one, one
+	} else if err := sk.PublicKey.checkH(); err != nil {
+		return nil, err
 	}
-	// hp = L_p(g^{p-1} mod p^2)^{-1} mod p with g = n+1.
-	// g^{p-1} mod p^2 = (1+n)^{p-1} = 1 + (p-1)*n mod p^2.
-	g := new(big.Int).Add(n, one)
-	gp := new(big.Int).Exp(g, sk.pMinusOne, sk.pSquared)
-	sk.hp = new(big.Int).ModInverse(lFunc(gp, p), p)
-	gq := new(big.Int).Exp(g, sk.qMinusOne, sk.qSquared)
-	sk.hq = new(big.Int).ModInverse(lFunc(gq, q), q)
+	var err error
+	if sk.p, err = newCRTPrime(n, p, ap, h); err != nil {
+		return nil, err
+	}
+	if sk.q, err = newCRTPrime(n, q, aq, h); err != nil {
+		return nil, err
+	}
 	sk.qInvP = new(big.Int).ModInverse(q, p)
-	return sk
+	return sk, nil
 }
 
-// lFunc computes L_d(u) = (u - 1) / d.
-func lFunc(u, d *big.Int) *big.Int {
-	r := new(big.Int).Sub(u, one)
-	return r.Div(r, d)
+// newCRTPrime fills the decryption constants of the prime factor d.
+func newCRTPrime(n, d, a, h *big.Int) (crtPrime, error) {
+	dMinusOne := new(big.Int).Sub(d, one)
+	if a.Sign() <= 0 || new(big.Int).Rem(dMinusOne, a).Sign() != 0 {
+		return crtPrime{}, errors.New("paillier: subgroup order does not divide p-1")
+	}
+	c := crtPrime{
+		d:        new(big.Int).Set(d),
+		dSquared: new(big.Int).Mul(d, d),
+		a:        new(big.Int).Set(a),
+		cofactor: new(big.Int).Quo(dMinusOne, a),
+	}
+	if h != nil {
+		hd := new(big.Int).Mod(h, c.dSquared)
+		if hd.Cmp(one) == 0 || hd.Exp(hd, a, c.dSquared).Cmp(one) != 0 {
+			return crtPrime{}, errors.New("paillier: nonce base does not have the declared order")
+		}
+	}
+	// inv = L_d(g^e mod d^2)^{-1} mod d for e = a and e = d-1: what
+	// turns L_d(c^e) = m * L_d(g^e) back into m mod d. With g = n+1,
+	// g^e = 1 + e*n modulo n^2 and so modulo d^2, and L_d of it is
+	// e*(n/d) mod d.
+	cofactorN := new(big.Int).Quo(n, d)
+	inv := func(e *big.Int) *big.Int {
+		l := new(big.Int).Mul(e, cofactorN)
+		return l.ModInverse(l.Mod(l, d), d)
+	}
+	c.invShort, c.invFull = inv(a), inv(dMinusOne)
+	return c, nil
 }
 
 // Public returns the public half of the key.
 func (sk *PrivateKey) Public() *PublicKey { return &sk.PublicKey }
 
 // ensureCache lazily fills derived fields on keys that were
-// deserialised (e.g. received over gob with only N populated). The
+// deserialised (e.g. received over gob with only N and H populated). The
 // write is unsynchronised: a key that several goroutines will use must
 // be prepared (Prepare, EnableFastExp) before it is shared.
 func (pk *PublicKey) ensureCache() {
@@ -182,7 +297,7 @@ func (pk *PublicKey) ensureCache() {
 
 // Prepare fills the derived fields (n^2, n/2) now instead of on first
 // use and returns pk. A key that crossed a socket or came out of a
-// store carries only N; whoever receives it calls Prepare (or
+// store carries only N and H; whoever receives it calls Prepare (or
 // EnableFastExp, which implies it) before handing the key to worker
 // goroutines, after which the key is read-only.
 func (pk *PublicKey) Prepare() *PublicKey {
@@ -192,21 +307,37 @@ func (pk *PublicKey) Prepare() *PublicKey {
 
 // fullWidthNonces counts nonce factors r^n produced by a full-width
 // exponentiation (exponent n, modulus n^2) — the legacy path every hot
-// loop is supposed to have left for the fixed-base engine. Bridged to
-// the obs registry, so a request path that is silently running on an
-// unarmed key shows on /metrics as a counter that keeps growing.
-var fullWidthNonces atomic.Uint64
+// loop is supposed to have left for the fixed-base engine. decrypts
+// counts decryptions by the exponent they paid: short when both CRT
+// halves stopped at the subgroup order, full when either ran on to
+// p-1 because the nonce was not a power of the key's H. All three are
+// bridged to the obs registry, so a request path that is silently
+// running on an unarmed key, a fleet member still arming a private
+// base, or a snapshot from before H existed shows on /metrics as a
+// counter that keeps growing.
+var (
+	fullWidthNonces atomic.Uint64
+	decrypts        struct{ short, full atomic.Uint64 }
+)
 
 func init() {
 	obs.Default().CounterFunc("pisa_paillier_fullwidth_nonce_total",
-		"nonce factors r^n computed by a full-width exponentiation (key without a fixed-base table)",
+		"nonce factors r^n computed by a full-width exponentiation (key without a nonce base H)",
 		nil, fullWidthNonces.Load)
+	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
+	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
+	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
 }
 
 // FullWidthNonces reports how many nonce factors this process has
 // computed by full-width exponentiation. Building a key's fixed-base
-// table (one exponentiation per key) is set-up and not counted.
+// table is set-up and not counted.
 func FullWidthNonces() uint64 { return fullWidthNonces.Load() }
+
+// Decrypts reports how many decryptions this process has run on the
+// short (subgroup-order) exponent alone and how many continued to the
+// full one.
+func Decrypts() (short, full uint64) { return decrypts.short.Load(), decrypts.full.Load() }
 
 // fullWidthRn computes r^n mod n^2 the legacy way and counts it.
 func (pk *PublicKey) fullWidthRn(r *big.Int) *big.Int {
@@ -224,17 +355,61 @@ func (pk *PublicKey) NSquared() *big.Int {
 // Bits returns the bit length of the modulus n.
 func (pk *PublicKey) Bits() int { return pk.N.BitLen() }
 
-// Equal reports whether two public keys share the same modulus.
+// Equal reports whether two public keys share the same modulus, i.e.
+// whether ciphertexts under one are ciphertexts under the other. The
+// nonce base is not compared; SameKey does.
 func (pk *PublicKey) Equal(other *PublicKey) bool {
 	return other != nil && pk.N.Cmp(other.N) == 0
 }
 
+// SameKey reports whether two public keys are the same published key:
+// modulus and nonce base.
+func (pk *PublicKey) SameKey(other *PublicKey) bool {
+	if !pk.Equal(other) || (pk.H == nil) != (other.H == nil) {
+		return false
+	}
+	return pk.H == nil || pk.H.Cmp(other.H) == 0
+}
+
+// Check validates the public fields of a key that arrived from outside
+// (a socket, a store): a modulus of at least 128 bits, and a nonce base
+// that is absent or a unit of Z_{n^2} other than 1. Whether H is an
+// n-th residue of the order its owner claims cannot be checked without
+// the secret key; a wrong H harms only ciphertexts under this key, i.e.
+// its owner.
+func (pk *PublicKey) Check() error {
+	if pk.N == nil || pk.N.Sign() <= 0 || pk.N.BitLen() < 128 {
+		return ErrKeyTooSmall
+	}
+	return pk.checkH()
+}
+
+// checkH is the nonce-base half of Check.
+func (pk *PublicKey) checkH() error {
+	if pk.H == nil {
+		return nil
+	}
+	pk.ensureCache()
+	if pk.H.Cmp(one) <= 0 || pk.H.Cmp(pk.nSquared) >= 0 ||
+		new(big.Int).GCD(nil, nil, pk.H, pk.N).Cmp(one) != 0 {
+		return ErrInvalidNonceBase
+	}
+	return nil
+}
+
 // EnableFastExp arms the fixed-base exponentiation engine on this key:
-// it draws a random unit x, fixes h = x^n mod n^2, and precomputes the
-// windowed power table for h covering exponents of shortBits bits.
-// Nonce factors r^n are then generated as h^s = (x^s)^n for a short
-// random s — a valid n-th residue at a fraction of the cost (see
-// DESIGN.md §10 for the short-exponent security argument).
+// it precomputes the windowed power table of the published base H
+// covering exponents of shortBits bits. Nonce factors are then
+// generated as H^s for a short random s from the table, at a fraction
+// of the cost of a square-and-multiply (see DESIGN.md §10 for the
+// short-exponent security argument). Every copy of a key tables the
+// same H, so nonces drawn by any party stay inside the subgroup whose
+// order the owner decrypts with.
+//
+// A key without H (rebuilt from a bare modulus) first draws a private
+// base h = x^n for a random unit x, as every key did before H was
+// published: its nonces are valid but foreign to the owner, who pays
+// the full decryption exponent for them.
 //
 // window and shortBits of 0 select DefaultFastExpWindow and
 // DefaultShortExpBits. Enabling is idempotent: a key that already has
@@ -255,11 +430,14 @@ func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) erro
 		return fmt.Errorf("paillier: short exponent width %d below minimum %d", shortBits, minShortExpBits)
 	}
 	pk.ensureCache()
-	x, err := pk.randomUnit(random)
-	if err != nil {
-		return fmt.Errorf("fast-exp base: %w", err)
+	h := pk.H
+	if h == nil {
+		x, err := pk.randomUnit(random)
+		if err != nil {
+			return fmt.Errorf("fast-exp base: %w", err)
+		}
+		h = x.Exp(x, pk.N, pk.nSquared)
 	}
-	h := new(big.Int).Exp(x, pk.N, pk.nSquared)
 	tab, err := fbexp.New(h, pk.nSquared, window, shortBits)
 	if err != nil {
 		return fmt.Errorf("fast-exp table: %w", err)
@@ -269,8 +447,9 @@ func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) erro
 	return nil
 }
 
-// DisableFastExp drops the engine, reverting to legacy full-width
-// nonce generation. Setup-time only, like EnableFastExp.
+// DisableFastExp drops the table: nonces are then H^s by plain
+// square-and-multiply, or full-width r^n on a key without H.
+// Setup-time only, like EnableFastExp.
 func (pk *PublicKey) DisableFastExp() {
 	pk.fb = nil
 	pk.shortBits = 0
@@ -288,12 +467,24 @@ func (pk *PublicKey) FastExpSizeBytes() int {
 	return pk.fb.SizeBytes()
 }
 
-// fastRn produces one nonce factor h^s mod n^2 via the windowed table,
-// with s drawn uniformly from [1, 2^shortBits). Caller must have
-// checked pk.fb != nil.
-func (pk *PublicKey) fastRn(random io.Reader) (*big.Int, error) {
+// newRn draws one nonce factor: H^s mod n^2 for s uniform in
+// [1, 2^shortBits) — from the table when the key is armed, by a plain
+// short exponentiation when it only carries H — or, on a key with
+// neither, r^n for a random unit r.
+func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
+	if pk.fb == nil && pk.H == nil {
+		r, err := pk.randomUnit(random)
+		if err != nil {
+			return nil, err
+		}
+		return pk.fullWidthRn(r), nil
+	}
+	shortBits := pk.shortBits
+	if pk.fb == nil {
+		shortBits = DefaultShortExpBits
+	}
 	random = orDefaultRand(random)
-	limit := new(big.Int).Lsh(one, uint(pk.shortBits))
+	limit := new(big.Int).Lsh(one, uint(shortBits))
 	for {
 		s, err := rand.Int(random, limit)
 		if err != nil {
@@ -302,7 +493,10 @@ func (pk *PublicKey) fastRn(random io.Reader) (*big.Int, error) {
 		if s.Sign() == 0 {
 			continue // h^0 = 1 would be a non-blinding nonce
 		}
-		return pk.fb.Exp(s), nil
+		if pk.fb != nil {
+			return pk.fb.Exp(s), nil
+		}
+		return s.Exp(pk.H, s, pk.NSquared()), nil
 	}
 }
 
@@ -353,35 +547,25 @@ func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
 }
 
 // Encrypt encrypts the signed message m under pk using a fresh random
-// nonce from random. With the fixed-base engine armed (EnableFastExp)
-// the nonce factor comes from the windowed table; otherwise it costs
-// one full-width exponentiation.
+// nonce from random (see newRn for what it costs on which key).
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	if pk.fb != nil {
-		rn, err := pk.fastRn(random)
-		if err != nil {
-			return nil, err
-		}
-		return pk.encryptWithRn(m, rn)
-	}
-	r, err := pk.randomUnit(random)
+	rn, err := pk.newRn(random)
 	if err != nil {
 		return nil, err
 	}
-	return pk.EncryptWithNonce(m, r)
+	return pk.encryptWithRn(m, rn)
 }
 
 // EncryptWithNonce encrypts m with the caller-supplied nonce r in
 // Z_n^*. Deterministic given (m, r); used by tests and by callers that
-// batch nonce generation. Always takes the legacy path — the engine
-// cannot reproduce an arbitrary caller-chosen r.
+// batch nonce generation. Always costs a full-width r^n, here and —
+// r^n being outside <H> — again at decryption.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	return pk.encryptWithRn(m, pk.fullWidthRn(r))
 }
 
 // encryptWithRn assembles the ciphertext (1 + m*n) * rn mod n^2 from a
-// ready-made nonce factor rn = r^n. Shared by the legacy and
-// fixed-base paths so the ciphertext shape is identical in both.
+// ready-made nonce factor rn, whichever way it was drawn.
 func (pk *PublicKey) encryptWithRn(m, rn *big.Int) (*Ciphertext, error) {
 	enc, err := pk.encode(m)
 	if err != nil {
@@ -408,14 +592,38 @@ func (pk *PublicKey) EncryptInt(random io.Reader, m int64) (*Ciphertext, error) 
 // of once per ciphertext. Not safe for concurrent use; each worker
 // owns its own.
 type decContext struct {
-	sk         *PrivateKey
-	mp, mq, mm big.Int
+	sk               *PrivateKey
+	mp, mq, mm, u, r big.Int
 }
 
 // newDecContext prepares a decryption context for this key.
 func (sk *PrivateKey) newDecContext() *decContext {
 	sk.ensureCache()
 	return &decContext{sk: sk}
+}
+
+// residue sets m to the plaintext of ct modulo the prime c.d and
+// reports whether it took the full exponent. u = ct^a mod d^2 comes
+// first. Write ct = (1+n)^m * t with t in the subgroup of order d-1:
+// then u is (1+n)^(m*a) * t^a, and d divides u-1 exactly when t^a = 1 —
+// for every nonce in <H>, and for a foreign one with probability
+// a/(d-1). If it does not, u^cofactor = ct^(d-1) finishes the textbook
+// decryption; the short exponentiation was its first quarter, not
+// wasted work.
+func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full bool) {
+	inv := c.invShort
+	u := d.u.Exp(ct, c.a, c.dSquared)
+	m.Sub(u, one)
+	// m = L_d(u) if the remainder is zero.
+	if m.QuoRem(m, c.d, &d.r); d.r.Sign() != 0 {
+		u.Exp(u, c.cofactor, c.dSquared)
+		m.Sub(u, one)
+		m.Quo(m, c.d)
+		inv, full = c.invFull, true
+	}
+	m.Mul(m, inv)
+	m.Mod(m, c.d)
+	return full
 }
 
 // decrypt runs the CRT decryption using the context's scratch. The
@@ -425,25 +633,19 @@ func (d *decContext) decrypt(ct *Ciphertext) (*big.Int, error) {
 	if err := sk.validate(ct); err != nil {
 		return nil, err
 	}
-	// mp = L_p(c^{p-1} mod p^2) * hp mod p, with the L-function
-	// evaluated in place on the scratch.
-	mp := d.mp.Exp(ct.C, sk.pMinusOne, sk.pSquared)
-	mp.Sub(mp, one)
-	mp.Div(mp, sk.p)
-	mp.Mul(mp, sk.hp)
-	mp.Mod(mp, sk.p)
-	// mq likewise.
-	mq := d.mq.Exp(ct.C, sk.qMinusOne, sk.qSquared)
-	mq.Sub(mq, one)
-	mq.Div(mq, sk.q)
-	mq.Mul(mq, sk.hq)
-	mq.Mod(mq, sk.q)
+	fullP := d.residue(&d.mp, &sk.p, ct.C)
+	fullQ := d.residue(&d.mq, &sk.q, ct.C)
+	if fullP || fullQ {
+		decrypts.full.Add(1)
+	} else {
+		decrypts.short.Add(1)
+	}
 	// CRT: m = mq + q * ((mp - mq) * qInvP mod p)
-	m := d.mm.Sub(mp, mq)
+	m := d.mm.Sub(&d.mp, &d.mq)
 	m.Mul(m, sk.qInvP)
-	m.Mod(m, sk.p)
-	m.Mul(m, sk.q)
-	m.Add(m, mq)
+	m.Mod(m, sk.p.d)
+	m.Mul(m, sk.q.d)
+	m.Add(m, &d.mq)
 	// Centred decode into a fresh integer — m aliases the scratch.
 	if m.Cmp(sk.half) > 0 {
 		return new(big.Int).Sub(m, sk.N), nil
@@ -570,50 +772,33 @@ func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, 
 	if err := pk.validate(a); err != nil {
 		return nil, err
 	}
-	var rn *big.Int
-	if pk.fb != nil {
-		var err error
-		if rn, err = pk.fastRn(random); err != nil {
-			return nil, err
-		}
-	} else {
-		r, err := pk.randomUnit(random)
-		if err != nil {
-			return nil, err
-		}
-		rn = pk.fullWidthRn(r)
+	rn, err := pk.newRn(random)
+	if err != nil {
+		return nil, err
 	}
 	c := new(big.Int).Mul(rn, a.C)
 	c.Mod(c, pk.nSquared)
 	return &Ciphertext{C: c}, nil
 }
 
-// Nonce is a precomputed re-randomisation factor r^n mod n^2. The
-// expensive exponentiation happens at construction (offline); applying
-// it to a ciphertext is a single modular multiplication. This is the
-// mechanism behind the paper's cheap request-reuse path (§VI-A: the SU
-// "can simply multiply the pre-stored ciphertexts by r^n with a new
-// randomly selected r").
+// Nonce is a precomputed re-randomisation factor, an n-th residue mod
+// n^2: H^s, or r^n on a key without H. The expensive exponentiation
+// happens at construction (offline); applying it to a ciphertext is a
+// single modular multiplication. This is the mechanism behind the
+// paper's cheap request-reuse path (§VI-A: the SU "can simply multiply
+// the pre-stored ciphertexts by r^n with a new randomly selected r").
 type Nonce struct {
 	rn *big.Int
 }
 
-// NewNonce precomputes one re-randomisation factor. With the
-// fixed-base engine armed this is h^s over the windowed table; the
-// batch and pool layers inherit the fast path through here.
+// NewNonce precomputes one re-randomisation factor (see newRn); the
+// batch and pool layers draw theirs through here.
 func (pk *PublicKey) NewNonce(random io.Reader) (*Nonce, error) {
-	if pk.fb != nil {
-		rn, err := pk.fastRn(random)
-		if err != nil {
-			return nil, err
-		}
-		return &Nonce{rn: rn}, nil
-	}
-	r, err := pk.randomUnit(random)
+	rn, err := pk.newRn(random)
 	if err != nil {
 		return nil, err
 	}
-	return &Nonce{rn: pk.fullWidthRn(r)}, nil
+	return &Nonce{rn: rn}, nil
 }
 
 // RerandomizeWith refreshes a ciphertext with a precomputed nonce:

@@ -53,7 +53,7 @@ func TestGenerateKeyModulusBits(t *testing.T) {
 		if got := sk.N.BitLen(); got != bits {
 			t.Errorf("modulus bits = %d, want %d", got, bits)
 		}
-		if new(big.Int).Mul(sk.p, sk.q).Cmp(sk.N) != 0 {
+		if new(big.Int).Mul(sk.p.d, sk.q.d).Cmp(sk.N) != 0 {
 			t.Errorf("p*q != n")
 		}
 	}
@@ -343,8 +343,8 @@ func TestPublicKeyEqual(t *testing.T) {
 }
 
 func TestDeserializedPublicKeyWorks(t *testing.T) {
-	// A key transported with only N set (as gob does for unexported
-	// fields) must still encrypt and operate correctly.
+	// A key rebuilt from its modulus alone (a store that kept only N)
+	// must still encrypt and operate correctly.
 	sk := testKey()
 	bare := &PublicKey{N: new(big.Int).Set(sk.N)}
 	ct, err := bare.EncryptInt(rand.Reader, -777)

@@ -5,8 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"sync"
-
-	"pisa/internal/parallel"
 )
 
 // NoncePool amortises the expensive r^n mod n^2 exponentiation behind
@@ -218,65 +216,4 @@ func (p *NoncePool) Close() {
 	p.target = 0
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// RerandomizeBatch refreshes every ciphertext with one pooled nonce
-// each, claiming the whole stock it needs in a single lock acquisition
-// and fanning the modular multiplications out over the pool's worker
-// parallelism. A short pool generates the remainder online, exactly
-// like Get. Output slot i corresponds to cts[i]; inputs are not
-// mutated, and every nonce is consumed (used at most once).
-func (p *NoncePool) RerandomizeBatch(cts []*Ciphertext) ([]*Ciphertext, error) {
-	m := pmetrics()
-	count := len(cts)
-	p.mu.Lock()
-	if p.refillErrPending {
-		// Same contract as Get: the background failure surfaces to
-		// exactly one caller, sticky via RefillErr for everyone else.
-		p.refillErrPending = false
-		err := p.refillErr
-		p.mu.Unlock()
-		return nil, fmt.Errorf("paillier: background nonce refill: %w", err)
-	}
-	take := count
-	if take > len(p.nonces) {
-		take = len(p.nonces)
-	}
-	// Pop newest-first, matching Get's LIFO order.
-	popped := make([]*Nonce, take)
-	base := len(p.nonces) - take
-	for i := 0; i < take; i++ {
-		popped[i] = p.nonces[len(p.nonces)-1-i]
-		p.nonces[len(p.nonces)-1-i] = nil
-	}
-	p.nonces = p.nonces[:base]
-	m.depth.Set(int64(len(p.nonces)))
-	p.maybeRefillLocked()
-	workers := p.workers
-	p.mu.Unlock()
-
-	out := make([]*Ciphertext, count)
-	err := parallel.For(workers, count, func(i int) error {
-		n := (*Nonce)(nil)
-		if i < take {
-			n = popped[i]
-		} else {
-			m.fallbacks.Inc()
-			fresh, err := p.pk.NewNonce(p.random)
-			if err != nil {
-				return fmt.Errorf("paillier: rerandomize batch element %d: %w", i, err)
-			}
-			n = fresh
-		}
-		ct, err := p.pk.RerandomizeWith(cts[i], n)
-		if err != nil {
-			return fmt.Errorf("paillier: rerandomize batch element %d: %w", i, err)
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

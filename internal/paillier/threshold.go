@@ -59,8 +59,10 @@ func (sk *PrivateKey) SplitKey(random io.Reader, count int) ([]*KeyShare, error)
 		return nil, errThresholdShares
 	}
 	// lambda = lcm(p-1, q-1).
-	gcd := new(big.Int).GCD(nil, nil, sk.pMinusOne, sk.qMinusOne)
-	lambda := new(big.Int).Mul(sk.pMinusOne, sk.qMinusOne)
+	pMinusOne := new(big.Int).Sub(sk.p.d, one)
+	qMinusOne := new(big.Int).Sub(sk.q.d, one)
+	gcd := new(big.Int).GCD(nil, nil, pMinusOne, qMinusOne)
+	lambda := new(big.Int).Mul(pMinusOne, qMinusOne)
 	lambda.Div(lambda, gcd)
 	// d = lambda * (lambda^{-1} mod n): 0 mod lambda, 1 mod n.
 	lambdaInv := new(big.Int).ModInverse(lambda, sk.N)

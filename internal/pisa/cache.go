@@ -16,9 +16,11 @@ import (
 // the SU's ShapeDigest) and the budget content the SDC folded PU
 // updates into. Neither the SU's key nor any per-request randomness
 // enters before eq. 13, so the column can be reused across refreshes
-// of the same SU — and across SUs within a declared trust domain —
-// provided it is re-randomised before blinding (RerandomizeBatch) so
-// no two servings are linkable.
+// of the same SU — and across SUs within a declared trust domain.
+// Entries are read-only and never leave the SDC: every serving goes
+// out blinded under a fresh (alpha, beta, eps) tuple whose E(-eps*beta)
+// factor carries a fresh nonce, so no two servings are linkable to
+// each other or to the entry (DESIGN.md §14).
 //
 // Entries are keyed on scopedCacheKey, not on the raw digest: the
 // digest is SU-supplied and the SDC cannot check it against the

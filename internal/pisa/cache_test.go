@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 	"pisa/internal/watch"
 )
 
@@ -450,26 +451,59 @@ func TestCacheTTLExpiredEvent(t *testing.T) {
 	}
 }
 
+// signRecorder is an STPService that keeps the blinded V~ set of every
+// sign test it forwards: what an observer of the SDC -> STP link sees.
+type signRecorder struct {
+	STPService
+	mu   sync.Mutex
+	sets [][]*paillier.Ciphertext
+}
+
+func (r *signRecorder) ConvertSigns(req *SignRequest) (*SignResponse, error) {
+	r.mu.Lock()
+	r.sets = append(r.sets, req.V)
+	r.mu.Unlock()
+	return r.STPService.ConvertSigns(req)
+}
+
 // TestCacheRerandomizedUnlinkable is the ciphertext-distinguishability
-// check: what the hit path serves must decrypt to exactly the cached
-// aggregate, yet be bitwise unlinkable to the stored entry and to any
-// other serving of the same entry — otherwise an observer of two SDC
-// responses could tell "these two SUs asked the same thing" from the
-// ciphertexts themselves (the shape digest deliberately leaks that to
-// the SDC, never to the wire).
+// check on what actually leaves the process. A hit blinds the stored
+// column directly — no re-randomisation in between — so the V~ sets of
+// two hit servings must be bitwise unlinkable to each other and to the
+// entry (otherwise an observer of the SDC's traffic could tell "these
+// two requests asked the same thing"; the shape digest deliberately
+// leaks that to the SDC, never to the wire), the entry must come out
+// bit-identical, and every served V~ must still be a sign-preserving
+// blinding of the cached I~ up to its one-time epsilon.
 func TestCacheRerandomizedUnlinkable(t *testing.T) {
-	d := newDeployment(t)
+	wp := testWatchParams(t)
+	params := TestParams(wp)
+	stp, err := NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &signRecorder{STPService: stp}
+	sdc, err := NewSDC("sdc-test", params, nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sdc.Close)
+	oracle, err := watch.NewSystem(wp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
 	su := d.newSU(t, "su-1", 7)
 	eirp := map[int]int64{1: maxEIRP(d)}
 	req, err := su.PrepareRequest(eirp, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.decide(t, su, req) // fills the cache
+	want := d.decide(t, su, req).Granted // fills the cache
 
-	d.sdc.mu.Lock()
-	entry := d.sdc.cache.get(d.sdc.cacheKeyFor("su-1", req.ShapeDigest))
-	d.sdc.mu.Unlock()
+	sdc.mu.Lock()
+	entry := sdc.cache.get(sdc.cacheKeyFor("su-1", req.ShapeDigest))
+	sdc.mu.Unlock()
 	if entry == nil {
 		t.Fatal("request did not fill the cache")
 	}
@@ -478,40 +512,73 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 		stored[i] = new(big.Int).Set(ct.C)
 	}
 
-	serveA, err := d.sdc.cacheNonces.RerandomizeBatch(entry.is)
-	if err != nil {
-		t.Fatal(err)
+	before := snapshotCacheEvents()
+	for serving := 0; serving < 2; serving++ {
+		r, err := su.RefreshRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.decide(t, su, r).Granted; got != want {
+			t.Fatalf("hit serving %d decided %v, the fill %v", serving, got, want)
+		}
 	}
-	serveB, err := d.sdc.cacheNonces.RerandomizeBatch(entry.is)
-	if err != nil {
-		t.Fatal(err)
+	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 2 {
+		t.Fatalf("cache events = %+v, want 2 hits", delta)
+	}
+	if len(rec.sets) != 3 {
+		t.Fatalf("recorded %d sign tests, want 3", len(rec.sets))
+	}
+	serveA, serveB := rec.sets[1], rec.sets[2]
+	if len(serveA) != len(stored) || len(serveB) != len(stored) {
+		t.Fatalf("servings carry %d and %d ciphertexts, the entry %d", len(serveA), len(serveB), len(stored))
+	}
+	seen := make(map[string]string)
+	for name, set := range map[string][]*paillier.Ciphertext{"entry": entry.is, "serving A": serveA, "serving B": serveB} {
+		for i, ct := range set {
+			at := fmt.Sprintf("%s[%d]", name, i)
+			if prev, dup := seen[ct.C.String()]; dup {
+				t.Fatalf("%s and %s are the same ciphertext", prev, at)
+			}
+			seen[ct.C.String()] = at
+		}
+	}
+	slotsOf := func(ct *paillier.Ciphertext) []*big.Int {
+		t.Helper()
+		v, err := stp.group.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sdc.codec == nil {
+			return []*big.Int{v}
+		}
+		slots, err := sdc.codec.Unpack(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slots
 	}
 	for i := range entry.is {
 		if entry.is[i].C.Cmp(stored[i]) != 0 {
-			t.Fatalf("re-randomisation mutated cached ciphertext %d in place", i)
+			t.Fatalf("serving mutated cached ciphertext %d in place", i)
 		}
-		if serveA[i].C.Cmp(stored[i]) == 0 || serveB[i].C.Cmp(stored[i]) == 0 {
-			t.Fatalf("served ciphertext %d linkable to the cache entry", i)
-		}
-		if serveA[i].C.Cmp(serveB[i].C) == 0 {
-			t.Fatalf("two servings of cached ciphertext %d are linkable to each other", i)
-		}
-		// Same plaintext under the group key — that is what makes the
-		// re-randomised serving a correct aggregate.
-		want, err := d.stp.group.Decrypt(entry.is[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotA, err := d.stp.group.Decrypt(serveA[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := d.stp.group.Decrypt(serveB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Cmp(gotA) != 0 || want.Cmp(gotB) != 0 {
-			t.Fatalf("re-randomised ciphertext %d decrypts differently", i)
+		is := slotsOf(entry.is[i])
+		for name, served := range map[string]*paillier.Ciphertext{"A": serveA[i], "B": serveB[i]} {
+			// V = eps*(alpha*I - beta) slot by slot, alpha > beta > 0:
+			// under one eps per ciphertext, V > 0 exactly where I > 0.
+			vs := slotsOf(served)
+			eps := 0
+			for j := range is {
+				agree := 1
+				if (vs[j].Sign() > 0) != (is[j].Sign() > 0) {
+					agree = -1
+				}
+				if eps == 0 {
+					eps = agree
+				}
+				if agree != eps {
+					t.Fatalf("serving %s ciphertext %d is not a blinding of the cached I: slot %d breaks the sign pattern", name, i, j)
+				}
+			}
 		}
 	}
 }

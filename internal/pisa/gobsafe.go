@@ -25,6 +25,10 @@ const (
 	// maxWireCtBytes caps one serialised ciphertext: 64 KiB holds a
 	// ciphertext for a 256k-bit modulus, far beyond any real key.
 	maxWireCtBytes = 1 << 16
+	// maxWireKeyBytes caps one serialised public modulus: the n whose
+	// n^2 fills maxWireCtBytes. A key's nonce base H lives below n^2, so
+	// the same cap bounds it.
+	maxWireKeyBytes = maxWireCtBytes / 2
 	// maxWireIDLen caps identifier strings.
 	maxWireIDLen = 4096
 	// maxWireSlotBits caps the declared packed-slot geometry.
@@ -48,6 +52,27 @@ func checkWireCiphertexts(what string, cts []*paillier.Ciphertext) error {
 		if (ct.C.BitLen()+7)/8 > maxWireCtBytes {
 			return fmt.Errorf("pisa: decode %s: element %d ciphertext exceeds %d bytes", what, i, maxWireCtBytes)
 		}
+	}
+	return nil
+}
+
+// checkWireKey validates a public key that came from outside the
+// process — an SU's registration, a key fetched from the STP, a
+// registry record read back from disk: modulus present and of plausible
+// size, nonce base absent or a unit of Z_{n^2} other than 1
+// (paillier.PublicKey.Check). That is all anyone but the owner can
+// check; a key whose H is not the n-th residue of hidden order it
+// should be weakens or garbles only ciphertexts under that key, i.e.
+// what its owner receives (DESIGN.md §6).
+func checkWireKey(what string, pk *paillier.PublicKey) error {
+	if pk == nil || pk.N == nil {
+		return fmt.Errorf("pisa: %s: nil public key", what)
+	}
+	if (pk.N.BitLen()+7)/8 > maxWireKeyBytes {
+		return fmt.Errorf("pisa: %s: modulus exceeds %d bytes", what, maxWireKeyBytes)
+	}
+	if err := pk.Check(); err != nil {
+		return fmt.Errorf("pisa: %s: %w", what, err)
 	}
 	return nil
 }

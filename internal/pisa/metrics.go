@@ -63,7 +63,7 @@ type sdcMetrics struct {
 	cacheEvicts  *obs.Counter // event="evict"
 	cacheBypass  *obs.Counter // event="bypass" (request carried no shape digest)
 	cacheEntries *obs.Gauge
-	cacheAggHit  *obs.Histogram // path="hit": re-randomise cached Ĩ
+	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": full eq. 11-12 recompute
 
 	// SU-key cache (sukeys.go): a miss is one STP round trip plus, for
@@ -143,10 +143,10 @@ func metrics() *sdcMetrics {
 			cacheEntries: r.Gauge("pisa_sdc_cache_entries",
 				"encrypted-decision cache entries currently live", nil),
 			cacheAggHit: r.Histogram("pisa_sdc_cache_aggregate_seconds",
-				"aggregate stage cost split by cache path (hit = re-randomise, miss = recompute)",
+				"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 				obs.Labels{"path": "hit"}, obs.IOBuckets),
 			cacheAggMiss: r.Histogram("pisa_sdc_cache_aggregate_seconds",
-				"aggregate stage cost split by cache path (hit = re-randomise, miss = recompute)",
+				"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 				obs.Labels{"path": "miss"}, obs.IOBuckets),
 			suKeyHits: r.Counter("pisa_sdc_sukey_cache_events_total",
 				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "hit"}),

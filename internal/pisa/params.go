@@ -72,10 +72,10 @@ type Params struct {
 
 	// FastExp arms the fixed-base exponentiation engine
 	// (internal/fbexp) on the keys each role touches: nonce factors
-	// become h^s with a short exponent over a precomputed windowed
-	// table instead of full-width r^n exponentiations, cutting
-	// Encrypt/Rerandomize/NewNonce cost by more than an order of
-	// magnitude. Disable for legacy-parity testing.
+	// H^s, for the key's published base H and a short exponent s, come
+	// from a precomputed windowed table, an order of magnitude cheaper
+	// than the square-and-multiply an untabled key pays for the same
+	// H^s. Disable to test without tables.
 	FastExp bool
 
 	// FastExpWindow is the table window width in bits; 0 selects
@@ -315,10 +315,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// armFastExp enables the fixed-base engine on pk per the params
-// (no-op when FastExp is off or pk already has a table). Every role
+// armFastExp tables pk's published nonce base per the params (no-op
+// when FastExp is off or pk already has a table). Every role
 // constructor funnels through here so the window/width knobs apply
-// uniformly.
+// uniformly, and every copy of a key tables the same H, so the nonces
+// any party draws stay in the subgroup the key's owner decrypts with.
 func (p Params) armFastExp(random io.Reader, pk *paillier.PublicKey) error {
 	if !p.FastExp {
 		return nil

@@ -291,12 +291,16 @@ func (s *SDC) PackedBudgetSnapshot() *matrix.Packed {
 }
 
 // stpRegistryV1 is the serialised SU key registry (snapshot payload
-// for the STP's store). Only the public moduli are persisted — the
+// for the STP's store). Only public key material is persisted — the
 // group secret key lives in its own restricted file (see cmd/stpd).
+// Bases holds each key's nonce base H, parallel to Moduli, with zero
+// standing for a key that has none (gob cannot carry a nil element); a
+// snapshot written before the field existed decodes with Bases empty.
 type stpRegistryV1 struct {
 	Version int
 	IDs     []string
 	Moduli  []*big.Int
+	Bases   []*big.Int
 }
 
 const stpRegistryVersion = 1
@@ -310,7 +314,12 @@ func (s *STP) ExportRegistry() ([]byte, error) {
 	}
 	sort.Strings(reg.IDs)
 	for _, id := range reg.IDs {
+		h := keys[id].H
+		if h == nil {
+			h = new(big.Int)
+		}
 		reg.Moduli = append(reg.Moduli, keys[id].N)
+		reg.Bases = append(reg.Bases, h)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&reg); err != nil {
@@ -333,14 +342,19 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 		if reg.Version != stpRegistryVersion {
 			return fmt.Errorf("pisa: SU registry snapshot version %d, this build reads %d", reg.Version, stpRegistryVersion)
 		}
-		if len(reg.IDs) != len(reg.Moduli) {
-			return fmt.Errorf("pisa: SU registry snapshot has %d ids but %d keys", len(reg.IDs), len(reg.Moduli))
+		if len(reg.IDs) != len(reg.Moduli) || (len(reg.Bases) != 0 && len(reg.Bases) != len(reg.IDs)) {
+			return fmt.Errorf("pisa: SU registry snapshot has %d ids but %d moduli and %d bases",
+				len(reg.IDs), len(reg.Moduli), len(reg.Bases))
 		}
 		for i, id := range reg.IDs {
-			if id == "" || reg.Moduli[i] == nil || reg.Moduli[i].Sign() <= 0 {
+			if id == "" {
 				return fmt.Errorf("pisa: SU registry snapshot entry %d malformed", i)
 			}
-			keys[id] = &paillier.PublicKey{N: reg.Moduli[i]}
+			pk := &paillier.PublicKey{N: reg.Moduli[i]}
+			if len(reg.Bases) != 0 && reg.Bases[i].Sign() != 0 {
+				pk.H = reg.Bases[i]
+			}
+			keys[id] = pk
 		}
 	}
 	for _, rec := range tail {
@@ -351,13 +365,14 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 		if err != nil {
 			return fmt.Errorf("pisa: STP WAL record %d: %w", rec.Index, err)
 		}
-		if existing, ok := keys[id]; ok && !existing.Equal(pk) {
+		if existing, ok := keys[id]; ok && !existing.SameKey(pk) {
 			return fmt.Errorf("pisa: STP WAL record %d re-registers SU %q with a different key", rec.Index, id)
 		}
 		keys[id] = pk
 	}
 	// Through the same door as live registrations: the recovered keys
-	// arrive bare (modulus only) and are stored prepared, and armed when
+	// arrive bare (modulus and nonce base only), are checked like any
+	// other outside input, and are stored prepared, and armed when
 	// SetFastExp already ran, as cmd/stpd orders it. Arming is one table
 	// build per key and nothing else runs during recovery, so it takes
 	// every CPU.
@@ -370,10 +385,13 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 	})
 }
 
-// suRegistrationV1 is one WAL record of the STP registry log.
+// suRegistrationV1 is one WAL record of the STP registry log. Base is
+// the key's nonce base H, absent on a key without one and in records
+// written before the field existed.
 type suRegistrationV1 struct {
 	ID      string
 	Modulus *big.Int
+	Base    *big.Int
 }
 
 // EncodeSURegistration serialises one SU key registration.
@@ -382,7 +400,7 @@ func EncodeSURegistration(id string, pk *paillier.PublicKey) ([]byte, error) {
 		return nil, fmt.Errorf("pisa: incomplete SU registration")
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&suRegistrationV1{ID: id, Modulus: pk.N}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&suRegistrationV1{ID: id, Modulus: pk.N, Base: pk.H}); err != nil {
 		return nil, fmt.Errorf("pisa: encode SU registration: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -394,10 +412,14 @@ func DecodeSURegistration(data []byte) (string, *paillier.PublicKey, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&reg); err != nil {
 		return "", nil, fmt.Errorf("pisa: decode SU registration: %w", err)
 	}
-	if reg.ID == "" || reg.Modulus == nil || reg.Modulus.Sign() <= 0 {
+	if reg.ID == "" {
 		return "", nil, fmt.Errorf("pisa: decoded SU registration malformed")
 	}
-	return reg.ID, &paillier.PublicKey{N: reg.Modulus}, nil
+	pk := &paillier.PublicKey{N: reg.Modulus, H: reg.Base}
+	if err := checkWireKey("decoded SU registration", pk); err != nil {
+		return "", nil, err
+	}
+	return reg.ID, pk, nil
 }
 
 // RegisteredSUs reports the registry size, for shutdown summaries.

@@ -1,8 +1,11 @@
 package pisa
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/gob"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"pisa/internal/geo"
@@ -279,10 +282,35 @@ func TestRegistryExportRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SUKey(%s): %v", id, err)
 		}
-		if !pk.Equal(want) {
-			t.Fatalf("SUKey(%s) differs after restore", id)
+		if !pk.SameKey(want) {
+			t.Fatalf("SUKey(%s) differs after restore (modulus or nonce base)", id)
 		}
 	}
+
+	// A snapshot and a WAL record from before keys carried a nonce base
+	// restore to keys without one.
+	t.Run("pre-H snapshot and tail", func(t *testing.T) {
+		var old bytes.Buffer
+		reg := stpRegistryV1{Version: stpRegistryVersion, IDs: []string{"su-1"}, Moduli: []*big.Int{su1.PublicKey().N}}
+		if err := gob.NewEncoder(&old).Encode(&reg); err != nil {
+			t.Fatal(err)
+		}
+		var rec bytes.Buffer
+		if err := gob.NewEncoder(&rec).Encode(&suRegistrationV1{ID: "su-2", Modulus: su2.PublicKey().N}); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSTPWithKey(rand.Reader, d.sk)
+		err := s.RestoreRegistry(old.Bytes(), []store.Record{{Index: 1, Type: RecordSURegistration, Payload: rec.Bytes()}})
+		if err != nil {
+			t.Fatalf("pre-H registry refused: %v", err)
+		}
+		for id, want := range map[string]*paillier.PublicKey{"su-1": su1.PublicKey(), "su-2": su2.PublicKey()} {
+			pk, err := s.SUKey(id)
+			if err != nil || !pk.Equal(want) || pk.H != nil {
+				t.Fatalf("SUKey(%s) after a pre-H restore: err %v, H set %v", id, err, pk != nil && pk.H != nil)
+			}
+		}
+	})
 
 	// cmd/stpd arms the engine before it restores the registry: the
 	// recovered keys must come out armed, not bare.

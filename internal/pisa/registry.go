@@ -41,12 +41,13 @@ func newSURegistry(random io.Reader) *suRegistry {
 // preparedCopy returns a key object the caller owns and may arm: pk
 // itself when it already carries a fixed-base table (such a key is
 // prepared and immutable), otherwise a fresh prepared key over the same
-// modulus, so the object the caller was handed is never written to.
+// modulus and nonce base, so the object the caller was handed is never
+// written to.
 func preparedCopy(pk *paillier.PublicKey) *paillier.PublicKey {
 	if pk.FastExpEnabled() {
 		return pk
 	}
-	return (&paillier.PublicKey{N: pk.N}).Prepare()
+	return (&paillier.PublicKey{N: pk.N, H: pk.H}).Prepare()
 }
 
 // build returns the key object to store for pk under the given engine
@@ -61,10 +62,11 @@ func (r *suRegistry) build(pk *paillier.PublicKey, fb fbConfig) (*paillier.Publi
 	return stored, nil
 }
 
-// register stores pk for id. Re-registration with the same key is
-// idempotent and keeps the stored object; a different key for an
-// existing id is rejected (it would let an attacker redirect another
-// SU's responses).
+// register stores pk for id after checking it as the untrusted input
+// it is (checkWireKey). Re-registration with the same key — modulus and
+// nonce base — is idempotent and keeps the stored object; a different
+// key for an existing id is rejected (it would let an attacker redirect
+// another SU's responses, or with a chosen H strip their nonces).
 //
 // The key is built outside the lock under the engine configuration
 // read before, and both are re-checked under the write lock: if armAll
@@ -75,11 +77,11 @@ func (r *suRegistry) register(id string, pk *paillier.PublicKey) error {
 	if id == "" {
 		return fmt.Errorf("pisa: empty SU id")
 	}
-	if pk == nil || pk.N == nil {
-		return fmt.Errorf("pisa: nil public key for SU %q", id)
+	if err := checkWireKey(fmt.Sprintf("register SU %q", id), pk); err != nil {
+		return err
 	}
 	sameKey := func(existing *paillier.PublicKey) error {
-		if !existing.Equal(pk) {
+		if !existing.SameKey(pk) {
 			return fmt.Errorf("pisa: SU %q already registered with a different key", id)
 		}
 		return nil

@@ -70,11 +70,6 @@ type SDC struct {
 	// batching; nil otherwise.
 	batcher *stpBatcher
 
-	// cacheNonces feeds the encrypted-decision cache's hit path: one
-	// pooled r^n factor re-randomises one served ciphertext, the same
-	// fast-nonce machinery SU refreshes use. Nil when the cache is off.
-	cacheNonces *paillier.NoncePool
-
 	// suKeys resolves a request's SU id to a prepared key, asking the
 	// STP once per id; armed unless this instance is a windowed shard,
 	// which never encrypts under an SU key (sukeys.go).
@@ -325,21 +320,6 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 			for _, su := range members {
 				s.cacheDomain[su] = domain
 			}
-		}
-		s.cacheNonces = paillier.NewNoncePool(s.group, s.random, s.workers)
-		// Size the nonce pool for roughly two full-footprint hits in
-		// flight: one r^n factor per served ciphertext. Refills run in
-		// the background; a dry pool falls back to online generation.
-		cols := params.Watch.Grid.Blocks()
-		if s.codec != nil {
-			cols = (cols + s.codec.Slots() - 1) / s.codec.Slots()
-		}
-		target := 2 * params.Watch.Channels * cols
-		if target > 4096 {
-			target = 4096
-		}
-		if err := s.cacheNonces.SetAutoRefill(target); err != nil {
-			return nil, fmt.Errorf("pisa: arm cache nonce pool: %w", err)
 		}
 	}
 	return s, nil
@@ -846,17 +826,6 @@ func (s *SDC) entryFreshLocked(e *cacheEntry, cells []requestCell, vers []uint64
 	return true, false
 }
 
-// PrecomputeCacheNonces extends the pool of re-randomisation factors
-// the cache hit path consumes (one per served ciphertext). A dry pool
-// falls back to online nonce generation; benchmarks pre-fill so the
-// hit path measures the pooled regime.
-func (s *SDC) PrecomputeCacheNonces(count int) error {
-	if s.cacheNonces == nil {
-		return fmt.Errorf("pisa: decision cache disabled")
-	}
-	return s.cacheNonces.Fill(count)
-}
-
 // cacheCounters are the per-instance mirrors of the obs cache
 // counters, maintained lock-free next to each obs increment.
 type cacheCounters struct {
@@ -1206,16 +1175,14 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 	}
 
 	// Steps 3-4: R~ = X (x) F~, I~ = N~ (-) R~ (eqs. 11-12) — the
-	// budget aggregation. A cache hit replaces the recompute with one
-	// re-randomisation per ciphertext: the served column decrypts
-	// identically but is unlinkable to the stored entry and to any
-	// other serving of it (fresh r^n per ciphertext, PR-4 fast path).
+	// budget aggregation. A cache hit replaces the recompute with the
+	// stored column itself, read-only: I~ never leaves the SDC, and the
+	// blinding below multiplies it by a tuple's E(-eps*beta), whose own
+	// fresh nonce is all a re-randomisation would add (DESIGN.md §14).
 	stageStart = time.Now()
 	var is []*paillier.Ciphertext
 	if cacheHit != nil {
-		if is, err = s.cacheNonces.RerandomizeBatch(cacheHit.is); err != nil {
-			return nil, 0, nil, fmt.Errorf("pisa: re-randomise cached aggregate: %w", err)
-		}
+		is = cacheHit.is
 		m.cacheHits.Inc()
 		s.cacheCtr.hits.Add(1)
 		m.cacheAggHit.ObserveSince(stageStart)
@@ -1239,13 +1206,21 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 			return nil, 0, nil, err
 		}
 		if cachePut != nil {
-			// The cached copy is the freshly computed column; the hit
-			// path re-randomises before serving, so storing it verbatim
-			// links it to nothing the SDC ever emits. The version vector
+			// The cached copy is the freshly computed column; nothing the
+			// SDC emits is linkable to it, because every serving is
+			// blinded under a fresh tuple first. The version vector
 			// was captured under the same lock as the budget snapshot —
 			// a rebuild that committed since then changed colApplied and
 			// simply makes this entry stale at its first lookup.
-			cachePut.is = is
+			//
+			// Stored as right-sized clones: the big.Int a modular product
+			// comes out of keeps the capacity of its multiplication
+			// scratch, six times the 2n bits of the value, and a cache
+			// entry lives long enough for that to be most of its memory.
+			cachePut.is = make([]*paillier.Ciphertext, len(is))
+			for k, i := range is {
+				cachePut.is[k] = i.Clone()
+			}
 			cachePut.filled = s.now()
 			s.mu.Lock()
 			evicted := s.cache.put(cachePut)
@@ -1548,14 +1523,13 @@ func (s *SDC) WaitBlindingRefill() {
 }
 
 // Close disarms blinding auto-refill and waits for any in-flight
-// background refill goroutine to exit, drains the STP coalescing
+// background refill goroutine to exit, and drains the STP coalescing
 // batcher (queued sign tests are handed back to their callers, who
-// retry with a direct round trip), and retires the cache's nonce
-// pool — so a retired SDC leaks no goroutines and strands no waiter
-// inside an open coalescing window. Request and update processing
+// retry with a direct round trip) — so a retired SDC leaks no
+// goroutines and strands no waiter inside an open coalescing window. Request and update processing
 // keep working after Close (cells fall back to on-the-fly blinding,
-// sign tests go direct, cache hits generate nonces online); only the
-// background machinery stops. Safe to call more than once.
+// sign tests go direct); only the background machinery stops. Safe to
+// call more than once.
 func (s *SDC) Close() {
 	s.mu.Lock()
 	s.blindClosed = true
@@ -1564,9 +1538,6 @@ func (s *SDC) Close() {
 	s.blindWG.Wait()
 	if s.batcher != nil {
 		s.batcher.close()
-	}
-	if s.cacheNonces != nil {
-		s.cacheNonces.Close()
 	}
 }
 

@@ -19,12 +19,12 @@ const suKeyCacheEntries = 128
 // registry: id -> the key object the request path multiplies and
 // encrypts under. It exists because STPService.SUKey is a remote call
 // in a networked deployment and what comes back is bare — a gob-decoded
-// key with only the modulus set: unprepared (its derived fields would
-// be filled lazily, by whichever worker goroutines get there first) and
-// unarmed (every encryption under it costs one full-width
-// exponentiation). The cache fetches each id once, prepares the key
-// before any worker sees it, and arms it when its owner encrypts under
-// it. A key that already carries a table — what an in-process STP
+// key with only the modulus and the SU's nonce base H set: unprepared
+// (its derived fields would be filled lazily, by whichever worker
+// goroutines get there first) and unarmed (every encryption under it
+// costs one square-and-multiply H^s). The cache fetches each id once,
+// checks and prepares the key before any worker sees it, and tables its
+// H when its owner encrypts under it. A key that already carries a table — what an in-process STP
 // armed by SetFastExp hands out — is reused as it is.
 //
 // Caching is sound because a registration is immutable per id
@@ -123,6 +123,9 @@ func (c *SUKeyCache) Get(id string) (*paillier.PublicKey, error) {
 func (c *SUKeyCache) fetch(id string) (*paillier.PublicKey, error) {
 	pk, err := c.stp.SUKey(id)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkWireKey(fmt.Sprintf("SU %q key from STP", id), pk); err != nil {
 		return nil, err
 	}
 	pk = preparedCopy(pk)

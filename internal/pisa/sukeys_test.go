@@ -261,8 +261,9 @@ func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
 
 // gateReader passes reads through to crypto/rand, except that once
 // armed the next Read parks until release is closed. Installed as the
-// registry's randomness source it holds one caller inside key arming,
-// which draws its table base from the reader.
+// registry's randomness source it holds one caller inside key arming —
+// of a key without a published nonce base, which draws a private table
+// base from the reader.
 type gateReader struct {
 	armed   atomic.Bool
 	entered chan struct{}
@@ -324,7 +325,8 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 		}
 		return sk.Public()
 	}
-	slowKey, fastKey := keyOf(), keyOf()
+	// Only a bare-modulus key reads the gate while it is armed.
+	slowKey, fastKey := &paillier.PublicKey{N: keyOf().N}, keyOf()
 	gate.armed.Store(true)
 	parked := make(chan error, 1)
 	go func() { parked <- stp.RegisterSU("late", slowKey) }()

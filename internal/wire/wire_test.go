@@ -68,13 +68,26 @@ func TestEnvelopeCarriesCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Paillier == nil || env.Paillier.N.Cmp(sk.N) != 0 {
-		t.Fatal("public key mangled in transit")
+	if env.Paillier == nil || !env.Paillier.SameKey(sk.Public()) {
+		t.Fatal("public key (modulus and nonce base) mangled in transit")
 	}
-	// The deserialised key must be usable for ciphertext operations.
+	// The deserialised key must be usable for ciphertext operations,
+	// and what it encrypts must carry a nonce the owner decrypts on the
+	// short exponent.
 	sum, err := env.Paillier.Add(ct, ct)
 	if err != nil {
 		t.Fatalf("Add with wire key: %v", err)
+	}
+	fresh, err := env.Paillier.EncryptInt(rand.Reader, 5)
+	if err != nil {
+		t.Fatalf("Encrypt with wire key: %v", err)
+	}
+	_, full := paillier.Decrypts()
+	if v, err := sk.DecryptInt(fresh); err != nil || v != 5 {
+		t.Fatalf("wire-key ciphertext decrypted to %d, %v", v, err)
+	}
+	if _, after := paillier.Decrypts(); after != full {
+		t.Fatal("a ciphertext made under the key that crossed the wire needed the full exponent")
 	}
 	v, err := sk.DecryptInt(sum)
 	if err != nil {
