@@ -742,7 +742,7 @@ func convertFixture(b *testing.B, reg registrar, group *paillier.PublicKey, para
 		}
 		vs[i] = ct
 	}
-	return &pisa.SignRequest{SUID: "bench-su", V: vs}
+	return &pisa.SignRequest{SUID: "bench-su", V: vs, AnswerBits: params.AnswerBits(params.PaillierBits)}
 }
 
 // BenchmarkLoad drives the trace-driven load harness (cmd/pisaload)

@@ -116,7 +116,7 @@ func run(args []string) error {
 	fs.BoolVar(&opt.engine, "engine", true,
 		"arm the fixed-base exponentiation engine in end-to-end experiments")
 	fs.IntVar(&opt.window, "window", 0,
-		"fixed-base window bits (0 = paillier default)")
+		"fixed-base comb height in bits (0 = paillier default)")
 	fs.IntVar(&opt.shortBits, "shortbits", 0,
 		"short-exponent nonce bits (0 = paillier default)")
 	fs.BoolVar(&opt.packing, "packing", true,

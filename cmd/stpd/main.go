@@ -94,7 +94,7 @@ func run(args []string) error {
 	stp := pisa.NewSTPWithKey(nil, group)
 	if params.FastExp {
 		// Arm the fixed-base engine before any registrations, so the
-		// group key and every stored SU key share windowed tables.
+		// group key and every stored SU key carry comb tables.
 		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
 			return err
 		}

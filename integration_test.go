@@ -801,16 +801,23 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // over, with a PU update sent over the wire and folded into the budgets,
 // no decryption — the STP's of every blinded V~, the SU's of its
 // license — may need more than the short exponent.
+//
+// The nonce draws of a request are pinned too (DESIGN.md §10's ledger).
+// Four channels over eight rows of one slot group each make a full-grid
+// request 32 ciphertexts and a three-row band 12: the SU's refresh and
+// the SDC's E(-eps*beta) draw one nonce per ciphertext, the STP one per
+// packed answer — one per SDC instance asking — and the license one.
+// An STP that went back to one encryption per element would read 97.
 func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
 	}
-	grid, err := geo.NewGrid(5, 4, 10)
+	grid, err := geo.NewGrid(4, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wp := watch.Params{
-		Channels:    3,
+		Channels:    4,
 		Grid:        grid,
 		UnitsPerMW:  1e9,
 		SUMaxEIRPmW: 4000,
@@ -898,7 +905,7 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	su, err := pisa.NewSU(nil, "su-once", 7, params, planner, suSTP.GroupKey())
+	su, err := pisa.NewSU(nil, "su-once", 5, params, planner, suSTP.GroupKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -910,13 +917,26 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := grid.RowBand(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := su.PrepareRequest(map[int]int64{1: wp.Quantize(1)}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Ciphertexts() != 32 || band.Ciphertexts() != 12 {
+		t.Fatalf("requests of %d and %d ciphertexts, want 32 and 12", base.Ciphertexts(), band.Ciphertexts())
+	}
 
 	const requests = 4
 	_, fullAfterSetup := paillier.Decrypts()
 	for _, front := range []struct {
 		name string
 		cli  *node.SDCClient
-	}{{"mono", monoCli}, {"sharded", routerCli}} {
+		// nonce draws of one refreshed request, full grid and band
+		full, band uint64
+	}{{"mono", monoCli, 66, 26}, {"sharded", routerCli, 67, 27}} {
 		verify, err := front.cli.VerifyKey()
 		if err != nil {
 			t.Fatal(err)
@@ -924,11 +944,11 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		// A TV receiver next to the SU on another channel, as puctl
 		// sends it: the rebuilt column mixes the PU's nonces with the
 		// SDC's, and the request on channel 1 is still granted.
-		eCol, err := front.cli.EColumn(8)
+		eCol, err := front.cli.EColumn(6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pu, err := pisa.NewPU(nil, "tv-once", 8, eCol, suSTP.GroupKey())
+		pu, err := pisa.NewPU(nil, "tv-once", 6, eCol, suSTP.GroupKey())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -941,13 +961,22 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		}
 		var warm uint64
 		for i := 0; i < requests; i++ {
-			req, err := su.RefreshRequest(base)
+			prepared, want := base, front.full
+			if i == requests-1 {
+				prepared, want = band, front.band
+			}
+			noncesBefore := paillier.Nonces()
+			req, err := su.RefreshRequest(prepared)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp, err := front.cli.SendRequest(req)
 			if err != nil {
 				t.Fatalf("%s request %d: %v", front.name, i, err)
+			}
+			if drawn := paillier.Nonces() - noncesBefore; drawn != want {
+				t.Errorf("%s request %d (%d ciphertexts): %d nonces drawn, want %d",
+					front.name, i, req.Ciphertexts(), drawn, want)
 			}
 			shortBefore, _ := paillier.Decrypts()
 			grant, err := su.OpenResponse(resp, req, verify)

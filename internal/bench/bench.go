@@ -29,7 +29,7 @@ type PaillierStats struct {
 	PlaintextBits  int
 	CiphertextBits int
 	Encrypt        time.Duration
-	// EncryptFast is Encrypt with the fixed-base engine armed (windowed
+	// EncryptFast is Encrypt with the fixed-base engine armed (comb
 	// tables + short-exponent nonces) — the repo's improvement over the
 	// paper's Table II baseline.
 	EncryptFast time.Duration
@@ -202,7 +202,7 @@ func NewUniverse(params pisa.Params) (*Universe, error) {
 	}
 	if params.FastExp {
 		// Arm the STP before any role copies its keys, so the group key
-		// and the SU-key registry all share the windowed tables.
+		// and the SU-key registry all carry their tables.
 		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
 			return nil, err
 		}

@@ -116,8 +116,8 @@ func MeasureConvert(bits, vlen, batch, iters int) (*ConvertReport, error) {
 		return nil, err
 	}
 	// The fixed-base engine is the production default (pisa.Params
-	// FastExp); arming it here keeps the re-encryption cost at its
-	// deployed level so the comparison isolates the RPC overhead.
+	// FastExp); arming it here keeps the answer encryption at its
+	// deployed cost so the comparison isolates the RPC overhead.
 	if err := stp.SetFastExp(0, 0); err != nil {
 		return nil, err
 	}
@@ -156,7 +156,9 @@ func MeasureConvert(bits, vlen, batch, iters int) (*ConvertReport, error) {
 			}
 			vs[j] = ct
 		}
-		reqs[i] = &pisa.SignRequest{SUID: "bench-su", V: vs}
+		// Room for a few dozen sign slots, inside any key MeasureConvert
+		// is run at.
+		reqs[i] = &pisa.SignRequest{SUID: "bench-su", V: vs, AnswerBits: bits / 2}
 	}
 	// One warm-up exchange per path primes the connection pool and the
 	// gob type streams, so neither strategy is charged the one-off setup.

@@ -96,14 +96,14 @@ type File struct {
 	// processes in one deployment may disagree on it freely.
 	Parallelism int `json:"parallelism,omitempty"`
 
-	// FastExp arms the fixed-base exponentiation engine (windowed
+	// FastExp arms the fixed-base exponentiation engine (comb
 	// tables + short-exponent nonces; internal/fbexp). On by default —
 	// Load starts from Default(), so only an explicit "fastExp": false
 	// disables it. A local runtime knob like Parallelism: ciphertexts
 	// from fast and legacy processes interoperate freely.
 	FastExp bool `json:"fastExp"`
-	// FastExpWindow is the table window width in bits (0 = engine
-	// default, 6). Wider windows trade table memory for speed.
+	// FastExpWindow is the height of the table's comb in bits (0 =
+	// engine default, 8). The table's size is fixed by the engine.
 	FastExpWindow int `json:"fastExpWindow,omitempty"`
 	// ShortExpBits is the nonce exponent width (0 = engine default,
 	// 256 = 2·λ at 112-bit security).

@@ -1,28 +1,42 @@
-// Package fbexp implements fixed-base windowed modular exponentiation:
-// precompute a table of powers of one fixed base, then evaluate
-// base^e mod m for many short exponents e at a fraction of the cost of
-// a general big.Int.Exp.
+// Package fbexp implements fixed-base modular exponentiation modulo a
+// square: precompute a table of powers of one fixed base, then evaluate
+// base^e mod n^2 for many short exponents e at a fraction of the cost
+// of a general big.Int.Exp.
 //
-// For window width w and a maximum exponent width of maxBits bits, the
-// exponent splits into L = ceil(maxBits/w) radix-2^w digits
-// e = sum_i d_i * 2^(i*w), and the table stores
+// The table is a Lim–Lee comb. An exponent of up to maxBits bits is
+// cut into h rows of a = ceil(maxBits/h) bits, and every row into v
+// blocks of b = ceil(a/v) bits, so bit k of block j of row i is
+// exponent bit i*a + j*b + k. The table stores, for every block j and
+// every non-empty row set I in [1, 2^h),
 //
-//	levels[i][j] = base^(j * 2^(i*w)) mod m
+//	G[j][I] = product over the rows i in I of base^(2^(i*a + j*b)).
 //
-// for every level i and digit value j in [0, 2^w). An exponentiation
-// is then the product of one table entry per non-zero digit — at most
-// L modular multiplications, no squarings at all. For the Paillier hot
-// path (2048-bit modulus n, 4096-bit ciphertext modulus n², 256-bit
-// short exponents, w = 6) that is ~43 multiplications instead of the
-// ~3000 multiplication-equivalents of a full-width sliding-window Exp.
+// An exponentiation walks k from b-1 down to 0: square the accumulator,
+// then for every block multiply in the entry whose row set is the
+// exponent's bits at offset j*b + k of each row. That is one
+// multiplication per bit of a row and one squaring per bit of a block,
+// a + b - 2 operations in all, against the ~1.5*maxBits of a
+// square-and-multiply. For the Paillier hot path (n of 2048 bits,
+// 256-bit exponents, h = 8) the geometry is a = 32, v = 11, b = 3:
+// 31 multiplications and 2 squarings from 11*255 = 2805 entries.
 //
-// The trade-off is table memory: L * 2^w entries of one modulus-sized
-// value each (about 1.4 MiB at the parameters above). Every entry is
-// copied out of the arithmetic scratch into one exact-size slab, so
-// that figure is what the table really retains: math/big leaves a
-// product's double-width backing array behind the reduced result, and
-// keeping those results directly held 8.3 MiB per table. Tables are
-// built once per (key, base) and shared; see SizeBytes.
+// Arithmetic runs on halves. Every value x in [0, n^2) is held as the
+// pair (u, v) with x = u + v*n and u, v < n, and since n^2 vanishes,
+//
+//	(u1 + v1*n)(u2 + v2*n) = r + (q + u1*v2 + u2*v1 mod n)*n
+//	                         where u1*u2 = q*n + r:
+//
+// three products of n-sized operands and two divisions of a 2n-sized
+// value by n, instead of one product of 2n-sized operands and a
+// division of a 4n-sized value by 2n. Only the final result is
+// reassembled into one integer.
+//
+// The trade-off is table memory: v*(2^h - 1) entries of one n^2-sized
+// value each (1.37 MiB at the parameters above), kept as limb ranges
+// of a single slab so that SizeBytes is what the table really retains.
+// v is not a parameter: for a given h it is the largest block count
+// worth having inside a fixed entry budget (maxEntries). Tables are
+// built once per (key, base) and shared.
 //
 // A Table is immutable after New returns, so any number of goroutines
 // may call Exp concurrently.
@@ -31,134 +45,235 @@ package fbexp
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
-// Window width bounds. Widths above MaxWindow would make the table
-// (L * 2^w entries) explode in memory for no multiplication savings
-// worth having; width 0 or negative is meaningless.
+// Comb height bounds (the window argument of New). Heights above
+// MaxWindow make a single block (2^h - 1 entries) outgrow any sensible
+// table; height 0 or negative is meaningless.
 const (
 	MinWindow = 1
 	MaxWindow = 12
 )
 
-// maxTableEntries caps the precomputed-entry count (levels * 2^window)
-// so a misconfigured window/maxBits pair fails fast instead of
-// allocating gigabytes.
-const maxTableEntries = 1 << 22
+const (
+	// maxEntries is the table's size budget: the block count v is the
+	// largest one that keeps v*(2^h - 1) entries inside it (a single
+	// block is always allowed). 11 blocks of height 8; at a 4096-bit
+	// n^2 that is 1.37 MiB.
+	maxEntries = 2816
 
-// Table holds the precomputed powers of one fixed base modulo one
-// modulus. Immutable after construction; safe for concurrent Exp.
+	// maxExpBits caps the exponent width a table may be asked to cover,
+	// so a misconfigured width fails fast instead of squaring for
+	// minutes. Far above any short-exponent width in use.
+	maxExpBits = 1 << 16
+
+	wordBytes = bits.UintSize / 8
+)
+
+// Table holds the precomputed comb of one fixed base modulo n^2.
+// Immutable after construction; safe for concurrent Exp.
 type Table struct {
-	base    *big.Int // reduced base, kept for the out-of-range fallback
-	modulus *big.Int
-	window  int
-	maxBits int
-	// pow[i<<window|j] = base^(j << (i*window)) mod modulus. The limbs
-	// of every entry are exact-size slices of one shared slab.
-	pow []big.Int
+	base *big.Int // reduced mod n^2, kept for the out-of-range fallback
+	n    *big.Int
+
+	height    int // h: rows, i.e. bits of a table index
+	rowBits   int // a: exponent bits per row
+	blocks    int // v: blocks per row
+	blockBits int // b: exponent bits per block
+	maxBits   int
+
+	// slab holds entry G[j][I] at index j*(2^h - 1) + I - 1, each entry
+	// 2*limbs words: u then v, both zero-padded to limbs = len(n) words.
+	limbs int
+	slab  []big.Word
 }
 
-// New precomputes the windowed power table for base modulo modulus,
-// covering exponents of up to maxBits bits with the given window
-// width. The build costs roughly levels * 2^window modular
-// multiplications (a few milliseconds at Paillier scale) and is paid
-// once per fixed base.
-func New(base, modulus *big.Int, window, maxBits int) (*Table, error) {
-	if base == nil || modulus == nil {
+// pair is the working state of one exponentiation or table build: the
+// accumulator (au, av) standing for au + av*n, and scratch for the
+// products. The five integers are capacity-capped ranges of one
+// allocation, each wide enough for everything mul and sqr put in it
+// (a double-width product plus carries; math/big's division wants one
+// word more for the remainder), so no operation allocates.
+type pair struct {
+	n       *big.Int
+	au, av  big.Int
+	t, m, q big.Int
+}
+
+func newPair(n *big.Int) *pair {
+	p := &pair{n: n}
+	size := 2*len(n.Bits()) + 4
+	buf := make([]big.Word, 5*size)
+	for i, x := range []*big.Int{&p.au, &p.av, &p.t, &p.m, &p.q} {
+		x.SetBits(buf[i*size : i*size : (i+1)*size])
+	}
+	return p
+}
+
+// mul sets the accumulator to accumulator * (u + v*n) mod n^2.
+func (p *pair) mul(u, v *big.Int) {
+	p.t.Mul(&p.au, u)
+	p.m.Mul(&p.au, v)
+	p.q.QuoRem(&p.t, p.n, &p.au) // au*u = q*n + au'
+	p.t.Mul(&p.av, u)
+	p.m.Add(&p.m, &p.t)
+	p.m.Add(&p.m, &p.q)
+	p.q.QuoRem(&p.m, p.n, &p.av) // q is a throwaway quotient here
+}
+
+// sqr squares the accumulator mod n^2.
+func (p *pair) sqr() {
+	p.t.Mul(&p.au, &p.au)
+	p.m.Mul(&p.au, &p.av)
+	p.m.Lsh(&p.m, 1)
+	p.q.QuoRem(&p.t, p.n, &p.au)
+	p.m.Add(&p.m, &p.q)
+	p.q.QuoRem(&p.m, p.n, &p.av)
+}
+
+// New precomputes the comb of base modulo n^2, covering exponents of up
+// to maxBits bits with a comb of height window. The build is one chain
+// of squarings up to the highest tabled power of two plus one
+// multiplication per remaining entry (an entry is the entry without its
+// top row times that row's power) — about 3000 half-width operations at
+// Paillier scale, paid once per fixed base.
+func New(base, n *big.Int, window, maxBits int) (*Table, error) {
+	if base == nil || n == nil {
 		return nil, fmt.Errorf("fbexp: nil base or modulus")
 	}
-	if modulus.Cmp(big.NewInt(2)) < 0 {
-		return nil, fmt.Errorf("fbexp: modulus must be >= 2, got %s", modulus)
+	if n.Cmp(big.NewInt(2)) < 0 {
+		return nil, fmt.Errorf("fbexp: n must be >= 2, got %s", n)
 	}
 	if window < MinWindow || window > MaxWindow {
-		return nil, fmt.Errorf("fbexp: window %d outside [%d, %d]", window, MinWindow, MaxWindow)
+		return nil, fmt.Errorf("fbexp: comb height %d outside [%d, %d]", window, MinWindow, MaxWindow)
 	}
-	if maxBits < 1 {
-		return nil, fmt.Errorf("fbexp: maxBits must be positive, got %d", maxBits)
+	if maxBits < 1 || maxBits > maxExpBits {
+		return nil, fmt.Errorf("fbexp: maxBits %d outside [1, %d]", maxBits, maxExpBits)
 	}
-	numLevels := (maxBits + window - 1) / window
-	if numLevels<<uint(window) > maxTableEntries {
-		return nil, fmt.Errorf("fbexp: table would hold %d entries (max %d); shrink window or maxBits",
-			numLevels<<uint(window), maxTableEntries)
-	}
-	size := 1 << uint(window)
+	perBlock := 1<<uint(window) - 1
+	rowBits := (maxBits + window - 1) / window
+	maxBlocks := min(max(maxEntries/perBlock, 1), rowBits)
+	blockBits := (rowBits + maxBlocks - 1) / maxBlocks
 	t := &Table{
-		base:    new(big.Int).Mod(base, modulus),
-		modulus: modulus,
-		window:  window,
-		maxBits: maxBits,
-		pow:     make([]big.Int, numLevels*size),
+		n:         n,
+		height:    window,
+		rowBits:   rowBits,
+		blocks:    (rowBits + blockBits - 1) / blockBits, // fewest blocks of that width
+		blockBits: blockBits,
+		maxBits:   maxBits,
+		limbs:     len(n.Bits()),
 	}
-	limbs := len(modulus.Bits())
-	slab := make([]big.Word, len(t.pow)*limbs)
-	// store copies v into entry k's slab segment. The capacity is capped
-	// at the segment so nothing can grow one entry into the next.
-	store := func(k int, v *big.Int) {
-		seg := slab[k*limbs : k*limbs : (k+1)*limbs]
-		t.pow[k].SetBits(append(seg, v.Bits()...))
-	}
-	one := big.NewInt(1)
-	cur := new(big.Int).Set(t.base) // base^(2^(i*window)) for the current level
-	// Scratch: the double-width product and the reduced power live in
-	// two reused integers and only exact-size copies are retained.
-	acc, prod := new(big.Int), new(big.Int)
-	for i := 0; i < numLevels; i++ {
-		store(i*size, one)
-		acc.Set(cur)
-		for j := 1; j < size; j++ {
-			store(i*size+j, acc)
-			// After the last entry this is cur^(2^window), the next
-			// level's base: one multiplication instead of window squarings.
-			prod.Mul(acc, cur)
-			acc.Mod(prod, modulus)
+	t.base = new(big.Int).Mod(base, new(big.Int).Mul(n, n))
+	t.slab = make([]big.Word, t.blocks*perBlock*2*t.limbs)
+
+	// The chain base^(2^pos): position i*a + j*b is row i's power in
+	// block j, the single-row entry G[j][1<<i].
+	p := newPair(n)
+	p.av.QuoRem(t.base, n, &p.au)
+	for pos, last := 0, (window-1)*rowBits+(t.blocks-1)*blockBits; ; pos++ {
+		if i, off := pos/rowBits, pos%rowBits; off%blockBits == 0 {
+			t.store(off/blockBits, 1<<uint(i), p)
 		}
-		cur.Set(acc)
+		if pos == last {
+			break
+		}
+		p.sqr()
+	}
+	var u, v big.Int
+	for j := 0; j < t.blocks; j++ {
+		for idx := 3; idx <= perBlock; idx++ {
+			top := 1 << uint(bits.Len(uint(idx))-1)
+			if idx == top {
+				continue // single row: stored by the chain
+			}
+			t.entry(j, idx&^top, &u, &v)
+			p.au.Set(&u)
+			p.av.Set(&v)
+			t.entry(j, top, &u, &v)
+			p.mul(&u, &v)
+			t.store(j, idx, p)
+		}
 	}
 	return t, nil
 }
 
-// Exp computes base^e mod modulus. Exponents in [0, 2^maxBits) take
-// the windowed fast path (at most one multiplication per level);
-// anything else — negative or wider than the table — falls back to
-// big.Int.Exp on the stored base, so Exp is total over all exponents.
+// offset returns where entry G[block][idx] starts in the slab.
+func (t *Table) offset(block, idx int) int {
+	return (block*(1<<uint(t.height)-1) + idx - 1) * 2 * t.limbs
+}
+
+// store copies the accumulator into entry G[block][idx]; the slab is
+// zero where the halves are shorter than limbs words.
+func (t *Table) store(block, idx int, p *pair) {
+	off := t.offset(block, idx)
+	copy(t.slab[off:off+t.limbs], p.au.Bits())
+	copy(t.slab[off+t.limbs:off+2*t.limbs], p.av.Bits())
+}
+
+// entry points u and v at the halves of G[block][idx]. The views alias
+// the slab (capacity capped at the half) and must only be read.
+func (t *Table) entry(block, idx int, u, v *big.Int) {
+	off := t.offset(block, idx)
+	mid, end := off+t.limbs, off+2*t.limbs
+	u.SetBits(t.slab[off:mid:mid])
+	v.SetBits(t.slab[mid:end:end])
+}
+
+// Exp computes base^e mod n^2. Exponents in [0, 2^maxBits) take the
+// comb (a + b - 2 half-width operations); anything else — negative or
+// wider than the table — falls back to big.Int.Exp on the stored base,
+// so Exp is total over all exponents.
 func (t *Table) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		return new(big.Int).Exp(t.base, e, t.modulus)
+		return new(big.Int).Exp(t.base, e, new(big.Int).Mul(t.n, t.n))
 	}
-	acc := big.NewInt(1)
-	bits := e.BitLen()
-	for i := 0; i*t.window < bits; i++ {
-		d := digit(e, i*t.window, t.window)
-		if d == 0 {
-			continue
+	p := newPair(t.n)
+	var u, v big.Int
+	started := false
+	for k := t.blockBits - 1; k >= 0; k-- {
+		if started {
+			p.sqr()
 		}
-		acc.Mul(acc, &t.pow[uint(i)<<uint(t.window)|d])
-		acc.Mod(acc, t.modulus)
+		for j := 0; j < t.blocks; j++ {
+			off := j*t.blockBits + k
+			if off >= t.rowBits {
+				continue // the last block of a row may be short
+			}
+			idx := 0
+			for i := 0; i < t.height; i++ {
+				idx |= int(e.Bit(i*t.rowBits+off)) << uint(i)
+			}
+			if idx == 0 {
+				continue
+			}
+			t.entry(j, idx, &u, &v)
+			if started {
+				p.mul(&u, &v)
+			} else {
+				p.au.Set(&u)
+				p.av.Set(&v)
+				started = true
+			}
+		}
 	}
-	return acc
+	if !started {
+		return big.NewInt(1) // e == 0; n >= 2, so 1 is reduced
+	}
+	p.t.Mul(&p.av, t.n)
+	return new(big.Int).Add(&p.t, &p.au)
 }
 
-// digit extracts the width-bit digit of e starting at bit offset off.
-func digit(e *big.Int, off, width int) uint {
-	var d uint
-	for j := 0; j < width; j++ {
-		d |= e.Bit(off+j) << uint(j)
-	}
-	return d
-}
+// Height reports the comb height h (the window New was given).
+func (t *Table) Height() int { return t.height }
 
-// Window reports the window width in bits.
-func (t *Table) Window() int { return t.window }
+// Blocks reports the block count v New derived from the entry budget.
+func (t *Table) Blocks() int { return t.blocks }
 
-// MaxExpBits reports the widest exponent the fast path covers.
+// MaxExpBits reports the widest exponent the comb covers.
 func (t *Table) MaxExpBits() int { return t.maxBits }
 
-// Levels reports the number of digit levels (table rows).
-func (t *Table) Levels() int { return len(t.pow) >> uint(t.window) }
-
-// SizeBytes reports the table's memory footprint: one modulus-sized
-// value per entry (the slab New fills; entry headers add a few percent).
-func (t *Table) SizeBytes() int {
-	entryBytes := (t.modulus.BitLen() + 7) / 8
-	return len(t.pow) * entryBytes
-}
+// SizeBytes reports the table's memory footprint: exactly the slab New
+// filled, which is all a table retains beyond a few words of geometry
+// and the reduced base.
+func (t *Table) SizeBytes() int { return len(t.slab) * wordBytes }

@@ -9,8 +9,9 @@ import (
 	"testing"
 )
 
-// randMod returns a random odd modulus of about bits bits (odd so that
-// random bases are usually units, though the table does not require it).
+// randMod returns a random odd n of about bits bits (odd so that
+// random bases are usually units, though the table does not require
+// it). Tables work modulo its square.
 func randMod(t testing.TB, bits int) *big.Int {
 	t.Helper()
 	m, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
@@ -22,43 +23,94 @@ func randMod(t testing.TB, bits int) *big.Int {
 	return m
 }
 
-// TestExpMatchesBigIntExp is the core property test: for random window
-// widths, exponent budgets and exponent sizes, the windowed table and
+func square(n *big.Int) *big.Int { return new(big.Int).Mul(n, n) }
+
+// allOnes returns 2^bits - 1, the widest exponent a table of that
+// width covers.
+func allOnes(bits int) *big.Int {
+	e := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+	return e.Sub(e, big.NewInt(1))
+}
+
+// checkAgainstBigInt holds tab.Exp against big.Int.Exp for the edge
+// exponents of the table (0, 1, all ones, one bit too wide) and a batch
+// of random ones.
+func checkAgainstBigInt(t *testing.T, tab *Table, base, n *big.Int, trials int) {
+	t.Helper()
+	maxBits := tab.MaxExpBits()
+	limit := new(big.Int).Lsh(big.NewInt(1), uint(maxBits)) // first exponent past the table
+	exps := []*big.Int{big.NewInt(0), big.NewInt(1), allOnes(maxBits), limit}
+	for i := 0; i < trials; i++ {
+		e, err := rand.Int(rand.Reader, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	mod := square(n)
+	for _, e := range exps {
+		want := new(big.Int).Exp(base, e, mod)
+		if got := tab.Exp(e); got.Cmp(want) != 0 {
+			t.Fatalf("Exp(%s) = %s, want %s (h=%d v=%d maxBits=%d)",
+				e, got, want, tab.Height(), tab.Blocks(), maxBits)
+		}
+	}
+}
+
+// TestExpMatchesBigIntExp is the core property test: for a spread of
+// comb heights, exponent budgets and exponent sizes, the table and
 // big.Int.Exp must agree exactly.
 func TestExpMatchesBigIntExp(t *testing.T) {
 	for _, window := range []int{1, 2, 3, 5, 6, 8} {
 		for _, maxBits := range []int{1, 7, 64, 256} {
 			t.Run(fmt.Sprintf("w=%d/max=%d", window, maxBits), func(t *testing.T) {
-				m := randMod(t, 128)
-				base, err := rand.Int(rand.Reader, m)
+				n := randMod(t, 128)
+				base, err := rand.Int(rand.Reader, square(n))
 				if err != nil {
 					t.Fatal(err)
 				}
-				tab, err := New(base, m, window, maxBits)
+				tab, err := New(base, n, window, maxBits)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for trial := 0; trial < 20; trial++ {
-					limit := new(big.Int).Lsh(big.NewInt(1), uint(maxBits))
-					e, err := rand.Int(rand.Reader, limit)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := new(big.Int).Exp(base, e, m)
-					if got := tab.Exp(e); got.Cmp(want) != 0 {
-						t.Fatalf("Exp(%s) = %s, want %s (w=%d maxBits=%d)", e, got, want, window, maxBits)
-					}
-				}
+				checkAgainstBigInt(t, tab, base, n, 20)
 			})
 		}
 	}
 }
 
+// TestEveryGeometry walks every comb height New accepts over exponent
+// widths chosen so that the derived block count takes each kind of
+// value: one block per row bit (b = 1), the budget-limited count with a
+// short last block, a single block, and rows shorter than the height.
+func TestEveryGeometry(t *testing.T) {
+	n := randMod(t, 67) // two limbs with a nearly empty top one
+	base, err := rand.Int(rand.Reader, square(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[2]int]bool)
+	for h := MinWindow; h <= MaxWindow; h++ {
+		for _, maxBits := range []int{1, 5, 13, 64, 256, 700} {
+			tab, err := New(base, n, h, maxBits)
+			if err != nil {
+				t.Fatalf("New(h=%d, maxBits=%d): %v", h, maxBits, err)
+			}
+			if v := tab.Blocks(); v < 1 || (v > 1 && v*(1<<uint(h)-1) > maxEntries) {
+				t.Fatalf("h=%d maxBits=%d: %d blocks outside the entry budget", h, maxBits, v)
+			}
+			seen[[2]int{h, tab.Blocks()}] = true
+			checkAgainstBigInt(t, tab, base, n, 6)
+		}
+	}
+	t.Logf("%d distinct (h, v) geometries", len(seen))
+}
+
 // TestExpEdgeExponents pins the degenerate exponents.
 func TestExpEdgeExponents(t *testing.T) {
-	m := randMod(t, 96)
+	n := randMod(t, 96)
 	base := big.NewInt(12345)
-	tab, err := New(base, m, 4, 64)
+	tab, err := New(base, n, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +118,10 @@ func TestExpEdgeExponents(t *testing.T) {
 		big.NewInt(0), // base^0 = 1
 		big.NewInt(1),
 		big.NewInt(2),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(1)), // all-ones, widest covered
+		allOnes(64), // widest covered
 	}
 	for _, e := range cases {
-		want := new(big.Int).Exp(base, e, m)
+		want := new(big.Int).Exp(base, e, square(n))
 		if got := tab.Exp(e); got.Cmp(want) != 0 {
 			t.Fatalf("Exp(%s) = %s, want %s", e, got, want)
 		}
@@ -79,9 +131,9 @@ func TestExpEdgeExponents(t *testing.T) {
 // TestExpFallback verifies that exponents the table does not cover —
 // wider than maxBits, or negative — still produce big.Int.Exp's answer.
 func TestExpFallback(t *testing.T) {
-	m := randMod(t, 96)
+	n := randMod(t, 96)
 	base := big.NewInt(7)
-	tab, err := New(base, m, 4, 32)
+	tab, err := New(base, n, 4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,26 +142,26 @@ func TestExpFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide.SetBit(wide, 199, 1) // force BitLen > maxBits
-	if got, want := tab.Exp(wide), new(big.Int).Exp(base, wide, m); got.Cmp(want) != 0 {
+	if got, want := tab.Exp(wide), new(big.Int).Exp(base, wide, square(n)); got.Cmp(want) != 0 {
 		t.Fatalf("wide fallback: got %s, want %s", got, want)
 	}
 	neg := big.NewInt(-3)
-	if got, want := tab.Exp(neg), new(big.Int).Exp(base, neg, m); (got == nil) != (want == nil) ||
+	if got, want := tab.Exp(neg), new(big.Int).Exp(base, neg, square(n)); (got == nil) != (want == nil) ||
 		(got != nil && got.Cmp(want) != 0) {
 		t.Fatalf("negative fallback: got %v, want %v", got, want)
 	}
 }
 
-// TestBaseReduced verifies bases >= modulus are reduced before tabling.
+// TestBaseReduced verifies bases >= n^2 are reduced before tabling.
 func TestBaseReduced(t *testing.T) {
-	m := big.NewInt(1009)
-	base := big.NewInt(1009*5 + 17)
-	tab, err := New(base, m, 3, 16)
+	n := big.NewInt(1009)
+	base := big.NewInt(1009*1009*5 + 1026)
+	tab, err := New(base, n, 3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := big.NewInt(12_345 % (1 << 16))
-	want := new(big.Int).Exp(big.NewInt(17), e, m)
+	want := new(big.Int).Exp(big.NewInt(1026), e, square(n))
 	if got := tab.Exp(e); got.Cmp(want) != 0 {
 		t.Fatalf("unreduced base: got %s, want %s", got, want)
 	}
@@ -117,54 +169,54 @@ func TestBaseReduced(t *testing.T) {
 
 // TestNewRejectsBadParams covers the constructor's validation.
 func TestNewRejectsBadParams(t *testing.T) {
-	m := big.NewInt(101)
+	n := big.NewInt(101)
 	base := big.NewInt(3)
 	bad := []struct {
-		name          string
-		base, modulus *big.Int
-		window, max   int
+		name        string
+		base, n     *big.Int
+		window, max int
 	}{
-		{"nil base", nil, m, 4, 64},
+		{"nil base", nil, n, 4, 64},
 		{"nil modulus", base, nil, 4, 64},
 		{"modulus 1", base, big.NewInt(1), 4, 64},
-		{"window 0", base, m, 0, 64},
-		{"window too wide", base, m, MaxWindow + 1, 64},
-		{"maxBits 0", base, m, 4, 0},
-		{"table explosion", base, m, MaxWindow, 1 << 24},
+		{"height 0", base, n, 0, 64},
+		{"height too large", base, n, MaxWindow + 1, 64},
+		{"maxBits 0", base, n, 4, 0},
+		{"maxBits absurd", base, n, MaxWindow, 1 << 24},
 	}
 	for _, c := range bad {
-		if _, err := New(c.base, c.modulus, c.window, c.max); err == nil {
+		if _, err := New(c.base, c.n, c.window, c.max); err == nil {
 			t.Errorf("New(%s): expected error", c.name)
 		}
 	}
 }
 
-// TestTableAccessors sanity-checks the reporting surface.
+// TestTableAccessors pins the geometry New derives at the Paillier
+// defaults: height 8 over 256 bits is rows of 32 bits in 11 blocks of
+// 3, i.e. 11*255 entries.
 func TestTableAccessors(t *testing.T) {
-	m := randMod(t, 128)
-	tab, err := New(big.NewInt(3), m, 6, 256)
+	n := randMod(t, 128)
+	tab, err := New(big.NewInt(3), n, 8, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Window() != 6 || tab.MaxExpBits() != 256 {
-		t.Fatalf("accessors: window %d maxBits %d", tab.Window(), tab.MaxExpBits())
+	if tab.Height() != 8 || tab.Blocks() != 11 || tab.MaxExpBits() != 256 {
+		t.Fatalf("accessors: height %d blocks %d maxBits %d", tab.Height(), tab.Blocks(), tab.MaxExpBits())
 	}
-	if want := (256 + 5) / 6; tab.Levels() != want {
-		t.Fatalf("levels %d, want %d", tab.Levels(), want)
-	}
-	if tab.SizeBytes() <= 0 {
-		t.Fatalf("SizeBytes %d", tab.SizeBytes())
+	if want := 11 * 255 * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
+		t.Fatalf("SizeBytes %d, want %d", tab.SizeBytes(), want)
 	}
 }
 
 // TestSizeBytesIsTrue holds SizeBytes against the heap a table really
-// retains, at the Paillier hot-path geometry (4096-bit modulus, 256-bit
-// exponents, window 6). Keeping math/big's reduced products directly
-// retained their double-width backing arrays, 8.3 MiB against a
-// reported 1.4 MiB.
+// retains, at the Paillier hot-path geometry (2048-bit n, 256-bit
+// exponents, height 8). Entries are limb ranges of one slab, so there
+// is nothing per entry beside its words: no integer headers, and none
+// of the double-width backing arrays math/big leaves behind a reduced
+// product.
 func TestSizeBytesIsTrue(t *testing.T) {
-	m := randMod(t, 4096)
-	base, err := rand.Int(rand.Reader, m)
+	n := randMod(t, 2048)
+	base, err := rand.Int(rand.Reader, square(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +231,7 @@ func TestSizeBytesIsTrue(t *testing.T) {
 	before := heap()
 	kept := make([]*Table, tables)
 	for i := range kept {
-		if kept[i], err = New(base, m, 6, 256); err != nil {
+		if kept[i], err = New(base, n, 8, 256); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,29 +241,54 @@ func TestSizeBytesIsTrue(t *testing.T) {
 	if after < before {
 		retained = 0
 	}
-	t.Logf("reported %d B, retained %d B (%.2fx)", reported, retained, float64(retained)/float64(reported))
-	if float64(retained) > 1.25*float64(reported) {
-		t.Fatalf("%d tables retain %d B, more than 1.25x the %d B SizeBytes reports", tables, retained, reported)
+	t.Logf("reported %d B, retained %d B (%.3fx)", reported, retained, float64(retained)/float64(reported))
+	if float64(retained) > 1.05*float64(reported) {
+		t.Fatalf("%d tables retain %d B, more than 1.05x the %d B SizeBytes reports", tables, retained, reported)
 	}
-	// The exact-size copies must still be the right powers.
+	// The slab views must still be the right powers.
 	e := new(big.Int).Lsh(big.NewInt(1), 255)
 	e.Sub(e, big.NewInt(12345))
-	if got, want := kept[0].Exp(e), new(big.Int).Exp(base, e, m); got.Cmp(want) != 0 {
-		t.Fatal("Exp over the exact-size table disagrees with big.Int.Exp")
+	if got, want := kept[0].Exp(e), new(big.Int).Exp(base, e, square(n)); got.Cmp(want) != 0 {
+		t.Fatal("Exp over the slab disagrees with big.Int.Exp")
 	}
 	runtime.KeepAlive(kept)
+}
+
+// TestExpAllocs bounds what one exponentiation allocates: the working
+// state with its one scratch array and the result (four allocations
+// when measured; the ceiling leaves room for a math/big that sizes its
+// temporaries differently, not for a per-operation allocation — there
+// are 33 operations).
+func TestExpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := randMod(t, 2048)
+	base, err := rand.Int(rand.Reader, square(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := New(base, n, 8, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := allOnes(256)
+	if allocs := testing.AllocsPerRun(20, func() { tab.Exp(e) }); allocs > 8 {
+		t.Fatalf("Exp allocates %.0f times per call, want <= 8", allocs)
+	}
 }
 
 // TestConcurrentExp exercises shared-table reads from many goroutines
 // (run under -race in CI via the paillier/pisa race job split — fbexp
 // itself is pure reads after New).
 func TestConcurrentExp(t *testing.T) {
-	m := randMod(t, 128)
+	n := randMod(t, 128)
 	base := big.NewInt(65537)
-	tab, err := New(base, m, 5, 128)
+	tab, err := New(base, n, 5, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mod := square(n)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -221,7 +298,7 @@ func TestConcurrentExp(t *testing.T) {
 			e := big.NewInt(seed)
 			for i := 0; i < 50; i++ {
 				e.Add(e, big.NewInt(982451653))
-				want := new(big.Int).Exp(base, e, m)
+				want := new(big.Int).Exp(base, e, mod)
 				if got := tab.Exp(e); got.Cmp(want) != 0 {
 					errs <- fmt.Errorf("goroutine %d: mismatch at %s", seed, e)
 					return
@@ -236,37 +313,43 @@ func TestConcurrentExp(t *testing.T) {
 	}
 }
 
-// FuzzExp cross-checks the windowed evaluation against big.Int.Exp for
-// arbitrary exponent bytes and window widths.
+// FuzzExp cross-checks the comb against big.Int.Exp for arbitrary
+// exponent bytes, comb heights and table widths — the width moves the
+// derived block count, and exponents longer than it take the fallback.
 func FuzzExp(f *testing.F) {
-	f.Add([]byte{0x01}, uint8(4))
-	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa}, uint8(6))
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, uint8(3))
-	modulus := new(big.Int).SetBytes([]byte{
+	f.Add([]byte{0x01}, uint8(4), uint8(48))
+	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa}, uint8(6), uint8(48))
+	f.Add([]byte{}, uint8(1), uint8(1))
+	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, uint8(3), uint8(64))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(7), uint8(72))
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00}, uint8(11), uint8(24))
+	n := new(big.Int).SetBytes([]byte{
 		0xc7, 0x3b, 0x1a, 0x55, 0x91, 0x0e, 0x42, 0x7f,
 		0x9d, 0x12, 0x6b, 0xe0, 0x37, 0xa4, 0x5c, 0x01,
 	})
+	mod := square(n)
 	base := big.NewInt(0xBEEF)
-	f.Fuzz(func(t *testing.T, expBytes []byte, window uint8) {
-		w := int(window%uint8(MaxWindow)) + 1
-		tab, err := New(base, modulus, w, 48)
+	f.Fuzz(func(t *testing.T, expBytes []byte, window, width uint8) {
+		h := int(window%uint8(MaxWindow)) + 1
+		maxBits := int(width) + 1
+		tab, err := New(base, n, h, maxBits)
 		if err != nil {
-			t.Fatalf("New(w=%d): %v", w, err)
+			t.Fatalf("New(h=%d, maxBits=%d): %v", h, maxBits, err)
 		}
 		e := new(big.Int).SetBytes(expBytes)
-		want := new(big.Int).Exp(base, e, modulus)
+		want := new(big.Int).Exp(base, e, mod)
 		if got := tab.Exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("w=%d e=%s: got %s, want %s", w, e, got, want)
+			t.Fatalf("h=%d v=%d maxBits=%d e=%s: got %s, want %s", h, tab.Blocks(), maxBits, e, got, want)
 		}
 	})
 }
 
-// BenchmarkExp compares the windowed table against big.Int.Exp for the
-// Paillier-shaped case: 4096-bit modulus, 256-bit exponent.
+// BenchmarkExp compares the comb against big.Int.Exp for the
+// Paillier-shaped case: 2048-bit n (4096-bit n^2), 256-bit exponent.
 func BenchmarkExp(b *testing.B) {
-	m := randMod(b, 4096)
-	base, err := rand.Int(rand.Reader, m)
+	n := randMod(b, 2048)
+	mod := square(n)
+	base, err := rand.Int(rand.Reader, mod)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,21 +357,19 @@ func BenchmarkExp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("windowed/w=%d", w), func(b *testing.B) {
-			tab, err := New(base, m, w, 256)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab.Exp(e)
-			}
-		})
-	}
+	b.Run("comb", func(b *testing.B) {
+		tab, err := New(base, n, 8, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tab.Exp(e)
+		}
+	})
 	b.Run("bigint/256-bit-exp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(base, e, m)
+			new(big.Int).Exp(base, e, mod)
 		}
 	})
 }

@@ -29,7 +29,7 @@ func TestConvertSignsBatchOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = &pisa.SignRequest{SUID: "su-batch", V: []*paillier.Ciphertext{ct}}
+		reqs[i] = &pisa.SignRequest{SUID: "su-batch", V: []*paillier.Ciphertext{ct}, AnswerBits: 64}
 	}
 
 	batch, err := n.stpClient.ConvertSignsBatch(&pisa.BatchSignRequest{Reqs: reqs})

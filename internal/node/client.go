@@ -672,7 +672,7 @@ func (c *SDCClient) ProcessRequest(r *pisa.TransmissionRequest) (*pisa.Response,
 }
 
 // ProcessShard sends a (usually channel-sliced) SU request to a
-// remote windowed shard and returns its partial encrypted sum.
+// remote windowed shard and returns its grant indicators.
 // Shard queries are idempotent, so the client's retry and failover
 // machinery re-sends them freely across replica groups.
 func (c *SDCClient) ProcessShard(r *pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {

@@ -151,22 +151,13 @@ func BenchmarkRerandomize(b *testing.B) {
 }
 
 // BenchmarkHotPath measures the operations the fixed-base engine
-// accelerates, under one set of benchmark names so benchstat can
-// compare across runs. The engine is toggled by environment —
-// PISA_ENGINE=off leaves the key without its table (nonces are H^s by
-// plain square-and-multiply), anything else (or unset) selects the
-// windowed-table fast path:
-//
-//	PISA_ENGINE=off go test -bench HotPath -count 10 > old.txt
-//	PISA_ENGINE=on  go test -bench HotPath -count 10 > new.txt
-//	benchstat old.txt new.txt
+// accelerates on an armed key, under one set of benchmark names so
+// benchstat can compare them across commits.
 func BenchmarkHotPath(b *testing.B) {
 	sk := benchKey(b, 2048)
 	pk := sk.PublicKey // value copy: leave the cached key disarmed
-	if os.Getenv("PISA_ENGINE") != "off" {
-		if err := pk.EnableFastExp(rand.Reader, 0, 0); err != nil {
-			b.Fatal(err)
-		}
+	if err := pk.EnableFastExp(rand.Reader, 0, 0); err != nil {
+		b.Fatal(err)
 	}
 	m := big.NewInt(1<<59 - 1)
 	ct, err := pk.Encrypt(rand.Reader, m)

@@ -45,12 +45,13 @@ var (
 	two = big.NewInt(2)
 )
 
-// Fixed-base engine defaults. The window width trades table memory for
-// multiplications per nonce (see internal/fbexp); the short-exponent
-// width follows the 2·λ rule — 256 bits gives 112+ bits of security at
-// a 2048-bit modulus, matching the key's own strength.
+// Fixed-base engine defaults. The window is the height of the engine's
+// comb (see internal/fbexp; 8 is the height that needs the fewest
+// operations per nonce inside the table's size budget); the
+// short-exponent width follows the 2·λ rule — 256 bits gives 112+ bits
+// of security at a 2048-bit modulus, matching the key's own strength.
 const (
-	DefaultFastExpWindow = 6
+	DefaultFastExpWindow = 8
 	DefaultShortExpBits  = 256
 
 	// minShortExpBits refuses configurations that would make nonce
@@ -77,8 +78,8 @@ type PublicKey struct {
 	nSquared *big.Int // n^2
 	half     *big.Int // floor(n/2), threshold for centred decoding
 
-	// Fixed-base exponentiation engine: the windowed power table of H
-	// covering exponents of shortBits bits. Set once by EnableFastExp
+	// Fixed-base exponentiation engine: the comb table of H covering
+	// exponents of shortBits bits. Set once by EnableFastExp
 	// before the key is shared across goroutines; the table itself is
 	// immutable and read-safe.
 	fb        *fbexp.Table
@@ -305,22 +306,30 @@ func (pk *PublicKey) Prepare() *PublicKey {
 	return pk
 }
 
-// fullWidthNonces counts nonce factors r^n produced by a full-width
-// exponentiation (exponent n, modulus n^2) — the legacy path every hot
-// loop is supposed to have left for the fixed-base engine. decrypts
+// nonces counts every nonce factor drawn (newRn), whichever way: it is
+// the number of fresh randomisations the process paid for, and per
+// request it is a protocol constant (DESIGN.md §10's ledger), so a path
+// that quietly went back to one encryption per element shows as a
+// count. fullWidthNonces counts nonce factors produced by a full-width
+// exponentiation r^n (exponent n, modulus n^2) — the legacy path every
+// hot loop is supposed to have left for the fixed-base engine. decrypts
 // counts decryptions by the exponent they paid: short when both CRT
 // halves stopped at the subgroup order, full when either ran on to
-// p-1 because the nonce was not a power of the key's H. All three are
+// p-1 because the nonce was not a power of the key's H. All are
 // bridged to the obs registry, so a request path that is silently
 // running on an unarmed key, a fleet member still arming a private
 // base, or a snapshot from before H existed shows on /metrics as a
 // counter that keeps growing.
 var (
+	nonces          atomic.Uint64
 	fullWidthNonces atomic.Uint64
 	decrypts        struct{ short, full atomic.Uint64 }
 )
 
 func init() {
+	obs.Default().CounterFunc("pisa_paillier_nonce_total",
+		"nonce factors drawn (H^s from the table or by square-and-multiply, or full-width r^n)",
+		nil, nonces.Load)
 	obs.Default().CounterFunc("pisa_paillier_fullwidth_nonce_total",
 		"nonce factors r^n computed by a full-width exponentiation (key without a nonce base H)",
 		nil, fullWidthNonces.Load)
@@ -328,6 +337,10 @@ func init() {
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
 }
+
+// Nonces reports how many nonce factors this process has drawn: one per
+// Encrypt, Rerandomize and NewNonce, whatever each cost.
+func Nonces() uint64 { return nonces.Load() }
 
 // FullWidthNonces reports how many nonce factors this process has
 // computed by full-width exponentiation. Building a key's fixed-base
@@ -398,8 +411,8 @@ func (pk *PublicKey) checkH() error {
 }
 
 // EnableFastExp arms the fixed-base exponentiation engine on this key:
-// it precomputes the windowed power table of the published base H
-// covering exponents of shortBits bits. Nonce factors are then
+// it precomputes the comb table of the published base H, of height
+// window, covering exponents of shortBits bits. Nonce factors are then
 // generated as H^s for a short random s from the table, at a fraction
 // of the cost of a square-and-multiply (see DESIGN.md §10 for the
 // short-exponent security argument). Every copy of a key tables the
@@ -438,7 +451,7 @@ func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) erro
 		}
 		h = x.Exp(x, pk.N, pk.nSquared)
 	}
-	tab, err := fbexp.New(h, pk.nSquared, window, shortBits)
+	tab, err := fbexp.New(h, pk.N, window, shortBits)
 	if err != nil {
 		return fmt.Errorf("fast-exp table: %w", err)
 	}
@@ -472,6 +485,7 @@ func (pk *PublicKey) FastExpSizeBytes() int {
 // short exponentiation when it only carries H — or, on a key with
 // neither, r^n for a random unit r.
 func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
+	nonces.Add(1)
 	if pk.fb == nil && pk.H == nil {
 		r, err := pk.randomUnit(random)
 		if err != nil {

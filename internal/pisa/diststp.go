@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"math/big"
 
 	"pisa/internal/paillier"
 	"pisa/internal/parallel"
@@ -175,7 +176,7 @@ func (d *DistSTP) GroupKey() *paillier.PublicKey { return d.group }
 
 // SetFastExp arms the fixed-base engine on the group key and on every
 // registered SU key (current and future), exactly like STP.SetFastExp:
-// the combiner's re-encryptions of eq. 15 take the windowed fast path.
+// the combiner's answer encryptions of eq. 15 draw from the table.
 // Call at setup, before conversions start.
 func (d *DistSTP) SetFastExp(window, shortBits int) error {
 	if err := d.group.EnableFastExp(d.random, window, shortBits); err != nil {
@@ -202,26 +203,10 @@ func (d *DistSTP) SUKey(id string) (*paillier.PublicKey, error) {
 	return pk, nil
 }
 
-// requestCodec mirrors STP.requestCodec: reconstruct and validate the
-// slot codec a packed sign request declares; nil for unpacked.
-func (d *DistSTP) requestCodec(req *SignRequest) (*paillier.SlotCodec, error) {
-	if !req.Packed {
-		return nil, nil
-	}
-	codec, err := paillier.NewSlotCodec(req.Slots, req.SlotBits, req.SlotBits-2)
-	if err != nil {
-		return nil, fmt.Errorf("pisa: sign request slot geometry: %w", err)
-	}
-	if err := codec.CheckKey(d.group); err != nil {
-		return nil, fmt.Errorf("pisa: sign request slot geometry: %w", err)
-	}
-	return codec, nil
-}
-
 // ConvertSigns implements STPService: every co-STP contributes a
 // partial for every V; the combiner multiplies partials, reads the
-// blinded sign (slot-wise for packed requests), and re-encrypts the
-// result under the SU's key (eq. 15).
+// blinded sign (slot-wise for packed requests), and encrypts the signs,
+// slot-packed, under the SU's key (eq. 15).
 func (d *DistSTP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("pisa: nil sign request")
@@ -248,39 +233,22 @@ func (d *DistSTP) ConvertSignsBatch(batch *BatchSignRequest) (*BatchSignResponse
 	return &BatchSignResponse{Resps: resps}, nil
 }
 
-// convertAll is the shared conversion kernel (cf. STP.convertAll): all
-// elements of all requests flatten into one partial-decryption round.
+// convertAll runs the shared conversion kernel (convertSigns) with a
+// threshold decryption: all elements of all requests flatten into one
+// partial-decryption round, whose partials are combined on the worker
+// pool.
 func (d *DistSTP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
-	type reqState struct {
-		suKey *paillier.PublicKey
-		codec *paillier.SlotCodec
-		off   int
-	}
-	states := make([]reqState, len(reqs))
-	total := 0
-	for r, req := range reqs {
-		if req == nil {
-			return nil, fmt.Errorf("pisa: nil sign request in batch slot %d", r)
-		}
-		suKey, err := d.SUKey(req.SUID)
-		if err != nil {
-			return nil, err
-		}
-		codec, err := d.requestCodec(req)
-		if err != nil {
-			return nil, err
-		}
-		states[r] = reqState{suKey: suKey, codec: codec, off: total}
-		total += len(req.V)
-	}
-	flat := make([]*paillier.Ciphertext, 0, total)
-	owner := make([]int, 0, total)
-	for r, req := range reqs {
-		flat = append(flat, req.V...)
-		for range req.V {
-			owner = append(owner, r)
-		}
-	}
+	return convertSigns(signKernel{
+		group:   d.group,
+		suKey:   d.SUKey,
+		decrypt: d.decryptAll,
+		random:  d.random,
+		workers: d.workers,
+	}, reqs)
+}
+
+// decryptAll is the threshold decryption of one flattened batch.
+func (d *DistSTP) decryptAll(flat []*paillier.Ciphertext) ([]*big.Int, error) {
 	// Fan out to the co-STPs concurrently — in a network deployment
 	// the holders are independent servers, so issuing the batches in
 	// parallel mirrors the real latency profile (the slowest holder
@@ -300,37 +268,21 @@ func (d *DistSTP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Combine + sign-test + re-encrypt per value on the worker pool;
-	// positional writes keep every response in its request's order.
-	out := make([]*paillier.Ciphertext, total)
-	err = parallel.For(d.workers, total, func(i int) error {
-		st := states[owner[i]]
+	vals := make([]*big.Int, len(flat))
+	err = parallel.For(d.workers, len(flat), func(i int) error {
 		perValue := make([]*paillier.Partial, len(d.holders))
 		for h := range d.holders {
 			perValue[h] = batches[h][i]
 		}
 		v, err := paillier.CombinePartials(d.group, perValue)
 		if err != nil {
-			return fmt.Errorf("pisa: combine V[%d]: %w", i-st.off, err)
+			return fmt.Errorf("pisa: combine V[%d]: %w", i, err)
 		}
-		x, err := signOf(v, st.codec)
-		if err != nil {
-			return fmt.Errorf("pisa: sign test V[%d]: %w", i-st.off, err)
-		}
-		enc, err := st.suKey.EncryptInt(d.random, x)
-		if err != nil {
-			return fmt.Errorf("pisa: encrypt X[%d]: %w", i-st.off, err)
-		}
-		out[i] = enc
+		vals[i] = v
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	resps := make([]*SignResponse, len(reqs))
-	for r, req := range reqs {
-		st := states[r]
-		resps[r] = &SignResponse{X: out[st.off : st.off+len(req.V)]}
-	}
-	return resps, nil
+	return vals, nil
 }

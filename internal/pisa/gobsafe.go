@@ -80,20 +80,12 @@ func checkWireKey(what string, pk *paillier.PublicKey) error {
 // signRequestWire mirrors SignRequest for encoding; the separate type
 // keeps gob off the GobEncoder method set (infinite recursion
 // otherwise).
-type signRequestWire struct {
-	SUID     string
-	V        []*paillier.Ciphertext
-	Packed   bool
-	Slots    int
-	SlotBits int
-}
+type signRequestWire SignRequest
 
 // GobEncode implements gob.GobEncoder.
 func (r *SignRequest) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&signRequestWire{
-		SUID: r.SUID, V: r.V, Packed: r.Packed, Slots: r.Slots, SlotBits: r.SlotBits,
-	})
+	err := gob.NewEncoder(&buf).Encode((*signRequestWire)(r))
 	if err != nil {
 		return nil, fmt.Errorf("pisa: encode sign request: %w", err)
 	}
@@ -119,12 +111,10 @@ func (w *signRequestWire) check() error {
 	} else if w.Slots != 0 || w.SlotBits != 0 {
 		return fmt.Errorf("pisa: decode sign request: slot geometry on unpacked request")
 	}
+	if w.AnswerBits < 0 || w.AnswerBits > maxWireSlotBits {
+		return fmt.Errorf("pisa: decode sign request: answer width %d outside [0, %d]", w.AnswerBits, maxWireSlotBits)
+	}
 	return nil
-}
-
-// request converts a validated frame back to the protocol message.
-func (w *signRequestWire) request() *SignRequest {
-	return &SignRequest{SUID: w.SUID, V: w.V, Packed: w.Packed, Slots: w.Slots, SlotBits: w.SlotBits}
 }
 
 // GobDecode implements gob.GobDecoder with element-count, ciphertext
@@ -137,7 +127,7 @@ func (r *SignRequest) GobDecode(data []byte) error {
 	if err := w.check(); err != nil {
 		return err
 	}
-	*r = *w.request()
+	*r = SignRequest(w)
 	return nil
 }
 
@@ -209,43 +199,29 @@ func (u *PUUpdate) GobDecode(data []byte) error {
 
 // shardAnswerWire mirrors ShardAnswer for encoding.
 type shardAnswerWire struct {
-	SumQ  *paillier.Ciphertext
-	Slots int64
+	D []*paillier.Ciphertext
 }
 
 // GobEncode implements gob.GobEncoder.
 func (a *ShardAnswer) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&shardAnswerWire{SumQ: a.SumQ, Slots: a.Slots}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&shardAnswerWire{D: a.D}); err != nil {
 		return nil, fmt.Errorf("pisa: encode shard answer: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder. A nil partial is legal only as
-// the empty-window answer (Slots == 0); a present ciphertext obeys the
-// shared size caps.
+// GobDecode implements gob.GobDecoder. No indicator at all is the legal
+// empty-window answer; those present obey the shared size caps.
 func (a *ShardAnswer) GobDecode(data []byte) error {
 	var w shardAnswerWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("pisa: decode shard answer: %w", err)
 	}
-	if w.Slots < 0 || w.Slots > maxWireElements {
-		return fmt.Errorf("pisa: decode shard answer: slot count %d outside [0, %d]", w.Slots, maxWireElements)
+	if err := checkWireCiphertexts("shard answer", w.D); err != nil {
+		return err
 	}
-	if w.SumQ == nil {
-		if w.Slots != 0 {
-			return fmt.Errorf("pisa: decode shard answer: %d slots without a partial sum", w.Slots)
-		}
-	} else {
-		if w.Slots == 0 {
-			return fmt.Errorf("pisa: decode shard answer: partial sum without slot tests")
-		}
-		if err := checkWireCiphertexts("shard answer", []*paillier.Ciphertext{w.SumQ}); err != nil {
-			return err
-		}
-	}
-	*a = ShardAnswer{SumQ: w.SumQ, Slots: w.Slots}
+	*a = ShardAnswer{D: w.D}
 	return nil
 }
 
@@ -268,9 +244,7 @@ func (b *BatchSignRequest) GobEncode() ([]byte, error) {
 		if r == nil {
 			return nil, fmt.Errorf("pisa: encode batch sign request: element %d is nil", i)
 		}
-		w.Reqs[i] = signRequestWire{
-			SUID: r.SUID, V: r.V, Packed: r.Packed, Slots: r.Slots, SlotBits: r.SlotBits,
-		}
+		w.Reqs[i] = signRequestWire(*r)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
@@ -294,7 +268,8 @@ func (b *BatchSignRequest) GobDecode(data []byte) error {
 		if err := w.Reqs[i].check(); err != nil {
 			return fmt.Errorf("pisa: decode batch sign request: element %d: %w", i, err)
 		}
-		reqs[i] = w.Reqs[i].request()
+		req := SignRequest(w.Reqs[i])
+		reqs[i] = &req
 	}
 	*b = BatchSignRequest{Reqs: reqs}
 	return nil

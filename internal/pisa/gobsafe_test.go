@@ -36,12 +36,12 @@ func TestSignRequestGobRoundTrip(t *testing.T) {
 	src := &SignRequest{
 		SUID:   "su-1",
 		V:      []*paillier.Ciphertext{ct(7), ct(11)},
-		Packed: true, Slots: 4, SlotBits: 20,
+		Packed: true, Slots: 4, SlotBits: 20, AnswerBits: 384,
 	}
 	var got SignRequest
 	gobRoundTrip(t, src, &got)
 	if got.SUID != src.SUID || len(got.V) != 2 || got.V[1].C.Int64() != 11 ||
-		!got.Packed || got.Slots != 4 || got.SlotBits != 20 {
+		!got.Packed || got.Slots != 4 || got.SlotBits != 20 || got.AnswerBits != 384 {
 		t.Fatalf("round trip mangled request: %+v", got)
 	}
 }
@@ -71,6 +71,8 @@ func TestSignRequestGobRejectsMalformed(t *testing.T) {
 		{"narrow slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Packed: true, Slots: 2, SlotBits: 2}, "slot width"},
 		{"huge slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Packed: true, Slots: 2, SlotBits: maxWireSlotBits + 1}, "slot width"},
 		{"geometry on unpacked", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 4, SlotBits: 20}, "unpacked"},
+		{"negative answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, AnswerBits: -1}, "answer width"},
+		{"huge answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, AnswerBits: maxWireSlotBits + 1}, "answer width"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,6 +102,24 @@ func TestSignResponseGobRejectsMalformed(t *testing.T) {
 		new(SignResponse).GobDecode)
 	if err == nil || !strings.Contains(err.Error(), "invalid ciphertext") {
 		t.Fatalf("negative ciphertext accepted: %v", err)
+	}
+}
+
+func TestShardAnswerGob(t *testing.T) {
+	var got ShardAnswer
+	gobRoundTrip(t, &ShardAnswer{D: []*paillier.Ciphertext{ct(5), ct(9)}}, &got)
+	if len(got.D) != 2 || got.D[1].C.Int64() != 9 {
+		t.Fatalf("round trip mangled answer: %+v", got)
+	}
+	// The empty-window answer carries no indicator.
+	got = ShardAnswer{D: []*paillier.Ciphertext{ct(1)}}
+	gobRoundTrip(t, &ShardAnswer{}, &got)
+	if len(got.D) != 0 {
+		t.Fatalf("empty answer decoded to %+v", got)
+	}
+	err := decodeFrame(t, &shardAnswerWire{D: []*paillier.Ciphertext{ct(4), {}}}, new(ShardAnswer).GobDecode)
+	if err == nil || !strings.Contains(err.Error(), "invalid ciphertext") {
+		t.Fatalf("nil indicator accepted: %v", err)
 	}
 }
 

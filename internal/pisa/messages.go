@@ -216,21 +216,24 @@ func ShapeDigest(packed bool, channels, blocks int, block geo.BlockID, eirpUnits
 type Response struct {
 	// License is the permission body the signature covers.
 	License dsig.License
-	// MaskedSig is G~ = SG~ (+) eta (x) sum(Q~) under the SU's key.
+	// MaskedSig is G~ = SG~ (+) eta (x) D~ under the SU's key, D~ the
+	// grant indicator (one term per indicator when there are several).
 	MaskedSig *paillier.Ciphertext
 }
 
 // ShardAnswer is one shard's contribution to a sharded SU request
-// (DESIGN.md §15): the partial sum(eps*X) under the SU's key over the
-// channel rows the shard owns, plus the number of slot tests folded
-// in. The router adds the partials (eq. 17's sum is linear in the
-// per-channel terms), subtracts the total slot count, and masks the
-// license with the merged sum. A shard that saw no populated cell
-// inside its window answers SumQ == nil, Slots == 0 — the additive
-// identity.
+// (DESIGN.md §15): the grant indicators D under the SU's key over the
+// channel rows the shard owns, one per ciphertext of the STP's packed
+// answer (normally one). Every D decrypts to 0 exactly when every slot
+// test it covers passed; the shard has already applied its own epsilon
+// correction, so the router subtracts nothing. It must not add two D's
+// either — their digits carry the random signs of the shards' epsilons
+// and a -2 of one shard would cancel a +2 of another into a false
+// grant — and hands all of them to MaskedLicense, which masks each
+// under its own eta. A shard that saw no populated cell inside its
+// window answers with no D at all.
 type ShardAnswer struct {
-	SumQ  *paillier.Ciphertext
-	Slots int64
+	D []*paillier.Ciphertext
 }
 
 // SignRequest is what the SDC sends the STP: the blinded sign-test
@@ -243,17 +246,24 @@ type SignRequest struct {
 	V []*paillier.Ciphertext
 	// Packed marks slot-packed elements: each V[i] carries Slots
 	// blinded indicators in slots of SlotBits bits. The STP then
-	// unpacks each decryption, sign-tests every slot, and returns one
-	// SU-key ciphertext per element encrypting the sum of the slot
-	// signs (k when all slots pass, less otherwise).
+	// unpacks each decryption and sign-tests every slot; V[i]'s
+	// converted sign x_i is the sum of its slot signs (Slots when all
+	// pass, less otherwise). Unpacked, x_i is the one sign, +1 or -1.
 	Packed   bool
 	Slots    int
 	SlotBits int
+	// AnswerBits is how many plaintext bits of the SU's key the packed
+	// answer may occupy (Params.AnswerBits: what the license mask eta
+	// and the signature leave free). With the per-element bound — Slots
+	// when packed, 1 otherwise — it fixes the answer's slot layout
+	// (answerCodec) identically on both sides.
+	AnswerBits int
 }
 
 // SignResponse carries the converted signs X~ (eq. 15) under the SU's
-// public key, positionally aligned with SignRequest.V. For packed
-// requests X[i] encrypts the sum of V[i]'s slot signs.
+// public key, slot-packed: X[c] holds x_i for the elements i in
+// [c*S, (c+1)*S) of SignRequest.V, S the slot count of the answer
+// layout — one ciphertext, one fresh nonce, for up to S elements.
 type SignResponse struct {
 	X []*paillier.Ciphertext
 }

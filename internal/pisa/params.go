@@ -22,7 +22,6 @@ package pisa
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"time"
 
 	"pisa/internal/dsig"
@@ -73,14 +72,14 @@ type Params struct {
 	// FastExp arms the fixed-base exponentiation engine
 	// (internal/fbexp) on the keys each role touches: nonce factors
 	// H^s, for the key's published base H and a short exponent s, come
-	// from a precomputed windowed table, an order of magnitude cheaper
+	// from a precomputed comb table, an order of magnitude cheaper
 	// than the square-and-multiply an untabled key pays for the same
 	// H^s. Disable to test without tables.
 	FastExp bool
 
-	// FastExpWindow is the table window width in bits; 0 selects
-	// paillier.DefaultFastExpWindow (6). Wider windows trade table
-	// memory for fewer multiplications per nonce.
+	// FastExpWindow is the height of the table's comb in bits; 0
+	// selects paillier.DefaultFastExpWindow (8). The table's size is
+	// fixed by the engine, not by this value.
 	FastExpWindow int
 
 	// ShortExpBits is the nonce exponent width; 0 selects
@@ -282,25 +281,24 @@ func (p Params) Validate() error {
 	// Packed mode additionally needs at least one whole slot (the same
 	// per-slot budget as above) inside the modulus, which SlotCodec
 	// checks while deriving the geometry.
-	cells := p.Watch.Channels * p.Watch.Grid.Blocks()
+	bound := 1
 	if p.Packing {
 		codec, err := p.SlotCodec()
 		if err != nil {
 			return err
 		}
-		// The sign-test count includes padding slots: groups are whole
-		// ciphertexts, so the last group of a row rounds B up to a
-		// multiple of k.
-		k := codec.Slots()
-		groups := (p.Watch.Grid.Blocks() + k - 1) / k
-		cells = p.Watch.Channels * groups * k
+		bound = codec.Slots()
 	}
-	// Masked license: SG + eta * sum(Q), |sum(Q)| <= 2*C*B (padding
-	// slots included in packed mode).
-	maskBits := p.EtaBits + 2 + bits.Len(uint(cells))
-	if p.SignerBits+2 > p.PaillierBits-1 || maskBits+2 > p.PaillierBits-1 {
-		return fmt.Errorf("pisa: license mask may wrap (signer %d, mask %d, paillier %d bits)",
-			p.SignerBits, maskBits, p.PaillierBits)
+	// Masked license: SG + eta * D. The signature must fit the SU key's
+	// plaintext domain, and what eta and the signature leave free of it
+	// (AnswerBits) must hold at least one slot of the STP's packed
+	// answer.
+	if p.SignerBits+2 > p.PaillierBits-1 {
+		return fmt.Errorf("pisa: license signature may wrap (signer %d, paillier %d bits)", p.SignerBits, p.PaillierBits)
+	}
+	if _, err := answerCodec(bound, p.AnswerBits(p.PaillierBits)); err != nil {
+		return fmt.Errorf("pisa: license mask (EtaBits %d, SignerBits %d, PaillierBits %d): %w",
+			p.EtaBits, p.SignerBits, p.PaillierBits, err)
 	}
 	// Radio quantisation must fit the declared plaintext width:
 	// |I| <= N + R <= 2 * Quantize(S_max) * X + X + 1.
@@ -317,7 +315,7 @@ func (p Params) Validate() error {
 
 // armFastExp tables pk's published nonce base per the params (no-op
 // when FastExp is off or pk already has a table). Every role
-// constructor funnels through here so the window/width knobs apply
+// constructor funnels through here so the height/width knobs apply
 // uniformly, and every copy of a key tables the same H, so the nonces
 // any party draws stay in the subgroup the key's owner decrypts with.
 func (p Params) armFastExp(random io.Reader, pk *paillier.PublicKey) error {

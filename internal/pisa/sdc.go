@@ -216,8 +216,8 @@ func NewSDC(issuer string, params Params, transmitters []watch.TVTransmitter, st
 // Packed deployments pad the slots beyond the last block with a
 // constant 1: a padding slot's blinded test value is
 // eps*(alpha*1 - beta), strictly positive before the flip
-// (BetaBits < AlphaBits), so padding always "passes" and the grant
-// test only has to offset the slot count.
+// (BetaBits < AlphaBits), so padding always "passes" and never shows
+// in the grant indicator.
 func (s *SDC) encryptInitialBudgets() error {
 	var err error
 	if s.codec != nil {
@@ -278,8 +278,8 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	s.random = paillier.SharedReader(s.random)
 	s.suKeys = NewSUKeyCache(stp, params, s.random, !s.windowed())
 	// Arm the fixed-base engine on the group key: budget encryptions,
-	// column rebuilds and blinding-factor generation all take the
-	// windowed fast path. Idempotent on a group key another role
+	// column rebuilds and blinding-factor generation all draw their
+	// nonces from the table. Idempotent on a group key another role
 	// already armed.
 	if err := params.armFastExp(s.random, s.group); err != nil {
 		return nil, fmt.Errorf("pisa: arm group key: %w", err)
@@ -896,19 +896,13 @@ func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err erro
 		return nil, fmt.Errorf("pisa: shard owns channels [%d, %d) only; SU requests must go through the shard router",
 			s.chanLo, s.chanHi)
 	}
-	sumQ, slots, suKey, err := s.processCore(req)
+	ds, suKey, err := s.processCore(req)
 	if err != nil {
 		return nil, err
 	}
-	// Grant-condition offset: sum(Q) = sum(eps*X) - count, so sum(Q)
-	// decrypts to 0 exactly when every slot test passed.
-	sumQ, err = suKey.AddPlain(sumQ, big.NewInt(-slots))
-	if err != nil {
-		return nil, fmt.Errorf("pisa: offset Q sum: %w", err)
-	}
 
 	// Steps 10-11: sign the license, encrypt under the SU key, mask
-	// with eta (x) sum(Q~) (eq. 17).
+	// with eta (x) D~ (eq. 17).
 	stageStart := time.Now()
 	digest, err := req.Digest()
 	if err != nil {
@@ -927,7 +921,7 @@ func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err erro
 		ExpiresUnix:   now.Add(s.licTTL).Unix(),
 		RequestDigest: digest,
 	}
-	resp, err = MaskedLicense(s.random, s.signer, suKey, &lic, sumQ, s.params.EtaBits)
+	resp, err = MaskedLicense(s.random, s.signer, suKey, &lic, ds, s.params.EtaBits)
 	if err != nil {
 		return nil, err
 	}
@@ -937,33 +931,43 @@ func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err erro
 
 // MaskedLicense performs Figure 5 steps 10-11 on an already-built
 // license: sign it, encrypt the signature under the SU key, and mask
-// with eta (x) sumQ (eq. 17), so the SU recovers the signature iff
-// sumQ decrypts to 0. sumQ must already carry the grant-condition
-// offset. Shared by the monolithic ProcessRequest and the shard
-// router, which masks the merged cross-shard sum with its own signer.
+// it with eta_c (x) D_c for every grant indicator D_c (eq. 17), so the
+// SU recovers the signature iff every D_c decrypts to 0. Each indicator
+// gets its own fresh eta: the D's are never added to each other, whose
+// digits could cancel (ShardAnswer), and with independent masks some
+// D_c != 0 survives into the sum unless its eta_c hits the one value
+// that cancels the rest — a false grant has probability at most
+// 2^-(etaBits-1) however many indicators there are. Shared by the
+// monolithic ProcessRequest (one indicator per ciphertext of the STP's
+// answer, normally one) and the shard router (those of every shard),
+// which masks with its own signer.
 func MaskedLicense(random io.Reader, signer *dsig.Signer, suKey *paillier.PublicKey,
-	lic *dsig.License, sumQ *paillier.Ciphertext, etaBits int) (*Response, error) {
+	lic *dsig.License, ds []*paillier.Ciphertext, etaBits int) (*Response, error) {
+	if len(ds) == 0 {
+		return nil, fmt.Errorf("pisa: no grant indicator to mask the license with")
+	}
 	sig, err := signer.Sign(lic)
 	if err != nil {
 		return nil, err
 	}
-	sigEnc, err := suKey.Encrypt(random, dsig.SignatureToInt(sig))
+	masked, err := suKey.Encrypt(random, dsig.SignatureToInt(sig))
 	if err != nil {
 		return nil, fmt.Errorf("pisa: encrypt signature: %w", err)
 	}
 	etaLo := new(big.Int).Lsh(big.NewInt(1), uint(etaBits-1))
 	etaHi := new(big.Int).Lsh(big.NewInt(1), uint(etaBits))
-	eta, err := paillier.RandomInRange(random, etaLo, etaHi)
-	if err != nil {
-		return nil, err
-	}
-	mask, err := suKey.ScalarMul(eta, sumQ)
-	if err != nil {
-		return nil, fmt.Errorf("pisa: mask term: %w", err)
-	}
-	masked, err := suKey.Add(sigEnc, mask)
-	if err != nil {
-		return nil, fmt.Errorf("pisa: mask signature: %w", err)
+	for _, d := range ds {
+		eta, err := paillier.RandomInRange(random, etaLo, etaHi)
+		if err != nil {
+			return nil, err
+		}
+		mask, err := suKey.ScalarMul(eta, d)
+		if err != nil {
+			return nil, fmt.Errorf("pisa: mask term: %w", err)
+		}
+		if masked, err = suKey.Add(masked, mask); err != nil {
+			return nil, fmt.Errorf("pisa: mask signature: %w", err)
+		}
 	}
 	return &Response{License: *lic, MaskedSig: masked}, nil
 }
@@ -971,14 +975,13 @@ func MaskedLicense(random io.Reader, signer *dsig.Signer, suKey *paillier.Public
 // ProcessShard executes the per-shard half of a sharded SU request
 // (DESIGN.md §15): the same snapshot/cache/aggregate/blind/STP/unblind
 // pipeline as ProcessRequest, restricted to the channel rows this
-// instance owns and stopping short of the grant offset and the
-// license. The answer carries the shard's partial sum(eps*X) under the
-// SU key plus the number of slot tests folded in; eq. 17's sum is
-// linear in the per-channel terms, so the router composes the partials
-// with plain Paillier addition and issues the single masked license.
-// No serial is consumed and nothing is issued, so a retried or
-// failed-over call is idempotent. Callable on a monolithic instance
-// too, where the window covers every row.
+// instance owns and stopping short of the license. The answer carries
+// the shard's grant indicators under the SU key, already corrected for
+// the shard's own epsilons; the router hands the indicators of all
+// shards to MaskedLicense and issues the single masked license. No
+// serial is consumed and nothing is issued, so a retried or failed-over
+// call is idempotent. Callable on a monolithic instance too, where the
+// window covers every row.
 func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err error) {
 	m := metrics()
 	m.requests.Inc()
@@ -989,28 +992,28 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 			m.requestErrors.Inc()
 		}
 	}()
-	sumQ, slots, _, err := s.processCore(req)
+	ds, _, err := s.processCore(req)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardAnswer{SumQ: sumQ, Slots: slots}, nil
+	return &ShardAnswer{D: ds}, nil
 }
 
 // processCore runs Figure 5 steps 3-9 over the channel rows this
 // instance owns: validation, budget snapshot + cache lookup,
 // aggregation (eqs. 11-12), blinding (eq. 14), the STP sign test, and
-// the eps unblinding fold (eq. 16) — everything up to, but not
-// including, the grant-condition offset. It returns the partial
-// sum(eps*X) under the SU key and the number of slot tests folded in;
-// slots == 0 with a nil sum when no populated request cell falls
-// inside the window (the request was sliced for a different shard).
-func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, slots int64, suKey *paillier.PublicKey, err error) {
+// the eps unblinding (eq. 16). It returns the grant indicators D~ under
+// the SU key, one per ciphertext of the STP's packed answer, each
+// decrypting to 0 exactly when every slot test it covers passed; none
+// when no populated request cell falls inside the window (the request
+// was sliced for a different shard).
+func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, suKey *paillier.PublicKey, err error) {
 	m := metrics()
 	if req == nil || (req.F == nil && req.FP == nil) {
-		return nil, 0, nil, fmt.Errorf("pisa: nil request")
+		return nil, nil, fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID == "" {
-		return nil, 0, nil, fmt.Errorf("pisa: request missing SU id")
+		return nil, nil, fmt.Errorf("pisa: request missing SU id")
 	}
 	w := s.params.Watch
 	if s.codec != nil {
@@ -1018,39 +1021,39 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 		// same slot geometry (mode is a deployment parameter; the
 		// -packing flag must agree on both sides).
 		if req.FP == nil {
-			return nil, 0, nil, fmt.Errorf("pisa: packed deployment requires a packed request")
+			return nil, nil, fmt.Errorf("pisa: packed deployment requires a packed request")
 		}
 		if req.FP.Channels() != w.Channels || req.FP.Blocks() != w.Grid.Blocks() {
-			return nil, 0, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
+			return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
 				req.FP.Channels(), req.FP.Blocks(), w.Channels, w.Grid.Blocks())
 		}
 		if !req.FP.Codec().Equal(s.codec) {
-			return nil, 0, nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
+			return nil, nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
 		}
 		if !req.FP.Key().Equal(s.group) {
-			return nil, 0, nil, fmt.Errorf("pisa: request not encrypted under the group key")
+			return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
 		}
 		if req.FP.Populated() == 0 {
-			return nil, 0, nil, fmt.Errorf("pisa: request matrix is empty")
+			return nil, nil, fmt.Errorf("pisa: request matrix is empty")
 		}
 	} else {
 		if req.F == nil {
-			return nil, 0, nil, fmt.Errorf("pisa: unpacked deployment cannot process a packed request")
+			return nil, nil, fmt.Errorf("pisa: unpacked deployment cannot process a packed request")
 		}
 		if req.F.Channels() != w.Channels || req.F.Blocks() != w.Grid.Blocks() {
-			return nil, 0, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
+			return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
 				req.F.Channels(), req.F.Blocks(), w.Channels, w.Grid.Blocks())
 		}
 		if !req.F.Key().Equal(s.group) {
-			return nil, 0, nil, fmt.Errorf("pisa: request not encrypted under the group key")
+			return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
 		}
 		if req.F.Populated() == 0 {
-			return nil, 0, nil, fmt.Errorf("pisa: request matrix is empty")
+			return nil, nil, fmt.Errorf("pisa: request matrix is empty")
 		}
 	}
 	suKey, err = s.suKeys.Get(req.SUID)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 
 	// Snapshot phase (the only part under s.mu): collect the budget
@@ -1067,7 +1070,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 		s.blindErrPending = false
 		err := s.blindErr
 		s.mu.Unlock()
-		return nil, 0, nil, fmt.Errorf("pisa: background blinding refill: %w", err)
+		return nil, nil, fmt.Errorf("pisa: background blinding refill: %w", err)
 	}
 	cells := make([]requestCell, 0, req.Ciphertexts())
 	take := func(c, b int, f, n *paillier.Ciphertext) {
@@ -1164,14 +1167,13 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 	m.blindDepth.Set(int64(len(s.blindPool)))
 	s.mu.Unlock()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	m.stage["snapshot"].ObserveSince(stageStart)
 	if len(cells) == 0 {
 		// Every populated cell belongs to another shard's window:
-		// nothing to aggregate, no STP round trip. The router treats a
-		// nil partial as the additive identity.
-		return nil, 0, suKey, nil
+		// nothing to aggregate, no STP round trip, no indicator.
+		return nil, suKey, nil
 	}
 
 	// Steps 3-4: R~ = X (x) F~, I~ = N~ (-) R~ (eqs. 11-12) — the
@@ -1203,7 +1205,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 			return nil
 		})
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, nil, err
 		}
 		if cachePut != nil {
 			// The cached copy is the freshly computed column; nothing the
@@ -1264,70 +1266,42 @@ func (s *SDC) processCore(req *TransmissionRequest) (sumQ *paillier.Ciphertext, 
 		return nil
 	})
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	m.stage["blind"].ObserveSince(stageStart)
 
-	// Steps 6-8 happen at the STP. Packed requests declare their slot
-	// geometry so the STP runs the sign test slot-wise and returns one
-	// sign-sum ciphertext per group.
+	// Steps 6-8 happen at the STP. The request declares the geometry of
+	// its elements, so the STP runs the sign test slot-wise, and the room
+	// the answer may take in the SU's key, which with the element bound
+	// fixes the answer's layout on both sides.
 	stageStart = time.Now()
-	signReq := &SignRequest{SUID: req.SUID, V: vs}
+	signReq := &SignRequest{SUID: req.SUID, V: vs, AnswerBits: s.params.AnswerBits(suKey.Bits())}
+	slotsPer := 1
 	if s.codec != nil {
 		signReq.Packed = true
 		signReq.Slots = s.codec.Slots()
 		signReq.SlotBits = s.codec.SlotBits()
+		slotsPer = s.codec.Slots()
+	}
+	answer, err := answerCodec(slotsPer, signReq.AnswerBits)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pisa: SU %q: %w", req.SUID, err)
 	}
 	signResp, err := s.convert(signReq)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("pisa: STP conversion: %w", err)
-	}
-	if len(signResp.X) != len(cells) {
-		return nil, 0, nil, fmt.Errorf("pisa: STP returned %d signs, want %d", len(signResp.X), len(cells))
+		return nil, nil, fmt.Errorf("pisa: STP conversion: %w", err)
 	}
 	m.stage["stp_convert"].ObserveSince(stageStart)
 
-	// Step 9's unblinding half: sum(Q~) = sum(eps (x) X~) under the SU
-	// key (eq. 16, offset deferred to the caller). eps is +-1, so the
-	// sum is the product of the eps=+1 signs over the product of the
-	// eps=-1 signs: one modular multiplication per element and a single
-	// inverse per request, instead of an inverse (or a degenerate
-	// exponentiation) per element. In packed mode every element carries
-	// k slot tests (padding slots always pass), so the count handed
-	// back is cells x slots and the grant condition sum(Q) == 0 is
-	// unchanged.
+	// Step 9, the unblinding (eq. 16): one plaintext addition per answer
+	// ciphertext.
 	stageStart = time.Now()
-	var plus, minus *paillier.Ciphertext
-	for k, x := range signResp.X {
-		side := &plus
-		if cells[k].bf.eps < 0 {
-			side = &minus
-		}
-		if *side == nil {
-			*side = x
-			continue
-		}
-		if *side, err = suKey.Add(*side, x); err != nil {
-			return nil, 0, nil, fmt.Errorf("pisa: accumulate Q: %w", err)
-		}
-	}
-	switch {
-	case minus == nil:
-		sumQ = plus
-	case plus == nil:
-		sumQ, err = suKey.Neg(minus)
-	default:
-		sumQ, err = suKey.Sub(plus, minus)
-	}
+	ds, err = unblindAnswer(suKey, answer, slotsPer, signResp.X, cells)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("pisa: unblind signs: %w", err)
-	}
-	slotsPer := 1
-	if s.codec != nil {
-		slotsPer = s.codec.Slots()
+		return nil, nil, err
 	}
 	m.stage["unblind"].ObserveSince(stageStart)
-	return sumQ, int64(len(cells) * slotsPer), suKey, nil
+	return ds, suKey, nil
 }
 
 // newBlindFactors draws one (alpha, E(beta), epsilon) tuple — a

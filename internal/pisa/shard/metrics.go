@@ -15,8 +15,8 @@ import (
 //
 //	fanout  slice + per-shard ProcessShard calls (max over shards
 //	        when parallel, sum when WithSerialFanout)
-//	merge   Paillier-additive composition of the partial sums
-//	license sign + encrypt + eta-mask (eq. 17)
+//	merge   collection of the shards' grant indicators
+//	license sign + encrypt + one eta-mask per indicator (eq. 17)
 //	update  PU update broadcast
 //	total   router ProcessRequest end to end
 //

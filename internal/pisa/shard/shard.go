@@ -3,17 +3,18 @@
 // contiguous channel windows, each owned by an independent SDC
 // instance (pisa.WithChannelWindow) with its own WAL, decision cache
 // and STP batcher, and a thin Router fans each SU request out to every
-// shard, then merges the per-shard partial sums homomorphically before
-// the single license mask (eq. 17).
+// shard, then masks the single license with every shard's grant
+// indicator (eq. 17).
 //
 // Channel-partitioning is privacy-neutral: every shard still sees
 // every block of the request and every PU update ciphertext, exactly
 // the view the monolithic SDC has — unlike block-partitioning, which
 // would hand each shard a location-correlated subset. And because
-// eq. 17's masked-license exponent is linear in the per-(channel,
-// block) terms, the per-shard sums compose with plain Paillier
-// addition under the SU's key; no shard ever holds a decryptable
-// decision, and only the router signs licenses.
+// the request is granted exactly when every (channel, block) test
+// passes, each shard's indicator — zero iff its own tests passed —
+// enters eq. 17's masked-license exponent as one more term under the
+// SU's key; no shard ever holds a decryptable decision, and only the
+// router signs licenses.
 package shard
 
 import (
@@ -21,7 +22,6 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 	"time"
 
@@ -255,11 +255,11 @@ func (r *Router) sliceFor(req *pisa.TransmissionRequest, i int) (*pisa.Transmiss
 
 // ProcessRequest executes one SU request across the shards: slice the
 // request along the channel windows, fan the slices out (ProcessShard
-// on every shard), merge the partial sums additively under the SU's
-// key, fold in the grant-condition offset, and issue the single
-// eta-masked license (eq. 17). Decision parity with a monolithic SDC
-// is exact: the windows partition the channel rows, so the merged sum
-// ranges over precisely the same (channel, block) terms.
+// on every shard), collect the shards' grant indicators, and issue the
+// single license masked with every one of them (eq. 17). Decision
+// parity with a monolithic SDC is exact: the windows partition the
+// channel rows, so the indicators range over precisely the same
+// (channel, block) tests.
 func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Response, err error) {
 	m := routerMetrics()
 	m.requests.Inc()
@@ -312,8 +312,8 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 			return nil
 		}
 		if sub.Ciphertexts() == 0 {
-			// Nothing of the request falls in this shard's window; the
-			// additive identity needs no round trip.
+			// Nothing of the request falls in this shard's window; an
+			// answer without indicators needs no round trip.
 			answers[i] = &pisa.ShardAnswer{}
 			return nil
 		}
@@ -341,31 +341,19 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 	}
 	m.stage["fanout"].ObserveSince(stageStart)
 
-	// Merge: sum(Q) = Σ_i sum_i(eps*X) - Σ_i slots_i under the SU key.
+	// Merge: collect the shards' grant indicators. They are not added
+	// up — digits of different shards could cancel (pisa.ShardAnswer) —
+	// but masked one by one in the license tail.
 	stageStart = time.Now()
-	var sumQ *paillier.Ciphertext
-	var slots int64
+	var ds []*paillier.Ciphertext
 	for i, ans := range answers {
 		if ans == nil {
 			return nil, fmt.Errorf("shard %d: nil answer", i)
 		}
-		if ans.SumQ == nil {
-			continue
-		}
-		slots += ans.Slots
-		if sumQ == nil {
-			sumQ = ans.SumQ
-			continue
-		}
-		if sumQ, err = suKey.Add(sumQ, ans.SumQ); err != nil {
-			return nil, fmt.Errorf("shard: merge partial %d: %w", i, err)
-		}
+		ds = append(ds, ans.D...)
 	}
-	if sumQ == nil {
+	if len(ds) == 0 {
 		return nil, fmt.Errorf("shard: request matrix is empty")
-	}
-	if sumQ, err = suKey.AddPlain(sumQ, big.NewInt(-slots)); err != nil {
-		return nil, fmt.Errorf("shard: offset Q sum: %w", err)
 	}
 	m.stage["merge"].ObserveSince(stageStart)
 	mergeNs := time.Since(stageStart).Nanoseconds()
@@ -386,7 +374,7 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 		ExpiresUnix:   now.Add(r.licTTL).Unix(),
 		RequestDigest: digest,
 	}
-	resp, err = pisa.MaskedLicense(r.random, r.signer, suKey, &lic, sumQ, r.params.EtaBits)
+	resp, err = pisa.MaskedLicense(r.random, r.signer, suKey, &lic, ds, r.params.EtaBits)
 	if err != nil {
 		return nil, err
 	}

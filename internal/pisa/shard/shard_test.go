@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/pisa/shard"
 	"pisa/internal/propagation"
@@ -266,14 +267,14 @@ func TestWindowedSDCRefusesDirectRequests(t *testing.T) {
 	if lo, hi := s.ChannelWindow(); lo != 0 || hi != 2 {
 		t.Fatalf("ChannelWindow = [%d, %d), want [0, 2)", lo, hi)
 	}
-	// ProcessShard on the same instance works and reports its window's
-	// share of the slot tests.
+	// ProcessShard on the same instance works and answers with its
+	// window's grant indicator.
 	ans, err := s.ProcessShard(req)
 	if err != nil {
 		t.Fatalf("ProcessShard: %v", err)
 	}
-	if ans.SumQ == nil || ans.Slots <= 0 {
-		t.Fatalf("ProcessShard answer %+v, want a partial sum", ans)
+	if len(ans.D) != 1 || ans.D[0] == nil {
+		t.Fatalf("ProcessShard answer %+v, want one grant indicator", ans)
 	}
 }
 
@@ -370,6 +371,83 @@ func TestRouterStatsOnShardError(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if st.ShardNs[i] <= 0 {
 			t.Errorf("completed shard %d's latency dropped on the error path", i)
+		}
+	}
+}
+
+// fixedShard is a shard that answers every query with the same grant
+// indicators, whatever the request.
+type fixedShard struct{ d []*paillier.Ciphertext }
+
+func (f fixedShard) ProcessShard(*pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {
+	return &pisa.ShardAnswer{D: f.d}, nil
+}
+
+func (fixedShard) HandlePUUpdate(*pisa.PUUpdate) error { return nil }
+
+// TestRouterNeverAddsIndicators is the cancellation case: the digits of
+// a grant indicator carry the random sign of the shard's epsilon, so one
+// shard's failed test can read -2 where another's reads +2 in the same
+// slot. A router that merged partials by homomorphic addition — as it
+// added the per-shard sign sums before the answer was packed — would
+// turn the two denials into a 0 and a valid license. Each indicator is
+// masked under its own eta instead, and the request is denied; with
+// both indicators 0 the same path grants, so the denial is the
+// indicators' doing.
+func TestRouterNeverAddsIndicators(t *testing.T) {
+	wp := testWatchParams(t)
+	params := pisa.TestParams(wp)
+	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := watch.NewPlanner(wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := pisa.NewSU(rand.Reader, "su-cancel", 7, params, planner, stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	req, err := su.PrepareRequest(map[int]int64{1: 1}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indicator := func(v int64) []*paillier.Ciphertext {
+		ct, err := su.PublicKey().EncryptInt(rand.Reader, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*paillier.Ciphertext{ct}
+	}
+	for _, tc := range []struct {
+		name    string
+		a, b    int64
+		granted bool
+	}{
+		{"-2 and +2 in one slot", -2, 2, false},
+		{"+2 and -2 one slot up", 2 << 6, -(2 << 6), false},
+		{"one shard fails", 0, 2, false},
+		{"both pass", 0, 0, true},
+	} {
+		router, err := shard.NewRouter("router", params, nil, stp,
+			[]shard.Service{fixedShard{indicator(tc.a)}, fixedShard{indicator(tc.b)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := router.ProcessRequest(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		grant, err := su.OpenResponse(resp, req, router.VerifyKey())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if grant.Granted != tc.granted {
+			t.Errorf("%s: granted = %v, want %v", tc.name, grant.Granted, tc.granted)
 		}
 	}
 }

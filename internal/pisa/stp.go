@@ -17,7 +17,8 @@ import (
 type STPService interface {
 	// ConvertSigns performs the blinded sign test and key conversion
 	// of eq. 15: decrypt each group-key ciphertext, map its sign to
-	// +1/-1, and re-encrypt under the named SU's key.
+	// +1/-1, and encrypt the signs, slot-packed, under the named SU's
+	// key.
 	ConvertSigns(req *SignRequest) (*SignResponse, error)
 	// SUKey returns the registered public key of an SU.
 	SUKey(id string) (*paillier.PublicKey, error)
@@ -43,7 +44,7 @@ type STP struct {
 	workers int
 
 	// sus is the SU key registry; once SetFastExp ran, every key in it
-	// carries a fixed-base table, so the re-encryptions of ConvertSigns
+	// carries a fixed-base table, so the answer encryptions of ConvertSigns
 	// take the fast path.
 	sus *suRegistry
 
@@ -106,7 +107,7 @@ func (s *STP) GroupKey() *paillier.PublicKey {
 // SetFastExp arms the fixed-base exponentiation engine on the group
 // key and on every SU key this STP converts into: each registered key
 // (current and future) is replaced by a table-enabled copy, so the
-// per-element re-encryption of eq. 15 takes the windowed fast path.
+// answer encryptions of eq. 15 draw their nonces from the table.
 // window/shortBits of 0 select the paillier defaults. Call at setup,
 // before conversions start; registrations may keep arriving.
 func (s *STP) SetFastExp(window, shortBits int) error {
@@ -160,49 +161,6 @@ func (s *STP) SUKey(id string) (*paillier.PublicKey, error) {
 	return pk, nil
 }
 
-// requestCodec reconstructs and validates the slot codec a packed
-// sign request declares; nil for unpacked requests. The payload width
-// is irrelevant for unpacking, so the widest legal value is used.
-func (s *STP) requestCodec(req *SignRequest) (*paillier.SlotCodec, error) {
-	if !req.Packed {
-		return nil, nil
-	}
-	codec, err := paillier.NewSlotCodec(req.Slots, req.SlotBits, req.SlotBits-2)
-	if err != nil {
-		return nil, fmt.Errorf("pisa: sign request slot geometry: %w", err)
-	}
-	if err := codec.CheckKey(s.group.Public()); err != nil {
-		return nil, fmt.Errorf("pisa: sign request slot geometry: %w", err)
-	}
-	return codec, nil
-}
-
-// signOf maps a decrypted blinded value to its converted sign: the
-// plain eq. 15 test for scalar values, or — packed — the sum of the
-// per-slot sign tests, so the SDC's unblinded per-element q becomes
-// (slots that passed) - (slots that failed).
-func signOf(v *big.Int, codec *paillier.SlotCodec) (int64, error) {
-	if codec == nil {
-		if v.Sign() > 0 {
-			return 1, nil
-		}
-		return -1, nil
-	}
-	slots, err := codec.Unpack(v)
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for _, sv := range slots {
-		if sv.Sign() > 0 {
-			sum++
-		} else {
-			sum--
-		}
-	}
-	return sum, nil
-}
-
 // ConvertSigns implements STPService: eq. 15 plus key conversion.
 func (s *STP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 	if req == nil {
@@ -230,72 +188,22 @@ func (s *STP) ConvertSignsBatch(batch *BatchSignRequest) (*BatchSignResponse, er
 	return &BatchSignResponse{Resps: resps}, nil
 }
 
-// convertAll is the shared conversion kernel. Per-request setup (SU
-// key lookup, codec validation) is hoisted out of the element loop;
-// all elements of all requests are then decrypted through one batched
-// call whose CRT context is set up once per worker, sign-tested, and
-// re-encrypted under their request's SU key.
+// convertAll runs the shared conversion kernel (convertSigns) with this
+// STP's private key: all elements of all requests go through one
+// batched decryption whose CRT context is set up once per worker.
 func (s *STP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
-	type reqState struct {
-		suKey *paillier.PublicKey
-		codec *paillier.SlotCodec
-		off   int // offset of this request's elements in the flat batch
-	}
-	states := make([]reqState, len(reqs))
-	total := 0
-	for r, req := range reqs {
-		if req == nil {
-			return nil, fmt.Errorf("pisa: nil sign request in batch slot %d", r)
-		}
-		suKey, err := s.SUKey(req.SUID)
-		if err != nil {
-			return nil, err
-		}
-		codec, err := s.requestCodec(req)
-		if err != nil {
-			return nil, err
-		}
-		states[r] = reqState{suKey: suKey, codec: codec, off: total}
-		total += len(req.V)
-	}
-	flat := make([]*paillier.Ciphertext, 0, total)
-	owner := make([]int, 0, total) // flat index -> request index
-	for r, req := range reqs {
-		flat = append(flat, req.V...)
-		for range req.V {
-			owner = append(owner, r)
-		}
-	}
-	vals, err := s.group.DecryptBatch(flat, s.workers)
-	if err != nil {
-		return nil, fmt.Errorf("pisa: decrypt V: %w", err)
-	}
-	out := make([]*paillier.Ciphertext, total)
-	// Sign test + re-encrypt per element; positional writes keep every
-	// response in its request's order at any worker count.
-	err = parallel.For(s.workers, total, func(i int) error {
-		st := states[owner[i]]
-		x, err := signOf(vals[i], st.codec)
-		if err != nil {
-			return fmt.Errorf("pisa: sign test V[%d]: %w", i-st.off, err)
-		}
-		enc, err := st.suKey.EncryptInt(s.random, x)
-		if err != nil {
-			return fmt.Errorf("pisa: encrypt X[%d]: %w", i-st.off, err)
-		}
-		out[i] = enc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	resps := make([]*SignResponse, len(reqs))
-	for r, req := range reqs {
-		st := states[r]
-		resps[r] = &SignResponse{X: out[st.off : st.off+len(req.V)]}
-		if s.observer != nil {
-			s.observer(req.SUID, vals[st.off:st.off+len(req.V)])
-		}
-	}
-	return resps, nil
+	return convertSigns(signKernel{
+		group: s.group.Public(),
+		suKey: s.SUKey,
+		decrypt: func(flat []*paillier.Ciphertext) ([]*big.Int, error) {
+			vals, err := s.group.DecryptBatch(flat, s.workers)
+			if err != nil {
+				return nil, fmt.Errorf("pisa: decrypt V: %w", err)
+			}
+			return vals, nil
+		},
+		observe: s.observer,
+		random:  s.random,
+		workers: s.workers,
+	}, reqs)
 }
