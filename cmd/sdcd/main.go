@@ -477,6 +477,13 @@ func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string,
 		"cacheStale", cs.Stale,
 		"cacheExpired", cs.Expired,
 		"cacheEvicted", cs.Evicted)
+	// Hits minus tabled hits took the general exponentiation: first
+	// hits, or tables the byte budget dropped.
+	attrs = append(attrs,
+		"cacheHitsTabled", cs.Tabled,
+		"cacheTableBuilds", cs.TableBuilds,
+		"cacheTableDrops", cs.TableDrops,
+		"cacheTableBytes", cs.TableBytes)
 	if st != nil {
 		stats := st.Stats()
 		attrs = append(attrs,

@@ -19,6 +19,7 @@ import (
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/node"
+	"pisa/internal/obs"
 	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/pisa/shard"
@@ -808,6 +809,9 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // the SDC's E(-eps*beta) draw one nonce per ciphertext, the STP one per
 // packed answer — one per SDC instance asking — and the license one.
 // An STP that went back to one encryption per element would read 97.
+// The counts hold whichever way a request is blinded: the second and
+// third full-grid requests hit the entry the first one cached and are
+// blinded from its power tables, which draw nothing.
 func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
@@ -959,13 +963,15 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		if err := front.cli.SendUpdate(update); err != nil {
 			t.Fatalf("%s: PU update: %v", front.name, err)
 		}
+		// Looked up once the SDC has registered the family, help text included.
+		tabled := obs.Default().Counter("pisa_sdc_blind_total", "", obs.Labels{"path": "table"})
 		var warm uint64
 		for i := 0; i < requests; i++ {
 			prepared, want := base, front.full
 			if i == requests-1 {
 				prepared, want = band, front.band
 			}
-			noncesBefore := paillier.Nonces()
+			noncesBefore, tabledBefore := paillier.Nonces(), tabled.Value()
 			req, err := su.RefreshRequest(prepared)
 			if err != nil {
 				t.Fatal(err)
@@ -973,6 +979,13 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 			resp, err := front.cli.SendRequest(req)
 			if err != nil {
 				t.Fatalf("%s request %d: %v", front.name, i, err)
+			}
+			// Requests 1 and 2 repeat request 0's shape: every SDC instance
+			// behind the front blinds them from tables, the first and the
+			// band request (a shape of its own) without.
+			if got, repeat := tabled.Value()-tabledBefore, i == 1 || i == 2; (got > 0) != repeat {
+				t.Errorf("%s request %d: %d table-blinded passes, repeat of a cached shape: %v",
+					front.name, i, got, repeat)
 			}
 			if drawn := paillier.Nonces() - noncesBefore; drawn != want {
 				t.Errorf("%s request %d (%d ciphertexts): %d nonces drawn, want %d",

@@ -31,9 +31,11 @@ type CacheStats struct {
 	AggregateHitNs  int64   `json:"aggregateHitNs"`
 	AggregateMissNs int64   `json:"aggregateMissNs"`
 	Speedup         float64 `json:"speedup"`
-	// ProcessNs is the mean end-to-end ProcessRequest over the row —
-	// blinding, STP round trip and license masking stay per-SU, so
-	// this shrinks far less than the aggregate split does.
+	// ProcessNs is the mean end-to-end ProcessRequest over the row. The
+	// STP round trip and license masking stay per request, and so does
+	// the blinding — from the entry's power tables once its first hit
+	// has built them — so this shrinks by the blinding's share, far
+	// less than the aggregate split does.
 	ProcessNs int64 `json:"processNs"`
 }
 

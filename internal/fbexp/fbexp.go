@@ -34,9 +34,12 @@
 // The trade-off is table memory: v*(2^h - 1) entries of one n^2-sized
 // value each (1.37 MiB at the parameters above), kept as limb ranges
 // of a single slab so that SizeBytes is what the table really retains.
-// v is not a parameter: for a given h it is the largest block count
-// worth having inside a fixed entry budget (maxEntries). Tables are
-// built once per (key, base) and shared.
+// The caller states the entry budget and v is the largest block count
+// worth having inside it, so one engine serves both ends of the trade:
+// a base fixed for the life of a key gets thousands of entries, and a
+// base fixed for a few hundred exponentiations gets a single block —
+// at h = 3 over 100-bit exponents, a = b = 34: 7 entries, 66
+// operations, built by 68 squarings and 4 multiplications.
 //
 // A Table is immutable after New returns, so any number of goroutines
 // may call Exp concurrently.
@@ -57,12 +60,6 @@ const (
 )
 
 const (
-	// maxEntries is the table's size budget: the block count v is the
-	// largest one that keeps v*(2^h - 1) entries inside it (a single
-	// block is always allowed). 11 blocks of height 8; at a 4096-bit
-	// n^2 that is 1.37 MiB.
-	maxEntries = 2816
-
 	// maxExpBits caps the exponent width a table may be asked to cover,
 	// so a misconfigured width fails fast instead of squaring for
 	// minutes. Far above any short-exponent width in use.
@@ -74,8 +71,7 @@ const (
 // Table holds the precomputed comb of one fixed base modulo n^2.
 // Immutable after construction; safe for concurrent Exp.
 type Table struct {
-	base *big.Int // reduced mod n^2, kept for the out-of-range fallback
-	n    *big.Int
+	n *big.Int
 
 	height    int // h: rows, i.e. bits of a table index
 	rowBits   int // a: exponent bits per row
@@ -133,12 +129,15 @@ func (p *pair) sqr() {
 }
 
 // New precomputes the comb of base modulo n^2, covering exponents of up
-// to maxBits bits with a comb of height window. The build is one chain
-// of squarings up to the highest tabled power of two plus one
+// to maxBits bits with a comb of height window and as many blocks as
+// keep v*(2^window - 1) entries inside maxEntries; a budget below one
+// block's entries buys exactly one block. The build is one chain of
+// squarings up to the highest tabled power of two plus one
 // multiplication per remaining entry (an entry is the entry without its
-// top row times that row's power) — about 3000 half-width operations at
-// Paillier scale, paid once per fixed base.
-func New(base, n *big.Int, window, maxBits int) (*Table, error) {
+// top row times that row's power) — about 3000 half-width operations
+// for the 2816-entry table of a Paillier nonce base, 72 for one block of
+// height 3 over a 100-bit exponent.
+func New(base, n *big.Int, window, maxBits, maxEntries int) (*Table, error) {
 	if base == nil || n == nil {
 		return nil, fmt.Errorf("fbexp: nil base or modulus")
 	}
@@ -150,6 +149,9 @@ func New(base, n *big.Int, window, maxBits int) (*Table, error) {
 	}
 	if maxBits < 1 || maxBits > maxExpBits {
 		return nil, fmt.Errorf("fbexp: maxBits %d outside [1, %d]", maxBits, maxExpBits)
+	}
+	if maxEntries < 1 {
+		return nil, fmt.Errorf("fbexp: entry budget %d below 1", maxEntries)
 	}
 	perBlock := 1<<uint(window) - 1
 	rowBits := (maxBits + window - 1) / window
@@ -164,13 +166,13 @@ func New(base, n *big.Int, window, maxBits int) (*Table, error) {
 		maxBits:   maxBits,
 		limbs:     len(n.Bits()),
 	}
-	t.base = new(big.Int).Mod(base, new(big.Int).Mul(n, n))
 	t.slab = make([]big.Word, t.blocks*perBlock*2*t.limbs)
 
 	// The chain base^(2^pos): position i*a + j*b is row i's power in
 	// block j, the single-row entry G[j][1<<i].
 	p := newPair(n)
-	p.av.QuoRem(t.base, n, &p.au)
+	p.t.Mod(base, p.m.Mul(n, n))
+	p.av.QuoRem(&p.t, n, &p.au)
 	for pos, last := 0, (window-1)*rowBits+(t.blocks-1)*blockBits; ; pos++ {
 		if i, off := pos/rowBits, pos%rowBits; off%blockBits == 0 {
 			t.store(off/blockBits, 1<<uint(i), p)
@@ -222,11 +224,15 @@ func (t *Table) entry(block, idx int, u, v *big.Int) {
 
 // Exp computes base^e mod n^2. Exponents in [0, 2^maxBits) take the
 // comb (a + b - 2 half-width operations); anything else — negative or
-// wider than the table — falls back to big.Int.Exp on the stored base,
-// so Exp is total over all exponents.
+// wider than the table — falls back to big.Int.Exp on the base, which
+// the table holds as its first entry, so Exp is total over all
+// exponents.
 func (t *Table) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		return new(big.Int).Exp(t.base, e, new(big.Int).Mul(t.n, t.n))
+		var u, v big.Int
+		t.entry(0, 1, &u, &v) // G[0][{row 0}] = base^(2^0)
+		base := new(big.Int).Mul(&v, t.n)
+		return base.Exp(base.Add(base, &u), e, new(big.Int).Mul(t.n, t.n))
 	}
 	p := newPair(t.n)
 	var u, v big.Int
@@ -267,13 +273,12 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 // Height reports the comb height h (the window New was given).
 func (t *Table) Height() int { return t.height }
 
-// Blocks reports the block count v New derived from the entry budget.
+// Blocks reports the block count v New derived from its entry budget.
 func (t *Table) Blocks() int { return t.blocks }
 
 // MaxExpBits reports the widest exponent the comb covers.
 func (t *Table) MaxExpBits() int { return t.maxBits }
 
 // SizeBytes reports the table's memory footprint: exactly the slab New
-// filled, which is all a table retains beyond a few words of geometry
-// and the reduced base.
+// filled, which is all a table retains beyond a few words of geometry.
 func (t *Table) SizeBytes() int { return len(t.slab) * wordBytes }

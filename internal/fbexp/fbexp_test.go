@@ -25,6 +25,13 @@ func randMod(t testing.TB, bits int) *big.Int {
 
 func square(n *big.Int) *big.Int { return new(big.Int).Mul(n, n) }
 
+// The two entry budgets in use: the Paillier nonce table's (11 blocks of
+// height 8) and the smallest, which buys one block at any height.
+const (
+	nonceEntries = 2816
+	oneBlock     = 1
+)
+
 // allOnes returns 2^bits - 1, the widest exponent a table of that
 // width covers.
 func allOnes(bits int) *big.Int {
@@ -69,7 +76,7 @@ func TestExpMatchesBigIntExp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tab, err := New(base, n, window, maxBits)
+				tab, err := New(base, n, window, maxBits, nonceEntries)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,9 +87,11 @@ func TestExpMatchesBigIntExp(t *testing.T) {
 }
 
 // TestEveryGeometry walks every comb height New accepts over exponent
-// widths chosen so that the derived block count takes each kind of
-// value: one block per row bit (b = 1), the budget-limited count with a
-// short last block, a single block, and rows shorter than the height.
+// widths and entry budgets chosen so that the derived block count takes
+// each kind of value: one block per row bit (b = 1), the budget-limited
+// count with a short last block, a single block because the budget buys
+// no more (the 100- and 128-bit widths are the blinding scalars such a
+// table is built for), and rows shorter than the height.
 func TestEveryGeometry(t *testing.T) {
 	n := randMod(t, 67) // two limbs with a nearly empty top one
 	base, err := rand.Int(rand.Reader, square(n))
@@ -91,16 +100,22 @@ func TestEveryGeometry(t *testing.T) {
 	}
 	seen := make(map[[2]int]bool)
 	for h := MinWindow; h <= MaxWindow; h++ {
-		for _, maxBits := range []int{1, 5, 13, 64, 256, 700} {
-			tab, err := New(base, n, h, maxBits)
-			if err != nil {
-				t.Fatalf("New(h=%d, maxBits=%d): %v", h, maxBits, err)
+		for _, maxBits := range []int{1, 5, 13, 64, 100, 128, 256, 700} {
+			for _, budget := range []int{oneBlock, 40, nonceEntries} {
+				tab, err := New(base, n, h, maxBits, budget)
+				if err != nil {
+					t.Fatalf("New(h=%d, maxBits=%d, budget=%d): %v", h, maxBits, budget, err)
+				}
+				perBlock := 1<<uint(h) - 1
+				if v := tab.Blocks(); v < 1 || (v > 1 && v*perBlock > budget) {
+					t.Fatalf("h=%d maxBits=%d: %d blocks outside the entry budget %d", h, maxBits, v, budget)
+				}
+				if want := tab.Blocks() * perBlock * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
+					t.Fatalf("h=%d maxBits=%d budget=%d: SizeBytes %d, want %d", h, maxBits, budget, tab.SizeBytes(), want)
+				}
+				seen[[2]int{h, tab.Blocks()}] = true
+				checkAgainstBigInt(t, tab, base, n, 6)
 			}
-			if v := tab.Blocks(); v < 1 || (v > 1 && v*(1<<uint(h)-1) > maxEntries) {
-				t.Fatalf("h=%d maxBits=%d: %d blocks outside the entry budget", h, maxBits, v)
-			}
-			seen[[2]int{h, tab.Blocks()}] = true
-			checkAgainstBigInt(t, tab, base, n, 6)
 		}
 	}
 	t.Logf("%d distinct (h, v) geometries", len(seen))
@@ -110,7 +125,7 @@ func TestEveryGeometry(t *testing.T) {
 func TestExpEdgeExponents(t *testing.T) {
 	n := randMod(t, 96)
 	base := big.NewInt(12345)
-	tab, err := New(base, n, 4, 64)
+	tab, err := New(base, n, 4, 64, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +144,13 @@ func TestExpEdgeExponents(t *testing.T) {
 }
 
 // TestExpFallback verifies that exponents the table does not cover —
-// wider than maxBits, or negative — still produce big.Int.Exp's answer.
+// wider than maxBits, or negative — still produce big.Int.Exp's answer,
+// from the base the table reads back out of its first entry (one wider
+// than n here, so both halves of the entry matter).
 func TestExpFallback(t *testing.T) {
 	n := randMod(t, 96)
-	base := big.NewInt(7)
-	tab, err := New(base, n, 4, 32)
+	base := new(big.Int).Add(new(big.Int).Lsh(n, 3), big.NewInt(7))
+	tab, err := New(base, n, 4, 32, oneBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +173,7 @@ func TestExpFallback(t *testing.T) {
 func TestBaseReduced(t *testing.T) {
 	n := big.NewInt(1009)
 	base := big.NewInt(1009*1009*5 + 1026)
-	tab, err := New(base, n, 3, 16)
+	tab, err := New(base, n, 3, 16, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,55 +189,66 @@ func TestNewRejectsBadParams(t *testing.T) {
 	n := big.NewInt(101)
 	base := big.NewInt(3)
 	bad := []struct {
-		name        string
-		base, n     *big.Int
-		window, max int
+		name                 string
+		base, n              *big.Int
+		window, max, entries int
 	}{
-		{"nil base", nil, n, 4, 64},
-		{"nil modulus", base, nil, 4, 64},
-		{"modulus 1", base, big.NewInt(1), 4, 64},
-		{"height 0", base, n, 0, 64},
-		{"height too large", base, n, MaxWindow + 1, 64},
-		{"maxBits 0", base, n, 4, 0},
-		{"maxBits absurd", base, n, MaxWindow, 1 << 24},
+		{"nil base", nil, n, 4, 64, nonceEntries},
+		{"nil modulus", base, nil, 4, 64, nonceEntries},
+		{"modulus 1", base, big.NewInt(1), 4, 64, nonceEntries},
+		{"height 0", base, n, 0, 64, nonceEntries},
+		{"height too large", base, n, MaxWindow + 1, 64, nonceEntries},
+		{"maxBits 0", base, n, 4, 0, nonceEntries},
+		{"maxBits absurd", base, n, MaxWindow, 1 << 24, nonceEntries},
+		{"no entries", base, n, 4, 64, 0},
 	}
 	for _, c := range bad {
-		if _, err := New(c.base, c.n, c.window, c.max); err == nil {
+		if _, err := New(c.base, c.n, c.window, c.max, c.entries); err == nil {
 			t.Errorf("New(%s): expected error", c.name)
 		}
 	}
 }
 
 // TestTableAccessors pins the geometry New derives at the Paillier
-// defaults: height 8 over 256 bits is rows of 32 bits in 11 blocks of
-// 3, i.e. 11*255 entries.
+// defaults — height 8 over 256 bits is rows of 32 bits in 11 blocks of
+// 3, i.e. 11*255 entries — and for the one-block table of a blinding
+// scalar: height 3 over 100 bits is one block of 34-bit rows, 7
+// entries.
 func TestTableAccessors(t *testing.T) {
 	n := randMod(t, 128)
-	tab, err := New(big.NewInt(3), n, 8, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Height() != 8 || tab.Blocks() != 11 || tab.MaxExpBits() != 256 {
-		t.Fatalf("accessors: height %d blocks %d maxBits %d", tab.Height(), tab.Blocks(), tab.MaxExpBits())
-	}
-	if want := 11 * 255 * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
-		t.Fatalf("SizeBytes %d, want %d", tab.SizeBytes(), want)
+	for _, c := range []struct{ h, maxBits, budget, blocks int }{
+		{8, 256, nonceEntries, 11},
+		{3, 100, oneBlock, 1},
+	} {
+		tab, err := New(big.NewInt(3), n, c.h, c.maxBits, c.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Height() != c.h || tab.Blocks() != c.blocks || tab.MaxExpBits() != c.maxBits {
+			t.Fatalf("accessors: height %d blocks %d maxBits %d", tab.Height(), tab.Blocks(), tab.MaxExpBits())
+		}
+		if want := c.blocks * (1<<uint(c.h) - 1) * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
+			t.Fatalf("SizeBytes %d, want %d", tab.SizeBytes(), want)
+		}
 	}
 }
 
 // TestSizeBytesIsTrue holds SizeBytes against the heap a table really
-// retains, at the Paillier hot-path geometry (2048-bit n, 256-bit
-// exponents, height 8). Entries are limb ranges of one slab, so there
-// is nothing per entry beside its words: no integer headers, and none
-// of the double-width backing arrays math/big leaves behind a reduced
-// product.
+// retains, at a 2048-bit n for the Paillier nonce geometry (256-bit
+// exponents, height 8) and the one-block one (100-bit exponents, height
+// 3), whose callers budget memory by it. Entries are limb ranges of one
+// slab, so there is nothing per entry beside its words — no integer
+// headers, none of the double-width backing arrays math/big leaves
+// behind a reduced product — and nothing per table beside the slab but
+// its geometry: the base is the first entry, not a copy. What a small
+// table retains above SizeBytes is the allocator's: 7 entries are
+// 3 584 B in a 4 096 B size class, plus the 80-byte Table.
 func TestSizeBytesIsTrue(t *testing.T) {
 	n := randMod(t, 2048)
 	base, err := rand.Int(rand.Reader, square(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tables = 4 // several, so unrelated heap noise stays small beside them
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -228,30 +256,41 @@ func TestSizeBytesIsTrue(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := heap()
-	kept := make([]*Table, tables)
-	for i := range kept {
-		if kept[i], err = New(base, n, 8, 256); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []struct {
+		name                       string
+		h, maxBits, budget, tables int // several tables, so unrelated heap noise stays small beside them
+		ceiling                    float64
+	}{
+		{"nonce", 8, 256, nonceEntries, 4, 1.05},
+		{"one-block", 3, 100, oneBlock, 256, 1.20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			kept := make([]*Table, c.tables)
+			before := heap()
+			for i := range kept {
+				if kept[i], err = New(base, n, c.h, c.maxBits, c.budget); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := heap()
+			reported := uint64(c.tables * kept[0].SizeBytes())
+			retained := after - before
+			if after < before {
+				retained = 0
+			}
+			t.Logf("reported %d B, retained %d B (%.3fx)", reported, retained, float64(retained)/float64(reported))
+			if float64(retained) > c.ceiling*float64(reported) {
+				t.Fatalf("%d tables retain %d B, more than %.2fx the %d B SizeBytes reports", c.tables, retained, c.ceiling, reported)
+			}
+			// The slab views must still be the right powers.
+			e := new(big.Int).Lsh(big.NewInt(1), uint(c.maxBits-1))
+			e.Sub(e, big.NewInt(12345))
+			if got, want := kept[0].Exp(e), new(big.Int).Exp(base, e, square(n)); got.Cmp(want) != 0 {
+				t.Fatal("Exp over the slab disagrees with big.Int.Exp")
+			}
+			runtime.KeepAlive(kept)
+		})
 	}
-	after := heap()
-	reported := uint64(tables * kept[0].SizeBytes())
-	retained := after - before
-	if after < before {
-		retained = 0
-	}
-	t.Logf("reported %d B, retained %d B (%.3fx)", reported, retained, float64(retained)/float64(reported))
-	if float64(retained) > 1.05*float64(reported) {
-		t.Fatalf("%d tables retain %d B, more than 1.05x the %d B SizeBytes reports", tables, retained, reported)
-	}
-	// The slab views must still be the right powers.
-	e := new(big.Int).Lsh(big.NewInt(1), 255)
-	e.Sub(e, big.NewInt(12345))
-	if got, want := kept[0].Exp(e), new(big.Int).Exp(base, e, square(n)); got.Cmp(want) != 0 {
-		t.Fatal("Exp over the slab disagrees with big.Int.Exp")
-	}
-	runtime.KeepAlive(kept)
 }
 
 // TestExpAllocs bounds what one exponentiation allocates: the working
@@ -268,7 +307,7 @@ func TestExpAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := New(base, n, 8, 256)
+	tab, err := New(base, n, 8, 256, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +323,7 @@ func TestExpAllocs(t *testing.T) {
 func TestConcurrentExp(t *testing.T) {
 	n := randMod(t, 128)
 	base := big.NewInt(65537)
-	tab, err := New(base, n, 5, 128)
+	tab, err := New(base, n, 5, 128, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,27 +353,30 @@ func TestConcurrentExp(t *testing.T) {
 }
 
 // FuzzExp cross-checks the comb against big.Int.Exp for arbitrary
-// exponent bytes, comb heights and table widths — the width moves the
-// derived block count, and exponents longer than it take the fallback.
+// exponent bytes, comb heights, table widths and entry budgets — width
+// and budget move the derived block count down to the single block of
+// budget 1, and exponents longer than the width take the fallback.
 func FuzzExp(f *testing.F) {
-	f.Add([]byte{0x01}, uint8(4), uint8(48))
-	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa}, uint8(6), uint8(48))
-	f.Add([]byte{}, uint8(1), uint8(1))
-	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, uint8(3), uint8(64))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(7), uint8(72))
-	f.Add([]byte{0x01, 0x00, 0x00, 0x00}, uint8(11), uint8(24))
+	f.Add([]byte{0x01}, uint8(4), uint8(48), uint16(nonceEntries-1))
+	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa}, uint8(6), uint8(48), uint16(nonceEntries-1))
+	f.Add([]byte{}, uint8(1), uint8(1), uint16(0))
+	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, uint8(3), uint8(64), uint16(nonceEntries-1))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(7), uint8(72), uint16(300))
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00}, uint8(11), uint8(24), uint16(nonceEntries-1))
+	f.Add([]byte{0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(3), uint8(99), uint16(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(2), uint8(127), uint16(0))
 	n := new(big.Int).SetBytes([]byte{
 		0xc7, 0x3b, 0x1a, 0x55, 0x91, 0x0e, 0x42, 0x7f,
 		0x9d, 0x12, 0x6b, 0xe0, 0x37, 0xa4, 0x5c, 0x01,
 	})
 	mod := square(n)
 	base := big.NewInt(0xBEEF)
-	f.Fuzz(func(t *testing.T, expBytes []byte, window, width uint8) {
+	f.Fuzz(func(t *testing.T, expBytes []byte, window, width uint8, budget uint16) {
 		h := int(window%uint8(MaxWindow)) + 1
 		maxBits := int(width) + 1
-		tab, err := New(base, n, h, maxBits)
+		tab, err := New(base, n, h, maxBits, int(budget)+1)
 		if err != nil {
-			t.Fatalf("New(h=%d, maxBits=%d): %v", h, maxBits, err)
+			t.Fatalf("New(h=%d, maxBits=%d, budget=%d): %v", h, maxBits, int(budget)+1, err)
 		}
 		e := new(big.Int).SetBytes(expBytes)
 		want := new(big.Int).Exp(base, e, mod)
@@ -346,6 +388,7 @@ func FuzzExp(f *testing.F) {
 
 // BenchmarkExp compares the comb against big.Int.Exp for the
 // Paillier-shaped case: 2048-bit n (4096-bit n^2), 256-bit exponent.
+// (The one-block table's rows are paillier's BenchmarkScalarMul.)
 func BenchmarkExp(b *testing.B) {
 	n := randMod(b, 2048)
 	mod := square(n)
@@ -358,7 +401,7 @@ func BenchmarkExp(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("comb", func(b *testing.B) {
-		tab, err := New(base, n, 8, 256)
+		tab, err := New(base, n, 8, 256, nonceEntries)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -257,3 +257,80 @@ func BenchmarkScalarMulWidth(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScalarMul is the alpha-blinding kernel at Table I's scale
+// (2048-bit n, 100-bit scalar): the general exponentiation every cache
+// miss pays per ciphertext, the tabled one a cache hit pays, and the
+// table build the first hit of an entry pays once.
+func BenchmarkScalarMul(b *testing.B) {
+	const alphaBits = 100
+	sk := benchKey(b, 2048)
+	pk := sk.Public()
+	ct, err := pk.EncryptInt(rand.Reader, 99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	top := new(big.Int).Lsh(one, alphaBits-1)
+	k, err := RandomInRange(rand.Reader, top, new(big.Int).Lsh(top, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("plain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pk.ScalarMul(k, ct); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		tab, err := pk.PowerTable(ct, alphaBits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(tab.SizeBytes()), "table-B")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tab.ScalarMul(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("table-build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pk.PowerTable(ct, alphaBits); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkInvert is homomorphic negation of 32 ciphertexts (one
+// full-grid request at the benchmark's scale), one modular inversion
+// each against one for the batch; ns/op is per batch.
+func BenchmarkInvert(b *testing.B) {
+	sk := benchKey(b, 2048)
+	pk := sk.Public()
+	cts := make([]*Ciphertext, 32)
+	for i := range cts {
+		var err error
+		if cts[i], err = pk.EncryptInt(rand.Reader, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("each", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, ct := range cts {
+				if _, err := pk.Neg(ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("batch32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pk.NegBatch(cts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -57,6 +57,11 @@ const (
 	// minShortExpBits refuses configurations that would make nonce
 	// exponents trivially enumerable.
 	minShortExpBits = 64
+
+	// fastExpEntries is the nonce table's size budget: the engine fits
+	// as many comb blocks as it allows (11 of height 8; 1.37 MiB at a
+	// 2048-bit n).
+	fastExpEntries = 2816
 )
 
 // PublicKey holds the Paillier public key (n, g) with g = n+1 implied,
@@ -451,7 +456,7 @@ func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) erro
 		}
 		h = x.Exp(x, pk.N, pk.nSquared)
 	}
-	tab, err := fbexp.New(h, pk.N, window, shortBits)
+	tab, err := fbexp.New(h, pk.N, window, shortBits, fastExpEntries)
 	if err != nil {
 		return fmt.Errorf("fast-exp table: %w", err)
 	}

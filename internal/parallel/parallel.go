@@ -117,3 +117,20 @@ func For(workers, n int, fn func(i int) error) error {
 	wg.Wait()
 	return firstErr
 }
+
+// ForChunks splits [0, n) into at most workers contiguous ranges of
+// near-equal length and runs fn(lo, hi) once per range, each on its own
+// goroutine, returning the first error. It is For for kernels that
+// amortise something over a run of indices — per-worker scratch, one
+// modular inversion shared by a whole range — and so want the largest
+// ranges that still occupy every worker, not For's small dynamic ones.
+// workers <= 1 is one call fn(0, n) on the calling goroutine.
+func ForChunks(workers, n int, fn func(lo, hi int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	workers = max(min(workers, n), 1)
+	return For(workers, workers, func(w int) error {
+		return fn(w*n/workers, (w+1)*n/workers)
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -139,5 +140,54 @@ func TestForSerialStopsImmediately(t *testing.T) {
 	})
 	if err == nil || calls != 4 {
 		t.Fatalf("serial path ran %d calls (err %v), want exactly 4", calls, err)
+	}
+}
+
+// TestForChunks: the ranges tile [0, n) exactly once, there are never
+// more of them than workers (nor than indices), a serial pool gets the
+// whole range in one call on the calling goroutine, and an error comes
+// back.
+func TestForChunks(t *testing.T) {
+	for _, tc := range []struct{ workers, n, ranges int }{
+		{0, 5, 1}, {1, 5, 1}, {2, 5, 2}, {4, 12, 4}, {8, 3, 3}, {3, 0, 0}, {2, -1, 0},
+	} {
+		var (
+			mu     sync.Mutex
+			ranges int
+			seen   = make([]int, max(tc.n, 0))
+		)
+		err := ForChunks(tc.workers, tc.n, func(lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if lo >= hi {
+				t.Errorf("workers=%d n=%d: empty range [%d, %d)", tc.workers, tc.n, lo, hi)
+			}
+			ranges++
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranges != tc.ranges {
+			t.Errorf("workers=%d n=%d: %d ranges, want %d", tc.workers, tc.n, ranges, tc.ranges)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("workers=%d n=%d: index %d visited %d times", tc.workers, tc.n, i, c)
+			}
+		}
+	}
+	sentinel := errors.New("boom")
+	err := ForChunks(3, 9, func(lo, hi int) error {
+		if lo <= 4 && 4 < hi {
+			return sentinel
+		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the chunk's error", err)
 	}
 }

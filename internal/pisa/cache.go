@@ -22,6 +22,17 @@ import (
 // factor carries a fresh nonce, so no two servings are linkable to
 // each other or to the entry (DESIGN.md §14).
 //
+// What a hit still pays is that blinding, and its Ĩ^alpha is a power of
+// a base that has not changed since the last serving. So an entry's
+// first hit tables every cached Ĩ (paillier.PowerTable, one comb block
+// each) and later hits exponentiate from the tables, at 0.4 of the
+// cost and to the same bits. Not at insert: an entry that is never hit
+// would pay a build worth 0.4 exponentiations per ciphertext for
+// nothing. Tables are memory the entry bound does not see — seven times
+// the entry's own ciphertexts — so they have their own byte budget:
+// over it, the least recently used entries lose their tables (not their
+// place) and serve through the general exponentiation again.
+//
 // Entries are keyed on scopedCacheKey, not on the raw digest: the
 // digest is SU-supplied and the SDC cannot check it against the
 // encrypted F values, so an entry filled from one SU's ciphertexts
@@ -49,7 +60,19 @@ type decisionCache struct {
 
 	lru   *list.List // front = most recently used; values are *cacheEntry
 	byKey map[[32]byte]*list.Element
+
+	// tableBytes is what the live entries' power tables hold, kept at or
+	// under tableBudget by dropping tables from the LRU tail.
+	tableBudget int
+	tableBytes  int
 }
+
+// cacheTableBudget bounds the power-table bytes of one SDC's cache. At
+// 2048 bits the benchmark's 12-ciphertext band entries carry 42 KiB of
+// tables each and a full paper-scale request (5 000 ciphertexts) 17 MiB,
+// so the budget holds the hot shapes of a fleet at either scale without
+// letting CacheEntries paper-scale entries claim 17 GiB.
+const cacheTableBudget = 64 << 20
 
 // Cache-key scope discriminators: a per-SU scope (the default — the
 // scope string is the requester's SUID) and a shared-domain scope
@@ -99,10 +122,19 @@ type cacheEntry struct {
 	// colApplied values at snapshot time, index-aligned.
 	blocks []geo.BlockID
 	vers   []uint64
-	// is holds Ĩ per enumerated cell. Entries are never served
-	// directly — ProcessRequest re-randomises a copy.
+	// is holds Ĩ per enumerated cell, read-only: a serving blinds it
+	// under a fresh tuple and nothing else of it leaves the SDC.
 	is     []*paillier.Ciphertext
 	filled time.Time
+
+	// tabs[k] tables is[k] for AlphaBits-bit scalars. Nil until the
+	// entry's first hit — which sets tabling under the lock, builds
+	// outside it and installs through setTables — and nil again once the
+	// byte budget has dropped them; tabling stays set, so an entry is
+	// tabled at most once.
+	tabling  bool
+	tabs     []*paillier.PowerTable
+	tabBytes int
 }
 
 func newDecisionCache(capacity int, ttl time.Duration) *decisionCache {
@@ -111,6 +143,8 @@ func newDecisionCache(capacity int, ttl time.Duration) *decisionCache {
 		ttl:   ttl,
 		lru:   list.New(),
 		byKey: make(map[[32]byte]*list.Element, capacity),
+
+		tableBudget: cacheTableBudget,
 	}
 }
 
@@ -127,6 +161,7 @@ func (dc *decisionCache) get(key [32]byte) *cacheEntry {
 // remove drops the entry for key if present.
 func (dc *decisionCache) remove(key [32]byte) {
 	if el, ok := dc.byKey[key]; ok {
+		dc.dropTables(el.Value.(*cacheEntry))
 		dc.lru.Remove(el)
 		delete(dc.byKey, key)
 	}
@@ -136,6 +171,7 @@ func (dc *decisionCache) remove(key [32]byte) {
 // evicted to stay within capacity.
 func (dc *decisionCache) put(e *cacheEntry) (evicted int) {
 	if el, ok := dc.byKey[e.key]; ok {
+		dc.dropTables(el.Value.(*cacheEntry))
 		el.Value = e
 		dc.lru.MoveToFront(el)
 		return 0
@@ -143,11 +179,43 @@ func (dc *decisionCache) put(e *cacheEntry) (evicted int) {
 	dc.byKey[e.key] = dc.lru.PushFront(e)
 	for dc.lru.Len() > dc.cap {
 		oldest := dc.lru.Back()
+		dc.dropTables(oldest.Value.(*cacheEntry))
 		dc.lru.Remove(oldest)
 		delete(dc.byKey, oldest.Value.(*cacheEntry).key)
 		evicted++
 	}
 	return evicted
+}
+
+// setTables installs the power tables built for e and reports how many
+// tables the byte budget then took back, walking from the LRU tail — up
+// to and including e's own, when one entry outweighs the budget. An
+// entry that left the cache while its tables were being built is left
+// alone: its builder still serves from them, nothing retains them.
+func (dc *decisionCache) setTables(e *cacheEntry, tabs []*paillier.PowerTable) (dropped int) {
+	if el, ok := dc.byKey[e.key]; !ok || el.Value != e {
+		return 0
+	}
+	e.tabs = tabs
+	for _, t := range tabs {
+		e.tabBytes += t.SizeBytes()
+	}
+	dc.tableBytes += e.tabBytes
+	metrics().cacheTableBytes.Add(int64(e.tabBytes))
+	for el := dc.lru.Back(); el != nil && dc.tableBytes > dc.tableBudget; el = el.Prev() {
+		dropped += dc.dropTables(el.Value.(*cacheEntry))
+	}
+	return dropped
+}
+
+// dropTables releases e's power tables, if it has any, and reports how
+// many there were. The entry keeps serving, through the plain path.
+func (dc *decisionCache) dropTables(e *cacheEntry) int {
+	n := len(e.tabs)
+	dc.tableBytes -= e.tabBytes
+	metrics().cacheTableBytes.Add(-int64(e.tabBytes))
+	e.tabs, e.tabBytes = nil, 0
+	return n
 }
 
 // len reports the live entry count.

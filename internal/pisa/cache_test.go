@@ -468,13 +468,15 @@ func (r *signRecorder) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 
 // TestCacheRerandomizedUnlinkable is the ciphertext-distinguishability
 // check on what actually leaves the process. A hit blinds the stored
-// column directly — no re-randomisation in between — so the V~ sets of
-// two hit servings must be bitwise unlinkable to each other and to the
-// entry (otherwise an observer of the SDC's traffic could tell "these
-// two requests asked the same thing"; the shape digest deliberately
-// leaks that to the SDC, never to the wire), the entry must come out
-// bit-identical, and every served V~ must still be a sign-preserving
-// blinding of the cached I~ up to its one-time epsilon.
+// column directly — no re-randomisation in between, and from the first
+// hit on out of the entry's power tables — so the V~ sets of the hit
+// servings (the one that built the tables and two that found them) must
+// be bitwise unlinkable to each other and to the entry (otherwise an
+// observer of the SDC's traffic could tell "these requests asked the
+// same thing"; the shape digest deliberately leaks that to the SDC,
+// never to the wire), the entry must come out bit-identical, and every
+// served V~ must still be a sign-preserving blinding of the cached I~ up
+// to its one-time epsilon.
 func TestCacheRerandomizedUnlinkable(t *testing.T) {
 	wp := testWatchParams(t)
 	params := TestParams(wp)
@@ -512,8 +514,10 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 		stored[i] = new(big.Int).Set(ct.C)
 	}
 
+	const servings = 3
 	before := snapshotCacheEvents()
-	for serving := 0; serving < 2; serving++ {
+	tabledBefore := metrics().blindTable.Value()
+	for serving := 0; serving < servings; serving++ {
 		r, err := su.RefreshRequest(req)
 		if err != nil {
 			t.Fatal(err)
@@ -522,18 +526,27 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 			t.Fatalf("hit serving %d decided %v, the fill %v", serving, got, want)
 		}
 	}
-	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 2 {
-		t.Fatalf("cache events = %+v, want 2 hits", delta)
+	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != servings {
+		t.Fatalf("cache events = %+v, want %d hits", delta, servings)
 	}
-	if len(rec.sets) != 3 {
-		t.Fatalf("recorded %d sign tests, want 3", len(rec.sets))
+	if got := metrics().blindTable.Value() - tabledBefore; got != servings {
+		t.Fatalf("%d of %d hits were blinded from the entry's tables", got, servings)
 	}
-	serveA, serveB := rec.sets[1], rec.sets[2]
-	if len(serveA) != len(stored) || len(serveB) != len(stored) {
-		t.Fatalf("servings carry %d and %d ciphertexts, the entry %d", len(serveA), len(serveB), len(stored))
+	if stats := sdc.CacheStats(); stats.TableBuilds != uint64(len(stored)) || stats.TableBytes == 0 {
+		t.Fatalf("cache stats %+v, want one table per cached ciphertext (%d)", stats, len(stored))
+	}
+	if len(rec.sets) != 1+servings {
+		t.Fatalf("recorded %d sign tests, want %d", len(rec.sets), 1+servings)
+	}
+	sets := map[string][]*paillier.Ciphertext{"entry": entry.is}
+	for serving, set := range rec.sets[1:] {
+		if len(set) != len(stored) {
+			t.Fatalf("serving %d carries %d ciphertexts, the entry %d", serving, len(set), len(stored))
+		}
+		sets[fmt.Sprintf("serving %d", serving)] = set
 	}
 	seen := make(map[string]string)
-	for name, set := range map[string][]*paillier.Ciphertext{"entry": entry.is, "serving A": serveA, "serving B": serveB} {
+	for name, set := range sets {
 		for i, ct := range set {
 			at := fmt.Sprintf("%s[%d]", name, i)
 			if prev, dup := seen[ct.C.String()]; dup {
@@ -562,10 +575,10 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 			t.Fatalf("serving mutated cached ciphertext %d in place", i)
 		}
 		is := slotsOf(entry.is[i])
-		for name, served := range map[string]*paillier.Ciphertext{"A": serveA[i], "B": serveB[i]} {
+		for serving, set := range rec.sets[1:] {
 			// V = eps*(alpha*I - beta) slot by slot, alpha > beta > 0:
 			// under one eps per ciphertext, V > 0 exactly where I > 0.
-			vs := slotsOf(served)
+			vs := slotsOf(set[i])
 			eps := 0
 			for j := range is {
 				agree := 1
@@ -576,10 +589,233 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 					eps = agree
 				}
 				if agree != eps {
-					t.Fatalf("serving %s ciphertext %d is not a blinding of the cached I: slot %d breaks the sign pattern", name, i, j)
+					t.Fatalf("serving %d ciphertext %d is not a blinding of the cached I: slot %d breaks the sign pattern", serving, i, j)
 				}
 			}
 		}
+	}
+}
+
+// TestCacheTablesBuiltOnce races goroutines into an entry's first hit:
+// exactly one of them builds the tables (one per cached ciphertext, not
+// one per racer), the others are served meanwhile — by the general
+// exponentiation, or from the tables once they are installed — and every
+// one of them decides what the fill decided. Run under -race.
+func TestCacheTablesBuiltOnce(t *testing.T) {
+	d := newCacheDeployment(t, func(p *Params) { p.Parallelism = 2 })
+	su := d.newSU(t, "su-1", 7)
+	eirp := map[int]int64{1: maxEIRP(d)}
+	req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.decide(t, su, req).Granted // fills the cache
+	if want != d.oracleDecision(t, 7, eirp) {
+		t.Fatal("fill disagrees with the oracle")
+	}
+	if stats := d.sdc.CacheStats(); stats.TableBuilds != 0 || stats.TableBytes != 0 {
+		t.Fatalf("tables built at insert: %+v", stats)
+	}
+
+	const racers = 6
+	refreshed := make([]*TransmissionRequest, racers)
+	for i := range refreshed {
+		if refreshed[i], err = su.RefreshRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	responses := make([]*Response, racers)
+	errs := make([]error, racers)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			responses[i], errs[i] = d.sdc.ProcessRequest(refreshed[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range responses {
+		if errs[i] != nil {
+			t.Fatalf("racer %d: %v", i, errs[i])
+		}
+		grant, err := su.OpenResponse(responses[i], refreshed[i], d.sdc.VerifyKey())
+		if err != nil {
+			t.Fatalf("racer %d: %v", i, err)
+		}
+		if grant.Granted != want {
+			t.Fatalf("racer %d decided %v, the fill %v", i, grant.Granted, want)
+		}
+	}
+	stats := d.sdc.CacheStats()
+	if stats.Hits != racers {
+		t.Fatalf("%d hits, want %d", stats.Hits, racers)
+	}
+	if stats.TableBuilds != uint64(req.Ciphertexts()) {
+		t.Fatalf("%d tables built for an entry of %d ciphertexts", stats.TableBuilds, req.Ciphertexts())
+	}
+	if stats.Tabled < 1 || stats.Tabled > racers {
+		t.Fatalf("%d of %d racing hits tabled", stats.Tabled, racers)
+	}
+	// With the tables in, the next hit finds them.
+	r, err := su.RefreshRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.decide(t, su, r).Granted; got != want {
+		t.Fatalf("tabled hit decided %v, the fill %v", got, want)
+	}
+	if after := d.sdc.CacheStats(); after.Tabled != stats.Tabled+1 || after.TableBuilds != stats.TableBuilds {
+		t.Fatalf("hit after the race: %+v, before it %+v", after, stats)
+	}
+}
+
+// TestCacheTableBudget squeezes the table byte budget down to one
+// entry's tables: tabling a second entry takes the tables of the least
+// recently used one back, which then serves — same decisions — through
+// the general exponentiation and is not tabled again; eviction and
+// staleness release a tabled entry's bytes; and an entry that outweighs
+// the budget on its own is served from the tables it built and keeps
+// none.
+func TestCacheTableBudget(t *testing.T) {
+	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = 2 })
+	su := d.newSU(t, "su-1", 7)
+	type shape struct {
+		eirp map[int]int64
+		req  *TransmissionRequest
+		want bool
+	}
+	shapes := make([]*shape, 3)
+	for c := range shapes {
+		sh := &shape{eirp: map[int]int64{c: maxEIRP(d)}}
+		var err error
+		if sh.req, err = su.PrepareRequest(sh.eirp, geo.Disclosure{}); err != nil {
+			t.Fatal(err)
+		}
+		sh.want = d.oracleDecision(t, 7, sh.eirp)
+		shapes[c] = sh
+	}
+	a, b, c := shapes[0], shapes[1], shapes[2]
+	// serve sends a refresh of the shape and reports which path blinded it.
+	serve := func(sh *shape) (tabled bool) {
+		t.Helper()
+		before := d.sdc.CacheStats().Tabled
+		r, err := su.RefreshRequest(sh.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.want = d.oracleDecision(t, 7, sh.eirp)
+		if got := d.decide(t, su, r).Granted; got != sh.want {
+			t.Fatalf("decision %v, oracle %v", got, sh.want)
+		}
+		return d.sdc.CacheStats().Tabled > before
+	}
+	expect := func(what string, builds, drops uint64, bytes int) {
+		t.Helper()
+		got := d.sdc.CacheStats()
+		if got.TableBuilds != builds || got.TableDrops != drops || got.TableBytes != bytes {
+			t.Fatalf("%s: %d builds, %d drops, %d table bytes; want %d, %d, %d",
+				what, got.TableBuilds, got.TableDrops, got.TableBytes, builds, drops, bytes)
+		}
+	}
+	n := uint64(a.req.Ciphertexts())
+	serve(a) // fills
+	serve(b) // fills
+	expect("after the fills", 0, 0, 0)
+	if !serve(a) {
+		t.Fatal("first hit was not served from the tables it built")
+	}
+	one := d.sdc.CacheStats().TableBytes
+	if one == 0 {
+		t.Fatal("first hit retained no tables")
+	}
+	expect("one entry tabled", n, 0, one)
+
+	d.sdc.mu.Lock()
+	d.sdc.cache.tableBudget = one
+	d.sdc.mu.Unlock()
+	if !serve(b) {
+		t.Fatal("second entry's first hit was not served from its tables")
+	}
+	expect("second entry tabled over budget", 2*n, n, one)
+	if serve(a) {
+		t.Fatal("entry served from tables the budget had dropped")
+	}
+	expect("dropped entry hit again", 2*n, n, one) // and not rebuilt
+	if !serve(b) {
+		t.Fatal("the entry holding the budget's tables served plain")
+	}
+
+	// Eviction: a is the more recently used after this hit, so filling a
+	// third shape evicts b, tables and all.
+	serve(a)
+	serve(c)
+	expect("tabled entry evicted", 2*n, n, 0)
+	if got := d.sdc.CachedDecisions(); got != 2 {
+		t.Fatalf("%d cached decisions, want 2", got)
+	}
+
+	// Staleness: c is tabled, then a PU update lands in its footprint.
+	if !serve(c) {
+		t.Fatal("third entry's first hit was not served from its tables")
+	}
+	expect("third entry tabled", 3*n, n, one)
+	pu := d.newPU(t, "tv-1", 8)
+	d.tune(t, pu, 2, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
+	stale := d.sdc.CacheStats().Stale
+	if serve(c) {
+		t.Fatal("stale entry served from its tables")
+	}
+	if got := d.sdc.CacheStats().Stale; got != stale+1 {
+		t.Fatalf("%d stale events, want %d", got, stale+1)
+	}
+	expect("tabled entry went stale", 3*n, n, 0)
+
+	// An entry heavier than the whole budget: built, used, not kept.
+	d.sdc.mu.Lock()
+	d.sdc.cache.tableBudget = one - 1
+	d.sdc.mu.Unlock()
+	if !serve(c) {
+		t.Fatal("over-budget entry's first hit was not served from the tables it built")
+	}
+	expect("entry outweighs the budget", 4*n, 2*n, 0)
+	if serve(c) {
+		t.Fatal("over-budget entry kept its tables")
+	}
+	if got := metrics().cacheTableBytes.Value(); got < 0 {
+		t.Fatalf("table bytes gauge went negative: %d", got)
+	}
+}
+
+// TestCacheNoTablesWithoutHits: a stream of requests that never repeats
+// a shape inserts entries and builds nothing — tables are a first hit's
+// business, not an insert's.
+func TestCacheNoTablesWithoutHits(t *testing.T) {
+	d := newCacheDeployment(t, nil)
+	before := metrics().cacheTableBuilds.Value()
+	for block := 0; block < 6; block++ {
+		su := d.newSU(t, fmt.Sprintf("su-%d", block), geo.BlockID(block))
+		for c := 0; c < d.params.Watch.Channels; c++ {
+			eirp := map[int]int64{c: maxEIRP(d)}
+			req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := d.decide(t, su, req).Granted, d.oracleDecision(t, geo.BlockID(block), eirp); got != want {
+				t.Fatalf("block %d channel %d: PISA=%v, oracle=%v", block, c, got, want)
+			}
+		}
+	}
+	stats := d.sdc.CacheStats()
+	if stats.Misses != 18 || stats.Hits != 0 {
+		t.Fatalf("cache stats %+v, want 18 misses and no hit", stats)
+	}
+	if stats.TableBuilds != 0 || stats.TableBytes != 0 || stats.Tabled != 0 ||
+		metrics().cacheTableBuilds.Value() != before {
+		t.Fatalf("tables built without a hit: %+v", stats)
 	}
 }
 

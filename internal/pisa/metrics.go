@@ -66,6 +66,15 @@ type sdcMetrics struct {
 	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": full eq. 11-12 recompute
 
+	// Which exponentiation blinded a request: the cached entry's power
+	// tables, or the general one. Hits that keep landing on plain mean
+	// the table byte budget is too small for the deployment's shapes.
+	blindTable       *obs.Counter // path="table"
+	blindPlain       *obs.Counter // path="plain"
+	cacheTableBuilds *obs.Counter
+	cacheTableDrops  *obs.Counter
+	cacheTableBytes  *obs.Gauge
+
 	// SU-key cache (sukeys.go): a miss is one STP round trip plus, for
 	// an arming owner, one table build.
 	suKeyHits   *obs.Counter // event="hit"
@@ -148,6 +157,18 @@ func metrics() *sdcMetrics {
 			cacheAggMiss: r.Histogram("pisa_sdc_cache_aggregate_seconds",
 				"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 				obs.Labels{"path": "miss"}, obs.IOBuckets),
+			blindTable: r.Counter("pisa_sdc_blind_total",
+				"SU requests blinded, by exponentiation path (table = a cache hit served from the entry's power tables; plain = the general exponentiation: misses, and hits without tables)",
+				obs.Labels{"path": "table"}),
+			blindPlain: r.Counter("pisa_sdc_blind_total",
+				"SU requests blinded, by exponentiation path (table = a cache hit served from the entry's power tables; plain = the general exponentiation: misses, and hits without tables)",
+				obs.Labels{"path": "plain"}),
+			cacheTableBuilds: r.Counter("pisa_sdc_cache_table_builds_total",
+				"power tables built, one per cached ciphertext on its entry's first hit", nil),
+			cacheTableDrops: r.Counter("pisa_sdc_cache_table_drops_total",
+				"power tables dropped from live cache entries to stay inside the table byte budget", nil),
+			cacheTableBytes: r.Gauge("pisa_sdc_cache_table_bytes",
+				"bytes of power tables held by live cache entries", nil),
 			suKeyHits: r.Counter("pisa_sdc_sukey_cache_events_total",
 				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "hit"}),
 			suKeyMisses: r.Counter("pisa_sdc_sukey_cache_events_total",

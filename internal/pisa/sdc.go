@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"math/big"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +129,8 @@ type SDC struct {
 // speed (the paper's 219 s figure counts only the online SDC work).
 // beta is stored already signed for its epsilon — betaEnc encrypts
 // -eps*beta — so that blinding is V~ = I~^(eps*alpha) * betaEnc: one
-// exponentiation and one multiplication, with a single modular inverse
-// (of I~) when eps = -1 and none otherwise.
+// exponentiation and one multiplication, plus for eps = -1 an inverse
+// that blindChunk shares between the cells of a worker's chunk.
 type blindFactors struct {
 	alpha   *big.Int
 	betaEnc *paillier.Ciphertext // E(-eps*beta), slot-wise when packed
@@ -830,12 +831,18 @@ func (s *SDC) entryFreshLocked(e *cacheEntry, cells []requestCell, vers []uint64
 // counters, maintained lock-free next to each obs increment.
 type cacheCounters struct {
 	hits, misses, stale, expired, bypass, evicted atomic.Uint64
+	tabled, tableBuilds, tableDrops               atomic.Uint64
 }
 
 // CacheCounters is a point-in-time snapshot of one SDC instance's
-// decision-cache activity.
+// decision-cache activity. Tabled counts the hits blinded from power
+// tables (the rest of Hits took the general exponentiation), TableBuilds
+// and TableDrops the tables built on first hits and taken back by the
+// byte budget, TableBytes what live entries hold now.
 type CacheCounters struct {
 	Hits, Misses, Stale, Expired, Bypass, Evicted uint64
+	Tabled, TableBuilds, TableDrops               uint64
+	TableBytes                                    int
 }
 
 // CacheStats returns this instance's decision-cache counters since
@@ -843,14 +850,23 @@ type CacheCounters struct {
 // in the process, these are per instance — a sharded sdcd reports one
 // shutdown-summary line per shard from them.
 func (s *SDC) CacheStats() CacheCounters {
-	return CacheCounters{
-		Hits:    s.cacheCtr.hits.Load(),
-		Misses:  s.cacheCtr.misses.Load(),
-		Stale:   s.cacheCtr.stale.Load(),
-		Expired: s.cacheCtr.expired.Load(),
-		Bypass:  s.cacheCtr.bypass.Load(),
-		Evicted: s.cacheCtr.evicted.Load(),
+	c := CacheCounters{
+		Hits:        s.cacheCtr.hits.Load(),
+		Misses:      s.cacheCtr.misses.Load(),
+		Stale:       s.cacheCtr.stale.Load(),
+		Expired:     s.cacheCtr.expired.Load(),
+		Bypass:      s.cacheCtr.bypass.Load(),
+		Evicted:     s.cacheCtr.evicted.Load(),
+		Tabled:      s.cacheCtr.tabled.Load(),
+		TableBuilds: s.cacheCtr.tableBuilds.Load(),
+		TableDrops:  s.cacheCtr.tableDrops.Load(),
 	}
+	if s.cache != nil {
+		s.mu.Lock()
+		c.TableBytes = s.cache.tableBytes
+		s.mu.Unlock()
+	}
+	return c
 }
 
 // CachedDecisions reports the live entry count of the encrypted
@@ -1117,8 +1133,10 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	// addressed by the digest bound to the requester's sharing scope
 	// (cacheKeyFor), never by the raw digest alone.
 	var (
-		cacheHit *cacheEntry
-		cachePut *cacheEntry
+		cacheHit  *cacheEntry
+		cachePut  *cacheEntry
+		hitTabs   []*paillier.PowerTable // cacheHit's tables as of this lookup
+		buildTabs bool                   // this request is cacheHit's first hit
 	)
 	if err == nil && s.cache != nil && len(cells) > 0 {
 		switch {
@@ -1132,7 +1150,10 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 				fresh, expired := s.entryFreshLocked(e, cells, vers)
 				switch {
 				case fresh:
-					cacheHit = e
+					cacheHit, hitTabs = e, e.tabs
+					if !e.tabling {
+						e.tabling, buildTabs = true, true
+					}
 				case expired:
 					s.cache.remove(key)
 					m.cacheExpired.Inc()
@@ -1191,17 +1212,28 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	} else {
 		deltaX := big.NewInt(w.DeltaInt)
 		is = make([]*paillier.Ciphertext, len(cells))
-		err = parallel.For(s.workers, len(cells), func(k int) error {
-			cell := &cells[k]
-			r, err := s.group.ScalarMul(deltaX, cell.f) // eq. 11
-			if err != nil {
-				return fmt.Errorf("scale F(%d, %d): %w", cell.c, cell.b, err)
+		err = parallel.ForChunks(s.workers, len(cells), func(lo, hi int) error {
+			rs := make([]*paillier.Ciphertext, hi-lo)
+			for k := lo; k < hi; k++ {
+				cell := &cells[k]
+				r, err := s.group.ScalarMul(deltaX, cell.f) // eq. 11
+				if err != nil {
+					return fmt.Errorf("scale F(%d, %d): %w", cell.c, cell.b, err)
+				}
+				rs[k-lo] = r
 			}
-			i, err := s.group.Sub(cell.n, r) // eq. 12
+			// eq. 12, I~ = N~ * R~^-1, on one modular inversion per chunk.
+			negs, err := s.group.NegBatch(rs)
 			if err != nil {
-				return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, err)
+				cell := &cells[lo+slices.Index(negs, nil)]
+				return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
 			}
-			is[k] = i
+			for k := lo; k < hi; k++ {
+				cell := &cells[k]
+				if is[k], err = s.group.Add(cell.n, negs[k-lo]); err != nil {
+					return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, err)
+				}
+			}
 			return nil
 		})
 		if err != nil {
@@ -1243,27 +1275,25 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 	m.stage["aggregate"].ObserveSince(stageStart)
 
-	// Step 5: blind into V~ (eq. 14). Cells without a pooled tuple
-	// generate blinding factors on the fly (one extra encryption,
-	// counted as a pool fallback).
+	// Step 5: blind into V~ (eq. 14). A hit exponentiates from its
+	// entry's power tables — built here, once, by the entry's first hit —
+	// and everything else with the general exponentiation; the two agree
+	// bit for bit, so which one ran shows in the counters and nowhere
+	// else.
 	stageStart = time.Now()
+	tabs := hitTabs
+	if buildTabs {
+		tabs = s.tableEntry(cacheHit)
+	}
+	if tabs != nil {
+		m.blindTable.Inc()
+		s.cacheCtr.tabled.Add(1)
+	} else {
+		m.blindPlain.Inc()
+	}
 	vs := make([]*paillier.Ciphertext, len(cells))
-	err = parallel.For(s.workers, len(cells), func(k int) error {
-		cell := &cells[k]
-		if cell.bf.alpha == nil {
-			m.blindFallbacks.Inc()
-			bf, err := s.newBlindFactors()
-			if err != nil {
-				return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
-			}
-			cell.bf = bf
-		}
-		v, err := s.blindWith(is[k], cell.bf) // eq. 14
-		if err != nil {
-			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
-		}
-		vs[k] = v
-		return nil
+	err = parallel.ForChunks(s.workers, len(cells), func(lo, hi int) error {
+		return s.blindChunk(vs, is, tabs, cells, lo, hi)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -1522,20 +1552,85 @@ func (s *SDC) PooledBlinding() int {
 	return len(s.blindPool)
 }
 
-// blindWith applies eq. 14 to one encrypted budget slack I~ using the
-// supplied tuple: one-time alpha > beta > 0 hide the magnitude,
-// epsilon in {-1, +1} hides the sign from the STP. The tuple carries
-// E(-eps*beta), so V~ = eps*(alpha*I - beta) is I~^(eps*alpha) times
-// that: the only inverse is of I~, and only when eps = -1. Pure
-// function of its inputs — callable concurrently.
-func (s *SDC) blindWith(i *paillier.Ciphertext, bf blindFactors) (*paillier.Ciphertext, error) {
-	k := bf.alpha
-	if bf.eps < 0 {
-		k = new(big.Int).Neg(k) // ScalarMul inverts I~ for a negative scalar
-	}
-	scaled, err := s.group.ScalarMul(k, i)
+// tableEntry builds the power tables of a cache entry's column on the
+// worker pool and installs them. processCore calls it outside s.mu, from
+// the one request whose lookup claimed the entry's first hit. The
+// returned tables serve that request whatever became of the entry
+// meanwhile; nil means the column could not be tabled and the plain
+// path, whose error names the cell, takes over.
+func (s *SDC) tableEntry(e *cacheEntry) []*paillier.PowerTable {
+	tabs := make([]*paillier.PowerTable, len(e.is))
+	err := parallel.For(s.workers, len(tabs), func(k int) (err error) {
+		tabs[k], err = s.group.PowerTable(e.is[k], s.params.AlphaBits)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return s.group.Add(scaled, bf.betaEnc)
+	s.mu.Lock()
+	dropped := uint64(s.cache.setTables(e, tabs))
+	s.mu.Unlock()
+	m := metrics()
+	m.cacheTableBuilds.Add(uint64(len(tabs)))
+	s.cacheCtr.tableBuilds.Add(uint64(len(tabs)))
+	m.cacheTableDrops.Add(dropped)
+	s.cacheCtr.tableDrops.Add(dropped)
+	return tabs
+}
+
+// blindChunk applies eq. 14 to the cells [lo, hi): vs[k] becomes the
+// blinding of the encrypted budget slack is[k] under cells[k]'s tuple,
+// drawn on the spot (one extra encryption, counted as a pool fallback)
+// for a cell the pool had none for. One-time alpha > beta > 0 hide the
+// magnitude, epsilon in {-1, +1} hides the sign from the STP. The tuple
+// carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is I~^(eps*alpha)
+// times that: I~^alpha from tabs[k] when the column is tabled and by
+// the general exponentiation otherwise, inverted where eps = -1 — one
+// modular inversion for the chunk — and multiplied by the beta factor.
+// Touches only its own range of vs and cells — callable concurrently on
+// disjoint ranges.
+func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTable, cells []requestCell, lo, hi int) error {
+	var flipped []int // the chunk's cells with eps = -1
+	for k := lo; k < hi; k++ {
+		cell := &cells[k]
+		if cell.bf.alpha == nil {
+			metrics().blindFallbacks.Inc()
+			bf, err := s.newBlindFactors()
+			if err != nil {
+				return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+			}
+			cell.bf = bf
+		}
+		var err error
+		if tabs != nil {
+			vs[k], err = tabs[k].ScalarMul(cell.bf.alpha)
+		} else {
+			vs[k], err = s.group.ScalarMul(cell.bf.alpha, is[k])
+		}
+		if err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
+		if cell.bf.eps < 0 {
+			flipped = append(flipped, k)
+		}
+	}
+	powers := make([]*paillier.Ciphertext, len(flipped))
+	for j, k := range flipped {
+		powers[j] = vs[k]
+	}
+	negs, err := s.group.NegBatch(powers)
+	if err != nil {
+		cell := &cells[flipped[slices.Index(negs, nil)]]
+		return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
+	}
+	for j, k := range flipped {
+		vs[k] = negs[j]
+	}
+	for k := lo; k < hi; k++ {
+		cell := &cells[k]
+		if vs[k], err = s.group.Add(vs[k], cell.bf.betaEnc); err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
+	}
+	return nil
 }
