@@ -327,15 +327,18 @@ func BenchmarkBackendQuery(b *testing.B) {
 }
 
 // cachedUniverse caches one deployment per decision-cache mode for
-// BenchmarkCacheHit (the cache knob is fixed at construction, so the
-// on and off variants cannot share figureUniverse).
+// BenchmarkCacheHit (the cache size is fixed at construction, so the
+// cached and uncached variants cannot share figureUniverse).
 var cachedUniverse = map[bool]func() *bench.Universe{
 	true:  sync.OnceValue(func() *bench.Universe { return newCacheUniverse(1024) }),
 	false: sync.OnceValue(func() *bench.Universe { return newCacheUniverse(0) }),
 }
 
+// Four channels over 36 blocks are three slot groups at 2048 bits: a
+// full-grid request is twelve ciphertexts and a PU update moves four of
+// them, the proportions of the benchmark's band shapes.
 func newCacheUniverse(entries int) *bench.Universe {
-	params, err := bench.SmallParams(5, 4, 3, 2048)
+	params, err := bench.SmallParams(4, 6, 6, 2048)
 	if err != nil {
 		panic(err)
 	}
@@ -348,21 +351,31 @@ func newCacheUniverse(entries int) *bench.Universe {
 }
 
 // BenchmarkCacheHit measures end-to-end request processing for a
-// fleet of same-shape requests under the encrypted-decision cache
-// (DESIGN.md §14), gated by the PISA_CACHE environment variable:
-// "off" disables the cache, so every iteration recomputes the
-// aggregate pass and blinds with the general exponentiation; anything
-// else (or unset) serves every timed iteration from a cached entry that
-// already carries its power tables. Compare with:
+// repeated request shape under the encrypted-decision cache (DESIGN.md
+// §14), one sub-benchmark per way a repeat can be served:
 //
-//	PISA_CACHE=off go test -bench CacheHit -count 5 > off.txt
-//	PISA_CACHE=on  go test -bench CacheHit -count 5 > on.txt
-//	benchstat off.txt on.txt
+//	off      no cache: every iteration recomputes the aggregate pass and
+//	         blinds with the general exponentiation
+//	hit      every iteration is served from a cached entry that already
+//	         carries its power tables
+//	partial  a PU update lands in one slot group of the shape before every
+//	         iteration (untimed), so each lookup finds its entry stale in
+//	         that group's ciphertexts: they are recomputed and blinded by
+//	         the general exponentiation, the rest kept and blinded from
+//	         their tables
+//
+// The aggregate and blind stages are reported as aggregate-ns/op and
+// blind-ns/op beside the headline.
 func BenchmarkCacheHit(b *testing.B) {
-	on := os.Getenv("PISA_CACHE") != "off"
-	u := cachedUniverse[on]()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
+	for _, mode := range []string{"off", "hit", "partial"} {
+		b.Run(mode, func(b *testing.B) { benchmarkCacheHit(b, mode) })
+	}
+}
+
+func benchmarkCacheHit(b *testing.B, mode string) {
+	u := cachedUniverse[mode != "off"]()
+	w := u.Params.Watch
+	req, err := u.SU.PrepareRequest(map[int]int64{0: w.Quantize(1000)}, geo.Disclosure{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,21 +384,20 @@ func BenchmarkCacheHit(b *testing.B) {
 	if err := u.SDC.PrecomputeBlinding(req.Ciphertexts() * (b.N + 2)); err != nil {
 		b.Fatal(err)
 	}
-	if on {
+	if mode != "off" {
 		// Fill the cache, then hit it once: the first hit builds the
-		// entry's tables, so every timed iteration is a tabled hit.
+		// entry's tables, so every timed iteration finds them.
 		for i := 0; i < 2; i++ {
 			if _, err := u.SDC.ProcessRequest(req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	// A hit skips the aggregate pass and blinds from the entry's tables
-	// (the STP round trip and license masking stay per-SU). Both stages
-	// are reported as custom metrics for benchstat to compare; their
-	// histograms are observed on every path — the stored column and its
-	// tables on a hit, the eq. 11-12 recompute and the general
-	// exponentiation when the cache is off.
+	// The stage histograms are observed on every path — the stored column
+	// and its tables on a hit, the eq. 11-12 recompute and the general
+	// exponentiation with the cache off, some of each on a partial
+	// refresh — and by requests only, so the PU updates of the partial
+	// mode stay out of them.
 	stages := map[string]*obs.Histogram{}
 	before := map[string]obs.HistogramSnapshot{}
 	for _, stage := range []string{"aggregate", "blind"} {
@@ -394,13 +406,30 @@ func BenchmarkCacheHit(b *testing.B) {
 			obs.Labels{"stage": stage}, nil)
 		before[stage] = stages[stage].Snapshot()
 	}
+	kept := u.SDC.CacheStats().CellsKept
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if mode == "partial" {
+			b.StopTimer()
+			// The universe's PU sits at block 1: slot group 0 of the three a
+			// full-grid request covers at this scale.
+			update, err := u.PU.Tune(i%w.Channels, w.Quantize(w.SMinPUmW*100))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := u.SDC.HandlePUUpdate(update); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 		if _, err := u.SDC.ProcessRequest(req); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	if got := u.SDC.CacheStats().CellsKept - kept; mode == "partial" && got == 0 {
+		b.Fatal("no stale lookup kept a cached ciphertext")
+	}
 	for stage, h := range stages {
 		if d := h.Snapshot().Sub(before[stage]); d.Count() > 0 {
 			b.ReportMetric(d.Sum/float64(d.Count())*1e9, stage+"-ns/op")

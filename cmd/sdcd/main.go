@@ -476,9 +476,13 @@ func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string,
 		"cacheMisses", cs.Misses,
 		"cacheStale", cs.Stale,
 		"cacheExpired", cs.Expired,
-		"cacheEvicted", cs.Evicted)
-	// Hits minus tabled hits took the general exponentiation: first
-	// hits, or tables the byte budget dropped.
+		"cacheEvicted", cs.Evicted,
+		// Of the ciphertexts of entries found stale, those no PU update
+		// had touched and those recomputed.
+		"cacheCellsKept", cs.CellsKept,
+		"cacheCellsRecomputed", cs.CellsRecomputed)
+	// Servings blinded from power tables, in whole or in part; the rest
+	// took the general exponentiation throughout.
 	attrs = append(attrs,
 		"cacheHitsTabled", cs.Tabled,
 		"cacheTableBuilds", cs.TableBuilds,

@@ -805,13 +805,16 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 //
 // The nonce draws of a request are pinned too (DESIGN.md §10's ledger).
 // Four channels over eight rows of one slot group each make a full-grid
-// request 32 ciphertexts and a three-row band 12: the SU's refresh and
-// the SDC's E(-eps*beta) draw one nonce per ciphertext, the STP one per
-// packed answer — one per SDC instance asking — and the license one.
-// An STP that went back to one encryption per element would read 97.
-// The counts hold whichever way a request is blinded: the second and
-// third full-grid requests hit the entry the first one cached and are
-// blinded from its power tables, which draw nothing.
+// request m = 32 ciphertexts and a three-row band 12. The first serving
+// of a shape draws 2m + 2: the SU's preparation and the SDC's
+// E(-eps*beta) one nonce per ciphertext, the STP one per packed answer —
+// one per SDC instance asking — and the license one. A repeat draws
+// m + 2: the request carries its shape digest, so the SU re-sends the
+// prepared ciphertexts. An STP that went back to one encryption per
+// element would read 97 for a first full-grid serving. The counts hold
+// whichever way a request is blinded: the repeats hit the entry the
+// first serving cached and are blinded from its power tables, which draw
+// nothing.
 func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
@@ -917,30 +920,21 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if err := suSTP.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	base, err := su.PrepareRequest(map[int]int64{1: wp.Quantize(1)}, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rows, err := grid.RowBand(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	band, err := su.PrepareRequest(map[int]int64{1: wp.Quantize(1)}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Ciphertexts() != 32 || band.Ciphertexts() != 12 {
-		t.Fatalf("requests of %d and %d ciphertexts, want 32 and 12", base.Ciphertexts(), band.Ciphertexts())
-	}
+	eirp := map[int]int64{1: wp.Quantize(1)}
 
-	const requests = 4
+	const requests = 5 // per front: a full-grid shape three times, a band twice
 	_, fullAfterSetup := paillier.Decrypts()
 	for _, front := range []struct {
 		name string
 		cli  *node.SDCClient
-		// nonce draws of one refreshed request, full grid and band
-		full, band uint64
-	}{{"mono", monoCli, 66, 26}, {"sharded", routerCli, 67, 27}} {
+		// nonce draws beyond the request's ciphertext count m: m + extra on
+		// a first serving, extra on a repeat
+		extra uint64
+	}{{"mono", monoCli, 2}, {"sharded", routerCli, 3}} {
 		verify, err := front.cli.VerifyKey()
 		if err != nil {
 			t.Fatal(err)
@@ -966,26 +960,37 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		// Looked up once the SDC has registered the family, help text included.
 		tabled := obs.Default().Counter("pisa_sdc_blind_total", "", obs.Labels{"path": "table"})
 		var warm uint64
-		for i := 0; i < requests; i++ {
-			prepared, want := base, front.full
-			if i == requests-1 {
-				prepared, want = band, front.band
-			}
+		var prepared *pisa.TransmissionRequest
+		for i, step := range []struct {
+			disclosure  geo.Disclosure // of a first serving
+			repeat      bool
+			ciphertexts uint64
+		}{{geo.Disclosure{}, false, 32}, {repeat: true, ciphertexts: 32}, {repeat: true, ciphertexts: 32},
+			{rows, false, 12}, {repeat: true, ciphertexts: 12}} {
 			noncesBefore, tabledBefore := paillier.Nonces(), tabled.Value()
-			req, err := su.RefreshRequest(prepared)
+			want := step.ciphertexts + front.extra
+			var req *pisa.TransmissionRequest
+			if step.repeat {
+				req, err = su.RefreshRequest(prepared)
+			} else {
+				req, err = su.PrepareRequest(eirp, step.disclosure)
+				prepared, want = req, want+step.ciphertexts
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := uint64(req.Ciphertexts()); got != step.ciphertexts {
+				t.Fatalf("request %d has %d ciphertexts, want %d", i, got, step.ciphertexts)
 			}
 			resp, err := front.cli.SendRequest(req)
 			if err != nil {
 				t.Fatalf("%s request %d: %v", front.name, i, err)
 			}
-			// Requests 1 and 2 repeat request 0's shape: every SDC instance
-			// behind the front blinds them from tables, the first and the
-			// band request (a shape of its own) without.
-			if got, repeat := tabled.Value()-tabledBefore, i == 1 || i == 2; (got > 0) != repeat {
+			// Every SDC instance behind the front blinds a repeat from
+			// tables and the first serving of a shape without.
+			if got := tabled.Value() - tabledBefore; (got > 0) != step.repeat {
 				t.Errorf("%s request %d: %d table-blinded passes, repeat of a cached shape: %v",
-					front.name, i, got, repeat)
+					front.name, i, got, step.repeat)
 			}
 			if drawn := paillier.Nonces() - noncesBefore; drawn != want {
 				t.Errorf("%s request %d (%d ciphertexts): %d nonces drawn, want %d",

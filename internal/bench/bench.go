@@ -290,14 +290,18 @@ func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 	stats.Prepare = time.Since(start)
 	stats.RequestBytes = req.SizeBytes()
 
-	// Refresh uses the offline-precomputed nonce pool, matching the
-	// paper's reuse accounting (the r^n factors are prepared while
-	// idle; only the per-ciphertext multiplication is online).
+	// Refresh is the paper's: every ciphertext re-randomised, which is
+	// what a request without a shape digest gets (one that carries it is
+	// re-sent as it is). It uses the offline-precomputed nonce pool,
+	// matching the paper's reuse accounting (the r^n factors are prepared
+	// while idle; only the per-ciphertext multiplication is online).
 	if err := u.SU.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		return stats, err
 	}
+	digestless := *req
+	digestless.ShapeDigest = [32]byte{}
 	start = time.Now()
-	if _, err := u.SU.RefreshRequest(req); err != nil {
+	if _, err := u.SU.RefreshRequest(&digestless); err != nil {
 		return stats, err
 	}
 	stats.Refresh = time.Since(start)
@@ -569,7 +573,7 @@ func SmallParams(channels, cols, rows, paillierBits int) (pisa.Params, error) {
 		Packing:       true, // production default; callers flip it off to bench the legacy layout
 		// The decision cache stays off so repeated-request benchmarks
 		// measure the cold pipeline; the cache sweep (MeasureCache) and
-		// the PISA_CACHE-gated benchmarks opt in explicitly.
+		// BenchmarkCacheHit opt in explicitly.
 		CacheEntries: 0,
 	}
 	return p, p.Validate()

@@ -665,8 +665,8 @@ func (c *SDCClient) VerifyKeyContext(ctx context.Context) (*rsa.PublicKey, error
 }
 
 // ProcessRequest aliases SendRequest so SDCClient satisfies
-// pisa.SDCService and session code runs unchanged against a remote
-// controller.
+// pisa.SDCService and code written against an in-process controller
+// runs unchanged against a remote one.
 func (c *SDCClient) ProcessRequest(r *pisa.TransmissionRequest) (*pisa.Response, error) {
 	return c.SendRequest(r)
 }

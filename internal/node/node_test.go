@@ -450,15 +450,35 @@ func TestSessionOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := pisa.NewSession(su, cli, vk, map[int]int64{0: 1000}, geo.Disclosure{})
+	// The repeated-use flow of §VI-A over TCP: prepare once, then submit
+	// a refresh of the prepared request whenever spectrum is needed. The
+	// request carries its shape digest, so each refresh re-sends the same
+	// ciphertexts, and every license binds to them.
+	base, err := su.PrepareRequest(map[int]int64{0: 1000}, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant, err := sess.Submit()
-	if err != nil {
-		t.Fatalf("Submit over TCP: %v", err)
+	var sdc pisa.SDCService = cli
+	var serials []uint64
+	for round := 0; round < 2; round++ {
+		req, err := su.RefreshRequest(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := sdc.ProcessRequest(req)
+		if err != nil {
+			t.Fatalf("round %d over TCP: %v", round, err)
+		}
+		grant, err := su.OpenResponse(resp, req, vk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !grant.Granted || !grant.License.ValidAt(time.Now().Unix()) {
+			t.Fatalf("round %d: networked SU not authorized on a free channel", round)
+		}
+		serials = append(serials, grant.License.Serial)
 	}
-	if !grant.Granted || !sess.Authorized() {
-		t.Fatal("networked session not authorized on a free channel")
+	if serials[0] == serials[1] {
+		t.Fatalf("both rounds were issued serial %d", serials[0])
 	}
 }

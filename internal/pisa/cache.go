@@ -4,9 +4,9 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"time"
 
-	"pisa/internal/geo"
 	"pisa/internal/paillier"
 )
 
@@ -23,15 +23,16 @@ import (
 // each other or to the entry (DESIGN.md §14).
 //
 // What a hit still pays is that blinding, and its Ĩ^alpha is a power of
-// a base that has not changed since the last serving. So an entry's
-// first hit tables every cached Ĩ (paillier.PowerTable, one comb block
-// each) and later hits exponentiate from the tables, at 0.4 of the
-// cost and to the same bits. Not at insert: an entry that is never hit
-// would pay a build worth 0.4 exponentiations per ciphertext for
+// a base that has not changed since the last serving. So a hit tables
+// every cached Ĩ that has no table yet (paillier.PowerTable, one comb
+// block each) and later servings exponentiate from the tables, at 0.4 of
+// the cost and to the same bits. Not at insert: an entry that is never
+// hit would pay a build worth 0.4 exponentiations per ciphertext for
 // nothing. Tables are memory the entry bound does not see — seven times
 // the entry's own ciphertexts — so they have their own byte budget:
 // over it, the least recently used entries lose their tables (not their
-// place) and serve through the general exponentiation again.
+// place), serve through the general exponentiation, and are tabled
+// again by their next hit.
 //
 // Entries are keyed on scopedCacheKey, not on the raw digest: the
 // digest is SU-supplied and the SDC cannot check it against the
@@ -41,17 +42,27 @@ import (
 // CacheDomains — one administrative fleet whose members are trusted
 // not to ship a mismatched digest/F pair at each other).
 //
-// Freshness is exact, not heuristic: every entry stores the
-// content-version vector (SDC.colApplied) of the blocks its footprint
-// covers, captured in the same critical section that snapshots the
+// Freshness is exact, not heuristic, and kept per cached ciphertext:
+// every Ĩ stores the content versions (SDC.colApplied) of the budget
+// blocks it was computed from — its own block, or the k blocks of its
+// slot group — captured in the same critical section that snapshots the
 // budget pointers the aggregate reads. A lookup under that same lock
-// compares the stored vector against the current one; any PU update
-// that has been folded into a footprint block since (rebuildColumn /
-// rebuildGroup write-back) makes the entry stale, and a registered
-// update whose rebuild is still in flight keeps colApplied behind
-// colVer — so the in-between window can never serve the OLD content
-// as fresh either (the entry was keyed on the old applied version,
-// and a recompute snapshots whatever the rebuild discipline yields).
+// compares them against the current ones. A PU update that has been
+// folded into one of those blocks since (rebuildColumn / rebuildGroup
+// write-back) makes that ciphertext stale and no other: the request
+// recomputes the moved cells from its own F̃ and its budget snapshot,
+// keeps the rest — tables included — and installs the result as a new
+// entry. A registered update whose rebuild is still in flight keeps
+// colApplied behind colVer, so the in-between window can never serve the
+// OLD content as fresh either (the ciphertext was keyed on the old
+// applied version, and a recompute snapshots whatever the rebuild
+// discipline yields).
+//
+// An entry's coordinates, versions and ciphertexts never change once it
+// is in the cache; a request that read them under the lock keeps using
+// them outside it, whatever replaces the entry meanwhile. Only the table
+// bookkeeping (tabs, tabBytes, tabling) moves, under the lock, and tabs
+// is replaced as a whole, never written into.
 //
 // All methods must be called with the owning SDC's mutex held.
 type decisionCache struct {
@@ -117,24 +128,66 @@ type cacheEntry struct {
 	// (same digest, different disclosure) degrades to a miss rather
 	// than misaligning ciphertexts against blinding factors.
 	coords []cellCoord
-	// blocks lists the distinct budget blocks the footprint reads
-	// (packed groups expanded to their member blocks) and vers their
-	// colApplied values at snapshot time, index-aligned.
-	blocks []geo.BlockID
-	vers   []uint64
+	// vers[k] holds the colApplied values, at snapshot time, of the budget
+	// blocks cell k reads (SDC.cellBlocks). Cells on one block coordinate
+	// share a slice.
+	vers [][]uint64
 	// is holds Ĩ per enumerated cell, read-only: a serving blinds it
 	// under a fresh tuple and nothing else of it leaves the SDC.
-	is     []*paillier.Ciphertext
+	is []*paillier.Ciphertext
+	// filled is when the oldest of is was computed.
 	filled time.Time
 
-	// tabs[k] tables is[k] for AlphaBits-bit scalars. Nil until the
-	// entry's first hit — which sets tabling under the lock, builds
-	// outside it and installs through setTables — and nil again once the
-	// byte budget has dropped them; tabling stays set, so an entry is
-	// tabled at most once.
+	// tabs[k] tables is[k] for AlphaBits-bit scalars, nil where the cell
+	// has none: before the entry's first hit, for a cell recomputed since,
+	// and once the byte budget has taken the tables back. A hit that finds
+	// a cell without one sets tabling under the lock, builds outside it and
+	// installs through setTables, which clears tabling again — so one
+	// request at a time builds for an entry.
 	tabling  bool
 	tabs     []*paillier.PowerTable
 	tabBytes int
+}
+
+// aligned reports whether the entry was computed over exactly these
+// cells, in this order.
+func (e *cacheEntry) aligned(cells []requestCell) bool {
+	if len(e.coords) != len(cells) {
+		return false
+	}
+	for i := range cells {
+		if e.coords[i].c != cells[i].c || e.coords[i].b != cells[i].b {
+			return false
+		}
+	}
+	return true
+}
+
+// moved lists the cells of an aligned entry whose budget content is no
+// longer at the versions given, index-aligned with the entry's.
+func (e *cacheEntry) moved(vers [][]uint64) []int {
+	var moved []int
+	for k := range e.vers {
+		if !slices.Equal(e.vers[k], vers[k]) {
+			moved = append(moved, k)
+		}
+	}
+	return moved
+}
+
+// wantsTables reports whether a hit should build tables for the entry:
+// some cell has none and no build is in flight.
+func (e *cacheEntry) wantsTables() bool {
+	return !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil))
+}
+
+func tablesBytes(tabs []*paillier.PowerTable) (bytes int) {
+	for _, t := range tabs {
+		if t != nil {
+			bytes += t.SizeBytes()
+		}
+	}
+	return bytes
 }
 
 func newDecisionCache(capacity int, ttl time.Duration) *decisionCache {
@@ -168,40 +221,61 @@ func (dc *decisionCache) remove(key [32]byte) {
 }
 
 // put inserts (or replaces) an entry and reports how many others were
-// evicted to stay within capacity.
-func (dc *decisionCache) put(e *cacheEntry) (evicted int) {
+// evicted to stay within capacity. The tables e brings along — those of
+// the ciphertexts it kept from the entry it was refreshed from — are
+// accounted here, after the replaced entry's are released, so tables two
+// generations of an entry share are counted once; dropped is how many
+// tables the byte budget then took back.
+func (dc *decisionCache) put(e *cacheEntry) (evicted, dropped int) {
 	if el, ok := dc.byKey[e.key]; ok {
 		dc.dropTables(el.Value.(*cacheEntry))
 		el.Value = e
 		dc.lru.MoveToFront(el)
-		return 0
+	} else {
+		dc.byKey[e.key] = dc.lru.PushFront(e)
+		for dc.lru.Len() > dc.cap {
+			oldest := dc.lru.Back()
+			dc.dropTables(oldest.Value.(*cacheEntry))
+			dc.lru.Remove(oldest)
+			delete(dc.byKey, oldest.Value.(*cacheEntry).key)
+			evicted++
+		}
 	}
-	dc.byKey[e.key] = dc.lru.PushFront(e)
-	for dc.lru.Len() > dc.cap {
-		oldest := dc.lru.Back()
-		dc.dropTables(oldest.Value.(*cacheEntry))
-		dc.lru.Remove(oldest)
-		delete(dc.byKey, oldest.Value.(*cacheEntry).key)
-		evicted++
-	}
-	return evicted
+	dc.holdTables(e, e.tabs)
+	return evicted, dc.trimTables()
 }
 
-// setTables installs the power tables built for e and reports how many
-// tables the byte budget then took back, walking from the LRU tail — up
-// to and including e's own, when one entry outweighs the budget. An
-// entry that left the cache while its tables were being built is left
-// alone: its builder still serves from them, nothing retains them.
+// setTables installs e's tables — those it had when its builder looked
+// it up plus those the builder added — and reports how many tables the
+// byte budget then took back, walking from the LRU tail. An entry that
+// outweighs the budget on its own keeps none and stays marked as
+// tabling, so no later hit builds them again. An entry that left the
+// cache while its tables were being built is left alone: its builder
+// still serves from them, nothing retains them.
 func (dc *decisionCache) setTables(e *cacheEntry, tabs []*paillier.PowerTable) (dropped int) {
 	if el, ok := dc.byKey[e.key]; !ok || el.Value != e {
 		return 0
 	}
-	e.tabs = tabs
-	for _, t := range tabs {
-		e.tabBytes += t.SizeBytes()
+	dc.dropTables(e)
+	if tablesBytes(tabs) > dc.tableBudget {
+		return len(tabs)
 	}
+	e.tabling = false
+	dc.holdTables(e, tabs)
+	return dc.trimTables()
+}
+
+// holdTables makes tabs the tables of e, which holds none, and accounts
+// their bytes.
+func (dc *decisionCache) holdTables(e *cacheEntry, tabs []*paillier.PowerTable) {
+	e.tabs, e.tabBytes = tabs, tablesBytes(tabs)
 	dc.tableBytes += e.tabBytes
 	metrics().cacheTableBytes.Add(int64(e.tabBytes))
+}
+
+// trimTables drops tables from the LRU tail until the byte budget holds
+// and reports how many went.
+func (dc *decisionCache) trimTables() (dropped int) {
 	for el := dc.lru.Back(); el != nil && dc.tableBytes > dc.tableBudget; el = el.Prev() {
 		dropped += dc.dropTables(el.Value.(*cacheEntry))
 	}
@@ -209,13 +283,18 @@ func (dc *decisionCache) setTables(e *cacheEntry, tabs []*paillier.PowerTable) (
 }
 
 // dropTables releases e's power tables, if it has any, and reports how
-// many there were. The entry keeps serving, through the plain path.
-func (dc *decisionCache) dropTables(e *cacheEntry) int {
-	n := len(e.tabs)
+// many there were. The entry keeps serving, through the plain path, until
+// a hit tables it again.
+func (dc *decisionCache) dropTables(e *cacheEntry) (dropped int) {
+	for _, t := range e.tabs {
+		if t != nil {
+			dropped++
+		}
+	}
 	dc.tableBytes -= e.tabBytes
 	metrics().cacheTableBytes.Add(-int64(e.tabBytes))
 	e.tabs, e.tabBytes = nil, 0
-	return n
+	return dropped
 }
 
 // len reports the live entry count.

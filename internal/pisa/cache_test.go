@@ -41,6 +41,14 @@ func newCacheDeployment(t *testing.T, mutate func(*Params)) *deployment {
 	return &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
 }
 
+// setTableBudget squeezes (or restores) the cache's power-table byte
+// budget. Nothing is trimmed until tables are next accounted.
+func (d *deployment) setTableBudget(bytes int) {
+	d.sdc.mu.Lock()
+	d.sdc.cache.tableBudget = bytes
+	d.sdc.mu.Unlock()
+}
+
 // cacheEventCounts snapshots the cache event counters (process-global,
 // so tests always compare deltas).
 type cacheEventCounts struct{ hits, misses, stale, expired, bypass uint64 }
@@ -675,11 +683,13 @@ func TestCacheTablesBuiltOnce(t *testing.T) {
 
 // TestCacheTableBudget squeezes the table byte budget down to one
 // entry's tables: tabling a second entry takes the tables of the least
-// recently used one back, which then serves — same decisions — through
-// the general exponentiation and is not tabled again; eviction and
-// staleness release a tabled entry's bytes; and an entry that outweighs
-// the budget on its own is served from the tables it built and keeps
-// none.
+// recently used one back, whose next hit builds them again and takes the
+// bytes from the other in turn; eviction releases a tabled entry's bytes;
+// an entry refreshed after a PU update keeps — and is charged for,
+// once — the tables of the ciphertexts it kept; and an entry that
+// outweighs the budget on its own is served from the tables it built,
+// keeps none, and is not tabled again. The bytes held never exceed the
+// budget after an operation that accounts tables.
 func TestCacheTableBudget(t *testing.T) {
 	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = 2 })
 	su := d.newSU(t, "su-1", 7)
@@ -695,11 +705,11 @@ func TestCacheTableBudget(t *testing.T) {
 		if sh.req, err = su.PrepareRequest(sh.eirp, geo.Disclosure{}); err != nil {
 			t.Fatal(err)
 		}
-		sh.want = d.oracleDecision(t, 7, sh.eirp)
 		shapes[c] = sh
 	}
 	a, b, c := shapes[0], shapes[1], shapes[2]
-	// serve sends a refresh of the shape and reports which path blinded it.
+	// serve sends a refresh of the shape and reports whether any of it
+	// was blinded from tables.
 	serve := func(sh *shape) (tabled bool) {
 		t.Helper()
 		before := d.sdc.CacheStats().Tabled
@@ -713,12 +723,23 @@ func TestCacheTableBudget(t *testing.T) {
 		}
 		return d.sdc.CacheStats().Tabled > before
 	}
+	budget := cacheTableBudget
+	setBudget := func(bytes int) {
+		budget = bytes
+		d.setTableBudget(bytes)
+	}
 	expect := func(what string, builds, drops uint64, bytes int) {
 		t.Helper()
 		got := d.sdc.CacheStats()
 		if got.TableBuilds != builds || got.TableDrops != drops || got.TableBytes != bytes {
 			t.Fatalf("%s: %d builds, %d drops, %d table bytes; want %d, %d, %d",
 				what, got.TableBuilds, got.TableDrops, got.TableBytes, builds, drops, bytes)
+		}
+		if bytes > budget {
+			t.Fatalf("%s: %d table bytes over the budget of %d", what, bytes, budget)
+		}
+		if gauge := metrics().cacheTableBytes.Value(); gauge < 0 {
+			t.Fatalf("%s: table bytes gauge went negative: %d", what, gauge)
 		}
 	}
 	n := uint64(a.req.Ciphertexts())
@@ -729,64 +750,396 @@ func TestCacheTableBudget(t *testing.T) {
 		t.Fatal("first hit was not served from the tables it built")
 	}
 	one := d.sdc.CacheStats().TableBytes
-	if one == 0 {
-		t.Fatal("first hit retained no tables")
+	if one == 0 || one%int(n) != 0 {
+		t.Fatalf("first hit retained %d table bytes for %d ciphertexts", one, n)
 	}
 	expect("one entry tabled", n, 0, one)
 
-	d.sdc.mu.Lock()
-	d.sdc.cache.tableBudget = one
-	d.sdc.mu.Unlock()
+	setBudget(one)
 	if !serve(b) {
 		t.Fatal("second entry's first hit was not served from its tables")
 	}
 	expect("second entry tabled over budget", 2*n, n, one)
-	if serve(a) {
-		t.Fatal("entry served from tables the budget had dropped")
+	if !serve(a) {
+		t.Fatal("dropped entry's next hit did not table it again")
 	}
-	expect("dropped entry hit again", 2*n, n, one) // and not rebuilt
-	if !serve(b) {
-		t.Fatal("the entry holding the budget's tables served plain")
-	}
+	expect("dropped entry hit again", 3*n, 2*n, one)
 
-	// Eviction: a is the more recently used after this hit, so filling a
-	// third shape evicts b, tables and all.
+	// Eviction: with room for both, b is tabled again; a is then the more
+	// recently used, so filling a third shape evicts b, tables and all.
+	setBudget(cacheTableBudget)
+	serve(b)
 	serve(a)
+	expect("both entries tabled", 4*n, 2*n, 2*one)
 	serve(c)
-	expect("tabled entry evicted", 2*n, n, 0)
+	expect("tabled entry evicted", 4*n, 2*n, one)
 	if got := d.sdc.CachedDecisions(); got != 2 {
 		t.Fatalf("%d cached decisions, want 2", got)
 	}
 
-	// Staleness: c is tabled, then a PU update lands in its footprint.
+	// Staleness: c is tabled, then a PU update lands in one slot group of
+	// its footprint — one ciphertext per channel. The refreshed entry
+	// keeps the other tables, the replaced one's bytes are released, and
+	// the next hit tables the recomputed ciphertexts only.
 	if !serve(c) {
 		t.Fatal("third entry's first hit was not served from its tables")
 	}
-	expect("third entry tabled", 3*n, n, one)
+	expect("third entry tabled", 5*n, 2*n, 2*one)
+	moved := d.params.Watch.Channels
+	movedBytes := moved * one / int(n)
 	pu := d.newPU(t, "tv-1", 8)
 	d.tune(t, pu, 2, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
 	stale := d.sdc.CacheStats().Stale
-	if serve(c) {
-		t.Fatal("stale entry served from its tables")
+	if !serve(c) {
+		t.Fatal("partly stale entry not served from the tables it kept")
 	}
 	if got := d.sdc.CacheStats().Stale; got != stale+1 {
 		t.Fatalf("%d stale events, want %d", got, stale+1)
 	}
-	expect("tabled entry went stale", 3*n, n, 0)
-
-	// An entry heavier than the whole budget: built, used, not kept.
-	d.sdc.mu.Lock()
-	d.sdc.cache.tableBudget = one - 1
-	d.sdc.mu.Unlock()
+	expect("tabled entry went partly stale", 5*n, 2*n, 2*one-movedBytes)
 	if !serve(c) {
-		t.Fatal("over-budget entry's first hit was not served from the tables it built")
+		t.Fatal("refreshed entry's hit was not served from tables")
 	}
-	expect("entry outweighs the budget", 4*n, 2*n, 0)
+	expect("recomputed ciphertexts tabled", 5*n+uint64(moved), 2*n, 2*one)
+
+	// An entry heavier than the whole budget. The next refresh of c trims
+	// to the new budget (a, the least recently used, loses its tables);
+	// the hit after it completes c's set, which no longer fits: built,
+	// used, not kept, and not built again.
+	setBudget(one - 1)
+	d.off(t, pu)
+	if !serve(c) {
+		t.Fatal("partly stale entry not served from the tables it kept")
+	}
+	expect("refresh under a smaller budget", 5*n+uint64(moved), 3*n, one-movedBytes)
+	if !serve(c) {
+		t.Fatal("over-budget entry's hit was not served from the tables it built")
+	}
+	expect("entry outweighs the budget", 5*n+2*uint64(moved), 4*n, 0)
 	if serve(c) {
 		t.Fatal("over-budget entry kept its tables")
 	}
-	if got := metrics().cacheTableBytes.Value(); got < 0 {
-		t.Fatalf("table bytes gauge went negative: %d", got)
+	expect("over-budget entry hit again", 5*n+2*uint64(moved), 4*n, 0)
+}
+
+// TestCacheTablesRebuiltAfterDrop: an entry whose tables the byte budget
+// took back is tabled again by its next hit, and serves from those
+// tables from then on.
+func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
+	d := newCacheDeployment(t, nil)
+	su := d.newSU(t, "su-1", 7)
+	reqs := make([]*TransmissionRequest, 2)
+	for c := range reqs {
+		var err error
+		if reqs[c], err = su.PrepareRequest(map[int]int64{c: maxEIRP(d)}, geo.Disclosure{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(req *TransmissionRequest) (tabled bool) {
+		t.Helper()
+		before := d.sdc.CacheStats().Tabled
+		r, err := su.RefreshRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.decide(t, su, r).Granted {
+			t.Fatal("empty band denied")
+		}
+		return d.sdc.CacheStats().Tabled > before
+	}
+	n := uint64(reqs[0].Ciphertexts())
+	serve(reqs[0]) // fills
+	serve(reqs[1]) // fills
+	if !serve(reqs[0]) {
+		t.Fatal("first hit was not served from the tables it built")
+	}
+	one := d.sdc.CacheStats().TableBytes
+	d.setTableBudget(one)
+	serve(reqs[1]) // tabled, and the budget takes the first entry's tables
+	if got := d.sdc.CacheStats(); got.TableDrops != n || got.TableBytes != one {
+		t.Fatalf("after the squeeze: %+v, want %d drops and %d table bytes", got, n, one)
+	}
+
+	d.setTableBudget(cacheTableBudget)
+	for hit := 0; hit < 2; hit++ {
+		if !serve(reqs[0]) {
+			t.Fatalf("hit %d after the drop was served through the plain path", hit)
+		}
+	}
+	if got := d.sdc.CacheStats(); got.TableBuilds != 3*n || got.TableDrops != n || got.TableBytes != 2*one {
+		t.Fatalf("after the rebuild: %+v, want %d builds, %d drops, %d table bytes", got, 3*n, n, 2*one)
+	}
+}
+
+// TestCachePartialRefreshMatchesRecompute is the safety test of
+// per-ciphertext freshness, with the group key in hand: whatever PU
+// updates land between two servings of a band entry spanning four slot
+// groups — outside the band, inside one group, inside every group — each
+// ciphertext of the column the cache then holds decrypts to N - X*F of
+// the budget as it stands, which is what an SDC without a cache computes.
+// Ciphertexts no update touched are the very objects the previous entry
+// held, tables included, and that entry is left as it was; a request over
+// other coordinates takes nothing from the entry; and while a rebuild is
+// in flight (colApplied behind colVer) the column still matches the
+// budget a recompute would read, the rebuilt content replacing it at the
+// first lookup after the write-back.
+func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
+	hr := &hookReader{}
+	wp := testWatchParams(t)
+	params := TestParams(wp)
+	stp, err := NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdc, err := NewSDC("sdc-test", params, nil, stp, WithRandom(hr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sdc.Close)
+	oracle, err := watch.NewSystem(wp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
+
+	// Rows 1-3 of the 5x4 grid are blocks 5..19: slot groups 1-4 at four
+	// slots a ciphertext, one ciphertext per group and channel.
+	const home = 12
+	su := d.newSU(t, "su-1", home)
+	band, err := wp.Grid.RowBand(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eirp := map[int]int64{1: maxEIRP(d)}
+	req, err := su.PrepareRequest(eirp, band)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sdc.codec.Slots()
+	groups, perGroup := 4, wp.Channels
+	if k != 4 || req.Ciphertexts() != groups*perGroup {
+		t.Fatalf("band request has %d ciphertexts at %d slots, want %d at 4", req.Ciphertexts(), k, groups*perGroup)
+	}
+	key := sdc.cacheKeyFor(su.ID(), req.ShapeDigest)
+	weak := wp.Quantize(wp.SMinPUmW)
+	deltaX := big.NewInt(wp.DeltaInt)
+	modulus := stp.GroupKey().N
+
+	// entry returns the cached entry of the band shape with its tables.
+	entry := func() (*cacheEntry, []*paillier.PowerTable) {
+		sdc.mu.Lock()
+		defer sdc.mu.Unlock()
+		e := sdc.cache.get(key)
+		if e == nil {
+			return nil, nil
+		}
+		return e, e.tabs
+	}
+	// mismatch compares every ciphertext of e with N - X*F decrypted from
+	// the budget as it stands and the request's own F.
+	mismatch := func(e *cacheEntry, req *TransmissionRequest) error {
+		if len(e.is) != req.Ciphertexts() {
+			return fmt.Errorf("entry holds %d ciphertexts, the request %d", len(e.is), req.Ciphertexts())
+		}
+		for i, at := range e.coords {
+			sdc.mu.Lock()
+			n, err := sdc.nPack.GroupAt(at.c, at.b)
+			sdc.mu.Unlock()
+			if err != nil {
+				return err
+			}
+			f, err := req.FP.GroupAt(at.c, at.b)
+			if err != nil {
+				return err
+			}
+			var plain [3]*big.Int
+			for j, ct := range []*paillier.Ciphertext{n, f, e.is[i]} {
+				if plain[j], err = stp.group.Decrypt(ct); err != nil {
+					return err
+				}
+			}
+			want := new(big.Int).Mul(deltaX, plain[1])
+			want.Sub(plain[0], want)
+			if want.Sub(want, plain[2]).Mod(want, modulus).Sign() != 0 {
+				return fmt.Errorf("cached ciphertext %d (channel %d, group %d) is not N - X*F of the current budget", i, at.c, at.b)
+			}
+		}
+		return nil
+	}
+	// serve submits a refresh and returns the counters it moved.
+	serve := func(req *TransmissionRequest) CacheCounters {
+		t.Helper()
+		before := sdc.CacheStats()
+		r, err := su.RefreshRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.decide(t, su, r).Granted, d.oracleDecision(t, home, eirp); got != want {
+			t.Fatalf("decision %v, oracle %v", got, want)
+		}
+		after := sdc.CacheStats()
+		return CacheCounters{
+			Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses, Stale: after.Stale - before.Stale,
+			CellsKept: after.CellsKept - before.CellsKept, CellsRecomputed: after.CellsRecomputed - before.CellsRecomputed,
+			TableBuilds: after.TableBuilds - before.TableBuilds,
+		}
+	}
+	expect := func(what string, got, want CacheCounters) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: counters moved by %+v, want %+v", what, got, want)
+		}
+	}
+	// carried checks next against the entry prev it was refreshed from:
+	// ciphertexts outside the moved groups are the same objects with the
+	// same tables, those inside are new and untabled.
+	carried := func(what string, prev *cacheEntry, prevTabs []*paillier.PowerTable, next *cacheEntry, nextTabs []*paillier.PowerTable, movedGroups ...int) {
+		t.Helper()
+		if next == prev {
+			t.Fatalf("%s: the stale entry was changed in place", what)
+		}
+		for i, at := range next.coords {
+			moved := false
+			for _, g := range movedGroups {
+				moved = moved || at.b == g
+			}
+			switch {
+			case moved && (next.is[i] == prev.is[i] || nextTabs[i] != nil):
+				t.Fatalf("%s: ciphertext %d of moved group %d was carried over", what, i, at.b)
+			case !moved && (next.is[i] != prev.is[i] || nextTabs[i] == nil || nextTabs[i] != prevTabs[i]):
+				t.Fatalf("%s: ciphertext %d of untouched group %d was not kept with its table", what, i, at.b)
+			}
+		}
+	}
+	all := uint64(groups * perGroup)
+
+	expect("fill", serve(req), CacheCounters{Misses: 1})
+	e0, _ := entry()
+	if e0 == nil {
+		t.Fatal("request did not fill the cache")
+	}
+	if err := mismatch(e0, req); err != nil {
+		t.Fatal(err)
+	}
+	expect("first hit", serve(req), CacheCounters{Hits: 1, TableBuilds: all})
+	e, tabs0 := entry()
+	if e != e0 {
+		t.Fatal("a hit replaced the entry")
+	}
+	is0 := append([]*paillier.Ciphertext(nil), e0.is...)
+
+	// No group of the band: block 2 is in group 0.
+	d.tune(t, d.newPU(t, "tv-out", 2), 1, weak)
+	expect("update outside the band", serve(req), CacheCounters{Hits: 1})
+	if e, _ := entry(); e != e0 {
+		t.Fatal("an update outside the footprint replaced the entry")
+	}
+
+	// One group: block 13, next to the SU, is in group 3.
+	near := d.newPU(t, "tv-near", 13)
+	d.tune(t, near, 1, weak)
+	expect("update inside one group", serve(req),
+		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
+	e1, tabs1 := entry()
+	carried("update inside one group", e0, tabs0, e1, tabs1, 3)
+	if err := mismatch(e1, req); err != nil {
+		t.Fatal(err)
+	}
+	for i := range is0 {
+		if e0.is[i] != is0[i] || len(e0.coords) != len(is0) || len(e0.vers) != len(is0) {
+			t.Fatal("the replaced entry did not stay as it was")
+		}
+	}
+	expect("hit on the refreshed entry", serve(req), CacheCounters{Hits: 1, TableBuilds: uint64(perGroup)})
+	e, tabs1 = entry()
+	if e != e1 {
+		t.Fatal("a hit replaced the entry")
+	}
+
+	// Every group: blocks 5, 9 and 17 are in groups 1, 2 and 4, and the
+	// PU in group 3 switches off.
+	for i, b := range []geo.BlockID{5, 9, 17} {
+		d.tune(t, d.newPU(t, watch.PUID(fmt.Sprintf("tv-%d", i)), b), 0, weak)
+	}
+	d.off(t, near)
+	expect("updates inside every group", serve(req), CacheCounters{Stale: 1, CellsRecomputed: all})
+	e2, tabs2 := entry()
+	carried("updates inside every group", e1, tabs1, e2, tabs2, 1, 2, 3, 4)
+	if err := mismatch(e2, req); err != nil {
+		t.Fatal(err)
+	}
+
+	// Other coordinates under the same digest: the whole grid. Nothing of
+	// the band entry lines up, so nothing of it is kept.
+	full, err := su.PrepareRequest(eirp, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.ShapeDigest = req.ShapeDigest
+	expect("other coordinates", serve(full), CacheCounters{Stale: 1})
+	e3, _ := entry()
+	if err := mismatch(e3, full); err != nil {
+		t.Fatal(err)
+	}
+	for i := range e3.is {
+		for j := range e2.is {
+			if e3.is[i] == e2.is[j] {
+				t.Fatalf("ciphertext %d of a misaligned entry was kept as %d", j, i)
+			}
+		}
+	}
+	expect("back to the band", serve(req), CacheCounters{Stale: 1})
+	expect("hit on the band entry", serve(req), CacheCounters{Hits: 1, TableBuilds: all})
+	e4, tabs4 := entry()
+	if err := mismatch(e4, req); err != nil {
+		t.Fatal(err)
+	}
+
+	// A rebuild in flight. The trap fires on the rebuild's first read of
+	// randomness — the update is registered, the group not yet written
+	// back — and serves the band shape from there. The rebuild's worker
+	// holds the shared reader meanwhile, so the serving must draw nothing
+	// from it: blinding tuples come from the pool, and it stops short of
+	// the license.
+	if err := sdc.PrecomputeBlinding(int(all)); err != nil {
+		t.Fatal(err)
+	}
+	var inFlight error
+	hr.onRead = func() {
+		inFlight = func() error {
+			sdc.mu.Lock()
+			registered, applied := sdc.colVer[13], sdc.colApplied[13]
+			sdc.mu.Unlock()
+			if applied >= registered {
+				return fmt.Errorf("trap fired outside the rebuild window: applied %d, registered %d", applied, registered)
+			}
+			before := sdc.CacheStats()
+			if _, err := sdc.ProcessShard(req); err != nil {
+				return err
+			}
+			if after := sdc.CacheStats(); after.Hits != before.Hits+1 || after.Stale != before.Stale {
+				return fmt.Errorf("lookup during the rebuild: %+v after %+v, want one hit", after, before)
+			}
+			if e, _ := entry(); e != e4 {
+				return fmt.Errorf("lookup during the rebuild replaced the entry")
+			}
+			return mismatch(e4, req)
+		}()
+	}
+	hr.armed.Store(true)
+	d.tune(t, near, 1, weak)
+	if hr.armed.Load() {
+		t.Fatal("the rebuild never read randomness")
+	}
+	if inFlight != nil {
+		t.Fatalf("rebuild in flight: %v", inFlight)
+	}
+	expect("after the write-back", serve(req),
+		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
+	e5, tabs5 := entry()
+	carried("after the write-back", e4, tabs4, e5, tabs5, 3)
+	if err := mismatch(e5, req); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -1023,11 +1376,18 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 }
 
 // TestCacheChurnStress interleaves cache-hitting SU requests, PU
-// updates (cache invalidations), and export/restore cycles, then
-// checks every stably-timed decision against the plaintext oracle's
-// expectation for that state. Run with -race this doubles as the
-// tentpole's concurrency acceptance test. PISA_CACHE_CHURN_ITERS
-// scales it up for soak runs.
+// updates (cache invalidations), and an export/restore cycle, and checks
+// every stably-timed decision against the plaintext oracle's expectation
+// for that state. The two requesters repeat one band shape spanning four
+// slot groups while the PU switches inside one of them, so every
+// invalidation keeps three groups' ciphertexts and recomputes one's —
+// once with the requesters in one declared cache domain, where they
+// contend on a single entry whose kept and recomputed ciphertexts come
+// from different members' F~, and once in the default per-SU scope. The
+// updater holds each spectrum state until a request issued and answered
+// inside it has been checked, so no state goes by unobserved. Run with
+// -race this doubles as the cache's concurrency acceptance test.
+// PISA_CACHE_CHURN_ITERS scales it up for soak runs.
 func TestCacheChurnStress(t *testing.T) {
 	iters := 10
 	if v := os.Getenv("PISA_CACHE_CHURN_ITERS"); v != "" {
@@ -1037,20 +1397,27 @@ func TestCacheChurnStress(t *testing.T) {
 		}
 		iters = n
 	}
-	d := newCacheDeployment(t, func(p *Params) {
-		// One declared cache domain, so the two requesters contend on a
-		// single shared entry (the default per-SU scope would give each
-		// its own).
-		p.CacheDomains = map[string][]string{"fleet": {"su-1", "su-2"}}
-	})
-	t.Cleanup(d.sdc.Close)
-	// One SU per requester goroutine (SU-side nonce accounting is not
-	// concurrent-safe); same block + same EIRP means they share the
-	// shape digest, so they still exercise one cache entry together.
+	for name, domains := range map[string]map[string][]string{
+		"domain": {"fleet": {"su-1", "su-2"}},
+		"per-su": nil,
+	} {
+		t.Run(name, func(t *testing.T) { cacheChurnStress(t, iters, domains) })
+	}
+}
+
+func cacheChurnStress(t *testing.T, iters int, domains map[string][]string) {
+	d := newCacheDeployment(t, func(p *Params) { p.CacheDomains = domains })
+	// One SU per requester goroutine; same block + same EIRP + same
+	// disclosure means they share the shape digest.
 	sus := []*SU{d.newSU(t, "su-1", 7), d.newSU(t, "su-2", 7)}
 	pu := d.newPU(t, "tv-1", 8)
 	eirp := map[int]int64{1: maxEIRP(d)}
 	weak := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
+	// Rows 0-2 are blocks 0..14, slot groups 0-3; block 8 is in group 2.
+	band, err := d.params.Watch.Grid.RowBand(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Plaintext expectations for the two alternating spectrum states.
 	if err := d.oracle.UpdatePU("tv-1", watch.Registration{Block: 8, Channel: 1, SignalUnits: weak}); err != nil {
@@ -1067,7 +1434,7 @@ func TestCacheChurnStress(t *testing.T) {
 
 	bases := make([]*TransmissionRequest, len(sus))
 	for i, su := range sus {
-		b, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		b, err := su.PrepareRequest(eirp, band)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1075,6 +1442,10 @@ func TestCacheChurnStress(t *testing.T) {
 	}
 	if bases[0].ShapeDigest != bases[1].ShapeDigest {
 		t.Fatal("co-located same-shape SUs disagree on the digest")
+	}
+	groups, moved := 4, d.params.Watch.Channels
+	if got := bases[0].Ciphertexts(); got != groups*moved {
+		t.Fatalf("band request has %d ciphertexts, want %d", got, groups*moved)
 	}
 
 	before := snapshotCacheEvents()
@@ -1091,12 +1462,62 @@ func TestCacheChurnStress(t *testing.T) {
 		return expectOff
 	}
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, 2*iters+iters+4)
-
-	wg.Add(1)
-	go func() { // updater: toggles + periodic export/restore
-		defer wg.Done()
+	// A requester offers the generation of every stable decision it has
+	// checked; the updater takes one from the state it is holding before
+	// it moves on.
+	checked := make(chan uint64)
+	updaterDone := make(chan struct{})
+	requestersDone := make(chan struct{})
+	var requesters sync.WaitGroup
+	for r := range sus {
+		requesters.Add(1)
+		go func() { // refresh-driven cache traffic
+			defer requesters.Done()
+			su, req := sus[r], bases[r]
+			for i := 0; ; i++ {
+				select {
+				case <-updaterDone:
+					return
+				default:
+				}
+				refreshed, err := su.RefreshRequest(req)
+				if err != nil {
+					t.Errorf("requester %d refresh %d: %v", r, i, err)
+					return
+				}
+				g1 := gen.Load()
+				resp, err := d.sdc.ProcessRequest(refreshed)
+				if err != nil {
+					t.Errorf("requester %d request %d: %v", r, i, err)
+					return
+				}
+				grant, err := su.OpenResponse(resp, refreshed, d.sdc.VerifyKey())
+				if err != nil {
+					t.Errorf("requester %d open %d: %v", r, i, err)
+					return
+				}
+				if g2 := gen.Load(); g1 != g2 || g1%2 != 0 {
+					continue // a toggle was in flight
+				}
+				// The decision must match the oracle for that exact state.
+				if want := expectAt(g1); grant.Granted != want {
+					t.Errorf("requester %d iter %d: stable-state decision %v, oracle says %v (gen %d)",
+						r, i, grant.Granted, want, g1)
+					return
+				}
+				select {
+				case checked <- g1:
+				default:
+				}
+			}
+		}()
+	}
+	go func() {
+		requesters.Wait()
+		close(requestersDone)
+	}()
+	func() { // updater
+		defer close(updaterDone)
 		for i := 0; i < iters; i++ {
 			var u *PUUpdate
 			var err error
@@ -1111,54 +1532,29 @@ func TestCacheChurnStress(t *testing.T) {
 				gen.Add(1)
 			}
 			if err != nil {
-				errCh <- fmt.Errorf("toggle %d: %w", i, err)
+				t.Errorf("toggle %d: %v", i, err)
 				return
+			}
+			for held := false; !held; {
+				select {
+				case g := <-checked:
+					held = g == gen.Load()
+				case <-requestersDone:
+					return
+				}
 			}
 		}
 	}()
-	for r := range sus {
-		wg.Add(1)
-		go func(r int) { // requesters: refresh-driven cache traffic
-			defer wg.Done()
-			su, req := sus[r], bases[r]
-			for i := 0; i < iters; i++ {
-				refreshed, err := su.RefreshRequest(req)
-				if err != nil {
-					errCh <- fmt.Errorf("requester %d refresh %d: %w", r, i, err)
-					return
-				}
-				g1 := gen.Load()
-				resp, err := d.sdc.ProcessRequest(refreshed)
-				if err != nil {
-					errCh <- fmt.Errorf("requester %d request %d: %w", r, i, err)
-					return
-				}
-				grant, err := su.OpenResponse(resp, refreshed, d.sdc.VerifyKey())
-				if err != nil {
-					errCh <- fmt.Errorf("requester %d open %d: %w", r, i, err)
-					return
-				}
-				g2 := gen.Load()
-				if g1 == g2 && g1%2 == 0 {
-					// No toggle was in flight: the decision must match the
-					// oracle for that exact stable state.
-					if want := expectAt(g1); grant.Granted != want {
-						errCh <- fmt.Errorf("requester %d iter %d: stable-state decision %v, oracle says %v (gen %d)",
-							r, i, grant.Granted, want, g1)
-						return
-					}
-				}
-				req = refreshed
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
+	<-requestersDone
 	if t.Failed() {
 		t.FailNow()
+	}
+
+	// Every invalidation moved the PU's slot group and no other.
+	stats := d.sdc.CacheStats()
+	if stats.CellsRecomputed == 0 || stats.CellsKept != uint64(groups-1)*stats.CellsRecomputed {
+		t.Fatalf("stale lookups kept %d ciphertexts and recomputed %d, want %d kept per recomputed",
+			stats.CellsKept, stats.CellsRecomputed, groups-1)
 	}
 
 	// Quiescent exact check, plus a restore: a fresh SDC built from the

@@ -86,7 +86,8 @@ func TestConcurrentRequestsAndUpdates(t *testing.T) {
 	}
 }
 
-// TestNoncePoolAccounting checks the pooled-refresh bookkeeping.
+// TestNoncePoolAccounting checks the pooled-refresh bookkeeping, on the
+// requests that draw from the pool: those without a shape digest.
 func TestNoncePoolAccounting(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-nonce", 7)
@@ -94,6 +95,7 @@ func TestNoncePoolAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req = withoutDigest(req)
 	cells := req.Ciphertexts()
 
 	if err := su.PrecomputeNonces(-1); err == nil {
@@ -223,6 +225,7 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 				errs <- err
 				return
 			}
+			req = withoutDigest(req)
 			for r := 0; r < rounds; r++ {
 				// Refresh drains the nonce pool below its low-water
 				// mark, racing the background refill it triggers.

@@ -79,7 +79,7 @@ func TestEngineOnOffDecisionParity(t *testing.T) {
 			if err := su.PrecomputeNonces(8); err != nil {
 				t.Fatal(err)
 			}
-			req3, err := su.RefreshRequest(req2)
+			req3, err := su.RefreshRequest(withoutDigest(req2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,6 +256,7 @@ func TestSUCloseStopsNonceRefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req = withoutDigest(req)
 	// Refreshing drains the (empty) pool and kicks a refill off.
 	if _, err := su.RefreshRequest(req); err != nil {
 		t.Fatal(err)

@@ -209,6 +209,13 @@ func ShapeDigest(packed bool, channels, blocks int, block geo.BlockID, eirpUnits
 	return sha256.Sum256(buf.Bytes())
 }
 
+// SDCService is the slice of the SDC an SU needs: request processing.
+// *SDC satisfies it in process, shard.Router in front of channel shards,
+// node.SDCClient over TCP.
+type SDCService interface {
+	ProcessRequest(req *TransmissionRequest) (*Response, error)
+}
+
 // Response is the SDC's reply (Figure 5, step 11): the license body in
 // the clear plus the masked signature ciphertext under the SU's key.
 // The SDC sends the identical shape whether or not the request was

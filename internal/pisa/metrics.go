@@ -64,11 +64,16 @@ type sdcMetrics struct {
 	cacheBypass  *obs.Counter // event="bypass" (request carried no shape digest)
 	cacheEntries *obs.Gauge
 	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
-	cacheAggMiss *obs.Histogram // path="miss": full eq. 11-12 recompute
+	cacheAggMiss *obs.Histogram // path="miss": eq. 11-12 recompute, whole column or moved cells
+	// What stale lookups on an entry covering the same cells did with
+	// its ciphertexts, one tick per ciphertext.
+	cacheCellsKept       *obs.Counter // state="kept": no PU update touched its blocks
+	cacheCellsRecomputed *obs.Counter // state="recomputed"
 
 	// Which exponentiation blinded a request: the cached entry's power
-	// tables, or the general one. Hits that keep landing on plain mean
-	// the table byte budget is too small for the deployment's shapes.
+	// tables, for at least one of its cells, or the general one for all
+	// of them. Hits that keep landing on plain mean the table byte budget
+	// is too small for the deployment's shapes.
 	blindTable       *obs.Counter // path="table"
 	blindPlain       *obs.Counter // path="plain"
 	cacheTableBuilds *obs.Counter
@@ -157,14 +162,20 @@ func metrics() *sdcMetrics {
 			cacheAggMiss: r.Histogram("pisa_sdc_cache_aggregate_seconds",
 				"aggregate stage cost split by cache path (hit = reuse the stored column, miss = recompute)",
 				obs.Labels{"path": "miss"}, obs.IOBuckets),
+			cacheCellsKept: r.Counter("pisa_sdc_cache_cells_total",
+				"cached ciphertexts of entries found stale, by what the lookup did with them (kept = no PU update had touched the ciphertext's blocks)",
+				obs.Labels{"state": "kept"}),
+			cacheCellsRecomputed: r.Counter("pisa_sdc_cache_cells_total",
+				"cached ciphertexts of entries found stale, by what the lookup did with them (kept = no PU update had touched the ciphertext's blocks)",
+				obs.Labels{"state": "recomputed"}),
 			blindTable: r.Counter("pisa_sdc_blind_total",
-				"SU requests blinded, by exponentiation path (table = a cache hit served from the entry's power tables; plain = the general exponentiation: misses, and hits without tables)",
+				"SU requests blinded, by exponentiation path (table = at least one ciphertext served from a cached entry's power tables; plain = the general exponentiation throughout: misses, and hits without tables)",
 				obs.Labels{"path": "table"}),
 			blindPlain: r.Counter("pisa_sdc_blind_total",
-				"SU requests blinded, by exponentiation path (table = a cache hit served from the entry's power tables; plain = the general exponentiation: misses, and hits without tables)",
+				"SU requests blinded, by exponentiation path (table = at least one ciphertext served from a cached entry's power tables; plain = the general exponentiation throughout: misses, and hits without tables)",
 				obs.Labels{"path": "plain"}),
 			cacheTableBuilds: r.Counter("pisa_sdc_cache_table_builds_total",
-				"power tables built, one per cached ciphertext on its entry's first hit", nil),
+				"power tables built, one per cached ciphertext a hit found without one", nil),
 			cacheTableDrops: r.Counter("pisa_sdc_cache_table_drops_total",
 				"power tables dropped from live cache entries to stay inside the table byte budget", nil),
 			cacheTableBytes: r.Gauge("pisa_sdc_cache_table_bytes",

@@ -151,6 +151,15 @@ func (d *deployment) oracleDecision(t *testing.T, block geo.BlockID, eirp map[in
 	return dec.Granted
 }
 
+// withoutDigest returns the request as an SU that opted out of
+// shape-equality leakage sends it: no ShapeDigest, so the SDC never
+// caches it and RefreshRequest re-randomises it.
+func withoutDigest(req *TransmissionRequest) *TransmissionRequest {
+	plain := *req
+	plain.ShapeDigest = [32]byte{}
+	return &plain
+}
+
 func maxEIRP(d *deployment) int64 {
 	return d.params.Watch.Quantize(d.params.Watch.SUMaxEIRPmW)
 }
@@ -361,6 +370,9 @@ func TestDisclosureMustCoverInterferenceFootprint(t *testing.T) {
 	}
 }
 
+// TestRefreshRequestUnlinkableSameDecision pins the paper's refresh, the
+// path a request without a shape digest takes: every ciphertext is
+// re-randomised, the digest stays absent, the decision stays.
 func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
@@ -368,9 +380,17 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req = withoutDigest(req)
+	drawn := paillier.Nonces()
 	fresh, err := su.RefreshRequest(req)
 	if err != nil {
 		t.Fatalf("RefreshRequest: %v", err)
+	}
+	if got := paillier.Nonces() - drawn; got != uint64(req.Ciphertexts()) {
+		t.Errorf("refresh drew %d nonces for %d ciphertexts", got, req.Ciphertexts())
+	}
+	if fresh.ShapeDigest != ([32]byte{}) {
+		t.Error("refresh gave a digest-less request a digest")
 	}
 	// Ciphertexts must all change...
 	same := 0
@@ -406,6 +426,72 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	// ...and the decision must not.
 	if g := d.decide(t, su, fresh); !g.Granted {
 		t.Error("refreshed request denied where original would be granted")
+	}
+}
+
+// TestRefreshWithDigestDrawsNothing pins the other path: a request that
+// carries its shape digest has already told the SDC it is a repeat, so
+// its refresh re-sends the prepared ciphertexts — no nonce drawn, the
+// pool untouched — and the license still verifies and binds to them.
+func TestRefreshWithDigestDrawsNothing(t *testing.T) {
+	d := newDeployment(t)
+	su := d.newSU(t, "su-1", 7)
+	req, err := su.PrepareRequest(map[int]int64{1: maxEIRP(d)}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.ShapeDigest == ([32]byte{}) {
+		t.Fatal("prepared request carries no shape digest")
+	}
+	if err := su.PrecomputeNonces(req.Ciphertexts()); err != nil {
+		t.Fatal(err)
+	}
+	pooled, drawn := su.PooledNonces(), paillier.Nonces()
+	again, err := su.RefreshRequest(req)
+	if err != nil {
+		t.Fatalf("RefreshRequest: %v", err)
+	}
+	if got := paillier.Nonces() - drawn; got != 0 {
+		t.Errorf("refresh of a digest-carrying request drew %d nonces", got)
+	}
+	if got := su.PooledNonces(); got != pooled {
+		t.Errorf("refresh took the nonce pool from %d to %d", pooled, got)
+	}
+	if again == req || again.ShapeDigest != req.ShapeDigest || again.SUID != req.SUID {
+		t.Fatal("refresh is not a copy of the request")
+	}
+	err = req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
+		other, err := again.FP.GroupAt(c, g)
+		if err != nil {
+			return err
+		}
+		if !ct.Equal(other) {
+			t.Errorf("ciphertext (%d, %d) changed in the refresh", c, g)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := req.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for serving, r := range []*TransmissionRequest{req, again} {
+		resp, err := d.sdc.ProcessRequest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.License.RequestDigest != want {
+			t.Errorf("serving %d: license binds to another request digest", serving)
+		}
+		grant, err := su.OpenResponse(resp, r, d.sdc.VerifyKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !grant.Granted {
+			t.Errorf("serving %d denied on an empty band", serving)
+		}
 	}
 }
 

@@ -749,38 +749,38 @@ type requestCell struct {
 	bf   blindFactors
 }
 
-// footprintVersLocked returns the distinct budget blocks a request's
-// cells read — packed groups expanded to their member blocks — with
-// their current applied-content versions, in the deterministic cell
-// enumeration order. Caller holds s.mu.
-func (s *SDC) footprintVersLocked(cells []requestCell) ([]geo.BlockID, []uint64) {
-	total := s.params.Watch.Grid.Blocks()
-	seen := make(map[int]bool)
-	var blocks []geo.BlockID
-	add := func(b int) {
-		if !seen[b] {
-			seen[b] = true
-			blocks = append(blocks, geo.BlockID(b))
-		}
+// cellBlocks returns the range [lo, hi) of budget blocks a request cell
+// at block coordinate b reads: the members of slot group b in a packed
+// deployment, block b itself otherwise.
+func (s *SDC) cellBlocks(b int) (lo, hi int) {
+	if s.codec == nil {
+		return b, b + 1
 	}
-	if s.codec != nil {
-		k := s.codec.Slots()
-		for i := range cells {
-			g := cells[i].b
-			for b := g * k; b < (g+1)*k && b < total; b++ {
-				add(b)
+	k := s.codec.Slots()
+	return b * k, min((b+1)*k, s.params.Watch.Grid.Blocks())
+}
+
+// footprintVersLocked returns, per request cell, the current
+// applied-content versions of the budget blocks the cell reads
+// (cellBlocks); cells on one block coordinate share a slice. Caller
+// holds s.mu.
+func (s *SDC) footprintVersLocked(cells []requestCell) [][]uint64 {
+	byCoord := make(map[int][]uint64)
+	vers := make([][]uint64, len(cells))
+	for i := range cells {
+		b := cells[i].b
+		v, ok := byCoord[b]
+		if !ok {
+			lo, hi := s.cellBlocks(b)
+			v = make([]uint64, hi-lo)
+			for j := range v {
+				v[j] = s.colApplied[geo.BlockID(lo+j)]
 			}
+			byCoord[b] = v
 		}
-	} else {
-		for i := range cells {
-			add(cells[i].b)
-		}
+		vers[i] = v
 	}
-	vers := make([]uint64, len(blocks))
-	for i, b := range blocks {
-		vers[i] = s.colApplied[b]
-	}
-	return blocks, vers
+	return vers
 }
 
 // cacheKeyFor derives the decision-cache key for a request: the shape
@@ -796,51 +796,26 @@ func (s *SDC) cacheKeyFor(suid string, digest [32]byte) [32]byte {
 	return scopedCacheKey(cacheScopePerSU, suid, digest)
 }
 
-// entryFreshLocked decides whether a cached aggregate column can serve
-// the request whose cells and current footprint versions are given,
-// distinguishing an age-based rejection (expired — the optional TTL
-// ran out) from a content-based one (the footprint shape or versions
-// moved) so the two invalidation causes stay separately countable.
-// The coords comparison is positional: the entry's ciphertexts must
-// align one-to-one with the cells the blinding stage will walk, so a
-// digest collision (or a scope member reusing another shape's digest)
-// degrades to a miss instead of misaligning Ĩ against blinding
-// factors. vers was computed from these same cells, so coord equality
-// implies the entry's block list matches too. Caller holds s.mu.
-func (s *SDC) entryFreshLocked(e *cacheEntry, cells []requestCell, vers []uint64) (fresh, expired bool) {
-	if s.cache.ttl > 0 && s.now().Sub(e.filled) > s.cache.ttl {
-		return false, true
-	}
-	if len(e.coords) != len(cells) || len(e.vers) != len(vers) {
-		return false, false
-	}
-	for i := range cells {
-		if e.coords[i].c != cells[i].c || e.coords[i].b != cells[i].b {
-			return false, false
-		}
-	}
-	for i := range vers {
-		if e.vers[i] != vers[i] {
-			return false, false
-		}
-	}
-	return true, false
-}
-
 // cacheCounters are the per-instance mirrors of the obs cache
 // counters, maintained lock-free next to each obs increment.
 type cacheCounters struct {
 	hits, misses, stale, expired, bypass, evicted atomic.Uint64
+	cellsKept, cellsRecomputed                    atomic.Uint64
 	tabled, tableBuilds, tableDrops               atomic.Uint64
 }
 
 // CacheCounters is a point-in-time snapshot of one SDC instance's
-// decision-cache activity. Tabled counts the hits blinded from power
-// tables (the rest of Hits took the general exponentiation), TableBuilds
-// and TableDrops the tables built on first hits and taken back by the
-// byte budget, TableBytes what live entries hold now.
+// decision-cache activity. A Stale lookup whose entry covered the same
+// cells kept the cached ciphertexts no PU update had touched (CellsKept)
+// and recomputed the others (CellsRecomputed); it is one Stale, never a
+// Hit, however much it kept. Tabled counts the servings blinded from
+// power tables, in whole or in part (the rest took the general
+// exponentiation), TableBuilds and TableDrops the tables built by hits
+// and taken back by the byte budget, TableBytes what live entries hold
+// now.
 type CacheCounters struct {
 	Hits, Misses, Stale, Expired, Bypass, Evicted uint64
+	CellsKept, CellsRecomputed                    uint64
 	Tabled, TableBuilds, TableDrops               uint64
 	TableBytes                                    int
 }
@@ -860,6 +835,9 @@ func (s *SDC) CacheStats() CacheCounters {
 		Tabled:      s.cacheCtr.tabled.Load(),
 		TableBuilds: s.cacheCtr.tableBuilds.Load(),
 		TableDrops:  s.cacheCtr.tableDrops.Load(),
+
+		CellsKept:       s.cacheCtr.cellsKept.Load(),
+		CellsRecomputed: s.cacheCtr.cellsRecomputed.Load(),
 	}
 	if s.cache != nil {
 		s.mu.Lock()
@@ -1127,16 +1105,18 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 		})
 	}
 	// Cache lookup happens in the same critical section as the budget
-	// snapshot: the colApplied vector read here identifies exactly the
-	// content the `n` pointers above reference, so a version-matched
-	// entry equals what the recompute below would produce. Entries are
-	// addressed by the digest bound to the requester's sharing scope
-	// (cacheKeyFor), never by the raw digest alone.
+	// snapshot: the colApplied values read here identify exactly the
+	// content the `n` pointers above reference, so a cached ciphertext
+	// whose versions match equals what the recompute below would produce
+	// for its cell. Entries are addressed by the digest bound to the
+	// requester's sharing scope (cacheKeyFor), never by the raw digest
+	// alone.
 	var (
-		cacheHit  *cacheEntry
-		cachePut  *cacheEntry
-		hitTabs   []*paillier.PowerTable // cacheHit's tables as of this lookup
-		buildTabs bool                   // this request is cacheHit's first hit
+		cached    *cacheEntry            // aligned entry: serves every cell not in recompute
+		recompute []int                  // cells to aggregate, all of them without cached
+		cachePut  *cacheEntry            // what this request will install
+		tabs      []*paillier.PowerTable // cached's tables as of this lookup
+		buildTabs bool                   // this request tables what cached lacks
 	)
 	if err == nil && s.cache != nil && len(cells) > 0 {
 		switch {
@@ -1145,39 +1125,47 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 			s.cacheCtr.bypass.Add(1)
 		default:
 			key := s.cacheKeyFor(req.SUID, req.ShapeDigest)
-			blocks, vers := s.footprintVersLocked(cells)
-			if e := s.cache.get(key); e != nil {
-				fresh, expired := s.entryFreshLocked(e, cells, vers)
-				switch {
-				case fresh:
-					cacheHit, hitTabs = e, e.tabs
-					if !e.tabling {
-						e.tabling, buildTabs = true, true
-					}
-				case expired:
-					s.cache.remove(key)
-					m.cacheExpired.Inc()
-					s.cacheCtr.expired.Add(1)
-				default:
-					s.cache.remove(key)
-					m.cacheStale.Inc()
-					s.cacheCtr.stale.Add(1)
-				}
-			} else {
+			vers := s.footprintVersLocked(cells)
+			e := s.cache.get(key)
+			switch {
+			case e == nil:
 				m.cacheMisses.Inc()
 				s.cacheCtr.misses.Add(1)
+			case s.cache.ttl > 0 && s.now().Sub(e.filled) > s.cache.ttl:
+				s.cache.remove(key)
+				m.cacheExpired.Inc()
+				s.cacheCtr.expired.Add(1)
+			case !e.aligned(cells):
+				// A digest collision, or a scope member reusing another
+				// shape's digest: nothing of the entry lines up with the
+				// cells the blinding stage will walk.
+				s.cache.remove(key)
+				m.cacheStale.Inc()
+				s.cacheCtr.stale.Add(1)
+			default:
+				cached, tabs = e, e.tabs
+				recompute = e.moved(vers)
+				switch {
+				case len(recompute) > 0:
+					// Stale in these cells only. The entry stays where it
+					// is until the refreshed one replaces it.
+					m.cacheStale.Inc()
+					s.cacheCtr.stale.Add(1)
+					kept := uint64(len(cells) - len(recompute))
+					m.cacheCellsKept.Add(kept)
+					s.cacheCtr.cellsKept.Add(kept)
+					m.cacheCellsRecomputed.Add(uint64(len(recompute)))
+					s.cacheCtr.cellsRecomputed.Add(uint64(len(recompute)))
+				case e.wantsTables():
+					e.tabling, buildTabs = true, true
+				}
 			}
-			if cacheHit == nil {
+			if cached == nil || len(recompute) > 0 {
 				coords := make([]cellCoord, len(cells))
 				for i := range cells {
 					coords[i] = cellCoord{c: cells[i].c, b: cells[i].b}
 				}
-				cachePut = &cacheEntry{
-					key:    key,
-					coords: coords,
-					blocks: blocks,
-					vers:   vers,
-				}
+				cachePut = &cacheEntry{key: key, coords: coords, vers: vers}
 			}
 			m.cacheEntries.Set(int64(s.cache.len()))
 		}
@@ -1198,74 +1186,43 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 
 	// Steps 3-4: R~ = X (x) F~, I~ = N~ (-) R~ (eqs. 11-12) — the
-	// budget aggregation. A cache hit replaces the recompute with the
-	// stored column itself, read-only: I~ never leaves the SDC, and the
-	// blinding below multiplies it by a tuple's E(-eps*beta), whose own
-	// fresh nonce is all a re-randomisation would add (DESIGN.md §14).
+	// budget aggregation, for the cells the cache does not answer. A
+	// cached I~ is used as it is, read-only: it never leaves the SDC, and
+	// the blinding below multiplies it by a tuple's E(-eps*beta), whose
+	// own fresh nonce is all a re-randomisation would add (DESIGN.md §14).
 	stageStart = time.Now()
-	var is []*paillier.Ciphertext
-	if cacheHit != nil {
-		is = cacheHit.is
+	is := make([]*paillier.Ciphertext, len(cells))
+	if cached != nil {
+		copy(is, cached.is)
+	} else {
+		recompute = make([]int, len(cells))
+		for k := range recompute {
+			recompute[k] = k
+		}
+	}
+	if len(recompute) == 0 {
 		m.cacheHits.Inc()
 		s.cacheCtr.hits.Add(1)
 		m.cacheAggHit.ObserveSince(stageStart)
 	} else {
-		deltaX := big.NewInt(w.DeltaInt)
-		is = make([]*paillier.Ciphertext, len(cells))
-		err = parallel.ForChunks(s.workers, len(cells), func(lo, hi int) error {
-			rs := make([]*paillier.Ciphertext, hi-lo)
-			for k := lo; k < hi; k++ {
-				cell := &cells[k]
-				r, err := s.group.ScalarMul(deltaX, cell.f) // eq. 11
-				if err != nil {
-					return fmt.Errorf("scale F(%d, %d): %w", cell.c, cell.b, err)
-				}
-				rs[k-lo] = r
+		if tabs != nil {
+			// The tables of the cells about to be recomputed table their
+			// old content.
+			tabs = slices.Clone(tabs)
+			for _, k := range recompute {
+				tabs[k] = nil
 			}
-			// eq. 12, I~ = N~ * R~^-1, on one modular inversion per chunk.
-			negs, err := s.group.NegBatch(rs)
-			if err != nil {
-				cell := &cells[lo+slices.Index(negs, nil)]
-				return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
-			}
-			for k := lo; k < hi; k++ {
-				cell := &cells[k]
-				if is[k], err = s.group.Add(cell.n, negs[k-lo]); err != nil {
-					return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, err)
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		}
+		if err := s.aggregate(is, cells, recompute); err != nil {
 			return nil, nil, err
 		}
 		if cachePut != nil {
-			// The cached copy is the freshly computed column; nothing the
-			// SDC emits is linkable to it, because every serving is
-			// blinded under a fresh tuple first. The version vector
-			// was captured under the same lock as the budget snapshot —
-			// a rebuild that committed since then changed colApplied and
-			// simply makes this entry stale at its first lookup.
-			//
-			// Stored as right-sized clones: the big.Int a modular product
-			// comes out of keeps the capacity of its multiplication
-			// scratch, six times the 2n bits of the value, and a cache
-			// entry lives long enough for that to be most of its memory.
-			cachePut.is = make([]*paillier.Ciphertext, len(is))
-			for k, i := range is {
-				cachePut.is[k] = i.Clone()
+			cachePut.filled, cachePut.tabs = s.now(), tabs
+			if cached != nil {
+				// The kept cells are as old as the entry they come from.
+				cachePut.filled = cached.filled
 			}
-			cachePut.filled = s.now()
-			s.mu.Lock()
-			evicted := s.cache.put(cachePut)
-			m.cacheEntries.Set(int64(s.cache.len()))
-			s.mu.Unlock()
-			for ; evicted > 0; evicted-- {
-				m.cacheEvicts.Inc()
-				s.cacheCtr.evicted.Add(1)
-			}
-		}
-		if cachePut != nil {
+			s.installEntry(cachePut, is, recompute)
 			// Only digest-carrying recomputes feed the path="miss"
 			// histogram: bypass (zero-digest) requests recompute too, but
 			// folding them in would skew the hit-vs-miss cost comparison
@@ -1275,17 +1232,17 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 	m.stage["aggregate"].ObserveSince(stageStart)
 
-	// Step 5: blind into V~ (eq. 14). A hit exponentiates from its
-	// entry's power tables — built here, once, by the entry's first hit —
-	// and everything else with the general exponentiation; the two agree
-	// bit for bit, so which one ran shows in the counters and nowhere
-	// else.
+	// Step 5: blind into V~ (eq. 14), cell by cell from a power table
+	// where the cached I~ has one — a hit builds those its entry lacks
+	// here, outside the lock — and with the general exponentiation where
+	// not: every cell of a miss, the recomputed cells of a partly stale
+	// entry. The two agree bit for bit, so which one ran shows in the
+	// counters and nowhere else.
 	stageStart = time.Now()
-	tabs := hitTabs
 	if buildTabs {
-		tabs = s.tableEntry(cacheHit)
+		tabs = s.tableEntry(cached, tabs)
 	}
-	if tabs != nil {
+	if slices.ContainsFunc(tabs, func(t *paillier.PowerTable) bool { return t != nil }) {
 		m.blindTable.Inc()
 		s.cacheCtr.tabled.Add(1)
 	} else {
@@ -1332,6 +1289,68 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 	m.stage["unblind"].ObserveSince(stageStart)
 	return ds, suKey, nil
+}
+
+// aggregate computes I~ = N~ (-) X (x) F~ (eqs. 11-12) into is[k] for
+// the cells k listed in todo, on the worker pool, from the request
+// ciphertext and the budget snapshot each cell carries.
+func (s *SDC) aggregate(is []*paillier.Ciphertext, cells []requestCell, todo []int) error {
+	deltaX := big.NewInt(s.params.Watch.DeltaInt)
+	return parallel.ForChunks(s.workers, len(todo), func(lo, hi int) error {
+		chunk := todo[lo:hi]
+		rs := make([]*paillier.Ciphertext, len(chunk))
+		for j, k := range chunk {
+			cell := &cells[k]
+			r, err := s.group.ScalarMul(deltaX, cell.f) // eq. 11
+			if err != nil {
+				return fmt.Errorf("scale F(%d, %d): %w", cell.c, cell.b, err)
+			}
+			rs[j] = r
+		}
+		// eq. 12, I~ = N~ * R~^-1, on one modular inversion per chunk.
+		negs, err := s.group.NegBatch(rs)
+		if err != nil {
+			cell := &cells[chunk[slices.Index(negs, nil)]]
+			return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
+		}
+		for j, k := range chunk {
+			cell := &cells[k]
+			if is[k], err = s.group.Add(cell.n, negs[j]); err != nil {
+				return fmt.Errorf("budget at (%d, %d): %w", cell.c, cell.b, err)
+			}
+		}
+		return nil
+	})
+}
+
+// installEntry completes the entry a request's lookup prepared — key,
+// coordinates, versions, and the tables of the ciphertexts it keeps —
+// with its column and puts it in the cache. is is the column the request
+// serves: the cells listed in computed it aggregated itself, the rest it
+// took from the entry its lookup found. The versions in e were read
+// under the same lock as the budget snapshot the computed cells come
+// from — a rebuild that committed since then changed colApplied and
+// simply makes the cells it touched stale at their next lookup. Nothing
+// the SDC emits is linkable to the cached copy, because every serving is
+// blinded under a fresh tuple first.
+func (s *SDC) installEntry(e *cacheEntry, is []*paillier.Ciphertext, computed []int) {
+	// Computed cells are stored as right-sized clones: the big.Int a
+	// modular product comes out of keeps the capacity of its
+	// multiplication scratch, six times the 2n bits of the value, and a
+	// cache entry lives long enough for that to be most of its memory.
+	e.is = slices.Clone(is)
+	for _, k := range computed {
+		e.is[k] = is[k].Clone()
+	}
+	m := metrics()
+	s.mu.Lock()
+	evicted, dropped := s.cache.put(e)
+	m.cacheEntries.Set(int64(s.cache.len()))
+	s.mu.Unlock()
+	m.cacheEvicts.Add(uint64(evicted))
+	s.cacheCtr.evicted.Add(uint64(evicted))
+	m.cacheTableDrops.Add(uint64(dropped))
+	s.cacheCtr.tableDrops.Add(uint64(dropped))
 }
 
 // newBlindFactors draws one (alpha, E(beta), epsilon) tuple — a
@@ -1552,27 +1571,36 @@ func (s *SDC) PooledBlinding() int {
 	return len(s.blindPool)
 }
 
-// tableEntry builds the power tables of a cache entry's column on the
-// worker pool and installs them. processCore calls it outside s.mu, from
-// the one request whose lookup claimed the entry's first hit. The
-// returned tables serve that request whatever became of the entry
-// meanwhile; nil means the column could not be tabled and the plain
+// tableEntry builds, on the worker pool, a power table for every cell of
+// a cache entry's column that has none in have — the entry's tables as
+// of the caller's lookup — and installs the completed set. processCore
+// calls it outside s.mu, from the one hit whose lookup claimed the build.
+// The returned tables serve that request whatever became of the entry
+// meanwhile; when a cell cannot be tabled they are have, and the plain
 // path, whose error names the cell, takes over.
-func (s *SDC) tableEntry(e *cacheEntry) []*paillier.PowerTable {
+func (s *SDC) tableEntry(e *cacheEntry, have []*paillier.PowerTable) []*paillier.PowerTable {
 	tabs := make([]*paillier.PowerTable, len(e.is))
-	err := parallel.For(s.workers, len(tabs), func(k int) (err error) {
+	copy(tabs, have)
+	var missing []int
+	for k, t := range tabs {
+		if t == nil {
+			missing = append(missing, k)
+		}
+	}
+	err := parallel.For(s.workers, len(missing), func(i int) (err error) {
+		k := missing[i]
 		tabs[k], err = s.group.PowerTable(e.is[k], s.params.AlphaBits)
 		return err
 	})
 	if err != nil {
-		return nil
+		return have
 	}
 	s.mu.Lock()
 	dropped := uint64(s.cache.setTables(e, tabs))
 	s.mu.Unlock()
 	m := metrics()
-	m.cacheTableBuilds.Add(uint64(len(tabs)))
-	s.cacheCtr.tableBuilds.Add(uint64(len(tabs)))
+	m.cacheTableBuilds.Add(uint64(len(missing)))
+	s.cacheCtr.tableBuilds.Add(uint64(len(missing)))
 	m.cacheTableDrops.Add(dropped)
 	s.cacheCtr.tableDrops.Add(dropped)
 	return tabs
@@ -1584,8 +1612,8 @@ func (s *SDC) tableEntry(e *cacheEntry) []*paillier.PowerTable {
 // for a cell the pool had none for. One-time alpha > beta > 0 hide the
 // magnitude, epsilon in {-1, +1} hides the sign from the STP. The tuple
 // carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is I~^(eps*alpha)
-// times that: I~^alpha from tabs[k] when the column is tabled and by
-// the general exponentiation otherwise, inverted where eps = -1 — one
+// times that: I~^alpha from tabs[k] where the cell has a table and by
+// the general exponentiation where not, inverted where eps = -1 — one
 // modular inversion for the chunk — and multiplied by the beta factor.
 // Touches only its own range of vs and cells — callable concurrently on
 // disjoint ranges.
@@ -1602,7 +1630,7 @@ func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTa
 			cell.bf = bf
 		}
 		var err error
-		if tabs != nil {
+		if tabs != nil && tabs[k] != nil {
 			vs[k], err = tabs[k].ScalarMul(cell.bf.alpha)
 		} else {
 			vs[k], err = s.group.ScalarMul(cell.bf.alpha, is[k])

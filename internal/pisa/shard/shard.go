@@ -68,7 +68,7 @@ func Windows(channels, n int) ([][2]int, error) {
 
 // Router fans SU requests out to the shards and owns everything the
 // shards gave up: the license signing key, the serial counter, and the
-// merged grant decision. It satisfies pisa.SDCService, so sessions,
+// merged grant decision. It satisfies pisa.SDCService, so
 // node.SDCServer and the benches drive it exactly like a monolithic
 // SDC.
 type Router struct {

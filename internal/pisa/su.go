@@ -31,8 +31,9 @@ type SU struct {
 	// non-nil means requests ship as packed matrices, k block slots per
 	// ciphertext.
 	codec *paillier.SlotCodec
-	// nonces is the precomputed r^n pool for cheap request refreshes
-	// (§VI-A's ~11 s reuse path versus ~221 s fresh preparation).
+	// nonces is the precomputed r^n pool for re-randomising refreshes of
+	// digest-less requests (§VI-A's ~11 s reuse path versus ~221 s fresh
+	// preparation).
 	nonces *paillier.NoncePool
 }
 
@@ -284,9 +285,12 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]b
 }
 
 // PrecomputeNonces extends the SU's offline pool of re-randomisation
-// factors. Each pooled nonce turns one ciphertext refresh into a
-// single modular multiplication, which is what makes RefreshRequest
-// roughly 20x cheaper than PrepareRequest (the paper's 11 s vs 221 s).
+// factors. Each pooled nonce turns one ciphertext refresh into a single
+// modular multiplication instead of a fixed-base exponentiation. Only a
+// refresh of a request without a ShapeDigest draws from the pool (the
+// paper's refresh, 11 s against 221 s for a fresh preparation): a
+// digest-carrying request is re-sent as it is and draws nothing (see
+// RefreshRequest).
 func (u *SU) PrecomputeNonces(count int) error {
 	if count < 0 {
 		return fmt.Errorf("pisa: negative nonce count %d", count)
@@ -323,18 +327,36 @@ func (u *SU) Close() { u.nonces.Close() }
 // PooledNonces reports how many precomputed nonces remain.
 func (u *SU) PooledNonces() int { return u.nonces.Len() }
 
-// RefreshRequest re-randomises a previously prepared request so the
-// same operating parameters produce an unlinkable ciphertext — the
-// cheap reuse path the paper reports at about 11 s versus 221 s for a
-// fresh preparation (§VI-A). Precomputed nonces from
-// PrecomputeNonces are consumed one per ciphertext; when the pool
-// runs dry the refresh falls back to fresh (slow) re-randomisation.
+// RefreshRequest readies a previously prepared request for another
+// submission. What that takes depends on what the request already tells
+// the SDC:
+//
+// A request carrying a ShapeDigest is returned as it is — a copy that
+// shares the read-only matrix, no nonce drawn, no pool traffic. The
+// digest and the SUID in the same message already say "same SU, same
+// shape" to the SDC and to anyone on the wire, so fresh ciphertext
+// randomness would hide nothing from them; and the STP only ever sees F~
+// folded into a V~ whose E(-eps*beta) factor carries a fresh nonce on
+// every serving (DESIGN.md §10, ledger row 1).
+//
+// A request with a zero digest — the SU that opted out of shape-equality
+// leakage — is re-randomised, every ciphertext, so that two submissions
+// of the same operating parameters are unlinkable: the cheap reuse path
+// the paper reports at about 11 s versus 221 s for a fresh preparation
+// (§VI-A). Precomputed nonces from PrecomputeNonces are consumed one per
+// ciphertext; when the pool runs dry the refresh falls back to drawing
+// them online.
 func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, error) {
 	if req == nil || (req.F == nil && req.FP == nil) {
 		return nil, fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID != u.id {
 		return nil, fmt.Errorf("pisa: request belongs to %q, not %q", req.SUID, u.id)
+	}
+	if req.ShapeDigest != ([32]byte{}) {
+		resend := *req
+		resend.Disclosure = append([]geo.BlockID(nil), req.Disclosure...)
+		return &resend, nil
 	}
 	if req.FP != nil {
 		return u.refreshPacked(req)
@@ -377,18 +399,14 @@ func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, err
 		}
 	}
 	return &TransmissionRequest{
-		SUID: req.SUID,
-		F:    fresh,
-		// The shape digest survives a refresh unchanged — only the
-		// ciphertext randomness moves, which is exactly what makes a
-		// refreshed request a cache hit at the SDC.
-		Disclosure:  append([]geo.BlockID(nil), req.Disclosure...),
-		ShapeDigest: req.ShapeDigest,
+		SUID:       req.SUID,
+		F:          fresh,
+		Disclosure: append([]geo.BlockID(nil), req.Disclosure...),
 	}, nil
 }
 
-// refreshPacked is RefreshRequest for packed requests: one pooled
-// nonce re-randomises one group ciphertext, so a refresh costs ~k
+// refreshPacked is the re-randomising refresh for packed requests: one
+// pooled nonce re-randomises one group ciphertext, so a refresh costs ~k
 // times fewer nonces (and modular multiplications) than the unpacked
 // layout.
 func (u *SU) refreshPacked(req *TransmissionRequest) (*TransmissionRequest, error) {
@@ -430,10 +448,9 @@ func (u *SU) refreshPacked(req *TransmissionRequest) (*TransmissionRequest, erro
 		}
 	}
 	return &TransmissionRequest{
-		SUID:        req.SUID,
-		FP:          fresh,
-		Disclosure:  append([]geo.BlockID(nil), req.Disclosure...),
-		ShapeDigest: req.ShapeDigest,
+		SUID:       req.SUID,
+		FP:         fresh,
+		Disclosure: append([]geo.BlockID(nil), req.Disclosure...),
 	}, nil
 }
 
