@@ -1,7 +1,8 @@
-// Package fbexp implements fixed-base modular exponentiation modulo a
-// square: precompute a table of powers of one fixed base, then evaluate
-// base^e mod n^2 for many short exponents e at a fraction of the cost
-// of a general big.Int.Exp.
+// Package fbexp implements modular exponentiation modulo a square, n^2,
+// on arithmetic half as wide as the modulus: a general x^e (Exp), and a
+// fixed-base engine (Table) that precomputes powers of one base and then
+// evaluates base^e for many short exponents e at a fraction of the
+// general cost.
 //
 // The table is a Lim–Lee comb. An exponent of up to maxBits bits is
 // cut into h rows of a = ceil(maxBits/h) bits, and every row into v
@@ -28,8 +29,10 @@
 //
 // three products of n-sized operands and two divisions of a 2n-sized
 // value by n, instead of one product of 2n-sized operands and a
-// division of a 4n-sized value by 2n. Only the final result is
-// reassembled into one integer.
+// division of a 4n-sized value by 2n. The divisions are exact Barrett
+// reductions (pair.divmod: two more products each, against a constant
+// computed once per Modulus), so an operation is multiplications and
+// nothing else. Only the final result is reassembled into one integer.
 //
 // The trade-off is table memory: v*(2^h - 1) entries of one n^2-sized
 // value each (1.37 MiB at the parameters above), kept as limb ranges
@@ -41,8 +44,8 @@
 // at h = 3 over 100-bit exponents, a = b = 34: 7 entries, 66
 // operations, built by 68 squarings and 4 multiplications.
 //
-// A Table is immutable after New returns, so any number of goroutines
-// may call Exp concurrently.
+// A Modulus and a Table are immutable once built, so any number of
+// goroutines may exponentiate over them concurrently.
 package fbexp
 
 import (
@@ -71,7 +74,7 @@ const (
 // Table holds the precomputed comb of one fixed base modulo n^2.
 // Immutable after construction; safe for concurrent Exp.
 type Table struct {
-	n *big.Int
+	m *Modulus
 
 	height    int // h: rows, i.e. bits of a table index
 	rowBits   int // a: exponent bits per row
@@ -79,57 +82,12 @@ type Table struct {
 	blockBits int // b: exponent bits per block
 	maxBits   int
 
-	// slab holds entry G[j][I] at index j*(2^h - 1) + I - 1, each entry
-	// 2*limbs words: u then v, both zero-padded to limbs = len(n) words.
-	limbs int
-	slab  []big.Word
+	// entries holds G[j][I] at index j*(2^h - 1) + I - 1.
+	entries halves
 }
 
-// pair is the working state of one exponentiation or table build: the
-// accumulator (au, av) standing for au + av*n, and scratch for the
-// products. The five integers are capacity-capped ranges of one
-// allocation, each wide enough for everything mul and sqr put in it
-// (a double-width product plus carries; math/big's division wants one
-// word more for the remainder), so no operation allocates.
-type pair struct {
-	n       *big.Int
-	au, av  big.Int
-	t, m, q big.Int
-}
-
-func newPair(n *big.Int) *pair {
-	p := &pair{n: n}
-	size := 2*len(n.Bits()) + 4
-	buf := make([]big.Word, 5*size)
-	for i, x := range []*big.Int{&p.au, &p.av, &p.t, &p.m, &p.q} {
-		x.SetBits(buf[i*size : i*size : (i+1)*size])
-	}
-	return p
-}
-
-// mul sets the accumulator to accumulator * (u + v*n) mod n^2.
-func (p *pair) mul(u, v *big.Int) {
-	p.t.Mul(&p.au, u)
-	p.m.Mul(&p.au, v)
-	p.q.QuoRem(&p.t, p.n, &p.au) // au*u = q*n + au'
-	p.t.Mul(&p.av, u)
-	p.m.Add(&p.m, &p.t)
-	p.m.Add(&p.m, &p.q)
-	p.q.QuoRem(&p.m, p.n, &p.av) // q is a throwaway quotient here
-}
-
-// sqr squares the accumulator mod n^2.
-func (p *pair) sqr() {
-	p.t.Mul(&p.au, &p.au)
-	p.m.Mul(&p.au, &p.av)
-	p.m.Lsh(&p.m, 1)
-	p.q.QuoRem(&p.t, p.n, &p.au)
-	p.m.Add(&p.m, &p.q)
-	p.q.QuoRem(&p.m, p.n, &p.av)
-}
-
-// New precomputes the comb of base modulo n^2, covering exponents of up
-// to maxBits bits with a comb of height window and as many blocks as
+// New precomputes the comb of base modulo m's n^2, covering exponents of
+// up to maxBits bits with a comb of height window and as many blocks as
 // keep v*(2^window - 1) entries inside maxEntries; a budget below one
 // block's entries buys exactly one block. The build is one chain of
 // squarings up to the highest tabled power of two plus one
@@ -137,12 +95,9 @@ func (p *pair) sqr() {
 // top row times that row's power) — about 3000 half-width operations
 // for the 2816-entry table of a Paillier nonce base, 72 for one block of
 // height 3 over a 100-bit exponent.
-func New(base, n *big.Int, window, maxBits, maxEntries int) (*Table, error) {
-	if base == nil || n == nil {
+func New(base *big.Int, m *Modulus, window, maxBits, maxEntries int) (*Table, error) {
+	if base == nil || m == nil {
 		return nil, fmt.Errorf("fbexp: nil base or modulus")
-	}
-	if n.Cmp(big.NewInt(2)) < 0 {
-		return nil, fmt.Errorf("fbexp: n must be >= 2, got %s", n)
 	}
 	if window < MinWindow || window > MaxWindow {
 		return nil, fmt.Errorf("fbexp: comb height %d outside [%d, %d]", window, MinWindow, MaxWindow)
@@ -158,24 +113,22 @@ func New(base, n *big.Int, window, maxBits, maxEntries int) (*Table, error) {
 	maxBlocks := min(max(maxEntries/perBlock, 1), rowBits)
 	blockBits := (rowBits + maxBlocks - 1) / maxBlocks
 	t := &Table{
-		n:         n,
+		m:         m,
 		height:    window,
 		rowBits:   rowBits,
 		blocks:    (rowBits + blockBits - 1) / blockBits, // fewest blocks of that width
 		blockBits: blockBits,
 		maxBits:   maxBits,
-		limbs:     len(n.Bits()),
 	}
-	t.slab = make([]big.Word, t.blocks*perBlock*2*t.limbs)
+	t.entries = halves{limbs: m.limbs, slab: make([]big.Word, t.blocks*perBlock*2*m.limbs)}
 
 	// The chain base^(2^pos): position i*a + j*b is row i's power in
 	// block j, the single-row entry G[j][1<<i].
-	p := newPair(n)
-	p.t.Mod(base, p.m.Mul(n, n))
-	p.av.QuoRem(&p.t, n, &p.au)
+	p, _ := newPair(m, 0)
+	p.load(base)
 	for pos, last := 0, (window-1)*rowBits+(t.blocks-1)*blockBits; ; pos++ {
 		if i, off := pos/rowBits, pos%rowBits; off%blockBits == 0 {
-			t.store(off/blockBits, 1<<uint(i), p)
+			t.entries.store(t.index(off/blockBits, 1<<uint(i)), p)
 		}
 		if pos == last {
 			break
@@ -189,53 +142,34 @@ func New(base, n *big.Int, window, maxBits, maxEntries int) (*Table, error) {
 			if idx == top {
 				continue // single row: stored by the chain
 			}
-			t.entry(j, idx&^top, &u, &v)
-			p.au.Set(&u)
-			p.av.Set(&v)
-			t.entry(j, top, &u, &v)
+			t.entries.at(t.index(j, idx&^top), &u, &v)
+			p.set(&u, &v)
+			t.entries.at(t.index(j, top), &u, &v)
 			p.mul(&u, &v)
-			t.store(j, idx, p)
+			t.entries.store(t.index(j, idx), p)
 		}
 	}
 	return t, nil
 }
 
-// offset returns where entry G[block][idx] starts in the slab.
-func (t *Table) offset(block, idx int) int {
-	return (block*(1<<uint(t.height)-1) + idx - 1) * 2 * t.limbs
-}
-
-// store copies the accumulator into entry G[block][idx]; the slab is
-// zero where the halves are shorter than limbs words.
-func (t *Table) store(block, idx int, p *pair) {
-	off := t.offset(block, idx)
-	copy(t.slab[off:off+t.limbs], p.au.Bits())
-	copy(t.slab[off+t.limbs:off+2*t.limbs], p.av.Bits())
-}
-
-// entry points u and v at the halves of G[block][idx]. The views alias
-// the slab (capacity capped at the half) and must only be read.
-func (t *Table) entry(block, idx int, u, v *big.Int) {
-	off := t.offset(block, idx)
-	mid, end := off+t.limbs, off+2*t.limbs
-	u.SetBits(t.slab[off:mid:mid])
-	v.SetBits(t.slab[mid:end:end])
+// index returns where entry G[block][idx] sits among the entries.
+func (t *Table) index(block, idx int) int {
+	return block*(1<<uint(t.height)-1) + idx - 1
 }
 
 // Exp computes base^e mod n^2. Exponents in [0, 2^maxBits) take the
 // comb (a + b - 2 half-width operations); anything else — negative or
-// wider than the table — falls back to big.Int.Exp on the base, which
+// wider than the table — goes through the general Exp on the base, which
 // the table holds as its first entry, so Exp is total over all
 // exponents.
 func (t *Table) Exp(e *big.Int) *big.Int {
-	if e.Sign() < 0 || e.BitLen() > t.maxBits {
-		var u, v big.Int
-		t.entry(0, 1, &u, &v) // G[0][{row 0}] = base^(2^0)
-		base := new(big.Int).Mul(&v, t.n)
-		return base.Exp(base.Add(base, &u), e, new(big.Int).Mul(t.n, t.n))
-	}
-	p := newPair(t.n)
 	var u, v big.Int
+	if e.Sign() < 0 || e.BitLen() > t.maxBits {
+		t.entries.at(t.index(0, 1), &u, &v) // G[0][{row 0}] = base^(2^0)
+		base := new(big.Int).Mul(&v, t.m.n)
+		return Exp(base.Add(base, &u), e, t.m)
+	}
+	p, _ := newPair(t.m, 0)
 	started := false
 	for k := t.blockBits - 1; k >= 0; k-- {
 		if started {
@@ -253,12 +187,11 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 			if idx == 0 {
 				continue
 			}
-			t.entry(j, idx, &u, &v)
+			t.entries.at(t.index(j, idx), &u, &v)
 			if started {
 				p.mul(&u, &v)
 			} else {
-				p.au.Set(&u)
-				p.av.Set(&v)
+				p.set(&u, &v)
 				started = true
 			}
 		}
@@ -266,8 +199,7 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 	if !started {
 		return big.NewInt(1) // e == 0; n >= 2, so 1 is reduced
 	}
-	p.t.Mul(&p.av, t.n)
-	return new(big.Int).Add(&p.t, &p.au)
+	return p.value()
 }
 
 // Height reports the comb height h (the window New was given).
@@ -281,4 +213,4 @@ func (t *Table) MaxExpBits() int { return t.maxBits }
 
 // SizeBytes reports the table's memory footprint: exactly the slab New
 // filled, which is all a table retains beyond a few words of geometry.
-func (t *Table) SizeBytes() int { return len(t.slab) * wordBytes }
+func (t *Table) SizeBytes() int { return len(t.entries.slab) * wordBytes }

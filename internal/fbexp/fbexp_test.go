@@ -25,6 +25,16 @@ func randMod(t testing.TB, bits int) *big.Int {
 
 func square(n *big.Int) *big.Int { return new(big.Int).Mul(n, n) }
 
+// modOf prepares n, which must be at least 2.
+func modOf(t testing.TB, n *big.Int) *Modulus {
+	t.Helper()
+	m, err := NewModulus(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // The two entry budgets in use: the Paillier nonce table's (11 blocks of
 // height 8) and the smallest, which buys one block at any height.
 const (
@@ -76,7 +86,7 @@ func TestExpMatchesBigIntExp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tab, err := New(base, n, window, maxBits, nonceEntries)
+				tab, err := New(base, modOf(t, n), window, maxBits, nonceEntries)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +112,7 @@ func TestEveryGeometry(t *testing.T) {
 	for h := MinWindow; h <= MaxWindow; h++ {
 		for _, maxBits := range []int{1, 5, 13, 64, 100, 128, 256, 700} {
 			for _, budget := range []int{oneBlock, 40, nonceEntries} {
-				tab, err := New(base, n, h, maxBits, budget)
+				tab, err := New(base, modOf(t, n), h, maxBits, budget)
 				if err != nil {
 					t.Fatalf("New(h=%d, maxBits=%d, budget=%d): %v", h, maxBits, budget, err)
 				}
@@ -125,7 +135,7 @@ func TestEveryGeometry(t *testing.T) {
 func TestExpEdgeExponents(t *testing.T) {
 	n := randMod(t, 96)
 	base := big.NewInt(12345)
-	tab, err := New(base, n, 4, 64, nonceEntries)
+	tab, err := New(base, modOf(t, n), 4, 64, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestExpEdgeExponents(t *testing.T) {
 func TestExpFallback(t *testing.T) {
 	n := randMod(t, 96)
 	base := new(big.Int).Add(new(big.Int).Lsh(n, 3), big.NewInt(7))
-	tab, err := New(base, n, 4, 32, oneBlock)
+	tab, err := New(base, modOf(t, n), 4, 32, oneBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +183,7 @@ func TestExpFallback(t *testing.T) {
 func TestBaseReduced(t *testing.T) {
 	n := big.NewInt(1009)
 	base := big.NewInt(1009*1009*5 + 1026)
-	tab, err := New(base, n, 3, 16, nonceEntries)
+	tab, err := New(base, modOf(t, n), 3, 16, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +196,30 @@ func TestBaseReduced(t *testing.T) {
 
 // TestNewRejectsBadParams covers the constructor's validation.
 func TestNewRejectsBadParams(t *testing.T) {
-	n := big.NewInt(101)
+	m := modOf(t, big.NewInt(101))
 	base := big.NewInt(3)
 	bad := []struct {
 		name                 string
-		base, n              *big.Int
+		base                 *big.Int
+		m                    *Modulus
 		window, max, entries int
 	}{
-		{"nil base", nil, n, 4, 64, nonceEntries},
+		{"nil base", nil, m, 4, 64, nonceEntries},
 		{"nil modulus", base, nil, 4, 64, nonceEntries},
-		{"modulus 1", base, big.NewInt(1), 4, 64, nonceEntries},
-		{"height 0", base, n, 0, 64, nonceEntries},
-		{"height too large", base, n, MaxWindow + 1, 64, nonceEntries},
-		{"maxBits 0", base, n, 4, 0, nonceEntries},
-		{"maxBits absurd", base, n, MaxWindow, 1 << 24, nonceEntries},
-		{"no entries", base, n, 4, 64, 0},
+		{"height 0", base, m, 0, 64, nonceEntries},
+		{"height too large", base, m, MaxWindow + 1, 64, nonceEntries},
+		{"maxBits 0", base, m, 4, 0, nonceEntries},
+		{"maxBits absurd", base, m, MaxWindow, 1 << 24, nonceEntries},
+		{"no entries", base, m, 4, 64, 0},
 	}
 	for _, c := range bad {
-		if _, err := New(c.base, c.n, c.window, c.max, c.entries); err == nil {
+		if _, err := New(c.base, c.m, c.window, c.max, c.entries); err == nil {
 			t.Errorf("New(%s): expected error", c.name)
+		}
+	}
+	for _, n := range []*big.Int{nil, big.NewInt(-7), big.NewInt(0), big.NewInt(1)} {
+		if _, err := NewModulus(n); err == nil {
+			t.Errorf("NewModulus(%v): expected error", n)
 		}
 	}
 }
@@ -220,7 +235,7 @@ func TestTableAccessors(t *testing.T) {
 		{8, 256, nonceEntries, 11},
 		{3, 100, oneBlock, 1},
 	} {
-		tab, err := New(big.NewInt(3), n, c.h, c.maxBits, c.budget)
+		tab, err := New(big.NewInt(3), modOf(t, n), c.h, c.maxBits, c.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,6 +264,7 @@ func TestSizeBytesIsTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := modOf(t, n) // shared, as under a key: not part of what a table retains
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -268,7 +284,7 @@ func TestSizeBytesIsTrue(t *testing.T) {
 			kept := make([]*Table, c.tables)
 			before := heap()
 			for i := range kept {
-				if kept[i], err = New(base, n, c.h, c.maxBits, c.budget); err != nil {
+				if kept[i], err = New(base, m, c.h, c.maxBits, c.budget); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -293,41 +309,64 @@ func TestSizeBytesIsTrue(t *testing.T) {
 	}
 }
 
-// TestExpAllocs bounds what one exponentiation allocates: the working
-// state with its one scratch array and the result (four allocations
-// when measured; the ceiling leaves room for a math/big that sizes its
-// temporaries differently, not for a per-operation allocation — there
-// are 33 operations).
+// TestExpAllocs bounds what one exponentiation allocates. From a table:
+// the working state with its one scratch array and the result (four
+// allocations when measured; there are 33 operations). Through the
+// general loop, at the blinding stage's 100-bit scalar and at the wider
+// exponents in use, the same four, the odd powers being part of the
+// scratch array — 10.1 KiB at 100 bits when measured, against
+// big.Int.Exp's 22 allocations and 23 KB, and the same count for 2048
+// squarings as for 100. The ceilings (8 and 10 allocations, 12 KiB) leave
+// room for a math/big that sizes its temporaries differently, not for an
+// allocation per operation.
 func TestExpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	n := randMod(t, 2048)
+	m := modOf(t, n)
 	base, err := rand.Int(rand.Reader, square(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := New(base, n, 8, 256, nonceEntries)
+	tab, err := New(base, m, 8, 256, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := allOnes(256)
 	if allocs := testing.AllocsPerRun(20, func() { tab.Exp(e) }); allocs > 8 {
-		t.Fatalf("Exp allocates %.0f times per call, want <= 8", allocs)
+		t.Fatalf("Table.Exp allocates %.0f times per call, want <= 8", allocs)
+	}
+	for _, bits := range []int{100, 256, 2048} {
+		e := allOnes(bits)
+		if allocs := testing.AllocsPerRun(5, func() { Exp(base, e, m) }); allocs > 10 {
+			t.Fatalf("Exp with a %d-bit exponent allocates %.0f times per call, want <= 10", bits, allocs)
+		}
+	}
+	e = allOnes(100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		Exp(base, e, m)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 12<<10 {
+		t.Fatalf("Exp with a 100-bit exponent allocates %d B per call, want <= 12 KiB", perCall)
 	}
 }
 
-// TestConcurrentExp exercises shared-table reads from many goroutines
-// (run under -race in CI via the paillier/pisa race job split — fbexp
-// itself is pure reads after New).
+// TestConcurrentExp exercises shared reads from many goroutines, under
+// -race in CI: one Table and the general loop over one Modulus, whose mu
+// every reduction of either reads.
 func TestConcurrentExp(t *testing.T) {
 	n := randMod(t, 128)
+	m, mod := modOf(t, n), square(n)
 	base := big.NewInt(65537)
-	tab, err := New(base, n, 5, 128, nonceEntries)
+	tab, err := New(base, m, 5, 128, nonceEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := square(n)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -339,7 +378,11 @@ func TestConcurrentExp(t *testing.T) {
 				e.Add(e, big.NewInt(982451653))
 				want := new(big.Int).Exp(base, e, mod)
 				if got := tab.Exp(e); got.Cmp(want) != 0 {
-					errs <- fmt.Errorf("goroutine %d: mismatch at %s", seed, e)
+					errs <- fmt.Errorf("goroutine %d: table mismatch at %s", seed, e)
+					return
+				}
+				if got := Exp(base, e, m); got.Cmp(want) != 0 {
+					errs <- fmt.Errorf("goroutine %d: general mismatch at %s", seed, e)
 					return
 				}
 			}
@@ -369,12 +412,12 @@ func FuzzExp(f *testing.F) {
 		0xc7, 0x3b, 0x1a, 0x55, 0x91, 0x0e, 0x42, 0x7f,
 		0x9d, 0x12, 0x6b, 0xe0, 0x37, 0xa4, 0x5c, 0x01,
 	})
-	mod := square(n)
+	m, mod := modOf(f, n), square(n)
 	base := big.NewInt(0xBEEF)
 	f.Fuzz(func(t *testing.T, expBytes []byte, window, width uint8, budget uint16) {
 		h := int(window%uint8(MaxWindow)) + 1
 		maxBits := int(width) + 1
-		tab, err := New(base, n, h, maxBits, int(budget)+1)
+		tab, err := New(base, m, h, maxBits, int(budget)+1)
 		if err != nil {
 			t.Fatalf("New(h=%d, maxBits=%d, budget=%d): %v", h, maxBits, int(budget)+1, err)
 		}
@@ -386,33 +429,51 @@ func FuzzExp(f *testing.F) {
 	})
 }
 
-// BenchmarkExp compares the comb against big.Int.Exp for the
-// Paillier-shaped case: 2048-bit n (4096-bit n^2), 256-bit exponent.
-// (The one-block table's rows are paillier's BenchmarkScalarMul.)
+// BenchmarkExp compares the three ways to a power at the Paillier shape,
+// 2048-bit n (4096-bit n^2): the comb of a tabled base over a 256-bit
+// exponent, the general loop, and big.Int.Exp, which the general loop
+// replaced, at the exponent widths in use (100-bit blinding scalars,
+// 256-bit nonce exponents, n-sized legacy nonces and slot shifts). (The
+// one-block table's rows are paillier's BenchmarkScalarMul.)
 func BenchmarkExp(b *testing.B) {
 	n := randMod(b, 2048)
-	mod := square(n)
+	m, mod := modOf(b, n), square(n)
 	base, err := rand.Int(rand.Reader, mod)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), 256))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("comb", func(b *testing.B) {
-		tab, err := New(base, n, 8, 256, nonceEntries)
+	exp := func(bits int) *big.Int {
+		e, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 		if err != nil {
 			b.Fatal(err)
 		}
+		return e.SetBit(e, bits-1, 1)
+	}
+	b.Run("comb", func(b *testing.B) {
+		tab, err := New(base, m, 8, 256, nonceEntries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := exp(256)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tab.Exp(e)
 		}
 	})
-	b.Run("bigint/256-bit-exp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(base, e, mod)
-		}
-	})
+	for _, bits := range []int{100, 256, 2048} {
+		e := exp(bits)
+		b.Run(fmt.Sprintf("general/%d-bit", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Exp(base, e, m)
+			}
+		})
+		b.Run(fmt.Sprintf("bigint/%d-bit-exp", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				new(big.Int).Exp(base, e, mod)
+			}
+		})
+	}
 }

@@ -82,6 +82,10 @@ type PublicKey struct {
 
 	nSquared *big.Int // n^2
 	half     *big.Int // floor(n/2), threshold for centred decoding
+	// mod is n prepared for exponentiation modulo n^2 (its reduction
+	// constant): what every power of a ciphertext or a nonce base runs
+	// on, shared by the nonce table and every PowerTable of the key.
+	mod *fbexp.Modulus
 
 	// Fixed-base exponentiation engine: the comb table of H covering
 	// exponents of shortBits bits. Set once by EnableFastExp
@@ -298,10 +302,14 @@ func (pk *PublicKey) ensureCache() {
 	if pk.nSquared == nil {
 		pk.nSquared = new(big.Int).Mul(pk.N, pk.N)
 		pk.half = new(big.Int).Rsh(pk.N, 1)
+		// Refused only for n < 2, a modulus under which validate accepts
+		// no ciphertext and checkH no base, so nothing reaches mod.
+		pk.mod, _ = fbexp.NewModulus(pk.N)
 	}
 }
 
-// Prepare fills the derived fields (n^2, n/2) now instead of on first
+// Prepare fills the derived fields (n^2, n/2, the reduction constant of
+// the exponentiation kernel) now instead of on first
 // use and returns pk. A key that crossed a socket or came out of a
 // store carries only N and H; whoever receives it calls Prepare (or
 // EnableFastExp, which implies it) before handing the key to worker
@@ -361,7 +369,7 @@ func Decrypts() (short, full uint64) { return decrypts.short.Load(), decrypts.fu
 func (pk *PublicKey) fullWidthRn(r *big.Int) *big.Int {
 	pk.ensureCache()
 	fullWidthNonces.Add(1)
-	return new(big.Int).Exp(r, pk.N, pk.nSquared)
+	return fbexp.Exp(r, pk.N, pk.mod)
 }
 
 // NSquared returns n^2, the ciphertext modulus.
@@ -454,9 +462,9 @@ func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) erro
 		if err != nil {
 			return fmt.Errorf("fast-exp base: %w", err)
 		}
-		h = x.Exp(x, pk.N, pk.nSquared)
+		h = fbexp.Exp(x, pk.N, pk.mod)
 	}
-	tab, err := fbexp.New(h, pk.N, window, shortBits, fastExpEntries)
+	tab, err := fbexp.New(h, pk.mod, window, shortBits, fastExpEntries)
 	if err != nil {
 		return fmt.Errorf("fast-exp table: %w", err)
 	}
@@ -515,7 +523,8 @@ func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
 		if pk.fb != nil {
 			return pk.fb.Exp(s), nil
 		}
-		return s.Exp(pk.H, s, pk.NSquared()), nil
+		pk.ensureCache()
+		return fbexp.Exp(pk.H, s, pk.mod), nil
 	}
 }
 
@@ -746,17 +755,11 @@ func (pk *PublicKey) ScalarMul(k *big.Int, a *Ciphertext) (*Ciphertext, error) {
 	if err := pk.validate(a); err != nil {
 		return nil, err
 	}
-	base := a.C
-	exp := k
-	if k.Sign() < 0 {
-		inv := new(big.Int).ModInverse(a.C, pk.nSquared)
-		if inv == nil {
-			return nil, ErrInvalidCiphertext
-		}
-		base = inv
-		exp = new(big.Int).Neg(k)
+	// A negative k is the power of the inverse, which only a unit has.
+	c := fbexp.Exp(a.C, k, pk.mod)
+	if c == nil {
+		return nil, ErrInvalidCiphertext
 	}
-	c := new(big.Int).Exp(base, exp, pk.nSquared)
 	return &Ciphertext{C: c}, nil
 }
 
@@ -844,6 +847,33 @@ func (pk *PublicKey) CiphertextBytes() int {
 // Clone returns an independent deep copy of the ciphertext.
 func (ct *Ciphertext) Clone() *Ciphertext {
 	return &Ciphertext{C: new(big.Int).Set(ct.C)}
+}
+
+// CloneCompact returns deep copies of cts for a holder that keeps many
+// for long: the values are consecutive ranges of one allocation sized to
+// their words exactly, the headers one array each. A Clone apiece retains
+// a fifth more (math/big pads a copy by four words and the allocator
+// rounds that up), the integer a modular product came out of six times
+// its value. The copies are to be read, not written — each is capped at
+// its own range, so a write would reallocate it, never reach a
+// neighbour — and they are freed together.
+func CloneCompact(cts []*Ciphertext) []*Ciphertext {
+	words := 0
+	for _, ct := range cts {
+		words += len(ct.C.Bits())
+	}
+	slab := make([]big.Word, words)
+	ints := make([]big.Int, len(cts))
+	copies := make([]Ciphertext, len(cts))
+	out := make([]*Ciphertext, len(cts))
+	for i, ct := range cts {
+		n := copy(slab, ct.C.Bits())
+		ints[i].SetBits(slab[:n:n]) // C is in [0, n^2): no sign to carry
+		slab = slab[n:]
+		copies[i].C = &ints[i]
+		out[i] = &copies[i]
+	}
+	return out
 }
 
 // Equal reports whether two ciphertexts are bitwise identical. Note

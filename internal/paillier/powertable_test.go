@@ -216,3 +216,118 @@ func TestNegBatchNonUnit(t *testing.T) {
 		}
 	}
 }
+
+// TestExponentiationsMatchBigInt holds every power modulo n^2 the
+// package computes against big.Int.Exp, which computed them before the
+// half-width kernel did: ScalarMul over zero, unit, blinding-width,
+// nonce-width and n-sized scalars of either sign; the legacy nonce r^n;
+// the unarmed H^s (through a deterministic source, so s is known); and a
+// threshold share's c^d. A negative scalar on a non-unit still fails
+// closed.
+func TestExponentiationsMatchBigInt(t *testing.T) {
+	for _, bits := range []int{768, 2048} {
+		sk := fastKey(t, bits)
+		pk := sk.Public()
+		nn := pk.NSquared()
+		ct, err := pk.Encrypt(rand.Reader, big.NewInt(-123456789))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(2), pk.N, new(big.Int).Neg(pk.N)}
+		for _, w := range []int{60, 100, 128, 256, bits - 8} {
+			k, err := RandomInRange(rand.Reader, new(big.Int).Lsh(one, uint(w-1)), new(big.Int).Lsh(one, uint(w)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks = append(ks, k, new(big.Int).Neg(k))
+		}
+		for _, k := range ks {
+			got, err := pk.ScalarMul(k, ct)
+			if err != nil {
+				t.Fatalf("n=%d k=%s: %v", bits, k, err)
+			}
+			if want := new(big.Int).Exp(ct.C, k, nn); got.C.Cmp(want) != 0 {
+				t.Fatalf("n=%d: ScalarMul(%s) differs from big.Int.Exp", bits, k)
+			}
+		}
+		if _, err := pk.ScalarMul(big.NewInt(-3), &Ciphertext{C: new(big.Int).Set(pk.N)}); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Fatalf("n=%d: negative scalar on a non-unit: %v, want ErrInvalidCiphertext", bits, err)
+		}
+
+		r := big.NewInt(0xC0FFEE)
+		legacy, err := pk.EncryptWithNonce(big.NewInt(0), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := new(big.Int).Exp(r, pk.N, nn); legacy.C.Cmp(want) != 0 {
+			t.Fatalf("n=%d: legacy nonce r^n differs from big.Int.Exp", bits)
+		}
+
+		// An unarmed key with H draws s from the source and returns H^s.
+		unarmed := PublicKey{N: pk.N, H: pk.H}
+		seed := strings.Repeat("pisa-nonce-seed:", 8)
+		nonce, err := unarmed.NewNonce(strings.NewReader(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := rand.Int(strings.NewReader(seed), new(big.Int).Lsh(one, DefaultShortExpBits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := new(big.Int).Exp(pk.H, s, nn); nonce.rn.Cmp(want) != 0 {
+			t.Fatalf("n=%d: unarmed H^s differs from big.Int.Exp", bits)
+		}
+
+		shares, err := sk.SplitKey(rand.Reader, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, share := range shares {
+			part, err := share.PartialDecrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := new(big.Int).Exp(ct.C, share.d, nn); part.V.Cmp(want) != 0 {
+				t.Fatalf("n=%d: share %d's c^d differs from big.Int.Exp", bits, share.Index)
+			}
+		}
+	}
+}
+
+// TestCloneCompact: the copies equal their originals, are their own
+// objects on memory of their own, and a write through one does not reach
+// its neighbours. (What they retain is measured where it matters, on a
+// cache entry: pisa's TestCacheEntryMemory.)
+func TestCloneCompact(t *testing.T) {
+	pk := fastKey(t, 768).Public()
+	src := make([]*Ciphertext, 8)
+	for i := range src {
+		a, err := pk.Encrypt(rand.Reader, big.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A product, as the aggregate leaves them: capacity far above the value.
+		if src[i], err = pk.Add(a, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := CloneCompact(src)
+	if len(got) != len(src) {
+		t.Fatalf("%d copies of %d ciphertexts", len(got), len(src))
+	}
+	for i := range got {
+		if got[i] == src[i] || got[i].C == src[i].C || !got[i].Equal(src[i]) {
+			t.Fatalf("copy %d is not an equal, separate ciphertext", i)
+		}
+		if c, l := cap(got[i].C.Bits()), len(got[i].C.Bits()); c != l {
+			t.Fatalf("copy %d holds %d words for a value of %d", i, c, l)
+		}
+	}
+	got[3].C.Lsh(got[3].C, 70)
+	if !got[2].Equal(src[2]) || !got[4].Equal(src[4]) {
+		t.Fatal("a write through one copy reached its neighbour")
+	}
+	if out := CloneCompact(nil); len(out) != 0 {
+		t.Fatalf("CloneCompact(nil) returned %d ciphertexts", len(out))
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"pisa/internal/fbexp"
 )
 
 // This file implements a lightweight 2-of-2 (extensible to k-of-k)
@@ -125,8 +127,7 @@ func (s *KeyShare) PartialDecrypt(ct *Ciphertext) (*Partial, error) {
 	if err := s.pk.validate(ct); err != nil {
 		return nil, err
 	}
-	v := new(big.Int).Exp(ct.C, s.d, s.pk.NSquared())
-	return &Partial{Index: s.Index, V: v}, nil
+	return &Partial{Index: s.Index, V: fbexp.Exp(ct.C, s.d, s.pk.mod)}, nil
 }
 
 // CombinePartials multiplies all partial decryptions and extracts the

@@ -25,10 +25,10 @@ import (
 // What a hit still pays is that blinding, and its Ĩ^alpha is a power of
 // a base that has not changed since the last serving. So a hit tables
 // every cached Ĩ that has no table yet (paillier.PowerTable, one comb
-// block each) and later servings exponentiate from the tables, at 0.4 of
-// the cost and to the same bits. Not at insert: an entry that is never
-// hit would pay a build worth 0.4 exponentiations per ciphertext for
-// nothing. Tables are memory the entry bound does not see — seven times
+// block each) and later servings exponentiate from the tables, at under
+// half the cost and to the same bits. Not at insert: an entry that is
+// never hit would pay a build worth half an exponentiation per ciphertext
+// for nothing. Tables are memory the entry bound does not see — seven times
 // the entry's own ciphertexts — so they have their own byte budget:
 // over it, the least recently used entries lose their tables (not their
 // place), serve through the general exponentiation, and are tabled

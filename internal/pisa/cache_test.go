@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -1601,4 +1602,98 @@ func cacheChurnStress(t *testing.T, iters int, domains map[string][]string) {
 		t.Fatalf("cache events (hit %d + miss %d + stale %d + expired %d = %d) do not account for %d requests",
 			delta.hits, delta.misses, delta.stale, delta.expired, got, requests)
 	}
+}
+
+// TestCacheEntryMemory measures what the cache retains per entry, on
+// installEntry alone with 2048-bit ciphertexts as the aggregate leaves
+// them (modular products, whose integers keep six times their value in
+// scratch): a never-seen 32-ciphertext shape costs 1.10 of its 32 x 512 B
+// plus headers — on fresh_full that is what every request served leaves
+// behind — and a 12-ciphertext band entry whose same slot group is
+// refreshed over and over pins its first allocation for the two groups
+// it keeps and one small one for the group last recomputed, 1 + 1/3 of a
+// fresh entry's limbs, however many refreshes went by.
+func TestCacheEntryMemory(t *testing.T) {
+	const (
+		ctBytes = 512
+		entries = 48 // of each kind, so unrelated heap noise stays small beside them
+		// Per ciphertext: the slice slot, the Ciphertext and the big.Int.
+		// Per entry: the cacheEntry, its LRU element and map slot.
+		headers, perEntry = 8 + 8 + 32, 512
+	)
+	nn := new(big.Int).Lsh(big.NewInt(1), 2*2048) // stands in for n^2; only its size matters
+	nn.Sub(nn, big.NewInt(1))
+	product := func() *paillier.Ciphertext {
+		a, err := rand.Int(rand.Reader, nn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := new(big.Int).Mul(a, a)
+		return &paillier.Ciphertext{C: c.Mod(c, nn)}
+	}
+	column := func(is []*paillier.Ciphertext, computed []int) []*paillier.Ciphertext {
+		is = append([]*paillier.Ciphertext(nil), is...)
+		for _, k := range computed {
+			is[k] = product()
+		}
+		return is
+	}
+	upTo := func(n int) []int {
+		ks := make([]int, n)
+		for k := range ks {
+			ks[k] = k
+		}
+		return ks
+	}
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	sdc := &SDC{cache: newDecisionCache(2*entries, 0)}
+	key := func(kind, i int) (k [32]byte) {
+		k[0], k[1] = byte(kind), byte(i)
+		return k
+	}
+
+	const full = 32
+	before := heap()
+	for i := 0; i < entries; i++ {
+		sdc.installEntry(&cacheEntry{key: key(0, i)}, column(make([]*paillier.Ciphertext, full), upTo(full)), upTo(full))
+	}
+	retained := heap() - before
+	ceiling := float64(entries * (full*(1.10*ctBytes+headers) + perEntry))
+	t.Logf("%d fresh entries of %d ciphertexts retain %.0f B (%.0f B each, ceiling %.0f)", entries, full, retained, retained/entries, ceiling/entries)
+	if retained > ceiling {
+		t.Fatalf("fresh entries retain %.0f B each, more than %.0f", retained/entries, ceiling/entries)
+	}
+
+	const band, group, refreshes = 12, 4, 5
+	before = heap()
+	for i := 0; i < entries; i++ {
+		e := &cacheEntry{key: key(1, i)}
+		sdc.installEntry(e, column(make([]*paillier.Ciphertext, band), upTo(band)), upTo(band))
+		for r := 0; r < refreshes; r++ {
+			next := &cacheEntry{key: e.key}
+			sdc.installEntry(next, column(e.is, upTo(group)), upTo(group))
+			for k := group; k < band; k++ {
+				if next.is[k] != e.is[k] {
+					t.Fatalf("refresh %d: kept ciphertext %d is not the object the previous entry held", r, k)
+				}
+			}
+			e = next
+		}
+	}
+	retained = heap() - before
+	ceiling = float64(entries * ((band+group)*(1.10*ctBytes+headers) + perEntry))
+	t.Logf("%d band entries refreshed %d times retain %.0f B (%.0f B each, ceiling %.0f)", entries, refreshes, retained, retained/entries, ceiling/entries)
+	if retained > ceiling {
+		t.Fatalf("refreshed band entries retain %.0f B each, more than %.0f", retained/entries, ceiling/entries)
+	}
+	if got := sdc.cache.len(); got != 2*entries {
+		t.Fatalf("cache holds %d entries, want %d", got, 2*entries)
+	}
+	runtime.KeepAlive(sdc)
 }

@@ -1334,13 +1334,20 @@ func (s *SDC) aggregate(is []*paillier.Ciphertext, cells []requestCell, todo []i
 // the SDC emits is linkable to the cached copy, because every serving is
 // blinded under a fresh tuple first.
 func (s *SDC) installEntry(e *cacheEntry, is []*paillier.Ciphertext, computed []int) {
-	// Computed cells are stored as right-sized clones: the big.Int a
-	// modular product comes out of keeps the capacity of its
-	// multiplication scratch, six times the 2n bits of the value, and a
-	// cache entry lives long enough for that to be most of its memory.
+	// Computed cells are stored as copies packed into one allocation of
+	// their own — an entry lives long enough for the multiplication scratch
+	// a modular product keeps, or a clone's padding, to be most of its
+	// memory. Kept cells stay the objects the previous entry held, so their
+	// tables stay theirs; the previous entry's allocation lives on while any
+	// of them does, and a refresh of the same cells again drops the last
+	// refresh's allocation, not that one.
+	fresh := make([]*paillier.Ciphertext, len(computed))
+	for j, k := range computed {
+		fresh[j] = is[k]
+	}
 	e.is = slices.Clone(is)
-	for _, k := range computed {
-		e.is[k] = is[k].Clone()
+	for j, ct := range paillier.CloneCompact(fresh) {
+		e.is[computed[j]] = ct
 	}
 	m := metrics()
 	s.mu.Lock()
