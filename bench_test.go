@@ -204,16 +204,9 @@ func BenchmarkFigure6_RequestRefresh(b *testing.B) {
 			k++
 			return err
 		}
-		var err error
-		if req.FP != nil {
-			err = req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
-				return rerand(ct)
-			})
-		} else {
-			err = req.F.ForEach(func(c, bl int, ct *paillier.Ciphertext) error {
-				return rerand(ct)
-			})
-		}
+		err := req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
+			return rerand(ct)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -779,7 +772,8 @@ func convertFixture(b *testing.B, reg registrar, group *paillier.PublicKey, para
 		}
 		vs[i] = ct
 	}
-	return &pisa.SignRequest{SUID: "bench-su", V: vs, AnswerBits: params.AnswerBits(params.PaillierBits)}
+	return &pisa.SignRequest{SUID: "bench-su", V: vs, Slots: 1, SlotBits: 64,
+		AnswerBits: params.AnswerBits(params.PaillierBits)}
 }
 
 // BenchmarkLoad drives the trace-driven load harness (cmd/pisaload)

@@ -70,8 +70,6 @@ type options struct {
 	engine                                                  bool
 	window                                                  int
 	shortBits                                               int
-	packing                                                 bool
-	stpBatch                                                int
 	cache                                                   string
 	cacheEntries                                            int
 	shards                                                  string
@@ -119,10 +117,6 @@ func run(args []string) error {
 		"fixed-base comb height in bits (0 = paillier default)")
 	fs.IntVar(&opt.shortBits, "shortbits", 0,
 		"short-exponent nonce bits (0 = paillier default)")
-	fs.BoolVar(&opt.packing, "packing", true,
-		"slot-packed ciphertexts in end-to-end experiments (-packing=false measures the legacy layout)")
-	fs.IntVar(&opt.stpBatch, "stp-batch", 0,
-		"compare batched vs sequential sign-test RPCs over a loopback STP at this batch size (0 = skip)")
 	fs.StringVar(&opt.cache, "cache", "off",
 		"decision cache in end-to-end experiments: entry count or 'off' (default off so repeated "+
 			"measurements stay cold; the -json cache sweep always runs cache-enabled)")
@@ -144,7 +138,7 @@ func run(args []string) error {
 		opt.table1, opt.table2, opt.figure6 = true, true, true
 		opt.tradeoff, opt.sizes, opt.fhe, opt.ablation = true, true, true, true
 	}
-	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation || opt.sweep || opt.stpBatch > 0 || opt.jsonPath != "") {
+	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation || opt.sweep || opt.jsonPath != "") {
 		fs.Usage()
 		return fmt.Errorf("select at least one experiment (or -all)")
 	}
@@ -186,11 +180,6 @@ func run(args []string) error {
 	}
 	if opt.sweep {
 		if err := runParallelSweep(opt); err != nil {
-			return err
-		}
-	}
-	if opt.stpBatch > 0 {
-		if err := runSTPBatch(opt); err != nil {
 			return err
 		}
 	}
@@ -257,16 +246,14 @@ func runTable2(opt options) error {
 	return nil
 }
 
-// applyEngine writes the engine, layout and cache flags into
-// end-to-end params (bench.SmallParams arms the engine and packing by
-// default; -engine=false and -packing=false turn them off for
-// baseline runs, -cache N opts repeated measurements into the
+// applyEngine writes the engine and cache flags into end-to-end params
+// (bench.SmallParams arms the engine by default; -engine=false turns it
+// off for baseline runs, -cache N opts repeated measurements into the
 // decision cache).
 func applyEngine(params *pisa.Params, opt options) {
 	params.FastExp = opt.engine
 	params.FastExpWindow = opt.window
 	params.ShortExpBits = opt.shortBits
-	params.Packing = opt.packing
 	params.CacheEntries = opt.cacheEntries
 }
 
@@ -283,16 +270,6 @@ func runJSON(opt options) error {
 		workers = 1
 	}
 	report, err := bench.MeasureMicro(opt.bits, opt.window, opt.shortBits, opt.iters, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("  measuring packed vs legacy request layout (two deployments)...")
-	report.Packing, err = bench.MeasurePacking(5, 4, 3, opt.bits)
-	if err != nil {
-		return err
-	}
-	fmt.Println("  measuring batched vs sequential sign-test RPCs (loopback STP)...")
-	report.Convert, err = bench.MeasureConvert(128, 1, 16, max(3, opt.iters/10))
 	if err != nil {
 		return err
 	}
@@ -325,11 +302,6 @@ func runJSON(opt options) error {
 			fmt.Printf("  %-14s %.1fx\n", op, s)
 		}
 	}
-	fmt.Printf("  packed request: %d bytes vs %d legacy (%.1fx smaller, k=%d)\n",
-		report.Packing.RequestBytesPacked, report.Packing.RequestBytesUnpacked,
-		report.Packing.Shrink, report.Packing.Slots)
-	fmt.Printf("  batched convert: %.1fx throughput at batch=%d\n",
-		report.Convert.Speedup, report.Convert.Batch)
 	be := report.Backend
 	fmt.Printf("  backend head-to-head: PISA %s vs PIR %s per query (%.0fx), %d B vs %d B (%.0fx); "+
 		"kill-one-of-%d survived=%v\n",
@@ -366,37 +338,12 @@ func runSizes() {
 	c, b, bits := bench.PaperScaleParams()
 	s := bench.ComputeSizes(c, b, bits)
 	fmt.Println("Message sizes at paper scale (C=100, B=600, n=2048):")
-	fmt.Printf("  %-40s %.1f MB   (paper: ~29 MB)\n", "SU transmission request (legacy)", float64(s.RequestBytes)/(1<<20))
+	fmt.Printf("  %-40s %.1f MB   (paper: ~29 MB)\n", "SU transmission request (k=1, paper)", float64(s.RequestBytes)/(1<<20))
 	fmt.Printf("  %-40s %.1f MB   (%dx smaller, k=%d cells/ct)\n", "SU transmission request (packed)",
 		float64(s.PackedRequestBytes)/(1<<20), s.RequestBytes/max(1, s.PackedRequestBytes), s.PackSlots)
 	fmt.Printf("  %-40s %.2f MB  (paper: ~0.05 MB)\n", "PU channel update", float64(s.UpdateBytes)/(1<<20))
 	fmt.Printf("  %-40s %.1f kb   (paper: ~4.1 kb)\n", "SDC response", float64(s.ResponseBytes*8)/1e3)
 	fmt.Println()
-}
-
-// runSTPBatch compares batched vs sequential sign-test RPCs over a
-// loopback TCP STP at two key sizes. The single-ciphertext V models
-// the partial-disclosure regime (one packed group per request), where
-// the per-RPC and per-message overhead the coalescer amortises is the
-// dominant cost; at larger keys decryption grows and dilutes the gain,
-// so both ends of the trend are printed.
-func runSTPBatch(opt options) error {
-	const vlen = 1
-	for _, bits := range []int{128, 512} {
-		fmt.Printf("Batched STP sign conversion (loopback TCP, n=%d-bit, |V|=%d, batch=%d):\n",
-			bits, vlen, opt.stpBatch)
-		report, err := bench.MeasureConvert(bits, vlen, opt.stpBatch, max(3, opt.iters/10))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-40s %s/request\n", "sequential (one RPC per request)",
-			time.Duration(report.SequentialNsPerReq).Round(time.Microsecond))
-		fmt.Printf("  %-40s %s/request\n", "batched (one RPC per batch)",
-			time.Duration(report.BatchedNsPerReq).Round(time.Microsecond))
-		fmt.Printf("  throughput gain: %.1fx\n", report.Speedup)
-		fmt.Println()
-	}
-	return nil
 }
 
 // figureScale picks the measured matrix scale. The default keeps the

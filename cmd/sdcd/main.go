@@ -17,7 +17,7 @@
 //
 //	sdcd [-config pisa.json] [-listen host:port] [-stp host:port,host:port]
 //	     [-issuer name] [-store dir] [-snapshot-on-exit=true]
-//	     [-metrics host:port] [-packing=false] [-stp-batch-window ms]
+//	     [-metrics host:port]
 //	     [-cache entries|off] [-cache-domains decls|off] [-backend pisa|pir]
 //	     [-shards n | -shard-index i -shard-count n]
 //
@@ -94,8 +94,6 @@ func run(args []string) error {
 	storeDir := fs.String("store", "", "state directory for WAL + snapshots (overrides config store.dir; empty = in-memory)")
 	snapOnExit := fs.Bool("snapshot-on-exit", true, "take a final snapshot during graceful shutdown")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (overrides config obs.metricsAddr; empty = disabled)")
-	packing := fs.Bool("packing", true, "slot-packed ciphertexts (-packing=off via config or flag falls back to one cell per ciphertext; must match the deployment's SUs)")
-	stpBatchMS := fs.Int("stp-batch-window", -1, "coalesce concurrent sign tests into batched STP calls, waiting up to this many ms for companions (-1 = use config, 0 = off)")
 	cacheFlag := fs.String("cache", "", "encrypted-decision cache entry bound, or 'off' (overrides config cacheEntries)")
 	cacheDomainsFlag := fs.String("cache-domains", "", "cross-SU cache trust domains 'name=su1,su2[;...]', or 'off' for per-SU scope (overrides config cacheDomains)")
 	backend := fs.String("backend", "", "spectrum-query backend: pisa (encrypted protocol) or pir (plaintext PIR replica; overrides config)")
@@ -116,18 +114,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Flags override the config only when set explicitly, so a config
-	// file's "packing": false survives a default flag value.
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "packing":
-			cfg.Packing = *packing
-		case "stp-batch-window":
-			if *stpBatchMS >= 0 {
-				cfg.STPBatchWindowMS = *stpBatchMS
-			}
-		}
-	})
 	if *cacheFlag != "" {
 		entries, err := config.ParseCacheFlag(*cacheFlag)
 		if err != nil {

@@ -16,7 +16,7 @@
 //	sdcrouterd -shards "h1:9101,h1:9111;h2:9102;h3:9103"
 //	           [-config pisa.json] [-listen host:port]
 //	           [-stp host:port,host:port] [-issuer name]
-//	           [-metrics host:port] [-packing=false]
+//	           [-metrics host:port]
 package main
 
 import (
@@ -49,7 +49,6 @@ func run(args []string) error {
 	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config stpAddr/stpAddrs)")
 	issuer := fs.String("issuer", "pisa-sdc", "license issuer name")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
-	packing := fs.Bool("packing", true, "slot-packed ciphertexts (must match the shard daemons and SUs)")
 	shardAddrs := fs.String("shards", "", "shard address groups 'owner1[,replica...][;...]', one group per channel shard in window order")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,11 +57,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "packing" {
-			cfg.Packing = *packing
-		}
-	})
 	groups, err := config.ParseShardFlag(*shardAddrs)
 	if err != nil {
 		return err

@@ -344,14 +344,10 @@ func TestSTPFailoverUnderLoad(t *testing.T) {
 // them all the same (the STP's decryption detects them and continues to
 // the full exponent) and be back on the short exponent as soon as the
 // last such column has been rebuilt.
-// decryptBudgets opens an SDC's budget matrix in whichever layout the
-// deployment runs — slot-packed (the default) or one ciphertext per
-// cell — so the recovery comparison below is layout-agnostic.
+// decryptBudgets opens an SDC's budget matrix for the recovery
+// comparison below.
 func decryptBudgets(sk *paillier.PrivateKey, sdc *pisa.SDC) (*matrix.Int, error) {
-	if sdc.Packed() {
-		return matrix.DecryptPacked(sk, sdc.PackedBudgetSnapshot())
-	}
-	return matrix.Decrypt(sk, sdc.BudgetSnapshot())
+	return matrix.DecryptPacked(sk, sdc.PackedBudgetSnapshot())
 }
 
 // preUpgradeSTP serves the group key as a build from before the nonce

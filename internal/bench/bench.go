@@ -169,25 +169,6 @@ func (t timingSTP) ConvertSigns(req *pisa.SignRequest) (*pisa.SignResponse, erro
 	return t.inner.ConvertSigns(req)
 }
 
-// ConvertSignsBatch forwards coalesced batches so wrapping the STP
-// does not hide its BatchConverter capability from the SDC.
-func (t timingSTP) ConvertSignsBatch(batch *pisa.BatchSignRequest) (*pisa.BatchSignResponse, error) {
-	start := time.Now()
-	defer func() { t.u.stpTime += time.Since(start) }()
-	if bc, ok := t.inner.(pisa.BatchConverter); ok {
-		return bc.ConvertSignsBatch(batch)
-	}
-	resp := &pisa.BatchSignResponse{Resps: make([]*pisa.SignResponse, len(batch.Reqs))}
-	for i, req := range batch.Reqs {
-		r, err := t.inner.ConvertSigns(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Resps[i] = r
-	}
-	return resp, nil
-}
-
 func (t timingSTP) SUKey(id string) (*paillier.PublicKey, error) { return t.inner.SUKey(id) }
 
 func (t timingSTP) GroupKey() *paillier.PublicKey { return t.inner.GroupKey() }
@@ -570,7 +551,6 @@ func SmallParams(channels, cols, rows, paillierBits int) (pisa.Params, error) {
 		EtaBits:       min(256, paillierBits/4),
 		SignerBits:    paillierBits - 64,
 		FastExp:       true,
-		Packing:       true, // production default; callers flip it off to bench the legacy layout
 		// The decision cache stays off so repeated-request benchmarks
 		// measure the cold pipeline; the cache sweep (MeasureCache) and
 		// BenchmarkCacheHit opt in explicitly.

@@ -12,7 +12,7 @@ import (
 // §14) under fleet concentration: how much of the aggregate pass
 // (eqs. 11-12) a cache hit saves when several co-located SUs ask for
 // the same request shape. The sweep feeds the committed
-// BENCH_PISA.json next to the packing and backend numbers.
+// BENCH_PISA.json next to the backend numbers.
 
 // CacheStats is one fleet-concentration row: Concentration requests
 // of one shape, so the first is a miss (full recompute, which fills

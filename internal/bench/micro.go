@@ -51,12 +51,6 @@ type MicroReport struct {
 	// Speedup maps op -> legacy-ns / engine-ns for the ops the engine
 	// accelerates.
 	Speedup map[string]float64 `json:"speedup"`
-	// Packing, when present, compares the slot-packed request layout
-	// against the legacy one-cell-per-ciphertext layout end to end.
-	Packing *PackingReport `json:"packing,omitempty"`
-	// Convert, when present, compares batched vs sequential sign-test
-	// RPCs over a loopback STP server.
-	Convert *ConvertReport `json:"convert,omitempty"`
 	// Backend, when present, is the PISA-vs-PIR head-to-head: the
 	// encrypted query pipeline against the multi-server XOR-PIR
 	// backend on the same deployment shape (latency, per-query

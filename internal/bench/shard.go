@@ -12,7 +12,7 @@ import (
 // This file measures channel sharding (DESIGN.md §15): SU-request
 // throughput of an N-shard fan-out router against the monolithic
 // controller on the same deployment. The sweep feeds the committed
-// BENCH_PISA.json next to the packing, backend and cache numbers.
+// BENCH_PISA.json next to the backend and cache numbers.
 
 // ShardStats is one row of the scaling sweep.
 type ShardStats struct {

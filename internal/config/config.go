@@ -109,23 +109,6 @@ type File struct {
 	// 256 = 2·λ at 112-bit security).
 	ShortExpBits int `json:"shortExpBits,omitempty"`
 
-	// Packing enables slot-packed ciphertexts (k block cells per
-	// Paillier plaintext; pisa.Params.Packing). On by default — Load
-	// starts from Default(), so only an explicit "packing": false
-	// selects the legacy one-cell-per-ciphertext layout. Unlike
-	// FastExp this is NOT a local runtime knob: the SDC, SUs and STP
-	// of one deployment must agree on it (and durable SDC state is
-	// bound to the layout it was written with).
-	Packing bool `json:"packing"`
-
-	// STPBatchWindowMS, when positive, makes the SDC coalesce
-	// concurrent sign tests into batched STP calls: the first request
-	// in an empty queue waits up to this long for companions. 0 (the
-	// default) keeps one RPC per request.
-	STPBatchWindowMS int `json:"stpBatchWindowMS,omitempty"`
-	// STPBatchMax caps the coalesced batch size (0 = pisa default, 16).
-	STPBatchMax int `json:"stpBatchMax,omitempty"`
-
 	// CacheEntries bounds the SDC's encrypted-decision cache (LRU over
 	// request shapes; pisa.Params.CacheEntries). 0 disables it. Load
 	// starts from Default(), which enables 1024 entries — an explicit
@@ -492,7 +475,6 @@ func Default() File {
 		EtaBits:         64,
 		SignerBits:      512,
 		FastExp:         true,
-		Packing:         true,
 		CacheEntries:    1024,
 		SDCAddr:         "127.0.0.1:7410",
 		STPAddr:         "127.0.0.1:7411",
@@ -545,6 +527,26 @@ func Load(path string) (File, error) {
 	if err := json.Unmarshal(raw, &f); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
 	}
+	// Keys whose behaviour was removed are refused where they ask for it
+	// rather than ignored: the file would otherwise silently run packed
+	// and unbatched. "packing": true and zeros, which every file written
+	// by an earlier Save contains, ask for what is still there.
+	var removed struct {
+		Packed        *bool `json:"packing"`
+		BatchWindowMS int   `json:"stpBatchWindowMS"`
+		BatchMax      int   `json:"stpBatchMax"`
+	}
+	if err := json.Unmarshal(raw, &removed); err != nil {
+		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
+	}
+	switch {
+	case removed.Packed != nil && !*removed.Packed:
+		return File{}, fmt.Errorf(`config: %s: "packing": false asks for the unpacked ciphertext layout, which was removed`, path)
+	case removed.BatchWindowMS > 0:
+		return File{}, fmt.Errorf(`config: %s: "stpBatchWindowMS" asks for sign-test coalescing, which was removed`, path)
+	case removed.BatchMax > 0:
+		return File{}, fmt.Errorf(`config: %s: "stpBatchMax" asks for sign-test coalescing, which was removed`, path)
+	}
 	return f, nil
 }
 
@@ -593,30 +595,24 @@ func (f File) PisaParams() (pisa.Params, error) {
 	if err != nil {
 		return pisa.Params{}, err
 	}
-	if f.STPBatchWindowMS < 0 || f.STPBatchMax < 0 {
-		return pisa.Params{}, fmt.Errorf("config: stp batch values must be non-negative")
-	}
 	if f.CacheEntries < 0 || f.CacheTTLSec < 0 {
 		return pisa.Params{}, fmt.Errorf("config: cache values must be non-negative")
 	}
 	p := pisa.Params{
-		Watch:          wp,
-		PaillierBits:   f.PaillierBits,
-		PlaintextBits:  f.PlaintextBits,
-		AlphaBits:      f.AlphaBits,
-		BetaBits:       f.BetaBits,
-		EtaBits:        f.EtaBits,
-		SignerBits:     f.SignerBits,
-		Parallelism:    f.Parallelism,
-		FastExp:        f.FastExp,
-		FastExpWindow:  f.FastExpWindow,
-		ShortExpBits:   f.ShortExpBits,
-		Packing:        f.Packing,
-		STPBatchWindow: time.Duration(f.STPBatchWindowMS) * time.Millisecond,
-		STPBatchMax:    f.STPBatchMax,
-		CacheEntries:   f.CacheEntries,
-		CacheTTL:       time.Duration(f.CacheTTLSec) * time.Second,
-		CacheDomains:   f.CacheDomains,
+		Watch:         wp,
+		PaillierBits:  f.PaillierBits,
+		PlaintextBits: f.PlaintextBits,
+		AlphaBits:     f.AlphaBits,
+		BetaBits:      f.BetaBits,
+		EtaBits:       f.EtaBits,
+		SignerBits:    f.SignerBits,
+		Parallelism:   f.Parallelism,
+		FastExp:       f.FastExp,
+		FastExpWindow: f.FastExpWindow,
+		ShortExpBits:  f.ShortExpBits,
+		CacheEntries:  f.CacheEntries,
+		CacheTTL:      time.Duration(f.CacheTTLSec) * time.Second,
+		CacheDomains:  f.CacheDomains,
 	}
 	return p, p.Validate()
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -280,5 +281,37 @@ func TestCacheDomainsReachParams(t *testing.T) {
 	f.CacheDomains = map[string][]string{"a": {"dup"}, "b": {"dup"}}
 	if _, err := f.PisaParams(); err == nil {
 		t.Fatal("duplicate domain membership accepted")
+	}
+}
+
+// TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
+// layout or for sign-test coalescing must not silently run packed and
+// unbatched; the values every file saved by an earlier build contains
+// ("packing": true, zeros) ask for what is still there and keep loading.
+func TestLoadRefusesRemovedBehaviour(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"unpacked", `{"packing": false}`, `"packing"`},
+		{"batch window", `{"stpBatchWindowMS": 5}`, `"stpBatchWindowMS"`},
+		{"batch cap", `{"stpBatchMax": 8}`, `"stpBatchMax"`},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0}`, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "pisa.json")
+			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := Load(path)
+			if tc.want == "" {
+				if err != nil || f.Channels != 5 {
+					t.Fatalf("Load = %+v, %v; want the file loaded", f.Channels, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "removed") {
+				t.Fatalf("Load error = %v, want a refusal naming %s", err, tc.want)
+			}
+		})
 	}
 }

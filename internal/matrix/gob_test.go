@@ -1,159 +1,44 @@
 package matrix
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
-	"math/big"
 	"testing"
-
-	"pisa/internal/paillier"
 )
 
-func TestEncGobRoundTrip(t *testing.T) {
-	sk := testKey()
-	m := mustInt(t, 3, 4)
-	fill(t, m, func(c, b int) int64 { return int64(c*13 - b*7) })
-	enc, err := EncryptInt(rand.Reader, &sk.PublicKey, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(enc); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var back Enc
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if back.Channels() != 3 || back.Blocks() != 4 {
-		t.Fatalf("decoded shape %dx%d", back.Channels(), back.Blocks())
-	}
-	if !back.Key().Equal(&sk.PublicKey) {
-		t.Fatal("decoded key modulus differs")
-	}
-	dec, err := Decrypt(sk, &back)
-	if err != nil {
-		t.Fatalf("decrypt decoded matrix: %v", err)
-	}
-	if !dec.Equal(m) {
-		t.Fatal("plaintexts corrupted by gob round trip")
-	}
-}
-
-func TestEncGobSparse(t *testing.T) {
-	sk := testKey()
-	enc, err := NewEnc(&sk.PublicKey, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := sk.PublicKey.EncryptInt(rand.Reader, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Set(1, 2, ct); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(enc); err != nil {
-		t.Fatal(err)
-	}
-	var back Enc
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Populated() != 1 {
-		t.Fatalf("populated = %d, want 1", back.Populated())
-	}
-	got, err := back.At(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := sk.DecryptInt(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
-		t.Fatalf("decoded entry = %d, want 42", v)
-	}
-}
-
-// encodePayload gob-encodes a hand-crafted wire struct, letting tests
-// feed GobDecode structurally valid gob that violates the matrix
-// invariants.
-func encodePayload(t *testing.T, p encGob) []byte {
+// checkDecodedPacked asserts the invariants the rest of the package
+// relies on in a matrix GobDecode accepted.
+func checkDecodedPacked(t *testing.T, p *Packed) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
+	if p.channels <= 0 || p.blocks <= 0 || p.groups != (p.blocks+p.codec.Slots()-1)/p.codec.Slots() ||
+		len(p.data) != p.channels*p.groups {
+		t.Fatalf("decoded inconsistent matrix %dx%d, %d groups, %d entries",
+			p.channels, p.blocks, p.groups, len(p.data))
 	}
-	return buf.Bytes()
-}
-
-func TestEncGobRejectsCorrupt(t *testing.T) {
-	sk := testKey()
-	n := sk.PublicKey.N
-	okCt := func() *paillier.Ciphertext {
-		ct, err := sk.PublicKey.EncryptInt(rand.Reader, 1)
-		if err != nil {
-			t.Fatal(err)
+	populated := 0
+	for _, ct := range p.data {
+		if ct == nil {
+			continue
 		}
-		return ct
+		if ct.C == nil || ct.C.Sign() <= 0 {
+			t.Fatal("decoded invalid ciphertext")
+		}
+		populated++
 	}
-	cases := []struct {
-		name    string
-		payload encGob
-	}{
-		{"zero dimensions", encGob{Channels: 0, Blocks: 4, KeyN: n}},
-		{"negative dimensions", encGob{Channels: 2, Blocks: -1, KeyN: n}},
-		{"oversized dimensions", encGob{Channels: 1 << 20, Blocks: 1 << 20, KeyN: n}},
-		{"overflowing dimensions", encGob{Channels: 1 << 62, Blocks: 1 << 3, KeyN: n}},
-		{"missing modulus", encGob{Channels: 2, Blocks: 2}},
-		{"negative modulus", encGob{Channels: 2, Blocks: 2, KeyN: big.NewInt(-17)}},
-		{"index/ct count mismatch", encGob{Channels: 2, Blocks: 2, KeyN: n,
-			Index: []int32{0, 1}, Cts: []*paillier.Ciphertext{okCt()}}},
-		{"more entries than cells", encGob{Channels: 1, Blocks: 1, KeyN: n,
-			Index: []int32{0, 0}, Cts: []*paillier.Ciphertext{okCt(), okCt()}}},
-		{"out-of-range index", encGob{Channels: 2, Blocks: 2, KeyN: n,
-			Index: []int32{4}, Cts: []*paillier.Ciphertext{okCt()}}},
-		{"negative index", encGob{Channels: 2, Blocks: 2, KeyN: n,
-			Index: []int32{-1}, Cts: []*paillier.Ciphertext{okCt()}}},
-		{"nil ciphertext value", encGob{Channels: 2, Blocks: 2, KeyN: n,
-			Index: []int32{0}, Cts: []*paillier.Ciphertext{{}}}},
-		{"non-positive ciphertext", encGob{Channels: 2, Blocks: 2, KeyN: n,
-			Index: []int32{0}, Cts: []*paillier.Ciphertext{{C: big.NewInt(-5)}}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var e Enc
-			if err := e.GobDecode(encodePayload(t, tc.payload)); err == nil {
-				t.Fatalf("%s accepted", tc.name)
-			}
-			// A failed decode must leave the receiver untouched.
-			if e.channels != 0 || e.data != nil {
-				t.Fatal("receiver modified by rejected decode")
-			}
-		})
-	}
-	var e Enc
-	if err := e.GobDecode([]byte("not gob")); err == nil {
-		t.Error("garbage accepted")
+	if populated != p.populated {
+		t.Fatalf("decoded populated = %d, %d entries present", p.populated, populated)
 	}
 }
 
-// TestEncGobByteFlips walks a valid encoding and flips bytes one at a
-// time: every mutation must either decode to a structurally sound
+// TestPackedGobByteFlips walks a valid encoding and flips bytes one at
+// a time: every mutation must either decode to a structurally sound
 // matrix or return an error — never panic.
-func TestEncGobByteFlips(t *testing.T) {
-	sk := testKey()
-	m := mustInt(t, 2, 3)
-	fill(t, m, func(c, b int) int64 { return int64(c + b) })
-	enc, err := EncryptInt(rand.Reader, &sk.PublicKey, m)
+func TestPackedGobByteFlips(t *testing.T) {
+	sk, codec := packedFixture(t)
+	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 5, 1), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := enc.GobEncode()
+	blob, err := p.GobEncode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,55 +46,44 @@ func TestEncGobByteFlips(t *testing.T) {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mutated := append([]byte(nil), blob...)
 			mutated[i] ^= flip
-			var e Enc
-			if err := e.GobDecode(mutated); err != nil {
+			var back Packed
+			if err := back.GobDecode(mutated); err != nil {
 				continue
 			}
-			// Accepted mutations must still satisfy the invariants the
-			// rest of the package relies on.
-			if e.channels <= 0 || e.blocks <= 0 || len(e.data) != e.channels*e.blocks {
-				t.Fatalf("byte %d flip %#x decoded inconsistent matrix %dx%d/%d",
-					i, flip, e.channels, e.blocks, len(e.data))
-			}
-			for _, ct := range e.data {
-				if ct != nil && (ct.C == nil || ct.C.Sign() <= 0) {
-					t.Fatalf("byte %d flip %#x decoded invalid ciphertext", i, flip)
-				}
-			}
+			checkDecodedPacked(t, &back)
 		}
 	}
 }
 
-// FuzzEncGobDecode drives GobDecode with arbitrary bytes; the seeds
-// cover a valid encoding and known corruption shapes. Run with
-// `go test -fuzz=FuzzEncGobDecode ./internal/matrix/`.
-func FuzzEncGobDecode(f *testing.F) {
-	sk := testKey()
-	enc, err := NewEnc(&sk.PublicKey, 2, 2)
+// FuzzPackedGobDecode drives GobDecode — what every SU request and every
+// SDC snapshot goes through — with arbitrary bytes; the seeds cover a
+// valid sparse encoding and the known corruption shapes. Run with
+// `go test -fuzz '^FuzzPackedGobDecode$' ./internal/matrix/`.
+func FuzzPackedGobDecode(f *testing.F) {
+	frames := corruptPackedFrames(f)
+	sk, codec := packedFixture(f)
+	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(f, 2, 7, 5), 1, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	ct, err := sk.PublicKey.EncryptInt(rand.Reader, 7)
-	if err != nil {
+	if err := p.SetGroup(1, 2, nil); err != nil {
 		f.Fatal(err)
 	}
-	if err := enc.Set(1, 1, ct); err != nil {
-		f.Fatal(err)
-	}
-	blob, err := enc.GobEncode()
+	blob, err := p.GobEncode()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
 	f.Add([]byte("not gob"))
 	f.Add([]byte{})
+	for _, frame := range frames {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var e Enc
-		if err := e.GobDecode(data); err != nil {
+		var back Packed
+		if err := back.GobDecode(data); err != nil {
 			return
 		}
-		if e.channels <= 0 || e.blocks <= 0 || len(e.data) != e.channels*e.blocks {
-			t.Fatalf("decoded inconsistent matrix %dx%d/%d", e.channels, e.blocks, len(e.data))
-		}
+		checkDecodedPacked(t, &back)
 	})
 }

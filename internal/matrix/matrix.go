@@ -1,21 +1,13 @@
 // Package matrix provides the dense (channel x block) matrices that
 // WATCH and PISA compute over (§III-D of the paper): a plaintext
-// int64 matrix for the WATCH baseline and an element-wise encrypted
+// int64 matrix for the WATCH baseline and a slot-packed encrypted
 // matrix over Paillier ciphertexts for PISA.
 //
 // Rows index channels (C of them), columns index blocks (B of them),
 // matching the paper's {m(c, b)}_{CxB} notation.
 package matrix
 
-import (
-	"fmt"
-	"io"
-	"math/big"
-	"sync/atomic"
-
-	"pisa/internal/paillier"
-	"pisa/internal/parallel"
-)
+import "fmt"
 
 // Int is a dense C x B matrix of signed 64-bit integers. The zero
 // value is unusable; construct with NewInt.
@@ -160,353 +152,4 @@ func (m *Int) ForEach(fn func(c, b int, v int64) error) error {
 		}
 	}
 	return nil
-}
-
-// Enc is a dense C x B matrix of Paillier ciphertexts under a single
-// public key. Entries may be nil for "not shipped" positions (the
-// partial-disclosure request of §VI-A sends only a subset of columns).
-//
-// The element-wise homomorphic operations fan out over the shared
-// worker pool (internal/parallel) when SetWorkers raises the worker
-// count above one; the default (0) runs the exact serial loops the
-// pre-parallel code used, so serial deployments stay bit-for-bit
-// reproducible.
-type Enc struct {
-	channels, blocks int
-	key              *paillier.PublicKey
-	data             []*paillier.Ciphertext
-	populated        int // count of non-nil entries, kept incrementally
-	workers          int // worker count for element-wise operations
-}
-
-// NewEnc allocates an encrypted matrix with all entries nil.
-func NewEnc(key *paillier.PublicKey, channels, blocks int) (*Enc, error) {
-	if channels <= 0 || blocks <= 0 {
-		return nil, fmt.Errorf("matrix: dimensions must be positive, got %dx%d", channels, blocks)
-	}
-	if key == nil {
-		return nil, fmt.Errorf("matrix: nil public key")
-	}
-	return &Enc{
-		channels: channels,
-		blocks:   blocks,
-		key:      key,
-		data:     make([]*paillier.Ciphertext, channels*blocks),
-	}, nil
-}
-
-// SetWorkers sets the worker count used by the element-wise
-// homomorphic operations on this matrix (and inherited by their
-// results). Values <= 1 mean serial. Not safe to call concurrently
-// with operations on the same matrix.
-func (e *Enc) SetWorkers(workers int) { e.workers = workers }
-
-// Workers reports the configured worker count.
-func (e *Enc) Workers() int { return e.workers }
-
-// EncryptInt encrypts every element of m under key, serially. See
-// EncryptInts for the parallel batch variant.
-func EncryptInt(random io.Reader, key *paillier.PublicKey, m *Int) (*Enc, error) {
-	return EncryptInts(random, key, m, 1)
-}
-
-// EncryptInts encrypts every element of m under key with up to
-// workers goroutines — the batch kernel behind SDC initialisation and
-// column rebuilds. workers <= 1 reproduces EncryptInt exactly,
-// including the order of randomness draws.
-func EncryptInts(random io.Reader, key *paillier.PublicKey, m *Int, workers int) (*Enc, error) {
-	out, err := NewEnc(key, m.channels, m.blocks)
-	if err != nil {
-		return nil, err
-	}
-	out.workers = workers
-	if workers > 1 {
-		random = paillier.SharedReader(random)
-	}
-	err = parallel.For(workers, len(m.data), func(i int) error {
-		ct, err := key.Encrypt(random, big.NewInt(m.data[i]))
-		if err != nil {
-			return fmt.Errorf("encrypt element %d: %w", i, err)
-		}
-		out.data[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.populated = len(out.data)
-	return out, nil
-}
-
-// Clone returns a copy of the matrix sharing the ciphertext entries.
-// Ciphertexts are immutable by convention throughout the codebase
-// (every operation allocates fresh ones), so the clone can be read,
-// encoded or persisted while the original keeps swapping which
-// ciphertexts its cells point at.
-func (e *Enc) Clone() *Enc {
-	out := &Enc{
-		channels:  e.channels,
-		blocks:    e.blocks,
-		key:       e.key,
-		data:      make([]*paillier.Ciphertext, len(e.data)),
-		populated: e.populated,
-		workers:   e.workers,
-	}
-	copy(out.data, e.data)
-	return out
-}
-
-// Channels returns C.
-func (e *Enc) Channels() int { return e.channels }
-
-// Blocks returns B.
-func (e *Enc) Blocks() int { return e.blocks }
-
-// Key returns the public key the entries are encrypted under.
-func (e *Enc) Key() *paillier.PublicKey { return e.key }
-
-func (e *Enc) idx(c, b int) (int, error) {
-	if c < 0 || c >= e.channels || b < 0 || b >= e.blocks {
-		return 0, fmt.Errorf("matrix: index (%d, %d) outside %dx%d", c, b, e.channels, e.blocks)
-	}
-	return c*e.blocks + b, nil
-}
-
-// At returns the ciphertext at (channel, block); nil if the position
-// was never populated.
-func (e *Enc) At(c, b int) (*paillier.Ciphertext, error) {
-	i, err := e.idx(c, b)
-	if err != nil {
-		return nil, err
-	}
-	return e.data[i], nil
-}
-
-// Set writes a ciphertext at (channel, block), maintaining the
-// populated-entry counter (nil clears the position).
-func (e *Enc) Set(c, b int, ct *paillier.Ciphertext) error {
-	i, err := e.idx(c, b)
-	if err != nil {
-		return err
-	}
-	switch {
-	case e.data[i] == nil && ct != nil:
-		e.populated++
-	case e.data[i] != nil && ct == nil:
-		e.populated--
-	}
-	e.data[i] = ct
-	return nil
-}
-
-// Populated returns the number of non-nil entries. The count is
-// maintained incrementally — this is O(1), not an O(C x B) rescan —
-// because it is consulted for every wire message (SizeBytes) and every
-// request admission check.
-func (e *Enc) Populated() int {
-	return e.populated
-}
-
-// SizeBytes returns the wire size of the populated entries: count x
-// ciphertext size for the key. This is the quantity the paper's
-// Figure 6 reports as request/update message size.
-func (e *Enc) SizeBytes() int {
-	return e.populated * e.key.CiphertextBytes()
-}
-
-func (e *Enc) sameShape(other *Enc) error {
-	if e.channels != other.channels || e.blocks != other.blocks {
-		return fmt.Errorf("matrix: shape mismatch %dx%d vs %dx%d",
-			e.channels, e.blocks, other.channels, other.blocks)
-	}
-	if !e.key.Equal(other.key) {
-		return fmt.Errorf("matrix: operand matrices encrypted under different keys")
-	}
-	return nil
-}
-
-// newResult allocates the output matrix for an element-wise operation,
-// inheriting the receiver's worker count.
-func (e *Enc) newResult() (*Enc, error) {
-	out, err := NewEnc(e.key, e.channels, e.blocks)
-	if err != nil {
-		return nil, err
-	}
-	out.workers = e.workers
-	return out, nil
-}
-
-// forEachCell runs fn over every index with the matrix's worker pool,
-// then recounts the output's populated entries from the tally fn
-// maintained. fn writes only its own out slot, so results are
-// positionally deterministic at any worker count.
-func (e *Enc) forEachCell(out *Enc, fn func(i int, count *atomic.Int64) error) error {
-	var count atomic.Int64
-	if err := parallel.For(e.workers, len(e.data), func(i int) error {
-		return fn(i, &count)
-	}); err != nil {
-		return err
-	}
-	out.populated = int(count.Load())
-	return nil
-}
-
-// Add returns the element-wise homomorphic sum e + other. A position
-// that is nil in one operand adopts the other operand's entry (an
-// absent entry means "encrypts zero / not shipped").
-func (e *Enc) Add(other *Enc) (*Enc, error) {
-	if err := e.sameShape(other); err != nil {
-		return nil, err
-	}
-	out, err := e.newResult()
-	if err != nil {
-		return nil, err
-	}
-	err = e.forEachCell(out, func(i int, count *atomic.Int64) error {
-		a, b := e.data[i], other.data[i]
-		switch {
-		case a == nil && b == nil:
-			return nil // stays nil
-		case a == nil:
-			out.data[i] = b.Clone()
-		case b == nil:
-			out.data[i] = a.Clone()
-		default:
-			sum, err := e.key.Add(a, b)
-			if err != nil {
-				return fmt.Errorf("add element %d: %w", i, err)
-			}
-			out.data[i] = sum
-		}
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Sub returns the element-wise homomorphic difference e - other over
-// positions populated in both operands; positions nil in either
-// operand stay nil in the result.
-func (e *Enc) Sub(other *Enc) (*Enc, error) {
-	if err := e.sameShape(other); err != nil {
-		return nil, err
-	}
-	out, err := e.newResult()
-	if err != nil {
-		return nil, err
-	}
-	err = e.forEachCell(out, func(i int, count *atomic.Int64) error {
-		a, b := e.data[i], other.data[i]
-		if a == nil || b == nil {
-			return nil
-		}
-		diff, err := e.key.Sub(a, b)
-		if err != nil {
-			return fmt.Errorf("sub element %d: %w", i, err)
-		}
-		out.data[i] = diff
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScalarMul returns k (x) e element-wise over populated positions.
-func (e *Enc) ScalarMul(k *big.Int) (*Enc, error) {
-	out, err := e.newResult()
-	if err != nil {
-		return nil, err
-	}
-	err = e.forEachCell(out, func(i int, count *atomic.Int64) error {
-		ct := e.data[i]
-		if ct == nil {
-			return nil
-		}
-		prod, err := e.key.ScalarMul(k, ct)
-		if err != nil {
-			return fmt.Errorf("scale element %d: %w", i, err)
-		}
-		out.data[i] = prod
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Rerandomize refreshes every populated ciphertext in place-free
-// fashion (returns a new matrix), the cheap request-reuse path of
-// §VI-A.
-func (e *Enc) Rerandomize(random io.Reader) (*Enc, error) {
-	out, err := e.newResult()
-	if err != nil {
-		return nil, err
-	}
-	if e.workers > 1 {
-		random = paillier.SharedReader(random)
-	}
-	err = e.forEachCell(out, func(i int, count *atomic.Int64) error {
-		ct := e.data[i]
-		if ct == nil {
-			return nil
-		}
-		rr, err := e.key.Rerandomize(random, ct)
-		if err != nil {
-			return fmt.Errorf("rerandomize element %d: %w", i, err)
-		}
-		out.data[i] = rr
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForEach calls fn for every populated entry in row-major order.
-func (e *Enc) ForEach(fn func(c, b int, ct *paillier.Ciphertext) error) error {
-	for i, ct := range e.data {
-		if ct == nil {
-			continue
-		}
-		if err := fn(i/e.blocks, i%e.blocks, ct); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decrypt decrypts every populated entry with sk; absent entries
-// decode as 0. Intended for tests and the STP role. Decryption
-// parallelism follows the matrix's worker count.
-func Decrypt(sk *paillier.PrivateKey, e *Enc) (*Int, error) {
-	out, err := NewInt(e.channels, e.blocks)
-	if err != nil {
-		return nil, err
-	}
-	err = parallel.For(e.workers, len(e.data), func(i int) error {
-		ct := e.data[i]
-		if ct == nil {
-			return nil
-		}
-		v, err := sk.DecryptInt(ct)
-		if err != nil {
-			return fmt.Errorf("decrypt element %d: %w", i, err)
-		}
-		out.data[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

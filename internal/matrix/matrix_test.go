@@ -1,22 +1,6 @@
 package matrix
 
-import (
-	"crypto/rand"
-	"math/big"
-	"sync"
-	"testing"
-	"testing/quick"
-
-	"pisa/internal/paillier"
-)
-
-var testKey = sync.OnceValue(func() *paillier.PrivateKey {
-	sk, err := paillier.GenerateKey(rand.Reader, 256)
-	if err != nil {
-		panic(err)
-	}
-	return sk
-})
+import "testing"
 
 func mustInt(t *testing.T, c, b int) *Int {
 	t.Helper()
@@ -138,227 +122,5 @@ func TestForEachOrderAndValues(t *testing.T) {
 		if seen[i] != want[i] {
 			t.Fatalf("ForEach order: got %v, want %v", seen, want)
 		}
-	}
-}
-
-func TestEncryptDecryptMatrixRoundTrip(t *testing.T) {
-	sk := testKey()
-	m := mustInt(t, 3, 4)
-	fill(t, m, func(c, b int) int64 { return int64(c*100 - b*37) })
-	enc, err := EncryptInt(rand.Reader, &sk.PublicKey, m)
-	if err != nil {
-		t.Fatalf("EncryptInt: %v", err)
-	}
-	if enc.Populated() != 12 {
-		t.Fatalf("Populated = %d, want 12", enc.Populated())
-	}
-	dec, err := Decrypt(sk, enc)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if !dec.Equal(m) {
-		t.Error("matrix round trip mismatch")
-	}
-}
-
-func TestEncHomomorphicOpsMatchPlaintext(t *testing.T) {
-	sk := testKey()
-	pk := &sk.PublicKey
-	prop := func(seedA, seedB int16, k int8) bool {
-		a := mustInt(t, 2, 2)
-		b := mustInt(t, 2, 2)
-		fill(t, a, func(c, bk int) int64 { return int64(seedA) * int64(c+bk+1) })
-		fill(t, b, func(c, bk int) int64 { return int64(seedB) * int64(c*2-bk) })
-		ea, err := EncryptInt(rand.Reader, pk, a)
-		if err != nil {
-			t.Fatalf("encrypt a: %v", err)
-		}
-		eb, err := EncryptInt(rand.Reader, pk, b)
-		if err != nil {
-			t.Fatalf("encrypt b: %v", err)
-		}
-		esum, err := ea.Add(eb)
-		if err != nil {
-			t.Fatalf("enc add: %v", err)
-		}
-		ediff, err := ea.Sub(eb)
-		if err != nil {
-			t.Fatalf("enc sub: %v", err)
-		}
-		escale, err := ea.ScalarMul(big.NewInt(int64(k)))
-		if err != nil {
-			t.Fatalf("enc scale: %v", err)
-		}
-		sum := a.Clone()
-		if err := sum.AddInPlace(b); err != nil {
-			t.Fatal(err)
-		}
-		diff, err := a.Sub(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scale := a.Scale(int64(k))
-		for _, pair := range []struct {
-			enc  *Enc
-			want *Int
-		}{{esum, sum}, {ediff, diff}, {escale, scale}} {
-			got, err := Decrypt(sk, pair.enc)
-			if err != nil {
-				t.Fatalf("decrypt: %v", err)
-			}
-			if !got.Equal(pair.want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncAddWithNilEntries(t *testing.T) {
-	sk := testKey()
-	pk := &sk.PublicKey
-	a, err := NewEnc(pk, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewEnc(pk, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct5, err := pk.EncryptInt(rand.Reader, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct7, err := pk.EncryptInt(rand.Reader, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Set(0, 0, ct5); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Set(0, 0, ct7); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Set(1, 1, ct7); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	dec, err := Decrypt(sk, sum)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if v, _ := dec.At(0, 0); v != 12 {
-		t.Errorf("(0,0) = %d, want 12", v)
-	}
-	if v, _ := dec.At(1, 1); v != 7 {
-		t.Errorf("(1,1) = %d, want 7 (adopted from b)", v)
-	}
-	if v, _ := dec.At(0, 1); v != 0 {
-		t.Errorf("(0,1) = %d, want 0 (both nil)", v)
-	}
-	if got := sum.Populated(); got != 2 {
-		t.Errorf("Populated = %d, want 2", got)
-	}
-}
-
-func TestEncSubSkipsNil(t *testing.T) {
-	sk := testKey()
-	pk := &sk.PublicKey
-	a, err := NewEnc(pk, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewEnc(pk, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := pk.EncryptInt(rand.Reader, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Set(0, 0, ct); err != nil {
-		t.Fatal(err)
-	}
-	diff, err := a.Sub(b)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if diff.Populated() != 0 {
-		t.Errorf("Sub over nil operand populated %d entries, want 0", diff.Populated())
-	}
-}
-
-func TestEncKeyMismatch(t *testing.T) {
-	skA := testKey()
-	skB, err := paillier.GenerateKey(rand.Reader, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewEnc(&skA.PublicKey, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewEnc(&skB.PublicKey, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Add(b); err == nil {
-		t.Error("Add across keys accepted")
-	}
-	if _, err := a.Sub(b); err == nil {
-		t.Error("Sub across keys accepted")
-	}
-}
-
-func TestEncRerandomize(t *testing.T) {
-	sk := testKey()
-	m := mustInt(t, 2, 2)
-	fill(t, m, func(c, b int) int64 { return int64(c + b) })
-	enc, err := EncryptInt(rand.Reader, &sk.PublicKey, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := enc.Rerandomize(rand.Reader)
-	if err != nil {
-		t.Fatalf("Rerandomize: %v", err)
-	}
-	same := 0
-	for c := 0; c < 2; c++ {
-		for b := 0; b < 2; b++ {
-			orig, _ := enc.At(c, b)
-			fresh, _ := rr.At(c, b)
-			if orig.Equal(fresh) {
-				same++
-			}
-		}
-	}
-	if same != 0 {
-		t.Errorf("%d ciphertexts unchanged by rerandomisation", same)
-	}
-	dec, err := Decrypt(sk, rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Equal(m) {
-		t.Error("rerandomisation changed plaintexts")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	sk := testKey()
-	m := mustInt(t, 2, 3)
-	enc, err := EncryptInt(rand.Reader, &sk.PublicKey, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 6 * sk.PublicKey.CiphertextBytes()
-	if got := enc.SizeBytes(); got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }

@@ -6,18 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync/atomic"
 
 	"pisa/internal/paillier"
-	"pisa/internal/parallel"
 )
 
-// Packed is the slot-packed variant of Enc: along the block axis,
-// every run of k consecutive blocks shares one ciphertext, with block
-// b living in slot b mod k of group b / k (k = codec.Slots()). The
-// matrix therefore holds C x ceil(B/k) ciphertexts instead of C x B —
-// the ~k-fold shrink of request, WAL and snapshot sizes that packing
-// is for.
+// Packed is a C x B matrix of Paillier ciphertexts under a single
+// public key, slot-packed: along the block axis, every run of k
+// consecutive blocks shares one ciphertext, with block b living in
+// slot b mod k of group b / k (k = codec.Slots()). The matrix therefore
+// holds C x ceil(B/k) ciphertexts instead of C x B — the ~k-fold shrink
+// of request, WAL and snapshot sizes that packing is for.
 //
 // The trailing group of a row usually has padding slots (blocks is
 // rarely a multiple of k); their plaintext value is chosen by the
@@ -25,8 +23,9 @@ import (
 // slot-wise operations keep padding inert — PISA packs 1 into budget
 // padding (always-positive indicator) and 0 into request padding.
 //
-// Group entries may be nil for "not shipped", mirroring Enc's
-// partial-disclosure semantics at group granularity.
+// Group entries may be nil for "not shipped" (the partial-disclosure
+// request of §VI-A sends only a subset of columns, at group
+// granularity).
 type Packed struct {
 	channels, blocks int
 	codec            *paillier.SlotCodec
@@ -34,7 +33,6 @@ type Packed struct {
 	key              *paillier.PublicKey
 	data             []*paillier.Ciphertext // row-major: data[c*groups + g]
 	populated        int                    // non-nil groups, kept incrementally
-	workers          int
 }
 
 // NewPacked allocates a packed matrix with all groups nil.
@@ -67,38 +65,7 @@ func NewPacked(key *paillier.PublicKey, codec *paillier.SlotCodec, channels, blo
 // past the last block encrypt pad.
 func PackEncryptInts(random io.Reader, key *paillier.PublicKey, codec *paillier.SlotCodec,
 	m *Int, pad int64, workers int) (*Packed, error) {
-	out, err := NewPacked(key, codec, m.channels, m.blocks)
-	if err != nil {
-		return nil, err
-	}
-	out.workers = workers
-	if workers > 1 {
-		random = paillier.SharedReader(random)
-	}
-	k := codec.Slots()
-	err = parallel.For(workers, len(out.data), func(i int) error {
-		c, g := i/out.groups, i%out.groups
-		vals := make([]*big.Int, k)
-		for s := 0; s < k; s++ {
-			b := g*k + s
-			if b < m.blocks {
-				vals[s] = big.NewInt(m.data[c*m.blocks+b])
-			} else {
-				vals[s] = big.NewInt(pad)
-			}
-		}
-		ct, err := key.PackEncrypt(random, codec, vals)
-		if err != nil {
-			return fmt.Errorf("pack-encrypt group (%d, %d): %w", c, g, err)
-		}
-		out.data[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.populated = len(out.data)
-	return out, nil
+	return PackEncryptIntsWindow(random, key, codec, m, pad, 0, m.channels, workers)
 }
 
 // Channels returns C.
@@ -118,12 +85,6 @@ func (p *Packed) Codec() *paillier.SlotCodec { return p.codec }
 
 // Key returns the public key the groups are encrypted under.
 func (p *Packed) Key() *paillier.PublicKey { return p.key }
-
-// SetWorkers sets the worker count for group-wise operations.
-func (p *Packed) SetWorkers(workers int) { p.workers = workers }
-
-// Workers reports the configured worker count.
-func (p *Packed) Workers() int { return p.workers }
 
 // GroupOf returns the group index covering block b.
 func (p *Packed) GroupOf(b int) int { return b / p.codec.Slots() }
@@ -168,8 +129,7 @@ func (p *Packed) SetGroup(c, g int, ct *paillier.Ciphertext) error {
 // Populated returns the number of non-nil groups (O(1)).
 func (p *Packed) Populated() int { return p.populated }
 
-// SizeBytes returns the wire size of the populated groups — the packed
-// counterpart of Enc.SizeBytes, smaller by ~k.
+// SizeBytes returns the wire size of the populated groups.
 func (p *Packed) SizeBytes() int {
 	return p.populated * p.key.CiphertextBytes()
 }
@@ -180,149 +140,6 @@ func (p *Packed) Clone() *Packed {
 	out.data = make([]*paillier.Ciphertext, len(p.data))
 	copy(out.data, p.data)
 	return &out
-}
-
-// sameShape verifies dimensional, codec and key compatibility.
-func (p *Packed) sameShape(other *Packed) error {
-	if p.channels != other.channels || p.blocks != other.blocks {
-		return fmt.Errorf("matrix: shape mismatch %dx%d vs %dx%d",
-			p.channels, p.blocks, other.channels, other.blocks)
-	}
-	if !p.codec.Equal(other.codec) {
-		return fmt.Errorf("matrix: operand matrices use different slot codecs")
-	}
-	if !p.key.Equal(other.key) {
-		return fmt.Errorf("matrix: operand matrices encrypted under different keys")
-	}
-	return nil
-}
-
-func (p *Packed) newResult() *Packed {
-	out := *p
-	out.data = make([]*paillier.Ciphertext, len(p.data))
-	out.populated = 0
-	return &out
-}
-
-// forEachGroupCell runs fn over every group index with the worker
-// pool, then installs the populated tally.
-func (p *Packed) forEachGroupCell(out *Packed, fn func(i int, count *atomic.Int64) error) error {
-	var count atomic.Int64
-	if err := parallel.For(p.workers, len(p.data), func(i int) error {
-		return fn(i, &count)
-	}); err != nil {
-		return err
-	}
-	out.populated = int(count.Load())
-	return nil
-}
-
-// Add returns the group-wise homomorphic sum (slot-wise plaintext
-// addition). A group nil in one operand adopts the other's entry.
-func (p *Packed) Add(other *Packed) (*Packed, error) {
-	if err := p.sameShape(other); err != nil {
-		return nil, err
-	}
-	out := p.newResult()
-	err := p.forEachGroupCell(out, func(i int, count *atomic.Int64) error {
-		a, b := p.data[i], other.data[i]
-		switch {
-		case a == nil && b == nil:
-			return nil
-		case a == nil:
-			out.data[i] = b.Clone()
-		case b == nil:
-			out.data[i] = a.Clone()
-		default:
-			sum, err := p.key.Add(a, b)
-			if err != nil {
-				return fmt.Errorf("add group %d: %w", i, err)
-			}
-			out.data[i] = sum
-		}
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Sub returns the group-wise difference over groups populated in both
-// operands; groups nil in either stay nil.
-func (p *Packed) Sub(other *Packed) (*Packed, error) {
-	if err := p.sameShape(other); err != nil {
-		return nil, err
-	}
-	out := p.newResult()
-	err := p.forEachGroupCell(out, func(i int, count *atomic.Int64) error {
-		a, b := p.data[i], other.data[i]
-		if a == nil || b == nil {
-			return nil
-		}
-		diff, err := p.key.Sub(a, b)
-		if err != nil {
-			return fmt.Errorf("sub group %d: %w", i, err)
-		}
-		out.data[i] = diff
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScalarMul returns k (x) p group-wise, i.e. every slot of every
-// group multiplied by k. The caller owns the guard-bit budget: k must
-// be small enough that no slot outgrows its width (see
-// paillier.SlotCodec).
-func (p *Packed) ScalarMul(k *big.Int) (*Packed, error) {
-	out := p.newResult()
-	err := p.forEachGroupCell(out, func(i int, count *atomic.Int64) error {
-		ct := p.data[i]
-		if ct == nil {
-			return nil
-		}
-		prod, err := p.key.ScalarMul(k, ct)
-		if err != nil {
-			return fmt.Errorf("scale group %d: %w", i, err)
-		}
-		out.data[i] = prod
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Rerandomize refreshes every populated group ciphertext.
-func (p *Packed) Rerandomize(random io.Reader) (*Packed, error) {
-	out := p.newResult()
-	if p.workers > 1 {
-		random = paillier.SharedReader(random)
-	}
-	err := p.forEachGroupCell(out, func(i int, count *atomic.Int64) error {
-		ct := p.data[i]
-		if ct == nil {
-			return nil
-		}
-		rr, err := p.key.Rerandomize(random, ct)
-		if err != nil {
-			return fmt.Errorf("rerandomize group %d: %w", i, err)
-		}
-		out.data[i] = rr
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ForEachGroup calls fn for every populated group in row-major order.
@@ -347,15 +164,14 @@ func DecryptPacked(sk *paillier.PrivateKey, p *Packed) (*Int, error) {
 		return nil, err
 	}
 	k := p.codec.Slots()
-	err = parallel.For(p.workers, len(p.data), func(i int) error {
-		ct := p.data[i]
+	for i, ct := range p.data {
 		if ct == nil {
-			return nil
+			continue
 		}
 		c, g := i/p.groups, i%p.groups
 		vals, err := sk.DecryptSlots(p.codec, ct)
 		if err != nil {
-			return fmt.Errorf("decrypt group (%d, %d): %w", c, g, err)
+			return nil, fmt.Errorf("decrypt group (%d, %d): %w", c, g, err)
 		}
 		for s := 0; s < k; s++ {
 			b := g*k + s
@@ -363,14 +179,10 @@ func DecryptPacked(sk *paillier.PrivateKey, p *Packed) (*Int, error) {
 				break
 			}
 			if !vals[s].IsInt64() {
-				return fmt.Errorf("decrypt group (%d, %d): slot %d overflows int64", c, g, s)
+				return nil, fmt.Errorf("decrypt group (%d, %d): slot %d overflows int64", c, g, s)
 			}
 			out.data[c*p.blocks+b] = vals[s].Int64()
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -409,10 +221,18 @@ func (p *Packed) GobEncode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder with the same hostile-input
-// hardening as Enc: dimension and geometry caps before any allocation
-// sized from the wire, index range checks, and ciphertext sanity
-// checks. The receiver is unmodified on failure.
+// maxGobCells caps the matrix size a decoded message may declare.
+// Without it a hostile peer could claim 2^31 x 2^31 dimensions and
+// drive the pre-allocation below into an overflowed or multi-terabyte
+// make(). Paper-scale deployments are ~100 channels x ~10^4 blocks;
+// 1<<26 cells leaves three orders of magnitude of headroom.
+const maxGobCells = 1 << 26
+
+// GobDecode implements gob.GobDecoder. It treats the payload as
+// untrusted wire input: dimension and geometry caps before any
+// allocation sized from the wire, index range checks, and ciphertext
+// sanity checks; damage surfaces as an error, never a panic, and the
+// receiver is left unmodified on failure.
 func (p *Packed) GobDecode(data []byte) error {
 	var g packedGob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
@@ -462,7 +282,6 @@ func (p *Packed) GobDecode(data []byte) error {
 		fresh.data[idx] = ct
 		fresh.populated++
 	}
-	fresh.workers = p.workers
 	*p = *fresh
 	return nil
 }

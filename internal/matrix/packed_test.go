@@ -10,7 +10,7 @@ import (
 	"pisa/internal/paillier"
 )
 
-func packedFixture(t *testing.T) (*paillier.PrivateKey, *paillier.SlotCodec) {
+func packedFixture(t testing.TB) (*paillier.PrivateKey, *paillier.SlotCodec) {
 	t.Helper()
 	sk, err := paillier.GenerateKey(rand.Reader, 512)
 	if err != nil {
@@ -23,7 +23,7 @@ func packedFixture(t *testing.T) (*paillier.PrivateKey, *paillier.SlotCodec) {
 	return sk, codec
 }
 
-func testIntMatrix(t *testing.T, channels, blocks int, seed int64) *Int {
+func testIntMatrix(t testing.TB, channels, blocks int, seed int64) *Int {
 	t.Helper()
 	m, err := NewInt(channels, blocks)
 	if err != nil {
@@ -62,80 +62,10 @@ func TestPackedRoundTripWithPadding(t *testing.T) {
 	if !got.Equal(m) {
 		t.Error("decrypted matrix differs from input (padding leaked?)")
 	}
-	// A packed matrix is ~k times smaller than the unpacked encryption.
-	unpacked, err := EncryptInt(rand.Reader, sk.Public(), m)
-	if err != nil {
-		t.Fatalf("EncryptInt: %v", err)
-	}
-	if p.SizeBytes()*2 >= unpacked.SizeBytes() {
-		t.Errorf("packed %d B not at least 2x smaller than unpacked %d B",
-			p.SizeBytes(), unpacked.SizeBytes())
-	}
-}
-
-func TestPackedHomomorphicOps(t *testing.T) {
-	sk, codec := packedFixture(t)
-	a := testIntMatrix(t, 2, 5, 1)
-	b := testIntMatrix(t, 2, 5, 2)
-	pa, err := PackEncryptInts(rand.Reader, sk.Public(), codec, a, 0, 1)
-	if err != nil {
-		t.Fatalf("PackEncryptInts a: %v", err)
-	}
-	pb, err := PackEncryptInts(rand.Reader, sk.Public(), codec, b, 0, 1)
-	if err != nil {
-		t.Fatalf("PackEncryptInts b: %v", err)
-	}
-	sum, err := pa.Add(pb)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	diff, err := pa.Sub(pb)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	scaled, err := pa.ScalarMul(big.NewInt(-9))
-	if err != nil {
-		t.Fatalf("ScalarMul: %v", err)
-	}
-	rr, err := pa.Rerandomize(rand.Reader)
-	if err != nil {
-		t.Fatalf("Rerandomize: %v", err)
-	}
-
-	wantSum := a.Clone()
-	if err := wantSum.AddInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	wantDiff, err := a.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := []struct {
-		name string
-		p    *Packed
-		want *Int
-	}{
-		{"add", sum, wantSum},
-		{"sub", diff, wantDiff},
-		{"scalarMul", scaled, a.Scale(-9)},
-		{"rerandomize", rr, a},
-	}
-	for _, tc := range checks {
-		got, err := DecryptPacked(sk, tc.p)
-		if err != nil {
-			t.Fatalf("%s decrypt: %v", tc.name, err)
-		}
-		if !got.Equal(tc.want) {
-			t.Errorf("%s: decrypted result differs from plaintext op", tc.name)
-		}
-	}
-	// Rerandomize must change every group ciphertext.
-	for g := 0; g < pa.Groups(); g++ {
-		orig, _ := pa.GroupAt(0, g)
-		fresh, _ := rr.GroupAt(0, g)
-		if orig.Equal(fresh) {
-			t.Errorf("group %d unchanged by Rerandomize", g)
-		}
+	// A packed matrix is ~k times smaller than one ciphertext per cell.
+	if perCell := 2 * 7 * sk.Public().CiphertextBytes(); p.SizeBytes()*2 >= perCell {
+		t.Errorf("packed %d B not at least 2x smaller than %d B at one cell per ciphertext",
+			p.SizeBytes(), perCell)
 	}
 }
 
@@ -177,58 +107,174 @@ func TestPackedGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackedGobRejectsMalformed(t *testing.T) {
-	sk, codec := packedFixture(t)
-	m := testIntMatrix(t, 1, 3, 1)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
+// corruptPackedFrames returns structurally valid gob that violates the
+// matrix invariants, one frame per way of violating them: what
+// GobDecode must refuse, and the shapes FuzzPackedGobDecode starts from.
+func corruptPackedFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	sk, err := paillier.GenerateKey(rand.Reader, 512)
 	if err != nil {
-		t.Fatalf("PackEncryptInts: %v", err)
+		t.Fatalf("GenerateKey: %v", err)
 	}
-	encode := func(g *packedGob) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(g); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	ct, err := sk.Public().EncryptInt(rand.Reader, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := func() *packedGob {
-		return &packedGob{
+	cases := map[string]func(*packedGob){
+		"zero channels":          func(g *packedGob) { g.Channels = 0 },
+		"negative blocks":        func(g *packedGob) { g.Blocks = -1 },
+		"cell bomb":              func(g *packedGob) { g.Channels = 1 << 20; g.Blocks = 1 << 20 },
+		"overflowing dimensions": func(g *packedGob) { g.Channels = 1 << 62; g.Blocks = 1 << 3 },
+		"nil key":                func(g *packedGob) { g.KeyN = nil },
+		"negative key":           func(g *packedGob) { g.KeyN = big.NewInt(-17) },
+		"bad codec":              func(g *packedGob) { g.SlotBits = 1 },
+		"codec too wide for key": func(g *packedGob) { g.Slots = 100; g.SlotBits = 100 },
+		"index out of range":     func(g *packedGob) { g.Index = []int32{5} },
+		"negative index":         func(g *packedGob) { g.Index = []int32{-1} },
+		"length mismatch":        func(g *packedGob) { g.Index = []int32{0, 0} },
+		"nil ciphertext value":   func(g *packedGob) { g.Cts = []*paillier.Ciphertext{{}} },
+		"zero ciphertext":        func(g *packedGob) { g.Cts = []*paillier.Ciphertext{{C: big.NewInt(0)}} },
+		"negative ciphertext":    func(g *packedGob) { g.Cts = []*paillier.Ciphertext{{C: big.NewInt(-5)}} },
+		"oversized ciphertext": func(g *packedGob) {
+			g.Cts = []*paillier.Ciphertext{{C: new(big.Int).Lsh(big.NewInt(1), 4096)}}
+		},
+		"more entries than groups": func(g *packedGob) {
+			g.Index = []int32{0, 0}
+			g.Cts = []*paillier.Ciphertext{ct, ct}
+		},
+		"duplicate index": func(g *packedGob) {
+			g.Blocks = 6
+			g.Index = []int32{0, 0}
+			g.Cts = []*paillier.Ciphertext{ct, ct}
+		},
+	}
+	frames := make(map[string][]byte, len(cases))
+	for name, mutate := range cases {
+		g := &packedGob{
 			Channels: 1, Blocks: 3,
 			Slots: 3, SlotBits: 40, PayloadBits: 20,
 			KeyN:  sk.Public().N,
 			Index: []int32{0},
-			Cts:   []*paillier.Ciphertext{p.data[0]},
+			Cts:   []*paillier.Ciphertext{ct},
+		}
+		mutate(g)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		frames[name] = buf.Bytes()
+	}
+	return frames
+}
+
+func TestPackedGobRejectsCorrupt(t *testing.T) {
+	for name, frame := range corruptPackedFrames(t) {
+		t.Run(name, func(t *testing.T) {
+			var p Packed
+			if err := p.GobDecode(frame); err == nil {
+				t.Fatal("decode succeeded, want error")
+			}
+			// A failed decode must leave the receiver untouched.
+			if p.channels != 0 || p.data != nil {
+				t.Fatal("receiver modified by rejected decode")
+			}
+		})
+	}
+	var p Packed
+	if err := p.GobDecode([]byte("not gob")); err == nil {
+		t.Error("garbage accepted")
+	}
+}
+
+// TestPopulatedCounterTransitions exercises every SetGroup transition
+// the incremental counter must track.
+func TestPopulatedCounterTransitions(t *testing.T) {
+	sk, codec := packedFixture(t)
+	p, err := NewPacked(sk.Public(), codec, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := sk.Public().EncryptInt(rand.Reader, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Populated() != 0 {
+		t.Fatalf("fresh populated = %d", p.Populated())
+	}
+	if err := p.SetGroup(0, 0, ct); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetGroup(0, 1, ct); err != nil {
+		t.Fatal(err)
+	}
+	if p.Populated() != 2 || p.SizeBytes() != 2*sk.Public().CiphertextBytes() {
+		t.Fatalf("populated = %d, size = %d", p.Populated(), p.SizeBytes())
+	}
+	// Overwriting non-nil with non-nil: no change.
+	if err := p.SetGroup(0, 0, ct.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if p.Populated() != 2 {
+		t.Fatalf("populated after overwrite = %d, want 2", p.Populated())
+	}
+	// Clearing decrements.
+	if err := p.SetGroup(0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Populated() != 1 {
+		t.Fatalf("populated after clear = %d, want 1", p.Populated())
+	}
+	// Clearing an already-nil group: no change.
+	if err := p.SetGroup(1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Populated() != 1 {
+		t.Fatalf("populated after no-op clear = %d, want 1", p.Populated())
+	}
+}
+
+// TestPopulatedCounterSurvivesGob checks the counter is rebuilt on
+// decode (the wire format only carries the sparse entries).
+func TestPopulatedCounterSurvivesGob(t *testing.T) {
+	sk, codec := packedFixture(t)
+	p, err := NewPacked(sk.Public(), codec, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ct, err := sk.Public().EncryptInt(rand.Reader, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetGroup(i, i, ct); err != nil {
+			t.Fatal(err)
 		}
 	}
-	cases := []struct {
-		name   string
-		mutate func(*packedGob)
-	}{
-		{"zero channels", func(g *packedGob) { g.Channels = 0 }},
-		{"negative blocks", func(g *packedGob) { g.Blocks = -1 }},
-		{"cell bomb", func(g *packedGob) { g.Channels = 1 << 20; g.Blocks = 1 << 20 }},
-		{"nil key", func(g *packedGob) { g.KeyN = nil }},
-		{"bad codec", func(g *packedGob) { g.SlotBits = 1 }},
-		{"codec too wide for key", func(g *packedGob) { g.Slots = 100; g.SlotBits = 100 }},
-		{"index out of range", func(g *packedGob) { g.Index = []int32{5} }},
-		{"negative index", func(g *packedGob) { g.Index = []int32{-1} }},
-		{"length mismatch", func(g *packedGob) { g.Index = []int32{0, 0} }},
-		{"zero ciphertext", func(g *packedGob) { g.Cts = []*paillier.Ciphertext{{C: big.NewInt(0)}} }},
-		{"oversized ciphertext", func(g *packedGob) {
-			huge := new(big.Int).Lsh(big.NewInt(1), 4096)
-			g.Cts = []*paillier.Ciphertext{{C: huge}}
-		}},
-		{"duplicate index", func(g *packedGob) {
-			g.Index = []int32{0, 0}
-			g.Cts = []*paillier.Ciphertext{p.data[0], p.data[0]}
-		}},
+	blob, err := p.GobEncode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		g := base()
-		tc.mutate(g)
-		var out Packed
-		if err := gob.NewDecoder(bytes.NewReader(encode(g))).Decode(&out); err == nil {
-			t.Errorf("%s: decode succeeded, want error", tc.name)
-		}
+	var back Packed
+	if err := back.GobDecode(blob); err != nil {
+		t.Fatal(err)
+	}
+	if back.Populated() != 3 {
+		t.Fatalf("decoded populated = %d, want 3", back.Populated())
+	}
+	if back.SizeBytes() != p.SizeBytes() {
+		t.Fatalf("decoded size = %d, want %d", back.SizeBytes(), p.SizeBytes())
+	}
+}
+
+func TestSizeBytes(t *testing.T) {
+	sk, codec := packedFixture(t)
+	// 2 channels x ceil(7/3) groups.
+	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 7, 1), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 6 * sk.Public().CiphertextBytes()
+	if got := p.SizeBytes(); got != want {
+		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }

@@ -26,28 +26,9 @@ func checkWindow(lo, hi, channels int) error {
 	return nil
 }
 
-// ChannelSlice returns a view holding only the rows [lo, hi): same
-// dimensions and key, entries outside the window nil, entries inside
-// shared with the receiver.
-func (e *Enc) ChannelSlice(lo, hi int) (*Enc, error) {
-	if err := checkWindow(lo, hi, e.channels); err != nil {
-		return nil, err
-	}
-	out := *e
-	out.data = make([]*paillier.Ciphertext, len(e.data))
-	out.populated = 0
-	for i := lo * e.blocks; i < hi*e.blocks; i++ {
-		if e.data[i] != nil {
-			out.data[i] = e.data[i]
-			out.populated++
-		}
-	}
-	return &out, nil
-}
-
-// ChannelSlice is the packed counterpart of Enc.ChannelSlice: a view
-// holding only the group rows [lo, hi), same dimensions, codec and
-// key, group entries shared with the receiver.
+// ChannelSlice returns a view holding only the group rows [lo, hi):
+// same dimensions, codec and key, entries outside the window nil,
+// entries inside shared with the receiver.
 func (p *Packed) ChannelSlice(lo, hi int) (*Packed, error) {
 	if err := checkWindow(lo, hi, p.channels); err != nil {
 		return nil, err
@@ -64,43 +45,12 @@ func (p *Packed) ChannelSlice(lo, hi int) (*Packed, error) {
 	return &out, nil
 }
 
-// EncryptIntsWindow encrypts only the channel rows [lo, hi) of m into
-// a full-dimensioned matrix (rows outside the window stay nil) — the
-// initial-budget encryption of one SDC shard, which owns a channel
-// slice but keeps whole-matrix coordinates. EncryptIntsWindow(.., 0,
-// m.Channels(), ..) is EncryptInts.
-func EncryptIntsWindow(random io.Reader, key *paillier.PublicKey, m *Int, lo, hi, workers int) (*Enc, error) {
-	if err := checkWindow(lo, hi, m.channels); err != nil {
-		return nil, err
-	}
-	out, err := NewEnc(key, m.channels, m.blocks)
-	if err != nil {
-		return nil, err
-	}
-	out.workers = workers
-	if workers > 1 {
-		random = paillier.SharedReader(random)
-	}
-	base := lo * m.blocks
-	err = parallel.For(workers, (hi-lo)*m.blocks, func(j int) error {
-		i := base + j
-		ct, err := key.Encrypt(random, big.NewInt(m.data[i]))
-		if err != nil {
-			return fmt.Errorf("encrypt element %d: %w", i, err)
-		}
-		out.data[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.populated = (hi - lo) * m.blocks
-	return out, nil
-}
-
-// PackEncryptIntsWindow is the packed counterpart of
-// EncryptIntsWindow: packs and encrypts only the channel rows
-// [lo, hi) of m, padding slots past the last block with pad.
+// PackEncryptIntsWindow packs and encrypts only the channel rows
+// [lo, hi) of m into a full-dimensioned matrix (rows outside the window
+// stay nil), with up to workers goroutines — the initial-budget
+// encryption of one SDC shard, which owns a channel slice but keeps
+// whole-matrix coordinates. Padding slots past the last block encrypt
+// pad.
 func PackEncryptIntsWindow(random io.Reader, key *paillier.PublicKey, codec *paillier.SlotCodec,
 	m *Int, pad int64, lo, hi, workers int) (*Packed, error) {
 	if err := checkWindow(lo, hi, m.channels); err != nil {
@@ -110,7 +60,6 @@ func PackEncryptIntsWindow(random io.Reader, key *paillier.PublicKey, codec *pai
 	if err != nil {
 		return nil, err
 	}
-	out.workers = workers
 	if workers > 1 {
 		random = paillier.SharedReader(random)
 	}

@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-func TestEncChannelSlice(t *testing.T) {
-	sk := testKey()
-	m := testIntMatrix(t, 4, 3, 7)
-	e, err := EncryptInts(rand.Reader, sk.Public(), m, 1)
-	if err != nil {
-		t.Fatalf("EncryptInts: %v", err)
-	}
-	s, err := e.ChannelSlice(1, 3)
-	if err != nil {
-		t.Fatalf("ChannelSlice: %v", err)
-	}
-	if s.Channels() != 4 || s.Blocks() != 3 {
-		t.Errorf("slice dims %dx%d, want full 4x3", s.Channels(), s.Blocks())
-	}
-	if s.Populated() != 2*3 {
-		t.Errorf("slice Populated = %d, want 6", s.Populated())
-	}
-	for c := 0; c < 4; c++ {
-		for b := 0; b < 3; b++ {
-			ct, err := s.At(c, b)
-			if err != nil {
-				t.Fatalf("At(%d, %d): %v", c, b, err)
-			}
-			inWindow := c >= 1 && c < 3
-			if (ct != nil) != inWindow {
-				t.Errorf("At(%d, %d) populated=%v, want %v", c, b, ct != nil, inWindow)
-			}
-			if inWindow {
-				orig, _ := e.At(c, b)
-				if ct != orig {
-					t.Errorf("At(%d, %d) not shared with the source", c, b)
-				}
-			}
-		}
-	}
-	for _, w := range [][2]int{{-1, 2}, {2, 2}, {3, 1}, {0, 5}} {
-		if _, err := e.ChannelSlice(w[0], w[1]); err == nil {
-			t.Errorf("ChannelSlice(%d, %d) accepted an invalid window", w[0], w[1])
-		}
-	}
-}
-
 func TestPackedChannelSlice(t *testing.T) {
 	sk, codec := packedFixture(t)
 	m := testIntMatrix(t, 4, 7, 3)
@@ -75,35 +33,10 @@ func TestPackedChannelSlice(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Window-encrypting each slice of a partition and homomorphically
-// adding the slices must reproduce the full encryption — the
-// invariant the sharded budget matrix rests on.
-func TestEncryptIntsWindowPartitionCoversMatrix(t *testing.T) {
-	sk := testKey()
-	m := testIntMatrix(t, 5, 3, 11)
-	lo, err := EncryptIntsWindow(rand.Reader, sk.Public(), m, 0, 2, 1)
-	if err != nil {
-		t.Fatalf("EncryptIntsWindow(0, 2): %v", err)
-	}
-	hi, err := EncryptIntsWindow(rand.Reader, sk.Public(), m, 2, 5, 1)
-	if err != nil {
-		t.Fatalf("EncryptIntsWindow(2, 5): %v", err)
-	}
-	if lo.Populated() != 2*3 || hi.Populated() != 3*3 {
-		t.Fatalf("window populated counts %d/%d, want 6/9", lo.Populated(), hi.Populated())
-	}
-	sum, err := lo.Add(hi)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	got, err := Decrypt(sk, sum)
-	if err != nil {
-		t.Fatalf("Decrypt: %v", err)
-	}
-	if !got.Equal(m) {
-		t.Error("partitioned window encryptions do not cover the matrix")
+	for _, w := range [][2]int{{-1, 2}, {2, 2}, {3, 1}, {0, 5}} {
+		if _, err := p.ChannelSlice(w[0], w[1]); err == nil {
+			t.Errorf("ChannelSlice(%d, %d) accepted an invalid window", w[0], w[1])
+		}
 	}
 }
 

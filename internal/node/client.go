@@ -526,35 +526,6 @@ func (c *STPClient) ConvertSignsContext(ctx context.Context, req *pisa.SignReque
 	return resp.SignResponse, nil
 }
 
-// ConvertSignsBatch implements pisa.BatchConverter: the whole batch
-// travels as one RPC, so the SDC's coalescer pays one network round
-// trip (and the STP one batched decryption pass) for many concurrent
-// sign tests.
-func (c *STPClient) ConvertSignsBatch(batch *pisa.BatchSignRequest) (*pisa.BatchSignResponse, error) {
-	return c.ConvertSignsBatchContext(context.Background(), batch)
-}
-
-// ConvertSignsBatchContext is ConvertSignsBatch under a caller deadline.
-func (c *STPClient) ConvertSignsBatchContext(ctx context.Context, batch *pisa.BatchSignRequest) (*pisa.BatchSignResponse, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{
-		Kind:             wire.KindBatchConvertRequest,
-		BatchSignRequest: batch,
-	}, wire.KindBatchConvertResponse)
-	if err != nil {
-		return nil, err
-	}
-	if resp.BatchSignResponse == nil {
-		return nil, fmt.Errorf("node: STP returned no batch sign response")
-	}
-	if want := len(batch.Reqs); len(resp.BatchSignResponse.Resps) != want {
-		return nil, fmt.Errorf("node: STP returned %d batch responses, want %d",
-			len(resp.BatchSignResponse.Resps), want)
-	}
-	return resp.BatchSignResponse, nil
-}
-
-var _ pisa.BatchConverter = (*STPClient)(nil)
-
 // SUKey implements pisa.STPService.
 func (c *STPClient) SUKey(id string) (*paillier.PublicKey, error) {
 	return c.SUKeyContext(context.Background(), id)

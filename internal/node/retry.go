@@ -120,7 +120,7 @@ func Retryable(err error) bool {
 func idempotentKind(k wire.Kind) bool {
 	switch k {
 	case wire.KindGroupKeyRequest, wire.KindSUKeyRequest, wire.KindEColumnRequest,
-		wire.KindVerifyKeyRequest, wire.KindConvertRequest, wire.KindBatchConvertRequest,
+		wire.KindVerifyKeyRequest, wire.KindConvertRequest,
 		wire.KindPartialRequest, wire.KindRegisterSU,
 		wire.KindPIRMetaRequest, wire.KindPIRQuery, wire.KindPIRSync,
 		wire.KindShardQuery:

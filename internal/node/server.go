@@ -217,15 +217,6 @@ func (s *STPServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 			return nil, err
 		}
 		return &wire.Envelope{Kind: wire.KindConvertResponse, SignResponse: resp}, nil
-	case wire.KindBatchConvertRequest:
-		if env.BatchSignRequest == nil || len(env.BatchSignRequest.Reqs) == 0 {
-			return nil, fmt.Errorf("stp: batch convert request missing payload")
-		}
-		resp, err := s.stp.ConvertSignsBatch(env.BatchSignRequest)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Envelope{Kind: wire.KindBatchConvertResponse, BatchSignResponse: resp}, nil
 	case wire.KindSUKeyRequest:
 		pk, err := s.stp.SUKey(env.SUID)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
-	"os"
 	"testing"
 )
 
@@ -193,25 +192,12 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 	// requestCells12 is the request-preparation hot path: encrypt 12
-	// budget cells, which the packed layout (PISA_PACKING unset or
-	// "on") folds into a single slot-packed ciphertext and the legacy
-	// layout (PISA_PACKING=off) ships as 12 ciphertexts. Same benchmark
-	// name either way, so benchstat compares the layouts directly.
+	// budget cells, folded into a single slot-packed ciphertext.
 	b.Run("requestCells12", func(b *testing.B) {
 		const cells = 12
 		vals := make([]int64, cells)
 		for i := range vals {
 			vals[i] = int64(1000 + i)
-		}
-		if os.Getenv("PISA_PACKING") == "off" {
-			for i := 0; i < b.N; i++ {
-				for _, v := range vals {
-					if _, err := pk.EncryptInt(rand.Reader, v); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			return
 		}
 		codec, err := NewSlotCodec(cells, 162, 160)
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 // packed answer, driven through the real conversion kernel and the real
 // unblinding: for random slot outcomes and random epsilons, a grant
 // indicator decrypts to 0 exactly when every slot test of every element
-// it covers passed. k = 1 is the unpacked layout, k = 12 the packed one
+// it covers passed. k = 1 is the paper's one-cell layout, k = 12 the one
 // at 2048-bit keys; the answer is sized to three slots so that seven
 // elements span three ciphertexts with a short last one. Besides random
 // patterns it pins the cases an implementation gets wrong one at a
@@ -41,11 +41,9 @@ func TestPackedAnswerZeroIffAllPass(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(18))
 	const elements, perAnswer = 7, 3
 	for _, k := range []int{1, 12} {
-		var reqCodec *paillier.SlotCodec
-		if k > 1 {
-			if reqCodec, err = paillier.NewSlotCodec(k, 16, 14); err != nil {
-				t.Fatal(err)
-			}
+		reqCodec, err := paillier.NewSlotCodec(k, 16, 14)
+		if err != nil {
+			t.Fatal(err)
 		}
 		answer, err := answerCodec(k, perAnswer*(bits.Len(uint(k))+3))
 		if err != nil {
@@ -71,20 +69,16 @@ func TestPackedAnswerZeroIffAllPass(t *testing.T) {
 					}
 					slots[s] = big.NewInt(eps[i] * v)
 				}
-				plain := slots[0]
-				if reqCodec != nil {
-					if plain, err = reqCodec.Pack(slots); err != nil {
-						t.Fatal(err)
-					}
+				plain, err := reqCodec.Pack(slots)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if vs[i], err = group.Encrypt(rand.Reader, plain); err != nil {
 					t.Fatal(err)
 				}
 			}
-			req := &SignRequest{SUID: "su-p", V: vs, AnswerBits: perAnswer * answer.SlotBits()}
-			if reqCodec != nil {
-				req.Packed, req.Slots, req.SlotBits = true, k, reqCodec.SlotBits()
-			}
+			req := &SignRequest{SUID: "su-p", V: vs, Slots: k, SlotBits: reqCodec.SlotBits(),
+				AnswerBits: perAnswer * answer.SlotBits()}
 			resp, err := stp.ConvertSigns(req)
 			if err != nil {
 				t.Fatalf("k=%d %s: %v", k, name, err)
@@ -158,7 +152,7 @@ func TestAnswerCodecBounds(t *testing.T) {
 		k, answerBits int
 		slots, width  int
 	}{
-		{"unpacked", 1, 384, 96, 4},
+		{"k=1", 1, 384, 96, 4},
 		{"k=4 at TestParams", 4, 384, 64, 6},
 		{"k=12 at DefaultParams", 12, 1664, 237, 7},
 		{"exactly one slot", 12, 7, 1, 7},
@@ -216,7 +210,7 @@ func (s *tamperSTP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 }
 
 // TestAnswerSpansSeveralCiphertexts runs the whole pipeline at 768-bit
-// TestParams in the unpacked layout over a grid large enough that one
+// TestParams at one cell per ciphertext over a grid large enough that one
 // request's 210 signs need three answer ciphertexts (96 slots each),
 // and holds every decision against the plaintext oracle — in particular
 // the denials whose single failing cell sits in the first and in the
@@ -231,7 +225,7 @@ func TestAnswerSpansSeveralCiphertexts(t *testing.T) {
 	wp := testWatchParams(t)
 	wp.Grid = grid
 	params := TestParams(wp)
-	params.Packing = false
+	oneSlot(t, &params)
 	stp, err := NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +253,9 @@ func TestAnswerSpansSeveralCiphertexts(t *testing.T) {
 		req, err := su.PrepareRequest(eirp, geo.Disclosure{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got, want := req.Ciphertexts(), wp.Channels*grid.Blocks(); got != want {
+			t.Fatalf("request ships %d ciphertexts, want one per cell = %d", got, want)
 		}
 		tap.answers = nil
 		got := d.decide(t, su, req).Granted

@@ -18,7 +18,7 @@ import (
 )
 
 // newCacheDeployment builds a test universe with the params mutated
-// first (cache size, batching, packing...).
+// first (cache size, slot count...).
 func newCacheDeployment(t *testing.T, mutate func(*Params)) *deployment {
 	t.Helper()
 	wp := testWatchParams(t)
@@ -76,7 +76,7 @@ func (c cacheEventCounts) deltaFrom(prev cacheEventCounts) cacheEventCounts {
 }
 
 // TestCacheHitOracleParity runs the same scenario with the cache on
-// and off, in both request layouts: two SUs of one declared cache
+// and off, at k = 4 and at the paper's k = 1: two SUs of one declared cache
 // domain sharing a request shape, decisions checked against the
 // plaintext oracle in both the empty band and the PU-denied state.
 // With the cache on, the second SU's aggregate must be served from
@@ -85,17 +85,19 @@ func (c cacheEventCounts) deltaFrom(prev cacheEventCounts) cacheEventCounts {
 func TestCacheHitOracleParity(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		packed  bool
+		oneSlot bool
 		entries int
 	}{
-		{"packed/on", true, 256},
-		{"packed/off", true, 0},
-		{"unpacked/on", false, 256},
-		{"unpacked/off", false, 0},
+		{"packed/on", false, 256},
+		{"packed/off", false, 0},
+		{"k=1/on", true, 256},
+		{"k=1/off", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newCacheDeployment(t, func(p *Params) {
-				p.Packing = tc.packed
+				if tc.oneSlot {
+					oneSlot(t, p)
+				}
 				p.CacheEntries = tc.entries
 				// Cross-SU sharing is opt-in: without this declaration
 				// each SU only hits entries it filled itself.
@@ -569,9 +571,6 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 		v, err := stp.group.Decrypt(ct)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sdc.codec == nil {
-			return []*big.Int{v}
 		}
 		slots, err := sdc.codec.Unpack(v)
 		if err != nil {
@@ -1170,80 +1169,6 @@ func TestCacheNoTablesWithoutHits(t *testing.T) {
 	if stats.TableBuilds != 0 || stats.TableBytes != 0 || stats.Tabled != 0 ||
 		metrics().cacheTableBuilds.Value() != before {
 		t.Fatalf("tables built without a hit: %+v", stats)
-	}
-}
-
-// TestSDCCloseDrainsBatcher is the lifecycle regression (a request
-// caught inside an open STP coalescing window when the SDC shuts
-// down): Close must wake the queued request immediately, and the
-// request must COMPLETE — the drained caller retries its sign test as
-// a direct round trip, honouring Close's request-processing-keeps-
-// working contract. The window is set to an hour so only the drain
-// (not the timer) can possibly unblock it.
-func TestSDCCloseDrainsBatcher(t *testing.T) {
-	d := newCacheDeployment(t, func(p *Params) {
-		p.STPBatchWindow = time.Hour
-		p.STPBatchMax = 16
-	})
-	if d.sdc.batcher == nil {
-		t.Fatal("batcher not armed")
-	}
-	su := d.newSU(t, "su-1", 7)
-	req, err := su.PrepareRequest(map[int]int64{1: maxEIRP(d)}, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type result struct {
-		resp *Response
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, err := d.sdc.ProcessRequest(req)
-		done <- result{resp, err}
-	}()
-
-	// Wait until the request is actually parked in the coalescing queue.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		d.sdc.batcher.mu.Lock()
-		queued := len(d.sdc.batcher.pending)
-		d.sdc.batcher.mu.Unlock()
-		if queued == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never reached the coalescing queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	d.sdc.Close()
-	select {
-	case res := <-done:
-		if res.err != nil {
-			t.Fatalf("request drained by Close failed instead of retrying direct: %v", res.err)
-		}
-		grant, err := su.OpenResponse(res.resp, req, d.sdc.VerifyKey())
-		if err != nil {
-			t.Fatalf("OpenResponse: %v", err)
-		}
-		if !grant.Granted {
-			t.Fatal("empty-band request denied after batcher drain")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("request still parked in the coalescing window after Close")
-	}
-
-	// New requests after Close also complete (enqueue bounces to the
-	// direct path).
-	req2, err := su.RefreshRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.sdc.ProcessRequest(req2); err != nil {
-		t.Fatalf("request after Close failed: %v", err)
 	}
 }
 

@@ -44,9 +44,9 @@ func (p Params) AnswerBits(keyBits int) int {
 }
 
 // answerCodec returns the slot layout of a packed answer whose elements
-// are bounded by k in magnitude (a packed request element's sign sum
-// lies in [-k, k] for k slots; an unpacked one's sign is +-1) inside
-// answerBits plaintext bits. A slot is bitlen(k) + 3 bits: the payload,
+// are bounded by k in magnitude (a request element's sign sum lies in
+// [-k, k] for k slots) inside answerBits plaintext bits. A slot is
+// bitlen(k) + 3 bits: the payload,
 // one bit for the SDC's epsilon correction — x_i - eps_i*k lies in
 // [-2k, 2k] — one of guard and the sign, so that a packed indicator D
 // is 0 only if every slot of it is. Pure function of its arguments: the
@@ -78,13 +78,10 @@ type signKernel struct {
 	workers int
 }
 
-// requestCodec reconstructs and validates the slot codec a packed sign
-// request declares; nil for unpacked requests. The payload width is
-// irrelevant for unpacking, so the widest legal value is used.
+// requestCodec reconstructs and validates the slot codec a sign request
+// declares. The payload width is irrelevant for unpacking, so the widest
+// legal value is used.
 func requestCodec(req *SignRequest, group *paillier.PublicKey) (*paillier.SlotCodec, error) {
-	if !req.Packed {
-		return nil, nil
-	}
 	codec, err := paillier.NewSlotCodec(req.Slots, req.SlotBits, req.SlotBits-2)
 	if err != nil {
 		return nil, fmt.Errorf("pisa: sign request slot geometry: %w", err)
@@ -95,17 +92,10 @@ func requestCodec(req *SignRequest, group *paillier.PublicKey) (*paillier.SlotCo
 	return codec, nil
 }
 
-// signOf maps a decrypted blinded value to its converted sign: the
-// plain eq. 15 test for scalar values, or — packed — the sum of the
-// per-slot sign tests, (slots that passed) - (slots that failed) up to
-// the element's epsilon.
+// signOf maps a decrypted blinded value to its converted sign: the sum
+// of the per-slot eq. 15 sign tests, (slots that passed) - (slots that
+// failed) up to the element's epsilon.
 func signOf(v *big.Int, codec *paillier.SlotCodec) (int64, error) {
-	if codec == nil {
-		if v.Sign() > 0 {
-			return 1, nil
-		}
-		return -1, nil
-	}
 	slots, err := codec.Unpack(v)
 	if err != nil {
 		return 0, err
@@ -121,96 +111,62 @@ func signOf(v *big.Int, codec *paillier.SlotCodec) (int64, error) {
 	return sum, nil
 }
 
-// convertSigns is the conversion kernel of eq. 15, the only one: a
-// single request, a coalesced batch, the private-key STP and the
-// threshold DistSTP all end here. Per-request set-up (SU key, request
-// and answer geometry) is hoisted out of the element loop; all elements
-// of all requests are decrypted through one call; then every run of S
-// elements of a request is sign-tested, packed and encrypted under that
-// request's SU key, one ciphertext and one nonce per run, on the worker
-// pool.
-func convertSigns(k signKernel, reqs []*SignRequest) ([]*SignResponse, error) {
-	type reqState struct {
-		suKey  *paillier.PublicKey
-		codec  *paillier.SlotCodec // request layout; nil unpacked
-		answer *paillier.SlotCodec
-		off    int // offset of this request's elements in the flat batch
-		run    int // index of this request's first run
+// convertSigns is the conversion kernel of eq. 15, the only one: the
+// private-key STP and the threshold DistSTP both end here. All elements
+// are decrypted through one call; then every run of S elements is
+// sign-tested, packed and encrypted under the SU's key, one ciphertext
+// and one nonce per run, on the worker pool.
+func convertSigns(k signKernel, req *SignRequest) (*SignResponse, error) {
+	if req == nil {
+		return nil, fmt.Errorf("pisa: nil sign request")
 	}
-	// run is one answer ciphertext: elements [lo, hi) of request req.
-	type run struct{ req, lo, hi int }
-	states := make([]reqState, len(reqs))
-	var flat []*paillier.Ciphertext
-	var runs []run
-	for r, req := range reqs {
-		if req == nil {
-			return nil, fmt.Errorf("pisa: nil sign request in batch slot %d", r)
-		}
-		suKey, err := k.suKey(req.SUID)
-		if err != nil {
-			return nil, err
-		}
-		codec, err := requestCodec(req, k.group)
-		if err != nil {
-			return nil, err
-		}
-		bound := 1
-		if codec != nil {
-			bound = codec.Slots()
-		}
-		answer, err := answerCodec(bound, req.AnswerBits)
-		if err != nil {
-			return nil, err
-		}
-		if err := answer.CheckKey(suKey); err != nil {
-			return nil, fmt.Errorf("pisa: answer layout: %w", err)
-		}
-		states[r] = reqState{suKey: suKey, codec: codec, answer: answer, off: len(flat), run: len(runs)}
-		flat = append(flat, req.V...)
-		for lo := 0; lo < len(req.V); lo += answer.Slots() {
-			runs = append(runs, run{req: r, lo: lo, hi: min(lo+answer.Slots(), len(req.V))})
-		}
-	}
-	vals, err := k.decrypt(flat)
+	suKey, err := k.suKey(req.SUID)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*paillier.Ciphertext, len(runs))
-	// Positional writes keep every response in its request's order at
-	// any worker count.
-	err = parallel.For(k.workers, len(runs), func(c int) error {
-		st := states[runs[c].req]
-		xs := make([]*big.Int, 0, runs[c].hi-runs[c].lo)
-		for i := runs[c].lo; i < runs[c].hi; i++ {
-			x, err := signOf(vals[st.off+i], st.codec)
+	codec, err := requestCodec(req, k.group)
+	if err != nil {
+		return nil, err
+	}
+	answer, err := answerCodec(codec.Slots(), req.AnswerBits)
+	if err != nil {
+		return nil, err
+	}
+	if err := answer.CheckKey(suKey); err != nil {
+		return nil, fmt.Errorf("pisa: answer layout: %w", err)
+	}
+	vals, err := k.decrypt(req.V)
+	if err != nil {
+		return nil, err
+	}
+	per := answer.Slots()
+	xs := make([]*paillier.Ciphertext, (len(vals)+per-1)/per)
+	// Positional writes keep the response in the request's order at any
+	// worker count.
+	err = parallel.For(k.workers, len(xs), func(c int) error {
+		run := vals[c*per : min((c+1)*per, len(vals))]
+		signs := make([]*big.Int, len(run))
+		for i, v := range run {
+			x, err := signOf(v, codec)
 			if err != nil {
-				return fmt.Errorf("pisa: sign test V[%d]: %w", i, err)
+				return fmt.Errorf("pisa: sign test V[%d]: %w", c*per+i, err)
 			}
-			xs = append(xs, big.NewInt(x))
+			signs[i] = big.NewInt(x)
 		}
-		enc, err := st.suKey.PackEncrypt(k.random, st.answer, xs)
+		enc, err := suKey.PackEncrypt(k.random, answer, signs)
 		if err != nil {
-			return fmt.Errorf("pisa: encrypt X[%d]: %w", runs[c].lo/st.answer.Slots(), err)
+			return fmt.Errorf("pisa: encrypt X[%d]: %w", c, err)
 		}
-		out[c] = enc
+		xs[c] = enc
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	resps := make([]*SignResponse, len(reqs))
-	for r, req := range reqs {
-		st := states[r]
-		end := len(runs)
-		if r+1 < len(reqs) {
-			end = states[r+1].run
-		}
-		resps[r] = &SignResponse{X: out[st.run:end]}
-		if k.observe != nil {
-			k.observe(req.SUID, vals[st.off:st.off+len(req.V)])
-		}
+	if k.observe != nil {
+		k.observe(req.SUID, vals)
 	}
-	return resps, nil
+	return &SignResponse{X: xs}, nil
 }
 
 // unblindAnswer is the SDC's half of the packed answer, step 9 of

@@ -16,23 +16,6 @@ func digestKey() *paillier.PublicKey {
 	return &paillier.PublicKey{N: n}
 }
 
-// pinnedUnpacked builds the canonical unpacked fixture: 2x3 matrix
-// with two populated cells.
-func pinnedUnpacked(t *testing.T) *TransmissionRequest {
-	t.Helper()
-	e, err := matrix.NewEnc(digestKey(), 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Set(0, 0, ct(1001)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Set(1, 2, ct(2002)); err != nil {
-		t.Fatal(err)
-	}
-	return &TransmissionRequest{SUID: "su-pin", F: e}
-}
-
 // pinnedPacked builds the canonical packed fixture: 2 channels, 8
 // blocks in groups of 4.
 func pinnedPacked(t *testing.T) *TransmissionRequest {
@@ -54,45 +37,33 @@ func pinnedPacked(t *testing.T) *TransmissionRequest {
 	return &TransmissionRequest{SUID: "su-pin", FP: p}
 }
 
-// The pinned digests commit to the v2 layout: any change to the tag,
+// The pinned digest commits to the v2 layout: any change to the tag,
 // framing, coordinate mixing or element order is a compatibility break
 // for issued licenses and must show up here.
-const (
-	pinnedUnpackedDigest = "bec44a30b9ab5ad04a29c5b3005d2bd8c151512aee2872384332b6061267da28"
-	pinnedPackedDigest   = "dfb5b00a9bc56e0fe8d0b32ec63497654ffa0fe5896f9a8f9a19172523c09e3c"
-)
+const pinnedPackedDigest = "dfb5b00a9bc56e0fe8d0b32ec63497654ffa0fe5896f9a8f9a19172523c09e3c"
 
 func TestDigestPinned(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		req  *TransmissionRequest
-		want string
-	}{
-		{"unpacked", pinnedUnpacked(t), pinnedUnpackedDigest},
-		{"packed", pinnedPacked(t), pinnedPackedDigest},
-	} {
-		d, err := tc.req.Digest()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := hex.EncodeToString(d[:]); got != tc.want {
-			t.Errorf("%s digest = %s, want %s", tc.name, got, tc.want)
-		}
+	d, err := pinnedPacked(t).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(d[:]); got != pinnedPackedDigest {
+		t.Errorf("digest = %s, want %s", got, pinnedPackedDigest)
 	}
 }
 
 func TestDigestBindsCoordinatesAndIdentity(t *testing.T) {
-	base, err := pinnedUnpacked(t).Digest()
+	base, err := pinnedPacked(t).Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same ciphertext bytes at a different cell must change the digest
+	// Same ciphertext bytes at a different group must change the digest
 	// — the raw-concatenation ambiguity the v2 layout closes.
-	moved := pinnedUnpacked(t)
-	if err := moved.F.Set(1, 2, nil); err != nil {
+	moved := pinnedPacked(t)
+	if err := moved.FP.SetGroup(1, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := moved.F.Set(1, 1, ct(2002)); err != nil {
+	if err := moved.FP.SetGroup(1, 0, ct(4004)); err != nil {
 		t.Fatal(err)
 	}
 	movedD, err := moved.Digest()
@@ -100,15 +71,15 @@ func TestDigestBindsCoordinatesAndIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if movedD == base {
-		t.Error("digest ignores cell coordinates")
+		t.Error("digest ignores group coordinates")
 	}
-	// Swapping two cell values keeps the concatenated bytes' multiset
+	// Swapping two group values keeps the concatenated bytes' multiset
 	// identical; the digest must still differ.
-	swapped := pinnedUnpacked(t)
-	if err := swapped.F.Set(0, 0, ct(2002)); err != nil {
+	swapped := pinnedPacked(t)
+	if err := swapped.FP.SetGroup(0, 0, ct(4004)); err != nil {
 		t.Fatal(err)
 	}
-	if err := swapped.F.Set(1, 2, ct(1001)); err != nil {
+	if err := swapped.FP.SetGroup(1, 1, ct(3003)); err != nil {
 		t.Fatal(err)
 	}
 	swappedD, err := swapped.Digest()
@@ -116,10 +87,10 @@ func TestDigestBindsCoordinatesAndIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if swappedD == base {
-		t.Error("digest ignores cell order")
+		t.Error("digest ignores group order")
 	}
 	// The SUID is length-prefixed, so it cannot absorb ciphertext bytes.
-	renamed := pinnedUnpacked(t)
+	renamed := pinnedPacked(t)
 	renamed.SUID = "su-pin2"
 	renamedD, err := renamed.Digest()
 	if err != nil {
@@ -130,20 +101,13 @@ func TestDigestBindsCoordinatesAndIdentity(t *testing.T) {
 	}
 }
 
+// Same ciphertexts under a different declared slot geometry must
+// produce a different digest.
 func TestDigestSeparatesLayouts(t *testing.T) {
-	u, err := pinnedUnpacked(t).Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, err := pinnedPacked(t).Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u == p {
-		t.Error("packed and unpacked digests collide")
-	}
-	// Same packed ciphertexts under a different declared slot geometry
-	// must produce a different digest.
 	codec, err := paillier.NewSlotCodec(5, 20, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -167,13 +131,8 @@ func TestDigestSeparatesLayouts(t *testing.T) {
 	}
 }
 
-func TestDigestRejectsAmbiguousRequests(t *testing.T) {
+func TestDigestRejectsEmptyRequest(t *testing.T) {
 	if _, err := (&TransmissionRequest{SUID: "su"}).Digest(); err == nil {
-		t.Error("digest of empty request succeeded")
-	}
-	both := pinnedUnpacked(t)
-	both.FP = pinnedPacked(t).FP
-	if _, err := both.Digest(); err == nil {
-		t.Error("digest with both layouts succeeded")
+		t.Error("digest of a request without a matrix succeeded")
 	}
 }

@@ -97,10 +97,7 @@ type DistSTP struct {
 	sus *suRegistry
 }
 
-var (
-	_ STPService     = (*DistSTP)(nil)
-	_ BatchConverter = (*DistSTP)(nil)
-)
+var _ STPService = (*DistSTP)(nil)
 
 // NewDistSTP generates a fresh group key, splits it into count
 // shares, and returns the combiner plus the co-STP share services.
@@ -204,50 +201,21 @@ func (d *DistSTP) SUKey(id string) (*paillier.PublicKey, error) {
 }
 
 // ConvertSigns implements STPService: every co-STP contributes a
-// partial for every V; the combiner multiplies partials, reads the
-// blinded sign (slot-wise for packed requests), and encrypts the signs,
-// slot-packed, under the SU's key (eq. 15).
+// partial for every V in one partial-decryption round; the combiner
+// multiplies partials, reads the blinded signs slot-wise, and encrypts
+// them, slot-packed, under the SU's key (eq. 15) — the shared kernel
+// (convertSigns) run with a threshold decryption.
 func (d *DistSTP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
-	if req == nil {
-		return nil, fmt.Errorf("pisa: nil sign request")
-	}
-	resps, err := d.convertAll([]*SignRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return resps[0], nil
-}
-
-// ConvertSignsBatch implements BatchConverter: the whole batch crosses
-// to every co-STP in one PartialDecryptBatch round, so the coalescing
-// layer's round-trip amortisation carries over to the distributed
-// deployment.
-func (d *DistSTP) ConvertSignsBatch(batch *BatchSignRequest) (*BatchSignResponse, error) {
-	if batch == nil || len(batch.Reqs) == 0 {
-		return nil, fmt.Errorf("pisa: empty batch sign request")
-	}
-	resps, err := d.convertAll(batch.Reqs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchSignResponse{Resps: resps}, nil
-}
-
-// convertAll runs the shared conversion kernel (convertSigns) with a
-// threshold decryption: all elements of all requests flatten into one
-// partial-decryption round, whose partials are combined on the worker
-// pool.
-func (d *DistSTP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
 	return convertSigns(signKernel{
 		group:   d.group,
 		suKey:   d.SUKey,
 		decrypt: d.decryptAll,
 		random:  d.random,
 		workers: d.workers,
-	}, reqs)
+	}, req)
 }
 
-// decryptAll is the threshold decryption of one flattened batch.
+// decryptAll is the threshold decryption of one request's elements.
 func (d *DistSTP) decryptAll(flat []*paillier.Ciphertext) ([]*big.Int, error) {
 	// Fan out to the co-STPs concurrently — in a network deployment
 	// the holders are independent servers, so issuing the batches in

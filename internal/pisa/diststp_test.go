@@ -125,7 +125,7 @@ func TestDistSTPRequiresAllHolders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crippled.ConvertSigns(&SignRequest{SUID: "su-x", V: []*paillier.Ciphertext{ct}, AnswerBits: 64}); err == nil {
+	if _, err := crippled.ConvertSigns(&SignRequest{SUID: "su-x", V: []*paillier.Ciphertext{ct}, Slots: 1, SlotBits: 64, AnswerBits: 64}); err == nil {
 		t.Fatal("conversion succeeded with a missing share")
 	}
 }
@@ -162,7 +162,7 @@ func TestDistSTPNamesFailingHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = dist.ConvertSigns(&SignRequest{SUID: "su-b", V: []*paillier.Ciphertext{ct}, AnswerBits: 64})
+	_, err = dist.ConvertSigns(&SignRequest{SUID: "su-b", V: []*paillier.Ciphertext{ct}, Slots: 1, SlotBits: 64, AnswerBits: 64})
 	var coErr *CoSTPError
 	if !errors.As(err, &coErr) {
 		t.Fatalf("got %v, want CoSTPError", err)

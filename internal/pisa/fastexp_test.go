@@ -137,7 +137,7 @@ func TestSTPSetFastExpArmsRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := stp.ConvertSigns(&SignRequest{SUID: "su-before", V: []*paillier.Ciphertext{v}, AnswerBits: 64})
+	resp, err := stp.ConvertSigns(&SignRequest{SUID: "su-before", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestDistSTPSetFastExp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := dist.ConvertSigns(&SignRequest{SUID: "su-1", V: []*paillier.Ciphertext{v}, AnswerBits: 64})
+	resp, err := dist.ConvertSigns(&SignRequest{SUID: "su-1", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // them, a hostile peer could declare element counts or ciphertext
 // widths that make the decoder allocate unbounded memory before any
 // protocol-level validation runs — the same failure mode
-// internal/matrix closed for Enc in PR 2 (matching caps here). The
+// internal/matrix closes for Packed (matching caps here). The
 // receiver is unmodified on failure.
 const (
 	// maxWireElements caps declared slice lengths, matching the
@@ -33,10 +33,6 @@ const (
 	maxWireIDLen = 4096
 	// maxWireSlotBits caps the declared packed-slot geometry.
 	maxWireSlotBits = 1 << 20
-	// maxWireBatch caps how many sign tests one batched STP call may
-	// declare — far above any sane coalescing window, low enough that a
-	// hostile length prefix cannot pre-allocate unbounded memory.
-	maxWireBatch = 1 << 16
 )
 
 // checkWireCiphertexts validates a decoded ciphertext slice: every
@@ -101,15 +97,15 @@ func (w *signRequestWire) check() error {
 	if err := checkWireCiphertexts("sign request", w.V); err != nil {
 		return err
 	}
-	if w.Packed {
-		if w.Slots < 1 || w.Slots > maxWireElements {
-			return fmt.Errorf("pisa: decode sign request: slot count %d outside [1, %d]", w.Slots, maxWireElements)
-		}
-		if w.SlotBits < 3 || w.SlotBits > maxWireSlotBits {
-			return fmt.Errorf("pisa: decode sign request: slot width %d outside [3, %d]", w.SlotBits, maxWireSlotBits)
-		}
-	} else if w.Slots != 0 || w.SlotBits != 0 {
-		return fmt.Errorf("pisa: decode sign request: slot geometry on unpacked request")
+	if w.Slots == 0 {
+		// What an SDC on the removed one-cell-per-ciphertext layout sends.
+		return fmt.Errorf("pisa: decode sign request: no slot geometry: the unpacked layout was removed, sign requests are slot-packed")
+	}
+	if w.Slots < 1 || w.Slots > maxWireElements {
+		return fmt.Errorf("pisa: decode sign request: slot count %d outside [1, %d]", w.Slots, maxWireElements)
+	}
+	if w.SlotBits < 3 || w.SlotBits > maxWireSlotBits {
+		return fmt.Errorf("pisa: decode sign request: slot width %d outside [3, %d]", w.SlotBits, maxWireSlotBits)
 	}
 	if w.AnswerBits < 0 || w.AnswerBits > maxWireSlotBits {
 		return fmt.Errorf("pisa: decode sign request: answer width %d outside [0, %d]", w.AnswerBits, maxWireSlotBits)
@@ -222,97 +218,5 @@ func (a *ShardAnswer) GobDecode(data []byte) error {
 		return err
 	}
 	*a = ShardAnswer{D: w.D}
-	return nil
-}
-
-// batchSignRequestWire flattens a whole batch into ONE gob stream.
-// Encoding the elements through their own GobEncode would open a fresh
-// nested gob stream per element, re-emitting and re-compiling the type
-// descriptors every time — ~tens of microseconds per element, which is
-// most of what a coalesced RPC is supposed to amortise. The flat wire
-// struct pays the descriptor setup once per batch, so the marginal
-// cost of carrying one more sign test is just its data bytes.
-type batchSignRequestWire struct {
-	Reqs []signRequestWire
-}
-
-// GobEncode implements gob.GobEncoder for the batched STP call; all
-// requests share one encoder stream.
-func (b *BatchSignRequest) GobEncode() ([]byte, error) {
-	w := batchSignRequestWire{Reqs: make([]signRequestWire, len(b.Reqs))}
-	for i, r := range b.Reqs {
-		if r == nil {
-			return nil, fmt.Errorf("pisa: encode batch sign request: element %d is nil", i)
-		}
-		w.Reqs[i] = signRequestWire(*r)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("pisa: encode batch sign request: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder with a batch-size cap plus the
-// full per-element sign-request validation.
-func (b *BatchSignRequest) GobDecode(data []byte) error {
-	var w batchSignRequestWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("pisa: decode batch sign request: %w", err)
-	}
-	if len(w.Reqs) > maxWireBatch {
-		return fmt.Errorf("pisa: decode batch sign request: %d requests exceed cap %d", len(w.Reqs), maxWireBatch)
-	}
-	reqs := make([]*SignRequest, len(w.Reqs))
-	for i := range w.Reqs {
-		if err := w.Reqs[i].check(); err != nil {
-			return fmt.Errorf("pisa: decode batch sign request: element %d: %w", i, err)
-		}
-		req := SignRequest(w.Reqs[i])
-		reqs[i] = &req
-	}
-	*b = BatchSignRequest{Reqs: reqs}
-	return nil
-}
-
-// batchSignResponseWire flattens the batched response the same way.
-type batchSignResponseWire struct {
-	Resps []signResponseWire
-}
-
-// GobEncode implements gob.GobEncoder; all responses share one
-// encoder stream.
-func (b *BatchSignResponse) GobEncode() ([]byte, error) {
-	w := batchSignResponseWire{Resps: make([]signResponseWire, len(b.Resps))}
-	for i, r := range b.Resps {
-		if r == nil {
-			return nil, fmt.Errorf("pisa: encode batch sign response: element %d is nil", i)
-		}
-		w.Resps[i] = signResponseWire{X: r.X}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("pisa: encode batch sign response: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder with batch and per-element caps.
-func (b *BatchSignResponse) GobDecode(data []byte) error {
-	var w batchSignResponseWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("pisa: decode batch sign response: %w", err)
-	}
-	if len(w.Resps) > maxWireBatch {
-		return fmt.Errorf("pisa: decode batch sign response: %d responses exceed cap %d", len(w.Resps), maxWireBatch)
-	}
-	resps := make([]*SignResponse, len(w.Resps))
-	for i := range w.Resps {
-		if err := checkWireCiphertexts("batch sign response", w.Resps[i].X); err != nil {
-			return fmt.Errorf("pisa: decode batch sign response: element %d: %w", i, err)
-		}
-		resps[i] = &SignResponse{X: w.Resps[i].X}
-	}
-	*b = BatchSignResponse{Resps: resps}
 	return nil
 }

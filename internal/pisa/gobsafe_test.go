@@ -34,14 +34,14 @@ func ct(v int64) *paillier.Ciphertext {
 
 func TestSignRequestGobRoundTrip(t *testing.T) {
 	src := &SignRequest{
-		SUID:   "su-1",
-		V:      []*paillier.Ciphertext{ct(7), ct(11)},
-		Packed: true, Slots: 4, SlotBits: 20, AnswerBits: 384,
+		SUID:  "su-1",
+		V:     []*paillier.Ciphertext{ct(7), ct(11)},
+		Slots: 4, SlotBits: 20, AnswerBits: 384,
 	}
 	var got SignRequest
 	gobRoundTrip(t, src, &got)
 	if got.SUID != src.SUID || len(got.V) != 2 || got.V[1].C.Int64() != 11 ||
-		!got.Packed || got.Slots != 4 || got.SlotBits != 20 || got.AnswerBits != 384 {
+		got.Slots != 4 || got.SlotBits != 20 || got.AnswerBits != 384 {
 		t.Fatalf("round trip mangled request: %+v", got)
 	}
 }
@@ -67,12 +67,13 @@ func TestSignRequestGobRejectsMalformed(t *testing.T) {
 		{"long SUID", signRequestWire{SUID: strings.Repeat("x", maxWireIDLen+1), V: []*paillier.Ciphertext{ct(1)}}, "SUID length"},
 		{"nil value", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{{}}}, "invalid ciphertext"},
 		{"non-positive", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(0)}}, "invalid ciphertext"},
-		{"zero slots", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Packed: true, Slots: 0, SlotBits: 20}, "slot count"},
-		{"narrow slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Packed: true, Slots: 2, SlotBits: 2}, "slot width"},
-		{"huge slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Packed: true, Slots: 2, SlotBits: maxWireSlotBits + 1}, "slot width"},
-		{"geometry on unpacked", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 4, SlotBits: 20}, "unpacked"},
-		{"negative answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, AnswerBits: -1}, "answer width"},
-		{"huge answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, AnswerBits: maxWireSlotBits + 1}, "answer width"},
+		// What an SDC on the removed one-cell-per-ciphertext layout sends.
+		{"zero slots", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, AnswerBits: 384}, "unpacked layout was removed"},
+		{"negative slots", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: -1, SlotBits: 20}, "slot count"},
+		{"narrow slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 2, SlotBits: 2}, "slot width"},
+		{"huge slot", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 2, SlotBits: maxWireSlotBits + 1}, "slot width"},
+		{"negative answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 4, SlotBits: 20, AnswerBits: -1}, "answer width"},
+		{"huge answer width", signRequestWire{SUID: "su", V: []*paillier.Ciphertext{ct(1)}, Slots: 4, SlotBits: 20, AnswerBits: maxWireSlotBits + 1}, "answer width"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,69 +141,6 @@ func TestPUUpdateGobRejectsMalformed(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestBatchSignRequestGobRoundTrip(t *testing.T) {
-	src := &BatchSignRequest{Reqs: []*SignRequest{
-		{SUID: "su-1", V: []*paillier.Ciphertext{ct(5)}},
-		{SUID: "su-2", V: []*paillier.Ciphertext{ct(6), ct(7)}, Packed: true, Slots: 3, SlotBits: 16},
-	}}
-	var got BatchSignRequest
-	gobRoundTrip(t, src, &got)
-	if len(got.Reqs) != 2 || got.Reqs[0].SUID != "su-1" || got.Reqs[1].Slots != 3 ||
-		got.Reqs[1].V[1].C.Int64() != 7 || !got.Reqs[1].Packed {
-		t.Fatalf("round trip mangled batch: %+v", got)
-	}
-}
-
-func TestBatchSignRequestGobRejectsMalformed(t *testing.T) {
-	// Per-element validation must run inside the batch too.
-	err := decodeFrame(t, &batchSignRequestWire{Reqs: []signRequestWire{
-		{SUID: "ok", V: []*paillier.Ciphertext{ct(1)}},
-		{SUID: "bad", V: []*paillier.Ciphertext{{}}},
-	}}, new(BatchSignRequest).GobDecode)
-	if err == nil || !strings.Contains(err.Error(), "element 1") {
-		t.Fatalf("bad batch element accepted: %v", err)
-	}
-	// A hostile batch count is rejected before per-element work.
-	err = decodeFrame(t, &batchSignRequestWire{Reqs: make([]signRequestWire, maxWireBatch+1)},
-		new(BatchSignRequest).GobDecode)
-	if err == nil || !strings.Contains(err.Error(), "exceed cap") {
-		t.Fatalf("oversized batch accepted: %v", err)
-	}
-}
-
-func TestBatchSignRequestGobRejectsNilElementOnEncode(t *testing.T) {
-	if _, err := (&BatchSignRequest{Reqs: []*SignRequest{nil}}).GobEncode(); err == nil {
-		t.Fatal("nil batch element encoded")
-	}
-}
-
-func TestBatchSignResponseGobRoundTrip(t *testing.T) {
-	src := &BatchSignResponse{Resps: []*SignResponse{
-		{X: []*paillier.Ciphertext{ct(1)}},
-		{X: []*paillier.Ciphertext{ct(2), ct(3)}},
-	}}
-	var got BatchSignResponse
-	gobRoundTrip(t, src, &got)
-	if len(got.Resps) != 2 || len(got.Resps[1].X) != 2 || got.Resps[1].X[1].C.Int64() != 3 {
-		t.Fatalf("round trip mangled batch response: %+v", got)
-	}
-}
-
-func TestBatchSignResponseGobRejectsMalformed(t *testing.T) {
-	err := decodeFrame(t, &batchSignResponseWire{Resps: []signResponseWire{
-		{X: []*paillier.Ciphertext{ct(4)}},
-		{X: []*paillier.Ciphertext{ct(0)}},
-	}}, new(BatchSignResponse).GobDecode)
-	if err == nil || !strings.Contains(err.Error(), "element 1") {
-		t.Fatalf("bad batch response element accepted: %v", err)
-	}
-	err = decodeFrame(t, &batchSignResponseWire{Resps: make([]signResponseWire, maxWireBatch+1)},
-		new(BatchSignResponse).GobDecode)
-	if err == nil || !strings.Contains(err.Error(), "exceed cap") {
-		t.Fatalf("oversized batch response accepted: %v", err)
 	}
 }
 

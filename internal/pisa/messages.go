@@ -20,10 +20,10 @@ import (
 // received channel and 0 elsewhere. A switched-off receiver sends all
 // zeros.
 //
-// Updates stay one-ciphertext-per-channel even in packed deployments:
-// a PU speaks for a single block, so there is nothing to pack; the
-// SDC folds the update into the right slot of its packed budget with
-// a shift scalar (see SDC.rebuildColumn).
+// Updates are one ciphertext per channel, not slot-packed: a PU speaks
+// for a single block, so there is nothing to pack; the SDC folds the
+// update into the right slot of its packed budget with a shift scalar
+// (see SDC.rebuildGroup).
 type PUUpdate struct {
 	// PUID identifies the sender; its block registration is public.
 	PUID watch.PUID
@@ -35,24 +35,20 @@ type PUUpdate struct {
 
 // TransmissionRequest is the SU's spectrum-access request (Figure 5):
 // the encrypted F matrix plus the disclosed block set it covers.
-// Exactly one of F (unpacked deployments) and FP (packed deployments)
-// is set; the layouts carry the same plaintext matrix.
 type TransmissionRequest struct {
 	// SUID identifies the requester; the STP must know its public key.
 	SUID string
-	// F is the encrypted F_j matrix under the group key. All C
-	// channels are populated for every disclosed block, including
-	// encryptions of zero, so the SDC cannot tell which channels or
-	// blocks matter.
-	F *matrix.Enc
-	// FP is the packed form of F: k block cells per ciphertext along
-	// the block axis, ~k times smaller on the wire. Padding slots
-	// encrypt zero. Disclosure granularity rounds up to whole groups.
+	// FP is the encrypted F_j matrix under the group key, slot-packed:
+	// k block cells per ciphertext along the block axis. All C channels
+	// are populated for every disclosed group, including encryptions of
+	// zero, so the SDC cannot tell which channels or blocks matter.
+	// Padding slots encrypt zero. Disclosure granularity rounds up to
+	// whole groups.
 	FP *matrix.Packed
 	// Disclosure lists the block columns shipped; nil or
 	// grid-complete means full location privacy (§VI-A trade-off).
 	Disclosure []geo.BlockID
-	// ShapeDigest commits to the request's plaintext shape — layout,
+	// ShapeDigest commits to the request's plaintext shape —
 	// SU block, per-channel EIRP classes, disclosure — over public
 	// inputs only (see ShapeDigest below). The SDC uses it, bound to
 	// the requester's sharing scope, as the lookup key of its
@@ -75,27 +71,21 @@ type TransmissionRequest struct {
 
 // SizeBytes reports the request's dominant wire size (the ciphertext
 // payload), the quantity Figure 6 reports as about 29 MB at paper
-// scale unpacked — and ~k times less with packing on.
+// scale with one cell per ciphertext — and ~k times less at k slots.
 func (r *TransmissionRequest) SizeBytes() int {
-	switch {
-	case r.FP != nil:
-		return r.FP.SizeBytes()
-	case r.F != nil:
-		return r.F.SizeBytes()
+	if r.FP == nil {
+		return 0
 	}
-	return 0
+	return r.FP.SizeBytes()
 }
 
 // Ciphertexts reports how many ciphertexts the request ships — the
 // number of fresh nonces one refresh cycle consumes.
 func (r *TransmissionRequest) Ciphertexts() int {
-	switch {
-	case r.FP != nil:
-		return r.FP.Populated()
-	case r.F != nil:
-		return r.F.Populated()
+	if r.FP == nil {
+		return 0
 	}
-	return 0
+	return r.FP.Populated()
 }
 
 // digestU32 appends a length/coordinate as fixed-width framing.
@@ -105,12 +95,12 @@ func digestU32(buf *bytes.Buffer, v int) {
 	buf.Write(b[:])
 }
 
-// Digest layout discriminators; also serve as domain separation
-// between the packed and unpacked layouts.
+// digestModePacked is the layout byte both digests write. Slot-packed is
+// the only layout; the byte stays in the preimage so that license
+// bindings and cache keys keep their values.
 const (
-	digestTag          = "pisa-request-digest-v2\x00"
-	digestModeUnpacked = byte(0)
-	digestModePacked   = byte(1)
+	digestTag        = "pisa-request-digest-v2\x00"
+	digestModePacked = byte(1)
 )
 
 // Digest commits to the encrypted request for license binding. Every
@@ -120,44 +110,26 @@ const (
 // re-split differently, a cell migrating to a different coordinate,
 // or an SUID absorbing the first ciphertext's bytes).
 func (r *TransmissionRequest) Digest() ([32]byte, error) {
-	if r.F == nil && r.FP == nil {
+	if r.FP == nil {
 		return [32]byte{}, fmt.Errorf("pisa: request has no F matrix")
-	}
-	if r.F != nil && r.FP != nil {
-		return [32]byte{}, fmt.Errorf("pisa: request has both packed and unpacked F")
 	}
 	var buf bytes.Buffer
 	buf.WriteString(digestTag)
 	digestU32(&buf, len(r.SUID))
 	buf.WriteString(r.SUID)
-	var err error
-	if r.F != nil {
-		buf.WriteByte(digestModeUnpacked)
-		digestU32(&buf, r.F.Channels())
-		digestU32(&buf, r.F.Blocks())
-		err = r.F.ForEach(func(c, b int, ct *paillier.Ciphertext) error {
-			digestU32(&buf, c)
-			digestU32(&buf, b)
-			raw := ct.C.Bytes()
-			digestU32(&buf, len(raw))
-			buf.Write(raw)
-			return nil
-		})
-	} else {
-		buf.WriteByte(digestModePacked)
-		digestU32(&buf, r.FP.Channels())
-		digestU32(&buf, r.FP.Blocks())
-		digestU32(&buf, r.FP.Slots())
-		digestU32(&buf, r.FP.Codec().SlotBits())
-		err = r.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
-			digestU32(&buf, c)
-			digestU32(&buf, g)
-			raw := ct.C.Bytes()
-			digestU32(&buf, len(raw))
-			buf.Write(raw)
-			return nil
-		})
-	}
+	buf.WriteByte(digestModePacked)
+	digestU32(&buf, r.FP.Channels())
+	digestU32(&buf, r.FP.Blocks())
+	digestU32(&buf, r.FP.Slots())
+	digestU32(&buf, r.FP.Codec().SlotBits())
+	err := r.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
+		digestU32(&buf, c)
+		digestU32(&buf, g)
+		raw := ct.C.Bytes()
+		digestU32(&buf, len(raw))
+		buf.Write(raw)
+		return nil
+	})
 	if err != nil {
 		return [32]byte{}, err
 	}
@@ -170,20 +142,16 @@ func (r *TransmissionRequest) Digest() ([32]byte, error) {
 const shapeDigestTag = "pisa-shape-digest-v1\x00"
 
 // ShapeDigest hashes the plaintext inputs that determine the F matrix
-// bit-for-bit: the layout mode, the grid dimensions, the SU's block,
+// bit-for-bit: the grid dimensions, the SU's block,
 // the (channel, EIRP-units) demand pairs, and the disclosed block set.
 // planner.ComputeF is deterministic in exactly these inputs, so equal
 // digests imply equal plaintext F — the soundness condition for the
 // SDC's encrypted-decision cache. Computed SU-side, because the SDC
 // only ever sees F encrypted.
-func ShapeDigest(packed bool, channels, blocks int, block geo.BlockID, eirpUnits map[int]int64, disclosure []geo.BlockID) [32]byte {
+func ShapeDigest(channels, blocks int, block geo.BlockID, eirpUnits map[int]int64, disclosure []geo.BlockID) [32]byte {
 	var buf bytes.Buffer
 	buf.WriteString(shapeDigestTag)
-	if packed {
-		buf.WriteByte(digestModePacked)
-	} else {
-		buf.WriteByte(digestModeUnpacked)
-	}
+	buf.WriteByte(digestModePacked)
 	digestU32(&buf, channels)
 	digestU32(&buf, blocks)
 	digestU32(&buf, int(block))
@@ -251,19 +219,18 @@ type SignRequest struct {
 	SUID string
 	// V holds the blinded ciphertexts under the group key.
 	V []*paillier.Ciphertext
-	// Packed marks slot-packed elements: each V[i] carries Slots
-	// blinded indicators in slots of SlotBits bits. The STP then
-	// unpacks each decryption and sign-tests every slot; V[i]'s
+	// Slots and SlotBits are the slot geometry of the elements: each
+	// V[i] carries Slots blinded indicators in slots of SlotBits bits.
+	// The STP unpacks each decryption and sign-tests every slot; V[i]'s
 	// converted sign x_i is the sum of its slot signs (Slots when all
-	// pass, less otherwise). Unpacked, x_i is the one sign, +1 or -1.
-	Packed   bool
+	// pass, less otherwise).
 	Slots    int
 	SlotBits int
 	// AnswerBits is how many plaintext bits of the SU's key the packed
 	// answer may occupy (Params.AnswerBits: what the license mask eta
-	// and the signature leave free). With the per-element bound — Slots
-	// when packed, 1 otherwise — it fixes the answer's slot layout
-	// (answerCodec) identically on both sides.
+	// and the signature leave free). With the per-element bound Slots it
+	// fixes the answer's slot layout (answerCodec) identically on both
+	// sides.
 	AnswerBits int
 }
 
@@ -273,17 +240,4 @@ type SignRequest struct {
 // layout — one ciphertext, one fresh nonce, for up to S elements.
 type SignResponse struct {
 	X []*paillier.Ciphertext
-}
-
-// BatchSignRequest coalesces the sign tests of many concurrent SU
-// requests into one STP round trip — the RPC that otherwise caps SDC
-// throughput at one request per STP latency.
-type BatchSignRequest struct {
-	Reqs []*SignRequest
-}
-
-// BatchSignResponse carries one SignResponse per batched request,
-// positionally aligned with BatchSignRequest.Reqs.
-type BatchSignResponse struct {
-	Resps []*SignResponse
 }

@@ -48,11 +48,6 @@ type sdcMetrics struct {
 	blindRefillErr *obs.Counter // result="error"
 	blindFallbacks *obs.Counter
 
-	batchSize       *obs.Histogram
-	batchFlushFull  *obs.Counter // reason="full"
-	batchFlushTimer *obs.Counter // reason="timer"
-	batchWait       *obs.Histogram
-
 	// Encrypted-decision cache: event counters plus the aggregate
 	// stage split into served-from-cache vs recomputed, so the hit
 	// speedup is directly readable from /metrics.
@@ -133,15 +128,6 @@ func metrics() *sdcMetrics {
 				"background blinding-pool refill outcomes", obs.Labels{"result": "error"}),
 			blindFallbacks: r.Counter("pisa_sdc_blind_fallbacks_total",
 				"request cells that generated blinding factors online (pool was dry)", nil),
-			batchSize: r.Histogram("pisa_sdc_stp_batch_size",
-				"sign-test requests coalesced into one STP call",
-				nil, []float64{1, 2, 4, 8, 16, 32, 64}),
-			batchFlushFull: r.Counter("pisa_sdc_stp_batch_flushes_total",
-				"coalesced STP batch flushes by trigger", obs.Labels{"reason": "full"}),
-			batchFlushTimer: r.Counter("pisa_sdc_stp_batch_flushes_total",
-				"coalesced STP batch flushes by trigger", obs.Labels{"reason": "timer"}),
-			batchWait: r.Histogram("pisa_sdc_stp_batch_wait_seconds",
-				"time a sign-test request waited in the coalescing queue", nil, nil),
 			cacheHits: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "hit"}),
 			cacheMisses: r.Counter("pisa_sdc_cache_events_total",

@@ -8,44 +8,29 @@ import (
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/paillier"
-	"pisa/internal/watch"
 )
 
-// newDeploymentMode builds an in-process universe plus oracle with the
-// requested request layout. The default test deployment runs packed;
-// this keeps the legacy one-cell-per-ciphertext escape hatch
-// (-packing=off) under the same oracle cross-check.
-func newDeploymentMode(t *testing.T, packed bool) *deployment {
+// oneSlot widens the blinding factor until a single slot fills the
+// modulus: PackSlots() == 1 is the paper's one-cell-per-ciphertext
+// layout, run by the same pipeline. The k = 1 rows of the parity tables
+// are built with it.
+func oneSlot(t testing.TB, p *Params) {
 	t.Helper()
-	wp := testWatchParams(t)
-	params := TestParams(wp)
-	params.Packing = packed
-	stp, err := NewSTP(rand.Reader, params.PaillierBits)
-	if err != nil {
-		t.Fatalf("NewSTP: %v", err)
+	p.AlphaBits = p.PaillierBits/2 - p.PlaintextBits
+	if k := p.PackSlots(); k != 1 {
+		t.Fatalf("AlphaBits %d packs %d slots per ciphertext, want 1", p.AlphaBits, k)
 	}
-	sdc, err := NewSDC("sdc-test", params, nil, stp)
-	if err != nil {
-		t.Fatalf("NewSDC: %v", err)
-	}
-	oracle, err := watch.NewSystem(wp, nil)
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-	return &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
 }
 
-// TestUnpackedEquivalenceWithPlaintextWATCH is the oracle cross-check
-// for the legacy layout: with Packing off the pipeline must still
-// agree with plaintext WATCH decision for decision.
-func TestUnpackedEquivalenceWithPlaintextWATCH(t *testing.T) {
-	d := newDeploymentMode(t, false)
-	if d.sdc.Packed() {
-		t.Fatal("deployment built packed despite Packing=false")
-	}
-	su := d.newSU(t, "su-legacy", 7)
-	pu := d.newPU(t, "tv-legacy", 8)
+// TestOneSlotEquivalenceWithPlaintextWATCH is the oracle cross-check
+// for the paper's layout: at one cell per ciphertext the pipeline must
+// still agree with plaintext WATCH decision for decision.
+func TestOneSlotEquivalenceWithPlaintextWATCH(t *testing.T) {
+	d := newCacheDeployment(t, func(p *Params) { oneSlot(t, p) })
+	su := d.newSU(t, "su-k1", 7)
+	pu := d.newPU(t, "tv-k1", 8)
 	weak := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
+	w := d.params.Watch
 
 	check := func(eirp map[int]int64) {
 		t.Helper()
@@ -53,8 +38,8 @@ func TestUnpackedEquivalenceWithPlaintextWATCH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if req.F == nil || req.FP != nil {
-			t.Fatal("unpacked deployment produced a packed request")
+		if got, want := req.Ciphertexts(), w.Channels*w.Grid.Blocks(); got != want {
+			t.Fatalf("request ships %d ciphertexts, want one per cell = %d", got, want)
 		}
 		got := d.decide(t, su, req).Granted
 		if want := d.oracleDecision(t, su.Block(), eirp); got != want {
@@ -70,12 +55,12 @@ func TestUnpackedEquivalenceWithPlaintextWATCH(t *testing.T) {
 	check(map[int]int64{0: maxEIRP(d)})
 }
 
-// TestRestoreSDCPackedUnpackedParity drives the same PU history through
-// a packed and an unpacked deployment sharing one group key, snapshots
-// and restores both, and requires the restored budget matrices to
-// decrypt identically — the packed WAL/snapshot layout must be a pure
-// re-encoding, never a semantic change.
-func TestRestoreSDCPackedUnpackedParity(t *testing.T) {
+// TestRestoreSDCSlotCountParity drives the same PU history through a
+// k = 4 and a k = 1 deployment sharing one group key, snapshots and
+// restores both, and requires the restored budget matrices to decrypt
+// identically — the slot count is a pure re-encoding of the WAL and
+// snapshot, never a semantic change.
+func TestRestoreSDCSlotCountParity(t *testing.T) {
 	wp := testWatchParams(t)
 	base := TestParams(wp)
 	sk, err := paillier.GenerateKey(rand.Reader, base.PaillierBits)
@@ -83,49 +68,51 @@ func TestRestoreSDCPackedUnpackedParity(t *testing.T) {
 		t.Fatalf("GenerateKey: %v", err)
 	}
 	sig := wp.Quantize(wp.SMinPUmW)
-	restored := make(map[bool]*SDC, 2)
-	for _, packed := range []bool{true, false} {
+	restored := make(map[int]*SDC, 2)
+	for _, k := range []int{4, 1} {
 		params := base
-		params.Packing = packed
+		if k == 1 {
+			oneSlot(t, &params)
+		}
+		if got := params.PackSlots(); got != k {
+			t.Fatalf("parameters pack %d slots, want %d", got, k)
+		}
 		stp := NewSTPWithKey(rand.Reader, sk)
 		sdc, err := NewSDC("sdc-parity", params, nil, stp)
 		if err != nil {
-			t.Fatalf("NewSDC(packed=%v): %v", packed, err)
+			t.Fatalf("NewSDC(k=%d): %v", k, err)
 		}
 		d := &durableDeployment{deployment: &deployment{params: params, stp: stp, sdc: sdc}, sk: sk}
 		d.update(t, d.newPU(t, "tv-1", 8), 1, sig)
 		d.update(t, d.newPU(t, "tv-2", 3), 0, 4*sig)
 		snap, err := sdc.ExportState()
 		if err != nil {
-			t.Fatalf("ExportState(packed=%v): %v", packed, err)
+			t.Fatalf("ExportState(k=%d): %v", k, err)
 		}
 		r, err := RestoreSDC("sdc-parity", params, nil, stp, snap, nil)
 		if err != nil {
-			t.Fatalf("RestoreSDC(packed=%v): %v", packed, err)
-		}
-		if r.Packed() != packed {
-			t.Fatalf("restored SDC packed=%v, want %v", r.Packed(), packed)
+			t.Fatalf("RestoreSDC(k=%d): %v", k, err)
 		}
 		d.assertSameState(t, sdc, r)
-		restored[packed] = r
+		restored[k] = r
 	}
-	// Cross-mode: both restored controllers hold the same plaintext
-	// budgets even though their ciphertext layouts differ ~k-fold.
+	// Cross-layout: both restored controllers hold the same plaintext
+	// budgets even though their ciphertext counts differ ~k-fold.
 	d := &durableDeployment{deployment: &deployment{params: base}, sk: sk}
-	if !d.budgets(t, restored[true]).Equal(d.budgets(t, restored[false])) {
-		t.Fatal("packed and unpacked restores decrypt to different budgets")
+	if !d.budgets(t, restored[4]).Equal(d.budgets(t, restored[1])) {
+		t.Fatal("k = 4 and k = 1 restores decrypt to different budgets")
 	}
-	ps := restored[true].PackedBudgetSnapshot().SizeBytes()
-	us := restored[false].BudgetSnapshot().SizeBytes()
+	ps := restored[4].PackedBudgetSnapshot().SizeBytes()
+	us := restored[1].PackedBudgetSnapshot().SizeBytes()
 	if ps >= us {
-		t.Fatalf("packed budget matrix %d B not smaller than unpacked %d B", ps, us)
+		t.Fatalf("k = 4 budget matrix %d B not smaller than k = 1's %d B", ps, us)
 	}
 }
 
 // TestPackedRequestShrinksAtPaperScale pins the acceptance number: at
 // the paper's parameters (2048-bit keys, 100 channels, 600 blocks) the
-// packed TransmissionRequest is at least 10x smaller than the legacy
-// layout. The matrices are filled with full-width dummy values — the
+// TransmissionRequest is at least 10x smaller than at one cell per
+// ciphertext. The matrix is filled with full-width dummy values — the
 // size arithmetic, not the cryptography, is under test.
 func TestPackedRequestShrinksAtPaperScale(t *testing.T) {
 	params := Params{PaillierBits: 2048, PlaintextBits: 60, AlphaBits: 100}
@@ -137,17 +124,6 @@ func TestPackedRequestShrinksAtPaperScale(t *testing.T) {
 	full := &paillier.Ciphertext{C: new(big.Int).Sub(pk.NSquared(), big.NewInt(1))}
 	const channels, blocks = 100, 600
 
-	enc, err := matrix.NewEnc(pk, channels, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < channels; c++ {
-		for b := 0; b < blocks; b++ {
-			if err := enc.Set(c, b, full); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	codec, err := paillier.NewSlotCodec(k, params.SlotBits(), params.SlotBits()-2)
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +140,13 @@ func TestPackedRequestShrinksAtPaperScale(t *testing.T) {
 			}
 		}
 	}
-	legacy := (&TransmissionRequest{SUID: "su", F: enc}).SizeBytes()
-	small := (&TransmissionRequest{SUID: "su", FP: packed}).SizeBytes()
-	if small == 0 || legacy == 0 {
-		t.Fatalf("degenerate sizes: packed=%d legacy=%d", small, legacy)
+	req := &TransmissionRequest{SUID: "su", FP: packed}
+	perCell := channels * blocks * pk.CiphertextBytes()
+	small := req.Ciphertexts() * pk.CiphertextBytes()
+	if small == 0 || small != req.SizeBytes() {
+		t.Fatalf("request of %d ciphertexts reports %d B, want %d", req.Ciphertexts(), req.SizeBytes(), small)
 	}
-	if shrink := float64(legacy) / float64(small); shrink < 10 {
-		t.Fatalf("packed request shrinks %.1fx (%d B vs %d B), want >= 10x", shrink, small, legacy)
+	if shrink := float64(perCell) / float64(small); shrink < 10 {
+		t.Fatalf("packed request shrinks %.1fx (%d B vs %d B), want >= 10x", shrink, small, perCell)
 	}
 }

@@ -86,29 +86,12 @@ type Params struct {
 	// paillier.DefaultShortExpBits (256 = 2·λ at 112-bit security).
 	ShortExpBits int
 
-	// Packing enables ciphertext packing: along the block axis, runs
-	// of k consecutive cells share one Paillier plaintext, each in a
-	// slot of AlphaBits+PlaintextBits+2 bits (payload + blinding
-	// growth + sign), with k chosen to fill the modulus. Budgets,
-	// requests, WAL snapshots and the STP sign-test all shrink ~k-fold.
-	// The privacy trade-off: within one packed group the blinding
-	// factors alpha/epsilon are shared across slots, so the STP sees
-	// the relative sign pattern of a group's k indicators (up to a
-	// global flip) instead of k independently flipped signs. See
-	// DESIGN.md §12.
+	// Deprecated: Packing is inert. Ciphertexts are always slot-packed
+	// (SlotCodec); the one-cell-per-ciphertext layout it used to select
+	// when false is the same pipeline at PackSlots() == 1. The field
+	// exists only because benchmark/bench_test.go:35, which a PR may not
+	// edit, names it in a literal; nothing reads it.
 	Packing bool
-
-	// STPBatchWindow, when positive, makes the SDC coalesce
-	// concurrent in-flight sign-test requests into one batched STP
-	// call: the first request in an empty queue waits up to this long
-	// for companions before the batch flushes. Zero disables
-	// coalescing (one RPC per request, the paper's Figure 5 shape).
-	STPBatchWindow time.Duration
-
-	// STPBatchMax caps how many requests one batch may carry; a full
-	// queue flushes immediately without waiting out the window. Zero
-	// selects DefaultSTPBatchMax when coalescing is enabled.
-	STPBatchMax int
 
 	// CacheEntries bounds the SDC's encrypted-decision cache: the
 	// aggregate output Ĩ of eqs. 11-12, keyed on the request's shape
@@ -139,10 +122,6 @@ type Params struct {
 	CacheDomains map[string][]string
 }
 
-// DefaultSTPBatchMax is the batch-size cap used when coalescing is
-// enabled without an explicit STPBatchMax.
-const DefaultSTPBatchMax = 16
-
 // DefaultParams returns the paper's Table I configuration on top of
 // the given WATCH parameters: 2048-bit Paillier, 60-bit plaintexts,
 // and 100-bit multiplicative blinding (the magnitude the paper's
@@ -161,7 +140,6 @@ func DefaultParams(w watch.Params) Params {
 		SignerBits:    dsig.MaxSignerBits(2048),
 		Parallelism:   -1,   // production default: one worker per CPU
 		FastExp:       true, // fixed-base engine at default window/width
-		Packing:       true, // slot-packed ciphertexts (12 blocks/ct at 2048 bits)
 		CacheEntries:  1024, // encrypted-decision cache (0 = recompute every request)
 	}
 }
@@ -179,12 +157,11 @@ func TestParams(w watch.Params) Params {
 		EtaBits:       64,
 		SignerBits:    512,
 		FastExp:       true,
-		Packing:       true,
 		CacheEntries:  256,
 	}
 }
 
-// SlotBits returns the per-slot width the packed layout needs: the
+// SlotBits returns the per-slot width of the ciphertext layout: the
 // payload (PlaintextBits), the multiplicative blinding growth
 // (AlphaBits), one bit of additive-blinding headroom and one
 // bias/sign bit. With this width the whole eq. 11-14 pipeline —
@@ -198,7 +175,14 @@ func (p Params) SlotBits() int {
 
 // PackSlots returns how many block cells share one ciphertext at
 // these parameters: the largest k with k*SlotBits <= PaillierBits-2
-// (the packed plaintext must fit the centred signed domain). Returns
+// (the packed plaintext must fit the centred signed domain), chosen to
+// fill the modulus. Budgets, requests, WAL snapshots and the STP sign
+// test are all ~k-fold smaller than at one cell per ciphertext, the
+// paper's layout, which is what an AlphaBits wide enough for k = 1
+// gives. The privacy trade-off of k > 1: within one group the blinding
+// factors alpha/epsilon are shared across slots, so the STP sees the
+// relative sign pattern of a group's k indicators (up to a global flip)
+// instead of k independently flipped signs. See DESIGN.md §12. Returns
 // 0 when the modulus cannot hold even one slot.
 func (p Params) PackSlots() int {
 	if p.SlotBits() <= 0 {
@@ -207,15 +191,11 @@ func (p Params) PackSlots() int {
 	return (p.PaillierBits - 2) / p.SlotBits()
 }
 
-// SlotCodec constructs the slot codec for these parameters, or nil
-// when packing is disabled.
+// SlotCodec constructs the slot codec for these parameters.
 func (p Params) SlotCodec() (*paillier.SlotCodec, error) {
-	if !p.Packing {
-		return nil, nil
-	}
 	slots := p.PackSlots()
 	if slots < 1 {
-		return nil, fmt.Errorf("pisa: PaillierBits %d cannot hold one %d-bit slot; disable Packing",
+		return nil, fmt.Errorf("pisa: PaillierBits %d cannot hold one %d-bit slot",
 			p.PaillierBits, p.SlotBits())
 	}
 	return paillier.NewSlotCodec(slots, p.SlotBits(), p.PlaintextBits)
@@ -248,10 +228,6 @@ func (p Params) Validate() error {
 			p.FastExpWindow, fbexp.MaxWindow)
 	case p.ShortExpBits < 0 || (p.ShortExpBits > 0 && p.ShortExpBits < 64):
 		return fmt.Errorf("pisa: ShortExpBits %d must be 0 (default) or >= 64", p.ShortExpBits)
-	case p.STPBatchWindow < 0:
-		return fmt.Errorf("pisa: STPBatchWindow must not be negative")
-	case p.STPBatchMax < 0:
-		return fmt.Errorf("pisa: STPBatchMax must not be negative")
 	case p.CacheEntries < 0:
 		return fmt.Errorf("pisa: CacheEntries must not be negative")
 	case p.CacheTTL < 0:
@@ -281,16 +257,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("pisa: alpha*I may wrap: AlphaBits %d + PlaintextBits %d + 2 > PaillierBits %d - 1",
 			p.AlphaBits, p.PlaintextBits, p.PaillierBits)
 	}
-	// Packed mode additionally needs at least one whole slot (the same
-	// per-slot budget as above) inside the modulus, which SlotCodec
-	// checks while deriving the geometry.
-	bound := 1
-	if p.Packing {
-		codec, err := p.SlotCodec()
-		if err != nil {
-			return err
-		}
-		bound = codec.Slots()
+	// At least one whole slot (the same per-slot budget as above) must
+	// fit inside the modulus, which SlotCodec checks while deriving the
+	// geometry.
+	codec, err := p.SlotCodec()
+	if err != nil {
+		return err
 	}
 	// Masked license: SG + eta * D. The signature must fit the SU key's
 	// plaintext domain, and what eta and the signature leave free of it
@@ -299,7 +271,7 @@ func (p Params) Validate() error {
 	if p.SignerBits+2 > p.PaillierBits-1 {
 		return fmt.Errorf("pisa: license signature may wrap (signer %d, paillier %d bits)", p.SignerBits, p.PaillierBits)
 	}
-	if _, err := answerCodec(bound, p.AnswerBits(p.PaillierBits)); err != nil {
+	if _, err := answerCodec(codec.Slots(), p.AnswerBits(p.PaillierBits)); err != nil {
 		return fmt.Errorf("pisa: license mask (EtaBits %d, SignerBits %d, PaillierBits %d): %w",
 			p.EtaBits, p.SignerBits, p.PaillierBits, err)
 	}

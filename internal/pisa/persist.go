@@ -30,16 +30,15 @@ const (
 // and the license serial counter. Everything else the SDC holds —
 // the public E matrix, protection distances, blinding pools — is
 // either recomputed from public data or regenerable randomness.
-// Exactly one of NEnc (unpacked deployments) and NPack (packed
-// deployments, Params.Packing) is set; the Packed flag makes a mode
-// mismatch between snapshot and deployment an explicit error instead
-// of a nil-matrix crash. The fields are additive, so v1 snapshots
-// written before packing existed still decode (Packed=false).
+// Packed is always written true. A v1 snapshot of the removed
+// one-cell-per-ciphertext layout (written before packing existed, or
+// under -packing=false) still decodes, with Packed=false and its budget
+// field ignored, so that RestoreSDC can refuse it by name instead of
+// dereferencing a nil matrix.
 type sdcStateV1 struct {
 	Version int
 	Serial  uint64
 	Packed  bool
-	NEnc    *matrix.Enc
 	NPack   *matrix.Packed
 	Updates []*PUUpdate
 }
@@ -56,13 +55,9 @@ func (s *SDC) ExportState() ([]byte, error) {
 	st := sdcStateV1{
 		Version: sdcStateVersion,
 		Serial:  s.serial,
+		Packed:  true,
+		NPack:   s.nPack.Clone(),
 		Updates: make([]*PUUpdate, 0, len(s.puUpdates)),
-	}
-	if s.codec != nil {
-		st.Packed = true
-		st.NPack = s.nPack.Clone()
-	} else {
-		st.NEnc = s.nEnc.Clone()
 	}
 	for _, u := range s.puUpdates {
 		st.Updates = append(st.Updates, u.PUUpdate)
@@ -112,40 +107,23 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		if st.Version != sdcStateVersion {
 			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads %d", st.Version, sdcStateVersion)
 		}
-		if st.Packed != (s.codec != nil) {
-			return nil, fmt.Errorf("pisa: snapshot packed=%v but deployment packed=%v (the packing flag must match the stored state)",
-				st.Packed, s.codec != nil)
+		if !st.Packed {
+			return nil, fmt.Errorf("pisa: SDC snapshot holds unpacked budgets: the one-cell-per-ciphertext layout was removed and its state cannot be restored; boot without the snapshot and let the PUs re-send")
 		}
-		if s.codec != nil {
-			if st.NPack == nil {
-				return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
-			}
-			if st.NPack.Channels() != params.Watch.Channels || st.NPack.Blocks() != params.Watch.Grid.Blocks() {
-				return nil, fmt.Errorf("pisa: snapshot budgets are %dx%d, deployment is %dx%d",
-					st.NPack.Channels(), st.NPack.Blocks(), params.Watch.Channels, params.Watch.Grid.Blocks())
-			}
-			if !st.NPack.Codec().Equal(s.codec) {
-				return nil, fmt.Errorf("pisa: snapshot slot codec does not match the deployment parameters")
-			}
-			if !st.NPack.Key().Equal(s.group) {
-				return nil, fmt.Errorf("pisa: snapshot encrypted under a different group key than the STP serves")
-			}
-			st.NPack.SetWorkers(s.workers)
-			s.nPack = st.NPack
-		} else {
-			if st.NEnc == nil {
-				return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
-			}
-			if st.NEnc.Channels() != params.Watch.Channels || st.NEnc.Blocks() != params.Watch.Grid.Blocks() {
-				return nil, fmt.Errorf("pisa: snapshot budgets are %dx%d, deployment is %dx%d",
-					st.NEnc.Channels(), st.NEnc.Blocks(), params.Watch.Channels, params.Watch.Grid.Blocks())
-			}
-			if !st.NEnc.Key().Equal(s.group) {
-				return nil, fmt.Errorf("pisa: snapshot encrypted under a different group key than the STP serves")
-			}
-			st.NEnc.SetWorkers(s.workers)
-			s.nEnc = st.NEnc
+		if st.NPack == nil {
+			return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
 		}
+		if st.NPack.Channels() != params.Watch.Channels || st.NPack.Blocks() != params.Watch.Grid.Blocks() {
+			return nil, fmt.Errorf("pisa: snapshot budgets are %dx%d, deployment is %dx%d",
+				st.NPack.Channels(), st.NPack.Blocks(), params.Watch.Channels, params.Watch.Grid.Blocks())
+		}
+		if !st.NPack.Codec().Equal(s.codec) {
+			return nil, fmt.Errorf("pisa: snapshot slot codec does not match the deployment parameters")
+		}
+		if !st.NPack.Key().Equal(s.group) {
+			return nil, fmt.Errorf("pisa: snapshot encrypted under a different group key than the STP serves")
+		}
+		s.nPack = st.NPack
 		s.serial = st.Serial
 		for _, u := range st.Updates {
 			if err := s.registerRestored(u); err != nil {
@@ -171,13 +149,10 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 	// the self-healing note above.
 	dirty := make(map[geo.BlockID]bool)
 	for _, b := range s.puBlocks {
-		if s.codec != nil {
-			// Packed mode rebuilds whole slot groups; dedupe by the
-			// group's first block so a group with several PU blocks is
-			// rebuilt once, not once per block.
-			b = geo.BlockID(int(b) / s.codec.Slots() * s.codec.Slots())
-		}
-		dirty[b] = true
+		// A rebuild covers the whole slot group; dedupe by the group's
+		// first block so a group with several PU blocks is rebuilt once,
+		// not once per block.
+		dirty[geo.BlockID(int(b)/s.codec.Slots()*s.codec.Slots())] = true
 	}
 	blocks := make([]geo.BlockID, 0, len(dirty))
 	for b := range dirty {
@@ -250,43 +225,22 @@ func (s *SDC) Summary() SDCSummary {
 	for _, b := range s.puBlocks {
 		blocks[b] = true
 	}
-	cells := 0
-	if s.codec != nil {
-		cells = s.nPack.Populated()
-	} else {
-		cells = s.nEnc.Populated()
-	}
 	return SDCSummary{
 		PUs:            len(s.puUpdates),
 		BlocksWithPUs:  len(blocks),
-		PopulatedCells: cells,
+		PopulatedCells: s.nPack.Populated(),
 		Serial:         s.serial,
 	}
 }
 
-// BudgetSnapshot returns a point-in-time copy of the encrypted budget
-// matrix N~ (sharing the immutable ciphertexts). The entries are
+// PackedBudgetSnapshot returns a point-in-time copy of the encrypted
+// budget matrix N~ (sharing the immutable ciphertexts). The entries are
 // ciphertexts under the group key, so handing them out reveals nothing
 // the SDC itself could not already see; tests use this to check a
-// restored controller decrypts to the same plaintext budgets. Returns
-// nil on a packed deployment — use PackedBudgetSnapshot there.
-func (s *SDC) BudgetSnapshot() *matrix.Enc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nEnc == nil {
-		return nil
-	}
-	return s.nEnc.Clone()
-}
-
-// PackedBudgetSnapshot is BudgetSnapshot for packed deployments;
-// nil when packing is off.
+// restored controller decrypts to the same plaintext budgets.
 func (s *SDC) PackedBudgetSnapshot() *matrix.Packed {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.nPack == nil {
-		return nil
-	}
 	return s.nPack.Clone()
 }
 

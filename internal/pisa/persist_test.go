@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"pisa/internal/geo"
@@ -37,23 +38,23 @@ func newDurableDeployment(t *testing.T) *durableDeployment {
 	return &durableDeployment{deployment: &deployment{params: params, stp: stp, sdc: sdc}, sk: sk}
 }
 
-// budgets decrypts an SDC's budget matrix with the group secret key,
-// whichever layout the deployment uses.
+// budgets decrypts an SDC's budget matrix with the group secret key.
 func (d *durableDeployment) budgets(t *testing.T, s *SDC) *matrix.Int {
 	t.Helper()
-	if s.Packed() {
-		m, err := matrix.DecryptPacked(d.sk, s.PackedBudgetSnapshot())
-		if err != nil {
-			t.Fatalf("DecryptPacked budgets: %v", err)
-		}
-		return m
-	}
-	m, err := matrix.Decrypt(d.sk, s.BudgetSnapshot())
+	m, err := matrix.DecryptPacked(d.sk, s.PackedBudgetSnapshot())
 	if err != nil {
-		t.Fatalf("Decrypt budgets: %v", err)
+		t.Fatalf("DecryptPacked budgets: %v", err)
 	}
 	return m
 }
+
+// legacyBudgets stands in for the removed one-cell-per-ciphertext budget
+// matrix inside a hand-built old snapshot: a gob-encoded blob under a
+// field name this build no longer has.
+type legacyBudgets struct{}
+
+func (legacyBudgets) GobEncode() ([]byte, error) { return []byte("one ciphertext per cell"), nil }
+func (*legacyBudgets) GobDecode([]byte) error    { return nil }
 
 // assertSameState checks a restored SDC against a reference: identical
 // public E columns and identical decrypted budgets in every block.
@@ -193,6 +194,23 @@ func TestRestoreRejectsBadInputs(t *testing.T) {
 	t.Run("garbage snapshot", func(t *testing.T) {
 		if _, err := RestoreSDC("sdc-test", d.params, nil, d.stp, []byte("not a snapshot"), nil); err == nil {
 			t.Fatal("garbage snapshot accepted")
+		}
+	})
+	// State written before packing existed, or under -packing=false:
+	// Packed unset, the budgets under a field that is gone.
+	t.Run("unpacked snapshot", func(t *testing.T) {
+		var old bytes.Buffer
+		err := gob.NewEncoder(&old).Encode(struct {
+			Version int
+			Serial  uint64
+			NEnc    *legacyBudgets
+		}{Version: sdcStateVersion, Serial: 3, NEnc: &legacyBudgets{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreSDC("sdc-test", d.params, nil, d.stp, old.Bytes(), nil)
+		if err == nil || !strings.Contains(err.Error(), "layout was removed") {
+			t.Fatalf("unpacked snapshot: err = %v, want a refusal naming the removed layout", err)
 		}
 	})
 	t.Run("foreign group key", func(t *testing.T) {

@@ -394,29 +394,16 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	}
 	// Ciphertexts must all change...
 	same := 0
-	if req.FP != nil {
-		err = req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
-			other, err := fresh.FP.GroupAt(c, g)
-			if err != nil {
-				return err
-			}
-			if ct.Equal(other) {
-				same++
-			}
-			return nil
-		})
-	} else {
-		err = req.F.ForEach(func(c, b int, ct *paillier.Ciphertext) error {
-			other, err := fresh.F.At(c, b)
-			if err != nil {
-				return err
-			}
-			if ct.Equal(other) {
-				same++
-			}
-			return nil
-		})
-	}
+	err = req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
+		other, err := fresh.FP.GroupAt(c, g)
+		if err != nil {
+			return err
+		}
+		if ct.Equal(other) {
+			same++
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

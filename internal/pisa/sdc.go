@@ -54,10 +54,10 @@ type SDC struct {
 	// window-local decision is not the whole-matrix decision.
 	chanLo, chanHi int
 
-	// codec is the slot codec of a packed deployment
-	// (Params.Packing), nil otherwise. It fixes the deployment's
-	// layout: budgets live in nPack instead of nEnc, requests must
-	// arrive packed, and the STP sign test runs slot-wise.
+	// codec is the deployment's slot codec (Params.SlotCodec): budgets
+	// and requests carry codec.Slots() block cells per ciphertext and the
+	// STP sign test runs slot-wise. The paper's one-cell-per-ciphertext
+	// layout is the same pipeline at one slot.
 	codec *paillier.SlotCodec
 	// betaCodec shares codec's slot geometry but opens the payload to
 	// the full slot width: beta blinding factors are BetaBits wide,
@@ -65,11 +65,6 @@ type SDC struct {
 	// Layout-compatible with codec (same slots x slot bits), so packed
 	// betas subtract slot-wise from packed alpha*I.
 	betaCodec *paillier.SlotCodec
-
-	// batcher coalesces concurrent sign-test round trips when
-	// Params.STPBatchWindow is set and the STP service supports
-	// batching; nil otherwise.
-	batcher *stpBatcher
 
 	// suKeys resolves a request's SU id to a prepared key, asking the
 	// STP once per id; armed unless this instance is a windowed shard,
@@ -82,8 +77,7 @@ type SDC struct {
 	cacheCtr cacheCounters
 
 	mu        sync.Mutex
-	nEnc      *matrix.Enc                  // N~: encrypted budgets (unpacked mode)
-	nPack     *matrix.Packed               // N~: packed budgets (packed mode)
+	nPack     *matrix.Packed               // N~: encrypted budgets, slot-packed
 	puUpdates map[watch.PUID]*storedUpdate // latest update per PU
 	puBlocks  map[watch.PUID]geo.BlockID   // fixed registered locations
 	colVer    map[geo.BlockID]uint64       // bumped on every update registration
@@ -133,7 +127,7 @@ type SDC struct {
 // that blindChunk shares between the cells of a worker's chunk.
 type blindFactors struct {
 	alpha   *big.Int
-	betaEnc *paillier.Ciphertext // E(-eps*beta), slot-wise when packed
+	betaEnc *paillier.Ciphertext // E(-eps*beta), slot-wise
 	eps     int64
 }
 
@@ -214,18 +208,13 @@ func NewSDC(issuer string, params Params, transmitters []watch.TVTransmitter, st
 
 // encryptInitialBudgets populates N~ = E~ for the channel rows this
 // instance owns — shared by NewSDC and RestoreSDC's fresh-boot path.
-// Packed deployments pad the slots beyond the last block with a
-// constant 1: a padding slot's blinded test value is
-// eps*(alpha*1 - beta), strictly positive before the flip
-// (BetaBits < AlphaBits), so padding always "passes" and never shows
-// in the grant indicator.
+// The slots beyond the last block are padded with a constant 1: a
+// padding slot's blinded test value is eps*(alpha*1 - beta), strictly
+// positive before the flip (BetaBits < AlphaBits), so padding always
+// "passes" and never shows in the grant indicator.
 func (s *SDC) encryptInitialBudgets() error {
 	var err error
-	if s.codec != nil {
-		s.nPack, err = matrix.PackEncryptIntsWindow(s.random, s.group, s.codec, s.ePlain, 1, s.chanLo, s.chanHi, s.workers)
-	} else {
-		s.nEnc, err = matrix.EncryptIntsWindow(s.random, s.group, s.ePlain, s.chanLo, s.chanHi, s.workers)
-	}
+	s.nPack, err = matrix.PackEncryptIntsWindow(s.random, s.group, s.codec, s.ePlain, 1, s.chanLo, s.chanHi, s.workers)
 	if err != nil {
 		return fmt.Errorf("pisa: encrypt initial budgets: %w", err)
 	}
@@ -292,27 +281,11 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	if s.codec, err = params.SlotCodec(); err != nil {
 		return nil, err
 	}
-	if s.codec != nil {
-		if err := s.codec.CheckKey(s.group); err != nil {
-			return nil, fmt.Errorf("pisa: packing: %w", err)
-		}
-		if s.betaCodec, err = paillier.NewSlotCodec(s.codec.Slots(), s.codec.SlotBits(), s.codec.SlotBits()-2); err != nil {
-			return nil, fmt.Errorf("pisa: packing: %w", err)
-		}
+	if err := s.codec.CheckKey(s.group); err != nil {
+		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
-	// Arm the coalescing layer when a batch window is configured and
-	// the STP service actually offers a batched entry point; otherwise
-	// every sign test keeps its own round trip.
-	if params.STPBatchWindow > 0 {
-		if bc, ok := stp.(BatchConverter); ok {
-			max := params.STPBatchMax
-			if max == 0 {
-				max = DefaultSTPBatchMax
-			}
-			if max >= 2 {
-				s.batcher = newSTPBatcher(bc, params.STPBatchWindow, max)
-			}
-		}
+	if s.betaCodec, err = paillier.NewSlotCodec(s.codec.Slots(), s.codec.SlotBits(), s.codec.SlotBits()-2); err != nil {
+		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
 	if params.CacheEntries > 0 {
 		s.cache = newDecisionCache(params.CacheEntries, params.CacheTTL)
@@ -326,10 +299,6 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	return s, nil
 }
 
-// Packed reports whether this deployment stores and processes the
-// budget matrix in packed form (Params.Packing).
-func (s *SDC) Packed() bool { return s.codec != nil }
-
 // ChannelWindow reports the channel rows [lo, hi) this instance owns.
 func (s *SDC) ChannelWindow() (lo, hi int) { return s.chanLo, s.chanHi }
 
@@ -339,34 +308,12 @@ func (s *SDC) windowed() bool {
 	return s.chanLo != 0 || s.chanHi != s.params.Watch.Channels
 }
 
-// convert routes one sign test to the STP: through the coalescing
-// batcher when armed, directly otherwise. A request drained out of the
-// batcher by Close (or racing Close's shutdown) falls back to its own
-// direct round trip — Close's contract is that request processing
-// keeps working, only the background machinery stops.
-func (s *SDC) convert(req *SignRequest) (*SignResponse, error) {
-	if s.batcher != nil {
-		resp, err := s.batcher.convert(req)
-		if err == errSTPBatcherClosed {
-			return s.stp.ConvertSigns(req)
-		}
-		return resp, err
-	}
-	return s.stp.ConvertSigns(req)
-}
-
 // SetParallelism resizes the SDC's worker pool (see
 // Params.Parallelism for the encoding). Intended for benchmarks and
 // operator tooling; not safe to call concurrently with request or
 // update processing.
 func (s *SDC) SetParallelism(n int) {
 	s.workers = parallel.Resolve(n)
-	if s.nPack != nil {
-		s.nPack.SetWorkers(s.workers)
-	}
-	if s.nEnc != nil {
-		s.nEnc.SetWorkers(s.workers)
-	}
 }
 
 // Parallelism reports the resolved worker-pool size.
@@ -521,95 +468,24 @@ func (s *SDC) SetUpdateJournal(fn func(*PUUpdate) error) {
 	s.mu.Unlock()
 }
 
-// rebuildColumn recomputes N~(:, b) from a fresh encryption of the
-// public E column plus every stored W~ column at block b. Only the
-// snapshot and the write-back hold s.mu; the C encryptions and
-// homomorphic folds run on the worker pool. If a concurrent update
-// registered at the same block while we were computing (detected via
-// the column version), the stale column is discarded and recomputed
-// from a fresh snapshot.
+// rebuildColumn recomputes the stored budgets of block b, which share
+// their ciphertexts with the other blocks of b's slot group.
 func (s *SDC) rebuildColumn(b geo.BlockID) error {
-	if s.codec != nil {
-		return s.rebuildGroup(int(b) / s.codec.Slots())
-	}
-	m := metrics()
-	for {
-		passStart := time.Now()
-		s.mu.Lock()
-		ver := s.colVer[b]
-		// Ciphertexts are immutable once stored, so snapshotting the
-		// slice pointers is enough.
-		var updates []*storedUpdate
-		for _, u := range s.puUpdates {
-			if u.Block == b {
-				updates = append(updates, u)
-			}
-		}
-		s.mu.Unlock()
-
-		// Only the channel rows this instance owns are re-encrypted and
-		// folded — a shard's rebuild work is 1/N of the monolithic pass.
-		col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-		err := parallel.For(s.workers, len(col), func(j int) error {
-			c := s.chanLo + j
-			ev, err := s.ePlain.At(c, int(b))
-			if err != nil {
-				return err
-			}
-			acc, err := s.group.Encrypt(s.random, big.NewInt(ev))
-			if err != nil {
-				return fmt.Errorf("pisa: encrypt E(%d, %d): %w", c, b, err)
-			}
-			for _, u := range updates {
-				acc, err = s.group.Add(acc, u.Cts[c])
-				if err != nil {
-					return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
-				}
-			}
-			col[j] = acc
-			return nil
-		})
-		if err != nil {
-			m.colRebuildErr.ObserveSince(passStart)
-			return err
-		}
-
-		s.mu.Lock()
-		if s.colVer[b] != ver {
-			// A newer update landed while we computed; retry with a
-			// fresh snapshot so its ciphertexts are folded in.
-			s.mu.Unlock()
-			m.colRebuildStale.ObserveSince(passStart)
-			m.colRetries.Inc()
-			continue
-		}
-		for j, ct := range col {
-			if err := s.nEnc.Set(s.chanLo+j, int(b), ct); err != nil {
-				s.mu.Unlock()
-				m.colRebuildErr.ObserveSince(passStart)
-				return err
-			}
-		}
-		// Write-back committed: the stored content now reflects every
-		// update registered up to ver. Cached decisions keyed on older
-		// applied versions turn stale at their next lookup.
-		s.colApplied[b] = ver
-		s.mu.Unlock()
-		m.colRebuildOK.ObserveSince(passStart)
-		return nil
-	}
+	return s.rebuildGroup(int(b) / s.codec.Slots())
 }
 
-// rebuildGroup is the packed counterpart of rebuildColumn: block b's
-// budget shares its ciphertext with the other blocks of its slot
-// group, so a rebuild recomputes the whole group column — a fresh
+// rebuildGroup recomputes the whole column of slot group g — a fresh
 // packed encryption of the group's E slots (padding packs 1, the
 // always-positive indicator) with every stored W~ column at any block
 // of the group folded in at its slot via the shift scalar 2^(slot*W).
-// The shifted columns are memoised per stored update (storedUpdate), so
-// a pass exponentiates only for updates no earlier pass has folded —
-// normally the one that just arrived. The staleness check covers every
-// block version in the group.
+// Only the snapshot and the write-back hold s.mu; the encryptions and
+// homomorphic folds run on the worker pool, over the channel rows this
+// instance owns. The shifted columns are memoised per stored update
+// (storedUpdate), so a pass exponentiates only for updates no earlier
+// pass has folded — normally the one that just arrived. If a concurrent
+// update registered at any block of the group while the pass computed
+// (detected via the column versions), the stale column is discarded and
+// recomputed from a fresh snapshot.
 func (s *SDC) rebuildGroup(g int) error {
 	m := metrics()
 	k := s.codec.Slots()
@@ -740,38 +616,27 @@ func (s *SDC) shiftUpdate(u *PUUpdate, slot int) ([]*paillier.Ciphertext, error)
 
 // requestCell tracks one request element through the blinded sign
 // test: the request ciphertext, the budget snapshot, and the blinding
-// tuple (popped from the pool or generated on the fly). In unpacked
-// mode an element is one (channel, block) cell; in packed mode it is
-// one (channel, group) ciphertext carrying k block slots.
+// tuple (popped from the pool or generated on the fly). An element is
+// one (channel, group) ciphertext carrying k block slots; b is its group.
 type requestCell struct {
 	c, b int
 	f, n *paillier.Ciphertext
 	bf   blindFactors
 }
 
-// cellBlocks returns the range [lo, hi) of budget blocks a request cell
-// at block coordinate b reads: the members of slot group b in a packed
-// deployment, block b itself otherwise.
-func (s *SDC) cellBlocks(b int) (lo, hi int) {
-	if s.codec == nil {
-		return b, b + 1
-	}
-	k := s.codec.Slots()
-	return b * k, min((b+1)*k, s.params.Watch.Grid.Blocks())
-}
-
 // footprintVersLocked returns, per request cell, the current
-// applied-content versions of the budget blocks the cell reads
-// (cellBlocks); cells on one block coordinate share a slice. Caller
+// applied-content versions of the budget blocks the cell reads — the
+// members of its slot group; cells of one group share a slice. Caller
 // holds s.mu.
 func (s *SDC) footprintVersLocked(cells []requestCell) [][]uint64 {
+	k := s.codec.Slots()
 	byCoord := make(map[int][]uint64)
 	vers := make([][]uint64, len(cells))
 	for i := range cells {
 		b := cells[i].b
 		v, ok := byCoord[b]
 		if !ok {
-			lo, hi := s.cellBlocks(b)
+			lo, hi := b*k, min((b+1)*k, s.params.Watch.Grid.Blocks())
 			v = make([]uint64, hi-lo)
 			for j := range v {
 				v[j] = s.colApplied[geo.BlockID(lo+j)]
@@ -1003,47 +868,27 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 // was sliced for a different shard).
 func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, suKey *paillier.PublicKey, err error) {
 	m := metrics()
-	if req == nil || (req.F == nil && req.FP == nil) {
+	if req == nil || req.FP == nil {
 		return nil, nil, fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID == "" {
 		return nil, nil, fmt.Errorf("pisa: request missing SU id")
 	}
 	w := s.params.Watch
-	if s.codec != nil {
-		// Packed deployment: the request must arrive packed under the
-		// same slot geometry (mode is a deployment parameter; the
-		// -packing flag must agree on both sides).
-		if req.FP == nil {
-			return nil, nil, fmt.Errorf("pisa: packed deployment requires a packed request")
-		}
-		if req.FP.Channels() != w.Channels || req.FP.Blocks() != w.Grid.Blocks() {
-			return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
-				req.FP.Channels(), req.FP.Blocks(), w.Channels, w.Grid.Blocks())
-		}
-		if !req.FP.Codec().Equal(s.codec) {
-			return nil, nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
-		}
-		if !req.FP.Key().Equal(s.group) {
-			return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
-		}
-		if req.FP.Populated() == 0 {
-			return nil, nil, fmt.Errorf("pisa: request matrix is empty")
-		}
-	} else {
-		if req.F == nil {
-			return nil, nil, fmt.Errorf("pisa: unpacked deployment cannot process a packed request")
-		}
-		if req.F.Channels() != w.Channels || req.F.Blocks() != w.Grid.Blocks() {
-			return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
-				req.F.Channels(), req.F.Blocks(), w.Channels, w.Grid.Blocks())
-		}
-		if !req.F.Key().Equal(s.group) {
-			return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
-		}
-		if req.F.Populated() == 0 {
-			return nil, nil, fmt.Errorf("pisa: request matrix is empty")
-		}
+	if req.FP.Channels() != w.Channels || req.FP.Blocks() != w.Grid.Blocks() {
+		return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
+			req.FP.Channels(), req.FP.Blocks(), w.Channels, w.Grid.Blocks())
+	}
+	// The slot geometry is a deployment parameter; both sides derive it
+	// from the same Params.
+	if !req.FP.Codec().Equal(s.codec) {
+		return nil, nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
+	}
+	if !req.FP.Key().Equal(s.group) {
+		return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
+	}
+	if req.FP.Populated() == 0 {
+		return nil, nil, fmt.Errorf("pisa: request matrix is empty")
 	}
 	suKey, err = s.suKeys.Get(req.SUID)
 	if err != nil {
@@ -1079,31 +924,17 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	// Request cells outside the owned window are someone else's rows:
 	// a full (unsliced) request to a shard simply contributes nothing
 	// from them, which is what makes full fan-out broadcasts correct.
-	if s.codec != nil {
-		err = req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
-			if c < s.chanLo || c >= s.chanHi {
-				return nil
-			}
-			n, err := s.nPack.GroupAt(c, g)
-			if err != nil {
-				return err
-			}
-			take(c, g, f, n)
+	err = req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
+		if c < s.chanLo || c >= s.chanHi {
 			return nil
-		})
-	} else {
-		err = req.F.ForEach(func(c, b int, f *paillier.Ciphertext) error {
-			if c < s.chanLo || c >= s.chanHi {
-				return nil
-			}
-			n, err := s.nEnc.At(c, b)
-			if err != nil {
-				return err
-			}
-			take(c, b, f, n)
-			return nil
-		})
-	}
+		}
+		n, err := s.nPack.GroupAt(c, g)
+		if err != nil {
+			return err
+		}
+		take(c, g, f, n)
+		return nil
+	})
 	// Cache lookup happens in the same critical section as the budget
 	// snapshot: the colApplied values read here identify exactly the
 	// content the `n` pointers above reference, so a cached ciphertext
@@ -1262,19 +1093,19 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	// the answer may take in the SU's key, which with the element bound
 	// fixes the answer's layout on both sides.
 	stageStart = time.Now()
-	signReq := &SignRequest{SUID: req.SUID, V: vs, AnswerBits: s.params.AnswerBits(suKey.Bits())}
-	slotsPer := 1
-	if s.codec != nil {
-		signReq.Packed = true
-		signReq.Slots = s.codec.Slots()
-		signReq.SlotBits = s.codec.SlotBits()
-		slotsPer = s.codec.Slots()
+	slotsPer := s.codec.Slots()
+	signReq := &SignRequest{
+		SUID:       req.SUID,
+		V:          vs,
+		Slots:      slotsPer,
+		SlotBits:   s.codec.SlotBits(),
+		AnswerBits: s.params.AnswerBits(suKey.Bits()),
 	}
 	answer, err := answerCodec(slotsPer, signReq.AnswerBits)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pisa: SU %q: %w", req.SUID, err)
 	}
-	signResp, err := s.convert(signReq)
+	signResp, err := s.stp.ConvertSigns(signReq)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pisa: STP conversion: %w", err)
 	}
@@ -1379,12 +1210,11 @@ func (s *SDC) newBlindFactors() (blindFactors, error) {
 // pool. Safe for concurrent use (the randomness source is
 // shared-reader wrapped at construction).
 //
-// In packed mode one tuple blinds one group ciphertext: alpha and
-// epsilon are shared across the group's slots (alpha*I keeps every
-// slot inside its width; the shared epsilon leaks only the group's
-// relative sign pattern to the STP, see DESIGN.md §12), while beta is
-// drawn fresh per slot and the tuple's betaEnc is a packed encryption
-// of the k betas.
+// One tuple blinds one group ciphertext: alpha and epsilon are shared
+// across the group's slots (alpha*I keeps every slot inside its width;
+// the shared epsilon leaks only the group's relative sign pattern to
+// the STP, see DESIGN.md §12), while beta is drawn fresh per slot and
+// the tuple's betaEnc is a packed encryption of the k betas.
 func (s *SDC) newBlindFactorsBatch(count int) ([]blindFactors, error) {
 	alphaLo := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits-1))
 	alphaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits))
@@ -1415,25 +1245,15 @@ func (s *SDC) newBlindFactorsBatch(count int) ([]blindFactors, error) {
 			}
 			return beta, nil
 		}
-		var betaEnc *paillier.Ciphertext
-		if s.codec != nil {
-			betas := make([]*big.Int, s.codec.Slots())
-			for j := range betas {
-				if betas[j], err = signedBeta(); err != nil {
-					return err
-				}
-			}
-			if betaEnc, err = s.group.PackEncrypt(s.random, s.betaCodec, betas); err != nil {
+		betas := make([]*big.Int, s.codec.Slots())
+		for j := range betas {
+			if betas[j], err = signedBeta(); err != nil {
 				return err
 			}
-		} else {
-			beta, err := signedBeta()
-			if err != nil {
-				return err
-			}
-			if betaEnc, err = s.group.Encrypt(s.random, beta); err != nil {
-				return err
-			}
+		}
+		betaEnc, err := s.group.PackEncrypt(s.random, s.betaCodec, betas)
+		if err != nil {
+			return err
 		}
 		fresh[i] = blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}
 		return nil
@@ -1553,22 +1373,16 @@ func (s *SDC) WaitBlindingRefill() {
 }
 
 // Close disarms blinding auto-refill and waits for any in-flight
-// background refill goroutine to exit, and drains the STP coalescing
-// batcher (queued sign tests are handed back to their callers, who
-// retry with a direct round trip) — so a retired SDC leaks no
-// goroutines and strands no waiter inside an open coalescing window. Request and update processing
-// keep working after Close (cells fall back to on-the-fly blinding,
-// sign tests go direct); only the background machinery stops. Safe to
-// call more than once.
+// background refill goroutine to exit, so a retired SDC leaks no
+// goroutines. Request and update processing keep working after Close
+// (cells fall back to on-the-fly blinding); only the background
+// machinery stops. Safe to call more than once.
 func (s *SDC) Close() {
 	s.mu.Lock()
 	s.blindClosed = true
 	s.blindTarget = 0
 	s.mu.Unlock()
 	s.blindWG.Wait()
-	if s.batcher != nil {
-		s.batcher.close()
-	}
 }
 
 // PooledBlinding reports the remaining precomputed blinding tuples.

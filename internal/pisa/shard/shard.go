@@ -237,19 +237,11 @@ func (r *Router) Stats() Stats {
 func (r *Router) sliceFor(req *pisa.TransmissionRequest, i int) (*pisa.TransmissionRequest, error) {
 	w := r.windows[i]
 	sub := *req
-	if req.FP != nil {
-		fp, err := req.FP.ChannelSlice(w[0], w[1])
-		if err != nil {
-			return nil, err
-		}
-		sub.FP = fp
-	} else {
-		f, err := req.F.ChannelSlice(w[0], w[1])
-		if err != nil {
-			return nil, err
-		}
-		sub.F = f
+	fp, err := req.FP.ChannelSlice(w[0], w[1])
+	if err != nil {
+		return nil, err
 	}
+	sub.FP = fp
 	return &sub, nil
 }
 
@@ -284,7 +276,7 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 	}
 	// The license digest binds the ORIGINAL request — the slices are a
 	// routing artifact the SU never sees. Digest also rejects a request
-	// with neither or both matrix layouts before any shard is touched.
+	// without a matrix before any shard is touched.
 	digest, err := req.Digest()
 	if err != nil {
 		return nil, err

@@ -77,11 +77,22 @@ type shardedWorld struct {
 	oracle *watch.System
 }
 
-func newShardedWorld(t *testing.T, packed bool, n int) *shardedWorld {
+// newShardedWorld builds the worlds at TestParams' four slots per
+// ciphertext, or — oneSlot — with the blinding factor widened until a
+// single slot fills the modulus: the paper's one-cell-per-ciphertext
+// layout, run by the same pipeline.
+func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 	t.Helper()
 	wp := testWatchParams(t)
 	params := pisa.TestParams(wp)
-	params.Packing = packed
+	want := 4
+	if oneSlot {
+		params.AlphaBits = params.PaillierBits/2 - params.PlaintextBits
+		want = 1
+	}
+	if k := params.PackSlots(); k != want {
+		t.Fatalf("parameters pack %d slots per ciphertext, want %d", k, want)
+	}
 	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatalf("NewSTP: %v", err)
@@ -181,20 +192,20 @@ func (w *shardedWorld) tune(t *testing.T, pu *pisa.PU, channel int, signal int64
 }
 
 // TestShardedParity runs the PU lifecycle against sharded and
-// monolithic deployments in both matrix layouts and asserts every
-// decision matches the watch oracle.
+// monolithic deployments at k = 1 and k = 4 slots per ciphertext and
+// asserts every decision matches the watch oracle.
 func TestShardedParity(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		packed bool
-		shards int
+		name    string
+		oneSlot bool
+		shards  int
 	}{
-		{"unpacked/3", false, 3},
-		{"packed/3", true, 3},
-		{"packed/2", true, 2},
+		{"k=1/3", true, 3},
+		{"packed/3", false, 3},
+		{"packed/2", false, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newShardedWorld(t, tc.packed, tc.shards)
+			w := newShardedWorld(t, tc.oneSlot, tc.shards)
 			su, err := pisa.NewSU(rand.Reader, "su-1", 7, w.params, w.router.Planner(), w.stp.GroupKey())
 			if err != nil {
 				t.Fatalf("NewSU: %v", err)
@@ -281,7 +292,7 @@ func TestWindowedSDCRefusesDirectRequests(t *testing.T) {
 // TestRouterStats checks the shutdown-summary inputs: per-shard
 // latency accumulation and the merge-stage split.
 func TestRouterStats(t *testing.T) {
-	w := newShardedWorld(t, true, 3)
+	w := newShardedWorld(t, false, 3)
 	su, err := pisa.NewSU(rand.Reader, "su-1", 7, w.params, w.router.Planner(), w.stp.GroupKey())
 	if err != nil {
 		t.Fatal(err)

@@ -26,14 +26,6 @@ type STPService interface {
 	GroupKey() *paillier.PublicKey
 }
 
-// BatchConverter is the optional batched sign-test entry point: many
-// SUs' blinded V vectors in one round trip. The SDC's coalescing
-// layer type-asserts for it and falls back to per-request
-// ConvertSigns calls when the service doesn't offer it.
-type BatchConverter interface {
-	ConvertSignsBatch(batch *BatchSignRequest) (*BatchSignResponse, error)
-}
-
 // STP is the semi-trusted third party: sole holder of the group
 // secret key, registry of SU public keys. It sees only blinded values
 // whose sign carries no information thanks to the SDC's one-time
@@ -57,10 +49,7 @@ type STP struct {
 	observer func(suID string, values []*big.Int)
 }
 
-var (
-	_ STPService     = (*STP)(nil)
-	_ BatchConverter = (*STP)(nil)
-)
+var _ STPService = (*STP)(nil)
 
 // NewSTP generates the group key pair and an empty SU registry.
 func NewSTP(random io.Reader, paillierBits int) (*STP, error) {
@@ -161,37 +150,11 @@ func (s *STP) SUKey(id string) (*paillier.PublicKey, error) {
 	return pk, nil
 }
 
-// ConvertSigns implements STPService: eq. 15 plus key conversion.
+// ConvertSigns implements STPService: eq. 15 plus key conversion, the
+// shared kernel (convertSigns) run with this STP's private key. All
+// elements go through one batched decryption whose CRT context is set up
+// once per worker.
 func (s *STP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
-	if req == nil {
-		return nil, fmt.Errorf("pisa: nil sign request")
-	}
-	resps, err := s.convertAll([]*SignRequest{req})
-	if err != nil {
-		return nil, err
-	}
-	return resps[0], nil
-}
-
-// ConvertSignsBatch implements BatchConverter: the sign tests of many
-// SU requests in one call. Beyond saving round trips, the whole batch
-// shares the hoisted per-key decryption context (paillier.DecryptBatch)
-// and resolves each SU key once instead of once per element.
-func (s *STP) ConvertSignsBatch(batch *BatchSignRequest) (*BatchSignResponse, error) {
-	if batch == nil || len(batch.Reqs) == 0 {
-		return nil, fmt.Errorf("pisa: empty batch sign request")
-	}
-	resps, err := s.convertAll(batch.Reqs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchSignResponse{Resps: resps}, nil
-}
-
-// convertAll runs the shared conversion kernel (convertSigns) with this
-// STP's private key: all elements of all requests go through one
-// batched decryption whose CRT context is set up once per worker.
-func (s *STP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
 	return convertSigns(signKernel{
 		group: s.group.Public(),
 		suKey: s.SUKey,
@@ -205,5 +168,5 @@ func (s *STP) convertAll(reqs []*SignRequest) ([]*SignResponse, error) {
 		observe: s.observer,
 		random:  s.random,
 		workers: s.workers,
-	}, reqs)
+	}, req)
 }

@@ -27,9 +27,8 @@ type SU struct {
 	planner *watch.Planner
 	random  io.Reader
 	workers int
-	// codec mirrors the deployment's packing mode (Params.Packing):
-	// non-nil means requests ship as packed matrices, k block slots per
-	// ciphertext.
+	// codec is the deployment's slot codec (Params.SlotCodec): requests
+	// ship as packed matrices, codec.Slots() block slots per ciphertext.
 	codec *paillier.SlotCodec
 	// nonces is the precomputed r^n pool for re-randomising refreshes of
 	// digest-less requests (§VI-A's ~11 s reuse path versus ~221 s fresh
@@ -71,10 +70,8 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 	if err != nil {
 		return nil, err
 	}
-	if codec != nil {
-		if err := codec.CheckKey(group); err != nil {
-			return nil, fmt.Errorf("pisa: packing: %w", err)
-		}
+	if err := codec.CheckKey(group); err != nil {
+		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
 	workers := parallel.Resolve(params.Parallelism)
 	return &SU{
@@ -158,55 +155,8 @@ func (u *SU) PrepareRequest(eirpUnits map[int]int64, disclosure geo.Disclosure) 
 	}
 	// The shape digest keys the SDC's encrypted-decision cache; it
 	// covers exactly the plaintext inputs ComputeF is deterministic in.
-	shape := ShapeDigest(u.codec != nil, p.Channels, p.Grid.Blocks(), u.block, eirpUnits, disclosure.Blocks)
-	if u.codec != nil {
-		return u.preparePacked(f, disclosure, shape)
-	}
-	enc, err := matrix.NewEnc(u.group, p.Channels, p.Grid.Blocks())
-	if err != nil {
-		return nil, err
-	}
-	// Flatten the disclosure into one work list, block-major then
-	// channel — the same enumeration order as the serial loop, so
-	// workers=1 draws randomness in the identical sequence.
-	type cellRef struct {
-		c int
-		b geo.BlockID
-	}
-	work := make([]cellRef, 0, len(disclosure.Blocks)*p.Channels)
-	for _, b := range disclosure.Blocks {
-		for c := 0; c < p.Channels; c++ {
-			work = append(work, cellRef{c: c, b: b})
-		}
-	}
-	cts := make([]*paillier.Ciphertext, len(work))
-	err = parallel.For(u.workers, len(work), func(k int) error {
-		c, b := work[k].c, work[k].b
-		v, err := f.At(c, int(b))
-		if err != nil {
-			return err
-		}
-		ct, err := u.group.Encrypt(u.random, big.NewInt(v))
-		if err != nil {
-			return fmt.Errorf("pisa: encrypt F(%d, %d): %w", c, b, err)
-		}
-		cts[k] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for k, ct := range cts {
-		if err := enc.Set(work[k].c, int(work[k].b), ct); err != nil {
-			return nil, err
-		}
-	}
-	return &TransmissionRequest{
-		SUID:        u.id,
-		F:           enc,
-		Disclosure:  append([]geo.BlockID(nil), disclosure.Blocks...),
-		ShapeDigest: shape,
-	}, nil
+	shape := ShapeDigest(p.Channels, p.Grid.Blocks(), u.block, eirpUnits, disclosure.Blocks)
+	return u.preparePacked(f, disclosure, shape)
 }
 
 // preparePacked builds the packed transmission request: one ciphertext
@@ -214,7 +164,7 @@ func (u *SU) PrepareRequest(eirpUnits map[int]int64, disclosure geo.Disclosure) 
 // Disclosure granularity rounds up to whole groups — the effective
 // disclosed region is the union of the k-block groups covering the
 // requested blocks, which only widens the region (never narrows it),
-// so the unpacked footprint check above still guarantees no
+// so PrepareRequest's per-block footprint check still guarantees no
 // interference constraint is dropped. Out-of-disclosure slots inside a
 // shipped group and padding slots past the grid encrypt zero.
 func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]byte) (*TransmissionRequest, error) {
@@ -347,7 +297,7 @@ func (u *SU) PooledNonces() int { return u.nonces.Len() }
 // ciphertext; when the pool runs dry the refresh falls back to drawing
 // them online.
 func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, error) {
-	if req == nil || (req.F == nil && req.FP == nil) {
+	if req == nil || req.FP == nil {
 		return nil, fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID != u.id {
@@ -358,58 +308,6 @@ func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, err
 		resend.Disclosure = append([]geo.BlockID(nil), req.Disclosure...)
 		return &resend, nil
 	}
-	if req.FP != nil {
-		return u.refreshPacked(req)
-	}
-	fresh, err := matrix.NewEnc(u.group, req.F.Channels(), req.F.Blocks())
-	if err != nil {
-		return nil, err
-	}
-	type cellRef struct {
-		c, b int
-		ct   *paillier.Ciphertext
-	}
-	var work []cellRef
-	err = req.F.ForEach(func(c, b int, ct *paillier.Ciphertext) error {
-		work = append(work, cellRef{c: c, b: b, ct: ct})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*paillier.Ciphertext, len(work))
-	err = parallel.For(u.workers, len(work), func(k int) error {
-		nonce, err := u.nonces.Get()
-		if err != nil {
-			return fmt.Errorf("pisa: refresh F(%d, %d): %w", work[k].c, work[k].b, err)
-		}
-		rr, err := u.group.RerandomizeWith(work[k].ct, nonce)
-		if err != nil {
-			return fmt.Errorf("pisa: refresh F(%d, %d): %w", work[k].c, work[k].b, err)
-		}
-		out[k] = rr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for k, rr := range out {
-		if err := fresh.Set(work[k].c, work[k].b, rr); err != nil {
-			return nil, err
-		}
-	}
-	return &TransmissionRequest{
-		SUID:       req.SUID,
-		F:          fresh,
-		Disclosure: append([]geo.BlockID(nil), req.Disclosure...),
-	}, nil
-}
-
-// refreshPacked is the re-randomising refresh for packed requests: one
-// pooled nonce re-randomises one group ciphertext, so a refresh costs ~k
-// times fewer nonces (and modular multiplications) than the unpacked
-// layout.
-func (u *SU) refreshPacked(req *TransmissionRequest) (*TransmissionRequest, error) {
 	fresh, err := matrix.NewPacked(u.group, req.FP.Codec(), req.FP.Channels(), req.FP.Blocks())
 	if err != nil {
 		return nil, err

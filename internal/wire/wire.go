@@ -49,11 +49,11 @@ const (
 
 	KindAck
 
-	// Batch kinds are appended after KindAck so the numbering of the
-	// kinds above — and with it wire compatibility with earlier
-	// binaries — is preserved.
-	KindBatchConvertRequest // SDC -> STP, coalesced sign tests
-	KindBatchConvertResponse
+	// Two retired slots (the coalesced sign-test kinds): left blank so
+	// that the kinds appended after them — PIR, shard — keep their
+	// numbers, and with them wire compatibility with earlier binaries.
+	_
+	_
 
 	// PIR kinds (appended for the same numbering reason): the
 	// multi-server spectrum-query backend. An SU fans one
@@ -112,10 +112,6 @@ func (k Kind) String() string {
 		return "partial-response"
 	case KindAck:
 		return "ack"
-	case KindBatchConvertRequest:
-		return "batch-convert-request"
-	case KindBatchConvertResponse:
-		return "batch-convert-response"
 	case KindPIRMetaRequest:
 		return "pir-meta-request"
 	case KindPIRMeta:
@@ -152,11 +148,6 @@ type Envelope struct {
 	Response     *pisa.Response
 	SignRequest  *pisa.SignRequest
 	SignResponse *pisa.SignResponse
-
-	// BatchSignRequest / BatchSignResponse carry coalesced sign tests
-	// (KindBatchConvertRequest / KindBatchConvertResponse).
-	BatchSignRequest  *pisa.BatchSignRequest
-	BatchSignResponse *pisa.BatchSignResponse
 
 	EColumn   []int64
 	Paillier  *paillier.PublicKey

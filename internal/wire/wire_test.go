@@ -232,7 +232,6 @@ func TestKindStrings(t *testing.T) {
 		KindEColumnRequest, KindEColumn, KindVerifyKeyRequest, KindVerifyKey,
 		KindConvertRequest, KindConvertResponse, KindSUKeyRequest, KindSUKey,
 		KindGroupKeyRequest, KindGroupKey, KindRegisterSU, KindAck,
-		KindBatchConvertRequest, KindBatchConvertResponse,
 		KindPIRMetaRequest, KindPIRMeta, KindPIRQuery, KindPIRAnswer, KindPIRSync,
 	}
 	seen := make(map[string]bool, len(kinds))
