@@ -1,698 +1,38 @@
 package repro
 
-// The benchmarks in this file regenerate the paper's evaluation
-// artefacts (§VI) under `go test -bench`:
-//
-//	Table II  -> BenchmarkTable2_*
-//	Figure 6  -> BenchmarkFigure6_*
-//	§VI-A privacy/time trade-off -> BenchmarkFigure6_PrivacyTradeoff*
-//	generic-FHE comparison        -> BenchmarkBaselineFHE_*
-//	design ablations              -> BenchmarkAblation_*
-//
-// The default key size is the paper's 2048-bit modulus; matrix scales
-// are reduced (the pipeline is exactly linear in cells — pisabench
-// prints the extrapolations next to the paper's numbers).
-// cmd/pisabench formats the same measurements as paper-style tables.
+// The root benchmarks are the measurements no other instrument takes:
+// the plaintext WATCH decision that prices the privacy of
+// `pisabench -figure6`'s "SDC-side request processing", and the single
+// versus 2-of-2 threshold STP sign conversion (the paper's §VII). The
+// paper's own tables (Table II, Figure 6, the §VI-A trade-off, the DGHV
+// and bit-wise baselines, the worker sweep) are cmd/pisabench;
+// end-to-end and per-layer cost is ./benchmark; scenario load and the
+// PIR backend are cmd/pisaload; single kernels bench in their packages.
 
 import (
-	"context"
 	"crypto/rand"
-	"fmt"
-	"math/big"
-	"net"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"pisa/internal/bench"
-	"pisa/internal/dghv"
-	"pisa/internal/geo"
-	"pisa/internal/node"
-	"pisa/internal/obs"
 	"pisa/internal/paillier"
-	"pisa/internal/pir"
 	"pisa/internal/pisa"
-	"pisa/internal/pisa/shard"
-	"pisa/internal/seccmp"
 	"pisa/internal/watch"
 )
 
-// table2Key caches the paper-size key (2048-bit generation is slow on
-// one vCPU; share it across benchmarks).
-var table2Key = sync.OnceValue(func() *paillier.PrivateKey {
-	sk, err := paillier.GenerateKey(rand.Reader, 2048)
-	if err != nil {
-		panic(err)
-	}
-	return sk
-})
-
-func table2Ciphertext(b *testing.B) *paillier.Ciphertext {
-	b.Helper()
-	ct, err := table2Key().PublicKey.Encrypt(rand.Reader, big.NewInt(1<<59-1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ct
-}
-
-// BenchmarkTable2_Encryption is the "Encryption" row of Table II
-// (paper: 30.378 ms on GMP/i5-2400).
-func BenchmarkTable2_Encryption(b *testing.B) {
-	pk := &table2Key().PublicKey
-	m := big.NewInt(1<<59 - 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.Encrypt(rand.Reader, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_Decryption is the "Decryption" row (paper: 21.170 ms).
-func BenchmarkTable2_Decryption(b *testing.B) {
-	sk := table2Key()
-	ct := table2Ciphertext(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_HomomorphicAddition is the "Homomorphic addition"
-// row (paper: 0.004 ms).
-func BenchmarkTable2_HomomorphicAddition(b *testing.B) {
-	pk := &table2Key().PublicKey
-	ct := table2Ciphertext(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.Add(ct, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_HomomorphicSubtraction is the "Homomorphic
-// subtraction" row (paper: 0.073 ms).
-func BenchmarkTable2_HomomorphicSubtraction(b *testing.B) {
-	pk := &table2Key().PublicKey
-	ct := table2Ciphertext(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.Sub(ct, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_HomomorphicScale100Bit is the "Homomorphic scale
-// (100-bit constant)" row (paper: 1.564 ms).
-func BenchmarkTable2_HomomorphicScale100Bit(b *testing.B) {
-	pk := &table2Key().PublicKey
-	ct := table2Ciphertext(b)
-	k, err := paillier.RandomSigned(rand.Reader, 100, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.ScalarMul(k, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2_HomomorphicScaleFull is the "Homomorphic scale"
-// row with a full-width constant (paper: 18.867 ms).
-func BenchmarkTable2_HomomorphicScaleFull(b *testing.B) {
-	pk := &table2Key().PublicKey
-	ct := table2Ciphertext(b)
-	k, err := paillier.RandomSigned(rand.Reader, 2044, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.ScalarMul(k, ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// figureUniverse caches one reduced-scale 2048-bit deployment for the
-// Figure 6 pipeline benchmarks: C=5 channels over a 4x3 grid.
-var figureUniverse = sync.OnceValue(func() *bench.Universe {
-	params, err := bench.SmallParams(5, 4, 3, 2048)
-	if err != nil {
-		panic(err)
-	}
-	u, err := bench.NewUniverse(params)
-	if err != nil {
-		panic(err)
-	}
-	return u
-})
-
-// BenchmarkFigure6_RequestPrepare measures a fresh SU request
-// preparation at C=5, B=12 (paper at C=100, B=600: ~221 s; the
-// pipeline is linear in cells).
-func BenchmarkFigure6_RequestPrepare(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.SU.PrepareRequest(eirp, geo.Disclosure{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6_RequestRefresh measures the precomputed-nonce
-// reuse path (paper: ~11 s vs ~221 s fresh). The pool is refilled
-// with the timer stopped, so only the online per-cell multiplication
-// is measured — exactly the paper's accounting.
-func BenchmarkFigure6_RequestRefresh(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A real SU consumes one fresh nonce per ciphertext; generating
-	// b.N*cells nonces in setup would dwarf the benchmark, so cycle a
-	// fixed nonce array instead — the timed work (one modular
-	// multiplication per cell) is identical.
-	group := u.STP.GroupKey()
-	nonces := make([]*paillier.Nonce, 32)
-	for i := range nonces {
-		n, err := group.NewNonce(rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nonces[i] = n
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := 0
-		rerand := func(ct *paillier.Ciphertext) error {
-			_, err := group.RerandomizeWith(ct, nonces[k%len(nonces)])
-			k++
-			return err
-		}
-		err := req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {
-			return rerand(ct)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6_ProcessRequest measures end-to-end SDC+STP request
-// processing with precomputed blinding (paper SDC-side: ~219 s at
-// full scale).
-func BenchmarkFigure6_ProcessRequest(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := u.SDC.PrecomputeBlinding(req.Ciphertexts() * b.N); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.SDC.ProcessRequest(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6_PUUpdate measures one PU channel switch end to end
-// (paper: ~2.6 s at C=100).
-func BenchmarkFigure6_PUUpdate(b *testing.B) {
-	u := figureUniverse()
-	sig := u.Params.Watch.Quantize(u.Params.Watch.SMinPUmW * 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		update, err := u.PU.Tune(i%u.Params.Watch.Channels, sig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := u.SDC.HandlePUUpdate(update); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// pirFleet caches one loopback PIR replica fleet over the same radio
-// parameters as figureUniverse, for the backend head-to-head.
-var pirFleet = sync.OnceValue(func() *node.PIRClient {
-	params, err := bench.SmallParams(5, 4, 3, 2048)
-	if err != nil {
-		panic(err)
-	}
-	addrs := make([]string, 3)
-	for i := range addrs {
-		db, err := pir.NewDatabase(params.Watch, nil, 0, 0, 0)
-		if err != nil {
-			panic(err)
-		}
-		srv := node.NewPIRServer(db, nil, 0)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			panic(err)
-		}
-		go srv.Serve(ln)
-		addrs[i] = ln.Addr().String()
-	}
-	c, err := node.DialPIRWith(node.Options{}, 2, addrs...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-})
-
-// BenchmarkBackendQuery measures one private spectrum query under the
-// backend selected by the PISA_BACKEND environment variable: "pir"
-// runs one XOR-PIR row fetch over a loopback replica fleet (k=2 of
-// m=3); anything else (or unset) runs the encrypted PISA pipeline
-// (fresh request preparation + SDC/STP processing) at the same
-// deployment shape. Compare with:
-//
-//	PISA_BACKEND=pisa go test -bench BackendQuery -count 5 > pisa.txt
-//	PISA_BACKEND=pir  go test -bench BackendQuery -count 5 > pir.txt
-//	benchstat pisa.txt pir.txt
-func BenchmarkBackendQuery(b *testing.B) {
-	if os.Getenv("PISA_BACKEND") == "pir" {
-		c := pirFleet()
-		m := c.Meta()
-		b.ReportMetric(float64(c.K()*(m.SelBytes()+m.RowLen(pir.TableBitmap))), "query-bytes")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Fetch(context.Background(), pir.TableBitmap, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
-	}
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := u.SDC.ProcessRequest(req); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(req.SizeBytes()+u.STP.GroupKey().CiphertextBytes()), "query-bytes")
-		}
-	}
-}
-
-// cachedUniverse caches one deployment per decision-cache mode for
-// BenchmarkCacheHit (the cache size is fixed at construction, so the
-// cached and uncached variants cannot share figureUniverse).
-var cachedUniverse = map[bool]func() *bench.Universe{
-	true:  sync.OnceValue(func() *bench.Universe { return newCacheUniverse(1024) }),
-	false: sync.OnceValue(func() *bench.Universe { return newCacheUniverse(0) }),
-}
-
-// Four channels over 36 blocks are three slot groups at 2048 bits: a
-// full-grid request is twelve ciphertexts and a PU update moves four of
-// them, the proportions of the benchmark's band shapes.
-func newCacheUniverse(entries int) *bench.Universe {
-	params, err := bench.SmallParams(4, 6, 6, 2048)
-	if err != nil {
-		panic(err)
-	}
-	params.CacheEntries = entries
-	u, err := bench.NewUniverse(params)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
-// BenchmarkCacheHit measures end-to-end request processing for a
-// repeated request shape under the encrypted-decision cache (DESIGN.md
-// §14), one sub-benchmark per way a repeat can be served:
-//
-//	off      no cache: every iteration recomputes the aggregate pass and
-//	         blinds with the general exponentiation
-//	hit      every iteration is served from a cached entry that already
-//	         carries its power tables
-//	partial  a PU update lands in one slot group of the shape before every
-//	         iteration (untimed), so each lookup finds its entry stale in
-//	         that group's ciphertexts: they are recomputed and blinded by
-//	         the general exponentiation, the rest kept and blinded from
-//	         their tables
-//
-// The aggregate and blind stages are reported as aggregate-ns/op and
-// blind-ns/op beside the headline.
-func BenchmarkCacheHit(b *testing.B) {
-	for _, mode := range []string{"off", "hit", "partial"} {
-		b.Run(mode, func(b *testing.B) { benchmarkCacheHit(b, mode) })
-	}
-}
-
-func benchmarkCacheHit(b *testing.B, mode string) {
-	u := cachedUniverse[mode != "off"]()
-	w := u.Params.Watch
-	req, err := u.SU.PrepareRequest(map[int]int64{0: w.Quantize(1000)}, geo.Disclosure{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Blinding tuples are offline precomputation (§VI-A), matching the
-	// other Figure 6 benchmarks.
-	if err := u.SDC.PrecomputeBlinding(req.Ciphertexts() * (b.N + 2)); err != nil {
-		b.Fatal(err)
-	}
-	if mode != "off" {
-		// Fill the cache, then hit it once: the first hit builds the
-		// entry's tables, so every timed iteration finds them.
-		for i := 0; i < 2; i++ {
-			if _, err := u.SDC.ProcessRequest(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// The stage histograms are observed on every path — the stored column
-	// and its tables on a hit, the eq. 11-12 recompute and the general
-	// exponentiation with the cache off, some of each on a partial
-	// refresh — and by requests only, so the PU updates of the partial
-	// mode stay out of them.
-	stages := map[string]*obs.Histogram{}
-	before := map[string]obs.HistogramSnapshot{}
-	for _, stage := range []string{"aggregate", "blind"} {
-		stages[stage] = obs.Default().Histogram("pisa_sdc_request_stage_seconds",
-			"per-stage SU request processing time (Figure 5, eqs. 11-17)",
-			obs.Labels{"stage": stage}, nil)
-		before[stage] = stages[stage].Snapshot()
-	}
-	kept := u.SDC.CacheStats().CellsKept
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if mode == "partial" {
-			b.StopTimer()
-			// The universe's PU sits at block 1: slot group 0 of the three a
-			// full-grid request covers at this scale.
-			update, err := u.PU.Tune(i%w.Channels, w.Quantize(w.SMinPUmW*100))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := u.SDC.HandlePUUpdate(update); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		if _, err := u.SDC.ProcessRequest(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if got := u.SDC.CacheStats().CellsKept - kept; mode == "partial" && got == 0 {
-		b.Fatal("no stale lookup kept a cached ciphertext")
-	}
-	for stage, h := range stages {
-		if d := h.Snapshot().Sub(before[stage]); d.Count() > 0 {
-			b.ReportMetric(d.Sum/float64(d.Count())*1e9, stage+"-ns/op")
-		}
-	}
-}
-
-// benchWorkerCounts sweeps serial vs pooled: 1 worker is the exact
-// legacy code path, GOMAXPROCS the full pool (identical on a 1-CPU
-// machine, where the pooled variant simply doesn't appear).
-func benchWorkerCounts() []int {
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// BenchmarkParallel_ProcessRequest compares serial vs pooled
-// end-to-end request processing (SDC homomorphic work + STP sign
-// conversion) on the shared 2048-bit deployment.
-func BenchmarkParallel_ProcessRequest(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer u.SetParallelism(0) // figureUniverse is shared: restore serial
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			u.SetParallelism(w)
-			if err := u.SDC.PrecomputeBlinding(req.Ciphertexts() * b.N); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := u.SDC.ProcessRequest(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_RequestPrepare compares serial vs pooled fresh SU
-// request preparation (C*B encryptions).
-func BenchmarkParallel_RequestPrepare(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	defer u.SetParallelism(0)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			u.SetParallelism(w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := u.SU.PrepareRequest(eirp, geo.Disclosure{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_PUUpdate compares serial vs pooled PU update
-// handling (C encryptions + C homomorphic folds per rebuild).
-func BenchmarkParallel_PUUpdate(b *testing.B) {
-	u := figureUniverse()
-	sig := u.Params.Watch.Quantize(u.Params.Watch.SMinPUmW * 100)
-	defer u.SetParallelism(0)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			u.SetParallelism(w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				update, err := u.PU.Tune(i%u.Params.Watch.Channels, sig)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := u.SDC.HandlePUUpdate(update); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure6_PrivacyTradeoff sweeps the disclosed-region size;
-// per-op time must scale linearly with the disclosed block count
-// (§VI-A: "the relation ... is asymptotically linear").
-func BenchmarkFigure6_PrivacyTradeoff(b *testing.B) {
-	params, err := bench.SmallParams(4, 6, 8, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := bench.NewUniverse(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid := params.Watch.Grid
-	eirp := map[int]int64{0: params.Watch.Quantize(1)}
-	for _, rows := range []int{2, 4, 8} {
-		band, err := grid.RowBand(0, rows)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("disclosedBlocks=%d", len(band.Blocks)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				req, err := u.SU.PrepareRequest(eirp, band)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := u.SDC.ProcessRequest(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBaselineFHE_Gates times the DGHV baseline's primitive
-// gates — the generic-FHE route the paper rejects as impractical.
-func BenchmarkBaselineFHE_Gates(b *testing.B) {
-	key, err := dghv.KeyGen(rand.Reader, dghv.ToyParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := key.Encrypt(rand.Reader, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := key.Encrypt(rand.Reader, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Xor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dghv.Xor(x, y)
-		}
-	})
-	b.Run("And", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dghv.And(x, y)
-		}
-	})
-	b.Run("Encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := key.Encrypt(rand.Reader, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkBaselineFHE_Compare8 times one 8-bit encrypted comparison
-// under DGHV; a single PISA decision needs C*B comparisons of 60-bit
-// values, each costing several times this.
-func BenchmarkBaselineFHE_Compare8(b *testing.B) {
-	key, err := dghv.KeyGen(rand.Reader, dghv.ToyParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := key.EncryptBits(rand.Reader, 200, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := key.EncryptBits(rand.Reader, 100, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dghv.GreaterThan(x, y, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_BitwiseComparison times the bit-wise secure
-// comparison protocol PISA's design avoids (refs [12, 13, 18]).
-func BenchmarkAblation_BitwiseComparison(b *testing.B) {
-	sk, err := paillier.GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	helper := seccmp.NewHelper(rand.Reader, sk)
-	eval, err := seccmp.NewEvaluator(rand.Reader, helper, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := eval.EncryptBits(40000, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := eval.EncryptBits(20000, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.GreaterThan(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_BlindedSignTest times PISA's replacement: one
-// blinded sign test per cell, single ciphertext per value.
-func BenchmarkAblation_BlindedSignTest(b *testing.B) {
-	sk, err := paillier.GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pk := &sk.PublicKey
-	iCt, err := pk.EncryptInt(rand.Reader, 424242)
-	if err != nil {
-		b.Fatal(err)
-	}
-	alpha, err := paillier.RandomSigned(rand.Reader, 100, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	betaEnc, err := pk.EncryptInt(rand.Reader, 999)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scaled, err := pk.ScalarMul(alpha, iCt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := pk.Sub(scaled, betaEnc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, err = pk.ScalarMulInt(-1, v); err != nil {
-			b.Fatal(err)
-		}
-		plain, err := sk.Decrypt(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sign := int64(-1)
-		if plain.Sign() > 0 {
-			sign = 1
-		}
-		x, err := pk.EncryptInt(rand.Reader, sign)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := pk.ScalarMulInt(-1, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblation_PlaintextWATCH times the plaintext baseline's
-// whole decision pipeline — the cost of privacy is the ratio against
-// BenchmarkFigure6_ProcessRequest.
+// whole decision pipeline at pisabench's default Figure 6 scale (C=5,
+// B=12) — the cost of privacy is the ratio against that run's request
+// processing.
 func BenchmarkAblation_PlaintextWATCH(b *testing.B) {
-	u := figureUniverse()
-	oracle, err := watch.NewSystem(u.Params.Watch, nil)
+	params, err := bench.SmallParams(5, 4, 3, 2048)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
+	oracle, err := watch.NewSystem(params.Watch, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eirp := map[int]int64{0: params.Watch.Quantize(1000)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := oracle.Evaluate(watch.Request{Block: 0, EIRPUnits: eirp}); err != nil {
@@ -774,148 +114,4 @@ func convertFixture(b *testing.B, reg registrar, group *paillier.PublicKey, para
 	}
 	return &pisa.SignRequest{SUID: "bench-su", V: vs, Slots: 1, SlotBits: 64,
 		AnswerBits: params.AnswerBits(params.PaillierBits)}
-}
-
-// BenchmarkLoad drives the trace-driven load harness (cmd/pisaload)
-// end to end: a closed loop of fleet SUs with Zipf revisit behaviour
-// against a fresh in-process deployment, gated by the PISA_LOAD
-// environment variable (each iteration is a multi-second scenario
-// run, far too slow to run unsolicited). "mono" or "on" runs the
-// monolithic SDC; an integer N runs an N-shard router. The headline
-// ns/op is the fixed run horizon; the interesting columns are the
-// custom metrics — achieved req/s, end-to-end p99 and decision-cache
-// hit rate. Compare with:
-//
-//	PISA_LOAD=mono go test -bench 'Load$' -benchtime 1x -count 3 > mono.txt
-//	PISA_LOAD=4    go test -bench 'Load$' -benchtime 1x -count 3 > sharded.txt
-//	benchstat mono.txt sharded.txt
-func BenchmarkLoad(b *testing.B) {
-	v := os.Getenv("PISA_LOAD")
-	if v == "" {
-		b.Skip("set PISA_LOAD=mono or PISA_LOAD=<shards> to run the scenario engine")
-	}
-	shards := 1
-	if v != "mono" && v != "on" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			b.Fatalf("PISA_LOAD wants 'mono', 'on' or a shard count >= 1, got %q", v)
-		}
-		shards = n
-	}
-	cfg := bench.LoadConfig{
-		Mode:     "closed",
-		Duration: 2 * time.Second,
-		Rate:     30,
-		Workers:  2,
-		Seed:     7,
-
-		Fleet:              4,
-		FleetZipfS:         1.5,
-		ChannelZipfS:       1.5,
-		EIRPLevels:         2,
-		ChannelsPerRequest: 1,
-
-		Channels: max(3, shards), Cols: 4, Rows: 3,
-		PaillierBits: 576,
-		Shards:       shards,
-		CacheEntries: 64,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.RunLoad(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors > 0 {
-			b.Fatalf("%d of %d requests failed: %s", rep.Errors, rep.Requests, rep.FirstError)
-		}
-		b.ReportMetric(rep.AchievedRate, "req/s")
-		b.ReportMetric(rep.CacheHitRate*100, "cache-hit-%")
-		for _, s := range rep.Stages {
-			if s.Stage == "e2e" {
-				b.ReportMetric(s.P99Ms, "e2e-p99-ms")
-			}
-		}
-	}
-}
-
-// shardedRouter builds an N-shard fan-out router over the shared
-// figureUniverse's STP, reusing its registered SU. Serial fan-out
-// keeps per-shard timings uncontended on a one-CPU runner; see
-// bench.MeasureShards for the modeled parallel-deployment number.
-func shardedRouter(b *testing.B, u *bench.Universe, n int) *shard.Router {
-	b.Helper()
-	windows, err := shard.Windows(u.Params.Watch.Channels, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	services := make([]shard.Service, n)
-	for i, w := range windows {
-		s, err := pisa.NewSDC("bench-shard", u.Params, nil, u.STP,
-			pisa.WithChannelWindow(w[0], w[1]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(s.Close)
-		services[i] = s
-	}
-	r, err := shard.NewRouter("bench-router", u.Params, nil, u.STP, services,
-		shard.WithSerialFanout())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r
-}
-
-// BenchmarkShardedRequest measures end-to-end SU request processing
-// under the shard count selected by the PISA_SHARDS environment
-// variable ("off", unset or "1" runs the monolithic SDC; "N" runs an
-// N-shard router; DESIGN.md §15). Compare with:
-//
-//	PISA_SHARDS=off go test -bench ShardedRequest -count 5 > mono.txt
-//	PISA_SHARDS=4   go test -bench ShardedRequest -count 5 > sharded.txt
-//	benchstat mono.txt sharded.txt
-//
-// The modeled one-host-per-shard latency (slowest shard + merge +
-// license) is reported as a custom metric alongside the wall-clock
-// ns/op, which on one host includes every shard's serial pass.
-func BenchmarkShardedRequest(b *testing.B) {
-	u := figureUniverse()
-	eirp := map[int]int64{0: u.Params.Watch.Quantize(1000)}
-	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 1
-	if v := os.Getenv("PISA_SHARDS"); v != "" && v != "off" {
-		if n, err = strconv.Atoi(v); err != nil || n < 1 {
-			b.Fatalf("PISA_SHARDS wants a count >= 1 or 'off', got %q", v)
-		}
-	}
-	var sdc pisa.SDCService = u.SDC
-	var router *shard.Router
-	if n > 1 {
-		router = shardedRouter(b, u, n)
-		sdc = router
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sdc.ProcessRequest(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if router != nil {
-		st := router.Stats()
-		if st.Requests > 0 {
-			var maxShard int64
-			for _, ns := range st.ShardNs {
-				if mean := ns / int64(st.Requests); mean > maxShard {
-					maxShard = mean
-				}
-			}
-			b.ReportMetric(float64(maxShard+(st.MergeNs+st.LicenseNs)/int64(st.Requests)),
-				"modeled-ns/op")
-		}
-	}
 }

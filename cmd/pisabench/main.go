@@ -9,8 +9,12 @@
 //	pisabench -fhe             # generic-FHE baseline (DGHV)
 //	pisabench -ablation        # bit-wise comparison vs blinded sign test
 //	pisabench -sweep           # homomorphic-kernel worker-count sweep
-//	pisabench -json out.json   # hot-path micro-benchmark, engine off vs on
 //	pisabench -all             # everything (except the sweep)
+//
+// That is its whole job: the paper's own tables. End-to-end and
+// per-layer cost of the deployment as it ships is `go run ./benchmark`;
+// scenario load, SLOs and the PIR backend are cmd/pisaload; single
+// kernels are the per-package `go test -bench` files.
 //
 // Any run may add -metrics-dump PATH ("-" for stdout) to write the
 // instrumentation the experiments accumulated (per-stage histograms,
@@ -30,11 +34,7 @@
 // end-to-end experiments (it is armed by default); -window and
 // -shortbits tune it. -cache N arms the SDC's encrypted-decision
 // cache (DESIGN.md §14) in the end-to-end experiments; it defaults to
-// off so repeated measurements stay cold. -json PATH runs the
-// Paillier hot-path micro-benchmark with the engine off and on and
-// writes the rows (op, ns/op, allocs/op, parallelism, engine) plus
-// speedups as JSON — the committed BENCH_PISA.json is produced this
-// way, including the cache's fleet-concentration sweep.
+// off so repeated measurements stay cold.
 package main
 
 import (
@@ -43,8 +43,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"pisa/internal/bench"
@@ -72,26 +70,7 @@ type options struct {
 	shortBits                                               int
 	cache                                                   string
 	cacheEntries                                            int
-	shards                                                  string
-	jsonPath                                                string
 	metricsDump                                             string
-}
-
-// parseShardCounts parses the -shards sweep list: a comma-separated
-// set of shard counts, or "off" to skip the scaling sweep.
-func parseShardCounts(v string) ([]int, error) {
-	if v == "" || strings.EqualFold(v, "off") {
-		return nil, nil
-	}
-	var counts []int
-	for _, f := range strings.Split(v, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("pisabench: -shards wants a comma-separated list of counts >= 1, got %q", v)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 func run(args []string) error {
@@ -119,11 +98,7 @@ func run(args []string) error {
 		"short-exponent nonce bits (0 = paillier default)")
 	fs.StringVar(&opt.cache, "cache", "off",
 		"decision cache in end-to-end experiments: entry count or 'off' (default off so repeated "+
-			"measurements stay cold; the -json cache sweep always runs cache-enabled)")
-	fs.StringVar(&opt.shards, "shards", "1,2,4,8",
-		"channel-shard counts for the -json scaling sweep (comma-separated, or 'off' to skip)")
-	fs.StringVar(&opt.jsonPath, "json", "",
-		"write the hot-path micro-benchmark (engine off vs on) as JSON to this path")
+			"measurements stay cold)")
 	fs.StringVar(&opt.metricsDump, "metrics-dump", "",
 		"after the experiments, dump the obs registry in Prometheus text format to this path (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -138,14 +113,9 @@ func run(args []string) error {
 		opt.table1, opt.table2, opt.figure6 = true, true, true
 		opt.tradeoff, opt.sizes, opt.fhe, opt.ablation = true, true, true, true
 	}
-	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation || opt.sweep || opt.jsonPath != "") {
+	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation || opt.sweep) {
 		fs.Usage()
 		return fmt.Errorf("select at least one experiment (or -all)")
-	}
-	if opt.jsonPath != "" {
-		if err := runJSON(opt); err != nil {
-			return err
-		}
 	}
 	if opt.table1 {
 		printTable1()
@@ -255,83 +225,6 @@ func applyEngine(params *pisa.Params, opt options) {
 	params.FastExpWindow = opt.window
 	params.ShortExpBits = opt.shortBits
 	params.CacheEntries = opt.cacheEntries
-}
-
-// runJSON produces the machine-readable engine-off-vs-on report
-// behind the committed BENCH_PISA.json.
-func runJSON(opt options) error {
-	fmt.Printf("Hot-path micro-benchmark (n=%d-bit, %d iters, engine off vs on)...\n",
-		opt.bits, opt.iters)
-	workers := opt.parallel
-	if workers == -1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	report, err := bench.MeasureMicro(opt.bits, opt.window, opt.shortBits, opt.iters, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("  measuring PISA vs multi-server PIR head to head (loopback replicas)...")
-	report.Backend, err = bench.MeasureBackend(5, 4, 3, opt.bits, 3, 2, max(5, opt.iters/2))
-	if err != nil {
-		return err
-	}
-	fmt.Println("  measuring decision-cache hit vs cold aggregate (fleet concentration sweep)...")
-	report.Cache, err = bench.MeasureCache(5, 4, 3, opt.bits, 1024, []int{1, 10, 100})
-	if err != nil {
-		return err
-	}
-	counts, err := parseShardCounts(opt.shards)
-	if err != nil {
-		return err
-	}
-	if len(counts) > 0 {
-		fmt.Println("  measuring channel-sharded vs monolithic SU throughput (scaling sweep)...")
-		report.Shard, err = bench.MeasureShards(8, 8, 6, opt.bits, counts, max(5, opt.iters/3))
-		if err != nil {
-			return err
-		}
-	}
-	if err := report.WriteJSON(opt.jsonPath); err != nil {
-		return err
-	}
-	for _, op := range []string{"encrypt", "newNonce", "rerandomize", "nonceBatch32"} {
-		if s, ok := report.Speedup[op]; ok {
-			fmt.Printf("  %-14s %.1fx\n", op, s)
-		}
-	}
-	be := report.Backend
-	fmt.Printf("  backend head-to-head: PISA %s vs PIR %s per query (%.0fx), %d B vs %d B (%.0fx); "+
-		"kill-one-of-%d survived=%v\n",
-		time.Duration(be.PISAPrepareNs+be.PISAProcessNs).Round(time.Millisecond),
-		time.Duration(be.PIRFetchNs).Round(time.Microsecond),
-		be.LatencySpeedup, be.PISAQueryBytes, be.PIRQueryBytes, be.BandwidthShrink,
-		be.K, be.PIRKillOneSurvived)
-	if rows := report.Cache.Rows; len(rows) > 0 {
-		top := rows[len(rows)-1]
-		fmt.Printf("  decision cache at %dx concentration: hit rate %.2f, aggregate %s hit vs %s cold (%.1fx)\n",
-			top.Concentration, top.HitRate,
-			time.Duration(top.AggregateHitNs).Round(time.Microsecond),
-			time.Duration(top.AggregateMissNs).Round(time.Microsecond), top.Speedup)
-	}
-	if report.Shard != nil {
-		fmt.Printf("  channel sharding (C=%d, B=%d): monolithic %s\n",
-			report.Shard.Channels, report.Shard.Blocks,
-			time.Duration(report.Shard.MonolithicNs).Round(time.Microsecond))
-		for _, row := range report.Shard.Rows {
-			fmt.Printf("    N=%d: modeled %s/req (slowest shard %s + merge %s + license %s) = %.1fx\n",
-				row.Shards, time.Duration(row.ModelNs).Round(time.Microsecond),
-				time.Duration(row.MaxShardNs).Round(time.Microsecond),
-				time.Duration(row.MergeNs).Round(time.Microsecond),
-				time.Duration(row.LicenseNs).Round(time.Microsecond), row.Speedup)
-		}
-	}
-	fmt.Printf("  table: %.1f KiB/key, report written to %s\n",
-		float64(report.TableBytes)/1024, opt.jsonPath)
-	fmt.Println()
-	return nil
 }
 
 func runSizes() {

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
-
-	"pisa/internal/bench"
 )
 
 func TestRunRequiresExperimentSelection(t *testing.T) {
@@ -50,25 +46,29 @@ func TestRunTable2SmallKey(t *testing.T) {
 	}
 }
 
-func TestRunJSONReport(t *testing.T) {
+// TestRunFigure6AndSweep drives MeasureFigure6 through the CLI's scale
+// selection and engine/cache flags, once per experiment that calls it.
+func TestRunFigure6AndSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs crypto")
+		t.Skip("builds 2048-bit deployments")
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-json", path, "-bits", "768", "-iters", "2"}); err != nil {
-		t.Fatalf("run -json: %v", err)
+	if err := run([]string{"-figure6", "-parallel", "2", "-cache", "16"}); err != nil {
+		t.Fatalf("run -figure6: %v", err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-sweep"}); err != nil {
+		t.Fatalf("run -sweep: %v", err)
 	}
-	var report bench.MicroReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("parse report: %v", err)
-	}
-	if report.Bits != 768 || len(report.Results) == 0 || len(report.Speedup) == 0 {
-		t.Fatalf("incomplete report: bits=%d rows=%d speedups=%d",
-			report.Bits, len(report.Results), len(report.Speedup))
+}
+
+// TestRunRejectsRemovedFlags: the JSON micro-benchmark report and its
+// shard sweep are gone, and asking for them says so instead of running
+// something else.
+func TestRunRejectsRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-json", "x"}, {"-table1", "-shards", "1,2"}} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run %v: error = %v, want an unknown-flag refusal", args, err)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@
 //
 // Examples:
 //
-//	pisaload -mode closed -workers 8 -shards 4 -duration 30s -json BENCH_LOAD.json
+//	pisaload -mode closed -workers 8 -shards 4 -duration 30s -json load.json
 //	pisaload -mode open -rate 20 -duration 10s -fleet 100 -mobility 0.1
 //	pisaload -backend pir -mode closed -workers 16 -duration 5s
 //
@@ -100,7 +100,7 @@ func run(args []string) error {
 	pirAddr := fs.String("pir", "", "remote PIR replica addresses, comma-separated")
 	configPath := fs.String("config", "", "deployment config JSON for remote runs (defaults built in)")
 
-	jsonPath := fs.String("json", "", "write the LoadReport to this path (the committed BENCH_LOAD.json)")
+	jsonPath := fs.String("json", "", "write the LoadReport as JSON to this path")
 	requireNoErrors := fs.Bool("require-no-errors", false, "exit non-zero if any request failed (CI smoke gate)")
 	requireCacheHits := fs.Bool("require-cache-hits", false, "exit non-zero if the decision cache never hit (CI smoke gate)")
 	if err := fs.Parse(args); err != nil {

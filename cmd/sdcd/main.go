@@ -18,15 +18,15 @@
 //	sdcd [-config pisa.json] [-listen host:port] [-stp host:port,host:port]
 //	     [-issuer name] [-store dir] [-snapshot-on-exit=true]
 //	     [-metrics host:port]
-//	     [-cache entries|off] [-cache-domains decls|off] [-backend pisa|pir]
+//	     [-cache entries|off] [-cache-domains decls|off]
 //	     [-shards n | -shard-index i -shard-count n]
 //
 // With -shards N (or "shards" in the config) the daemon partitions
 // the budget matrix into N channel slices, each owned by an
 // independent windowed SDC with its own WAL/snapshot subdirectory
 // (store dir/shard-i), and serves SU requests through an in-process
-// fan-out router that merges the per-shard encrypted partial sums
-// homomorphically before the single sign test tail (DESIGN.md §15).
+// fan-out router that masks the single license with every shard's
+// encrypted grant indicator, never adding them up (DESIGN.md §15).
 // Alternatively -shard-index i -shard-count n serves exactly one
 // shard of a multi-host partition; run cmd/sdcrouterd in front of n
 // such daemons.
@@ -42,13 +42,10 @@
 // share entries with each other — the fleet-concentration win, at the
 // cost of trusting every declared member's digests.
 //
-// With -backend pir (or "backend": "pir" in the config) the daemon
-// serves the plaintext availability database through the multi-server
-// PIR replica protocol instead of the encrypted PISA protocol: no STP
-// is contacted, no key material is generated, and queries never reveal
-// which block an SU asked about as long as the replicas it fans out to
-// do not collude. Run k or more such daemons (or cmd/pirdbd) on the
-// config's pir.addrs. See DESIGN.md §13 for the trust-model trade.
+// sdcd serves the encrypted PISA protocol only. A config whose
+// "backend" is "pir" describes a multi-server PIR deployment
+// (DESIGN.md §13), whose replicas are cmd/pirdbd: sdcd refuses it
+// rather than serve PISA to clients that will dial PIR.
 //
 // With -metrics (or an obs.metricsAddr in the config) the daemon
 // serves Prometheus metrics on /metrics and the net/http/pprof
@@ -72,7 +69,6 @@ import (
 	"pisa/internal/node"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
-	"pisa/internal/pir"
 	"pisa/internal/pisa"
 	"pisa/internal/pisa/shard"
 	"pisa/internal/store"
@@ -96,7 +92,6 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (overrides config obs.metricsAddr; empty = disabled)")
 	cacheFlag := fs.String("cache", "", "encrypted-decision cache entry bound, or 'off' (overrides config cacheEntries)")
 	cacheDomainsFlag := fs.String("cache-domains", "", "cross-SU cache trust domains 'name=su1,su2[;...]', or 'off' for per-SU scope (overrides config cacheDomains)")
-	backend := fs.String("backend", "", "spectrum-query backend: pisa (encrypted protocol) or pir (plaintext PIR replica; overrides config)")
 	shards := fs.Int("shards", -1, "partition the budget matrix into this many in-process channel shards behind a fan-out router (overrides config shards; 0 or 1 = monolithic)")
 	shardIndex := fs.Int("shard-index", -1, "serve exactly one channel shard of a -shard-count partition (for multi-host sharding behind cmd/sdcrouterd)")
 	shardCount := fs.Int("shard-count", 0, "total shard count of the partition this -shard-index belongs to")
@@ -107,12 +102,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *backend != "" {
-		cfg.Backend = *backend
-	}
 	backendName, err := cfg.BackendName()
 	if err != nil {
 		return err
+	}
+	if backendName == config.BackendPIR {
+		return fmt.Errorf("config selects backend %q: sdcd serves PISA only, run cmd/pirdbd for the PIR replicas", backendName)
 	}
 	if *cacheFlag != "" {
 		entries, err := config.ParseCacheFlag(*cacheFlag)
@@ -131,12 +126,6 @@ func run(args []string) error {
 	addr := cfg.SDCAddr
 	if *listen != "" {
 		addr = *listen
-	}
-	if backendName == config.BackendPIR {
-		if *metricsAddr != "" {
-			cfg.Obs.MetricsAddr = *metricsAddr
-		}
-		return servePIRReplica(cfg, addr)
 	}
 	stpTargets := cfg.STPTargets()
 	if *stpAddr != "" {
@@ -196,7 +185,7 @@ func run(args []string) error {
 	case *shardIndex >= 0:
 		// One remote channel shard of a multi-host partition, fronted
 		// by cmd/sdcrouterd. It refuses whole-matrix SU requests and
-		// answers KindShardQuery with window-local partial sums.
+		// answers KindShardQuery with its window's grant indicators.
 		windows, err := shard.Windows(params.Watch.Channels, *shardCount)
 		if err != nil {
 			return err
@@ -277,7 +266,7 @@ func run(args []string) error {
 			logSummary(log, u.sdc, u.st, u.source, len(units) > 1, i)
 		}
 		if router != nil {
-			logRouterSummary(log, router)
+			log.Info("router summary", router.Stats().LogAttrs()...)
 		}
 		logSTPClient(log, stp)
 		// Both should be flat while requests flow: a full-width nonce is
@@ -387,57 +376,6 @@ func buildSDC(cfg config.File, params pisa.Params, issuer string, stp pisa.STPSe
 	return u, nil
 }
 
-// servePIRReplica runs the daemon as one replica of the multi-server
-// PIR backend: a plaintext availability database derived from the same
-// radio parameters and PU churn the PISA budget tracks, answered
-// obliviously via XOR-PIR selection vectors. No STP, no key material.
-func servePIRReplica(cfg config.File, addr string) error {
-	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if cfg.Obs.Enabled() {
-		obsSrv, err := obs.ListenAndServe(cfg.Obs.MetricsAddr, nil)
-		if err != nil {
-			return err
-		}
-		defer obsSrv.Close()
-		log.Info("metrics serving", "addr", obsSrv.Addr(), "endpoints", "/metrics /debug/pprof/")
-	}
-	wp, err := cfg.WatchParams()
-	if err != nil {
-		return err
-	}
-	db, err := pir.NewDatabase(wp, nil, cfg.PIR.MinEIRPUnits(wp),
-		cfg.PIR.BloomBits, cfg.PIR.BloomHashes)
-	if err != nil {
-		return err
-	}
-	pir.InstrumentDatabase(db)
-	m := db.Meta()
-	log.Info("PIR availability database built",
-		"blocks", m.Blocks, "channels", m.Channels,
-		"rowBytes", m.RowBytes, "bloomRowBytes", m.BloomRowBytes)
-
-	srv := node.NewPIRServer(db, log, 0)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Info("PIR replica serving", "addr", ln.Addr().String(), "backend", config.BackendPIR)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case s := <-sig:
-		log.Info("shutting down", "signal", s.String())
-		m := db.Meta()
-		log.Info("replica summary", "version", m.Version, "activePUs", db.ActivePUs())
-		return srv.Close()
-	case err := <-errCh:
-		return err
-	}
-}
-
 // logSummary emits the shutdown state digest: protocol counters,
 // decision-cache effectiveness, and (when durable) WAL pressure plus
 // where this process booted from. Sharded runs emit one line per
@@ -483,25 +421,6 @@ func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string,
 			"snapshotIndex", stats.SnapshotIndex)
 	}
 	log.Info("state summary", attrs...)
-}
-
-// logRouterSummary emits the fan-out router's shutdown digest:
-// request/update volume and the mean per-stage split (fan-out, merge,
-// license) plus each shard's mean service time.
-func logRouterSummary(log *slog.Logger, r *shard.Router) {
-	st := r.Stats()
-	attrs := []any{"requests", st.Requests, "errors", st.Errors, "updates", st.Updates}
-	if st.Requests > 0 {
-		n := float64(st.Requests)
-		attrs = append(attrs,
-			"fanoutMeanMs", float64(st.FanoutNs)/n/1e6,
-			"mergeMeanMs", float64(st.MergeNs)/n/1e6,
-			"licenseMeanMs", float64(st.LicenseNs)/n/1e6)
-		for i, ns := range st.ShardNs {
-			attrs = append(attrs, fmt.Sprintf("shard%dMeanMs", i), float64(ns)/n/1e6)
-		}
-	}
-	log.Info("router summary", attrs...)
 }
 
 // logSTPClient emits the STP link's resilience counters so operators

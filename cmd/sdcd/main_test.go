@@ -1,9 +1,9 @@
 package main
 
 import (
-	"context"
 	"net"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -11,7 +11,6 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/geo"
 	"pisa/internal/node"
-	"pisa/internal/pir"
 	"pisa/internal/pisa"
 	"pisa/internal/watch"
 	"pisa/internal/wire"
@@ -29,63 +28,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownBackend: sdcd serves PISA and nothing else. A
+// backend nobody knows is refused, and so is "pir" — by the name of the
+// daemon that does serve it — before any STP is dialled.
 func TestRunRejectsUnknownBackend(t *testing.T) {
-	if err := run([]string{"-backend", "smoke-signals"}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}
-
-// TestRunServesPIRBackend boots sdcd as a PIR replica (no STP needed)
-// and drives a real oblivious fetch through it.
-func TestRunServesPIRBackend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins real servers")
-	}
-	cfg := config.Default()
-	cfg.Channels = 3
-	cfg.GridCols = 5
-	cfg.GridRows = 4
-	cfgPath := t.TempDir() + "/pisa.json"
-	if err := cfg.Save(cfgPath); err != nil {
-		t.Fatal(err)
-	}
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		probe, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	for _, tc := range []struct{ backend, want string }{
+		{"smoke-signals", "unknown backend"},
+		{config.BackendPIR, "cmd/pirdbd"},
+	} {
+		cfg := config.Default()
+		cfg.Backend = tc.backend
+		cfgPath := t.TempDir() + "/pisa.json"
+		if err := cfg.Save(cfgPath); err != nil {
 			t.Fatal(err)
 		}
-		addrs = append(addrs, probe.Addr().String())
-		probe.Close()
-	}
-	for _, addr := range addrs {
-		addr := addr
-		go func() { _ = run([]string{"-config", cfgPath, "-backend", "pir", "-listen", addr}) }()
-	}
-	opts, err := cfg.RPC.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.DialTimeout = time.Second
-	var cli *node.PIRClient
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		cli, err = node.DialPIRWith(opts, 2, addrs...)
-		if err == nil {
-			break
+		err := run([]string{"-config", cfgPath, "-stp", "127.0.0.1:1", "-listen", "127.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("backend %q: run error = %v, want one naming %q", tc.backend, err, tc.want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("PIR replicas never became ready: %v", err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	defer cli.Close()
-	row, _, err := cli.Fetch(context.Background(), pir.TableBitmap, 7)
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	if !pir.BitmapHas(row, 0) {
-		t.Fatal("empty deployment should have channel 0 available")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Command sdcrouterd fronts a multi-host channel-sharded SDC
 // deployment (DESIGN.md §15): it fans each SU transmission request
 // out to every shard daemon (sdcd -shard-index i -shard-count n) in
-// parallel, merges the per-shard encrypted partial sums
-// homomorphically, and runs the single blind/sign-test/license tail
-// itself. PU updates are broadcast to every shard — the active
-// channel is encrypted, so routing by channel would leak it.
+// parallel, collects the encrypted grant indicators each shard's own
+// blind/sign-test pass produced, and issues the single license masked
+// with every one of them — they are never added up (pisa.ShardAnswer).
+// PU updates are broadcast to every shard — the active channel is
+// encrypted, so routing by channel would leak it.
 //
 // The -shards flag takes semicolon-separated shard groups, each a
 // comma-separated owner-then-replicas address list; shard queries are
@@ -136,16 +137,7 @@ func run(args []string) error {
 	select {
 	case s := <-sig:
 		log.Info("shutting down", "signal", s.String())
-		st := router.Stats()
-		attrs := []any{"requests", st.Requests, "errors", st.Errors, "updates", st.Updates}
-		if st.Requests > 0 {
-			n := float64(st.Requests)
-			attrs = append(attrs,
-				"fanoutMeanMs", float64(st.FanoutNs)/n/1e6,
-				"mergeMeanMs", float64(st.MergeNs)/n/1e6,
-				"licenseMeanMs", float64(st.LicenseNs)/n/1e6)
-		}
-		log.Info("router summary", attrs...)
+		log.Info("router summary", router.Stats().LogAttrs()...)
 		for i, c := range clients {
 			cs := c.Stats()
 			log.Info("shard client summary", "shard", i,

@@ -2,8 +2,8 @@
 // paper-reproduction benchmarks: Table II (Paillier micro-benchmarks),
 // Figure 6 (request preparation / processing / PU update costs and
 // message sizes), the privacy/time trade-off sweep, the generic-FHE
-// baseline and the secure-comparison ablation. Both cmd/pisabench and
-// the root bench_test.go drive these helpers.
+// baseline and the secure-comparison ablation, which cmd/pisabench
+// prints; and the scenario load engine behind cmd/pisaload (load.go).
 package bench
 
 import (
@@ -552,8 +552,8 @@ func SmallParams(channels, cols, rows, paillierBits int) (pisa.Params, error) {
 		SignerBits:    paillierBits - 64,
 		FastExp:       true,
 		// The decision cache stays off so repeated-request benchmarks
-		// measure the cold pipeline; the cache sweep (MeasureCache) and
-		// BenchmarkCacheHit opt in explicitly.
+		// measure the cold pipeline; pisabench -cache and the load engine
+		// opt in explicitly.
 		CacheEntries: 0,
 	}
 	return p, p.Validate()

@@ -239,8 +239,8 @@ type StageSLO struct {
 	P999Ms float64 `json:"p999Ms"`
 }
 
-// LoadReport is the run outcome cmd/pisaload prints and commits as
-// BENCH_LOAD.json.
+// LoadReport is the run outcome cmd/pisaload prints and, with -json,
+// writes to a file.
 type LoadReport struct {
 	Mode         string  `json:"mode"`
 	Backend      string  `json:"backend"`

@@ -114,7 +114,7 @@ func Retryable(err error) bool {
 // same set-registration (only the version counter advances). A shard
 // query qualifies too: ProcessShard reads a budget snapshot and never
 // bumps the license serial, so replaying it on a replica after a lost
-// reply re-derives the same partial sum. PU updates and SU
+// reply re-derives equivalent grant indicators. PU updates and SU
 // transmission requests mutate budget state and are sent at most once
 // per transport attempt that reaches the wire.
 func idempotentKind(k wire.Kind) bool {

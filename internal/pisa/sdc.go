@@ -738,8 +738,8 @@ func (s *SDC) CachedDecisions() int {
 // per-stage budget instead of re-running a benchmark.
 //
 // A windowed instance (WithChannelWindow) refuses this path: its
-// partial sum covers only its own channel rows, so a license masked
-// with it would encode a window-local decision, not the whole-matrix
+// grant indicators cover only its own channel rows, so a license masked
+// with them would encode a window-local decision, not the whole-matrix
 // one. Shards serve ProcessShard; the router issues the license.
 func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err error) {
 	m := metrics()

@@ -13,8 +13,8 @@ import (
 //
 // Stage labels follow the sharded pipeline (DESIGN.md §15):
 //
-//	fanout  slice + per-shard ProcessShard calls (max over shards
-//	        when parallel, sum when WithSerialFanout)
+//	fanout  slice + per-shard ProcessShard calls, all at once: the
+//	        slowest shard's time
 //	merge   collection of the shards' grant indicators
 //	license sign + encrypt + one eta-mask per indicator (eq. 17)
 //	update  PU update broadcast

@@ -2,7 +2,7 @@
 // §15): the C×B encrypted budget matrix is partitioned into N
 // contiguous channel windows, each owned by an independent SDC
 // instance (pisa.WithChannelWindow) with its own WAL, decision cache
-// and STP batcher, and a thin Router fans each SU request out to every
+// and STP link, and a thin Router fans each SU request out to every
 // shard, then masks the single license with every shard's grant
 // indicator (eq. 17).
 //
@@ -82,12 +82,6 @@ type Router struct {
 	licTTL  time.Duration
 	shards  []Service
 	windows [][2]int
-	// serialFanout runs the per-shard calls sequentially instead of on
-	// goroutines. On a host with fewer cores than shards the parallel
-	// calls time-slice against each other, which inflates every
-	// per-shard latency reading; the benches use the serial mode to
-	// measure uncontended per-shard time (see bench.MeasureShards).
-	serialFanout bool
 
 	mu     sync.Mutex
 	serial uint64
@@ -96,9 +90,11 @@ type Router struct {
 
 // Stats are the router's cumulative counters, one struct per Router
 // (the obs registry aggregates process-wide). Stage fields are summed
-// nanoseconds; divide by Requests for means. ShardNs[i] sums shard
-// i's ProcessShard latency as seen by the router (queueing, transport
-// and failover included for remote shards).
+// nanoseconds. FanoutNs and ShardNs grow on every request that reached
+// the fan-out, failed ones included; MergeNs and LicenseNs only on the
+// Requests - Errors that completed — LogAttrs divides each by its own
+// count. ShardNs[i] sums shard i's ProcessShard latency as seen by the
+// router (queueing, transport and failover included for remote shards).
 type Stats struct {
 	Requests  uint64
 	Errors    uint64
@@ -107,6 +103,26 @@ type Stats struct {
 	MergeNs   int64
 	LicenseNs int64
 	ShardNs   []int64
+}
+
+// LogAttrs is the shutdown digest of a router daemon as slog key/value
+// pairs: request/update volume, the mean per-stage split (fan-out,
+// merge, license) and each shard's mean service time.
+func (st Stats) LogAttrs() []any {
+	attrs := []any{"requests", st.Requests, "errors", st.Errors, "updates", st.Updates}
+	meanMs := func(ns int64, n uint64) float64 { return float64(ns) / float64(n) / 1e6 }
+	if st.Requests > 0 {
+		attrs = append(attrs, "fanoutMeanMs", meanMs(st.FanoutNs, st.Requests))
+		for i, ns := range st.ShardNs {
+			attrs = append(attrs, fmt.Sprintf("shard%dMeanMs", i), meanMs(ns, st.Requests))
+		}
+	}
+	if done := st.Requests - st.Errors; done > 0 {
+		attrs = append(attrs,
+			"mergeMeanMs", meanMs(st.MergeNs, done),
+			"licenseMeanMs", meanMs(st.LicenseNs, done))
+	}
+	return attrs
 }
 
 // RouterOption customises Router construction.
@@ -131,13 +147,6 @@ func WithRouterRandom(rd io.Reader) RouterOption {
 // WithRouterLicenseTTL sets the license validity window (default 24h).
 func WithRouterLicenseTTL(ttl time.Duration) RouterOption {
 	return routerOptionFunc(func(r *Router) { r.licTTL = ttl })
-}
-
-// WithSerialFanout issues the per-shard calls one at a time. Benches
-// use it on few-core hosts so per-shard timings are uncontended; a
-// real deployment with one host per shard keeps the parallel default.
-func WithSerialFanout() RouterOption {
-	return routerOptionFunc(func(r *Router) { r.serialFanout = true })
 }
 
 // NewRouter builds a router over the given shards. Shard i must own
@@ -293,11 +302,7 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 	answers := make([]*pisa.ShardAnswer, n)
 	shardNs := make([]int64, n)
 	errs := make([]error, n)
-	workers := n
-	if r.serialFanout {
-		workers = 1
-	}
-	_ = parallel.For(workers, n, func(i int) error {
+	_ = parallel.For(n, n, func(i int) error {
 		sub, err := r.sliceFor(req, i)
 		if err != nil {
 			errs[i] = err
@@ -396,11 +401,7 @@ func (r *Router) HandlePUUpdate(u *pisa.PUUpdate) error {
 	defer m.stage["update"].ObserveSince(start)
 	n := len(r.shards)
 	errs := make([]error, n)
-	workers := n
-	if r.serialFanout {
-		workers = 1
-	}
-	_ = parallel.For(workers, n, func(i int) error {
+	_ = parallel.For(n, n, func(i int) error {
 		errs[i] = r.shards[i].HandlePUUpdate(u)
 		return nil
 	})

@@ -3,7 +3,9 @@ package shard_test
 import (
 	"crypto/rand"
 	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pisa/internal/geo"
@@ -319,21 +321,25 @@ func TestRouterStats(t *testing.T) {
 	}
 }
 
-// failingService wedges one shard so the fan-out hits its error path.
+// failingService fails every every-th ProcessShard call of the shard it
+// wraps (every = 1: all of them), so the fan-out hits its error path.
 type failingService struct {
 	shard.Service
+	every int64
+	calls *atomic.Int64
 }
 
 func (f failingService) ProcessShard(req *pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {
-	return nil, errors.New("injected shard failure")
+	if f.calls.Add(1)%f.every == 0 {
+		return nil, errors.New("injected shard failure")
+	}
+	return f.Service.ProcessShard(req)
 }
 
-// TestRouterStatsOnShardError pins the failover accounting fix: when
-// one shard errors, the latencies of the shards that DID complete must
-// still land in Stats.ShardNs — the old early return dropped them,
-// under-reporting the shutdown summary exactly when a shard
-// misbehaves.
-func TestRouterStatsOnShardError(t *testing.T) {
+// newFailingRouter is a 3-shard router whose shard 1 fails every
+// every-th call, and a request for it.
+func newFailingRouter(t *testing.T, every int64) (*shard.Router, *pisa.TransmissionRequest) {
+	t.Helper()
 	wp := testWatchParams(t)
 	params := pisa.TestParams(wp)
 	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
@@ -353,7 +359,7 @@ func TestRouterStatsOnShardError(t *testing.T) {
 		t.Cleanup(s.Close)
 		services[i] = s
 	}
-	services[1] = failingService{services[1]}
+	services[1] = failingService{services[1], every, new(atomic.Int64)}
 	router, err := shard.NewRouter("router", params, nil, stp, services)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -369,6 +375,16 @@ func TestRouterStatsOnShardError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return router, req
+}
+
+// TestRouterStatsOnShardError pins the failover accounting fix: when
+// one shard errors, the latencies of the shards that DID complete must
+// still land in Stats.ShardNs — the old early return dropped them,
+// under-reporting the shutdown summary exactly when a shard
+// misbehaves.
+func TestRouterStatsOnShardError(t *testing.T) {
+	router, req := newFailingRouter(t, 1)
 	if _, err := router.ProcessRequest(req); err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("ProcessRequest error = %v, want a shard 1 failure", err)
 	}
@@ -382,6 +398,47 @@ func TestRouterStatsOnShardError(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if st.ShardNs[i] <= 0 {
 			t.Errorf("completed shard %d's latency dropped on the error path", i)
+		}
+	}
+}
+
+// TestRouterSummaryMeansUnderShardErrors pins what the daemons log at
+// shutdown when a shard fails every other request: the merge and
+// license stages ran only for the requests that completed and are
+// averaged over those, while fan-out and per-shard time, which failed
+// requests spend too, are averaged over all of them.
+func TestRouterSummaryMeansUnderShardErrors(t *testing.T) {
+	router, req := newFailingRouter(t, 2)
+	for i := 0; i < 4; i++ {
+		if _, err := router.ProcessRequest(req); (err != nil) != (i%2 == 1) {
+			t.Fatalf("request %d: error = %v, want every other one to fail", i, err)
+		}
+	}
+	st := router.Stats()
+	if st.Requests != 4 || st.Errors != 2 || st.MergeNs <= 0 || st.LicenseNs <= 0 {
+		t.Fatalf("stats = %+v, want 4 requests, 2 errors and both tail stages timed", st)
+	}
+	got := map[string]any{}
+	attrs := st.LogAttrs()
+	for i := 0; i+1 < len(attrs); i += 2 {
+		got[attrs[i].(string)] = attrs[i+1]
+	}
+	want := map[string]any{
+		"requests": uint64(4), "errors": uint64(2), "updates": uint64(0),
+		"fanoutMeanMs":  float64(st.FanoutNs) / 4 / 1e6,
+		"mergeMeanMs":   float64(st.MergeNs) / 2 / 1e6,
+		"licenseMeanMs": float64(st.LicenseNs) / 2 / 1e6,
+		"shard0MeanMs":  float64(st.ShardNs[0]) / 4 / 1e6,
+		"shard1MeanMs":  float64(st.ShardNs[1]) / 4 / 1e6,
+		"shard2MeanMs":  float64(st.ShardNs[2]) / 4 / 1e6,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("LogAttrs = %v\nwant      %v", got, want)
+	}
+	// No completed request: no tail means to print, and no division by zero.
+	for _, a := range (shard.Stats{Requests: 3, Errors: 3, ShardNs: []int64{1}}).LogAttrs() {
+		if a == "mergeMeanMs" || a == "licenseMeanMs" {
+			t.Errorf("LogAttrs of an all-failed run carries %v", a)
 		}
 	}
 }

@@ -67,8 +67,8 @@ const (
 
 	// Shard kinds (appended): the channel-sharded SDC. A router fans
 	// one KindShardQuery (carrying the SU request, usually
-	// channel-sliced) out to each shard and merges the partial sums
-	// from the KindShardAnswer replies.
+	// channel-sliced) out to each shard and masks the license with the
+	// grant indicators of the KindShardAnswer replies.
 	KindShardQuery // router -> shard, reply KindShardAnswer
 	KindShardAnswer
 )
