@@ -32,9 +32,10 @@
 // such daemons.
 //
 // The SDC memoises the aggregate pass of repeated request shapes in an
-// encrypted-decision cache (DESIGN.md §14): hits replace the eq. 11-12
-// recompute with one re-randomisation per ciphertext, invalidated
-// exactly when a PU update is folded into a footprint block. -cache
+// encrypted-decision cache (DESIGN.md §14): hits skip the eq. 11-12
+// recompute and blind the cached ciphertexts from power tables, and a
+// ciphertext is invalidated exactly when a PU update is folded into one
+// of its blocks. -cache
 // bounds the entry count; -cache=off (or "cacheEntries": 0) disables
 // it. Entries are scoped per SU by default (a dishonest shape digest
 // is strictly self-inflicted); -cache-domains "fleet-a=su1,su2;..."
@@ -50,9 +51,9 @@
 // With -metrics (or an obs.metricsAddr in the config) the daemon
 // serves Prometheus metrics on /metrics and the net/http/pprof
 // profiling endpoints on /debug/pprof/, on a dedicated port: per-stage
-// SU request latencies, PU update and column-rebuild timings, blinding
-// pool depth and refill outcomes, WAL append/fsync/snapshot timings,
-// and the RPC client/server counters.
+// SU request latencies, PU update and column-rebuild timings, the
+// decision cache's events, entries and power tables, WAL
+// append/fsync/snapshot timings, and the RPC client/server counters.
 package main
 
 import (
@@ -399,7 +400,6 @@ func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string,
 		"cacheHits", cs.Hits,
 		"cacheMisses", cs.Misses,
 		"cacheStale", cs.Stale,
-		"cacheExpired", cs.Expired,
 		"cacheEvicted", cs.Evicted,
 		// Of the ciphertexts of entries found stale, those no PU update
 		// had touched and those recomputed.

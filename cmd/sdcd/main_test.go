@@ -130,6 +130,53 @@ func TestRunServesAgainstRealSTP(t *testing.T) {
 	// down (goroutines die with the process).
 }
 
+// TestShardDaemonRefusesVerifyKey: a -shard-index daemon serves one
+// channel window and issues no licenses, so a client asking it for the
+// license key is sent to the router.
+func TestShardDaemonRefusesVerifyKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins real servers")
+	}
+	cfg := config.Default()
+	cfg.Channels, cfg.GridCols, cfg.GridRows = 2, 3, 2
+	params, err := cfg.PisaParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stp, err := pisa.NewSTP(nil, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stpSrv := node.NewSTPServer(stp, nil, time.Minute)
+	stpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = stpSrv.Serve(stpLn) }()
+	t.Cleanup(func() { stpSrv.Close() })
+
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+	cfgPath := t.TempDir() + "/pisa.json"
+	cfg.STPAddr = stpLn.Addr().String()
+	if err := cfg.Save(cfgPath); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-config", cfgPath, "-listen", addr, "-shard-index", "0", "-shard-count", "2"})
+	}()
+	cli := waitReady(t, addr, done)
+	defer cli.Close()
+	if _, err := cli.VerifyKey(); err == nil || !strings.Contains(err.Error(), "ask the router") {
+		t.Fatalf("VerifyKey from a shard daemon: error = %v, want a refusal naming the router", err)
+	}
+}
+
 // waitReady polls an sdcd address until it answers public-data
 // requests.
 func waitReady(t *testing.T, addr string, done chan error) *node.SDCClient {

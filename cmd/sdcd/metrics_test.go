@@ -146,6 +146,22 @@ func TestRunServesMetrics(t *testing.T) {
 	if n := count("pisa_store_wal_append_seconds", ""); n == 0 {
 		t.Error("WAL append histogram empty (durable daemon journalled nothing)")
 	}
+	// The blinding and cache families carry what the SDC still has and
+	// nothing else: no pool series, no age-expiry event.
+	for _, family := range []struct {
+		re   string
+		want map[string]bool
+	}{
+		{`(?m)^pisa_sdc_blind_(\w+)`, map[string]bool{"total": true}},
+		{`(?m)^pisa_sdc_cache_events_total\{event="(\w+)"\}`,
+			map[string]bool{"hit": true, "miss": true, "stale": true, "evict": true, "bypass": true}},
+	} {
+		for _, m := range regexp.MustCompile(family.re).FindAllSubmatch(body, -1) {
+			if !family.want[string(m[1])] {
+				t.Errorf("scrape carries %s, which no SDC maintains", m[0])
+			}
+		}
+	}
 
 	// The pprof index must be mounted on the same listener.
 	pp, err := http.Get(fmt.Sprintf("http://%s/debug/pprof/cmdline", metricsAddr))

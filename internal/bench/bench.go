@@ -287,11 +287,8 @@ func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 	}
 	stats.Refresh = time.Since(start)
 
-	// The blinding tuples are precomputed offline, as the paper's
-	// SDC-side 219 s accounting implies.
-	if err := u.SDC.PrecomputeBlinding(req.Ciphertexts()); err != nil {
-		return stats, err
-	}
+	// The SDC draws its blinding tuples inline, E(beta) included, as every
+	// deployment does; the paper's 219 s assumed them precomputed offline.
 	u.stpTime = 0
 	start = time.Now()
 	if _, err := u.SDC.ProcessRequest(req); err != nil {

@@ -274,7 +274,6 @@ type LoadReport struct {
 	CacheHits    int64   `json:"cacheHits"`
 	CacheMisses  int64   `json:"cacheMisses"`
 	CacheStale   int64   `json:"cacheStale"`
-	CacheExpired int64   `json:"cacheExpired"`
 	CacheBypass  int64   `json:"cacheBypass"`
 	CacheHitRate float64 `json:"cacheHitRate"`
 
@@ -418,7 +417,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	cacheEvents := map[string]*obs.Counter{}
 	cacheBefore := map[string]uint64{}
-	for _, ev := range []string{"hit", "miss", "stale", "expired", "bypass"} {
+	for _, ev := range []string{"hit", "miss", "stale", "bypass"} {
 		c := r.Counter("pisa_sdc_cache_events_total",
 			"encrypted-decision cache events by kind", obs.Labels{"event": ev})
 		cacheEvents[ev] = c
@@ -507,8 +506,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		key := shapeKey(ev.Block, ev.EIRPUnits)
 		var req *pisa.TransmissionRequest
 		if base, ok := m.base[key]; ok {
-			// Same shape again: the cheap re-randomisation path, and a
-			// decision-cache hit at the SDC (same SU, same digest).
+			// Same shape again: RefreshRequest re-sends the digest-carrying
+			// request, a decision-cache hit at the SDC (same SU, same digest).
 			req, err = m.su.RefreshRequest(base)
 			refreshed.Add(1)
 		} else {
@@ -516,9 +515,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			prepared.Add(1)
 			if err == nil {
 				m.base[key] = req
-				// Arm background nonce refills sized to one request, so
-				// sustained refreshes stay on the pooled path.
-				_ = m.su.EnableNonceAutoRefill(req.Ciphertexts())
 			}
 		}
 		if err != nil {
@@ -624,11 +620,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	elapsed := time.Since(start)
 	<-puDone
 
-	// Close the fleet so no nonce-refill goroutine outlives the run.
-	for _, m := range members {
-		m.su.Close()
-	}
-
 	report.DurationSec = elapsed.Seconds()
 	report.Requests = grants.Load() + denials.Load() + errors.Load()
 	report.Grants = grants.Load()
@@ -648,9 +639,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	report.CacheHits = int64(cacheEvents["hit"].Value() - cacheBefore["hit"])
 	report.CacheMisses = int64(cacheEvents["miss"].Value() - cacheBefore["miss"])
 	report.CacheStale = int64(cacheEvents["stale"].Value() - cacheBefore["stale"])
-	report.CacheExpired = int64(cacheEvents["expired"].Value() - cacheBefore["expired"])
 	report.CacheBypass = int64(cacheEvents["bypass"].Value() - cacheBefore["bypass"])
-	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale + report.CacheExpired; lookups > 0 {
+	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale; lookups > 0 {
 		report.CacheHitRate = float64(report.CacheHits) / float64(lookups)
 	}
 	report.Stages = collectSLOs(brackets)

@@ -114,9 +114,6 @@ type File struct {
 	// starts from Default(), which enables 1024 entries — an explicit
 	// "cacheEntries": 0 (or the daemons' -cache=off) switches it off.
 	CacheEntries int `json:"cacheEntries"`
-	// CacheTTLSec additionally age-bounds cached decisions; 0 (the
-	// default) relies on exact content-version invalidation alone.
-	CacheTTLSec int `json:"cacheTTLSec,omitempty"`
 	// CacheDomains declares trust domains for cross-SU cache sharing
 	// (pisa.Params.CacheDomains): domain name -> member SUIDs. By
 	// default cache entries are scoped per SU, so a dishonest shape
@@ -528,13 +525,15 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
 	}
 	// Keys whose behaviour was removed are refused where they ask for it
-	// rather than ignored: the file would otherwise silently run packed
-	// and unbatched. "packing": true and zeros, which every file written
-	// by an earlier Save contains, ask for what is still there.
+	// rather than ignored: the file would otherwise silently run packed,
+	// unbatched and without a cache age bound. "packing": true and zeros,
+	// which every file written by an earlier Save contains, ask for what
+	// is still there.
 	var removed struct {
 		Packed        *bool `json:"packing"`
 		BatchWindowMS int   `json:"stpBatchWindowMS"`
 		BatchMax      int   `json:"stpBatchMax"`
+		TTLSec        int   `json:"cacheTTLSec"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -546,6 +545,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "stpBatchWindowMS" asks for sign-test coalescing, which was removed`, path)
 	case removed.BatchMax > 0:
 		return File{}, fmt.Errorf(`config: %s: "stpBatchMax" asks for sign-test coalescing, which was removed`, path)
+	case removed.TTLSec > 0:
+		return File{}, fmt.Errorf(`config: %s: "cacheTTLSec" asks for a decision-cache age bound, which was removed (content versions already invalidate exactly)`, path)
 	}
 	return f, nil
 }
@@ -595,8 +596,8 @@ func (f File) PisaParams() (pisa.Params, error) {
 	if err != nil {
 		return pisa.Params{}, err
 	}
-	if f.CacheEntries < 0 || f.CacheTTLSec < 0 {
-		return pisa.Params{}, fmt.Errorf("config: cache values must be non-negative")
+	if f.CacheEntries < 0 {
+		return pisa.Params{}, fmt.Errorf("config: cacheEntries must be non-negative")
 	}
 	p := pisa.Params{
 		Watch:         wp,
@@ -611,7 +612,6 @@ func (f File) PisaParams() (pisa.Params, error) {
 		FastExpWindow: f.FastExpWindow,
 		ShortExpBits:  f.ShortExpBits,
 		CacheEntries:  f.CacheEntries,
-		CacheTTL:      time.Duration(f.CacheTTLSec) * time.Second,
 		CacheDomains:  f.CacheDomains,
 	}
 	return p, p.Validate()

@@ -285,8 +285,8 @@ func TestCacheDomainsReachParams(t *testing.T) {
 }
 
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
-// layout or for sign-test coalescing must not silently run packed and
-// unbatched; the values every file saved by an earlier build contains
+// layout, for sign-test coalescing or for a cache TTL must not silently
+// run without them; the values every file saved by an earlier build contains
 // ("packing": true, zeros) ask for what is still there and keep loading.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
@@ -295,7 +295,8 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"unpacked", `{"packing": false}`, `"packing"`},
 		{"batch window", `{"stpBatchWindowMS": 5}`, `"stpBatchWindowMS"`},
 		{"batch cap", `{"stpBatchMax": 8}`, `"stpBatchMax"`},
-		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0}`, ""},
+		{"cache ttl", `{"cacheTTLSec": 60}`, `"cacheTTLSec"`},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pisa.json")

@@ -238,7 +238,8 @@ func (s *STPServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 // SDCBackend is what an SDC server needs from the role instance
 // behind it. *pisa.SDC satisfies it, as does shard.Router, so one
 // server wrapper fronts both a monolithic controller and a sharded
-// fan-out router.
+// fan-out router. A windowed shard's VerifyKey is nil: it issues no
+// licenses, and the server refuses the key request.
 type SDCBackend interface {
 	ProcessRequest(req *pisa.TransmissionRequest) (*pisa.Response, error)
 	HandlePUUpdate(u *pisa.PUUpdate) error
@@ -293,7 +294,11 @@ func (s *SDCServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 		}
 		return &wire.Envelope{Kind: wire.KindEColumn, EColumn: col}, nil
 	case wire.KindVerifyKeyRequest:
-		return &wire.Envelope{Kind: wire.KindVerifyKey, VerifyKey: s.sdc.VerifyKey()}, nil
+		vk := s.sdc.VerifyKey()
+		if vk == nil {
+			return nil, fmt.Errorf("sdc: shard does not issue licenses; ask the router")
+		}
+		return &wire.Envelope{Kind: wire.KindVerifyKey, VerifyKey: vk}, nil
 	case wire.KindShardQuery:
 		sb, ok := s.sdc.(shardBackend)
 		if !ok {

@@ -61,8 +61,7 @@ func NewNoncePool(pk *PublicKey, random io.Reader, workers int) *NoncePool {
 // through pooled stock and online generation): the failure is logged,
 // counted in the obs registry, returned by exactly one Get, and held
 // by RefillErr until this method re-arms the pool — which also clears
-// the sticky error. These are the same semantics as the SDC's
-// blinding pool (pisa.SDC.EnableBlindingAutoRefill).
+// the sticky error.
 func (p *NoncePool) SetAutoRefill(target int) error {
 	if target < 0 {
 		return fmt.Errorf("paillier: negative refill target %d", target)

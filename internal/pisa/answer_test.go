@@ -304,11 +304,11 @@ func TestAnswerSpansSeveralCiphertexts(t *testing.T) {
 }
 
 // TestMaskedLicenseNeedsAnIndicator: a license masked with nothing
-// would be a grant.
+// would be a grant, so the licenser refuses to issue one.
 func TestMaskedLicenseNeedsAnIndicator(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
-	if _, err := MaskedLicense(rand.Reader, d.sdc.signer, su.PublicKey(), nil, nil, d.params.EtaBits); err == nil {
-		t.Fatal("MaskedLicense issued a license without any grant indicator")
+	if _, err := d.sdc.lic.Issue(su.ID(), [32]byte{}, su.PublicKey(), nil); err == nil {
+		t.Fatal("Licenser issued a license without any grant indicator")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
-	"time"
 
 	"pisa/internal/paillier"
 )
@@ -67,7 +66,6 @@ import (
 // All methods must be called with the owning SDC's mutex held.
 type decisionCache struct {
 	cap int
-	ttl time.Duration // 0 = no age bound
 
 	lru   *list.List // front = most recently used; values are *cacheEntry
 	byKey map[[32]byte]*list.Element
@@ -135,8 +133,6 @@ type cacheEntry struct {
 	// is holds Ĩ per enumerated cell, read-only: a serving blinds it
 	// under a fresh tuple and nothing else of it leaves the SDC.
 	is []*paillier.Ciphertext
-	// filled is when the oldest of is was computed.
-	filled time.Time
 
 	// tabs[k] tables is[k] for AlphaBits-bit scalars, nil where the cell
 	// has none: before the entry's first hit, for a cell recomputed since,
@@ -190,10 +186,9 @@ func tablesBytes(tabs []*paillier.PowerTable) (bytes int) {
 	return bytes
 }
 
-func newDecisionCache(capacity int, ttl time.Duration) *decisionCache {
+func newDecisionCache(capacity int) *decisionCache {
 	return &decisionCache{
 		cap:   capacity,
-		ttl:   ttl,
 		lru:   list.New(),
 		byKey: make(map[[32]byte]*list.Element, capacity),
 
@@ -214,9 +209,24 @@ func (dc *decisionCache) get(key [32]byte) *cacheEntry {
 // remove drops the entry for key if present.
 func (dc *decisionCache) remove(key [32]byte) {
 	if el, ok := dc.byKey[key]; ok {
-		dc.dropTables(el.Value.(*cacheEntry))
-		dc.lru.Remove(el)
-		delete(dc.byKey, key)
+		dc.removeElement(el)
+	}
+}
+
+// removeElement drops one live entry, its tables and its count in the
+// entries gauge.
+func (dc *decisionCache) removeElement(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	dc.dropTables(e)
+	dc.lru.Remove(el)
+	delete(dc.byKey, e.key)
+	metrics().cacheEntries.Add(-1)
+}
+
+// clear drops every entry.
+func (dc *decisionCache) clear() {
+	for el := dc.lru.Back(); el != nil; el = dc.lru.Back() {
+		dc.removeElement(el)
 	}
 }
 
@@ -233,11 +243,9 @@ func (dc *decisionCache) put(e *cacheEntry) (evicted, dropped int) {
 		dc.lru.MoveToFront(el)
 	} else {
 		dc.byKey[e.key] = dc.lru.PushFront(e)
+		metrics().cacheEntries.Add(1)
 		for dc.lru.Len() > dc.cap {
-			oldest := dc.lru.Back()
-			dc.dropTables(oldest.Value.(*cacheEntry))
-			dc.lru.Remove(oldest)
-			delete(dc.byKey, oldest.Value.(*cacheEntry).key)
+			dc.removeElement(dc.lru.Back())
 			evicted++
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
@@ -52,26 +51,24 @@ func (d *deployment) setTableBudget(bytes int) {
 
 // cacheEventCounts snapshots the cache event counters (process-global,
 // so tests always compare deltas).
-type cacheEventCounts struct{ hits, misses, stale, expired, bypass uint64 }
+type cacheEventCounts struct{ hits, misses, stale, bypass uint64 }
 
 func snapshotCacheEvents() cacheEventCounts {
 	m := metrics()
 	return cacheEventCounts{
-		hits:    m.cacheHits.Value(),
-		misses:  m.cacheMisses.Value(),
-		stale:   m.cacheStale.Value(),
-		expired: m.cacheExpired.Value(),
-		bypass:  m.cacheBypass.Value(),
+		hits:   m.cacheHits.Value(),
+		misses: m.cacheMisses.Value(),
+		stale:  m.cacheStale.Value(),
+		bypass: m.cacheBypass.Value(),
 	}
 }
 
 func (c cacheEventCounts) deltaFrom(prev cacheEventCounts) cacheEventCounts {
 	return cacheEventCounts{
-		hits:    c.hits - prev.hits,
-		misses:  c.misses - prev.misses,
-		stale:   c.stale - prev.stale,
-		expired: c.expired - prev.expired,
-		bypass:  c.bypass - prev.bypass,
+		hits:   c.hits - prev.hits,
+		misses: c.misses - prev.misses,
+		stale:  c.stale - prev.stale,
+		bypass: c.bypass - prev.bypass,
 	}
 }
 
@@ -399,67 +396,82 @@ func TestCacheDomainsValidation(t *testing.T) {
 	}
 }
 
-// TestCacheTTLExpiredEvent pins the TTL invalidation accounting: an
-// age-expired entry is dropped under event="expired" and refilled by
-// the recompute — never conflated with the version-skew "stale"
-// counter DESIGN.md reserves for PU-update/rebuild invalidation.
-func TestCacheTTLExpiredEvent(t *testing.T) {
-	wp := testWatchParams(t)
-	params := TestParams(wp)
-	params.CacheTTL = time.Minute
+// TestCacheEntriesGaugeSumsInstances: the shards of `sdcd -shards N`
+// share one process, and so one pisa_sdc_cache_entries series. Every
+// instance adds its own entries to it, as it adds its tables to
+// pisa_sdc_cache_table_bytes, and Close gives both back. Requests still
+// work after Close, refilling the cache, and no goroutine outlives the
+// SDCs.
+func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	params := TestParams(testWatchParams(t))
 	stp, err := NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	base := time.Now()
-	skew := time.Duration(0)
-	sdc, err := NewSDC("sdc-test", params, nil, stp, WithClock(func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return base.Add(skew)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sdc.Close)
-	oracle, err := watch.NewSystem(wp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
-	su := d.newSU(t, "su-1", 7)
-	eirp := map[int]int64{1: maxEIRP(d)}
-	req, err := su.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := d.oracleDecision(t, 7, eirp)
-	decideRefreshed := func() {
-		t.Helper()
-		r, err := su.RefreshRequest(req)
+	var shards []*SDC
+	for _, w := range [][2]int{{0, 2}, {2, 3}} {
+		s, err := NewSDC("shard", params, nil, stp, WithChannelWindow(w[0], w[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.decide(t, su, r).Granted; got != want {
-			t.Fatalf("decision %v, oracle %v", got, want)
+		shards = append(shards, s)
+	}
+	su, err := NewSU(rand.Reader, "su-1", 7, params, shards[0].Planner(), stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer su.Close()
+	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	m := metrics()
+	entries0, bytes0 := m.cacheEntries.Value(), m.cacheTableBytes.Value()
+	// Each shape has a cell in both windows; the repeat hits and tables.
+	serve := func(eirps ...map[int]int64) {
+		t.Helper()
+		for _, eirp := range eirps {
+			req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range shards {
+				if _, err := s.ProcessShard(req); err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+			}
 		}
 	}
-
-	if got := d.decide(t, su, req).Granted; got != want { // miss, fills
-		t.Fatalf("decision %v, oracle %v", got, want)
+	check := func(what string, wantEntries int) {
+		t.Helper()
+		var entries, bytes int
+		for _, s := range shards {
+			entries += s.CachedDecisions()
+			bytes += s.CacheStats().TableBytes
+		}
+		gotEntries, gotBytes := m.cacheEntries.Value()-entries0, m.cacheTableBytes.Value()-bytes0
+		if entries != wantEntries || gotEntries != int64(entries) || gotBytes != int64(bytes) {
+			t.Fatalf("%s: gauges moved by %d entries and %d table bytes, the SDCs hold %d (want %d) and %d",
+				what, gotEntries, gotBytes, entries, wantEntries, bytes)
+		}
 	}
-	before := snapshotCacheEvents()
-	decideRefreshed() // hit, within the TTL
-	mu.Lock()
-	skew = 2 * time.Minute
-	mu.Unlock()
-	decideRefreshed() // expired: dropped, recomputed, refilled
-	decideRefreshed() // hit again at the new fill time
-	delta := snapshotCacheEvents().deltaFrom(before)
-	if delta.hits != 2 || delta.expired != 1 || delta.stale != 0 || delta.misses != 0 {
-		t.Fatalf("cache events = %+v, want 2 hits, 1 expired, 0 stale and 0 misses", delta)
+	serve(map[int]int64{0: 1, 2: 1}, map[int]int64{0: 1, 2: 1}, map[int]int64{1: 1, 2: 1})
+	check("after requests", 4)
+	if m.cacheTableBytes.Value() == bytes0 {
+		t.Fatal("the repeat built no tables")
 	}
+	for _, s := range shards {
+		s.Close()
+	}
+	check("after Close", 0)
+	serve(map[int]int64{0: 1, 2: 1})
+	check("serving after Close", 2)
+	for _, s := range shards {
+		s.Close()
+		s.Close()
+	}
+	check("after the second Close", 0)
+	waitGoroutines(t, baseline)
 }
 
 // signRecorder is an STPService that keeps the blinded V~ set of every
@@ -884,23 +896,8 @@ func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
 // budget a recompute would read, the rebuilt content replacing it at the
 // first lookup after the write-back.
 func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
-	hr := &hookReader{}
-	wp := testWatchParams(t)
-	params := TestParams(wp)
-	stp, err := NewSTP(rand.Reader, params.PaillierBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdc, err := NewSDC("sdc-test", params, nil, stp, WithRandom(hr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sdc.Close)
-	oracle, err := watch.NewSystem(wp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
+	d := newCacheDeployment(t, nil)
+	wp, sdc, stp := d.params.Watch, d.sdc, d.stp
 
 	// Rows 1-3 of the 5x4 grid are blocks 5..19: slot groups 1-4 at four
 	// slots a ciphertext, one ciphertext per group and channel.
@@ -1095,17 +1092,11 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A rebuild in flight. The trap fires on the rebuild's first read of
-	// randomness — the update is registered, the group not yet written
-	// back — and serves the band shape from there. The rebuild's worker
-	// holds the shared reader meanwhile, so the serving must draw nothing
-	// from it: blinding tuples come from the pool, and it stops short of
-	// the license.
-	if err := sdc.PrecomputeBlinding(int(all)); err != nil {
-		t.Fatal(err)
-	}
-	var inFlight error
-	hr.onRead = func() {
+	// A rebuild in flight. The journal hook runs once the update is
+	// registered and before its rebuild starts, outside the lock, and
+	// serves the band shape from there, stopping short of the license.
+	inFlight := fmt.Errorf("the journal hook never ran")
+	sdc.SetUpdateJournal(func(*PUUpdate) error {
 		inFlight = func() error {
 			sdc.mu.Lock()
 			registered, applied := sdc.colVer[13], sdc.colApplied[13]
@@ -1125,12 +1116,10 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 			}
 			return mismatch(e4, req)
 		}()
-	}
-	hr.armed.Store(true)
+		return nil
+	})
 	d.tune(t, near, 1, weak)
-	if hr.armed.Load() {
-		t.Fatal("the rebuild never read randomness")
-	}
+	sdc.SetUpdateJournal(nil)
 	if inFlight != nil {
 		t.Fatalf("rebuild in flight: %v", inFlight)
 	}
@@ -1204,9 +1193,6 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 	hr := &hookReader{}
 	wp := testWatchParams(t)
 	params := TestParams(wp)
-	// No cache: its nonce pool's background refill reads s.random too,
-	// and would race the rebuild for the armed one-shot trap.
-	params.CacheEntries = 0
 	stp, err := NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
@@ -1519,13 +1505,12 @@ func cacheChurnStress(t *testing.T, iters int, domains map[string][]string) {
 	}
 
 	// Conservation: every digest-carrying request resolved to exactly
-	// one of hit/miss/stale/expired — across both SDCs and all the
-	// churn (no TTL is configured here, so expired stays 0).
+	// one of hit/miss/stale — across both SDCs and all the churn.
 	delta := snapshotCacheEvents().deltaFrom(before)
 	requests := metrics().requests.Value() - requestsBefore
-	if got := delta.hits + delta.misses + delta.stale + delta.expired; got != requests {
-		t.Fatalf("cache events (hit %d + miss %d + stale %d + expired %d = %d) do not account for %d requests",
-			delta.hits, delta.misses, delta.stale, delta.expired, got, requests)
+	if got := delta.hits + delta.misses + delta.stale; got != requests {
+		t.Fatalf("cache events (hit %d + miss %d + stale %d = %d) do not account for %d requests",
+			delta.hits, delta.misses, delta.stale, got, requests)
 	}
 }
 
@@ -1577,7 +1562,7 @@ func TestCacheEntryMemory(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc)
 	}
-	sdc := &SDC{cache: newDecisionCache(2*entries, 0)}
+	sdc := &SDC{cache: newDecisionCache(2 * entries)}
 	key := func(kind, i int) (k [32]byte) {
 		k[0], k[1] = byte(kind), byte(i)
 		return k

@@ -126,47 +126,10 @@ func TestNoncePoolAccounting(t *testing.T) {
 	}
 }
 
-// TestBlindingPoolAccounting checks the SDC-side offline pool.
-func TestBlindingPoolAccounting(t *testing.T) {
-	d := newDeployment(t)
-	su := d.newSU(t, "su-blind", 7)
-	req, err := su.PrepareRequest(map[int]int64{0: 100}, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := req.Ciphertexts()
-	if err := d.sdc.PrecomputeBlinding(-1); err == nil {
-		t.Error("negative count accepted")
-	}
-	if err := d.sdc.PrecomputeBlinding(cells + 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.sdc.PooledBlinding(); got != cells+5 {
-		t.Fatalf("pool = %d, want %d", got, cells+5)
-	}
-	if g := d.decide(t, su, req); !g.Granted {
-		t.Fatal("quiet request denied")
-	}
-	if got := d.sdc.PooledBlinding(); got != 5 {
-		t.Fatalf("pool after processing = %d, want 5", got)
-	}
-	// A second request drains the pool and falls back seamlessly.
-	req2, err := su.PrepareRequest(map[int]int64{0: 100}, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := d.decide(t, su, req2); !g.Granted {
-		t.Fatal("request after pool exhaustion denied")
-	}
-	if got := d.sdc.PooledBlinding(); got != 0 {
-		t.Fatalf("pool after exhaustion = %d, want 0", got)
-	}
-}
-
 // TestConcurrentPoolsUnderMixedLoad hammers one SDC with parallel
-// workers enabled and BOTH precomputation pools armed for background
+// workers enabled and the SUs' nonce pools armed for background
 // auto-refill, mixing PU updates, fresh SU requests, and pooled
-// refreshes. Run with -race: this is the path where pool refill
+// refreshes. Run with -race: this is the path where nonce refill
 // goroutines, the worker pools, and the SDC state lock all interleave.
 func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 	d := newDeployment(t)
@@ -175,14 +138,8 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 		rounds     = 2
 		poolTarget = 8
 	)
-	// Parallel kernels plus armed pools on every role.
+	// Parallel kernels on every role, armed pools on the SUs.
 	d.sdc.SetParallelism(workers)
-	if err := d.sdc.EnableBlindingAutoRefill(poolTarget); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.sdc.PrecomputeBlinding(poolTarget); err != nil {
-		t.Fatal(err)
-	}
 	sus := make([]*SU, workers)
 	for i := range sus {
 		sus[i] = d.newSU(t, fmt.Sprintf("su-pool-%d", i), geo.BlockID(i))
@@ -253,14 +210,10 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 	}
 
 	// After the storm settles, background refills must have restocked
-	// both pools (the traffic drained them to empty every round, so a
+	// the pools (the traffic drained them to empty every round, so a
 	// non-empty pool proves a refill ran). The exact level is not
 	// deterministic — a refill snapshots its need before concurrent
 	// drains finish — so only restocking is asserted.
-	d.sdc.WaitBlindingRefill()
-	if got := d.sdc.PooledBlinding(); got == 0 {
-		t.Error("blinding auto-refill never restocked the pool")
-	}
 	for i, su := range sus {
 		su.WaitNonceRefill()
 		if got := su.PooledNonces(); got == 0 {

@@ -212,37 +212,6 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutine leak: %d alive, want <= %d", runtime.NumGoroutine(), want)
 }
 
-// TestSDCCloseStopsBlindingRefills is the SDC-side goroutine-leak
-// regression test: after Close no blinding refill goroutine may
-// survive or start, while request processing keeps working.
-func TestSDCCloseStopsBlindingRefills(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	d := newDeployment(t)
-	su := d.newSU(t, "su-1", 7)
-	if err := d.sdc.EnableBlindingAutoRefill(4); err != nil {
-		t.Fatal(err)
-	}
-	req, err := su.PrepareRequest(map[int]int64{1: 1}, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Processing consumes the (empty) pool and kicks a refill off.
-	if _, err := d.sdc.ProcessRequest(req); err != nil {
-		t.Fatal(err)
-	}
-	d.sdc.Close()
-	if err := d.sdc.EnableBlindingAutoRefill(4); err == nil {
-		t.Fatal("EnableBlindingAutoRefill succeeded on a closed SDC")
-	}
-	// Requests still process after Close (on-the-fly blinding).
-	if _, err := d.sdc.ProcessRequest(req); err != nil {
-		t.Fatalf("ProcessRequest after Close: %v", err)
-	}
-	d.sdc.Close() // double Close is fine
-	su.Close()
-	waitGoroutines(t, baseline)
-}
-
 // TestSUCloseStopsNonceRefills is the SU-side leak regression: Close
 // stops the nonce pool's background refills.
 func TestSUCloseStopsNonceRefills(t *testing.T) {

@@ -204,7 +204,7 @@ type Response struct {
 // correction, so the router subtracts nothing. It must not add two D's
 // either — their digits carry the random signs of the shards' epsilons
 // and a -2 of one shard would cancel a +2 of another into a false
-// grant — and hands all of them to MaskedLicense, which masks each
+// grant — and hands all of them to Licenser.Issue, which masks each
 // under its own eta. A shard that saw no populated cell inside its
 // window answers with no D at all.
 type ShardAnswer struct {

@@ -8,13 +8,14 @@ import (
 
 // sdcMetrics is the SDC's instrumentation set, registered once into
 // the process-wide obs registry. The counters and gauges describe the
-// process's SDC role as a whole — a daemon runs exactly one SDC, and
-// tests that construct several simply share the series (get-or-create
-// registration makes that safe).
+// process's SDC role as a whole: every instance in the process — the
+// shards of `sdcd -shards N`, the SDCs a test builds — adds into the
+// same series (get-or-create registration makes that safe), gauges by
+// delta.
 //
 // Stage labels follow the paper's pipeline (Figure 5 / eqs. 11-17):
 //
-//	snapshot     budget-entry snapshot + pooled-blinding pop (under s.mu)
+//	snapshot     budget-entry snapshot + cache lookup (under s.mu)
 //	aggregate    R~ = X (x) F~, I~ = N~ (-) R~   (eqs. 11-12)
 //	blind        V~ = eps (x) (alpha (x) I~ (-) E(beta))   (eq. 14)
 //	stp_convert  blinded sign-test round-trip to the STP   (eq. 15)
@@ -43,21 +44,15 @@ type sdcMetrics struct {
 	// per accepted update, not by one per PU of the group per rebuild.
 	updateShift *obs.Histogram
 
-	blindDepth     *obs.Gauge
-	blindRefills   *obs.Counter // result="ok"
-	blindRefillErr *obs.Counter // result="error"
-	blindFallbacks *obs.Counter
-
 	// Encrypted-decision cache: event counters plus the aggregate
 	// stage split into served-from-cache vs recomputed, so the hit
 	// speedup is directly readable from /metrics.
-	cacheHits    *obs.Counter // event="hit"
-	cacheMisses  *obs.Counter // event="miss"
-	cacheStale   *obs.Counter // event="stale" (footprint content versions moved)
-	cacheExpired *obs.Counter // event="expired" (optional TTL ran out)
-	cacheEvicts  *obs.Counter // event="evict"
-	cacheBypass  *obs.Counter // event="bypass" (request carried no shape digest)
-	cacheEntries *obs.Gauge
+	cacheHits    *obs.Counter   // event="hit"
+	cacheMisses  *obs.Counter   // event="miss"
+	cacheStale   *obs.Counter   // event="stale" (footprint content versions moved)
+	cacheEvicts  *obs.Counter   // event="evict"
+	cacheBypass  *obs.Counter   // event="bypass" (request carried no shape digest)
+	cacheEntries *obs.Gauge     // live entries of every instance, by delta
 	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": eq. 11-12 recompute, whole column or moved cells
 	// What stale lookups on an entry covering the same cells did with
@@ -120,22 +115,12 @@ func metrics() *sdcMetrics {
 				"column rebuild passes discarded because a newer update raced in", nil),
 			updateShift: r.Histogram("pisa_sdc_update_shift_seconds",
 				"shifting one PU update's columns into their packed slot (memoised per stored update)", nil, nil),
-			blindDepth: r.Gauge("pisa_sdc_blind_pool_depth",
-				"precomputed blinding tuples currently pooled", nil),
-			blindRefills: r.Counter("pisa_sdc_blind_pool_refills_total",
-				"background blinding-pool refill outcomes", obs.Labels{"result": "ok"}),
-			blindRefillErr: r.Counter("pisa_sdc_blind_pool_refills_total",
-				"background blinding-pool refill outcomes", obs.Labels{"result": "error"}),
-			blindFallbacks: r.Counter("pisa_sdc_blind_fallbacks_total",
-				"request cells that generated blinding factors online (pool was dry)", nil),
 			cacheHits: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "hit"}),
 			cacheMisses: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "miss"}),
 			cacheStale: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "stale"}),
-			cacheExpired: r.Counter("pisa_sdc_cache_events_total",
-				"encrypted-decision cache events by kind", obs.Labels{"event": "expired"}),
 			cacheEvicts: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "evict"}),
 			cacheBypass: r.Counter("pisa_sdc_cache_events_total",

@@ -22,7 +22,6 @@ package pisa
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"pisa/internal/dsig"
 	"pisa/internal/fbexp"
@@ -102,11 +101,6 @@ type Params struct {
 	// exponentiates from per-ciphertext power tables. Zero disables the
 	// cache (every request recomputes, the paper's Figure 5 cost).
 	CacheEntries int
-
-	// CacheTTL additionally expires cached aggregates by age. Zero
-	// means version-checking alone bounds staleness — which is already
-	// exact, so a TTL is only useful as defence in depth.
-	CacheTTL time.Duration
 
 	// CacheDomains declares trust domains for cross-SU cache sharing:
 	// domain name -> member SUIDs. Cache entries are scoped — by
@@ -230,8 +224,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("pisa: ShortExpBits %d must be 0 (default) or >= 64", p.ShortExpBits)
 	case p.CacheEntries < 0:
 		return fmt.Errorf("pisa: CacheEntries must not be negative")
-	case p.CacheTTL < 0:
-		return fmt.Errorf("pisa: CacheTTL must not be negative")
 	}
 	domainOf := make(map[string]string)
 	for domain, members := range p.CacheDomains {

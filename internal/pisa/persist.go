@@ -27,9 +27,9 @@ const (
 // sdcStateV1 is the serialised form of the SDC's complete mutable
 // protocol state: the encrypted budget matrix N~, every PU's latest
 // submitted column (from which the PU location registry is derived),
-// and the license serial counter. Everything else the SDC holds —
-// the public E matrix, protection distances, blinding pools — is
-// either recomputed from public data or regenerable randomness.
+// and the license serial counter (0 on a shard). Everything else the
+// SDC holds — the public E matrix, protection distances, the decision
+// cache — is recomputed from public data or on demand.
 // Packed is always written true. A v1 snapshot of the removed
 // one-cell-per-ciphertext layout (written before packing existed, or
 // under -packing=false) still decodes, with Packed=false and its budget
@@ -54,7 +54,7 @@ func (s *SDC) ExportState() ([]byte, error) {
 	s.mu.Lock()
 	st := sdcStateV1{
 		Version: sdcStateVersion,
-		Serial:  s.serial,
+		Serial:  s.lic.Serial(),
 		Packed:  true,
 		NPack:   s.nPack.Clone(),
 		Updates: make([]*PUUpdate, 0, len(s.puUpdates)),
@@ -124,7 +124,9 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			return nil, fmt.Errorf("pisa: snapshot encrypted under a different group key than the STP serves")
 		}
 		s.nPack = st.NPack
-		s.serial = st.Serial
+		if s.lic != nil {
+			s.lic.serial.Store(st.Serial)
+		}
 		for _, u := range st.Updates {
 			if err := s.registerRestored(u); err != nil {
 				return nil, fmt.Errorf("pisa: snapshot update: %w", err)
@@ -213,7 +215,8 @@ type SDCSummary struct {
 	BlocksWithPUs int
 	// PopulatedCells counts non-nil budget matrix entries.
 	PopulatedCells int
-	// Serial is the last issued license serial.
+	// Serial is the last issued license serial; always 0 on a windowed
+	// shard, which issues none.
 	Serial uint64
 }
 
@@ -229,7 +232,7 @@ func (s *SDC) Summary() SDCSummary {
 		PUs:            len(s.puUpdates),
 		BlocksWithPUs:  len(blocks),
 		PopulatedCells: s.nPack.Populated(),
-		Serial:         s.serial,
+		Serial:         s.lic.Serial(),
 	}
 }
 

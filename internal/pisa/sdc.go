@@ -5,14 +5,12 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/big"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pisa/internal/dsig"
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/paillier"
@@ -27,24 +25,23 @@ import (
 // channel receptions, nor the SU parameters, nor the decisions.
 //
 // Concurrency model: s.mu protects only the mutable protocol state
-// (N~, the PU registry, the blinding pool, the serial counter). The
-// expensive homomorphic work runs outside the lock over an immutable
-// snapshot — ciphertexts are never mutated in place, so a snapshot of
+// (N~, the PU registry, the decision cache). The expensive
+// homomorphic work runs outside the lock over an immutable snapshot —
+// ciphertexts are never mutated in place, so a snapshot of
 // entry pointers stays valid — which lets concurrent SU requests and
 // PU updates overlap. Per-block version counters detect when a column
 // rebuild raced a newer update and must recompute.
 type SDC struct {
 	params  Params
 	workers int // resolved worker-pool size (>= 1)
-	issuer  string
 	group   *paillier.PublicKey
 	stp     STPService
-	signer  *dsig.Signer
 	public  *watch.System // public-data precomputation only: E, d^c
 	ePlain  *matrix.Int   // plaintext E (public)
 	random  io.Reader
-	now     func() time.Time
-	licTTL  time.Duration
+	// lic issues the licenses; nil on a windowed shard, whose router
+	// issues them instead.
+	lic *Licenser
 
 	// chanLo, chanHi bound the channel rows [chanLo, chanHi) this
 	// instance owns. A monolithic SDC owns every row; a shard of a
@@ -98,29 +95,12 @@ type SDC struct {
 	// per-SU scope. Immutable after construction, so readable without
 	// mu.
 	cacheDomain map[string]string
-	serial      uint64
 	journal     func(*PUUpdate) error // WAL hook; called outside the lock
-
-	blindPool      []blindFactors // offline-precomputed blinding tuples
-	blindTarget    int            // auto-refill high-water mark; 0 disarms
-	blindLow       int            // refill trigger
-	blindRefilling bool
-	blindClosed    bool // Close called: no new background refills
-	// blindErr is the last background refill failure. It is sticky:
-	// it stays readable via BlindingRefillErr until
-	// EnableBlindingAutoRefill re-arms the pool, so every caller — not
-	// just the first — can tell the pool is degraded. blindErrPending
-	// additionally surfaces the failure through exactly one
-	// ProcessRequest error.
-	blindErr        error
-	blindErrPending bool
-	blindWG         sync.WaitGroup // outstanding background refills
 }
 
-// blindFactors is one precomputed (alpha, beta, epsilon) tuple for
-// eq. 14. The beta encryption is the expensive part; precomputing it
-// offline is what keeps online request processing at homomorphic-op
-// speed (the paper's 219 s figure counts only the online SDC work).
+// blindFactors is one (alpha, beta, epsilon) tuple for eq. 14, drawn
+// by blindChunk for the request cell it blinds. The beta encryption is
+// the expensive part: one packed encryption per cell, on every request.
 // beta is stored already signed for its epsilon — betaEnc encrypts
 // -eps*beta — so that blinding is V~ = I~^(eps*alpha) * betaEnc: one
 // exponentiation and one multiplication, plus for eps = -1 an inverse
@@ -150,26 +130,34 @@ type storedUpdate struct {
 
 // SDCOption customises SDC construction.
 type SDCOption interface {
-	apply(*SDC)
+	apply(*sdcOptions)
 }
 
-type sdcOptionFunc func(*SDC)
+// sdcOptions is the SDC under construction plus what only its licenser
+// keeps.
+type sdcOptions struct {
+	*SDC
+	now    func() time.Time
+	licTTL time.Duration
+}
 
-func (f sdcOptionFunc) apply(s *SDC) { f(s) }
+type sdcOptionFunc func(*sdcOptions)
 
-// WithClock injects a deterministic time source (tests).
+func (f sdcOptionFunc) apply(o *sdcOptions) { f(o) }
+
+// WithClock injects a deterministic license clock (tests).
 func WithClock(now func() time.Time) SDCOption {
-	return sdcOptionFunc(func(s *SDC) { s.now = now })
+	return sdcOptionFunc(func(o *sdcOptions) { o.now = now })
 }
 
 // WithLicenseTTL sets the license validity window (default 24h).
 func WithLicenseTTL(ttl time.Duration) SDCOption {
-	return sdcOptionFunc(func(s *SDC) { s.licTTL = ttl })
+	return sdcOptionFunc(func(o *sdcOptions) { o.licTTL = ttl })
 }
 
 // WithRandom injects the randomness source (default crypto/rand).
 func WithRandom(r io.Reader) SDCOption {
-	return sdcOptionFunc(func(s *SDC) { s.random = r })
+	return sdcOptionFunc(func(o *sdcOptions) { o.random = r })
 }
 
 // WithChannelWindow restricts the instance to the channel rows
@@ -179,7 +167,7 @@ func WithRandom(r io.Reader) SDCOption {
 // router, internal/pisa/shard, merges the per-shard partials and
 // issues the license). The default window is the full channel range.
 func WithChannelWindow(lo, hi int) SDCOption {
-	return sdcOptionFunc(func(s *SDC) { s.chanLo, s.chanHi = lo, hi })
+	return sdcOptionFunc(func(o *sdcOptions) { o.chanLo, o.chanHi = lo, hi })
 }
 
 // WithUpdateJournal installs a write-ahead hook: every accepted PU
@@ -188,13 +176,14 @@ func WithChannelWindow(lo, hi int) SDCOption {
 // the SDC's state lock and must be safe for concurrent calls. A fn
 // error rejects the update towards the PU; re-sending is idempotent.
 func WithUpdateJournal(fn func(*PUUpdate) error) SDCOption {
-	return sdcOptionFunc(func(s *SDC) { s.journal = fn })
+	return sdcOptionFunc(func(o *sdcOptions) { o.journal = fn })
 }
 
 // NewSDC builds the controller: performs the plaintext initialisation
 // step of §IV-A1 (E matrix and protection distances from public data
-// only), generates the license-signing key, and encrypts the initial
-// budget matrix N~ = E~ under the group key fetched from the STP.
+// only), builds its licenser unless it is a windowed shard, and encrypts
+// the initial budget matrix N~ = E~ under the group key fetched from the
+// STP.
 func NewSDC(issuer string, params Params, transmitters []watch.TVTransmitter, stp STPService, opts ...SDCOption) (*SDC, error) {
 	s, err := newSDCBase(issuer, params, transmitters, stp, opts)
 	if err != nil {
@@ -239,21 +228,19 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	s := &SDC{
 		params:     params,
 		workers:    parallel.Resolve(params.Parallelism),
-		issuer:     issuer,
 		group:      stp.GroupKey(),
 		stp:        stp,
 		public:     public,
 		ePlain:     public.EMatrix(),
 		random:     rand.Reader,
-		now:        time.Now,
-		licTTL:     24 * time.Hour,
 		puUpdates:  make(map[watch.PUID]*storedUpdate),
 		puBlocks:   make(map[watch.PUID]geo.BlockID),
 		colVer:     make(map[geo.BlockID]uint64),
 		colApplied: make(map[geo.BlockID]uint64),
 	}
+	o := sdcOptions{SDC: s}
 	for _, opt := range opts {
-		opt.apply(s)
+		opt.apply(&o)
 	}
 	if s.chanLo == 0 && s.chanHi == 0 {
 		s.chanHi = params.Watch.Channels
@@ -262,7 +249,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		return nil, fmt.Errorf("pisa: channel window [%d, %d) outside [0, %d)",
 			s.chanLo, s.chanHi, params.Watch.Channels)
 	}
-	// Worker goroutines and background refills share the randomness
+	// Worker goroutines and concurrent requests share the randomness
 	// source; SharedReader serialises injected readers (crypto/rand is
 	// passed through) without changing the byte stream.
 	s.random = paillier.SharedReader(s.random)
@@ -274,9 +261,10 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	if err := params.armFastExp(s.random, s.group); err != nil {
 		return nil, fmt.Errorf("pisa: arm group key: %w", err)
 	}
-	s.signer, err = dsig.NewSigner(s.random, params.SignerBits)
-	if err != nil {
-		return nil, err
+	if !s.windowed() {
+		if s.lic, err = NewLicenser(issuer, params, s.random, o.now, o.licTTL); err != nil {
+			return nil, err
+		}
 	}
 	if s.codec, err = params.SlotCodec(); err != nil {
 		return nil, err
@@ -288,7 +276,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
 	if params.CacheEntries > 0 {
-		s.cache = newDecisionCache(params.CacheEntries, params.CacheTTL)
+		s.cache = newDecisionCache(params.CacheEntries)
 		s.cacheDomain = make(map[string]string)
 		for domain, members := range params.CacheDomains {
 			for _, su := range members {
@@ -320,8 +308,8 @@ func (s *SDC) SetParallelism(n int) {
 func (s *SDC) Parallelism() int { return s.workers }
 
 // VerifyKey returns the public key SUs use to check license
-// signatures.
-func (s *SDC) VerifyKey() *rsa.PublicKey { return s.signer.Public() }
+// signatures, or nil on a windowed shard, which issues none.
+func (s *SDC) VerifyKey() *rsa.PublicKey { return s.lic.VerifyKey() }
 
 // Planner returns the public-data planner (grid, d^c) for parties
 // that need to build requests against this deployment.
@@ -616,7 +604,7 @@ func (s *SDC) shiftUpdate(u *PUUpdate, slot int) ([]*paillier.Ciphertext, error)
 
 // requestCell tracks one request element through the blinded sign
 // test: the request ciphertext, the budget snapshot, and the blinding
-// tuple (popped from the pool or generated on the fly). An element is
+// tuple blindChunk draws for it. An element is
 // one (channel, group) ciphertext carrying k block slots; b is its group.
 type requestCell struct {
 	c, b int
@@ -664,9 +652,9 @@ func (s *SDC) cacheKeyFor(suid string, digest [32]byte) [32]byte {
 // cacheCounters are the per-instance mirrors of the obs cache
 // counters, maintained lock-free next to each obs increment.
 type cacheCounters struct {
-	hits, misses, stale, expired, bypass, evicted atomic.Uint64
-	cellsKept, cellsRecomputed                    atomic.Uint64
-	tabled, tableBuilds, tableDrops               atomic.Uint64
+	hits, misses, stale, bypass, evicted atomic.Uint64
+	cellsKept, cellsRecomputed           atomic.Uint64
+	tabled, tableBuilds, tableDrops      atomic.Uint64
 }
 
 // CacheCounters is a point-in-time snapshot of one SDC instance's
@@ -679,10 +667,15 @@ type cacheCounters struct {
 // and taken back by the byte budget, TableBytes what live entries hold
 // now.
 type CacheCounters struct {
-	Hits, Misses, Stale, Expired, Bypass, Evicted uint64
-	CellsKept, CellsRecomputed                    uint64
-	Tabled, TableBuilds, TableDrops               uint64
-	TableBytes                                    int
+	Hits, Misses, Stale, Bypass, Evicted uint64
+	CellsKept, CellsRecomputed           uint64
+	Tabled, TableBuilds, TableDrops      uint64
+	TableBytes                           int
+
+	// Deprecated: Expired is always 0; cache entries have no age bound.
+	// The field exists only because benchmark/deploy.go:55, which a PR
+	// may not edit, reads it.
+	Expired uint64
 }
 
 // CacheStats returns this instance's decision-cache counters since
@@ -694,7 +687,6 @@ func (s *SDC) CacheStats() CacheCounters {
 		Hits:        s.cacheCtr.hits.Load(),
 		Misses:      s.cacheCtr.misses.Load(),
 		Stale:       s.cacheCtr.stale.Load(),
-		Expired:     s.cacheCtr.expired.Load(),
 		Bypass:      s.cacheCtr.bypass.Load(),
 		Evicted:     s.cacheCtr.evicted.Load(),
 		Tabled:      s.cacheCtr.tabled.Load(),
@@ -767,68 +759,11 @@ func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err erro
 	if err != nil {
 		return nil, err
 	}
-	now := s.now()
-	s.mu.Lock()
-	s.serial++
-	serial := s.serial
-	s.mu.Unlock()
-	lic := dsig.License{
-		SUID:          req.SUID,
-		Issuer:        s.issuer,
-		Serial:        serial,
-		IssuedUnix:    now.Unix(),
-		ExpiresUnix:   now.Add(s.licTTL).Unix(),
-		RequestDigest: digest,
-	}
-	resp, err = MaskedLicense(s.random, s.signer, suKey, &lic, ds, s.params.EtaBits)
-	if err != nil {
+	if resp, err = s.lic.Issue(req.SUID, digest, suKey, ds); err != nil {
 		return nil, err
 	}
 	m.stage["license_mask"].ObserveSince(stageStart)
 	return resp, nil
-}
-
-// MaskedLicense performs Figure 5 steps 10-11 on an already-built
-// license: sign it, encrypt the signature under the SU key, and mask
-// it with eta_c (x) D_c for every grant indicator D_c (eq. 17), so the
-// SU recovers the signature iff every D_c decrypts to 0. Each indicator
-// gets its own fresh eta: the D's are never added to each other, whose
-// digits could cancel (ShardAnswer), and with independent masks some
-// D_c != 0 survives into the sum unless its eta_c hits the one value
-// that cancels the rest — a false grant has probability at most
-// 2^-(etaBits-1) however many indicators there are. Shared by the
-// monolithic ProcessRequest (one indicator per ciphertext of the STP's
-// answer, normally one) and the shard router (those of every shard),
-// which masks with its own signer.
-func MaskedLicense(random io.Reader, signer *dsig.Signer, suKey *paillier.PublicKey,
-	lic *dsig.License, ds []*paillier.Ciphertext, etaBits int) (*Response, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("pisa: no grant indicator to mask the license with")
-	}
-	sig, err := signer.Sign(lic)
-	if err != nil {
-		return nil, err
-	}
-	masked, err := suKey.Encrypt(random, dsig.SignatureToInt(sig))
-	if err != nil {
-		return nil, fmt.Errorf("pisa: encrypt signature: %w", err)
-	}
-	etaLo := new(big.Int).Lsh(big.NewInt(1), uint(etaBits-1))
-	etaHi := new(big.Int).Lsh(big.NewInt(1), uint(etaBits))
-	for _, d := range ds {
-		eta, err := paillier.RandomInRange(random, etaLo, etaHi)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := suKey.ScalarMul(eta, d)
-		if err != nil {
-			return nil, fmt.Errorf("pisa: mask term: %w", err)
-		}
-		if masked, err = suKey.Add(masked, mask); err != nil {
-			return nil, fmt.Errorf("pisa: mask signature: %w", err)
-		}
-	}
-	return &Response{License: *lic, MaskedSig: masked}, nil
 }
 
 // ProcessShard executes the per-shard half of a sharded SU request
@@ -837,7 +772,7 @@ func MaskedLicense(random io.Reader, signer *dsig.Signer, suKey *paillier.Public
 // instance owns and stopping short of the license. The answer carries
 // the shard's grant indicators under the SU key, already corrected for
 // the shard's own epsilons; the router hands the indicators of all
-// shards to MaskedLicense and issues the single masked license. No
+// shards to its Licenser, which issues the single masked license. No
 // serial is consumed and nothing is issued, so a retried or failed-over
 // call is idempotent. Callable on a monolithic instance too, where the
 // window covers every row.
@@ -896,31 +831,10 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 
 	// Snapshot phase (the only part under s.mu): collect the budget
-	// entries for every populated request cell and pop as many pooled
-	// blinding tuples as available, newest first — the same
-	// consumption order as the pre-parallel per-cell pops.
+	// entries for every populated request cell.
 	stageStart := time.Now()
 	s.mu.Lock()
-	if s.blindErrPending {
-		// A background refill failed since the last request: surface
-		// it to exactly one caller. The sticky copy stays readable via
-		// BlindingRefillErr (and the disarm via
-		// BlindingAutoRefillArmed) until the pool is re-armed.
-		s.blindErrPending = false
-		err := s.blindErr
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("pisa: background blinding refill: %w", err)
-	}
 	cells := make([]requestCell, 0, req.Ciphertexts())
-	take := func(c, b int, f, n *paillier.Ciphertext) {
-		cell := requestCell{c: c, b: b, f: f, n: n}
-		if last := len(s.blindPool) - 1; last >= 0 {
-			cell.bf = s.blindPool[last]
-			s.blindPool[last] = blindFactors{}
-			s.blindPool = s.blindPool[:last]
-		}
-		cells = append(cells, cell)
-	}
 	// Request cells outside the owned window are someone else's rows:
 	// a full (unsliced) request to a shard simply contributes nothing
 	// from them, which is what makes full fan-out broadcasts correct.
@@ -932,7 +846,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 		if err != nil {
 			return err
 		}
-		take(c, g, f, n)
+		cells = append(cells, requestCell{c: c, b: g, f: f, n: n})
 		return nil
 	})
 	// Cache lookup happens in the same critical section as the budget
@@ -962,10 +876,6 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 			case e == nil:
 				m.cacheMisses.Inc()
 				s.cacheCtr.misses.Add(1)
-			case s.cache.ttl > 0 && s.now().Sub(e.filled) > s.cache.ttl:
-				s.cache.remove(key)
-				m.cacheExpired.Inc()
-				s.cacheCtr.expired.Add(1)
 			case !e.aligned(cells):
 				// A digest collision, or a scope member reusing another
 				// shape's digest: nothing of the entry lines up with the
@@ -998,13 +908,8 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 				}
 				cachePut = &cacheEntry{key: key, coords: coords, vers: vers}
 			}
-			m.cacheEntries.Set(int64(s.cache.len()))
 		}
 	}
-	if err == nil {
-		s.maybeRefillBlindingLocked()
-	}
-	m.blindDepth.Set(int64(len(s.blindPool)))
 	s.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
@@ -1048,11 +953,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 			return nil, nil, err
 		}
 		if cachePut != nil {
-			cachePut.filled, cachePut.tabs = s.now(), tabs
-			if cached != nil {
-				// The kept cells are as old as the entry they come from.
-				cachePut.filled = cached.filled
-			}
+			cachePut.tabs = tabs
 			s.installEntry(cachePut, is, recompute)
 			// Only digest-carrying recomputes feed the path="miss"
 			// histogram: bypass (zero-digest) requests recompute too, but
@@ -1183,7 +1084,6 @@ func (s *SDC) installEntry(e *cacheEntry, is []*paillier.Ciphertext, computed []
 	m := metrics()
 	s.mu.Lock()
 	evicted, dropped := s.cache.put(e)
-	m.cacheEntries.Set(int64(s.cache.len()))
 	s.mu.Unlock()
 	m.cacheEvicts.Add(uint64(evicted))
 	s.cacheCtr.evicted.Add(uint64(evicted))
@@ -1191,23 +1091,8 @@ func (s *SDC) installEntry(e *cacheEntry, is []*paillier.Ciphertext, computed []
 	s.cacheCtr.tableDrops.Add(uint64(dropped))
 }
 
-// newBlindFactors draws one (alpha, E(beta), epsilon) tuple — a
-// single-element batch, so pooled precomputation, background refills
-// and the on-the-fly ProcessRequest fallback all share exactly one
-// generation path (and the fixed-base fast path behind the beta
-// encryption is exercised in one place). A one-element batch runs
-// inline on the calling goroutine.
-func (s *SDC) newBlindFactors() (blindFactors, error) {
-	fresh, err := s.newBlindFactorsBatch(1)
-	if err != nil {
-		return blindFactors{}, err
-	}
-	return fresh[0], nil
-}
-
-// newBlindFactorsBatch generates count (alpha, E(-eps*beta), epsilon)
-// tuples — the offline-precomputable part of eq. 14 — on the worker
-// pool. Safe for concurrent use (the randomness source is
+// newBlindFactors draws one (alpha, E(-eps*beta), epsilon) tuple of
+// eq. 14. Safe for concurrent use (the randomness source is
 // shared-reader wrapped at construction).
 //
 // One tuple blinds one group ciphertext: alpha and epsilon are shared
@@ -1215,181 +1100,52 @@ func (s *SDC) newBlindFactors() (blindFactors, error) {
 // the shared epsilon leaks only the group's relative sign pattern to
 // the STP, see DESIGN.md §12), while beta is drawn fresh per slot and
 // the tuple's betaEnc is a packed encryption of the k betas.
-func (s *SDC) newBlindFactorsBatch(count int) ([]blindFactors, error) {
+func (s *SDC) newBlindFactors() (blindFactors, error) {
 	alphaLo := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits-1))
 	alphaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits))
 	betaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.BetaBits))
-	fresh := make([]blindFactors, count)
-	err := parallel.For(s.workers, count, func(i int) error {
-		alpha, err := paillier.RandomInRange(s.random, alphaLo, alphaHi)
-		if err != nil {
-			return err
-		}
-		epsBit := make([]byte, 1)
-		if _, err := io.ReadFull(s.random, epsBit); err != nil {
-			return fmt.Errorf("draw epsilon: %w", err)
-		}
-		eps := int64(1)
-		if epsBit[0]&1 == 1 {
-			eps = -1
-		}
-		// signedBeta draws beta in [1, 2^BetaBits) and returns -eps*beta,
-		// the plaintext blindWith adds to eps*alpha*I.
-		signedBeta := func() (*big.Int, error) {
-			beta, err := paillier.RandomInRange(s.random, big.NewInt(1), betaHi)
-			if err != nil {
-				return nil, err
-			}
-			if eps > 0 {
-				beta.Neg(beta)
-			}
-			return beta, nil
-		}
-		betas := make([]*big.Int, s.codec.Slots())
-		for j := range betas {
-			if betas[j], err = signedBeta(); err != nil {
-				return err
-			}
-		}
-		betaEnc, err := s.group.PackEncrypt(s.random, s.betaCodec, betas)
-		if err != nil {
-			return err
-		}
-		fresh[i] = blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}
-		return nil
-	})
+	alpha, err := paillier.RandomInRange(s.random, alphaLo, alphaHi)
 	if err != nil {
-		return nil, err
+		return blindFactors{}, err
 	}
-	return fresh, nil
-}
-
-// PrecomputeBlinding extends the offline pool of blinding tuples.
-// Each processed matrix cell consumes one tuple; a dry pool falls
-// back to on-the-fly generation (one extra encryption per cell).
-func (s *SDC) PrecomputeBlinding(count int) error {
-	if count < 0 {
-		return fmt.Errorf("pisa: negative blinding count %d", count)
+	epsBit := make([]byte, 1)
+	if _, err := io.ReadFull(s.random, epsBit); err != nil {
+		return blindFactors{}, fmt.Errorf("draw epsilon: %w", err)
 	}
-	fresh, err := s.newBlindFactorsBatch(count)
+	eps := int64(1)
+	if epsBit[0]&1 == 1 {
+		eps = -1
+	}
+	// Each beta is drawn in [1, 2^BetaBits) and stored as -eps*beta, the
+	// plaintext blindChunk adds to eps*alpha*I.
+	betas := make([]*big.Int, s.codec.Slots())
+	for j := range betas {
+		if betas[j], err = paillier.RandomInRange(s.random, big.NewInt(1), betaHi); err != nil {
+			return blindFactors{}, err
+		}
+		if eps > 0 {
+			betas[j].Neg(betas[j])
+		}
+	}
+	betaEnc, err := s.group.PackEncrypt(s.random, s.betaCodec, betas)
 	if err != nil {
-		return err
+		return blindFactors{}, err
 	}
-	s.mu.Lock()
-	s.blindPool = append(s.blindPool, fresh...)
-	metrics().blindDepth.Set(int64(len(s.blindPool)))
-	s.mu.Unlock()
-	return nil
+	return blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}, nil
 }
 
-// EnableBlindingAutoRefill arms (target > 0) or disarms (target == 0)
-// background refilling of the blinding pool: whenever request
-// processing leaves fewer than target/4 (at least 1) tuples, a
-// background goroutine tops the pool back up to target instead of
-// letting later requests fall back to online generation.
-//
-// A refill failure explicitly disarms auto-refill (the pool keeps
-// serving via online fallback): the failure is logged, counted in the
-// obs registry, surfaced by one ProcessRequest error, and held by
-// BlindingRefillErr until this method re-arms the pool — which also
-// clears the sticky error. The same semantics govern
-// paillier.NoncePool.
-func (s *SDC) EnableBlindingAutoRefill(target int) error {
-	if target < 0 {
-		return fmt.Errorf("pisa: negative blinding target %d", target)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.blindClosed {
-		return fmt.Errorf("pisa: SDC closed")
-	}
-	s.blindTarget = target
-	s.blindLow = target / 4
-	if s.blindLow < 1 {
-		s.blindLow = 1
-	}
-	s.blindErr = nil
-	s.blindErrPending = false
-	return nil
-}
-
-// BlindingAutoRefillArmed reports whether background refilling is
-// currently armed. A pool that was armed but reports false here hit a
-// refill failure (see BlindingRefillErr) or was explicitly disarmed.
-func (s *SDC) BlindingAutoRefillArmed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blindTarget > 0
-}
-
-// BlindingRefillErr returns the last background refill failure, or
-// nil. The error is sticky: it stays readable until
-// EnableBlindingAutoRefill re-arms the pool, so callers beyond the
-// one ProcessRequest that surfaced it can still see the pool is
-// degraded.
-func (s *SDC) BlindingRefillErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.blindErr
-}
-
-// maybeRefillBlindingLocked starts one background refill when armed
-// and below the low-water mark. Caller holds s.mu.
-func (s *SDC) maybeRefillBlindingLocked() {
-	if s.blindClosed || s.blindTarget == 0 || s.blindRefilling || len(s.blindPool) >= s.blindLow {
+// Close empties the decision cache and gives its entries and power-table
+// bytes back to the process-wide gauges, so a retired SDC stops counting
+// in pisa_sdc_cache_entries and pisa_sdc_cache_table_bytes. Request and
+// update processing keep working after Close, refilling the cache. Safe
+// to call more than once.
+func (s *SDC) Close() {
+	if s.cache == nil {
 		return
 	}
-	need := s.blindTarget - len(s.blindPool)
-	s.blindRefilling = true
-	s.blindWG.Add(1)
-	go func() {
-		defer s.blindWG.Done()
-		m := metrics()
-		fresh, err := s.newBlindFactorsBatch(need)
-		s.mu.Lock()
-		s.blindRefilling = false
-		if err != nil {
-			// Explicit disarm: the sticky error and the armed flag
-			// stay observable until EnableBlindingAutoRefill re-arms.
-			s.blindErr = err
-			s.blindErrPending = true
-			s.blindTarget = 0
-			m.blindRefillErr.Inc()
-			slog.Warn("pisa: background blinding refill failed; auto-refill disarmed",
-				"err", err, "pooled", len(s.blindPool))
-		} else {
-			s.blindPool = append(s.blindPool, fresh...)
-			m.blindRefills.Inc()
-			m.blindDepth.Set(int64(len(s.blindPool)))
-		}
-		s.mu.Unlock()
-	}()
-}
-
-// WaitBlindingRefill blocks until any in-flight background refill
-// finishes — deterministic accounting for tests and shutdown.
-func (s *SDC) WaitBlindingRefill() {
-	s.blindWG.Wait()
-}
-
-// Close disarms blinding auto-refill and waits for any in-flight
-// background refill goroutine to exit, so a retired SDC leaks no
-// goroutines. Request and update processing keep working after Close
-// (cells fall back to on-the-fly blinding); only the background
-// machinery stops. Safe to call more than once.
-func (s *SDC) Close() {
 	s.mu.Lock()
-	s.blindClosed = true
-	s.blindTarget = 0
+	s.cache.clear()
 	s.mu.Unlock()
-	s.blindWG.Wait()
-}
-
-// PooledBlinding reports the remaining precomputed blinding tuples.
-func (s *SDC) PooledBlinding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blindPool)
 }
 
 // tableEntry builds, on the worker pool, a power table for every cell of
@@ -1428,29 +1184,24 @@ func (s *SDC) tableEntry(e *cacheEntry, have []*paillier.PowerTable) []*paillier
 }
 
 // blindChunk applies eq. 14 to the cells [lo, hi): vs[k] becomes the
-// blinding of the encrypted budget slack is[k] under cells[k]'s tuple,
-// drawn on the spot (one extra encryption, counted as a pool fallback)
-// for a cell the pool had none for. One-time alpha > beta > 0 hide the
-// magnitude, epsilon in {-1, +1} hides the sign from the STP. The tuple
-// carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is I~^(eps*alpha)
-// times that: I~^alpha from tabs[k] where the cell has a table and by
-// the general exponentiation where not, inverted where eps = -1 — one
-// modular inversion for the chunk — and multiplied by the beta factor.
+// blinding of the encrypted budget slack is[k] under a tuple drawn here
+// for cells[k] (one packed encryption each). One-time alpha > beta > 0
+// hide the magnitude, epsilon in {-1, +1} hides the sign from the STP.
+// The tuple carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is
+// I~^(eps*alpha) times that: I~^alpha from tabs[k] where the cell has a
+// table and by the general exponentiation where not, inverted where
+// eps = -1 — one modular inversion for the chunk — and multiplied by
+// the beta factor.
 // Touches only its own range of vs and cells — callable concurrently on
 // disjoint ranges.
 func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTable, cells []requestCell, lo, hi int) error {
 	var flipped []int // the chunk's cells with eps = -1
 	for k := lo; k < hi; k++ {
 		cell := &cells[k]
-		if cell.bf.alpha == nil {
-			metrics().blindFallbacks.Inc()
-			bf, err := s.newBlindFactors()
-			if err != nil {
-				return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
-			}
-			cell.bf = bf
-		}
 		var err error
+		if cell.bf, err = s.newBlindFactors(); err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
 		if tabs != nil && tabs[k] != nil {
 			vs[k], err = tabs[k].ScalarMul(cell.bf.alpha)
 		} else {

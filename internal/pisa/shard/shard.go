@@ -21,11 +21,9 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
-	"pisa/internal/dsig"
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
 	"pisa/internal/parallel"
@@ -66,26 +64,20 @@ func Windows(channels, n int) ([][2]int, error) {
 	return out, nil
 }
 
-// Router fans SU requests out to the shards and owns everything the
-// shards gave up: the license signing key, the serial counter, and the
-// merged grant decision. It satisfies pisa.SDCService, so
-// node.SDCServer and the benches drive it exactly like a monolithic
-// SDC.
+// Router fans SU requests out to the shards and owns what the shards
+// do not have: the deployment's licenser and the merged grant decision.
+// It satisfies pisa.SDCService, so node.SDCServer and the benches drive
+// it exactly like a monolithic SDC.
 type Router struct {
 	params  pisa.Params
-	issuer  string
 	suKeys  *pisa.SUKeyCache // the license tail encrypts under these: armed
 	public  *watch.System
-	signer  *dsig.Signer
-	random  io.Reader
-	now     func() time.Time
-	licTTL  time.Duration
+	lic     *pisa.Licenser
 	shards  []Service
 	windows [][2]int
 
-	mu     sync.Mutex
-	serial uint64
-	stats  Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 // Stats are the router's cumulative counters, one struct per Router
@@ -125,37 +117,13 @@ func (st Stats) LogAttrs() []any {
 	return attrs
 }
 
-// RouterOption customises Router construction.
-type RouterOption interface {
-	apply(*Router)
-}
-
-type routerOptionFunc func(*Router)
-
-func (f routerOptionFunc) apply(r *Router) { f(r) }
-
-// WithRouterClock injects a deterministic time source (tests).
-func WithRouterClock(now func() time.Time) RouterOption {
-	return routerOptionFunc(func(r *Router) { r.now = now })
-}
-
-// WithRouterRandom injects the randomness source (default crypto/rand).
-func WithRouterRandom(rd io.Reader) RouterOption {
-	return routerOptionFunc(func(r *Router) { r.random = rd })
-}
-
-// WithRouterLicenseTTL sets the license validity window (default 24h).
-func WithRouterLicenseTTL(ttl time.Duration) RouterOption {
-	return routerOptionFunc(func(r *Router) { r.licTTL = ttl })
-}
-
 // NewRouter builds a router over the given shards. Shard i must own
 // the channel window Windows(C, len(shards))[i] — the router slices
 // each request along those windows and a mismatched shard would
-// silently contribute nothing. The router generates its own license
-// signing key: in a sharded deployment the router is the issuer, and
-// the shards' signers go unused.
-func NewRouter(issuer string, params pisa.Params, transmitters []watch.TVTransmitter, stp pisa.STPService, shards []Service, opts ...RouterOption) (*Router, error) {
+// silently contribute nothing. The router builds the deployment's
+// licenser: in a sharded deployment it is the issuer, and the shards
+// have none.
+func NewRouter(issuer string, params pisa.Params, transmitters []watch.TVTransmitter, stp pisa.STPService, shards []Service) (*Router, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,27 +143,19 @@ func NewRouter(issuer string, params pisa.Params, transmitters []watch.TVTransmi
 	if err != nil {
 		return nil, fmt.Errorf("shard: public precomputation: %w", err)
 	}
-	r := &Router{
-		params:  params,
-		issuer:  issuer,
-		public:  public,
-		random:  rand.Reader,
-		now:     time.Now,
-		licTTL:  24 * time.Hour,
-		shards:  shards,
-		windows: windows,
-	}
-	for _, opt := range opts {
-		opt.apply(r)
-	}
-	// Concurrent ProcessRequest calls share the randomness source.
-	r.random = paillier.SharedReader(r.random)
-	r.suKeys = pisa.NewSUKeyCache(stp, params, r.random, true)
-	if r.signer, err = dsig.NewSigner(r.random, params.SignerBits); err != nil {
+	lic, err := pisa.NewLicenser(issuer, params, rand.Reader, nil, 0)
+	if err != nil {
 		return nil, err
 	}
-	r.stats.ShardNs = make([]int64, len(shards))
-	return r, nil
+	return &Router{
+		params:  params,
+		suKeys:  pisa.NewSUKeyCache(stp, params, rand.Reader, true),
+		public:  public,
+		lic:     lic,
+		shards:  shards,
+		windows: windows,
+		stats:   Stats{ShardNs: make([]int64, len(shards))},
+	}, nil
 }
 
 // Shards reports the fan-out width.
@@ -206,7 +166,7 @@ func (r *Router) Window(i int) (lo, hi int) { return r.windows[i][0], r.windows[
 
 // VerifyKey returns the public key SUs use to check license
 // signatures — the router's own, since only the router signs.
-func (r *Router) VerifyKey() *rsa.PublicKey { return r.signer.Public() }
+func (r *Router) VerifyKey() *rsa.PublicKey { return r.lic.VerifyKey() }
 
 // Planner returns the public-data planner for request building.
 func (r *Router) Planner() *watch.Planner { return r.public.Planner() }
@@ -355,24 +315,9 @@ func (r *Router) ProcessRequest(req *pisa.TransmissionRequest) (resp *pisa.Respo
 	m.stage["merge"].ObserveSince(stageStart)
 	mergeNs := time.Since(stageStart).Nanoseconds()
 
-	// License tail — identical to the monolithic SDC's, with the
-	// router's signer and serial.
+	// License tail — the monolithic SDC's, on the router's licenser.
 	stageStart = time.Now()
-	now := r.now()
-	r.mu.Lock()
-	r.serial++
-	serial := r.serial
-	r.mu.Unlock()
-	lic := dsig.License{
-		SUID:          req.SUID,
-		Issuer:        r.issuer,
-		Serial:        serial,
-		IssuedUnix:    now.Unix(),
-		ExpiresUnix:   now.Add(r.licTTL).Unix(),
-		RequestDigest: digest,
-	}
-	resp, err = pisa.MaskedLicense(r.random, r.signer, suKey, &lic, ds, r.params.EtaBits)
-	if err != nil {
+	if resp, err = r.lic.Issue(req.SUID, digest, suKey, ds); err != nil {
 		return nil, err
 	}
 	m.stage["license"].ObserveSince(stageStart)

@@ -3,12 +3,15 @@ package shard_test
 import (
 	"crypto/rand"
 	"errors"
+	"net"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pisa/internal/geo"
+	"pisa/internal/node"
 	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/pisa/shard"
@@ -75,6 +78,7 @@ type shardedWorld struct {
 	params pisa.Params
 	stp    *pisa.STP
 	mono   *pisa.SDC
+	shards []*pisa.SDC
 	router *shard.Router
 	oracle *watch.System
 }
@@ -107,6 +111,7 @@ func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards := make([]*pisa.SDC, n)
 	services := make([]shard.Service, n)
 	for i, w := range windows {
 		s, err := pisa.NewSDC("shard", params, nil, stp, pisa.WithChannelWindow(w[0], w[1]))
@@ -114,7 +119,7 @@ func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		t.Cleanup(s.Close)
-		services[i] = s
+		shards[i], services[i] = s, s
 	}
 	router, err := shard.NewRouter("router", params, nil, stp, services)
 	if err != nil {
@@ -125,7 +130,7 @@ func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 		t.Fatalf("oracle: %v", err)
 	}
 	t.Cleanup(mono.Close)
-	return &shardedWorld{params: params, stp: stp, mono: mono, router: router, oracle: oracle}
+	return &shardedWorld{params: params, stp: stp, mono: mono, shards: shards, router: router, oracle: oracle}
 }
 
 // ask runs one request through the monolithic SDC, the sharded
@@ -288,6 +293,53 @@ func TestWindowedSDCRefusesDirectRequests(t *testing.T) {
 	}
 	if len(ans.D) != 1 || ans.D[0] == nil {
 		t.Fatalf("ProcessShard answer %+v, want one grant indicator", ans)
+	}
+}
+
+// TestOnlyTheRouterIssues: in a sharded deployment the router is the
+// one issuer. Its serials strictly increase, the shards never consume
+// one, and a shard behind a server refuses the license-key request.
+func TestOnlyTheRouterIssues(t *testing.T) {
+	w := newShardedWorld(t, false, 2)
+	su, err := pisa.NewSU(rand.Reader, "su-1", 7, w.params, w.router.Planner(), w.stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for i := 0; i < 3; i++ {
+		req, err := su.PrepareRequest(map[int]int64{1: 1}, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := w.router.ProcessRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.License.Serial <= last {
+			t.Fatalf("request %d: serial %d after %d", i, resp.License.Serial, last)
+		}
+		last = resp.License.Serial
+	}
+	for i, s := range w.shards {
+		if serial := s.Summary().Serial; serial != 0 {
+			t.Errorf("shard %d consumed serials up to %d", i, serial)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := node.NewSDCServer(w.shards[0], nil, time.Minute)
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+	cli := node.DialSDC(ln.Addr().String(), time.Minute)
+	defer cli.Close()
+	if _, err := cli.VerifyKey(); err == nil || !strings.Contains(err.Error(), "ask the router") {
+		t.Fatalf("VerifyKey from a shard server: error = %v, want a refusal naming the router", err)
 	}
 }
 
