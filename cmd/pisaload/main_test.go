@@ -72,6 +72,35 @@ func TestRunClosedLoopInProcess(t *testing.T) {
 	}
 }
 
+// TestRunOneShardReportsRouterStages: a -shards 1 deployment is the
+// one-shard router, so its report carries the same stages as a sharded
+// one: the license is the router's, and the SDC has no license stage.
+func TestRunOneShardReportsRouterStages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a one-second load scenario")
+	}
+	rep, err := runReport(t, "-shards", "1", "-channels", "4", "-cols", "4", "-rows", "3",
+		"-bits", "640", "-require-no-errors", "-require-cache-hits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"e2e": true,
+		"sdc_snapshot": true, "sdc_aggregate": true, "sdc_blind": true, "sdc_stp_convert": true, "sdc_unblind": true, "sdc_total": true,
+		"router_fanout": true, "router_merge": true, "router_license": true, "router_total": true}
+	got := map[string]bool{}
+	for _, s := range rep.Stages {
+		got[s.Stage] = true
+		if !want[s.Stage] {
+			t.Errorf("-shards 1 report carries stage %s, which no front times", s.Stage)
+		}
+	}
+	for stage := range want {
+		if !got[stage] {
+			t.Errorf("-shards 1 report lacks stage %s", stage)
+		}
+	}
+}
+
 // TestRunCacheFlagReachesDeployment: -cache 0 builds an SDC without a
 // decision cache, which the cache gate then reports.
 func TestRunCacheFlagReachesDeployment(t *testing.T) {

@@ -1,7 +1,10 @@
 // Command sdcd runs the spectrum database controller: it fetches the
 // group key from the STP, precomputes the public E matrix and
 // protection distances, encrypts the initial budgets, and serves PU
-// updates and SU transmission requests.
+// updates and SU transmission requests. SU requests always pass through
+// a router (pisa.Router), which issues the licenses: a monolithic
+// daemon is the one-shard router over its single SDC, and logs the same
+// "router summary" at shutdown as a sharded one.
 //
 // With -store (or a store.dir in the config) the SDC is durable:
 // every accepted PU update is journalled to a write-ahead log before
@@ -24,12 +27,12 @@
 // With -shards N (or "shards" in the config) the daemon partitions
 // the budget matrix into N channel slices, each owned by an
 // independent windowed SDC with its own WAL/snapshot subdirectory
-// (store dir/shard-i), and serves SU requests through an in-process
-// fan-out router that masks the single license with every shard's
-// encrypted grant indicator, never adding them up (DESIGN.md §15).
+// (store dir/shard-i), and its router fans every SU request out to
+// all N, masking the single license with every shard's encrypted
+// grant indicator, never adding them up (DESIGN.md §15).
 // Alternatively -shard-index i -shard-count n serves exactly one
-// shard of a multi-host partition; run cmd/sdcrouterd in front of n
-// such daemons.
+// shard of a multi-host partition, without a router of its own; run
+// cmd/sdcrouterd in front of n such daemons.
 //
 // The SDC memoises the aggregate pass of repeated request shapes in an
 // encrypted-decision cache (DESIGN.md §14): hits skip the eq. 11-12
@@ -71,7 +74,6 @@ import (
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
 	"pisa/internal/pisa"
-	"pisa/internal/pisa/shard"
 	"pisa/internal/store"
 )
 
@@ -179,15 +181,14 @@ func run(args []string) error {
 	var (
 		backendSDC node.SDCBackend
 		units      []*sdcUnit
-		router     *shard.Router
+		router     *pisa.Router
 	)
 	start := time.Now()
-	switch {
-	case *shardIndex >= 0:
+	if *shardIndex >= 0 {
 		// One remote channel shard of a multi-host partition, fronted
 		// by cmd/sdcrouterd. It refuses whole-matrix SU requests and
 		// answers KindShardQuery with its window's grant indicators.
-		windows, err := shard.Windows(params.Watch.Channels, *shardCount)
+		windows, err := pisa.Windows(params.Watch.Channels, *shardCount)
 		if err != nil {
 			return err
 		}
@@ -206,20 +207,24 @@ func run(args []string) error {
 		backendSDC = u.sdc
 		log.Info("serving channel shard", "index", *shardIndex, "of", *shardCount,
 			"window", fmt.Sprintf("[%d,%d)", w[0], w[1]))
-	case cfg.Shards > 1:
-		// In-process sharding: N windowed SDCs behind a fan-out
-		// router, each with its own WAL/snapshot subdirectory.
-		windows, err := shard.Windows(params.Watch.Channels, cfg.Shards)
+	} else {
+		// One SDC per channel window behind a fan-out router; with more
+		// than one window, each keeps its own WAL/snapshot subdirectory.
+		// A single full-window SDC is its own one-shard router.
+		windows, err := pisa.Windows(params.Watch.Channels, max(cfg.Shards, 1))
 		if err != nil {
 			return err
 		}
-		services := make([]shard.Service, len(windows))
+		services := make([]pisa.ShardService, len(windows))
 		for i, w := range windows {
 			dir := ""
 			if cfg.Store.Enabled() {
-				dir = store.ShardDir(cfg.Store.Dir, i)
+				dir = cfg.Store.Dir
+				if len(windows) > 1 {
+					dir = store.ShardDir(cfg.Store.Dir, i)
+				}
 			}
-			u, err := buildSDC(cfg, params, fmt.Sprintf("%s-shard-%d", *issuer, i), stp, log, dir,
+			u, err := buildSDC(cfg, params, *issuer, stp, log, dir,
 				pisa.WithChannelWindow(w[0], w[1]))
 			if err != nil {
 				return err
@@ -228,24 +233,13 @@ func run(args []string) error {
 			units = append(units, u)
 			services[i] = u.sdc
 		}
-		router, err = shard.NewRouter(*issuer, params, nil, stp, services)
-		if err != nil {
-			return err
+		if router = units[0].sdc.Router(); router == nil {
+			if router, err = pisa.NewRouter(*issuer, params, nil, stp, services); err != nil {
+				return err
+			}
+			log.Info("sharded SDC assembled", "shards", len(services))
 		}
 		backendSDC = router
-		log.Info("sharded SDC assembled", "shards", len(services))
-	default:
-		dir := ""
-		if cfg.Store.Enabled() {
-			dir = cfg.Store.Dir
-		}
-		u, err := buildSDC(cfg, params, *issuer, stp, log, dir)
-		if err != nil {
-			return err
-		}
-		defer u.release()
-		units = append(units, u)
-		backendSDC = u.sdc
 	}
 	log.Info("initialisation complete", "took", time.Since(start).String())
 

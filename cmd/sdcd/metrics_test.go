@@ -135,9 +135,22 @@ func TestRunServesMetrics(t *testing.T) {
 		}
 		return n
 	}
-	for _, stage := range []string{"snapshot", "aggregate", "blind", "stp_convert", "unblind", "license_mask", "total"} {
-		if n := count("pisa_sdc_request_stage_seconds", `{stage="`+stage+`"}`); n == 0 {
-			t.Errorf("stage %q histogram empty", stage)
+	// A monolithic daemon is the one-shard router: the license is the
+	// router's stage, and the SDC has no license stage of its own.
+	for metric, stages := range map[string][]string{
+		"pisa_sdc_request_stage_seconds": {"snapshot", "aggregate", "blind", "stp_convert", "unblind", "total"},
+		"pisa_router_stage_seconds":      {"fanout", "merge", "license", "total"},
+	} {
+		for _, stage := range stages {
+			if n := count(metric, `{stage="`+stage+`"}`); n == 0 {
+				t.Errorf("%s stage %q histogram empty", metric, stage)
+			}
+		}
+	}
+	sdcStages := map[string]bool{"snapshot": true, "aggregate": true, "blind": true, "stp_convert": true, "unblind": true, "total": true}
+	for _, m := range regexp.MustCompile(`(?m)^pisa_sdc_request_stage_seconds_count\{stage="(\w+)"\}`).FindAllSubmatch(body, -1) {
+		if !sdcStages[string(m[1])] {
+			t.Errorf("scrape carries SDC stage %q, which no SDC maintains", m[1])
 		}
 	}
 	if n := count("pisa_sdc_pu_update_seconds", ""); n == 0 {

@@ -5,7 +5,9 @@
 // blind/sign-test pass produced, and issues the single license masked
 // with every one of them — they are never added up (pisa.ShardAnswer).
 // PU updates are broadcast to every shard — the active channel is
-// encrypted, so routing by channel would leak it.
+// encrypted, so routing by channel would leak it. The router is the
+// same pisa.Router that a monolithic sdcd runs as the one-shard router
+// over its SDC, here over remote shards.
 //
 // The -shards flag takes semicolon-separated shard groups, each a
 // comma-separated owner-then-replicas address list; shard queries are
@@ -33,7 +35,7 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/node"
 	"pisa/internal/obs"
-	"pisa/internal/pisa/shard"
+	"pisa/internal/pisa"
 )
 
 func main() {
@@ -102,7 +104,7 @@ func run(args []string) error {
 	}
 	defer stp.Close()
 
-	services := make([]shard.Service, len(groups))
+	services := make([]pisa.ShardService, len(groups))
 	clients := make([]*node.SDCClient, len(groups))
 	for i, g := range groups {
 		c := node.DialSDCWith(rpcOpts, g...)
@@ -111,7 +113,7 @@ func run(args []string) error {
 		services[i] = c
 	}
 	start := time.Now()
-	router, err := shard.NewRouter(*issuer, params, nil, stp, services)
+	router, err := pisa.NewRouter(*issuer, params, nil, stp, services)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"pisa/internal/geo"
 	"pisa/internal/node"
 	"pisa/internal/pisa"
-	"pisa/internal/pisa/shard"
 	"pisa/internal/watch"
 )
 
@@ -63,7 +62,7 @@ func TestRunFrontsShardDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 	stpAddr := serve(t, node.NewSTPServer(stp, nil, time.Minute))
-	windows, err := shard.Windows(params.Watch.Channels, 2)
+	windows, err := pisa.Windows(params.Watch.Channels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

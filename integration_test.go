@@ -22,7 +22,6 @@ import (
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
 	"pisa/internal/pisa"
-	"pisa/internal/pisa/shard"
 	"pisa/internal/propagation"
 	"pisa/internal/store"
 	"pisa/internal/trace"
@@ -627,7 +626,7 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, err := shard.Windows(wp.Channels, 3)
+	windows, err := pisa.Windows(wp.Channels, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +640,7 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 		Breaker:     node.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
 	}
 	var victim *node.SDCServer
-	services := make([]shard.Service, len(windows))
+	services := make([]pisa.ShardService, len(windows))
 	clients := make([]*node.SDCClient, len(windows))
 	for i, w := range windows {
 		s, err := pisa.NewSDC("fo-shard", params, nil, stp,
@@ -673,7 +672,7 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 		clients[i] = cli
 		services[i] = cli
 	}
-	router, err := shard.NewRouter("fo-router", params, nil, stp, services)
+	router, err := pisa.NewRouter("fo-router", params, nil, stp, services)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -876,11 +875,11 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 
 	// Topology 2: a router over two windowed shards, each behind its own
 	// server, the router behind a third.
-	windows, err := shard.Windows(wp.Channels, 2)
+	windows, err := pisa.Windows(wp.Channels, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	services := make([]shard.Service, len(windows))
+	services := make([]pisa.ShardService, len(windows))
 	for i, w := range windows {
 		s, err := pisa.NewSDC("shard", params, nil, dialSTP(), pisa.WithChannelWindow(w[0], w[1]))
 		if err != nil {
@@ -891,7 +890,7 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		t.Cleanup(func() { cli.Close() })
 		services[i] = cli
 	}
-	router, err := shard.NewRouter("router", params, nil, dialSTP(), services)
+	router, err := pisa.NewRouter("router", params, nil, dialSTP(), services)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"pisa/internal/paillier"
 	"pisa/internal/pir"
 	"pisa/internal/pisa"
-	"pisa/internal/pisa/shard"
 	"pisa/internal/trace"
 	"pisa/internal/watch"
 )
@@ -36,7 +35,7 @@ import (
 // same series /metrics exposes.
 
 // LoadTarget abstracts the deployment under load: the in-process
-// monolithic and sharded constructors below implement it, and
+// router below implements it at any shard count, and
 // cmd/pisaload adapts the node RPC clients for `-addr` runs.
 type LoadTarget interface {
 	GroupKey() *paillier.PublicKey
@@ -49,52 +48,35 @@ type LoadTarget interface {
 	Close()
 }
 
-// monoTarget is one in-process SDC + STP.
-type monoTarget struct {
-	sdc *pisa.SDC
-	stp *pisa.STP
+// inProcessTarget is an in-process router over its SDCs and the STP:
+// a full-window SDC's own one-shard router, or a router over
+// channel-windowed SDCs.
+type inProcessTarget struct {
+	front *pisa.Router
+	sdcs  []*pisa.SDC
+	stp   *pisa.STP
 }
 
-func (t *monoTarget) GroupKey() *paillier.PublicKey      { return t.stp.GroupKey() }
-func (t *monoTarget) Planner() *watch.Planner            { return t.sdc.Planner() }
-func (t *monoTarget) VerifyKey() (*rsa.PublicKey, error) { return t.sdc.VerifyKey(), nil }
-func (t *monoTarget) RegisterSU(id string, pk *paillier.PublicKey) error {
+func (t *inProcessTarget) GroupKey() *paillier.PublicKey      { return t.stp.GroupKey() }
+func (t *inProcessTarget) Planner() *watch.Planner            { return t.front.Planner() }
+func (t *inProcessTarget) VerifyKey() (*rsa.PublicKey, error) { return t.front.VerifyKey(), nil }
+func (t *inProcessTarget) RegisterSU(id string, pk *paillier.PublicKey) error {
 	return t.stp.RegisterSU(id, pk)
 }
-func (t *monoTarget) Process(req *pisa.TransmissionRequest) (*pisa.Response, error) {
-	return t.sdc.ProcessRequest(req)
+func (t *inProcessTarget) Process(req *pisa.TransmissionRequest) (*pisa.Response, error) {
+	return t.front.ProcessRequest(req)
 }
-func (t *monoTarget) Update(u *pisa.PUUpdate) error          { return t.sdc.HandlePUUpdate(u) }
-func (t *monoTarget) EColumn(b geo.BlockID) ([]int64, error) { return t.sdc.EColumn(b) }
-func (t *monoTarget) Close()                                 { t.sdc.Close() }
-
-// shardedTarget is an in-process shard router over windowed SDCs.
-type shardedTarget struct {
-	router *shard.Router
-	shards []*pisa.SDC
-	stp    *pisa.STP
-}
-
-func (t *shardedTarget) GroupKey() *paillier.PublicKey      { return t.stp.GroupKey() }
-func (t *shardedTarget) Planner() *watch.Planner            { return t.router.Planner() }
-func (t *shardedTarget) VerifyKey() (*rsa.PublicKey, error) { return t.router.VerifyKey(), nil }
-func (t *shardedTarget) RegisterSU(id string, pk *paillier.PublicKey) error {
-	return t.stp.RegisterSU(id, pk)
-}
-func (t *shardedTarget) Process(req *pisa.TransmissionRequest) (*pisa.Response, error) {
-	return t.router.ProcessRequest(req)
-}
-func (t *shardedTarget) Update(u *pisa.PUUpdate) error          { return t.router.HandlePUUpdate(u) }
-func (t *shardedTarget) EColumn(b geo.BlockID) ([]int64, error) { return t.router.EColumn(b) }
-func (t *shardedTarget) Close() {
-	for _, s := range t.shards {
+func (t *inProcessTarget) Update(u *pisa.PUUpdate) error          { return t.front.HandlePUUpdate(u) }
+func (t *inProcessTarget) EColumn(b geo.BlockID) ([]int64, error) { return t.front.EColumn(b) }
+func (t *inProcessTarget) Close() {
+	for _, s := range t.sdcs {
 		s.Close()
 	}
 }
 
-// NewInProcessTarget stands up a deployment for the load engine:
-// shards <= 1 builds one monolithic SDC, larger values a shard router
-// over channel-windowed SDCs (the PR-9 deployment mode).
+// NewInProcessTarget stands up a deployment for the load engine: one
+// SDC per channel window of max(shards, 1), behind a router. At one
+// window the SDC is its own one-shard router.
 func NewInProcessTarget(params pisa.Params, shards int) (LoadTarget, error) {
 	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
@@ -105,38 +87,28 @@ func NewInProcessTarget(params pisa.Params, shards int) (LoadTarget, error) {
 			return nil, err
 		}
 	}
-	if shards <= 1 {
-		sdc, err := pisa.NewSDC("load-sdc", params, nil, stp)
-		if err != nil {
-			return nil, err
-		}
-		return &monoTarget{sdc: sdc, stp: stp}, nil
-	}
-	windows, err := shard.Windows(params.Watch.Channels, shards)
+	windows, err := pisa.Windows(params.Watch.Channels, max(shards, 1))
 	if err != nil {
 		return nil, err
 	}
-	sdcs := make([]*pisa.SDC, len(windows))
-	services := make([]shard.Service, len(windows))
+	t := &inProcessTarget{stp: stp}
+	services := make([]pisa.ShardService, len(windows))
 	for i, w := range windows {
-		s, err := pisa.NewSDC("load-shard", params, nil, stp, pisa.WithChannelWindow(w[0], w[1]))
+		s, err := pisa.NewSDC("load-sdc", params, nil, stp, pisa.WithChannelWindow(w[0], w[1]))
 		if err != nil {
-			for _, built := range sdcs[:i] {
-				built.Close()
-			}
+			t.Close()
 			return nil, fmt.Errorf("bench: shard %d: %w", i, err)
 		}
-		sdcs[i] = s
+		t.sdcs = append(t.sdcs, s)
 		services[i] = s
 	}
-	router, err := shard.NewRouter("load-router", params, nil, stp, services)
-	if err != nil {
-		for _, s := range sdcs {
-			s.Close()
+	if t.front = t.sdcs[0].Router(); t.front == nil {
+		if t.front, err = pisa.NewRouter("load-router", params, nil, stp, services); err != nil {
+			t.Close()
+			return nil, err
 		}
-		return nil, err
 	}
-	return &shardedTarget{router: router, shards: sdcs, stp: stp}, nil
+	return t, nil
 }
 
 // LoadConfig parameterises one load run. The zero value is not
@@ -398,19 +370,17 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	brackets := []*histBracket{{stage: "e2e", h: r.Histogram("pisa_load_request_seconds",
 		"end-to-end request latency as the load harness sees it (prepare/refresh + process + open)",
 		nil, nil)}}
-	for _, s := range []string{"snapshot", "aggregate", "blind", "stp_convert", "unblind", "license_mask", "total"} {
+	for _, s := range []string{"snapshot", "aggregate", "blind", "stp_convert", "unblind", "total"} {
 		brackets = append(brackets, &histBracket{stage: "sdc_" + s,
 			h: r.Histogram("pisa_sdc_request_stage_seconds",
-				"per-stage SU request processing time (Figure 5, eqs. 11-17)",
+				"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
 				obs.Labels{"stage": s}, nil)})
 	}
-	if cfg.Shards > 1 {
-		for _, s := range []string{"fanout", "merge", "license", "total"} {
-			brackets = append(brackets, &histBracket{stage: "router_" + s,
-				h: r.Histogram("pisa_router_stage_seconds",
-					"per-stage sharded request processing time (fan-out, merge, license)",
-					obs.Labels{"stage": s}, nil)})
-		}
+	for _, s := range []string{"fanout", "merge", "license", "total"} {
+		brackets = append(brackets, &histBracket{stage: "router_" + s,
+			h: r.Histogram("pisa_router_stage_seconds",
+				"per-stage router request processing time (fan-out, merge, license)",
+				obs.Labels{"stage": s}, nil)})
 	}
 	for _, b := range brackets {
 		b.before = b.h.Snapshot()

@@ -125,8 +125,9 @@ type File struct {
 
 	// Shards partitions the SDC's budget matrix into this many channel
 	// slices, each owned by an independent windowed SDC behind a
-	// fan-out router (internal/pisa/shard). 0 or 1 (the default) runs
-	// the monolithic controller. The sdcd -shards flag overrides it.
+	// fan-out router (pisa.Router). 0 or 1 (the default) runs the
+	// monolithic controller, its own one-shard router. The sdcd -shards
+	// flag overrides it.
 	Shards int `json:"shards,omitempty"`
 
 	// Network addresses. STPAddrs lists additional equivalent STP

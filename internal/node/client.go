@@ -663,7 +663,7 @@ func (c *SDCClient) ProcessShardContext(ctx context.Context, r *pisa.Transmissio
 }
 
 // HandlePUUpdate aliases SendUpdate so SDCClient satisfies
-// shard.Service and a router can broadcast PU updates to remote
+// pisa.ShardService and a router can broadcast PU updates to remote
 // shards through the same client.
 func (c *SDCClient) HandlePUUpdate(u *pisa.PUUpdate) error {
 	return c.SendUpdate(u)

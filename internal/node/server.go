@@ -236,10 +236,10 @@ func (s *STPServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 }
 
 // SDCBackend is what an SDC server needs from the role instance
-// behind it. *pisa.SDC satisfies it, as does shard.Router, so one
-// server wrapper fronts both a monolithic controller and a sharded
-// fan-out router. A windowed shard's VerifyKey is nil: it issues no
-// licenses, and the server refuses the key request.
+// behind it. *pisa.Router satisfies it, as does *pisa.SDC, so one
+// server wrapper fronts a router — of one full-window SDC or of many
+// shards — and a windowed shard. A windowed shard's VerifyKey is nil: it
+// issues no licenses, and the server refuses the key request.
 type SDCBackend interface {
 	ProcessRequest(req *pisa.TransmissionRequest) (*pisa.Response, error)
 	HandlePUUpdate(u *pisa.PUUpdate) error

@@ -308,7 +308,7 @@ func TestAnswerSpansSeveralCiphertexts(t *testing.T) {
 func TestMaskedLicenseNeedsAnIndicator(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
-	if _, err := d.sdc.lic.Issue(su.ID(), [32]byte{}, su.PublicKey(), nil); err == nil {
+	if _, err := d.sdc.router.lic.Issue(su.ID(), [32]byte{}, su.PublicKey(), nil); err == nil {
 		t.Fatal("Licenser issued a license without any grant indicator")
 	}
 }

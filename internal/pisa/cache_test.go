@@ -1287,6 +1287,112 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 	}
 }
 
+// TestEColumnOnEveryFront: a full-window SDC, its router, a windowed
+// shard and a router over windowed shards all serve the public E column
+// of every block, and reading it while a rebuild is in flight neither
+// waits for the rebuild nor counts as a discarded rebuild pass: the
+// retries counter moves exactly with the outcome="stale" passes.
+func TestEColumnOnEveryFront(t *testing.T) {
+	hr := &hookReader{}
+	wp := testWatchParams(t)
+	params := TestParams(wp)
+	stp, err := NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := NewSDC("sdc-test", params, nil, stp, WithRandom(hr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mono.Close()
+	windows, err := Windows(wp.Channels, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]ShardService, len(windows))
+	for i, w := range windows {
+		s, err := NewSDC("shard", params, nil, stp, WithChannelWindow(w[0], w[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		shards[i] = s
+	}
+	router, err := NewRouter("router", params, nil, stp, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := watch.NewSystem(wp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := oracle.EMatrix()
+	fronts := []struct {
+		name    string
+		eColumn func(geo.BlockID) ([]int64, error)
+	}{
+		{"monolith", mono.EColumn}, {"monolith's router", mono.Router().EColumn},
+		{"windowed shard", shards[0].(*SDC).EColumn}, {"sharded router", router.EColumn},
+	}
+	check := func() error {
+		for _, f := range fronts {
+			for b := 0; b < wp.Grid.Blocks(); b++ {
+				col, err := f.eColumn(geo.BlockID(b))
+				if err != nil {
+					return fmt.Errorf("%s: EColumn(%d): %w", f.name, b, err)
+				}
+				for c, v := range col {
+					if want, _ := e.At(c, b); v != want || len(col) != wp.Channels {
+						return fmt.Errorf("%s: EColumn(%d) = %v, E(%d, %d) = %d", f.name, b, col, c, b, want)
+					}
+				}
+			}
+			if _, err := f.eColumn(geo.BlockID(wp.Grid.Blocks())); err == nil {
+				return fmt.Errorf("%s: EColumn past the last block accepted", f.name)
+			}
+		}
+		return nil
+	}
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The trap fires inside the rebuild pass, between snapshot and
+	// write-back: it makes the pass stale and reads every column there.
+	col, err := mono.EColumn(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pu, err := NewPU(rand.Reader, "tv-1", 8, col, stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := pu.Tune(1, wp.Quantize(wp.SMinPUmW))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight := fmt.Errorf("the trap never fired")
+	hr.onRead = func() {
+		mono.mu.Lock()
+		mono.colVer[8]++
+		mono.mu.Unlock()
+		inFlight = check()
+	}
+	m := metrics()
+	stale0, retries0 := m.colRebuildStale.Count(), m.colRetries.Value()
+	hr.armed.Store(true)
+	if err := mono.HandlePUUpdate(u); err != nil {
+		t.Fatal(err)
+	}
+	if inFlight != nil {
+		t.Fatalf("during the rebuild: %v", inFlight)
+	}
+	stale, retries := m.colRebuildStale.Count()-stale0, m.colRetries.Value()-retries0
+	if stale != 1 || retries != stale {
+		t.Fatalf("%d stale passes, %d retries; want 1 of each", stale, retries)
+	}
+}
+
 // TestCacheChurnStress interleaves cache-hitting SU requests, PU
 // updates (cache invalidations), and an export/restore cycle, and checks
 // every stably-timed decision against the plaintext oracle's expectation

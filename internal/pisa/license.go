@@ -14,10 +14,9 @@ import (
 
 // Licenser issues a deployment's licenses (Figure 5 steps 10-11): it
 // holds the issuer name, the RSA signing key, the serial counter, the
-// validity window and the clock. A deployment has exactly one — the
-// monolithic SDC's, or the shard router's; a windowed shard has none,
-// and VerifyKey and Serial on its nil Licenser report no key and no
-// license.
+// validity window and the clock. A deployment has exactly one, held by
+// its Router; a windowed shard has none, and VerifyKey and Serial on its
+// nil Licenser report no key and no license.
 type Licenser struct {
 	issuer  string
 	signer  *dsig.Signer
@@ -28,11 +27,11 @@ type Licenser struct {
 	serial  atomic.Uint64
 }
 
-// NewLicenser generates the license-signing key (Params.SignerBits) and
+// newLicenser generates the license-signing key (Params.SignerBits) and
 // returns the issuer of licenses named issuer. A nil now means time.Now
 // and a zero ttl 24 hours. random must be safe for concurrent use
 // (paillier.SharedReader): concurrent requests sign and mask through it.
-func NewLicenser(issuer string, params Params, random io.Reader, now func() time.Time, ttl time.Duration) (*Licenser, error) {
+func newLicenser(issuer string, params Params, random io.Reader, now func() time.Time, ttl time.Duration) (*Licenser, error) {
 	signer, err := dsig.NewSigner(random, params.SignerBits)
 	if err != nil {
 		return nil, err
@@ -71,9 +70,8 @@ func (l *Licenser) Serial() uint64 {
 // digits could cancel (ShardAnswer), and with independent masks some
 // D_c != 0 survives into the sum unless its eta_c hits the one value
 // that cancels the rest — a false grant has probability at most
-// 2^-(etaBits-1) however many indicators there are. The monolithic SDC
-// passes one indicator per ciphertext of the STP's answer, normally
-// one; the shard router those of every shard.
+// 2^-(etaBits-1) however many indicators there are. The router passes
+// those of every shard, one per ciphertext of each shard's STP answer.
 func (l *Licenser) Issue(suid string, digest [32]byte, suKey *paillier.PublicKey, ds []*paillier.Ciphertext) (*Response, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("pisa: no grant indicator to mask the license with")

@@ -178,8 +178,8 @@ func ShapeDigest(channels, blocks int, block geo.BlockID, eirpUnits map[int]int6
 }
 
 // SDCService is the slice of the SDC an SU needs: request processing.
-// *SDC satisfies it in process, shard.Router in front of channel shards,
-// node.SDCClient over TCP.
+// *Router satisfies it in process (a full-window *SDC through its own
+// one-shard router), node.SDCClient over TCP.
 type SDCService interface {
 	ProcessRequest(req *TransmissionRequest) (*Response, error)
 }

@@ -13,15 +13,15 @@ import (
 // same series (get-or-create registration makes that safe), gauges by
 // delta.
 //
-// Stage labels follow the paper's pipeline (Figure 5 / eqs. 11-17):
+// Stage labels follow the paper's pipeline (Figure 5 / eqs. 11-16); the
+// license (eq. 17) is the router's stage (router.go):
 //
 //	snapshot     budget-entry snapshot + cache lookup (under s.mu)
 //	aggregate    R~ = X (x) F~, I~ = N~ (-) R~   (eqs. 11-12)
 //	blind        V~ = eps (x) (alpha (x) I~ (-) E(beta))   (eq. 14)
 //	stp_convert  blinded sign-test round-trip to the STP   (eq. 15)
 //	unblind      Q~ = eps (x) X~ (-) 1~ under the SU key   (eq. 16)
-//	license_mask sign + encrypt + eta-mask the license     (eq. 17)
-//	total        ProcessRequest end to end
+//	total        ProcessShard end to end, on every topology
 type sdcMetrics struct {
 	requests      *obs.Counter
 	requestErrors *obs.Counter
@@ -80,7 +80,7 @@ type sdcMetrics struct {
 // requestStages enumerates the per-stage histogram labels in pipeline
 // order.
 var requestStages = []string{
-	"snapshot", "aggregate", "blind", "stp_convert", "unblind", "license_mask", "total",
+	"snapshot", "aggregate", "blind", "stp_convert", "unblind", "total",
 }
 
 var (
@@ -160,7 +160,7 @@ func metrics() *sdcMetrics {
 		}
 		for _, s := range requestStages {
 			m.stage[s] = r.Histogram("pisa_sdc_request_stage_seconds",
-				"per-stage SU request processing time (Figure 5, eqs. 11-17)",
+				"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
 				obs.Labels{"stage": s}, nil)
 		}
 		sdcM = m

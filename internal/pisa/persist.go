@@ -27,7 +27,8 @@ const (
 // sdcStateV1 is the serialised form of the SDC's complete mutable
 // protocol state: the encrypted budget matrix N~, every PU's latest
 // submitted column (from which the PU location registry is derived),
-// and the license serial counter (0 on a shard). Everything else the
+// and the serial counter of the instance's one-shard router (0 on a
+// windowed shard, which has none). Everything else the
 // SDC holds — the public E matrix, protection distances, the decision
 // cache — is recomputed from public data or on demand.
 // Packed is always written true. A v1 snapshot of the removed
@@ -54,7 +55,7 @@ func (s *SDC) ExportState() ([]byte, error) {
 	s.mu.Lock()
 	st := sdcStateV1{
 		Version: sdcStateVersion,
-		Serial:  s.lic.Serial(),
+		Serial:  s.licenser().Serial(),
 		Packed:  true,
 		NPack:   s.nPack.Clone(),
 		Updates: make([]*PUUpdate, 0, len(s.puUpdates)),
@@ -89,7 +90,9 @@ func (s *SDC) ExportState() ([]byte, error) {
 //
 // The license signing key is generated fresh on every boot — licenses
 // are short-lived and SUs fetch the verification key per session — so
-// restored responses are re-signed but decision-identical.
+// restored responses are re-signed but decision-identical. A full-window
+// instance's router resumes the snapshot's license serial; a router over
+// windowed shards keeps no snapshot and starts at 0 (DESIGN.md §15).
 func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter, stp STPService, snapshot []byte, tail []store.Record, opts ...SDCOption) (*SDC, error) {
 	s, err := newSDCBase(issuer, params, transmitters, stp, opts)
 	if err != nil {
@@ -124,8 +127,8 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			return nil, fmt.Errorf("pisa: snapshot encrypted under a different group key than the STP serves")
 		}
 		s.nPack = st.NPack
-		if s.lic != nil {
-			s.lic.serial.Store(st.Serial)
+		if lic := s.licenser(); lic != nil {
+			lic.serial.Store(st.Serial)
 		}
 		for _, u := range st.Updates {
 			if err := s.registerRestored(u); err != nil {
@@ -232,7 +235,7 @@ func (s *SDC) Summary() SDCSummary {
 		PUs:            len(s.puUpdates),
 		BlocksWithPUs:  len(blocks),
 		PopulatedCells: s.nPack.Populated(),
-		Serial:         s.lic.Serial(),
+		Serial:         s.licenser().Serial(),
 	}
 }
 

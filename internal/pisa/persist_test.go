@@ -138,6 +138,66 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreResumesSerial: a full-window SDC's router owns the license
+// serial and the SDC snapshot carries it, so a restored monolith issues
+// the serial after the last one it issued before the snapshot. A
+// restored windowed shard issues none and still refuses SU requests.
+func TestRestoreResumesSerial(t *testing.T) {
+	d := newDurableDeployment(t)
+	su := d.newSU(t, "su-1", 7)
+	issue := func(s *SDC) uint64 {
+		t.Helper()
+		req, err := su.PrepareRequest(map[int]int64{0: 100}, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.ProcessRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.License.Serial
+	}
+	for i := 0; i < 3; i++ {
+		issue(d.sdc)
+	}
+	snap, err := d.sdc.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if got := issue(restored); got != 4 {
+		t.Fatalf("first license after the restore has serial %d, want 4", got)
+	}
+
+	shard, err := NewSDC("shard", d.params, nil, d.stp, WithChannelWindow(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close()
+	if snap, err = shard.ExportState(); err != nil {
+		t.Fatal(err)
+	}
+	restoredShard, err := RestoreSDC("shard", d.params, nil, d.stp, snap, nil, WithChannelWindow(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restoredShard.Close()
+	if serial := restoredShard.Summary().Serial; serial != 0 {
+		t.Fatalf("restored shard reports serial %d, want 0", serial)
+	}
+	req, err := su.PrepareRequest(map[int]int64{0: 100}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoredShard.ProcessRequest(req); err == nil || !strings.Contains(err.Error(), "shard router") {
+		t.Fatalf("restored shard's ProcessRequest error = %v, want the shard-router refusal", err)
+	}
+}
+
 func TestRestoreFreshWithoutSnapshot(t *testing.T) {
 	d := newDurableDeployment(t)
 	restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, nil, nil)

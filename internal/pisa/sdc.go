@@ -36,12 +36,12 @@ type SDC struct {
 	workers int // resolved worker-pool size (>= 1)
 	group   *paillier.PublicKey
 	stp     STPService
-	public  *watch.System // public-data precomputation only: E, d^c
-	ePlain  *matrix.Int   // plaintext E (public)
-	random  io.Reader
-	// lic issues the licenses; nil on a windowed shard, whose router
-	// issues them instead.
-	lic *Licenser
+	*publicData
+	random io.Reader
+	// router is the request front: a full-window instance serves SU
+	// requests through a one-shard router over itself, which holds the
+	// licenser. nil on a windowed shard, whose router is elsewhere.
+	router *Router
 
 	// chanLo, chanHi bound the channel rows [chanLo, chanHi) this
 	// instance owns. A monolithic SDC owns every row; a shard of a
@@ -64,8 +64,9 @@ type SDC struct {
 	betaCodec *paillier.SlotCodec
 
 	// suKeys resolves a request's SU id to a prepared key, asking the
-	// STP once per id; armed unless this instance is a windowed shard,
-	// which never encrypts under an SU key (sukeys.go).
+	// STP once per id; shared with the router's license tail and armed,
+	// unless this instance is a windowed shard, which never encrypts under
+	// an SU key (sukeys.go).
 	suKeys *SUKeyCache
 
 	// cacheCtr mirrors the obs cache counters per instance: the obs
@@ -133,8 +134,8 @@ type SDCOption interface {
 	apply(*sdcOptions)
 }
 
-// sdcOptions is the SDC under construction plus what only its licenser
-// keeps.
+// sdcOptions is the SDC under construction plus what only its router's
+// licenser keeps.
 type sdcOptions struct {
 	*SDC
 	now    func() time.Time
@@ -163,9 +164,10 @@ func WithRandom(r io.Reader) SDCOption {
 // WithChannelWindow restricts the instance to the channel rows
 // [lo, hi) of the budget matrix — one shard of a channel-sharded
 // deployment. Only those rows are encrypted at boot and rebuilt on PU
-// updates, and only ProcessShard may serve requests (the shard
-// router, internal/pisa/shard, merges the per-shard partials and
-// issues the license). The default window is the full channel range.
+// updates, and only ProcessShard may serve requests (a Router over the
+// shards merges the per-shard partials and issues the license). The
+// default window is the full channel range, whose instance is its own
+// one-shard router.
 func WithChannelWindow(lo, hi int) SDCOption {
 	return sdcOptionFunc(func(o *sdcOptions) { o.chanLo, o.chanHi = lo, hi })
 }
@@ -181,9 +183,9 @@ func WithUpdateJournal(fn func(*PUUpdate) error) SDCOption {
 
 // NewSDC builds the controller: performs the plaintext initialisation
 // step of §IV-A1 (E matrix and protection distances from public data
-// only), builds its licenser unless it is a windowed shard, and encrypts
-// the initial budget matrix N~ = E~ under the group key fetched from the
-// STP.
+// only), builds its one-shard router unless it is a windowed shard, and
+// encrypts the initial budget matrix N~ = E~ under the group key fetched
+// from the STP.
 func NewSDC(issuer string, params Params, transmitters []watch.TVTransmitter, stp STPService, opts ...SDCOption) (*SDC, error) {
 	s, err := newSDCBase(issuer, params, transmitters, stp, opts)
 	if err != nil {
@@ -221,17 +223,16 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	if stp == nil {
 		return nil, fmt.Errorf("pisa: SDC requires an STP service")
 	}
-	public, err := watch.NewSystem(params.Watch, transmitters)
+	public, err := newPublicData(params.Watch, transmitters)
 	if err != nil {
-		return nil, fmt.Errorf("pisa: public precomputation: %w", err)
+		return nil, err
 	}
 	s := &SDC{
 		params:     params,
 		workers:    parallel.Resolve(params.Parallelism),
 		group:      stp.GroupKey(),
 		stp:        stp,
-		public:     public,
-		ePlain:     public.EMatrix(),
+		publicData: public,
 		random:     rand.Reader,
 		puUpdates:  make(map[watch.PUID]*storedUpdate),
 		puBlocks:   make(map[watch.PUID]geo.BlockID),
@@ -253,18 +254,13 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	// source; SharedReader serialises injected readers (crypto/rand is
 	// passed through) without changing the byte stream.
 	s.random = paillier.SharedReader(s.random)
-	s.suKeys = NewSUKeyCache(stp, params, s.random, !s.windowed())
+	s.suKeys = newSUKeyCache(stp, params, s.random, !s.windowed())
 	// Arm the fixed-base engine on the group key: budget encryptions,
 	// column rebuilds and blinding-factor generation all draw their
 	// nonces from the table. Idempotent on a group key another role
 	// already armed.
 	if err := params.armFastExp(s.random, s.group); err != nil {
 		return nil, fmt.Errorf("pisa: arm group key: %w", err)
-	}
-	if !s.windowed() {
-		if s.lic, err = NewLicenser(issuer, params, s.random, o.now, o.licTTL); err != nil {
-			return nil, err
-		}
 	}
 	if s.codec, err = params.SlotCodec(); err != nil {
 		return nil, err
@@ -284,14 +280,66 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 			}
 		}
 	}
+	if !s.windowed() {
+		// The engine is complete. Its request front is a one-shard router
+		// over it that shares its public data, its armed SU-key cache and
+		// its randomness, so a monolith computes E once and fetches each
+		// SU key once.
+		lic, err := newLicenser(issuer, params, s.random, o.now, o.licTTL)
+		if err != nil {
+			return nil, err
+		}
+		if s.router, err = newRouter(s.publicData, s.suKeys, lic, []ShardService{s}); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+// publicData is a deployment's public precomputation (§IV-A1): the
+// plaintext E matrix and the planner's grid and protection distances,
+// all derived from public data. A full-window SDC and its router share
+// one; E never changes after construction, so reads take no lock.
+type publicData struct {
+	public *watch.System
+	ePlain *matrix.Int // public's E, copied once
+}
+
+func newPublicData(wp watch.Params, transmitters []watch.TVTransmitter) (*publicData, error) {
+	public, err := watch.NewSystem(wp, transmitters)
+	if err != nil {
+		return nil, fmt.Errorf("pisa: public precomputation: %w", err)
+	}
+	return &publicData{public: public, ePlain: public.EMatrix()}, nil
+}
+
+// Planner returns the public-data planner (grid, d^c) for parties
+// that need to build requests against this deployment.
+func (p *publicData) Planner() *watch.Planner { return p.public.Planner() }
+
+// EColumn returns the plaintext E column for a block — public data a
+// PU needs to form its offset update W = T - E.
+func (p *publicData) EColumn(b geo.BlockID) ([]int64, error) {
+	w := p.public.Params()
+	if !w.Grid.Valid(b) {
+		return nil, fmt.Errorf("pisa: block %d invalid", b)
+	}
+	col := make([]int64, w.Channels)
+	for c := range col {
+		v, err := p.ePlain.At(c, int(b))
+		if err != nil {
+			return nil, err
+		}
+		col[c] = v
+	}
+	return col, nil
 }
 
 // ChannelWindow reports the channel rows [lo, hi) this instance owns.
 func (s *SDC) ChannelWindow() (lo, hi int) { return s.chanLo, s.chanHi }
 
 // windowed reports whether this instance owns only a slice of the
-// channel rows (a shard), which bars the direct ProcessRequest path.
+// channel rows (a shard), which leaves it without a router of its own.
 func (s *SDC) windowed() bool {
 	return s.chanLo != 0 || s.chanHi != s.params.Watch.Channels
 }
@@ -307,46 +355,22 @@ func (s *SDC) SetParallelism(n int) {
 // Parallelism reports the resolved worker-pool size.
 func (s *SDC) Parallelism() int { return s.workers }
 
+// Router returns the one-shard router a full-window instance serves its
+// SU requests through, for callers that want its stats; nil on a
+// windowed shard.
+func (s *SDC) Router() *Router { return s.router }
+
+// licenser is the router's licenser; nil on a windowed shard.
+func (s *SDC) licenser() *Licenser {
+	if s.router == nil {
+		return nil
+	}
+	return s.router.lic
+}
+
 // VerifyKey returns the public key SUs use to check license
 // signatures, or nil on a windowed shard, which issues none.
-func (s *SDC) VerifyKey() *rsa.PublicKey { return s.lic.VerifyKey() }
-
-// Planner returns the public-data planner (grid, d^c) for parties
-// that need to build requests against this deployment.
-func (s *SDC) Planner() *watch.Planner { return s.public.Planner() }
-
-// EColumn returns the plaintext E column for a block — public data a
-// PU needs to form its offset update W = T - E. The read takes the
-// same snapshot + column-version discipline as ProcessRequest: the
-// applied version is captured under the lock before and rechecked
-// after the column walk, and the walk retries if a concurrent rebuild
-// committed in between, so the column handed to watchctl is always
-// one consistent generation.
-func (s *SDC) EColumn(b geo.BlockID) ([]int64, error) {
-	if !s.params.Watch.Grid.Valid(b) {
-		return nil, fmt.Errorf("pisa: block %d invalid", b)
-	}
-	col := make([]int64, s.params.Watch.Channels)
-	for {
-		s.mu.Lock()
-		ver := s.colApplied[b]
-		s.mu.Unlock()
-		for c := range col {
-			v, err := s.ePlain.At(c, int(b))
-			if err != nil {
-				return nil, err
-			}
-			col[c] = v
-		}
-		s.mu.Lock()
-		moved := s.colApplied[b] != ver
-		s.mu.Unlock()
-		if !moved {
-			return col, nil
-		}
-		metrics().colRetries.Inc()
-	}
-}
+func (s *SDC) VerifyKey() *rsa.PublicKey { return s.licenser().VerifyKey() }
 
 // HandlePUUpdate ingests a channel-reception update (Figure 4 steps
 // 4): stores the PU's latest W~ column and rebuilds the encrypted
@@ -715,9 +739,35 @@ func (s *SDC) CachedDecisions() int {
 	return s.cache.len()
 }
 
-// ProcessRequest executes Figure 5 steps 3-11 for one SU request and
-// returns the response to forward to the SU. The SDC cannot tell from
-// anything it computes whether the request was granted.
+// ProcessRequest executes Figure 5 steps 3-11 for one SU request through
+// the instance's one-shard router and returns the response to forward to
+// the SU.
+//
+// A windowed instance (WithChannelWindow) refuses this path: its
+// grant indicators cover only its own channel rows, so a license masked
+// with them would encode a window-local decision, not the whole-matrix
+// one. Shards serve ProcessShard; their router issues the license.
+func (s *SDC) ProcessRequest(req *TransmissionRequest) (*Response, error) {
+	if s.router == nil {
+		return nil, fmt.Errorf("pisa: shard owns channels [%d, %d) only; SU requests must go through the shard router",
+			s.chanLo, s.chanHi)
+	}
+	return s.router.ProcessRequest(req)
+}
+
+// ProcessShard runs Figure 5 steps 3-9 of an SU request over the channel
+// rows this instance owns (DESIGN.md §15): validation, budget snapshot +
+// cache lookup, aggregation (eqs. 11-12), blinding (eq. 14), the STP sign
+// test, and the eps unblinding (eq. 16). The answer carries the grant
+// indicators D~ under the SU key, one per ciphertext of the STP's packed
+// answer, each decrypting to 0 exactly when every slot test it covers
+// passed and already corrected for this instance's own epsilons; none
+// when no populated request cell falls inside the window (the request
+// was sliced for a different shard). A router hands the indicators of
+// all its shards to its Licenser, which issues the single masked license.
+// No serial is consumed and nothing is issued, so a retried or
+// failed-over call is idempotent. The SDC cannot tell from anything it
+// computes whether the request was granted.
 //
 // The critical section is the snapshot only: the per-cell homomorphic
 // work (eqs. 11, 12, 14), the STP round-trip, and the unblinding
@@ -728,54 +778,6 @@ func (s *SDC) CachedDecisions() int {
 // (pisa_sdc_request_stage_seconds; see metrics.go for the stage
 // vocabulary), which is how a live deployment sees the paper's §VI
 // per-stage budget instead of re-running a benchmark.
-//
-// A windowed instance (WithChannelWindow) refuses this path: its
-// grant indicators cover only its own channel rows, so a license masked
-// with them would encode a window-local decision, not the whole-matrix
-// one. Shards serve ProcessShard; the router issues the license.
-func (s *SDC) ProcessRequest(req *TransmissionRequest) (resp *Response, err error) {
-	m := metrics()
-	m.requests.Inc()
-	start := time.Now()
-	defer func() {
-		m.stage["total"].ObserveSince(start)
-		if err != nil {
-			m.requestErrors.Inc()
-		}
-	}()
-	if s.windowed() {
-		return nil, fmt.Errorf("pisa: shard owns channels [%d, %d) only; SU requests must go through the shard router",
-			s.chanLo, s.chanHi)
-	}
-	ds, suKey, err := s.processCore(req)
-	if err != nil {
-		return nil, err
-	}
-
-	// Steps 10-11: sign the license, encrypt under the SU key, mask
-	// with eta (x) D~ (eq. 17).
-	stageStart := time.Now()
-	digest, err := req.Digest()
-	if err != nil {
-		return nil, err
-	}
-	if resp, err = s.lic.Issue(req.SUID, digest, suKey, ds); err != nil {
-		return nil, err
-	}
-	m.stage["license_mask"].ObserveSince(stageStart)
-	return resp, nil
-}
-
-// ProcessShard executes the per-shard half of a sharded SU request
-// (DESIGN.md §15): the same snapshot/cache/aggregate/blind/STP/unblind
-// pipeline as ProcessRequest, restricted to the channel rows this
-// instance owns and stopping short of the license. The answer carries
-// the shard's grant indicators under the SU key, already corrected for
-// the shard's own epsilons; the router hands the indicators of all
-// shards to its Licenser, which issues the single masked license. No
-// serial is consumed and nothing is issued, so a retried or failed-over
-// call is idempotent. Callable on a monolithic instance too, where the
-// window covers every row.
 func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err error) {
 	m := metrics()
 	m.requests.Inc()
@@ -786,48 +788,31 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 			m.requestErrors.Inc()
 		}
 	}()
-	ds, _, err := s.processCore(req)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardAnswer{D: ds}, nil
-}
-
-// processCore runs Figure 5 steps 3-9 over the channel rows this
-// instance owns: validation, budget snapshot + cache lookup,
-// aggregation (eqs. 11-12), blinding (eq. 14), the STP sign test, and
-// the eps unblinding (eq. 16). It returns the grant indicators D~ under
-// the SU key, one per ciphertext of the STP's packed answer, each
-// decrypting to 0 exactly when every slot test it covers passed; none
-// when no populated request cell falls inside the window (the request
-// was sliced for a different shard).
-func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, suKey *paillier.PublicKey, err error) {
-	m := metrics()
 	if req == nil || req.FP == nil {
-		return nil, nil, fmt.Errorf("pisa: nil request")
+		return nil, fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID == "" {
-		return nil, nil, fmt.Errorf("pisa: request missing SU id")
+		return nil, fmt.Errorf("pisa: request missing SU id")
 	}
 	w := s.params.Watch
 	if req.FP.Channels() != w.Channels || req.FP.Blocks() != w.Grid.Blocks() {
-		return nil, nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
+		return nil, fmt.Errorf("pisa: request matrix %dx%d, want %dx%d",
 			req.FP.Channels(), req.FP.Blocks(), w.Channels, w.Grid.Blocks())
 	}
 	// The slot geometry is a deployment parameter; both sides derive it
 	// from the same Params.
 	if !req.FP.Codec().Equal(s.codec) {
-		return nil, nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
+		return nil, fmt.Errorf("pisa: request slot codec does not match the deployment")
 	}
 	if !req.FP.Key().Equal(s.group) {
-		return nil, nil, fmt.Errorf("pisa: request not encrypted under the group key")
+		return nil, fmt.Errorf("pisa: request not encrypted under the group key")
 	}
 	if req.FP.Populated() == 0 {
-		return nil, nil, fmt.Errorf("pisa: request matrix is empty")
+		return nil, fmt.Errorf("pisa: request matrix is empty")
 	}
-	suKey, err = s.suKeys.Get(req.SUID)
+	suKey, err := s.suKeys.Get(req.SUID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Snapshot phase (the only part under s.mu): collect the budget
@@ -912,13 +897,13 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.stage["snapshot"].ObserveSince(stageStart)
 	if len(cells) == 0 {
 		// Every populated cell belongs to another shard's window:
 		// nothing to aggregate, no STP round trip, no indicator.
-		return nil, suKey, nil
+		return &ShardAnswer{}, nil
 	}
 
 	// Steps 3-4: R~ = X (x) F~, I~ = N~ (-) R~ (eqs. 11-12) — the
@@ -950,7 +935,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 			}
 		}
 		if err := s.aggregate(is, cells, recompute); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if cachePut != nil {
 			cachePut.tabs = tabs
@@ -985,7 +970,7 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 		return s.blindChunk(vs, is, tabs, cells, lo, hi)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.stage["blind"].ObserveSince(stageStart)
 
@@ -1004,23 +989,23 @@ func (s *SDC) processCore(req *TransmissionRequest) (ds []*paillier.Ciphertext, 
 	}
 	answer, err := answerCodec(slotsPer, signReq.AnswerBits)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pisa: SU %q: %w", req.SUID, err)
+		return nil, fmt.Errorf("pisa: SU %q: %w", req.SUID, err)
 	}
 	signResp, err := s.stp.ConvertSigns(signReq)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pisa: STP conversion: %w", err)
+		return nil, fmt.Errorf("pisa: STP conversion: %w", err)
 	}
 	m.stage["stp_convert"].ObserveSince(stageStart)
 
 	// Step 9, the unblinding (eq. 16): one plaintext addition per answer
 	// ciphertext.
 	stageStart = time.Now()
-	ds, err = unblindAnswer(suKey, answer, slotsPer, signResp.X, cells)
+	ds, err := unblindAnswer(suKey, answer, slotsPer, signResp.X, cells)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m.stage["unblind"].ObserveSince(stageStart)
-	return ds, suKey, nil
+	return &ShardAnswer{D: ds}, nil
 }
 
 // aggregate computes I~ = N~ (-) X (x) F~ (eqs. 11-12) into is[k] for
@@ -1150,7 +1135,7 @@ func (s *SDC) Close() {
 
 // tableEntry builds, on the worker pool, a power table for every cell of
 // a cache entry's column that has none in have — the entry's tables as
-// of the caller's lookup — and installs the completed set. processCore
+// of the caller's lookup — and installs the completed set. ProcessShard
 // calls it outside s.mu, from the one hit whose lookup claimed the build.
 // The returned tables serve that request whatever became of the entry
 // meanwhile; when a cell cannot be tabled they are have, and the plain

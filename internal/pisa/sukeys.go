@@ -61,12 +61,13 @@ type suKeyEntry struct {
 	err   error
 }
 
-// NewSUKeyCache builds an empty cache over stp. arm says whether the
-// owner encrypts under the keys (the license tail of a monolithic SDC
-// or a router): those are armed per params on the way in. A windowed
-// shard only multiplies modulo n^2 and passes false, sparing itself the
-// table. random must be safe for concurrent use.
-func NewSUKeyCache(stp STPService, params Params, random io.Reader, arm bool) *SUKeyCache {
+// newSUKeyCache builds an empty cache over stp. arm says whether the
+// owner encrypts under the keys (a router's license tail, or a
+// full-window SDC sharing its cache with its router): those are armed
+// per params on the way in. A windowed shard only multiplies modulo n^2
+// and passes false, sparing itself the table. random must be safe for
+// concurrent use.
+func newSUKeyCache(stp STPService, params Params, random io.Reader, arm bool) *SUKeyCache {
 	return &SUKeyCache{
 		stp:    stp,
 		params: params,

@@ -146,7 +146,7 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 	front := &swapSTP{cur: stp}
 	random := paillier.SharedReader(rand.Reader)
 
-	cache := NewSUKeyCache(front, params, random, true)
+	cache := newSUKeyCache(front, params, random, true)
 	cache.cap = 2
 	get := func(id string) *paillier.PublicKey {
 		t.Helper()
@@ -192,7 +192,7 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 	wantCalls(6) // the error was not cached
 
 	// A windowed shard's cache prepares but does not arm.
-	bare := NewSUKeyCache(front, params, random, false)
+	bare := newSUKeyCache(front, params, random, false)
 	pk, err := bare.Get("a")
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := NewSUKeyCache(front, params, random, true).Get("b"); err != nil || got != armed {
+	if got, err := newSUKeyCache(front, params, random, true).Get("b"); err != nil || got != armed {
 		t.Fatalf("armed registry key not reused as is (err %v)", err)
 	}
 }
@@ -233,7 +233,7 @@ func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	front := &swapSTP{cur: stp}
-	cache := NewSUKeyCache(front, params, paillier.SharedReader(rand.Reader), true)
+	cache := newSUKeyCache(front, params, paillier.SharedReader(rand.Reader), true)
 	const callers = 8
 	keys := make([]*paillier.PublicKey, callers)
 	var wg sync.WaitGroup
