@@ -36,8 +36,6 @@
 package main
 
 import (
-	"context"
-	"crypto/rsa"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,11 +45,7 @@ import (
 
 	"pisa/internal/bench"
 	"pisa/internal/config"
-	"pisa/internal/geo"
 	"pisa/internal/node"
-	"pisa/internal/paillier"
-	"pisa/internal/pir"
-	"pisa/internal/pisa"
 	"pisa/internal/watch"
 )
 
@@ -137,8 +131,8 @@ func run(args []string) error {
 		Replicas:     *replicas, K: *k,
 	}
 
-	// Remote deployments: adapt the node RPC clients to the engine's
-	// LoadTarget (PISA) or fetch closure (PIR).
+	// Remote deployments: the node RPC clients are the engine's Target
+	// (PISA) or its replica fleet (PIR).
 	if *addr != "" || *pirAddr != "" {
 		file, err := config.Load(*configPath)
 		if err != nil {
@@ -162,12 +156,7 @@ func run(args []string) error {
 				return err
 			}
 			defer c.Close()
-			cfg.PIRMeta = c.Meta()
-			ctx := context.Background()
-			cfg.PIRFetch = func(b geo.BlockID) ([]byte, error) {
-				row, _, err := c.Fetch(ctx, pir.TableBitmap, b)
-				return row, err
-			}
+			cfg.PIR = c
 		} else {
 			if *addr == "" {
 				return errors.New("-addr is required for a remote PISA run")
@@ -184,18 +173,20 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
+			defer stp.Close()
 			sdcOpts := rpcOpts
 			sdcOpts.CallTimeout = max(sdcOpts.CallTimeout, 10*time.Minute)
 			sdc := node.DialSDCWith(sdcOpts, config.SplitAddrs(*addr)...)
+			defer sdc.Close()
 			planner, err := watch.NewPlanner(params.Watch)
 			if err != nil {
-				stp.Close()
-				sdc.Close()
 				return err
 			}
-			target := &remoteTarget{sdc: sdc, stp: stp, planner: planner}
-			defer target.Close()
-			cfg.Target = target
+			verifyKey, err := sdc.VerifyKey()
+			if err != nil {
+				return fmt.Errorf("fetch verify key: %w", err)
+			}
+			cfg.Target = bench.Target{Front: sdc, STP: stp, Planner: planner, VerifyKey: verifyKey}
 			cfg.TargetParams = params
 		}
 	}
@@ -204,7 +195,7 @@ func run(args []string) error {
 	if cfg.Shards > 1 {
 		fmt.Printf(", %d shards", cfg.Shards)
 	}
-	if cfg.Target != nil || cfg.PIRFetch != nil {
+	if cfg.Target.Front != nil || cfg.PIR != nil {
 		fmt.Printf(", remote")
 	}
 	fmt.Printf(", fleet %d\n", cfg.Fleet)
@@ -228,29 +219,6 @@ func run(args []string) error {
 		return errors.New("decision cache never hit (require-cache-hits)")
 	}
 	return nil
-}
-
-// remoteTarget adapts the node RPC clients to bench.LoadTarget.
-type remoteTarget struct {
-	sdc     *node.SDCClient
-	stp     *node.STPClient
-	planner *watch.Planner
-}
-
-func (t *remoteTarget) GroupKey() *paillier.PublicKey      { return t.stp.GroupKey() }
-func (t *remoteTarget) Planner() *watch.Planner            { return t.planner }
-func (t *remoteTarget) VerifyKey() (*rsa.PublicKey, error) { return t.sdc.VerifyKey() }
-func (t *remoteTarget) RegisterSU(id string, pk *paillier.PublicKey) error {
-	return t.stp.RegisterSU(id, pk)
-}
-func (t *remoteTarget) Process(req *pisa.TransmissionRequest) (*pisa.Response, error) {
-	return t.sdc.SendRequest(req)
-}
-func (t *remoteTarget) Update(u *pisa.PUUpdate) error          { return t.sdc.SendUpdate(u) }
-func (t *remoteTarget) EColumn(b geo.BlockID) ([]int64, error) { return t.sdc.EColumn(b) }
-func (t *remoteTarget) Close() {
-	t.sdc.Close()
-	t.stp.Close()
 }
 
 // printReport renders the human-readable run summary.

@@ -144,8 +144,8 @@ func serve(t *testing.T, srv interface {
 }
 
 // TestRunAgainstLiveDaemons drives the -addr/-stp path: the SU fleet
-// reaches an STP and an SDC behind loopback sockets through
-// remoteTarget, under the same gates.
+// reaches an STP and an SDC behind loopback sockets through the node
+// clients, under the same gates.
 func TestRunAgainstLiveDaemons(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins real servers")

@@ -10,6 +10,7 @@
 // every accepted PU update is journalled to a write-ahead log before
 // it is acknowledged, periodic snapshots compact the log, and a
 // restart recovers the exact pre-crash state from snapshot + WAL tail.
+// Every shape below is assembled by internal/deploy (DESIGN.md §15).
 //
 // The -stp flag (and the config's stpAddr/stpAddrs) may list several
 // comma-separated STP replicas; the client retries transient faults
@@ -32,7 +33,8 @@
 // grant indicator, never adding them up (DESIGN.md §15).
 // Alternatively -shard-index i -shard-count n serves exactly one
 // shard of a multi-host partition, without a router of its own; run
-// cmd/sdcrouterd in front of n such daemons.
+// cmd/sdcrouterd in front of n such daemons, each of which keeps its
+// state under store dir/shard-i.
 //
 // The SDC memoises the aggregate pass of repeated request shapes in an
 // encrypted-decision cache (DESIGN.md §14): hits skip the eq. 11-12
@@ -70,11 +72,10 @@ import (
 	"time"
 
 	"pisa/internal/config"
+	"pisa/internal/deploy"
 	"pisa/internal/node"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
-	"pisa/internal/pisa"
-	"pisa/internal/store"
 )
 
 func main() {
@@ -159,9 +160,15 @@ func run(args []string) error {
 		log.Info("metrics serving", "addr", obsSrv.Addr(), "endpoints", "/metrics /debug/pprof/")
 	}
 
+	// One SDC per channel window behind a fan-out router; a single
+	// full-window SDC is its own one-shard router. A -shard-index daemon
+	// is one remote channel shard of a multi-host partition, fronted by
+	// cmd/sdcrouterd: it refuses whole-matrix SU requests and answers
+	// KindShardQuery with its window's grant indicators.
 	if *shards >= 0 {
 		cfg.Shards = *shards
 	}
+	dcfg := deploy.Config{Issuer: *issuer, Params: params, Windows: cfg.Shards, Store: cfg.Store, Log: log}
 	if *shardIndex >= 0 {
 		if *shardCount < 1 || *shardIndex >= *shardCount {
 			return fmt.Errorf("-shard-index %d needs -shard-count greater than the index", *shardIndex)
@@ -169,6 +176,7 @@ func run(args []string) error {
 		if cfg.Shards > 1 {
 			return fmt.Errorf("-shard-index (one remote shard) and -shards (in-process partition) are mutually exclusive")
 		}
+		dcfg.Windows, dcfg.Lone, dcfg.Index = *shardCount, true, *shardIndex
 	}
 
 	log.Info("connecting to STP", "addrs", stpTargets)
@@ -178,72 +186,25 @@ func run(args []string) error {
 	}
 	defer stp.Close()
 
-	var (
-		backendSDC node.SDCBackend
-		units      []*sdcUnit
-		router     *pisa.Router
-	)
 	start := time.Now()
-	if *shardIndex >= 0 {
-		// One remote channel shard of a multi-host partition, fronted
-		// by cmd/sdcrouterd. It refuses whole-matrix SU requests and
-		// answers KindShardQuery with its window's grant indicators.
-		windows, err := pisa.Windows(params.Watch.Channels, *shardCount)
-		if err != nil {
-			return err
-		}
-		w := windows[*shardIndex]
-		dir := ""
-		if cfg.Store.Enabled() {
-			dir = store.ShardDir(cfg.Store.Dir, *shardIndex)
-		}
-		u, err := buildSDC(cfg, params, *issuer, stp, log, dir,
-			pisa.WithChannelWindow(w[0], w[1]))
-		if err != nil {
-			return err
-		}
-		defer u.release()
-		units = append(units, u)
-		backendSDC = u.sdc
+	dcfg.STP = stp
+	d, err := deploy.New(dcfg)
+	if err != nil {
+		return err
+	}
+	defer d.Close(false)
+	var backend node.SDCBackend = d.Front
+	if dcfg.Lone {
+		backend = d.Units[0].SDC
+		lo, hi := d.Units[0].SDC.ChannelWindow()
 		log.Info("serving channel shard", "index", *shardIndex, "of", *shardCount,
-			"window", fmt.Sprintf("[%d,%d)", w[0], w[1]))
-	} else {
-		// One SDC per channel window behind a fan-out router; with more
-		// than one window, each keeps its own WAL/snapshot subdirectory.
-		// A single full-window SDC is its own one-shard router.
-		windows, err := pisa.Windows(params.Watch.Channels, max(cfg.Shards, 1))
-		if err != nil {
-			return err
-		}
-		services := make([]pisa.ShardService, len(windows))
-		for i, w := range windows {
-			dir := ""
-			if cfg.Store.Enabled() {
-				dir = cfg.Store.Dir
-				if len(windows) > 1 {
-					dir = store.ShardDir(cfg.Store.Dir, i)
-				}
-			}
-			u, err := buildSDC(cfg, params, *issuer, stp, log, dir,
-				pisa.WithChannelWindow(w[0], w[1]))
-			if err != nil {
-				return err
-			}
-			defer u.release()
-			units = append(units, u)
-			services[i] = u.sdc
-		}
-		if router = units[0].sdc.Router(); router == nil {
-			if router, err = pisa.NewRouter(*issuer, params, nil, stp, services); err != nil {
-				return err
-			}
-			log.Info("sharded SDC assembled", "shards", len(services))
-		}
-		backendSDC = router
+			"window", fmt.Sprintf("[%d,%d)", lo, hi))
+	} else if len(d.Units) > 1 {
+		log.Info("sharded SDC assembled", "shards", len(d.Units))
 	}
 	log.Info("initialisation complete", "took", time.Since(start).String())
 
-	srv := node.NewSDCServer(backendSDC, log, 0)
+	srv := node.NewSDCServer(backend, log, 0)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -257,11 +218,11 @@ func run(args []string) error {
 	select {
 	case s := <-sig:
 		log.Info("shutting down", "signal", s.String())
-		for i, u := range units {
-			logSummary(log, u.sdc, u.st, u.source, len(units) > 1, i)
+		for _, u := range d.Units {
+			logSummary(log, u)
 		}
-		if router != nil {
-			log.Info("router summary", router.Stats().LogAttrs()...)
+		if d.Front != nil {
+			log.Info("router summary", d.Front.Stats().LogAttrs()...)
 		}
 		logSTPClient(log, stp)
 		// Both should be flat while requests flow: a full-width nonce is
@@ -271,10 +232,8 @@ func run(args []string) error {
 		log.Info("paillier summary", "fullWidthNonces", paillier.FullWidthNonces(),
 			"decryptShort", short, "decryptFull", full)
 		err := srv.Close()
-		for _, u := range units {
-			if snapErr := u.finish(log, *snapOnExit); snapErr != nil && err == nil {
-				err = snapErr
-			}
+		if snapErr := d.Close(*snapOnExit); err == nil {
+			err = snapErr
 		}
 		return err
 	case err := <-errCh:
@@ -282,114 +241,25 @@ func run(args []string) error {
 	}
 }
 
-// sdcUnit is one SDC role instance plus its durability attachments —
-// the monolithic controller, or one channel shard of a partition.
-type sdcUnit struct {
-	sdc    *pisa.SDC
-	st     *store.Store
-	keeper *store.Keeper
-	source string
-}
-
-// release stops the background keeper and closes the store; safe to
-// run after finish (both are idempotent).
-func (u *sdcUnit) release() {
-	if u.keeper != nil {
-		u.keeper.Stop()
-	}
-	if u.st != nil {
-		u.st.Close()
-	}
-}
-
-// finish runs the graceful-shutdown tail: stop the keeper and, when
-// asked, publish a final snapshot.
-func (u *sdcUnit) finish(log *slog.Logger, snapOnExit bool) error {
-	if u.keeper == nil {
-		return nil
-	}
-	u.keeper.Stop()
-	if !snapOnExit {
-		return nil
-	}
-	if err := u.keeper.Snapshot(); err != nil {
-		log.Error("final snapshot failed", "dir", u.st.Dir(), "err", err)
-		return err
-	}
-	log.Info("final snapshot written", "dir", u.st.Dir())
-	return nil
-}
-
-// buildSDC recovers (or initialises) one SDC role instance. A
-// non-empty dir arms WAL + snapshot durability rooted there; an empty
-// dir runs in memory.
-func buildSDC(cfg config.File, params pisa.Params, issuer string, stp pisa.STPService,
-	log *slog.Logger, dir string, opts ...pisa.SDCOption) (*sdcUnit, error) {
-	u := &sdcUnit{source: "fresh (in-memory)"}
-	if dir == "" {
-		log.Info("initialising SDC (encrypting budget matrix)", "issuer", issuer,
-			"channels", params.Watch.Channels, "blocks", params.Watch.Grid.Blocks())
-		sdc, err := pisa.NewSDC(issuer, params, nil, stp, opts...)
-		if err != nil {
-			return nil, err
-		}
-		u.sdc = sdc
-		return u, nil
-	}
-	storeOpts, err := cfg.Store.Options()
-	if err != nil {
-		return nil, err
-	}
-	st, err := store.Open(dir, storeOpts)
-	if err != nil {
-		return nil, err
-	}
-	rec := st.Recovery()
-	u.st, u.source = st, rec.Source
-	log.Info("recovering SDC state", "dir", st.Dir(), "source", rec.Source,
-		"snapshotIndex", rec.SnapshotIndex, "tailRecords", rec.TailRecords,
-		"tornBytes", rec.TornBytes)
-	sdc, err := pisa.RestoreSDC(issuer, params, nil, stp, st.SnapshotData(), st.Tail(), opts...)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	u.sdc = sdc
-	u.keeper = store.NewKeeper(st, sdc.ExportState,
-		cfg.Store.SnapshotInterval(), cfg.Store.SnapshotThreshold())
-	// Journal armed only now, after replay: recovered updates are
-	// already on disk and must not be re-appended.
-	sdc.SetUpdateJournal(func(upd *pisa.PUUpdate) error {
-		payload, err := pisa.EncodePUUpdate(upd)
-		if err != nil {
-			return err
-		}
-		_, err = u.keeper.Append(pisa.RecordPUUpdate, payload)
-		return err
-	})
-	u.keeper.Start(func(err error) { log.Error("background snapshot failed", "err", err) })
-	return u, nil
-}
-
-// logSummary emits the shutdown state digest: protocol counters,
+// logSummary emits one unit's shutdown state digest: protocol counters,
 // decision-cache effectiveness, and (when durable) WAL pressure plus
-// where this process booted from. Sharded runs emit one line per
-// shard, labelled with its index.
-func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string, sharded bool, index int) {
-	sum := sdc.Summary()
+// where it booted from. A windowed unit — one shard of a partition,
+// in process or alone — is labelled with its index and window.
+func logSummary(log *slog.Logger, u *deploy.Unit) {
+	sum := u.SDC.Summary()
 	attrs := []any{}
-	if sharded {
-		lo, hi := sdc.ChannelWindow()
-		attrs = append(attrs, "shard", index, "window", fmt.Sprintf("[%d,%d)", lo, hi))
+	if u.SDC.Router() == nil {
+		lo, hi := u.SDC.ChannelWindow()
+		attrs = append(attrs, "shard", u.Index, "window", fmt.Sprintf("[%d,%d)", lo, hi))
 	}
 	attrs = append(attrs,
 		"pus", sum.PUs,
 		"blocksWithPUs", sum.BlocksWithPUs,
 		"populatedCells", sum.PopulatedCells,
 		"serial", sum.Serial,
-		"bootSource", source,
+		"bootSource", u.Source,
 	)
-	cs := sdc.CacheStats()
+	cs := u.SDC.CacheStats()
 	attrs = append(attrs,
 		"cacheHits", cs.Hits,
 		"cacheMisses", cs.Misses,
@@ -406,8 +276,8 @@ func logSummary(log *slog.Logger, sdc *pisa.SDC, st *store.Store, source string,
 		"cacheTableBuilds", cs.TableBuilds,
 		"cacheTableDrops", cs.TableDrops,
 		"cacheTableBytes", cs.TableBytes)
-	if st != nil {
-		stats := st.Stats()
+	if u.Store != nil {
+		stats := u.Store.Stats()
 		attrs = append(attrs,
 			"walRecordsSinceSnapshot", stats.RecordsSinceSnapshot,
 			"walSegments", stats.Segments,

@@ -12,6 +12,7 @@ import (
 	"math/big"
 	"time"
 
+	"pisa/internal/deploy"
 	"pisa/internal/dghv"
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
@@ -156,42 +157,32 @@ type Universe struct {
 	stpTime time.Duration
 }
 
-// timingSTP decorates an STP service, charging call time to the
-// universe's stpTime counter.
+// timingSTP decorates an STP service, charging sign-conversion time to
+// the universe's stpTime counter.
 type timingSTP struct {
-	inner pisa.STPService
-	u     *Universe
+	pisa.STPService
+	u *Universe
 }
 
 func (t timingSTP) ConvertSigns(req *pisa.SignRequest) (*pisa.SignResponse, error) {
 	start := time.Now()
 	defer func() { t.u.stpTime += time.Since(start) }()
-	return t.inner.ConvertSigns(req)
+	return t.STPService.ConvertSigns(req)
 }
 
-func (t timingSTP) SUKey(id string) (*paillier.PublicKey, error) { return t.inner.SUKey(id) }
-
-func (t timingSTP) GroupKey() *paillier.PublicKey { return t.inner.GroupKey() }
-
 // NewUniverse stands up STP + SDC + one SU (at block 0) + one PU (at
-// block 1) with keys of params.PaillierBits.
+// block 1) with keys of params.PaillierBits, the SDC by internal/deploy.
 func NewUniverse(params pisa.Params) (*Universe, error) {
 	u := &Universe{Params: params}
-	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
+	stp, err := deploy.NewSTP(params)
 	if err != nil {
 		return nil, err
 	}
-	if params.FastExp {
-		// Arm the STP before any role copies its keys, so the group key
-		// and the SU-key registry all carry their tables.
-		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
-			return nil, err
-		}
-	}
-	sdc, err := pisa.NewSDC("bench-sdc", params, nil, timingSTP{inner: stp, u: u})
+	d, err := deploy.New(deploy.Config{Issuer: "bench-sdc", Params: params, STP: timingSTP{STPService: stp, u: u}})
 	if err != nil {
 		return nil, err
 	}
+	sdc := d.Units[0].SDC
 	su, err := pisa.NewSU(rand.Reader, "bench-su", 0, params, sdc.Planner(), stp.GroupKey())
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pisa/internal/deploy"
 	"pisa/internal/geo"
 	"pisa/internal/node"
 	"pisa/internal/obs"
@@ -27,88 +28,36 @@ import (
 
 // This file is the trace-driven load harness behind cmd/pisaload: a
 // fleet of mobile SUs (trace.SUWorkload's fleet model) and diurnal PU
-// churn (trace.PUSchedule) drive a deployment — monolithic SDC, shard
-// router, PIR replica fleet, or an injected remote target — in open
+// churn (trace.PUSchedule) drive a deployment — one built in process
+// by internal/deploy at any shard count, a PIR replica fleet, or an
+// injected remote target — in open
 // loop (fixed offered rate, backlog grows when the service falls
 // behind) or closed loop (N workers, think time). SLOs come from the
 // live obs histograms via delta snapshots, so the report reads the
 // same series /metrics exposes.
 
-// LoadTarget abstracts the deployment under load: the in-process
-// router below implements it at any shard count, and
-// cmd/pisaload adapts the node RPC clients for `-addr` runs.
-type LoadTarget interface {
-	GroupKey() *paillier.PublicKey
-	Planner() *watch.Planner
-	VerifyKey() (*rsa.PublicKey, error)
-	RegisterSU(id string, pk *paillier.PublicKey) error
-	Process(req *pisa.TransmissionRequest) (*pisa.Response, error)
-	Update(u *pisa.PUUpdate) error
+// Front is the SU-facing request path of a deployment under load:
+// *pisa.Router in process, *node.SDCClient against a live one.
+type Front interface {
+	ProcessRequest(req *pisa.TransmissionRequest) (*pisa.Response, error)
+	HandlePUUpdate(u *pisa.PUUpdate) error
 	EColumn(b geo.BlockID) ([]int64, error)
-	Close()
 }
 
-// inProcessTarget is an in-process router over its SDCs and the STP:
-// a full-window SDC's own one-shard router, or a router over
-// channel-windowed SDCs.
-type inProcessTarget struct {
-	front *pisa.Router
-	sdcs  []*pisa.SDC
-	stp   *pisa.STP
+// Registrar is the slice of the STP the fleet needs: *pisa.STP in
+// process, *node.STPClient against a live deployment.
+type Registrar interface {
+	RegisterSU(id string, pk *paillier.PublicKey) error
+	GroupKey() *paillier.PublicKey
 }
 
-func (t *inProcessTarget) GroupKey() *paillier.PublicKey      { return t.stp.GroupKey() }
-func (t *inProcessTarget) Planner() *watch.Planner            { return t.front.Planner() }
-func (t *inProcessTarget) VerifyKey() (*rsa.PublicKey, error) { return t.front.VerifyKey(), nil }
-func (t *inProcessTarget) RegisterSU(id string, pk *paillier.PublicKey) error {
-	return t.stp.RegisterSU(id, pk)
-}
-func (t *inProcessTarget) Process(req *pisa.TransmissionRequest) (*pisa.Response, error) {
-	return t.front.ProcessRequest(req)
-}
-func (t *inProcessTarget) Update(u *pisa.PUUpdate) error          { return t.front.HandlePUUpdate(u) }
-func (t *inProcessTarget) EColumn(b geo.BlockID) ([]int64, error) { return t.front.EColumn(b) }
-func (t *inProcessTarget) Close() {
-	for _, s := range t.sdcs {
-		s.Close()
-	}
-}
-
-// NewInProcessTarget stands up a deployment for the load engine: one
-// SDC per channel window of max(shards, 1), behind a router. At one
-// window the SDC is its own one-shard router.
-func NewInProcessTarget(params pisa.Params, shards int) (LoadTarget, error) {
-	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
-	if err != nil {
-		return nil, err
-	}
-	if params.FastExp {
-		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
-			return nil, err
-		}
-	}
-	windows, err := pisa.Windows(params.Watch.Channels, max(shards, 1))
-	if err != nil {
-		return nil, err
-	}
-	t := &inProcessTarget{stp: stp}
-	services := make([]pisa.ShardService, len(windows))
-	for i, w := range windows {
-		s, err := pisa.NewSDC("load-sdc", params, nil, stp, pisa.WithChannelWindow(w[0], w[1]))
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("bench: shard %d: %w", i, err)
-		}
-		t.sdcs = append(t.sdcs, s)
-		services[i] = s
-	}
-	if t.front = t.sdcs[0].Router(); t.front == nil {
-		if t.front, err = pisa.NewRouter("load-router", params, nil, stp, services); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	return t, nil
+// Target is the deployment under load, as the parts every run has: RunLoad
+// builds one in process unless LoadConfig.Target names a Front.
+type Target struct {
+	Front     Front
+	STP       Registrar
+	Planner   *watch.Planner
+	VerifyKey *rsa.PublicKey
 }
 
 // LoadConfig parameterises one load run. The zero value is not
@@ -153,8 +102,8 @@ type LoadConfig struct {
 	PUZipfS           float64
 	DiurnalAmplitude  float64
 
-	// In-process deployment shape; ignored when Target or PIRFetch
-	// is injected.
+	// In-process deployment shape; ignored when Target or PIR is
+	// injected.
 	Channels, Cols, Rows int
 	PaillierBits         int
 	Shards               int
@@ -166,16 +115,13 @@ type LoadConfig struct {
 	Replicas, K int
 
 	// Target injects a pre-built deployment (cmd/pisaload's -addr
-	// mode); TargetParams must carry the deployment's pisa.Params
-	// (the SUs mint keys of TargetParams.PaillierBits). PIRFetch
-	// likewise injects a remote PIR fetch returning the block's
-	// bitmap row.
-	Target       LoadTarget
+	// mode) when its Front is set; TargetParams must carry the
+	// deployment's pisa.Params (the SUs mint keys of
+	// TargetParams.PaillierBits). PIR likewise injects a live replica
+	// fleet.
+	Target       Target
 	TargetParams pisa.Params
-	PIRFetch     func(block geo.BlockID) ([]byte, error)
-	// PIRMeta describes the injected PIR fleet (required with
-	// PIRFetch) so availability can be decided locally.
-	PIRMeta pir.Meta
+	PIR          *node.PIRClient
 }
 
 func (c LoadConfig) validate() error {
@@ -307,112 +253,67 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "pisa"
-	}
-	if backend == "pir" {
+	if cfg.Backend == "pir" {
 		return runPIRLoad(cfg)
 	}
 
-	target := cfg.Target
-	var params pisa.Params
-	if target == nil {
+	target, params := cfg.Target, cfg.TargetParams
+	if target.Front == nil {
 		var err error
 		params, err = SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
 		if err != nil {
 			return nil, err
 		}
 		params.CacheEntries = cfg.CacheEntries
-		if target, err = NewInProcessTarget(params, cfg.Shards); err != nil {
+		stp, err := deploy.NewSTP(params)
+		if err != nil {
 			return nil, err
 		}
-		defer target.Close()
-	} else {
-		params = cfg.TargetParams
+		d, err := deploy.New(deploy.Config{Issuer: "load-sdc", Params: params, STP: stp, Windows: cfg.Shards})
+		if err != nil {
+			return nil, err
+		}
+		defer d.Close(false)
+		target = Target{Front: d.Front, STP: stp, Planner: d.Front.Planner(), VerifyKey: d.Front.VerifyKey()}
 	}
-	wp := target.Planner().Params()
-	verifyKey, err := target.VerifyKey()
-	if err != nil {
-		return nil, fmt.Errorf("bench: fetch verify key: %w", err)
-	}
-
-	events, err := trace.SUWorkload(trace.SUConfig{
-		Seed:               cfg.Seed,
-		Blocks:             wp.Grid.Blocks(),
-		Channels:           wp.Channels,
-		MaxEIRPUnits:       wp.Quantize(wp.SUMaxEIRPmW),
-		RequestsPerHour:    cfg.Rate * 3600,
-		ChannelsPerRequest: max(cfg.ChannelsPerRequest, 1),
-		Fleet:              cfg.Fleet,
-		FleetZipfS:         cfg.FleetZipfS,
-		Mobility:           cfg.Mobility,
-		ChannelZipfS:       cfg.ChannelZipfS,
-		EIRPLevels:         cfg.EIRPLevels,
-		Horizon:            cfg.Duration,
-	})
+	wp := target.Planner.Params()
+	events, err := cfg.arrivals(wp.Grid.Blocks(), wp.Channels, wp.Quantize(wp.SUMaxEIRPmW))
 	if err != nil {
 		return nil, err
 	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("bench: trace generated no arrivals (rate %g over %v)", cfg.Rate, cfg.Duration)
-	}
 
-	report := &LoadReport{
-		Mode: cfg.Mode, Backend: backend, Shards: cfg.Shards,
-		Channels: wp.Channels, Blocks: wp.Grid.Blocks(),
-		PaillierBits: params.PaillierBits, Fleet: cfg.Fleet,
-		Workers: cfg.Workers, OfferedRate: cfg.Rate,
-	}
+	report := cfg.newReport("pisa", wp.Channels, wp.Grid.Blocks())
+	report.Shards, report.PaillierBits = cfg.Shards, params.PaillierBits
 
 	// Bracket every histogram the report quotes BEFORE any traffic.
 	r := obs.Default()
-	brackets := []*histBracket{{stage: "e2e", h: r.Histogram("pisa_load_request_seconds",
-		"end-to-end request latency as the load harness sees it (prepare/refresh + process + open)",
-		nil, nil)}}
+	e2e := e2eBracket()
+	brackets := []*histBracket{e2e}
 	for _, s := range []string{"snapshot", "aggregate", "blind", "stp_convert", "unblind", "total"} {
-		brackets = append(brackets, &histBracket{stage: "sdc_" + s,
-			h: r.Histogram("pisa_sdc_request_stage_seconds",
-				"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
-				obs.Labels{"stage": s}, nil)})
+		brackets = append(brackets, bracket("sdc_"+s, r.Histogram("pisa_sdc_request_stage_seconds",
+			"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
+			obs.Labels{"stage": s}, nil)))
 	}
 	for _, s := range []string{"fanout", "merge", "license", "total"} {
-		brackets = append(brackets, &histBracket{stage: "router_" + s,
-			h: r.Histogram("pisa_router_stage_seconds",
-				"per-stage router request processing time (fan-out, merge, license)",
-				obs.Labels{"stage": s}, nil)})
+		brackets = append(brackets, bracket("router_"+s, r.Histogram("pisa_router_stage_seconds",
+			"per-stage router request processing time (fan-out, merge, license)",
+			obs.Labels{"stage": s}, nil)))
 	}
-	for _, b := range brackets {
-		b.before = b.h.Snapshot()
-	}
-	cacheEvents := map[string]*obs.Counter{}
-	cacheBefore := map[string]uint64{}
+	cacheEvents := map[string]func() int64{}
 	for _, ev := range []string{"hit", "miss", "stale", "bypass"} {
 		c := r.Counter("pisa_sdc_cache_events_total",
 			"encrypted-decision cache events by kind", obs.Labels{"event": ev})
-		cacheEvents[ev] = c
-		cacheBefore[ev] = c.Value()
+		before := c.Value()
+		cacheEvents[ev] = func() int64 { return int64(c.Value() - before) }
 	}
-	e2e := brackets[0].h
 
 	// Fleet state and the request executor shared by both loops.
 	var (
 		memberMu sync.Mutex
 		members  = map[string]*member{}
 	)
-	var registered, prepared, refreshed, grants, denials, errors, retries atomic.Int64
-	var (
-		errMu    sync.Mutex
-		firstErr string
-	)
-	fail := func(err error) {
-		errors.Add(1)
-		errMu.Lock()
-		if firstErr == "" && err != nil {
-			firstErr = err.Error()
-		}
-		errMu.Unlock()
-	}
+	var prepared, refreshed atomic.Int64
+	var out tally
 	getMember := func(ev trace.SURequest) (*member, error) {
 		memberMu.Lock()
 		m, ok := members[ev.SU]
@@ -431,9 +332,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		// Key generation + registration happen once per fleet member —
 		// the bring-up cost real deployments amortise over the SU's
 		// lifetime, not per request (the PR-10 workload bugfix).
-		su, err := pisa.NewSU(rand.Reader, ev.SU, ev.Block, params, target.Planner(), target.GroupKey())
+		su, err := pisa.NewSU(rand.Reader, ev.SU, ev.Block, params, target.Planner, target.STP.GroupKey())
 		if err == nil {
-			if rerr := target.RegisterSU(su.ID(), su.PublicKey()); rerr != nil {
+			if rerr := target.STP.RegisterSU(su.ID(), su.PublicKey()); rerr != nil {
 				su.Close()
 				err = rerr
 			}
@@ -449,26 +350,25 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		}
 		m.su = su
 		m.mu.Unlock()
-		registered.Add(1)
 		return m, nil
 	}
 	exec := func(ev trace.SURequest) {
 		m, err := getMember(ev)
 		if err != nil {
-			fail(err)
+			out.fail(err)
 			return
 		}
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if m.su == nil {
 			// Queued behind a bring-up that failed and withdrew itself.
-			fail(fmt.Errorf("bench: SU %s bring-up failed", ev.SU))
+			out.fail(fmt.Errorf("bench: SU %s bring-up failed", ev.SU))
 			return
 		}
 		start := time.Now()
 		if ev.Block != m.block {
 			if err := m.su.MoveTo(ev.Block); err != nil {
-				fail(err)
+				out.fail(err)
 				return
 			}
 			m.block = ev.Block
@@ -488,36 +388,28 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			}
 		}
 		if err != nil {
-			fail(err)
+			out.fail(err)
 			return
 		}
 		var resp *pisa.Response
-		for attempt := 0; ; attempt++ {
-			resp, err = target.Process(req)
-			if err == nil || attempt >= cfg.MaxRetries {
-				break
-			}
-			retries.Add(1)
-		}
-		if err != nil {
-			fail(err)
+		if err := out.retry(cfg.MaxRetries, func() (err error) {
+			resp, err = target.Front.ProcessRequest(req)
+			return err
+		}); err != nil {
+			out.fail(err)
 			return
 		}
-		grant, err := m.su.OpenResponse(resp, req, verifyKey)
-		e2e.ObserveSince(start)
+		grant, err := m.su.OpenResponse(resp, req, target.VerifyKey)
+		e2e.h.ObserveSince(start)
 		if err != nil {
-			fail(err)
+			out.fail(err)
 			return
 		}
-		if grant.Granted {
-			grants.Add(1)
-		} else {
-			denials.Add(1)
-		}
+		out.decided(grant.Granted)
 	}
 
 	// PU churn replay runs alongside the request load.
-	puDone := make(chan struct{})
+	var churn sync.WaitGroup
 	var puUpdates, puErrors atomic.Int64
 	if cfg.PUs > 0 {
 		schedule, err := trace.PUSchedule(trace.PUConfig{
@@ -535,20 +427,73 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		churn.Add(1)
 		go func() {
-			defer close(puDone)
+			defer churn.Done()
 			replayPUs(target, wp, schedule, &puUpdates, &puErrors)
 		}()
-	} else {
-		close(puDone)
 	}
 
-	// Drive the load.
+	elapsed, peakBacklog := cfg.drive(events, exec)
+	churn.Wait()
+
+	out.fill(report, elapsed, peakBacklog)
+	// A member whose bring-up failed withdrew itself from the fleet.
+	report.Registered = int64(len(members))
+	report.Prepared = prepared.Load()
+	report.Refreshed = refreshed.Load()
+	report.PUUpdates = puUpdates.Load()
+	report.PUErrors = puErrors.Load()
+	report.CacheHits, report.CacheMisses = cacheEvents["hit"](), cacheEvents["miss"]()
+	report.CacheStale, report.CacheBypass = cacheEvents["stale"](), cacheEvents["bypass"]()
+	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale; lookups > 0 {
+		report.CacheHitRate = float64(report.CacheHits) / float64(lookups)
+	}
+	report.Stages = collectSLOs(brackets)
+	return report, nil
+}
+
+// arrivals generates the run's SU request trace over a deployment of
+// blocks x channels whose SUs ask for at most maxEIRP units.
+func (c LoadConfig) arrivals(blocks, channels int, maxEIRP int64) ([]trace.SURequest, error) {
+	events, err := trace.SUWorkload(trace.SUConfig{
+		Seed:               c.Seed,
+		Blocks:             blocks,
+		Channels:           channels,
+		MaxEIRPUnits:       maxEIRP,
+		RequestsPerHour:    c.Rate * 3600,
+		ChannelsPerRequest: max(c.ChannelsPerRequest, 1),
+		Fleet:              c.Fleet,
+		FleetZipfS:         c.FleetZipfS,
+		Mobility:           c.Mobility,
+		ChannelZipfS:       c.ChannelZipfS,
+		EIRPLevels:         c.EIRPLevels,
+		Horizon:            c.Duration,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("bench: trace generated no arrivals (rate %g over %v)", c.Rate, c.Duration)
+	}
+	return events, nil
+}
+
+// newReport starts the report of a run over channels x blocks.
+func (c LoadConfig) newReport(backend string, channels, blocks int) *LoadReport {
+	return &LoadReport{Mode: c.Mode, Backend: backend, Channels: channels, Blocks: blocks,
+		Fleet: c.Fleet, Workers: c.Workers, OfferedRate: c.Rate}
+}
+
+// drive dispatches the arrivals to exec — at their trace times in open
+// loop, back to back from Workers workers in closed loop — and returns
+// how long that took and the peak open-loop backlog.
+func (c LoadConfig) drive(events []trace.SURequest, exec func(trace.SURequest)) (time.Duration, int64) {
 	start := time.Now()
 	var peakBacklog int64
-	switch cfg.Mode {
+	var wg sync.WaitGroup
+	switch c.Mode {
 	case "open":
-		var wg sync.WaitGroup
 		var backlog atomic.Int64
 		for _, ev := range events {
 			if d := ev.At - time.Since(start); d > 0 {
@@ -564,12 +509,10 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				exec(ev)
 			}(ev)
 		}
-		wg.Wait()
 	case "closed":
 		var next atomic.Int64
-		var wg sync.WaitGroup
-		deadline := start.Add(cfg.Duration)
-		for w := 0; w < cfg.Workers; w++ {
+		deadline := start.Add(c.Duration)
+		for w := 0; w < c.Workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -579,48 +522,84 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					// to exercise.
 					ev := events[int(next.Add(1)-1)%len(events)]
 					exec(ev)
-					if cfg.Think > 0 {
-						time.Sleep(cfg.Think)
+					if c.Think > 0 {
+						time.Sleep(c.Think)
 					}
 				}
 			}()
 		}
-		wg.Wait()
 	}
-	elapsed := time.Since(start)
-	<-puDone
+	wg.Wait()
+	return time.Since(start), peakBacklog
+}
 
-	report.DurationSec = elapsed.Seconds()
-	report.Requests = grants.Load() + denials.Load() + errors.Load()
-	report.Grants = grants.Load()
-	report.Denials = denials.Load()
-	report.Errors = errors.Load()
-	report.Retries = retries.Load()
-	report.FirstError = firstErr
-	report.Registered = registered.Load()
-	report.Prepared = prepared.Load()
-	report.Refreshed = refreshed.Load()
-	report.PUUpdates = puUpdates.Load()
-	report.PUErrors = puErrors.Load()
-	report.PeakBacklog = peakBacklog
+// tally counts a run's outcomes, whichever backend served it.
+type tally struct {
+	grants, denials, errors, retries atomic.Int64
+
+	mu sync.Mutex
+	// firstErr preserves the first failure's message.
+	firstErr string
+}
+
+func (t *tally) fail(err error) {
+	t.errors.Add(1)
+	t.mu.Lock()
+	if t.firstErr == "" && err != nil {
+		t.firstErr = err.Error()
+	}
+	t.mu.Unlock()
+}
+
+func (t *tally) decided(granted bool) {
+	if granted {
+		t.grants.Add(1)
+	} else {
+		t.denials.Add(1)
+	}
+}
+
+// retry runs call until it succeeds or maxRetries re-submissions have
+// failed too, and returns the last error.
+func (t *tally) retry(maxRetries int, call func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := call()
+		if err == nil || attempt >= maxRetries {
+			return err
+		}
+		t.retries.Add(1)
+	}
+}
+
+// fill writes the outcome counts and rates into the report.
+func (t *tally) fill(r *LoadReport, elapsed time.Duration, peakBacklog int64) {
+	r.DurationSec = elapsed.Seconds()
+	r.Grants, r.Denials, r.Errors = t.grants.Load(), t.denials.Load(), t.errors.Load()
+	r.Requests = r.Grants + r.Denials + r.Errors
+	r.Retries = t.retries.Load()
+	r.FirstError = t.firstErr
+	r.PeakBacklog = peakBacklog
 	if elapsed > 0 {
-		report.AchievedRate = float64(report.Requests-report.Errors) / elapsed.Seconds()
+		r.AchievedRate = float64(r.Requests-r.Errors) / elapsed.Seconds()
 	}
-	report.CacheHits = int64(cacheEvents["hit"].Value() - cacheBefore["hit"])
-	report.CacheMisses = int64(cacheEvents["miss"].Value() - cacheBefore["miss"])
-	report.CacheStale = int64(cacheEvents["stale"].Value() - cacheBefore["stale"])
-	report.CacheBypass = int64(cacheEvents["bypass"].Value() - cacheBefore["bypass"])
-	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale; lookups > 0 {
-		report.CacheHitRate = float64(report.CacheHits) / float64(lookups)
-	}
-	report.Stages = collectSLOs(brackets)
-	return report, nil
+}
+
+// bracket starts a delta bracket on h, reported as stage.
+func bracket(stage string, h *obs.Histogram) *histBracket {
+	return &histBracket{stage: stage, h: h, before: h.Snapshot()}
+}
+
+// e2eBracket brackets the harness's own end-to-end latency histogram.
+func e2eBracket() *histBracket {
+	return bracket("e2e", obs.Default().Histogram("pisa_load_request_seconds",
+		"end-to-end request latency as the load harness sees it (prepare/refresh + process + open)",
+		nil, nil))
 }
 
 // replayPUs walks the schedule in time order, lazily standing up each
 // PU on first appearance and pushing its tune/off updates at their
 // trace times.
-func replayPUs(target LoadTarget, wp watch.Params, schedule []trace.PUSwitch,
+func replayPUs(target Target, wp watch.Params, schedule []trace.PUSwitch,
 	updates, errors *atomic.Int64) {
 	pus := map[string]*pisa.PU{}
 	signal := wp.Quantize(wp.SMinPUmW * 100)
@@ -632,12 +611,12 @@ func replayPUs(target LoadTarget, wp watch.Params, schedule []trace.PUSwitch,
 		id := string(ev.PU)
 		pu, ok := pus[id]
 		if !ok {
-			eCol, err := target.EColumn(ev.Block)
+			eCol, err := target.Front.EColumn(ev.Block)
 			if err != nil {
 				errors.Add(1)
 				continue
 			}
-			pu, err = pisa.NewPU(rand.Reader, watch.PUID(id), ev.Block, eCol, target.GroupKey())
+			pu, err = pisa.NewPU(rand.Reader, watch.PUID(id), ev.Block, eCol, target.STP.GroupKey())
 			if err != nil {
 				errors.Add(1)
 				continue
@@ -655,7 +634,7 @@ func replayPUs(target LoadTarget, wp watch.Params, schedule []trace.PUSwitch,
 			errors.Add(1)
 			continue
 		}
-		if err := target.Update(u); err != nil {
+		if err := target.Front.HandlePUUpdate(u); err != nil {
 			errors.Add(1)
 			continue
 		}
@@ -699,29 +678,24 @@ func collectSLOs(brackets []*histBracket) []StageSLO {
 // licensing, no decision cache — the report's zero cache fields are
 // the honest trade against the PISA side.
 func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
-	fetch := cfg.PIRFetch
-	meta := cfg.PIRMeta
-	if fetch == nil {
+	c := cfg.PIR
+	if c == nil {
 		params, err := SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
 		if err != nil {
 			return nil, err
 		}
-		wp := params.Watch
-		replicas, k := cfg.Replicas, cfg.K
-		if k < 2 {
-			k = 2
-		}
+		k, replicas := max(cfg.K, 2), cfg.Replicas
 		if replicas < k {
 			replicas = k + 1
 		}
 		addrs := make([]string, replicas)
 		for i := range addrs {
-			db, err := pir.NewDatabase(wp, nil, 0, 0, 0)
+			db, err := pir.NewDatabase(params.Watch, nil, 0, 0, 0)
 			if err != nil {
 				return nil, err
 			}
 			u := &pir.Update{PUID: "load-tv", Block: 1, Channel: 0,
-				SignalUnits: wp.Quantize(wp.SMinPUmW)}
+				SignalUnits: params.Watch.Quantize(params.Watch.SMinPUmW)}
 			if err := db.ApplyUpdate(u); err != nil {
 				return nil, err
 			}
@@ -737,76 +711,33 @@ func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
 		opts := node.Options{DialTimeout: 2 * time.Second, CallTimeout: 30 * time.Second,
 			Retry: node.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
 				MaxDelay: 50 * time.Millisecond}}
-		c, err := node.DialPIRWith(opts, k, addrs...)
-		if err != nil {
+		if c, err = node.DialPIRWith(opts, k, addrs...); err != nil {
 			return nil, err
 		}
 		defer c.Close()
-		meta = c.Meta()
-		ctx := context.Background()
-		fetch = func(b geo.BlockID) ([]byte, error) {
-			row, _, err := c.Fetch(ctx, pir.TableBitmap, b)
-			return row, err
-		}
 	}
+	meta := c.Meta()
 
-	events, err := trace.SUWorkload(trace.SUConfig{
-		Seed:               cfg.Seed,
-		Blocks:             meta.Blocks,
-		Channels:           meta.Channels,
-		MaxEIRPUnits:       max64(meta.MinEIRPUnits, 1),
-		RequestsPerHour:    cfg.Rate * 3600,
-		ChannelsPerRequest: max(cfg.ChannelsPerRequest, 1),
-		Fleet:              cfg.Fleet,
-		FleetZipfS:         cfg.FleetZipfS,
-		Mobility:           cfg.Mobility,
-		ChannelZipfS:       cfg.ChannelZipfS,
-		EIRPLevels:         cfg.EIRPLevels,
-		Horizon:            cfg.Duration,
-	})
+	events, err := cfg.arrivals(meta.Blocks, meta.Channels, max(meta.MinEIRPUnits, 1))
 	if err != nil {
 		return nil, err
 	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("bench: trace generated no arrivals (rate %g over %v)", cfg.Rate, cfg.Duration)
-	}
 
-	report := &LoadReport{
-		Mode: cfg.Mode, Backend: "pir",
-		Channels: meta.Channels, Blocks: meta.Blocks,
-		Fleet: cfg.Fleet, Workers: cfg.Workers, OfferedRate: cfg.Rate,
-	}
+	report := cfg.newReport("pir", meta.Channels, meta.Blocks)
 
-	r := obs.Default()
-	e2eB := &histBracket{stage: "e2e", h: r.Histogram("pisa_load_request_seconds",
-		"end-to-end request latency as the load harness sees it (prepare/refresh + process + open)",
-		nil, nil)}
-	e2eB.before = e2eB.h.Snapshot()
-
-	var grants, denials, errors, retries atomic.Int64
-	var (
-		errMu    sync.Mutex
-		firstErr string
-	)
+	e2e := e2eBracket()
+	var out tally
+	ctx := context.Background()
 	exec := func(ev trace.SURequest) {
 		start := time.Now()
 		var row []byte
-		var err error
-		for attempt := 0; ; attempt++ {
-			row, err = fetch(ev.Block)
-			if err == nil || attempt >= cfg.MaxRetries {
-				break
-			}
-			retries.Add(1)
-		}
-		e2eB.h.ObserveSince(start)
+		err := out.retry(cfg.MaxRetries, func() (err error) {
+			row, _, err = c.Fetch(ctx, pir.TableBitmap, ev.Block)
+			return err
+		})
+		e2e.h.ObserveSince(start)
 		if err != nil {
-			errors.Add(1)
-			errMu.Lock()
-			if firstErr == "" {
-				firstErr = err.Error()
-			}
-			errMu.Unlock()
+			out.fail(err)
 			return
 		}
 		available := true
@@ -816,73 +747,11 @@ func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
 				break
 			}
 		}
-		if available {
-			grants.Add(1)
-		} else {
-			denials.Add(1)
-		}
+		out.decided(available)
 	}
 
-	start := time.Now()
-	var peakBacklog int64
-	switch cfg.Mode {
-	case "open":
-		var wg sync.WaitGroup
-		var backlog atomic.Int64
-		for _, ev := range events {
-			if d := ev.At - time.Since(start); d > 0 {
-				time.Sleep(d)
-			}
-			wg.Add(1)
-			if b := backlog.Add(1); b > peakBacklog {
-				peakBacklog = b
-			}
-			go func(ev trace.SURequest) {
-				defer wg.Done()
-				defer backlog.Add(-1)
-				exec(ev)
-			}(ev)
-		}
-		wg.Wait()
-	case "closed":
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		deadline := start.Add(cfg.Duration)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for time.Now().Before(deadline) {
-					ev := events[int(next.Add(1)-1)%len(events)]
-					exec(ev)
-					if cfg.Think > 0 {
-						time.Sleep(cfg.Think)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-
-	report.DurationSec = elapsed.Seconds()
-	report.Requests = grants.Load() + denials.Load() + errors.Load()
-	report.Grants = grants.Load()
-	report.Denials = denials.Load()
-	report.Errors = errors.Load()
-	report.Retries = retries.Load()
-	report.FirstError = firstErr
-	report.PeakBacklog = peakBacklog
-	if elapsed > 0 {
-		report.AchievedRate = float64(report.Requests-report.Errors) / elapsed.Seconds()
-	}
-	report.Stages = collectSLOs([]*histBracket{e2eB})
+	elapsed, peakBacklog := cfg.drive(events, exec)
+	out.fill(report, elapsed, peakBacklog)
+	report.Stages = collectSLOs([]*histBracket{e2e})
 	return report, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -101,32 +101,41 @@ func TestRunLoadOpenMonolithic(t *testing.T) {
 	}
 }
 
+// TestRunLoadPIRBackend drives the PIR fleet through both loops of the
+// driver the PISA backend shares.
 func TestRunLoadPIRBackend(t *testing.T) {
-	cfg := loadConfig("closed")
-	cfg.Backend = "pir"
-	cfg.Duration = 500 * time.Millisecond
-	cfg.Replicas, cfg.K = 3, 2
-	rep, err := RunLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 {
-		t.Fatal("PIR loop completed no requests")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d of %d fetches failed", rep.Errors, rep.Requests)
-	}
-	if rep.CacheHits != 0 {
-		t.Errorf("PIR backend reported %d cache hits, want 0 (no decision cache)", rep.CacheHits)
-	}
-	found := false
-	for _, s := range rep.Stages {
-		if s.Stage == "e2e" && s.Count > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("e2e stage missing from the PIR SLO report")
+	for _, mode := range []string{"closed", "open"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := loadConfig(mode)
+			cfg.Backend = "pir"
+			cfg.Duration = 500 * time.Millisecond
+			cfg.Replicas, cfg.K = 3, 2
+			rep, err := RunLoad(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Requests == 0 {
+				t.Fatal("PIR loop completed no requests")
+			}
+			if rep.Errors != 0 {
+				t.Fatalf("%d of %d fetches failed", rep.Errors, rep.Requests)
+			}
+			if rep.CacheHits != 0 {
+				t.Errorf("PIR backend reported %d cache hits, want 0 (no decision cache)", rep.CacheHits)
+			}
+			if mode == "open" && rep.PeakBacklog < 1 {
+				t.Errorf("open loop peak backlog %d, want >= 1", rep.PeakBacklog)
+			}
+			found := false
+			for _, s := range rep.Stages {
+				if s.Stage == "e2e" && s.Count > 0 {
+					found = true
+				}
+			}
+			if !found {
+				t.Error("e2e stage missing from the PIR SLO report")
+			}
+		})
 	}
 }
 

@@ -91,10 +91,11 @@ type File struct {
 	SignerBits    int `json:"signerBits"`
 
 	// Parallelism bounds the worker pool the homomorphic kernels fan
-	// out over: > 0 is a literal worker count, 0 (the default) runs
-	// serially, < 0 uses one worker per CPU. A local runtime knob —
-	// processes in one deployment may disagree on it freely.
-	Parallelism int `json:"parallelism,omitempty"`
+	// out over: > 0 is a literal worker count, 0 runs serially, < 0 (the
+	// default, as in pisa.DefaultParams) uses one worker per CPU. A local
+	// runtime knob — processes in one deployment may disagree on it
+	// freely. Always written, so a saved 0 reloads as 0.
+	Parallelism int `json:"parallelism"`
 
 	// FastExp arms the fixed-base exponentiation engine (comb
 	// tables + short-exponent nonces; internal/fbexp). On by default —
@@ -413,9 +414,6 @@ func (f File) STPTargets() []string {
 	return targets
 }
 
-// Enabled reports whether durability was requested.
-func (s StoreSpec) Enabled() bool { return s.Dir != "" }
-
 // Options translates the spec into store open options.
 func (s StoreSpec) Options() (store.Options, error) {
 	var opts store.Options
@@ -472,6 +470,7 @@ func Default() File {
 		BetaBits:        64,
 		EtaBits:         64,
 		SignerBits:      512,
+		Parallelism:     -1,
 		FastExp:         true,
 		CacheEntries:    1024,
 		SDCAddr:         "127.0.0.1:7410",

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pisa/internal/pisa"
 )
 
 func TestDefaultBuilds(t *testing.T) {
@@ -54,6 +56,33 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.UnitsPerMW != f.UnitsPerMW {
 		t.Errorf("defaults not preserved")
+	}
+}
+
+// TestParallelismDefault: a stock config runs the kernels as the
+// deployment pisa.DefaultParams describes (one worker per CPU), and a
+// saved explicit 0 — serial — survives a Save/Load round trip rather than
+// reloading as the default.
+func TestParallelismDefault(t *testing.T) {
+	p, err := Default().PisaParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pisa.DefaultParams(p.Watch).Parallelism; p.Parallelism != want {
+		t.Errorf("default config parallelism %d, pisa.DefaultParams %d", p.Parallelism, want)
+	}
+	path := filepath.Join(t.TempDir(), "pisa.json")
+	f := Default()
+	f.Parallelism = 0
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Parallelism != 0 {
+		t.Errorf("saved parallelism 0 reloads as %d", got.Parallelism)
 	}
 }
 

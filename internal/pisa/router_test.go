@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pisa/internal/deploy"
 	"pisa/internal/geo"
 	"pisa/internal/node"
 	"pisa/internal/obs"
@@ -71,9 +72,9 @@ func TestWindows(t *testing.T) {
 	}
 }
 
-// shardedWorld is one monolithic SDC, an N-shard router over windowed
-// SDCs sharing the same STP, and the plaintext oracle both must agree
-// with.
+// shardedWorld is one monolithic SDC, an N-window deployment sharing
+// the same STP — at N = 1 the one-shard router of a second monolith —
+// and the plaintext oracle both must agree with.
 type shardedWorld struct {
 	params pisa.Params
 	stp    *pisa.STP
@@ -103,34 +104,24 @@ func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 	if err != nil {
 		t.Fatalf("NewSTP: %v", err)
 	}
-	mono, err := pisa.NewSDC("mono", params, nil, stp)
-	if err != nil {
-		t.Fatalf("NewSDC: %v", err)
-	}
-	windows, err := pisa.Windows(wp.Channels, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*pisa.SDC, n)
-	services := make([]pisa.ShardService, n)
-	for i, w := range windows {
-		s, err := pisa.NewSDC("shard", params, nil, stp, pisa.WithChannelWindow(w[0], w[1]))
+	build := func(windows int) *deploy.Deployment {
+		d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: windows})
 		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+			t.Fatalf("deploy %d windows: %v", windows, err)
 		}
-		t.Cleanup(s.Close)
-		shards[i], services[i] = s, s
+		t.Cleanup(func() { d.Close(false) })
+		return d
 	}
-	router, err := pisa.NewRouter("router", params, nil, stp, services)
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
+	mono, sharded := build(1), build(n)
+	shards := make([]*pisa.SDC, n)
+	for i, u := range sharded.Units {
+		shards[i] = u.SDC
 	}
 	oracle, err := watch.NewSystem(wp, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	t.Cleanup(mono.Close)
-	return &shardedWorld{params: params, stp: stp, mono: mono, shards: shards, router: router, oracle: oracle}
+	return &shardedWorld{params: params, stp: stp, mono: mono.Units[0].SDC, shards: shards, router: sharded.Front, oracle: oracle}
 }
 
 // ask runs one request through the monolithic SDC, the sharded
@@ -199,8 +190,9 @@ func (w *shardedWorld) tune(t *testing.T, pu *pisa.PU, channel int, signal int64
 }
 
 // TestShardedParity runs the PU lifecycle against sharded and
-// monolithic deployments at k = 1 and k = 4 slots per ciphertext and
-// asserts every decision matches the watch oracle.
+// monolithic deployments at k = 1 and k = 4 slots per ciphertext, both
+// built by internal/deploy, and asserts every decision matches the
+// watch oracle.
 func TestShardedParity(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -210,6 +202,7 @@ func TestShardedParity(t *testing.T) {
 		{"k=1/3", true, 3},
 		{"packed/3", false, 3},
 		{"packed/2", false, 2},
+		{"packed/1", false, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newShardedWorld(t, tc.oneSlot, tc.shards)
