@@ -30,11 +30,10 @@
 // (0 serial, -1 one worker per CPU); -sweep re-measures the request
 // pipeline at doubling worker counts up to the CPU count.
 //
-// -engine=false disables the fixed-base exponentiation engine in the
-// end-to-end experiments (it is armed by default); -window and
-// -shortbits tune it. -cache N arms the SDC's encrypted-decision
-// cache (DESIGN.md §14) in the end-to-end experiments; it defaults to
-// off so repeated measurements stay cold.
+// -cache N arms the SDC's encrypted-decision cache (DESIGN.md §14) in
+// the end-to-end experiments; it defaults to off so repeated
+// measurements stay cold. Every key tables its nonce base on its first
+// nonce (DESIGN.md §10); there is no engine switch.
 package main
 
 import (
@@ -48,7 +47,6 @@ import (
 	"pisa/internal/bench"
 	"pisa/internal/config"
 	"pisa/internal/obs"
-	"pisa/internal/pisa"
 )
 
 func main() {
@@ -65,9 +63,6 @@ type options struct {
 	bits                                                    int
 	iters                                                   int
 	parallel                                                int
-	engine                                                  bool
-	window                                                  int
-	shortBits                                               int
 	cache                                                   string
 	cacheEntries                                            int
 	metricsDump                                             string
@@ -90,12 +85,6 @@ func run(args []string) error {
 	fs.IntVar(&opt.iters, "iters", 30, "iterations per Table II measurement (paper uses 30)")
 	fs.IntVar(&opt.parallel, "parallel", 0,
 		"homomorphic kernel workers: 0 serial, -1 one per CPU, N literal")
-	fs.BoolVar(&opt.engine, "engine", true,
-		"arm the fixed-base exponentiation engine in end-to-end experiments")
-	fs.IntVar(&opt.window, "window", 0,
-		"fixed-base comb height in bits (0 = paillier default)")
-	fs.IntVar(&opt.shortBits, "shortbits", 0,
-		"short-exponent nonce bits (0 = paillier default)")
 	fs.StringVar(&opt.cache, "cache", "off",
 		"decision cache in end-to-end experiments: entry count or 'off' (default off so repeated "+
 			"measurements stay cold)")
@@ -216,17 +205,6 @@ func runTable2(opt options) error {
 	return nil
 }
 
-// applyEngine writes the engine and cache flags into end-to-end params
-// (bench.SmallParams arms the engine by default; -engine=false turns it
-// off for baseline runs, -cache N opts repeated measurements into the
-// decision cache).
-func applyEngine(params *pisa.Params, opt options) {
-	params.FastExp = opt.engine
-	params.FastExpWindow = opt.window
-	params.ShortExpBits = opt.shortBits
-	params.CacheEntries = opt.cacheEntries
-}
-
 func runSizes() {
 	c, b, bits := bench.PaperScaleParams()
 	s := bench.ComputeSizes(c, b, bits)
@@ -262,7 +240,7 @@ func runFigure6(opt options) error {
 		return err
 	}
 	params.Parallelism = opt.parallel
-	applyEngine(&params, opt)
+	params.CacheEntries = opt.cacheEntries
 	fmt.Println("  setting up deployment (keys + initial budget encryption)...")
 	u, err := bench.NewUniverse(params)
 	if err != nil {
@@ -303,7 +281,7 @@ func runTradeoff(opt options) error {
 		return err
 	}
 	params.Parallelism = opt.parallel
-	applyEngine(&params, opt)
+	params.CacheEntries = opt.cacheEntries
 	u, err := bench.NewUniverse(params)
 	if err != nil {
 		return err
@@ -408,7 +386,7 @@ func runParallelSweep(opt options) error {
 	if err != nil {
 		return err
 	}
-	applyEngine(&params, opt)
+	params.CacheEntries = opt.cacheEntries
 	fmt.Println("  setting up deployment (keys + initial budget encryption)...")
 	u, err := bench.NewUniverse(params)
 	if err != nil {

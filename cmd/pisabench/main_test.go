@@ -47,7 +47,7 @@ func TestRunTable2SmallKey(t *testing.T) {
 }
 
 // TestRunFigure6AndSweep drives MeasureFigure6 through the CLI's scale
-// selection and engine/cache flags, once per experiment that calls it.
+// selection and parallel/cache flags, once per experiment that calls it.
 func TestRunFigure6AndSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 2048-bit deployments")
@@ -60,11 +60,14 @@ func TestRunFigure6AndSweep(t *testing.T) {
 	}
 }
 
-// TestRunRejectsRemovedFlags: the JSON micro-benchmark report and its
-// shard sweep are gone, and asking for them says so instead of running
-// something else.
+// TestRunRejectsRemovedFlags: the JSON micro-benchmark report, its
+// shard sweep and the nonce-table switches are gone, and asking for them
+// says so instead of running something else.
 func TestRunRejectsRemovedFlags(t *testing.T) {
-	for _, args := range [][]string{{"-json", "x"}, {"-table1", "-shards", "1,2"}} {
+	for _, args := range [][]string{
+		{"-json", "x"}, {"-table1", "-shards", "1,2"},
+		{"-table1", "-engine=false"}, {"-table1", "-window", "4"}, {"-table1", "-shortbits", "128"},
+	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("run %v: error = %v, want an unknown-flag refusal", args, err)

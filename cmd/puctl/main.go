@@ -84,16 +84,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("fetch E column: %w", err)
 	}
-	group := stp.GroupKey()
-	if params.FastExp {
-		// The key arrived over RPC without its precomputed table (only
-		// N and the nonce base H travel), so H is tabled locally before
-		// the C nonce exponentiations of the update.
-		if err := group.EnableFastExp(nil, params.FastExpWindow, params.ShortExpBits); err != nil {
-			return fmt.Errorf("arm fixed-base engine: %w", err)
-		}
-	}
-	pu, err := pisa.NewPU(nil, watch.PUID(*id), geo.BlockID(*block), eCol, group)
+	pu, err := pisa.NewPU(nil, watch.PUID(*id), geo.BlockID(*block), eCol, stp.GroupKey())
 	if err != nil {
 		return err
 	}

@@ -225,11 +225,13 @@ func run(args []string) error {
 			log.Info("router summary", d.Front.Stats().LogAttrs()...)
 		}
 		logSTPClient(log, stp)
-		// Both should be flat while requests flow: a full-width nonce is
-		// a key on the request path without its table, and this process
-		// holds no secret key to decrypt with.
+		// Both decrypt counts stay 0 (this process holds no secret key)
+		// and fullWidthNonces too (nothing on the request path calls
+		// EncryptWithNonce). nonceTables grows by one per key that
+		// encrypts: the group key, and each SU key the license tail used.
 		short, full := paillier.Decrypts()
 		log.Info("paillier summary", "fullWidthNonces", paillier.FullWidthNonces(),
+			"nonceTables", paillier.NonceTables(),
 			"decryptShort", short, "decryptFull", full)
 		err := srv.Close()
 		if snapErr := d.Close(*snapOnExit); err == nil {

@@ -159,8 +159,14 @@ func TestRunServesMetrics(t *testing.T) {
 	if n := count("pisa_store_wal_append_seconds", ""); n == 0 {
 		t.Error("WAL append histogram empty (durable daemon journalled nothing)")
 	}
-	// The blinding and cache families carry what the SDC still has and
-	// nothing else: no pool series, no age-expiry event.
+	// The group key's first nonce, at the latest the budget encryption
+	// at boot, built its table.
+	if m := regexp.MustCompile(`(?m)^pisa_paillier_nonce_tables_total ([1-9]\d*)$`).Find(body); m == nil {
+		t.Error("scrape shows no nonce table built")
+	}
+	// The blinding, cache and Paillier families carry what the process
+	// still has and nothing else: no blinding-pool series, no age-expiry
+	// event, no engine switch.
 	for _, family := range []struct {
 		re   string
 		want map[string]bool
@@ -168,6 +174,9 @@ func TestRunServesMetrics(t *testing.T) {
 		{`(?m)^pisa_sdc_blind_(\w+)`, map[string]bool{"total": true}},
 		{`(?m)^pisa_sdc_cache_events_total\{event="(\w+)"\}`,
 			map[string]bool{"hit": true, "miss": true, "stale": true, "evict": true, "bypass": true}},
+		{`(?m)^pisa_paillier_(\w+)`, map[string]bool{
+			"nonce_total": true, "nonce_tables_total": true, "fullwidth_nonce_total": true, "decrypt_total": true,
+			"nonce_pool_depth": true, "nonce_pool_refills_total": true, "nonce_fallbacks_total": true}},
 	} {
 		for _, m := range regexp.MustCompile(family.re).FindAllSubmatch(body, -1) {
 			if !family.want[string(m[1])] {

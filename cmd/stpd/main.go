@@ -39,6 +39,7 @@ import (
 	"syscall"
 
 	"pisa/internal/config"
+	"pisa/internal/deploy"
 	"pisa/internal/node"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
@@ -91,16 +92,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	stp := pisa.NewSTPWithKey(nil, group)
-	if params.FastExp {
-		// Arm the fixed-base engine before any registrations, so the
-		// group key and every stored SU key carry comb tables.
-		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
-			return err
-		}
-		log.Info("fixed-base engine armed",
-			"tableBytes", stp.GroupKey().FastExpSizeBytes())
-	}
+	stp := deploy.STPWithKey(params, group)
 	if *storeDir != "" {
 		opts, err := cfg.Store.Options()
 		if err != nil {
@@ -156,10 +148,12 @@ func run(args []string) error {
 			"requests", stats.Requests, "errors", stats.Errors,
 			"sus", stp.RegisteredSUs())
 		// decryptFull > 0 names a sender whose nonces are not powers of
-		// the group key's H: a fleet member still arming a private base,
-		// or budgets from a snapshot that predates H.
+		// the group key's H: one holding the group key without H (it
+		// tables a private base), or budgets from a snapshot that predates
+		// H. nonceTables counts the SU keys answers were encrypted under.
 		short, full := paillier.Decrypts()
 		log.Info("paillier summary", "decryptShort", short, "decryptFull", full,
+			"nonceTables", paillier.NonceTables(),
 			"fullWidthNonces", paillier.FullWidthNonces())
 		return srv.Close()
 	case err := <-errCh:

@@ -337,7 +337,7 @@ func TestSTPFailoverUnderLoad(t *testing.T) {
 // identical public E columns, identical decrypted budget matrix, and
 // identical SU decisions.
 //
-// The crashed SDC is moreover a pre-upgrade one: it armed a private
+// The crashed SDC is moreover a pre-upgrade one: it tabled a private
 // nonce base, so the budgets in its snapshot carry nonces outside the
 // group key's <H>. The recovered controller must decide correctly on
 // them all the same (the STP's decryption detects them and continues to
@@ -350,8 +350,8 @@ func decryptBudgets(sk *paillier.PrivateKey, sdc *pisa.SDC) (*matrix.Int, error)
 }
 
 // preUpgradeSTP serves the group key as a build from before the nonce
-// base was published did: the bare modulus. An SDC built over it arms a
-// private base, and every nonce it draws is foreign to the STP.
+// base was published did: the bare modulus. An SDC built over it tables
+// a private base, and every nonce it draws is foreign to the STP.
 type preUpgradeSTP struct {
 	pisa.STPService
 	bare *paillier.PublicKey
@@ -793,7 +793,7 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // request has warmed the caches.
 //
 // Every key here crossed a socket, with its owner's nonce base H beside
-// the modulus, and was tabled by whoever received it. So once set-up is
+// the modulus, and each copy tables H on its first nonce. So once set-up is
 // over, with a PU update sent over the wire and folded into the budgets,
 // no decryption — the STP's of every blinded V~, the SU's of its
 // license — may need more than the short exponent.
@@ -843,12 +843,8 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		return ln.Addr().String()
 	}
 
-	// The STP as cmd/stpd brings it up.
 	stp, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
 		t.Fatal(err)
 	}
 	stpAddr := serve(node.NewSTPServer(stp, nil, time.Minute))

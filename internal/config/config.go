@@ -97,19 +97,6 @@ type File struct {
 	// freely. Always written, so a saved 0 reloads as 0.
 	Parallelism int `json:"parallelism"`
 
-	// FastExp arms the fixed-base exponentiation engine (comb
-	// tables + short-exponent nonces; internal/fbexp). On by default —
-	// Load starts from Default(), so only an explicit "fastExp": false
-	// disables it. A local runtime knob like Parallelism: ciphertexts
-	// from fast and legacy processes interoperate freely.
-	FastExp bool `json:"fastExp"`
-	// FastExpWindow is the height of the table's comb in bits (0 =
-	// engine default, 8). The table's size is fixed by the engine.
-	FastExpWindow int `json:"fastExpWindow,omitempty"`
-	// ShortExpBits is the nonce exponent width (0 = engine default,
-	// 256 = 2·λ at 112-bit security).
-	ShortExpBits int `json:"shortExpBits,omitempty"`
-
 	// CacheEntries bounds the SDC's encrypted-decision cache (LRU over
 	// request shapes; pisa.Params.CacheEntries). 0 disables it. Load
 	// starts from Default(), which enables 1024 entries — an explicit
@@ -471,7 +458,6 @@ func Default() File {
 		EtaBits:         64,
 		SignerBits:      512,
 		Parallelism:     -1,
-		FastExp:         true,
 		CacheEntries:    1024,
 		SDCAddr:         "127.0.0.1:7410",
 		STPAddr:         "127.0.0.1:7411",
@@ -526,14 +512,18 @@ func Load(path string) (File, error) {
 	}
 	// Keys whose behaviour was removed are refused where they ask for it
 	// rather than ignored: the file would otherwise silently run packed,
-	// unbatched and without a cache age bound. "packing": true and zeros,
-	// which every file written by an earlier Save contains, ask for what
-	// is still there.
+	// unbatched, without a cache age bound and with every key tabling its
+	// nonce base at the one fixed geometry. "packing": true,
+	// "fastExp": true and zeros, which every file written by an earlier
+	// Save contains, ask for what is still there.
 	var removed struct {
 		Packed        *bool `json:"packing"`
 		BatchWindowMS int   `json:"stpBatchWindowMS"`
 		BatchMax      int   `json:"stpBatchMax"`
 		TTLSec        int   `json:"cacheTTLSec"`
+		FastExp       *bool `json:"fastExp"`
+		FastExpWindow int   `json:"fastExpWindow"`
+		ShortExpBits  int   `json:"shortExpBits"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -547,6 +537,12 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "stpBatchMax" asks for sign-test coalescing, which was removed`, path)
 	case removed.TTLSec > 0:
 		return File{}, fmt.Errorf(`config: %s: "cacheTTLSec" asks for a decision-cache age bound, which was removed (content versions already invalidate exactly)`, path)
+	case removed.FastExp != nil && !*removed.FastExp:
+		return File{}, fmt.Errorf(`config: %s: "fastExp": false asks for nonces without a key's table, which was removed (every key tables its nonce base on first use)`, path)
+	case removed.FastExpWindow != 0:
+		return File{}, fmt.Errorf(`config: %s: "fastExpWindow" asks for another nonce-table geometry, which was removed`, path)
+	case removed.ShortExpBits != 0:
+		return File{}, fmt.Errorf(`config: %s: "shortExpBits" asks for another nonce exponent width, which was removed`, path)
 	}
 	return f, nil
 }
@@ -608,9 +604,6 @@ func (f File) PisaParams() (pisa.Params, error) {
 		EtaBits:       f.EtaBits,
 		SignerBits:    f.SignerBits,
 		Parallelism:   f.Parallelism,
-		FastExp:       f.FastExp,
-		FastExpWindow: f.FastExpWindow,
-		ShortExpBits:  f.ShortExpBits,
 		CacheEntries:  f.CacheEntries,
 		CacheDomains:  f.CacheDomains,
 	}

@@ -314,9 +314,10 @@ func TestCacheDomainsReachParams(t *testing.T) {
 }
 
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
-// layout, for sign-test coalescing or for a cache TTL must not silently
-// run without them; the values every file saved by an earlier build contains
-// ("packing": true, zeros) ask for what is still there and keep loading.
+// layout, for sign-test coalescing, for a cache TTL or for a switched-off
+// or resized nonce table must not silently run without them; the values
+// every file saved by an earlier build contains ("packing": true,
+// "fastExp": true, zeros) ask for what is still there and keep loading.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -325,7 +326,10 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"batch window", `{"stpBatchWindowMS": 5}`, `"stpBatchWindowMS"`},
 		{"batch cap", `{"stpBatchMax": 8}`, `"stpBatchMax"`},
 		{"cache ttl", `{"cacheTTLSec": 60}`, `"cacheTTLSec"`},
-		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0}`, ""},
+		{"no nonce table", `{"fastExp": false}`, `"fastExp"`},
+		{"table window", `{"fastExpWindow": 4}`, `"fastExpWindow"`},
+		{"short exponent", `{"shortExpBits": 128}`, `"shortExpBits"`},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pisa.json")

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 
 	"pisa/internal/config"
+	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/store"
 )
@@ -63,21 +64,23 @@ type Deployment struct {
 	log *slog.Logger
 }
 
-// NewSTP is a fresh in-process STP for params, armed with the
-// fixed-base engine when params.FastExp asks for it — before any role
-// copies the group key or registers an SU, so every copy carries its
-// tables.
+// NewSTP is a fresh in-process STP for params: a generated group key,
+// set up by STPWithKey.
 func NewSTP(params pisa.Params) (*pisa.STP, error) {
-	stp, err := pisa.NewSTP(nil, params.PaillierBits)
+	group, err := paillier.GenerateKey(nil, params.PaillierBits)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("deploy: generate group key: %w", err)
 	}
-	if params.FastExp {
-		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
-			return nil, err
-		}
-	}
-	return stp, nil
+	return STPWithKey(params, group), nil
+}
+
+// STPWithKey is the STP over group as every deployment runs it (stpd
+// with its key file, NewSTP): sign conversions fan out over
+// params.Parallelism workers, as every other role's kernels do.
+func STPWithKey(params pisa.Params, group *paillier.PrivateKey) *pisa.STP {
+	stp := pisa.NewSTPWithKey(nil, group)
+	stp.SetParallelism(params.Parallelism)
+	return stp
 }
 
 // New boots the SDCs of cfg one window after the other and puts the

@@ -11,6 +11,7 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/deploy"
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/propagation"
 	"pisa/internal/watch"
@@ -34,6 +35,30 @@ func testParams(t *testing.T) pisa.Params {
 		Secondary:   propagation.LogDistance{RefLossDB: 40, Exponent: 3.5},
 		WorstCase:   propagation.LogDistance{RefLossDB: 60, Exponent: 4},
 	})
+}
+
+// TestSTPRunsAtParamsParallelism: a deployment's STP decrypts its sign
+// tests over params.Parallelism workers, as every other role's kernels
+// run, whether its group key is generated (NewSTP) or loaded from a key
+// file (STPWithKey, as stpd builds it) — not on the constructor's single
+// worker.
+func TestSTPRunsAtParamsParallelism(t *testing.T) {
+	params := testParams(t)
+	params.Parallelism = 3
+	stp, err := deploy.NewSTP(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stp.Parallelism(); got != 3 {
+		t.Fatalf("NewSTP converts on %d workers, want 3", got)
+	}
+	group, err := paillier.GenerateKey(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := deploy.STPWithKey(params, group).Parallelism(); got != 3 {
+		t.Fatalf("STPWithKey converts on %d workers, want 3", got)
+	}
 }
 
 // TestFrontPerShape pins which front each shape of deployment gets: the

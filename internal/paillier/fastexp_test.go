@@ -18,22 +18,15 @@ func fastKey(t testing.TB, bits int) *PrivateKey {
 	return sk
 }
 
-// TestFastExpCrossParity proves fast-path and legacy (full-width r^n,
-// what a key rebuilt from its bare modulus draws) ciphertexts are
-// interchangeable: each decrypts under the same private key, and they
-// compose homomorphically in both directions (enc fast / add legacy /
-// dec, and vice versa).
+// TestFastExpCrossParity proves ciphertexts drawn from the published H
+// and from a private base (what a key rebuilt from its bare modulus
+// tables) are interchangeable: each decrypts under the same private
+// key, and they compose homomorphically in both directions (enc fast /
+// add legacy / dec, and vice versa).
 func TestFastExpCrossParity(t *testing.T) {
 	sk := fastKey(t, 512)
 	legacy := PublicKey{N: sk.N}
 	fast := sk.PublicKey
-	if err := fast.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !fast.FastExpEnabled() || legacy.FastExpEnabled() {
-		t.Fatalf("engine arming leaked across copies: fast=%v legacy=%v",
-			fast.FastExpEnabled(), legacy.FastExpEnabled())
-	}
 
 	a, err := fast.Encrypt(rand.Reader, big.NewInt(1234))
 	if err != nil {
@@ -94,9 +87,6 @@ func TestFastExpCrossParity(t *testing.T) {
 func TestFastExpNonceIsNthResidue(t *testing.T) {
 	sk := fastKey(t, 512)
 	pk := sk.PublicKey
-	if err := pk.EnableFastExp(rand.Reader, 5, 128); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 8; i++ {
 		n, err := pk.NewNonce(rand.Reader)
 		if err != nil {
@@ -127,60 +117,90 @@ func TestFastExpNonceIsNthResidue(t *testing.T) {
 	}
 }
 
-// TestEnableFastExpLifecycle covers idempotence, disable/re-enable and
-// parameter validation.
-func TestEnableFastExpLifecycle(t *testing.T) {
+// TestFirstNonceBuildsOneTable: a key builds its nonce table on its
+// first nonce, once, however many goroutines draw that first nonce at
+// the same time (run under -race). A key with H tables H, so its
+// ciphertexts decrypt on the short exponent; a bare modulus tables a
+// private base, whose ciphertexts take the full one. A value copy of a
+// prepared key shares its table.
+func TestFirstNonceBuildsOneTable(t *testing.T) {
 	sk := fastKey(t, 512)
-	pk := sk.PublicKey
-	if pk.FastExpSizeBytes() != 0 {
-		t.Fatal("disarmed key reports non-zero table size")
+	const drawers = 8
+	encryptAll := func(pk *PublicKey) []*Ciphertext {
+		t.Helper()
+		cts := make([]*Ciphertext, drawers)
+		var wg sync.WaitGroup
+		for i := range cts {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ct, err := pk.EncryptInt(rand.Reader, int64(i-3))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cts[i] = ct
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		return cts
 	}
-	if err := pk.EnableFastExp(rand.Reader, 4, 128); err != nil {
+	decryptAll := func(cts []*Ciphertext) (short, full uint64) {
+		t.Helper()
+		s0, f0 := Decrypts()
+		for i, ct := range cts {
+			if m, err := sk.DecryptInt(ct); err != nil || m != int64(i-3) {
+				t.Fatalf("ciphertext %d: m=%d err=%v", i, m, err)
+			}
+		}
+		s1, f1 := Decrypts()
+		return s1 - s0, f1 - f0
+	}
+
+	pk := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
+	copied := *pk
+	if pk.NonceTableBytes() != 0 {
+		t.Fatal("Prepare built a nonce table")
+	}
+	tables := NonceTables()
+	cts := encryptAll(pk)
+	if got := NonceTables() - tables; got != 1 {
+		t.Fatalf("%d concurrent first nonces built %d tables, want 1", drawers, got)
+	}
+	if short, full := decryptAll(cts); short != drawers || full != 0 {
+		t.Fatalf("ciphertexts under H: short/full = %d/%d, want %d/0", short, full, drawers)
+	}
+	if size := pk.NonceTableBytes(); size <= 0 || copied.NonceTableBytes() != size {
+		t.Fatalf("table %d bytes, copy taken after Prepare sees %d", size, copied.NonceTableBytes())
+	}
+	tables = NonceTables()
+	if _, err := copied.EncryptInt(rand.Reader, 1); err != nil {
 		t.Fatal(err)
 	}
-	size := pk.FastExpSizeBytes()
-	if size <= 0 {
-		t.Fatalf("armed key reports table size %d", size)
+	if got := NonceTables() - tables; got != 0 {
+		t.Fatalf("copy of a tabled key built %d more tables", got)
 	}
-	// Second enable is a no-op — even with parameters that would be
-	// rejected on a fresh key.
-	if err := pk.EnableFastExp(rand.Reader, 99, 1); err != nil {
-		t.Fatalf("idempotent re-enable: %v", err)
+
+	bare := (&PublicKey{N: sk.N}).Prepare()
+	tables = NonceTables()
+	cts = encryptAll(bare)
+	if got := NonceTables() - tables; got != 1 {
+		t.Fatalf("bare modulus: %d concurrent first nonces built %d tables, want 1", drawers, got)
 	}
-	if got := pk.FastExpSizeBytes(); got != size {
-		t.Fatalf("re-enable rebuilt the table: size %d -> %d", size, got)
-	}
-	pk.DisableFastExp()
-	if pk.FastExpEnabled() {
-		t.Fatal("DisableFastExp left engine armed")
-	}
-	// Legacy path still works after disable.
-	ct, err := pk.EncryptInt(rand.Reader, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, err := sk.DecryptInt(ct); err != nil || m != 5 {
-		t.Fatalf("post-disable encrypt: m=%d err=%v", m, err)
-	}
-	// Fresh enable after disable works, and bad widths are rejected.
-	if err := pk.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatalf("re-enable after disable: %v", err)
-	}
-	pk2 := sk.PublicKey
-	if err := pk2.EnableFastExp(rand.Reader, 0, 32); err == nil {
-		t.Fatal("EnableFastExp accepted a 32-bit short exponent")
+	if short, full := decryptAll(cts); short != 0 || full != drawers {
+		t.Fatalf("ciphertexts under a private base: short/full = %d/%d, want 0/%d", short, full, drawers)
 	}
 }
 
-// TestFastExpSharedTableRace hammers one armed key from concurrent
+// TestFastExpSharedTableRace hammers one tabled key from concurrent
 // batch encryptions, nonce batches and rerandomisations. Run under
-// -race in CI: the table must be read-only after arming.
+// -race in CI: the table must be read-only once built.
 func TestFastExpSharedTableRace(t *testing.T) {
 	sk := fastKey(t, 512)
 	pk := &sk.PublicKey
-	if err := pk.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	ct, err := pk.EncryptInt(rand.Reader, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -267,37 +287,30 @@ func TestNoncePoolCloseStopsRefills(t *testing.T) {
 }
 
 // TestFullWidthNonceCounter pins what pisa_paillier_fullwidth_nonce_total
-// counts: every nonce factor computed as r^n by full-width
-// exponentiation, whichever entry point asked for it, and nothing an
-// armed key does — arming itself included.
+// counts: the r^n of EncryptWithNonce and nothing else — not what a key
+// without H draws, nor the private base its table is built on.
 func TestFullWidthNonceCounter(t *testing.T) {
 	sk := fastKey(t, 512)
-	ops := func(pk *PublicKey) {
-		t.Helper()
-		ct, err := pk.Encrypt(rand.Reader, big.NewInt(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pk.Rerandomize(rand.Reader, ct); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pk.NewNonce(rand.Reader); err != nil {
-			t.Fatal(err)
-		}
-	}
 	bare := &PublicKey{N: sk.N}
 	before := FullWidthNonces()
-	ops(bare)
-	if got := FullWidthNonces() - before; got != 3 {
-		t.Fatalf("unarmed encrypt + rerandomize + nonce counted %d full-width nonces, want 3", got)
-	}
-	before = FullWidthNonces()
-	if err := bare.EnableFastExp(rand.Reader, 0, 0); err != nil {
+	ct, err := bare.Encrypt(rand.Reader, big.NewInt(7))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ops(bare)
+	if _, err := bare.Rerandomize(rand.Reader, ct); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.NewNonce(rand.Reader); err != nil {
+		t.Fatal(err)
+	}
 	if got := FullWidthNonces() - before; got != 0 {
-		t.Fatalf("arming and armed operations counted %d full-width nonces, want 0", got)
+		t.Fatalf("bare-modulus encrypt + rerandomize + nonce counted %d full-width nonces, want 0", got)
+	}
+	if _, err := sk.EncryptWithNonce(big.NewInt(7), big.NewInt(65537)); err != nil {
+		t.Fatal(err)
+	}
+	if got := FullWidthNonces() - before; got != 1 {
+		t.Fatalf("EncryptWithNonce counted %d full-width nonces, want 1", got)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 	"sync/atomic"
 
 	"pisa/internal/fbexp"
@@ -45,24 +46,23 @@ var (
 	two = big.NewInt(2)
 )
 
-// Fixed-base engine defaults. The window is the height of the engine's
-// comb (see internal/fbexp; 8 is the height that needs the fewest
-// operations per nonce inside the table's size budget); the
-// short-exponent width follows the 2·λ rule — 256 bits gives 112+ bits
-// of security at a 2048-bit modulus, matching the key's own strength.
+// Nonce table geometry. The window is the height of the table's comb
+// (see internal/fbexp; 8 is the height that needs the fewest operations
+// per nonce inside the table's size budget); the short-exponent width
+// follows the 2·λ rule — 256 bits gives 112+ bits of security at a
+// 2048-bit modulus, matching the key's own strength.
 const (
 	DefaultFastExpWindow = 8
 	DefaultShortExpBits  = 256
-
-	// minShortExpBits refuses configurations that would make nonce
-	// exponents trivially enumerable.
-	minShortExpBits = 64
 
 	// fastExpEntries is the nonce table's size budget: the engine fits
 	// as many comb blocks as it allows (11 of height 8; 1.37 MiB at a
 	// 2048-bit n).
 	fastExpEntries = 2816
 )
+
+// shortExpLimit bounds a nonce exponent: s is drawn from [1, 2^256).
+var shortExpLimit = new(big.Int).Lsh(one, DefaultShortExpBits)
 
 // PublicKey holds the Paillier public key (n, g) with g = n+1 implied,
 // plus cached derived values.
@@ -76,8 +76,9 @@ type PublicKey struct {
 	// operations on them carries a nonce inside <H>, which is what lets
 	// the owner decrypt with a_p and a_q in place of p-1 and q-1
 	// (DESIGN.md §10). Nil on a key that predates the field or was
-	// rebuilt from its modulus alone; such a key draws a private base
-	// when armed and full-width r^n otherwise.
+	// rebuilt from its modulus alone; such a key's first nonce draws a
+	// private base x^n instead, whose nonces its owner decrypts with the
+	// full exponent.
 	H *big.Int
 
 	nSquared *big.Int // n^2
@@ -86,13 +87,18 @@ type PublicKey struct {
 	// constant): what every power of a ciphertext or a nonce base runs
 	// on, shared by the nonce table and every PowerTable of the key.
 	mod *fbexp.Modulus
+	// nt holds the comb table every nonce of the key comes from, built
+	// by the first one. A pointer, so that copies of a prepared key
+	// share one table and the key itself stays copyable.
+	nt *nonceTable
+}
 
-	// Fixed-base exponentiation engine: the comb table of H covering
-	// exponents of shortBits bits. Set once by EnableFastExp
-	// before the key is shared across goroutines; the table itself is
-	// immutable and read-safe.
-	fb        *fbexp.Table
-	shortBits int
+// nonceTable is a key's nonce table, built at most once: tab is set,
+// under mu, by the first draw whose build succeeds and never changes
+// after, so later draws read it without the lock.
+type nonceTable struct {
+	mu  sync.Mutex
+	tab atomic.Pointer[fbexp.Table]
 }
 
 // PrivateKey holds the Paillier key pair: the prime factors of n, each
@@ -297,7 +303,7 @@ func (sk *PrivateKey) Public() *PublicKey { return &sk.PublicKey }
 // ensureCache lazily fills derived fields on keys that were
 // deserialised (e.g. received over gob with only N and H populated). The
 // write is unsynchronised: a key that several goroutines will use must
-// be prepared (Prepare, EnableFastExp) before it is shared.
+// be prepared (Prepare) before it is shared.
 func (pk *PublicKey) ensureCache() {
 	if pk.nSquared == nil {
 		pk.nSquared = new(big.Int).Mul(pk.N, pk.N)
@@ -305,46 +311,55 @@ func (pk *PublicKey) ensureCache() {
 		// Refused only for n < 2, a modulus under which validate accepts
 		// no ciphertext and checkH no base, so nothing reaches mod.
 		pk.mod, _ = fbexp.NewModulus(pk.N)
+		pk.nt = new(nonceTable)
 	}
 }
 
 // Prepare fills the derived fields (n^2, n/2, the reduction constant of
-// the exponentiation kernel) now instead of on first
-// use and returns pk. A key that crossed a socket or came out of a
-// store carries only N and H; whoever receives it calls Prepare (or
-// EnableFastExp, which implies it) before handing the key to worker
-// goroutines, after which the key is read-only.
+// the exponentiation kernel, the slot of the nonce table) now instead of
+// on first use and returns pk. A key that crossed a socket or came out
+// of a store carries only N and H; whoever receives it calls Prepare
+// before handing the key to worker goroutines. After that the only write
+// left is the nonce table's build, which is synchronised, and a value
+// copy of the key shares the table. Prepare on a prepared key only reads.
 func (pk *PublicKey) Prepare() *PublicKey {
 	pk.ensureCache()
 	return pk
 }
 
-// nonces counts every nonce factor drawn (newRn), whichever way: it is
-// the number of fresh randomisations the process paid for, and per
-// request it is a protocol constant (DESIGN.md §10's ledger), so a path
-// that quietly went back to one encryption per element shows as a
-// count. fullWidthNonces counts nonce factors produced by a full-width
-// exponentiation r^n (exponent n, modulus n^2) — the legacy path every
-// hot loop is supposed to have left for the fixed-base engine. decrypts
-// counts decryptions by the exponent they paid: short when both CRT
-// halves stopped at the subgroup order, full when either ran on to
-// p-1 because the nonce was not a power of the key's H. All are
-// bridged to the obs registry, so a request path that is silently
-// running on an unarmed key, a fleet member still arming a private
-// base, or a snapshot from before H existed shows on /metrics as a
-// counter that keeps growing.
+// nonces counts every nonce factor drawn (newRn): it is the number of
+// fresh randomisations the process paid for, and per request it is a
+// protocol constant (DESIGN.md §10's ledger), so a path that quietly
+// went back to one encryption per element shows as a count.
+// nonceTables counts key objects whose first nonce built their table:
+// one per key that encrypts, so a count that keeps growing means keys
+// are being rebuilt per request, and one that grows inside a request
+// window shows where a build's tens of milliseconds landed.
+// fullWidthNonces counts nonce factors produced by a full-width
+// exponentiation r^n (exponent n, modulus n^2), which only
+// EncryptWithNonce still pays. decrypts counts decryptions by the
+// exponent they paid: short when both CRT halves stopped at the
+// subgroup order, full when either ran on to p-1 because the nonce was
+// not a power of the key's H. All are bridged to the obs registry, so a
+// sender whose key lost its H (it draws a private base) or a snapshot
+// from before H existed shows on /metrics as a full-decrypt counter
+// that keeps growing.
 var (
 	nonces          atomic.Uint64
+	nonceTables     atomic.Uint64
 	fullWidthNonces atomic.Uint64
 	decrypts        struct{ short, full atomic.Uint64 }
 )
 
 func init() {
 	obs.Default().CounterFunc("pisa_paillier_nonce_total",
-		"nonce factors drawn (H^s from the table or by square-and-multiply, or full-width r^n)",
+		"nonce factors H^s drawn from a key's nonce table (Encrypt, Rerandomize, NewNonce)",
 		nil, nonces.Load)
+	obs.Default().CounterFunc("pisa_paillier_nonce_tables_total",
+		"key objects whose first nonce built their nonce table",
+		nil, nonceTables.Load)
 	obs.Default().CounterFunc("pisa_paillier_fullwidth_nonce_total",
-		"nonce factors r^n computed by a full-width exponentiation (key without a nonce base H)",
+		"nonce factors r^n computed by a full-width exponentiation (EncryptWithNonce only)",
 		nil, fullWidthNonces.Load)
 	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
@@ -352,25 +367,22 @@ func init() {
 }
 
 // Nonces reports how many nonce factors this process has drawn: one per
-// Encrypt, Rerandomize and NewNonce, whatever each cost.
+// Encrypt, Rerandomize and NewNonce.
 func Nonces() uint64 { return nonces.Load() }
 
+// NonceTables reports how many key objects in this process have built
+// their nonce table.
+func NonceTables() uint64 { return nonceTables.Load() }
+
 // FullWidthNonces reports how many nonce factors this process has
-// computed by full-width exponentiation. Building a key's fixed-base
-// table is set-up and not counted.
+// computed by full-width exponentiation (EncryptWithNonce). The private
+// base a key without H draws for its table is not counted.
 func FullWidthNonces() uint64 { return fullWidthNonces.Load() }
 
 // Decrypts reports how many decryptions this process has run on the
 // short (subgroup-order) exponent alone and how many continued to the
 // full one.
 func Decrypts() (short, full uint64) { return decrypts.short.Load(), decrypts.full.Load() }
-
-// fullWidthRn computes r^n mod n^2 the legacy way and counts it.
-func (pk *PublicKey) fullWidthRn(r *big.Int) *big.Int {
-	pk.ensureCache()
-	fullWidthNonces.Add(1)
-	return fbexp.Exp(r, pk.N, pk.mod)
-}
 
 // NSquared returns n^2, the ciphertext modulus.
 func (pk *PublicKey) NSquared() *big.Int {
@@ -423,108 +435,79 @@ func (pk *PublicKey) checkH() error {
 	return nil
 }
 
-// EnableFastExp arms the fixed-base exponentiation engine on this key:
-// it precomputes the comb table of the published base H, of height
-// window, covering exponents of shortBits bits. Nonce factors are then
-// generated as H^s for a short random s from the table, at a fraction
-// of the cost of a square-and-multiply (see DESIGN.md §10 for the
-// short-exponent security argument). Every copy of a key tables the
-// same H, so nonces drawn by any party stay inside the subgroup whose
-// order the owner decrypts with.
+// table returns the key's nonce table, building it on the key's first
+// nonce: the comb of the published base H, covering exponents of
+// DefaultShortExpBits bits, a fraction of a square-and-multiply per
+// nonce (see DESIGN.md §10 for the short-exponent security argument).
+// Every copy of a key tables the same H, so nonces drawn by any party
+// stay inside the subgroup whose order the owner decrypts with.
 //
-// A key without H (rebuilt from a bare modulus) first draws a private
-// base h = x^n for a random unit x, as every key did before H was
+// A key without H (rebuilt from a bare modulus) tables a private base
+// h = x^n for a unit x drawn from random, as every key did before H was
 // published: its nonces are valid but foreign to the owner, who pays
 // the full decryption exponent for them.
 //
-// window and shortBits of 0 select DefaultFastExpWindow and
-// DefaultShortExpBits. Enabling is idempotent: a key that already has
-// a table keeps it. The call mutates the key, so run it at setup time,
-// before the key is shared across goroutines; afterwards the engine is
-// read-only and safe for concurrent use.
-func (pk *PublicKey) EnableFastExp(random io.Reader, window, shortBits int) error {
-	if pk.fb != nil {
-		return nil
-	}
-	if window == 0 {
-		window = DefaultFastExpWindow
-	}
-	if shortBits == 0 {
-		shortBits = DefaultShortExpBits
-	}
-	if shortBits < minShortExpBits {
-		return fmt.Errorf("paillier: short exponent width %d below minimum %d", shortBits, minShortExpBits)
-	}
+// Concurrent first draws wait for one build (tens of milliseconds at
+// 2048 bits, so never draw a key's first nonce under a lock others
+// need); a failed build is left to the next draw.
+func (pk *PublicKey) table(random io.Reader) (*fbexp.Table, error) {
 	pk.ensureCache()
+	nt := pk.nt
+	if tab := nt.tab.Load(); tab != nil {
+		return tab, nil
+	}
+	nt.mu.Lock()
+	defer nt.mu.Unlock()
+	if tab := nt.tab.Load(); tab != nil {
+		return tab, nil
+	}
 	h := pk.H
 	if h == nil {
 		x, err := pk.randomUnit(random)
 		if err != nil {
-			return fmt.Errorf("fast-exp base: %w", err)
+			return nil, fmt.Errorf("nonce base: %w", err)
 		}
 		h = fbexp.Exp(x, pk.N, pk.mod)
 	}
-	tab, err := fbexp.New(h, pk.mod, window, shortBits, fastExpEntries)
+	tab, err := fbexp.New(h, pk.mod, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries)
 	if err != nil {
-		return fmt.Errorf("fast-exp table: %w", err)
+		return nil, fmt.Errorf("nonce table: %w", err)
 	}
-	pk.fb = tab
-	pk.shortBits = shortBits
-	return nil
+	nt.tab.Store(tab)
+	nonceTables.Add(1)
+	return tab, nil
 }
 
-// DisableFastExp drops the table: nonces are then H^s by plain
-// square-and-multiply, or full-width r^n on a key without H.
-// Setup-time only, like EnableFastExp.
-func (pk *PublicKey) DisableFastExp() {
-	pk.fb = nil
-	pk.shortBits = 0
-}
-
-// FastExpEnabled reports whether the fixed-base engine is armed.
-func (pk *PublicKey) FastExpEnabled() bool { return pk.fb != nil }
-
-// FastExpSizeBytes reports the engine table's memory footprint, or 0
-// when disabled.
-func (pk *PublicKey) FastExpSizeBytes() int {
-	if pk.fb == nil {
+// NonceTableBytes reports the memory footprint of the key's nonce
+// table, or 0 while no nonce has been drawn under the key.
+func (pk *PublicKey) NonceTableBytes() int {
+	if pk.nt == nil {
 		return 0
 	}
-	return pk.fb.SizeBytes()
+	if tab := pk.nt.tab.Load(); tab != nil {
+		return tab.SizeBytes()
+	}
+	return 0
 }
 
-// newRn draws one nonce factor: H^s mod n^2 for s uniform in
-// [1, 2^shortBits) — from the table when the key is armed, by a plain
-// short exponentiation when it only carries H — or, on a key with
-// neither, r^n for a random unit r.
+// newRn draws one nonce factor: H^s mod n^2 from the key's table, for s
+// uniform in [1, 2^DefaultShortExpBits).
 func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
 	nonces.Add(1)
-	if pk.fb == nil && pk.H == nil {
-		r, err := pk.randomUnit(random)
-		if err != nil {
-			return nil, err
-		}
-		return pk.fullWidthRn(r), nil
-	}
-	shortBits := pk.shortBits
-	if pk.fb == nil {
-		shortBits = DefaultShortExpBits
-	}
 	random = orDefaultRand(random)
-	limit := new(big.Int).Lsh(one, uint(shortBits))
+	tab, err := pk.table(random)
+	if err != nil {
+		return nil, err
+	}
 	for {
-		s, err := rand.Int(random, limit)
+		s, err := rand.Int(random, shortExpLimit)
 		if err != nil {
 			return nil, fmt.Errorf("draw short exponent: %w", err)
 		}
 		if s.Sign() == 0 {
 			continue // h^0 = 1 would be a non-blinding nonce
 		}
-		if pk.fb != nil {
-			return pk.fb.Exp(s), nil
-		}
-		pk.ensureCache()
-		return fbexp.Exp(pk.H, s, pk.mod), nil
+		return tab.Exp(s), nil
 	}
 }
 
@@ -575,7 +558,7 @@ func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
 }
 
 // Encrypt encrypts the signed message m under pk using a fresh random
-// nonce from random (see newRn for what it costs on which key).
+// nonce from random (see newRn; the key's first nonce builds its table).
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
 	rn, err := pk.newRn(random)
 	if err != nil {
@@ -585,11 +568,13 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 }
 
 // EncryptWithNonce encrypts m with the caller-supplied nonce r in
-// Z_n^*. Deterministic given (m, r); used by tests and by callers that
-// batch nonce generation. Always costs a full-width r^n, here and —
-// r^n being outside <H> — again at decryption.
+// Z_n^*. Deterministic given (m, r); used by tests and by the textbook
+// cost row of Table II. Always costs a full-width r^n, here and — r^n
+// being outside <H> — again at decryption.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	return pk.encryptWithRn(m, pk.fullWidthRn(r))
+	pk.ensureCache()
+	fullWidthNonces.Add(1)
+	return pk.encryptWithRn(m, fbexp.Exp(r, pk.N, pk.mod))
 }
 
 // encryptWithRn assembles the ciphertext (1 + m*n) * rn mod n^2 from a
@@ -804,7 +789,8 @@ func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, 
 }
 
 // Nonce is a precomputed re-randomisation factor, an n-th residue mod
-// n^2: H^s, or r^n on a key without H. The expensive exponentiation
+// n^2: h^s for the key's tabled base h (H, or a private x^n on a key
+// without H). The expensive exponentiation
 // happens at construction (offline); applying it to a ciphertext is a
 // single modular multiplication. This is the mechanism behind the
 // paper's cheap request-reuse path (§VI-A: the SU "can simply multiply

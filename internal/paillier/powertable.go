@@ -33,7 +33,7 @@ type PowerTable struct {
 
 // PowerTable tables ct for scalars of up to expBits bits. The build
 // costs about half of one ScalarMul by such a scalar and a use under
-// half, so it pays from the second use on. pk must be prepared (Prepare, EnableFastExp).
+// half, so it pays from the second use on. pk must be prepared (Prepare).
 func (pk *PublicKey) PowerTable(ct *Ciphertext, expBits int) (*PowerTable, error) {
 	if err := pk.validate(ct); err != nil {
 		return nil, err

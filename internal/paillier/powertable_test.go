@@ -221,7 +221,7 @@ func TestNegBatchNonUnit(t *testing.T) {
 // package computes against big.Int.Exp, which computed them before the
 // half-width kernel did: ScalarMul over zero, unit, blinding-width,
 // nonce-width and n-sized scalars of either sign; the legacy nonce r^n;
-// the unarmed H^s (through a deterministic source, so s is known); and a
+// a tabled H^s (through a deterministic source, so s is known); and a
 // threshold share's c^d. A negative scalar on a non-unit still fails
 // closed.
 func TestExponentiationsMatchBigInt(t *testing.T) {
@@ -263,10 +263,11 @@ func TestExponentiationsMatchBigInt(t *testing.T) {
 			t.Fatalf("n=%d: legacy nonce r^n differs from big.Int.Exp", bits)
 		}
 
-		// An unarmed key with H draws s from the source and returns H^s.
-		unarmed := PublicKey{N: pk.N, H: pk.H}
+		// A fresh key with H draws s from the source (its table build
+		// reads none) and returns H^s from the table.
+		fresh := PublicKey{N: pk.N, H: pk.H}
 		seed := strings.Repeat("pisa-nonce-seed:", 8)
-		nonce, err := unarmed.NewNonce(strings.NewReader(seed))
+		nonce, err := fresh.NewNonce(strings.NewReader(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestExponentiationsMatchBigInt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := new(big.Int).Exp(pk.H, s, nn); nonce.rn.Cmp(want) != 0 {
-			t.Fatalf("n=%d: unarmed H^s differs from big.Int.Exp", bits)
+			t.Fatalf("n=%d: tabled H^s differs from big.Int.Exp", bits)
 		}
 
 		shares, err := sk.SplitKey(rand.Reader, 2)

@@ -75,22 +75,16 @@ func wantFull(t testing.TB, what string, sk *PrivateKey, ct *Ciphertext) {
 }
 
 // keyCopies returns the three shapes a party's copy of one public key
-// takes: armed by the owner, bare with H (as it crosses a socket), and
-// a bare copy armed separately by whoever received it.
+// takes: a value copy of the owner's (sharing its table), bare with H
+// as it crosses a socket, and such a copy prepared by whoever received
+// it. Each tables H on its first nonce.
 func keyCopies(t testing.TB, sk *PrivateKey) map[string]*PublicKey {
 	t.Helper()
 	owner := sk.PublicKey
-	if err := owner.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	remote := &PublicKey{N: sk.N, H: sk.H}
-	if err := remote.EnableFastExp(rand.Reader, 4, 128); err != nil {
-		t.Fatal(err)
-	}
 	return map[string]*PublicKey{
-		"armed":            &owner,
-		"unarmed with H":   {N: sk.N, H: sk.H},
-		"separately armed": remote,
+		"owner":    &owner,
+		"bare":     {N: sk.N, H: sk.H},
+		"prepared": (&PublicKey{N: sk.N, H: sk.H}).Prepare(),
 	}
 }
 
@@ -183,11 +177,8 @@ func TestForeignNonceContinues(t *testing.T) {
 	for name, pk := range keyCopies(t, sk) {
 		wantFull(t, name+" EncryptWithNonce", sk, foreignCiphertext(t, pk, big.NewInt(99)))
 	}
-	// A party still arming a private base on a bare modulus.
+	// A party holding the bare modulus tables a private base.
 	private := &PublicKey{N: sk.N}
-	if err := private.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	ct, err := private.Encrypt(rand.Reader, big.NewInt(-3))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +207,7 @@ func TestHomomorphicMixesKeepTheirPath(t *testing.T) {
 			}
 			own = append(own, ct)
 		}
-		pk := copies["armed"]
+		pk := copies["owner"]
 		foreign := foreignCiphertext(t, pk, big.NewInt(b))
 		nonce, err := pk.NewNonce(rand.Reader)
 		if err != nil {
@@ -408,14 +399,12 @@ func TestThresholdUnchangedOnSubgroupKey(t *testing.T) {
 	}
 }
 
-// TestSharedArmedKeyAcrossWorkers: one armed key, encryptions and
-// decryptions from several goroutines at once (run under -race); every
-// decryption must come out right and short.
+// TestSharedArmedKeyAcrossWorkers: one key, its table built by the
+// first of the encryptions and decryptions several goroutines run at
+// once (run under -race); every decryption must come out right and
+// short.
 func TestSharedArmedKeyAcrossWorkers(t *testing.T) {
 	sk := fastKey(t, 512)
-	if err := sk.EnableFastExp(rand.Reader, 0, 0); err != nil {
-		t.Fatal(err)
-	}
 	const workers, each = 4, 8
 	_, full0 := Decrypts()
 	var wg sync.WaitGroup

@@ -150,7 +150,7 @@ func NewDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders [
 		holders: holders,
 		random:  random,
 		workers: 1,
-		sus:     newSURegistry(random),
+		sus:     newSURegistry(),
 	}, nil
 }
 
@@ -170,17 +170,6 @@ func (d *DistSTP) SetParallelism(n int) {
 
 // GroupKey implements STPService.
 func (d *DistSTP) GroupKey() *paillier.PublicKey { return d.group }
-
-// SetFastExp arms the fixed-base engine on the group key and on every
-// registered SU key (current and future), exactly like STP.SetFastExp:
-// the combiner's answer encryptions of eq. 15 draw from the table.
-// Call at setup, before conversions start.
-func (d *DistSTP) SetFastExp(window, shortBits int) error {
-	if err := d.group.EnableFastExp(d.random, window, shortBits); err != nil {
-		return fmt.Errorf("pisa: arm group key: %w", err)
-	}
-	return d.sus.armAll(window, shortBits)
-}
 
 // Holders reports the number of co-STP share holders.
 func (d *DistSTP) Holders() int { return len(d.holders) }

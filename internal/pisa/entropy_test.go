@@ -53,13 +53,6 @@ func TestSDCEntropyFailureNamesCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fetch and arm the SU's key while entropy still works: arming draws
-	// randomness of its own and would otherwise fail the request below
-	// before it reaches the blinding stage.
-	if _, err := sdc.suKeys.Get("su-1"); err != nil {
-		t.Fatal(err)
-	}
-
 	// Cells are blinded in order, so the failure lands on the first.
 	src.failing.Store(true)
 	_, err = sdc.ProcessRequest(req)

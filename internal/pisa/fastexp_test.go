@@ -12,24 +12,32 @@ import (
 	"pisa/internal/watch"
 )
 
-// newDeploymentEngine builds a deployment with the fixed-base engine
-// explicitly on or off (newDeployment itself follows TestParams, which
-// arms it).
+// bareGroupSTP serves the group key as a peer from before the nonce
+// base was published holds it: the bare modulus.
+type bareGroupSTP struct {
+	*STP
+	bare *paillier.PublicKey
+}
+
+func (b bareGroupSTP) GroupKey() *paillier.PublicKey { return b.bare }
+
+// newDeploymentEngine builds a deployment whose SDC, SUs and PUs hold
+// the group key with its published nonce base H (engine) or as its bare
+// modulus (legacy): then every nonce they draw comes from a private
+// base, and the STP decrypts it on the full exponent.
 func newDeploymentEngine(t *testing.T, engine bool) *deployment {
 	t.Helper()
 	wp := testWatchParams(t)
 	params := TestParams(wp)
-	params.FastExp = engine
 	stp, err := NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatalf("NewSTP: %v", err)
 	}
-	if engine {
-		if err := stp.SetFastExp(params.FastExpWindow, params.ShortExpBits); err != nil {
-			t.Fatalf("SetFastExp: %v", err)
-		}
+	var front STPService = stp
+	if !engine {
+		front = bareGroupSTP{STP: stp, bare: &paillier.PublicKey{N: stp.GroupKey().N}}
 	}
-	sdc, err := NewSDC("sdc-test", params, nil, stp)
+	sdc, err := NewSDC("sdc-test", params, nil, front)
 	if err != nil {
 		t.Fatalf("NewSDC: %v", err)
 	}
@@ -40,9 +48,11 @@ func newDeploymentEngine(t *testing.T, engine bool) *deployment {
 	return &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
 }
 
-// TestEngineOnOffDecisionParity runs the same scenario through an
-// engine-armed deployment and a legacy one: both must agree with the
-// plaintext oracle on every decision.
+// TestEngineOnOffDecisionParity runs the same scenario through a
+// deployment whose senders table the published H and one whose senders
+// table private bases: both must agree with the plaintext oracle on
+// every decision, and the STP's decrypt counters must say which nonces
+// it saw.
 func TestEngineOnOffDecisionParity(t *testing.T) {
 	for _, engine := range []bool{false, true} {
 		name := "legacy"
@@ -51,9 +61,7 @@ func TestEngineOnOffDecisionParity(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			d := newDeploymentEngine(t, engine)
-			if got := d.stp.GroupKey().FastExpEnabled(); got != engine {
-				t.Fatalf("group key engine state %v, want %v", got, engine)
-			}
+			_, full0 := paillier.Decrypts()
 			su := d.newSU(t, "su-1", 7)
 			eirp := map[int]int64{1: maxEIRP(d)}
 
@@ -86,114 +94,70 @@ func TestEngineOnOffDecisionParity(t *testing.T) {
 			if got, want := d.decide(t, su, req3).Granted, d.oracleDecision(t, 7, eirp); got != want {
 				t.Fatalf("refreshed decision %v, oracle says %v", got, want)
 			}
+			if _, full := paillier.Decrypts(); (full > full0) != !engine {
+				t.Fatalf("%d full decryptions at the STP with engine=%v", full-full0, engine)
+			}
 		})
 	}
 }
 
-// TestSTPSetFastExpArmsRegistry verifies SetFastExp arms the group key
-// and both already-registered and later-registered SU keys, without
-// mutating the key objects the SUs handed in.
-func TestSTPSetFastExpArmsRegistry(t *testing.T) {
-	wp := testWatchParams(t)
-	params := TestParams(wp)
-	params.FastExp = false // arm manually below
-	stp, err := NewSTP(rand.Reader, params.PaillierBits)
+// TestSUKeysTableOnFirstConversion: both STP flavours keep their own
+// prepared copy of a registered SU key, and that copy tables its nonce
+// base on the first answer encrypted under it — never at registration,
+// never in the caller's key object. The group key, which an STP only
+// decrypts under, builds no table at all.
+func TestSUKeysTableOnFirstConversion(t *testing.T) {
+	single, err := NewSTP(rand.Reader, 768)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdc, err := NewSDC("sdc-test", params, nil, stp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &deployment{params: params, stp: stp, sdc: sdc}
-
-	before := d.newSU(t, "su-before", 3)
-	if err := stp.SetFastExp(0, 0); err != nil {
-		t.Fatalf("SetFastExp: %v", err)
-	}
-	after := d.newSU(t, "su-after", 5)
-
-	if !stp.GroupKey().FastExpEnabled() {
-		t.Fatal("group key not armed")
-	}
-	for _, id := range []string{"su-before", "su-after"} {
-		pk, err := stp.SUKey(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pk.FastExpEnabled() {
-			t.Fatalf("registered key %q not armed", id)
-		}
-	}
-	// The SUs' own key objects stay untouched (the STP armed copies):
-	// params.FastExp is false, so NewSU did not arm them either.
-	if before.PublicKey().FastExpEnabled() || after.PublicKey().FastExpEnabled() {
-		t.Fatal("STP mutated a caller's key object")
-	}
-
-	// A conversion through the armed registry still decrypts to ±1
-	// under the SU's private key.
-	v, err := stp.GroupKey().Encrypt(rand.Reader, big.NewInt(-42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := stp.ConvertSigns(&SignRequest{SUID: "su-before", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := before.key.DecryptInt(resp.X[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != -1 {
-		t.Fatalf("sign conversion through armed key: got %d, want -1", m)
-	}
-}
-
-// TestDistSTPSetFastExp mirrors the registry-arming check for the
-// distributed combiner.
-func TestDistSTPSetFastExp(t *testing.T) {
 	dist, _, err := NewDistSTP(rand.Reader, 768, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skSU, err := paillier.GenerateKey(rand.Reader, 768)
-	if err != nil {
-		t.Fatal(err)
+	for name, stp := range map[string]interface {
+		STPService
+		RegisterSU(string, *paillier.PublicKey) error
+	}{"stp": single, "dist": dist} {
+		t.Run(name, func(t *testing.T) {
+			skSU, err := paillier.GenerateKey(rand.Reader, 768)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stp.RegisterSU("su-1", skSU.Public()); err != nil {
+				t.Fatal(err)
+			}
+			stored, err := stp.SUKey("su-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stored == skSU.Public() || stored.NonceTableBytes() != 0 {
+				t.Fatal("registry shares the caller's key object or tabled it at registration")
+			}
+			// A full-width nonce keeps the group key's own table unbuilt.
+			v, err := stp.GroupKey().EncryptWithNonce(big.NewInt(-42), big.NewInt(65537))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := paillier.NonceTables()
+			resp, err := stp.ConvertSigns(&SignRequest{SUID: "su-1", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := skSU.DecryptInt(resp.X[0]); err != nil || m != -1 {
+				t.Fatalf("sign conversion: m=%d err=%v, want -1", m, err)
+			}
+			if got := paillier.NonceTables() - tables; got != 1 || stored.NonceTableBytes() == 0 {
+				t.Fatalf("first conversion built %d tables (stored key %d bytes), want the stored key's one",
+					got, stored.NonceTableBytes())
+			}
+			if skSU.NonceTableBytes() != 0 || stp.GroupKey().NonceTableBytes() != 0 {
+				t.Fatal("a conversion tabled the caller's key object or the group key")
+			}
+		})
 	}
-	if err := dist.RegisterSU("su-1", skSU.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.SetFastExp(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !dist.GroupKey().FastExpEnabled() {
-		t.Fatal("group key not armed")
-	}
-	pk, err := dist.SUKey("su-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pk.FastExpEnabled() {
-		t.Fatal("registered SU key not armed")
-	}
-	if skSU.PublicKey.FastExpEnabled() {
-		t.Fatal("DistSTP mutated the caller's key object")
-	}
-	v, err := dist.GroupKey().Encrypt(rand.Reader, big.NewInt(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dist.ConvertSigns(&SignRequest{SUID: "su-1", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := skSU.DecryptInt(resp.X[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != 1 {
-		t.Fatalf("sign conversion: got %d, want +1", m)
+	if err := single.SetFastExp(8, 256); err != nil {
+		t.Fatalf("deprecated SetFastExp: %v", err)
 	}
 }
 

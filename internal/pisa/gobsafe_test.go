@@ -182,7 +182,7 @@ func TestUntrustedSUKeyRejected(t *testing.T) {
 		if err := stp.RegisterSU("su-1", pk); err == nil {
 			t.Errorf("%s: registration accepted", name)
 		}
-		cache := newSUKeyCache(fixedKeySTP{pk: pk}, TestParams(testWatchParams(t)), rand.Reader, true)
+		cache := newSUKeyCache(fixedKeySTP{pk: pk})
 		if _, err := cache.Get("su-1"); err == nil {
 			t.Errorf("%s: key fetched from the STP accepted", name)
 		}

@@ -70,8 +70,7 @@ type sdcMetrics struct {
 	cacheTableDrops  *obs.Counter
 	cacheTableBytes  *obs.Gauge
 
-	// SU-key cache (sukeys.go): a miss is one STP round trip plus, for
-	// an arming owner, one table build.
+	// SU-key cache (sukeys.go): a miss is one STP round trip.
 	suKeyHits   *obs.Counter // event="hit"
 	suKeyMisses *obs.Counter // event="miss"
 	suKeyEvicts *obs.Counter // event="evict"

@@ -21,10 +21,8 @@ package pisa
 
 import (
 	"fmt"
-	"io"
 
 	"pisa/internal/dsig"
-	"pisa/internal/fbexp"
 	"pisa/internal/paillier"
 	"pisa/internal/watch"
 )
@@ -63,26 +61,21 @@ type Params struct {
 	// Parallelism bounds the worker pool every embarrassingly-parallel
 	// crypto kernel (matrix operations, batch encryption, sign
 	// conversion, pool refills) fans out over: > 0 is a literal worker
-	// count, 0 means serial (the reproducible default — identical
-	// ciphertext streams to the pre-parallel implementation), and < 0
-	// means one worker per CPU (parallel.Auto).
+	// count, < 0 means one worker per CPU (parallel.Auto; what
+	// DefaultParams and a config file without the key give), and 0
+	// means serial (a literal that omits the field, or an explicit 0).
 	Parallelism int
 
-	// FastExp arms the fixed-base exponentiation engine
-	// (internal/fbexp) on the keys each role touches: nonce factors
-	// H^s, for the key's published base H and a short exponent s, come
-	// from a precomputed comb table, an order of magnitude cheaper
-	// than the square-and-multiply an untabled key pays for the same
-	// H^s. Disable to test without tables.
+	// Deprecated: FastExp, FastExpWindow and ShortExpBits are inert.
+	// Every key tables its nonce base on its first nonce, at the one
+	// geometry internal/paillier fixes; there is nothing to switch on or
+	// size. The fields exist only because the frozen benchmark
+	// (benchmark/deploy.go, benchmark/bench_test.go) names them; nothing
+	// reads them.
 	FastExp bool
-
-	// FastExpWindow is the height of the table's comb in bits; 0
-	// selects paillier.DefaultFastExpWindow (8). The table's size is
-	// fixed by the engine, not by this value.
+	// Deprecated: inert, see FastExp.
 	FastExpWindow int
-
-	// ShortExpBits is the nonce exponent width; 0 selects
-	// paillier.DefaultShortExpBits (256 = 2·λ at 112-bit security).
+	// Deprecated: inert, see FastExp.
 	ShortExpBits int
 
 	// Deprecated: Packing is inert. Ciphertexts are always slot-packed
@@ -133,7 +126,6 @@ func DefaultParams(w watch.Params) Params {
 		EtaBits:       256,
 		SignerBits:    dsig.MaxSignerBits(2048),
 		Parallelism:   -1,   // production default: one worker per CPU
-		FastExp:       true, // fixed-base engine at default window/width
 		CacheEntries:  1024, // encrypted-decision cache (0 = recompute every request)
 	}
 }
@@ -150,7 +142,6 @@ func TestParams(w watch.Params) Params {
 		BetaBits:      64,
 		EtaBits:       64,
 		SignerBits:    512,
-		FastExp:       true,
 		CacheEntries:  256,
 	}
 }
@@ -217,11 +208,6 @@ func (p Params) Validate() error {
 	case p.SignerBits > dsig.MaxSignerBits(p.PaillierBits):
 		return fmt.Errorf("pisa: SignerBits %d exceeds dsig.MaxSignerBits(%d) = %d",
 			p.SignerBits, p.PaillierBits, dsig.MaxSignerBits(p.PaillierBits))
-	case p.FastExpWindow < 0 || p.FastExpWindow > fbexp.MaxWindow:
-		return fmt.Errorf("pisa: FastExpWindow %d outside [0, %d] (0 = default)",
-			p.FastExpWindow, fbexp.MaxWindow)
-	case p.ShortExpBits < 0 || (p.ShortExpBits > 0 && p.ShortExpBits < 64):
-		return fmt.Errorf("pisa: ShortExpBits %d must be 0 (default) or >= 64", p.ShortExpBits)
 	case p.CacheEntries < 0:
 		return fmt.Errorf("pisa: CacheEntries must not be negative")
 	}
@@ -278,16 +264,4 @@ func (p Params) Validate() error {
 			p.PlaintextBits, maxUnits)
 	}
 	return nil
-}
-
-// armFastExp tables pk's published nonce base per the params (no-op
-// when FastExp is off or pk already has a table). Every role
-// constructor funnels through here so the height/width knobs apply
-// uniformly, and every copy of a key tables the same H, so the nonces
-// any party draws stay in the subgroup the key's owner decrypts with.
-func (p Params) armFastExp(random io.Reader, pk *paillier.PublicKey) error {
-	if !p.FastExp {
-		return nil
-	}
-	return pk.EnableFastExp(random, p.FastExpWindow, p.ShortExpBits)
 }

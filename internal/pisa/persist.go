@@ -10,7 +10,6 @@ import (
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/paillier"
-	"pisa/internal/parallel"
 	"pisa/internal/store"
 	"pisa/internal/watch"
 )
@@ -332,17 +331,14 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 	}
 	// Through the same door as live registrations: the recovered keys
 	// arrive bare (modulus and nonce base only), are checked like any
-	// other outside input, and are stored prepared, and armed when
-	// SetFastExp already ran, as cmd/stpd orders it. Arming is one table
-	// build per key and nothing else runs during recovery, so it takes
-	// every CPU.
-	ids := make([]string, 0, len(keys))
-	for id := range keys {
-		ids = append(ids, id)
+	// other outside input and stored prepared. Each tables its nonce base
+	// on the first conversion into it, not here.
+	for id, pk := range keys {
+		if err := s.sus.register(id, pk); err != nil {
+			return err
+		}
 	}
-	return parallel.For(parallel.Auto(), len(ids), func(i int) error {
-		return s.sus.register(ids[i], keys[ids[i]])
-	})
+	return nil
 }
 
 // suRegistrationV1 is one WAL record of the STP registry log. Base is

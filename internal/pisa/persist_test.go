@@ -390,20 +390,32 @@ func TestRegistryExportRestore(t *testing.T) {
 		}
 	})
 
-	// cmd/stpd arms the engine before it restores the registry: the
-	// recovered keys must come out armed, not bare.
-	t.Run("restore after SetFastExp arms", func(t *testing.T) {
+	// Recovered keys are stored prepared and build no table until a
+	// conversion encrypts under them; the first one does, whatever the
+	// boot order was.
+	t.Run("restored keys table on first conversion", func(t *testing.T) {
 		s := NewSTPWithKey(rand.Reader, d.sk)
-		if err := s.SetFastExp(0, 0); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.RestoreRegistry(snap, tail); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range []string{"su-1", "su-2", "su-3"} {
-			if pk, err := s.SUKey(id); err != nil || !pk.FastExpEnabled() {
-				t.Fatalf("restored key %s not armed (err %v)", id, err)
+			if pk, err := s.SUKey(id); err != nil || pk.NonceTableBytes() != 0 {
+				t.Fatalf("restored key %s tabled at restore (err %v)", id, err)
 			}
+		}
+		v, err := s.GroupKey().Encrypt(rand.Reader, big.NewInt(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.ConvertSigns(&SignRequest{SUID: "su-1", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := su1.key.DecryptInt(resp.X[0]); err != nil || m != 1 {
+			t.Fatalf("conversion into a restored key: m=%d err=%v, want +1", m, err)
+		}
+		if pk, _ := s.SUKey("su-1"); pk.NonceTableBytes() == 0 {
+			t.Fatal("first conversion left the restored key untabled")
 		}
 	})
 

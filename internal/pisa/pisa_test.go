@@ -67,10 +67,11 @@ func newDeployment(t *testing.T) *deployment {
 	return &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
 }
 
-// newSU creates and registers a secondary user.
+// newSU creates and registers a secondary user holding the group key
+// as the SDC holds it.
 func (d *deployment) newSU(t *testing.T, id string, block geo.BlockID) *SU {
 	t.Helper()
-	su, err := NewSU(rand.Reader, id, block, d.params, d.sdc.Planner(), d.stp.GroupKey())
+	su, err := NewSU(rand.Reader, id, block, d.params, d.sdc.Planner(), d.sdc.group)
 	if err != nil {
 		t.Fatalf("NewSU: %v", err)
 	}
@@ -87,7 +88,7 @@ func (d *deployment) newPU(t *testing.T, id watch.PUID, block geo.BlockID) *PU {
 	if err != nil {
 		t.Fatalf("EColumn: %v", err)
 	}
-	pu, err := NewPU(rand.Reader, id, block, col, d.stp.GroupKey())
+	pu, err := NewPU(rand.Reader, id, block, col, d.sdc.group)
 	if err != nil {
 		t.Fatalf("NewPU: %v", err)
 	}

@@ -72,7 +72,7 @@ func Windows(channels, n int) ([][2]int, error) {
 // like any other front. Planner and EColumn come from its public data.
 type Router struct {
 	*publicData
-	suKeys  *SUKeyCache // the license tail encrypts under these: armed
+	suKeys  *SUKeyCache // the license tail encrypts under these
 	lic     *Licenser
 	shards  []ShardService
 	windows [][2]int
@@ -140,7 +140,7 @@ func NewRouter(issuer string, params Params, transmitters []watch.TVTransmitter,
 	if err != nil {
 		return nil, err
 	}
-	return newRouter(public, newSUKeyCache(stp, params, rand.Reader, true), lic, shards)
+	return newRouter(public, newSUKeyCache(stp), lic, shards)
 }
 
 // newRouter assembles a router from its parts: NewRouter's own, or those

@@ -64,9 +64,9 @@ type SDC struct {
 	betaCodec *paillier.SlotCodec
 
 	// suKeys resolves a request's SU id to a prepared key, asking the
-	// STP once per id; shared with the router's license tail and armed,
-	// unless this instance is a windowed shard, which never encrypts under
-	// an SU key (sukeys.go).
+	// STP once per id; shared with the router's license tail, whose
+	// encryptions table a key on its first license. A windowed shard
+	// never encrypts under an SU key and builds no table (sukeys.go).
 	suKeys *SUKeyCache
 
 	// cacheCtr mirrors the obs cache counters per instance: the obs
@@ -254,14 +254,11 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	// source; SharedReader serialises injected readers (crypto/rand is
 	// passed through) without changing the byte stream.
 	s.random = paillier.SharedReader(s.random)
-	s.suKeys = newSUKeyCache(stp, params, s.random, !s.windowed())
-	// Arm the fixed-base engine on the group key: budget encryptions,
-	// column rebuilds and blinding-factor generation all draw their
-	// nonces from the table. Idempotent on a group key another role
-	// already armed.
-	if err := params.armFastExp(s.random, s.group); err != nil {
-		return nil, fmt.Errorf("pisa: arm group key: %w", err)
-	}
+	s.suKeys = newSUKeyCache(stp)
+	// Budget encryptions, column rebuilds and blinding-factor generation
+	// share the group key across workers; the first of their nonces
+	// builds its table.
+	s.group.Prepare()
 	if s.codec, err = params.SlotCodec(); err != nil {
 		return nil, err
 	}
@@ -282,7 +279,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	}
 	if !s.windowed() {
 		// The engine is complete. Its request front is a one-shard router
-		// over it that shares its public data, its armed SU-key cache and
+		// over it that shares its public data, its SU-key cache and
 		// its randomness, so a monolith computes E once and fetches each
 		// SU key once.
 		lic, err := newLicenser(issuer, params, s.random, o.now, o.licTTL)

@@ -20,7 +20,9 @@ type STPService interface {
 	// +1/-1, and encrypt the signs, slot-packed, under the named SU's
 	// key.
 	ConvertSigns(req *SignRequest) (*SignResponse, error)
-	// SUKey returns the registered public key of an SU.
+	// SUKey returns the registered public key of an SU: a prepared key
+	// (an in-process registry's own, which callers share) or a fresh
+	// object the caller owns (one decoded off a socket).
 	SUKey(id string) (*paillier.PublicKey, error)
 	// GroupKey returns the group public key pk_G.
 	GroupKey() *paillier.PublicKey
@@ -35,9 +37,8 @@ type STP struct {
 	random  io.Reader
 	workers int
 
-	// sus is the SU key registry; once SetFastExp ran, every key in it
-	// carries a fixed-base table, so the answer encryptions of ConvertSigns
-	// take the fast path.
+	// sus is the SU key registry; each key in it tables its nonce base
+	// on the first answer ConvertSigns encrypts under it.
 	sus *suRegistry
 
 	mu      sync.Mutex
@@ -77,40 +78,37 @@ func NewSTPWithKey(random io.Reader, group *paillier.PrivateKey) *STP {
 		group:   group,
 		random:  random,
 		workers: 1,
-		sus:     newSURegistry(random),
+		sus:     newSURegistry(),
 	}
 }
 
 // SetParallelism resizes the worker pool ConvertSigns fans out over
-// (see Params.Parallelism for the encoding; the constructor default
-// is serial). Not safe to call concurrently with ConvertSigns.
+// (see Params.Parallelism for the encoding). The constructors leave it
+// serial; a deployment sets it from its Params (deploy.NewSTP, stpd).
+// Not safe to call concurrently with ConvertSigns.
 func (s *STP) SetParallelism(n int) {
 	s.workers = parallel.Resolve(n)
 }
+
+// Parallelism reports the resolved worker-pool size.
+func (s *STP) Parallelism() int { return s.workers }
 
 // GroupKey returns pk_G. Anyone may retrieve it (§III-C).
 func (s *STP) GroupKey() *paillier.PublicKey {
 	return s.group.Public()
 }
 
-// SetFastExp arms the fixed-base exponentiation engine on the group
-// key and on every SU key this STP converts into: each registered key
-// (current and future) is replaced by a table-enabled copy, so the
-// answer encryptions of eq. 15 draw their nonces from the table.
-// window/shortBits of 0 select the paillier defaults. Call at setup,
-// before conversions start; registrations may keep arriving.
-func (s *STP) SetFastExp(window, shortBits int) error {
-	if err := s.group.PublicKey.EnableFastExp(s.random, window, shortBits); err != nil {
-		return fmt.Errorf("pisa: arm group key: %w", err)
-	}
-	return s.sus.armAll(window, shortBits)
-}
+// Deprecated: SetFastExp is a no-op that returns nil. Every key tables
+// its nonce base on its first nonce; there is nothing left to arm. It
+// exists only because the frozen benchmark (benchmark/deploy.go) calls
+// it.
+func (s *STP) SetFastExp(window, shortBits int) error { return nil }
 
 // RegisterSU stores an SU's public key for later key conversion.
 // Re-registration with the same key is idempotent; changing the key
 // for an existing ID is rejected (it would let an attacker redirect
-// another SU's responses). The registry keeps its own key object (a
-// table-armed copy once SetFastExp ran) and never writes to pk.
+// another SU's responses). The registry keeps its own key object and
+// never shares pk.
 func (s *STP) RegisterSU(id string, pk *paillier.PublicKey) error {
 	if err := s.sus.register(id, pk); err != nil {
 		return err

@@ -59,13 +59,9 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 	// Worker goroutines and background refills share the randomness
 	// source (SharedReader passes crypto/rand through unchanged).
 	random = paillier.SharedReader(random)
-	// Arm the fixed-base engine on the group key so request encryption
-	// and nonce generation take the fast path. Idempotent: in-process
-	// deployments share one group-key object across roles, and the
-	// first arm wins.
-	if err := params.armFastExp(random, group); err != nil {
-		return nil, fmt.Errorf("pisa: arm group key: %w", err)
-	}
+	// Request encryption fans out over workers; on an in-process group
+	// key another role already prepared this only reads.
+	group.Prepare()
 	codec, err := params.SlotCodec()
 	if err != nil {
 		return nil, err

@@ -3,29 +3,29 @@ package pisa
 import (
 	"container/list"
 	"fmt"
-	"io"
 	"sync"
 
 	"pisa/internal/paillier"
 )
 
-// suKeyCacheEntries bounds an SUKeyCache. An armed entry holds one
-// fixed-base table (about 1.5 MiB at a 2048-bit key), so a full cache
-// is about 190 MiB there; a fleet larger than this pays one fetch and
-// one table build per eviction, never a wrong answer.
+// suKeyCacheEntries bounds an SUKeyCache. An entry the license tail has
+// encrypted under holds one nonce table (about 1.5 MiB at a 2048-bit
+// key), so a full cache is at most about 190 MiB there; a fleet larger
+// than this pays one fetch and one table build per eviction, never a
+// wrong answer. A windowed shard only multiplies modulo n^2 and builds
+// no table.
 const suKeyCacheEntries = 128
 
 // SUKeyCache is the SDC-side (and router-side) view of the STP's SU key
 // registry: id -> the key object the request path multiplies and
 // encrypts under. It exists because STPService.SUKey is a remote call
 // in a networked deployment and what comes back is bare — a gob-decoded
-// key with only the modulus and the SU's nonce base H set: unprepared
-// (its derived fields would be filled lazily, by whichever worker
-// goroutines get there first) and unarmed (every encryption under it
-// costs one square-and-multiply H^s). The cache fetches each id once,
-// checks and prepares the key before any worker sees it, and tables its
-// H when its owner encrypts under it. A key that already carries a table — what an in-process STP
-// armed by SetFastExp hands out — is reused as it is.
+// key with only the modulus and the SU's nonce base H set, whose
+// derived fields would otherwise be filled lazily by whichever worker
+// goroutines get there first. The cache fetches each id once and checks
+// and prepares the key before any worker sees it; the key tables its H
+// on its first nonce. A key an in-process STP hands out is its
+// registry's prepared copy and is reused as it is, table included.
 //
 // Caching is sound because a registration is immutable per id
 // (RegisterSU refuses a different key for a known id). Should the STP
@@ -39,13 +39,10 @@ const suKeyCacheEntries = 128
 // SDC (or evicting the entry) heals it.
 //
 // Safe for concurrent use; concurrent misses on one id share a single
-// fetch and a single table build.
+// fetch.
 type SUKeyCache struct {
-	stp    STPService
-	params Params
-	random io.Reader
-	arm    bool
-	cap    int
+	stp STPService
+	cap int
 
 	mu   sync.Mutex
 	lru  *list.List // front = most recently used; values are *suKeyEntry
@@ -61,27 +58,19 @@ type suKeyEntry struct {
 	err   error
 }
 
-// newSUKeyCache builds an empty cache over stp. arm says whether the
-// owner encrypts under the keys (a router's license tail, or a
-// full-window SDC sharing its cache with its router): those are armed
-// per params on the way in. A windowed shard only multiplies modulo n^2
-// and passes false, sparing itself the table. random must be safe for
-// concurrent use.
-func newSUKeyCache(stp STPService, params Params, random io.Reader, arm bool) *SUKeyCache {
+// newSUKeyCache builds an empty cache over stp.
+func newSUKeyCache(stp STPService) *SUKeyCache {
 	return &SUKeyCache{
-		stp:    stp,
-		params: params,
-		random: random,
-		arm:    arm,
-		cap:    suKeyCacheEntries,
-		lru:    list.New(),
-		byID:   make(map[string]*list.Element),
+		stp:  stp,
+		cap:  suKeyCacheEntries,
+		lru:  list.New(),
+		byID: make(map[string]*list.Element),
 	}
 }
 
-// Get returns the prepared (and, for an arming owner, armed) key of the
-// SU. The first call for an id asks the STP; an STP error is returned
-// to everyone waiting on that fetch and not cached.
+// Get returns the prepared key of the SU. The first call for an id asks
+// the STP; an STP error is returned to everyone waiting on that fetch
+// and not cached.
 func (c *SUKeyCache) Get(id string) (*paillier.PublicKey, error) {
 	m := metrics()
 	c.mu.Lock()
@@ -129,11 +118,7 @@ func (c *SUKeyCache) fetch(id string) (*paillier.PublicKey, error) {
 	if err := checkWireKey(fmt.Sprintf("SU %q key from STP", id), pk); err != nil {
 		return nil, err
 	}
-	pk = preparedCopy(pk)
-	if c.arm {
-		if err := c.params.armFastExp(c.random, pk); err != nil {
-			return nil, fmt.Errorf("pisa: arm SU %q key: %w", id, err)
-		}
-	}
-	return pk, nil
+	// A decoded key is this cache's own; a registry's is prepared
+	// already, and Prepare only reads it.
+	return pk.Prepare(), nil
 }

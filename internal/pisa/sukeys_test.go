@@ -2,6 +2,8 @@ package pisa
 
 import (
 	"crypto/rand"
+	"fmt"
+	"math/big"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,13 +124,25 @@ func TestSUKeyCacheStaleEntryFailsClosed(t *testing.T) {
 	}
 }
 
+// wireSTP hands out SU keys as a socket does: a fresh object carrying
+// only the modulus and the nonce base, never prepared.
+type wireSTP struct{ *swapSTP }
+
+func (w wireSTP) SUKey(id string) (*paillier.PublicKey, error) {
+	pk, err := w.swapSTP.SUKey(id)
+	if err != nil {
+		return nil, err
+	}
+	return &paillier.PublicKey{N: pk.N, H: pk.H}, nil
+}
+
 // TestSUKeyCacheEvictionAndArming covers the cache's own contract:
 // one fetch per id while it stays cached, least-recently-used eviction
-// at capacity followed by a re-fetch, errors not cached, keys prepared
-// before they are shared, armed only for an owner that encrypts, and an
-// already-armed key reused as it is.
+// at capacity followed by a re-fetch, errors not cached, a decoded key
+// prepared before it is shared, and an in-process registry key reused
+// as it is. Neither builds a table: a key tables its nonce base on its
+// first nonce, whoever draws it.
 func TestSUKeyCacheEvictionAndArming(t *testing.T) {
-	params := TestParams(testWatchParams(t))
 	stp, err := NewSTP(rand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +158,8 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 		}
 	}
 	front := &swapSTP{cur: stp}
-	random := paillier.SharedReader(rand.Reader)
 
-	cache := newSUKeyCache(front, params, random, true)
+	cache := newSUKeyCache(wireSTP{front})
 	cache.cap = 2
 	get := func(id string) *paillier.PublicKey {
 		t.Helper()
@@ -163,11 +176,17 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 		}
 	}
 	a := get("a")
-	if !a.FastExpEnabled() {
-		t.Fatal("arming cache handed out an unarmed key")
+	if a.NonceTableBytes() != 0 {
+		t.Fatal("cache built a table on fetch")
 	}
-	if stored, _ := stp.SUKey("a"); stored.FastExpEnabled() {
-		t.Fatal("arming the cached key wrote to the STP's own key object")
+	// Prepared on the way in: a value copy taken now shares the table
+	// the key's first nonce builds.
+	copied := *a
+	if _, err := a.EncryptInt(rand.Reader, 1); err != nil {
+		t.Fatal(err)
+	}
+	if copied.NonceTableBytes() == 0 {
+		t.Fatal("cache handed out an unprepared key")
 	}
 	if get("a") != a {
 		t.Fatal("second Get returned a different key object")
@@ -191,36 +210,21 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 	}
 	wantCalls(6) // the error was not cached
 
-	// A windowed shard's cache prepares but does not arm.
-	bare := newSUKeyCache(front, params, random, false)
-	pk, err := bare.Get("a")
+	// An in-process STP hands out its registry's prepared key: reused as
+	// is, so the registry and the cache share one table.
+	stored, err := stp.SUKey("b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk.FastExpEnabled() {
-		t.Fatal("non-arming cache built a table")
-	}
-	if pk.NSquared() == nil {
-		t.Fatal("key not prepared")
-	}
-
-	// An STP armed by SetFastExp hands out armed keys: reused, not copied.
-	if err := stp.SetFastExp(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	armed, err := stp.SUKey("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := newSUKeyCache(front, params, random, true).Get("b"); err != nil || got != armed {
-		t.Fatalf("armed registry key not reused as is (err %v)", err)
+	if got, err := newSUKeyCache(front).Get("b"); err != nil || got != stored {
+		t.Fatalf("registry key not reused as is (err %v)", err)
 	}
 }
 
 // TestSUKeyCacheConcurrentMissesShareOneFetch: a burst of first
-// requests from one SU costs one STP round trip and one table build.
+// requests from one SU costs one STP round trip and yields one key
+// object, so one table build.
 func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
-	params := TestParams(testWatchParams(t))
 	stp, err := NewSTP(rand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +237,7 @@ func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	front := &swapSTP{cur: stp}
-	cache := newSUKeyCache(front, params, paillier.SharedReader(rand.Reader), true)
+	cache := newSUKeyCache(wireSTP{front})
 	const callers = 8
 	keys := make([]*paillier.PublicKey, callers)
 	var wg sync.WaitGroup
@@ -261,9 +265,9 @@ func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
 
 // gateReader passes reads through to crypto/rand, except that once
 // armed the next Read parks until release is closed. Installed as the
-// registry's randomness source it holds one caller inside key arming —
-// of a key without a published nonce base, which draws a private table
-// base from the reader.
+// STP's randomness source it holds one conversion inside the first-use
+// table build of a key without a published nonce base, which draws a
+// private base from the reader.
 type gateReader struct {
 	armed   atomic.Bool
 	entered chan struct{}
@@ -282,12 +286,13 @@ func (g *gateReader) Read(p []byte) (int, error) {
 	return rand.Read(p)
 }
 
-// TestRegistrationDoesNotBlockLookups parks one registration inside its
-// table build and checks that sign conversions and key lookups for
-// other SUs keep going meanwhile (the registry used to build the table
-// under its write lock, stalling every convertAll -> SUKey), then that a
-// same-id registration which overtook the parked one decides the
-// outcome: the parked one is refused for carrying a different key.
+// TestRegistrationDoesNotBlockLookups parks one sign conversion inside
+// the first-use table build of its SU's key and checks that conversions
+// and key lookups for other SUs, and new registrations, keep going
+// meanwhile: a key's build holds only that key (an SU key tables itself
+// on the first answer encrypted under it, tens of milliseconds at 2048
+// bits), never the registry. Then the parked conversion completes, into
+// a key that now carries its table.
 func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 	gate := newGateReader()
 	params := TestParams(testWatchParams(t))
@@ -296,10 +301,7 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	stp := NewSTPWithKey(rand.Reader, group)
-	stp.sus.random = gate // only key building draws from the gate
-	if err := stp.SetFastExp(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	stp.random = gate // what conversions draw answer nonces (and private bases) from
 	sdc, err := NewSDC("sdc-test", params, nil, stp)
 	if err != nil {
 		t.Fatal(err)
@@ -318,22 +320,37 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	keyOf := func() *paillier.PublicKey {
+	keyOf := func() *paillier.PrivateKey {
 		sk, err := paillier.GenerateKey(rand.Reader, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sk.Public()
+		return sk
 	}
-	// Only a bare-modulus key reads the gate while it is armed.
-	slowKey, fastKey := &paillier.PublicKey{N: keyOf().N}, keyOf()
+	// Only a bare-modulus key reads the gate while building its table.
+	late := keyOf()
+	if err := stp.RegisterSU("late", &paillier.PublicKey{N: late.N}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := stp.GroupKey().Encrypt(rand.Reader, big.NewInt(-9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate.armed.Store(true)
-	parked := make(chan error, 1)
-	go func() { parked <- stp.RegisterSU("late", slowKey) }()
+	type result struct {
+		resp *SignResponse
+		err  error
+	}
+	parked := make(chan result, 1)
+	go func() {
+		resp, err := stp.ConvertSigns(&SignRequest{SUID: "late", V: []*paillier.Ciphertext{v}, Slots: 1, SlotBits: 64, AnswerBits: 64})
+		parked <- result{resp, err}
+	}()
 	<-gate.entered
 
 	// The storm: requests (each one a ConvertSigns with its SU-key
-	// lookup) and direct lookups, all while "late" is mid-registration.
+	// lookup and su-1's own first-use build), direct lookups and
+	// registrations, all while "late" is mid-build.
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 3; i++ {
@@ -345,27 +362,31 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 				done <- err
 				return
 			}
+			if err := stp.RegisterSU(fmt.Sprintf("new-%d", i), keyOf().Public()); err != nil {
+				done <- err
+				return
+			}
 		}
-		done <- stp.RegisterSU("late", fastKey)
+		done <- nil
 	}()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("during a parked registration: %v", err)
+			t.Fatalf("during a parked table build: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("lookups blocked behind a registration that is building its table")
+		t.Fatal("conversions or registrations blocked behind another key's table build")
 	}
 
 	close(gate.release)
-	if err := <-parked; err == nil {
-		t.Fatal("parked registration overwrote the same-id registration that won the race")
+	r := <-parked
+	if r.err != nil {
+		t.Fatalf("parked conversion: %v", r.err)
 	}
-	stored, err := stp.SUKey("late")
-	if err != nil {
-		t.Fatal(err)
+	if m, err := late.DecryptInt(r.resp.X[0]); err != nil || m != -1 {
+		t.Fatalf("parked conversion: m=%d err=%v, want -1", m, err)
 	}
-	if !stored.Equal(fastKey) || !stored.FastExpEnabled() {
-		t.Fatal("registry does not hold the winning key, armed")
+	if stored, err := stp.SUKey("late"); err != nil || stored.NonceTableBytes() == 0 {
+		t.Fatalf("parked conversion left the key untabled (err %v)", err)
 	}
 }
