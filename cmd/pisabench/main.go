@@ -190,8 +190,8 @@ func runTable2(opt options) error {
 		return err
 	}
 	row := func(name string, v interface{}) { fmt.Printf("  %-40s %v\n", name, v) }
-	row("Public key size", fmt.Sprintf("%d bits", stats.PublicKeyBits))
-	row("Secret key size", fmt.Sprintf("%d bits", stats.SecretKeyBits))
+	row("Public key size (N, H)", fmt.Sprintf("%d bits", stats.PublicKeyBits))
+	row("Secret key size (gob: p, q, a_p, a_q, H)", fmt.Sprintf("%d bits", stats.SecretKeyBits))
 	row("Plaintext message size", fmt.Sprintf("%d bits", stats.PlaintextBits))
 	row("Ciphertext size", fmt.Sprintf("%d bits", stats.CiphertextBits))
 	row("Encryption", ms(stats.Encrypt))

@@ -25,8 +25,8 @@ import (
 // PaillierStats reproduces the rows of Table II for a given modulus.
 type PaillierStats struct {
 	Bits           int
-	PublicKeyBits  int
-	SecretKeyBits  int
+	PublicKeyBits  int // the published key: N and H
+	SecretKeyBits  int // the stored private key: gob of {p, q, a_p, a_q, H}
 	PlaintextBits  int
 	CiphertextBits int
 	Encrypt        time.Duration
@@ -52,10 +52,14 @@ func MeasurePaillier(bits, iters int) (PaillierStats, error) {
 		return PaillierStats{}, err
 	}
 	pk := sk.Public()
+	secret, err := sk.GobEncode()
+	if err != nil {
+		return PaillierStats{}, err
+	}
 	stats := PaillierStats{
 		Bits:           bits,
-		PublicKeyBits:  2 * bits, // (n, g) with g = n+1
-		SecretKeyBits:  2 * bits, // (lambda, mu)
+		PublicKeyBits:  pk.N.BitLen() + pk.H.BitLen(),
+		SecretKeyBits:  8 * len(secret),
 		PlaintextBits:  bits,
 		CiphertextBits: 2 * bits,
 	}

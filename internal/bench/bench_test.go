@@ -10,8 +10,17 @@ func TestMeasurePaillierSmall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MeasurePaillier: %v", err)
 	}
-	if stats.CiphertextBits != 512 || stats.PublicKeyBits != 512 {
+	if stats.CiphertextBits != 512 {
 		t.Errorf("sizes wrong: %+v", stats)
+	}
+	// (N, H): a 256-bit N and an H below N^2 — 512 bits, bar the few
+	// leading zero bits a uniform draw may have.
+	if stats.PublicKeyBits <= 256+512-32 || stats.PublicKeyBits > 256+512 {
+		t.Errorf("public key %d bits, want N (256) + H (up to 512)", stats.PublicKeyBits)
+	}
+	// {p, q, a_p, a_q, H} is 128+128+32+32+512 bits before gob framing.
+	if stats.SecretKeyBits < 832 || stats.SecretKeyBits > 832+8*256 {
+		t.Errorf("secret key %d bits, want the encoding of 832 bits of key", stats.SecretKeyBits)
 	}
 	for name, d := range map[string]time.Duration{
 		"encrypt": stats.Encrypt, "decrypt": stats.Decrypt,
