@@ -265,6 +265,9 @@ func logSummary(log *slog.Logger, u *deploy.Unit) {
 	attrs = append(attrs,
 		"cacheHits", cs.Hits,
 		"cacheMisses", cs.Misses,
+		// Misses that installed an entry, their shape having missed
+		// before; the rest were first misses.
+		"cacheAdmitted", cs.Admitted,
 		"cacheStale", cs.Stale,
 		"cacheEvicted", cs.Evicted,
 		// Of the ciphertexts of entries found stale, those no PU update

@@ -807,9 +807,10 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // m + 2: the request carries its shape digest, so the SU re-sends the
 // prepared ciphertexts. An STP that went back to one encryption per
 // element would read 97 for a first full-grid serving. The counts hold
-// whichever way a request is blinded: the repeats hit the entry the
-// first serving cached and are blinded from its power tables, which draw
-// nothing.
+// whichever way a request is blinded: a shape's first repeat misses again
+// and caches it (the SDC admits a shape on its second miss), the later
+// repeats hit that entry and are blinded from its power tables, which
+// draw nothing.
 func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
@@ -917,7 +918,7 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	}
 	eirp := map[int]int64{1: wp.Quantize(1)}
 
-	const requests = 5 // per front: a full-grid shape three times, a band twice
+	const requests = 7 // per front: a full-grid shape four times, a band three times
 	_, fullAfterSetup := paillier.Decrypts()
 	for _, front := range []struct {
 		name string
@@ -955,9 +956,11 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		for i, step := range []struct {
 			disclosure  geo.Disclosure // of a first serving
 			repeat      bool
+			tabled      bool // a hit: the shape's second miss installed it
 			ciphertexts uint64
-		}{{geo.Disclosure{}, false, 32}, {repeat: true, ciphertexts: 32}, {repeat: true, ciphertexts: 32},
-			{rows, false, 12}, {repeat: true, ciphertexts: 12}} {
+		}{{geo.Disclosure{}, false, false, 32}, {repeat: true, ciphertexts: 32},
+			{repeat: true, tabled: true, ciphertexts: 32}, {repeat: true, tabled: true, ciphertexts: 32},
+			{rows, false, false, 12}, {repeat: true, ciphertexts: 12}, {repeat: true, tabled: true, ciphertexts: 12}} {
 			noncesBefore, tabledBefore := paillier.Nonces(), tabled.Value()
 			want := step.ciphertexts + front.extra
 			var req *pisa.TransmissionRequest
@@ -977,11 +980,11 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s request %d: %v", front.name, i, err)
 			}
-			// Every SDC instance behind the front blinds a repeat from
-			// tables and the first serving of a shape without.
-			if got := tabled.Value() - tabledBefore; (got > 0) != step.repeat {
-				t.Errorf("%s request %d: %d table-blinded passes, repeat of a cached shape: %v",
-					front.name, i, got, step.repeat)
+			// Every SDC instance behind the front blinds a hit from tables
+			// and the two misses of a shape without.
+			if got := tabled.Value() - tabledBefore; (got > 0) != step.tabled {
+				t.Errorf("%s request %d: %d table-blinded passes, hit on a cached shape: %v",
+					front.name, i, got, step.tabled)
 			}
 			if drawn := paillier.Nonces() - noncesBefore; drawn != want {
 				t.Errorf("%s request %d (%d ciphertexts): %d nonces drawn, want %d",

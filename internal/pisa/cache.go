@@ -27,7 +27,11 @@ import (
 // block each) and later servings exponentiate from the tables, at under
 // half the cost and to the same bits. Not at insert: an entry that is
 // never hit would pay a build worth half an exponentiation per ciphertext
-// for nothing. Tables are memory the entry bound does not see — seven times
+// for nothing. The same holds for the entry itself: a miss installs its
+// column only if its scoped key has missed before and the first-miss set
+// still remembers it (admit, TinyLFU's doorkeeper), so a shape that is
+// never asked for again costs one key in that set instead of an entry.
+// Tables are memory the entry bound does not see — seven times
 // the entry's own ciphertexts — so they have their own byte budget:
 // over it, the least recently used entries lose their tables (not their
 // place), serve through the general exponentiation, and are tabled
@@ -69,6 +73,13 @@ type decisionCache struct {
 
 	lru   *list.List // front = most recently used; values are *cacheEntry
 	byKey map[[32]byte]*list.Element
+
+	// missed is the first-miss set: the keys of the last cap first misses,
+	// each once, kept in order in missedRing, whose slot missedNext holds
+	// the oldest once the ring is full.
+	missed     map[[32]byte]struct{}
+	missedRing [][32]byte
+	missedNext int
 
 	// tableBytes is what the live entries' power tables hold, kept at or
 	// under tableBudget by dropping tables from the LRU tail.
@@ -188,12 +199,32 @@ func tablesBytes(tabs []*paillier.PowerTable) (bytes int) {
 
 func newDecisionCache(capacity int) *decisionCache {
 	return &decisionCache{
-		cap:   capacity,
-		lru:   list.New(),
-		byKey: make(map[[32]byte]*list.Element, capacity),
+		cap:    capacity,
+		lru:    list.New(),
+		byKey:  make(map[[32]byte]*list.Element, capacity),
+		missed: make(map[[32]byte]struct{}, capacity),
 
 		tableBudget: cacheTableBudget,
 	}
+}
+
+// admit reports whether a miss on key installs its column: whether key
+// missed before and is still in the first-miss set. A first miss is
+// remembered instead, in place of the oldest remembered key once the set
+// holds cap of them.
+func (dc *decisionCache) admit(key [32]byte) bool {
+	if _, ok := dc.missed[key]; ok {
+		return true
+	}
+	if len(dc.missedRing) < dc.cap {
+		dc.missedRing = append(dc.missedRing, key)
+	} else {
+		delete(dc.missed, dc.missedRing[dc.missedNext])
+		dc.missedRing[dc.missedNext] = key
+		dc.missedNext = (dc.missedNext + 1) % dc.cap
+	}
+	dc.missed[key] = struct{}{}
+	return false
 }
 
 // get returns the entry for key (refreshing its LRU position) or nil.
@@ -223,11 +254,13 @@ func (dc *decisionCache) removeElement(el *list.Element) {
 	metrics().cacheEntries.Add(-1)
 }
 
-// clear drops every entry.
+// clear drops every entry and forgets every first miss.
 func (dc *decisionCache) clear() {
 	for el := dc.lru.Back(); el != nil; el = dc.lru.Back() {
 		dc.removeElement(el)
 	}
+	clear(dc.missed)
+	dc.missedRing, dc.missedNext = dc.missedRing[:0], 0
 }
 
 // put inserts (or replaces) an entry and reports how many others were

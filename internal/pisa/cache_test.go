@@ -49,6 +49,17 @@ func (d *deployment) setTableBudget(bytes int) {
 	d.sdc.mu.Unlock()
 }
 
+// missOnce sends req's shape through s once and drops the answer. The
+// decision cache installs a shape on its second miss (DESIGN.md §14), so
+// a test whose next request of the shape is to fill the cache sends it
+// here first, before it snapshots any counter.
+func missOnce(t *testing.T, s *SDC, req *TransmissionRequest) {
+	t.Helper()
+	if _, err := s.ProcessShard(req); err != nil {
+		t.Fatalf("first miss: %v", err)
+	}
+}
+
 // cacheEventCounts snapshots the cache event counters (process-global,
 // so tests always compare deltas).
 type cacheEventCounts struct{ hits, misses, stale, bypass uint64 }
@@ -131,6 +142,11 @@ func TestCacheHitOracleParity(t *testing.T) {
 				}
 			}
 
+			first, err := su1.PrepareRequest(eirp, geo.Disclosure{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			missOnce(t, d.sdc, first)
 			if tc.entries > 0 {
 				check(1, 1) // su-a misses and fills; su-b hits
 			} else {
@@ -163,6 +179,7 @@ func TestCacheStaleAfterPUUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	missOnce(t, d.sdc, req)
 	if !d.decide(t, su, req).Granted {
 		t.Fatal("empty band denied")
 	}
@@ -270,6 +287,8 @@ func TestCachePerSUScopeIsolation(t *testing.T) {
 		t.Fatal("distinct demands produced one digest")
 	}
 	poisoned.ShapeDigest = honestReq.ShapeDigest
+	missOnce(t, d.sdc, poisoned)
+	missOnce(t, d.sdc, honestReq)
 
 	before := snapshotCacheEvents()
 	rogueGrant := d.decide(t, rogue, poisoned).Granted
@@ -352,6 +371,8 @@ func TestCacheDomainScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned.ShapeDigest = reqA.ShapeDigest
+	missOnce(t, d.sdc, poisoned)
+	missOnce(t, d.sdc, reqA)
 
 	before := snapshotCacheEvents()
 	d.decide(t, out, poisoned) // fills the outsider's own scope only
@@ -428,7 +449,9 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 	m := metrics()
 	entries0, bytes0 := m.cacheEntries.Value(), m.cacheTableBytes.Value()
 	// Each shape has a cell in both windows; the repeat hits and tables.
-	serve := func(eirps ...map[int]int64) {
+	// With missed set, each shape goes through missOnce first, so that its
+	// serving fills; Close forgets first misses with the entries.
+	serve := func(missed bool, eirps ...map[int]int64) {
 		t.Helper()
 		for _, eirp := range eirps {
 			req, err := su.PrepareRequest(eirp, geo.Disclosure{})
@@ -436,6 +459,9 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range shards {
+				if missed {
+					missOnce(t, s, req)
+				}
 				if _, err := s.ProcessShard(req); err != nil {
 					t.Fatalf("shard %d: %v", i, err)
 				}
@@ -455,7 +481,8 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 				what, gotEntries, gotBytes, entries, wantEntries, bytes)
 		}
 	}
-	serve(map[int]int64{0: 1, 2: 1}, map[int]int64{0: 1, 2: 1}, map[int]int64{1: 1, 2: 1})
+	serve(true, map[int]int64{0: 1, 2: 1}, map[int]int64{1: 1, 2: 1})
+	serve(false, map[int]int64{0: 1, 2: 1})
 	check("after requests", 4)
 	if m.cacheTableBytes.Value() == bytes0 {
 		t.Fatal("the repeat built no tables")
@@ -464,7 +491,7 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 		s.Close()
 	}
 	check("after Close", 0)
-	serve(map[int]int64{0: 1, 2: 1})
+	serve(true, map[int]int64{0: 1, 2: 1})
 	check("serving after Close", 2)
 	for _, s := range shards {
 		s.Close()
@@ -524,6 +551,8 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	missOnce(t, sdc, req)
+	rec.sets = nil                       // sign tests count from the fill on
 	want := d.decide(t, su, req).Granted // fills the cache
 
 	sdc.mu.Lock()
@@ -629,6 +658,7 @@ func TestCacheTablesBuiltOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	missOnce(t, d.sdc, req)
 	want := d.decide(t, su, req).Granted // fills the cache
 	if want != d.oracleDecision(t, 7, eirp) {
 		t.Fatal("fill disagrees with the oracle")
@@ -755,6 +785,8 @@ func TestCacheTableBudget(t *testing.T) {
 		}
 	}
 	n := uint64(a.req.Ciphertexts())
+	missOnce(t, d.sdc, a.req)
+	missOnce(t, d.sdc, b.req)
 	serve(a) // fills
 	serve(b) // fills
 	expect("after the fills", 0, 0, 0)
@@ -783,6 +815,7 @@ func TestCacheTableBudget(t *testing.T) {
 	serve(b)
 	serve(a)
 	expect("both entries tabled", 4*n, 2*n, 2*one)
+	missOnce(t, d.sdc, c.req)
 	serve(c)
 	expect("tabled entry evicted", 4*n, 2*n, one)
 	if got := d.sdc.CachedDecisions(); got != 2 {
@@ -860,6 +893,9 @@ func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
 		return d.sdc.CacheStats().Tabled > before
 	}
 	n := uint64(reqs[0].Ciphertexts())
+	for _, req := range reqs {
+		missOnce(t, d.sdc, req)
+	}
 	serve(reqs[0]) // fills
 	serve(reqs[1]) // fills
 	if !serve(reqs[0]) {
@@ -1010,6 +1046,7 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	}
 	all := uint64(groups * perGroup)
 
+	missOnce(t, sdc, req)
 	expect("fill", serve(req), CacheCounters{Misses: 1})
 	e0, _ := entry()
 	if e0 == nil {
@@ -1133,8 +1170,8 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 }
 
 // TestCacheNoTablesWithoutHits: a stream of requests that never repeats
-// a shape inserts entries and builds nothing — tables are a first hit's
-// business, not an insert's.
+// a shape builds nothing — tables are a first hit's business, as entries
+// are a second miss's.
 func TestCacheNoTablesWithoutHits(t *testing.T) {
 	d := newCacheDeployment(t, nil)
 	before := metrics().cacheTableBuilds.Value()
@@ -1159,6 +1196,133 @@ func TestCacheNoTablesWithoutHits(t *testing.T) {
 		metrics().cacheTableBuilds.Value() != before {
 		t.Fatalf("tables built without a hit: %+v", stats)
 	}
+}
+
+// TestCacheAdmitsOnSecondMiss pins the admission rule: a miss installs
+// its column only if its scoped key has missed before and is still among
+// the last CacheEntries first misses the SDC remembers.
+func TestCacheAdmitsOnSecondMiss(t *testing.T) {
+	const entries = 4
+	d := newCacheDeployment(t, func(p *Params) {
+		p.CacheEntries = entries
+		p.CacheDomains = map[string][]string{"fleet": {"su-a", "su-c"}}
+	})
+	a, b, c := d.newSU(t, "su-a", 7), d.newSU(t, "su-b", 7), d.newSU(t, "su-c", 7)
+	// shape i of an SU: one channel at an EIRP of its own, so no two
+	// shapes of one SU share a digest.
+	shape := func(su *SU, i int) *TransmissionRequest {
+		t.Helper()
+		req, err := su.PrepareRequest(map[int]int64{i % d.params.Watch.Channels: maxEIRP(d) - int64(i)}, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	send := func(req *TransmissionRequest) {
+		t.Helper()
+		if _, err := d.sdc.ProcessShard(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := metrics()
+	entries0, builds0 := m.cacheEntries.Value(), m.cacheTableBuilds.Value()
+	// expect checks the live entries, the gauge beside them and the misses
+	// admitted so far.
+	expect := func(what string, live int, admitted uint64) {
+		t.Helper()
+		got := d.sdc.CachedDecisions()
+		gauge := m.cacheEntries.Value() - entries0
+		if stats := d.sdc.CacheStats(); got != live || gauge != int64(live) || stats.Admitted != admitted {
+			t.Fatalf("%s: %d entries, gauge moved by %d, %d admitted; want %d, %d, %d",
+				what, got, gauge, stats.Admitted, live, live, admitted)
+		}
+	}
+
+	// Shapes that never repeat fill nothing.
+	for i := 0; i < 2*entries; i++ {
+		send(shape(a, i))
+	}
+	expect("one-off shapes", 0, 0)
+	if stats := d.sdc.CacheStats(); stats.Misses != 2*entries || stats.TableBuilds != 0 ||
+		m.cacheTableBuilds.Value() != builds0 {
+		t.Fatalf("one-off shapes: %+v, want %d misses and no table built", stats, 2*entries)
+	}
+
+	// The second miss installs, the third request hits.
+	admits0 := m.cacheAdmits.Value()
+	x := shape(a, 100)
+	send(x)
+	expect("first miss", 0, 0)
+	send(x)
+	expect("second miss", 1, 1)
+	if got := m.cacheAdmits.Value() - admits0; got != 1 {
+		t.Fatalf("event=admit moved by %d, want 1", got)
+	}
+	hits := d.sdc.CacheStats().Hits
+	send(x)
+	if got := d.sdc.CacheStats().Hits; got != hits+1 {
+		t.Fatalf("third request: %d hits, want %d", got, hits+1)
+	}
+
+	// A's first miss admits nobody outside its scope: not B carrying A's
+	// digest, but C, A's co-member in the fleet domain.
+	reqA := shape(a, 200)
+	reqB := shape(b, 200)
+	reqB.ShapeDigest = reqA.ShapeDigest
+	send(reqA)
+	send(reqB)
+	expect("another scope's second miss", 1, 1)
+	send(shape(c, 200))
+	expect("co-member's miss", 2, 2)
+
+	// Close forgets first misses with the entries.
+	d.sdc.Close()
+	send(x)
+	expect("first miss after Close", 0, 2)
+
+	// entries newer first misses push the oldest out of the set; one fewer
+	// does not.
+	w := make([]*TransmissionRequest, 2*entries)
+	for i := range w {
+		w[i] = shape(a, 300+i)
+	}
+	for _, req := range w[:entries+1] {
+		send(req)
+	}
+	send(w[0])
+	expect("miss after entries newer first misses", 0, 2)
+	for _, req := range w[entries+1 : 2*entries] {
+		send(req)
+	}
+	send(w[0])
+	expect("miss after entries-1 newer first misses", 1, 3)
+
+	// Racing first misses of one shape install one entry between them.
+	const racers = 4
+	v := shape(a, 400)
+	before := d.sdc.CacheStats()
+	var wg sync.WaitGroup
+	errs := make([]error, racers)
+	for i := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = d.sdc.ProcessShard(v)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("racer %d: %v", i, err)
+		}
+	}
+	after := d.sdc.CacheStats()
+	misses, admitted := after.Misses-before.Misses, after.Admitted-before.Admitted
+	if misses < 2 || admitted < 1 || admitted > misses-1 || misses+after.Hits-before.Hits != racers {
+		t.Fatalf("racing first misses: %d misses, %d admitted, %d hits of %d requests",
+			misses, admitted, after.Hits-before.Hits, racers)
+	}
+	expect("racing first misses", 2, 3+admitted)
 }
 
 // hookReader wraps crypto/rand with a one-shot trap: the first read

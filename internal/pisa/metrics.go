@@ -52,6 +52,7 @@ type sdcMetrics struct {
 	cacheStale   *obs.Counter   // event="stale" (footprint content versions moved)
 	cacheEvicts  *obs.Counter   // event="evict"
 	cacheBypass  *obs.Counter   // event="bypass" (request carried no shape digest)
+	cacheAdmits  *obs.Counter   // event="admit" (a miss installed: its shape had missed before)
 	cacheEntries *obs.Gauge     // live entries of every instance, by delta
 	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": eq. 11-12 recompute, whole column or moved cells
@@ -124,6 +125,8 @@ func metrics() *sdcMetrics {
 				"encrypted-decision cache events by kind", obs.Labels{"event": "evict"}),
 			cacheBypass: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "bypass"}),
+			cacheAdmits: r.Counter("pisa_sdc_cache_events_total",
+				"encrypted-decision cache events by kind", obs.Labels{"event": "admit"}),
 			cacheEntries: r.Gauge("pisa_sdc_cache_entries",
 				"encrypted-decision cache entries currently live", nil),
 			cacheAggHit: r.Histogram("pisa_sdc_cache_aggregate_seconds",

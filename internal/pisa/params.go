@@ -88,8 +88,10 @@ type Params struct {
 	// CacheEntries bounds the SDC's encrypted-decision cache: the
 	// aggregate output Ĩ of eqs. 11-12, keyed on the request's shape
 	// digest and invalidated, ciphertext by ciphertext, against per-block
-	// column versions. An entry is read-only; each hit blinds it under a
-	// fresh (alpha, beta, eps) tuple, which is what makes two hits
+	// column versions. It also sizes the first-miss set: a shape's column
+	// is installed on its second miss, if its first is among the last
+	// CacheEntries first misses. An entry is read-only; each hit blinds it
+	// under a fresh (alpha, beta, eps) tuple, which is what makes two hits
 	// unlinkable, and from an entry's first hit on the blinding
 	// exponentiates from per-ciphertext power tables. Zero disables the
 	// cache (every request recomputes, the paper's Figure 5 cost).

@@ -674,13 +674,17 @@ func (s *SDC) cacheKeyFor(suid string, digest [32]byte) [32]byte {
 // counters, maintained lock-free next to each obs increment.
 type cacheCounters struct {
 	hits, misses, stale, bypass, evicted atomic.Uint64
+	admitted                             atomic.Uint64
 	cellsKept, cellsRecomputed           atomic.Uint64
 	tabled, tableBuilds, tableDrops      atomic.Uint64
 }
 
 // CacheCounters is a point-in-time snapshot of one SDC instance's
-// decision-cache activity. A Stale lookup whose entry covered the same
-// cells kept the cached ciphertexts no PU update had touched (CellsKept)
+// decision-cache activity. Admitted counts the Misses that installed an
+// entry because their shape had missed before, so Misses − Admitted is
+// the one-off share: first misses, which only the first-miss set
+// remembers. A Stale lookup whose entry covered the same cells kept the
+// cached ciphertexts no PU update had touched (CellsKept)
 // and recomputed the others (CellsRecomputed); it is one Stale, never a
 // Hit, however much it kept. Tabled counts the servings blinded from
 // power tables, in whole or in part (the rest took the general
@@ -689,6 +693,7 @@ type cacheCounters struct {
 // now.
 type CacheCounters struct {
 	Hits, Misses, Stale, Bypass, Evicted uint64
+	Admitted                             uint64
 	CellsKept, CellsRecomputed           uint64
 	Tabled, TableBuilds, TableDrops      uint64
 	TableBytes                           int
@@ -710,6 +715,7 @@ func (s *SDC) CacheStats() CacheCounters {
 		Stale:       s.cacheCtr.stale.Load(),
 		Bypass:      s.cacheCtr.bypass.Load(),
 		Evicted:     s.cacheCtr.evicted.Load(),
+		Admitted:    s.cacheCtr.admitted.Load(),
 		Tabled:      s.cacheCtr.tabled.Load(),
 		TableBuilds: s.cacheCtr.tableBuilds.Load(),
 		TableDrops:  s.cacheCtr.tableDrops.Load(),
@@ -837,11 +843,14 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 	// whose versions match equals what the recompute below would produce
 	// for its cell. Entries are addressed by the digest bound to the
 	// requester's sharing scope (cacheKeyFor), never by the raw digest
-	// alone.
+	// alone. A miss installs its column only on its shape's second miss
+	// (decisionCache.admit).
 	var (
+		lookedUp  bool                   // the request carries a digest the cache looked up
 		cached    *cacheEntry            // aligned entry: serves every cell not in recompute
 		recompute []int                  // cells to aggregate, all of them without cached
 		cachePut  *cacheEntry            // what this request will install
+		admitted  bool                   // cachePut is a miss's, admitted
 		tabs      []*paillier.PowerTable // cached's tables as of this lookup
 		buildTabs bool                   // this request tables what cached lacks
 	)
@@ -851,13 +860,17 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 			m.cacheBypass.Inc()
 			s.cacheCtr.bypass.Add(1)
 		default:
+			lookedUp = true
 			key := s.cacheKeyFor(req.SUID, req.ShapeDigest)
 			vers := s.footprintVersLocked(cells)
 			e := s.cache.get(key)
+			install := true // a misaligned entry is replaced
 			switch {
 			case e == nil:
 				m.cacheMisses.Inc()
 				s.cacheCtr.misses.Add(1)
+				admitted = s.cache.admit(key)
+				install = admitted
 			case !e.aligned(cells):
 				// A digest collision, or a scope member reusing another
 				// shape's digest: nothing of the entry lines up with the
@@ -868,6 +881,7 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 			default:
 				cached, tabs = e, e.tabs
 				recompute = e.moved(vers)
+				install = len(recompute) > 0
 				switch {
 				case len(recompute) > 0:
 					// Stale in these cells only. The entry stays where it
@@ -883,7 +897,7 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 					e.tabling, buildTabs = true, true
 				}
 			}
-			if cached == nil || len(recompute) > 0 {
+			if install {
 				coords := make([]cellCoord, len(cells))
 				for i := range cells {
 					coords[i] = cellCoord{c: cells[i].c, b: cells[i].b}
@@ -937,10 +951,16 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 		if cachePut != nil {
 			cachePut.tabs = tabs
 			s.installEntry(cachePut, is, recompute)
-			// Only digest-carrying recomputes feed the path="miss"
-			// histogram: bypass (zero-digest) requests recompute too, but
-			// folding them in would skew the hit-vs-miss cost comparison
-			// whenever opt-out/legacy SUs share the deployment.
+			if admitted {
+				m.cacheAdmits.Inc()
+				s.cacheCtr.admitted.Add(1)
+			}
+		}
+		// Only digest-carrying recomputes feed the path="miss" histogram,
+		// installed or not: bypass (zero-digest) requests recompute too,
+		// but folding them in would skew the hit-vs-miss cost comparison
+		// whenever opt-out/legacy SUs share the deployment.
+		if lookedUp {
 			m.cacheAggMiss.ObserveSince(stageStart)
 		}
 	}

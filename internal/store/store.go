@@ -11,10 +11,10 @@
 //   - every accepted mutation is appended to the WAL before the caller
 //     acknowledges it (framing: length + CRC32-C per record, single
 //     write(2) per append, so a kill -9 tears at most the final record);
-//   - a snapshot of the whole state is persisted atomically (temp file
-//     + rename + directory fsync) and supersedes the log prefix it
-//     covers, after which older segments and snapshots are deleted
-//     (compaction);
+//   - a snapshot of the whole state is persisted atomically (a temp
+//     file, renamed into place, then a directory fsync) and supersedes
+//     the log prefix it covers, after which older segments and snapshots
+//     are deleted (compaction);
 //   - recovery is snapshot-load + replay of the WAL tail, tolerating a
 //     torn final record but refusing to guess past mid-log corruption.
 //
