@@ -89,7 +89,7 @@ func run(args []string) error {
 	replicas := fs.Int("replicas", 3, "in-process PIR: replica fleet size m")
 	k := fs.Int("k", 2, "in-process PIR: replicas each query fans out to")
 
-	addr := fs.String("addr", "", "remote SDC/router address(es), comma-separated (requires -config or defaults)")
+	addr := fs.String("addr", "", "remote SDC address (sdcd or sdcrouterd), exactly one (requires -config or defaults)")
 	stpAddr := fs.String("stp", "", "remote STP address(es), comma-separated")
 	pirAddr := fs.String("pir", "", "remote PIR replica addresses, comma-separated")
 	configPath := fs.String("config", "", "deployment config JSON for remote runs (defaults built in)")
@@ -98,6 +98,10 @@ func run(args []string) error {
 	requireNoErrors := fs.Bool("require-no-errors", false, "exit non-zero if any request failed (CI smoke gate)")
 	requireCacheHits := fs.Bool("require-cache-hits", false, "exit non-zero if the decision cache never hit (CI smoke gate)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sdcAddr, err := config.OneSDCAddr("-addr", *addr)
+	if err != nil {
 		return err
 	}
 
@@ -133,7 +137,7 @@ func run(args []string) error {
 
 	// Remote deployments: the node RPC clients are the engine's Target
 	// (PISA) or its replica fleet (PIR).
-	if *addr != "" || *pirAddr != "" {
+	if sdcAddr != "" || *pirAddr != "" {
 		file, err := config.Load(*configPath)
 		if err != nil {
 			return err
@@ -158,7 +162,7 @@ func run(args []string) error {
 			defer c.Close()
 			cfg.PIR = c
 		} else {
-			if *addr == "" {
+			if sdcAddr == "" {
 				return errors.New("-addr is required for a remote PISA run")
 			}
 			params, err := file.PisaParams()
@@ -176,7 +180,7 @@ func run(args []string) error {
 			defer stp.Close()
 			sdcOpts := rpcOpts
 			sdcOpts.CallTimeout = max(sdcOpts.CallTimeout, 10*time.Minute)
-			sdc := node.DialSDCWith(sdcOpts, config.SplitAddrs(*addr)...)
+			sdc := node.DialSDCWith(sdcOpts, sdcAddr)
 			defer sdc.Close()
 			planner, err := watch.NewPlanner(params.Watch)
 			if err != nil {

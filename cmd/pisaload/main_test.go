@@ -48,6 +48,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-mode", "burst"}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
+	// An SDC takes one address: a list is refused by name before any
+	// dial, not by the dial that follows.
+	err := run([]string{"-addr", "a:1,b:2"})
+	if err == nil || !strings.Contains(err.Error(), "-addr") || !strings.Contains(err.Error(), "replica") {
+		t.Fatalf("-addr a:1,b:2: %v, want a refusal naming -addr and replica groups", err)
+	}
 }
 
 // TestRunClosedLoopInProcess is the CI smoke through run(): the gates

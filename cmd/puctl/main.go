@@ -9,6 +9,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +33,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("puctl", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
-	sdcAddr := fs.String("sdc", "", "comma-separated SDC addresses (overrides config)")
+	sdcAddr := fs.String("sdc", "", "SDC address (sdcd or sdcrouterd), exactly one (overrides config)")
 	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config)")
 	id := fs.String("id", "", "PU identifier (required)")
 	block := fs.Int("block", -1, "registered receiver block (required)")
@@ -40,6 +41,10 @@ func run(args []string) error {
 	signalMW := fs.Float64("signal-mw", 0, "measured mean TV signal strength in mW")
 	off := fs.Bool("off", false, "switch the receiver off")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sdcTarget, err := config.OneSDCAddr("-sdc", *sdcAddr)
+	if err != nil {
 		return err
 	}
 	if *id == "" {
@@ -54,10 +59,6 @@ func run(args []string) error {
 	cfg, err := config.Load(*configPath)
 	if err != nil {
 		return err
-	}
-	sdcTargets := []string{cfg.SDCAddr}
-	if *sdcAddr != "" {
-		sdcTargets = config.SplitAddrs(*sdcAddr)
 	}
 	stpTargets := cfg.STPTargets()
 	if *stpAddr != "" {
@@ -77,7 +78,7 @@ func run(args []string) error {
 		return err
 	}
 	defer stp.Close()
-	sdc := node.DialSDCWith(rpcOpts, sdcTargets...)
+	sdc := node.DialSDCWith(rpcOpts, cmp.Or(sdcTarget, cfg.SDCAddr))
 	defer sdc.Close()
 
 	eCol, err := sdc.EColumn(geo.BlockID(*block))

@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,6 +24,12 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// An SDC takes one address: a list is refused by name before any
+	// dial, not by the dial that follows.
+	err := run([]string{"-sdc", "a:1,b:2", "-id", "tv-1", "-block", "3", "-off"})
+	if err == nil || !strings.Contains(err.Error(), "-sdc") || !strings.Contains(err.Error(), "replica") {
+		t.Errorf("-sdc a:1,b:2: %v, want a refusal naming -sdc and replica groups", err)
 	}
 }
 

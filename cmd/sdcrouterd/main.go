@@ -9,20 +9,21 @@
 // same pisa.Router that a monolithic sdcd runs as the one-shard router
 // over its SDC, here over remote shards.
 //
-// The -shards flag takes semicolon-separated shard groups, each a
-// comma-separated owner-then-replicas address list; shard queries are
-// idempotent, so the client layer retries them with backoff and fails
-// over inside a group when the owner stops answering.
+// The -shards flag takes one address per shard, semicolon-separated in
+// window order; a comma list is refused (no replica groups, DESIGN.md §9).
+// Shard queries are idempotent, so the client retries them with backoff
+// and re-dials a shard restarted from its store on the same address.
 //
 // Usage:
 //
-//	sdcrouterd -shards "h1:9101,h1:9111;h2:9102;h3:9103"
+//	sdcrouterd -shards "h1:9101;h2:9102;h3:9103"
 //	           [-config pisa.json] [-listen host:port]
 //	           [-stp host:port,host:port] [-issuer name]
 //	           [-metrics host:port]
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -52,7 +53,7 @@ func run(args []string) error {
 	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config stpAddr/stpAddrs)")
 	issuer := fs.String("issuer", "pisa-sdc", "license issuer name")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
-	shardAddrs := fs.String("shards", "", "shard address groups 'owner1[,replica...][;...]', one group per channel shard in window order")
+	shardFlag := fs.String("shards", "", "shard addresses 'addr1;addr2;...', one per channel shard in window order")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,17 +61,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	groups, err := config.ParseShardFlag(*shardAddrs)
+	shards, err := config.ParseShardFlag(*shardFlag)
 	if err != nil {
 		return err
 	}
-	if len(groups) == 0 {
-		return fmt.Errorf("-shards is required (semicolon-separated shard address groups)")
+	if len(shards) == 0 {
+		return fmt.Errorf("-shards is required (semicolon-separated shard addresses)")
 	}
-	addr := cfg.SDCAddr
-	if *listen != "" {
-		addr = *listen
-	}
+	addr := cmp.Or(*listen, cfg.SDCAddr)
 	stpTargets := cfg.STPTargets()
 	if *stpAddr != "" {
 		stpTargets = config.SplitAddrs(*stpAddr)
@@ -104,25 +102,22 @@ func run(args []string) error {
 	}
 	defer stp.Close()
 
-	services := make([]pisa.ShardService, len(groups))
-	clients := make([]*node.SDCClient, len(groups))
-	for i, g := range groups {
-		c := node.DialSDCWith(rpcOpts, g...)
-		defer c.Close()
-		clients[i] = c
-		services[i] = c
+	services := make([]pisa.ShardService, len(shards))
+	clients := make([]*node.SDCClient, len(shards))
+	for i, a := range shards {
+		clients[i] = node.DialSDCWith(rpcOpts, a)
+		defer clients[i].Close()
+		services[i] = clients[i]
 	}
 	start := time.Now()
 	router, err := pisa.NewRouter(*issuer, params, nil, stp, services)
 	if err != nil {
 		return err
 	}
-	log.Info("router assembled", "shards", len(groups),
-		"took", time.Since(start).String())
-	for i := range groups {
+	log.Info("router assembled", "shards", len(shards), "took", time.Since(start).String())
+	for i, a := range shards {
 		lo, hi := router.Window(i)
-		log.Info("shard group", "index", i, "window", fmt.Sprintf("[%d,%d)", lo, hi),
-			"addrs", groups[i])
+		log.Info("shard", "index", i, "window", fmt.Sprintf("[%d,%d)", lo, hi), "addr", a)
 	}
 
 	srv := node.NewSDCServer(router, log, 0)
@@ -142,10 +137,8 @@ func run(args []string) error {
 		log.Info("router summary", router.Stats().LogAttrs()...)
 		for i, c := range clients {
 			cs := c.Stats()
-			log.Info("shard client summary", "shard", i,
-				"calls", cs.Calls, "retries", cs.Retries,
-				"transportFaults", cs.TransportFaults,
-				"failovers", cs.Failovers, "breakerOpens", cs.BreakerOpens)
+			log.Info("shard client summary", "shard", i, "calls", cs.Calls, "retries", cs.Retries,
+				"transportFaults", cs.TransportFaults, "breakerOpens", cs.BreakerOpens)
 		}
 		return srv.Close()
 	case err := <-errCh:

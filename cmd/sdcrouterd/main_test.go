@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -25,6 +26,12 @@ func TestRunRequiresShards(t *testing.T) {
 		if err := run([]string{"-shards", v, "-stp", "127.0.0.1:1", "-listen", "127.0.0.1:0"}); err == nil {
 			t.Errorf("-shards %q accepted: a router with nothing to front", v)
 		}
+	}
+	// A shard takes one address: a replica group is refused by name
+	// before the STP is dialled, not by the dial that follows.
+	err := run([]string{"-shards", "a:1,a:2;b:1", "-stp", "127.0.0.1:1", "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "-shards") || !strings.Contains(err.Error(), "replica") {
+		t.Errorf("-shards a:1,a:2;b:1: %v, want a refusal naming -shards and replica groups", err)
 	}
 }
 

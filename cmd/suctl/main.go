@@ -22,6 +22,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -51,7 +52,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("suctl", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
-	sdcAddr := fs.String("sdc", "", "comma-separated SDC addresses (overrides config)")
+	sdcAddr := fs.String("sdc", "", "SDC address (sdcd or sdcrouterd), exactly one (overrides config)")
 	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config)")
 	id := fs.String("id", "", "SU identifier (required)")
 	block := fs.Int("block", -1, "SU location block (required, stays private)")
@@ -62,6 +63,10 @@ func run(args []string) error {
 	kFlag := fs.Int("k", 0, "PIR privacy parameter: replicas each query fans out to (0 = config pir.k, which defaults to all)")
 	table := fs.String("table", "bitmap", "PIR table to query: bitmap (exact) or bloom (compact, small false-positive rate)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sdcTarget, err := config.OneSDCAddr("-sdc", *sdcAddr)
+	if err != nil {
 		return err
 	}
 	cfg, err := config.Load(*configPath)
@@ -97,10 +102,6 @@ func run(args []string) error {
 	}
 	if *id == "" || *block < 0 || *request == "" {
 		return errors.New("-id, -block and -request are required")
-	}
-	sdcTargets := []string{cfg.SDCAddr}
-	if *sdcAddr != "" {
-		sdcTargets = config.SplitAddrs(*sdcAddr)
 	}
 	stpTargets := cfg.STPTargets()
 	if *stpAddr != "" {
@@ -138,7 +139,7 @@ func run(args []string) error {
 	// at least the historical 10-minute window.
 	sdcOpts := rpcOpts
 	sdcOpts.CallTimeout = max(sdcOpts.CallTimeout, 10*time.Minute)
-	sdc := node.DialSDCWith(sdcOpts, sdcTargets...)
+	sdc := node.DialSDCWith(sdcOpts, cmp.Or(sdcTarget, cfg.SDCAddr))
 	defer sdc.Close()
 	planner, err := watch.NewPlanner(params.Watch)
 	if err != nil {

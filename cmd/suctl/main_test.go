@@ -61,6 +61,12 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// An SDC takes one address: a list is refused by name before any
+	// dial, not by the dial that follows.
+	err := run([]string{"-sdc", "a:1,b:2", "-id", "su-1", "-block", "3", "-request", "1=5"})
+	if err == nil || !strings.Contains(err.Error(), "-sdc") || !strings.Contains(err.Error(), "replica") {
+		t.Errorf("-sdc a:1,b:2: %v, want a refusal naming -sdc and replica groups", err)
+	}
 }
 
 // TestRunEndToEnd drives the whole CLI against in-process servers.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pisa/internal/config"
+	"pisa/internal/deploy"
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
 	"pisa/internal/node"
@@ -594,16 +595,19 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestShardFailoverUnderLoad is the channel-sharding resilience
-// acceptance test (DESIGN.md §15): three windowed shards behind a
-// fan-out router, with shard 0 served by an owner AND a replica
-// (two node servers sharing one shard instance, the same pattern as
-// the STP failover test). The owner is killed while an SU request
-// storm is in flight. Shard queries are idempotent, so the router's
-// per-shard client must retry and fail over to the replica with zero
-// failed SU decisions — and every decision must still match the
-// plaintext watch oracle.
-func TestShardFailoverUnderLoad(t *testing.T) {
+// TestShardRestartUnderLoad is the channel-sharding fault test
+// (DESIGN.md §15): three windowed shards behind a fan-out router that
+// holds one client per shard address. Shard 0 is durable — built by
+// deploy.New over a store of its own — and the PU sits on channel 0,
+// shard 0's window, so the budget that makes the oracle deny next to it
+// lives in shard 0's WAL. Mid-storm shard 0 crashes: its server closes,
+// then its deployment closes without a final snapshot. A request sent
+// while it is down must fail or decide as the oracle does; it must
+// never carry a license the oracle denies. Shard 0 then restarts from
+// its directory on the same address, and every later request must
+// succeed and match the plaintext watch oracle: a restart that lost the
+// journalled update grants beside the PU and fails here.
+func TestShardRestartUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked system")
 	}
@@ -626,53 +630,52 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, err := pisa.Windows(wp.Channels, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Shard 0 gets two servers over one role instance; 1 and 2 one
-	// each. Aggressive retry/breaker settings so the dead owner costs
-	// milliseconds, not the default breaker cooldown.
-	opts := node.Options{
-		CallTimeout: time.Minute,
-		Retry:       node.RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond},
-		Breaker:     node.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
-	}
-	var victim *node.SDCServer
-	services := make([]pisa.ShardService, len(windows))
-	clients := make([]*node.SDCClient, len(windows))
-	for i, w := range windows {
-		s, err := pisa.NewSDC("fo-shard", params, nil, stp,
-			pisa.WithChannelWindow(w[0], w[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		replicas := 1
+	// serve boots window i of three — shard 0 from its store — and
+	// serves it on addr; an empty addr picks a port.
+	shard0Dir := t.TempDir()
+	serve := func(i int, addr string) (*deploy.Deployment, *node.SDCServer, string) {
+		t.Helper()
+		cfg := deploy.Config{Issuer: "rs-shard", Params: params, STP: stp, Windows: 3, Lone: true, Index: i}
 		if i == 0 {
-			replicas = 2
+			cfg.Store = config.StoreSpec{Dir: shard0Dir}
 		}
-		var addrs []string
-		for r := 0; r < replicas; r++ {
-			srv := node.NewSDCServer(s, nil, time.Minute)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() { _ = srv.Serve(ln) }()
-			t.Cleanup(func() { srv.Close() })
-			addrs = append(addrs, ln.Addr().String())
-			if i == 0 && r == 0 {
-				victim = srv
-			}
+		d, err := deploy.New(cfg)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
-		cli := node.DialSDCWith(opts, addrs...)
+		t.Cleanup(func() { d.Close(false) })
+		srv := node.NewSDCServer(d.Units[0].SDC, nil, time.Minute)
+		if addr == "" {
+			addr = "127.0.0.1:0"
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("shard %d: listen on %s: %v", i, addr, err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { srv.Close() })
+		return d, srv, ln.Addr().String()
+	}
+	var (
+		shard0     *deploy.Deployment
+		shard0Srv  *node.SDCServer
+		shard0Addr string
+	)
+	services := make([]pisa.ShardService, 3)
+	for i := range services {
+		d, srv, addr := serve(i, "")
+		if i == 0 {
+			shard0, shard0Srv, shard0Addr = d, srv, addr
+		}
+		cli := node.DialSDCWith(node.Options{
+			CallTimeout: time.Minute,
+			Retry:       node.RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond},
+		}, addr)
 		t.Cleanup(func() { cli.Close() })
-		clients[i] = cli
 		services[i] = cli
 	}
-	router, err := pisa.NewRouter("fo-router", params, nil, stp, services)
+	router, err := pisa.NewRouter("rs-router", params, nil, stp, services)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,26 +684,25 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One PU so the grid has both busy and free channels; the update
-	// broadcast crosses the wire to every shard.
+	// One PU on channel 0; the update broadcast crosses the wire to
+	// every shard and lands in shard 0's WAL.
 	eCol, err := router.EColumn(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-shard-fo", 8, eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-shard-rs", 8, eCol, stp.GroupKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	update, err := pu.Tune(1, wp.Quantize(wp.SMinPUmW))
+	signal := wp.Quantize(wp.SMinPUmW)
+	update, err := pu.Tune(0, signal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := router.HandlePUUpdate(update); err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.UpdatePU(pu.ID(), watch.Registration{
-		Block: 8, Channel: 1, SignalUnits: wp.Quantize(wp.SMinPUmW),
-	}); err != nil {
+	if err := oracle.UpdatePU(pu.ID(), watch.Registration{Block: 8, Channel: 0, SignalUnits: signal}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -708,7 +710,7 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 		Seed: 47, Blocks: wp.Grid.Blocks(),
 		Channels:        wp.Channels,
 		MaxEIRPUnits:    wp.Quantize(wp.SUMaxEIRPmW),
-		RequestsPerHour: 8, ChannelsPerRequest: 1.5, Horizon: time.Hour,
+		RequestsPerHour: 24, ChannelsPerRequest: 1.5, Horizon: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -716,57 +718,85 @@ func TestShardFailoverUnderLoad(t *testing.T) {
 	if len(requests) < 4 {
 		t.Fatalf("workload produced only %d requests; fixture too small", len(requests))
 	}
+	// The probe asks for channel 0 at full power beside the PU: shard
+	// 0's budget alone makes the oracle deny it.
+	probe := trace.SURequest{SU: "su-probe", Block: 7, EIRPUnits: map[int]int64{0: wp.Quantize(wp.SUMaxEIRPmW)}}
 
+	// decide sends r through the router and returns the license's
+	// verdict, the oracle's, and the router's error.
 	sus := make(map[string]*pisa.SU)
-	for i, req := range requests {
-		if i == len(requests)/2 {
-			// Mid-storm: shard 0's owner goes down hard.
-			if err := victim.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		su := sus[req.SU]
+	decide := func(r trace.SURequest) (granted, want bool, err error) {
+		t.Helper()
+		su := sus[r.SU]
 		if su == nil {
-			if su, err = pisa.NewSU(nil, req.SU, req.Block, params, router.Planner(), stp.GroupKey()); err != nil {
+			if su, err = pisa.NewSU(nil, r.SU, r.Block, params, router.Planner(), stp.GroupKey()); err != nil {
 				t.Fatal(err)
 			}
 			if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 				t.Fatal(err)
 			}
-			sus[req.SU] = su
+			sus[r.SU] = su
 		}
-		encReq, err := su.PrepareRequest(req.EIRPUnits, geo.Disclosure{})
+		dec, err := oracle.Evaluate(watch.Request{Block: r.Block, EIRPUnits: r.EIRPUnits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encReq, err := su.PrepareRequest(r.EIRPUnits, geo.Disclosure{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp, err := router.ProcessRequest(encReq)
 		if err != nil {
-			t.Fatalf("request %d (shard-0 owner %s): %v", i,
-				map[bool]string{true: "down", false: "up"}[i >= len(requests)/2], err)
+			return false, dec.Granted, err
 		}
 		grant, err := su.OpenResponse(resp, encReq, router.VerifyKey())
 		if err != nil {
-			t.Fatalf("request %d: open response: %v", i, err)
+			t.Fatalf("%s: open response: %v", r.SU, err)
 		}
-		dec, err := oracle.Evaluate(watch.Request{Block: req.Block, EIRPUnits: req.EIRPUnits})
+		return grant.Granted, dec.Granted, nil
+	}
+	check := func(what string, r trace.SURequest) {
+		t.Helper()
+		granted, want, err := decide(r)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", what, err)
 		}
-		if grant.Granted != dec.Granted {
-			t.Fatalf("request %d: sharded decision %v, oracle %v", i, grant.Granted, dec.Granted)
+		if granted != want {
+			t.Fatalf("%s: sharded decision %v, oracle %v", what, granted, want)
 		}
 	}
-	stats := clients[0].Stats()
-	if stats.Failovers < 1 {
-		t.Errorf("shard-0 failovers = %d, want >= 1 (did the kill land before the storm finished?)", stats.Failovers)
+
+	half := len(requests) / 2
+	for i, req := range requests[:half] {
+		check(fmt.Sprintf("request %d, before the crash", i), req)
 	}
-	st := router.Stats()
-	if st.Errors != 0 {
-		t.Errorf("router recorded %d failed SU decisions, want 0", st.Errors)
+	// Mid-storm, shard 0 crashes with no final snapshot, so its restart
+	// recovers from the WAL alone.
+	if err := shard0Srv.Close(); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d SU requests, zero failed decisions across the shard-0 owner kill "+
-		"(%d retries, %d transport faults, %d failovers)",
-		len(requests), stats.Retries, stats.TransportFaults, stats.Failovers)
+	if err := shard0.Close(false); err != nil {
+		t.Fatal(err)
+	}
+	granted, want, err := decide(probe)
+	if want {
+		t.Fatal("the oracle grants the probe; the fixture needs a denial on channel 0")
+	}
+	if err == nil && granted {
+		t.Fatal("with shard 0 down the router licensed a request the oracle denies")
+	}
+	t.Logf("probe with shard 0 down: granted=%v err=%v", granted, err)
+
+	shard0, _, _ = serve(0, shard0Addr)
+	if st := shard0.Units[0].Store; st != nil {
+		rec := st.Recovery()
+		t.Logf("shard 0 back on %s from %s (%d tail records)", shard0Addr, rec.Source, rec.TailRecords)
+	}
+	for i, req := range requests[half:] {
+		check(fmt.Sprintf("request %d, after the restart", half+i), req)
+	}
+	check("probe after the restart", probe)
+	t.Logf("%d SU requests and 2 probes, zero wrong grants across shard 0's crash and restart", len(requests))
 }
 
 // countingSTP counts the SU-key fetches one role makes through its STP

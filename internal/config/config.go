@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -342,40 +343,40 @@ func ParseCacheDomainsFlag(v string) (map[string][]string, error) {
 	return domains, nil
 }
 
-// ParseShardFlag parses the router tools' shard-address flag value:
-// semicolon-separated shard groups, each a comma-separated
-// owner-then-replicas address list ("off" or the empty string selects
-// the monolithic, unsharded deployment and returns nil). Every group
-// must name at least one address, and an address may appear in at
-// most one group — the groups partition the channel axis, so a server
-// listed twice would receive conflicting windows.
-func ParseShardFlag(v string) ([][]string, error) {
+// ParseShardFlag parses sdcrouterd's -shards value: one distinct address
+// per channel window, semicolon-separated in window order ("off" or the
+// empty string returns nil); a server listed twice would get two windows.
+func ParseShardFlag(v string) ([]string, error) {
 	if v == "" || strings.EqualFold(v, "off") {
 		return nil, nil
 	}
-	var groups [][]string
-	seen := map[string]int{}
-	for _, decl := range strings.Split(v, ";") {
-		if strings.TrimSpace(decl) == "" {
-			return nil, fmt.Errorf("config: shard flag wants 'owner1[,replica...][;...]', got empty group in %q", v)
+	var addrs []string
+	for i, decl := range strings.Split(v, ";") {
+		a, err := OneSDCAddr("-shards", decl)
+		if err != nil {
+			return nil, err
 		}
-		addrs := SplitAddrs(decl)
-		if len(addrs) == 0 {
-			return nil, fmt.Errorf("config: shard flag group %q has no addresses", decl)
+		if a == "" || slices.Contains(addrs, a) {
+			return nil, fmt.Errorf("config: -shards wants one distinct address per shard, got %q for shard %d in %q", decl, i, v)
 		}
-		for _, a := range addrs {
-			if g, dup := seen[a]; dup {
-				return nil, fmt.Errorf("config: shard flag lists %q in groups %d and %d", a, g, len(groups))
-			}
-			seen[a] = len(groups)
-		}
-		groups = append(groups, addrs)
+		addrs = append(addrs, a)
 	}
-	return groups, nil
+	return addrs, nil
 }
 
-// SplitAddrs parses a comma-separated address list (the form the
-// -stp/-sdc flags accept), trimming whitespace and dropping empties.
+// OneSDCAddr parses an SDC-facing address flag (puctl/suctl -sdc, pisaload
+// -addr, a shard of -shards): one address or "". A list is refused by name:
+// a PU update reaches one address, so a standby would grant on stale budgets.
+func OneSDCAddr(flag, v string) (string, error) {
+	addrs := SplitAddrs(v)
+	if len(addrs) > 1 {
+		return "", fmt.Errorf("config: %s takes one SDC address, got %q: SDC replica groups were removed: a standby never sees PU updates", flag, v)
+	}
+	return strings.Join(addrs, ""), nil // the one address, or ""
+}
+
+// SplitAddrs parses a comma-separated address list (the form the -stp
+// flags accept), trimming whitespace and dropping empties.
 func SplitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {

@@ -2,41 +2,41 @@ package config
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
 func TestParseShardFlag(t *testing.T) {
 	cases := []struct {
-		name    string
-		in      string
-		want    [][]string
-		wantErr bool
+		name string
+		in   string
+		want []string
+		// wantErr, when set, is a substring the error must carry.
+		wantErr string
 	}{
-		{"empty means monolithic", "", nil, false},
-		{"off means monolithic", "off", nil, false},
-		{"off is case-insensitive", "OFF", nil, false},
-		{"single shard", "a:1", [][]string{{"a:1"}}, false},
-		{"owner plus replica", "a:1,a:2", [][]string{{"a:1", "a:2"}}, false},
-		{
-			"three groups with replicas",
-			"a:1,a:2; b:1 ;c:1,c:2",
-			[][]string{{"a:1", "a:2"}, {"b:1"}, {"c:1", "c:2"}},
-			false,
-		},
-		{"whitespace trimmed", " a:1 , a:2 ", [][]string{{"a:1", "a:2"}}, false},
-		{"empty group rejected", "a:1;;b:1", nil, true},
-		{"trailing empty group rejected", "a:1;", nil, true},
-		{"comma-only group rejected", "a:1; ,", nil, true},
-		{"duplicate across groups rejected", "a:1;b:1;a:1", nil, true},
-		{"duplicate replica across groups rejected", "a:1,x:9;b:1,x:9", nil, true},
-		{"duplicate inside one group rejected", "a:1,a:1", nil, true},
+		{"empty means monolithic", "", nil, ""},
+		{"off means monolithic", "off", nil, ""},
+		{"off is case-insensitive", "OFF", nil, ""},
+		{"single shard", "a:1", []string{"a:1"}, ""},
+		{"owner plus replica", "a:1,a:2", nil, "replica"},
+		{"three groups with replicas", "a:1,a:2; b:1 ;c:1,c:2", nil, "replica"},
+		{"whitespace trimmed", " a:1 ; b:1 ", []string{"a:1", "b:1"}, ""},
+		{"empty group rejected", "a:1;;b:1", nil, "for shard 1"},
+		{"trailing empty group rejected", "a:1;", nil, "for shard 1"},
+		{"comma-only group rejected", "a:1; ,", nil, "for shard 1"},
+		{"duplicate across groups rejected", "a:1;b:1;a:1", nil, "for shard 2"},
+		{"duplicate replica across groups rejected", "a:1,x:9;b:1,x:9", nil, "replica"},
+		{"duplicate inside one group rejected", "a:1,a:1", nil, "replica"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := ParseShardFlag(tc.in)
-			if tc.wantErr {
+			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("ParseShardFlag(%q) = %v, want error", tc.in, got)
+				}
+				if !strings.Contains(err.Error(), "-shards") || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("ParseShardFlag(%q): %v, want an error naming -shards and %q", tc.in, err, tc.wantErr)
 				}
 				return
 			}
@@ -47,5 +47,17 @@ func TestParseShardFlag(t *testing.T) {
 				t.Fatalf("ParseShardFlag(%q) = %v, want %v", tc.in, got, tc.want)
 			}
 		})
+	}
+}
+
+func TestOneSDCAddr(t *testing.T) {
+	for in, want := range map[string]string{"": "", " , ": "", " a:1 ": "a:1", "a:1,": "a:1"} {
+		if got, err := OneSDCAddr("-sdc", in); err != nil || got != want {
+			t.Errorf("OneSDCAddr(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	_, err := OneSDCAddr("-sdc", "a:1,b:2")
+	if err == nil || !strings.Contains(err.Error(), "-sdc") || !strings.Contains(err.Error(), "a standby never sees PU updates") {
+		t.Fatalf("OneSDCAddr(a:1,b:2): %v, want the replica-group refusal naming -sdc", err)
 	}
 }

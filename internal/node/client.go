@@ -151,8 +151,7 @@ func newClient(addrs []string, opts Options) *client {
 // load saw was preceded by its container's increment, so the
 // invariants DialFailures <= Dials, Failovers <= BreakerOpens <=
 // TransportFaults, and Retries <= (MaxAttempts-1)·Calls hold in every
-// snapshot. Loading in the (former) arbitrary order could return
-// e.g. DialFailures > Dials under concurrent traffic.
+// snapshot.
 func (c *client) Stats() ClientStats {
 	s := ClientStats{
 		DialFailures:    c.dialFailures.Load(),
@@ -568,9 +567,9 @@ func DialSDC(addr string, timeout time.Duration) *SDCClient {
 	return DialSDCWith(Options{CallTimeout: timeout}, addr)
 }
 
-// DialSDCWith connects lazily to one or more equivalent SDC servers.
-func DialSDCWith(opts Options, addrs ...string) *SDCClient {
-	c := &SDCClient{client: newClient(addrs, opts)}
+// DialSDCWith connects lazily to one SDC server (it has no standby, DESIGN.md §9).
+func DialSDCWith(opts Options, addr string) *SDCClient {
+	c := &SDCClient{client: newClient([]string{addr}, opts)}
 	c.bridgeObs("sdc")
 	return c
 }
@@ -644,8 +643,8 @@ func (c *SDCClient) ProcessRequest(r *pisa.TransmissionRequest) (*pisa.Response,
 
 // ProcessShard sends a (usually channel-sliced) SU request to a
 // remote windowed shard and returns its grant indicators.
-// Shard queries are idempotent, so the client's retry and failover
-// machinery re-sends them freely across replica groups.
+// Shard queries are idempotent, so the client's retry machinery
+// re-sends them to the shard after a transport fault.
 func (c *SDCClient) ProcessShard(r *pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {
 	return c.ProcessShardContext(context.Background(), r)
 }

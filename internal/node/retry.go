@@ -113,8 +113,8 @@ func Retryable(err error) bool {
 // queries are pure reads, and a replica-sync update re-applies as the
 // same set-registration (only the version counter advances). A shard
 // query qualifies too: ProcessShard reads a budget snapshot and never
-// bumps the license serial, so replaying it on a replica after a lost
-// reply re-derives equivalent grant indicators. PU updates and SU
+// bumps the license serial, so replaying it after a lost reply
+// re-derives equivalent grant indicators. PU updates and SU
 // transmission requests mutate budget state and are sent at most once
 // per transport attempt that reaches the wire.
 func idempotentKind(k wire.Kind) bool {

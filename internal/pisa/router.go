@@ -35,7 +35,7 @@ import (
 
 // ShardService is the per-shard surface the Router fans out to. A local
 // *SDC satisfies it directly; a remote shard is reached through
-// node.SDCClient (which adds pooling, retries and replica failover).
+// node.SDCClient at the shard's one address (adding pooling, retries).
 type ShardService interface {
 	ProcessShard(*TransmissionRequest) (*ShardAnswer, error)
 	HandlePUUpdate(*PUUpdate) error
@@ -263,8 +263,8 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 		m.shardCall(i).ObserveSince(t0)
 		return nil
 	})
-	// Merge fan-out timings before inspecting errors: during failover
-	// the shards that DID complete still did the work, and dropping
+	// Merge fan-out timings before inspecting errors: when a shard
+	// fails, the shards that DID complete still did the work, and dropping
 	// their latencies would make the shutdown summary under-report
 	// exactly when a shard is misbehaving.
 	fanoutNs := time.Since(stageStart).Nanoseconds()
