@@ -26,9 +26,10 @@
 // cells); -paper runs the full 100x600 grid with 2048-bit keys, which
 // takes minutes per stage — the very cost the paper reports.
 //
-// -parallel N bounds the worker pool of every homomorphic kernel
-// (0 serial, -1 one worker per CPU); -sweep re-measures the request
-// pipeline at doubling worker counts up to the CPU count.
+// Every homomorphic kernel fans out over GOMAXPROCS workers, so
+// GOMAXPROCS=1 is the paper's single-threaded configuration; -sweep
+// re-measures the request pipeline at doubling GOMAXPROCS up to the
+// process's own.
 //
 // -cache N arms the SDC's encrypted-decision cache (DESIGN.md §14) in
 // the end-to-end experiments; it defaults to off so repeated
@@ -62,7 +63,6 @@ type options struct {
 	paper                                                   bool
 	bits                                                    int
 	iters                                                   int
-	parallel                                                int
 	cache                                                   string
 	cacheEntries                                            int
 	metricsDump                                             string
@@ -83,8 +83,6 @@ func run(args []string) error {
 	fs.BoolVar(&opt.paper, "paper", false, "measure at full paper scale (very slow)")
 	fs.IntVar(&opt.bits, "bits", 2048, "Paillier modulus bits for Table II")
 	fs.IntVar(&opt.iters, "iters", 30, "iterations per Table II measurement (paper uses 30)")
-	fs.IntVar(&opt.parallel, "parallel", 0,
-		"homomorphic kernel workers: 0 serial, -1 one per CPU, N literal")
 	fs.StringVar(&opt.cache, "cache", "off",
 		"decision cache in end-to-end experiments: entry count or 'off' (default off so repeated "+
 			"measurements stay cold)")
@@ -239,7 +237,6 @@ func runFigure6(opt options) error {
 	if err != nil {
 		return err
 	}
-	params.Parallelism = opt.parallel
 	params.CacheEntries = opt.cacheEntries
 	fmt.Println("  setting up deployment (keys + initial budget encryption)...")
 	u, err := bench.NewUniverse(params)
@@ -280,7 +277,6 @@ func runTradeoff(opt options) error {
 	if err != nil {
 		return err
 	}
-	params.Parallelism = opt.parallel
 	params.CacheEntries = opt.cacheEntries
 	u, err := bench.NewUniverse(params)
 	if err != nil {
@@ -376,8 +372,9 @@ func sweepWorkerCounts() []int {
 
 // runParallelSweep re-measures the request pipeline (fresh prepare,
 // SDC processing, PU update) on one deployment at each worker count,
-// reporting the speedup over the serial baseline. On a single-CPU
-// machine the sweep degenerates to the serial row.
+// set as GOMAXPROCS for its row, reporting the speedup over the serial
+// baseline. On a single-CPU machine the sweep degenerates to the serial
+// row.
 func runParallelSweep(opt options) error {
 	channels, cols, rows, bits := figureScale(opt)
 	fmt.Printf("Worker-count sweep (C=%d, B=%d, n=%d-bit, %d CPUs):\n",
@@ -393,8 +390,9 @@ func runParallelSweep(opt options) error {
 		return err
 	}
 	var serial bench.Figure6Stats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for i, w := range sweepWorkerCounts() {
-		u.SetParallelism(w)
+		runtime.GOMAXPROCS(w)
 		stats, err := u.MeasureFigure6()
 		if err != nil {
 			return err

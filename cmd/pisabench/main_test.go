@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -47,26 +48,32 @@ func TestRunTable2SmallKey(t *testing.T) {
 }
 
 // TestRunFigure6AndSweep drives MeasureFigure6 through the CLI's scale
-// selection and parallel/cache flags, once per experiment that calls it.
+// selection and cache flag, once per experiment that calls it. The sweep
+// sets GOMAXPROCS per row and gives the process its own back.
 func TestRunFigure6AndSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 2048-bit deployments")
 	}
-	if err := run([]string{"-figure6", "-parallel", "2", "-cache", "16"}); err != nil {
+	if err := run([]string{"-figure6", "-cache", "16"}); err != nil {
 		t.Fatalf("run -figure6: %v", err)
 	}
+	procs := runtime.GOMAXPROCS(0)
 	if err := run([]string{"-sweep"}); err != nil {
 		t.Fatalf("run -sweep: %v", err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != procs {
+		t.Errorf("GOMAXPROCS after the sweep = %d, want %d", got, procs)
 	}
 }
 
 // TestRunRejectsRemovedFlags: the JSON micro-benchmark report, its
-// shard sweep and the nonce-table switches are gone, and asking for them
-// says so instead of running something else.
+// shard sweep, the nonce-table switches and the worker count are gone,
+// and asking for them says so instead of running something else.
 func TestRunRejectsRemovedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-json", "x"}, {"-table1", "-shards", "1,2"},
 		{"-table1", "-engine=false"}, {"-table1", "-window", "4"}, {"-table1", "-shortbits", "128"},
+		{"-table1", "-parallel", "2"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -340,7 +340,7 @@ func TestStateSummaryNamesEachShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stp, err := deploy.NewSTP(params)
+	stp, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ import (
 	"syscall"
 
 	"pisa/internal/config"
-	"pisa/internal/deploy"
 	"pisa/internal/node"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
@@ -92,7 +91,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	stp := deploy.STPWithKey(params, group)
+	stp := pisa.NewSTPWithKey(nil, group)
 	if *storeDir != "" {
 		opts, err := cfg.Store.Options()
 		if err != nil {

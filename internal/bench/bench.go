@@ -185,7 +185,7 @@ func (t timingSTP) ConvertSigns(req *pisa.SignRequest) (*pisa.SignResponse, erro
 // block 1) with keys of params.PaillierBits, the SDC by internal/deploy.
 func NewUniverse(params pisa.Params) (*Universe, error) {
 	u := &Universe{Params: params}
-	stp, err := deploy.NewSTP(params)
+	stp, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {
 		return nil, err
 	}
@@ -210,22 +210,7 @@ func NewUniverse(params pisa.Params) (*Universe, error) {
 		return nil, err
 	}
 	u.STP, u.SDC, u.SU, u.PU = stp, sdc, su, pu
-	// SDC and SU read params.Parallelism at construction; STP and PU
-	// default to serial and take the knob explicitly.
-	stp.SetParallelism(params.Parallelism)
-	pu.SetParallelism(params.Parallelism)
 	return u, nil
-}
-
-// SetParallelism propagates one worker-pool size to every role in the
-// universe (see pisa.Params.Parallelism for the encoding) — the hook
-// worker-count sweeps use to re-measure the same deployment at
-// different pool sizes without regenerating keys.
-func (u *Universe) SetParallelism(n int) {
-	u.SDC.SetParallelism(n)
-	u.SU.SetParallelism(n)
-	u.STP.SetParallelism(n)
-	u.PU.SetParallelism(n)
 }
 
 // Figure6Stats captures the end-to-end costs Figure 6 reports,

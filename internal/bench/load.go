@@ -265,7 +265,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			return nil, err
 		}
 		params.CacheEntries = cfg.CacheEntries
-		stp, err := deploy.NewSTP(params)
+		stp, err := pisa.NewSTP(nil, params.PaillierBits)
 		if err != nil {
 			return nil, err
 		}

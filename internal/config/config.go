@@ -91,13 +91,6 @@ type File struct {
 	EtaBits       int `json:"etaBits"`
 	SignerBits    int `json:"signerBits"`
 
-	// Parallelism bounds the worker pool the homomorphic kernels fan
-	// out over: > 0 is a literal worker count, 0 runs serially, < 0 (the
-	// default, as in pisa.DefaultParams) uses one worker per CPU. A local
-	// runtime knob — processes in one deployment may disagree on it
-	// freely. Always written, so a saved 0 reloads as 0.
-	Parallelism int `json:"parallelism"`
-
 	// CacheEntries bounds the SDC's encrypted-decision cache (LRU over
 	// request shapes; pisa.Params.CacheEntries). 0 disables it. Load
 	// starts from Default(), which enables 1024 entries — an explicit
@@ -458,7 +451,6 @@ func Default() File {
 		BetaBits:        64,
 		EtaBits:         64,
 		SignerBits:      512,
-		Parallelism:     -1,
 		CacheEntries:    1024,
 		SDCAddr:         "127.0.0.1:7410",
 		STPAddr:         "127.0.0.1:7411",
@@ -514,9 +506,10 @@ func Load(path string) (File, error) {
 	// Keys whose behaviour was removed are refused where they ask for it
 	// rather than ignored: the file would otherwise silently run packed,
 	// unbatched, without a cache age bound and with every key tabling its
-	// nonce base at the one fixed geometry. "packing": true,
-	// "fastExp": true and zeros, which every file written by an earlier
-	// Save contains, ask for what is still there.
+	// nonce base at the one fixed geometry, and with kernels on GOMAXPROCS
+	// workers. "packing": true, "fastExp": true, "parallelism": -1 and
+	// zeros, which every file written by an earlier Save contains, ask for
+	// what is still there.
 	var removed struct {
 		Packed        *bool `json:"packing"`
 		BatchWindowMS int   `json:"stpBatchWindowMS"`
@@ -525,6 +518,7 @@ func Load(path string) (File, error) {
 		FastExp       *bool `json:"fastExp"`
 		FastExpWindow int   `json:"fastExpWindow"`
 		ShortExpBits  int   `json:"shortExpBits"`
+		Parallelism   *int  `json:"parallelism"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -544,6 +538,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "fastExpWindow" asks for another nonce-table geometry, which was removed`, path)
 	case removed.ShortExpBits != 0:
 		return File{}, fmt.Errorf(`config: %s: "shortExpBits" asks for another nonce exponent width, which was removed`, path)
+	case removed.Parallelism != nil && *removed.Parallelism != -1:
+		return File{}, fmt.Errorf(`config: %s: "parallelism": %d asks for a kernel worker count, which was removed (kernels run on GOMAXPROCS workers; set GOMAXPROCS=1 for serial)`, path, *removed.Parallelism)
 	}
 	return f, nil
 }
@@ -604,7 +600,6 @@ func (f File) PisaParams() (pisa.Params, error) {
 		BetaBits:      f.BetaBits,
 		EtaBits:       f.EtaBits,
 		SignerBits:    f.SignerBits,
-		Parallelism:   f.Parallelism,
 		CacheEntries:  f.CacheEntries,
 		CacheDomains:  f.CacheDomains,
 	}

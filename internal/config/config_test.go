@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pisa/internal/pisa"
 )
 
 func TestDefaultBuilds(t *testing.T) {
@@ -56,33 +54,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.UnitsPerMW != f.UnitsPerMW {
 		t.Errorf("defaults not preserved")
-	}
-}
-
-// TestParallelismDefault: a stock config runs the kernels as the
-// deployment pisa.DefaultParams describes (one worker per CPU), and a
-// saved explicit 0 — serial — survives a Save/Load round trip rather than
-// reloading as the default.
-func TestParallelismDefault(t *testing.T) {
-	p, err := Default().PisaParams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := pisa.DefaultParams(p.Watch).Parallelism; p.Parallelism != want {
-		t.Errorf("default config parallelism %d, pisa.DefaultParams %d", p.Parallelism, want)
-	}
-	path := filepath.Join(t.TempDir(), "pisa.json")
-	f := Default()
-	f.Parallelism = 0
-	if err := f.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Parallelism != 0 {
-		t.Errorf("saved parallelism 0 reloads as %d", got.Parallelism)
 	}
 }
 
@@ -314,10 +285,12 @@ func TestCacheDomainsReachParams(t *testing.T) {
 }
 
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
-// layout, for sign-test coalescing, for a cache TTL or for a switched-off
-// or resized nonce table must not silently run without them; the values
-// every file saved by an earlier build contains ("packing": true,
-// "fastExp": true, zeros) ask for what is still there and keep loading.
+// layout, for sign-test coalescing, for a cache TTL, for a switched-off
+// or resized nonce table or for a kernel worker count must not silently
+// run without them; the values every file saved by an earlier build
+// contains ("packing": true, "fastExp": true, "parallelism": -1, zeros)
+// ask for what is still there and keep loading, as does a file without
+// the keys.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -329,7 +302,10 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"no nonce table", `{"fastExp": false}`, `"fastExp"`},
 		{"table window", `{"fastExpWindow": 4}`, `"fastExpWindow"`},
 		{"short exponent", `{"shortExpBits": 128}`, `"shortExpBits"`},
-		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true}`, ""},
+		{"serial kernels", `{"parallelism": 0}`, `"parallelism"`},
+		{"four kernel workers", `{"parallelism": 4}`, `"parallelism"`},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1}`, ""},
+		{"without the keys", `{"channels": 5}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pisa.json")

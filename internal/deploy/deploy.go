@@ -14,7 +14,6 @@ import (
 	"log/slog"
 
 	"pisa/internal/config"
-	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/store"
 )
@@ -62,25 +61,6 @@ type Deployment struct {
 	Front *pisa.Router
 
 	log *slog.Logger
-}
-
-// NewSTP is a fresh in-process STP for params: a generated group key,
-// set up by STPWithKey.
-func NewSTP(params pisa.Params) (*pisa.STP, error) {
-	group, err := paillier.GenerateKey(nil, params.PaillierBits)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: generate group key: %w", err)
-	}
-	return STPWithKey(params, group), nil
-}
-
-// STPWithKey is the STP over group as every deployment runs it (stpd
-// with its key file, NewSTP): sign conversions fan out over
-// params.Parallelism workers, as every other role's kernels do.
-func STPWithKey(params pisa.Params, group *paillier.PrivateKey) *pisa.STP {
-	stp := pisa.NewSTPWithKey(nil, group)
-	stp.SetParallelism(params.Parallelism)
-	return stp
 }
 
 // New boots the SDCs of cfg one window after the other and puts the

@@ -11,7 +11,6 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/deploy"
 	"pisa/internal/geo"
-	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/propagation"
 	"pisa/internal/watch"
@@ -37,36 +36,12 @@ func testParams(t *testing.T) pisa.Params {
 	})
 }
 
-// TestSTPRunsAtParamsParallelism: a deployment's STP decrypts its sign
-// tests over params.Parallelism workers, as every other role's kernels
-// run, whether its group key is generated (NewSTP) or loaded from a key
-// file (STPWithKey, as stpd builds it) — not on the constructor's single
-// worker.
-func TestSTPRunsAtParamsParallelism(t *testing.T) {
-	params := testParams(t)
-	params.Parallelism = 3
-	stp, err := deploy.NewSTP(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stp.Parallelism(); got != 3 {
-		t.Fatalf("NewSTP converts on %d workers, want 3", got)
-	}
-	group, err := paillier.GenerateKey(rand.Reader, params.PaillierBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := deploy.STPWithKey(params, group).Parallelism(); got != 3 {
-		t.Fatalf("STPWithKey converts on %d workers, want 3", got)
-	}
-}
-
 // TestFrontPerShape pins which front each shape of deployment gets: the
 // SDC's own one-shard router at one window, a router over the windows at
 // several, none for a lone window.
 func TestFrontPerShape(t *testing.T) {
 	params := testParams(t)
-	stp, err := deploy.NewSTP(params)
+	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +96,7 @@ func TestCrashRecovery(t *testing.T) {
 func testCrashRecovery(t *testing.T, n int) {
 	params := testParams(t)
 	wp := params.Watch
-	stp, err := deploy.NewSTP(params)
+	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestNonceBatchRefreshesCorrectly(t *testing.T) {
 func TestNoncePoolFillGetAccounting(t *testing.T) {
 	sk := batchKey()
 	pk := &sk.PublicKey
-	pool := NewNoncePool(pk, rand.Reader, 2)
+	pool := NewNoncePool(pk, rand.Reader)
 	if err := pool.Fill(-1); err == nil {
 		t.Error("negative fill accepted")
 	}
@@ -127,7 +127,7 @@ func TestNoncePoolFillGetAccounting(t *testing.T) {
 
 func TestNoncePoolAutoRefill(t *testing.T) {
 	pk := &batchKey().PublicKey
-	pool := NewNoncePool(pk, rand.Reader, 2)
+	pool := NewNoncePool(pk, rand.Reader)
 	if err := pool.SetAutoRefill(-2); err == nil {
 		t.Error("negative target accepted")
 	}

@@ -261,7 +261,7 @@ func waitForGoroutines(t *testing.T, want int) {
 func TestNoncePoolCloseStopsRefills(t *testing.T) {
 	sk := fastKey(t, 256)
 	baseline := runtime.NumGoroutine()
-	pool := NewNoncePool(&sk.PublicKey, rand.Reader, 4)
+	pool := NewNoncePool(&sk.PublicKey, rand.Reader)
 	if err := pool.SetAutoRefill(16); err != nil {
 		t.Fatal(err)
 	}

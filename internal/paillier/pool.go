@@ -5,6 +5,8 @@ import (
 	"io"
 	"log/slog"
 	"sync"
+
+	"pisa/internal/parallel"
 )
 
 // NoncePool amortises the expensive r^n mod n^2 exponentiation behind
@@ -18,9 +20,8 @@ import (
 // Get never fails for lack of stock: a dry pool falls back to
 // generating a nonce online, exactly like the pre-pool code path.
 type NoncePool struct {
-	pk      *PublicKey
-	random  io.Reader
-	workers int
+	pk     *PublicKey
+	random io.Reader
 
 	mu        sync.Mutex
 	nonces    []*Nonce
@@ -39,16 +40,15 @@ type NoncePool struct {
 	wg sync.WaitGroup // outstanding background refills
 }
 
-// NewNoncePool builds an empty pool. workers bounds the parallelism of
-// fills and background refills (values <= 1 generate serially); random
-// follows the usual nil-means-crypto/rand convention.
-func NewNoncePool(pk *PublicKey, random io.Reader, workers int) *NoncePool {
+// NewNoncePool builds an empty pool. Fills and background refills fan
+// out over parallel.Auto() workers; random follows the usual
+// nil-means-crypto/rand convention.
+func NewNoncePool(pk *PublicKey, random io.Reader) *NoncePool {
 	// Background refills and online Get fallbacks can read the source
 	// concurrently, so it is always wrapped for sharing.
 	return &NoncePool{
-		pk:      pk,
-		random:  SharedReader(random),
-		workers: workers,
+		pk:     pk,
+		random: SharedReader(random),
 	}
 }
 
@@ -101,15 +101,12 @@ func (p *NoncePool) RefillErr() error {
 }
 
 // Fill synchronously adds count nonces to the pool, generating them
-// with the pool's worker parallelism.
+// over parallel.Auto() workers.
 func (p *NoncePool) Fill(count int) error {
 	if count < 0 {
 		return fmt.Errorf("paillier: negative nonce count %d", count)
 	}
-	p.mu.Lock()
-	workers := p.workers
-	p.mu.Unlock()
-	fresh, err := p.pk.NewNonceBatch(p.random, count, workers)
+	fresh, err := p.pk.NewNonceBatch(p.random, count, parallel.Auto())
 	if err != nil {
 		return err
 	}
@@ -118,13 +115,6 @@ func (p *NoncePool) Fill(count int) error {
 	pmetrics().depth.Set(int64(len(p.nonces)))
 	p.mu.Unlock()
 	return nil
-}
-
-// SetWorkers resizes the parallelism of later fills and refills.
-func (p *NoncePool) SetWorkers(workers int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.workers = workers
 }
 
 // Len reports the pooled nonce count.
@@ -171,13 +161,12 @@ func (p *NoncePool) maybeRefillLocked() {
 		return
 	}
 	need := p.target - len(p.nonces)
-	workers := p.workers
 	p.refilling = true
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		m := pmetrics()
-		fresh, err := p.pk.NewNonceBatch(p.random, need, workers)
+		fresh, err := p.pk.NewNonceBatch(p.random, need, parallel.Auto())
 		p.mu.Lock()
 		p.refilling = false
 		if err != nil {

@@ -35,7 +35,7 @@ var _ io.Reader = (*flakyReader)(nil)
 func TestNoncePoolRefillFailureDisarmsExplicitly(t *testing.T) {
 	pk := &batchKey().PublicKey
 	src := &flakyReader{}
-	pool := NewNoncePool(pk, src, 2)
+	pool := NewNoncePool(pk, src)
 	if err := pool.SetAutoRefill(4); err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,17 @@
 // bounded worker pool sized from GOMAXPROCS with chunked index-range
 // scheduling and first-error cancellation.
 //
-// The scheduling contract matters for reproducibility: with workers
-// <= 1 the loop runs on the calling goroutine in strict index order,
-// so a serial configuration performs exactly the same sequence of
-// operations (including randomness draws) as the pre-parallel code —
-// bit-for-bit identical ciphertexts. With workers > 1 the index space
-// is split into contiguous chunks handed out to worker goroutines;
-// each index still writes only its own output slot, so results are
-// positionally deterministic even though execution order is not.
+// Every role passes Auto() — GOMAXPROCS, read at the call — so the Go
+// runtime's GOMAXPROCS is the one control, and GOMAXPROCS=1 is the
+// serial configuration the paper measures. The scheduling contract
+// matters for reproducibility: with workers <= 1 the loop runs on the
+// calling goroutine in strict index order, so a serial configuration
+// performs exactly the same sequence of operations (including
+// randomness draws) as the pre-parallel code — bit-for-bit identical
+// ciphertexts. With workers > 1 the index space is split into
+// contiguous chunks handed out to worker goroutines; each index still
+// writes only its own output slot, so results are positionally
+// deterministic even though execution order is not.
 package parallel
 
 import (
@@ -21,24 +24,10 @@ import (
 	"sync/atomic"
 )
 
-// Auto reports the default worker count for this process: GOMAXPROCS,
-// i.e. "as many workers as the hardware allows".
+// Auto reports the worker count for this process: GOMAXPROCS,
+// i.e. "as many workers as the runtime schedules at once".
 func Auto() int {
 	return runtime.GOMAXPROCS(0)
-}
-
-// Resolve maps a configuration knob to a concrete worker count:
-// n > 0 is taken literally, n == 0 means serial (the backwards
-// compatible default), and n < 0 means Auto().
-func Resolve(n int) int {
-	switch {
-	case n > 0:
-		return n
-	case n < 0:
-		return Auto()
-	default:
-		return 1
-	}
 }
 
 // minChunk bounds scheduling overhead: a worker claims at least this

@@ -9,18 +9,15 @@ import (
 	"testing"
 )
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != 1 {
-		t.Errorf("Resolve(0) = %d, want 1 (serial default)", got)
+// TestAuto: the worker count every role fans out over is GOMAXPROCS, read
+// at the call, so setting it changes the next fan-out.
+func TestAuto(t *testing.T) {
+	if got := Auto(); got != runtime.GOMAXPROCS(0) || got < 1 {
+		t.Errorf("Auto() = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Resolve(7); got != 7 {
-		t.Errorf("Resolve(7) = %d, want 7", got)
-	}
-	if got := Resolve(-1); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Resolve(-1) = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
-	}
-	if Auto() < 1 {
-		t.Errorf("Auto() = %d, want >= 1", Auto())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Auto(); got != 1 {
+		t.Errorf("Auto() at GOMAXPROCS=1 = %d, want 1", got)
 	}
 }
 

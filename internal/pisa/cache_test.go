@@ -651,7 +651,7 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 // exponentiation, or from the tables once they are installed — and every
 // one of them decides what the fill decided. Run under -race.
 func TestCacheTablesBuiltOnce(t *testing.T) {
-	d := newCacheDeployment(t, func(p *Params) { p.Parallelism = 2 })
+	d := newCacheDeployment(t, nil)
 	su := d.newSU(t, "su-1", 7)
 	eirp := map[int]int64{1: maxEIRP(d)}
 	req, err := su.PrepareRequest(eirp, geo.Disclosure{})

@@ -126,8 +126,8 @@ func TestNoncePoolAccounting(t *testing.T) {
 	}
 }
 
-// TestConcurrentPoolsUnderMixedLoad hammers one SDC with parallel
-// workers enabled and the SUs' nonce pools armed for background
+// TestConcurrentPoolsUnderMixedLoad hammers one SDC, its kernels fanned
+// out over GOMAXPROCS, with the SUs' nonce pools armed for background
 // auto-refill, mixing PU updates, fresh SU requests, and pooled
 // refreshes. Run with -race: this is the path where nonce refill
 // goroutines, the worker pools, and the SDC state lock all interleave.
@@ -138,12 +138,10 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 		rounds     = 2
 		poolTarget = 8
 	)
-	// Parallel kernels on every role, armed pools on the SUs.
-	d.sdc.SetParallelism(workers)
+	// Armed pools on the SUs.
 	sus := make([]*SU, workers)
 	for i := range sus {
 		sus[i] = d.newSU(t, fmt.Sprintf("su-pool-%d", i), geo.BlockID(i))
-		sus[i].SetParallelism(workers)
 		if err := sus[i].EnableNonceAutoRefill(poolTarget); err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +150,6 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 		}
 	}
 	pu := d.newPU(t, "tv-pool", 8)
-	pu.SetParallelism(workers)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers+1)

@@ -75,7 +75,6 @@ type signKernel struct {
 	decrypt func(flat []*paillier.Ciphertext) ([]*big.Int, error)
 	observe func(suID string, values []*big.Int)
 	random  io.Reader
-	workers int
 }
 
 // requestCodec reconstructs and validates the slot codec a sign request
@@ -115,7 +114,7 @@ func signOf(v *big.Int, codec *paillier.SlotCodec) (int64, error) {
 // private-key STP and the threshold DistSTP both end here. All elements
 // are decrypted through one call; then every run of S elements is
 // sign-tested, packed and encrypted under the SU's key, one ciphertext
-// and one nonce per run, on the worker pool.
+// and one nonce per run, over parallel.Auto() workers.
 func convertSigns(k signKernel, req *SignRequest) (*SignResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("pisa: nil sign request")
@@ -143,7 +142,7 @@ func convertSigns(k signKernel, req *SignRequest) (*SignResponse, error) {
 	xs := make([]*paillier.Ciphertext, (len(vals)+per-1)/per)
 	// Positional writes keep the response in the request's order at any
 	// worker count.
-	err = parallel.For(k.workers, len(xs), func(c int) error {
+	err = parallel.For(parallel.Auto(), len(xs), func(c int) error {
 		run := vals[c*per : min((c+1)*per, len(vals))]
 		signs := make([]*big.Int, len(run))
 		for i, v := range run {

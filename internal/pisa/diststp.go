@@ -30,28 +30,22 @@ type ShareService interface {
 
 // LocalShare wraps a key share as an in-process ShareService.
 type LocalShare struct {
-	share   *paillier.KeyShare
-	workers int
+	share *paillier.KeyShare
 }
 
 var _ ShareService = (*LocalShare)(nil)
 
 // NewLocalShare wraps one key share.
 func NewLocalShare(share *paillier.KeyShare) *LocalShare {
-	return &LocalShare{share: share, workers: 1}
-}
-
-// SetParallelism resizes the worker pool batch partial decryption
-// fans out over (see Params.Parallelism for the encoding).
-func (l *LocalShare) SetParallelism(n int) {
-	l.workers = parallel.Resolve(n)
+	return &LocalShare{share: share}
 }
 
 // PartialDecryptBatch implements ShareService. Partial decryptions
-// are pure modular exponentiations, so they fan out freely.
+// are pure modular exponentiations, so they fan out over
+// parallel.Auto() workers.
 func (l *LocalShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
 	out := make([]*paillier.Partial, len(cts))
-	err := parallel.For(l.workers, len(cts), func(i int) error {
+	err := parallel.For(parallel.Auto(), len(cts), func(i int) error {
 		p, err := l.share.PartialDecrypt(cts[i])
 		if err != nil {
 			return fmt.Errorf("pisa: partial decrypt %d: %w", i, err)
@@ -91,7 +85,6 @@ type DistSTP struct {
 	group   *paillier.PublicKey
 	holders []ShareService
 	random  io.Reader
-	workers int
 
 	// sus is the SU key registry, shared in kind with STP.
 	sus *suRegistry
@@ -149,23 +142,8 @@ func NewDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders [
 		group:   group,
 		holders: holders,
 		random:  random,
-		workers: 1,
 		sus:     newSURegistry(),
 	}, nil
-}
-
-// SetParallelism resizes the combiner's worker pool (see
-// Params.Parallelism for the encoding; the constructor default is
-// serial) and propagates it to every in-process LocalShare holder.
-// Remote holders manage their own parallelism. Not safe to call
-// concurrently with ConvertSigns.
-func (d *DistSTP) SetParallelism(n int) {
-	d.workers = parallel.Resolve(n)
-	for _, h := range d.holders {
-		if local, ok := h.(*LocalShare); ok {
-			local.SetParallelism(n)
-		}
-	}
 }
 
 // GroupKey implements STPService.
@@ -200,18 +178,17 @@ func (d *DistSTP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 		suKey:   d.SUKey,
 		decrypt: d.decryptAll,
 		random:  d.random,
-		workers: d.workers,
 	}, req)
 }
 
 // decryptAll is the threshold decryption of one request's elements.
 func (d *DistSTP) decryptAll(flat []*paillier.Ciphertext) ([]*big.Int, error) {
-	// Fan out to the co-STPs concurrently — in a network deployment
-	// the holders are independent servers, so issuing the batches in
-	// parallel mirrors the real latency profile (the slowest holder
-	// gates the round, not the sum of all of them).
-	batches := make([][]*paillier.Partial, len(d.holders))
-	err := parallel.For(d.workers, len(d.holders), func(h int) error {
+	// Ask every co-STP at once, one goroutine each — in a network
+	// deployment the holders are independent servers, so the slowest
+	// holder gates the round, not the sum of all of them.
+	n := len(d.holders)
+	batches := make([][]*paillier.Partial, n)
+	err := parallel.For(n, n, func(h int) error {
 		batch, err := d.holders[h].PartialDecryptBatch(flat)
 		if err != nil {
 			return &CoSTPError{Holder: h, Err: err}
@@ -226,7 +203,7 @@ func (d *DistSTP) decryptAll(flat []*paillier.Ciphertext) ([]*big.Int, error) {
 		return nil, err
 	}
 	vals := make([]*big.Int, len(flat))
-	err = parallel.For(d.workers, len(flat), func(i int) error {
+	err = parallel.For(parallel.Auto(), len(flat), func(i int) error {
 		perValue := make([]*paillier.Partial, len(d.holders))
 		for h := range d.holders {
 			perValue[h] = batches[h][i]

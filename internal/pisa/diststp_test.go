@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"testing"
+	"time"
 
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
@@ -172,6 +173,53 @@ func TestDistSTPNamesFailingHolder(t *testing.T) {
 	}
 	if !errors.Is(err, cause) {
 		t.Error("CoSTPError does not unwrap to the holder's failure")
+	}
+}
+
+// slowShare is a ShareService whose holder answers after a delay, as a
+// remote co-STP does.
+type slowShare struct {
+	ShareService
+	delay time.Duration
+}
+
+func (s slowShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
+	time.Sleep(s.delay)
+	return s.ShareService.PartialDecryptBatch(cts)
+}
+
+// TestDistSTPAsksHoldersConcurrently: the combiner asks every co-STP at
+// once, so a round costs the slowest holder, not the sum of them.
+func TestDistSTPAsksHoldersConcurrently(t *testing.T) {
+	sk, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := sk.SplitKey(rand.Reader, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 100 * time.Millisecond
+	dist, err := NewDistSTPWithShares(rand.Reader, sk.Public(), []ShareService{
+		slowShare{NewLocalShare(shares[0]), delay},
+		slowShare{NewLocalShare(shares[1]), delay},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dist.RegisterSU("su-s", sk.Public()); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := sk.Public().EncryptInt(rand.Reader, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := dist.ConvertSigns(&SignRequest{SUID: "su-s", V: []*paillier.Ciphertext{ct}, Slots: 1, SlotBits: 64, AnswerBits: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= delay*3/2 {
+		t.Fatalf("ConvertSigns over two %v holders took %v: the holders were asked in turn", delay, took)
 	}
 }
 

@@ -3,11 +3,13 @@ package pisa
 import (
 	"crypto/rand"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 )
 
 // flakyRandom delegates to crypto/rand until failing is flipped, then
@@ -25,7 +27,8 @@ func (f *flakyRandom) Read(p []byte) (int, error) {
 
 // TestSDCEntropyFailureNamesCell: every request draws its blinding
 // tuples as it goes, so a draw that fails fails that request, with an
-// error naming the cell it was blinding. Nothing of the failure stays
+// error naming the cell it was blinding — one of the request's (c, g)
+// cells, whichever a worker reached first. Nothing of the failure stays
 // behind: the next request succeeds.
 func TestSDCEntropyFailureNamesCell(t *testing.T) {
 	wp := testWatchParams(t)
@@ -53,12 +56,22 @@ func TestSDCEntropyFailureNamesCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cells are blinded in order, so the failure lands on the first.
+	cells := make(map[string]bool)
+	err = req.FP.ForEachGroup(func(c, g int, _ *paillier.Ciphertext) error {
+		cells[fmt.Sprintf("%d, %d", c, g)] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	src.failing.Store(true)
 	_, err = sdc.ProcessRequest(req)
 	src.failing.Store(false)
-	if err == nil || !strings.Contains(err.Error(), "blind (0, 0)") || !strings.Contains(err.Error(), "injected entropy failure") {
-		t.Fatalf("ProcessRequest with failing entropy: error = %v, want one naming cell (0, 0) and the failure", err)
+	if err == nil || !strings.Contains(err.Error(), "injected entropy failure") {
+		t.Fatalf("ProcessRequest with failing entropy: error = %v, want the injected failure", err)
+	}
+	if m := regexp.MustCompile(`blind \((\d+, \d+)\)`).FindStringSubmatch(err.Error()); m == nil || !cells[m[1]] {
+		t.Fatalf("ProcessRequest with failing entropy: error = %v, want one naming a blind (c, g) cell of the request", err)
 	}
 
 	resp, err := sdc.ProcessRequest(req)

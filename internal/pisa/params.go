@@ -58,12 +58,11 @@ type Params struct {
 	// (<= dsig.MaxSignerBits(PaillierBits)).
 	SignerBits int
 
-	// Parallelism bounds the worker pool every embarrassingly-parallel
-	// crypto kernel (matrix operations, batch encryption, sign
-	// conversion, pool refills) fans out over: > 0 is a literal worker
-	// count, < 0 means one worker per CPU (parallel.Auto; what
-	// DefaultParams and a config file without the key give), and 0
-	// means serial (a literal that omits the field, or an explicit 0).
+	// Deprecated: Parallelism is inert. Every crypto kernel fans out over
+	// parallel.Auto() (GOMAXPROCS) workers, read at the call, so
+	// GOMAXPROCS=1 is the serial, paper-like configuration. The field
+	// exists only because the frozen benchmark (benchmark/bench_test.go)
+	// names it in a literal; nothing reads it.
 	Parallelism int
 
 	// Deprecated: FastExp, FastExpWindow and ShortExpBits are inert.
@@ -127,7 +126,6 @@ func DefaultParams(w watch.Params) Params {
 		BetaBits:      80,
 		EtaBits:       256,
 		SignerBits:    dsig.MaxSignerBits(2048),
-		Parallelism:   -1,   // production default: one worker per CPU
 		CacheEntries:  1024, // encrypted-decision cache (0 = recompute every request)
 	}
 }

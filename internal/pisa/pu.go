@@ -24,7 +24,6 @@ type PU struct {
 	eColumn []int64 // public E(:, block)
 	group   *paillier.PublicKey
 	random  io.Reader
-	workers int
 }
 
 // NewPU creates a primary user at the given block. eColumn is the
@@ -52,16 +51,8 @@ func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, 
 		group:   group,
 		// Update encryption can fan out, so the source is
 		// shared-reader wrapped up front (crypto/rand passes through).
-		random:  paillier.SharedReader(random),
-		workers: 1,
+		random: paillier.SharedReader(random),
 	}, nil
-}
-
-// SetParallelism resizes the worker pool update encryption fans out
-// over (see Params.Parallelism for the encoding; the constructor
-// default is serial).
-func (p *PU) SetParallelism(n int) {
-	p.workers = parallel.Resolve(n)
 }
 
 // ID returns the PU identifier.
@@ -95,10 +86,11 @@ func (p *PU) Off() (*PUUpdate, error) {
 	return p.update(func(int) int64 { return 0 })
 }
 
-// update encrypts the W column defined by w on the worker pool.
+// update encrypts the W column defined by w over parallel.Auto()
+// workers.
 func (p *PU) update(w func(c int) int64) (*PUUpdate, error) {
 	cts := make([]*paillier.Ciphertext, len(p.eColumn))
-	err := parallel.For(p.workers, len(cts), func(c int) error {
+	err := parallel.For(parallel.Auto(), len(cts), func(c int) error {
 		ct, err := p.group.Encrypt(p.random, big.NewInt(w(c)))
 		if err != nil {
 			return fmt.Errorf("pisa: encrypt W(%d): %w", c, err)

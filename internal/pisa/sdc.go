@@ -32,10 +32,9 @@ import (
 // PU updates overlap. Per-block version counters detect when a column
 // rebuild raced a newer update and must recompute.
 type SDC struct {
-	params  Params
-	workers int // resolved worker-pool size (>= 1)
-	group   *paillier.PublicKey
-	stp     STPService
+	params Params
+	group  *paillier.PublicKey
+	stp    STPService
 	*publicData
 	random io.Reader
 	// router is the request front: a full-window instance serves SU
@@ -205,7 +204,7 @@ func NewSDC(issuer string, params Params, transmitters []watch.TVTransmitter, st
 // "passes" and never shows in the grant indicator.
 func (s *SDC) encryptInitialBudgets() error {
 	var err error
-	s.nPack, err = matrix.PackEncryptIntsWindow(s.random, s.group, s.codec, s.ePlain, 1, s.chanLo, s.chanHi, s.workers)
+	s.nPack, err = matrix.PackEncryptIntsWindow(s.random, s.group, s.codec, s.ePlain, 1, s.chanLo, s.chanHi, parallel.Auto())
 	if err != nil {
 		return fmt.Errorf("pisa: encrypt initial budgets: %w", err)
 	}
@@ -229,7 +228,6 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	}
 	s := &SDC{
 		params:     params,
-		workers:    parallel.Resolve(params.Parallelism),
 		group:      stp.GroupKey(),
 		stp:        stp,
 		publicData: public,
@@ -340,17 +338,6 @@ func (s *SDC) ChannelWindow() (lo, hi int) { return s.chanLo, s.chanHi }
 func (s *SDC) windowed() bool {
 	return s.chanLo != 0 || s.chanHi != s.params.Watch.Channels
 }
-
-// SetParallelism resizes the SDC's worker pool (see
-// Params.Parallelism for the encoding). Intended for benchmarks and
-// operator tooling; not safe to call concurrently with request or
-// update processing.
-func (s *SDC) SetParallelism(n int) {
-	s.workers = parallel.Resolve(n)
-}
-
-// Parallelism reports the resolved worker-pool size.
-func (s *SDC) Parallelism() int { return s.workers }
 
 // Router returns the one-shard router a full-window instance serves its
 // SU requests through, for callers that want its stats; nil on a
@@ -535,7 +522,7 @@ func (s *SDC) rebuildGroup(g int) error {
 		}
 
 		col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-		err := parallel.For(s.workers, len(col), func(j int) error {
+		err := parallel.For(parallel.Auto(), len(col), func(j int) error {
 			c := s.chanLo + j
 			vals := make([]*big.Int, k)
 			for j := range vals {
@@ -609,7 +596,7 @@ func (s *SDC) shiftUpdate(u *PUUpdate, slot int) ([]*paillier.Ciphertext, error)
 	defer metrics().updateShift.ObserveSince(time.Now())
 	scalar := s.codec.ShiftScalar(slot)
 	out := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-	err := parallel.For(s.workers, len(out), func(j int) error {
+	err := parallel.For(parallel.Auto(), len(out), func(j int) error {
 		ct, err := s.group.ScalarMul(scalar, u.Cts[s.chanLo+j])
 		if err != nil {
 			return fmt.Errorf("pisa: shift update from %q: %w", u.PUID, err)
@@ -983,7 +970,7 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 		m.blindPlain.Inc()
 	}
 	vs := make([]*paillier.Ciphertext, len(cells))
-	err = parallel.ForChunks(s.workers, len(cells), func(lo, hi int) error {
+	err = parallel.ForChunks(parallel.Auto(), len(cells), func(lo, hi int) error {
 		return s.blindChunk(vs, is, tabs, cells, lo, hi)
 	})
 	if err != nil {
@@ -1030,7 +1017,7 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 // ciphertext and the budget snapshot each cell carries.
 func (s *SDC) aggregate(is []*paillier.Ciphertext, cells []requestCell, todo []int) error {
 	deltaX := big.NewInt(s.params.Watch.DeltaInt)
-	return parallel.ForChunks(s.workers, len(todo), func(lo, hi int) error {
+	return parallel.ForChunks(parallel.Auto(), len(todo), func(lo, hi int) error {
 		chunk := todo[lo:hi]
 		rs := make([]*paillier.Ciphertext, len(chunk))
 		for j, k := range chunk {
@@ -1166,7 +1153,7 @@ func (s *SDC) tableEntry(e *cacheEntry, have []*paillier.PowerTable) []*paillier
 			missing = append(missing, k)
 		}
 	}
-	err := parallel.For(s.workers, len(missing), func(i int) (err error) {
+	err := parallel.For(parallel.Auto(), len(missing), func(i int) (err error) {
 		k := missing[i]
 		tabs[k], err = s.group.PowerTable(e.is[k], s.params.AlphaBits)
 		return err

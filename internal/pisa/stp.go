@@ -33,9 +33,8 @@ type STPService interface {
 // whose sign carries no information thanks to the SDC's one-time
 // epsilon flips (eq. 14).
 type STP struct {
-	group   *paillier.PrivateKey
-	random  io.Reader
-	workers int
+	group  *paillier.PrivateKey
+	random io.Reader
 
 	// sus is the SU key registry; each key in it tables its nonce base
 	// on the first answer ConvertSigns encrypts under it.
@@ -75,23 +74,11 @@ func NewSTPWithKey(random io.Reader, group *paillier.PrivateKey) *STP {
 	// unchanged).
 	random = paillier.SharedReader(random)
 	return &STP{
-		group:   group,
-		random:  random,
-		workers: 1,
-		sus:     newSURegistry(),
+		group:  group,
+		random: random,
+		sus:    newSURegistry(),
 	}
 }
-
-// SetParallelism resizes the worker pool ConvertSigns fans out over
-// (see Params.Parallelism for the encoding). The constructors leave it
-// serial; a deployment sets it from its Params (deploy.NewSTP, stpd).
-// Not safe to call concurrently with ConvertSigns.
-func (s *STP) SetParallelism(n int) {
-	s.workers = parallel.Resolve(n)
-}
-
-// Parallelism reports the resolved worker-pool size.
-func (s *STP) Parallelism() int { return s.workers }
 
 // GroupKey returns pk_G. Anyone may retrieve it (§III-C).
 func (s *STP) GroupKey() *paillier.PublicKey {
@@ -150,14 +137,14 @@ func (s *STP) SUKey(id string) (*paillier.PublicKey, error) {
 
 // ConvertSigns implements STPService: eq. 15 plus key conversion, the
 // shared kernel (convertSigns) run with this STP's private key. All
-// elements go through one batched decryption whose CRT context is set up
-// once per worker.
+// elements go through one batched decryption over parallel.Auto()
+// workers, whose CRT context is set up once per worker.
 func (s *STP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 	return convertSigns(signKernel{
 		group: s.group.Public(),
 		suKey: s.SUKey,
 		decrypt: func(flat []*paillier.Ciphertext) ([]*big.Int, error) {
-			vals, err := s.group.DecryptBatch(flat, s.workers)
+			vals, err := s.group.DecryptBatch(flat, parallel.Auto())
 			if err != nil {
 				return nil, fmt.Errorf("pisa: decrypt V: %w", err)
 			}
@@ -165,6 +152,5 @@ func (s *STP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 		},
 		observe: s.observer,
 		random:  s.random,
-		workers: s.workers,
 	}, req)
 }

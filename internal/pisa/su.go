@@ -26,7 +26,6 @@ type SU struct {
 	group   *paillier.PublicKey
 	planner *watch.Planner
 	random  io.Reader
-	workers int
 	// codec is the deployment's slot codec (Params.SlotCodec): requests
 	// ship as packed matrices, codec.Slots() block slots per ciphertext.
 	codec *paillier.SlotCodec
@@ -59,8 +58,8 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 	// Worker goroutines and background refills share the randomness
 	// source (SharedReader passes crypto/rand through unchanged).
 	random = paillier.SharedReader(random)
-	// Request encryption fans out over workers; on an in-process group
-	// key another role already prepared this only reads.
+	// Request encryption fans out over parallel.Auto() workers; on an
+	// in-process group key another role already prepared this only reads.
 	group.Prepare()
 	codec, err := params.SlotCodec()
 	if err != nil {
@@ -69,7 +68,6 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 	if err := codec.CheckKey(group); err != nil {
 		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
-	workers := parallel.Resolve(params.Parallelism)
 	return &SU{
 		id:      id,
 		block:   block,
@@ -77,9 +75,8 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 		group:   group,
 		planner: planner,
 		random:  random,
-		workers: workers,
 		codec:   codec,
-		nonces:  paillier.NewNoncePool(group, random, workers),
+		nonces:  paillier.NewNoncePool(group, random),
 	}, nil
 }
 
@@ -106,14 +103,6 @@ func (u *SU) MoveTo(block geo.BlockID) error {
 	return nil
 }
 
-// SetParallelism resizes the SU's worker pool (see Params.Parallelism
-// for the encoding). Not safe to call concurrently with request
-// preparation.
-func (u *SU) SetParallelism(n int) {
-	u.workers = parallel.Resolve(n)
-	u.nonces.SetWorkers(u.workers)
-}
-
 // PrepareRequest builds and encrypts the F matrix (Figure 5 steps
 // 1-2). eirpUnits maps channel -> requested EIRP in integer units.
 // The disclosure controls the privacy/time trade-off of §VI-A: every
@@ -125,7 +114,7 @@ func (u *SU) SetParallelism(n int) {
 // interference constraints would be silently dropped.
 //
 // The |disclosure| x C encryptions dominate the paper's ~221 s fresh
-// preparation cost; they fan out over the SU's worker pool.
+// preparation cost; they fan out over parallel.Auto() workers.
 func (u *SU) PrepareRequest(eirpUnits map[int]int64, disclosure geo.Disclosure) (*TransmissionRequest, error) {
 	p := u.planner.Params()
 	if len(disclosure.Blocks) == 0 {
@@ -172,8 +161,9 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]b
 		return nil, err
 	}
 	// Enumerate the shipped groups in ascending order, then expand
-	// group-major/channel-minor into one work list so workers=1 draws
-	// randomness in the identical sequence as any pool size.
+	// group-major/channel-minor into one work list so a serial run
+	// (GOMAXPROCS=1) draws randomness in the identical sequence as any
+	// worker count.
 	seen := make(map[int]bool, len(disclosure.Blocks))
 	groups := make([]int, 0, len(disclosure.Blocks))
 	for _, b := range disclosure.Blocks {
@@ -193,7 +183,7 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]b
 		}
 	}
 	cts := make([]*paillier.Ciphertext, len(work))
-	err = parallel.For(u.workers, len(work), func(i int) error {
+	err = parallel.For(parallel.Auto(), len(work), func(i int) error {
 		c, g := work[i].c, work[i].g
 		vals := make([]*big.Int, k)
 		for s := 0; s < k; s++ {
@@ -321,7 +311,7 @@ func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, err
 		return nil, err
 	}
 	out := make([]*paillier.Ciphertext, len(work))
-	err = parallel.For(u.workers, len(work), func(k int) error {
+	err = parallel.For(parallel.Auto(), len(work), func(k int) error {
 		nonce, err := u.nonces.Get()
 		if err != nil {
 			return fmt.Errorf("pisa: refresh F(%d, group %d): %w", work[k].c, work[k].g, err)
