@@ -18,16 +18,16 @@
 //
 //	default       in-process monolithic SDC (+STP) at -channels/-cols/
 //	              -rows/-bits scale
-//	-shards N     in-process shard router over N channel-windowed SDCs
 //	-backend pir  in-process multi-server XOR-PIR fleet (-replicas/-k)
-//	-addr         remote: -addr host:port names the SDC (or router)
-//	              and -stp the STP, with -config carrying the
-//	              deployment parameters (same file suctl/sdcd use);
-//	              with -backend pir, -pir names the replica fleet
+//	-addr         remote: -addr host:port names the SDC (or the
+//	              sdcrouterd of a channel partition) and -stp the STP,
+//	              with -config carrying the deployment parameters (same
+//	              file suctl/sdcd use); with -backend pir, -pir names
+//	              the replica fleet
 //
 // Examples:
 //
-//	pisaload -mode closed -workers 8 -shards 4 -duration 30s -json load.json
+//	pisaload -mode closed -workers 8 -duration 30s -json load.json
 //	pisaload -mode open -rate 20 -duration 10s -fleet 100 -mobility 0.1
 //	pisaload -backend pir -mode closed -workers 16 -duration 5s
 //
@@ -83,7 +83,6 @@ func run(args []string) error {
 	cols := fs.Int("cols", 5, "in-process deployment: grid columns")
 	rows := fs.Int("rows", 4, "in-process deployment: grid rows")
 	bits := fs.Int("bits", 576, "in-process deployment: Paillier modulus bits (min 576)")
-	shards := fs.Int("shards", 1, "in-process deployment: SDC shards behind a router (1 = monolithic)")
 	cacheEntries := fs.Int("cache", 256, "in-process deployment: encrypted-decision cache entries (0 = off)")
 	backend := fs.String("backend", "pisa", "query backend: pisa (encrypted protocol) or pir (multi-server PIR)")
 	replicas := fs.Int("replicas", 3, "in-process PIR: replica fleet size m")
@@ -129,7 +128,6 @@ func run(args []string) error {
 
 		Channels: *channels, Cols: *cols, Rows: *rows,
 		PaillierBits: *bits,
-		Shards:       *shards,
 		CacheEntries: *cacheEntries,
 		Backend:      *backend,
 		Replicas:     *replicas, K: *k,
@@ -196,9 +194,6 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("pisaload: %s loop, %v horizon, backend %s", cfg.Mode, cfg.Duration, *backend)
-	if cfg.Shards > 1 {
-		fmt.Printf(", %d shards", cfg.Shards)
-	}
 	if cfg.Target.Front != nil || cfg.PIR != nil {
 		fmt.Printf(", remote")
 	}
@@ -228,9 +223,6 @@ func run(args []string) error {
 // printReport renders the human-readable run summary.
 func printReport(r *bench.LoadReport) {
 	fmt.Printf("\n=== load report: %s / %s", r.Mode, r.Backend)
-	if r.Shards > 1 {
-		fmt.Printf(" x%d shards", r.Shards)
-	}
 	fmt.Printf(" (C=%d B=%d", r.Channels, r.Blocks)
 	if r.PaillierBits > 0 {
 		fmt.Printf(", %d-bit", r.PaillierBits)

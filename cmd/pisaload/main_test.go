@@ -48,6 +48,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-mode", "burst"}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
+	// The in-process channel partition was removed: a partition is
+	// sdcd -shard-index daemons behind sdcrouterd, driven with -addr.
+	if err := run([]string{"-shards", "2"}); err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("-shards 2: %v, want an unknown-flag refusal", err)
+	}
 	// An SDC takes one address: a list is refused by name before any
 	// dial, not by the dial that follows.
 	err := run([]string{"-addr", "a:1,b:2"})
@@ -63,29 +68,29 @@ func TestRunClosedLoopInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a one-second load scenario")
 	}
-	rep, err := runReport(t, "-shards", "2", "-channels", "4", "-cols", "4", "-rows", "3",
+	rep, err := runReport(t, "-channels", "4", "-cols", "4", "-rows", "3",
 		"-bits", "640", "-require-no-errors", "-require-cache-hits")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Backend != "pisa" || rep.Shards != 2 || rep.PaillierBits != 640 ||
-		rep.Channels != 4 || rep.Blocks != 12 {
-		t.Errorf("report describes %s x%d shards, %d-bit, C=%d B=%d; flags asked for pisa x2, 640-bit, C=4 B=12",
-			rep.Backend, rep.Shards, rep.PaillierBits, rep.Channels, rep.Blocks)
+	if rep.Backend != "pisa" || rep.PaillierBits != 640 || rep.Channels != 4 || rep.Blocks != 12 {
+		t.Errorf("report describes %s, %d-bit, C=%d B=%d; flags asked for pisa, 640-bit, C=4 B=12",
+			rep.Backend, rep.PaillierBits, rep.Channels, rep.Blocks)
 	}
 	if rep.Requests == 0 || rep.CacheHits == 0 {
 		t.Errorf("%d requests, %d cache hits; want both positive", rep.Requests, rep.CacheHits)
 	}
 }
 
-// TestRunOneShardReportsRouterStages: a -shards 1 deployment is the
-// one-shard router, so its report carries the same stages as a sharded
-// one: the license is the router's, and the SDC has no license stage.
+// TestRunOneShardReportsRouterStages: the in-process deployment is the
+// one-shard router, so its report carries the same stages as
+// sdcrouterd's: the license is the router's, and the SDC has no license
+// stage.
 func TestRunOneShardReportsRouterStages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a one-second load scenario")
 	}
-	rep, err := runReport(t, "-shards", "1", "-channels", "4", "-cols", "4", "-rows", "3",
+	rep, err := runReport(t, "-channels", "4", "-cols", "4", "-rows", "3",
 		"-bits", "640", "-require-no-errors", "-require-cache-hits")
 	if err != nil {
 		t.Fatal(err)
@@ -97,12 +102,12 @@ func TestRunOneShardReportsRouterStages(t *testing.T) {
 	for _, s := range rep.Stages {
 		got[s.Stage] = true
 		if !want[s.Stage] {
-			t.Errorf("-shards 1 report carries stage %s, which no front times", s.Stage)
+			t.Errorf("report carries stage %s, which no front times", s.Stage)
 		}
 	}
 	for stage := range want {
 		if !got[stage] {
-			t.Errorf("-shards 1 report lacks stage %s", stage)
+			t.Errorf("report lacks stage %s", stage)
 		}
 	}
 }

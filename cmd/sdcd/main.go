@@ -4,13 +4,13 @@
 // updates and SU transmission requests. SU requests always pass through
 // a router (pisa.Router), which issues the licenses: a monolithic
 // daemon is the one-shard router over its single SDC, and logs the same
-// "router summary" at shutdown as a sharded one.
+// "router summary" at shutdown as cmd/sdcrouterd.
 //
 // With -store (or a store.dir in the config) the SDC is durable:
 // every accepted PU update is journalled to a write-ahead log before
 // it is acknowledged, periodic snapshots compact the log, and a
 // restart recovers the exact pre-crash state from snapshot + WAL tail.
-// Every shape below is assembled by internal/deploy (DESIGN.md §15).
+// The daemon's one SDC is assembled by internal/deploy (DESIGN.md §15).
 //
 // The -stp flag (and the config's stpAddr/stpAddrs) may list several
 // comma-separated STP replicas; the client retries transient faults
@@ -23,18 +23,15 @@
 //	     [-issuer name] [-store dir] [-snapshot-on-exit=true]
 //	     [-metrics host:port]
 //	     [-cache entries|off] [-cache-domains decls|off]
-//	     [-shards n | -shard-index i -shard-count n]
+//	     [-shard-index i -shard-count n]
 //
-// With -shards N (or "shards" in the config) the daemon partitions
-// the budget matrix into N channel slices, each owned by an
-// independent windowed SDC with its own WAL/snapshot subdirectory
-// (store dir/shard-i), and its router fans every SU request out to
-// all N, masking the single license with every shard's encrypted
-// grant indicator, never adding them up (DESIGN.md §15).
-// Alternatively -shard-index i -shard-count n serves exactly one
-// shard of a multi-host partition, without a router of its own; run
-// cmd/sdcrouterd in front of n such daemons, each of which keeps its
-// state under store dir/shard-i.
+// With -shard-index i -shard-count n the daemon serves exactly one
+// channel window of an n-window partition of the budget matrix, with
+// its state under store dir/shard-i, and answers the router's shard
+// queries; run cmd/sdcrouterd in front of the n daemons. The router
+// fans every SU request out to all n and masks the single license with
+// every shard's encrypted grant indicator, never adding them up
+// (DESIGN.md §15).
 //
 // The SDC memoises the aggregate pass of repeated request shapes in an
 // encrypted-decision cache (DESIGN.md §14): hits skip the eq. 11-12
@@ -96,7 +93,6 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (overrides config obs.metricsAddr; empty = disabled)")
 	cacheFlag := fs.String("cache", "", "encrypted-decision cache entry bound, or 'off' (overrides config cacheEntries)")
 	cacheDomainsFlag := fs.String("cache-domains", "", "cross-SU cache trust domains 'name=su1,su2[;...]', or 'off' for per-SU scope (overrides config cacheDomains)")
-	shards := fs.Int("shards", -1, "partition the budget matrix into this many in-process channel shards behind a fan-out router (overrides config shards; 0 or 1 = monolithic)")
 	shardIndex := fs.Int("shard-index", -1, "serve exactly one channel shard of a -shard-count partition (for multi-host sharding behind cmd/sdcrouterd)")
 	shardCount := fs.Int("shard-count", 0, "total shard count of the partition this -shard-index belongs to")
 	if err := fs.Parse(args); err != nil {
@@ -160,23 +156,16 @@ func run(args []string) error {
 		log.Info("metrics serving", "addr", obsSrv.Addr(), "endpoints", "/metrics /debug/pprof/")
 	}
 
-	// One SDC per channel window behind a fan-out router; a single
-	// full-window SDC is its own one-shard router. A -shard-index daemon
-	// is one remote channel shard of a multi-host partition, fronted by
-	// cmd/sdcrouterd: it refuses whole-matrix SU requests and answers
-	// KindShardQuery with its window's grant indicators.
-	if *shards >= 0 {
-		cfg.Shards = *shards
-	}
-	dcfg := deploy.Config{Issuer: *issuer, Params: params, Windows: cfg.Shards, Store: cfg.Store, Log: log}
+	// A full-window SDC is served as its own one-shard router. A
+	// -shard-index daemon is one channel shard of a partition, fronted by
+	// cmd/sdcrouterd: it answers KindShardQuery with its window's grant
+	// indicators.
+	dcfg := deploy.Config{Issuer: *issuer, Params: params, Store: cfg.Store, Log: log}
 	if *shardIndex >= 0 {
 		if *shardCount < 1 || *shardIndex >= *shardCount {
 			return fmt.Errorf("-shard-index %d needs -shard-count greater than the index", *shardIndex)
 		}
-		if cfg.Shards > 1 {
-			return fmt.Errorf("-shard-index (one remote shard) and -shards (in-process partition) are mutually exclusive")
-		}
-		dcfg.Windows, dcfg.Lone, dcfg.Index = *shardCount, true, *shardIndex
+		dcfg.Windows, dcfg.Index = *shardCount, *shardIndex
 	}
 
 	log.Info("connecting to STP", "addrs", stpTargets)
@@ -193,14 +182,12 @@ func run(args []string) error {
 		return err
 	}
 	defer d.Close(false)
-	var backend node.SDCBackend = d.Front
-	if dcfg.Lone {
-		backend = d.Units[0].SDC
-		lo, hi := d.Units[0].SDC.ChannelWindow()
+	var backend node.SDCBackend = d.SDC.Router()
+	if *shardIndex >= 0 {
+		backend = d.SDC
+		lo, hi := d.SDC.ChannelWindow()
 		log.Info("serving channel shard", "index", *shardIndex, "of", *shardCount,
 			"window", fmt.Sprintf("[%d,%d)", lo, hi))
-	} else if len(d.Units) > 1 {
-		log.Info("sharded SDC assembled", "shards", len(d.Units))
 	}
 	log.Info("initialisation complete", "took", time.Since(start).String())
 
@@ -218,11 +205,9 @@ func run(args []string) error {
 	select {
 	case s := <-sig:
 		log.Info("shutting down", "signal", s.String())
-		for _, u := range d.Units {
-			logSummary(log, u)
-		}
-		if d.Front != nil {
-			log.Info("router summary", d.Front.Stats().LogAttrs()...)
+		logSummary(log, d)
+		if *shardIndex < 0 {
+			log.Info("router summary", d.SDC.Router().Stats().LogAttrs()...)
 		}
 		logSTPClient(log, stp)
 		// Both decrypt counts stay 0 (this process holds no secret key)
@@ -243,25 +228,25 @@ func run(args []string) error {
 	}
 }
 
-// logSummary emits one unit's shutdown state digest: protocol counters,
+// logSummary emits the SDC's shutdown state digest: protocol counters,
 // decision-cache effectiveness, and (when durable) WAL pressure plus
-// where it booted from. A windowed unit — one shard of a partition,
-// in process or alone — is labelled with its index and window.
-func logSummary(log *slog.Logger, u *deploy.Unit) {
-	sum := u.SDC.Summary()
+// where it booted from. A windowed SDC — one shard of a partition — is
+// labelled with its index and window.
+func logSummary(log *slog.Logger, d *deploy.Deployment) {
+	sum := d.SDC.Summary()
 	attrs := []any{}
-	if u.SDC.Router() == nil {
-		lo, hi := u.SDC.ChannelWindow()
-		attrs = append(attrs, "shard", u.Index, "window", fmt.Sprintf("[%d,%d)", lo, hi))
+	if d.SDC.Router() == nil {
+		lo, hi := d.SDC.ChannelWindow()
+		attrs = append(attrs, "shard", d.Index, "window", fmt.Sprintf("[%d,%d)", lo, hi))
 	}
 	attrs = append(attrs,
 		"pus", sum.PUs,
 		"blocksWithPUs", sum.BlocksWithPUs,
 		"populatedCells", sum.PopulatedCells,
 		"serial", sum.Serial,
-		"bootSource", u.Source,
+		"bootSource", d.Source,
 	)
-	cs := u.SDC.CacheStats()
+	cs := d.SDC.CacheStats()
 	attrs = append(attrs,
 		"cacheHits", cs.Hits,
 		"cacheMisses", cs.Misses,
@@ -281,8 +266,8 @@ func logSummary(log *slog.Logger, u *deploy.Unit) {
 		"cacheTableBuilds", cs.TableBuilds,
 		"cacheTableDrops", cs.TableDrops,
 		"cacheTableBytes", cs.TableBytes)
-	if u.Store != nil {
-		stats := u.Store.Stats()
+	if d.Store != nil {
+		stats := d.Store.Stats()
 		attrs = append(attrs,
 			"walRecordsSinceSnapshot", stats.RecordsSinceSnapshot,
 			"walSegments", stats.Segments,

@@ -329,10 +329,9 @@ func TestRunRecoversFromStore(t *testing.T) {
 	}
 }
 
-// TestStateSummaryNamesEachShard: the shutdown state summary labels
-// every windowed unit with its own index and window — each shard of an
-// in-process partition, and the one shard a -shard-index daemon serves —
-// and leaves a full-window SDC unlabelled.
+// TestStateSummaryNamesEachShard: the shutdown state summary labels the
+// one shard a -shard-index daemon serves with its index and window, and
+// leaves a full-window SDC unlabelled.
 func TestStateSummaryNamesEachShard(t *testing.T) {
 	cfg := config.Default()
 	cfg.Channels, cfg.GridCols, cfg.GridRows = 4, 3, 2
@@ -347,37 +346,29 @@ func TestStateSummaryNamesEachShard(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  deploy.Config
-		want [][]string
+		want []string
 	}{
-		{"monolith", deploy.Config{}, [][]string{nil}},
-		{"-shards 2", deploy.Config{Windows: 2},
-			[][]string{{"shard=0", "window=[0,2)"}, {"shard=1", "window=[2,4)"}}},
-		{"-shard-index 1 -shard-count 2", deploy.Config{Windows: 2, Lone: true, Index: 1},
-			[][]string{{"shard=1", "window=[2,4)"}}},
+		{"monolith", deploy.Config{}, nil},
+		{"-shard-index 1 -shard-count 2", deploy.Config{Windows: 2, Index: 1}, []string{"shard=1", "window=[2,4)"}},
 	} {
 		tc.cfg.Issuer, tc.cfg.Params, tc.cfg.STP = "pisa-sdc", params, stp
 		d, err := deploy.New(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(d.Units) != len(tc.want) {
-			t.Fatalf("%s: %d units, want %d", tc.name, len(d.Units), len(tc.want))
+		var buf bytes.Buffer
+		logSummary(slog.New(slog.NewTextHandler(&buf, nil)), d)
+		line := buf.String()
+		if !strings.Contains(line, "state summary") {
+			t.Fatalf("%s: no state summary logged: %q", tc.name, line)
 		}
-		for i, u := range d.Units {
-			var buf bytes.Buffer
-			logSummary(slog.New(slog.NewTextHandler(&buf, nil)), u)
-			line := buf.String()
-			if !strings.Contains(line, "state summary") {
-				t.Fatalf("%s: no state summary logged: %q", tc.name, line)
+		for _, label := range tc.want {
+			if !strings.Contains(line, " "+label+" ") {
+				t.Errorf("%s: the summary lacks %s: %q", tc.name, label, line)
 			}
-			for _, label := range tc.want[i] {
-				if !strings.Contains(line, " "+label+" ") {
-					t.Errorf("%s: unit %d's summary lacks %s: %q", tc.name, i, label, line)
-				}
-			}
-			if tc.want[i] == nil && strings.Contains(line, "shard=") {
-				t.Errorf("%s: a full-window SDC's summary names a shard: %q", tc.name, line)
-			}
+		}
+		if tc.want == nil && strings.Contains(line, "shard=") {
+			t.Errorf("%s: a full-window SDC's summary names a shard: %q", tc.name, line)
 		}
 		d.Close(false)
 	}

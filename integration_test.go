@@ -636,7 +636,7 @@ func TestShardRestartUnderLoad(t *testing.T) {
 	shard0Dir := t.TempDir()
 	serve := func(i int, addr string) (*deploy.Deployment, *node.SDCServer, string) {
 		t.Helper()
-		cfg := deploy.Config{Issuer: "rs-shard", Params: params, STP: stp, Windows: 3, Lone: true, Index: i}
+		cfg := deploy.Config{Issuer: "rs-shard", Params: params, STP: stp, Windows: 3, Index: i}
 		if i == 0 {
 			cfg.Store = config.StoreSpec{Dir: shard0Dir}
 		}
@@ -645,7 +645,7 @@ func TestShardRestartUnderLoad(t *testing.T) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		t.Cleanup(func() { d.Close(false) })
-		srv := node.NewSDCServer(d.Units[0].SDC, nil, time.Minute)
+		srv := node.NewSDCServer(d.SDC, nil, time.Minute)
 		if addr == "" {
 			addr = "127.0.0.1:0"
 		}
@@ -788,7 +788,7 @@ func TestShardRestartUnderLoad(t *testing.T) {
 	t.Logf("probe with shard 0 down: granted=%v err=%v", granted, err)
 
 	shard0, _, _ = serve(0, shard0Addr)
-	if st := shard0.Units[0].Store; st != nil {
+	if st := shard0.Store; st != nil {
 		rec := st.Recovery()
 		t.Logf("shard 0 back on %s from %s (%d tail records)", shard0Addr, rec.Source, rec.TailRecords)
 	}

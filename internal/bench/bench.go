@@ -193,7 +193,7 @@ func NewUniverse(params pisa.Params) (*Universe, error) {
 	if err != nil {
 		return nil, err
 	}
-	sdc := d.Units[0].SDC
+	sdc := d.SDC
 	su, err := pisa.NewSU(rand.Reader, "bench-su", 0, params, sdc.Planner(), stp.GroupKey())
 	if err != nil {
 		return nil, err

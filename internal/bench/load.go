@@ -28,11 +28,10 @@ import (
 
 // This file is the trace-driven load harness behind cmd/pisaload: a
 // fleet of mobile SUs (trace.SUWorkload's fleet model) and diurnal PU
-// churn (trace.PUSchedule) drive a deployment — one built in process
-// by internal/deploy at any shard count, a PIR replica fleet, or an
-// injected remote target — in open
-// loop (fixed offered rate, backlog grows when the service falls
-// behind) or closed loop (N workers, think time). SLOs come from the
+// churn (trace.PUSchedule) drive a deployment — one SDC built in
+// process by internal/deploy, a PIR replica fleet, or an injected
+// target — in open loop (fixed offered rate, backlog grows when the
+// service falls behind) or closed loop (N workers, think time). SLOs come from the
 // live obs histograms via delta snapshots, so the report reads the
 // same series /metrics exposes.
 
@@ -106,7 +105,6 @@ type LoadConfig struct {
 	// injected.
 	Channels, Cols, Rows int
 	PaillierBits         int
-	Shards               int
 	CacheEntries         int
 	// Backend selects the query path: "pisa" (default, the encrypted
 	// protocol) or "pir" (multi-server XOR-PIR fleet; Replicas/K size
@@ -162,7 +160,6 @@ type StageSLO struct {
 type LoadReport struct {
 	Mode         string  `json:"mode"`
 	Backend      string  `json:"backend"`
-	Shards       int     `json:"shards"`
 	Channels     int     `json:"channels"`
 	Blocks       int     `json:"blocks"`
 	PaillierBits int     `json:"paillierBits"`
@@ -269,12 +266,13 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := deploy.New(deploy.Config{Issuer: "load-sdc", Params: params, STP: stp, Windows: cfg.Shards})
+		d, err := deploy.New(deploy.Config{Issuer: "load-sdc", Params: params, STP: stp})
 		if err != nil {
 			return nil, err
 		}
 		defer d.Close(false)
-		target = Target{Front: d.Front, STP: stp, Planner: d.Front.Planner(), VerifyKey: d.Front.VerifyKey()}
+		front := d.SDC.Router()
+		target = Target{Front: front, STP: stp, Planner: front.Planner(), VerifyKey: front.VerifyKey()}
 	}
 	wp := target.Planner.Params()
 	events, err := cfg.arrivals(wp.Grid.Blocks(), wp.Channels, wp.Quantize(wp.SUMaxEIRPmW))
@@ -283,7 +281,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	report := cfg.newReport("pisa", wp.Channels, wp.Grid.Blocks())
-	report.Shards, report.PaillierBits = cfg.Shards, params.PaillierBits
+	report.PaillierBits = params.PaillierBits
 
 	// Bracket every histogram the report quotes BEFORE any traffic.
 	r := obs.Default()

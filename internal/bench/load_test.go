@@ -3,6 +3,9 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"pisa/internal/deploy"
+	"pisa/internal/pisa"
 )
 
 // loadConfig is a deployment small enough for CI: 3 channels over a
@@ -29,11 +32,37 @@ func loadConfig(mode string) LoadConfig {
 	}
 }
 
+// TestRunLoadClosedSharded drives a channel partition through the
+// injected Target: four windows, one deploy.New each as four
+// `sdcd -shard-index` daemons run them, behind pisa.NewRouter.
 func TestRunLoadClosedSharded(t *testing.T) {
 	cfg := loadConfig("closed")
-	cfg.Shards = 4
-	// The sharded deployment splits 3 channels over at most 3 windows.
+	// Four windows need four channels.
 	cfg.Channels = 4
+	params, err := SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.CacheEntries = cfg.CacheEntries
+	stp, err := pisa.NewSTP(nil, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]pisa.ShardService, 4)
+	for i := range shards {
+		d, err := deploy.New(deploy.Config{Issuer: "load-shard", Params: params, STP: stp, Windows: len(shards), Index: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close(false)
+		shards[i] = d.SDC
+	}
+	router, err := pisa.NewRouter("load-router", params, nil, stp, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Target = Target{Front: router, STP: stp, Planner: router.Planner(), VerifyKey: router.VerifyKey()}
+	cfg.TargetParams = params
 	rep, err := RunLoad(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -105,13 +105,6 @@ type File struct {
 	// overrides it.
 	CacheDomains map[string][]string `json:"cacheDomains,omitempty"`
 
-	// Shards partitions the SDC's budget matrix into this many channel
-	// slices, each owned by an independent windowed SDC behind a
-	// fan-out router (pisa.Router). 0 or 1 (the default) runs the
-	// monolithic controller, its own one-shard router. The sdcd -shards
-	// flag overrides it.
-	Shards int `json:"shards,omitempty"`
-
 	// Network addresses. STPAddrs lists additional equivalent STP
 	// replicas (same group key, shared SU registry) that clients fail
 	// over to when STPAddr stops answering.
@@ -506,10 +499,11 @@ func Load(path string) (File, error) {
 	// Keys whose behaviour was removed are refused where they ask for it
 	// rather than ignored: the file would otherwise silently run packed,
 	// unbatched, without a cache age bound and with every key tabling its
-	// nonce base at the one fixed geometry, and with kernels on GOMAXPROCS
-	// workers. "packing": true, "fastExp": true, "parallelism": -1 and
-	// zeros, which every file written by an earlier Save contains, ask for
-	// what is still there.
+	// nonce base at the one fixed geometry, with kernels on GOMAXPROCS
+	// workers, and as one SDC instead of an in-process partition.
+	// "packing": true, "fastExp": true, "parallelism": -1 and zeros, which
+	// every file written by an earlier Save contains, and "shards": 1 ask
+	// for what is still there.
 	var removed struct {
 		Packed        *bool `json:"packing"`
 		BatchWindowMS int   `json:"stpBatchWindowMS"`
@@ -519,6 +513,7 @@ func Load(path string) (File, error) {
 		FastExpWindow int   `json:"fastExpWindow"`
 		ShortExpBits  int   `json:"shortExpBits"`
 		Parallelism   *int  `json:"parallelism"`
+		Shards        int   `json:"shards"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -540,6 +535,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "shortExpBits" asks for another nonce exponent width, which was removed`, path)
 	case removed.Parallelism != nil && *removed.Parallelism != -1:
 		return File{}, fmt.Errorf(`config: %s: "parallelism": %d asks for a kernel worker count, which was removed (kernels run on GOMAXPROCS workers; set GOMAXPROCS=1 for serial)`, path, *removed.Parallelism)
+	case removed.Shards > 1:
+		return File{}, fmt.Errorf(`config: %s: "shards": %d asks for an in-process channel partition, which was removed (run sdcd -shard-index i -shard-count %d for each window i behind sdcrouterd; each recovers the same shard-i state directory)`, path, removed.Shards, removed.Shards)
 	}
 	return f, nil
 }

@@ -286,11 +286,11 @@ func TestCacheDomainsReachParams(t *testing.T) {
 
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
 // layout, for sign-test coalescing, for a cache TTL, for a switched-off
-// or resized nonce table or for a kernel worker count must not silently
-// run without them; the values every file saved by an earlier build
-// contains ("packing": true, "fastExp": true, "parallelism": -1, zeros)
-// ask for what is still there and keep loading, as does a file without
-// the keys.
+// or resized nonce table, for a kernel worker count or for an in-process
+// channel partition must not silently run without them; the values every
+// file saved by an earlier build contains ("packing": true, "fastExp":
+// true, "parallelism": -1, zeros) and "shards": 1 ask for what is still
+// there and keep loading, as does a file without the keys.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -304,6 +304,9 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"short exponent", `{"shortExpBits": 128}`, `"shortExpBits"`},
 		{"serial kernels", `{"parallelism": 0}`, `"parallelism"`},
 		{"four kernel workers", `{"parallelism": 4}`, `"parallelism"`},
+		{"in-process partition", `{"shards": 2}`, `"shards"`},
+		{"no partition", `{"channels": 5, "shards": 0}`, ""},
+		{"one window", `{"channels": 5, "shards": 1}`, ""},
 		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1}`, ""},
 		{"without the keys", `{"channels": 5}`, ""},
 	} {
@@ -321,6 +324,9 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "removed") {
 				t.Fatalf("Load error = %v, want a refusal naming %s", err, tc.want)
+			}
+			if tc.want == `"shards"` && !strings.Contains(err.Error(), "sdcrouterd") {
+				t.Fatalf("Load error = %v, want the migration to sdcrouterd", err)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package deploy_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,8 +38,8 @@ func testParams(t *testing.T) pisa.Params {
 }
 
 // TestFrontPerShape pins which front each shape of deployment gets: the
-// SDC's own one-shard router at one window, a router over the windows at
-// several, none for a lone window.
+// full-window SDC is its own one-shard router, a window of a partition
+// has none (its router runs elsewhere).
 func TestFrontPerShape(t *testing.T) {
 	params := testParams(t)
 	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
@@ -46,36 +47,34 @@ func TestFrontPerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name     string
-		cfg      deploy.Config
-		units    int
-		ownFront bool
-		front    bool
+		name   string
+		cfg    deploy.Config
+		window [2]int
+		front  bool
 	}{
-		{"one window", deploy.Config{}, 1, true, true},
-		{"three windows", deploy.Config{Windows: 3}, 3, false, true},
-		{"lone window 2 of 3", deploy.Config{Windows: 3, Lone: true, Index: 2}, 1, false, false},
+		{"one window", deploy.Config{}, [2]int{0, 3}, true},
+		{"window 2 of 3", deploy.Config{Windows: 3, Index: 2}, [2]int{2, 3}, false},
 	} {
 		tc.cfg.Issuer, tc.cfg.Params, tc.cfg.STP = "sdc", params, stp
 		d, err := deploy.New(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(d.Units) != tc.units || (d.Front != nil) != tc.front {
-			t.Errorf("%s: %d units, front %v; want %d units, front %v", tc.name, len(d.Units), d.Front != nil, tc.units, tc.front)
+		if (d.SDC.Router() != nil) != tc.front {
+			t.Errorf("%s: front %v, want %v", tc.name, d.SDC.Router() != nil, tc.front)
 		}
-		if tc.ownFront && d.Front != d.Units[0].SDC.Router() {
-			t.Errorf("%s: the front is not the SDC's own router", tc.name)
-		}
-		if tc.cfg.Lone && d.Units[0].Index != tc.cfg.Index {
-			t.Errorf("%s: unit index %d", tc.name, d.Units[0].Index)
+		if lo, hi := d.SDC.ChannelWindow(); [2]int{lo, hi} != tc.window || d.Index != tc.cfg.Index {
+			t.Errorf("%s: window %d = [%d, %d), want %d = %v", tc.name, d.Index, lo, hi, tc.cfg.Index, tc.window)
 		}
 		if err := d.Close(false); err != nil {
 			t.Errorf("%s: Close: %v", tc.name, err)
 		}
 	}
-	if _, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: 2, Lone: true, Index: 2}); err == nil {
-		t.Error("window 2 of a 2-window partition accepted")
+	for _, cfg := range []deploy.Config{{Windows: 2, Index: 2}, {Windows: 2, Index: -1}, {Index: 1}} {
+		cfg.Issuer, cfg.Params, cfg.STP = "sdc", params, stp
+		if _, err := deploy.New(cfg); err == nil {
+			t.Errorf("window %d of a %d-window partition accepted", cfg.Index, cfg.Windows)
+		}
 	}
 }
 
@@ -86,11 +85,29 @@ func TestFrontPerShape(t *testing.T) {
 // same directory. The recovered deployment must decide as a control that
 // never crashed and as the watch oracle, resume the snapshot's license
 // serial at one window, leave the WAL as it found it, and keep sdcd's
-// on-disk layout.
+// on-disk layout. At two windows it is the partition of two
+// `sdcd -shard-index` daemons behind cmd/sdcrouterd: one deploy.New per
+// window under pisa.NewRouter, each window torn and recovered.
 func TestCrashRecovery(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("windows=%d", n), func(t *testing.T) { testCrashRecovery(t, n) })
 	}
+}
+
+// partition is the SDC side testCrashRecovery boots: at one window the
+// full-window SDC with its own front, at n one SDC per window behind a
+// router.
+type partition struct {
+	front *pisa.Router
+	ds    []*deploy.Deployment
+}
+
+func (p *partition) Close(snapshot bool) error {
+	var errs []error
+	for _, d := range p.ds {
+		errs = append(errs, d.Close(snapshot))
+	}
+	return errors.Join(errs...)
 }
 
 func testCrashRecovery(t *testing.T, n int) {
@@ -102,13 +119,30 @@ func testCrashRecovery(t *testing.T, n int) {
 	}
 	root := t.TempDir()
 	durable := config.StoreSpec{Dir: root, Fsync: "always"}
-	build := func(spec config.StoreSpec) *deploy.Deployment {
+	build := func(spec config.StoreSpec) *partition {
 		t.Helper()
-		d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: n, Store: spec})
-		if err != nil {
-			t.Fatal(err)
+		windows := n
+		if n == 1 {
+			windows = 0
 		}
-		return d
+		p := &partition{}
+		services := make([]pisa.ShardService, n)
+		for i := range services {
+			d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: windows, Index: i, Store: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.ds = append(p.ds, d)
+			services[i] = d.SDC
+		}
+		p.front = p.ds[0].SDC.Router()
+		if n > 1 {
+			var err error
+			if p.front, err = pisa.NewRouter("sdc", params, nil, stp, services); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
 	}
 	control := build(config.StoreSpec{})
 	defer control.Close(false)
@@ -118,11 +152,11 @@ func testCrashRecovery(t *testing.T, n int) {
 	}
 
 	pus := map[watch.PUID]*pisa.PU{}
-	tune := func(d *deploy.Deployment, id watch.PUID, block geo.BlockID, channel int, signal int64) {
+	tune := func(d *partition, id watch.PUID, block geo.BlockID, channel int, signal int64) {
 		t.Helper()
 		pu, ok := pus[id]
 		if !ok {
-			eCol, err := control.Front.EColumn(block)
+			eCol, err := control.front.EColumn(block)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +169,7 @@ func testCrashRecovery(t *testing.T, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, front := range []*pisa.Router{d.Front, control.Front} {
+		for _, front := range []*pisa.Router{d.front, control.front} {
 			if err := front.HandlePUUpdate(u); err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +179,7 @@ func testCrashRecovery(t *testing.T, n int) {
 		}
 	}
 
-	su, err := pisa.NewSU(rand.Reader, "su-1", 7, params, control.Front.Planner(), stp.GroupKey())
+	su, err := pisa.NewSU(rand.Reader, "su-1", 7, params, control.front.Planner(), stp.GroupKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +198,7 @@ func testCrashRecovery(t *testing.T, n int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []*pisa.Router{front, control.Front} {
+			for _, f := range []*pisa.Router{front, control.front} {
 				req, err := su.PrepareRequest(eirp, geo.Disclosure{})
 				if err != nil {
 					t.Fatal(err)
@@ -193,7 +227,7 @@ func testCrashRecovery(t *testing.T, n int) {
 	d := build(durable)
 	tune(d, "tv-1", 8, 1, sigMin)
 	tune(d, "tv-2", 3, 0, 16*sigMin)
-	serials := decide(d.Front)
+	serials := decide(d.front)
 	snapSerial := serials[len(serials)-1]
 	if err := d.Close(true); err != nil {
 		t.Fatal(err)
@@ -205,7 +239,7 @@ func testCrashRecovery(t *testing.T, n int) {
 	tune(d, "tv-1", 8, 0, 2*sigMin) // retune: replay must supersede the snapshot's column
 	var dirs []string
 	var last []uint64
-	for _, u := range d.Units {
+	for _, u := range d.ds {
 		dirs = append(dirs, u.Store.Dir())
 		last = append(last, u.Store.Stats().LastIndex)
 	}
@@ -240,7 +274,7 @@ func testCrashRecovery(t *testing.T, n int) {
 			wantDirs = append(wantDirs, filepath.Join(root, fmt.Sprintf("shard-%d", i)))
 		}
 	}
-	for i, u := range d.Units {
+	for i, u := range d.ds {
 		if u.Store.Dir() != wantDirs[i] {
 			t.Errorf("window %d keeps its state in %s, want %s", i, u.Store.Dir(), wantDirs[i])
 		}
@@ -253,24 +287,23 @@ func testCrashRecovery(t *testing.T, n int) {
 			t.Errorf("window %d: WAL last index %d after recovery, %d before the crash: replay was journalled again", i, got, last[i])
 		}
 	}
-	serials = decide(d.Front)
+	serials = decide(d.front)
 	if n == 1 && serials[0] != snapSerial+1 {
 		t.Errorf("first license after recovery has serial %d, want %d (the snapshot's %d resumed)", serials[0], snapSerial+1, snapSerial)
 	}
-	pusAt := d.Units[n-1].SDC.Summary().PUs
+	pusAt := d.ds[n-1].SDC.Summary().PUs
 	if err := d.Close(false); err != nil {
 		t.Fatal(err)
 	}
 
-	// The last window on its own, as a -shard-index daemon runs it, keeps
-	// its state in shard-i below the same root.
-	lone, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp,
-		Windows: n, Lone: true, Index: n - 1, Store: durable})
+	// The last window as a -shard-index daemon runs it keeps its state in
+	// shard-i below the same root, at one window too.
+	u, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp,
+		Windows: n, Index: n - 1, Store: durable})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lone.Close(false)
-	u := lone.Units[0]
+	defer u.Close(false)
 	if want := filepath.Join(root, fmt.Sprintf("shard-%d", n-1)); u.Store.Dir() != want {
 		t.Errorf("lone window %d of %d keeps its state in %s, want %s", n-1, n, u.Store.Dir(), want)
 	}

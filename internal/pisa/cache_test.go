@@ -417,12 +417,12 @@ func TestCacheDomainsValidation(t *testing.T) {
 	}
 }
 
-// TestCacheEntriesGaugeSumsInstances: the shards of `sdcd -shards N`
-// share one process, and so one pisa_sdc_cache_entries series. Every
-// instance adds its own entries to it, as it adds its tables to
-// pisa_sdc_cache_table_bytes, and Close gives both back. Requests still
-// work after Close, refilling the cache, and no goroutine outlives the
-// SDCs.
+// TestCacheEntriesGaugeSumsInstances: SDCs built in one process — here
+// the two windows of a partition, each served its slice of the request —
+// share one pisa_sdc_cache_entries series. Every instance adds its own
+// entries to it, as it adds its tables to pisa_sdc_cache_table_bytes, and
+// Close gives both back. Requests still work after Close, refilling the
+// cache, and no goroutine outlives the SDCs.
 func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	params := TestParams(testWatchParams(t))
@@ -459,10 +459,14 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range shards {
-				if missed {
-					missOnce(t, s, req)
+				sub := *req
+				if sub.FP, err = req.FP.ChannelSlice(s.ChannelWindow()); err != nil {
+					t.Fatal(err)
 				}
-				if _, err := s.ProcessShard(req); err != nil {
+				if missed {
+					missOnce(t, s, &sub)
+				}
+				if _, err := s.ProcessShard(&sub); err != nil {
 					t.Fatalf("shard %d: %v", i, err)
 				}
 			}

@@ -8,10 +8,9 @@ import (
 
 // sdcMetrics is the SDC's instrumentation set, registered once into
 // the process-wide obs registry. The counters and gauges describe the
-// process's SDC role as a whole: every instance in the process — the
-// shards of `sdcd -shards N`, the SDCs a test builds — adds into the
-// same series (get-or-create registration makes that safe), gauges by
-// delta.
+// process's SDC role as a whole: every instance in the process — sdcd's
+// one, or the several SDCs a test builds — adds into the same series
+// (get-or-create registration makes that safe), gauges by delta.
 //
 // Stage labels follow the paper's pipeline (Figure 5 / eqs. 11-16); the
 // license (eq. 17) is the router's stage (router.go):

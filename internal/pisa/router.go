@@ -121,8 +121,9 @@ func (st RouterStats) LogAttrs() []any {
 
 // NewRouter builds a router over the given shards. Shard i must own
 // the channel window Windows(C, len(shards))[i] — the router slices
-// each request along those windows and a mismatched shard would
-// silently contribute nothing. The router builds the deployment's
+// each request along those windows, and a shard that owns another
+// window refuses every slice (SDC.ProcessShard) rather than leave rows
+// untested. The router builds the deployment's
 // licenser: in a sharded deployment it is the issuer, and the shards
 // have none.
 func NewRouter(issuer string, params Params, transmitters []watch.TVTransmitter, stp STPService, shards []ShardService) (*Router, error) {

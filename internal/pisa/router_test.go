@@ -72,9 +72,10 @@ func TestWindows(t *testing.T) {
 	}
 }
 
-// shardedWorld is one monolithic SDC, an N-window deployment sharing
-// the same STP — at N = 1 the one-shard router of a second monolith —
-// and the plaintext oracle both must agree with.
+// shardedWorld is one monolithic SDC, an N-window partition sharing the
+// same STP — one deploy.New per window behind pisa.NewRouter, as N
+// `sdcd -shard-index` daemons run behind cmd/sdcrouterd — and the
+// plaintext oracle both must agree with.
 type shardedWorld struct {
 	params pisa.Params
 	stp    *pisa.STP
@@ -104,24 +105,27 @@ func newShardedWorld(t *testing.T, oneSlot bool, n int) *shardedWorld {
 	if err != nil {
 		t.Fatalf("NewSTP: %v", err)
 	}
-	build := func(windows int) *deploy.Deployment {
-		d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: windows})
+	build := func(windows, index int) *pisa.SDC {
+		d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Windows: windows, Index: index})
 		if err != nil {
-			t.Fatalf("deploy %d windows: %v", windows, err)
+			t.Fatalf("deploy window %d of %d: %v", index, windows, err)
 		}
 		t.Cleanup(func() { d.Close(false) })
-		return d
+		return d.SDC
 	}
-	mono, sharded := build(1), build(n)
-	shards := make([]*pisa.SDC, n)
-	for i, u := range sharded.Units {
-		shards[i] = u.SDC
+	w := &shardedWorld{params: params, stp: stp, mono: build(0, 0)}
+	services := make([]pisa.ShardService, n)
+	for i := range services {
+		w.shards = append(w.shards, build(n, i))
+		services[i] = w.shards[i]
 	}
-	oracle, err := watch.NewSystem(wp, nil)
-	if err != nil {
+	if w.router, err = pisa.NewRouter("sdc", params, nil, stp, services); err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	if w.oracle, err = watch.NewSystem(wp, nil); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	return &shardedWorld{params: params, stp: stp, mono: mono.Units[0].SDC, shards: shards, router: sharded.Front, oracle: oracle}
+	return w
 }
 
 // ask runs one request through the monolithic SDC, the sharded
@@ -281,14 +285,120 @@ func TestWindowedSDCRefusesDirectRequests(t *testing.T) {
 	if s.Router() != nil || s.VerifyKey() != nil {
 		t.Fatal("a windowed SDC has a router or a license key of its own")
 	}
-	// ProcessShard on the same instance works and answers with its
-	// window's grant indicator.
-	ans, err := s.ProcessShard(req)
+	// ProcessShard on the same instance works on the request sliced to
+	// its window, as a router sends it, and answers with the window's
+	// grant indicator.
+	sub := *req
+	if sub.FP, err = req.FP.ChannelSlice(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := s.ProcessShard(&sub)
 	if err != nil {
 		t.Fatalf("ProcessShard: %v", err)
 	}
 	if len(ans.D) != 1 || ans.D[0] == nil {
 		t.Fatalf("ProcessShard answer %+v, want one grant indicator", ans)
+	}
+}
+
+// TestRouterRefusesMisassignedShards: a router whose shards own other
+// windows than the ones it slices for — listed out of order, or started
+// with another shard count — fails the request rather than decide on the
+// rows some shard happened to test. The schedule is one such a router
+// would grant against the oracle: a weak PU on channel 0 next door to an
+// SU asking for maximum power on channel 0, which the shard listed first
+// never tests when the windows are listed 1, 0, 2.
+func TestRouterRefusesMisassignedShards(t *testing.T) {
+	wp := testWatchParams(t)
+	wp.Channels = 9
+	params := pisa.TestParams(wp)
+	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := pisa.Windows(wp.Channels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdcs := make([]*pisa.SDC, len(windows))
+	for i, w := range windows {
+		if sdcs[i], err = pisa.NewSDC("shard", params, nil, stp, pisa.WithChannelWindow(w[0], w[1])); err != nil {
+			t.Fatal(err)
+		}
+		defer sdcs[i].Close()
+	}
+	oracle, err := watch.NewSystem(wp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eCol, err := sdcs[0].EColumn(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	signal := wp.Quantize(wp.SMinPUmW)
+	upd, err := pu.Tune(0, signal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sdcs {
+		if err := s.HandlePUUpdate(upd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := oracle.UpdatePU(pu.ID(), watch.Registration{Block: 8, Channel: 0, SignalUnits: signal}); err != nil {
+		t.Fatal(err)
+	}
+	su, err := pisa.NewSU(rand.Reader, "su-1", 7, params, sdcs[0].Planner(), stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	eirp := map[int]int64{0: wp.Quantize(wp.SUMaxEIRPmW)}
+	want, err := oracle.Evaluate(watch.Request{Block: 7, EIRPUnits: eirp})
+	if err != nil || want.Granted {
+		t.Fatalf("oracle granted %v (err %v); the schedule must be a denial", want.Granted, err)
+	}
+	for _, tc := range []struct {
+		name  string
+		order []int
+		fails bool
+	}{
+		{"windows in order", []int{0, 1, 2}, false},
+		{"windows listed 1, 0, 2", []int{1, 0, 2}, true},
+		{"windows 0 and 1 of three", []int{0, 1}, true},
+	} {
+		services := make([]pisa.ShardService, len(tc.order))
+		for i, w := range tc.order {
+			services[i] = sdcs[w]
+		}
+		router, err := pisa.NewRouter("router", params, nil, stp, services)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := router.ProcessRequest(req)
+		switch {
+		case tc.fails && err == nil:
+			grant, err := su.OpenResponse(resp, req, router.VerifyKey())
+			t.Errorf("%s: router answered (granted=%v, err %v; oracle granted=false), want a refusal", tc.name, grant.Granted, err)
+		case tc.fails && !strings.Contains(err.Error(), "partition differs"):
+			t.Errorf("%s: error %v, want one naming the differing partition", tc.name, err)
+		case !tc.fails && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.fails:
+			if grant, err := su.OpenResponse(resp, req, router.VerifyKey()); err != nil || grant.Granted {
+				t.Errorf("%s: granted %v (err %v), oracle denied", tc.name, grant.Granted, err)
+			}
+		}
 	}
 }
 

@@ -751,10 +751,12 @@ func (s *SDC) ProcessRequest(req *TransmissionRequest) (*Response, error) {
 // test, and the eps unblinding (eq. 16). The answer carries the grant
 // indicators D~ under the SU key, one per ciphertext of the STP's packed
 // answer, each decrypting to 0 exactly when every slot test it covers
-// passed and already corrected for this instance's own epsilons; none
-// when no populated request cell falls inside the window (the request
-// was sliced for a different shard). A router hands the indicators of
-// all its shards to its Licenser, which issues the single masked license.
+// passed and already corrected for this instance's own epsilons. A
+// populated request cell outside the window is refused: the request was
+// sliced for another window, so the router's partition differs from the
+// shard's and some channel row would go untested. A router hands the
+// indicators of all its shards to its Licenser, which issues the single
+// masked license.
 // No serial is consumed and nothing is issued, so a retried or
 // failed-over call is idempotent. The SDC cannot tell from anything it
 // computes whether the request was granted.
@@ -810,12 +812,13 @@ func (s *SDC) ProcessShard(req *TransmissionRequest) (ans *ShardAnswer, err erro
 	stageStart := time.Now()
 	s.mu.Lock()
 	cells := make([]requestCell, 0, req.Ciphertexts())
-	// Request cells outside the owned window are someone else's rows:
-	// a full (unsliced) request to a shard simply contributes nothing
-	// from them, which is what makes full fan-out broadcasts correct.
+	// An SU populates every channel row of the groups it ships, so a
+	// request sliced for another window populates rows outside this one:
+	// its router partitions differently and leaves some rows untested.
 	err = req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
 		if c < s.chanLo || c >= s.chanHi {
-			return nil
+			return fmt.Errorf("pisa: request row %d lies outside the shard's window [%d, %d): the router's partition differs from the shard's",
+				c, s.chanLo, s.chanHi)
 		}
 		n, err := s.nPack.GroupAt(c, g)
 		if err != nil {
