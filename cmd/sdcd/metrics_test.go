@@ -160,9 +160,12 @@ func TestRunServesMetrics(t *testing.T) {
 		t.Error("WAL append histogram empty (durable daemon journalled nothing)")
 	}
 	// The group key's first nonce, at the latest the budget encryption
-	// at boot, built its table.
-	if m := regexp.MustCompile(`(?m)^pisa_paillier_nonce_tables_total ([1-9]\d*)$`).Find(body); m == nil {
-		t.Error("scrape shows no nonce table built")
+	// at boot, built its full table; the SU key the license was encrypted
+	// under built a lean one.
+	for _, comb := range []string{"full", "lean"} {
+		if m := regexp.MustCompile(`(?m)^pisa_paillier_nonce_tables_total\{comb="` + comb + `"\} ([1-9]\d*)$`).Find(body); m == nil {
+			t.Errorf("scrape shows no %s nonce table built", comb)
+		}
 	}
 	// The blinding, cache and Paillier families carry what the process
 	// still has and nothing else: no blinding-pool series, no age-expiry

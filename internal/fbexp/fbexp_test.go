@@ -35,10 +35,12 @@ func modOf(t testing.TB, n *big.Int) *Modulus {
 	return m
 }
 
-// The two entry budgets in use: the Paillier nonce table's (11 blocks of
-// height 8) and the smallest, which buys one block at any height.
+// The entry budgets in use: the Paillier nonce table's (11 blocks of
+// height 8), an SU key's lean one (2 blocks of height 8) and the
+// smallest, which buys one block at any height.
 const (
 	nonceEntries = 2816
+	leanEntries  = 510
 	oneBlock     = 1
 )
 
@@ -249,15 +251,16 @@ func TestTableAccessors(t *testing.T) {
 }
 
 // TestSizeBytesIsTrue holds SizeBytes against the heap a table really
-// retains, at a 2048-bit n for the Paillier nonce geometry (256-bit
-// exponents, height 8) and the one-block one (100-bit exponents, height
-// 3), whose callers budget memory by it. Entries are limb ranges of one
-// slab, so there is nothing per entry beside its words — no integer
-// headers, none of the double-width backing arrays math/big leaves
-// behind a reduced product — and nothing per table beside the slab but
-// its geometry: the base is the first entry, not a copy. What a small
-// table retains above SizeBytes is the allocator's: 7 entries are
-// 3 584 B in a 4 096 B size class, plus the 80-byte Table.
+// retains, at a 2048-bit n for the Paillier nonce geometries (256-bit
+// exponents, height 8, a group key's 11 blocks and an SU key's 2) and
+// the one-block one (100-bit exponents, height 3), whose callers budget
+// memory by it. Entries are limb ranges of one slab, so there is
+// nothing per entry beside its words — no integer headers, none of the
+// double-width backing arrays math/big leaves behind a reduced product
+// — and nothing per table beside the slab but its geometry: the base is
+// the first entry, not a copy. What a small table retains above
+// SizeBytes is the allocator's: 7 entries are 3 584 B in a 4 096 B size
+// class, plus the 80-byte Table.
 func TestSizeBytesIsTrue(t *testing.T) {
 	n := randMod(t, 2048)
 	base, err := rand.Int(rand.Reader, square(n))
@@ -278,6 +281,7 @@ func TestSizeBytesIsTrue(t *testing.T) {
 		ceiling                    float64
 	}{
 		{"nonce", 8, 256, nonceEntries, 4, 1.05},
+		{"lean", 8, 256, leanEntries, 16, 1.05},
 		{"one-block", 3, 100, oneBlock, 256, 1.20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -431,10 +435,12 @@ func FuzzExp(f *testing.F) {
 
 // BenchmarkExp compares the three ways to a power at the Paillier shape,
 // 2048-bit n (4096-bit n^2): the comb of a tabled base over a 256-bit
-// exponent, the general loop, and big.Int.Exp, which the general loop
-// replaced, at the exponent widths in use (100-bit blinding scalars,
-// 256-bit nonce exponents, n-sized legacy nonces and slot shifts). (The
-// one-block table's rows are paillier's BenchmarkScalarMul.)
+// exponent (a group key's full comb and an SU key's lean one, each
+// with the cost of its build), the general loop, and big.Int.Exp, which
+// the general loop replaced, at the exponent widths in use (100-bit
+// blinding scalars, 256-bit nonce exponents, n-sized legacy nonces and
+// slot shifts). (The one-block table's rows are paillier's
+// BenchmarkScalarMul.)
 func BenchmarkExp(b *testing.B) {
 	n := randMod(b, 2048)
 	m, mod := modOf(b, n), square(n)
@@ -449,18 +455,31 @@ func BenchmarkExp(b *testing.B) {
 		}
 		return e.SetBit(e, bits-1, 1)
 	}
-	b.Run("comb", func(b *testing.B) {
-		tab, err := New(base, m, 8, 256, nonceEntries)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := exp(256)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tab.Exp(e)
-		}
-	})
+	for _, comb := range []struct {
+		name    string
+		entries int
+	}{{"full", nonceEntries}, {"lean", leanEntries}} {
+		b.Run("comb/"+comb.name, func(b *testing.B) {
+			tab, err := New(base, m, 8, 256, comb.entries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := exp(256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.Exp(e)
+			}
+		})
+		b.Run("build/"+comb.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(base, m, 8, 256, comb.entries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, bits := range []int{100, 256, 2048} {
 		e := exp(bits)
 		b.Run(fmt.Sprintf("general/%d-bit", bits), func(b *testing.B) {

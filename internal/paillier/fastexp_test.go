@@ -3,6 +3,8 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
+	"math/bits"
+	mrand "math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -335,4 +337,60 @@ func TestPrepareMakesBareKeyShareable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLeanTableSameNonces: a key prepared lean tables the same base in
+// a comb 5.5x smaller, and one short exponent s gives the same nonce
+// H^s from it as from the full comb and as from big.Int.Exp, so its
+// ciphertexts decrypt on the short path. A lean flag set after the
+// build leaves the built table alone.
+func TestLeanTableSameNonces(t *testing.T) {
+	sk := fastKey(t, 768)
+	full := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
+	lean := (&PublicKey{N: sk.N, H: sk.H}).PrepareLean()
+	for seed := int64(1); seed <= 8; seed++ {
+		s, err := rand.Int(mrand.New(mrand.NewSource(seed)), shortExpLimit)
+		if err != nil || s.Sign() == 0 {
+			t.Fatalf("seed %d: s=%v err=%v", seed, s, err)
+		}
+		want := new(big.Int).Exp(sk.H, s, full.NSquared())
+		for name, pk := range map[string]*PublicKey{"full": full, "lean": lean} {
+			nonce, err := pk.NewNonce(mrand.New(mrand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nonce.rn.Cmp(want) != 0 {
+				t.Fatalf("seed %d: %s comb's nonce is not H^s", seed, name)
+			}
+		}
+	}
+
+	word := bits.UintSize / 8
+	limbs := len(sk.N.Bits())
+	if got, want := full.NonceTableBytes(), 11*255*2*limbs*word; got != want {
+		t.Errorf("full comb %d B, want %d (11 blocks of height 8)", got, want)
+	}
+	if got, want := lean.NonceTableBytes(), 2*255*2*limbs*word; got != want {
+		t.Errorf("lean comb %d B, want %d (2 blocks of height 8)", got, want)
+	}
+	if 2*full.NonceTableBytes() != 11*lean.NonceTableBytes() {
+		t.Errorf("full/lean = %d/%d B, want 5.5x", full.NonceTableBytes(), lean.NonceTableBytes())
+	}
+
+	s0, f0 := Decrypts()
+	ct, err := lean.EncryptInt(rand.Reader, -42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sk.DecryptInt(ct); err != nil || m != -42 {
+		t.Fatalf("lean ciphertext: m=%d err=%v", m, err)
+	}
+	if s1, f1 := Decrypts(); s1-s0 != 1 || f1 != f0 {
+		t.Fatalf("lean ciphertext decrypted short/full = %d/%d, want 1/0", s1-s0, f1-f0)
+	}
+
+	size := full.NonceTableBytes()
+	if full.PrepareLean(); full.NonceTableBytes() != size {
+		t.Fatalf("PrepareLean on a tabled key: %d B, was %d", full.NonceTableBytes(), size)
+	}
 }

@@ -11,7 +11,8 @@ import (
 // id -> the key object sign conversions encrypt under. Stored keys are
 // the registry's own prepared copies, so conversion workers only ever
 // read them; each tables its nonce base on the first conversion into
-// it, outside mu (the build is the key's own, see paillier.PublicKey).
+// it, outside mu (the build is the key's own, see paillier.PublicKey),
+// in the lean comb: a conversion draws one nonce per answer ciphertext.
 type suRegistry struct {
 	mu   sync.RWMutex
 	keys map[string]*paillier.PublicKey
@@ -34,7 +35,7 @@ func (r *suRegistry) register(id string, pk *paillier.PublicKey) error {
 	if err := checkWireKey(fmt.Sprintf("register SU %q", id), pk); err != nil {
 		return err
 	}
-	stored := (&paillier.PublicKey{N: pk.N, H: pk.H}).Prepare()
+	stored := (&paillier.PublicKey{N: pk.N, H: pk.H}).PrepareLean()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if existing, ok := r.keys[id]; ok {

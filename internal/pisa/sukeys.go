@@ -9,12 +9,12 @@ import (
 )
 
 // suKeyCacheEntries bounds an SUKeyCache. An entry the license tail has
-// encrypted under holds one nonce table (about 1.5 MiB at a 2048-bit
-// key), so a full cache is at most about 190 MiB there; a fleet larger
-// than this pays one fetch and one table build per eviction, never a
-// wrong answer. A windowed shard only multiplies modulo n^2 and builds
-// no table.
-const suKeyCacheEntries = 128
+// encrypted under holds one lean nonce table (255 KiB at a 2048-bit
+// key, see paillier.PublicKey.PrepareLean), so a full cache is at most
+// about 128 MiB there; a fleet larger than this pays one fetch and one
+// table build per eviction, never a wrong answer. A windowed shard only
+// multiplies modulo n^2 and builds no table.
+const suKeyCacheEntries = 512
 
 // SUKeyCache is the SDC-side (and router-side) view of the STP's SU key
 // registry: id -> the key object the request path multiplies and
@@ -24,8 +24,9 @@ const suKeyCacheEntries = 128
 // derived fields would otherwise be filled lazily by whichever worker
 // goroutines get there first. The cache fetches each id once and checks
 // and prepares the key before any worker sees it; the key tables its H
-// on its first nonce. A key an in-process STP hands out is its
-// registry's prepared copy and is reused as it is, table included.
+// in the lean comb on its first nonce (the license tail draws one per
+// request). A key an in-process STP hands out is its registry's
+// prepared copy and is reused as it is, table included.
 //
 // Caching is sound because a registration is immutable per id
 // (RegisterSU refuses a different key for a known id). Should the STP
@@ -119,6 +120,6 @@ func (c *SUKeyCache) fetch(id string) (*paillier.PublicKey, error) {
 		return nil, err
 	}
 	// A decoded key is this cache's own; a registry's is prepared
-	// already, and Prepare only reads it.
-	return pk.Prepare(), nil
+	// lean already, and PrepareLean on it changes nothing.
+	return pk.PrepareLean(), nil
 }
