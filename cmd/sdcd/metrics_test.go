@@ -167,6 +167,11 @@ func TestRunServesMetrics(t *testing.T) {
 			t.Errorf("scrape shows no %s nonce table built", comb)
 		}
 	}
+	// The key the license was encrypted under is still held by the
+	// SU-key cache.
+	if m := regexp.MustCompile(`(?m)^pisa_sdc_sukey_cache_entries ([1-9]\d*)$`).Find(body); m == nil {
+		t.Error("scrape shows no SU key held by the SU-key cache")
+	}
 	// The blinding, cache and Paillier families carry what the process
 	// still has and nothing else: no blinding-pool series, no age-expiry
 	// event, no engine switch.

@@ -41,10 +41,11 @@
 // worth having inside it, so one engine serves every point of the
 // trade: a base that draws a nonce per ciphertext for the life of a key
 // gets thousands of entries; one that draws a few per request gets two
-// blocks (v = 2, b = 16: 510 entries, 255 KiB, 46 operations); and a
-// base fixed for a few hundred exponentiations gets a single block — at
-// h = 3 over 100-bit exponents, a = b = 34: 7 entries, 66 operations,
-// built by 68 squarings and 4 multiplications.
+// blocks of a lower comb (h = 6, a = 43, v = 2, b = 22: 126 entries,
+// 63 KiB, 63 operations); and a base fixed for a few hundred
+// exponentiations gets a single block — at h = 3 over 100-bit
+// exponents, a = b = 34: 7 entries, 66 operations, built by 68
+// squarings and 4 multiplications.
 //
 // A Modulus and a Table are immutable once built, so any number of
 // goroutines may exponentiate over them concurrently.

@@ -36,11 +36,12 @@ func modOf(t testing.TB, n *big.Int) *Modulus {
 }
 
 // The entry budgets in use: the Paillier nonce table's (11 blocks of
-// height 8), an SU key's lean one (2 blocks of height 8) and the
-// smallest, which buys one block at any height.
+// height 8), an SU key's lean one (2 blocks of height leanWindow) and
+// the smallest, which buys one block at any height.
 const (
 	nonceEntries = 2816
-	leanEntries  = 510
+	leanWindow   = 6
+	leanEntries  = 126
 	oneBlock     = 1
 )
 
@@ -226,16 +227,20 @@ func TestNewRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestTableAccessors pins the geometry New derives at the Paillier
-// defaults — height 8 over 256 bits is rows of 32 bits in 11 blocks of
-// 3, i.e. 11*255 entries — and for the one-block table of a blinding
-// scalar: height 3 over 100 bits is one block of 34-bit rows, 7
-// entries.
+// TestTableAccessors pins the geometry New derives for each table in
+// use, and so the a + b - 2 operations an exponentiation takes: a group
+// key's nonce comb, height 8 over 256 bits, is rows of a = 32 bits in
+// 11 blocks of b = 3 (11*255 entries, 33 operations); an SU key's lean
+// comb, height 6 over 256 bits, is rows of 43 bits in 2 blocks of 22,
+// the second one bit short (2*63 entries, 63 operations); the one-block
+// table of a blinding scalar, height 3 over 100 bits, is one block of
+// 34-bit rows (7 entries, 66 operations).
 func TestTableAccessors(t *testing.T) {
 	n := randMod(t, 128)
-	for _, c := range []struct{ h, maxBits, budget, blocks int }{
-		{8, 256, nonceEntries, 11},
-		{3, 100, oneBlock, 1},
+	for _, c := range []struct{ h, maxBits, budget, blocks, rowBits, blockBits, ops int }{
+		{8, 256, nonceEntries, 11, 32, 3, 33},
+		{leanWindow, 256, leanEntries, 2, 43, 22, 63},
+		{3, 100, oneBlock, 1, 34, 34, 66},
 	} {
 		tab, err := New(big.NewInt(3), modOf(t, n), c.h, c.maxBits, c.budget)
 		if err != nil {
@@ -243,6 +248,10 @@ func TestTableAccessors(t *testing.T) {
 		}
 		if tab.Height() != c.h || tab.Blocks() != c.blocks || tab.MaxExpBits() != c.maxBits {
 			t.Fatalf("accessors: height %d blocks %d maxBits %d", tab.Height(), tab.Blocks(), tab.MaxExpBits())
+		}
+		if tab.rowBits != c.rowBits || tab.blockBits != c.blockBits || tab.rowBits+tab.blockBits-2 != c.ops {
+			t.Fatalf("h=%d: rows of %d bits in blocks of %d, want %d and %d (%d operations)",
+				c.h, tab.rowBits, tab.blockBits, c.rowBits, c.blockBits, c.ops)
 		}
 		if want := c.blocks * (1<<uint(c.h) - 1) * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
 			t.Fatalf("SizeBytes %d, want %d", tab.SizeBytes(), want)
@@ -252,9 +261,9 @@ func TestTableAccessors(t *testing.T) {
 
 // TestSizeBytesIsTrue holds SizeBytes against the heap a table really
 // retains, at a 2048-bit n for the Paillier nonce geometries (256-bit
-// exponents, height 8, a group key's 11 blocks and an SU key's 2) and
-// the one-block one (100-bit exponents, height 3), whose callers budget
-// memory by it. Entries are limb ranges of one slab, so there is
+// exponents, a group key's 11 blocks of height 8 and an SU key's 2 of
+// height 6) and the one-block one (100-bit exponents, height 3), whose
+// callers budget memory by it. Entries are limb ranges of one slab, so there is
 // nothing per entry beside its words — no integer headers, none of the
 // double-width backing arrays math/big leaves behind a reduced product
 // — and nothing per table beside the slab but its geometry: the base is
@@ -281,7 +290,7 @@ func TestSizeBytesIsTrue(t *testing.T) {
 		ceiling                    float64
 	}{
 		{"nonce", 8, 256, nonceEntries, 4, 1.05},
-		{"lean", 8, 256, leanEntries, 16, 1.05},
+		{"lean", leanWindow, 256, leanEntries, 64, 1.05},
 		{"one-block", 3, 100, oneBlock, 256, 1.20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -456,11 +465,11 @@ func BenchmarkExp(b *testing.B) {
 		return e.SetBit(e, bits-1, 1)
 	}
 	for _, comb := range []struct {
-		name    string
-		entries int
-	}{{"full", nonceEntries}, {"lean", leanEntries}} {
+		name            string
+		window, entries int
+	}{{"full", 8, nonceEntries}, {"lean", leanWindow, leanEntries}} {
 		b.Run("comb/"+comb.name, func(b *testing.B) {
-			tab, err := New(base, m, 8, 256, comb.entries)
+			tab, err := New(base, m, comb.window, 256, comb.entries)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -474,7 +483,7 @@ func BenchmarkExp(b *testing.B) {
 		b.Run("build/"+comb.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(base, m, 8, 256, comb.entries); err != nil {
+				if _, err := New(base, m, comb.window, 256, comb.entries); err != nil {
 					b.Fatal(err)
 				}
 			}

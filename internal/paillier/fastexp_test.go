@@ -340,9 +340,9 @@ func TestPrepareMakesBareKeyShareable(t *testing.T) {
 }
 
 // TestLeanTableSameNonces: a key prepared lean tables the same base in
-// a comb 5.5x smaller, and one short exponent s gives the same nonce
-// H^s from it as from the full comb and as from big.Int.Exp, so its
-// ciphertexts decrypt on the short path. A lean flag set after the
+// a comb 2805/126 (22x) smaller, and one short exponent s gives the
+// same nonce H^s from it as from the full comb and as from
+// big.Int.Exp, so its ciphertexts decrypt on the short path. A lean flag set after the
 // build leaves the built table alone.
 func TestLeanTableSameNonces(t *testing.T) {
 	sk := fastKey(t, 768)
@@ -370,11 +370,11 @@ func TestLeanTableSameNonces(t *testing.T) {
 	if got, want := full.NonceTableBytes(), 11*255*2*limbs*word; got != want {
 		t.Errorf("full comb %d B, want %d (11 blocks of height 8)", got, want)
 	}
-	if got, want := lean.NonceTableBytes(), 2*255*2*limbs*word; got != want {
-		t.Errorf("lean comb %d B, want %d (2 blocks of height 8)", got, want)
+	if got, want := lean.NonceTableBytes(), 2*63*2*limbs*word; got != want {
+		t.Errorf("lean comb %d B, want %d (2 blocks of height 6)", got, want)
 	}
-	if 2*full.NonceTableBytes() != 11*lean.NonceTableBytes() {
-		t.Errorf("full/lean = %d/%d B, want 5.5x", full.NonceTableBytes(), lean.NonceTableBytes())
+	if 126*full.NonceTableBytes() != 2805*lean.NonceTableBytes() {
+		t.Errorf("full/lean = %d/%d B, want 2805/126", full.NonceTableBytes(), lean.NonceTableBytes())
 	}
 
 	s0, f0 := Decrypts()

@@ -59,10 +59,14 @@ const (
 	// as many comb blocks as it allows (11 of height 8; 1.37 MiB at a
 	// 2048-bit n, 33 half-width operations per nonce).
 	fastExpEntries = 2816
-	// leanExpEntries is the budget of a key prepared with PrepareLean:
-	// two blocks of height 8, 255 KiB at a 2048-bit n, 46 operations
-	// per nonce.
-	leanExpEntries = 510
+	// leanExpWindow and leanExpEntries are the comb of a key prepared
+	// with PrepareLean: two blocks of height 6, 63 KiB at a 2048-bit n,
+	// 63 operations per nonce. Height 6 is the knee of the trade for a
+	// key that draws a nonce or two per request: one block of height 8
+	// needs 62 operations from twice the bytes, and height 5 halves the
+	// bytes again for 13 more operations.
+	leanExpWindow  = 6
+	leanExpEntries = 126
 )
 
 // shortExpLimit bounds a nonce exponent: s is drawn from [1, 2^256).
@@ -456,12 +460,13 @@ func (pk *PublicKey) Prepare() *PublicKey {
 // PrepareLean is Prepare for a key that draws a nonce or two per
 // request — an SU key, which the STP and the license issuer encrypt a
 // handful of answer ciphertexts under — and returns pk. Its first nonce
-// builds a comb of leanExpEntries entries instead of fastExpEntries:
-// 5.5x less memory per key for 13 more half-width operations per nonce.
-// The table holds powers of the same base, so every nonce is the same
-// H^s the full comb gives and decrypts as short. A key whose table is
-// already built keeps it. Like Prepare, call it before sharing the key;
-// on a prepared key it is safe while other goroutines draw.
+// builds a comb of height leanExpWindow and leanExpEntries entries
+// instead of fastExpEntries of height 8: 22x less memory per key for 30
+// more half-width operations per nonce. The table holds powers of the
+// same base, so every nonce is the same H^s the full comb gives and
+// decrypts as short. A key whose table is already built keeps it. Like
+// Prepare, call it before sharing the key; on a prepared key it is safe
+// while other goroutines draw.
 func (pk *PublicKey) PrepareLean() *PublicKey {
 	pk.ensureCache()
 	pk.nt.lean.Store(true)
@@ -588,11 +593,12 @@ func (pk *PublicKey) checkH() error {
 // published: its nonces are valid but foreign to the owner, who pays
 // the full decryption exponent for them.
 //
-// The comb has fastExpEntries entries, or leanExpEntries on a key
-// prepared with PrepareLean. Concurrent first draws wait for one build
-// (milliseconds to tens of milliseconds at 2048 bits, so never draw a
-// key's first nonce under a lock others need); a failed build is left
-// to the next draw.
+// The comb has height DefaultFastExpWindow and fastExpEntries entries,
+// or height leanExpWindow and leanExpEntries on a key prepared with
+// PrepareLean. Concurrent first draws wait for one build (milliseconds
+// to tens of milliseconds at 2048 bits, so never draw a key's first
+// nonce under a lock others need); a failed build is left to the next
+// draw.
 func (pk *PublicKey) table(random io.Reader) (*fbexp.Table, error) {
 	pk.ensureCache()
 	nt := pk.nt
@@ -612,11 +618,11 @@ func (pk *PublicKey) table(random io.Reader) (*fbexp.Table, error) {
 		}
 		h = fbexp.Exp(x, pk.N, pk.mod)
 	}
-	entries, built := fastExpEntries, &nonceTables.full
+	window, entries, built := DefaultFastExpWindow, fastExpEntries, &nonceTables.full
 	if nt.lean.Load() {
-		entries, built = leanExpEntries, &nonceTables.lean
+		window, entries, built = leanExpWindow, leanExpEntries, &nonceTables.lean
 	}
-	tab, err := fbexp.New(h, pk.mod, DefaultFastExpWindow, DefaultShortExpBits, entries)
+	tab, err := fbexp.New(h, pk.mod, window, DefaultShortExpBits, entries)
 	if err != nil {
 		return nil, fmt.Errorf("nonce table: %w", err)
 	}

@@ -14,7 +14,7 @@ import (
 
 // TestSUKeyTablesAreLean: every copy of an SU key that encrypts — the
 // registry's of either STP flavour, and the license issuer's, fetched
-// over a socket from a TCP STP — tables the lean comb of two height-8
+// over a socket from a TCP STP — tables the lean comb of two height-6
 // blocks, while the group key, under which the SU and the SDC draw a
 // nonce per ciphertext, keeps the full comb of eleven. The lean nonces
 // are powers of the same H: the SU opens its license and no decryption
@@ -22,8 +22,8 @@ import (
 func TestSUKeyTablesAreLean(t *testing.T) {
 	params := pisa.TestParams(testWatchParams(t))
 	words := (params.PaillierBits + bits.UintSize - 1) / bits.UintSize
-	slab := func(blocks int) int { return blocks * 255 * 2 * words * bits.UintSize / 8 }
-	lean, full := slab(2), slab(11)
+	slab := func(blocks, height int) int { return blocks * (1<<height - 1) * 2 * words * bits.UintSize / 8 }
+	lean, full := slab(2, 6), slab(11, 8)
 
 	single, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {

@@ -71,9 +71,10 @@ type sdcMetrics struct {
 	cacheTableBytes  *obs.Gauge
 
 	// SU-key cache (sukeys.go): a miss is one STP round trip.
-	suKeyHits   *obs.Counter // event="hit"
-	suKeyMisses *obs.Counter // event="miss"
-	suKeyEvicts *obs.Counter // event="evict"
+	suKeyHits    *obs.Counter // event="hit"
+	suKeyMisses  *obs.Counter // event="miss"
+	suKeyEvicts  *obs.Counter // event="evict"
+	suKeyEntries *obs.Gauge   // keys held by every instance, by delta
 }
 
 // requestStages enumerates the per-stage histogram labels in pipeline
@@ -158,6 +159,8 @@ func metrics() *sdcMetrics {
 				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "miss"}),
 			suKeyEvicts: r.Counter("pisa_sdc_sukey_cache_events_total",
 				"SU-key cache events by kind (SDC and shard router)", obs.Labels{"event": "evict"}),
+			suKeyEntries: r.Gauge("pisa_sdc_sukey_cache_entries",
+				"SU keys currently held by the SU-key caches (SDC and shard router), fetches in flight included", nil),
 		}
 		for _, s := range requestStages {
 			m.stage[s] = r.Histogram("pisa_sdc_request_stage_seconds",

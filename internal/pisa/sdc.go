@@ -1126,12 +1126,14 @@ func (s *SDC) newBlindFactors() (blindFactors, error) {
 	return blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}, nil
 }
 
-// Close empties the decision cache and gives its entries and power-table
-// bytes back to the process-wide gauges, so a retired SDC stops counting
-// in pisa_sdc_cache_entries and pisa_sdc_cache_table_bytes. Request and
-// update processing keep working after Close, refilling the cache. Safe
-// to call more than once.
+// Close empties the decision cache and the SU-key cache and gives their
+// entries and power-table bytes back to the process-wide gauges, so a
+// retired SDC stops counting in pisa_sdc_cache_entries,
+// pisa_sdc_cache_table_bytes and pisa_sdc_sukey_cache_entries. Request
+// and update processing keep working after Close, refilling the caches.
+// Safe to call more than once.
 func (s *SDC) Close() {
+	s.suKeys.clear()
 	if s.cache == nil {
 		return
 	}

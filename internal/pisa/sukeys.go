@@ -9,12 +9,13 @@ import (
 )
 
 // suKeyCacheEntries bounds an SUKeyCache. An entry the license tail has
-// encrypted under holds one lean nonce table (255 KiB at a 2048-bit
-// key, see paillier.PublicKey.PrepareLean), so a full cache is at most
-// about 128 MiB there; a fleet larger than this pays one fetch and one
-// table build per eviction, never a wrong answer. A windowed shard only
-// multiplies modulo n^2 and builds no table.
-const suKeyCacheEntries = 512
+// encrypted under holds one lean nonce table (63 KiB at a 2048-bit key,
+// see paillier.PublicKey.PrepareLean), so a full cache is at most about
+// 126 MiB there, and pisa_sdc_sukey_cache_entries shows how close to
+// the bound it is. A fleet larger than this pays one fetch and one table
+// build (about 3 ms) per eviction, never a wrong answer. A windowed
+// shard only multiplies modulo n^2 and builds no table.
+const suKeyCacheEntries = 2048
 
 // SUKeyCache is the SDC-side (and router-side) view of the STP's SU key
 // registry: id -> the key object the request path multiplies and
@@ -38,6 +39,10 @@ const suKeyCacheEntries = 512
 // that decrypts to noise under either secret key. The request fails or
 // the SU cannot open the response; no license is ever granted wrongly. Restarting the
 // SDC (or evicting the entry) heals it.
+//
+// Every entry, a fetch in flight included, counts in the process-wide
+// gauge pisa_sdc_sukey_cache_entries from its insertion to its eviction,
+// its failed fetch's removal or clear.
 //
 // Safe for concurrent use; concurrent misses on one id share a single
 // fetch.
@@ -88,10 +93,9 @@ func (c *SUKeyCache) Get(id string) (*paillier.PublicKey, error) {
 	e := &suKeyEntry{id: id, ready: make(chan struct{})}
 	el := c.lru.PushFront(e)
 	c.byID[id] = el
+	m.suKeyEntries.Add(1)
 	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byID, oldest.Value.(*suKeyEntry).id)
+		c.remove(c.lru.Back())
 		m.suKeyEvicts.Inc()
 	}
 	c.mu.Unlock()
@@ -102,12 +106,28 @@ func (c *SUKeyCache) Get(id string) (*paillier.PublicKey, error) {
 	if e.err != nil {
 		c.mu.Lock()
 		if c.byID[id] == el {
-			c.lru.Remove(el)
-			delete(c.byID, id)
+			c.remove(el)
 		}
 		c.mu.Unlock()
 	}
 	return e.pk, e.err
+}
+
+// remove drops one entry and its count in the entries gauge. The caller
+// holds c.mu.
+func (c *SUKeyCache) remove(el *list.Element) {
+	c.lru.Remove(el)
+	delete(c.byID, el.Value.(*suKeyEntry).id)
+	metrics().suKeyEntries.Add(-1)
+}
+
+// clear drops every entry; a later Get fetches afresh.
+func (c *SUKeyCache) clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Back(); el != nil; el = c.lru.Back() {
+		c.remove(el)
+	}
 }
 
 // fetch asks the STP for the key and makes it fit to share.

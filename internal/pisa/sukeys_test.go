@@ -221,6 +221,85 @@ func TestSUKeyCacheEvictionAndArming(t *testing.T) {
 	}
 }
 
+// TestSUKeyCacheEntriesGauge: pisa_sdc_sukey_cache_entries is the sum
+// of the keys every SU-key cache in the process holds. Driven past a
+// shrunken capacity, it follows the caches' lengths through inserts,
+// evictions, failed fetches (whose entries leave again) and clear; an
+// SDC that served an SU holds its key until Close gives it back.
+func TestSUKeyCacheEntriesGauge(t *testing.T) {
+	stp, err := NewSTP(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		sk, err := paillier.GenerateKey(rand.Reader, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stp.RegisterSU(id, sk.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauge := metrics().suKeyEntries
+	base := gauge.Value()
+	one, two := newSUKeyCache(wireSTP{&swapSTP{cur: stp}}), newSUKeyCache(stp)
+	one.cap, two.cap = 2, 2
+	step := func(what string, c *SUKeyCache, id string, wantErr bool, want int) {
+		t.Helper()
+		if c != nil {
+			if _, err := c.Get(id); (err != nil) != wantErr {
+				t.Fatalf("%s: Get(%q) err = %v", what, id, err)
+			}
+		}
+		held := one.lru.Len() + two.lru.Len()
+		if got := gauge.Value() - base; got != int64(held) || held != want {
+			t.Fatalf("%s: gauge moved by %d, caches hold %d, want %d", what, got, held, want)
+		}
+	}
+	step("first insert", one, "a", false, 1)
+	step("second insert", one, "b", false, 2)
+	step("hit", one, "a", false, 2)
+	step("insert at capacity evicts", one, "c", false, 2)
+	step("other instance", two, "c", false, 3)
+	step("failed fetch evicts, then leaves", one, "ghost", true, 2)
+	step("failed fetch below capacity leaves", two, "ghost", true, 2)
+	one.clear()
+	step("clear", nil, "", false, 1)
+	two.clear()
+	step("clear", nil, "", false, 0)
+
+	params := TestParams(testWatchParams(t))
+	if stp, err = NewSTP(rand.Reader, params.PaillierBits); err != nil {
+		t.Fatal(err)
+	}
+	sdc, err := NewSDC("sdc-gauge", params, nil, stp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := NewSU(rand.Reader, "su-gauge", 7, params, sdc.Planner(), stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer su.Close()
+	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	req, err := su.PrepareRequest(map[int]int64{1: 100}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sdc.ProcessRequest(req); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value() - base; got != 1 {
+		t.Fatalf("gauge moved by %d after an SDC served one SU, want 1", got)
+	}
+	sdc.Close()
+	if got := gauge.Value() - base; got != 0 {
+		t.Fatalf("gauge moved by %d after the SDC closed, want 0", got)
+	}
+}
+
 // TestSUKeyCacheConcurrentMissesShareOneFetch: a burst of first
 // requests from one SU costs one STP round trip and yields one key
 // object, so one table build.
