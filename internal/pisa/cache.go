@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"slices"
 
+	"pisa/internal/geo"
+	"pisa/internal/obs"
 	"pisa/internal/paillier"
+	"pisa/internal/parallel"
 )
 
 // decisionCache memoises the aggregate-pass output of eqs. 11-12: the
@@ -81,10 +84,11 @@ type decisionCache struct {
 	missedRing [][32]byte
 	missedNext int
 
-	// tableBytes is what the live entries' power tables hold, kept at or
-	// under tableBudget by dropping tables from the LRU tail.
+	// stats is what CacheStats reports; its TableBytes, what the live
+	// entries' power tables hold, is kept at or under tableBudget by
+	// dropping tables from the LRU tail.
 	tableBudget int
-	tableBytes  int
+	stats       CacheCounters
 }
 
 // cacheTableBudget bounds the power-table bytes of one SDC's cache. At
@@ -182,12 +186,6 @@ func (e *cacheEntry) moved(vers [][]uint64) []int {
 	return moved
 }
 
-// wantsTables reports whether a hit should build tables for the entry:
-// some cell has none and no build is in flight.
-func (e *cacheEntry) wantsTables() bool {
-	return !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil))
-}
-
 func tablesBytes(tabs []*paillier.PowerTable) (bytes int) {
 	for _, t := range tabs {
 		if t != nil {
@@ -237,13 +235,6 @@ func (dc *decisionCache) get(key [32]byte) *cacheEntry {
 	return el.Value.(*cacheEntry)
 }
 
-// remove drops the entry for key if present.
-func (dc *decisionCache) remove(key [32]byte) {
-	if el, ok := dc.byKey[key]; ok {
-		dc.removeElement(el)
-	}
-}
-
 // removeElement drops one live entry, its tables and its count in the
 // entries gauge.
 func (dc *decisionCache) removeElement(el *list.Element) {
@@ -263,13 +254,12 @@ func (dc *decisionCache) clear() {
 	dc.missedRing, dc.missedNext = dc.missedRing[:0], 0
 }
 
-// put inserts (or replaces) an entry and reports how many others were
-// evicted to stay within capacity. The tables e brings along — those of
-// the ciphertexts it kept from the entry it was refreshed from — are
-// accounted here, after the replaced entry's are released, so tables two
-// generations of an entry share are counted once; dropped is how many
-// tables the byte budget then took back.
-func (dc *decisionCache) put(e *cacheEntry) (evicted, dropped int) {
+// put inserts (or replaces) an entry, evicting others to stay within
+// capacity. The tables e brings along — those of the ciphertexts it kept
+// from the entry it was refreshed from — are accounted here, after the
+// replaced entry's are released, so tables two generations of an entry
+// share are counted once; the byte budget may then take tables back.
+func (dc *decisionCache) put(e *cacheEntry) {
 	if el, ok := dc.byKey[e.key]; ok {
 		dc.dropTables(el.Value.(*cacheEntry))
 		el.Value = e
@@ -279,48 +269,48 @@ func (dc *decisionCache) put(e *cacheEntry) (evicted, dropped int) {
 		metrics().cacheEntries.Add(1)
 		for dc.lru.Len() > dc.cap {
 			dc.removeElement(dc.lru.Back())
-			evicted++
+			dc.count(&dc.stats.Evicted, metrics().cacheEvicts, 1)
 		}
 	}
 	dc.holdTables(e, e.tabs)
-	return evicted, dc.trimTables()
+	dc.trimTables()
 }
 
 // setTables installs e's tables — those it had when its builder looked
-// it up plus those the builder added — and reports how many tables the
-// byte budget then took back, walking from the LRU tail. An entry that
-// outweighs the budget on its own keeps none and stays marked as
-// tabling, so no later hit builds them again. An entry that left the
-// cache while its tables were being built is left alone: its builder
-// still serves from them, nothing retains them.
-func (dc *decisionCache) setTables(e *cacheEntry, tabs []*paillier.PowerTable) (dropped int) {
+// it up plus those the builder added — and lets the byte budget take
+// tables back, walking from the LRU tail. An entry that outweighs the
+// budget on its own keeps none, all of them counted as dropped, and stays
+// marked as tabling, so no later hit builds them again. An entry that
+// left the cache while its tables were being built is left alone: its
+// builder still serves from them, nothing retains them.
+func (dc *decisionCache) setTables(e *cacheEntry, tabs []*paillier.PowerTable) {
 	if el, ok := dc.byKey[e.key]; !ok || el.Value != e {
-		return 0
+		return
 	}
 	dc.dropTables(e)
 	if tablesBytes(tabs) > dc.tableBudget {
-		return len(tabs)
+		dc.count(&dc.stats.TableDrops, metrics().cacheTableDrops, len(tabs))
+		return
 	}
 	e.tabling = false
 	dc.holdTables(e, tabs)
-	return dc.trimTables()
+	dc.trimTables()
 }
 
 // holdTables makes tabs the tables of e, which holds none, and accounts
 // their bytes.
 func (dc *decisionCache) holdTables(e *cacheEntry, tabs []*paillier.PowerTable) {
 	e.tabs, e.tabBytes = tabs, tablesBytes(tabs)
-	dc.tableBytes += e.tabBytes
+	dc.stats.TableBytes += e.tabBytes
 	metrics().cacheTableBytes.Add(int64(e.tabBytes))
 }
 
 // trimTables drops tables from the LRU tail until the byte budget holds
-// and reports how many went.
-func (dc *decisionCache) trimTables() (dropped int) {
-	for el := dc.lru.Back(); el != nil && dc.tableBytes > dc.tableBudget; el = el.Prev() {
-		dropped += dc.dropTables(el.Value.(*cacheEntry))
+// and counts them.
+func (dc *decisionCache) trimTables() {
+	for el := dc.lru.Back(); el != nil && dc.stats.TableBytes > dc.tableBudget; el = el.Prev() {
+		dc.count(&dc.stats.TableDrops, metrics().cacheTableDrops, dc.dropTables(el.Value.(*cacheEntry)))
 	}
-	return dropped
 }
 
 // dropTables releases e's power tables, if it has any, and reports how
@@ -332,7 +322,7 @@ func (dc *decisionCache) dropTables(e *cacheEntry) (dropped int) {
 			dropped++
 		}
 	}
-	dc.tableBytes -= e.tabBytes
+	dc.stats.TableBytes -= e.tabBytes
 	metrics().cacheTableBytes.Add(-int64(e.tabBytes))
 	e.tabs, e.tabBytes = nil, 0
 	return dropped
@@ -340,3 +330,257 @@ func (dc *decisionCache) dropTables(e *cacheEntry) (dropped int) {
 
 // len reports the live entry count.
 func (dc *decisionCache) len() int { return dc.lru.Len() }
+
+// count is how every cache event is counted, once: n events into one of
+// the cache's CacheStats tallies, which sit beside the entries under the
+// same lock, and into the process-wide obs series of the same event.
+func (dc *decisionCache) count(tally *uint64, series *obs.Counter, n int) {
+	*tally += uint64(n)
+	series.Add(uint64(n))
+}
+
+// countTabled counts a serving blinded from tabs if any cell has one.
+func (dc *decisionCache) countTabled(tabs []*paillier.PowerTable) {
+	if tabled(tabs) {
+		dc.count(&dc.stats.Tabled, metrics().blindTable, 1)
+	}
+}
+
+// tabled reports whether any cell has a table in tabs.
+func tabled(tabs []*paillier.PowerTable) bool {
+	return slices.ContainsFunc(tabs, func(t *paillier.PowerTable) bool { return t != nil })
+}
+
+// CacheCounters is a point-in-time snapshot of one SDC instance's
+// decision-cache activity. Admitted counts the Misses that installed an
+// entry because their shape had missed before, so Misses − Admitted is
+// the one-off share: first misses, which only the first-miss set
+// remembers. A Stale lookup whose entry covered the same cells kept the
+// cached ciphertexts no PU update had touched (CellsKept)
+// and recomputed the others (CellsRecomputed); it is one Stale, never a
+// Hit, however much it kept. Tabled counts the servings blinded from
+// power tables, in whole or in part (the rest took the general
+// exponentiation), TableBuilds and TableDrops the tables built by hits
+// and taken back by the byte budget, TableBytes what live entries hold
+// now.
+type CacheCounters struct {
+	Hits, Misses, Stale, Bypass, Evicted uint64
+	Admitted                             uint64
+	CellsKept, CellsRecomputed           uint64
+	Tabled, TableBuilds, TableDrops      uint64
+	TableBytes                           int
+
+	// Deprecated: Expired is always 0; cache entries have no age bound.
+	// The field exists only because benchmark/deploy.go:55, which a PR
+	// may not edit, reads it.
+	Expired uint64
+}
+
+// CacheStats returns this instance's decision-cache counters since
+// construction. Unlike the obs registry, which aggregates every SDC in
+// the process, these are per instance: a shard's daemon logs its own in
+// its state summary, and a test holding several SDCs tells them apart.
+func (s *SDC) CacheStats() CacheCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.stats
+}
+
+// CachedDecisions reports the live entry count of the encrypted
+// decision cache (0 when disabled).
+func (s *SDC) CachedDecisions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.len()
+}
+
+// cacheLookup is the decision cache's verdict on one request, reached
+// under s.mu: the cells it serves from an entry and those it recomputes,
+// the entry it installs and the tables it blinds from.
+type cacheLookup struct {
+	digest    bool                   // the request carried a shape digest
+	from      *cacheEntry            // the aligned entry serving every cell not in recompute
+	recompute []int                  // every cell when from is nil
+	install   *cacheEntry            // installed once aggregated (installEntry); nil if nothing is
+	admitted  bool                   // install is a miss's, admitted
+	tabs      []*paillier.PowerTable // from's tables, none for recomputed cells
+	build     bool                   // this request tables what from lacks (tableEntry)
+}
+
+// lookupLocked is the cache lookup of a request's snapshot, in the same
+// critical section: the colApplied values read here identify exactly the
+// budget content the snapshot holds, so a cached ciphertext whose versions
+// match equals what a recompute would produce for its cell. Entries are
+// addressed by the digest bound to the requester's sharing scope
+// (cacheKeyFor), never by the raw digest alone. Caller holds s.mu.
+func (s *SDC) lookupLocked(req *TransmissionRequest, cells []requestCell) (l cacheLookup) {
+	switch {
+	case s.cache.cap == 0: // disabled
+	case req.ShapeDigest == [32]byte{}:
+		s.cache.count(&s.cache.stats.Bypass, metrics().cacheBypass, 1)
+	default:
+		l = s.cache.lookup(s.cacheKeyFor(req.SUID, req.ShapeDigest), cells, s.footprintVersLocked(cells))
+	}
+	if l.from == nil {
+		l.recompute = make([]int, len(cells))
+		for k := range l.recompute {
+			l.recompute[k] = k
+		}
+	}
+	return l
+}
+
+// lookup is the cache policy for one digest-carrying request, given its
+// scoped key, its cells and their current content versions: it counts the
+// request as one miss, stale lookup or hit and decides what the request
+// takes from the cache and what it gives back.
+func (dc *decisionCache) lookup(key [32]byte, cells []requestCell, vers [][]uint64) (l cacheLookup) {
+	m := metrics()
+	l.digest = true
+	e := dc.get(key)
+	switch {
+	case e == nil: // installs only on the key's second miss
+		dc.count(&dc.stats.Misses, m.cacheMisses, 1)
+		if l.admitted = dc.admit(key); !l.admitted {
+			return l
+		}
+	case e.aligned(cells):
+		l.from, l.tabs, l.recompute = e, e.tabs, e.moved(vers)
+		if len(l.recompute) == 0 { // a hit: one request at a time tables it
+			dc.count(&dc.stats.Hits, m.cacheHits, 1)
+			if !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil)) {
+				e.tabling, l.build = true, true
+			} else {
+				dc.countTabled(l.tabs)
+			}
+			return l
+		}
+		// Stale in these cells only, whose tables table old content: they
+		// are recomputed, the rest kept, and the request's entry replaces e.
+		dc.count(&dc.stats.CellsKept, m.cacheCellsKept, len(cells)-len(l.recompute))
+		dc.count(&dc.stats.CellsRecomputed, m.cacheCellsRecomputed, len(l.recompute))
+		if l.tabs != nil {
+			l.tabs = slices.Clone(l.tabs)
+			for _, k := range l.recompute {
+				l.tabs[k] = nil
+			}
+		}
+	default:
+		// A digest collision, or a scope member reusing another shape's
+		// digest: nothing of the entry lines up with the request's cells.
+		dc.removeElement(dc.byKey[key])
+	}
+	if e != nil { // stale, whole or in part
+		dc.count(&dc.stats.Stale, m.cacheStale, 1)
+	}
+	coords := make([]cellCoord, len(cells))
+	for i := range cells {
+		coords[i] = cellCoord{c: cells[i].c, b: cells[i].b}
+	}
+	l.install = &cacheEntry{key: key, coords: coords, vers: vers, tabs: l.tabs}
+	return l
+}
+
+// footprintVersLocked returns, per request cell, the current
+// applied-content versions of the budget blocks the cell reads — the
+// members of its slot group; cells of one group share a slice. Caller
+// holds s.mu.
+func (s *SDC) footprintVersLocked(cells []requestCell) [][]uint64 {
+	k := s.codec.Slots()
+	byCoord := make(map[int][]uint64)
+	vers := make([][]uint64, len(cells))
+	for i := range cells {
+		b := cells[i].b
+		v, ok := byCoord[b]
+		if !ok {
+			lo, hi := b*k, min((b+1)*k, s.params.Watch.Grid.Blocks())
+			v = make([]uint64, hi-lo)
+			for j := range v {
+				v[j] = s.colApplied[geo.BlockID(lo+j)]
+			}
+			byCoord[b] = v
+		}
+		vers[i] = v
+	}
+	return vers
+}
+
+// cacheKeyFor derives the decision-cache key for a request: the shape
+// digest bound to its sharing scope — the requester's declared cache
+// domain when the operator registered one, the requester's own SUID
+// otherwise. Under the default per-SU scope a dishonest digest can
+// only address (and so only poison) the sender's own entries; sharing
+// across SUs requires the explicit CacheDomains trust declaration.
+func (s *SDC) cacheKeyFor(suid string, digest [32]byte) [32]byte {
+	if domain, ok := s.cacheDomain[suid]; ok {
+		return scopedCacheKey(cacheScopeDomain, domain, digest)
+	}
+	return scopedCacheKey(cacheScopePerSU, suid, digest)
+}
+
+// installEntry completes the entry a request's lookup prepared — key,
+// coordinates, versions, and the tables of the ciphertexts it keeps —
+// with its column and puts it in the cache. is is the column the request
+// serves: the cells the lookup left to recompute it aggregated itself,
+// the rest it took from the entry its lookup found. The versions in the
+// entry were read under the same lock as the budget snapshot the computed
+// cells come from — a rebuild that committed since then changed
+// colApplied and simply makes the cells it touched stale at their next
+// lookup. Nothing the SDC emits is linkable to the cached copy, because
+// every serving is blinded under a fresh tuple first.
+func (s *SDC) installEntry(l *cacheLookup, is []*paillier.Ciphertext) {
+	// Computed cells are stored as copies packed into one allocation of
+	// their own — an entry lives long enough for the multiplication scratch
+	// a modular product keeps, or a clone's padding, to be most of its
+	// memory. Kept cells stay the objects the previous entry held, so their
+	// tables stay theirs; the previous entry's allocation lives on while any
+	// of them does, and a refresh of the same cells again drops the last
+	// refresh's allocation, not that one.
+	fresh := make([]*paillier.Ciphertext, len(l.recompute))
+	for j, k := range l.recompute {
+		fresh[j] = is[k]
+	}
+	l.install.is = slices.Clone(is)
+	for j, ct := range paillier.CloneCompact(fresh) {
+		l.install.is[l.recompute[j]] = ct
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cache.put(l.install)
+	if l.admitted {
+		s.cache.count(&s.cache.stats.Admitted, metrics().cacheAdmits, 1)
+	}
+	s.cache.countTabled(l.install.tabs)
+}
+
+// tableEntry builds, on the worker pool, a power table for every cell of
+// a cache entry's column that has none in have — the entry's tables as
+// of the caller's lookup — and installs the completed set. The blind stage
+// calls it outside s.mu, from the one hit whose lookup claimed the build.
+// The returned tables serve that request whatever became of the entry
+// meanwhile; when a cell cannot be tabled they are have, and the plain
+// path, whose error names the cell, takes over.
+func (s *SDC) tableEntry(e *cacheEntry, have []*paillier.PowerTable) []*paillier.PowerTable {
+	tabs := make([]*paillier.PowerTable, len(e.is))
+	copy(tabs, have)
+	var missing []int
+	for k, t := range tabs {
+		if t == nil {
+			missing = append(missing, k)
+		}
+	}
+	err := parallel.For(parallel.Auto(), len(missing), func(i int) (err error) {
+		k := missing[i]
+		tabs[k], err = s.group.PowerTable(e.is[k], s.params.AlphaBits)
+		return err
+	})
+	if err != nil {
+		return have
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cache.setTables(e, tabs)
+	s.cache.count(&s.cache.stats.TableBuilds, metrics().cacheTableBuilds, len(missing))
+	s.cache.countTabled(tabs)
+	return tabs
+}

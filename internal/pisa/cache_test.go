@@ -6,12 +6,15 @@ import (
 	"math/big"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pisa/internal/geo"
+	"pisa/internal/obs"
 	"pisa/internal/paillier"
 	"pisa/internal/watch"
 )
@@ -1845,7 +1848,7 @@ func TestCacheEntryMemory(t *testing.T) {
 	const full = 32
 	before := heap()
 	for i := 0; i < entries; i++ {
-		sdc.installEntry(&cacheEntry{key: key(0, i)}, column(make([]*paillier.Ciphertext, full), upTo(full)), upTo(full))
+		sdc.installEntry(&cacheLookup{install: &cacheEntry{key: key(0, i)}, recompute: upTo(full)}, column(make([]*paillier.Ciphertext, full), upTo(full)))
 	}
 	retained := heap() - before
 	ceiling := float64(entries * (full*(1.10*ctBytes+headers) + perEntry))
@@ -1858,10 +1861,10 @@ func TestCacheEntryMemory(t *testing.T) {
 	before = heap()
 	for i := 0; i < entries; i++ {
 		e := &cacheEntry{key: key(1, i)}
-		sdc.installEntry(e, column(make([]*paillier.Ciphertext, band), upTo(band)), upTo(band))
+		sdc.installEntry(&cacheLookup{install: e, recompute: upTo(band)}, column(make([]*paillier.Ciphertext, band), upTo(band)))
 		for r := 0; r < refreshes; r++ {
 			next := &cacheEntry{key: e.key}
-			sdc.installEntry(next, column(e.is, upTo(group)), upTo(group))
+			sdc.installEntry(&cacheLookup{install: next, recompute: upTo(group)}, column(e.is, upTo(group)))
 			for k := group; k < band; k++ {
 				if next.is[k] != e.is[k] {
 					t.Fatalf("refresh %d: kept ciphertext %d is not the object the previous entry held", r, k)
@@ -1880,4 +1883,129 @@ func TestCacheEntryMemory(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want %d", got, 2*entries)
 	}
 	runtime.KeepAlive(sdc)
+}
+
+// TestCacheStatsMatchObsSeries drives one SDC through every kind of cache
+// event — bypass, first miss, admitted second miss, a hit that builds
+// tables, a partly stale refresh, a misaligned digest, an eviction at
+// CacheEntries, and table drops under the byte budget, trimmed and over
+// it — and checks after each step that every CacheCounters field moved by
+// exactly as much as the obs series of the same event. Not parallel: the
+// series are process-wide, so no other test may move them meanwhile.
+func TestCacheStatsMatchObsSeries(t *testing.T) {
+	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = 2 })
+	metrics() // registers the series before the first request would
+	wp := d.params.Watch
+	const home = 12
+	su := d.newSU(t, "su-1", home)
+	// Rows 1-3 of the grid: four slot groups of four blocks each.
+	band, err := wp.Grid.RowBand(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(channel int, disclosure geo.Disclosure) (*TransmissionRequest, map[int]int64) {
+		t.Helper()
+		eirp := map[int]int64{channel: maxEIRP(d)}
+		req, err := su.PrepareRequest(eirp, disclosure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, eirp
+	}
+	a, aEIRP := shape(1, band)
+	b, bEIRP := shape(0, band)
+	c, cEIRP := shape(2, band)
+	full, _ := shape(1, geo.Disclosure{})
+	full.ShapeDigest = a.ShapeDigest // other coordinates under a's digest
+	bypass, _ := shape(1, band)
+	bypass.ShapeDigest = [32]byte{}
+
+	series := map[string]string{
+		"Hits":            `pisa_sdc_cache_events_total{event="hit"}`,
+		"Misses":          `pisa_sdc_cache_events_total{event="miss"}`,
+		"Stale":           `pisa_sdc_cache_events_total{event="stale"}`,
+		"Bypass":          `pisa_sdc_cache_events_total{event="bypass"}`,
+		"Evicted":         `pisa_sdc_cache_events_total{event="evict"}`,
+		"Admitted":        `pisa_sdc_cache_events_total{event="admit"}`,
+		"CellsKept":       `pisa_sdc_cache_cells_total{state="kept"}`,
+		"CellsRecomputed": `pisa_sdc_cache_cells_total{state="recomputed"}`,
+		"Tabled":          `pisa_sdc_blind_total{path="table"}`,
+		"TableBuilds":     `pisa_sdc_cache_table_builds_total`,
+		"TableDrops":      `pisa_sdc_cache_table_drops_total`,
+	}
+	// read returns every CacheCounters field and every series, by field.
+	read := func() (stats, scraped map[string]uint64) {
+		t.Helper()
+		cs := d.sdc.CacheStats()
+		stats = map[string]uint64{
+			"Hits": cs.Hits, "Misses": cs.Misses, "Stale": cs.Stale, "Bypass": cs.Bypass,
+			"Evicted": cs.Evicted, "Admitted": cs.Admitted, "CellsKept": cs.CellsKept,
+			"CellsRecomputed": cs.CellsRecomputed, "Tabled": cs.Tabled,
+			"TableBuilds": cs.TableBuilds, "TableDrops": cs.TableDrops,
+		}
+		var expo strings.Builder
+		if err := obs.Default().WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		values := make(map[string]uint64)
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				if v, err := strconv.ParseUint(value, 10, 64); err == nil {
+					values[name] = v
+				}
+			}
+		}
+		scraped = make(map[string]uint64, len(series))
+		for field, name := range series {
+			v, ok := values[name]
+			if !ok {
+				t.Fatalf("no series %s in the exposition", name)
+			}
+			scraped[field] = v
+		}
+		return stats, scraped
+	}
+	// step serves req once and checks that the fields named in moved, and
+	// no others, moved, each as far as its series.
+	step := func(what string, req *TransmissionRequest, eirp map[int]int64, moved ...string) {
+		t.Helper()
+		stats0, scraped0 := read()
+		r, err := su.RefreshRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ShapeDigest = req.ShapeDigest
+		if got, want := d.decide(t, su, r).Granted, d.oracleDecision(t, home, eirp); got != want {
+			t.Fatalf("%s: decision %v, oracle %v", what, got, want)
+		}
+		stats1, scraped1 := read()
+		for field, name := range series {
+			ds, do := stats1[field]-stats0[field], scraped1[field]-scraped0[field]
+			if ds != do {
+				t.Errorf("%s: CacheStats().%s moved by %d, %s by %d", what, field, ds, name, do)
+			}
+			if want := slices.Contains(moved, field); (ds != 0) != want {
+				t.Errorf("%s: CacheStats().%s moved by %d, want it to move: %v", what, field, ds, want)
+			}
+		}
+	}
+
+	step("bypass", bypass, aEIRP, "Bypass")
+	step("first miss", a, aEIRP, "Misses")
+	step("admitted second miss", a, aEIRP, "Misses", "Admitted")
+	step("hit that builds tables", a, aEIRP, "Hits", "Tabled", "TableBuilds")
+	// A PU at block 9 moves slot group 2 of the band, one ciphertext per
+	// channel; the refresh keeps the other groups with their tables.
+	d.tune(t, d.newPU(t, "tv-1", 9), 0, wp.Quantize(wp.SMinPUmW))
+	step("partly stale refresh", a, aEIRP, "Stale", "CellsKept", "CellsRecomputed", "Tabled")
+	step("misaligned digest", full, aEIRP, "Stale")
+	step("first miss of b", b, bEIRP, "Misses")
+	step("b admitted", b, bEIRP, "Misses", "Admitted")
+	step("first miss of c", c, cEIRP, "Misses")
+	step("c admitted, a evicted", c, cEIRP, "Misses", "Admitted", "Evicted")
+	step("c tabled", c, cEIRP, "Hits", "Tabled", "TableBuilds")
+	d.setTableBudget(d.sdc.CacheStats().TableBytes)
+	step("b tabled, c's tables trimmed", b, bEIRP, "Hits", "Tabled", "TableBuilds", "TableDrops")
+	d.setTableBudget(1)
+	step("c over the budget", c, cEIRP, "Hits", "Tabled", "TableBuilds", "TableDrops")
 }

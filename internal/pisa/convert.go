@@ -5,18 +5,20 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"pisa/internal/paillier"
 	"pisa/internal/parallel"
 )
 
-// The STP's answer to a sign request (eq. 15) is slot-packed: instead
-// of one SU-key encryption E(x_i) per request element, the converted
-// signs x_0 .. x_{S-1} share one plaintext, S to a ciphertext, so a
-// request pays one fresh nonce per S elements where it paid one per
-// element. This file holds both ends of that layout — the conversion
-// kernel STP and DistSTP run, and the unblinding the SDC applies to
-// what comes back — and the one function that fixes its geometry.
+// This file is the blinded sign test, eqs. 14-16: the SDC's blinding
+// stage, its round trip to the STP and its unblinding stage, with the
+// conversion kernel STP and DistSTP run in between. The STP's answer to a
+// sign request (eq. 15) is slot-packed: instead of one SU-key encryption
+// E(x_i) per request element, the converted signs x_0 .. x_{S-1} share
+// one plaintext, S to a ciphertext, so a request pays one fresh nonce per
+// S elements where it paid one per element; answerCodec fixes that
+// layout for both ends.
 
 // answerSignatureMargin is how far below the license signature's width
 // the masked indicator eta*D stays. An SU that is denied decrypts
@@ -166,6 +168,166 @@ func convertSigns(k signKernel, req *SignRequest) (*SignResponse, error) {
 		k.observe(req.SUID, vals)
 	}
 	return &SignResponse{X: xs}, nil
+}
+
+// blindFactors is one (alpha, beta, epsilon) tuple for eq. 14, drawn
+// by blindChunk for the request cell it blinds. The beta encryption is
+// the expensive part: one packed encryption per cell, on every request.
+// beta is stored already signed for its epsilon — betaEnc encrypts
+// -eps*beta — so that blinding is V~ = I~^(eps*alpha) * betaEnc: one
+// exponentiation and one multiplication, plus for eps = -1 an inverse
+// that blindChunk shares between the cells of a worker's chunk.
+type blindFactors struct {
+	alpha   *big.Int
+	betaEnc *paillier.Ciphertext // E(-eps*beta), slot-wise
+	eps     int64
+}
+
+// blind is the request's blinding stage, step 5 of Figure 5: V~ (eq. 14)
+// cell by cell, from a power table where the lookup found one for the
+// cached I~ — a hit that claimed the build tables what its entry lacks
+// here, outside the lock — and with the general exponentiation where not:
+// every cell of a miss, the recomputed cells of a partly stale entry. The
+// two agree bit for bit, so which one ran shows in the counters and
+// nowhere else.
+func (s *SDC) blind(r *shardRequest) error {
+	tabs := r.tabs
+	if r.build {
+		tabs = s.tableEntry(r.from, tabs)
+	}
+	if !tabled(tabs) {
+		metrics().blindPlain.Inc()
+	}
+	r.vs = make([]*paillier.Ciphertext, len(r.cells))
+	return parallel.ForChunks(parallel.Auto(), len(r.cells), func(lo, hi int) error {
+		return s.blindChunk(r.vs, r.is, tabs, r.cells, lo, hi)
+	})
+}
+
+// newBlindFactors draws one (alpha, E(-eps*beta), epsilon) tuple of
+// eq. 14. Safe for concurrent use (the randomness source is
+// shared-reader wrapped at construction).
+//
+// One tuple blinds one group ciphertext: alpha and epsilon are shared
+// across the group's slots (alpha*I keeps every slot inside its width;
+// the shared epsilon leaks only the group's relative sign pattern to
+// the STP, see DESIGN.md §12), while beta is drawn fresh per slot and
+// the tuple's betaEnc is a packed encryption of the k betas.
+func (s *SDC) newBlindFactors() (blindFactors, error) {
+	alphaLo := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits-1))
+	alphaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits))
+	betaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.BetaBits))
+	alpha, err := paillier.RandomInRange(s.random, alphaLo, alphaHi)
+	if err != nil {
+		return blindFactors{}, err
+	}
+	epsBit := make([]byte, 1)
+	if _, err := io.ReadFull(s.random, epsBit); err != nil {
+		return blindFactors{}, fmt.Errorf("draw epsilon: %w", err)
+	}
+	eps := int64(1)
+	if epsBit[0]&1 == 1 {
+		eps = -1
+	}
+	// Each beta is drawn in [1, 2^BetaBits) and stored as -eps*beta, the
+	// plaintext blindChunk adds to eps*alpha*I.
+	betas := make([]*big.Int, s.codec.Slots())
+	for j := range betas {
+		if betas[j], err = paillier.RandomInRange(s.random, big.NewInt(1), betaHi); err != nil {
+			return blindFactors{}, err
+		}
+		if eps > 0 {
+			betas[j].Neg(betas[j])
+		}
+	}
+	betaEnc, err := s.group.PackEncrypt(s.random, s.betaCodec, betas)
+	if err != nil {
+		return blindFactors{}, err
+	}
+	return blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}, nil
+}
+
+// blindChunk applies eq. 14 to the cells [lo, hi): vs[k] becomes the
+// blinding of the encrypted budget slack is[k] under a tuple drawn here
+// for cells[k] (one packed encryption each). One-time alpha > beta > 0
+// hide the magnitude, epsilon in {-1, +1} hides the sign from the STP.
+// The tuple carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is
+// I~^(eps*alpha) times that: I~^alpha from tabs[k] where the cell has a
+// table and by the general exponentiation where not, inverted where
+// eps = -1 — one modular inversion for the chunk — and multiplied by
+// the beta factor.
+// Touches only its own range of vs and cells — callable concurrently on
+// disjoint ranges.
+func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTable, cells []requestCell, lo, hi int) error {
+	var flipped []int // the chunk's cells with eps = -1
+	for k := lo; k < hi; k++ {
+		cell := &cells[k]
+		var err error
+		if cell.bf, err = s.newBlindFactors(); err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
+		if tabs != nil && tabs[k] != nil {
+			vs[k], err = tabs[k].ScalarMul(cell.bf.alpha)
+		} else {
+			vs[k], err = s.group.ScalarMul(cell.bf.alpha, is[k])
+		}
+		if err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
+		if cell.bf.eps < 0 {
+			flipped = append(flipped, k)
+		}
+	}
+	powers := make([]*paillier.Ciphertext, len(flipped))
+	for j, k := range flipped {
+		powers[j] = vs[k]
+	}
+	negs, err := s.group.NegBatch(powers)
+	if err != nil {
+		cell := &cells[flipped[slices.Index(negs, nil)]]
+		return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
+	}
+	for j, k := range flipped {
+		vs[k] = negs[j]
+	}
+	for k := lo; k < hi; k++ {
+		cell := &cells[k]
+		if vs[k], err = s.group.Add(vs[k], cell.bf.betaEnc); err != nil {
+			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		}
+	}
+	return nil
+}
+
+// stpConvert is the request's sign-test round trip: steps 6-8 of Figure 5
+// happen at the STP. The request declares the geometry of its elements,
+// so the STP runs the sign test slot-wise, and the room the answer may
+// take in the SU's key, which with the element bound fixes the answer's
+// layout on both sides.
+func (s *SDC) stpConvert(r *shardRequest) error {
+	req := &SignRequest{
+		SUID:       r.req.SUID,
+		V:          r.vs,
+		Slots:      s.codec.Slots(),
+		SlotBits:   s.codec.SlotBits(),
+		AnswerBits: s.params.AnswerBits(r.suKey.Bits()),
+	}
+	var err error
+	if r.answer, err = answerCodec(req.Slots, req.AnswerBits); err != nil {
+		return fmt.Errorf("pisa: SU %q: %w", req.SUID, err)
+	}
+	resp, err := s.stp.ConvertSigns(req)
+	if err != nil {
+		return fmt.Errorf("pisa: STP conversion: %w", err)
+	}
+	r.xs = resp.X
+	return nil
+}
+
+// unblind is the request's unblinding stage, step 9 of Figure 5.
+func (s *SDC) unblind(r *shardRequest) (err error) {
+	r.ds, err = unblindAnswer(r.suKey, r.answer, s.codec.Slots(), r.xs, r.cells)
+	return err
 }
 
 // unblindAnswer is the SDC's half of the packed answer, step 9 of
