@@ -22,7 +22,7 @@
 //	sdcd [-config pisa.json] [-listen host:port] [-stp host:port,host:port]
 //	     [-issuer name] [-store dir] [-snapshot-on-exit=true]
 //	     [-metrics host:port]
-//	     [-cache entries|off] [-cache-domains decls|off]
+//	     [-cache entries|off]
 //	     [-shard-index i -shard-count n]
 //
 // With -shard-index i -shard-count n the daemon serves exactly one
@@ -33,17 +33,14 @@
 // every shard's encrypted grant indicator, never adding them up
 // (DESIGN.md §15).
 //
-// The SDC memoises the aggregate pass of repeated request shapes in an
+// The SDC memoises the aggregate pass of repeated requests in an
 // encrypted-decision cache (DESIGN.md §14): hits skip the eq. 11-12
 // recompute and blind the cached ciphertexts from power tables, and a
 // ciphertext is invalidated exactly when a PU update is folded into one
-// of its blocks. -cache
+// of its blocks. An entry is keyed on the ciphertexts that filled it, so
+// it serves only byte-identical resends of its own request. -cache
 // bounds the entry count; -cache=off (or "cacheEntries": 0) disables
-// it. Entries are scoped per SU by default (a dishonest shape digest
-// is strictly self-inflicted); -cache-domains "fleet-a=su1,su2;..."
-// (config "cacheDomains") declares trust domains whose member SUs
-// share entries with each other — the fleet-concentration win, at the
-// cost of trusting every declared member's digests.
+// it.
 //
 // sdcd serves the encrypted PISA protocol only. A config whose
 // "backend" is "pir" describes a multi-server PIR deployment
@@ -92,7 +89,6 @@ func run(args []string) error {
 	snapOnExit := fs.Bool("snapshot-on-exit", true, "take a final snapshot during graceful shutdown")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (overrides config obs.metricsAddr; empty = disabled)")
 	cacheFlag := fs.String("cache", "", "encrypted-decision cache entry bound, or 'off' (overrides config cacheEntries)")
-	cacheDomainsFlag := fs.String("cache-domains", "", "cross-SU cache trust domains 'name=su1,su2[;...]', or 'off' for per-SU scope (overrides config cacheDomains)")
 	shardIndex := fs.Int("shard-index", -1, "serve exactly one channel shard of a -shard-count partition (for multi-host sharding behind cmd/sdcrouterd)")
 	shardCount := fs.Int("shard-count", 0, "total shard count of the partition this -shard-index belongs to")
 	if err := fs.Parse(args); err != nil {
@@ -115,13 +111,6 @@ func run(args []string) error {
 			return err
 		}
 		cfg.CacheEntries = entries
-	}
-	if *cacheDomainsFlag != "" {
-		domains, err := config.ParseCacheDomainsFlag(*cacheDomainsFlag)
-		if err != nil {
-			return err
-		}
-		cfg.CacheDomains = domains
 	}
 	addr := cfg.SDCAddr
 	if *listen != "" {

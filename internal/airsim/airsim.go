@@ -286,11 +286,6 @@ func (s *Sim) Events() []Event {
 	return out
 }
 
-// Bursts returns all scheduled transmissions.
-func (s *Sim) Bursts() []Burst {
-	return append([]Burst(nil), s.bursts...)
-}
-
 // unitHash maps (seed, a, b) to a deterministic uniform value in
 // [0, 1).
 func unitHash(seed, a, b uint64) float64 {

@@ -92,18 +92,10 @@ type File struct {
 	SignerBits    int `json:"signerBits"`
 
 	// CacheEntries bounds the SDC's encrypted-decision cache (LRU over
-	// request shapes; pisa.Params.CacheEntries). 0 disables it. Load
+	// repeated requests; pisa.Params.CacheEntries). 0 disables it. Load
 	// starts from Default(), which enables 1024 entries — an explicit
 	// "cacheEntries": 0 (or the daemons' -cache=off) switches it off.
 	CacheEntries int `json:"cacheEntries"`
-	// CacheDomains declares trust domains for cross-SU cache sharing
-	// (pisa.Params.CacheDomains): domain name -> member SUIDs. By
-	// default cache entries are scoped per SU, so a dishonest shape
-	// digest is strictly self-inflicted; SUs declared in one domain
-	// share entries instead, which trusts every member not to ship a
-	// mismatched digest/F pair. The daemons' -cache-domains flag
-	// overrides it.
-	CacheDomains map[string][]string `json:"cacheDomains,omitempty"`
 
 	// Network addresses. STPAddrs lists additional equivalent STP
 	// replicas (same group key, shared SU registry) that clients fail
@@ -296,39 +288,6 @@ func ParseCacheFlag(v string) (int, error) {
 	return entries, nil
 }
 
-// ParseCacheDomainsFlag parses the daemons' -cache-domains flag value:
-// semicolon-separated "domain=su1,su2" declarations ("off" or the
-// empty string clears every domain, reverting to per-SU cache scope).
-// Duplicate-membership validation happens in pisa.Params.Validate.
-func ParseCacheDomainsFlag(v string) (map[string][]string, error) {
-	if v == "" || strings.EqualFold(v, "off") {
-		return nil, nil
-	}
-	domains := make(map[string][]string)
-	for _, decl := range strings.Split(v, ";") {
-		if decl = strings.TrimSpace(decl); decl == "" {
-			continue
-		}
-		name, list, ok := strings.Cut(decl, "=")
-		name = strings.TrimSpace(name)
-		if !ok || name == "" {
-			return nil, fmt.Errorf("config: -cache-domains wants 'domain=su1,su2[;...]', got %q", decl)
-		}
-		members := SplitAddrs(list)
-		if len(members) == 0 {
-			return nil, fmt.Errorf("config: -cache-domains domain %q has no members", name)
-		}
-		if _, dup := domains[name]; dup {
-			return nil, fmt.Errorf("config: -cache-domains declares domain %q twice", name)
-		}
-		domains[name] = members
-	}
-	if len(domains) == 0 {
-		return nil, nil
-	}
-	return domains, nil
-}
-
 // ParseShardFlag parses sdcrouterd's -shards value: one distinct address
 // per channel window, semicolon-separated in window order ("off" or the
 // empty string returns nil); a server listed twice would get two windows.
@@ -468,18 +427,16 @@ func Default() File {
 }
 
 // Paper returns the paper's full Table I configuration: 100 channels,
-// 600 blocks, 2048-bit Paillier. Request processing at this scale
-// takes minutes per the paper's own measurements.
+// 600 blocks, and the crypto widths of pisa.DefaultParams.
 func Paper() File {
 	f := Default()
 	f.Channels = 100
 	f.GridCols = 30
 	f.GridRows = 20
-	f.PaillierBits = 2048
-	f.AlphaBits = 512
-	f.BetaBits = 256
-	f.EtaBits = 256
-	f.SignerBits = 2048 - 64
+	p := pisa.DefaultParams(watch.Params{})
+	f.PaillierBits, f.PlaintextBits = p.PaillierBits, p.PlaintextBits
+	f.AlphaBits, f.BetaBits, f.EtaBits = p.AlphaBits, p.BetaBits, p.EtaBits
+	f.SignerBits = p.SignerBits
 	return f
 }
 
@@ -500,20 +457,22 @@ func Load(path string) (File, error) {
 	// rather than ignored: the file would otherwise silently run packed,
 	// unbatched, without a cache age bound and with every key tabling its
 	// nonce base at the one fixed geometry, with kernels on GOMAXPROCS
-	// workers, and as one SDC instead of an in-process partition.
-	// "packing": true, "fastExp": true, "parallelism": -1 and zeros, which
-	// every file written by an earlier Save contains, and "shards": 1 ask
+	// workers, as one SDC instead of an in-process partition, and with
+	// cache entries no SU shares with another. "packing": true, "fastExp":
+	// true, "parallelism": -1 and zeros, which every file written by an
+	// earlier Save contains, "shards": 1 and an empty "cacheDomains" ask
 	// for what is still there.
 	var removed struct {
-		Packed        *bool `json:"packing"`
-		BatchWindowMS int   `json:"stpBatchWindowMS"`
-		BatchMax      int   `json:"stpBatchMax"`
-		TTLSec        int   `json:"cacheTTLSec"`
-		FastExp       *bool `json:"fastExp"`
-		FastExpWindow int   `json:"fastExpWindow"`
-		ShortExpBits  int   `json:"shortExpBits"`
-		Parallelism   *int  `json:"parallelism"`
-		Shards        int   `json:"shards"`
+		Packed        *bool               `json:"packing"`
+		BatchWindowMS int                 `json:"stpBatchWindowMS"`
+		BatchMax      int                 `json:"stpBatchMax"`
+		TTLSec        int                 `json:"cacheTTLSec"`
+		FastExp       *bool               `json:"fastExp"`
+		FastExpWindow int                 `json:"fastExpWindow"`
+		ShortExpBits  int                 `json:"shortExpBits"`
+		Parallelism   *int                `json:"parallelism"`
+		Shards        int                 `json:"shards"`
+		Domains       map[string][]string `json:"cacheDomains"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -537,6 +496,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "parallelism": %d asks for a kernel worker count, which was removed (kernels run on GOMAXPROCS workers; set GOMAXPROCS=1 for serial)`, path, *removed.Parallelism)
 	case removed.Shards > 1:
 		return File{}, fmt.Errorf(`config: %s: "shards": %d asks for an in-process channel partition, which was removed (run sdcd -shard-index i -shard-count %d for each window i behind sdcrouterd; each recovers the same shard-i state directory)`, path, removed.Shards, removed.Shards)
+	case len(removed.Domains) > 0:
+		return File{}, fmt.Errorf(`config: %s: "cacheDomains" asks for cache entries shared across SUs, which was removed (an entry serves only the request whose ciphertexts filled it)`, path)
 	}
 	return f, nil
 }
@@ -598,7 +559,6 @@ func (f File) PisaParams() (pisa.Params, error) {
 		EtaBits:       f.EtaBits,
 		SignerBits:    f.SignerBits,
 		CacheEntries:  f.CacheEntries,
-		CacheDomains:  f.CacheDomains,
 	}
 	return p, p.Validate()
 }

@@ -35,6 +35,13 @@ func TestPaperBuilds(t *testing.T) {
 	if p.PlaintextBits != 60 {
 		t.Errorf("paper PlaintextBits = %d, want 60", p.PlaintextBits)
 	}
+	// pisa.DefaultParams' blinding widths, which pack k = 12 slots.
+	if p.AlphaBits != 100 || p.BetaBits != 80 {
+		t.Errorf("paper AlphaBits, BetaBits = %d, %d, want 100, 80", p.AlphaBits, p.BetaBits)
+	}
+	if k := p.PackSlots(); k != 12 {
+		t.Errorf("paper PackSlots() = %d, want 12", k)
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -247,49 +254,13 @@ func TestModelSpecBuild(t *testing.T) {
 	}
 }
 
-func TestParseCacheDomainsFlag(t *testing.T) {
-	domains, err := ParseCacheDomainsFlag("fleet-a=su1, su2;fleet-b=su3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]string{"fleet-a": {"su1", "su2"}, "fleet-b": {"su3"}}
-	if !reflect.DeepEqual(domains, want) {
-		t.Fatalf("parsed %v, want %v", domains, want)
-	}
-	for _, v := range []string{"", "off", "OFF", " ; "} {
-		if got, err := ParseCacheDomainsFlag(v); err != nil || got != nil {
-			t.Errorf("%q: got (%v, %v), want (nil, nil)", v, got, err)
-		}
-	}
-	for _, v := range []string{"nodomain", "=su1", "fleet=", "fleet=su1;fleet=su2"} {
-		if _, err := ParseCacheDomainsFlag(v); err == nil {
-			t.Errorf("%q: invalid declaration accepted", v)
-		}
-	}
-}
-
-func TestCacheDomainsReachParams(t *testing.T) {
-	f := Default()
-	f.CacheDomains = map[string][]string{"fleet": {"su1", "su2"}}
-	p, err := f.PisaParams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.CacheDomains, f.CacheDomains) {
-		t.Fatalf("params carry %v, want %v", p.CacheDomains, f.CacheDomains)
-	}
-	f.CacheDomains = map[string][]string{"a": {"dup"}, "b": {"dup"}}
-	if _, err := f.PisaParams(); err == nil {
-		t.Fatal("duplicate domain membership accepted")
-	}
-}
-
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
 // layout, for sign-test coalescing, for a cache TTL, for a switched-off
-// or resized nonce table, for a kernel worker count or for an in-process
-// channel partition must not silently run without them; the values every
-// file saved by an earlier build contains ("packing": true, "fastExp":
-// true, "parallelism": -1, zeros) and "shards": 1 ask for what is still
+// or resized nonce table, for a kernel worker count, for an in-process
+// channel partition or for cache entries shared across SUs must not
+// silently run without them; the values every file saved by an earlier
+// build contains ("packing": true, "fastExp": true, "parallelism": -1,
+// zeros), "shards": 1 and an empty "cacheDomains" ask for what is still
 // there and keep loading, as does a file without the keys.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
@@ -307,6 +278,8 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"in-process partition", `{"shards": 2}`, `"shards"`},
 		{"no partition", `{"channels": 5, "shards": 0}`, ""},
 		{"one window", `{"channels": 5, "shards": 1}`, ""},
+		{"cache domains", `{"cacheDomains": {"fleet": ["su1", "su2"]}}`, `"cacheDomains"`},
+		{"no cache domains", `{"channels": 5, "cacheDomains": {}}`, ""},
 		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1}`, ""},
 		{"without the keys", `{"channels": 5}`, ""},
 	} {

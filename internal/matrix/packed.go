@@ -86,12 +86,6 @@ func (p *Packed) Codec() *paillier.SlotCodec { return p.codec }
 // Key returns the public key the groups are encrypted under.
 func (p *Packed) Key() *paillier.PublicKey { return p.key }
 
-// GroupOf returns the group index covering block b.
-func (p *Packed) GroupOf(b int) int { return b / p.codec.Slots() }
-
-// SlotOf returns the slot index of block b within its group.
-func (p *Packed) SlotOf(b int) int { return b % p.codec.Slots() }
-
 func (p *Packed) idx(c, g int) (int, error) {
 	if c < 0 || c >= p.channels || g < 0 || g >= p.groups {
 		return 0, fmt.Errorf("matrix: group index (%d, %d) outside %dx%d", c, g, p.channels, p.groups)

@@ -510,12 +510,7 @@ func (c *STPClient) GroupKey() *paillier.PublicKey { return c.groupKey }
 
 // ConvertSigns implements pisa.STPService.
 func (c *STPClient) ConvertSigns(req *pisa.SignRequest) (*pisa.SignResponse, error) {
-	return c.ConvertSignsContext(context.Background(), req)
-}
-
-// ConvertSignsContext is ConvertSigns under a caller deadline.
-func (c *STPClient) ConvertSignsContext(ctx context.Context, req *pisa.SignRequest) (*pisa.SignResponse, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindConvertRequest, SignRequest: req}, wire.KindConvertResponse)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindConvertRequest, SignRequest: req}, wire.KindConvertResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -527,12 +522,7 @@ func (c *STPClient) ConvertSignsContext(ctx context.Context, req *pisa.SignReque
 
 // SUKey implements pisa.STPService.
 func (c *STPClient) SUKey(id string) (*paillier.PublicKey, error) {
-	return c.SUKeyContext(context.Background(), id)
-}
-
-// SUKeyContext is SUKey under a caller deadline.
-func (c *STPClient) SUKeyContext(ctx context.Context, id string) (*paillier.PublicKey, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindSUKeyRequest, SUID: id}, wire.KindSUKey)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindSUKeyRequest, SUID: id}, wire.KindSUKey)
 	if err != nil {
 		return nil, err
 	}
@@ -548,12 +538,7 @@ func (c *STPClient) SUKeyContext(ctx context.Context, id string) (*paillier.Publ
 // re-registration is a no-op), which is what makes the broadcast and
 // its retries safe.
 func (c *STPClient) RegisterSU(id string, pk *paillier.PublicKey) error {
-	return c.RegisterSUContext(context.Background(), id, pk)
-}
-
-// RegisterSUContext is RegisterSU under a caller deadline.
-func (c *STPClient) RegisterSUContext(ctx context.Context, id string, pk *paillier.PublicKey) error {
-	return c.broadcast(ctx, &wire.Envelope{Kind: wire.KindRegisterSU, SUID: id, Paillier: pk}, wire.KindAck)
+	return c.broadcast(context.Background(), &wire.Envelope{Kind: wire.KindRegisterSU, SUID: id, Paillier: pk}, wire.KindAck)
 }
 
 // SDCClient is the PU/SU view of a remote SDC server.
@@ -576,24 +561,14 @@ func DialSDCWith(opts Options, addr string) *SDCClient {
 
 // SendUpdate delivers a PU channel-reception update.
 func (c *SDCClient) SendUpdate(u *pisa.PUUpdate) error {
-	return c.SendUpdateContext(context.Background(), u)
-}
-
-// SendUpdateContext is SendUpdate under a caller deadline.
-func (c *SDCClient) SendUpdateContext(ctx context.Context, u *pisa.PUUpdate) error {
-	_, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindPUUpdate, PUUpdate: u}, wire.KindAck)
+	_, err := c.call(&wire.Envelope{Kind: wire.KindPUUpdate, PUUpdate: u}, wire.KindAck)
 	return err
 }
 
 // SendRequest delivers an SU transmission request and returns the
 // SDC's (always identically-shaped) response.
 func (c *SDCClient) SendRequest(r *pisa.TransmissionRequest) (*pisa.Response, error) {
-	return c.SendRequestContext(context.Background(), r)
-}
-
-// SendRequestContext is SendRequest under a caller deadline.
-func (c *SDCClient) SendRequestContext(ctx context.Context, r *pisa.TransmissionRequest) (*pisa.Response, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindSURequest, Request: r}, wire.KindSUResponse)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindSURequest, Request: r}, wire.KindSUResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -605,12 +580,7 @@ func (c *SDCClient) SendRequestContext(ctx context.Context, r *pisa.Transmission
 
 // EColumn fetches the public E column for a block.
 func (c *SDCClient) EColumn(b geo.BlockID) ([]int64, error) {
-	return c.EColumnContext(context.Background(), b)
-}
-
-// EColumnContext is EColumn under a caller deadline.
-func (c *SDCClient) EColumnContext(ctx context.Context, b geo.BlockID) ([]int64, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindEColumnRequest, Block: int(b)}, wire.KindEColumn)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindEColumnRequest, Block: int(b)}, wire.KindEColumn)
 	if err != nil {
 		return nil, err
 	}
@@ -619,12 +589,7 @@ func (c *SDCClient) EColumnContext(ctx context.Context, b geo.BlockID) ([]int64,
 
 // VerifyKey fetches the SDC's license verification key.
 func (c *SDCClient) VerifyKey() (*rsa.PublicKey, error) {
-	return c.VerifyKeyContext(context.Background())
-}
-
-// VerifyKeyContext is VerifyKey under a caller deadline.
-func (c *SDCClient) VerifyKeyContext(ctx context.Context) (*rsa.PublicKey, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindVerifyKeyRequest}, wire.KindVerifyKey)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindVerifyKeyRequest}, wire.KindVerifyKey)
 	if err != nil {
 		return nil, err
 	}
@@ -646,12 +611,7 @@ func (c *SDCClient) ProcessRequest(r *pisa.TransmissionRequest) (*pisa.Response,
 // Shard queries are idempotent, so the client's retry machinery
 // re-sends them to the shard after a transport fault.
 func (c *SDCClient) ProcessShard(r *pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {
-	return c.ProcessShardContext(context.Background(), r)
-}
-
-// ProcessShardContext is ProcessShard under a caller deadline.
-func (c *SDCClient) ProcessShardContext(ctx context.Context, r *pisa.TransmissionRequest) (*pisa.ShardAnswer, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindShardQuery, Request: r}, wire.KindShardAnswer)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindShardQuery, Request: r}, wire.KindShardAnswer)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"time"
@@ -66,15 +65,10 @@ func DialShareWith(opts Options, addrs ...string) *ShareClient {
 }
 
 // PartialDecryptBatch implements pisa.ShareService over the wire.
+// Partial decryption is a pure function of the ciphertexts, so
+// transport faults retry freely across the replica set.
 func (c *ShareClient) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
-	return c.PartialDecryptBatchContext(context.Background(), cts)
-}
-
-// PartialDecryptBatchContext is PartialDecryptBatch under a caller
-// deadline. Partial decryption is a pure function of the ciphertexts,
-// so transport faults retry freely across the replica set.
-func (c *ShareClient) PartialDecryptBatchContext(ctx context.Context, cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
-	resp, err := c.callCtx(ctx, &wire.Envelope{Kind: wire.KindPartialRequest, Ciphertexts: cts}, wire.KindPartialResponse)
+	resp, err := c.call(&wire.Envelope{Kind: wire.KindPartialRequest, Ciphertexts: cts}, wire.KindPartialResponse)
 	if err != nil {
 		return nil, err
 	}

@@ -333,16 +333,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Mean returns the average observed value, or 0 before the first
-// observation — the convenient form for benchmark harnesses that
-// report per-stage costs from live histograms.
-func (h *Histogram) Mean() float64 {
-	if c := h.Count(); c > 0 {
-		return h.Sum() / float64(c)
-	}
-	return 0
-}
-
 // Snapshot captures the histogram's current bucket counts and sum.
 // Subtracting two snapshots (Sub) isolates the observations of one
 // measured region, which is how the load harness reports per-row

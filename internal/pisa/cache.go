@@ -3,7 +3,6 @@ package pisa
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"slices"
 
 	"pisa/internal/geo"
@@ -13,16 +12,16 @@ import (
 )
 
 // decisionCache memoises the aggregate-pass output of eqs. 11-12: the
-// encrypted indicator column Ĩ for one request shape, which depends
-// only on public inputs — the plaintext request shape (committed by
-// the SU's ShapeDigest) and the budget content the SDC folded PU
-// updates into. Neither the SU's key nor any per-request randomness
-// enters before eq. 13, so the column can be reused across refreshes
-// of the same SU — and across SUs within a declared trust domain.
-// Entries are read-only and never leave the SDC: every serving goes
-// out blinded under a fresh (alpha, beta, eps) tuple whose E(-eps*beta)
-// factor carries a fresh nonce, so no two servings are linkable to
-// each other or to the entry (DESIGN.md §14).
+// encrypted indicator column Ĩ = Ñ ⊖ X⊗F̃ of one request, which depends
+// only on the F̃ ciphertexts the SDC received and the budget content it
+// folded PU updates into. Neither the SU's key nor any per-request
+// randomness enters before eq. 13, so the column can be reused when the
+// same request comes back — a digest-carrying refresh resends its
+// ciphertexts as they are (SU.RefreshRequest). Entries are read-only and
+// never leave the SDC: every serving goes out blinded under a fresh
+// (alpha, beta, eps) tuple whose E(-eps*beta) factor carries a fresh
+// nonce, so no two servings are linkable to each other or to the entry
+// (DESIGN.md §14).
 //
 // What a hit still pays is that blinding, and its Ĩ^alpha is a power of
 // a base that has not changed since the last serving. So a hit tables
@@ -31,22 +30,22 @@ import (
 // half the cost and to the same bits. Not at insert: an entry that is
 // never hit would pay a build worth half an exponentiation per ciphertext
 // for nothing. The same holds for the entry itself: a miss installs its
-// column only if its scoped key has missed before and the first-miss set
-// still remembers it (admit, TinyLFU's doorkeeper), so a shape that is
-// never asked for again costs one key in that set instead of an entry.
+// column only if its key has missed before and the first-miss set still
+// remembers it (admit, TinyLFU's doorkeeper), so a request that is never
+// sent again costs one key in that set instead of an entry.
 // Tables are memory the entry bound does not see — seven times
 // the entry's own ciphertexts — so they have their own byte budget:
 // over it, the least recently used entries lose their tables (not their
 // place), serve through the general exponentiation, and are tabled
 // again by their next hit.
 //
-// Entries are keyed on scopedCacheKey, not on the raw digest: the
-// digest is SU-supplied and the SDC cannot check it against the
-// encrypted F values, so an entry filled from one SU's ciphertexts
-// must never be served to a different SU unless the operator has
-// declared the two to be in the same cache domain (Params.
-// CacheDomains — one administrative fleet whose members are trusted
-// not to ship a mismatched digest/F pair at each other).
+// Entries are keyed on the request's own bytes (cacheKey): its license
+// digest binds the SUID, the dimensions and every ciphertext to its
+// (channel, group) coordinates. A request is therefore only ever served
+// from a column computed from its own ciphertexts, so entries are per SU
+// and line up cell by cell with the request by construction, and the
+// SU-supplied ShapeDigest is read only as the opt-in: zero bypasses the
+// cache.
 //
 // Freshness is exact, not heuristic, and kept per cached ciphertext:
 // every Ĩ stores the content versions (SDC.colApplied) of the budget
@@ -64,9 +63,9 @@ import (
 // applied version, and a recompute snapshots whatever the rebuild
 // discipline yields).
 //
-// An entry's coordinates, versions and ciphertexts never change once it
-// is in the cache; a request that read them under the lock keeps using
-// them outside it, whatever replaces the entry meanwhile. Only the table
+// An entry's versions and ciphertexts never change once it is in the
+// cache; a request that read them under the lock keeps using them
+// outside it, whatever replaces the entry meanwhile. Only the table
 // bookkeeping (tabs, tabBytes, tabling) moves, under the lock, and tabs
 // is replaced as a whole, never written into.
 //
@@ -98,49 +97,13 @@ type decisionCache struct {
 // letting CacheEntries paper-scale entries claim 17 GiB.
 const cacheTableBudget = 64 << 20
 
-// Cache-key scope discriminators: a per-SU scope (the default — the
-// scope string is the requester's SUID) and a shared-domain scope
-// (the scope string is the operator-declared domain name). The tag
-// byte domain-separates the two, so an SU whose id collides with a
-// domain name can never alias its entries.
-const (
-	cacheKeyTag      = "pisa-cache-key-v1\x00"
-	cacheScopePerSU  = byte(0)
-	cacheScopeDomain = byte(1)
-)
-
-// scopedCacheKey derives the cache map key: SHA-256 over a domain
-// tag, the sharing scope (length-prefixed, so scope/digest boundaries
-// cannot shift) and the SU-supplied shape digest. Binding the scope
-// into the key is the cross-SU poisoning defence — a dishonest digest
-// can only ever address entries inside the sender's own scope.
-func scopedCacheKey(scopeTag byte, scope string, digest [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte(cacheKeyTag))
-	h.Write([]byte{scopeTag})
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(scope)))
-	h.Write(n[:])
-	h.Write([]byte(scope))
-	h.Write(digest[:])
-	var key [32]byte
-	h.Sum(key[:0])
-	return key
-}
-
-// cellCoord is one (channel, block-or-group) coordinate of the
-// request enumeration, in the deterministic row-major order
-// ForEach/ForEachGroup yield.
-type cellCoord struct{ c, b int }
+// cacheKeyTag domain-separates the cache key from the license digest it
+// is derived from.
+const cacheKeyTag = "pisa-cache-key-v2\x00"
 
 // cacheEntry is one memoised aggregate column.
 type cacheEntry struct {
 	key [32]byte
-	// coords is the exact footprint enumeration the entry was computed
-	// over; a hit must match it positionally, so a dishonest digest
-	// (same digest, different disclosure) degrades to a miss rather
-	// than misaligning ciphertexts against blinding factors.
-	coords []cellCoord
 	// vers[k] holds the colApplied values, at snapshot time, of the budget
 	// blocks cell k reads (SDC.cellBlocks). Cells on one block coordinate
 	// share a slice.
@@ -160,22 +123,8 @@ type cacheEntry struct {
 	tabBytes int
 }
 
-// aligned reports whether the entry was computed over exactly these
-// cells, in this order.
-func (e *cacheEntry) aligned(cells []requestCell) bool {
-	if len(e.coords) != len(cells) {
-		return false
-	}
-	for i := range cells {
-		if e.coords[i].c != cells[i].c || e.coords[i].b != cells[i].b {
-			return false
-		}
-	}
-	return true
-}
-
-// moved lists the cells of an aligned entry whose budget content is no
-// longer at the versions given, index-aligned with the entry's.
+// moved lists the cells of the entry whose budget content is no longer
+// at the versions given, index-aligned with the entry's.
 func (e *cacheEntry) moved(vers [][]uint64) []int {
 	var moved []int
 	for k := range e.vers {
@@ -353,16 +302,15 @@ func tabled(tabs []*paillier.PowerTable) bool {
 
 // CacheCounters is a point-in-time snapshot of one SDC instance's
 // decision-cache activity. Admitted counts the Misses that installed an
-// entry because their shape had missed before, so Misses − Admitted is
+// entry because their key had missed before, so Misses − Admitted is
 // the one-off share: first misses, which only the first-miss set
-// remembers. A Stale lookup whose entry covered the same cells kept the
-// cached ciphertexts no PU update had touched (CellsKept)
-// and recomputed the others (CellsRecomputed); it is one Stale, never a
-// Hit, however much it kept. Tabled counts the servings blinded from
-// power tables, in whole or in part (the rest took the general
-// exponentiation), TableBuilds and TableDrops the tables built by hits
-// and taken back by the byte budget, TableBytes what live entries hold
-// now.
+// remembers. A Stale lookup kept the cached ciphertexts no PU update had
+// touched (CellsKept) and recomputed the others (CellsRecomputed); it is
+// one Stale, never a Hit, however much it kept. Tabled counts the
+// servings blinded from power tables, in whole or in part (the rest took
+// the general exponentiation), TableBuilds and TableDrops the tables
+// built by hits and taken back by the byte budget, TableBytes what live
+// entries hold now.
 type CacheCounters struct {
 	Hits, Misses, Stale, Bypass, Evicted uint64
 	Admitted                             uint64
@@ -399,7 +347,7 @@ func (s *SDC) CachedDecisions() int {
 // the entry it installs and the tables it blinds from.
 type cacheLookup struct {
 	digest    bool                   // the request carried a shape digest
-	from      *cacheEntry            // the aligned entry serving every cell not in recompute
+	from      *cacheEntry            // the entry serving every cell not in recompute
 	recompute []int                  // every cell when from is nil
 	install   *cacheEntry            // installed once aggregated (installEntry); nil if nothing is
 	admitted  bool                   // install is a miss's, admitted
@@ -407,19 +355,34 @@ type cacheLookup struct {
 	build     bool                   // this request tables what from lacks (tableEntry)
 }
 
+// cacheKey derives the decision-cache key of a request that consults the
+// cache — the zero key for one that does not: a tagged hash of the
+// request's license digest, which binds the SUID, the dimensions and every
+// ciphertext to its coordinates. It hashes every ciphertext, so the
+// snapshot calls it before taking s.mu.
+func (s *SDC) cacheKey(req *TransmissionRequest) ([32]byte, error) {
+	if s.cache.cap == 0 || req.ShapeDigest == ([32]byte{}) {
+		return [32]byte{}, nil
+	}
+	d, err := req.Digest()
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return sha256.Sum256(append([]byte(cacheKeyTag), d[:]...)), nil
+}
+
 // lookupLocked is the cache lookup of a request's snapshot, in the same
 // critical section: the colApplied values read here identify exactly the
 // budget content the snapshot holds, so a cached ciphertext whose versions
-// match equals what a recompute would produce for its cell. Entries are
-// addressed by the digest bound to the requester's sharing scope
-// (cacheKeyFor), never by the raw digest alone. Caller holds s.mu.
-func (s *SDC) lookupLocked(req *TransmissionRequest, cells []requestCell) (l cacheLookup) {
+// match equals what a recompute would produce for its cell. key is the
+// request's cacheKey. Caller holds s.mu.
+func (s *SDC) lookupLocked(req *TransmissionRequest, key [32]byte, cells []requestCell) (l cacheLookup) {
 	switch {
 	case s.cache.cap == 0: // disabled
 	case req.ShapeDigest == [32]byte{}:
 		s.cache.count(&s.cache.stats.Bypass, metrics().cacheBypass, 1)
 	default:
-		l = s.cache.lookup(s.cacheKeyFor(req.SUID, req.ShapeDigest), cells, s.footprintVersLocked(cells))
+		l = s.cache.lookup(key, s.footprintVersLocked(cells))
 	}
 	if l.from == nil {
 		l.recompute = make([]int, len(cells))
@@ -431,53 +394,43 @@ func (s *SDC) lookupLocked(req *TransmissionRequest, cells []requestCell) (l cac
 }
 
 // lookup is the cache policy for one digest-carrying request, given its
-// scoped key, its cells and their current content versions: it counts the
+// key and the current content versions of its cells: it counts the
 // request as one miss, stale lookup or hit and decides what the request
-// takes from the cache and what it gives back.
-func (dc *decisionCache) lookup(key [32]byte, cells []requestCell, vers [][]uint64) (l cacheLookup) {
+// takes from the cache and what it gives back. An entry under the key was
+// computed over the very cells of the request, in the same order.
+func (dc *decisionCache) lookup(key [32]byte, vers [][]uint64) (l cacheLookup) {
 	m := metrics()
 	l.digest = true
 	e := dc.get(key)
-	switch {
-	case e == nil: // installs only on the key's second miss
+	if e == nil { // installs only on the key's second miss
 		dc.count(&dc.stats.Misses, m.cacheMisses, 1)
-		if l.admitted = dc.admit(key); !l.admitted {
-			return l
+		if l.admitted = dc.admit(key); l.admitted {
+			l.install = &cacheEntry{key: key, vers: vers}
 		}
-	case e.aligned(cells):
-		l.from, l.tabs, l.recompute = e, e.tabs, e.moved(vers)
-		if len(l.recompute) == 0 { // a hit: one request at a time tables it
-			dc.count(&dc.stats.Hits, m.cacheHits, 1)
-			if !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil)) {
-				e.tabling, l.build = true, true
-			} else {
-				dc.countTabled(l.tabs)
-			}
-			return l
+		return l
+	}
+	l.from, l.tabs, l.recompute = e, e.tabs, e.moved(vers)
+	if len(l.recompute) == 0 { // a hit: one request at a time tables it
+		dc.count(&dc.stats.Hits, m.cacheHits, 1)
+		if !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil)) {
+			e.tabling, l.build = true, true
+		} else {
+			dc.countTabled(l.tabs)
 		}
-		// Stale in these cells only, whose tables table old content: they
-		// are recomputed, the rest kept, and the request's entry replaces e.
-		dc.count(&dc.stats.CellsKept, m.cacheCellsKept, len(cells)-len(l.recompute))
-		dc.count(&dc.stats.CellsRecomputed, m.cacheCellsRecomputed, len(l.recompute))
-		if l.tabs != nil {
-			l.tabs = slices.Clone(l.tabs)
-			for _, k := range l.recompute {
-				l.tabs[k] = nil
-			}
+		return l
+	}
+	// Stale in these cells only, whose tables table old content: they are
+	// recomputed, the rest kept, and the request's entry replaces e.
+	dc.count(&dc.stats.Stale, m.cacheStale, 1)
+	dc.count(&dc.stats.CellsKept, m.cacheCellsKept, len(vers)-len(l.recompute))
+	dc.count(&dc.stats.CellsRecomputed, m.cacheCellsRecomputed, len(l.recompute))
+	if l.tabs != nil {
+		l.tabs = slices.Clone(l.tabs)
+		for _, k := range l.recompute {
+			l.tabs[k] = nil
 		}
-	default:
-		// A digest collision, or a scope member reusing another shape's
-		// digest: nothing of the entry lines up with the request's cells.
-		dc.removeElement(dc.byKey[key])
 	}
-	if e != nil { // stale, whole or in part
-		dc.count(&dc.stats.Stale, m.cacheStale, 1)
-	}
-	coords := make([]cellCoord, len(cells))
-	for i := range cells {
-		coords[i] = cellCoord{c: cells[i].c, b: cells[i].b}
-	}
-	l.install = &cacheEntry{key: key, coords: coords, vers: vers, tabs: l.tabs}
+	l.install = &cacheEntry{key: key, vers: vers, tabs: l.tabs}
 	return l
 }
 
@@ -505,21 +458,8 @@ func (s *SDC) footprintVersLocked(cells []requestCell) [][]uint64 {
 	return vers
 }
 
-// cacheKeyFor derives the decision-cache key for a request: the shape
-// digest bound to its sharing scope — the requester's declared cache
-// domain when the operator registered one, the requester's own SUID
-// otherwise. Under the default per-SU scope a dishonest digest can
-// only address (and so only poison) the sender's own entries; sharing
-// across SUs requires the explicit CacheDomains trust declaration.
-func (s *SDC) cacheKeyFor(suid string, digest [32]byte) [32]byte {
-	if domain, ok := s.cacheDomain[suid]; ok {
-		return scopedCacheKey(cacheScopeDomain, domain, digest)
-	}
-	return scopedCacheKey(cacheScopePerSU, suid, digest)
-}
-
 // installEntry completes the entry a request's lookup prepared — key,
-// coordinates, versions, and the tables of the ciphertexts it keeps —
+// versions, and the tables of the ciphertexts it keeps —
 // with its column and puts it in the cache. is is the column the request
 // serves: the cells the lookup left to recompute it aggregated itself,
 // the rest it took from the entry its lookup found. The versions in the

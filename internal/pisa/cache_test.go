@@ -87,12 +87,12 @@ func (c cacheEventCounts) deltaFrom(prev cacheEventCounts) cacheEventCounts {
 }
 
 // TestCacheHitOracleParity runs the same scenario with the cache on
-// and off, at k = 4 and at the paper's k = 1: two SUs of one declared cache
-// domain sharing a request shape, decisions checked against the
-// plaintext oracle in both the empty band and the PU-denied state.
-// With the cache on, the second SU's aggregate must be served from
-// the cache (hit counted) and still yield the per-SU correct,
-// oracle-identical decision.
+// and off, at k = 4 and at the paper's k = 1: one SU refreshing a request,
+// decisions checked against the plaintext oracle in both the empty band
+// and the PU-denied state. With the cache on, the second refresh's
+// aggregate must be served from the cache (hit counted) and still yield
+// the oracle-identical decision; a re-prepared request of the same shape
+// carries other ciphertexts and misses.
 func TestCacheHitOracleParity(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -110,34 +110,32 @@ func TestCacheHitOracleParity(t *testing.T) {
 					oneSlot(t, p)
 				}
 				p.CacheEntries = tc.entries
-				// Cross-SU sharing is opt-in: without this declaration
-				// each SU only hits entries it filled itself.
-				p.CacheDomains = map[string][]string{"fleet": {"su-a", "su-b"}}
 			})
-			su1 := d.newSU(t, "su-a", 7)
-			su2 := d.newSU(t, "su-b", 7)
+			var on uint64 // the events of a request the cache sees, 0 when disabled
+			if tc.entries > 0 {
+				on = 1
+			}
+			su := d.newSU(t, "su-a", 7)
 			eirp := map[int]int64{1: maxEIRP(d)}
+			base, err := su.PrepareRequest(eirp, geo.Disclosure{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			missOnce(t, d.sdc, base)
 
+			// check serves two refreshes of base against the oracle.
 			check := func(wantHits, wantMisses uint64) {
 				t.Helper()
 				before := snapshotCacheEvents()
-				req1, err := su1.PrepareRequest(eirp, geo.Disclosure{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				req2, err := su2.PrepareRequest(eirp, geo.Disclosure{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if req1.ShapeDigest != req2.ShapeDigest {
-					t.Fatal("same-shape requests disagree on the digest")
-				}
 				want := d.oracleDecision(t, 7, eirp)
-				if got := d.decide(t, su1, req1).Granted; got != want {
-					t.Fatalf("su-a: PISA=%v, oracle=%v", got, want)
-				}
-				if got := d.decide(t, su2, req2).Granted; got != want {
-					t.Fatalf("su-b (cache-served): PISA=%v, oracle=%v", got, want)
+				for i := 0; i < 2; i++ {
+					req, err := su.RefreshRequest(base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := d.decide(t, su, req).Granted; got != want {
+						t.Fatalf("refresh %d: PISA=%v, oracle=%v", i, got, want)
+					}
 				}
 				delta := snapshotCacheEvents().deltaFrom(before)
 				if delta.hits != wantHits || delta.misses != wantMisses {
@@ -145,25 +143,27 @@ func TestCacheHitOracleParity(t *testing.T) {
 				}
 			}
 
-			first, err := su1.PrepareRequest(eirp, geo.Disclosure{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			missOnce(t, d.sdc, first)
-			if tc.entries > 0 {
-				check(1, 1) // su-a misses and fills; su-b hits
-			} else {
-				check(0, 0) // disabled: no cache traffic at all
-			}
+			check(on, on) // the first refresh misses and fills; the second hits
 
 			// A PU landing next door flips the decision; parity must hold
 			// through the invalidation too.
 			pu := d.newPU(t, "tv-1", 8)
 			d.tune(t, pu, 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
-			if tc.entries > 0 {
-				check(1, 0) // old entry went stale silently... see below
-			} else {
-				check(0, 0)
+			check(on, 0) // the first refresh is stale and refills; the second hits
+
+			again, err := su.PrepareRequest(eirp, geo.Disclosure{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.ShapeDigest != base.ShapeDigest {
+				t.Fatal("same-shape requests disagree on the digest")
+			}
+			before := snapshotCacheEvents()
+			if got, want := d.decide(t, su, again).Granted, d.oracleDecision(t, 7, eirp); got != want {
+				t.Fatalf("re-prepared request: PISA=%v, oracle=%v", got, want)
+			}
+			if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 0 || delta.misses != on {
+				t.Fatalf("re-prepared request: cache events = %+v, want a miss and no hit", delta)
 			}
 		})
 	}
@@ -260,28 +260,46 @@ func TestCacheBypassWithoutDigest(t *testing.T) {
 	}
 }
 
+// entryOf returns the cache entry s holds under req's key, or nil.
+func entryOf(t *testing.T, s *SDC, req *TransmissionRequest) *cacheEntry {
+	t.Helper()
+	key, err := s.cacheKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache.get(key)
+}
+
 // TestCachePerSUScopeIsolation is the cross-SU poisoning regression:
 // the shape digest is SU-supplied and the SDC cannot verify it against
-// the encrypted F values, so cache entries are scoped to the
-// requester. A rogue SU submitting a popular shape's honest digest
-// over a mismatching F matrix (same coordinates, different demand)
-// must only ever poison itself — the honest SU carrying the same
-// digest gets a scoped miss, a fresh recompute, and the
-// oracle-correct decision.
+// the encrypted F values, so cache entries are keyed on the ciphertexts
+// the SDC received instead. A rogue SU submitting a popular shape's
+// honest digest over a mismatching F matrix (same coordinates, different
+// demand) fills an entry of its own, from its own F; the honest SU
+// carrying the same digest misses, recomputes and gets the oracle-correct
+// decision — and so does the rogue's own genuine request under that
+// digest, which no entry computed from other ciphertexts can answer.
 func TestCachePerSUScopeIsolation(t *testing.T) {
 	d := newDeployment(t)
 	honest := d.newSU(t, "su-honest", 7)
 	rogue := d.newSU(t, "su-rogue", 7)
 	strong := map[int]int64{1: maxEIRP(d)}
 	weak := map[int]int64{1: d.params.Watch.Quantize(1)}
+	// A PU next door denies the strong demand and leaves the weak one.
+	d.tune(t, d.newPU(t, "tv-1", 8), 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
+	want := d.oracleDecision(t, 7, strong)
+	if d.oracleDecision(t, 7, weak) == want {
+		t.Fatal("scenario not decision-flipping between the weak and the strong demand")
+	}
 
 	honestReq, err := honest.PrepareRequest(strong, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The rogue claims the honest shape's digest over weak-demand F
-	// values at the same coordinates (full disclosure either way, so
-	// the positional coords check cannot catch the mismatch).
+	// values at the same coordinates.
 	poisoned, err := rogue.PrepareRequest(weak, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
@@ -295,27 +313,23 @@ func TestCachePerSUScopeIsolation(t *testing.T) {
 
 	before := snapshotCacheEvents()
 	rogueGrant := d.decide(t, rogue, poisoned).Granted
-	want := d.oracleDecision(t, 7, strong)
 	if got := d.decide(t, honest, honestReq).Granted; got != want {
 		t.Fatalf("honest SU's decision %v poisoned away from the oracle's %v", got, want)
 	}
 	delta := snapshotCacheEvents().deltaFrom(before)
 	if delta.hits != 0 || delta.misses != 2 {
-		t.Fatalf("cache events = %+v, want two scoped misses and no cross-SU hit", delta)
+		t.Fatalf("cache events = %+v, want two misses and no cross-SU hit", delta)
 	}
 
-	// The two scopes hold different aggregates for the one digest —
+	// The two requests hold different aggregates for the one digest —
 	// the rogue's entry really was computed from its own weak F, and
 	// never replaced or served the honest SU's column.
-	d.sdc.mu.Lock()
-	rogueEntry := d.sdc.cache.get(d.sdc.cacheKeyFor("su-rogue", honestReq.ShapeDigest))
-	honestEntry := d.sdc.cache.get(d.sdc.cacheKeyFor("su-honest", honestReq.ShapeDigest))
-	d.sdc.mu.Unlock()
+	rogueEntry, honestEntry := entryOf(t, d.sdc, poisoned), entryOf(t, d.sdc, honestReq)
 	if rogueEntry == nil || honestEntry == nil {
-		t.Fatal("scoped entries missing after the two fills")
+		t.Fatal("entries missing after the two fills")
 	}
 	if len(rogueEntry.is) != len(honestEntry.is) {
-		t.Fatalf("scoped entries disagree on footprint size: %d vs %d", len(rogueEntry.is), len(honestEntry.is))
+		t.Fatalf("entries disagree on footprint size: %d vs %d", len(rogueEntry.is), len(honestEntry.is))
 	}
 	differs := false
 	for i := range honestEntry.is {
@@ -333,90 +347,22 @@ func TestCachePerSUScopeIsolation(t *testing.T) {
 		}
 	}
 	if !differs {
-		t.Fatal("rogue and honest scopes cached identical aggregates for different F matrices")
+		t.Fatal("rogue and honest entries hold identical aggregates for different F matrices")
 	}
 
-	// Within its own scope the dishonest digest IS self-inflicted: the
-	// rogue's genuine strong-demand request now hits its own poisoned
-	// entry and is answered with the weak-F aggregate's decision.
+	// The dishonest digest buys nothing, not even from the rogue's own
+	// entry: its genuine strong-demand request under the same digest is a
+	// miss and gets the oracle's decision, not the weak-F one.
 	rogueStrong, err := rogue.PrepareRequest(strong, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before = snapshotCacheEvents()
-	if got := d.decide(t, rogue, rogueStrong).Granted; got != rogueGrant {
-		t.Fatalf("self-poisoned decision %v, want the weak-F answer %v", got, rogueGrant)
+	if got := d.decide(t, rogue, rogueStrong).Granted; got != want {
+		t.Fatalf("rogue's genuine request decided %v, the oracle %v (the weak-F answer is %v)", got, want, rogueGrant)
 	}
-	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 1 {
-		t.Fatalf("cache events = %+v, want the rogue to hit its own poisoned entry", delta)
-	}
-}
-
-// TestCacheDomainScope: members of a declared trust domain share
-// entries with each other, but an SU outside the domain can neither
-// read nor seed what the fleet is served.
-func TestCacheDomainScope(t *testing.T) {
-	d := newCacheDeployment(t, func(p *Params) {
-		p.CacheDomains = map[string][]string{"fleet": {"su-a", "su-b"}}
-	})
-	a := d.newSU(t, "su-a", 7)
-	b := d.newSU(t, "su-b", 7)
-	out := d.newSU(t, "su-out", 7)
-	strong := map[int]int64{1: maxEIRP(d)}
-	weak := map[int]int64{1: d.params.Watch.Quantize(1)}
-
-	reqA, err := a.PrepareRequest(strong, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned, err := out.PrepareRequest(weak, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned.ShapeDigest = reqA.ShapeDigest
-	missOnce(t, d.sdc, poisoned)
-	missOnce(t, d.sdc, reqA)
-
-	before := snapshotCacheEvents()
-	d.decide(t, out, poisoned) // fills the outsider's own scope only
-	want := d.oracleDecision(t, 7, strong)
-	if got := d.decide(t, a, reqA).Granted; got != want {
-		t.Fatalf("domain member a: decision %v, oracle %v", got, want)
-	}
-	reqB, err := b.PrepareRequest(strong, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.decide(t, b, reqB).Granted; got != want {
-		t.Fatalf("domain member b (shared-entry hit): decision %v, oracle %v", got, want)
-	}
-	delta := snapshotCacheEvents().deltaFrom(before)
-	// Outsider: miss into its own scope; a: miss that fills the fleet
-	// scope; b: hit on a's entry.
-	if delta.misses != 2 || delta.hits != 1 {
-		t.Fatalf("cache events = %+v, want 2 misses (outsider + first member) and 1 shared hit", delta)
-	}
-}
-
-// TestCacheDomainsValidation pins the Params-level declaration checks:
-// a domain must be named, non-empty, and no SUID may be claimed twice.
-func TestCacheDomainsValidation(t *testing.T) {
-	for name, domains := range map[string]map[string][]string{
-		"duplicate-member": {"a": {"su-1"}, "b": {"su-1"}},
-		"empty-domain":     {"a": {}},
-		"empty-name":       {"": {"su-1"}},
-		"empty-suid":       {"a": {""}},
-	} {
-		params := TestParams(testWatchParams(t))
-		params.CacheDomains = domains
-		if err := params.Validate(); err == nil {
-			t.Errorf("%s: invalid CacheDomains passed validation", name)
-		}
-	}
-	params := TestParams(testWatchParams(t))
-	params.CacheDomains = map[string][]string{"a": {"su-1", "su-2"}, "b": {"su-3"}}
-	if err := params.Validate(); err != nil {
-		t.Errorf("valid CacheDomains rejected: %v", err)
+	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 0 || delta.misses != 1 {
+		t.Fatalf("cache events = %+v, want the rogue's genuine request to miss", delta)
 	}
 }
 
@@ -451,18 +397,15 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 	}
 	m := metrics()
 	entries0, bytes0 := m.cacheEntries.Value(), m.cacheTableBytes.Value()
-	// Each shape has a cell in both windows; the repeat hits and tables.
-	// With missed set, each shape goes through missOnce first, so that its
-	// serving fills; Close forgets first misses with the entries.
-	serve := func(missed bool, eirps ...map[int]int64) {
+	// Each request has a cell in both windows; the repeat hits and tables.
+	// With missed set, each request goes through missOnce first, so that
+	// its serving fills; Close forgets first misses with the entries.
+	serve := func(missed bool, reqs ...*TransmissionRequest) {
 		t.Helper()
-		for _, eirp := range eirps {
-			req, err := su.PrepareRequest(eirp, geo.Disclosure{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, req := range reqs {
 			for i, s := range shards {
 				sub := *req
+				var err error
 				if sub.FP, err = req.FP.ChannelSlice(s.ChannelWindow()); err != nil {
 					t.Fatal(err)
 				}
@@ -488,8 +431,17 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 				what, gotEntries, gotBytes, entries, wantEntries, bytes)
 		}
 	}
-	serve(true, map[int]int64{0: 1, 2: 1}, map[int]int64{1: 1, 2: 1})
-	serve(false, map[int]int64{0: 1, 2: 1})
+	prepare := func(eirp map[int]int64) *TransmissionRequest {
+		t.Helper()
+		req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	first, second := prepare(map[int]int64{0: 1, 2: 1}), prepare(map[int]int64{1: 1, 2: 1})
+	serve(true, first, second)
+	serve(false, first)
 	check("after requests", 4)
 	if m.cacheTableBytes.Value() == bytes0 {
 		t.Fatal("the repeat built no tables")
@@ -498,7 +450,7 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 		s.Close()
 	}
 	check("after Close", 0)
-	serve(true, map[int]int64{0: 1, 2: 1})
+	serve(true, first)
 	check("serving after Close", 2)
 	for _, s := range shards {
 		s.Close()
@@ -562,9 +514,7 @@ func TestCacheRerandomizedUnlinkable(t *testing.T) {
 	rec.sets = nil                       // sign tests count from the fill on
 	want := d.decide(t, su, req).Granted // fills the cache
 
-	sdc.mu.Lock()
-	entry := sdc.cache.get(sdc.cacheKeyFor("su-1", req.ShapeDigest))
-	sdc.mu.Unlock()
+	entry := entryOf(t, sdc, req)
 	if entry == nil {
 		t.Fatal("request did not fill the cache")
 	}
@@ -933,9 +883,8 @@ func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
 // ciphertext of the column the cache then holds decrypts to N - X*F of
 // the budget as it stands, which is what an SDC without a cache computes.
 // Ciphertexts no update touched are the very objects the previous entry
-// held, tables included, and that entry is left as it was; a request over
-// other coordinates takes nothing from the entry; and while a rebuild is
-// in flight (colApplied behind colVer) the column still matches the
+// held, tables included, and that entry is left as it was; and while a
+// rebuild is in flight (colApplied behind colVer) the column still matches the
 // budget a recompute would read, the rebuilt content replacing it at the
 // first lookup after the write-back.
 func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
@@ -960,35 +909,40 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	if k != 4 || req.Ciphertexts() != groups*perGroup {
 		t.Fatalf("band request has %d ciphertexts at %d slots, want %d at 4", req.Ciphertexts(), k, groups*perGroup)
 	}
-	key := sdc.cacheKeyFor(su.ID(), req.ShapeDigest)
+	// groupOf[i] is the slot group of the request's ciphertext i, in the
+	// order of its cells and of the entry's ciphertexts.
+	var groupOf []int
+	if err := req.FP.ForEachGroup(func(_, g int, _ *paillier.Ciphertext) error {
+		groupOf = append(groupOf, g)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	weak := wp.Quantize(wp.SMinPUmW)
 	deltaX := big.NewInt(wp.DeltaInt)
 	modulus := stp.GroupKey().N
 
-	// entry returns the cached entry of the band shape with its tables.
+	// entry returns the cached entry of the band request with its tables.
 	entry := func() (*cacheEntry, []*paillier.PowerTable) {
-		sdc.mu.Lock()
-		defer sdc.mu.Unlock()
-		e := sdc.cache.get(key)
+		e := entryOf(t, sdc, req)
 		if e == nil {
 			return nil, nil
 		}
+		sdc.mu.Lock()
+		defer sdc.mu.Unlock()
 		return e, e.tabs
 	}
 	// mismatch compares every ciphertext of e with N - X*F decrypted from
 	// the budget as it stands and the request's own F.
-	mismatch := func(e *cacheEntry, req *TransmissionRequest) error {
+	mismatch := func(e *cacheEntry) error {
 		if len(e.is) != req.Ciphertexts() {
 			return fmt.Errorf("entry holds %d ciphertexts, the request %d", len(e.is), req.Ciphertexts())
 		}
-		for i, at := range e.coords {
+		i := 0
+		return req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
 			sdc.mu.Lock()
-			n, err := sdc.nPack.GroupAt(at.c, at.b)
+			n, err := sdc.nPack.GroupAt(c, g)
 			sdc.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			f, err := req.FP.GroupAt(at.c, at.b)
 			if err != nil {
 				return err
 			}
@@ -1001,10 +955,11 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 			want := new(big.Int).Mul(deltaX, plain[1])
 			want.Sub(plain[0], want)
 			if want.Sub(want, plain[2]).Mod(want, modulus).Sign() != 0 {
-				return fmt.Errorf("cached ciphertext %d (channel %d, group %d) is not N - X*F of the current budget", i, at.c, at.b)
+				return fmt.Errorf("cached ciphertext %d (channel %d, group %d) is not N - X*F of the current budget", i, c, g)
 			}
-		}
-		return nil
+			i++
+			return nil
+		})
 	}
 	// serve submits a refresh and returns the counters it moved.
 	serve := func(req *TransmissionRequest) CacheCounters {
@@ -1038,16 +993,13 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		if next == prev {
 			t.Fatalf("%s: the stale entry was changed in place", what)
 		}
-		for i, at := range next.coords {
-			moved := false
-			for _, g := range movedGroups {
-				moved = moved || at.b == g
-			}
+		for i, g := range groupOf {
+			moved := slices.Contains(movedGroups, g)
 			switch {
 			case moved && (next.is[i] == prev.is[i] || nextTabs[i] != nil):
-				t.Fatalf("%s: ciphertext %d of moved group %d was carried over", what, i, at.b)
+				t.Fatalf("%s: ciphertext %d of moved group %d was carried over", what, i, g)
 			case !moved && (next.is[i] != prev.is[i] || nextTabs[i] == nil || nextTabs[i] != prevTabs[i]):
-				t.Fatalf("%s: ciphertext %d of untouched group %d was not kept with its table", what, i, at.b)
+				t.Fatalf("%s: ciphertext %d of untouched group %d was not kept with its table", what, i, g)
 			}
 		}
 	}
@@ -1059,7 +1011,7 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	if e0 == nil {
 		t.Fatal("request did not fill the cache")
 	}
-	if err := mismatch(e0, req); err != nil {
+	if err := mismatch(e0); err != nil {
 		t.Fatal(err)
 	}
 	expect("first hit", serve(req), CacheCounters{Hits: 1, TableBuilds: all})
@@ -1083,11 +1035,11 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
 	e1, tabs1 := entry()
 	carried("update inside one group", e0, tabs0, e1, tabs1, 3)
-	if err := mismatch(e1, req); err != nil {
+	if err := mismatch(e1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range is0 {
-		if e0.is[i] != is0[i] || len(e0.coords) != len(is0) || len(e0.vers) != len(is0) {
+		if e0.is[i] != is0[i] || len(e0.vers) != len(is0) {
 			t.Fatal("the replaced entry did not stay as it was")
 		}
 	}
@@ -1106,34 +1058,14 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	expect("updates inside every group", serve(req), CacheCounters{Stale: 1, CellsRecomputed: all})
 	e2, tabs2 := entry()
 	carried("updates inside every group", e1, tabs1, e2, tabs2, 1, 2, 3, 4)
-	if err := mismatch(e2, req); err != nil {
+	if err := mismatch(e2); err != nil {
 		t.Fatal(err)
 	}
 
-	// Other coordinates under the same digest: the whole grid. Nothing of
-	// the band entry lines up, so nothing of it is kept.
-	full, err := su.PrepareRequest(eirp, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.ShapeDigest = req.ShapeDigest
-	expect("other coordinates", serve(full), CacheCounters{Stale: 1})
-	e3, _ := entry()
-	if err := mismatch(e3, full); err != nil {
-		t.Fatal(err)
-	}
-	for i := range e3.is {
-		for j := range e2.is {
-			if e3.is[i] == e2.is[j] {
-				t.Fatalf("ciphertext %d of a misaligned entry was kept as %d", j, i)
-			}
-		}
-	}
-	expect("back to the band", serve(req), CacheCounters{Stale: 1})
-	expect("hit on the band entry", serve(req), CacheCounters{Hits: 1, TableBuilds: all})
-	e4, tabs4 := entry()
-	if err := mismatch(e4, req); err != nil {
-		t.Fatal(err)
+	expect("hit on the entry refreshed in every group", serve(req), CacheCounters{Hits: 1, TableBuilds: all})
+	e3, tabs3 := entry()
+	if e3 != e2 {
+		t.Fatal("a hit replaced the entry")
 	}
 
 	// A rebuild in flight. The journal hook runs once the update is
@@ -1155,10 +1087,10 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 			if after := sdc.CacheStats(); after.Hits != before.Hits+1 || after.Stale != before.Stale {
 				return fmt.Errorf("lookup during the rebuild: %+v after %+v, want one hit", after, before)
 			}
-			if e, _ := entry(); e != e4 {
+			if e, _ := entry(); e != e3 {
 				return fmt.Errorf("lookup during the rebuild replaced the entry")
 			}
-			return mismatch(e4, req)
+			return mismatch(e3)
 		}()
 		return nil
 	})
@@ -1169,9 +1101,9 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	}
 	expect("after the write-back", serve(req),
 		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
-	e5, tabs5 := entry()
-	carried("after the write-back", e4, tabs4, e5, tabs5, 3)
-	if err := mismatch(e5, req); err != nil {
+	e4, tabs4 := entry()
+	carried("after the write-back", e3, tabs3, e4, tabs4, 3)
+	if err := mismatch(e4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1206,15 +1138,12 @@ func TestCacheNoTablesWithoutHits(t *testing.T) {
 }
 
 // TestCacheAdmitsOnSecondMiss pins the admission rule: a miss installs
-// its column only if its scoped key has missed before and is still among
-// the last CacheEntries first misses the SDC remembers.
+// its column only if its key has missed before and is still among the
+// last CacheEntries first misses the SDC remembers.
 func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 	const entries = 4
-	d := newCacheDeployment(t, func(p *Params) {
-		p.CacheEntries = entries
-		p.CacheDomains = map[string][]string{"fleet": {"su-a", "su-c"}}
-	})
-	a, b, c := d.newSU(t, "su-a", 7), d.newSU(t, "su-b", 7), d.newSU(t, "su-c", 7)
+	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = entries })
+	a, b := d.newSU(t, "su-a", 7), d.newSU(t, "su-b", 7)
 	// shape i of an SU: one channel at an EIRP of its own, so no two
 	// shapes of one SU share a digest.
 	shape := func(su *SU, i int) *TransmissionRequest {
@@ -1271,21 +1200,21 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 		t.Fatalf("third request: %d hits, want %d", got, hits+1)
 	}
 
-	// A's first miss admits nobody outside its scope: not B carrying A's
-	// digest, but C, A's co-member in the fleet domain.
+	// A's first miss admits no other request under its digest: not B
+	// carrying it, nor A's own re-prepared request of the shape.
 	reqA := shape(a, 200)
 	reqB := shape(b, 200)
 	reqB.ShapeDigest = reqA.ShapeDigest
 	send(reqA)
 	send(reqB)
-	expect("another scope's second miss", 1, 1)
-	send(shape(c, 200))
-	expect("co-member's miss", 2, 2)
+	expect("another SU's second miss", 1, 1)
+	send(shape(a, 200))
+	expect("re-prepared request's miss", 1, 1)
 
 	// Close forgets first misses with the entries.
 	d.sdc.Close()
 	send(x)
-	expect("first miss after Close", 0, 2)
+	expect("first miss after Close", 0, 1)
 
 	// entries newer first misses push the oldest out of the set; one fewer
 	// does not.
@@ -1297,12 +1226,12 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 		send(req)
 	}
 	send(w[0])
-	expect("miss after entries newer first misses", 0, 2)
+	expect("miss after entries newer first misses", 0, 1)
 	for _, req := range w[entries+1 : 2*entries] {
 		send(req)
 	}
 	send(w[0])
-	expect("miss after entries-1 newer first misses", 1, 3)
+	expect("miss after entries-1 newer first misses", 1, 2)
 
 	// Racing first misses of one shape install one entry between them.
 	const racers = 4
@@ -1329,7 +1258,7 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 		t.Fatalf("racing first misses: %d misses, %d admitted, %d hits of %d requests",
 			misses, admitted, after.Hits-before.Hits, racers)
 	}
-	expect("racing first misses", 2, 3+admitted)
+	expect("racing first misses", 2, 2+admitted)
 }
 
 // hookReader wraps crypto/rand with a one-shot trap: the first read
@@ -1569,10 +1498,7 @@ func TestEColumnOnEveryFront(t *testing.T) {
 // every stably-timed decision against the plaintext oracle's expectation
 // for that state. The two requesters repeat one band shape spanning four
 // slot groups while the PU switches inside one of them, so every
-// invalidation keeps three groups' ciphertexts and recomputes one's —
-// once with the requesters in one declared cache domain, where they
-// contend on a single entry whose kept and recomputed ciphertexts come
-// from different members' F~, and once in the default per-SU scope. The
+// invalidation keeps three groups' ciphertexts and recomputes one's. The
 // updater holds each spectrum state until a request issued and answered
 // inside it has been checked, so no state goes by unobserved. Run with
 // -race this doubles as the cache's concurrency acceptance test.
@@ -1586,18 +1512,13 @@ func TestCacheChurnStress(t *testing.T) {
 		}
 		iters = n
 	}
-	for name, domains := range map[string]map[string][]string{
-		"domain": {"fleet": {"su-1", "su-2"}},
-		"per-su": nil,
-	} {
-		t.Run(name, func(t *testing.T) { cacheChurnStress(t, iters, domains) })
-	}
+	t.Run("per-su", func(t *testing.T) { cacheChurnStress(t, iters) })
 }
 
-func cacheChurnStress(t *testing.T, iters int, domains map[string][]string) {
-	d := newCacheDeployment(t, func(p *Params) { p.CacheDomains = domains })
+func cacheChurnStress(t *testing.T, iters int) {
+	d := newCacheDeployment(t, nil)
 	// One SU per requester goroutine; same block + same EIRP + same
-	// disclosure means they share the shape digest.
+	// disclosure means they share the shape digest, and each its own entry.
 	sus := []*SU{d.newSU(t, "su-1", 7), d.newSU(t, "su-2", 7)}
 	pu := d.newPU(t, "tv-1", 8)
 	eirp := map[int]int64{1: maxEIRP(d)}
@@ -1887,11 +1808,12 @@ func TestCacheEntryMemory(t *testing.T) {
 
 // TestCacheStatsMatchObsSeries drives one SDC through every kind of cache
 // event — bypass, first miss, admitted second miss, a hit that builds
-// tables, a partly stale refresh, a misaligned digest, an eviction at
-// CacheEntries, and table drops under the byte budget, trimmed and over
-// it — and checks after each step that every CacheCounters field moved by
-// exactly as much as the obs series of the same event. Not parallel: the
-// series are process-wide, so no other test may move them meanwhile.
+// tables, a partly stale refresh, another request under the same digest,
+// an eviction at CacheEntries, and table drops under the byte budget,
+// trimmed and over it — and checks after each step that every
+// CacheCounters field moved by exactly as much as the obs series of the
+// same event. Not parallel: the series are process-wide, so no other test
+// may move them meanwhile.
 func TestCacheStatsMatchObsSeries(t *testing.T) {
 	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = 2 })
 	metrics() // registers the series before the first request would
@@ -1915,8 +1837,7 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 	a, aEIRP := shape(1, band)
 	b, bEIRP := shape(0, band)
 	c, cEIRP := shape(2, band)
-	full, _ := shape(1, geo.Disclosure{})
-	full.ShapeDigest = a.ShapeDigest // other coordinates under a's digest
+	other, _ := shape(1, band) // a's digest over other ciphertexts
 	bypass, _ := shape(1, band)
 	bypass.ShapeDigest = [32]byte{}
 
@@ -1998,7 +1919,7 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 	// channel; the refresh keeps the other groups with their tables.
 	d.tune(t, d.newPU(t, "tv-1", 9), 0, wp.Quantize(wp.SMinPUmW))
 	step("partly stale refresh", a, aEIRP, "Stale", "CellsKept", "CellsRecomputed", "Tabled")
-	step("misaligned digest", full, aEIRP, "Stale")
+	step("same digest, other bytes", other, aEIRP, "Misses")
 	step("first miss of b", b, bEIRP, "Misses")
 	step("b admitted", b, bEIRP, "Misses", "Admitted")
 	step("first miss of c", c, cEIRP, "Misses")

@@ -22,16 +22,18 @@ type Licenser struct {
 	signer  *dsig.Signer
 	random  io.Reader
 	now     func() time.Time
-	ttl     time.Duration
 	etaBits int
 	serial  atomic.Uint64
 }
 
+// licenseTTL is the validity window of every license issued.
+const licenseTTL = 24 * time.Hour
+
 // newLicenser generates the license-signing key (Params.SignerBits) and
-// returns the issuer of licenses named issuer. A nil now means time.Now
-// and a zero ttl 24 hours. random must be safe for concurrent use
-// (paillier.SharedReader): concurrent requests sign and mask through it.
-func newLicenser(issuer string, params Params, random io.Reader, now func() time.Time, ttl time.Duration) (*Licenser, error) {
+// returns the issuer of licenses named issuer. A nil now means time.Now.
+// random must be safe for concurrent use (paillier.SharedReader):
+// concurrent requests sign and mask through it.
+func newLicenser(issuer string, params Params, random io.Reader, now func() time.Time) (*Licenser, error) {
 	signer, err := dsig.NewSigner(random, params.SignerBits)
 	if err != nil {
 		return nil, err
@@ -39,10 +41,7 @@ func newLicenser(issuer string, params Params, random io.Reader, now func() time
 	if now == nil {
 		now = time.Now
 	}
-	if ttl == 0 {
-		ttl = 24 * time.Hour
-	}
-	return &Licenser{issuer: issuer, signer: signer, random: random, now: now, ttl: ttl, etaBits: params.EtaBits}, nil
+	return &Licenser{issuer: issuer, signer: signer, random: random, now: now, etaBits: params.EtaBits}, nil
 }
 
 // VerifyKey returns the public key SUs use to check license signatures;
@@ -82,7 +81,7 @@ func (l *Licenser) Issue(suid string, digest [32]byte, suKey *paillier.PublicKey
 		Issuer:        l.issuer,
 		Serial:        l.serial.Add(1),
 		IssuedUnix:    now.Unix(),
-		ExpiresUnix:   now.Add(l.ttl).Unix(),
+		ExpiresUnix:   now.Add(licenseTTL).Unix(),
 		RequestDigest: digest,
 	}
 	sig, err := l.signer.Sign(&lic)

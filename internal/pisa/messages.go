@@ -50,22 +50,17 @@ type TransmissionRequest struct {
 	Disclosure []geo.BlockID
 	// ShapeDigest commits to the request's plaintext shape —
 	// SU block, per-channel EIRP classes, disclosure — over public
-	// inputs only (see ShapeDigest below). The SDC uses it, bound to
-	// the requester's sharing scope, as the lookup key of its
-	// encrypted-decision cache: two requests with equal digests have
-	// bit-identical plaintext F matrices, so the aggregate output Ĩ
-	// can be reused after re-randomisation. The zero value opts out of
-	// caching (the SDC always recomputes). The digest is SU-supplied
-	// and the SDC cannot check it against the encrypted F values, so
-	// entries are scoped per SU by default: a wrong digest then
-	// degrades to a cache miss or a wrong answer served back to the
-	// same sender only, in the same trust class as honest F values
-	// (§IV-A assumes SUs follow the protocol for their own decisions).
-	// Cross-SU reuse exists only inside an operator-declared trust
-	// domain (Params.CacheDomains), where a dishonest member could
-	// poison its co-members' decisions — the explicit extra assumption
-	// the declaration records. Within a scope the digest deliberately
-	// leaks shape EQUALITY — the intended trade for cacheability.
+	// inputs only (see ShapeDigest below). A non-zero digest is the SU's
+	// opt-in to the SDC's encrypted-decision cache, and tells
+	// SU.RefreshRequest to resend the request's ciphertexts as they are;
+	// the zero value opts out (the SDC always recomputes, and a refresh
+	// re-randomises). The SDC reads only whether it is zero: it keys
+	// the cache on the ciphertexts it received, which it can check, not
+	// on this SU-supplied value, which it cannot check against the
+	// encrypted F. A wrong digest therefore buys nothing — the request
+	// misses like any other. Equal digests on the wire leak shape
+	// EQUALITY, and so does a byte-identical resend: the intended trade
+	// for cacheability.
 	ShapeDigest [32]byte
 }
 
@@ -97,7 +92,7 @@ func digestU32(buf *bytes.Buffer, v int) {
 
 // digestModePacked is the layout byte both digests write. Slot-packed is
 // the only layout; the byte stays in the preimage so that license
-// bindings and cache keys keep their values.
+// bindings and shape digests keep their values.
 const (
 	digestTag        = "pisa-request-digest-v2\x00"
 	digestModePacked = byte(1)
@@ -136,17 +131,15 @@ func (r *TransmissionRequest) Digest() ([32]byte, error) {
 	return dsig.HashRequest(buf.Bytes()), nil
 }
 
-// shapeDigestTag domain-separates the cache key from the license
-// digest above (which binds ciphertext bytes and would change on
-// every refresh, defeating the cache).
+// shapeDigestTag domain-separates the shape digest from the license
+// digest above.
 const shapeDigestTag = "pisa-shape-digest-v1\x00"
 
 // ShapeDigest hashes the plaintext inputs that determine the F matrix
 // bit-for-bit: the grid dimensions, the SU's block,
 // the (channel, EIRP-units) demand pairs, and the disclosed block set.
 // planner.ComputeF is deterministic in exactly these inputs, so equal
-// digests imply equal plaintext F — the soundness condition for the
-// SDC's encrypted-decision cache. Computed SU-side, because the SDC
+// digests imply equal plaintext F. Computed SU-side, because the SDC
 // only ever sees F encrypted.
 func ShapeDigest(channels, blocks int, block geo.BlockID, eirpUnits map[int]int64, disclosure []geo.BlockID) [32]byte {
 	var buf bytes.Buffer

@@ -85,29 +85,17 @@ type Params struct {
 	Packing bool
 
 	// CacheEntries bounds the SDC's encrypted-decision cache: the
-	// aggregate output Ĩ of eqs. 11-12, keyed on the request's shape
-	// digest and invalidated, ciphertext by ciphertext, against per-block
-	// column versions. It also sizes the first-miss set: a shape's column
-	// is installed on its second miss, if its first is among the last
+	// aggregate output Ĩ of eqs. 11-12, keyed on the request's own
+	// ciphertexts (a digest-carrying refresh resends them unchanged) and
+	// invalidated, ciphertext by ciphertext, against per-block column
+	// versions. It also sizes the first-miss set: a request's column is
+	// installed on its second miss, if its first is among the last
 	// CacheEntries first misses. An entry is read-only; each hit blinds it
 	// under a fresh (alpha, beta, eps) tuple, which is what makes two hits
 	// unlinkable, and from an entry's first hit on the blinding
 	// exponentiates from per-ciphertext power tables. Zero disables the
 	// cache (every request recomputes, the paper's Figure 5 cost).
 	CacheEntries int
-
-	// CacheDomains declares trust domains for cross-SU cache sharing:
-	// domain name -> member SUIDs. Cache entries are scoped — by
-	// default each SU only ever hits entries it filled itself, so a
-	// dishonest ShapeDigest is strictly self-inflicted. SUs listed in
-	// one domain share entries with each other instead: that is what
-	// makes fleet concentration pay, but it trusts every member not to
-	// ship a mismatched digest/F pair (the SDC cannot check the digest
-	// against the encrypted F), so a dishonest member could poison its
-	// domain's decisions. Declare a domain only for SUs under one
-	// administration (e.g. one operator's smart-TV fleet). An SUID may
-	// appear in at most one domain.
-	CacheDomains map[string][]string
 }
 
 // DefaultParams returns the paper's Table I configuration on top of
@@ -210,24 +198,6 @@ func (p Params) Validate() error {
 			p.SignerBits, p.PaillierBits, dsig.MaxSignerBits(p.PaillierBits))
 	case p.CacheEntries < 0:
 		return fmt.Errorf("pisa: CacheEntries must not be negative")
-	}
-	domainOf := make(map[string]string)
-	for domain, members := range p.CacheDomains {
-		if domain == "" {
-			return fmt.Errorf("pisa: CacheDomains contains an empty domain name")
-		}
-		if len(members) == 0 {
-			return fmt.Errorf("pisa: cache domain %q has no members", domain)
-		}
-		for _, su := range members {
-			if su == "" {
-				return fmt.Errorf("pisa: cache domain %q lists an empty SUID", domain)
-			}
-			if prev, dup := domainOf[su]; dup && prev != domain {
-				return fmt.Errorf("pisa: SU %q listed in cache domains %q and %q", su, prev, domain)
-			}
-			domainOf[su] = domain
-		}
 	}
 	// Blinded value: |eps*(alpha*I - beta)| < 2^(AlphaBits + PlaintextBits) + 2^BetaBits.
 	// It must stay inside the centred plaintext domain (-n/2, n/2).

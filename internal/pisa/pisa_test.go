@@ -784,8 +784,7 @@ func TestLicenseValidityWindow(t *testing.T) {
 	}
 	fixed := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
 	sdc, err := NewSDC("sdc", params, nil, stp,
-		WithClock(func() time.Time { return fixed }),
-		WithLicenseTTL(time.Hour))
+		WithClock(func() time.Time { return fixed }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,8 +806,8 @@ func TestLicenseValidityWindow(t *testing.T) {
 	if resp.License.IssuedUnix != fixed.Unix() {
 		t.Errorf("IssuedUnix = %d, want %d", resp.License.IssuedUnix, fixed.Unix())
 	}
-	if resp.License.ExpiresUnix != fixed.Add(time.Hour).Unix() {
-		t.Errorf("ExpiresUnix = %d, want %d", resp.License.ExpiresUnix, fixed.Add(time.Hour).Unix())
+	if resp.License.ExpiresUnix != fixed.Add(24*time.Hour).Unix() {
+		t.Errorf("ExpiresUnix = %d, want %d", resp.License.ExpiresUnix, fixed.Add(24*time.Hour).Unix())
 	}
 }
 

@@ -137,7 +137,7 @@ func NewRouter(issuer string, params Params, transmitters []watch.TVTransmitter,
 	if err != nil {
 		return nil, err
 	}
-	lic, err := newLicenser(issuer, params, rand.Reader, nil, 0)
+	lic, err := newLicenser(issuer, params, rand.Reader, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -405,8 +405,8 @@ func TestRouterRefusesMisassignedShards(t *testing.T) {
 // TestMonolithIsOneShardRouter: a full-window SDC serves an SU request
 // through a one-shard router over itself. The request passes the router
 // once and the SDC pipeline once, the two share one public
-// precomputation and one SU-key cache, and the SDC's clock and license
-// validity options reach the router's licenser.
+// precomputation and one SU-key cache, and the SDC's clock reaches the
+// router's licenser, which issues for the 24 h validity window.
 func TestMonolithIsOneShardRouter(t *testing.T) {
 	wp := testWatchParams(t)
 	params := pisa.TestParams(wp)
@@ -416,7 +416,7 @@ func TestMonolithIsOneShardRouter(t *testing.T) {
 	}
 	now := time.Unix(1_700_000_000, 0)
 	sdc, err := pisa.NewSDC("mono", params, nil, stp,
-		pisa.WithClock(func() time.Time { return now }), pisa.WithLicenseTTL(time.Hour))
+		pisa.WithClock(func() time.Time { return now }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,9 +468,9 @@ func TestMonolithIsOneShardRouter(t *testing.T) {
 	if st := router.Stats(); st.Requests != 1 || st.Errors != 0 {
 		t.Errorf("router stats %+v, want 1 request and no error", st)
 	}
-	if lic := resp.License; lic.Serial != 1 || lic.IssuedUnix != now.Unix() || lic.ExpiresUnix != now.Add(time.Hour).Unix() {
+	if lic := resp.License; lic.Serial != 1 || lic.IssuedUnix != now.Unix() || lic.ExpiresUnix != now.Add(24*time.Hour).Unix() {
 		t.Errorf("license serial %d issued %d expires %d; want 1, %d, %d",
-			lic.Serial, lic.IssuedUnix, lic.ExpiresUnix, now.Unix(), now.Add(time.Hour).Unix())
+			lic.Serial, lic.IssuedUnix, lic.ExpiresUnix, now.Unix(), now.Add(24*time.Hour).Unix())
 	}
 	grant, err := su.OpenResponse(resp, req, sdc.VerifyKey())
 	if err != nil || !grant.Granted {

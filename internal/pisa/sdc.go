@@ -81,16 +81,10 @@ type SDC struct {
 	// old content is still being served — by recomputes and cache hits
 	// alike, so the two always agree).
 	colApplied map[geo.BlockID]uint64
-	// cache memoises the aggregate output Ĩ per (sharing scope,
-	// request shape); at Params.CacheEntries 0 no request consults it.
-	// Guarded by mu.
-	cache *decisionCache
-	// cacheDomain maps an SUID to its operator-declared cache domain
-	// (Params.CacheDomains). SUs absent from the map get a private
-	// per-SU scope. Immutable after construction, so readable without
-	// mu.
-	cacheDomain map[string]string
-	journal     func(*PUUpdate) error // WAL hook; called outside the lock
+	// cache memoises the aggregate output Ĩ per request (cacheKey); at
+	// Params.CacheEntries 0 no request consults it. Guarded by mu.
+	cache   *decisionCache
+	journal func(*PUUpdate) error // WAL hook; called outside the lock
 }
 
 // SDCOption customises SDC construction.
@@ -102,8 +96,7 @@ type SDCOption interface {
 // licenser keeps.
 type sdcOptions struct {
 	*SDC
-	now    func() time.Time
-	licTTL time.Duration
+	now func() time.Time
 }
 
 type sdcOptionFunc func(*sdcOptions)
@@ -113,11 +106,6 @@ func (f sdcOptionFunc) apply(o *sdcOptions) { f(o) }
 // WithClock injects a deterministic license clock (tests).
 func WithClock(now func() time.Time) SDCOption {
 	return sdcOptionFunc(func(o *sdcOptions) { o.now = now })
-}
-
-// WithLicenseTTL sets the license validity window (default 24h).
-func WithLicenseTTL(ttl time.Duration) SDCOption {
-	return sdcOptionFunc(func(o *sdcOptions) { o.licTTL = ttl })
 }
 
 // WithRandom injects the randomness source (default crypto/rand).
@@ -232,18 +220,12 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
 	s.cache = newDecisionCache(params.CacheEntries)
-	s.cacheDomain = make(map[string]string)
-	for domain, members := range params.CacheDomains {
-		for _, su := range members {
-			s.cacheDomain[su] = domain
-		}
-	}
 	if !s.windowed() {
 		// The engine is complete. Its request front is a one-shard router
 		// over it that shares its public data, its SU-key cache and
 		// its randomness, so a monolith computes E once and fetches each
 		// SU key once.
-		lic, err := newLicenser(issuer, params, s.random, o.now, o.licTTL)
+		lic, err := newLicenser(issuer, params, s.random, o.now)
 		if err != nil {
 			return nil, err
 		}
@@ -423,15 +405,20 @@ type shardRequest struct {
 
 // snapshot is the request's critical section: the budget ciphertext of
 // every populated request cell and, against the same content versions,
-// the decision cache's lookup. A populated cell outside the window is
-// refused: an SU populates every channel row of the groups it ships, so
-// the request was sliced for another window, the router's partition
-// differs from the shard's, and some channel row would go untested.
+// the decision cache's lookup, under the key hashed before the lock. A
+// populated cell outside the window is refused: an SU populates every
+// channel row of the groups it ships, so the request was sliced for
+// another window, the router's partition differs from the shard's, and
+// some channel row would go untested.
 func (s *SDC) snapshot(r *shardRequest) error {
+	key, err := s.cacheKey(r.req)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.cells = make([]requestCell, 0, r.req.Ciphertexts())
-	err := r.req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
+	err = r.req.FP.ForEachGroup(func(c, g int, f *paillier.Ciphertext) error {
 		if c < s.chanLo || c >= s.chanHi {
 			return fmt.Errorf("pisa: request row %d lies outside the shard's window [%d, %d): the router's partition differs from the shard's",
 				c, s.chanLo, s.chanHi)
@@ -444,7 +431,7 @@ func (s *SDC) snapshot(r *shardRequest) error {
 		return nil
 	})
 	if err == nil {
-		r.cacheLookup = s.lookupLocked(r.req, r.cells)
+		r.cacheLookup = s.lookupLocked(r.req, key, r.cells)
 	}
 	return err
 }
