@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -281,8 +282,8 @@ func ParseCacheFlag(v string) (int, error) {
 	if strings.EqualFold(v, "off") {
 		return 0, nil
 	}
-	var entries int
-	if _, err := fmt.Sscanf(v, "%d", &entries); err != nil || entries < 0 {
+	entries, err := strconv.Atoi(v)
+	if err != nil || entries < 0 {
 		return 0, fmt.Errorf("config: -cache wants a non-negative entry count or 'off', got %q", v)
 	}
 	return entries, nil

@@ -304,3 +304,21 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		})
 	}
 }
+
+// TestParseCacheFlag: -cache takes "off" in any case or a whole
+// non-negative number and nothing else; a value with trailing input is
+// refused, not read up to its first non-digit.
+func TestParseCacheFlag(t *testing.T) {
+	for in, want := range map[string]int{"off": 0, "OFF": 0, "0": 0, "256": 256} {
+		if got, err := ParseCacheFlag(in); err != nil || got != want {
+			t.Errorf("ParseCacheFlag(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"12abc", "1e3", "-1", "", "many"} {
+		if got, err := ParseCacheFlag(in); err == nil {
+			t.Errorf("ParseCacheFlag(%q) = %d, want an error", in, got)
+		} else if !strings.Contains(err.Error(), "-cache") {
+			t.Errorf("ParseCacheFlag(%q): %v, want an error naming -cache", in, err)
+		}
+	}
+}

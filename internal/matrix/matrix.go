@@ -76,17 +76,6 @@ func (m *Int) sameShape(other *Int) error {
 	return nil
 }
 
-// AddInPlace adds other element-wise into m.
-func (m *Int) AddInPlace(other *Int) error {
-	if err := m.sameShape(other); err != nil {
-		return err
-	}
-	for i := range m.data {
-		m.data[i] += other.data[i]
-	}
-	return nil
-}
-
 // Sub returns m - other element-wise.
 func (m *Int) Sub(other *Int) (*Int, error) {
 	if err := m.sameShape(other); err != nil {
@@ -97,15 +86,6 @@ func (m *Int) Sub(other *Int) (*Int, error) {
 		out.data[i] -= other.data[i]
 	}
 	return out, nil
-}
-
-// Scale returns k * m element-wise.
-func (m *Int) Scale(k int64) *Int {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= k
-	}
-	return out
 }
 
 // Equal reports element-wise equality.
@@ -119,17 +99,6 @@ func (m *Int) Equal(other *Int) bool {
 		}
 	}
 	return true
-}
-
-// MinEntry returns the smallest element and its position.
-func (m *Int) MinEntry() (v int64, c, b int) {
-	v = m.data[0]
-	for i, x := range m.data {
-		if x < v {
-			v, c, b = x, i/m.blocks, i%m.blocks
-		}
-	}
-	return v, c, b
 }
 
 // AllPositive reports whether every element is > 0 — the paper's

@@ -67,15 +67,6 @@ func (pk *PublicKey) EncryptBatch(random io.Reader, ms []*big.Int, workers int) 
 	return out, nil
 }
 
-// EncryptIntBatch is EncryptBatch for int64 messages.
-func (pk *PublicKey) EncryptIntBatch(random io.Reader, ms []int64, workers int) ([]*Ciphertext, error) {
-	msBig := make([]*big.Int, len(ms))
-	for i, m := range ms {
-		msBig[i] = big.NewInt(m)
-	}
-	return pk.EncryptBatch(random, msBig, workers)
-}
-
 // DecryptBatch decrypts every ciphertext with up to workers
 // goroutines. Output slot i corresponds to cts[i]. Unlike a loop over
 // Decrypt, the per-key CRT context (cached constants plus big.Int

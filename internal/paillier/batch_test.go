@@ -39,21 +39,6 @@ func TestEncryptDecryptBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncryptIntBatch(t *testing.T) {
-	sk := batchKey()
-	cts, err := sk.PublicKey.EncryptIntBatch(rand.Reader, []int64{-5, 0, 7}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{-5, 0, 7}
-	for i, ct := range cts {
-		v, err := sk.DecryptInt(ct)
-		if err != nil || v != want[i] {
-			t.Fatalf("slot %d = %d, %v; want %d", i, v, err, want[i])
-		}
-	}
-}
-
 func TestEncryptBatchRejectsOversizedMessage(t *testing.T) {
 	sk := batchKey()
 	pk := &sk.PublicKey

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"slices"
 
-	"pisa/internal/geo"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
 	"pisa/internal/parallel"
@@ -48,22 +47,20 @@ import (
 // cache.
 //
 // Freshness is exact, not heuristic, and kept per cached ciphertext:
-// every Ĩ stores the content versions (SDC.colApplied) of the budget
-// blocks it was computed from — its own block, or the k blocks of its
-// slot group — captured in the same critical section that snapshots the
-// budget pointers the aggregate reads. A lookup under that same lock
-// compares them against the current ones. A PU update that has been
-// folded into one of those blocks since (rebuildColumn / rebuildGroup
-// write-back) makes that ciphertext stale and no other: the request
+// every Ĩ keeps the budget ciphertext Ñ it was computed from — the one
+// the request's snapshot read for its cell — and a lookup, under the lock
+// the snapshot holds, compares it by pointer with the one the budget holds
+// now. Ciphertexts are never written in place: a rebuild's write-back
+// installs new ones for its whole slot group, so a PU update folded in
+// since makes the cells of that group stale and no other. The request
 // recomputes the moved cells from its own F̃ and its budget snapshot,
 // keeps the rest — tables included — and installs the result as a new
-// entry. A registered update whose rebuild is still in flight keeps
-// colApplied behind colVer, so the in-between window can never serve the
-// OLD content as fresh either (the ciphertext was keyed on the old
-// applied version, and a recompute snapshots whatever the rebuild
-// discipline yields).
+// entry. While a rebuild is in flight the budget still holds the old
+// ciphertext, so a hit serves exactly what a recompute would. The entry
+// holds the pointers it compares, so no other ciphertext can come to
+// live at one of those addresses while it exists.
 //
-// An entry's versions and ciphertexts never change once it is in the
+// An entry's budgets and ciphertexts never change once it is in the
 // cache; a request that read them under the lock keeps using them
 // outside it, whatever replaces the entry meanwhile. Only the table
 // bookkeeping (tabs, tabBytes, tabling) moves, under the lock, and tabs
@@ -104,10 +101,9 @@ const cacheKeyTag = "pisa-cache-key-v2\x00"
 // cacheEntry is one memoised aggregate column.
 type cacheEntry struct {
 	key [32]byte
-	// vers[k] holds the colApplied values, at snapshot time, of the budget
-	// blocks cell k reads (SDC.cellBlocks). Cells on one block coordinate
-	// share a slice.
-	vers [][]uint64
+	// ns[k] is the budget ciphertext Ñ cell k was aggregated from, as the
+	// snapshot read it.
+	ns []*paillier.Ciphertext
 	// is holds Ĩ per enumerated cell, read-only: a serving blinds it
 	// under a fresh tuple and nothing else of it leaves the SDC.
 	is []*paillier.Ciphertext
@@ -123,16 +119,25 @@ type cacheEntry struct {
 	tabBytes int
 }
 
-// moved lists the cells of the entry whose budget content is no longer
-// at the versions given, index-aligned with the entry's.
-func (e *cacheEntry) moved(vers [][]uint64) []int {
+// moved lists the cells of the entry whose budget ciphertext is no longer
+// the one cells, index-aligned with the entry's, hold.
+func (e *cacheEntry) moved(cells []requestCell) []int {
 	var moved []int
-	for k := range e.vers {
-		if !slices.Equal(e.vers[k], vers[k]) {
+	for k := range e.ns {
+		if e.ns[k] != cells[k].n {
 			moved = append(moved, k)
 		}
 	}
 	return moved
+}
+
+// budgets returns the budget ciphertext of every cell.
+func budgets(cells []requestCell) []*paillier.Ciphertext {
+	ns := make([]*paillier.Ciphertext, len(cells))
+	for k := range cells {
+		ns[k] = cells[k].n
+	}
+	return ns
 }
 
 func tablesBytes(tabs []*paillier.PowerTable) (bytes int) {
@@ -372,17 +377,16 @@ func (s *SDC) cacheKey(req *TransmissionRequest) ([32]byte, error) {
 }
 
 // lookupLocked is the cache lookup of a request's snapshot, in the same
-// critical section: the colApplied values read here identify exactly the
-// budget content the snapshot holds, so a cached ciphertext whose versions
-// match equals what a recompute would produce for its cell. key is the
-// request's cacheKey. Caller holds s.mu.
+// critical section: a cached ciphertext computed from the budget
+// ciphertext the snapshot holds for its cell equals what a recompute
+// would produce. key is the request's cacheKey. Caller holds s.mu.
 func (s *SDC) lookupLocked(req *TransmissionRequest, key [32]byte, cells []requestCell) (l cacheLookup) {
 	switch {
 	case s.cache.cap == 0: // disabled
 	case req.ShapeDigest == [32]byte{}:
 		s.cache.count(&s.cache.stats.Bypass, metrics().cacheBypass, 1)
 	default:
-		l = s.cache.lookup(key, s.footprintVersLocked(cells))
+		l = s.cache.lookup(key, cells)
 	}
 	if l.from == nil {
 		l.recompute = make([]int, len(cells))
@@ -394,22 +398,22 @@ func (s *SDC) lookupLocked(req *TransmissionRequest, key [32]byte, cells []reque
 }
 
 // lookup is the cache policy for one digest-carrying request, given its
-// key and the current content versions of its cells: it counts the
-// request as one miss, stale lookup or hit and decides what the request
-// takes from the cache and what it gives back. An entry under the key was
-// computed over the very cells of the request, in the same order.
-func (dc *decisionCache) lookup(key [32]byte, vers [][]uint64) (l cacheLookup) {
+// key and its cells with their budget snapshot: it counts the request as
+// one miss, stale lookup or hit and decides what the request takes from
+// the cache and what it gives back. An entry under the key was computed
+// over the very cells of the request, in the same order.
+func (dc *decisionCache) lookup(key [32]byte, cells []requestCell) (l cacheLookup) {
 	m := metrics()
 	l.digest = true
 	e := dc.get(key)
 	if e == nil { // installs only on the key's second miss
 		dc.count(&dc.stats.Misses, m.cacheMisses, 1)
 		if l.admitted = dc.admit(key); l.admitted {
-			l.install = &cacheEntry{key: key, vers: vers}
+			l.install = &cacheEntry{key: key, ns: budgets(cells)}
 		}
 		return l
 	}
-	l.from, l.tabs, l.recompute = e, e.tabs, e.moved(vers)
+	l.from, l.tabs, l.recompute = e, e.tabs, e.moved(cells)
 	if len(l.recompute) == 0 { // a hit: one request at a time tables it
 		dc.count(&dc.stats.Hits, m.cacheHits, 1)
 		if !e.tabling && (e.tabs == nil || slices.Contains(e.tabs, nil)) {
@@ -422,7 +426,7 @@ func (dc *decisionCache) lookup(key [32]byte, vers [][]uint64) (l cacheLookup) {
 	// Stale in these cells only, whose tables table old content: they are
 	// recomputed, the rest kept, and the request's entry replaces e.
 	dc.count(&dc.stats.Stale, m.cacheStale, 1)
-	dc.count(&dc.stats.CellsKept, m.cacheCellsKept, len(vers)-len(l.recompute))
+	dc.count(&dc.stats.CellsKept, m.cacheCellsKept, len(cells)-len(l.recompute))
 	dc.count(&dc.stats.CellsRecomputed, m.cacheCellsRecomputed, len(l.recompute))
 	if l.tabs != nil {
 		l.tabs = slices.Clone(l.tabs)
@@ -430,44 +434,19 @@ func (dc *decisionCache) lookup(key [32]byte, vers [][]uint64) (l cacheLookup) {
 			l.tabs[k] = nil
 		}
 	}
-	l.install = &cacheEntry{key: key, vers: vers, tabs: l.tabs}
+	l.install = &cacheEntry{key: key, ns: budgets(cells), tabs: l.tabs}
 	return l
 }
 
-// footprintVersLocked returns, per request cell, the current
-// applied-content versions of the budget blocks the cell reads — the
-// members of its slot group; cells of one group share a slice. Caller
-// holds s.mu.
-func (s *SDC) footprintVersLocked(cells []requestCell) [][]uint64 {
-	k := s.codec.Slots()
-	byCoord := make(map[int][]uint64)
-	vers := make([][]uint64, len(cells))
-	for i := range cells {
-		b := cells[i].b
-		v, ok := byCoord[b]
-		if !ok {
-			lo, hi := b*k, min((b+1)*k, s.params.Watch.Grid.Blocks())
-			v = make([]uint64, hi-lo)
-			for j := range v {
-				v[j] = s.colApplied[geo.BlockID(lo+j)]
-			}
-			byCoord[b] = v
-		}
-		vers[i] = v
-	}
-	return vers
-}
-
 // installEntry completes the entry a request's lookup prepared — key,
-// versions, and the tables of the ciphertexts it keeps —
+// budget snapshot, and the tables of the ciphertexts it keeps —
 // with its column and puts it in the cache. is is the column the request
 // serves: the cells the lookup left to recompute it aggregated itself,
-// the rest it took from the entry its lookup found. The versions in the
-// entry were read under the same lock as the budget snapshot the computed
-// cells come from — a rebuild that committed since then changed
-// colApplied and simply makes the cells it touched stale at their next
-// lookup. Nothing the SDC emits is linkable to the cached copy, because
-// every serving is blinded under a fresh tuple first.
+// the rest it took from the entry its lookup found. The computed cells
+// come from the budgets the entry holds — a rebuild that committed since
+// then installed new ones and simply makes the cells it touched stale at
+// their next lookup. Nothing the SDC emits is linkable to the cached
+// copy, because every serving is blinded under a fresh tuple first.
 func (s *SDC) installEntry(l *cacheLookup, is []*paillier.Ciphertext) {
 	// Computed cells are stored as copies packed into one allocation of
 	// their own — an entry lives long enough for the multiplication scratch

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -883,10 +884,12 @@ func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
 // ciphertext of the column the cache then holds decrypts to N - X*F of
 // the budget as it stands, which is what an SDC without a cache computes.
 // Ciphertexts no update touched are the very objects the previous entry
-// held, tables included, and that entry is left as it was; and while a
-// rebuild is in flight (colApplied behind colVer) the column still matches the
-// budget a recompute would read, the rebuilt content replacing it at the
-// first lookup after the write-back.
+// held, tables included, and that entry is left as it was; while a
+// rebuild is in flight (the budget still holds the entry's ciphertexts)
+// the column still matches the budget a recompute would read, the rebuilt
+// content replacing it at the first lookup after the write-back; and an
+// update the journal refuses, rolled back by a rebuild to the same content
+// under new ciphertexts, makes its group stale once.
 func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	d := newCacheDeployment(t, nil)
 	wp, sdc, stp := d.params.Watch, d.sdc, d.stp
@@ -931,6 +934,25 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		sdc.mu.Lock()
 		defer sdc.mu.Unlock()
 		return e, e.tabs
+	}
+	// holds reports whether the budget holds, in slot group g, the
+	// ciphertexts e was computed from.
+	holds := func(e *cacheEntry, g int) (bool, error) {
+		i, same := 0, true
+		err := req.FP.ForEachGroup(func(c, cg int, _ *paillier.Ciphertext) error {
+			if cg == g {
+				sdc.mu.Lock()
+				n, err := sdc.nPack.GroupAt(c, g)
+				sdc.mu.Unlock()
+				if err != nil {
+					return err
+				}
+				same = same && n == e.ns[i]
+			}
+			i++
+			return nil
+		})
+		return same, err
 	}
 	// mismatch compares every ciphertext of e with N - X*F decrypted from
 	// the budget as it stands and the request's own F.
@@ -1020,6 +1042,7 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		t.Fatal("a hit replaced the entry")
 	}
 	is0 := append([]*paillier.Ciphertext(nil), e0.is...)
+	ns0 := append([]*paillier.Ciphertext(nil), e0.ns...)
 
 	// No group of the band: block 2 is in group 0.
 	d.tune(t, d.newPU(t, "tv-out", 2), 1, weak)
@@ -1039,7 +1062,7 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range is0 {
-		if e0.is[i] != is0[i] || len(e0.vers) != len(is0) {
+		if e0.is[i] != is0[i] || e0.ns[i] != ns0[i] {
 			t.Fatal("the replaced entry did not stay as it was")
 		}
 	}
@@ -1074,11 +1097,8 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	inFlight := fmt.Errorf("the journal hook never ran")
 	sdc.SetUpdateJournal(func(*PUUpdate) error {
 		inFlight = func() error {
-			sdc.mu.Lock()
-			registered, applied := sdc.colVer[13], sdc.colApplied[13]
-			sdc.mu.Unlock()
-			if applied >= registered {
-				return fmt.Errorf("trap fired outside the rebuild window: applied %d, registered %d", applied, registered)
+			if held, err := holds(e3, 3); err != nil || !held {
+				return fmt.Errorf("trap fired outside the rebuild window: group 3's budget moved (%v)", err)
 			}
 			before := sdc.CacheStats()
 			if _, err := sdc.ProcessShard(req); err != nil {
@@ -1104,6 +1124,30 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 	e4, tabs4 := entry()
 	carried("after the write-back", e3, tabs3, e4, tabs4, 3)
 	if err := mismatch(e4); err != nil {
+		t.Fatal(err)
+	}
+
+	// A rolled-back update: the journal refuses it, and the rollback
+	// rebuilds group 3 to the content it had, under new ciphertexts. The
+	// oracle never sees the update.
+	refused := errors.New("journal refuses")
+	sdc.SetUpdateJournal(func(*PUUpdate) error { return refused })
+	u, err := near.Off()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sdc.HandlePUUpdate(u); !errors.Is(err, refused) {
+		t.Fatalf("refused update: %v, want the journal's error", err)
+	}
+	sdc.SetUpdateJournal(nil)
+	if held, err := holds(e4, 3); err != nil || held {
+		t.Fatalf("the rollback left group 3's budget ciphertexts in place (%v)", err)
+	}
+	expect("after a rolled-back update", serve(req),
+		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
+	e5, tabs5 := entry()
+	carried("after a rolled-back update", e4, tabs4, e5, tabs5, 3)
+	if err := mismatch(e5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1332,7 +1376,7 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 	// the first pass must be discarded as stale and retried.
 	hr.onRead = func() {
 		sdc.mu.Lock()
-		sdc.colVer[8]++
+		sdc.groupVer[8/sdc.codec.Slots()]++
 		sdc.mu.Unlock()
 	}
 	u, err = pu.Tune(1, weak)
@@ -1474,7 +1518,7 @@ func TestEColumnOnEveryFront(t *testing.T) {
 	inFlight := fmt.Errorf("the trap never fired")
 	hr.onRead = func() {
 		mono.mu.Lock()
-		mono.colVer[8]++
+		mono.groupVer[8/mono.codec.Slots()]++
 		mono.mu.Unlock()
 		inFlight = check()
 	}
@@ -1668,7 +1712,7 @@ func cacheChurnStress(t *testing.T, iters int) {
 	}
 
 	// Quiescent exact check, plus a restore: a fresh SDC built from the
-	// exported state (new cache, new colApplied) must agree.
+	// exported state (new cache, new budget ciphertexts) must agree.
 	finalWant := expectAt(gen.Load())
 	final, err := sus[0].RefreshRequest(bases[0])
 	if err != nil {

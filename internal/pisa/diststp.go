@@ -149,9 +149,6 @@ func NewDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders [
 // GroupKey implements STPService.
 func (d *DistSTP) GroupKey() *paillier.PublicKey { return d.group }
 
-// Holders reports the number of co-STP share holders.
-func (d *DistSTP) Holders() int { return len(d.holders) }
-
 // RegisterSU stores an SU public key, with the same substitution
 // protection as the single STP.
 func (d *DistSTP) RegisterSU(id string, pk *paillier.PublicKey) error {

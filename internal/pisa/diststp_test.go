@@ -153,8 +153,8 @@ func TestDistSTPNamesFailingHolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dist.Holders(); got != 2 {
-		t.Fatalf("Holders() = %d, want 2", got)
+	if got := len(dist.holders); got != 2 {
+		t.Fatalf("%d share holders, want 2", got)
 	}
 	if err := dist.RegisterSU("su-b", sk.Public()); err != nil {
 		t.Fatal(err)

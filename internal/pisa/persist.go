@@ -74,9 +74,9 @@ func (s *SDC) ExportState() ([]byte, error) {
 // RestoreSDC rebuilds a controller from durable state: the snapshot
 // payload (nil for a first boot) plus the WAL tail of updates accepted
 // after the snapshot was taken. Replay registers every update and then
-// rebuilds each budget column with at least one PU once — one rebuild
-// per populated block, not one per record. Rebuilding every populated
-// column (not only the tail-dirty ones) makes recovery self-healing:
+// rebuilds each slot group with at least one PU once — one rebuild per
+// populated group, not one per record. Rebuilding every populated
+// group (not only the tail-dirty ones) makes recovery self-healing:
 // a snapshot exported while a column rebuild was still in flight
 // stores the update's ciphertexts but a budget column that does not
 // yet fold them, and trusting that column would permanently drop the
@@ -149,23 +149,20 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)
 		}
 	}
-	// Rebuild every column holding a PU update, snapshot or tail — see
-	// the self-healing note above.
-	dirty := make(map[geo.BlockID]bool)
-	for _, b := range s.puBlocks {
-		// A rebuild covers the whole slot group; dedupe by the group's
-		// first block so a group with several PU blocks is rebuilt once,
-		// not once per block.
-		dirty[geo.BlockID(int(b)/s.codec.Slots()*s.codec.Slots())] = true
+	// Rebuild every slot group holding a PU update, snapshot or tail, once
+	// — see the self-healing note above.
+	dirty := make(map[int]bool)
+	for _, u := range s.puUpdates {
+		dirty[int(u.Block)/s.codec.Slots()] = true
 	}
-	blocks := make([]geo.BlockID, 0, len(dirty))
-	for b := range dirty {
-		blocks = append(blocks, b)
+	groups := make([]int, 0, len(dirty))
+	for g := range dirty {
+		groups = append(groups, g)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		if err := s.rebuildColumn(b); err != nil {
-			return nil, fmt.Errorf("pisa: replay rebuild of block %d: %w", b, err)
+	sort.Ints(groups)
+	for _, g := range groups {
+		if err := s.rebuildGroup(g); err != nil {
+			return nil, fmt.Errorf("pisa: replay rebuild of slot group %d: %w", g, err)
 		}
 	}
 	return s, nil
@@ -177,10 +174,9 @@ func (s *SDC) registerRestored(u *PUUpdate) error {
 	if err := s.validateUpdate(u); err != nil {
 		return err
 	}
-	if prev, ok := s.puBlocks[u.PUID]; ok && prev != u.Block {
-		return fmt.Errorf("pisa: restored PU %q moves from block %d to %d", u.PUID, prev, u.Block)
+	if prev, ok := s.puUpdates[u.PUID]; ok && prev.Block != u.Block {
+		return fmt.Errorf("pisa: restored PU %q moves from block %d to %d", u.PUID, prev.Block, u.Block)
 	}
-	s.puBlocks[u.PUID] = u.Block
 	s.puUpdates[u.PUID] = &storedUpdate{PUUpdate: u}
 	return nil
 }
@@ -226,9 +222,9 @@ type SDCSummary struct {
 func (s *SDC) Summary() SDCSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	blocks := make(map[geo.BlockID]bool, len(s.puBlocks))
-	for _, b := range s.puBlocks {
-		blocks[b] = true
+	blocks := make(map[geo.BlockID]bool, len(s.puUpdates))
+	for _, u := range s.puUpdates {
+		blocks[u.Block] = true
 	}
 	return SDCSummary{
 		PUs:            len(s.puUpdates),

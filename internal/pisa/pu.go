@@ -153,9 +153,9 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 		return fmt.Errorf("pisa: PU %q registered at block %d, update claims %d (TV receiver locations are fixed)",
 			u.PUID, prev.Block, u.Block)
 	}
-	s.puBlocks[u.PUID] = u.Block
 	s.puUpdates[u.PUID] = stored
-	s.colVer[u.Block]++
+	g := int(u.Block) / s.codec.Slots()
+	s.groupVer[g]++
 	journal := s.journal
 	s.mu.Unlock()
 	// The WAL append runs outside the lock-shrunk critical section so
@@ -174,12 +174,12 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 			return fmt.Errorf("pisa: journal PU update: %w", err)
 		}
 	}
-	return s.rebuildColumn(u.Block)
+	return s.rebuildGroup(g)
 }
 
 // unregisterUpdate reverts a registration whose WAL append failed, so
 // in-memory state never runs ahead of the log: the previous update (or
-// absence) is restored and the column is rebuilt in case a concurrent
+// absence) is restored and the group is rebuilt in case a concurrent
 // rebuild already folded the rejected ciphertexts in. A newer update
 // from the same PU that registered meanwhile is left in place — its own
 // journal/rebuild path governs it.
@@ -193,11 +193,11 @@ func (s *SDC) unregisterUpdate(u, prev *storedUpdate) error {
 		s.puUpdates[u.PUID] = prev
 	} else {
 		delete(s.puUpdates, u.PUID)
-		delete(s.puBlocks, u.PUID)
 	}
-	s.colVer[u.Block]++
+	g := int(u.Block) / s.codec.Slots()
+	s.groupVer[g]++
 	s.mu.Unlock()
-	return s.rebuildColumn(u.Block)
+	return s.rebuildGroup(g)
 }
 
 // validateUpdate performs the stateless admission checks shared by the
@@ -233,12 +233,6 @@ func (s *SDC) SetUpdateJournal(fn func(*PUUpdate) error) {
 	s.mu.Unlock()
 }
 
-// rebuildColumn recomputes the stored budgets of block b, which share
-// their ciphertexts with the other blocks of b's slot group.
-func (s *SDC) rebuildColumn(b geo.BlockID) error {
-	return s.rebuildGroup(int(b) / s.codec.Slots())
-}
-
 // rebuildGroup recomputes the whole column of slot group g — a fresh
 // packed encryption of the group's E slots (padding packs 1, the
 // always-positive indicator) with every stored W~ column at any block
@@ -249,8 +243,9 @@ func (s *SDC) rebuildColumn(b geo.BlockID) error {
 // (storedUpdate), so a pass exponentiates only for updates no earlier
 // pass has folded — normally the one that just arrived. If a concurrent
 // update registered at any block of the group while the pass computed
-// (detected via the column versions), the stale column is discarded and
-// recomputed from a fresh snapshot.
+// (detected via the group's version), the stale column is discarded and
+// recomputed from a fresh snapshot. The write-back installs new
+// ciphertexts, which is what makes the group's cached cells stale.
 func (s *SDC) rebuildGroup(g int) error {
 	m := metrics()
 	k := s.codec.Slots()
@@ -261,10 +256,7 @@ func (s *SDC) rebuildGroup(g int) error {
 	for {
 		passStart := time.Now()
 		s.mu.Lock()
-		vers := make([]uint64, hi-lo)
-		for b := lo; b < hi; b++ {
-			vers[b-lo] = s.colVer[geo.BlockID(b)]
-		}
+		ver := s.groupVer[g]
 		var updates []*storedUpdate
 		var shifted [][]*paillier.Ciphertext // index-aligned with updates
 		for _, u := range s.puUpdates {
@@ -323,14 +315,7 @@ func (s *SDC) rebuildGroup(g int) error {
 		}
 
 		s.mu.Lock()
-		stale := false
-		for b := lo; b < hi; b++ {
-			if s.colVer[geo.BlockID(b)] != vers[b-lo] {
-				stale = true
-				break
-			}
-		}
-		if stale {
+		if s.groupVer[g] != ver {
 			s.mu.Unlock()
 			m.colRebuildStale.ObserveSince(passStart)
 			m.colRetries.Inc()
@@ -342,11 +327,6 @@ func (s *SDC) rebuildGroup(g int) error {
 				m.colRebuildErr.ObserveSince(passStart)
 				return err
 			}
-		}
-		// The whole group ciphertext was rebuilt, so every member
-		// block's content is now at its snapshot version.
-		for b := lo; b < hi; b++ {
-			s.colApplied[geo.BlockID(b)] = vers[b-lo]
 		}
 		s.mu.Unlock()
 		m.colRebuildOK.ObserveSince(passStart)

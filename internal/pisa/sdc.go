@@ -28,7 +28,7 @@ import (
 // homomorphic work runs outside the lock over an immutable snapshot —
 // ciphertexts are never mutated in place, so a snapshot of
 // entry pointers stays valid — which lets concurrent SU requests and
-// PU updates overlap. Per-block version counters detect when a column
+// PU updates overlap. A per-group version counter detects when a column
 // rebuild raced a newer update and must recompute.
 type SDC struct {
 	params Params
@@ -69,18 +69,8 @@ type SDC struct {
 
 	mu        sync.Mutex
 	nPack     *matrix.Packed               // N~: encrypted budgets, slot-packed
-	puUpdates map[watch.PUID]*storedUpdate // latest update per PU
-	puBlocks  map[watch.PUID]geo.BlockID   // fixed registered locations
-	colVer    map[geo.BlockID]uint64       // bumped on every update registration
-	// colApplied is bumped to the registration version a rebuild pass
-	// actually folded into the stored budget, in the same critical
-	// section as the write-back. It trails colVer while a rebuild is in
-	// flight, which is exactly what makes it the right cache key: the
-	// budget CONTENT a request snapshot reads is identified by
-	// colApplied, not colVer (between registration and write-back the
-	// old content is still being served — by recomputes and cache hits
-	// alike, so the two always agree).
-	colApplied map[geo.BlockID]uint64
+	puUpdates map[watch.PUID]*storedUpdate // latest update per PU, at its fixed Block
+	groupVer  map[int]uint64               // per slot group; bumped on every registration and rollback
 	// cache memoises the aggregate output Ĩ per request (cacheKey); at
 	// Params.CacheEntries 0 no request consults it. Guarded by mu.
 	cache   *decisionCache
@@ -186,9 +176,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		publicData: public,
 		random:     rand.Reader,
 		puUpdates:  make(map[watch.PUID]*storedUpdate),
-		puBlocks:   make(map[watch.PUID]geo.BlockID),
-		colVer:     make(map[geo.BlockID]uint64),
-		colApplied: make(map[geo.BlockID]uint64),
+		groupVer:   make(map[int]uint64),
 	}
 	o := sdcOptions{SDC: s}
 	for _, opt := range opts {
@@ -404,8 +392,8 @@ type shardRequest struct {
 }
 
 // snapshot is the request's critical section: the budget ciphertext of
-// every populated request cell and, against the same content versions,
-// the decision cache's lookup, under the key hashed before the lock. A
+// every populated request cell and, against those same ciphertexts, the
+// decision cache's lookup, under the key hashed before the lock. A
 // populated cell outside the window is refused: an SU populates every
 // channel row of the groups it ships, so the request was sliced for
 // another window, the router's partition differs from the shard's, and

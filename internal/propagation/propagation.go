@@ -64,15 +64,6 @@ func (s Shadowed) AtFrequency(freqMHz float64) Model {
 // DBToLinear converts a dB ratio to a linear ratio.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
 
-// LinearToDB converts a linear ratio to dB.
-func LinearToDB(lin float64) float64 { return 10 * math.Log10(lin) }
-
-// DBmToMilliwatts converts a power in dBm to milliwatts.
-func DBmToMilliwatts(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
-// MilliwattsToDBm converts a power in milliwatts to dBm.
-func MilliwattsToDBm(mw float64) float64 { return 10 * math.Log10(mw) }
-
 // FreeSpace is the free-space path loss model
 // L = 20 log10(d_km) + 20 log10(f_MHz) + 32.45 dB.
 type FreeSpace struct {

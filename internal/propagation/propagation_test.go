@@ -3,26 +3,15 @@ package propagation
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestUnitConversionsRoundTrip(t *testing.T) {
-	prop := func(raw int16) bool {
-		db := float64(raw) / 100 // -327..327 dB
-		back := LinearToDB(DBToLinear(db))
-		return math.Abs(back-db) < 1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	if got := DBmToMilliwatts(0); got != 1 {
-		t.Errorf("0 dBm = %g mW, want 1", got)
-	}
-	if got := DBmToMilliwatts(30); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("30 dBm = %g mW, want 1000", got)
-	}
-	if got := MilliwattsToDBm(100); math.Abs(got-20) > 1e-9 {
-		t.Errorf("100 mW = %g dBm, want 20", got)
+	for _, tc := range []struct{ db, lin float64 }{
+		{0, 1}, {3, 1.9952623149688795}, {10, 10}, {15, 31.622776601683793}, {30, 1000}, {-20, 0.01},
+	} {
+		if got := DBToLinear(tc.db); math.Abs(got-tc.lin) > 1e-12*tc.lin {
+			t.Errorf("%g dB = %g linear, want %g", tc.db, got, tc.lin)
+		}
 	}
 }
 
