@@ -241,8 +241,8 @@ func printReport(r *bench.LoadReport) {
 	if r.Backend != "pir" {
 		fmt.Printf("fleet     %d registered of %d; %d fresh preparations, %d refreshes\n",
 			r.Registered, r.Fleet, r.Prepared, r.Refreshed)
-		fmt.Printf("cache     %.0f%% hit rate (%d hits, %d misses, %d stale, %d bypass)\n",
-			r.CacheHitRate*100, r.CacheHits, r.CacheMisses, r.CacheStale, r.CacheBypass)
+		fmt.Printf("cache     %.0f%% hit rate (%d hits, %d misses, %d stale)\n",
+			r.CacheHitRate*100, r.CacheHits, r.CacheMisses, r.CacheStale)
 		fmt.Printf("pu churn  %d updates applied, %d failed\n", r.PUUpdates, r.PUErrors)
 	}
 	if len(r.Stages) == 0 {

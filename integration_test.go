@@ -834,8 +834,7 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // of a shape draws 2m + 2: the SU's preparation and the SDC's
 // E(-eps*beta) one nonce per ciphertext, the STP one per packed answer —
 // one per SDC instance asking — and the license one. A repeat draws
-// m + 2: the request carries its shape digest, so the SU re-sends the
-// prepared ciphertexts. An STP that went back to one encryption per
+// m + 2: SU.RefreshRequest re-sends the prepared ciphertexts. An STP that went back to one encryption per
 // element would read 97 for a first full-grid serving. The counts hold
 // whichever way a request is blinded: a shape's first repeat misses again
 // and caches it (the SDC admits a shape on its second miss), the later

@@ -258,18 +258,16 @@ func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 	stats.Prepare = time.Since(start)
 	stats.RequestBytes = req.SizeBytes()
 
-	// Refresh is the paper's: every ciphertext re-randomised, which is
-	// what a request without a shape digest gets (one that carries it is
-	// re-sent as it is). It uses the offline-precomputed nonce pool,
+	// Refresh is the paper's: every ciphertext re-randomised
+	// (SU.RerandomizeRequest), not the byte-identical resend of
+	// SU.RefreshRequest. It uses the offline-precomputed nonce pool,
 	// matching the paper's reuse accounting (the r^n factors are prepared
 	// while idle; only the per-ciphertext multiplication is online).
 	if err := u.SU.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		return stats, err
 	}
-	digestless := *req
-	digestless.ShapeDigest = [32]byte{}
 	start = time.Now()
-	if _, err := u.SU.RefreshRequest(&digestless); err != nil {
+	if _, err := u.SU.RerandomizeRequest(req); err != nil {
 		return stats, err
 	}
 	stats.Refresh = time.Since(start)

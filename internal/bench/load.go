@@ -189,7 +189,6 @@ type LoadReport struct {
 	CacheHits    int64   `json:"cacheHits"`
 	CacheMisses  int64   `json:"cacheMisses"`
 	CacheStale   int64   `json:"cacheStale"`
-	CacheBypass  int64   `json:"cacheBypass"`
 	CacheHitRate float64 `json:"cacheHitRate"`
 
 	Stages []StageSLO `json:"stages"`
@@ -221,7 +220,7 @@ type member struct {
 }
 
 // shapeKey identifies a request shape (location + channel set + EIRP
-// levels) — the same plaintext inputs pisa.ShapeDigest covers.
+// levels) — the plaintext inputs planner.ComputeF is deterministic in.
 func shapeKey(block geo.BlockID, eirp map[int]int64) string {
 	chans := make([]int, 0, len(eirp))
 	for c := range eirp {
@@ -298,7 +297,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			obs.Labels{"stage": s}, nil)))
 	}
 	cacheEvents := map[string]func() int64{}
-	for _, ev := range []string{"hit", "miss", "stale", "bypass"} {
+	for _, ev := range []string{"hit", "miss", "stale"} {
 		c := r.Counter("pisa_sdc_cache_events_total",
 			"encrypted-decision cache events by kind", obs.Labels{"event": ev})
 		before := c.Value()
@@ -374,8 +373,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		key := shapeKey(ev.Block, ev.EIRPUnits)
 		var req *pisa.TransmissionRequest
 		if base, ok := m.base[key]; ok {
-			// Same shape again: RefreshRequest re-sends the digest-carrying
-			// request, a decision-cache hit at the SDC (same SU, same digest).
+			// Same shape again: RefreshRequest re-sends the request byte
+			// for byte, a decision-cache hit at the SDC.
 			req, err = m.su.RefreshRequest(base)
 			refreshed.Add(1)
 		} else {
@@ -443,7 +442,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	report.PUUpdates = puUpdates.Load()
 	report.PUErrors = puErrors.Load()
 	report.CacheHits, report.CacheMisses = cacheEvents["hit"](), cacheEvents["miss"]()
-	report.CacheStale, report.CacheBypass = cacheEvents["stale"](), cacheEvents["bypass"]()
+	report.CacheStale = cacheEvents["stale"]()
 	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale; lookups > 0 {
 		report.CacheHitRate = float64(report.CacheHits) / float64(lookups)
 	}

@@ -108,10 +108,6 @@ func NewSigner(random io.Reader, bits int) (*Signer, error) {
 // Public returns the verification key.
 func (s *Signer) Public() *rsa.PublicKey { return &s.key.PublicKey }
 
-// SignatureBytes returns the byte length of signatures from this
-// signer.
-func (s *Signer) SignatureBytes() int { return s.key.Size() }
-
 // Sign produces the RSA-PKCS#1 v1.5 signature over the license.
 func (s *Signer) Sign(l *License) ([]byte, error) {
 	digest := l.Digest()

@@ -40,8 +40,8 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if len(sig) != s.SignatureBytes() {
-		t.Errorf("signature length %d, want %d", len(sig), s.SignatureBytes())
+	if len(sig) != s.Public().Size() {
+		t.Errorf("signature length %d, want %d", len(sig), s.Public().Size())
 	}
 	if err := Verify(s.Public(), lic, sig); err != nil {
 		t.Fatalf("Verify: %v", err)

@@ -169,36 +169,6 @@ func (g *Grid) RowBand(fromRow, toRow int) (Disclosure, error) {
 	return Disclosure{Blocks: ids}, nil
 }
 
-// Rect returns a disclosure covering the sub-rectangle of columns
-// [fromCol, toCol) and rows [fromRow, toRow) — the general "the SDC
-// may know I am somewhere in this area" shape of §VI-A.
-func (g *Grid) Rect(fromCol, toCol, fromRow, toRow int) (Disclosure, error) {
-	if fromCol < 0 || toCol > g.cols || fromCol >= toCol {
-		return Disclosure{}, fmt.Errorf("geo: invalid column range [%d, %d) of %d cols", fromCol, toCol, g.cols)
-	}
-	if fromRow < 0 || toRow > g.rows || fromRow >= toRow {
-		return Disclosure{}, fmt.Errorf("geo: invalid row range [%d, %d) of %d rows", fromRow, toRow, g.rows)
-	}
-	ids := make([]BlockID, 0, (toCol-fromCol)*(toRow-fromRow))
-	for r := fromRow; r < toRow; r++ {
-		for c := fromCol; c < toCol; c++ {
-			ids = append(ids, BlockID(r*g.cols+c))
-		}
-	}
-	return Disclosure{Blocks: ids}, nil
-}
-
-// Around returns a disclosure covering every block within radius
-// metres of block b — useful when an SU is willing to reveal a rough
-// neighbourhood.
-func (g *Grid) Around(b BlockID, radius float64) (Disclosure, error) {
-	ids, err := g.BlocksWithin(b, radius)
-	if err != nil {
-		return Disclosure{}, err
-	}
-	return Disclosure{Blocks: ids}, nil
-}
-
 // Contains reports whether block b is part of the disclosure.
 func (d Disclosure) Contains(b BlockID) bool {
 	// Blocks is sorted ascending; binary search.

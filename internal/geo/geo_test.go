@@ -216,43 +216,6 @@ func TestDisclosureContains(t *testing.T) {
 	}
 }
 
-func TestRectDisclosure(t *testing.T) {
-	g := mustGrid(t, 5, 4, 10)
-	d, err := g.Rect(1, 3, 1, 3) // 2x2 interior square
-	if err != nil {
-		t.Fatalf("Rect: %v", err)
-	}
-	want := []BlockID{6, 7, 11, 12}
-	if len(d.Blocks) != len(want) {
-		t.Fatalf("got %v, want %v", d.Blocks, want)
-	}
-	for i := range want {
-		if d.Blocks[i] != want[i] {
-			t.Fatalf("got %v, want %v", d.Blocks, want)
-		}
-	}
-	for _, bad := range [][4]int{{-1, 3, 0, 2}, {0, 6, 0, 2}, {2, 2, 0, 2}, {0, 2, 3, 2}, {0, 2, 0, 5}} {
-		if _, err := g.Rect(bad[0], bad[1], bad[2], bad[3]); err == nil {
-			t.Errorf("invalid rect %v accepted", bad)
-		}
-	}
-}
-
-func TestAroundDisclosure(t *testing.T) {
-	g := mustGrid(t, 5, 4, 10)
-	d, err := g.Around(7, 10)
-	if err != nil {
-		t.Fatalf("Around: %v", err)
-	}
-	// Block 7 plus its four orthogonal neighbours.
-	if len(d.Blocks) != 5 || !d.Contains(7) || !d.Contains(2) || !d.Contains(12) {
-		t.Errorf("around blocks = %v", d.Blocks)
-	}
-	if _, err := g.Around(999, 10); err == nil {
-		t.Error("invalid block accepted")
-	}
-}
-
 func TestBlocksWithinSymmetric(t *testing.T) {
 	// Property: membership is symmetric — if b is within r of a,
 	// then a is within r of b.

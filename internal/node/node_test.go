@@ -451,9 +451,9 @@ func TestSessionOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The repeated-use flow of §VI-A over TCP: prepare once, then submit
-	// a refresh of the prepared request whenever spectrum is needed. The
-	// request carries its shape digest, so each refresh re-sends the same
-	// ciphertexts, and every license binds to them.
+	// a refresh of the prepared request whenever spectrum is needed. Each
+	// refresh re-sends the same ciphertexts, and every license binds to
+	// them.
 	base, err := su.PrepareRequest(map[int]int64{0: 1000}, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)

@@ -274,11 +274,11 @@ func TestPIRServerRejectsMalformed(t *testing.T) {
 	defer conn.Close()
 
 	// Missing payload.
-	if _, err := conn.Call(&wire.Envelope{Kind: wire.KindPIRQuery}, wire.KindPIRAnswer); err == nil {
+	if _, err := conn.CallContext(context.Background(), &wire.Envelope{Kind: wire.KindPIRQuery}, wire.KindPIRAnswer); err == nil {
 		t.Error("payload-less query accepted")
 	}
 	// Wrong-length selection vector.
-	_, err = conn.Call(&wire.Envelope{
+	_, err = conn.CallContext(context.Background(), &wire.Envelope{
 		Kind:     wire.KindPIRQuery,
 		PIRQuery: &pir.Query{Table: pir.TableBitmap, Sel: []byte{1}},
 	}, wire.KindPIRAnswer)
@@ -291,7 +291,7 @@ func TestPIRServerRejectsMalformed(t *testing.T) {
 		t.Error("remote error does not name the replica")
 	}
 	// Unexpected kind for this server.
-	if _, err := conn.Call(&wire.Envelope{Kind: wire.KindSURequest}, wire.KindSUResponse); err == nil {
+	if _, err := conn.CallContext(context.Background(), &wire.Envelope{Kind: wire.KindSURequest}, wire.KindSUResponse); err == nil {
 		t.Error("SU request accepted by PIR replica")
 	}
 }

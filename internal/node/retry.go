@@ -8,6 +8,14 @@ import (
 	"pisa/internal/wire"
 )
 
+// Every backoff doubles per attempt (retryMultiplier) and is jittered
+// within ±20 % (retryJitter) so synchronised clients do not retry in
+// lockstep.
+const (
+	retryMultiplier = 2
+	retryJitter     = 0.2
+)
+
 // RetryPolicy bounds the resilient client's retry loop: exponential
 // backoff with jitter, capped per attempt and in total attempts.
 type RetryPolicy struct {
@@ -15,19 +23,14 @@ type RetryPolicy struct {
 	// the first; values below 1 take the default (4).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; it doubles
-	// (times Multiplier) per further attempt. Default 50 ms.
+	// per further attempt. Default 50 ms.
 	BaseDelay time.Duration
 	// MaxDelay caps the pre-jitter backoff. Default 2 s. Jitter is
 	// applied after the cap, so an individual delay may reach
-	// (1+Jitter)·MaxDelay — capping the jittered value instead would
+	// 1.2·MaxDelay — capping the jittered value instead would
 	// pile half of every capped draw onto exactly MaxDelay and
 	// re-synchronise the retry storms the jitter exists to break up.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts. Default 2.
-	Multiplier float64
-	// Jitter randomises each delay within ±Jitter·delay so synchronised
-	// clients do not retry in lockstep. Default 0.2; clamped to [0, 1].
-	Jitter float64
 	// Rand supplies the jitter draws in [0, 1). Nil uses math/rand's
 	// shared concurrency-safe source; tests inject a deterministic one.
 	Rand func() float64
@@ -43,15 +46,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0.2
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
 	if p.Rand == nil {
 		p.Rand = rand.Float64
 	}
@@ -66,20 +60,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // every upward draw in the cap region collapse onto exactly MaxDelay,
 // turning the distribution one-sided and re-synchronising the clients
 // the jitter is meant to spread out. Delays therefore range over
-// [(1-Jitter)·d, (1+Jitter)·d] symmetrically, even at the cap.
+// [0.8·d, 1.2·d] symmetrically, even at the cap.
 func (p RetryPolicy) delay(n int) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= retryMultiplier
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
 		}
 	}
-	if p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*p.Rand()-1)
-	}
-	return time.Duration(d)
+	return time.Duration(d * (1 + retryJitter*(2*p.Rand()-1)))
 }
 
 // dialError marks a failure that happened before any bytes reached

@@ -19,14 +19,12 @@ import (
 func TestDelayJitterSymmetricAtCap(t *testing.T) {
 	const draws = 2000
 	p := RetryPolicy{
-		BaseDelay:  50 * time.Millisecond,
-		MaxDelay:   2 * time.Second,
-		Multiplier: 2,
-		Jitter:     0.2,
+		BaseDelay: 50 * time.Millisecond,
+		MaxDelay:  2 * time.Second,
 	}.withDefaults()
 
 	max := float64(p.MaxDelay)
-	lo, hi := time.Duration((1-p.Jitter)*max), time.Duration((1+p.Jitter)*max)
+	lo, hi := time.Duration((1-retryJitter)*max), time.Duration((1+retryJitter)*max)
 	var below, above, exact int
 	for i := 0; i < draws; i++ {
 		d := p.delay(20) // deep in the cap region: pre-jitter delay = MaxDelay
@@ -58,25 +56,33 @@ func TestDelayDeterministicWithInjectedRand(t *testing.T) {
 	seq := []float64{0, 0.5, 1 - 1e-12}
 	i := 0
 	p := RetryPolicy{
-		BaseDelay:  100 * time.Millisecond,
-		MaxDelay:   time.Second,
-		Multiplier: 2,
-		Jitter:     0.5,
-		Rand:       func() float64 { v := seq[i%len(seq)]; i++; return v },
+		BaseDelay: 100 * time.Millisecond,
+		MaxDelay:  time.Second,
+		Rand:      func() float64 { v := seq[i%len(seq)]; i++; return v },
 	}.withDefaults()
 
-	// n=1: pre-jitter 100ms; draw 0 → factor 0.5.
-	if got, want := p.delay(1), 50*time.Millisecond; got != want {
+	// n=1: pre-jitter 100ms; draw 0 → factor 0.8.
+	if got, want := p.delay(1), 80*time.Millisecond; got != want {
 		t.Errorf("delay(1) = %v, want %v", got, want)
 	}
 	// n=2: pre-jitter 200ms; draw 0.5 → factor 1.
 	if got, want := p.delay(2), 200*time.Millisecond; got != want {
 		t.Errorf("delay(2) = %v, want %v", got, want)
 	}
-	// n=5: pre-jitter capped at 1s; draw ~1 → factor ~1.5, beyond the
+	// n=5: pre-jitter capped at 1s; draw ~1 → factor ~1.2, beyond the
 	// cap and NOT re-clamped.
-	if got := p.delay(5); got <= p.MaxDelay || got > 3*p.MaxDelay/2 {
-		t.Errorf("delay(5) = %v, want in (1s, 1.5s]", got)
+	if got := p.delay(5); got <= p.MaxDelay || got > 6*p.MaxDelay/5 {
+		t.Errorf("delay(5) = %v, want in (1s, 1.2s]", got)
+	}
+}
+
+// A policy nobody configured still jitters by ±20 %: every caller
+// leaves the policy at its zero value, and an unjittered fleet retries
+// in lockstep.
+func TestDelayJitteredByDefault(t *testing.T) {
+	p := RetryPolicy{Rand: func() float64 { return 0 }}.withDefaults()
+	if got, want := p.delay(1), 40*time.Millisecond; got != want {
+		t.Errorf("zero-value policy: delay(1) = %v, want 0.8 × %v = %v", got, p.BaseDelay, want)
 	}
 }
 

@@ -50,12 +50,6 @@ type ShareClient struct {
 
 var _ pisa.ShareService = (*ShareClient)(nil)
 
-// DialShare connects lazily to a co-STP share server with default
-// resilience options; timeout bounds each call's I/O.
-func DialShare(addr string, timeout time.Duration) *ShareClient {
-	return DialShareWith(Options{CallTimeout: timeout}, addr)
-}
-
 // DialShareWith connects lazily to one or more replicas of the same
 // co-STP key share. The addresses must hold identical shares —
 // failover between holders of different shares would corrupt the

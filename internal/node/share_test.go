@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/gob"
 	"net"
@@ -84,7 +85,7 @@ func TestDistributedSTPOverTCP(t *testing.T) {
 		}
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { srv.Close() })
-		cli := DialShare(ln.Addr().String(), 30*time.Second)
+		cli := DialShareWith(Options{CallTimeout: 30 * time.Second}, ln.Addr().String())
 		t.Cleanup(func() { cli.Close() })
 		holders = append(holders, cli)
 	}
@@ -160,7 +161,7 @@ func TestShareServerRejectsOtherKinds(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { srv.Close() })
-	cli := DialShare(ln.Addr().String(), 5*time.Second)
+	cli := DialShareWith(Options{CallTimeout: 5 * time.Second}, ln.Addr().String())
 	defer cli.Close()
 	// Empty batch is an application error.
 	if _, err := cli.PartialDecryptBatch(nil); err == nil {
@@ -174,7 +175,7 @@ func TestShareServerRejectsOtherKinds(t *testing.T) {
 	}
 	conn := wire.NewConn(raw, 5*time.Second)
 	defer conn.Close()
-	if _, err := conn.Call(&wire.Envelope{Kind: wire.KindGroupKeyRequest}, wire.KindGroupKey); err == nil {
+	if _, err := conn.CallContext(context.Background(), &wire.Envelope{Kind: wire.KindGroupKeyRequest}, wire.KindGroupKey); err == nil {
 		t.Error("co-STP answered a group-key request; it must hold no group key")
 	}
 }

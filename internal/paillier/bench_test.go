@@ -195,9 +195,9 @@ func BenchmarkHotPath(b *testing.B) {
 	// budget cells, folded into a single slot-packed ciphertext.
 	b.Run("requestCells12", func(b *testing.B) {
 		const cells = 12
-		vals := make([]int64, cells)
+		vals := make([]*big.Int, cells)
 		for i := range vals {
-			vals[i] = int64(1000 + i)
+			vals[i] = big.NewInt(int64(1000 + i))
 		}
 		codec, err := NewSlotCodec(cells, 162, 160)
 		if err != nil {
@@ -208,7 +208,7 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := codec.PackInt64(vals)
+			m, err := codec.Pack(vals)
 			if err != nil {
 				b.Fatal(err)
 			}

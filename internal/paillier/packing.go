@@ -121,11 +121,6 @@ func (c *SlotCodec) SlotBits() int { return c.slotBits }
 // PayloadBits returns the per-slot payload width Pack accepts.
 func (c *SlotCodec) PayloadBits() int { return c.payloadBits }
 
-// GuardBits returns the per-slot homomorphic headroom: how many bits
-// of growth (additions, scalar multiplications) a freshly packed slot
-// tolerates before a carry can cross into its neighbour.
-func (c *SlotCodec) GuardBits() int { return c.slotBits - 1 - c.payloadBits }
-
 // PackedBits returns the bit width of the widest legal packed
 // plaintext (its biased form), slots*slotBits.
 func (c *SlotCodec) PackedBits() int { return c.slots * c.slotBits }
@@ -182,15 +177,6 @@ func (c *SlotCodec) Pack(vals []*big.Int) (*big.Int, error) {
 		p.Add(p, shifted)
 	}
 	return p, nil
-}
-
-// PackInt64 is Pack for int64 values.
-func (c *SlotCodec) PackInt64(vals []int64) (*big.Int, error) {
-	bigs := make([]*big.Int, len(vals))
-	for i, v := range vals {
-		bigs[i] = big.NewInt(v)
-	}
-	return c.Pack(bigs)
 }
 
 // Unpack splits a packed plaintext back into its Slots signed values.

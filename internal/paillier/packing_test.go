@@ -27,6 +27,15 @@ func mustCodec(t testing.TB, slots, slotBits, payloadBits int) *SlotCodec {
 	return c
 }
 
+// bigInts is vals as big integers, the form Pack takes.
+func bigInts(vals ...int64) []*big.Int {
+	out := make([]*big.Int, len(vals))
+	for i, v := range vals {
+		out[i] = big.NewInt(v)
+	}
+	return out
+}
+
 func TestSlotCodecGeometry(t *testing.T) {
 	c := mustCodec(t, 4, 40, 20)
 	if got := c.Slots(); got != 4 {
@@ -37,9 +46,6 @@ func TestSlotCodecGeometry(t *testing.T) {
 	}
 	if got := c.PayloadBits(); got != 20 {
 		t.Errorf("PayloadBits = %d, want 20", got)
-	}
-	if got := c.GuardBits(); got != 19 { // 40 - 1 sign - 20 payload
-		t.Errorf("GuardBits = %d, want 19", got)
 	}
 	if got := c.PackedBits(); got != 160 {
 		t.Errorf("PackedBits = %d, want 160", got)
@@ -136,7 +142,7 @@ func TestSlotCodecUnpackRejectsLayoutOverflow(t *testing.T) {
 	// A plaintext whose biased form exceeds 2^30 means a carry escaped
 	// the top slot. Simulate by scaling the packed value so the top
 	// slot blows past its width.
-	p, err := c.PackInt64([]int64{0, 0, 15})
+	p, err := c.Pack(bigInts(0, 0, 15))
 	if err != nil {
 		t.Fatalf("Pack: %v", err)
 	}
@@ -153,7 +159,7 @@ func TestSlotCodecUnpackRejectsLayoutOverflow(t *testing.T) {
 
 func TestSlotCodecUnpackBounded(t *testing.T) {
 	c := mustCodec(t, 4, 20, 8)
-	p, err := c.PackInt64([]int64{100, -100, 255, 0})
+	p, err := c.Pack(bigInts(100, -100, 255, 0))
 	if err != nil {
 		t.Fatalf("Pack: %v", err)
 	}

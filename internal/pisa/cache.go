@@ -15,12 +15,11 @@ import (
 // only on the F̃ ciphertexts the SDC received and the budget content it
 // folded PU updates into. Neither the SU's key nor any per-request
 // randomness enters before eq. 13, so the column can be reused when the
-// same request comes back — a digest-carrying refresh resends its
-// ciphertexts as they are (SU.RefreshRequest). Entries are read-only and
-// never leave the SDC: every serving goes out blinded under a fresh
-// (alpha, beta, eps) tuple whose E(-eps*beta) factor carries a fresh
-// nonce, so no two servings are linkable to each other or to the entry
-// (DESIGN.md §14).
+// same request comes back — SU.RefreshRequest resends its ciphertexts as
+// they are. Entries are read-only and never leave the SDC: every serving
+// goes out blinded under a fresh (alpha, beta, eps) tuple whose
+// E(-eps*beta) factor carries a fresh nonce, so no two servings are
+// linkable to each other or to the entry (DESIGN.md §14).
 //
 // What a hit still pays is that blinding, and its Ĩ^alpha is a power of
 // a base that has not changed since the last serving. So a hit tables
@@ -42,9 +41,8 @@ import (
 // digest binds the SUID, the dimensions and every ciphertext to its
 // (channel, group) coordinates. A request is therefore only ever served
 // from a column computed from its own ciphertexts, so entries are per SU
-// and line up cell by cell with the request by construction, and the
-// SU-supplied ShapeDigest is read only as the opt-in: zero bypasses the
-// cache.
+// and line up cell by cell with the request by construction. The key is
+// all the SDC reads: a request tells it nothing but its own bytes.
 //
 // Freshness is exact, not heuristic, and kept per cached ciphertext:
 // every Ĩ keeps the budget ciphertext Ñ it was computed from — the one
@@ -317,11 +315,11 @@ func tabled(tabs []*paillier.PowerTable) bool {
 // built by hits and taken back by the byte budget, TableBytes what live
 // entries hold now.
 type CacheCounters struct {
-	Hits, Misses, Stale, Bypass, Evicted uint64
-	Admitted                             uint64
-	CellsKept, CellsRecomputed           uint64
-	Tabled, TableBuilds, TableDrops      uint64
-	TableBytes                           int
+	Hits, Misses, Stale, Evicted    uint64
+	Admitted                        uint64
+	CellsKept, CellsRecomputed      uint64
+	Tabled, TableBuilds, TableDrops uint64
+	TableBytes                      int
 
 	// Deprecated: Expired is always 0; cache entries have no age bound.
 	// The field exists only because benchmark/deploy.go:55, which a PR
@@ -351,7 +349,6 @@ func (s *SDC) CachedDecisions() int {
 // under s.mu: the cells it serves from an entry and those it recomputes,
 // the entry it installs and the tables it blinds from.
 type cacheLookup struct {
-	digest    bool                   // the request carried a shape digest
 	from      *cacheEntry            // the entry serving every cell not in recompute
 	recompute []int                  // every cell when from is nil
 	install   *cacheEntry            // installed once aggregated (installEntry); nil if nothing is
@@ -360,13 +357,13 @@ type cacheLookup struct {
 	build     bool                   // this request tables what from lacks (tableEntry)
 }
 
-// cacheKey derives the decision-cache key of a request that consults the
-// cache — the zero key for one that does not: a tagged hash of the
-// request's license digest, which binds the SUID, the dimensions and every
-// ciphertext to its coordinates. It hashes every ciphertext, so the
-// snapshot calls it before taking s.mu.
+// cacheKey derives the decision-cache key of a request — the zero key
+// when the cache is off: a tagged hash of the request's license digest,
+// which binds the SUID, the dimensions and every ciphertext to its
+// coordinates. It hashes every ciphertext, so the snapshot calls it
+// before taking s.mu.
 func (s *SDC) cacheKey(req *TransmissionRequest) ([32]byte, error) {
-	if s.cache.cap == 0 || req.ShapeDigest == ([32]byte{}) {
+	if s.cache.cap == 0 {
 		return [32]byte{}, nil
 	}
 	d, err := req.Digest()
@@ -380,12 +377,8 @@ func (s *SDC) cacheKey(req *TransmissionRequest) ([32]byte, error) {
 // critical section: a cached ciphertext computed from the budget
 // ciphertext the snapshot holds for its cell equals what a recompute
 // would produce. key is the request's cacheKey. Caller holds s.mu.
-func (s *SDC) lookupLocked(req *TransmissionRequest, key [32]byte, cells []requestCell) (l cacheLookup) {
-	switch {
-	case s.cache.cap == 0: // disabled
-	case req.ShapeDigest == [32]byte{}:
-		s.cache.count(&s.cache.stats.Bypass, metrics().cacheBypass, 1)
-	default:
+func (s *SDC) lookupLocked(key [32]byte, cells []requestCell) (l cacheLookup) {
+	if s.cache.cap > 0 {
 		l = s.cache.lookup(key, cells)
 	}
 	if l.from == nil {
@@ -397,14 +390,13 @@ func (s *SDC) lookupLocked(req *TransmissionRequest, key [32]byte, cells []reque
 	return l
 }
 
-// lookup is the cache policy for one digest-carrying request, given its
-// key and its cells with their budget snapshot: it counts the request as
-// one miss, stale lookup or hit and decides what the request takes from
-// the cache and what it gives back. An entry under the key was computed
+// lookup is the cache policy for one request, given its key and its
+// cells with their budget snapshot: it counts the request as one miss,
+// stale lookup or hit and decides what the request takes from the cache
+// and what it gives back. An entry under the key was computed
 // over the very cells of the request, in the same order.
 func (dc *decisionCache) lookup(key [32]byte, cells []requestCell) (l cacheLookup) {
 	m := metrics()
-	l.digest = true
 	e := dc.get(key)
 	if e == nil { // installs only on the key's second miss
 		dc.count(&dc.stats.Misses, m.cacheMisses, 1)

@@ -66,7 +66,7 @@ func missOnce(t *testing.T, s *SDC, req *TransmissionRequest) {
 
 // cacheEventCounts snapshots the cache event counters (process-global,
 // so tests always compare deltas).
-type cacheEventCounts struct{ hits, misses, stale, bypass uint64 }
+type cacheEventCounts struct{ hits, misses, stale uint64 }
 
 func snapshotCacheEvents() cacheEventCounts {
 	m := metrics()
@@ -74,7 +74,6 @@ func snapshotCacheEvents() cacheEventCounts {
 		hits:   m.cacheHits.Value(),
 		misses: m.cacheMisses.Value(),
 		stale:  m.cacheStale.Value(),
-		bypass: m.cacheBypass.Value(),
 	}
 }
 
@@ -83,7 +82,6 @@ func (c cacheEventCounts) deltaFrom(prev cacheEventCounts) cacheEventCounts {
 		hits:   c.hits - prev.hits,
 		misses: c.misses - prev.misses,
 		stale:  c.stale - prev.stale,
-		bypass: c.bypass - prev.bypass,
 	}
 }
 
@@ -156,9 +154,6 @@ func TestCacheHitOracleParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again.ShapeDigest != base.ShapeDigest {
-				t.Fatal("same-shape requests disagree on the digest")
-			}
 			before := snapshotCacheEvents()
 			if got, want := d.decide(t, su, again).Granted, d.oracleDecision(t, 7, eirp); got != want {
 				t.Fatalf("re-prepared request: PISA=%v, oracle=%v", got, want)
@@ -196,9 +191,6 @@ func TestCacheStaleAfterPUUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refreshed.ShapeDigest != req.ShapeDigest {
-		t.Fatal("refresh changed the shape digest")
-	}
 	if d.decide(t, su, refreshed).Granted {
 		t.Fatal("stale cached grant served after a PU update")
 	}
@@ -225,10 +217,12 @@ func TestCacheStaleAfterPUUpdate(t *testing.T) {
 	}
 }
 
-// TestCacheBypassWithoutDigest: a request carrying no shape digest
-// (an SU predating the feature, or one opting out of shape-equality
-// leakage) must be processed correctly and never touch cache state.
-func TestCacheBypassWithoutDigest(t *testing.T) {
+// TestCacheRerandomizedRequestMisses: a re-randomised request
+// (SU.RerandomizeRequest, the paper's refresh) carries bytes the SDC has
+// never seen, so it misses, is decided correctly and installs nothing —
+// not even after its original's first miss, which a resend would have
+// turned into an entry. Its recompute is counted like any other miss.
+func TestCacheRerandomizedRequestMisses(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
 	eirp := map[int]int64{1: maxEIRP(d)}
@@ -236,28 +230,34 @@ func TestCacheBypassWithoutDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.ShapeDigest = [32]byte{}
+	missOnce(t, d.sdc, req)
 
 	before := snapshotCacheEvents()
+	admitsBefore := metrics().cacheAdmits.Value()
 	entriesBefore := d.sdc.CachedDecisions()
 	aggMissBefore := metrics().cacheAggMiss.Count()
 	want := d.oracleDecision(t, 7, eirp)
 	for i := 0; i < 2; i++ {
-		if got := d.decide(t, su, req).Granted; got != want {
-			t.Fatalf("digest-less request %d: PISA=%v, oracle=%v", i, got, want)
+		fresh, err := su.RerandomizeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.decide(t, su, fresh).Granted; got != want {
+			t.Fatalf("re-randomised request %d: PISA=%v, oracle=%v", i, got, want)
 		}
 	}
 	delta := snapshotCacheEvents().deltaFrom(before)
-	if delta.bypass != 2 || delta.hits != 0 || delta.misses != 0 {
-		t.Fatalf("cache events = %+v, want two bypasses and nothing else", delta)
+	if delta.misses != 2 || delta.hits != 0 || delta.stale != 0 {
+		t.Fatalf("cache events = %+v, want two misses and nothing else", delta)
+	}
+	if got := metrics().cacheAdmits.Value() - admitsBefore; got != 0 {
+		t.Fatalf("re-randomised requests admitted %d entries", got)
 	}
 	if got := d.sdc.CachedDecisions(); got != entriesBefore {
-		t.Fatalf("bypass requests changed the cache population: %d -> %d", entriesBefore, got)
+		t.Fatalf("re-randomised requests changed the cache population: %d -> %d", entriesBefore, got)
 	}
-	// Bypass recomputes must not skew the hit-vs-miss cost comparison:
-	// only digest-carrying recomputes feed the path="miss" histogram.
-	if d := metrics().cacheAggMiss.Count() - aggMissBefore; d != 0 {
-		t.Fatalf("bypass recomputes observed %d samples into the path=miss histogram", d)
+	if d := metrics().cacheAggMiss.Count() - aggMissBefore; d != 2 {
+		t.Fatalf("two recomputes observed %d samples into the path=miss histogram", d)
 	}
 }
 
@@ -273,97 +273,61 @@ func entryOf(t *testing.T, s *SDC, req *TransmissionRequest) *cacheEntry {
 	return s.cache.get(key)
 }
 
-// TestCachePerSUScopeIsolation is the cross-SU poisoning regression:
-// the shape digest is SU-supplied and the SDC cannot verify it against
-// the encrypted F values, so cache entries are keyed on the ciphertexts
-// the SDC received instead. A rogue SU submitting a popular shape's
-// honest digest over a mismatching F matrix (same coordinates, different
-// demand) fills an entry of its own, from its own F; the honest SU
-// carrying the same digest misses, recomputes and gets the oracle-correct
-// decision — and so does the rogue's own genuine request under that
-// digest, which no entry computed from other ciphertexts can answer.
+// TestCachePerSUScopeIsolation is the cross-SU regression: entries are
+// keyed on the request's own bytes, SUID included, so the one lever a
+// rogue SU has — resending another SU's ciphertexts under its own SUID —
+// reaches no entry of the other SU. The rogue's copy misses and gets the
+// oracle's decision; a second copy installs an entry of its own, and the
+// honest SU's entry is neither replaced nor served to the rogue.
 func TestCachePerSUScopeIsolation(t *testing.T) {
 	d := newDeployment(t)
 	honest := d.newSU(t, "su-honest", 7)
 	rogue := d.newSU(t, "su-rogue", 7)
 	strong := map[int]int64{1: maxEIRP(d)}
-	weak := map[int]int64{1: d.params.Watch.Quantize(1)}
-	// A PU next door denies the strong demand and leaves the weak one.
+	// A PU next door denies the strong demand.
 	d.tune(t, d.newPU(t, "tv-1", 8), 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
 	want := d.oracleDecision(t, 7, strong)
-	if d.oracleDecision(t, 7, weak) == want {
-		t.Fatal("scenario not decision-flipping between the weak and the strong demand")
-	}
 
 	honestReq, err := honest.PrepareRequest(strong, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The rogue claims the honest shape's digest over weak-demand F
-	// values at the same coordinates.
-	poisoned, err := rogue.PrepareRequest(weak, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if poisoned.ShapeDigest == honestReq.ShapeDigest {
-		t.Fatal("distinct demands produced one digest")
-	}
-	poisoned.ShapeDigest = honestReq.ShapeDigest
-	missOnce(t, d.sdc, poisoned)
 	missOnce(t, d.sdc, honestReq)
-
-	before := snapshotCacheEvents()
-	rogueGrant := d.decide(t, rogue, poisoned).Granted
 	if got := d.decide(t, honest, honestReq).Granted; got != want {
-		t.Fatalf("honest SU's decision %v poisoned away from the oracle's %v", got, want)
+		t.Fatalf("honest SU's decision %v, the oracle's %v", got, want)
 	}
-	delta := snapshotCacheEvents().deltaFrom(before)
-	if delta.hits != 0 || delta.misses != 2 {
+	honestEntry := entryOf(t, d.sdc, honestReq)
+	if honestEntry == nil {
+		t.Fatal("honest request did not fill the cache")
+	}
+
+	// The rogue resends the honest ciphertexts under its own SUID.
+	stolen := *honestReq
+	stolen.SUID = rogue.ID()
+	before := snapshotCacheEvents()
+	for i := 0; i < 2; i++ {
+		if got := d.decide(t, rogue, &stolen).Granted; got != want {
+			t.Fatalf("rogue's copy %d decided %v, the oracle %v", i, got, want)
+		}
+	}
+	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 0 || delta.misses != 2 {
 		t.Fatalf("cache events = %+v, want two misses and no cross-SU hit", delta)
 	}
-
-	// The two requests hold different aggregates for the one digest —
-	// the rogue's entry really was computed from its own weak F, and
-	// never replaced or served the honest SU's column.
-	rogueEntry, honestEntry := entryOf(t, d.sdc, poisoned), entryOf(t, d.sdc, honestReq)
-	if rogueEntry == nil || honestEntry == nil {
-		t.Fatal("entries missing after the two fills")
+	rogueEntry := entryOf(t, d.sdc, &stolen)
+	if rogueEntry == nil || rogueEntry == honestEntry {
+		t.Fatalf("rogue's second copy installed %p, want an entry of its own beside %p", rogueEntry, honestEntry)
 	}
-	if len(rogueEntry.is) != len(honestEntry.is) {
-		t.Fatalf("entries disagree on footprint size: %d vs %d", len(rogueEntry.is), len(honestEntry.is))
-	}
-	differs := false
-	for i := range honestEntry.is {
-		hp, err := d.stp.group.Decrypt(honestEntry.is[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := d.stp.group.Decrypt(rogueEntry.is[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hp.Cmp(rp) != 0 {
-			differs = true
-			break
-		}
-	}
-	if !differs {
-		t.Fatal("rogue and honest entries hold identical aggregates for different F matrices")
+	if got := entryOf(t, d.sdc, honestReq); got != honestEntry {
+		t.Fatal("the rogue's copy replaced the honest SU's entry")
 	}
 
-	// The dishonest digest buys nothing, not even from the rogue's own
-	// entry: its genuine strong-demand request under the same digest is a
-	// miss and gets the oracle's decision, not the weak-F one.
-	rogueStrong, err := rogue.PrepareRequest(strong, geo.Disclosure{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The honest SU's resend still hits its own entry.
 	before = snapshotCacheEvents()
-	if got := d.decide(t, rogue, rogueStrong).Granted; got != want {
-		t.Fatalf("rogue's genuine request decided %v, the oracle %v (the weak-F answer is %v)", got, want, rogueGrant)
+	if got := d.decide(t, honest, honestReq).Granted; got != want {
+		t.Fatalf("honest resend decided %v, the oracle %v", got, want)
 	}
-	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 0 || delta.misses != 1 {
-		t.Fatalf("cache events = %+v, want the rogue's genuine request to miss", delta)
+	if delta := snapshotCacheEvents().deltaFrom(before); delta.hits != 1 || delta.misses != 0 {
+		t.Fatalf("cache events = %+v, want the honest resend to hit", delta)
 	}
 }
 
@@ -483,8 +447,8 @@ func (r *signRecorder) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 // servings (the one that built the tables and two that found them) must
 // be bitwise unlinkable to each other and to the entry (otherwise an
 // observer of the SDC's traffic could tell "these requests asked the
-// same thing"; the shape digest deliberately leaks that to the SDC,
-// never to the wire), the entry must come out bit-identical, and every
+// same thing"; the resent request's bytes deliberately tell that to the
+// SDC, never beyond it), the entry must come out bit-identical, and every
 // served V~ must still be a sign-preserving blinding of the cached I~ up
 // to its one-time epsilon.
 func TestCacheRerandomizedUnlinkable(t *testing.T) {
@@ -1189,7 +1153,7 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 	d := newCacheDeployment(t, func(p *Params) { p.CacheEntries = entries })
 	a, b := d.newSU(t, "su-a", 7), d.newSU(t, "su-b", 7)
 	// shape i of an SU: one channel at an EIRP of its own, so no two
-	// shapes of one SU share a digest.
+	// shapes of one SU share an F.
 	shape := func(su *SU, i int) *TransmissionRequest {
 		t.Helper()
 		req, err := su.PrepareRequest(map[int]int64{i % d.params.Watch.Channels: maxEIRP(d) - int64(i)}, geo.Disclosure{})
@@ -1244,11 +1208,10 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 		t.Fatalf("third request: %d hits, want %d", got, hits+1)
 	}
 
-	// A's first miss admits no other request under its digest: not B
-	// carrying it, nor A's own re-prepared request of the shape.
+	// A's first miss admits no other request of its shape: not B's, nor
+	// A's own re-prepared request.
 	reqA := shape(a, 200)
 	reqB := shape(b, 200)
-	reqB.ShapeDigest = reqA.ShapeDigest
 	send(reqA)
 	send(reqB)
 	expect("another SU's second miss", 1, 1)
@@ -1562,7 +1525,7 @@ func TestCacheChurnStress(t *testing.T) {
 func cacheChurnStress(t *testing.T, iters int) {
 	d := newCacheDeployment(t, nil)
 	// One SU per requester goroutine; same block + same EIRP + same
-	// disclosure means they share the shape digest, and each its own entry.
+	// disclosure means they share the shape, and each its own entry.
 	sus := []*SU{d.newSU(t, "su-1", 7), d.newSU(t, "su-2", 7)}
 	pu := d.newPU(t, "tv-1", 8)
 	eirp := map[int]int64{1: maxEIRP(d)}
@@ -1593,9 +1556,6 @@ func cacheChurnStress(t *testing.T, iters int) {
 			t.Fatal(err)
 		}
 		bases[i] = b
-	}
-	if bases[0].ShapeDigest != bases[1].ShapeDigest {
-		t.Fatal("co-located same-shape SUs disagree on the digest")
 	}
 	groups, moved := 4, d.params.Watch.Channels
 	if got := bases[0].Ciphertexts(); got != groups*moved {
@@ -1746,8 +1706,8 @@ func cacheChurnStress(t *testing.T, iters int) {
 		t.Fatalf("restored-SDC decision %v, oracle expectation %v", grant.Granted, finalWant)
 	}
 
-	// Conservation: every digest-carrying request resolved to exactly
-	// one of hit/miss/stale — across both SDCs and all the churn.
+	// Conservation: every request resolved to exactly one of
+	// hit/miss/stale — across both SDCs and all the churn.
 	delta := snapshotCacheEvents().deltaFrom(before)
 	requests := metrics().requests.Value() - requestsBefore
 	if got := delta.hits + delta.misses + delta.stale; got != requests {
@@ -1851,10 +1811,10 @@ func TestCacheEntryMemory(t *testing.T) {
 }
 
 // TestCacheStatsMatchObsSeries drives one SDC through every kind of cache
-// event — bypass, first miss, admitted second miss, a hit that builds
-// tables, a partly stale refresh, another request under the same digest,
-// an eviction at CacheEntries, and table drops under the byte budget,
-// trimmed and over it — and checks after each step that every
+// event — first miss, admitted second miss, a hit that builds tables, a
+// partly stale refresh, another request of the same shape, an eviction
+// at CacheEntries, and table drops under the byte budget, trimmed and
+// over it — and checks after each step that every
 // CacheCounters field moved by exactly as much as the obs series of the
 // same event. Not parallel: the series are process-wide, so no other test
 // may move them meanwhile.
@@ -1881,15 +1841,12 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 	a, aEIRP := shape(1, band)
 	b, bEIRP := shape(0, band)
 	c, cEIRP := shape(2, band)
-	other, _ := shape(1, band) // a's digest over other ciphertexts
-	bypass, _ := shape(1, band)
-	bypass.ShapeDigest = [32]byte{}
+	other, _ := shape(1, band) // a's shape in other ciphertexts
 
 	series := map[string]string{
 		"Hits":            `pisa_sdc_cache_events_total{event="hit"}`,
 		"Misses":          `pisa_sdc_cache_events_total{event="miss"}`,
 		"Stale":           `pisa_sdc_cache_events_total{event="stale"}`,
-		"Bypass":          `pisa_sdc_cache_events_total{event="bypass"}`,
 		"Evicted":         `pisa_sdc_cache_events_total{event="evict"}`,
 		"Admitted":        `pisa_sdc_cache_events_total{event="admit"}`,
 		"CellsKept":       `pisa_sdc_cache_cells_total{state="kept"}`,
@@ -1903,7 +1860,7 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 		t.Helper()
 		cs := d.sdc.CacheStats()
 		stats = map[string]uint64{
-			"Hits": cs.Hits, "Misses": cs.Misses, "Stale": cs.Stale, "Bypass": cs.Bypass,
+			"Hits": cs.Hits, "Misses": cs.Misses, "Stale": cs.Stale,
 			"Evicted": cs.Evicted, "Admitted": cs.Admitted, "CellsKept": cs.CellsKept,
 			"CellsRecomputed": cs.CellsRecomputed, "Tabled": cs.Tabled,
 			"TableBuilds": cs.TableBuilds, "TableDrops": cs.TableDrops,
@@ -1939,7 +1896,6 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.ShapeDigest = req.ShapeDigest
 		if got, want := d.decide(t, su, r).Granted, d.oracleDecision(t, home, eirp); got != want {
 			t.Fatalf("%s: decision %v, oracle %v", what, got, want)
 		}
@@ -1955,7 +1911,6 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 		}
 	}
 
-	step("bypass", bypass, aEIRP, "Bypass")
 	step("first miss", a, aEIRP, "Misses")
 	step("admitted second miss", a, aEIRP, "Misses", "Admitted")
 	step("hit that builds tables", a, aEIRP, "Hits", "Tabled", "TableBuilds")
@@ -1963,7 +1918,7 @@ func TestCacheStatsMatchObsSeries(t *testing.T) {
 	// channel; the refresh keeps the other groups with their tables.
 	d.tune(t, d.newPU(t, "tv-1", 9), 0, wp.Quantize(wp.SMinPUmW))
 	step("partly stale refresh", a, aEIRP, "Stale", "CellsKept", "CellsRecomputed", "Tabled")
-	step("same digest, other bytes", other, aEIRP, "Misses")
+	step("same shape, other bytes", other, aEIRP, "Misses")
 	step("first miss of b", b, bEIRP, "Misses")
 	step("b admitted", b, bEIRP, "Misses", "Admitted")
 	step("first miss of c", c, cEIRP, "Misses")

@@ -86,8 +86,8 @@ func TestConcurrentRequestsAndUpdates(t *testing.T) {
 	}
 }
 
-// TestNoncePoolAccounting checks the pooled-refresh bookkeeping, on the
-// requests that draw from the pool: those without a shape digest.
+// TestNoncePoolAccounting checks the pooled-refresh bookkeeping of
+// RerandomizeRequest, the one path that draws from the pool.
 func TestNoncePoolAccounting(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-nonce", 7)
@@ -95,7 +95,6 @@ func TestNoncePoolAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req = withoutDigest(req)
 	cells := req.Ciphertexts()
 
 	if err := su.PrecomputeNonces(-1); err == nil {
@@ -107,14 +106,14 @@ func TestNoncePoolAccounting(t *testing.T) {
 	if got := su.PooledNonces(); got != cells+3 {
 		t.Fatalf("pool = %d, want %d", got, cells+3)
 	}
-	if _, err := su.RefreshRequest(req); err != nil {
+	if _, err := su.RerandomizeRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	if got := su.PooledNonces(); got != 3 {
 		t.Fatalf("pool after refresh = %d, want 3", got)
 	}
 	// Pool exhaustion falls back to the slow path and still works.
-	fresh, err := su.RefreshRequest(req)
+	fresh, err := su.RerandomizeRequest(req)
 	if err != nil {
 		t.Fatalf("refresh with dry pool: %v", err)
 	}
@@ -179,11 +178,10 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 				errs <- err
 				return
 			}
-			req = withoutDigest(req)
 			for r := 0; r < rounds; r++ {
 				// Refresh drains the nonce pool below its low-water
 				// mark, racing the background refill it triggers.
-				fresh, err := su.RefreshRequest(req)
+				fresh, err := su.RerandomizeRequest(req)
 				if err != nil {
 					errs <- err
 					return

@@ -87,7 +87,7 @@ func TestEngineOnOffDecisionParity(t *testing.T) {
 			if err := su.PrecomputeNonces(8); err != nil {
 				t.Fatal(err)
 			}
-			req3, err := su.RefreshRequest(withoutDigest(req2))
+			req3, err := su.RerandomizeRequest(req2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,9 +189,8 @@ func TestSUCloseStopsNonceRefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req = withoutDigest(req)
 	// Refreshing drains the (empty) pool and kicks a refill off.
-	if _, err := su.RefreshRequest(req); err != nil {
+	if _, err := su.RerandomizeRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	su.Close()
@@ -199,8 +198,8 @@ func TestSUCloseStopsNonceRefills(t *testing.T) {
 		t.Fatal("EnableNonceAutoRefill succeeded on a closed SU")
 	}
 	// Refreshes still work after Close (online nonce generation).
-	if _, err := su.RefreshRequest(req); err != nil {
-		t.Fatalf("RefreshRequest after Close: %v", err)
+	if _, err := su.RerandomizeRequest(req); err != nil {
+		t.Fatalf("RerandomizeRequest after Close: %v", err)
 	}
 	su.Close() // double Close is fine
 	d.sdc.Close()

@@ -2,10 +2,8 @@ package pisa
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pisa/internal/dsig"
 	"pisa/internal/geo"
@@ -34,7 +32,9 @@ type PUUpdate struct {
 }
 
 // TransmissionRequest is the SU's spectrum-access request (Figure 5):
-// the encrypted F matrix plus the disclosed block set it covers.
+// the encrypted F matrix plus the disclosed block set it covers. Nothing
+// else travels: two SUs with one SUID and one disclosure send requests
+// of the same shape whatever their block, channels and EIRP.
 type TransmissionRequest struct {
 	// SUID identifies the requester; the STP must know its public key.
 	SUID string
@@ -48,20 +48,6 @@ type TransmissionRequest struct {
 	// Disclosure lists the block columns shipped; nil or
 	// grid-complete means full location privacy (§VI-A trade-off).
 	Disclosure []geo.BlockID
-	// ShapeDigest commits to the request's plaintext shape —
-	// SU block, per-channel EIRP classes, disclosure — over public
-	// inputs only (see ShapeDigest below). A non-zero digest is the SU's
-	// opt-in to the SDC's encrypted-decision cache, and tells
-	// SU.RefreshRequest to resend the request's ciphertexts as they are;
-	// the zero value opts out (the SDC always recomputes, and a refresh
-	// re-randomises). The SDC reads only whether it is zero: it keys
-	// the cache on the ciphertexts it received, which it can check, not
-	// on this SU-supplied value, which it cannot check against the
-	// encrypted F. A wrong digest therefore buys nothing — the request
-	// misses like any other. Equal digests on the wire leak shape
-	// EQUALITY, and so does a byte-identical resend: the intended trade
-	// for cacheability.
-	ShapeDigest [32]byte
 }
 
 // SizeBytes reports the request's dominant wire size (the ciphertext
@@ -90,9 +76,9 @@ func digestU32(buf *bytes.Buffer, v int) {
 	buf.Write(b[:])
 }
 
-// digestModePacked is the layout byte both digests write. Slot-packed is
+// digestModePacked is the layout byte the digest writes. Slot-packed is
 // the only layout; the byte stays in the preimage so that license
-// bindings and shape digests keep their values.
+// bindings keep their values.
 const (
 	digestTag        = "pisa-request-digest-v2\x00"
 	digestModePacked = byte(1)
@@ -129,45 +115,6 @@ func (r *TransmissionRequest) Digest() ([32]byte, error) {
 		return [32]byte{}, err
 	}
 	return dsig.HashRequest(buf.Bytes()), nil
-}
-
-// shapeDigestTag domain-separates the shape digest from the license
-// digest above.
-const shapeDigestTag = "pisa-shape-digest-v1\x00"
-
-// ShapeDigest hashes the plaintext inputs that determine the F matrix
-// bit-for-bit: the grid dimensions, the SU's block,
-// the (channel, EIRP-units) demand pairs, and the disclosed block set.
-// planner.ComputeF is deterministic in exactly these inputs, so equal
-// digests imply equal plaintext F. Computed SU-side, because the SDC
-// only ever sees F encrypted.
-func ShapeDigest(channels, blocks int, block geo.BlockID, eirpUnits map[int]int64, disclosure []geo.BlockID) [32]byte {
-	var buf bytes.Buffer
-	buf.WriteString(shapeDigestTag)
-	buf.WriteByte(digestModePacked)
-	digestU32(&buf, channels)
-	digestU32(&buf, blocks)
-	digestU32(&buf, int(block))
-	chans := make([]int, 0, len(eirpUnits))
-	for c := range eirpUnits {
-		chans = append(chans, c)
-	}
-	sort.Ints(chans)
-	digestU32(&buf, len(chans))
-	for _, c := range chans {
-		digestU32(&buf, c)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(eirpUnits[c]))
-		buf.Write(b[:])
-	}
-	sorted := make([]geo.BlockID, len(disclosure))
-	copy(sorted, disclosure)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	digestU32(&buf, len(sorted))
-	for _, b := range sorted {
-		digestU32(&buf, int(b))
-	}
-	return sha256.Sum256(buf.Bytes())
 }
 
 // SDCService is the slice of the SDC an SU needs: request processing.

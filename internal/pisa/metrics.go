@@ -48,10 +48,9 @@ type sdcMetrics struct {
 	// speedup is directly readable from /metrics.
 	cacheHits    *obs.Counter   // event="hit"
 	cacheMisses  *obs.Counter   // event="miss"
-	cacheStale   *obs.Counter   // event="stale" (footprint content versions moved)
+	cacheStale   *obs.Counter   // event="stale" (a cell's budget ciphertext moved)
 	cacheEvicts  *obs.Counter   // event="evict"
-	cacheBypass  *obs.Counter   // event="bypass" (request carried no shape digest)
-	cacheAdmits  *obs.Counter   // event="admit" (a miss installed: its shape had missed before)
+	cacheAdmits  *obs.Counter   // event="admit" (a miss installed: its key had missed before)
 	cacheEntries *obs.Gauge     // live entries of every instance, by delta
 	cacheAggHit  *obs.Histogram // path="hit": reuse cached Ĩ
 	cacheAggMiss *obs.Histogram // path="miss": eq. 11-12 recompute, whole column or moved cells
@@ -123,8 +122,6 @@ func metrics() *sdcMetrics {
 				"encrypted-decision cache events by kind", obs.Labels{"event": "stale"}),
 			cacheEvicts: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "evict"}),
-			cacheBypass: r.Counter("pisa_sdc_cache_events_total",
-				"encrypted-decision cache events by kind", obs.Labels{"event": "bypass"}),
 			cacheAdmits: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "admit"}),
 			cacheEntries: r.Gauge("pisa_sdc_cache_entries",

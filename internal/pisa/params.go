@@ -86,9 +86,9 @@ type Params struct {
 
 	// CacheEntries bounds the SDC's encrypted-decision cache: the
 	// aggregate output Ĩ of eqs. 11-12, keyed on the request's own
-	// ciphertexts (a digest-carrying refresh resends them unchanged) and
-	// invalidated, ciphertext by ciphertext, against per-block column
-	// versions. It also sizes the first-miss set: a request's column is
+	// ciphertexts (SU.RefreshRequest resends them unchanged) and
+	// invalidated, ciphertext by ciphertext, when the budget ciphertext a
+	// cell was computed from is replaced. It also sizes the first-miss set: a request's column is
 	// installed on its second miss, if its first is among the last
 	// CacheEntries first misses. An entry is read-only; each hit blinds it
 	// under a fresh (alpha, beta, eps) tuple, which is what makes two hits

@@ -1,7 +1,9 @@
 package pisa
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/gob"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -150,15 +152,6 @@ func (d *deployment) oracleDecision(t *testing.T, block geo.BlockID, eirp map[in
 		t.Fatalf("oracle Evaluate: %v", err)
 	}
 	return dec.Granted
-}
-
-// withoutDigest returns the request as an SU that opted out of
-// shape-equality leakage sends it: no ShapeDigest, so the SDC never
-// caches it and RefreshRequest re-randomises it.
-func withoutDigest(req *TransmissionRequest) *TransmissionRequest {
-	plain := *req
-	plain.ShapeDigest = [32]byte{}
-	return &plain
 }
 
 func maxEIRP(d *deployment) int64 {
@@ -371,9 +364,58 @@ func TestDisclosureMustCoverInterferenceFootprint(t *testing.T) {
 	}
 }
 
-// TestRefreshRequestUnlinkableSameDecision pins the paper's refresh, the
-// path a request without a shape digest takes: every ciphertext is
-// re-randomised, the digest stays absent, the decision stays.
+// TestRequestViewIndependentOfShape pins what a request tells the SDC:
+// its bytes, SUID and disclosure, and nothing about where the SU is or
+// what it asks for. Two SUs under one SUID and one disclosure, at
+// different blocks and asking for different channels and EIRP, send
+// requests that populate the same coordinates and, ciphertexts aside,
+// encode to the same bytes.
+func TestRequestViewIndependentOfShape(t *testing.T) {
+	d := newDeployment(t)
+	view := func(block geo.BlockID, eirp map[int]int64) ([]byte, [][2]int) {
+		t.Helper()
+		su, err := NewSU(rand.Reader, "su-same", block, d.params, d.sdc.Planner(), d.sdc.group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var coords [][2]int
+		err = req.FP.ForEachGroup(func(c, g int, _ *paillier.Ciphertext) error {
+			coords = append(coords, [2]int{c, g})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := *req
+		bare.FP = nil
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&bare); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), coords
+	}
+	a, coordsA := view(3, map[int]int64{0: maxEIRP(d)})
+	b, coordsB := view(16, map[int]int64{2: 1})
+	if !bytes.Equal(a, b) {
+		t.Fatalf("requests of two shapes encode differently outside their ciphertexts:\n%x\n%x", a, b)
+	}
+	if len(coordsA) != len(coordsB) {
+		t.Fatalf("requests of two shapes ship %d and %d ciphertexts", len(coordsA), len(coordsB))
+	}
+	for i := range coordsA {
+		if coordsA[i] != coordsB[i] {
+			t.Fatalf("ciphertext %d sits at %v in one request, %v in the other", i, coordsA[i], coordsB[i])
+		}
+	}
+}
+
+// TestRefreshRequestUnlinkableSameDecision pins the paper's refresh,
+// SU.RerandomizeRequest: every ciphertext is re-randomised, the decision
+// stays.
 func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
@@ -381,17 +423,13 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req = withoutDigest(req)
 	drawn := paillier.Nonces()
-	fresh, err := su.RefreshRequest(req)
+	fresh, err := su.RerandomizeRequest(req)
 	if err != nil {
-		t.Fatalf("RefreshRequest: %v", err)
+		t.Fatalf("RerandomizeRequest: %v", err)
 	}
 	if got := paillier.Nonces() - drawn; got != uint64(req.Ciphertexts()) {
 		t.Errorf("refresh drew %d nonces for %d ciphertexts", got, req.Ciphertexts())
-	}
-	if fresh.ShapeDigest != ([32]byte{}) {
-		t.Error("refresh gave a digest-less request a digest")
 	}
 	// Ciphertexts must all change...
 	same := 0
@@ -417,19 +455,15 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 	}
 }
 
-// TestRefreshWithDigestDrawsNothing pins the other path: a request that
-// carries its shape digest has already told the SDC it is a repeat, so
-// its refresh re-sends the prepared ciphertexts — no nonce drawn, the
-// pool untouched — and the license still verifies and binds to them.
+// TestRefreshWithDigestDrawsNothing pins SU.RefreshRequest: it re-sends
+// the prepared ciphertexts — no nonce drawn, the pool untouched — and
+// the license still verifies and binds to them.
 func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
 	req, err := su.PrepareRequest(map[int]int64{1: maxEIRP(d)}, geo.Disclosure{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if req.ShapeDigest == ([32]byte{}) {
-		t.Fatal("prepared request carries no shape digest")
 	}
 	if err := su.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		t.Fatal(err)
@@ -440,12 +474,12 @@ func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 		t.Fatalf("RefreshRequest: %v", err)
 	}
 	if got := paillier.Nonces() - drawn; got != 0 {
-		t.Errorf("refresh of a digest-carrying request drew %d nonces", got)
+		t.Errorf("refresh drew %d nonces", got)
 	}
 	if got := su.PooledNonces(); got != pooled {
 		t.Errorf("refresh took the nonce pool from %d to %d", pooled, got)
 	}
-	if again == req || again.ShapeDigest != req.ShapeDigest || again.SUID != req.SUID {
+	if again == req || again.SUID != req.SUID {
 		t.Fatal("refresh is not a copy of the request")
 	}
 	err = req.FP.ForEachGroup(func(c, g int, ct *paillier.Ciphertext) error {

@@ -419,7 +419,7 @@ func (s *SDC) snapshot(r *shardRequest) error {
 		return nil
 	})
 	if err == nil {
-		r.cacheLookup = s.lookupLocked(r.req, key, r.cells)
+		r.cacheLookup = s.lookupLocked(key, r.cells)
 	}
 	return err
 }
@@ -448,11 +448,7 @@ func (s *SDC) aggregate(r *shardRequest) error {
 	if r.install != nil {
 		s.installEntry(&r.cacheLookup, r.is)
 	}
-	// Only digest-carrying recomputes feed the path="miss" histogram,
-	// installed or not: bypass (zero-digest) requests recompute too, but
-	// folding them in would skew the hit-vs-miss cost comparison whenever
-	// opt-out/legacy SUs share the deployment.
-	if r.digest {
+	if s.cache.cap > 0 {
 		m.cacheAggMiss.ObserveSince(start)
 	}
 	return nil

@@ -29,9 +29,8 @@ type SU struct {
 	// codec is the deployment's slot codec (Params.SlotCodec): requests
 	// ship as packed matrices, codec.Slots() block slots per ciphertext.
 	codec *paillier.SlotCodec
-	// nonces is the precomputed r^n pool for re-randomising refreshes of
-	// digest-less requests (§VI-A's ~11 s reuse path versus ~221 s fresh
-	// preparation).
+	// nonces is the precomputed r^n pool for RerandomizeRequest (§VI-A's
+	// ~11 s reuse path versus ~221 s fresh preparation).
 	nonces *paillier.NoncePool
 }
 
@@ -93,8 +92,8 @@ func (u *SU) PublicKey() *paillier.PublicKey { return u.key.Public() }
 // registration, and nonce pool survive the move — a roaming fleet
 // member does not re-register — but previously prepared requests
 // still encode the old block; the next PrepareRequest picks up the
-// new location (and a new shape digest). Not safe to call
-// concurrently with request preparation.
+// new location. Not safe to call concurrently with request
+// preparation.
 func (u *SU) MoveTo(block geo.BlockID) error {
 	if !u.planner.Params().Grid.Valid(block) {
 		return fmt.Errorf("pisa: SU block %d invalid", block)
@@ -138,10 +137,7 @@ func (u *SU) PrepareRequest(eirpUnits map[int]int64, disclosure geo.Disclosure) 
 	if err != nil {
 		return nil, err
 	}
-	// The shape digest keys the SDC's encrypted-decision cache; it
-	// covers exactly the plaintext inputs ComputeF is deterministic in.
-	shape := ShapeDigest(p.Channels, p.Grid.Blocks(), u.block, eirpUnits, disclosure.Blocks)
-	return u.preparePacked(f, disclosure, shape)
+	return u.preparePacked(f, disclosure)
 }
 
 // preparePacked builds the packed transmission request: one ciphertext
@@ -152,7 +148,7 @@ func (u *SU) PrepareRequest(eirpUnits map[int]int64, disclosure geo.Disclosure) 
 // so PrepareRequest's per-block footprint check still guarantees no
 // interference constraint is dropped. Out-of-disclosure slots inside a
 // shipped group and padding slots past the grid encrypt zero.
-func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]byte) (*TransmissionRequest, error) {
+func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure) (*TransmissionRequest, error) {
 	p := u.planner.Params()
 	blocks := p.Grid.Blocks()
 	k := u.codec.Slots()
@@ -213,20 +209,18 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure, shape [32]b
 		}
 	}
 	return &TransmissionRequest{
-		SUID:        u.id,
-		FP:          fp,
-		Disclosure:  append([]geo.BlockID(nil), disclosure.Blocks...),
-		ShapeDigest: shape,
+		SUID:       u.id,
+		FP:         fp,
+		Disclosure: append([]geo.BlockID(nil), disclosure.Blocks...),
 	}, nil
 }
 
 // PrecomputeNonces extends the SU's offline pool of re-randomisation
 // factors. Each pooled nonce turns one ciphertext refresh into a single
-// modular multiplication instead of a fixed-base exponentiation. Only a
-// refresh of a request without a ShapeDigest draws from the pool (the
-// paper's refresh, 11 s against 221 s for a fresh preparation): a
-// digest-carrying request is re-sent as it is and draws nothing (see
-// RefreshRequest).
+// modular multiplication instead of a fixed-base exponentiation. Only
+// RerandomizeRequest draws from the pool (the paper's refresh, 11 s
+// against 221 s for a fresh preparation); RefreshRequest re-sends a
+// request as it is and draws nothing.
 func (u *SU) PrecomputeNonces(count int) error {
 	if count < 0 {
 		return fmt.Errorf("pisa: negative nonce count %d", count)
@@ -264,35 +258,44 @@ func (u *SU) Close() { u.nonces.Close() }
 func (u *SU) PooledNonces() int { return u.nonces.Len() }
 
 // RefreshRequest readies a previously prepared request for another
-// submission. What that takes depends on what the request already tells
-// the SDC:
-//
-// A request carrying a ShapeDigest is returned as it is — a copy that
-// shares the read-only matrix, no nonce drawn, no pool traffic. The
-// digest and the SUID in the same message already say "same SU, same
-// shape" to the SDC and to anyone on the wire, so fresh ciphertext
-// randomness would hide nothing from them; and the STP only ever sees F~
-// folded into a V~ whose E(-eps*beta) factor carries a fresh nonce on
-// every serving (DESIGN.md §10, ledger row 1).
-//
-// A request with a zero digest — the SU that opted out of shape-equality
-// leakage — is re-randomised, every ciphertext, so that two submissions
-// of the same operating parameters are unlinkable: the cheap reuse path
-// the paper reports at about 11 s versus 221 s for a fresh preparation
-// (§VI-A). Precomputed nonces from PrecomputeNonces are consumed one per
-// ciphertext; when the pool runs dry the refresh falls back to drawing
-// them online.
+// submission: a copy that shares the read-only matrix, no nonce drawn,
+// no pool traffic. The SUID in the message already says "same SU" to the
+// SDC and to anyone on the wire, and a byte-identical resend adds "same
+// request": the trade for the SDC's decision cache, which serves a
+// resend from the column its first sendings computed. The STP only ever
+// sees F~ folded into a V~ whose E(-eps*beta) factor carries a fresh
+// nonce on every serving (DESIGN.md §10, ledger row 1).
 func (u *SU) RefreshRequest(req *TransmissionRequest) (*TransmissionRequest, error) {
+	if err := u.owns(req); err != nil {
+		return nil, err
+	}
+	resend := *req
+	resend.Disclosure = append([]geo.BlockID(nil), req.Disclosure...)
+	return &resend, nil
+}
+
+// owns checks that req is a prepared request of this SU.
+func (u *SU) owns(req *TransmissionRequest) error {
 	if req == nil || req.FP == nil {
-		return nil, fmt.Errorf("pisa: nil request")
+		return fmt.Errorf("pisa: nil request")
 	}
 	if req.SUID != u.id {
-		return nil, fmt.Errorf("pisa: request belongs to %q, not %q", req.SUID, u.id)
+		return fmt.Errorf("pisa: request belongs to %q, not %q", req.SUID, u.id)
 	}
-	if req.ShapeDigest != ([32]byte{}) {
-		resend := *req
-		resend.Disclosure = append([]geo.BlockID(nil), req.Disclosure...)
-		return &resend, nil
+	return nil
+}
+
+// RerandomizeRequest re-randomises every ciphertext of a previously
+// prepared request, so that two submissions of the same operating
+// parameters are unlinkable by their bytes: the cheap reuse path the
+// paper reports at about 11 s versus 221 s for a fresh preparation
+// (§VI-A). Precomputed nonces from PrecomputeNonces are consumed one per
+// ciphertext; when the pool runs dry the refresh falls back to drawing
+// them online. The result has bytes the SDC has never seen, so its
+// decision cache can only miss on it.
+func (u *SU) RerandomizeRequest(req *TransmissionRequest) (*TransmissionRequest, error) {
+	if err := u.owns(req); err != nil {
+		return nil, err
 	}
 	fresh, err := matrix.NewPacked(u.group, req.FP.Codec(), req.FP.Channels(), req.FP.Blocks())
 	if err != nil {

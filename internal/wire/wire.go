@@ -229,12 +229,12 @@ func (c *Conn) deadline(ctx context.Context) time.Time {
 
 // Send writes one envelope.
 func (c *Conn) Send(env *Envelope) error {
-	return c.SendContext(context.Background(), env)
+	return c.sendContext(context.Background(), env)
 }
 
-// SendContext writes one envelope, bounding the write by the sooner
+// sendContext writes one envelope, bounding the write by the sooner
 // of the context deadline and the connection timeout.
-func (c *Conn) SendContext(ctx context.Context, env *Envelope) error {
+func (c *Conn) sendContext(ctx context.Context, env *Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("wire: send %s: %w", env.Kind, err)
 	}
@@ -249,12 +249,12 @@ func (c *Conn) SendContext(ctx context.Context, env *Envelope) error {
 
 // Recv reads one envelope.
 func (c *Conn) Recv() (*Envelope, error) {
-	return c.RecvContext(context.Background())
+	return c.recvContext(context.Background())
 }
 
-// RecvContext reads one envelope, bounding the read by the sooner of
+// recvContext reads one envelope, bounding the read by the sooner of
 // the context deadline and the connection timeout.
-func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
+func (c *Conn) recvContext(ctx context.Context) (*Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
@@ -268,14 +268,9 @@ func (c *Conn) RecvContext(ctx context.Context) (*Envelope, error) {
 	return &env, nil
 }
 
-// Call sends a request and waits for the matching reply kind. A
-// KindError reply surfaces as *RemoteError.
-func (c *Conn) Call(req *Envelope, want Kind) (*Envelope, error) {
-	return c.CallContext(context.Background(), req, want)
-}
-
-// CallContext performs one request/reply exchange under the context:
-// the context deadline bounds each send and receive (capped by the
+// CallContext sends a request and waits for the matching reply kind
+// under the context; a KindError reply surfaces as *RemoteError. The
+// context deadline bounds each send and receive (capped by the
 // connection timeout), and cancellation force-closes the socket so an
 // in-flight exchange unblocks immediately instead of waiting out its
 // deadline. After a cancellation the connection is Dead and must be
@@ -283,10 +278,10 @@ func (c *Conn) Call(req *Envelope, want Kind) (*Envelope, error) {
 func (c *Conn) CallContext(ctx context.Context, req *Envelope, want Kind) (*Envelope, error) {
 	stop := c.watchCancel(ctx)
 	defer stop()
-	if err := c.SendContext(ctx, req); err != nil {
+	if err := c.sendContext(ctx, req); err != nil {
 		return nil, err
 	}
-	resp, err := c.RecvContext(ctx)
+	resp, err := c.recvContext(ctx)
 	if err != nil {
 		return nil, err
 	}

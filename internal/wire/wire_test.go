@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/gob"
 	"errors"
+	"math/big"
 	"net"
 	"runtime"
 	"strings"
@@ -13,8 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"pisa/internal/geo"
+	"pisa/internal/matrix"
 	"pisa/internal/paillier"
 	"pisa/internal/pir"
+	"pisa/internal/pisa"
 )
 
 // pipePair returns two framed connections joined by an in-memory pipe.
@@ -139,7 +143,7 @@ func TestCallMatchesKinds(t *testing.T) {
 			_ = b.Send(&Envelope{Kind: KindGroupKey})
 		}
 	}()
-	resp, err := a.Call(&Envelope{Kind: KindGroupKeyRequest}, KindGroupKey)
+	resp, err := a.CallContext(context.Background(), &Envelope{Kind: KindGroupKeyRequest}, KindGroupKey)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -156,7 +160,7 @@ func TestCallSurfacesRemoteError(t *testing.T) {
 		}
 		_ = b.SendError(errors.New("budget exceeded"))
 	}()
-	_, err := a.Call(&Envelope{Kind: KindSURequest}, KindSUResponse)
+	_, err := a.CallContext(context.Background(), &Envelope{Kind: KindSURequest}, KindSUResponse)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("got %v, want RemoteError", err)
@@ -189,7 +193,7 @@ func TestCallRejectsWrongKind(t *testing.T) {
 		}
 		_ = b.Send(&Envelope{Kind: KindAck})
 	}()
-	if _, err := a.Call(&Envelope{Kind: KindSURequest}, KindSUResponse); err == nil {
+	if _, err := a.CallContext(context.Background(), &Envelope{Kind: KindSURequest}, KindSUResponse); err == nil {
 		t.Fatal("mismatched reply kind accepted")
 	}
 }
@@ -202,7 +206,7 @@ func TestCallKindMismatchNamesPeer(t *testing.T) {
 		}
 		_ = b.Send(&Envelope{Kind: KindAck})
 	}()
-	_, err := a.Call(&Envelope{Kind: KindSURequest}, KindSUResponse)
+	_, err := a.CallContext(context.Background(), &Envelope{Kind: KindSURequest}, KindSUResponse)
 	if err == nil {
 		t.Fatal("mismatched reply kind accepted")
 	}
@@ -364,7 +368,7 @@ func TestContextDeadlineBeatsConnTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.RecvContext(ctx)
+	_, err := c.recvContext(ctx)
 	if err == nil {
 		t.Fatal("Recv succeeded with no sender")
 	}
@@ -376,13 +380,54 @@ func TestContextDeadlineBeatsConnTimeout(t *testing.T) {
 	}
 }
 
+// suRequestFrame encodes a KindSURequest envelope as an SU sends one: a
+// slot-packed encrypted F over a 2-channel, 4-block grid, two blocks per
+// ciphertext, with the whole grid disclosed.
+func suRequestFrame(f *testing.F) []byte {
+	f.Helper()
+	sk, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		f.Fatal(err)
+	}
+	codec, err := paillier.NewSlotCodec(2, 40, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp, err := matrix.NewPacked(sk.Public(), codec, 2, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for c := 0; c < 2; c++ {
+		for g := 0; g < 2; g++ {
+			ct, err := sk.Public().PackEncrypt(rand.Reader, codec, []*big.Int{big.NewInt(int64(c)), big.NewInt(int64(-g))})
+			if err != nil {
+				f.Fatal(err)
+			}
+			if err := fp.SetGroup(c, g, ct); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	req := &pisa.TransmissionRequest{SUID: "su-1", FP: fp, Disclosure: []geo.BlockID{0, 1, 2, 3}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Envelope{Kind: KindSURequest, Request: req}); err != nil {
+		f.Fatal(err)
+	}
+	var env Envelope
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&env); err != nil || env.Request == nil || env.Request.Ciphertexts() != 4 {
+		f.Fatalf("the SU request frame does not decode to its request: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func FuzzEnvelopeDecode(f *testing.F) {
-	// Seed with a real encoded envelope plus junk.
+	// Seed with real encoded envelopes plus junk.
 	var buf bytes.Buffer
 	_ = gob.NewEncoder(&buf).Encode(&Envelope{Kind: KindAck, SUID: "su"})
 	f.Add(buf.Bytes())
 	f.Add([]byte("not gob at all"))
 	f.Add([]byte{})
+	f.Add(suRequestFrame(f))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Malformed frames must produce errors, never panics.
 		var env Envelope
