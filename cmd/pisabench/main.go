@@ -23,8 +23,9 @@
 //
 // By default the end-to-end pipeline is measured at a reduced matrix
 // scale and extrapolated (the pipeline is exactly linear in matrix
-// cells); -paper runs the full 100x600 grid with 2048-bit keys, which
-// takes minutes per stage — the very cost the paper reports.
+// cells); -paper runs the full 100x600 grid with 2048-bit keys, the
+// scale of the paper's own figures (the whole command takes tens of
+// seconds on two cores, where the paper reports minutes per stage).
 //
 // Every homomorphic kernel fans out over GOMAXPROCS workers, so
 // GOMAXPROCS=1 is the paper's single-threaded configuration; -sweep

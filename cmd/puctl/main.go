@@ -85,7 +85,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("fetch E column: %w", err)
 	}
-	pu, err := pisa.NewPU(nil, watch.PUID(*id), geo.BlockID(*block), eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, watch.PUID(*id), geo.BlockID(*block), eCol, stp.GroupKey(), params)
 	if err != nil {
 		return err
 	}

@@ -258,7 +258,7 @@ func TestRunRecoversFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-1", 8, col, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-1", 8, col, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestRunServesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-1", 1, col, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-1", 1, col, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestRunFrontsShardDaemons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-1", 8, col, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-1", 8, col, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

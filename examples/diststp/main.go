@@ -141,7 +141,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tv, err := pisa.NewPU(nil, "tv", 21, eCol, group)
+	tv, err := pisa.NewPU(nil, "tv", 21, eCol, group, params)
 	if err != nil {
 		return err
 	}

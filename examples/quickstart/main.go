@@ -63,7 +63,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tv, err := pisa.NewPU(nil, "living-room-tv", 21, eCol, stp.GroupKey())
+	tv, err := pisa.NewPU(nil, "living-room-tv", 21, eCol, stp.GroupKey(), params)
 	if err != nil {
 		return err
 	}

@@ -150,7 +150,7 @@ func run(artifacts string) error {
 	if err != nil {
 		return err
 	}
-	pu, err := pisa.NewPU(nil, "pu", puBlock, eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "pu", puBlock, eCol, stp.GroupKey(), params)
 	if err != nil {
 		return err
 	}

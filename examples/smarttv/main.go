@@ -120,7 +120,7 @@ func run() error {
 				if err != nil {
 					return err
 				}
-				if pu, err = pisa.NewPU(nil, ev.PU, ev.Block, eCol, stp.GroupKey()); err != nil {
+				if pu, err = pisa.NewPU(nil, ev.PU, ev.Block, eCol, stp.GroupKey(), params); err != nil {
 					return err
 				}
 				pus[ev.PU] = pu

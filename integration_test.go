@@ -123,7 +123,7 @@ func TestSystemIntegration(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pu, err = pisa.NewPU(nil, ev.PU, ev.Block, eCol, stpCli.GroupKey()); err != nil {
+				if pu, err = pisa.NewPU(nil, ev.PU, ev.Block, eCol, stpCli.GroupKey(), params); err != nil {
 					t.Fatal(err)
 				}
 				pus[ev.PU] = pu
@@ -263,7 +263,7 @@ func TestSTPFailoverUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-fo", 8, eCol, stpCli.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-fo", 8, eCol, stpCli.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestRestartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pu, err := pisa.NewPU(nil, id, block, eCol, stp.GroupKey())
+		pu, err := pisa.NewPU(nil, id, block, eCol, stp.GroupKey(), params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -690,7 +690,7 @@ func TestShardRestartUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(nil, "tv-shard-rs", 8, eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(nil, "tv-shard-rs", 8, eCol, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -967,7 +967,7 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pu, err := pisa.NewPU(nil, "tv-once", 6, eCol, suSTP.GroupKey())
+		pu, err := pisa.NewPU(nil, "tv-once", 6, eCol, suSTP.GroupKey(), params)
 		if err != nil {
 			t.Fatal(err)
 		}

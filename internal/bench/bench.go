@@ -205,7 +205,7 @@ func NewUniverse(params pisa.Params) (*Universe, error) {
 	if err != nil {
 		return nil, err
 	}
-	pu, err := pisa.NewPU(rand.Reader, "bench-pu", 1, eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(rand.Reader, "bench-pu", 1, eCol, stp.GroupKey(), params)
 	if err != nil {
 		return nil, err
 	}

@@ -427,7 +427,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		churn.Add(1)
 		go func() {
 			defer churn.Done()
-			replayPUs(target, wp, schedule, &puUpdates, &puErrors)
+			replayPUs(target, params, schedule, &puUpdates, &puErrors)
 		}()
 	}
 
@@ -596,8 +596,9 @@ func e2eBracket() *histBracket {
 // replayPUs walks the schedule in time order, lazily standing up each
 // PU on first appearance and pushing its tune/off updates at their
 // trace times.
-func replayPUs(target Target, wp watch.Params, schedule []trace.PUSwitch,
+func replayPUs(target Target, params pisa.Params, schedule []trace.PUSwitch,
 	updates, errors *atomic.Int64) {
+	wp := target.Planner.Params()
 	pus := map[string]*pisa.PU{}
 	signal := wp.Quantize(wp.SMinPUmW * 100)
 	start := time.Now()
@@ -613,7 +614,7 @@ func replayPUs(target Target, wp watch.Params, schedule []trace.PUSwitch,
 				errors.Add(1)
 				continue
 			}
-			pu, err = pisa.NewPU(rand.Reader, watch.PUID(id), ev.Block, eCol, target.STP.GroupKey())
+			pu, err = pisa.NewPU(rand.Reader, watch.PUID(id), ev.Block, eCol, target.STP.GroupKey(), params)
 			if err != nil {
 				errors.Add(1)
 				continue

@@ -160,7 +160,7 @@ func testCrashRecovery(t *testing.T, n int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pu, err = pisa.NewPU(rand.Reader, id, block, eCol, stp.GroupKey()); err != nil {
+			if pu, err = pisa.NewPU(rand.Reader, id, block, eCol, stp.GroupKey(), params); err != nil {
 				t.Fatal(err)
 			}
 			pus[id] = pu

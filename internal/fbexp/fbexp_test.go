@@ -447,8 +447,8 @@ func FuzzExp(f *testing.F) {
 // exponent (a group key's full comb and an SU key's lean one, each
 // with the cost of its build), the general loop, and big.Int.Exp, which
 // the general loop replaced, at the exponent widths in use (100-bit
-// blinding scalars, 256-bit nonce exponents, n-sized legacy nonces and
-// slot shifts). (The one-block table's rows are paillier's
+// blinding scalars, 256-bit nonce exponents and n-sized legacy
+// nonces). (The one-block table's rows are paillier's
 // BenchmarkScalarMul.)
 func BenchmarkExp(b *testing.B) {
 	n := randMod(b, 2048)

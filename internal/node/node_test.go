@@ -112,7 +112,7 @@ func TestNetworkedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EColumn: %v", err)
 	}
-	pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stpCli.GroupKey())
+	pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stpCli.GroupKey(), n.params)
 	if err != nil {
 		t.Fatal(err)
 	}

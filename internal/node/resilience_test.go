@@ -489,7 +489,7 @@ func TestPoolRaceMixedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(rand.Reader, "tv-race", 8, eCol, n.stpClient.GroupKey())
+	pu, err := pisa.NewPU(rand.Reader, "tv-race", 8, eCol, n.stpClient.GroupKey(), n.params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestDistributedSTPOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(rand.Reader, "tv", 8, eCol, dist.GroupKey())
+	pu, err := pisa.NewPU(rand.Reader, "tv", 8, eCol, dist.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,9 @@ func (c *SlotCodec) CheckKey(pk *PublicKey) error {
 }
 
 // ShiftScalar returns 2^(slot*slotBits), the scalar that moves a
-// single-value plaintext into the given slot. The SDC uses it to fold
-// a per-block PU update ciphertext into its packed budget group:
-// ScalarMul(ShiftScalar(j), ct) adds D(ct) to slot j.
+// single-value plaintext into the given slot: a PU encrypts
+// v*ShiftScalar(j) for its block's slot j, so adding that ciphertext to
+// a packed one adds v to slot j.
 func (c *SlotCodec) ShiftScalar(slot int) *big.Int {
 	return new(big.Int).Lsh(one, uint(slot*c.slotBits))
 }

@@ -1313,7 +1313,7 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := NewPU(rand.Reader, "tv-1", 8, col, stp.GroupKey())
+	pu, err := NewPU(rand.Reader, "tv-1", 8, col, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1470,7 +1470,7 @@ func TestEColumnOnEveryFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := NewPU(rand.Reader, "tv-1", 8, col, stp.GroupKey())
+	pu, err := NewPU(rand.Reader, "tv-1", 8, col, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

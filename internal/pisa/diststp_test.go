@@ -40,7 +40,7 @@ func TestDistSTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := NewPU(rand.Reader, "tv-1", 8, eCol, dist.GroupKey())
+	pu, err := NewPU(rand.Reader, "tv-1", 8, eCol, dist.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"pisa/internal/geo"
 	"pisa/internal/paillier"
-	"pisa/internal/watch"
 )
 
 // Hardened gob codecs for the protocol messages that cross trust
@@ -155,26 +153,24 @@ func (r *SignResponse) GobDecode(data []byte) error {
 }
 
 // puUpdateWire mirrors PUUpdate for encoding.
-type puUpdateWire struct {
-	PUID  watch.PUID
-	Block geo.BlockID
-	Cts   []*paillier.Ciphertext
-}
+type puUpdateWire PUUpdate
 
 // GobEncode implements gob.GobEncoder.
 func (u *PUUpdate) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&puUpdateWire{PUID: u.PUID, Block: u.Block, Cts: u.Cts})
+	err := gob.NewEncoder(&buf).Encode((*puUpdateWire)(u))
 	if err != nil {
 		return nil, fmt.Errorf("pisa: encode PU update: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder with element-count and
-// ciphertext-size caps. Semantic validation (channel count matching
-// the deployment, block inside the grid) stays with
-// SDC.HandlePUUpdate, which knows the parameters.
+// GobDecode implements gob.GobDecoder with element-count, ciphertext
+// size and layout caps. Semantic validation (channel count and layout
+// matching the deployment, block inside the grid, ciphertexts below the
+// group key's n^2) stays with SDC.HandlePUUpdate, which knows the
+// parameters. A zero layout decodes, so that the SDC can refuse it by
+// name.
 func (u *PUUpdate) GobDecode(data []byte) error {
 	var w puUpdateWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -186,10 +182,16 @@ func (u *PUUpdate) GobDecode(data []byte) error {
 	if w.Block < 0 {
 		return fmt.Errorf("pisa: decode PU update: negative block %d", w.Block)
 	}
+	if w.Slots < 0 || w.Slots > maxWireElements {
+		return fmt.Errorf("pisa: decode PU update: slot count %d outside [0, %d]", w.Slots, maxWireElements)
+	}
+	if w.SlotBits < 0 || w.SlotBits > maxWireSlotBits {
+		return fmt.Errorf("pisa: decode PU update: slot width %d outside [0, %d]", w.SlotBits, maxWireSlotBits)
+	}
 	if err := checkWireCiphertexts("PU update", w.Cts); err != nil {
 		return err
 	}
-	*u = PUUpdate{PUID: w.PUID, Block: w.Block, Cts: w.Cts}
+	*u = PUUpdate(w)
 	return nil
 }
 

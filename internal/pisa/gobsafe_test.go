@@ -133,6 +133,8 @@ func TestPUUpdateGobRejectsMalformed(t *testing.T) {
 		{"long PUID", puUpdateWire{PUID: watchPUID(maxWireIDLen + 1), Block: 0, Cts: []*paillier.Ciphertext{ct(1)}}, "PUID length"},
 		{"negative block", puUpdateWire{PUID: "tv", Block: -1, Cts: []*paillier.Ciphertext{ct(1)}}, "negative block"},
 		{"empty ciphertext", puUpdateWire{PUID: "tv", Block: 0, Cts: []*paillier.Ciphertext{{}}}, "invalid ciphertext"},
+		{"negative slots", puUpdateWire{PUID: "tv", Slots: -1, SlotBits: 162, Cts: []*paillier.Ciphertext{ct(1)}}, "slot count"},
+		{"huge slot", puUpdateWire{PUID: "tv", Slots: 4, SlotBits: maxWireSlotBits + 1, Cts: []*paillier.Ciphertext{ct(1)}}, "slot width"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,15 +18,22 @@ import (
 // received channel and 0 elsewhere. A switched-off receiver sends all
 // zeros.
 //
-// Updates are one ciphertext per channel, not slot-packed: a PU speaks
-// for a single block, so there is nothing to pack; the SDC folds the
-// update into the right slot of its packed budget with a shift scalar
-// (see SDC.rebuildGroup).
+// Updates are one ciphertext per channel: a PU speaks for a single
+// block, so there is nothing to pack, but it encrypts each value into
+// its block's slot (W(c)*2^(slot*SlotBits), slot = Block mod Slots), so
+// the SDC adds the ciphertexts into its packed budget as they arrive
+// (see SDC.rebuildGroup). Slots and SlotBits declare the layout the
+// update was packed for; the SDC refuses any other.
 type PUUpdate struct {
 	// PUID identifies the sender; its block registration is public.
 	PUID watch.PUID
 	// Block is the PU's registered location.
 	Block geo.BlockID
+	// Slots and SlotBits are the slot layout the PU encrypted for
+	// (Params.SlotCodec); zero in an update from before PUs encrypted
+	// into their slot.
+	Slots    int
+	SlotBits int
 	// Cts holds exactly C ciphertexts, channel-indexed.
 	Cts []*paillier.Ciphertext
 }

@@ -37,11 +37,6 @@ type sdcMetrics struct {
 	colRebuildStale *obs.Histogram
 	colRebuildErr   *obs.Histogram
 	colRetries      *obs.Counter
-	// updateShift times moving one PU update's owned columns into their
-	// packed slot (one full-width exponentiation per channel). Its count
-	// is the number of updates shifted: with the memo it grows by one
-	// per accepted update, not by one per PU of the group per rebuild.
-	updateShift *obs.Histogram
 
 	// Encrypted-decision cache: event counters plus the aggregate
 	// stage split into served-from-cache vs recomputed, so the hit
@@ -112,8 +107,6 @@ func metrics() *sdcMetrics {
 				obs.Labels{"outcome": "error"}, nil),
 			colRetries: r.Counter("pisa_sdc_column_rebuild_retries_total",
 				"column rebuild passes discarded because a newer update raced in", nil),
-			updateShift: r.Histogram("pisa_sdc_update_shift_seconds",
-				"shifting one PU update's columns into their packed slot (memoised per stored update)", nil, nil),
 			cacheHits: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "hit"}),
 			cacheMisses: r.Counter("pisa_sdc_cache_events_total",

@@ -23,27 +23,25 @@ const (
 	RecordSURegistration store.RecordType = 2
 )
 
-// sdcStateV1 is the serialised form of the SDC's complete mutable
+// sdcState is the serialised form of the SDC's complete mutable
 // protocol state: the encrypted budget matrix N~, every PU's latest
 // submitted column (from which the PU location registry is derived),
 // and the serial counter of the instance's one-shard router (0 on a
 // windowed shard, which has none). Everything else the
 // SDC holds — the public E matrix, protection distances, the decision
 // cache — is recomputed from public data or on demand.
-// Packed is always written true. A v1 snapshot of the removed
-// one-cell-per-ciphertext layout (written before packing existed, or
-// under -packing=false) still decodes, with Packed=false and its budget
-// field ignored, so that RestoreSDC can refuse it by name instead of
-// dereferencing a nil matrix.
-type sdcStateV1 struct {
+//
+// Version 2 stores updates their PUs encrypted into their own slot.
+// Version 1 stored updates the SDC shifted into their slot itself (and,
+// before packing, unpacked budgets); RestoreSDC refuses it by name.
+type sdcState struct {
 	Version int
 	Serial  uint64
-	Packed  bool
 	NPack   *matrix.Packed
 	Updates []*PUUpdate
 }
 
-const sdcStateVersion = 1
+const sdcStateVersion = 2
 
 // ExportState serialises the SDC's mutable protocol state for a
 // snapshot. The encrypted entries are immutable, so only the brief
@@ -52,15 +50,14 @@ const sdcStateVersion = 1
 // acknowledged append when pairing with store.SaveSnapshot.
 func (s *SDC) ExportState() ([]byte, error) {
 	s.mu.Lock()
-	st := sdcStateV1{
+	st := sdcState{
 		Version: sdcStateVersion,
 		Serial:  s.licenser().Serial(),
-		Packed:  true,
 		NPack:   s.nPack.Clone(),
 		Updates: make([]*PUUpdate, 0, len(s.puUpdates)),
 	}
 	for _, u := range s.puUpdates {
-		st.Updates = append(st.Updates, u.PUUpdate)
+		st.Updates = append(st.Updates, u)
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Updates, func(i, j int) bool { return st.Updates[i].PUID < st.Updates[j].PUID })
@@ -82,7 +79,9 @@ func (s *SDC) ExportState() ([]byte, error) {
 // yet fold them, and trusting that column would permanently drop the
 // PU's interference constraints. Registrations always precede column
 // write-backs, so a snapshot's column set can only lag its update set,
-// never lead it — recomputing from the updates is always correct. The
+// never lead it — recomputing from the updates is always correct, and
+// cheap: a group costs its E re-encryption and one addition per stored
+// update, whose PU encrypted it into its slot. The
 // STP must serve the same group key the snapshot was encrypted under;
 // a key mismatch is detected and refused, because foreign-key
 // ciphertexts would silently decrypt to garbage.
@@ -102,18 +101,18 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			return nil, err
 		}
 	} else {
-		var st sdcStateV1
+		var st sdcState
 		if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
 			return nil, fmt.Errorf("pisa: decode SDC snapshot: %w", err)
+		}
+		if st.Version == 1 {
+			return nil, fmt.Errorf("pisa: SDC snapshot version 1 holds PU updates for the SDC to shift into their slots, which this build no longer does; boot without the snapshot and let the PUs re-send")
 		}
 		if st.Version != sdcStateVersion {
 			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads %d", st.Version, sdcStateVersion)
 		}
-		if !st.Packed {
-			return nil, fmt.Errorf("pisa: SDC snapshot holds unpacked budgets: the one-cell-per-ciphertext layout was removed and its state cannot be restored; boot without the snapshot and let the PUs re-send")
-		}
 		if st.NPack == nil {
-			return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
+			return nil, fmt.Errorf("pisa: SDC snapshot has no packed budget matrix: the one-cell-per-ciphertext layout was removed and its state cannot be restored; boot without the snapshot and let the PUs re-send")
 		}
 		if st.NPack.Channels() != params.Watch.Channels || st.NPack.Blocks() != params.Watch.Grid.Blocks() {
 			return nil, fmt.Errorf("pisa: snapshot budgets are %dx%d, deployment is %dx%d",
@@ -144,6 +143,9 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		u, err := DecodePUUpdate(rec.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)
+		}
+		if u.Slots == 0 {
+			return nil, fmt.Errorf("pisa: SDC WAL record %d is a PU update without a slot layout, for the SDC to shift into its slot, which this build no longer does; boot without the snapshot and its log and let the PUs re-send", rec.Index)
 		}
 		if err := s.registerRestored(u); err != nil {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)
@@ -177,7 +179,7 @@ func (s *SDC) registerRestored(u *PUUpdate) error {
 	if prev, ok := s.puUpdates[u.PUID]; ok && prev.Block != u.Block {
 		return fmt.Errorf("pisa: restored PU %q moves from block %d to %d", u.PUID, prev.Block, u.Block)
 	}
-	s.puUpdates[u.PUID] = &storedUpdate{PUUpdate: u}
+	s.puUpdates[u.PUID] = u
 	return nil
 }
 

@@ -90,7 +90,7 @@ func (d *deployment) newPU(t *testing.T, id watch.PUID, block geo.BlockID) *PU {
 	if err != nil {
 		t.Fatalf("EColumn: %v", err)
 	}
-	pu, err := NewPU(rand.Reader, id, block, col, d.sdc.group)
+	pu, err := NewPU(rand.Reader, id, block, col, d.sdc.group, d.params)
 	if err != nil {
 		t.Fatalf("NewPU: %v", err)
 	}
@@ -674,7 +674,7 @@ func TestHandlePUUpdateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := NewPU(rand.Reader, "tv-1", 9, colB, d.stp.GroupKey())
+	moved, err := NewPU(rand.Reader, "tv-1", 9, colB, d.stp.GroupKey(), d.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,14 +699,17 @@ func TestPUValidation(t *testing.T) {
 	if _, err := pu.Tune(0, 0); err == nil {
 		t.Error("zero signal accepted")
 	}
-	if _, err := NewPU(rand.Reader, "", 0, []int64{1}, d.stp.GroupKey()); err == nil {
+	if _, err := NewPU(rand.Reader, "", 0, []int64{1}, d.stp.GroupKey(), d.params); err == nil {
 		t.Error("empty PU id accepted")
 	}
-	if _, err := NewPU(rand.Reader, "x", 0, nil, d.stp.GroupKey()); err == nil {
+	if _, err := NewPU(rand.Reader, "x", 0, nil, d.stp.GroupKey(), d.params); err == nil {
 		t.Error("missing E column accepted")
 	}
-	if _, err := NewPU(rand.Reader, "x", 0, []int64{1}, nil); err == nil {
+	if _, err := NewPU(rand.Reader, "x", 0, []int64{1}, nil, d.params); err == nil {
 		t.Error("missing group key accepted")
+	}
+	if _, err := NewPU(rand.Reader, "x", -1, []int64{1}, d.stp.GroupKey(), d.params); err == nil {
+		t.Error("negative block accepted")
 	}
 }
 

@@ -28,13 +28,26 @@ type PU struct {
 	eColumn []int64 // public E(:, block)
 	group   *paillier.PublicKey
 	random  io.Reader
+	// codec is the slot layout the PU packs for, and shift is
+	// 2^(slot*SlotBits) for its slot = block mod Slots: the PU encrypts
+	// W(c)*shift, so the SDC sums its ciphertexts into the packed budget
+	// as they arrive.
+	codec *paillier.SlotCodec
+	shift *big.Int
 }
 
 // NewPU creates a primary user at the given block. eColumn is the
 // public per-channel maximum-SU-EIRP budget for that block (obtain it
 // from SDC.EColumn or any party's own watch.System — it derives from
 // public data only).
-func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, group *paillier.PublicKey) (*PU, error) {
+//
+// layout is the deployment's Params: the PU encrypts into its block's
+// slot of Params.SlotCodec, and the SDC refuses an update packed for
+// another layout. Without it the PU packs Table I's widths
+// (DefaultParams) at the group key's width. That default exists only
+// because the frozen benchmark calls NewPU without a layout; unfreezing
+// the benchmark (ROADMAP item 3) makes the argument required.
+func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, group *paillier.PublicKey, layout ...Params) (*PU, error) {
 	if random == nil {
 		random = rand.Reader
 	}
@@ -47,6 +60,26 @@ func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, 
 	if group == nil {
 		return nil, fmt.Errorf("pisa: PU requires the group key")
 	}
+	if block < 0 {
+		return nil, fmt.Errorf("pisa: PU block %d invalid", block)
+	}
+	var p Params
+	switch len(layout) {
+	case 0:
+		p = DefaultParams(watch.Params{})
+		p.PaillierBits = group.Bits()
+	case 1:
+		p = layout[0]
+	default:
+		return nil, fmt.Errorf("pisa: PU takes one layout, got %d", len(layout))
+	}
+	codec, err := p.SlotCodec()
+	if err != nil {
+		return nil, err
+	}
+	if err := codec.CheckKey(group); err != nil {
+		return nil, fmt.Errorf("pisa: PU layout: %w", err)
+	}
 	col := append([]int64(nil), eColumn...)
 	return &PU{
 		id:      id,
@@ -56,6 +89,8 @@ func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, 
 		// Update encryption can fan out, so the source is
 		// shared-reader wrapped up front (crypto/rand passes through).
 		random: paillier.SharedReader(random),
+		codec:  codec,
+		shift:  codec.ShiftScalar(int(block) % codec.Slots()),
 	}, nil
 }
 
@@ -90,12 +125,13 @@ func (p *PU) Off() (*PUUpdate, error) {
 	return p.update(func(int) int64 { return 0 })
 }
 
-// update encrypts the W column defined by w over parallel.Auto()
-// workers.
+// update encrypts the W column defined by w, each value already in the
+// PU's slot (W(c)*2^(slot*SlotBits)), over parallel.Auto() workers.
 func (p *PU) update(w func(c int) int64) (*PUUpdate, error) {
 	cts := make([]*paillier.Ciphertext, len(p.eColumn))
 	err := parallel.For(parallel.Auto(), len(cts), func(c int) error {
-		ct, err := p.group.Encrypt(p.random, big.NewInt(w(c)))
+		v := new(big.Int).Mul(big.NewInt(w(c)), p.shift)
+		ct, err := p.group.Encrypt(p.random, v)
 		if err != nil {
 			return fmt.Errorf("pisa: encrypt W(%d): %w", c, err)
 		}
@@ -105,24 +141,7 @@ func (p *PU) update(w func(c int) int64) (*PUUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PUUpdate{PUID: p.id, Block: p.block, Cts: cts}, nil
-}
-
-// storedUpdate is a PU's latest accepted update together with the memo
-// of its slot-shifted ciphertexts. A packed rebuild folds the update
-// into its group as Cts[c]^(2^(slot*W)) — one full-width exponentiation
-// per owned channel — and that value depends on nothing but the update
-// and its block, so it is computed by the first rebuild pass that folds
-// the update and reused by every later rebuild of the group (another
-// PU of the group changing). The memo lives and dies with the
-// stored update: replacing the update stores a new one without a memo,
-// a journal rollback re-installs the previous one with its own, and a
-// restored SDC starts without any.
-type storedUpdate struct {
-	*PUUpdate
-	// shifted[j] is Cts[chanLo+j] shifted to the block's slot; nil until
-	// first folded. Guarded by SDC.mu.
-	shifted []*paillier.Ciphertext
+	return &PUUpdate{PUID: p.id, Block: p.block, Slots: p.codec.Slots(), SlotBits: p.codec.SlotBits(), Cts: cts}, nil
 }
 
 // HandlePUUpdate ingests a channel-reception update (Figure 4 steps
@@ -130,9 +149,10 @@ type storedUpdate struct {
 // budget column N~(:, b) = E~(:, b) (+) sum of W~ columns at b
 // (eqs. 9-10). The E column is re-encrypted fresh on every rebuild,
 // matching the paper's measured update cost (about C encryptions plus
-// C homomorphic additions, about 2.6 s at paper scale). The
-// encryptions and folds run outside the state lock on the worker
-// pool, so updates overlap with concurrent SU requests.
+// C homomorphic additions, about 2.6 s at paper scale): the PU already
+// encrypted into its slot, so an update costs the same in every slot.
+// The encryptions and additions run outside the state lock on the
+// worker pool, so updates overlap with concurrent SU requests.
 func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	m := metrics()
 	start := time.Now()
@@ -145,7 +165,10 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	if err := s.validateUpdate(u); err != nil {
 		return err
 	}
-	stored := &storedUpdate{PUUpdate: u}
+	// Each call registers its own copy, so a rollback recognises its
+	// registration even when the same update is re-sent concurrently.
+	stored := new(PUUpdate)
+	*stored = *u
 	s.mu.Lock()
 	prev := s.puUpdates[u.PUID] // nil when the PU had no update before
 	if prev != nil && prev.Block != u.Block {
@@ -183,7 +206,7 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 // rebuild already folded the rejected ciphertexts in. A newer update
 // from the same PU that registered meanwhile is left in place — its own
 // journal/rebuild path governs it.
-func (s *SDC) unregisterUpdate(u, prev *storedUpdate) error {
+func (s *SDC) unregisterUpdate(u, prev *PUUpdate) error {
 	s.mu.Lock()
 	if s.puUpdates[u.PUID] != u {
 		s.mu.Unlock()
@@ -216,9 +239,19 @@ func (s *SDC) validateUpdate(u *PUUpdate) error {
 		return fmt.Errorf("pisa: PU update has %d ciphertexts, want C=%d",
 			len(u.Cts), s.params.Watch.Channels)
 	}
+	if u.Slots != s.codec.Slots() || u.SlotBits != s.codec.SlotBits() {
+		return fmt.Errorf("pisa: PU update from %q is packed for %d slots of %d bits, the deployment packs %d slots of %d bits: build the PU with the deployment's Params (pisa.NewPU's layout argument)",
+			u.PUID, u.Slots, u.SlotBits, s.codec.Slots(), s.codec.SlotBits())
+	}
+	// A ciphertext outside (0, n^2) would be registered, journaled and
+	// then fail every later rebuild of its slot group.
+	n2 := s.group.NSquared()
 	for c, ct := range u.Cts {
 		if ct == nil || ct.C == nil {
 			return fmt.Errorf("pisa: PU update ciphertext %d is nil", c)
+		}
+		if ct.C.Sign() <= 0 || ct.C.Cmp(n2) >= 0 {
+			return fmt.Errorf("pisa: PU update ciphertext %d outside (0, n^2) of the group key", c)
 		}
 	}
 	return nil
@@ -235,17 +268,15 @@ func (s *SDC) SetUpdateJournal(fn func(*PUUpdate) error) {
 
 // rebuildGroup recomputes the whole column of slot group g — a fresh
 // packed encryption of the group's E slots (padding packs 1, the
-// always-positive indicator) with every stored W~ column at any block
-// of the group folded in at its slot via the shift scalar 2^(slot*W).
+// always-positive indicator) plus every stored W~ column at any block
+// of the group, which its PU already encrypted into its slot (PU.Tune).
 // Only the snapshot and the write-back hold s.mu; the encryptions and
-// homomorphic folds run on the worker pool, over the channel rows this
-// instance owns. The shifted columns are memoised per stored update
-// (storedUpdate), so a pass exponentiates only for updates no earlier
-// pass has folded — normally the one that just arrived. If a concurrent
-// update registered at any block of the group while the pass computed
-// (detected via the group's version), the stale column is discarded and
-// recomputed from a fresh snapshot. The write-back installs new
-// ciphertexts, which is what makes the group's cached cells stale.
+// homomorphic additions run on the worker pool, over the channel rows
+// this instance owns. If a concurrent update registered at any block of
+// the group while the pass computed (detected via the group's version),
+// the stale column is discarded and recomputed from a fresh snapshot.
+// The write-back installs new ciphertexts, which is what makes the
+// group's cached cells stale.
 func (s *SDC) rebuildGroup(g int) error {
 	m := metrics()
 	k := s.codec.Slots()
@@ -257,30 +288,13 @@ func (s *SDC) rebuildGroup(g int) error {
 		passStart := time.Now()
 		s.mu.Lock()
 		ver := s.groupVer[g]
-		var updates []*storedUpdate
-		var shifted [][]*paillier.Ciphertext // index-aligned with updates
+		var updates []*PUUpdate
 		for _, u := range s.puUpdates {
 			if int(u.Block) >= lo && int(u.Block) < hi {
 				updates = append(updates, u)
-				shifted = append(shifted, u.shifted)
 			}
 		}
 		s.mu.Unlock()
-
-		for i, u := range updates {
-			if shifted[i] != nil {
-				continue
-			}
-			cts, err := s.shiftUpdate(u.PUUpdate, int(u.Block)-lo)
-			if err != nil {
-				m.colRebuildErr.ObserveSince(passStart)
-				return err
-			}
-			shifted[i] = cts
-			s.mu.Lock()
-			u.shifted = cts
-			s.mu.Unlock()
-		}
 
 		col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
 		err := parallel.For(parallel.Auto(), len(col), func(j int) error {
@@ -301,8 +315,8 @@ func (s *SDC) rebuildGroup(g int) error {
 			if err != nil {
 				return fmt.Errorf("pisa: pack-encrypt E(%d, group %d): %w", c, g, err)
 			}
-			for i, u := range updates {
-				if acc, err = s.group.Add(acc, shifted[i][j]); err != nil {
+			for _, u := range updates {
+				if acc, err = s.group.Add(acc, u.Cts[c]); err != nil {
 					return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
 				}
 			}
@@ -332,29 +346,4 @@ func (s *SDC) rebuildGroup(g int) error {
 		m.colRebuildOK.ObserveSince(passStart)
 		return nil
 	}
-}
-
-// shiftUpdate moves a PU update's owned channel columns into the given
-// slot of their packed group: Cts[c]^(2^(slot*W)), one full-width
-// exponentiation per channel (slot 0 needs none). Pure function of its
-// inputs; the caller memoises the result on the stored update.
-func (s *SDC) shiftUpdate(u *PUUpdate, slot int) ([]*paillier.Ciphertext, error) {
-	if slot == 0 {
-		return u.Cts[s.chanLo:s.chanHi], nil
-	}
-	defer metrics().updateShift.ObserveSince(time.Now())
-	scalar := s.codec.ShiftScalar(slot)
-	out := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-	err := parallel.For(parallel.Auto(), len(out), func(j int) error {
-		ct, err := s.group.ScalarMul(scalar, u.Cts[s.chanLo+j])
-		if err != nil {
-			return fmt.Errorf("pisa: shift update from %q: %w", u.PUID, err)
-		}
-		out[j] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -228,7 +228,7 @@ func TestShardedParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EColumn: %v", err)
 			}
-			pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, w.stp.GroupKey())
+			pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, w.stp.GroupKey(), w.params)
 			if err != nil {
 				t.Fatalf("NewPU: %v", err)
 			}
@@ -335,7 +335,7 @@ func TestRouterRefusesMisassignedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stp.GroupKey())
+	pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stp.GroupKey(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

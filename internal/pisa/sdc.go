@@ -68,9 +68,9 @@ type SDC struct {
 	suKeys *SUKeyCache
 
 	mu        sync.Mutex
-	nPack     *matrix.Packed               // N~: encrypted budgets, slot-packed
-	puUpdates map[watch.PUID]*storedUpdate // latest update per PU, at its fixed Block
-	groupVer  map[int]uint64               // per slot group; bumped on every registration and rollback
+	nPack     *matrix.Packed           // N~: encrypted budgets, slot-packed
+	puUpdates map[watch.PUID]*PUUpdate // latest update per PU, at its fixed Block
+	groupVer  map[int]uint64           // per slot group; bumped on every registration and rollback
 	// cache memoises the aggregate output Ĩ per request (cacheKey); at
 	// Params.CacheEntries 0 no request consults it. Guarded by mu.
 	cache   *decisionCache
@@ -175,7 +175,7 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		stp:        stp,
 		publicData: public,
 		random:     rand.Reader,
-		puUpdates:  make(map[watch.PUID]*storedUpdate),
+		puUpdates:  make(map[watch.PUID]*PUUpdate),
 		groupVer:   make(map[int]uint64),
 	}
 	o := sdcOptions{SDC: s}
