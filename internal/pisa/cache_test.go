@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -22,7 +23,7 @@ import (
 
 // newCacheDeployment builds a test universe with the params mutated
 // first (cache size, slot count...).
-func newCacheDeployment(t *testing.T, mutate func(*Params)) *deployment {
+func newCacheDeployment(t *testing.T, mutate func(*Params), opts ...SDCOption) *deployment {
 	t.Helper()
 	wp := testWatchParams(t)
 	params := TestParams(wp)
@@ -33,7 +34,7 @@ func newCacheDeployment(t *testing.T, mutate func(*Params)) *deployment {
 	if err != nil {
 		t.Fatalf("NewSTP: %v", err)
 	}
-	sdc, err := NewSDC("sdc-test", params, nil, stp)
+	sdc, err := NewSDC("sdc-test", params, nil, stp, opts...)
 	if err != nil {
 		t.Fatalf("NewSDC: %v", err)
 	}
@@ -848,14 +849,15 @@ func TestCacheTablesRebuiltAfterDrop(t *testing.T) {
 // ciphertext of the column the cache then holds decrypts to N - X*F of
 // the budget as it stands, which is what an SDC without a cache computes.
 // Ciphertexts no update touched are the very objects the previous entry
-// held, tables included, and that entry is left as it was; while a
-// rebuild is in flight (the budget still holds the entry's ciphertexts)
-// the column still matches the budget a recompute would read, the rebuilt
-// content replacing it at the first lookup after the write-back; and an
-// update the journal refuses, rolled back by a rebuild to the same content
-// under new ciphertexts, makes its group stale once.
+// held, tables included, and that entry is left as it was; while an
+// update's column is being computed (the budget still holds the entry's
+// ciphertexts) the column still matches the budget a recompute would read,
+// the new content replacing it at the first lookup after the install; and
+// an update the journal refuses puts the group's previous ciphertexts
+// back, so the entry computed from them hits again.
 func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
-	d := newCacheDeployment(t, nil)
+	hr := &hookReader{}
+	d := newCacheDeployment(t, nil, WithRandom(hr))
 	wp, sdc, stp := d.params.Watch, d.sdc, d.stp
 
 	// Rows 1-3 of the 5x4 grid are blocks 5..19: slot groups 1-4 at four
@@ -1055,45 +1057,48 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		t.Fatal("a hit replaced the entry")
 	}
 
-	// A rebuild in flight. The journal hook runs once the update is
-	// registered and before its rebuild starts, outside the lock, and
-	// serves the band shape from there, stopping short of the license.
-	inFlight := fmt.Errorf("the journal hook never ran")
-	sdc.SetUpdateJournal(func(*PUUpdate) error {
+	// A column in flight. The trap fires at the update's first draw of
+	// randomness, inside the computation of group 3's column, before the
+	// install, and looks the band shape up from there. The rest of the
+	// pipeline would draw randomness from the trapped reader, so the trap
+	// stops at the lookup.
+	inFlight := fmt.Errorf("the trap never fired")
+	hr.onRead = func() {
 		inFlight = func() error {
 			if held, err := holds(e3, 3); err != nil || !held {
-				return fmt.Errorf("trap fired outside the rebuild window: group 3's budget moved (%v)", err)
+				return fmt.Errorf("trap fired outside the computation: group 3's budget moved (%v)", err)
 			}
 			before := sdc.CacheStats()
-			if _, err := sdc.ProcessShard(req); err != nil {
+			if err := sdc.snapshot(&shardRequest{req: req}); err != nil {
 				return err
 			}
 			if after := sdc.CacheStats(); after.Hits != before.Hits+1 || after.Stale != before.Stale {
-				return fmt.Errorf("lookup during the rebuild: %+v after %+v, want one hit", after, before)
+				return fmt.Errorf("lookup during the computation: %+v after %+v, want one hit", after, before)
 			}
 			if e, _ := entry(); e != e3 {
-				return fmt.Errorf("lookup during the rebuild replaced the entry")
+				return fmt.Errorf("lookup during the computation replaced the entry")
 			}
 			return mismatch(e3)
 		}()
-		return nil
-	})
-	d.tune(t, near, 1, weak)
-	sdc.SetUpdateJournal(nil)
-	if inFlight != nil {
-		t.Fatalf("rebuild in flight: %v", inFlight)
 	}
-	expect("after the write-back", serve(req),
+	hr.armed.Store(true)
+	d.tune(t, near, 1, weak)
+	hr.onRead = nil
+	if inFlight != nil {
+		t.Fatalf("column in flight: %v", inFlight)
+	}
+	expect("after the install", serve(req),
 		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
 	e4, tabs4 := entry()
-	carried("after the write-back", e3, tabs3, e4, tabs4, 3)
+	carried("after the install", e3, tabs3, e4, tabs4, 3)
 	if err := mismatch(e4); err != nil {
 		t.Fatal(err)
 	}
 
-	// A rolled-back update: the journal refuses it, and the rollback
-	// rebuilds group 3 to the content it had, under new ciphertexts. The
-	// oracle never sees the update.
+	// A rolled-back update: the journal refuses it, and group 3 gets back
+	// the very ciphertexts e4 was computed from, so the next serving is a
+	// plain hit that tables the cells e4 recomputed. The oracle never sees
+	// the update.
 	refused := errors.New("journal refuses")
 	sdc.SetUpdateJournal(func(*PUUpdate) error { return refused })
 	u, err := near.Off()
@@ -1104,14 +1109,14 @@ func TestCachePartialRefreshMatchesRecompute(t *testing.T) {
 		t.Fatalf("refused update: %v, want the journal's error", err)
 	}
 	sdc.SetUpdateJournal(nil)
-	if held, err := holds(e4, 3); err != nil || held {
-		t.Fatalf("the rollback left group 3's budget ciphertexts in place (%v)", err)
+	if held, err := holds(e4, 3); err != nil || !held {
+		t.Fatalf("the rollback did not restore group 3's budget ciphertexts (%v)", err)
 	}
-	expect("after a rolled-back update", serve(req),
-		CacheCounters{Stale: 1, CellsKept: all - uint64(perGroup), CellsRecomputed: uint64(perGroup)})
-	e5, tabs5 := entry()
-	carried("after a rolled-back update", e4, tabs4, e5, tabs5, 3)
-	if err := mismatch(e5); err != nil {
+	expect("after a rolled-back update", serve(req), CacheCounters{Hits: 1, TableBuilds: uint64(perGroup)})
+	if e, _ := entry(); e != e4 {
+		t.Fatal("a hit after the rollback replaced the entry")
+	}
+	if err := mismatch(e4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1270,10 +1275,11 @@ func TestCacheAdmitsOnSecondMiss(t *testing.T) {
 
 // hookReader wraps crypto/rand with a one-shot trap: the first read
 // after arm() fires the callback (or fails, when armed with an error)
-// and disarms itself. Rebuild passes read randomness outside the state
-// lock, so the trap is where a test injects "a concurrent update
-// registered mid-rebuild" or "entropy failed mid-rebuild"
-// deterministically.
+// and disarms itself. A column computation reads randomness outside the
+// state lock, before its install, so the trap is where a test looks at
+// the SDC mid-update or injects "entropy failed mid-update"
+// deterministically. The SDC serialises its reader, so a callback must
+// not draw randomness through the same SDC.
 type hookReader struct {
 	armed  atomic.Bool
 	fail   atomic.Bool
@@ -1292,10 +1298,9 @@ func (h *hookReader) Read(p []byte) (int, error) {
 	return rand.Read(p)
 }
 
-// TestRebuildMetricsOutcomes pins satellite 2: every rebuild pass is
-// observed exactly once under its outcome label — including the error
-// paths, which the pre-label histogram silently dropped (undercounting
-// exactly when rebuilds failed).
+// TestRebuildMetricsOutcomes: every column computation is observed
+// exactly once under its outcome label, the error path included, and a
+// failed computation installs nothing that a later update has to heal.
 func TestRebuildMetricsOutcomes(t *testing.T) {
 	hr := &hookReader{}
 	wp := testWatchParams(t)
@@ -1320,85 +1325,65 @@ func TestRebuildMetricsOutcomes(t *testing.T) {
 	m := metrics()
 	weak := wp.Quantize(wp.SMinPUmW)
 
-	// Unarmed baseline: one clean rebuild, outcome ok.
+	// Unarmed baseline: one clean computation, outcome ok.
 	u, err := pu.Tune(1, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok0, stale0, err0 := m.colRebuildOK.Count(), m.colRebuildStale.Count(), m.colRebuildErr.Count()
-	retries0 := m.colRetries.Value()
+	ok0, err0 := m.colRebuildOK.Count(), m.colRebuildErr.Count()
 	if err := sdc.HandlePUUpdate(u); err != nil {
 		t.Fatal(err)
 	}
 	if d := m.colRebuildOK.Count() - ok0; d != 1 {
-		t.Fatalf("clean rebuild observed %d ok passes, want 1", d)
+		t.Fatalf("clean update observed %d ok computations, want 1", d)
+	}
+	if d := m.colRebuildErr.Count() - err0; d != 0 {
+		t.Fatalf("clean update observed %d error computations, want 0", d)
 	}
 
-	// Stale pass: the trap bumps the column version while the rebuild
-	// is encrypting (the window between snapshot and write-back), so
-	// the first pass must be discarded as stale and retried.
-	hr.onRead = func() {
-		sdc.mu.Lock()
-		sdc.groupVer[8/sdc.codec.Slots()]++
-		sdc.mu.Unlock()
-	}
-	u, err = pu.Tune(1, weak)
+	// Error: entropy fails mid-computation; it must be observed under
+	// outcome=error, the update surfaced as failed and nothing installed.
+	state, err := sdc.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok0, stale0, err0 = m.colRebuildOK.Count(), m.colRebuildStale.Count(), m.colRebuildErr.Count()
-	retries0 = m.colRetries.Value()
-	hr.armed.Store(true)
-	if err := sdc.HandlePUUpdate(u); err != nil {
-		t.Fatal(err)
-	}
-	if d := m.colRebuildStale.Count() - stale0; d != 1 {
-		t.Fatalf("raced rebuild observed %d stale passes, want 1", d)
-	}
-	if d := m.colRebuildOK.Count() - ok0; d != 1 {
-		t.Fatalf("raced rebuild observed %d ok passes, want 1 (the retry)", d)
-	}
-	if d := m.colRetries.Value() - retries0; d != 1 {
-		t.Fatalf("raced rebuild counted %d retries, want 1", d)
-	}
-
-	// Error pass: entropy fails mid-rebuild; the pass must be observed
-	// under outcome=error and the update surfaced as failed.
-	hr.onRead = nil
 	hr.fail.Store(true)
-	u, err = pu.Tune(1, weak)
+	u, err = pu.Tune(2, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok0, stale0, err0 = m.colRebuildOK.Count(), m.colRebuildStale.Count(), m.colRebuildErr.Count()
+	ok0, err0 = m.colRebuildOK.Count(), m.colRebuildErr.Count()
 	hr.armed.Store(true)
 	if err := sdc.HandlePUUpdate(u); err == nil {
-		t.Fatal("rebuild with failing entropy succeeded")
+		t.Fatal("update with failing entropy succeeded")
 	}
 	hr.fail.Store(false)
 	if d := m.colRebuildErr.Count() - err0; d != 1 {
-		t.Fatalf("failed rebuild observed %d error passes, want 1 (error passes were previously unobserved)", d)
+		t.Fatalf("failed update observed %d error computations, want 1", d)
 	}
 	if d := m.colRebuildOK.Count() - ok0; d != 0 {
-		t.Fatalf("failed rebuild observed %d ok passes, want 0", d)
+		t.Fatalf("failed update observed %d ok computations, want 0", d)
 	}
-	_ = stale0
+	if after, err := sdc.ExportState(); err != nil || !bytes.Equal(after, state) {
+		t.Fatalf("a failed computation changed the exported state (err %v)", err)
+	}
 
-	// Heal: a later clean update must leave the column consistent again.
-	u, err = pu.Tune(1, weak)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Heal: the PU's re-send lands in full.
 	if err := sdc.HandlePUUpdate(u); err != nil {
-		t.Fatalf("healing update failed: %v", err)
+		t.Fatalf("re-sent update failed: %v", err)
+	}
+	sdc.mu.Lock()
+	stored := sdc.puUpdates["tv-1"]
+	sdc.mu.Unlock()
+	if stored != u {
+		t.Fatal("the re-sent update is not the one stored")
 	}
 }
 
 // TestEColumnOnEveryFront: a full-window SDC, its router, a windowed
 // shard and a router over windowed shards all serve the public E column
-// of every block, and reading it while a rebuild is in flight neither
-// waits for the rebuild nor counts as a discarded rebuild pass: the
-// retries counter moves exactly with the outcome="stale" passes.
+// of every block, also while an update's column is being computed,
+// without waiting for it.
 func TestEColumnOnEveryFront(t *testing.T) {
 	hr := &hookReader{}
 	wp := testWatchParams(t)
@@ -1464,8 +1449,8 @@ func TestEColumnOnEveryFront(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The trap fires inside the rebuild pass, between snapshot and
-	// write-back: it makes the pass stale and reads every column there.
+	// The trap fires inside the column computation, before the install,
+	// and reads every column there.
 	col, err := mono.EColumn(8)
 	if err != nil {
 		t.Fatal(err)
@@ -1479,24 +1464,13 @@ func TestEColumnOnEveryFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	inFlight := fmt.Errorf("the trap never fired")
-	hr.onRead = func() {
-		mono.mu.Lock()
-		mono.groupVer[8/mono.codec.Slots()]++
-		mono.mu.Unlock()
-		inFlight = check()
-	}
-	m := metrics()
-	stale0, retries0 := m.colRebuildStale.Count(), m.colRetries.Value()
+	hr.onRead = func() { inFlight = check() }
 	hr.armed.Store(true)
 	if err := mono.HandlePUUpdate(u); err != nil {
 		t.Fatal(err)
 	}
 	if inFlight != nil {
-		t.Fatalf("during the rebuild: %v", inFlight)
-	}
-	stale, retries := m.colRebuildStale.Count()-stale0, m.colRetries.Value()-retries0
-	if stale != 1 || retries != stale {
-		t.Fatalf("%d stale passes, %d retries; want 1 of each", stale, retries)
+		t.Fatalf("during the computation: %v", inFlight)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // block, so there is nothing to pack, but it encrypts each value into
 // its block's slot (W(c)*2^(slot*SlotBits), slot = Block mod Slots), so
 // the SDC adds the ciphertexts into its packed budget as they arrive
-// (see SDC.rebuildGroup). Slots and SlotBits declare the layout the
+// (see SDC.groupColumn). Slots and SlotBits declare the layout the
 // update was packed for; the SDC refuses any other.
 type PUUpdate struct {
 	// PUID identifies the sender; its block registration is public.

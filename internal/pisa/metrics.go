@@ -28,15 +28,11 @@ type sdcMetrics struct {
 
 	puUpdate       *obs.Histogram
 	puUpdateErrors *obs.Counter
-	// Every rebuild pass is observed exactly once, labelled by how it
-	// ended: committed (ok), discarded because a newer update raced in
-	// (stale), or failed (error). Summing the three families gives the
-	// true pass count — the pre-label histogram silently dropped error
-	// passes, undercounting exactly when rebuilds were slow.
-	colRebuildOK    *obs.Histogram
-	colRebuildStale *obs.Histogram
-	colRebuildErr   *obs.Histogram
-	colRetries      *obs.Counter
+	// Every column computation (groupColumn), live or at restore, is
+	// observed exactly once, labelled by how it ended: computed (ok) or
+	// failed (error).
+	colRebuildOK  *obs.Histogram
+	colRebuildErr *obs.Histogram
 
 	// Encrypted-decision cache: event counters plus the aggregate
 	// stage split into served-from-cache vs recomputed, so the hit
@@ -93,20 +89,15 @@ func metrics() *sdcMetrics {
 				"SU transmission requests that failed", nil),
 			stage: make(map[string]*obs.Histogram, len(requestStages)),
 			puUpdate: r.Histogram("pisa_sdc_pu_update_seconds",
-				"PU channel-reception update handling (validate + register + journal + rebuild)", nil, nil),
+				"PU channel-reception update handling (validate + compute the group's column + install + journal)", nil, nil),
 			puUpdateErrors: r.Counter("pisa_sdc_pu_update_errors_total",
 				"PU updates rejected or rolled back", nil),
 			colRebuildOK: r.Histogram("pisa_sdc_column_rebuild_seconds",
-				"one encrypted budget-column recomputation pass (eqs. 9-10), by outcome",
+				"one encrypted budget-column computation (eqs. 9-10), by outcome",
 				obs.Labels{"outcome": "ok"}, nil),
-			colRebuildStale: r.Histogram("pisa_sdc_column_rebuild_seconds",
-				"one encrypted budget-column recomputation pass (eqs. 9-10), by outcome",
-				obs.Labels{"outcome": "stale"}, nil),
 			colRebuildErr: r.Histogram("pisa_sdc_column_rebuild_seconds",
-				"one encrypted budget-column recomputation pass (eqs. 9-10), by outcome",
+				"one encrypted budget-column computation (eqs. 9-10), by outcome",
 				obs.Labels{"outcome": "error"}, nil),
-			colRetries: r.Counter("pisa_sdc_column_rebuild_retries_total",
-				"column rebuild passes discarded because a newer update raced in", nil),
 			cacheHits: r.Counter("pisa_sdc_cache_events_total",
 				"encrypted-decision cache events by kind", obs.Labels{"event": "hit"}),
 			cacheMisses: r.Counter("pisa_sdc_cache_events_total",

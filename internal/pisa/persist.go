@@ -31,9 +31,11 @@ const (
 // SDC holds — the public E matrix, protection distances, the decision
 // cache — is recomputed from public data or on demand.
 //
-// Version 2 stores updates their PUs encrypted into their own slot.
-// Version 1 stored updates the SDC shifted into their slot itself (and,
-// before packing, unpacked budgets); RestoreSDC refuses it by name.
+// Version 3 is written by an SDC that installs every update together
+// with its column, so the snapshot's NPack folds exactly its Updates.
+// Version 2's could lag them (a column still being rebuilt), and version
+// 1 stored updates the SDC shifted into their slot itself (and, before
+// packing, unpacked budgets); RestoreSDC refuses both by name.
 type sdcState struct {
 	Version int
 	Serial  uint64
@@ -41,7 +43,7 @@ type sdcState struct {
 	Updates []*PUUpdate
 }
 
-const sdcStateVersion = 2
+const sdcStateVersion = 3
 
 // ExportState serialises the SDC's mutable protocol state for a
 // snapshot. The encrypted entries are immutable, so only the brief
@@ -70,18 +72,11 @@ func (s *SDC) ExportState() ([]byte, error) {
 
 // RestoreSDC rebuilds a controller from durable state: the snapshot
 // payload (nil for a first boot) plus the WAL tail of updates accepted
-// after the snapshot was taken. Replay registers every update and then
-// rebuilds each slot group with at least one PU once — one rebuild per
-// populated group, not one per record. Rebuilding every populated
-// group (not only the tail-dirty ones) makes recovery self-healing:
-// a snapshot exported while a column rebuild was still in flight
-// stores the update's ciphertexts but a budget column that does not
-// yet fold them, and trusting that column would permanently drop the
-// PU's interference constraints. Registrations always precede column
-// write-backs, so a snapshot's column set can only lag its update set,
-// never lead it — recomputing from the updates is always correct, and
-// cheap: a group costs its E re-encryption and one addition per stored
-// update, whose PU encrypted it into its slot. The
+// after the snapshot was taken. A live update installs its column with
+// it, so the snapshot's budget matrix is trusted as it is. Replay
+// registers the tail's updates and then computes the column of each slot
+// group the tail touches once, as a live update does — one computation
+// per touched group, not one per record, and none for an empty tail. The
 // STP must serve the same group key the snapshot was encrypted under;
 // a key mismatch is detected and refused, because foreign-key
 // ciphertexts would silently decrypt to garbage.
@@ -105,14 +100,17 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
 			return nil, fmt.Errorf("pisa: decode SDC snapshot: %w", err)
 		}
-		if st.Version == 1 {
+		switch st.Version {
+		case 1:
 			return nil, fmt.Errorf("pisa: SDC snapshot version 1 holds PU updates for the SDC to shift into their slots, which this build no longer does; boot without the snapshot and let the PUs re-send")
-		}
-		if st.Version != sdcStateVersion {
+		case 2:
+			return nil, fmt.Errorf("pisa: SDC snapshot version 2 may hold a PU update its budget column does not fold, which this build no longer recomputes; boot without the snapshot and let the PUs re-send")
+		case sdcStateVersion:
+		default:
 			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads %d", st.Version, sdcStateVersion)
 		}
 		if st.NPack == nil {
-			return nil, fmt.Errorf("pisa: SDC snapshot has no packed budget matrix: the one-cell-per-ciphertext layout was removed and its state cannot be restored; boot without the snapshot and let the PUs re-send")
+			return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
 		}
 		if st.NPack.Channels() != params.Watch.Channels || st.NPack.Blocks() != params.Watch.Grid.Blocks() {
 			return nil, fmt.Errorf("pisa: snapshot budgets are %dx%d, deployment is %dx%d",
@@ -136,6 +134,7 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 	}
 	// Replay the WAL tail in append order; later records for the same
 	// PU supersede earlier ones exactly as live handling would.
+	touched := make([]bool, len(s.updateMu))
 	for _, rec := range tail {
 		if rec.Type != RecordPUUpdate {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d has unexpected type %d", rec.Index, rec.Type)
@@ -150,28 +149,26 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		if err := s.registerRestored(u); err != nil {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)
 		}
+		touched[int(u.Block)/s.codec.Slots()] = true
 	}
-	// Rebuild every slot group holding a PU update, snapshot or tail, once
-	// — see the self-healing note above.
-	dirty := make(map[int]bool)
-	for _, u := range s.puUpdates {
-		dirty[int(u.Block)/s.codec.Slots()] = true
-	}
-	groups := make([]int, 0, len(dirty))
-	for g := range dirty {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	for _, g := range groups {
-		if err := s.rebuildGroup(g); err != nil {
-			return nil, fmt.Errorf("pisa: replay rebuild of slot group %d: %w", g, err)
+	for g, t := range touched {
+		if !t {
+			continue
+		}
+		col, err := s.groupColumn(g, s.groupUpdatesLocked(g, ""))
+		if err == nil {
+			_, err = s.swapGroupLocked(g, col)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pisa: replay slot group %d: %w", g, err)
 		}
 	}
 	return s, nil
 }
 
 // registerRestored validates and registers one recovered update
-// without journaling or rebuilding (recovery defers the rebuilds).
+// without journaling it or computing its column (recovery computes each
+// touched group's column once, after the whole tail).
 func (s *SDC) registerRestored(u *PUUpdate) error {
 	if err := s.validateUpdate(u); err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"pisa/internal/matrix"
 	"pisa/internal/paillier"
 	"pisa/internal/store"
+	"pisa/internal/watch"
 )
 
 // durableDeployment is a deployment whose STP key is kept so tests can
@@ -244,6 +245,50 @@ func TestRestoreReplaysWALTail(t *testing.T) {
 	}
 }
 
+// TestRestoreRecomputesOnlyTailGroups: a restore trusts the snapshot's
+// budget matrix. With an empty tail it draws no nonce and computes no
+// column; a tail of two records in one slot group computes that group's
+// column once, one nonce per channel. Both equal the live state.
+func TestRestoreRecomputesOnlyTailGroups(t *testing.T) {
+	d := newDurableDeployment(t)
+	journal := &recordingJournal{}
+	d.sdc.SetUpdateJournal(journal.append)
+	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
+	k := d.sdc.codec.Slots()
+	var pus []*PU
+	for g := 0; g < 4; g++ {
+		pu := d.newPU(t, watch.PUID(fmt.Sprintf("tv-%d", g)), geo.BlockID(g*k))
+		d.update(t, pu, g%d.params.Watch.Channels, sig)
+		pus = append(pus, pu)
+	}
+	snap, err := d.sdc.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := len(journal.records())
+	restore := func(what string, tail []store.Record, wantColumns int) {
+		t.Helper()
+		nonces, columns := paillier.Nonces(), metrics().colRebuildOK.Count()
+		restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, snap, tail)
+		if err != nil {
+			t.Fatalf("%s: RestoreSDC: %v", what, err)
+		}
+		defer restored.Close()
+		gotNonces, gotColumns := paillier.Nonces()-nonces, metrics().colRebuildOK.Count()-columns
+		if gotColumns != uint64(wantColumns) || gotNonces != uint64(wantColumns*d.params.Watch.Channels) {
+			t.Fatalf("%s: %d columns computed and %d nonces drawn, want %d and %d",
+				what, gotColumns, gotNonces, wantColumns, wantColumns*d.params.Watch.Channels)
+		}
+		d.assertSameState(t, d.sdc, restored)
+	}
+	restore("empty tail", nil, 0)
+
+	// A retune in group 2 and a new PU beside it.
+	d.update(t, pus[2], 1, 4*sig)
+	d.update(t, d.newPU(t, "tv-new", geo.BlockID(2*k+1)), 2, sig)
+	restore("tail in one group", journal.records()[logged:], 1)
+}
+
 func TestRestoreRejectsBadInputs(t *testing.T) {
 	d := newDurableDeployment(t)
 	snap, err := d.sdc.ExportState()
@@ -256,21 +301,50 @@ func TestRestoreRejectsBadInputs(t *testing.T) {
 			t.Fatal("garbage snapshot accepted")
 		}
 	})
-	// State written before packing existed, or under -packing=false:
-	// Packed unset, the budgets under a field that is gone.
+	// State written before packing existed, or under -packing=false: a
+	// version-1 snapshot with the budgets under a field that is gone.
 	t.Run("unpacked snapshot", func(t *testing.T) {
 		var old bytes.Buffer
 		err := gob.NewEncoder(&old).Encode(struct {
 			Version int
 			Serial  uint64
 			NEnc    *legacyBudgets
-		}{Version: sdcStateVersion, Serial: 3, NEnc: &legacyBudgets{}})
+		}{Version: 1, Serial: 3, NEnc: &legacyBudgets{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = RestoreSDC("sdc-test", d.params, nil, d.stp, old.Bytes(), nil)
-		if err == nil || !strings.Contains(err.Error(), "layout was removed") {
-			t.Fatalf("unpacked snapshot: err = %v, want a refusal naming the removed layout", err)
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("unpacked snapshot: err = %v, want a refusal of version 1", err)
+		}
+	})
+	// reversioned re-encodes this build's snapshot under another version,
+	// or without its budget matrix.
+	reversioned := func(t *testing.T, version int, npack *matrix.Packed) []byte {
+		t.Helper()
+		var st sdcState
+		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		st.Version, st.NPack = version, npack
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// A version-2 SDC could export an update before its column folded it.
+	t.Run("version 2 snapshot", func(t *testing.T) {
+		old := reversioned(t, 2, d.sdc.PackedBudgetSnapshot())
+		_, err := RestoreSDC("sdc-test", d.params, nil, d.stp, old, nil)
+		if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "let the PUs re-send") {
+			t.Fatalf("err = %v, want a refusal of version 2 telling the PUs to re-send", err)
+		}
+	})
+	t.Run("no budget matrix", func(t *testing.T) {
+		_, err := RestoreSDC("sdc-test", d.params, nil, d.stp, reversioned(t, sdcStateVersion, nil), nil)
+		if err == nil || !strings.Contains(err.Error(), "no budget matrix") {
+			t.Fatalf("err = %v, want a refusal naming the missing budget matrix", err)
 		}
 	})
 	t.Run("foreign group key", func(t *testing.T) {
@@ -477,25 +551,39 @@ func TestJournalHookReceivesUpdates(t *testing.T) {
 }
 
 // TestSnapshotDuringColumnRebuild exports state from inside the journal
-// hook — after the update is registered and journaled but before its
-// column rebuild has run, exactly the window a Keeper snapshot can land
-// in, since rebuilds run outside every lock. A restore from that
-// snapshot (with the WAL record compacted away, hence the empty tail)
-// must still fold the update's interference into the budgets.
+// hook, the window a Keeper snapshot can land in between an update's
+// install and its WAL append. The snapshot holds the update and the
+// column that folds it, so a restore of it with the WAL record compacted
+// away (an empty tail) equals the live state without recomputing a
+// column.
 func TestSnapshotDuringColumnRebuild(t *testing.T) {
 	d := newDurableDeployment(t)
 	var snap []byte
+	var journaled *PUUpdate
 	d.sdc.SetUpdateJournal(func(u *PUUpdate) error {
 		var err error
 		snap, err = d.sdc.ExportState()
+		journaled = u
 		return err
 	})
 	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
 	d.update(t, d.newPU(t, "tv-1", 8), 1, sig)
 
+	var st sdcState
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Updates) != 1 || st.Updates[0].PUID != journaled.PUID {
+		t.Fatalf("snapshot taken in the journal hook holds %d updates, want the one being journaled", len(st.Updates))
+	}
+	// The restore computes no column, so its budgets are the snapshot's.
+	computed := metrics().colRebuildOK.Count()
 	restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, snap, nil)
 	if err != nil {
 		t.Fatalf("RestoreSDC: %v", err)
+	}
+	if n := metrics().colRebuildOK.Count() - computed; n != 0 {
+		t.Fatalf("a restore with an empty tail computed %d columns, want 0", n)
 	}
 	d.assertSameState(t, d.sdc, restored)
 	if sum := restored.Summary(); sum.PUs != 1 {
@@ -504,13 +592,21 @@ func TestSnapshotDuringColumnRebuild(t *testing.T) {
 }
 
 // TestUpdateJournalFailureRollsBack: a journal failure must leave no
-// trace of the update — not in the registries, not in the budgets, not
-// in an exported snapshot — and the PU's retry must then land fully.
+// trace of the update — the state exported after it is byte-identical to
+// the state exported before — and the PU's retry must then land fully.
 func TestUpdateJournalFailureRollsBack(t *testing.T) {
 	d := newDurableDeployment(t)
 	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
 	pu := d.newPU(t, "tv-1", 8)
-	before := d.budgets(t, d.sdc)
+	export := func() []byte {
+		t.Helper()
+		snap, err := d.sdc.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	before := export()
 
 	fail := true
 	var journaled int
@@ -531,22 +627,11 @@ func TestUpdateJournalFailureRollsBack(t *testing.T) {
 	if sum := d.sdc.Summary(); sum.PUs != 0 {
 		t.Fatalf("summary after rollback %+v, want no PUs", sum)
 	}
-	if !before.Equal(d.budgets(t, d.sdc)) {
-		t.Fatal("budgets changed by an update that was never journaled")
+	if !bytes.Equal(before, export()) {
+		t.Fatal("exported state changed by an update that was never journaled")
 	}
 
-	// A snapshot taken now must restore to the same clean state.
-	snap, err := d.sdc.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.assertSameState(t, d.sdc, restored)
-
-	// The log heals; the retry must register, journal and rebuild.
+	// The log heals; the retry must install and journal.
 	fail = false
 	if err := d.sdc.HandlePUUpdate(u); err != nil {
 		t.Fatalf("retry after journal recovery: %v", err)
@@ -558,9 +643,9 @@ func TestUpdateJournalFailureRollsBack(t *testing.T) {
 		t.Fatalf("summary after retry %+v, want 1 PU", sum)
 	}
 
-	// A retune whose append fails rolls back to the previous update,
-	// not to an empty column.
-	afterFirst := d.budgets(t, d.sdc)
+	// A retune whose append fails rolls back to the previous update and
+	// its column, not to an empty column.
+	afterFirst := export()
 	u2, err := pu.Tune(2, 4*sig)
 	if err != nil {
 		t.Fatal(err)
@@ -569,11 +654,8 @@ func TestUpdateJournalFailureRollsBack(t *testing.T) {
 	if err := d.sdc.HandlePUUpdate(u2); err == nil {
 		t.Fatal("retune acknowledged despite journal failure")
 	}
-	if sum := d.sdc.Summary(); sum.PUs != 1 {
-		t.Fatalf("summary after retune rollback %+v, want 1 PU", sum)
-	}
-	if !afterFirst.Equal(d.budgets(t, d.sdc)) {
-		t.Fatal("budgets do not match the journaled state after retune rollback")
+	if !bytes.Equal(afterFirst, export()) {
+		t.Fatal("exported state does not match the journaled state after a retune rollback")
 	}
 }
 

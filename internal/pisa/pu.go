@@ -145,14 +145,17 @@ func (p *PU) update(w func(c int) int64) (*PUUpdate, error) {
 }
 
 // HandlePUUpdate ingests a channel-reception update (Figure 4 steps
-// 4): stores the PU's latest W~ column and rebuilds the encrypted
-// budget column N~(:, b) = E~(:, b) (+) sum of W~ columns at b
-// (eqs. 9-10). The E column is re-encrypted fresh on every rebuild,
-// matching the paper's measured update cost (about C encryptions plus
-// C homomorphic additions, about 2.6 s at paper scale): the PU already
-// encrypted into its slot, so an update costs the same in every slot.
-// The encryptions and additions run outside the state lock on the
-// worker pool, so updates overlap with concurrent SU requests.
+// 4): it stores the PU's latest W~ column together with the encrypted
+// budget column N~(:, b) = E~(:, b) (+) sum of W~ columns at b (eqs.
+// 9-10) of its slot group, whose E slots are re-encrypted fresh, matching
+// the paper's update cost (about C encryptions plus C homomorphic
+// additions, about 2.6 s at paper scale) in every slot.
+//
+// Under the group's update lock, the column is computed outside s.mu on
+// the worker pool, installed with the update under s.mu (so a snapshot
+// holds both or neither), then journaled, so the log orders a group's
+// updates like their installs and an acknowledged update is durable. A
+// journal error puts the previous update and column back (DESIGN.md §7).
 func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	m := metrics()
 	start := time.Now()
@@ -165,62 +168,52 @@ func (s *SDC) HandlePUUpdate(u *PUUpdate) (err error) {
 	if err := s.validateUpdate(u); err != nil {
 		return err
 	}
-	// Each call registers its own copy, so a rollback recognises its
-	// registration even when the same update is re-sent concurrently.
-	stored := new(PUUpdate)
-	*stored = *u
+	g := int(u.Block) / s.codec.Slots()
+	s.updateMu[g].Lock()
+	defer s.updateMu[g].Unlock()
 	s.mu.Lock()
+	updates := append(s.groupUpdatesLocked(g, u.PUID), u)
+	s.mu.Unlock()
+	col, err := s.groupColumn(g, updates)
+	if err != nil {
+		return err
+	}
+
+	s.mu.Lock()
+	// Checked at the install, not before: a first update from this PU at
+	// a block of another group may have installed since.
 	prev := s.puUpdates[u.PUID] // nil when the PU had no update before
 	if prev != nil && prev.Block != u.Block {
 		s.mu.Unlock()
 		return fmt.Errorf("pisa: PU %q registered at block %d, update claims %d (TV receiver locations are fixed)",
 			u.PUID, prev.Block, u.Block)
 	}
-	s.puUpdates[u.PUID] = stored
-	g := int(u.Block) / s.codec.Slots()
-	s.groupVer[g]++
+	prevCol, err := s.swapGroupLocked(g, col)
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	s.puUpdates[u.PUID] = u
 	journal := s.journal
 	s.mu.Unlock()
-	// The WAL append runs outside the lock-shrunk critical section so
-	// durable deployments keep the update/request concurrency. The
-	// update is acknowledged only after it is journaled; on a journal
-	// error the registration is rolled back and the PU sees a failure,
-	// so it re-sends (idempotent). Two concurrent updates from the
-	// *same* PU may reach the log in the opposite of their registration
-	// order — a sequential PU client never does that, and cross-PU
-	// interleavings are independent.
-	if journal != nil {
-		if err := journal(u); err != nil {
-			if rerr := s.unregisterUpdate(stored, prev); rerr != nil {
-				return fmt.Errorf("pisa: journal PU update: %w (rollback rebuild also failed: %v)", err, rerr)
-			}
-			return fmt.Errorf("pisa: journal PU update: %w", err)
-		}
-	}
-	return s.rebuildGroup(g)
-}
-
-// unregisterUpdate reverts a registration whose WAL append failed, so
-// in-memory state never runs ahead of the log: the previous update (or
-// absence) is restored and the group is rebuilt in case a concurrent
-// rebuild already folded the rejected ciphertexts in. A newer update
-// from the same PU that registered meanwhile is left in place — its own
-// journal/rebuild path governs it.
-func (s *SDC) unregisterUpdate(u, prev *PUUpdate) error {
-	s.mu.Lock()
-	if s.puUpdates[u.PUID] != u {
-		s.mu.Unlock()
+	if journal == nil {
 		return nil
 	}
-	if prev != nil {
-		s.puUpdates[u.PUID] = prev
-	} else {
-		delete(s.puUpdates, u.PUID)
+	if err := journal(u); err != nil {
+		// The group's update lock excludes every other writer of the PU's
+		// entry and the group's column, so this undo is exact; its swap
+		// cannot fail where the install's did not.
+		s.mu.Lock()
+		if prev != nil {
+			s.puUpdates[u.PUID] = prev
+		} else {
+			delete(s.puUpdates, u.PUID)
+		}
+		_, _ = s.swapGroupLocked(g, prevCol)
+		s.mu.Unlock()
+		return fmt.Errorf("pisa: journal PU update: %w", err)
 	}
-	g := int(u.Block) / s.codec.Slots()
-	s.groupVer[g]++
-	s.mu.Unlock()
-	return s.rebuildGroup(g)
+	return nil
 }
 
 // validateUpdate performs the stateless admission checks shared by the
@@ -243,8 +236,8 @@ func (s *SDC) validateUpdate(u *PUUpdate) error {
 		return fmt.Errorf("pisa: PU update from %q is packed for %d slots of %d bits, the deployment packs %d slots of %d bits: build the PU with the deployment's Params (pisa.NewPU's layout argument)",
 			u.PUID, u.Slots, u.SlotBits, s.codec.Slots(), s.codec.SlotBits())
 	}
-	// A ciphertext outside (0, n^2) would be registered, journaled and
-	// then fail every later rebuild of its slot group.
+	// A ciphertext outside (0, n^2) is refused here, before any lock is
+	// taken, not by the column computation's addition.
 	n2 := s.group.NSquared()
 	for c, ct := range u.Cts {
 		if ct == nil || ct.C == nil {
@@ -266,84 +259,82 @@ func (s *SDC) SetUpdateJournal(fn func(*PUUpdate) error) {
 	s.mu.Unlock()
 }
 
-// rebuildGroup recomputes the whole column of slot group g — a fresh
-// packed encryption of the group's E slots (padding packs 1, the
-// always-positive indicator) plus every stored W~ column at any block
-// of the group, which its PU already encrypted into its slot (PU.Tune).
-// Only the snapshot and the write-back hold s.mu; the encryptions and
-// homomorphic additions run on the worker pool, over the channel rows
-// this instance owns. If a concurrent update registered at any block of
-// the group while the pass computed (detected via the group's version),
-// the stale column is discarded and recomputed from a fresh snapshot.
-// The write-back installs new ciphertexts, which is what makes the
-// group's cached cells stale.
-func (s *SDC) rebuildGroup(g int) error {
+// groupUpdatesLocked lists the stored updates at the blocks of slot
+// group g, but the one of PU except. The caller holds s.mu.
+func (s *SDC) groupUpdatesLocked(g int, except watch.PUID) []*PUUpdate {
+	k := s.codec.Slots()
+	var updates []*PUUpdate
+	for _, u := range s.puUpdates {
+		if int(u.Block)/k == g && u.PUID != except {
+			updates = append(updates, u)
+		}
+	}
+	return updates
+}
+
+// groupColumn computes the column of slot group g over the channel rows
+// this instance owns — a fresh packed encryption of the group's E slots
+// (padding packs 1, the always-positive indicator) plus the W~ columns of
+// updates, which their PUs encrypted into their slots (PU.Tune) — on the
+// worker pool, for HandlePUUpdate and RestoreSDC alike.
+func (s *SDC) groupColumn(g int, updates []*PUUpdate) ([]*paillier.Ciphertext, error) {
 	m := metrics()
+	start := time.Now()
 	k := s.codec.Slots()
 	lo, hi := g*k, (g+1)*k
 	if blocks := s.params.Watch.Grid.Blocks(); hi > blocks {
 		hi = blocks
 	}
-	for {
-		passStart := time.Now()
-		s.mu.Lock()
-		ver := s.groupVer[g]
-		var updates []*PUUpdate
-		for _, u := range s.puUpdates {
-			if int(u.Block) >= lo && int(u.Block) < hi {
-				updates = append(updates, u)
+	col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
+	err := parallel.For(parallel.Auto(), len(col), func(j int) error {
+		c := s.chanLo + j
+		vals := make([]*big.Int, k)
+		for j := range vals {
+			if b := lo + j; b < hi {
+				ev, err := s.ePlain.At(c, b)
+				if err != nil {
+					return err
+				}
+				vals[j] = big.NewInt(ev)
+			} else {
+				vals[j] = big.NewInt(1)
 			}
 		}
-		s.mu.Unlock()
-
-		col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-		err := parallel.For(parallel.Auto(), len(col), func(j int) error {
-			c := s.chanLo + j
-			vals := make([]*big.Int, k)
-			for j := range vals {
-				if b := lo + j; b < hi {
-					ev, err := s.ePlain.At(c, b)
-					if err != nil {
-						return err
-					}
-					vals[j] = big.NewInt(ev)
-				} else {
-					vals[j] = big.NewInt(1)
-				}
-			}
-			acc, err := s.group.PackEncrypt(s.random, s.codec, vals)
-			if err != nil {
-				return fmt.Errorf("pisa: pack-encrypt E(%d, group %d): %w", c, g, err)
-			}
-			for _, u := range updates {
-				if acc, err = s.group.Add(acc, u.Cts[c]); err != nil {
-					return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
-				}
-			}
-			col[j] = acc
-			return nil
-		})
+		acc, err := s.group.PackEncrypt(s.random, s.codec, vals)
 		if err != nil {
-			m.colRebuildErr.ObserveSince(passStart)
-			return err
+			return fmt.Errorf("pisa: pack-encrypt E(%d, group %d): %w", c, g, err)
 		}
-
-		s.mu.Lock()
-		if s.groupVer[g] != ver {
-			s.mu.Unlock()
-			m.colRebuildStale.ObserveSince(passStart)
-			m.colRetries.Inc()
-			continue
-		}
-		for j, ct := range col {
-			if err := s.nPack.SetGroup(s.chanLo+j, g, ct); err != nil {
-				s.mu.Unlock()
-				m.colRebuildErr.ObserveSince(passStart)
-				return err
+		for _, u := range updates {
+			if acc, err = s.group.Add(acc, u.Cts[c]); err != nil {
+				return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
 			}
 		}
-		s.mu.Unlock()
-		m.colRebuildOK.ObserveSince(passStart)
+		col[j] = acc
 		return nil
+	})
+	if err != nil {
+		m.colRebuildErr.ObserveSince(start)
+		return nil, err
 	}
+	m.colRebuildOK.ObserveSince(start)
+	return col, nil
+}
+
+// swapGroupLocked installs col as the column of slot group g over the
+// owned channel rows and returns the column it replaced. New ciphertexts
+// make the group's cached cells stale; swapping the old ones back makes
+// them fresh again. The rows are in range, so only a g out of range
+// fails, at the first row, before any write. The caller holds s.mu.
+func (s *SDC) swapGroupLocked(g int, col []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+	old := make([]*paillier.Ciphertext, len(col))
+	for j, ct := range col {
+		var err error
+		if old[j], err = s.nPack.GroupAt(s.chanLo+j, g); err == nil {
+			err = s.nPack.SetGroup(s.chanLo+j, g, ct)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return old, nil
 }

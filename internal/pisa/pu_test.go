@@ -8,7 +8,9 @@ import (
 	"math/big"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pisa/internal/geo"
 	"pisa/internal/matrix"
@@ -274,4 +276,141 @@ func TestRestoreRefusesOldLayoutByName(t *testing.T) {
 			t.Fatalf("err = %v, want a refusal of record 7 telling the PUs to re-send", err)
 		}
 	})
+}
+
+// TestConcurrentResendsRestoreInInstallOrder: two updates from one PU
+// race, and the journal holds the first to reach it until a second call
+// arrives or 200 ms pass. The slot group's update lock keeps the second
+// update out until the first is appended, so the log lists the updates in
+// the order they were installed, and replaying it from an empty snapshot
+// equals the live state.
+func TestConcurrentResendsRestoreInInstallOrder(t *testing.T) {
+	d := newDurableDeployment(t)
+	journal := &recordingJournal{}
+	var calls atomic.Int32
+	firstIn, secondIn := make(chan struct{}), make(chan struct{})
+	d.sdc.SetUpdateJournal(func(u *PUUpdate) error {
+		if calls.Add(1) == 1 {
+			close(firstIn)
+			select {
+			case <-secondIn:
+			case <-time.After(200 * time.Millisecond):
+			}
+		} else {
+			close(secondIn)
+		}
+		return journal.append(u)
+	})
+	pu := d.newPU(t, "tv-1", 8)
+	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
+	first, err := pu.Tune(1, sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := pu.Tune(2, 4*sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- d.sdc.HandlePUUpdate(first) }()
+	select {
+	case <-firstIn:
+	case err := <-errs:
+		t.Fatalf("first update returned before its journal call: %v", err)
+	}
+	go func() { errs <- d.sdc.HandlePUUpdate(second) }()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recs := journal.records()
+	if len(recs) != 2 {
+		t.Fatalf("journal holds %d records, want 2", len(recs))
+	}
+	restored, err := RestoreSDC("sdc-test", d.params, nil, d.stp, nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	d.assertSameState(t, d.sdc, restored)
+}
+
+// TestConcurrentFirstUpdatesOneLocation: two first updates from one PU id
+// claim blocks in different slot groups, whose update locks do not exclude
+// each other, and compute their columns at the same time. A PU's location
+// is checked where its update installs, so exactly one is accepted, the
+// SDC holds one PU, and the budgets decrypt to the plaintext oracle's with
+// only the accepted update applied.
+func TestConcurrentFirstUpdatesOneLocation(t *testing.T) {
+	d := newDurableDeployment(t)
+	hr := &hookReader{}
+	sdc, err := NewSDC("sdc-test", d.params, nil, d.stp, WithRandom(hr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdc.Close()
+	oracle, err := watch.NewSystem(d.params.Watch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sdc.codec.Slots()
+	blocks := []geo.BlockID{1, geo.BlockID(3*k + 1)}
+	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
+	updates := make([]*PUUpdate, len(blocks))
+	for i, b := range blocks {
+		col, err := sdc.EColumn(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pu, err := NewPU(rand.Reader, "tv-1", b, col, d.stp.GroupKey(), d.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if updates[i], err = pu.Tune(i+1, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The trap fires in the first update's column computation and holds
+	// it while the second update starts and reaches its own computation.
+	errs := make([]error, len(updates))
+	var wg sync.WaitGroup
+	hr.onRead = func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[1] = sdc.HandlePUUpdate(updates[1])
+		}()
+		time.Sleep(50 * time.Millisecond)
+	}
+	hr.armed.Store(true)
+	errs[0] = sdc.HandlePUUpdate(updates[0])
+	wg.Wait()
+
+	accepted := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && accepted < 0:
+			accepted = i
+		case err == nil:
+			t.Fatal("both first updates of one PU accepted")
+		case !strings.Contains(err.Error(), "locations are fixed"):
+			t.Fatalf("update %d: err = %v, want the fixed-location refusal", i, err)
+		}
+	}
+	if accepted < 0 {
+		t.Fatalf("neither first update accepted: %v", errs)
+	}
+	if sum := sdc.Summary(); sum.PUs != 1 {
+		t.Fatalf("summary %+v, want 1 PU", sum)
+	}
+	err = oracle.UpdatePU("tv-1", watch.Registration{Block: blocks[accepted], Channel: accepted + 1, SignalUnits: sig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.budgets(t, sdc).Equal(oracle.BudgetMatrix()) {
+		t.Fatalf("budgets differ from the oracle with only the update at block %d applied", blocks[accepted])
+	}
 }

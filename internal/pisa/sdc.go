@@ -28,8 +28,9 @@ import (
 // homomorphic work runs outside the lock over an immutable snapshot —
 // ciphertexts are never mutated in place, so a snapshot of
 // entry pointers stays valid — which lets concurrent SU requests and
-// PU updates overlap. A per-group version counter detects when a column
-// rebuild raced a newer update and must recompute.
+// PU updates overlap. A PU update holds its slot group's update lock
+// from computing the group's column to journaling it, and installs the
+// update and the column together under s.mu (HandlePUUpdate).
 type SDC struct {
 	params Params
 	group  *paillier.PublicKey
@@ -70,11 +71,14 @@ type SDC struct {
 	mu        sync.Mutex
 	nPack     *matrix.Packed           // N~: encrypted budgets, slot-packed
 	puUpdates map[watch.PUID]*PUUpdate // latest update per PU, at its fixed Block
-	groupVer  map[int]uint64           // per slot group; bumped on every registration and rollback
 	// cache memoises the aggregate output Ĩ per request (cacheKey); at
 	// Params.CacheEntries 0 no request consults it. Guarded by mu.
 	cache   *decisionCache
 	journal func(*PUUpdate) error // WAL hook; called outside the lock
+
+	// updateMu[g] serialises the PU updates of slot group g, the only
+	// writers of its column; updates in different groups overlap.
+	updateMu []sync.Mutex
 }
 
 // SDCOption customises SDC construction.
@@ -116,9 +120,12 @@ func WithChannelWindow(lo, hi int) SDCOption {
 
 // WithUpdateJournal installs a write-ahead hook: every accepted PU
 // update is passed to fn before it is acknowledged, so a durable
-// deployment can append it to a log (internal/store). fn runs outside
-// the SDC's state lock and must be safe for concurrent calls. A fn
-// error rejects the update towards the PU; re-sending is idempotent.
+// deployment can append it to a log (internal/store). fn runs after the
+// update and its column are installed, under the slot group's update
+// lock and never under the SDC's state lock, so it may export state; it
+// must be safe for concurrent calls from different groups. A fn error
+// restores the previous update and column and rejects the update towards
+// the PU; re-sending is idempotent.
 func WithUpdateJournal(fn func(*PUUpdate) error) SDCOption {
 	return sdcOptionFunc(func(o *sdcOptions) { o.journal = fn })
 }
@@ -176,7 +183,6 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 		publicData: public,
 		random:     rand.Reader,
 		puUpdates:  make(map[watch.PUID]*PUUpdate),
-		groupVer:   make(map[int]uint64),
 	}
 	o := sdcOptions{SDC: s}
 	for _, opt := range opts {
@@ -204,6 +210,8 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	if err := s.codec.CheckKey(s.group); err != nil {
 		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
+	k := s.codec.Slots()
+	s.updateMu = make([]sync.Mutex, (params.Watch.Grid.Blocks()+k-1)/k)
 	if s.betaCodec, err = paillier.NewSlotCodec(s.codec.Slots(), s.codec.SlotBits(), s.codec.SlotBits()-2); err != nil {
 		return nil, fmt.Errorf("pisa: packing: %w", err)
 	}
