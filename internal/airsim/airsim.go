@@ -246,34 +246,6 @@ func CountPackets(trace []Sample, thresholdMW float64) int {
 	return count
 }
 
-// SINR returns the signal-to-interference-plus-noise ratio (linear)
-// at rx for the wanted transmitter at instant t, counting every other
-// active burst as interference.
-func (s *Sim) SINR(rx, wanted NodeID, t time.Duration) (float64, error) {
-	rxNode, err := s.Node(rx)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.Node(wanted); err != nil {
-		return 0, err
-	}
-	signal := 0.0
-	interference := s.cfg.NoiseFloorMW
-	for _, b := range s.bursts {
-		if t < b.Start || t >= b.Start+b.Duration || b.From == rx {
-			continue
-		}
-		tx := s.nodes[b.From]
-		p := tx.TxPowerMW * s.linkGain(tx, rxNode)
-		if b.From == wanted {
-			signal += p
-		} else {
-			interference += p
-		}
-	}
-	return signal / interference, nil
-}
-
 // Record appends a control-plane event for scenario narration.
 func (s *Sim) Record(t time.Duration, from, to, what string) {
 	s.events = append(s.events, Event{T: t, From: from, To: to, What: what})

@@ -131,33 +131,6 @@ func TestPacketTrainCount(t *testing.T) {
 	}
 }
 
-func TestSINRDropsWithInterference(t *testing.T) {
-	s := newSim(t)
-	addNode(t, s, "pu", 0, 0, 0)
-	addNode(t, s, "tv-tower", 3, 0, 1000)
-	addNode(t, s, "su", 4, 0, 100)
-	if err := s.SendPacket("tv-tower", 0, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := s.SINR("pu", "tv-tower", 500*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SendPacket("su", 0, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	dirty, err := s.SINR("pu", "tv-tower", 500*time.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dirty >= clean {
-		t.Errorf("SINR did not drop with interference: %g -> %g", clean, dirty)
-	}
-	if clean < 1 {
-		t.Errorf("clean SINR %g < 1; fixture geometry broken", clean)
-	}
-}
-
 func TestTraceDeterministic(t *testing.T) {
 	build := func() []Sample {
 		s := newSim(t)
@@ -249,11 +222,5 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := s.Trace("a", time.Millisecond, 0, 10); err == nil {
 		t.Error("inverted window accepted")
-	}
-	if _, err := s.SINR("ghost", "a", 0); err == nil {
-		t.Error("SINR with unknown receiver accepted")
-	}
-	if _, err := s.SINR("a", "ghost", 0); err == nil {
-		t.Error("SINR with unknown transmitter accepted")
 	}
 }

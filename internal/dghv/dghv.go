@@ -52,17 +52,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// MaxDepth returns the multiplicative depth the parameters support:
-// noise grows from Rho bits roughly doubling per AND; decryption
-// works while noise stays under Eta - 2 bits.
-func (p Params) MaxDepth() int {
-	depth := 0
-	for noise := p.Rho; noise*2 < p.Eta-2; noise *= 2 {
-		depth++
-	}
-	return depth
-}
-
 // Key is the DGHV secret key.
 type Key struct {
 	params Params
@@ -87,9 +76,6 @@ func KeyGen(random io.Reader, params Params) (*Key, error) {
 	return &Key{params: params, p: p}, nil
 }
 
-// Params returns the key's parameter set.
-func (k *Key) Params() Params { return k.params }
-
 // CiphertextBytes returns the serialised size of one ciphertext.
 func (k *Key) CiphertextBytes() int { return (k.params.Gamma + 7) / 8 }
 
@@ -113,31 +99,6 @@ func (k *Key) Encrypt(random io.Reader, bit int) (*Ciphertext, error) {
 	c.Add(c, noise)
 	c.Add(c, big.NewInt(int64(bit)))
 	return &Ciphertext{C: c}, nil
-}
-
-// Decrypt recovers the bit: (c mod p centred) mod 2.
-func (k *Key) Decrypt(ct *Ciphertext) (int, error) {
-	if ct == nil || ct.C == nil {
-		return 0, fmt.Errorf("dghv: nil ciphertext")
-	}
-	rem := new(big.Int).Mod(ct.C, k.p)
-	half := new(big.Int).Rsh(k.p, 1)
-	if rem.Cmp(half) > 0 {
-		rem.Sub(rem, k.p)
-	}
-	return int(new(big.Int).And(new(big.Int).Abs(rem), big.NewInt(1)).Int64()), nil
-}
-
-// NoiseBits reports the current noise magnitude in bits — the
-// quantity that limits circuit depth. Diagnostic for tests and the
-// benchmark harness.
-func (k *Key) NoiseBits(ct *Ciphertext) int {
-	rem := new(big.Int).Mod(ct.C, k.p)
-	half := new(big.Int).Rsh(k.p, 1)
-	if rem.Cmp(half) > 0 {
-		rem.Sub(rem, k.p)
-	}
-	return rem.BitLen()
 }
 
 // Xor homomorphically XORs two encrypted bits (integer addition).

@@ -31,12 +31,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestMaxDepthPositive(t *testing.T) {
-	if d := ToyParams().MaxDepth(); d < 4 {
-		t.Fatalf("toy params support depth %d, want >= 4 for the 8-bit comparator", d)
-	}
-}
-
 func TestEncryptDecryptBit(t *testing.T) {
 	k := testKeyOnce()
 	for _, bit := range []int{0, 1} {
@@ -143,7 +137,7 @@ func TestComparatorMatchesPlaintext(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("GT(%d, %d) = %d, want %d (noise %d bits of eta %d)",
-				x, y, got, want, k.NoiseBits(res), k.Params().Eta)
+				x, y, got, want, k.NoiseBits(res), k.params.Eta)
 		}
 		if gates.And == 0 || gates.Xor == 0 {
 			t.Fatal("gate counter not incremented")

@@ -205,15 +205,6 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 	return p.value()
 }
 
-// Height reports the comb height h (the window New was given).
-func (t *Table) Height() int { return t.height }
-
-// Blocks reports the block count v New derived from its entry budget.
-func (t *Table) Blocks() int { return t.blocks }
-
-// MaxExpBits reports the widest exponent the comb covers.
-func (t *Table) MaxExpBits() int { return t.maxBits }
-
 // SizeBytes reports the table's memory footprint: exactly the slab New
 // filled, which is all a table retains beyond a few words of geometry.
 func (t *Table) SizeBytes() int { return len(t.entries.slab) * wordBytes }

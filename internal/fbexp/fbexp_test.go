@@ -57,7 +57,7 @@ func allOnes(bits int) *big.Int {
 // of random ones.
 func checkAgainstBigInt(t *testing.T, tab *Table, base, n *big.Int, trials int) {
 	t.Helper()
-	maxBits := tab.MaxExpBits()
+	maxBits := tab.maxBits
 	limit := new(big.Int).Lsh(big.NewInt(1), uint(maxBits)) // first exponent past the table
 	exps := []*big.Int{big.NewInt(0), big.NewInt(1), allOnes(maxBits), limit}
 	for i := 0; i < trials; i++ {
@@ -72,7 +72,7 @@ func checkAgainstBigInt(t *testing.T, tab *Table, base, n *big.Int, trials int) 
 		want := new(big.Int).Exp(base, e, mod)
 		if got := tab.Exp(e); got.Cmp(want) != 0 {
 			t.Fatalf("Exp(%s) = %s, want %s (h=%d v=%d maxBits=%d)",
-				e, got, want, tab.Height(), tab.Blocks(), maxBits)
+				e, got, want, tab.height, tab.blocks, maxBits)
 		}
 	}
 }
@@ -120,13 +120,13 @@ func TestEveryGeometry(t *testing.T) {
 					t.Fatalf("New(h=%d, maxBits=%d, budget=%d): %v", h, maxBits, budget, err)
 				}
 				perBlock := 1<<uint(h) - 1
-				if v := tab.Blocks(); v < 1 || (v > 1 && v*perBlock > budget) {
+				if v := tab.blocks; v < 1 || (v > 1 && v*perBlock > budget) {
 					t.Fatalf("h=%d maxBits=%d: %d blocks outside the entry budget %d", h, maxBits, v, budget)
 				}
-				if want := tab.Blocks() * perBlock * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
+				if want := tab.blocks * perBlock * 2 * len(n.Bits()) * wordBytes; tab.SizeBytes() != want {
 					t.Fatalf("h=%d maxBits=%d budget=%d: SizeBytes %d, want %d", h, maxBits, budget, tab.SizeBytes(), want)
 				}
-				seen[[2]int{h, tab.Blocks()}] = true
+				seen[[2]int{h, tab.blocks}] = true
 				checkAgainstBigInt(t, tab, base, n, 6)
 			}
 		}
@@ -246,8 +246,8 @@ func TestTableAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.Height() != c.h || tab.Blocks() != c.blocks || tab.MaxExpBits() != c.maxBits {
-			t.Fatalf("accessors: height %d blocks %d maxBits %d", tab.Height(), tab.Blocks(), tab.MaxExpBits())
+		if tab.height != c.h || tab.blocks != c.blocks || tab.maxBits != c.maxBits {
+			t.Fatalf("geometry: height %d blocks %d maxBits %d", tab.height, tab.blocks, tab.maxBits)
 		}
 		if tab.rowBits != c.rowBits || tab.blockBits != c.blockBits || tab.rowBits+tab.blockBits-2 != c.ops {
 			t.Fatalf("h=%d: rows of %d bits in blocks of %d, want %d and %d (%d operations)",
@@ -437,7 +437,7 @@ func FuzzExp(f *testing.F) {
 		e := new(big.Int).SetBytes(expBytes)
 		want := new(big.Int).Exp(base, e, mod)
 		if got := tab.Exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("h=%d v=%d maxBits=%d e=%s: got %s, want %s", h, tab.Blocks(), maxBits, e, got, want)
+			t.Fatalf("h=%d v=%d maxBits=%d e=%s: got %s, want %s", h, tab.blocks, maxBits, e, got, want)
 		}
 	})
 }

@@ -34,7 +34,7 @@ func checkDecodedPacked(t *testing.T, p *Packed) {
 // matrix or return an error — never panic.
 func TestPackedGobByteFlips(t *testing.T) {
 	sk, codec := packedFixture(t)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 5, 1), 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 5, 1), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPackedGobByteFlips(t *testing.T) {
 func FuzzPackedGobDecode(f *testing.F) {
 	frames := corruptPackedFrames(f)
 	sk, codec := packedFixture(f)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(f, 2, 7, 5), 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(f, 2, 7, 5), 1, 1)
 	if err != nil {
 		f.Fatal(err)
 	}

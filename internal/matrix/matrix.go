@@ -28,12 +28,6 @@ func NewInt(channels, blocks int) (*Int, error) {
 	}, nil
 }
 
-// Channels returns C.
-func (m *Int) Channels() int { return m.channels }
-
-// Blocks returns B.
-func (m *Int) Blocks() int { return m.blocks }
-
 func (m *Int) idx(c, b int) (int, error) {
 	if c < 0 || c >= m.channels || b < 0 || b >= m.blocks {
 		return 0, fmt.Errorf("matrix: index (%d, %d) outside %dx%d", c, b, m.channels, m.blocks)
@@ -74,18 +68,6 @@ func (m *Int) sameShape(other *Int) error {
 			m.channels, m.blocks, other.channels, other.blocks)
 	}
 	return nil
-}
-
-// Sub returns m - other element-wise.
-func (m *Int) Sub(other *Int) (*Int, error) {
-	if err := m.sameShape(other); err != nil {
-		return nil, err
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= other.data[i]
-	}
-	return out, nil
 }
 
 // Equal reports element-wise equality.

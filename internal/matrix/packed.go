@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math/big"
 
 	"pisa/internal/paillier"
@@ -60,22 +59,11 @@ func NewPacked(key *paillier.PublicKey, codec *paillier.SlotCodec, channels, blo
 	}, nil
 }
 
-// PackEncryptInts packs and encrypts every row of m into groups of
-// codec.Slots() blocks, with up to workers goroutines. Padding slots
-// past the last block encrypt pad.
-func PackEncryptInts(random io.Reader, key *paillier.PublicKey, codec *paillier.SlotCodec,
-	m *Int, pad int64, workers int) (*Packed, error) {
-	return PackEncryptIntsWindow(random, key, codec, m, pad, 0, m.channels, workers)
-}
-
 // Channels returns C.
 func (p *Packed) Channels() int { return p.channels }
 
 // Blocks returns B (the logical block count, not the group count).
 func (p *Packed) Blocks() int { return p.blocks }
-
-// Groups returns the number of ciphertext groups per channel row.
-func (p *Packed) Groups() int { return p.groups }
 
 // Slots returns the codec's blocks-per-ciphertext count k.
 func (p *Packed) Slots() int { return p.codec.Slots() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/gob"
+	"io"
 	"math/big"
 	"testing"
 
@@ -21,6 +22,12 @@ func packedFixture(t testing.TB) (*paillier.PrivateKey, *paillier.SlotCodec) {
 		t.Fatalf("NewSlotCodec: %v", err)
 	}
 	return sk, codec
+}
+
+// packEncryptInts packs and encrypts every row of m: the full window.
+func packEncryptInts(random io.Reader, key *paillier.PublicKey, codec *paillier.SlotCodec,
+	m *Int, pad int64, workers int) (*Packed, error) {
+	return PackEncryptIntsWindow(random, key, codec, m, pad, 0, m.channels, workers)
 }
 
 func testIntMatrix(t testing.TB, channels, blocks int, seed int64) *Int {
@@ -45,12 +52,12 @@ func TestPackedRoundTripWithPadding(t *testing.T) {
 	sk, codec := packedFixture(t)
 	// 7 blocks over 3-slot groups: 3 groups, 2 padding slots.
 	m := testIntMatrix(t, 2, 7, 3)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
 	if err != nil {
 		t.Fatalf("PackEncryptInts: %v", err)
 	}
-	if p.Groups() != 3 {
-		t.Errorf("Groups = %d, want 3", p.Groups())
+	if p.groups != 3 {
+		t.Errorf("Groups = %d, want 3", p.groups)
 	}
 	if p.Populated() != 6 {
 		t.Errorf("Populated = %d, want 6", p.Populated())
@@ -72,7 +79,7 @@ func TestPackedRoundTripWithPadding(t *testing.T) {
 func TestPackedGobRoundTrip(t *testing.T) {
 	sk, codec := packedFixture(t)
 	m := testIntMatrix(t, 2, 7, 5)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
 	if err != nil {
 		t.Fatalf("PackEncryptInts: %v", err)
 	}
@@ -88,7 +95,7 @@ func TestPackedGobRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&back); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if back.Populated() != p.Populated() || back.Groups() != p.Groups() ||
+	if back.Populated() != p.Populated() || back.groups != p.groups ||
 		back.Blocks() != p.Blocks() || !back.Codec().Equal(codec) {
 		t.Fatal("geometry lost in round trip")
 	}
@@ -269,7 +276,7 @@ func TestPopulatedCounterSurvivesGob(t *testing.T) {
 func TestSizeBytes(t *testing.T) {
 	sk, codec := packedFixture(t)
 	// 2 channels x ceil(7/3) groups.
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 7, 1), 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, testIntMatrix(t, 2, 7, 1), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

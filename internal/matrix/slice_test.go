@@ -8,7 +8,7 @@ import (
 func TestPackedChannelSlice(t *testing.T) {
 	sk, codec := packedFixture(t)
 	m := testIntMatrix(t, 4, 7, 3)
-	p, err := PackEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
+	p, err := packEncryptInts(rand.Reader, sk.Public(), codec, m, 1, 1)
 	if err != nil {
 		t.Fatalf("PackEncryptInts: %v", err)
 	}
@@ -16,14 +16,14 @@ func TestPackedChannelSlice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ChannelSlice: %v", err)
 	}
-	if s.Channels() != 4 || s.Blocks() != 7 || s.Groups() != p.Groups() {
-		t.Errorf("slice geometry changed: %dx%d/%d groups", s.Channels(), s.Blocks(), s.Groups())
+	if s.Channels() != 4 || s.Blocks() != 7 || s.groups != p.groups {
+		t.Errorf("slice geometry changed: %dx%d/%d groups", s.Channels(), s.Blocks(), s.groups)
 	}
-	if want := 2 * p.Groups(); s.Populated() != want {
+	if want := 2 * p.groups; s.Populated() != want {
 		t.Errorf("slice Populated = %d, want %d", s.Populated(), want)
 	}
 	for c := 0; c < 4; c++ {
-		for g := 0; g < p.Groups(); g++ {
+		for g := 0; g < p.groups; g++ {
 			ct, err := s.GroupAt(c, g)
 			if err != nil {
 				t.Fatalf("GroupAt(%d, %d): %v", c, g, err)
@@ -47,7 +47,7 @@ func TestPackEncryptIntsWindowMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PackEncryptIntsWindow: %v", err)
 	}
-	if want := 2 * w.Groups(); w.Populated() != want {
+	if want := 2 * w.groups; w.Populated() != want {
 		t.Fatalf("window Populated = %d, want %d", w.Populated(), want)
 	}
 	got, err := DecryptPacked(sk, w)

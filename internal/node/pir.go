@@ -32,9 +32,6 @@ func NewPIRServer(db *pir.Database, log *slog.Logger, timeout time.Duration) *PI
 	return s
 }
 
-// Database returns the served replica (for daemon shutdown summaries).
-func (s *PIRServer) Database() *pir.Database { return s.db }
-
 func (s *PIRServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 	switch env.Kind {
 	case wire.KindPIRMetaRequest:
@@ -214,24 +211,6 @@ func (c *PIRClient) Meta() pir.Meta {
 
 // K returns the configured shares-per-query threshold.
 func (c *PIRClient) K() int { return c.k }
-
-// Replicas lists the configured replica addresses.
-func (c *PIRClient) Replicas() []string {
-	out := make([]string, len(c.replicas))
-	for i, r := range c.replicas {
-		out[i] = r.addr
-	}
-	return out
-}
-
-// Stats snapshots every replica client's counters, keyed by address.
-func (c *PIRClient) Stats() map[string]ClientStats {
-	out := make(map[string]ClientStats, len(c.replicas))
-	for _, r := range c.replicas {
-		out[r.addr] = r.c.Stats()
-	}
-	return out
-}
 
 // Close tears down every replica client.
 func (c *PIRClient) Close() error {

@@ -137,7 +137,8 @@ func TestPIRFailoverStatsInvariants(t *testing.T) {
 	if d := m.reassign.Value() - reassignBefore; d > rounds {
 		t.Fatalf("reassignments = %d for %d rounds, double-counting suspected", d, rounds)
 	}
-	for addr, s := range c.Stats() {
+	for _, r := range c.replicas {
+		addr, s := r.addr, r.c.Stats()
 		if s.DialFailures > s.Dials {
 			t.Errorf("%s: DialFailures %d > Dials %d", addr, s.DialFailures, s.Dials)
 		}

@@ -425,14 +425,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Quantile estimates the q-quantile of everything the histogram has
-// observed so far; see HistogramSnapshot.Quantile for the estimator's
-// contract. For the quantile of one bounded region, bracket it with
-// Snapshot and subtract.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
 func (h *Histogram) sample(name, labels string) []string {
 	// Per-bucket counts are read without a snapshot barrier; the
 	// cumulative sums are still monotone within one scrape, which is

@@ -16,7 +16,7 @@ func quantileHistogram(t *testing.T, buckets []float64) *Histogram {
 func TestQuantileEmpty(t *testing.T) {
 	h := quantileHistogram(t, []float64{1, 2, 4})
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v := h.Quantile(q); !math.IsNaN(v) {
+		if v := h.Snapshot().Quantile(q); !math.IsNaN(v) {
 			t.Errorf("Quantile(%g) on empty histogram = %g, want NaN", q, v)
 		}
 	}
@@ -26,7 +26,7 @@ func TestQuantileRejectsOutOfRangeQ(t *testing.T) {
 	h := quantileHistogram(t, []float64{1, 2})
 	h.Observe(0.5)
 	for _, q := range []float64{-0.1, 1.1, math.Inf(1)} {
-		if v := h.Quantile(q); !math.IsNaN(v) {
+		if v := h.Snapshot().Quantile(q); !math.IsNaN(v) {
 			t.Errorf("Quantile(%g) = %g, want NaN", q, v)
 		}
 	}
@@ -47,13 +47,13 @@ func TestQuantileExactBucketBoundaries(t *testing.T) {
 		{0.25, 1}, {0.5, 2}, {0.75, 3}, {1, 4},
 	}
 	for _, tc := range cases {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
+		if got := h.Snapshot().Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
 	// q=0 interpolates to the owning bucket's lower edge (zero for
 	// the first bucket — latencies are non-negative).
-	if got := h.Quantile(0); got != 0 {
+	if got := h.Snapshot().Quantile(0); got != 0 {
 		t.Errorf("Quantile(0) = %g, want 0", got)
 	}
 }
@@ -69,10 +69,10 @@ func TestQuantileInfBucketSpill(t *testing.T) {
 	for i := 0; i < 90; i++ {
 		h.Observe(50) // +Inf bucket
 	}
-	if got := h.Quantile(0.99); got != 2 {
+	if got := h.Snapshot().Quantile(0.99); got != 2 {
 		t.Errorf("Quantile(0.99) with +Inf spill = %g, want largest finite bound 2", got)
 	}
-	if got := h.Quantile(0.05); got <= 0 || got > 1 {
+	if got := h.Snapshot().Quantile(0.05); got <= 0 || got > 1 {
 		t.Errorf("Quantile(0.05) = %g, want inside the first bucket (0, 1]", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestQuantileAgainstSortedSampleOracle(t *testing.T) {
 			sort.Float64s(samples)
 			for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 				oracle := samples[int(math.Ceil(q*float64(len(samples))))-1]
-				est := h.Quantile(q)
+				est := h.Snapshot().Quantile(q)
 				lo, hi := 0.0, math.Inf(1)
 				for i, b := range bounds {
 					if oracle <= b {
@@ -146,7 +146,7 @@ func TestQuantileSnapshotDelta(t *testing.T) {
 		t.Errorf("delta Sum = %g, want 300", delta.Sum)
 	}
 	// The full histogram's median is still dominated by the old load.
-	if got := h.Quantile(0.5); got > 1 {
+	if got := h.Snapshot().Quantile(0.5); got > 1 {
 		t.Errorf("cumulative Quantile(0.5) = %g, want <= 1", got)
 	}
 }

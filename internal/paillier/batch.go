@@ -45,28 +45,6 @@ func SharedReader(random io.Reader) io.Reader {
 	return &syncReader{r: random}
 }
 
-// EncryptBatch encrypts every message in ms with up to workers
-// goroutines. Output slot i corresponds to ms[i].
-func (pk *PublicKey) EncryptBatch(random io.Reader, ms []*big.Int, workers int) ([]*Ciphertext, error) {
-	random = orDefaultRand(random)
-	if workers > 1 {
-		random = SharedReader(random)
-	}
-	out := make([]*Ciphertext, len(ms))
-	err := parallel.For(workers, len(ms), func(i int) error {
-		ct, err := pk.Encrypt(random, ms[i])
-		if err != nil {
-			return fmt.Errorf("paillier: encrypt batch element %d: %w", i, err)
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecryptBatch decrypts every ciphertext with up to workers
 // goroutines. Output slot i corresponds to cts[i]. Unlike a loop over
 // Decrypt, the per-key CRT context (cached constants plus big.Int

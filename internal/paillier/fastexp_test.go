@@ -64,20 +64,14 @@ func TestFastExpCrossParity(t *testing.T) {
 
 	// Rerandomising a legacy ciphertext on the fast path preserves the
 	// plaintext and changes the bits; and the other way round.
-	ra, err := fast.Rerandomize(rand.Reader, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := refresh(t, &fast, b)
 	if ra.Equal(b) {
 		t.Fatal("fast rerandomize left ciphertext unchanged")
 	}
 	if m, err := sk.DecryptInt(ra); err != nil || m != -234 {
 		t.Fatalf("fast rerandomize of legacy ciphertext: m=%d err=%v", m, err)
 	}
-	rb, err := legacy.Rerandomize(rand.Reader, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := refresh(t, &legacy, a)
 	if m, err := sk.DecryptInt(rb); err != nil || m != 1234 {
 		t.Fatalf("legacy rerandomize of fast ciphertext: m=%d err=%v", m, err)
 	}
@@ -198,7 +192,7 @@ func TestFirstNonceBuildsOneTable(t *testing.T) {
 }
 
 // TestFastExpSharedTableRace hammers one tabled key from concurrent
-// batch encryptions, nonce batches and rerandomisations. Run under
+// encryptions, nonce batches and rerandomisations. Run under
 // -race in CI: the table must be read-only once built.
 func TestFastExpSharedTableRace(t *testing.T) {
 	sk := fastKey(t, 512)
@@ -216,8 +210,11 @@ func TestFastExpSharedTableRace(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		if _, err := pk.EncryptBatch(rand.Reader, ms, 8); err != nil {
-			errs <- err
+		for _, m := range ms {
+			if _, err := pk.Encrypt(rand.Reader, m); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 	go func() {
@@ -229,7 +226,11 @@ func TestFastExpSharedTableRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 24; i++ {
-			if _, err := pk.Rerandomize(rand.Reader, ct); err != nil {
+			n, err := pk.NewNonce(rand.Reader)
+			if err == nil {
+				_, err = pk.RerandomizeWith(ct, n)
+			}
+			if err != nil {
 				errs <- err
 				return
 			}
@@ -299,14 +300,9 @@ func TestFullWidthNonceCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bare.Rerandomize(rand.Reader, ct); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.NewNonce(rand.Reader); err != nil {
-		t.Fatal(err)
-	}
+	refresh(t, bare, ct)
 	if got := FullWidthNonces() - before; got != 0 {
-		t.Fatalf("bare-modulus encrypt + rerandomize + nonce counted %d full-width nonces, want 0", got)
+		t.Fatalf("bare-modulus encrypt + refresh counted %d full-width nonces, want 0", got)
 	}
 	if _, err := sk.EncryptWithNonce(big.NewInt(7), big.NewInt(65537)); err != nil {
 		t.Fatal(err)

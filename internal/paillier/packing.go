@@ -31,9 +31,8 @@
 // Overflow is rejected, never wrapped: Pack refuses inputs outside the
 // payload domain, and Unpack refuses a plaintext whose biased form
 // exceeds the layout (a carry out of the top slot). Mid-slot
-// corruption cannot be detected from the layout alone — a clobbered
-// slot is still some value — so callers that know the legal bound pass
-// it to UnpackBounded.
+// corruption cannot be detected from the layout alone: a clobbered
+// slot is still some value.
 package paillier
 
 import (
@@ -46,8 +45,7 @@ import (
 // Packing errors.
 var (
 	// ErrSlotOverflow rejects a value outside the slot payload domain
-	// at Pack time, or outside the caller-stated bound at
-	// UnpackBounded time.
+	// at Pack time.
 	ErrSlotOverflow = errors.New("paillier: value outside slot payload domain")
 	// ErrPackedOverflow rejects a packed plaintext whose biased form
 	// does not fit the slot layout: some homomorphic operation carried
@@ -197,30 +195,6 @@ func (c *SlotCodec) Unpack(p *big.Int) ([]*big.Int, error) {
 		out[j] = v
 	}
 	return out, nil
-}
-
-// UnpackBounded is Unpack plus a per-slot magnitude check: the caller
-// states the largest legal bit width a slot can have reached (payload
-// bits plus whatever homomorphic growth the protocol performed), and
-// any slot at or above 2^maxBits is rejected with ErrSlotOverflow.
-// This catches guard-bit exhaustion that stayed inside the overall
-// layout and so would pass Unpack undetected.
-func (c *SlotCodec) UnpackBounded(p *big.Int, maxBits int) ([]*big.Int, error) {
-	if maxBits < 1 || maxBits > c.slotBits-1 {
-		return nil, fmt.Errorf("paillier: bound %d bits outside slot range [1, %d]", maxBits, c.slotBits-1)
-	}
-	vals, err := c.Unpack(p)
-	if err != nil {
-		return nil, err
-	}
-	bound := new(big.Int).Lsh(one, uint(maxBits))
-	for j, v := range vals {
-		if v.CmpAbs(bound) >= 0 {
-			return nil, fmt.Errorf("%w: slot %d value %s exceeds stated bound of %d bits",
-				ErrSlotOverflow, j, v, maxBits)
-		}
-	}
-	return vals, nil
 }
 
 // PackEncrypt packs vals and encrypts the result under pk.

@@ -80,13 +80,12 @@ type PublicKey struct {
 	// H is the nonce base the key owner publishes: an n-th residue
 	// mod n^2 whose order (a_p*a_q, about 2^512) only the owner knows.
 	// Nonce factors are h^s for a short random s, so every ciphertext
-	// built from Encrypt, Rerandomize, NewNonce and the homomorphic
-	// operations on them carries a nonce inside <H>, which is what lets
-	// the owner decrypt with a_p and a_q in place of p-1 and q-1
-	// (DESIGN.md §10). Nil on a key that predates the field or was
-	// rebuilt from its modulus alone; such a key's first nonce draws a
-	// private base x^n instead, whose nonces its owner decrypts with the
-	// full exponent.
+	// built from Encrypt, NewNonce and the homomorphic operations on
+	// them carries a nonce inside <H>, which is what lets the owner
+	// decrypt with a_p and a_q in place of p-1 and q-1 (DESIGN.md §10).
+	// Nil on a key that predates the field or was rebuilt from its
+	// modulus alone; such a key's first nonce draws a private base x^n
+	// instead, whose nonces its owner decrypts with the full exponent.
 	H *big.Int
 
 	nSquared *big.Int // n^2
@@ -499,7 +498,7 @@ var (
 
 func init() {
 	obs.Default().CounterFunc("pisa_paillier_nonce_total",
-		"nonce factors H^s drawn from a key's nonce table (Encrypt, Rerandomize, NewNonce)",
+		"nonce factors H^s drawn from a key's nonce table (Encrypt, NewNonce)",
 		nil, nonces.Load)
 	const tablesHelp = "key objects whose first nonce built their nonce table, by comb: full = group key (Prepare), lean = SU key (PrepareLean)"
 	obs.Default().CounterFunc("pisa_paillier_nonce_tables_total", tablesHelp, obs.Labels{"comb": "full"}, nonceTables.full.Load)
@@ -513,7 +512,7 @@ func init() {
 }
 
 // Nonces reports how many nonce factors this process has drawn: one per
-// Encrypt, Rerandomize and NewNonce.
+// Encrypt and NewNonce.
 func Nonces() uint64 { return nonces.Load() }
 
 // NonceTables reports how many key objects in this process have built
@@ -920,23 +919,6 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	gk := new(big.Int).Mul(enc, pk.N)
 	gk.Add(gk, one)
 	c := gk.Mul(gk, a.C)
-	c.Mod(c, pk.nSquared)
-	return &Ciphertext{C: c}, nil
-}
-
-// Rerandomize multiplies a ciphertext by a fresh encryption of zero,
-// preserving the plaintext while making the ciphertext
-// indistinguishable from fresh. This is the cheap "refresh" the paper
-// uses to reuse a precomputed request (§VI-A).
-func (pk *PublicKey) Rerandomize(random io.Reader, a *Ciphertext) (*Ciphertext, error) {
-	if err := pk.validate(a); err != nil {
-		return nil, err
-	}
-	rn, err := pk.newRn(random)
-	if err != nil {
-		return nil, err
-	}
-	c := new(big.Int).Mul(rn, a.C)
 	c.Mod(c, pk.nSquared)
 	return &Ciphertext{C: c}, nil
 }

@@ -9,13 +9,12 @@ import (
 	"pisa/internal/parallel"
 )
 
-// NoncePool amortises the expensive r^n mod n^2 exponentiation behind
-// Rerandomize off the request path. It extends the Nonce type with a
-// concurrency-safe pool that can be filled synchronously (offline
-// precomputation, §VI-A) or refilled by a background goroutine when a
-// low-water mark is crossed, so sustained traffic keeps paying only
-// one modular multiplication per refresh instead of a full
-// exponentiation.
+// NoncePool moves the exponentiation behind NewNonce off the request
+// path. It extends the Nonce type with a concurrency-safe pool that can
+// be filled synchronously (offline precomputation, §VI-A) or refilled
+// by a background goroutine when a low-water mark is crossed, so
+// sustained traffic keeps paying only one modular multiplication per
+// refresh instead of a full exponentiation.
 //
 // Get never fails for lack of stock: a dry pool falls back to
 // generating a nonce online, exactly like the pre-pool code path.
@@ -30,12 +29,9 @@ type NoncePool struct {
 	refilling bool
 	closed    bool // Close called: no new background refills
 
-	// refillErr is the sticky record of the last background refill
-	// failure; it stays readable via RefillErr until SetAutoRefill
-	// re-arms the pool. refillErrPending marks that exactly one Get
-	// still owes the caller that error.
-	refillErr        error
-	refillErrPending bool
+	// refillErr is the last background refill failure, owed to the next
+	// Get; that Get or a re-arming SetAutoRefill clears it.
+	refillErr error
 
 	wg sync.WaitGroup // outstanding background refills
 }
@@ -59,9 +55,8 @@ func NewNoncePool(pk *PublicKey, random io.Reader) *NoncePool {
 //
 // A refill failure explicitly disarms auto-refill (Get keeps working
 // through pooled stock and online generation): the failure is logged,
-// counted in the obs registry, returned by exactly one Get, and held
-// by RefillErr until this method re-arms the pool — which also clears
-// the sticky error.
+// counted in the obs registry and returned by exactly one Get, unless
+// this method re-arms the pool first.
 func (p *NoncePool) SetAutoRefill(target int) error {
 	if target < 0 {
 		return fmt.Errorf("paillier: negative refill target %d", target)
@@ -77,27 +72,7 @@ func (p *NoncePool) SetAutoRefill(target int) error {
 		p.low = 1
 	}
 	p.refillErr = nil
-	p.refillErrPending = false
 	return nil
-}
-
-// AutoRefillArmed reports whether background refilling is currently
-// armed. A pool that was armed but reports false here hit a refill
-// failure (see RefillErr), was explicitly disarmed, or was closed.
-func (p *NoncePool) AutoRefillArmed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target > 0
-}
-
-// RefillErr returns the last background refill failure, or nil. The
-// error is sticky: it stays readable until SetAutoRefill re-arms the
-// pool, so callers beyond the one Get that surfaced it can still see
-// the pool is degraded.
-func (p *NoncePool) RefillErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.refillErr
 }
 
 // Fill synchronously adds count nonces to the pool, generating them
@@ -130,11 +105,9 @@ func (p *NoncePool) Len() int {
 func (p *NoncePool) Get() (*Nonce, error) {
 	m := pmetrics()
 	p.mu.Lock()
-	if p.refillErrPending {
-		// Surface the background failure to exactly one caller; the
-		// sticky refillErr stays readable via RefillErr.
-		p.refillErrPending = false
-		err := p.refillErr
+	if err := p.refillErr; err != nil {
+		// Surface the background failure to exactly one caller.
+		p.refillErr = nil
 		p.mu.Unlock()
 		return nil, fmt.Errorf("paillier: background nonce refill: %w", err)
 	}
@@ -170,10 +143,8 @@ func (p *NoncePool) maybeRefillLocked() {
 		p.mu.Lock()
 		p.refilling = false
 		if err != nil {
-			// Explicit disarm: the sticky error and the armed flag
-			// stay observable until SetAutoRefill re-arms.
+			// Explicit disarm until SetAutoRefill re-arms.
 			p.refillErr = err
-			p.refillErrPending = true
 			p.target = 0
 			m.refillErrs.Inc()
 			slog.Warn("paillier: background nonce refill failed; auto-refill disarmed",

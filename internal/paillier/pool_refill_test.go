@@ -27,11 +27,10 @@ func (f *flakyReader) Read(p []byte) (int, error) {
 var _ io.Reader = (*flakyReader)(nil)
 
 // Regression test for the silently-disarmed refill bug: a background
-// refill failure used to be cleared by the first Get that saw it,
-// while auto-refill stayed off with nothing left to observe. The
-// failure must now disarm explicitly, stay readable via RefillErr,
-// be returned by exactly one Get, and clear only when SetAutoRefill
-// re-arms the pool.
+// refill failure used to be swallowed while auto-refill stayed off
+// with nothing left to observe. The failure must disarm explicitly, be
+// counted, be returned by exactly one Get, and a SetAutoRefill must
+// re-arm the pool.
 func TestNoncePoolRefillFailureDisarmsExplicitly(t *testing.T) {
 	pk := &batchKey().PublicKey
 	src := &flakyReader{}
@@ -39,9 +38,7 @@ func TestNoncePoolRefillFailureDisarmsExplicitly(t *testing.T) {
 	if err := pool.SetAutoRefill(4); err != nil {
 		t.Fatal(err)
 	}
-	if !pool.AutoRefillArmed() {
-		t.Fatal("pool not armed after SetAutoRefill")
-	}
+	errs0 := pmetrics().refillErrs.Value()
 
 	// With the source failing, the Get below finds the pool empty,
 	// kicks off a background refill (which fails), and its own online
@@ -53,35 +50,27 @@ func TestNoncePoolRefillFailureDisarmsExplicitly(t *testing.T) {
 	pool.Wait()
 	src.failing.Store(false)
 
-	if pool.AutoRefillArmed() {
-		t.Error("refill failure did not disarm auto-refill")
-	}
-	if pool.RefillErr() == nil {
-		t.Error("RefillErr lost the refill failure")
+	if got := pmetrics().refillErrs.Value() - errs0; got != 1 {
+		t.Errorf(`refills_total{result="error"} grew by %d, want 1`, got)
 	}
 
 	// Exactly one Get surfaces the background failure...
 	if _, err := pool.Get(); err == nil || !strings.Contains(err.Error(), "background nonce refill") {
 		t.Fatalf("Get did not surface the refill failure, got %v", err)
 	}
-	// ...and later Gets work again via online generation, while the
-	// sticky error stays readable.
+	// ...and later Gets work again via online generation, with no
+	// refill behind them: the failure disarmed the pool.
 	if _, err := pool.Get(); err != nil {
 		t.Fatalf("Get after surfaced failure: %v", err)
 	}
-	if pool.RefillErr() == nil {
-		t.Error("sticky RefillErr cleared by a Get")
+	pool.Wait()
+	if got := pool.Len(); got != 0 {
+		t.Errorf("Len after a disarmed Get = %d, want 0 (refill ran)", got)
 	}
 
-	// Re-arming clears the sticky error and restores refills.
+	// Re-arming restores refills.
 	if err := pool.SetAutoRefill(4); err != nil {
 		t.Fatal(err)
-	}
-	if err := pool.RefillErr(); err != nil {
-		t.Errorf("RefillErr after re-arm = %v, want nil", err)
-	}
-	if !pool.AutoRefillArmed() {
-		t.Error("pool not armed after re-arm")
 	}
 	if _, err := pool.Get(); err != nil {
 		t.Fatal(err)

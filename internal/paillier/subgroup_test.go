@@ -163,11 +163,7 @@ func TestOwnNoncesDecryptShort(t *testing.T) {
 				t.Fatalf("%s: slot %d = %s, want %s", name, i, slots[i], vals[i])
 			}
 		}
-		rr, err := pk.Rerandomize(rand.Reader, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantShort(t, name+" Rerandomize", sk, rr)
+		wantShort(t, name+" NewNonce+RerandomizeWith", sk, refresh(t, pk, ct))
 	}
 }
 
@@ -416,10 +412,14 @@ func TestSharedArmedKeyAcrossWorkers(t *testing.T) {
 			for i := range ms {
 				ms[i] = big.NewInt(int64(w*1000 + i - 17))
 			}
-			cts, err := sk.EncryptBatch(rand.Reader, ms, 2)
-			if err != nil {
-				t.Error(err)
-				return
+			cts := make([]*Ciphertext, each)
+			for i, m := range ms {
+				ct, err := sk.Encrypt(rand.Reader, m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cts[i] = ct
 			}
 			got, err := sk.DecryptBatch(cts, 2)
 			if err != nil {

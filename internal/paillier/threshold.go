@@ -89,9 +89,6 @@ func (sk *PrivateKey) SplitKey(random io.Reader, count int) ([]*KeyShare, error)
 	return shares, nil
 }
 
-// PublicKey returns the public key the share belongs to.
-func (s *KeyShare) PublicKey() *PublicKey { return s.pk }
-
 // keyShareGob is the serialised form of a share, used when a dealer
 // distributes shares to remote co-STPs.
 type keyShareGob struct {

@@ -26,7 +26,7 @@ func thresholdDecrypt(t *testing.T, shares []*KeyShare, ct *Ciphertext) *big.Int
 		}
 		partials[i] = p
 	}
-	m, err := CombinePartials(shares[0].PublicKey(), partials)
+	m, err := CombinePartials(shares[0].pk, partials)
 	if err != nil {
 		t.Fatalf("CombinePartials: %v", err)
 	}

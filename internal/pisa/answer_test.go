@@ -262,7 +262,7 @@ func TestAnswerSpansSeveralCiphertexts(t *testing.T) {
 		if len(tap.answers) != 1 || tap.answers[0] != 3 {
 			t.Fatalf("answers of %v ciphertexts, want one answer of 3", tap.answers)
 		}
-		if want := d.oracleDecision(t, su.Block(), eirp); got != want {
+		if want := d.oracleDecision(t, su.block, eirp); got != want {
 			t.Fatalf("%s: PISA=%v, WATCH oracle=%v (eirp=%v)", su.ID(), got, want, eirp)
 		}
 		return got

@@ -280,9 +280,6 @@ func (dc *decisionCache) dropTables(e *cacheEntry) (dropped int) {
 	return dropped
 }
 
-// len reports the live entry count.
-func (dc *decisionCache) len() int { return dc.lru.Len() }
-
 // count is how every cache event is counted, once: n events into one of
 // the cache's CacheStats tallies, which sit beside the entries under the
 // same lock, and into the process-wide obs series of the same event.
@@ -335,14 +332,6 @@ func (s *SDC) CacheStats() CacheCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cache.stats
-}
-
-// CachedDecisions reports the live entry count of the encrypted
-// decision cache (0 when disabled).
-func (s *SDC) CachedDecisions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.len()
 }
 
 // cacheLookup is the decision cache's verdict on one request, reached

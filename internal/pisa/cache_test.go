@@ -1778,7 +1778,7 @@ func TestCacheEntryMemory(t *testing.T) {
 	if retained > ceiling {
 		t.Fatalf("refreshed band entries retain %.0f B each, more than %.0f", retained/entries, ceiling/entries)
 	}
-	if got := sdc.cache.len(); got != 2*entries {
+	if got := sdc.cache.lru.Len(); got != 2*entries {
 		t.Fatalf("cache holds %d entries, want %d", got, 2*entries)
 	}
 	runtime.KeepAlive(sdc)

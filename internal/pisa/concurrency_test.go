@@ -103,13 +103,13 @@ func TestNoncePoolAccounting(t *testing.T) {
 	if err := su.PrecomputeNonces(cells + 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := su.PooledNonces(); got != cells+3 {
+	if got := su.nonces.Len(); got != cells+3 {
 		t.Fatalf("pool = %d, want %d", got, cells+3)
 	}
 	if _, err := su.RerandomizeRequest(req); err != nil {
 		t.Fatal(err)
 	}
-	if got := su.PooledNonces(); got != 3 {
+	if got := su.nonces.Len(); got != 3 {
 		t.Fatalf("pool after refresh = %d, want 3", got)
 	}
 	// Pool exhaustion falls back to the slow path and still works.
@@ -117,7 +117,7 @@ func TestNoncePoolAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refresh with dry pool: %v", err)
 	}
-	if got := su.PooledNonces(); got != 0 {
+	if got := su.nonces.Len(); got != 0 {
 		t.Fatalf("pool after dry refresh = %d, want 0", got)
 	}
 	if g := d.decide(t, su, fresh); !g.Granted {
@@ -210,8 +210,8 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 	// deterministic — a refill snapshots its need before concurrent
 	// drains finish — so only restocking is asserted.
 	for i, su := range sus {
-		su.WaitNonceRefill()
-		if got := su.PooledNonces(); got == 0 {
+		su.nonces.Wait()
+		if got := su.nonces.Len(); got == 0 {
 			t.Errorf("su %d nonce auto-refill never restocked the pool", i)
 		}
 	}

@@ -42,7 +42,7 @@ func TestOneSlotEquivalenceWithPlaintextWATCH(t *testing.T) {
 			t.Fatalf("request ships %d ciphertexts, want one per cell = %d", got, want)
 		}
 		got := d.decide(t, su, req).Granted
-		if want := d.oracleDecision(t, su.Block(), eirp); got != want {
+		if want := d.oracleDecision(t, su.block, eirp); got != want {
 			t.Fatalf("PISA=%v, WATCH oracle=%v (eirp=%v)", got, want, eirp)
 		}
 	}

@@ -108,7 +108,7 @@ func (d *deployment) tune(t *testing.T, pu *PU, channel int, signal int64) {
 		t.Fatalf("HandlePUUpdate: %v", err)
 	}
 	if err := d.oracle.UpdatePU(pu.ID(), watch.Registration{
-		Block: pu.Block(), Channel: channel, SignalUnits: signal,
+		Block: pu.block, Channel: channel, SignalUnits: signal,
 	}); err != nil {
 		t.Fatalf("oracle UpdatePU: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestEquivalenceWithPlaintextWATCH(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := d.oracle.UpdatePU(pu.ID(), watch.Registration{
-				Block: pu.Block(), Channel: ch, SignalUnits: signal,
+				Block: pu.block, Channel: ch, SignalUnits: signal,
 			}); err != nil {
 				// Conflicting cell: skip this move entirely.
 				continue
@@ -290,7 +290,7 @@ func TestEquivalenceWithPlaintextWATCH(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := d.decide(t, su, req).Granted
-		want := d.oracleDecision(t, su.Block(), eirp)
+		want := d.oracleDecision(t, su.block, eirp)
 		if got != want {
 			t.Fatalf("round %d: PISA=%v, WATCH oracle=%v (eirp=%v)", round, got, want, eirp)
 		}
@@ -468,7 +468,7 @@ func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	if err := su.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		t.Fatal(err)
 	}
-	pooled, drawn := su.PooledNonces(), paillier.Nonces()
+	pooled, drawn := su.nonces.Len(), paillier.Nonces()
 	again, err := su.RefreshRequest(req)
 	if err != nil {
 		t.Fatalf("RefreshRequest: %v", err)
@@ -476,7 +476,7 @@ func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	if got := paillier.Nonces() - drawn; got != 0 {
 		t.Errorf("refresh drew %d nonces", got)
 	}
-	if got := su.PooledNonces(); got != pooled {
+	if got := su.nonces.Len(); got != pooled {
 		t.Errorf("refresh took the nonce pool from %d to %d", pooled, got)
 	}
 	if again == req || again.SUID != req.SUID {

@@ -97,9 +97,6 @@ func NewPU(random io.Reader, id watch.PUID, block geo.BlockID, eColumn []int64, 
 // ID returns the PU identifier.
 func (p *PU) ID() watch.PUID { return p.id }
 
-// Block returns the PU's registered location.
-func (p *PU) Block() geo.BlockID { return p.block }
-
 // Tune produces the encrypted update for switching to (or turning on)
 // the given channel with the measured mean TV signal strength
 // (Figure 4 steps 1-3): C ciphertexts, W(channel) = signal - E,

@@ -81,7 +81,7 @@ func assertParity(t *testing.T, d *deployment, sdc *SDC, step string, sus []*SU)
 			if err != nil {
 				t.Fatalf("%s: OpenResponse: %v", step, err)
 			}
-			want := d.oracleDecision(t, su.Block(), eirp)
+			want := d.oracleDecision(t, su.block, eirp)
 			if grant.Granted != want {
 				t.Fatalf("%s: %s on channel %d granted=%v, oracle says %v", step, su.ID(), c, grant.Granted, want)
 			}
@@ -204,7 +204,7 @@ func TestMalformedUpdateRefusedBeforeJournal(t *testing.T) {
 
 	good := d.newPU(t, "good", geo.BlockID(2*k-1))
 	d.tune(t, good, 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
-	sus := []*SU{d.newSU(t, "su-near", good.Block()), d.newSU(t, "su-far", 0)}
+	sus := []*SU{d.newSU(t, "su-near", good.block), d.newSU(t, "su-far", 0)}
 	if g, n := assertParity(t, d.deployment, d.sdc, "good update after a bad one", sus); g == 0 || n == 0 {
 		t.Fatalf("fixture too weak: %d grants, %d denials", g, n)
 	}

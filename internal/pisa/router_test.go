@@ -187,7 +187,7 @@ func (w *shardedWorld) tune(t *testing.T, pu *pisa.PU, channel int, signal int64
 		t.Fatalf("router HandlePUUpdate: %v", err)
 	}
 	if err := w.oracle.UpdatePU(pu.ID(), watch.Registration{
-		Block: pu.Block(), Channel: channel, SignalUnits: signal,
+		Block: u.Block, Channel: channel, SignalUnits: signal,
 	}); err != nil {
 		t.Fatalf("oracle UpdatePU: %v", err)
 	}

@@ -97,16 +97,6 @@ type sdcOptionFunc func(*sdcOptions)
 
 func (f sdcOptionFunc) apply(o *sdcOptions) { f(o) }
 
-// WithClock injects a deterministic license clock (tests).
-func WithClock(now func() time.Time) SDCOption {
-	return sdcOptionFunc(func(o *sdcOptions) { o.now = now })
-}
-
-// WithRandom injects the randomness source (default crypto/rand).
-func WithRandom(r io.Reader) SDCOption {
-	return sdcOptionFunc(func(o *sdcOptions) { o.random = r })
-}
-
 // WithChannelWindow restricts the instance to the channel rows
 // [lo, hi) of the budget matrix — one shard of a channel-sharded
 // deployment. Only those rows are encrypted at boot and rebuilt on PU

@@ -82,9 +82,6 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 // ID returns the SU identifier.
 func (u *SU) ID() string { return u.id }
 
-// Block returns the SU's (private) location.
-func (u *SU) Block() geo.BlockID { return u.block }
-
 // PublicKey returns pk_j for registration with the STP.
 func (u *SU) PublicKey() *paillier.PublicKey { return u.key.Public() }
 
@@ -244,18 +241,11 @@ func (u *SU) EnableNonceAutoRefill(target int) error {
 	return u.nonces.SetAutoRefill(target)
 }
 
-// WaitNonceRefill blocks until any in-flight background nonce refill
-// finishes — deterministic accounting for tests and shutdown.
-func (u *SU) WaitNonceRefill() { u.nonces.Wait() }
-
 // Close disarms the nonce pool's background refills and waits for any
 // in-flight refill goroutine to exit. The SU remains usable (refreshes
 // fall back to online nonce generation); Close only guarantees no
 // goroutine outlives an SU the caller is done with.
 func (u *SU) Close() { u.nonces.Close() }
-
-// PooledNonces reports how many precomputed nonces remain.
-func (u *SU) PooledNonces() int { return u.nonces.Len() }
 
 // RefreshRequest readies a previously prepared request for another
 // submission: a copy that shares the read-only matrix, no nonce drawn,

@@ -273,31 +273,3 @@ func (e *Evaluator) compareRange(x, y []*paillier.Ciphertext) (gt, eq *paillier.
 	}
 	return g, eqBoth, nil
 }
-
-// Equal evaluates Enc(x == y) over little-endian encrypted bit
-// vectors: the AND of per-bit equalities. This is the bit-wise secure
-// *equality* test PISA's offset encoding of eq. 4 avoids (deciding
-// T'(c, b) == 0 without ever comparing).
-func (e *Evaluator) Equal(x, y []*paillier.Ciphertext) (*paillier.Ciphertext, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("seccmp: operand widths differ (%d vs %d)", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return nil, fmt.Errorf("seccmp: empty operands")
-	}
-	_, eq, err := e.compareRange(x, y)
-	return eq, err
-}
-
-// DecryptBit is a test helper: open a result bit with the helper's
-// key.
-func DecryptBit(h *Helper, ct *paillier.Ciphertext) (int, error) {
-	v, err := h.key.DecryptInt(ct)
-	if err != nil {
-		return 0, err
-	}
-	if v != 0 && v != 1 {
-		return 0, fmt.Errorf("seccmp: result %d is not a bit", v)
-	}
-	return int(v), nil
-}

@@ -210,36 +210,3 @@ func TestValidation(t *testing.T) {
 		t.Error("width 65 accepted")
 	}
 }
-
-func TestEqualMatchesPlaintext(t *testing.T) {
-	e := newEval(t)
-	h := fixture()
-	for _, tc := range [][2]uint64{{5, 5}, {5, 6}, {0, 0}, {0, 15}, {15, 15}, {9, 8}} {
-		ex, err := e.EncryptBits(tc[0], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ey, err := e.EncryptBits(tc[1], 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Equal(ex, ey)
-		if err != nil {
-			t.Fatalf("Equal: %v", err)
-		}
-		got, err := DecryptBit(h, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		if tc[0] == tc[1] {
-			want = 1
-		}
-		if got != want {
-			t.Errorf("EQ(%d, %d) = %d, want %d", tc[0], tc[1], got, want)
-		}
-	}
-	if _, err := e.Equal(nil, nil); err == nil {
-		t.Error("empty operands accepted")
-	}
-}

@@ -292,11 +292,6 @@ func (s *System) insideContour(c int, b geo.BlockID) bool {
 // Params returns a copy of the system configuration.
 func (s *System) Params() Params { return s.params }
 
-// ProtectionDistance returns d^c for channel c.
-func (s *System) ProtectionDistance(c int) (float64, error) {
-	return s.planner.ProtectionDistance(c)
-}
-
 // EMatrix returns a copy of the precomputed E matrix.
 func (s *System) EMatrix() *matrix.Int { return s.e.Clone() }
 

@@ -103,7 +103,7 @@ func TestInitialBudgetsEqualEAndPositive(t *testing.T) {
 
 func TestProtectionDistanceAccessor(t *testing.T) {
 	s := newTestSystem(t, nil)
-	d, err := s.ProtectionDistance(0)
+	d, err := s.planner.ProtectionDistance(0)
 	if err != nil {
 		t.Fatalf("ProtectionDistance(0): %v", err)
 	}
@@ -113,7 +113,7 @@ func TestProtectionDistanceAccessor(t *testing.T) {
 		t.Errorf("d^c = %g m, want roughly 178", d)
 	}
 	for _, c := range []int{-1, 5} {
-		if _, err := s.ProtectionDistance(c); err == nil {
+		if _, err := s.planner.ProtectionDistance(c); err == nil {
 			t.Errorf("channel %d accepted", c)
 		}
 	}
@@ -276,7 +276,7 @@ func TestComputeFRespectsProtectionDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.ProtectionDistance(0)
+	d, err := s.planner.ProtectionDistance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
