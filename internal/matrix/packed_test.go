@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/gob"
 	"io"
+	"math"
 	"math/big"
 	"testing"
 
@@ -136,6 +137,10 @@ func corruptPackedFrames(t testing.TB) map[string][]byte {
 		"negative key":           func(g *packedGob) { g.KeyN = big.NewInt(-17) },
 		"bad codec":              func(g *packedGob) { g.SlotBits = 1 },
 		"codec too wide for key": func(g *packedGob) { g.Slots = 100; g.SlotBits = 100 },
+		// Slot geometries whose width products overflow an int.
+		"slot width overflow":    func(g *packedGob) { g.Slots = 2; g.SlotBits = 1 << 62; g.PayloadBits = 1 },
+		"slot width wraps":       func(g *packedGob) { g.Slots = 4; g.SlotBits = 1 << 62; g.PayloadBits = 1 },
+		"payload width overflow": func(g *packedGob) { g.Slots = 1; g.SlotBits = 3; g.PayloadBits = math.MaxInt },
 		"index out of range":     func(g *packedGob) { g.Index = []int32{5} },
 		"negative index":         func(g *packedGob) { g.Index = []int32{-1} },
 		"length mismatch":        func(g *packedGob) { g.Index = []int32{0, 0} },

@@ -1,10 +1,14 @@
 package node
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/gob"
 	"errors"
 	"log/slog"
+	"math/big"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,6 +223,63 @@ func TestRemoteErrorsSurface(t *testing.T) {
 	// Invalid block: remote error again.
 	if _, err := sdcCli.EColumn(9999); err == nil {
 		t.Fatal("invalid block accepted")
+	}
+}
+
+// hostilePacked stands in for matrix.Packed on a hostile SU's side: it
+// gob-encodes the fields of Packed's wire form with the slot geometry
+// the SU declares.
+type hostilePacked struct {
+	Channels, Blocks             int
+	Slots, SlotBits, PayloadBits int
+	KeyN                         *big.Int
+}
+
+func (h hostilePacked) GobEncode() ([]byte, error) {
+	type plain hostilePacked
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(plain(h))
+	return buf.Bytes(), err
+}
+
+// TestSDCServerRefusesHostileSlotWidth: an SU request whose F matrix
+// declares a slot width of 2^62 bits, so that slots*slotBits overflows
+// an int, gets an error reply, and the connection serves on.
+func TestSDCServerRefusesHostileSlotWidth(t *testing.T) {
+	n := startNet(t)
+	raw, err := net.Dial("tcp", n.sdcAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := gob.NewEncoder(raw), gob.NewDecoder(raw)
+	type request struct {
+		SUID string
+		FP   hostilePacked
+	}
+	err = enc.Encode(&struct {
+		Kind    wire.Kind
+		Request *request
+	}{wire.KindSURequest, &request{
+		SUID: "su-1",
+		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: 1 << 62, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply wire.Envelope
+	if err := dec.Decode(&reply); err != nil || reply.Kind != wire.KindError || !strings.Contains(reply.Err, "slot width") {
+		t.Fatalf("reply %+v, %v: want an error reply naming the slot width", reply, err)
+	}
+	if err := enc.Encode(&wire.Envelope{Kind: wire.KindEColumnRequest, Block: 0}); err != nil {
+		t.Fatal(err)
+	}
+	reply = wire.Envelope{}
+	if err := dec.Decode(&reply); err != nil || reply.Kind != wire.KindEColumn {
+		t.Fatalf("reply after the refusal %+v, %v: want an E column", reply, err)
 	}
 }
 

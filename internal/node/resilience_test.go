@@ -1,8 +1,10 @@
 package node
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/big"
@@ -575,6 +577,7 @@ type flakyListener struct {
 	mu    sync.Mutex
 	rng   *mrand.Rand
 	dropP float64
+	first int64 // bytes of a connection's first request, gob type preamble included
 }
 
 func (l *flakyListener) Accept() (net.Conn, error) {
@@ -583,10 +586,10 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	l.mu.Lock()
-	// Survivors get room for the gob type preamble plus first request
-	// (~850 bytes) and a few more ~14-byte requests before dying; a
-	// dropP fraction die during the very first exchange.
-	budget := 900 + int64(l.rng.Intn(400))
+	// Budgets straddle the end of the first request (gob type preamble
+	// included): some connections die inside it, the rest after a few
+	// more ~14-byte requests; a dropP fraction die almost at once.
+	budget := l.first - 128 + int64(l.rng.Intn(400))
 	if l.rng.Float64() < l.dropP {
 		budget = int64(l.rng.Intn(32))
 	}
@@ -635,10 +638,15 @@ func TestFaultInjectionFlakyListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first bytes.Buffer
+	if err := gob.NewEncoder(&first).Encode(&wire.Envelope{Kind: wire.KindGroupKeyRequest}); err != nil {
+		t.Fatal(err)
+	}
 	flaky := &flakyListener{
 		Listener: ln,
 		rng:      mrand.New(mrand.NewSource(41)),
 		dropP:    0.4,
+		first:    int64(first.Len()),
 	}
 	go func() { _ = srv.Serve(flaky) }()
 	t.Cleanup(func() { srv.Close() })

@@ -21,6 +21,7 @@ package node
 
 import (
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -147,17 +148,23 @@ func (s *server) serveConn(conn net.Conn) {
 	peer := conn.RemoteAddr().String()
 	for {
 		env, err := c.Recv()
-		if err != nil {
+		if err != nil && !errors.Is(err, wire.ErrMalformed) {
 			if !wire.IsClosed(err) {
 				s.log.Debug("recv failed", "peer", peer, "err", err)
 			}
 			return
 		}
+		// A malformed envelope is refused like any other request.
 		s.requests.Add(1)
-		reply, err := s.handle(env)
+		var reply *wire.Envelope
+		kind := "malformed"
+		if err == nil {
+			kind = env.Kind.String()
+			reply, err = s.handle(env)
+		}
 		if err != nil {
 			s.errors.Add(1)
-			s.log.Debug("handler error", "peer", peer, "kind", env.Kind.String(), "err", err)
+			s.log.Debug("handler error", "peer", peer, "kind", kind, "err", err)
 			if sendErr := c.SendError(err); sendErr != nil {
 				return
 			}

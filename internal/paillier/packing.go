@@ -83,11 +83,13 @@ func NewSlotCodec(slots, slotBits, payloadBits int) (*SlotCodec, error) {
 	if slots < 1 || slots > maxCodecSlots {
 		return nil, fmt.Errorf("paillier: slot count %d outside [1, %d]", slots, maxCodecSlots)
 	}
-	if payloadBits < 1 {
-		return nil, fmt.Errorf("paillier: payload width %d below 1 bit", payloadBits)
+	// Each bound is checked before the next one multiplies or adds, so a
+	// hostile geometry cannot overflow its way past them.
+	if slotBits < 3 || slotBits > maxCodecTotalBits {
+		return nil, fmt.Errorf("paillier: slot width %d outside [3, %d]", slotBits, maxCodecTotalBits)
 	}
-	if slotBits < payloadBits+2 {
-		return nil, fmt.Errorf("paillier: slot width %d too narrow for %d payload bits (+ sign + guard)", slotBits, payloadBits)
+	if payloadBits < 1 || payloadBits > slotBits-2 {
+		return nil, fmt.Errorf("paillier: payload width %d outside [1, %d]: a slot of %d bits keeps one sign and one guard bit", payloadBits, slotBits-2, slotBits)
 	}
 	if total := slots * slotBits; total > maxCodecTotalBits {
 		return nil, fmt.Errorf("paillier: packed width %d bits exceeds cap %d", total, maxCodecTotalBits)

@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
+	"math"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -64,6 +65,12 @@ func TestSlotCodecGeometry(t *testing.T) {
 		{4, 21, 20},                 // no guard bit
 		{4, 40, 0},                  // empty payload
 		{1 << 15, 64, 20},           // total width over cap
+		// Geometries whose width products overflow an int past the caps.
+		{2, 1 << 62, 1},      // slots*slotBits wraps negative
+		{4, 1 << 62, 1},      // slots*slotBits wraps to zero
+		{1, 3, math.MaxInt},  // payloadBits+2 wraps negative
+		{1, math.MaxInt, 20}, // slot width over cap on its own
+		{1, 40, -1},          // negative payload
 	}
 	for _, tc := range bad {
 		if _, err := NewSlotCodec(tc.slots, tc.slotBits, tc.payloadBits); err == nil {

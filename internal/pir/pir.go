@@ -134,6 +134,10 @@ type Update struct {
 	SignalUnits int64
 }
 
+// maxPUIDLen caps the PU identifier a replica keeps, as the SDC caps
+// its own.
+const maxPUIDLen = 4096
+
 // DefaultBloomBitsPerChannel sizes the Bloom table when the config
 // does not: 16 bits per channel keeps the false-positive rate under
 // 0.05% even with every channel inserted (h = 11 ~ 16·ln2).
@@ -274,6 +278,14 @@ func (db *Database) rebuild() error {
 func (db *Database) ApplyUpdate(u *Update) error {
 	if u == nil {
 		return fmt.Errorf("pir: nil update")
+	}
+	// watch.System.UpdatePU checks the block and the signal of a PU that
+	// tunes in; these hold for a switch-off too.
+	if u.PUID == "" || len(u.PUID) > maxPUIDLen {
+		return fmt.Errorf("pir: update PUID of %d bytes outside [1, %d]", len(u.PUID), maxPUIDLen)
+	}
+	if u.Block < 0 || u.SignalUnits < 0 {
+		return fmt.Errorf("pir: update with negative block %d or signal %d", u.Block, u.SignalUnits)
 	}
 	db.mu.Lock()
 	err := db.sys.UpdatePU(u.PUID, watch.Registration{

@@ -331,8 +331,8 @@ func TestReconstructRejects(t *testing.T) {
 	}
 }
 
-// roundTrip gob-encodes and decodes a value through an interface to
-// exercise the GobEncoder/GobDecoder hooks.
+// roundTrip gob-encodes and decodes a value, as one envelope field
+// would carry it.
 func roundTrip(t *testing.T, in, out any) error {
 	t.Helper()
 	var buf bytes.Buffer
@@ -342,8 +342,7 @@ func roundTrip(t *testing.T, in, out any) error {
 	return gob.NewDecoder(&buf).Decode(out)
 }
 
-// TestGobRoundTrip checks the hardened codecs preserve well-formed
-// frames.
+// TestGobRoundTrip checks well-formed frames survive gob.
 func TestGobRoundTrip(t *testing.T) {
 	q := &Query{Table: TableBloom, Sel: []byte{1, 2, 3}}
 	var q2 Query
@@ -368,48 +367,6 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 	if u2 != *u {
 		t.Errorf("update round-trip mismatch: %+v", u2)
-	}
-}
-
-// TestGobMalformedFrames checks hostile frames are rejected and the
-// receiver is left unmodified.
-func TestGobMalformedFrames(t *testing.T) {
-	cases := []struct {
-		name string
-		in   any
-		out  func() any
-	}{
-		{"query-bad-table", &Query{Table: 7, Sel: []byte{1}}, func() any { return new(Query) }},
-		{"query-empty-sel", &Query{Table: TableBitmap}, func() any { return new(Query) }},
-		{"query-huge-sel", &Query{Table: TableBitmap, Sel: make([]byte, maxWireSelBytes+1)}, func() any { return new(Query) }},
-		{"answer-empty-row", &Answer{Version: 1}, func() any { return new(Answer) }},
-		{"answer-huge-row", &Answer{Version: 1, Row: make([]byte, maxWireRowBytes+1)}, func() any { return new(Answer) }},
-		{"update-empty-puid", &Update{Block: 1, Channel: 0}, func() any { return new(Update) }},
-		{"update-long-puid", &Update{PUID: watch.PUID(bytes.Repeat([]byte("x"), maxWirePUIDLen+1)), Block: 1}, func() any { return new(Update) }},
-		{"update-negative-block", &Update{PUID: "p", Block: -1}, func() any { return new(Update) }},
-		{"update-negative-signal", &Update{PUID: "p", Block: 0, SignalUnits: -5}, func() any { return new(Update) }},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			// Encode through the raw wire mirror so the hostile value
-			// reaches the decoder (our own GobEncode would also accept it —
-			// validation lives on the decode side, per the threat model).
-			out := c.out()
-			if err := roundTrip(t, c.in, out); err == nil {
-				t.Fatalf("hostile frame accepted: %+v", c.in)
-			}
-		})
-	}
-
-	// Receiver unmodified on failure.
-	orig := Query{Table: TableBitmap, Sel: []byte{0xAA}}
-	got := orig
-	hostile := &Query{Table: 9, Sel: []byte{1}}
-	if err := roundTrip(t, hostile, &got); err == nil {
-		t.Fatal("hostile query accepted")
-	}
-	if got.Table != orig.Table || !bytes.Equal(got.Sel, orig.Sel) {
-		t.Errorf("receiver modified on failed decode: %+v", got)
 	}
 }
 

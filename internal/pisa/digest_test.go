@@ -9,6 +9,10 @@ import (
 	"pisa/internal/paillier"
 )
 
+func ct(v int64) *paillier.Ciphertext {
+	return &paillier.Ciphertext{C: big.NewInt(v)}
+}
+
 // digestKey is a fixed public key (Mersenne modulus 2^127-1) so the
 // digest fixtures are fully deterministic.
 func digestKey() *paillier.PublicKey {

@@ -31,19 +31,21 @@ const (
 // SDC holds — the public E matrix, protection distances, the decision
 // cache — is recomputed from public data or on demand.
 //
-// Version 3 is written by an SDC that installs every update together
-// with its column, so the snapshot's NPack folds exactly its Updates.
-// Version 2's could lag them (a column still being rebuilt), and version
-// 1 stored updates the SDC shifted into their slot itself (and, before
-// packing, unpacked budgets); RestoreSDC refuses both by name.
+// Version 4 stores PU updates as plain gob structs, so the snapshot's
+// NPack folds exactly its PUUpdates. Version 3 held the same state with
+// each update in an encoding of its own, under the field name Updates,
+// which this build ignores. Version 2's NPack could lag its updates (a
+// column still being rebuilt), and version 1 stored updates the SDC
+// shifted into their slot itself (and, before packing, unpacked
+// budgets). RestoreSDC refuses the three by name.
 type sdcState struct {
-	Version int
-	Serial  uint64
-	NPack   *matrix.Packed
-	Updates []*PUUpdate
+	Version   int
+	Serial    uint64
+	NPack     *matrix.Packed
+	PUUpdates []*PUUpdate
 }
 
-const sdcStateVersion = 3
+const sdcStateVersion = 4
 
 // ExportState serialises the SDC's mutable protocol state for a
 // snapshot. The encrypted entries are immutable, so only the brief
@@ -53,16 +55,16 @@ const sdcStateVersion = 3
 func (s *SDC) ExportState() ([]byte, error) {
 	s.mu.Lock()
 	st := sdcState{
-		Version: sdcStateVersion,
-		Serial:  s.licenser().Serial(),
-		NPack:   s.nPack.Clone(),
-		Updates: make([]*PUUpdate, 0, len(s.puUpdates)),
+		Version:   sdcStateVersion,
+		Serial:    s.licenser().Serial(),
+		NPack:     s.nPack.Clone(),
+		PUUpdates: make([]*PUUpdate, 0, len(s.puUpdates)),
 	}
 	for _, u := range s.puUpdates {
-		st.Updates = append(st.Updates, u)
+		st.PUUpdates = append(st.PUUpdates, u)
 	}
 	s.mu.Unlock()
-	sort.Slice(st.Updates, func(i, j int) bool { return st.Updates[i].PUID < st.Updates[j].PUID })
+	sort.Slice(st.PUUpdates, func(i, j int) bool { return st.PUUpdates[i].PUID < st.PUUpdates[j].PUID })
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 		return nil, fmt.Errorf("pisa: export SDC state: %w", err)
@@ -105,6 +107,8 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			return nil, fmt.Errorf("pisa: SDC snapshot version 1 holds PU updates for the SDC to shift into their slots, which this build no longer does; boot without the snapshot and let the PUs re-send")
 		case 2:
 			return nil, fmt.Errorf("pisa: SDC snapshot version 2 may hold a PU update its budget column does not fold, which this build no longer recomputes; boot without the snapshot and let the PUs re-send")
+		case 3:
+			return nil, fmt.Errorf("pisa: SDC snapshot version 3 holds its PU updates in an encoding this build no longer reads; boot without the snapshot and its log and let the PUs re-send")
 		case sdcStateVersion:
 		default:
 			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads %d", st.Version, sdcStateVersion)
@@ -126,7 +130,7 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		if lic := s.licenser(); lic != nil {
 			lic.serial.Store(st.Serial)
 		}
-		for _, u := range st.Updates {
+		for _, u := range st.PUUpdates {
 			if err := s.registerRestored(u); err != nil {
 				return nil, fmt.Errorf("pisa: snapshot update: %w", err)
 			}
@@ -141,7 +145,9 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		}
 		u, err := DecodePUUpdate(rec.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)
+			// The log checks every record's CRC, so a record that does not
+			// decode was almost certainly written in the older encoding.
+			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w: a build that nested each PU update in a gob encoding of its own most likely wrote it; boot without the snapshot and its log and let the PUs re-send", rec.Index, err)
 		}
 		if u.Slots == 0 {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d is a PU update without a slot layout, for the SDC to shift into its slot, which this build no longer does; boot without the snapshot and its log and let the PUs re-send", rec.Index)

@@ -341,6 +341,47 @@ func TestRestoreRejectsBadInputs(t *testing.T) {
 			t.Fatalf("err = %v, want a refusal of version 2 telling the PUs to re-send", err)
 		}
 	})
+	// A version-3 SDC nested each PU update in a gob encoding of its own,
+	// in the snapshot and in the log.
+	nested := func(t *testing.T) gobEncoded {
+		t.Helper()
+		u, err := d.newPU(t, "tv-nested", 8).Tune(1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := EncodePUUpdate(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inner
+	}
+	t.Run("version 3 snapshot", func(t *testing.T) {
+		var old bytes.Buffer
+		err := gob.NewEncoder(&old).Encode(struct {
+			Version int
+			Serial  uint64
+			NPack   *matrix.Packed
+			Updates []gobEncoded
+		}{Version: 3, NPack: d.sdc.PackedBudgetSnapshot(), Updates: []gobEncoded{nested(t)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreSDC("sdc-test", d.params, nil, d.stp, old.Bytes(), nil)
+		if err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "let the PUs re-send") {
+			t.Fatalf("err = %v, want a refusal of version 3 telling the PUs to re-send", err)
+		}
+	})
+	t.Run("nested WAL record", func(t *testing.T) {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(nested(t)); err != nil {
+			t.Fatal(err)
+		}
+		tail := []store.Record{{Index: 9, Type: RecordPUUpdate, Payload: payload.Bytes()}}
+		_, err := RestoreSDC("sdc-test", d.params, nil, d.stp, snap, tail)
+		if err == nil || !strings.Contains(err.Error(), "record 9") || !strings.Contains(err.Error(), "nested each PU update") {
+			t.Fatalf("err = %v, want a refusal of record 9 naming the nested encoding", err)
+		}
+	})
 	t.Run("no budget matrix", func(t *testing.T) {
 		_, err := RestoreSDC("sdc-test", d.params, nil, d.stp, reversioned(t, sdcStateVersion, nil), nil)
 		if err == nil || !strings.Contains(err.Error(), "no budget matrix") {
@@ -369,6 +410,13 @@ func TestRestoreRejectsBadInputs(t *testing.T) {
 		}
 	})
 }
+
+// gobEncoded is a value that travels through a GobEncode method of its
+// own: gob carries it as opaque bytes, as it carried every PU update of
+// a version-3 SDC.
+type gobEncoded []byte
+
+func (g gobEncoded) GobEncode() ([]byte, error) { return g, nil }
 
 func TestPUUpdateCodecRoundTrip(t *testing.T) {
 	d := newDurableDeployment(t)
@@ -573,8 +621,8 @@ func TestSnapshotDuringColumnRebuild(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Updates) != 1 || st.Updates[0].PUID != journaled.PUID {
-		t.Fatalf("snapshot taken in the journal hook holds %d updates, want the one being journaled", len(st.Updates))
+	if len(st.PUUpdates) != 1 || st.PUUpdates[0].PUID != journaled.PUID {
+		t.Fatalf("snapshot taken in the journal hook holds %d updates, want the one being journaled", len(st.PUUpdates))
 	}
 	// The restore computes no column, so its budgets are the snapshot's.
 	computed := metrics().colRebuildOK.Count()

@@ -219,8 +219,8 @@ func (s *SDC) validateUpdate(u *PUUpdate) error {
 	if u == nil {
 		return fmt.Errorf("pisa: nil PU update")
 	}
-	if u.PUID == "" {
-		return fmt.Errorf("pisa: PU update missing id")
+	if u.PUID == "" || len(u.PUID) > maxIDLen {
+		return fmt.Errorf("pisa: PU update id of %d bytes outside [1, %d]", len(u.PUID), maxIDLen)
 	}
 	if !s.params.Watch.Grid.Valid(u.Block) {
 		return fmt.Errorf("pisa: PU update block %d invalid", u.Block)

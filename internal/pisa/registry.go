@@ -7,6 +7,36 @@ import (
 	"pisa/internal/paillier"
 )
 
+// maxIDLen caps a PU or SU identifier the SDC or the STP keeps in its
+// state and journals.
+const maxIDLen = 4096
+
+// maxWireKeyBytes caps one public modulus from outside: 32 KiB is a
+// 256k-bit n, far beyond any real key. A key's nonce base H lives below
+// n^2, so the same cap bounds it.
+const maxWireKeyBytes = 1 << 15
+
+// checkWireKey validates a public key that came from outside the
+// process — an SU's registration, a key fetched from the STP, a
+// registry record read back from disk: modulus present and of plausible
+// size, nonce base absent or a unit of Z_{n^2} other than 1
+// (paillier.PublicKey.Check). That is all anyone but the owner can
+// check; a key whose H is not the n-th residue of hidden order it
+// should be weakens or garbles only ciphertexts under that key, i.e.
+// what its owner receives (DESIGN.md §6).
+func checkWireKey(what string, pk *paillier.PublicKey) error {
+	if pk == nil || pk.N == nil {
+		return fmt.Errorf("pisa: %s: nil public key", what)
+	}
+	if (pk.N.BitLen()+7)/8 > maxWireKeyBytes {
+		return fmt.Errorf("pisa: %s: modulus exceeds %d bytes", what, maxWireKeyBytes)
+	}
+	if err := pk.Check(); err != nil {
+		return fmt.Errorf("pisa: %s: %w", what, err)
+	}
+	return nil
+}
+
 // suRegistry is the SU public-key registry both STP flavours keep:
 // id -> the key object sign conversions encrypt under. Stored keys are
 // the registry's own prepared copies, so conversion workers only ever
@@ -29,8 +59,8 @@ func newSURegistry() *suRegistry {
 // key for an existing id is rejected (it would let an attacker redirect
 // another SU's responses, or with a chosen H strip their nonces).
 func (r *suRegistry) register(id string, pk *paillier.PublicKey) error {
-	if id == "" {
-		return fmt.Errorf("pisa: empty SU id")
+	if id == "" || len(id) > maxIDLen {
+		return fmt.Errorf("pisa: SU id of %d bytes outside [1, %d]", len(id), maxIDLen)
 	}
 	if err := checkWireKey(fmt.Sprintf("register SU %q", id), pk); err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -51,7 +52,10 @@ const (
 
 	// Two retired slots (the coalesced sign-test kinds): left blank so
 	// that the kinds appended after them — PIR, shard — keep their
-	// numbers, and with them wire compatibility with earlier binaries.
+	// numbers. A number names one message in every build, so a frame
+	// from a build that encodes that message differently fails to decode
+	// instead of being read as another kind. Builds do not interoperate:
+	// every role upgrades together.
 	_
 	_
 
@@ -188,10 +192,17 @@ func (e *RemoteError) Error() string {
 	return "remote: " + e.Msg
 }
 
+// ErrMalformed marks an envelope that arrived whole but does not
+// decode. Gob length-prefixes every message and its decoder drops what
+// is left of a failed one, so the stream stays in step: a server answers
+// the peer with the error and reads its next envelope.
+var ErrMalformed = errors.New("wire: malformed envelope")
+
 // Conn wraps a net.Conn with gob framing and per-operation deadlines.
 // It is not safe for concurrent use; callers serialise access.
 type Conn struct {
 	conn    net.Conn
+	in      *reader
 	enc     *gob.Encoder
 	dec     *gob.Decoder
 	timeout time.Duration
@@ -205,12 +216,29 @@ type Conn struct {
 // NewConn wraps an established connection. timeout bounds each
 // individual send or receive; zero disables deadlines.
 func NewConn(conn net.Conn, timeout time.Duration) *Conn {
+	in := &reader{r: conn}
 	return &Conn{
 		conn:    conn,
+		in:      in,
 		enc:     gob.NewEncoder(conn),
-		dec:     gob.NewDecoder(conn),
+		dec:     gob.NewDecoder(in),
 		timeout: timeout,
 	}
+}
+
+// reader passes the connection's reads through and remembers whether
+// one failed, which tells a transport fault from a malformed envelope.
+type reader struct {
+	r      io.Reader
+	failed bool
+}
+
+func (r *reader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if err != nil {
+		r.failed = true
+	}
+	return n, err
 }
 
 // deadline picks the sooner of the context deadline and the
@@ -247,7 +275,9 @@ func (c *Conn) sendContext(ctx context.Context, env *Envelope) error {
 	return nil
 }
 
-// Recv reads one envelope.
+// Recv reads one envelope. One that arrives whole but does not decode
+// is an ErrMalformed error, and the next Recv reads the envelope after
+// it; after any other error the connection is done.
 func (c *Conn) Recv() (*Envelope, error) {
 	return c.recvContext(context.Background())
 }
@@ -263,6 +293,9 @@ func (c *Conn) recvContext(ctx context.Context) (*Envelope, error) {
 	}
 	var env Envelope
 	if err := c.dec.Decode(&env); err != nil {
+		if !c.in.failed {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
 		return nil, fmt.Errorf("wire: recv: %w", c.ctxErr(ctx, err))
 	}
 	return &env, nil

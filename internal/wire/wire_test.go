@@ -420,6 +420,71 @@ func suRequestFrame(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// hostilePacked stands in for matrix.Packed on the sending side: it
+// gob-encodes the fields of Packed's own wire form with whatever slot
+// geometry a hostile SU declares.
+type hostilePacked struct {
+	Channels, Blocks             int
+	Slots, SlotBits, PayloadBits int
+	KeyN                         *big.Int
+}
+
+func (h hostilePacked) GobEncode() ([]byte, error) {
+	type plain hostilePacked
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(plain(h))
+	return buf.Bytes(), err
+}
+
+// encodeHostileSURequest encodes a KindSURequest envelope whose F matrix
+// declares a slot width of 2^62 bits: slots*slotBits overflows an int.
+func encodeHostileSURequest(enc *gob.Encoder) error {
+	type request struct {
+		SUID string
+		FP   hostilePacked
+	}
+	type envelope struct {
+		Kind    Kind
+		Request *request
+	}
+	return enc.Encode(&envelope{Kind: KindSURequest, Request: &request{
+		SUID: "su-1",
+		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: 1 << 62, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
+	}})
+}
+
+// TestRecvRefusesHostileSlotWidth: a request whose F matrix declares an
+// overflowing slot geometry is an error out of Recv, not a panic, and
+// the stream stays in step: the next envelope on it decodes.
+func TestRecvRefusesHostileSlotWidth(t *testing.T) {
+	a, b := net.Pipe()
+	c := NewConn(b, 2*time.Second)
+	t.Cleanup(func() {
+		a.Close()
+		c.Close()
+	})
+	sent := make(chan error, 1)
+	go func() {
+		enc := gob.NewEncoder(a)
+		if err := encodeHostileSURequest(enc); err != nil {
+			sent <- err
+			return
+		}
+		sent <- enc.Encode(&Envelope{Kind: KindAck})
+	}()
+	_, err := c.Recv()
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "slot width") {
+		t.Fatalf("hostile slot width: err = %v, want a malformed-message error naming the slot width", err)
+	}
+	env, err := c.Recv()
+	if err != nil || env.Kind != KindAck {
+		t.Fatalf("envelope after the hostile one: %+v, %v", env, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func FuzzEnvelopeDecode(f *testing.F) {
 	// Seed with real encoded envelopes plus junk.
 	var buf bytes.Buffer
@@ -428,6 +493,11 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte("not gob at all"))
 	f.Add([]byte{})
 	f.Add(suRequestFrame(f))
+	var hostile bytes.Buffer
+	if err := encodeHostileSURequest(gob.NewEncoder(&hostile)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostile.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Malformed frames must produce errors, never panics.
 		var env Envelope
