@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
+
+	"pisa/internal/paillier"
 )
 
 // ErrBadSignature is returned when a signature does not verify.
@@ -93,16 +96,84 @@ type Signer struct {
 	key *rsa.PrivateKey
 }
 
-// NewSigner generates a fresh RSA signing key of the given size.
+// NewSigner generates a fresh RSA signing key of the given size with
+// e = 65537. Its primes come from paillier.Prime, the sieved search the
+// Paillier keys draw theirs from, p and q on two goroutines at once that
+// share random through paillier.SharedReader, so random need not be
+// safe for concurrent use; NewSigner returns only after both have
+// stopped. random must be a cryptographically secure source
+// (crypto/rand.Reader in production).
 func NewSigner(random io.Reader, bits int) (*Signer, error) {
 	if bits < 512 {
 		return nil, fmt.Errorf("dsig: signer modulus %d too small (min 512)", bits)
 	}
-	key, err := rsa.GenerateKey(random, bits)
+	key, err := generateKey(paillier.SharedReader(random), bits)
 	if err != nil {
 		return nil, fmt.Errorf("generate signer key: %w", err)
 	}
 	return &Signer{key: key}, nil
+}
+
+// signerExponent is the public exponent e of every signing key, the one
+// crypto/rsa.GenerateKey uses.
+const signerExponent = 65537
+
+// generateKey assembles an RSA key from two primes of (bits+1)/2 and
+// bits/2 bits, making the checks and retries of crypto/rsa.GenerateKey
+// (FIPS 186-5 A.1.3): p = q means a broken source and fails; a pair
+// whose product is not bits wide, whose distance |p-q| is at most
+// 2^(bits/2-100), or where e divides p-1 or q-1 is drawn again. d is
+// e^-1 mod lambda(n) = lcm(p-1, q-1). Precompute then runs crypto/rsa's
+// own key check (p*q = n, d*e = 1 modulo p-1 and q-1, |p-q| and
+// d > 2^(bits/2)), and Validate reports its verdict without running it
+// a second time.
+func generateKey(random io.Reader, bits int) (*rsa.PrivateKey, error) {
+	one, e := big.NewInt(1), big.NewInt(signerExponent)
+	for {
+		var p, q *big.Int
+		var errP, errQ error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			p, errP = paillier.Prime(random, (bits+1)/2)
+		}()
+		go func() {
+			defer wg.Done()
+			q, errQ = paillier.Prime(random, bits/2)
+		}()
+		wg.Wait()
+		if errP != nil {
+			return nil, fmt.Errorf("generate p: %w", errP)
+		}
+		if errQ != nil {
+			return nil, fmt.Errorf("generate q: %w", errQ)
+		}
+		if p.Cmp(q) == 0 {
+			return nil, errors.New("dsig: generated p = q, random source is broken")
+		}
+		n := new(big.Int).Mul(p, q)
+		if n.BitLen() != bits || new(big.Int).Sub(p, q).BitLen() <= bits/2-100 {
+			continue
+		}
+		pMinus1, qMinus1 := new(big.Int).Sub(p, one), new(big.Int).Sub(q, one)
+		if new(big.Int).GCD(nil, nil, e, pMinus1).Cmp(one) != 0 ||
+			new(big.Int).GCD(nil, nil, e, qMinus1).Cmp(one) != 0 {
+			continue
+		}
+		lambda := new(big.Int).GCD(nil, nil, pMinus1, qMinus1)
+		lambda.Quo(pMinus1, lambda).Mul(lambda, qMinus1)
+		key := &rsa.PrivateKey{
+			PublicKey: rsa.PublicKey{N: n, E: signerExponent},
+			D:         new(big.Int).ModInverse(e, lambda),
+			Primes:    []*big.Int{p, q},
+		}
+		key.Precompute()
+		if err := key.Validate(); err != nil {
+			return nil, err
+		}
+		return key, nil
+	}
 }
 
 // Public returns the verification key.

@@ -1,7 +1,9 @@
 package dsig
 
 import (
+	"crypto"
 	"crypto/rand"
+	"crypto/rsa"
 	"errors"
 	"math/big"
 	"sync"
@@ -31,6 +33,89 @@ func TestNewSignerRejectsTinyKeys(t *testing.T) {
 	if _, err := NewSigner(rand.Reader, 256); err == nil {
 		t.Fatal("256-bit signer accepted")
 	}
+}
+
+// checkKey holds a signer's key to what crypto/rsa.GenerateKey
+// guarantees: a valid key of exactly bits bits with e = 65537, each
+// prime with its top two bits set and e prime to p-1, |p-q| above
+// 2^(bits/2-100), and a signature that the stdlib verifies and that
+// fails once a bit flips.
+func checkKey(t *testing.T, s *Signer, bits int) {
+	t.Helper()
+	key := s.key
+	if err := key.Validate(); err != nil {
+		t.Fatalf("%d bits: Validate: %v", bits, err)
+	}
+	if key.N.BitLen() != bits || key.E != 65537 {
+		t.Fatalf("%d bits: modulus of %d bits, e = %d", bits, key.N.BitLen(), key.E)
+	}
+	if len(key.Primes) != 2 {
+		t.Fatalf("%d bits: %d primes", bits, len(key.Primes))
+	}
+	one, e := big.NewInt(1), big.NewInt(65537)
+	for i, p := range key.Primes {
+		if w := p.BitLen(); p.Bit(w-1) != 1 || p.Bit(w-2) != 1 {
+			t.Fatalf("%d bits: prime %d lacks its top two bits", bits, i)
+		}
+		if !p.ProbablyPrime(20) {
+			t.Fatalf("%d bits: prime %d is composite", bits, i)
+		}
+		if new(big.Int).GCD(nil, nil, e, new(big.Int).Sub(p, one)).Cmp(one) != 0 {
+			t.Fatalf("%d bits: e divides prime %d minus one", bits, i)
+		}
+	}
+	if d := new(big.Int).Sub(key.Primes[0], key.Primes[1]); d.BitLen() <= bits/2-100 {
+		t.Fatalf("%d bits: |p-q| has %d bits, want more than %d", bits, d.BitLen(), bits/2-100)
+	}
+	digest := sampleLicense().Digest()
+	sig, err := s.Sign(sampleLicense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rsa.VerifyPKCS1v15(s.Public(), crypto.SHA256, digest[:], sig); err != nil {
+		t.Fatalf("%d bits: stdlib verify: %v", bits, err)
+	}
+	sig[len(sig)-1] ^= 1
+	if rsa.VerifyPKCS1v15(s.Public(), crypto.SHA256, digest[:], sig) == nil {
+		t.Fatalf("%d bits: a flipped signature bit verifies", bits)
+	}
+}
+
+func TestNewSignerKeySound(t *testing.T) {
+	sizes := []int{512, 1024, MaxSignerBits(2048)}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	for _, bits := range sizes {
+		s, err := NewSigner(rand.Reader, bits)
+		if err != nil {
+			t.Fatalf("%d bits: %v", bits, err)
+		}
+		checkKey(t, s, bits)
+	}
+}
+
+// countingReader is crypto/rand behind a byte count that nothing
+// synchronises: two goroutines reading it at once are a data race.
+type countingReader struct{ n int }
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.n += len(p)
+	return rand.Read(p)
+}
+
+// TestNewSignerSharesReader: the two prime searches read a caller's
+// reader that is not safe for concurrent use (run under -race).
+func TestNewSignerSharesReader(t *testing.T) {
+	r := &countingReader{}
+	s, err := NewSigner(r, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.n == 0 {
+		t.Fatal("NewSigner read nothing from its reader")
+	}
+	checkKey(t, s, 512)
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -210,4 +295,14 @@ func FuzzIntToSignature(f *testing.F) {
 			t.Fatal("round trip changed the value")
 		}
 	})
+}
+
+// BenchmarkNewSigner draws the signing key of pisa.DefaultParams:
+// SignerBits = MaxSignerBits(2048).
+func BenchmarkNewSigner(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSigner(rand.Reader, MaxSignerBits(2048)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

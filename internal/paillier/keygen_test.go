@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// This file tests key generation's prime search and its two concurrent
-// halves: the sieve must find exactly the prime a plain scan finds, and
+// This file tests key generation's prime search (the Paillier keys' and,
+// through Prime, the license signer's) and its two concurrent halves:
+// the sieve must find exactly the prime a plain scan finds, and
 // the halves must share a caller's reader safely and both stop before
 // GenerateKey returns.
 
@@ -97,6 +98,40 @@ func TestSubgroupPrimeSieveMatchesScan(t *testing.T) {
 	}
 }
 
+// TestPrimeMatchesScan: Prime, the a = 1 search the license signer
+// draws from, returns exactly the prime a candidate-by-candidate scan
+// returns from the same starts, replayed from a second copy of the
+// reader, with its top two bits set.
+func TestPrimeMatchesScan(t *testing.T) {
+	for _, w := range []struct{ bits, draws int }{{64, 50}, {256, 10}, {992, 2}} {
+		lo, hi := cofactorRange(w.bits, one)
+		for seed := int64(0); seed < int64(w.draws); seed++ {
+			got, err := Prime(mrand.New(mrand.NewSource(seed)), w.bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := mrand.New(mrand.NewSource(seed))
+			var want *big.Int
+			for want == nil {
+				k0, err := RandomInRange(replay, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = scanWindow(k0, one, hi)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%d bits, seed %d: Prime returned %s, the scan %s", w.bits, seed, got, want)
+			}
+			if got.BitLen() != w.bits || got.Bit(w.bits-2) != 1 {
+				t.Fatalf("%d bits: p=%s lacks its top two bits", w.bits, got)
+			}
+		}
+	}
+	if _, err := Prime(rand.Reader, 15); err == nil {
+		t.Fatal("a 15-bit prime, whose candidates reach below the sieve bound, was drawn")
+	}
+}
+
 // FuzzSubgroupSieve holds the sieved window to the plain scan for
 // arbitrary starts and arbitrary (not necessarily prime) a at small
 // widths, where the candidates are short enough to scan in full.
@@ -104,6 +139,7 @@ func FuzzSubgroupSieve(f *testing.F) {
 	f.Add([]byte{0x01}, []byte{0x03})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0xc0, 0x01})
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a}, []byte{0x0f, 0xf1}) // a = 4081, a sieve prime
+	f.Add([]byte{0x9e, 0x37, 0x79, 0xb9}, []byte{0x01})             // a = 1, Prime's progression
 	f.Fuzz(func(t *testing.T, start, aRaw []byte) {
 		if len(start) > 8 || len(aRaw) > 3 {
 			t.Skip()

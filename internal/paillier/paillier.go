@@ -245,25 +245,44 @@ func subgroupElement(random io.Reader, d, a *big.Int) (h, dSquared *big.Int, err
 	return y.Exp(y, e, dSquared), dSquared, nil
 }
 
-// subgroupPrime draws a prime a of aBits bits and a prime p = 2*a*k + 1
-// of exactly bits bits with its top two bits set (as rand.Prime sets
-// them, so that the product of two such primes has exactly twice the
-// bits). Each random start k0 opens a window of cofactors that
-// primeInWindow searches; a window without a prime costs a new start.
+// subgroupPrime draws a prime a of aBits bits and then a prime
+// p = 2*a*k + 1 of exactly bits bits (primeWithFactor).
 func subgroupPrime(random io.Reader, bits, aBits int) (p, a *big.Int, err error) {
 	a, err = rand.Prime(random, aBits)
 	if err != nil {
 		return nil, nil, err
 	}
+	p, err = primeWithFactor(random, bits, a)
+	return p, a, err
+}
+
+// Prime returns a prime of exactly bits bits with its top two bits set,
+// so that the product of two such primes has exactly twice the bits. It
+// runs the sieved window search of the Paillier primes with a = 1
+// (primeWithFactor), and draws from random, which must be a
+// cryptographically secure source. bits must be at least 16, so that
+// every candidate exceeds the sieve bound.
+func Prime(random io.Reader, bits int) (*big.Int, error) {
+	if bits < 16 {
+		return nil, fmt.Errorf("paillier: prime of %d bits too small (min 16)", bits)
+	}
+	return primeWithFactor(random, bits, one)
+}
+
+// primeWithFactor draws a prime p = 2*a*k + 1 of exactly bits bits with
+// its top two bits set (as rand.Prime sets them). Each random start k0
+// opens a window of cofactors that primeInWindow searches; a window
+// without a prime costs a new start.
+func primeWithFactor(random io.Reader, bits int, a *big.Int) (*big.Int, error) {
 	lo, hi := cofactorRange(bits, a)
 	var struck [sieveWindow]uint16
 	for {
 		k0, err := RandomInRange(random, lo, hi)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if p := primeInWindow(&struck, k0, a, hi); p != nil {
-			return p, a, nil
+			return p, nil
 		}
 	}
 }
@@ -316,7 +335,8 @@ var sievePrimes = func() []uint32 {
 // i ≡ -p0*(2a)^-1 (mod r), p0 = 2*a*k0 + 1 being the window's first
 // candidate. Only the candidates left at 0 are tested, each with
 // ProbablyPrime(20). Every candidate must exceed sieveBound (p has at
-// least 64 bits in a key), so a struck one is composite.
+// least 64 bits in a Paillier key and 16 from Prime), so a struck one is
+// composite.
 func primeInWindow(struck *[sieveWindow]uint16, k0, a, hi *big.Int) *big.Int {
 	width := sieveWindow
 	if left := new(big.Int).Sub(hi, k0); left.Cmp(big.NewInt(sieveWindow)) < 0 {

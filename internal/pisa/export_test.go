@@ -28,3 +28,6 @@ func (s *SDC) CachedDecisions() int {
 // CachedSUKey returns the key object the router's license tail encrypts
 // under for id, through its SUKeyCache, for the external tests.
 func (r *Router) CachedSUKey(id string) (*paillier.PublicKey, error) { return r.suKeys.Get(id) }
+
+// Serial reports the router's last issued license serial.
+func (r *Router) Serial() uint64 { return r.lic.Serial() }

@@ -71,9 +71,29 @@ func (l *Licenser) Serial() uint64 {
 // that cancels the rest — a false grant has probability at most
 // 2^-(etaBits-1) however many indicators there are. The router passes
 // those of every shard, one per ciphertext of each shard's STP answer.
+// The mask is summed first, so an indicator that is no ciphertext under
+// suKey is refused before a serial is spent or anything is signed.
 func (l *Licenser) Issue(suid string, digest [32]byte, suKey *paillier.PublicKey, ds []*paillier.Ciphertext) (*Response, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("pisa: no grant indicator to mask the license with")
+	}
+	etaLo := new(big.Int).Lsh(big.NewInt(1), uint(l.etaBits-1))
+	etaHi := new(big.Int).Lsh(big.NewInt(1), uint(l.etaBits))
+	var mask *paillier.Ciphertext
+	for _, d := range ds {
+		eta, err := paillier.RandomInRange(l.random, etaLo, etaHi)
+		if err != nil {
+			return nil, err
+		}
+		term, err := suKey.ScalarMul(eta, d)
+		if err != nil {
+			return nil, fmt.Errorf("pisa: mask term: %w", err)
+		}
+		if mask == nil {
+			mask = term
+		} else if mask, err = suKey.Add(mask, term); err != nil {
+			return nil, fmt.Errorf("pisa: mask term: %w", err)
+		}
 	}
 	now := l.now()
 	lic := dsig.License{
@@ -88,24 +108,13 @@ func (l *Licenser) Issue(suid string, digest [32]byte, suKey *paillier.PublicKey
 	if err != nil {
 		return nil, err
 	}
-	masked, err := suKey.Encrypt(l.random, dsig.SignatureToInt(sig))
+	encSig, err := suKey.Encrypt(l.random, dsig.SignatureToInt(sig))
 	if err != nil {
 		return nil, fmt.Errorf("pisa: encrypt signature: %w", err)
 	}
-	etaLo := new(big.Int).Lsh(big.NewInt(1), uint(l.etaBits-1))
-	etaHi := new(big.Int).Lsh(big.NewInt(1), uint(l.etaBits))
-	for _, d := range ds {
-		eta, err := paillier.RandomInRange(l.random, etaLo, etaHi)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := suKey.ScalarMul(eta, d)
-		if err != nil {
-			return nil, fmt.Errorf("pisa: mask term: %w", err)
-		}
-		if masked, err = suKey.Add(masked, mask); err != nil {
-			return nil, fmt.Errorf("pisa: mask signature: %w", err)
-		}
+	masked, err := suKey.Add(encSig, mask)
+	if err != nil {
+		return nil, fmt.Errorf("pisa: mask signature: %w", err)
 	}
 	return &Response{License: lic, MaskedSig: masked}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"math/big"
 	mrand "math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -845,6 +846,42 @@ func TestLicenseValidityWindow(t *testing.T) {
 	}
 	if resp.License.ExpiresUnix != fixed.Add(24*time.Hour).Unix() {
 		t.Errorf("ExpiresUnix = %d, want %d", resp.License.ExpiresUnix, fixed.Add(24*time.Hour).Unix())
+	}
+}
+
+// TestSURefusesExpiredLicense: a license whose validity window the SU's
+// clock has left is refused by name, though its signature verifies.
+func TestSURefusesExpiredLicense(t *testing.T) {
+	wp := testWatchParams(t)
+	params := TestParams(wp)
+	stp, err := NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-25 * time.Hour)
+	sdc, err := NewSDC("sdc", params, nil, stp, WithClock(func() time.Time { return past }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdc.Close()
+	su, err := NewSU(rand.Reader, "su-late", 7, params, sdc.Planner(), stp.GroupKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	req, err := su.PrepareRequest(map[int]int64{0: 100}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := sdc.ProcessRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := su.OpenResponse(resp, req, sdc.VerifyKey())
+	if err == nil || !strings.Contains(err.Error(), "expired at") {
+		t.Fatalf("license that expired an hour ago: granted %v, err %v; want an expiry error", grant.Granted, err)
 	}
 }
 

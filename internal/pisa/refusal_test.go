@@ -271,7 +271,8 @@ func TestSignResponseGobRejectsMalformed(t *testing.T) {
 
 // TestShardAnswerGob: a shard that answers with an indicator that is no
 // ciphertext fails the SU's request at the router, which reads the
-// answer, and the router's server serves on.
+// answer, before the router spends a license serial on it, and the
+// router's server serves on.
 func TestShardAnswerGob(t *testing.T) {
 	w := newRefusalWorld(t)
 	d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: w.params, STP: w.stp, Windows: 1, Index: 0})
@@ -299,6 +300,9 @@ func TestShardAnswerGob(t *testing.T) {
 	c := dialRaw(t, serve(t, node.NewSDCServer(router, w.log, 30*time.Second)))
 	refused(t, c, &wire.Envelope{Kind: wire.KindSURequest, Request: w.request(t)}, "ciphertext outside",
 		&wire.Envelope{Kind: wire.KindEColumnRequest, Block: 0}, wire.KindEColumn)
+	if n := router.Serial(); n != 0 {
+		t.Fatalf("the refused request moved the license serial to %d", n)
+	}
 }
 
 // TestPUUpdateGobRejectsMalformed: the SDC server refuses every PU

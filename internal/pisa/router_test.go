@@ -414,7 +414,7 @@ func TestMonolithIsOneShardRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
+	now := time.Unix(time.Now().Unix(), 0)
 	sdc, err := pisa.NewSDC("mono", params, nil, stp,
 		pisa.WithClock(func() time.Time { return now }))
 	if err != nil {

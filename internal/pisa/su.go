@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/big"
 	"sort"
+	"time"
 
 	"pisa/internal/dsig"
 	"pisa/internal/geo"
@@ -347,13 +348,20 @@ type Grant struct {
 // verification key. A masked (denied) value fails signature
 // verification; that is reported as Granted=false, not as an error.
 // The request the response answers is needed to confirm the license
-// binds to the parameters this SU actually submitted.
+// binds to the parameters this SU actually submitted. A license whose
+// ExpiresUnix the SU's clock has passed is an error, granted or not;
+// IssuedUnix is not checked, so an SDC clock a little ahead of the
+// SU's costs no grant.
 func (u *SU) OpenResponse(resp *Response, req *TransmissionRequest, sdcKey *rsa.PublicKey) (Grant, error) {
 	if resp == nil || resp.MaskedSig == nil {
 		return Grant{}, fmt.Errorf("pisa: nil response")
 	}
 	if resp.License.SUID != u.id {
 		return Grant{}, fmt.Errorf("pisa: license issued to %q, not %q", resp.License.SUID, u.id)
+	}
+	if expires := resp.License.ExpiresUnix; time.Now().Unix() > expires {
+		return Grant{}, fmt.Errorf("pisa: license %d expired at %s",
+			resp.License.Serial, time.Unix(expires, 0).UTC().Format(time.RFC3339))
 	}
 	if req != nil {
 		digest, err := req.Digest()
