@@ -18,12 +18,12 @@
 //
 //	default       in-process monolithic SDC (+STP) at -channels/-cols/
 //	              -rows/-bits scale
-//	-backend pir  in-process multi-server XOR-PIR fleet (-replicas/-k)
+//	-backend pir  in-process multi-server XOR-PIR fleet (-replicas/-k),
+//	              the only way to run the PIR comparison
 //	-addr         remote: -addr host:port names the SDC (or the
 //	              sdcrouterd of a channel partition) and -stp the STP,
 //	              with -config carrying the deployment parameters (same
-//	              file suctl/sdcd use); with -backend pir, -pir names
-//	              the replica fleet
+//	              file suctl/sdcd use)
 //
 // Examples:
 //
@@ -90,7 +90,6 @@ func run(args []string) error {
 
 	addr := fs.String("addr", "", "remote SDC address (sdcd or sdcrouterd), exactly one (requires -config or defaults)")
 	stpAddr := fs.String("stp", "", "remote STP address(es), comma-separated")
-	pirAddr := fs.String("pir", "", "remote PIR replica addresses, comma-separated")
 	configPath := fs.String("config", "", "deployment config JSON for remote runs (defaults built in)")
 
 	jsonPath := fs.String("json", "", "write the LoadReport as JSON to this path")
@@ -133,9 +132,11 @@ func run(args []string) error {
 		Replicas:     *replicas, K: *k,
 	}
 
-	// Remote deployments: the node RPC clients are the engine's Target
-	// (PISA) or its replica fleet (PIR).
-	if sdcAddr != "" || *pirAddr != "" {
+	// A remote deployment: the node RPC clients are the engine's Target.
+	if sdcAddr != "" {
+		if *backend == "pir" {
+			return errors.New("-backend pir runs its own in-process replica fleet; drop -addr")
+		}
 		file, err := config.Load(*configPath)
 		if err != nil {
 			return err
@@ -144,57 +145,37 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *backend == "pir" {
-			pirTargets := file.PIR.Targets()
-			if *pirAddr != "" {
-				pirTargets = config.SplitAddrs(*pirAddr)
-			}
-			kk := file.PIR.K
-			if *k > 0 {
-				kk = *k
-			}
-			c, err := node.DialPIRWith(rpcOpts, kk, pirTargets...)
-			if err != nil {
-				return err
-			}
-			defer c.Close()
-			cfg.PIR = c
-		} else {
-			if sdcAddr == "" {
-				return errors.New("-addr is required for a remote PISA run")
-			}
-			params, err := file.PisaParams()
-			if err != nil {
-				return err
-			}
-			stpTargets := file.STPTargets()
-			if *stpAddr != "" {
-				stpTargets = config.SplitAddrs(*stpAddr)
-			}
-			stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
-			if err != nil {
-				return err
-			}
-			defer stp.Close()
-			sdcOpts := rpcOpts
-			sdcOpts.CallTimeout = max(sdcOpts.CallTimeout, 10*time.Minute)
-			sdc := node.DialSDCWith(sdcOpts, sdcAddr)
-			defer sdc.Close()
-			planner, err := watch.NewPlanner(params.Watch)
-			if err != nil {
-				return err
-			}
-			verifyKey, err := sdc.VerifyKey()
-			if err != nil {
-				return fmt.Errorf("fetch verify key: %w", err)
-			}
-			cfg.Target = bench.Target{Front: sdc, STP: stp, Planner: planner, VerifyKey: verifyKey}
-			cfg.TargetParams = params
+		params, err := file.PisaParams()
+		if err != nil {
+			return err
 		}
+		stpTargets := file.STPTargets()
+		if *stpAddr != "" {
+			stpTargets = config.SplitAddrs(*stpAddr)
+		}
+		stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+		if err != nil {
+			return err
+		}
+		defer stp.Close()
+		sdcOpts := rpcOpts
+		sdcOpts.CallTimeout = max(sdcOpts.CallTimeout, 10*time.Minute)
+		sdc := node.DialSDCWith(sdcOpts, sdcAddr)
+		defer sdc.Close()
+		planner, err := watch.NewPlanner(params.Watch)
+		if err != nil {
+			return err
+		}
+		verifyKey, err := sdc.VerifyKey()
+		if err != nil {
+			return fmt.Errorf("fetch verify key: %w", err)
+		}
+		cfg.Target = bench.Target{Front: sdc, STP: stp, Planner: planner, VerifyKey: verifyKey}
+		cfg.TargetParams = params
 	}
 
 	fmt.Printf("pisaload: %s loop, %v horizon, backend %s", cfg.Mode, cfg.Duration, *backend)
-	if cfg.Target.Front != nil || cfg.PIR != nil {
+	if cfg.Target.Front != nil {
 		fmt.Printf(", remote")
 	}
 	fmt.Printf(", fleet %d\n", cfg.Fleet)

@@ -59,6 +59,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-addr") || !strings.Contains(err.Error(), "replica") {
 		t.Fatalf("-addr a:1,b:2: %v, want a refusal naming -addr and replica groups", err)
 	}
+	// The PIR comparison runs in process only: there is no replica
+	// daemon to point -pir or -addr at.
+	if err := run([]string{"-backend", "pir", "-pir", "a:1,b:2"}); err == nil || !strings.Contains(err.Error(), "-pir") {
+		t.Fatalf("-pir a:1,b:2: %v, want an unknown-flag refusal", err)
+	}
+	if err := run([]string{"-backend", "pir", "-addr", "a:1"}); err == nil || !strings.Contains(err.Error(), "in-process") {
+		t.Fatalf("-backend pir -addr a:1: %v, want a refusal naming the in-process fleet", err)
+	}
 }
 
 // TestRunClosedLoopInProcess is the CI smoke through run(): the gates

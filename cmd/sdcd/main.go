@@ -3,8 +3,8 @@
 // protection distances, encrypts the initial budgets, and serves PU
 // updates and SU transmission requests. SU requests always pass through
 // a router (pisa.Router), which issues the licenses: a monolithic
-// daemon is the one-shard router over its single SDC, and logs the same
-// "router summary" at shutdown as cmd/sdcrouterd.
+// daemon is the one-shard router over its single SDC, and exports the
+// same pisa_router_* series as cmd/sdcrouterd.
 //
 // With -store (or a store.dir in the config) the SDC is durable:
 // every accepted PU update is journalled to a write-ahead log before
@@ -41,11 +41,6 @@
 // it serves only byte-identical resends of its own request. -cache
 // bounds the entry count; -cache=off (or "cacheEntries": 0) disables
 // it.
-//
-// sdcd serves the encrypted PISA protocol only. A config whose
-// "backend" is "pir" describes a multi-server PIR deployment
-// (DESIGN.md §13), whose replicas are cmd/pirdbd: sdcd refuses it
-// rather than serve PISA to clients that will dial PIR.
 //
 // With -metrics (or an obs.metricsAddr in the config) the daemon
 // serves Prometheus metrics on /metrics and the net/http/pprof
@@ -97,13 +92,6 @@ func run(args []string) error {
 	cfg, err := config.Load(*configPath)
 	if err != nil {
 		return err
-	}
-	backendName, err := cfg.BackendName()
-	if err != nil {
-		return err
-	}
-	if backendName == config.BackendPIR {
-		return fmt.Errorf("config selects backend %q: sdcd serves PISA only, run cmd/pirdbd for the PIR replicas", backendName)
 	}
 	if *cacheFlag != "" {
 		entries, err := config.ParseCacheFlag(*cacheFlag)
@@ -195,9 +183,6 @@ func run(args []string) error {
 	case s := <-sig:
 		log.Info("shutting down", "signal", s.String())
 		logSummary(log, d)
-		if *shardIndex < 0 {
-			log.Info("router summary", d.SDC.Router().Stats().LogAttrs()...)
-		}
 		logSTPClient(log, stp)
 		// Both decrypt counts stay 0 (this process holds no secret key)
 		// and fullWidthNonces too (nothing on the request path calls

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -32,23 +33,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunRejectsUnknownBackend: sdcd serves PISA and nothing else. A
-// backend nobody knows is refused, and so is "pir" — by the name of the
-// daemon that does serve it — before any STP is dialled.
+// config that asks for another backend exits with config.Load's
+// refusal, which points at the in-process PIR comparison, before any
+// STP is dialled.
 func TestRunRejectsUnknownBackend(t *testing.T) {
-	for _, tc := range []struct{ backend, want string }{
-		{"smoke-signals", "unknown backend"},
-		{config.BackendPIR, "cmd/pirdbd"},
-	} {
-		cfg := config.Default()
-		cfg.Backend = tc.backend
-		cfgPath := t.TempDir() + "/pisa.json"
-		if err := cfg.Save(cfgPath); err != nil {
-			t.Fatal(err)
-		}
-		err := run([]string{"-config", cfgPath, "-stp", "127.0.0.1:1", "-listen", "127.0.0.1:0"})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("backend %q: run error = %v, want one naming %q", tc.backend, err, tc.want)
-		}
+	cfgPath := filepath.Join(t.TempDir(), "pisa.json")
+	if err := os.WriteFile(cfgPath, []byte(`{"backend": "pir"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-config", cfgPath, "-stp", "127.0.0.1:1", "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), `"backend"`) || !strings.Contains(err.Error(), "pisaload -backend pir") {
+		t.Errorf("run error = %v, want config.Load's refusal of the pir backend", err)
 	}
 }
 

@@ -134,7 +134,6 @@ func run(args []string) error {
 	select {
 	case s := <-sig:
 		log.Info("shutting down", "signal", s.String())
-		log.Info("router summary", router.Stats().LogAttrs()...)
 		for i, c := range clients {
 			cs := c.Stats()
 			log.Info("shard client summary", "shard", i, "calls", cs.Calls, "retries", cs.Retries,

@@ -9,27 +9,14 @@
 // The -request flag maps channel to EIRP in mW. -disclose-rows trades
 // location privacy for speed (§VI-A): only the named grid rows are
 // shipped, so the SDC learns the SU is somewhere inside them.
-//
-// With -backend pir (or "backend": "pir" in the config) the query goes
-// to the multi-server PIR fleet instead: one XOR-PIR fetch of the
-// block's availability row, private as long as the k replicas queried
-// do not collude. No key generation, no STP, no license — the output
-// is the per-channel AVAILABLE/OCCUPIED verdict at the deployment's
-// availability threshold (see DESIGN.md §13 for the trade):
-//
-//	suctl -backend pir -block 17 -request "1=100,2=50"
-//	      [-pir host:port,host:port] [-k 2] [-table bitmap|bloom]
 package main
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +24,6 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/geo"
 	"pisa/internal/node"
-	"pisa/internal/pir"
 	"pisa/internal/pisa"
 	"pisa/internal/watch"
 )
@@ -58,10 +44,6 @@ func run(args []string) error {
 	block := fs.Int("block", -1, "SU location block (required, stays private)")
 	request := fs.String("request", "", "channel=eirpMW pairs, e.g. \"1=100,2=50\" (required)")
 	discloseRows := fs.String("disclose-rows", "", "optional from:to grid-row band to disclose")
-	backend := fs.String("backend", "", "spectrum-query backend: pisa (encrypted protocol) or pir (multi-server PIR; overrides config)")
-	pirAddr := fs.String("pir", "", "comma-separated PIR replica addresses (overrides config pir.addrs)")
-	kFlag := fs.Int("k", 0, "PIR privacy parameter: replicas each query fans out to (0 = config pir.k, which defaults to all)")
-	table := fs.String("table", "bitmap", "PIR table to query: bitmap (exact) or bloom (compact, small false-positive rate)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -72,33 +54,6 @@ func run(args []string) error {
 	cfg, err := config.Load(*configPath)
 	if err != nil {
 		return err
-	}
-	if *backend != "" {
-		cfg.Backend = *backend
-	}
-	backendName, err := cfg.BackendName()
-	if err != nil {
-		return err
-	}
-	if backendName == config.BackendPIR {
-		if *block < 0 || *request == "" {
-			return errors.New("-block and -request are required")
-		}
-		if *pirAddr != "" {
-			cfg.PIR.Addrs = config.SplitAddrs(*pirAddr)
-		}
-		if *kFlag > 0 {
-			cfg.PIR.K = *kFlag
-		}
-		wp, err := cfg.WatchParams()
-		if err != nil {
-			return err
-		}
-		eirp, err := parseRequest(*request, wp)
-		if err != nil {
-			return err
-		}
-		return runPIR(cfg, *table, geo.BlockID(*block), eirp, wp, os.Stdout)
 	}
 	if *id == "" || *block < 0 || *request == "" {
 		return errors.New("-id, -block and -request are required")
@@ -189,94 +144,6 @@ func run(args []string) error {
 	fmt.Println("DENIED: no valid license signature recovered " +
 		"(some primary user's interference budget would be exceeded)")
 	return nil
-}
-
-// runPIR answers the availability question through the multi-server
-// PIR backend: fetch the block's row obliviously, then decide each
-// requested channel locally. The replicas learn which SU asked (the
-// TCP peer) but not which block or channels it cares about.
-func runPIR(cfg config.File, tableName string, block geo.BlockID, eirp map[int]int64, wp watch.Params, out io.Writer) error {
-	tbl, err := parseTable(tableName)
-	if err != nil {
-		return err
-	}
-	rpcOpts, err := cfg.RPC.Options()
-	if err != nil {
-		return err
-	}
-	targets := cfg.PIR.Targets()
-	fmt.Fprintf(out, "dialing %d PIR replicas (k=%d shares per query)...\n", len(targets), cfg.PIR.K)
-	c, err := node.DialPIRWith(rpcOpts, cfg.PIR.K, targets...)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	m := c.Meta()
-	if int(block) >= m.Blocks {
-		return fmt.Errorf("block %d out of range: fleet serves %d blocks", block, m.Blocks)
-	}
-	for ch := range eirp {
-		if ch < 0 || ch >= m.Channels {
-			return fmt.Errorf("channel %d out of range: fleet serves %d channels", ch, m.Channels)
-		}
-	}
-
-	start := time.Now()
-	row, version, err := c.Fetch(context.Background(), tbl, block)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	up := c.K() * m.SelBytes()
-	down := c.K() * m.RowLen(tbl)
-	fmt.Fprintf(out, "fetched %s row for 1 of %d blocks in %v (db version %d; %d B up + %d B down over %d replicas)\n",
-		tbl, m.Blocks, elapsed.Round(time.Millisecond), version, up, down, c.K())
-	if tbl == pir.TableBloom {
-		fmt.Fprintf(out, "bloom table: %.2e false-positive rate (%d bits, %d hashes)\n",
-			pir.FalsePositiveRate(m.BloomBits, m.BloomHashes, m.Channels), m.BloomBits, m.BloomHashes)
-	}
-
-	channels := make([]int, 0, len(eirp))
-	for ch := range eirp {
-		channels = append(channels, ch)
-	}
-	sort.Ints(channels)
-	available := 0
-	for _, ch := range channels {
-		if channelAvailable(m, tbl, row, ch) {
-			available++
-			fmt.Fprintf(out, "channel %d: AVAILABLE (max EIRP >= %d units at block %d)\n",
-				ch, m.MinEIRPUnits, block)
-		} else {
-			fmt.Fprintf(out, "channel %d: OCCUPIED (some primary user's budget caps it below %d units)\n",
-				ch, m.MinEIRPUnits)
-		}
-		if units := eirp[ch]; units > m.MinEIRPUnits {
-			fmt.Fprintf(out, "  note: requested %d units exceeds the availability threshold %d; "+
-				"the PIR backend cannot certify above it\n", units, m.MinEIRPUnits)
-		}
-	}
-	fmt.Fprintf(out, "%d of %d requested channels available\n", available, len(channels))
-	return nil
-}
-
-// parseTable decodes the -table flag.
-func parseTable(s string) (pir.Table, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "bitmap":
-		return pir.TableBitmap, nil
-	case "bloom":
-		return pir.TableBloom, nil
-	}
-	return 0, fmt.Errorf("unknown -table %q (want bitmap or bloom)", s)
-}
-
-// channelAvailable tests one channel against a fetched row.
-func channelAvailable(m pir.Meta, t pir.Table, row []byte, ch int) bool {
-	if t == pir.TableBloom {
-		return pir.BloomHas(row, m.BloomBits, m.BloomHashes, ch)
-	}
-	return pir.BitmapHas(row, ch)
 }
 
 // parseRequest decodes "1=100,2=50" into channel -> EIRP units.

@@ -29,8 +29,8 @@ import (
 // This file is the trace-driven load harness behind cmd/pisaload: a
 // fleet of mobile SUs (trace.SUWorkload's fleet model) and diurnal PU
 // churn (trace.PUSchedule) drive a deployment — one SDC built in
-// process by internal/deploy, a PIR replica fleet, or an injected
-// target — in open loop (fixed offered rate, backlog grows when the
+// process by internal/deploy, an in-process PIR replica fleet, or an
+// injected target — in open loop (fixed offered rate, backlog grows when the
 // service falls behind) or closed loop (N workers, think time). SLOs come from the
 // live obs histograms via delta snapshots, so the report reads the
 // same series /metrics exposes.
@@ -101,8 +101,7 @@ type LoadConfig struct {
 	PUZipfS           float64
 	DiurnalAmplitude  float64
 
-	// In-process deployment shape; ignored when Target or PIR is
-	// injected.
+	// In-process deployment shape; ignored when Target is injected.
 	Channels, Cols, Rows int
 	PaillierBits         int
 	CacheEntries         int
@@ -115,11 +114,9 @@ type LoadConfig struct {
 	// Target injects a pre-built deployment (cmd/pisaload's -addr
 	// mode) when its Front is set; TargetParams must carry the
 	// deployment's pisa.Params (the SUs mint keys of
-	// TargetParams.PaillierBits). PIR likewise injects a live replica
-	// fleet.
+	// TargetParams.PaillierBits).
 	Target       Target
 	TargetParams pisa.Params
-	PIR          *node.PIRClient
 }
 
 func (c LoadConfig) validate() error {
@@ -671,49 +668,48 @@ func collectSLOs(brackets []*histBracket) []StageSLO {
 }
 
 // runPIRLoad drives the multi-server PIR backend with the same fleet
-// trace: each arrival fetches its block's bitmap row obliviously and
-// decides the requested channels locally. No registration, no
-// licensing, no decision cache — the report's zero cache fields are
-// the honest trade against the PISA side.
+// trace, over a replica fleet it stands up on loopback: each arrival
+// fetches its block's bitmap row obliviously and decides the requested
+// channels locally. No registration, no licensing, no decision cache —
+// the report's zero cache fields are the honest trade against the PISA
+// side.
 func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
-	c := cfg.PIR
-	if c == nil {
-		params, err := SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
+	params, err := SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
+	if err != nil {
+		return nil, err
+	}
+	k, replicas := max(cfg.K, 2), cfg.Replicas
+	if replicas < k {
+		replicas = k + 1
+	}
+	addrs := make([]string, replicas)
+	for i := range addrs {
+		db, err := pir.NewDatabase(params.Watch)
 		if err != nil {
 			return nil, err
 		}
-		k, replicas := max(cfg.K, 2), cfg.Replicas
-		if replicas < k {
-			replicas = k + 1
-		}
-		addrs := make([]string, replicas)
-		for i := range addrs {
-			db, err := pir.NewDatabase(params.Watch, nil, 0, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			u := &pir.Update{PUID: "load-tv", Block: 1, Channel: 0,
-				SignalUnits: params.Watch.Quantize(params.Watch.SMinPUmW)}
-			if err := db.ApplyUpdate(u); err != nil {
-				return nil, err
-			}
-			srv := node.NewPIRServer(db, nil, 0)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			go srv.Serve(ln)
-			defer srv.Close()
-			addrs[i] = ln.Addr().String()
-		}
-		opts := node.Options{DialTimeout: 2 * time.Second, CallTimeout: 30 * time.Second,
-			Retry: node.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
-				MaxDelay: 50 * time.Millisecond}}
-		if c, err = node.DialPIRWith(opts, k, addrs...); err != nil {
+		u := &pir.Update{PUID: "load-tv", Block: 1, Channel: 0,
+			SignalUnits: params.Watch.Quantize(params.Watch.SMinPUmW)}
+		if err := db.ApplyUpdate(u); err != nil {
 			return nil, err
 		}
-		defer c.Close()
+		srv := node.NewPIRServer(db, nil, 0)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		go srv.Serve(ln)
+		defer srv.Close()
+		addrs[i] = ln.Addr().String()
 	}
+	opts := node.Options{DialTimeout: 2 * time.Second, CallTimeout: 30 * time.Second,
+		Retry: node.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
+			MaxDelay: 50 * time.Millisecond}}
+	c, err := node.DialPIRWith(opts, k, addrs...)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
 	meta := c.Meta()
 
 	events, err := cfg.arrivals(meta.Blocks, meta.Channels, max(meta.MinEIRPUnits, 1))
@@ -730,7 +726,7 @@ func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
 		start := time.Now()
 		var row []byte
 		err := out.retry(cfg.MaxRetries, func() (err error) {
-			row, _, err = c.Fetch(ctx, pir.TableBitmap, ev.Block)
+			row, _, err = c.Fetch(ctx, ev.Block)
 			return err
 		})
 		e2e.h.ObserveSince(start)

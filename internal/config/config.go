@@ -105,16 +105,6 @@ type File struct {
 	STPAddr  string   `json:"stpAddr"`
 	STPAddrs []string `json:"stpAddrs,omitempty"`
 
-	// Backend selects the spectrum-query protocol family: "pisa" (the
-	// paper's homomorphic sign tests through an STP; the default) or
-	// "pir" (k-server information-theoretic PIR against plaintext
-	// replicas; internal/pir). The tools' -backend flag overrides it.
-	Backend string `json:"backend,omitempty"`
-
-	// PIR configures the multi-server PIR backend; only consulted when
-	// Backend (or -backend) selects "pir".
-	PIR PIRSpec `json:"pir,omitempty"`
-
 	// RPC tunes the client resilience layer (internal/node): dial vs
 	// call deadlines, retry budget, pool size, circuit breaker.
 	RPC RPCSpec `json:"rpc,omitempty"`
@@ -209,70 +199,6 @@ func (r RPCSpec) Options() (node.Options, error) {
 			Cooldown:         time.Duration(r.BreakerCooldownMS) * time.Millisecond,
 		},
 	}, nil
-}
-
-// Backend names.
-const (
-	BackendPISA = "pisa"
-	BackendPIR  = "pir"
-)
-
-// BackendName resolves the configured backend: empty selects PISA.
-func (f File) BackendName() (string, error) {
-	switch f.Backend {
-	case "", BackendPISA:
-		return BackendPISA, nil
-	case BackendPIR:
-		return BackendPIR, nil
-	default:
-		return "", fmt.Errorf("config: unknown backend %q (want %q or %q)", f.Backend, BackendPISA, BackendPIR)
-	}
-}
-
-// PIRSpec configures the k-server PIR backend: the replica fleet, the
-// non-collusion threshold, and the availability/Bloom geometry.
-type PIRSpec struct {
-	// Addrs lists the replica daemons (cmd/pirdbd). Unlike STPAddrs
-	// these are NOT interchangeable failover targets: each query share
-	// must reach a DIFFERENT replica, and privacy rests on fewer than
-	// K of them colluding.
-	Addrs []string `json:"addrs,omitempty"`
-	// K is the shares-per-query threshold; 0 uses every configured
-	// replica (no spares). Replicas beyond K are spares that take over
-	// a share when a primary fails.
-	K int `json:"k,omitempty"`
-	// MinEIRPmW is the availability threshold the replicas build their
-	// tables at: a (channel, block) bit is set iff at least this EIRP
-	// could be granted there. 0 uses the regulatory cap (suMaxEIRPmW)
-	// — "where is full power available?".
-	MinEIRPmW float64 `json:"minEIRPmW,omitempty"`
-	// BloomBits and BloomHashes size the per-block Bloom filter rows
-	// (0, 0 = 16 bits/channel with the optimal hash count).
-	BloomBits   int `json:"bloomBits,omitempty"`
-	BloomHashes int `json:"bloomHashes,omitempty"`
-}
-
-// MinEIRPUnits quantises the availability threshold for the replica
-// database; 0 lets pir.NewDatabase fall back to the regulatory cap.
-func (p PIRSpec) MinEIRPUnits(wp watch.Params) int64 {
-	if p.MinEIRPmW <= 0 {
-		return 0
-	}
-	return wp.Quantize(p.MinEIRPmW)
-}
-
-// Targets returns the deduplicated replica list.
-func (p PIRSpec) Targets() []string {
-	targets := []string{}
-	seen := map[string]bool{}
-	for _, a := range p.Addrs {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		targets = append(targets, a)
-	}
-	return targets
 }
 
 // ParseCacheFlag parses the tools' -cache flag value: "off" (or "0")
@@ -418,12 +344,6 @@ func Default() File {
 			RetryAttempts: 4, RetryBaseMS: 50, RetryMaxMS: 2_000,
 			BreakerFailures: 3, BreakerCooldownMS: 3_000,
 		},
-		// The PIR replica fleet is spelled out so generated configs
-		// document the alternative backend: 3 replicas, every one used
-		// per query (k = 0 -> 3), availability at the regulatory cap.
-		PIR: PIRSpec{
-			Addrs: []string{"127.0.0.1:7420", "127.0.0.1:7421", "127.0.0.1:7422"},
-		},
 	}
 }
 
@@ -458,11 +378,13 @@ func Load(path string) (File, error) {
 	// rather than ignored: the file would otherwise silently run packed,
 	// unbatched, without a cache age bound and with every key tabling its
 	// nonce base at the one fixed geometry, with kernels on GOMAXPROCS
-	// workers, as one SDC instead of an in-process partition, and with
-	// cache entries no SU shares with another. "packing": true, "fastExp":
-	// true, "parallelism": -1 and zeros, which every file written by an
-	// earlier Save contains, "shards": 1 and an empty "cacheDomains" ask
-	// for what is still there.
+	// workers, as one SDC instead of an in-process partition, with
+	// cache entries no SU shares with another, and as PISA where it asked
+	// for another backend. "packing": true, "fastExp": true,
+	// "parallelism": -1 and zeros, which every file written by an earlier
+	// Save contains, "shards": 1, an empty "cacheDomains" and "backend":
+	// "pisa" ask for what is still there. The "pir" section an earlier
+	// Save wrote is ignored: only the removed PIR tools read it.
 	var removed struct {
 		Packed        *bool               `json:"packing"`
 		BatchWindowMS int                 `json:"stpBatchWindowMS"`
@@ -474,6 +396,7 @@ func Load(path string) (File, error) {
 		Parallelism   *int                `json:"parallelism"`
 		Shards        int                 `json:"shards"`
 		Domains       map[string][]string `json:"cacheDomains"`
+		Backend       string              `json:"backend"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -499,6 +422,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "shards": %d asks for an in-process channel partition, which was removed (run sdcd -shard-index i -shard-count %d for each window i behind sdcrouterd; each recovers the same shard-i state directory)`, path, removed.Shards, removed.Shards)
 	case len(removed.Domains) > 0:
 		return File{}, fmt.Errorf(`config: %s: "cacheDomains" asks for cache entries shared across SUs, which was removed (an entry serves only the request whose ciphertexts filled it)`, path)
+	case removed.Backend != "" && removed.Backend != "pisa":
+		return File{}, fmt.Errorf(`config: %s: "backend": %q asks for a query backend other than PISA; the networked PIR backend was removed (the PIR comparison runs in process: pisaload -backend pir)`, path, removed.Backend)
 	}
 	return f, nil
 }

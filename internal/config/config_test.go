@@ -134,91 +134,6 @@ func TestSplitAddrs(t *testing.T) {
 	}
 }
 
-func TestBackendName(t *testing.T) {
-	f := Default()
-	if name, err := f.BackendName(); err != nil || name != BackendPISA {
-		t.Errorf("default backend = %q, %v; want %q", name, err, BackendPISA)
-	}
-	f.Backend = "pir"
-	if name, err := f.BackendName(); err != nil || name != BackendPIR {
-		t.Errorf("pir backend = %q, %v", name, err)
-	}
-	f.Backend = "carrier-pigeon"
-	if _, err := f.BackendName(); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
-func TestPIRSpecTargets(t *testing.T) {
-	p := PIRSpec{Addrs: []string{"a:1", "", "b:2", "a:1"}}
-	want := []string{"a:1", "b:2"}
-	if got := p.Targets(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Targets = %v, want %v (deduplicated, empties dropped)", got, want)
-	}
-	if got := (PIRSpec{}).Targets(); len(got) != 0 {
-		t.Errorf("empty spec targets = %v", got)
-	}
-}
-
-func TestPIRMinEIRPUnits(t *testing.T) {
-	f := Default()
-	wp, err := f.WatchParams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := (PIRSpec{}).MinEIRPUnits(wp); got != 0 {
-		t.Errorf("zero threshold = %d, want 0 (cap fallback)", got)
-	}
-	spec := PIRSpec{MinEIRPmW: 100}
-	if got, want := spec.MinEIRPUnits(wp), wp.Quantize(100); got != want {
-		t.Errorf("MinEIRPUnits = %d, want %d", got, want)
-	}
-}
-
-// TestSaveLoadRoundTripBackendPIR covers the new backend/pir sections:
-// every field must survive Save then Load.
-func TestSaveLoadRoundTripBackendPIR(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pir.json")
-	f := Default()
-	f.Backend = BackendPIR
-	f.PIR = PIRSpec{
-		Addrs:       []string{"10.0.0.1:7420", "10.0.0.2:7420", "10.0.0.3:7420", "10.0.0.4:7420"},
-		K:           3,
-		MinEIRPmW:   250,
-		BloomBits:   2048,
-		BloomHashes: 7,
-	}
-	if err := f.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if !reflect.DeepEqual(got, f) {
-		t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, f)
-	}
-	if name, err := got.BackendName(); err != nil || name != BackendPIR {
-		t.Errorf("backend after round trip = %q, %v", name, err)
-	}
-	// A config written before the backend existed loads as PISA with
-	// the default replica fleet (Load starts from Default()).
-	legacy := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`{"channels": 5}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old, err := Load(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name, _ := old.BackendName(); name != BackendPISA {
-		t.Errorf("legacy config backend = %q", name)
-	}
-	if len(old.PIR.Targets()) == 0 {
-		t.Error("legacy config lost the default PIR fleet")
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load("/nonexistent/nope.json"); err == nil {
 		t.Error("missing file accepted")
@@ -257,11 +172,13 @@ func TestModelSpecBuild(t *testing.T) {
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
 // layout, for sign-test coalescing, for a cache TTL, for a switched-off
 // or resized nonce table, for a kernel worker count, for an in-process
-// channel partition or for cache entries shared across SUs must not
-// silently run without them; the values every file saved by an earlier
-// build contains ("packing": true, "fastExp": true, "parallelism": -1,
-// zeros), "shards": 1 and an empty "cacheDomains" ask for what is still
-// there and keep loading, as does a file without the keys.
+// channel partition, for cache entries shared across SUs or for a
+// backend other than PISA must not silently run without them; the
+// values every file saved by an earlier build contains ("packing": true,
+// "fastExp": true, "parallelism": -1, zeros, "backend": "pisa" and the
+// default "pir" section), "shards": 1 and an empty "cacheDomains" ask
+// for what is still there and keep loading, as does a file without the
+// keys.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -280,7 +197,9 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"one window", `{"channels": 5, "shards": 1}`, ""},
 		{"cache domains", `{"cacheDomains": {"fleet": ["su1", "su2"]}}`, `"cacheDomains"`},
 		{"no cache domains", `{"channels": 5, "cacheDomains": {}}`, ""},
-		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1}`, ""},
+		{"pir backend", `{"backend": "pir"}`, `"backend"`},
+		{"unknown backend", `{"backend": "smoke-signals"}`, `"backend"`},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1, "backend": "pisa", "pir": {"addrs": ["127.0.0.1:7420", "127.0.0.1:7421", "127.0.0.1:7422"]}}`, ""},
 		{"without the keys", `{"channels": 5}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,6 +219,9 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 			}
 			if tc.want == `"shards"` && !strings.Contains(err.Error(), "sdcrouterd") {
 				t.Fatalf("Load error = %v, want the migration to sdcrouterd", err)
+			}
+			if tc.want == `"backend"` && !strings.Contains(err.Error(), "pisaload -backend pir") {
+				t.Fatalf("Load error = %v, want the pointer to pisaload -backend pir", err)
 			}
 		})
 	}

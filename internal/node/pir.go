@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,8 +15,7 @@ import (
 )
 
 // PIRServer exposes one pir.Database replica over TCP: geometry
-// fetches, selection-vector queries, and the plaintext PU-churn sync
-// feed.
+// fetches and selection-vector queries.
 type PIRServer struct {
 	*server
 
@@ -26,7 +24,6 @@ type PIRServer struct {
 
 // NewPIRServer wraps a replica database.
 func NewPIRServer(db *pir.Database, log *slog.Logger, timeout time.Duration) *PIRServer {
-	pir.InstrumentDatabase(db)
 	s := &PIRServer{db: db}
 	s.server = newServer("pirdb", log, timeout, s.dispatch)
 	return s
@@ -48,18 +45,8 @@ func (s *PIRServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 			pir.ObserveQueryError()
 			return nil, err
 		}
-		pir.ObserveQuery(env.PIRQuery.Table, time.Since(start))
+		pir.ObserveQuery(time.Since(start))
 		return &wire.Envelope{Kind: wire.KindPIRAnswer, PIRAnswer: ans}, nil
-	case wire.KindPIRSync:
-		if env.PIRSync == nil {
-			return nil, fmt.Errorf("pirdb: sync missing payload")
-		}
-		err := s.db.ApplyUpdate(env.PIRSync)
-		pir.ObserveSync(err)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Envelope{Kind: wire.KindAck}, nil
 	default:
 		return nil, fmt.Errorf("pirdb: unexpected message kind %s", env.Kind)
 	}
@@ -139,25 +126,21 @@ func pirMetrics() *pirClientMetrics {
 }
 
 // DialPIRWith connects to the replica set. k is the number of shares
-// per query — the non-collusion threshold; k <= 0 uses every
-// configured replica (no spares). The constructor eagerly fetches the
-// database geometry and requires every replica that answers to agree
-// on it.
+// per query — the non-collusion threshold; replicas beyond k are spares.
+// The constructor eagerly fetches the database geometry and requires
+// every replica that answers to agree on it.
 func DialPIRWith(opts Options, k int, addrs ...string) (*PIRClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("node: no PIR replica address configured")
 	}
-	if k <= 0 {
-		k = len(addrs)
-	}
 	if k > len(addrs) {
 		return nil, fmt.Errorf("node: k=%d shares need at least %d replicas, have %d", k, k, len(addrs))
 	}
-	if k == 1 {
+	if k < 2 {
 		// A single share IS the unit vector: the one replica that sees
 		// it learns the queried block. Refuse rather than silently drop
 		// the privacy property.
-		return nil, errors.New("node: k=1 PIR is a plaintext lookup; configure at least 2 replicas per query")
+		return nil, fmt.Errorf("node: k=%d: one share is a plaintext lookup; ask at least 2 replicas per query", k)
 	}
 	c := &PIRClient{k: k}
 	for i, a := range addrs {
@@ -209,9 +192,6 @@ func (c *PIRClient) Meta() pir.Meta {
 	return c.meta
 }
 
-// K returns the configured shares-per-query threshold.
-func (c *PIRClient) K() int { return c.k }
-
 // Close tears down every replica client.
 func (c *PIRClient) Close() error {
 	var err error
@@ -224,23 +204,23 @@ func (c *PIRClient) Close() error {
 }
 
 // errVersionSkew marks a fetch whose replica answers disagreed on the
-// database version (a sync landed on some replicas mid-query); the
+// database version (an update landed on some replicas mid-query); the
 // whole fetch retries with fresh vectors.
 var errVersionSkew = errors.New("node: replica answers span different database versions")
 
 // maxSkewRetries bounds full-query retries under continuous churn.
 const maxSkewRetries = 3
 
-// Fetch retrieves block b's row of the given table without revealing
-// b to any replica: k fresh random shares, k distinct replicas, XOR
+// Fetch retrieves block b's bitmap row without revealing b to any
+// replica: k fresh random shares, k distinct replicas, XOR
 // reconstruction. It returns the row and the database version the
 // replicas agreed on.
-func (c *PIRClient) Fetch(ctx context.Context, table pir.Table, b geo.BlockID) ([]byte, uint64, error) {
+func (c *PIRClient) Fetch(ctx context.Context, b geo.BlockID) ([]byte, uint64, error) {
 	m := pirMetrics()
 	m.fetches.Inc()
 	var lastErr error
 	for attempt := 0; attempt < maxSkewRetries; attempt++ {
-		row, version, err := c.fetchOnce(ctx, table, b)
+		row, version, err := c.fetchOnce(ctx, b)
 		if err == nil {
 			return row, version, nil
 		}
@@ -256,7 +236,7 @@ func (c *PIRClient) Fetch(ctx context.Context, table pir.Table, b geo.BlockID) (
 }
 
 // fetchOnce runs one complete fan-out round.
-func (c *PIRClient) fetchOnce(ctx context.Context, table pir.Table, b geo.BlockID) ([]byte, uint64, error) {
+func (c *PIRClient) fetchOnce(ctx context.Context, b geo.BlockID) ([]byte, uint64, error) {
 	m := pirMetrics()
 	meta := c.Meta()
 	start := time.Now()
@@ -304,7 +284,7 @@ func (c *PIRClient) fetchOnce(ctx context.Context, table pir.Table, b geo.BlockI
 		wg.Add(1)
 		go func(i int, sel []byte) {
 			defer wg.Done()
-			req := &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Table: table, Sel: sel}}
+			req := &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Sel: sel}}
 			var shareErr error
 			first := true
 			for {
@@ -330,7 +310,7 @@ func (c *PIRClient) fetchOnce(ctx context.Context, table pir.Table, b geo.BlockI
 					}
 					continue
 				}
-				if resp.PIRAnswer == nil || len(resp.PIRAnswer.Row) != meta.RowLen(table) {
+				if resp.PIRAnswer == nil || len(resp.PIRAnswer.Row) != meta.RowBytes {
 					shareErr = fmt.Errorf("replica %s: malformed answer row", rep.addr)
 					continue
 				}
@@ -355,8 +335,8 @@ func (c *PIRClient) fetchOnce(ctx context.Context, table pir.Table, b geo.BlockI
 		// Degraded mode: fewer distinct live replicas than shares. This
 		// is a clean, immediate error — privacy forbids doubling shares
 		// onto one replica, so the query cannot be answered at all.
-		return nil, 0, fmt.Errorf("node: PIR degraded: %s query needs %d replica shares but only %d answered: %w",
-			table, c.k, answered, firstErr)
+		return nil, 0, fmt.Errorf("node: PIR degraded: query needs %d replica shares but only %d answered: %w",
+			c.k, answered, firstErr)
 	}
 	for i := 1; i < len(versions); i++ {
 		if versions[i] != versions[0] {
@@ -370,28 +350,4 @@ func (c *PIRClient) fetchOnce(ctx context.Context, table pir.Table, b geo.BlockI
 	}
 	m.stage["reconstruct"].Observe(time.Since(start).Seconds())
 	return row, versions[0], nil
-}
-
-// SendUpdate delivers one plaintext PU-churn update to EVERY replica
-// (the replica-sync path). The update is idempotent server-side, so
-// per-replica retries are safe; if any replica still misses it the
-// call errors with the failing addresses — and version-skew detection
-// at query time catches divergence the caller ignores.
-func (c *PIRClient) SendUpdate(ctx context.Context, u *pir.Update) error {
-	req := &wire.Envelope{Kind: wire.KindPIRSync, PIRSync: u}
-	var failed []string
-	var firstErr error
-	for _, r := range c.replicas {
-		if _, err := r.c.callCtx(ctx, req, wire.KindAck); err != nil {
-			failed = append(failed, r.addr)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("node: PIR sync missed %d/%d replicas (%s): %w",
-			len(failed), len(c.replicas), strings.Join(failed, ","), firstErr)
-	}
-	return nil
 }

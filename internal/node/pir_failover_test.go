@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pisa/internal/pir"
 )
 
 // TestBreakerViableReadOnly pins the contract split between allow and
@@ -72,7 +70,7 @@ func TestPIRNoDoubleListAfterCooldown(t *testing.T) {
 
 	n.servers[1].Close()
 	// First fetch fails and opens the dead replica's breaker.
-	if _, _, err := c.Fetch(context.Background(), pir.TableBitmap, 0); err == nil {
+	if _, _, err := c.Fetch(context.Background(), 0); err == nil {
 		t.Fatal("fetch with a dead replica of an m=k fleet succeeded")
 	}
 	if state, _ := c.replicas[1].c.endpoints[0].brk.snapshot(); state != "open" {
@@ -82,7 +80,7 @@ func TestPIRNoDoubleListAfterCooldown(t *testing.T) {
 
 	m := pirMetrics()
 	before := m.reassign.Value()
-	_, _, err = c.Fetch(context.Background(), pir.TableBitmap, 0)
+	_, _, err = c.Fetch(context.Background(), 0)
 	if err == nil || !strings.Contains(err.Error(), "degraded") {
 		t.Fatalf("fetch = %v, want degraded error", err)
 	}
@@ -116,7 +114,7 @@ func TestPIRFailoverStatsInvariants(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = c.Fetch(context.Background(), pir.TableBitmap, 5)
+			_, _, errs[i] = c.Fetch(context.Background(), 5)
 		}(i)
 		if i == 2 {
 			n.servers[0].Close() // kill a primary mid-stream

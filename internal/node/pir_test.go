@@ -28,7 +28,7 @@ func startPIRNet(t *testing.T, m int) *pirNet {
 	log := slog.New(slog.NewTextHandler(testWriter{t}, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	n := &pirNet{}
 	for i := 0; i < m; i++ {
-		db, err := pir.NewDatabase(testWatchParams(t), nil, 0, 0, 0)
+		db, err := pir.NewDatabase(testWatchParams(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,57 +67,22 @@ func TestPIREndToEnd(t *testing.T) {
 	if m.Blocks != 20 || m.Channels != 3 {
 		t.Fatalf("meta = %+v", m)
 	}
-	// Every block's PIR row must equal the replica's direct row, for
-	// both tables.
+	// Every block's PIR row must equal the replica's direct row.
 	for b := 0; b < m.Blocks; b++ {
-		for _, table := range []pir.Table{pir.TableBitmap, pir.TableBloom} {
-			row, ver, err := c.Fetch(context.Background(), table, geo.BlockID(b))
-			if err != nil {
-				t.Fatalf("Fetch(%s, %d): %v", table, b, err)
-			}
-			if ver != m.Version {
-				t.Fatalf("answer version %d, meta says %d", ver, m.Version)
-			}
-			want, err := n.dbs[0].Row(table, geo.BlockID(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(row, want) {
-				t.Fatalf("Fetch(%s, %d) = %x, want %x", table, b, row, want)
-			}
+		row, ver, err := c.Fetch(context.Background(), geo.BlockID(b))
+		if err != nil {
+			t.Fatalf("Fetch(%d): %v", b, err)
 		}
-	}
-}
-
-func TestPIRSyncPropagates(t *testing.T) {
-	n := startPIRNet(t, 3)
-	c, err := DialPIRWith(fastOpts(), 3, n.addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	wp := testWatchParams(t)
-	before, _, err := c.Fetch(context.Background(), pir.TableBitmap, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := &pir.Update{PUID: "pu-net", Block: 7, Channel: 1, SignalUnits: wp.Quantize(wp.SMinPUmW)}
-	if err := c.SendUpdate(context.Background(), u); err != nil {
-		t.Fatalf("SendUpdate: %v", err)
-	}
-	after, ver, err := c.Fetch(context.Background(), pir.TableBitmap, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != c.Meta().Version+1 {
-		t.Fatalf("version after sync = %d, want %d", ver, c.Meta().Version+1)
-	}
-	if bytes.Equal(before, after) {
-		t.Fatal("availability row unchanged by a PU landing on the queried block's channel")
-	}
-	if pir.BitmapHas(after, 1) {
-		t.Fatal("channel 1 still available at the PU's own block")
+		if ver != m.Version {
+			t.Fatalf("answer version %d, meta says %d", ver, m.Version)
+		}
+		want, err := n.dbs[0].Row(geo.BlockID(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(row, want) {
+			t.Fatalf("Fetch(%d) = %x, want %x", b, row, want)
+		}
 	}
 }
 
@@ -132,18 +97,18 @@ func TestPIRKillOneOfKSurvives(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, _, err := c.Fetch(context.Background(), pir.TableBitmap, 3); err != nil {
+	if _, _, err := c.Fetch(context.Background(), 3); err != nil {
 		t.Fatalf("pre-kill fetch: %v", err)
 	}
 	// Kill one of the replicas the client is actively using.
 	n.servers[1].Close()
 
 	for i := 0; i < 5; i++ {
-		row, _, err := c.Fetch(context.Background(), pir.TableBitmap, 3)
+		row, _, err := c.Fetch(context.Background(), 3)
 		if err != nil {
 			t.Fatalf("fetch %d after kill: %v", i, err)
 		}
-		want, err := n.dbs[0].Row(pir.TableBitmap, 3)
+		want, err := n.dbs[0].Row(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +134,7 @@ func TestPIRDegradedCleanError(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Fetch(context.Background(), pir.TableBitmap, 0)
+		_, _, err := c.Fetch(context.Background(), 0)
 		done <- err
 	}()
 	select {
@@ -185,7 +150,7 @@ func TestPIRDegradedCleanError(t *testing.T) {
 	}
 }
 
-// TestPIRVersionSkewRetries: a replica that missed a sync answers
+// TestPIRVersionSkewDetected: a replica that missed an update answers
 // with an older version; the fetch must retry and, with the skew
 // persisting, fail with a version error instead of returning a
 // corrupted XOR of mismatched rows.
@@ -197,7 +162,7 @@ func TestPIRVersionSkewDetected(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Apply an update to only 2 of 3 replicas, bypassing SendUpdate.
+	// Apply an update to only 2 of 3 replicas.
 	wp := testWatchParams(t)
 	u := &pir.Update{PUID: "pu-skew", Block: 2, Channel: 0, SignalUnits: wp.Quantize(wp.SMinPUmW)}
 	for _, db := range n.dbs[:2] {
@@ -205,7 +170,7 @@ func TestPIRVersionSkewDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err = c.Fetch(context.Background(), pir.TableBitmap, 2)
+	_, _, err = c.Fetch(context.Background(), 2)
 	if err == nil {
 		t.Fatal("fetch across diverged replicas succeeded")
 	}
@@ -216,7 +181,7 @@ func TestPIRVersionSkewDetected(t *testing.T) {
 	if err := n.dbs[2].ApplyUpdate(u); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Fetch(context.Background(), pir.TableBitmap, 2); err != nil {
+	if _, _, err := c.Fetch(context.Background(), 2); err != nil {
 		t.Fatalf("fetch after heal: %v", err)
 	}
 }
@@ -228,8 +193,10 @@ func TestPIRDialValidation(t *testing.T) {
 	if _, err := DialPIRWith(fastOpts(), 3, "127.0.0.1:1", "127.0.0.1:2"); err == nil {
 		t.Error("k > replica count accepted")
 	}
-	if _, err := DialPIRWith(fastOpts(), 1, "127.0.0.1:1"); err == nil {
-		t.Error("k=1 plaintext lookup accepted")
+	for _, k := range []int{1, 0, -1} {
+		if _, err := DialPIRWith(fastOpts(), k, "127.0.0.1:1", "127.0.0.1:2"); err == nil || !strings.Contains(err.Error(), "plaintext lookup") {
+			t.Errorf("k=%d: %v, want a refusal naming the plaintext lookup", k, err)
+		}
 	}
 	// All replicas down: constructor must fail, not hang.
 	if _, err := DialPIRWith(fastOpts(), 2, "127.0.0.1:1", "127.0.0.1:2"); err == nil {
@@ -244,7 +211,7 @@ func TestPIRGeometryMismatchRejected(t *testing.T) {
 	good := startPIRNet(t, 1)
 	wp := testWatchParams(t)
 	wp.Channels = 4 // different deployment
-	db, err := pir.NewDatabase(wp, nil, 0, 0, 0)
+	db, err := pir.NewDatabase(wp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +247,7 @@ func TestPIRServerRejectsMalformed(t *testing.T) {
 	// Wrong-length selection vector.
 	_, err = conn.CallContext(context.Background(), &wire.Envelope{
 		Kind:     wire.KindPIRQuery,
-		PIRQuery: &pir.Query{Table: pir.TableBitmap, Sel: []byte{1}},
+		PIRQuery: &pir.Query{Sel: []byte{1}},
 	}, wire.KindPIRAnswer)
 	var remote *wire.RemoteError
 	if err == nil || !strings.Contains(err.Error(), "selection vector") {
@@ -299,7 +266,7 @@ func TestPIRServerRejectsMalformed(t *testing.T) {
 // TestPIRIdempotentKinds pins the retry classification for the new
 // protocol family.
 func TestPIRIdempotentKinds(t *testing.T) {
-	for _, k := range []wire.Kind{wire.KindPIRMetaRequest, wire.KindPIRQuery, wire.KindPIRSync} {
+	for _, k := range []wire.Kind{wire.KindPIRMetaRequest, wire.KindPIRQuery} {
 		if !idempotentKind(k) {
 			t.Errorf("%s not classified idempotent", k)
 		}

@@ -100,9 +100,8 @@ func Retryable(err error) bool {
 // sign conversion (a pure function of the request) and the co-STP
 // partial-decryption fan-out all qualify; SU registration does too
 // because the STP registry treats a same-key re-registration as a
-// no-op. The PIR kinds all qualify: metadata and selection-vector
-// queries are pure reads, and a replica-sync update re-applies as the
-// same set-registration (only the version counter advances). A shard
+// no-op. The PIR kinds qualify: metadata and selection-vector queries
+// are pure reads. A shard
 // query qualifies too: ProcessShard reads a budget snapshot and never
 // bumps the license serial, so replaying it after a lost reply
 // re-derives equivalent grant indicators. PU updates and SU
@@ -113,7 +112,7 @@ func idempotentKind(k wire.Kind) bool {
 	case wire.KindGroupKeyRequest, wire.KindSUKeyRequest, wire.KindEColumnRequest,
 		wire.KindVerifyKeyRequest, wire.KindConvertRequest,
 		wire.KindPartialRequest, wire.KindRegisterSU,
-		wire.KindPIRMetaRequest, wire.KindPIRQuery, wire.KindPIRSync,
+		wire.KindPIRMetaRequest, wire.KindPIRQuery,
 		wire.KindShardQuery:
 		return true
 	}

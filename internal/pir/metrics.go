@@ -8,15 +8,11 @@ import (
 )
 
 // dbMetrics is the replica-side instrumentation set, registered once
-// into the process-wide obs registry. A daemon serves exactly one
-// database; tests that construct several share the series
-// (get-or-create registration makes that safe).
+// into the process-wide obs registry. Every replica in a process shares
+// the series (get-or-create registration makes that safe).
 type dbMetrics struct {
-	queries     map[string]*obs.Counter // per table
+	queries     *obs.Counter
 	queryErrors *obs.Counter
-	syncs       *obs.Counter
-	syncErrors  *obs.Counter
-	rebuild     *obs.Histogram
 	answerScan  *obs.Histogram
 }
 
@@ -29,55 +25,24 @@ var (
 func metrics() *dbMetrics {
 	dbMetricsOnce.Do(func() {
 		r := obs.Default()
-		m := &dbMetrics{
-			queries: map[string]*obs.Counter{
-				TableBitmap.String(): r.Counter("pisa_pir_replica_queries_total",
-					"PIR queries answered by this replica", obs.Labels{"table": TableBitmap.String()}),
-				TableBloom.String(): r.Counter("pisa_pir_replica_queries_total",
-					"PIR queries answered by this replica", obs.Labels{"table": TableBloom.String()}),
-			},
+		dbM = &dbMetrics{
+			queries: r.Counter("pisa_pir_replica_queries_total",
+				"PIR queries answered by this replica", obs.Labels{"table": "bitmap"}),
 			queryErrors: r.Counter("pisa_pir_replica_query_errors_total",
-				"PIR queries rejected (bad table or vector geometry)", nil),
-			syncs: r.Counter("pisa_pir_replica_syncs_total",
-				"plaintext PU-churn sync updates applied", nil),
-			syncErrors: r.Counter("pisa_pir_replica_sync_errors_total",
-				"sync updates rejected by the watch registry", nil),
-			rebuild: r.Histogram("pisa_pir_replica_rebuild_seconds",
-				"full availability-table rebuild after PU churn", nil, nil),
+				"PIR queries rejected (bad vector geometry)", nil),
 			answerScan: r.Histogram("pisa_pir_replica_answer_seconds",
 				"oblivious XOR scan answering one selection vector", nil, nil),
 		}
-		dbM = m
 	})
 	return dbM
 }
 
-// InstrumentDatabase points the database's rebuild observer at the
-// shared obs histogram and returns helpers the serving layer uses to
-// record query/sync outcomes.
-func InstrumentDatabase(db *Database) {
-	m := metrics()
-	db.SetRebuildObserver(func(d time.Duration) { m.rebuild.Observe(d.Seconds()) })
-}
-
 // ObserveQuery records one answered query's scan time.
-func ObserveQuery(t Table, d time.Duration) {
+func ObserveQuery(d time.Duration) {
 	m := metrics()
-	if c, ok := m.queries[t.String()]; ok {
-		c.Inc()
-	}
+	m.queries.Inc()
 	m.answerScan.Observe(d.Seconds())
 }
 
 // ObserveQueryError counts one rejected query.
 func ObserveQueryError() { metrics().queryErrors.Inc() }
-
-// ObserveSync counts one applied (or rejected) sync update.
-func ObserveSync(err error) {
-	m := metrics()
-	if err != nil {
-		m.syncErrors.Inc()
-		return
-	}
-	m.syncs.Inc()
-}

@@ -3,7 +3,6 @@ package pir
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	mrand "math/rand"
 	"testing"
 
@@ -34,7 +33,7 @@ func testWatchParams(t testing.TB) watch.Params {
 
 func newTestDB(t *testing.T) *Database {
 	t.Helper()
-	db, err := NewDatabase(testWatchParams(t), nil, 0, 0, 0)
+	db, err := NewDatabase(testWatchParams(t))
 	if err != nil {
 		t.Fatalf("NewDatabase: %v", err)
 	}
@@ -43,7 +42,7 @@ func newTestDB(t *testing.T) *Database {
 
 // fetch runs the full client-side protocol against k copies of one
 // database: build vectors, answer each, reconstruct.
-func fetch(t *testing.T, replicas []*Database, table Table, b geo.BlockID) []byte {
+func fetch(t *testing.T, replicas []*Database, b geo.BlockID) []byte {
 	t.Helper()
 	m := replicas[0].Meta()
 	vecs, err := BuildVectors(nil, m.Blocks, len(replicas), b)
@@ -52,7 +51,7 @@ func fetch(t *testing.T, replicas []*Database, table Table, b geo.BlockID) []byt
 	}
 	rows := make([][]byte, len(vecs))
 	for i, v := range vecs {
-		a, err := replicas[i].Answer(&Query{Table: table, Sel: v})
+		a, err := replicas[i].Answer(&Query{Sel: v})
 		if err != nil {
 			t.Fatalf("replica %d Answer: %v", i, err)
 		}
@@ -68,8 +67,7 @@ func fetch(t *testing.T, replicas []*Database, table Table, b geo.BlockID) []byt
 // TestPIRMatchesOracle is the core correctness property: for every
 // block, the k-server reconstruction of the bitmap row equals the
 // direct row, and each bit equals the watch oracle's availability
-// verdict. The Bloom table must agree wherever it answers "no" and
-// on every genuine "yes".
+// verdict.
 func TestPIRMatchesOracle(t *testing.T) {
 	wp := testWatchParams(t)
 	oracle, err := watch.NewSystem(wp, nil)
@@ -79,7 +77,7 @@ func TestPIRMatchesOracle(t *testing.T) {
 	// k = 3 independent replicas, all fed the same PU churn.
 	replicas := make([]*Database, 3)
 	for i := range replicas {
-		replicas[i], err = NewDatabase(wp, nil, 0, 0, 0)
+		replicas[i], err = NewDatabase(wp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,15 +98,14 @@ func TestPIRMatchesOracle(t *testing.T) {
 	m := replicas[0].Meta()
 	minEIRP := m.MinEIRPUnits
 	for b := 0; b < m.Blocks; b++ {
-		row := fetch(t, replicas, TableBitmap, geo.BlockID(b))
-		direct, err := replicas[0].Row(TableBitmap, geo.BlockID(b))
+		row := fetch(t, replicas, geo.BlockID(b))
+		direct, err := replicas[0].Row(geo.BlockID(b))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(row, direct) {
 			t.Fatalf("block %d: PIR row %x != direct row %x", b, row, direct)
 		}
-		bloomRow := fetch(t, replicas, TableBloom, geo.BlockID(b))
 		for c := 0; c < m.Channels; c++ {
 			maxEIRP, err := oracle.MaxEIRPUnits(c, geo.BlockID(b))
 			if err != nil {
@@ -117,16 +114,6 @@ func TestPIRMatchesOracle(t *testing.T) {
 			want := maxEIRP >= minEIRP
 			if got := BitmapHas(row, c); got != want {
 				t.Errorf("block %d channel %d: bitmap says %v, oracle says %v", b, c, got, want)
-			}
-			got := BloomHas(bloomRow, m.BloomBits, m.BloomHashes, c)
-			if want && !got {
-				t.Errorf("block %d channel %d: bloom false negative", b, c)
-			}
-			if !want && got {
-				// A false positive is allowed but should be rare at 16
-				// bits/channel; flag it as informational only.
-				t.Logf("block %d channel %d: bloom false positive (expected rate %.2g)",
-					b, c, FalsePositiveRate(m.BloomBits, m.BloomHashes, m.Channels))
 			}
 		}
 	}
@@ -194,23 +181,20 @@ func TestAnswerValidation(t *testing.T) {
 	if _, err := db.Answer(nil); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := db.Answer(&Query{Table: 99, Sel: good}); err == nil {
-		t.Error("unknown table accepted")
-	}
-	if _, err := db.Answer(&Query{Table: TableBitmap, Sel: good[:len(good)-1]}); err == nil {
+	if _, err := db.Answer(&Query{Sel: good[:len(good)-1]}); err == nil {
 		t.Error("short vector accepted")
 	}
-	if _, err := db.Answer(&Query{Table: TableBitmap, Sel: append(good, 0)}); err == nil {
+	if _, err := db.Answer(&Query{Sel: append(good, 0)}); err == nil {
 		t.Error("long vector accepted")
 	}
-	if _, err := db.Answer(&Query{Table: TableBitmap, Sel: good}); err != nil {
+	if _, err := db.Answer(&Query{Sel: good}); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
 }
 
 // TestVersionAdvancesOnUpdate checks answers carry a version that
 // advances with every applied update, and that re-applying an update
-// is accepted (sync retries must be idempotent).
+// is accepted (the registration is a set).
 func TestVersionAdvancesOnUpdate(t *testing.T) {
 	db := newTestDB(t)
 	v0 := db.Meta().Version
@@ -235,11 +219,11 @@ func TestVersionAdvancesOnUpdate(t *testing.T) {
 	}
 	fresh := newTestDB(t)
 	for b := 0; b < db.Meta().Blocks; b++ {
-		got, err := db.Row(TableBitmap, geo.BlockID(b))
+		got, err := db.Row(geo.BlockID(b))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Row(TableBitmap, geo.BlockID(b))
+		want, err := fresh.Row(geo.BlockID(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,43 +264,6 @@ func TestSharesLookRandom(t *testing.T) {
 	}
 }
 
-// TestBloomDeterministic checks two databases built independently
-// produce bit-identical Bloom rows (required for XOR reconstruction).
-func TestBloomDeterministic(t *testing.T) {
-	a, b := newTestDB(t), newTestDB(t)
-	m := a.Meta()
-	for blk := 0; blk < m.Blocks; blk++ {
-		ra, err := a.Row(TableBloom, geo.BlockID(blk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.Row(TableBloom, geo.BlockID(blk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ra, rb) {
-			t.Fatalf("block %d bloom rows differ across replicas", blk)
-		}
-	}
-}
-
-// TestBloomGeometry checks the sizing defaults.
-func TestBloomGeometry(t *testing.T) {
-	m, h := BloomGeometry(100, 0, 0)
-	if m != 100*DefaultBloomBitsPerChannel {
-		t.Errorf("default bits = %d", m)
-	}
-	if h < 1 || h > 64 {
-		t.Errorf("default hashes = %d", h)
-	}
-	if fp := FalsePositiveRate(m, h, 100); fp > 1e-3 {
-		t.Errorf("default geometry FP rate %.2g too high", fp)
-	}
-	if m, h := BloomGeometry(1, 4, 0); m < 8 || h < 1 {
-		t.Errorf("tiny geometry (%d, %d) invalid", m, h)
-	}
-}
-
 // TestReconstructRejects covers mismatched answer lengths.
 func TestReconstructRejects(t *testing.T) {
 	if _, err := Reconstruct(nil); err == nil {
@@ -344,12 +291,12 @@ func roundTrip(t *testing.T, in, out any) error {
 
 // TestGobRoundTrip checks well-formed frames survive gob.
 func TestGobRoundTrip(t *testing.T) {
-	q := &Query{Table: TableBloom, Sel: []byte{1, 2, 3}}
+	q := &Query{Sel: []byte{1, 2, 3}}
 	var q2 Query
 	if err := roundTrip(t, q, &q2); err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if q2.Table != q.Table || !bytes.Equal(q2.Sel, q.Sel) {
+	if !bytes.Equal(q2.Sel, q.Sel) {
 		t.Errorf("query round-trip mismatch: %+v", q2)
 	}
 	a := &Answer{Version: 42, Row: []byte{9, 8}}
@@ -374,7 +321,7 @@ func TestGobRoundTrip(t *testing.T) {
 // error, not a panic.
 func TestGobTruncatedFrames(t *testing.T) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Query{Table: TableBitmap, Sel: []byte{1, 2, 3}}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&Query{Sel: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -400,7 +347,7 @@ func TestAnswerScanOblivious(t *testing.T) {
 		if rem := m.Blocks % 8; rem != 0 {
 			sel[len(sel)-1] &= byte(1<<rem) - 1
 		}
-		a, err := db.Answer(&Query{Table: TableBitmap, Sel: sel})
+		a, err := db.Answer(&Query{Sel: sel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +356,7 @@ func TestAnswerScanOblivious(t *testing.T) {
 			if sel[b/8]>>(b%8)&1 == 0 {
 				continue
 			}
-			row, err := db.Row(TableBitmap, geo.BlockID(b))
+			row, err := db.Row(geo.BlockID(b))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,19 +371,11 @@ func TestAnswerScanOblivious(t *testing.T) {
 // TestMetricsHelpers exercises the obs glue (values are shared
 // process-wide; only check they do not panic and counters move).
 func TestMetricsHelpers(t *testing.T) {
-	db := newTestDB(t)
-	InstrumentDatabase(db)
-	before := metrics().syncs.Value()
-	ObserveQuery(TableBitmap, 0)
+	before := metrics().queries.Value()
+	ObserveQuery(0)
 	ObserveQueryError()
-	ObserveSync(nil)
-	ObserveSync(fmt.Errorf("boom"))
-	sig := testWatchParams(t).Quantize(1e-5)
-	if err := db.ApplyUpdate(&Update{PUID: "pu-m", Block: 0, Channel: 0, SignalUnits: sig}); err != nil {
-		t.Fatal(err)
-	}
-	if got := metrics().syncs.Value(); got != before+1 {
-		t.Errorf("syncs counter = %d, want %d", got, before+1)
+	if got := metrics().queries.Value(); got != before+1 {
+		t.Errorf("queries counter = %d, want %d", got, before+1)
 	}
 }
 
@@ -452,7 +391,7 @@ func BenchmarkAnswer(b *testing.B) {
 	wp := testWatchParams(b)
 	wp.Grid = g
 	wp.Channels = 100
-	db, err := NewDatabase(wp, nil, 0, 0, 0)
+	db, err := NewDatabase(wp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +400,7 @@ func BenchmarkAnswer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := &Query{Table: TableBitmap, Sel: vecs[0]}
+	q := &Query{Sel: vecs[0]}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := db.Answer(q)

@@ -57,11 +57,12 @@ func serveReplica(t *testing.T, handle func(*wire.Envelope) (*wire.Envelope, err
 
 // TestGobMalformedFrames: the PIR frames are plain structs that gob
 // encodes directly, and the role that reads a frame refuses what it
-// cannot use. A real replica server refuses each hostile query and
-// update with a KindError reply and serves the same connection on; the
-// PIR client refuses each hostile answer row.
+// cannot use. A real replica server refuses each hostile query with a
+// KindError reply and serves the same connection on; the PIR client
+// refuses each hostile answer row. A hostile update handed to the
+// database is refused before it reaches the registry.
 func TestGobMalformedFrames(t *testing.T) {
-	db, err := pir.NewDatabase(pir.TestWatchParams(t), nil, 0, 0, 0)
+	db, err := pir.NewDatabase(pir.TestWatchParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,28 +81,43 @@ func TestGobMalformedFrames(t *testing.T) {
 	c := wire.NewConn(raw, 10*time.Second)
 	t.Cleanup(func() { c.Close() })
 
-	sel := make([]byte, db.Meta().SelBytes())
 	for _, tc := range []struct {
 		name string
 		env  *wire.Envelope
 		want string
 	}{
-		{"query-bad-table", &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Table: 7, Sel: sel}}, "unknown table"},
-		{"query-empty-sel", &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Table: pir.TableBitmap}}, "selection vector is 0 bytes"},
-		{"query-huge-sel", &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Table: pir.TableBitmap, Sel: make([]byte, 1<<20+1)}}, "selection vector is 1048577 bytes"},
-		{"update-empty-puid", &wire.Envelope{Kind: wire.KindPIRSync, PIRSync: &pir.Update{Block: 1}}, "PUID of 0 bytes"},
-		{"update-long-puid", &wire.Envelope{Kind: wire.KindPIRSync, PIRSync: &pir.Update{PUID: watch.PUID(strings.Repeat("x", 4097)), Block: 1}}, "PUID of 4097 bytes"},
-		{"update-negative-block", &wire.Envelope{Kind: wire.KindPIRSync, PIRSync: &pir.Update{PUID: "p", Block: -1, Channel: -1}}, "negative block -1"},
-		{"update-negative-signal", &wire.Envelope{Kind: wire.KindPIRSync, PIRSync: &pir.Update{PUID: "p", Channel: -1, SignalUnits: -5}}, "signal -5"},
+		{"query-empty-sel", &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{}}, "selection vector is 0 bytes"},
+		{"query-huge-sel", &wire.Envelope{Kind: wire.KindPIRQuery, PIRQuery: &pir.Query{Sel: make([]byte, 1<<20+1)}}, "selection vector is 1048577 bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := c.CallContext(context.Background(), tc.env, wire.KindAck)
+			_, err := c.CallContext(context.Background(), tc.env, wire.KindPIRAnswer)
 			var remote *wire.RemoteError
 			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, tc.want) {
 				t.Fatalf("err = %v, want a KindError reply saying %q", err, tc.want)
 			}
 			if _, err := c.CallContext(context.Background(), &wire.Envelope{Kind: wire.KindPIRMetaRequest}, wire.KindPIRMeta); err != nil {
 				t.Fatalf("meta request after the refusal: %v", err)
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name string
+		u    *pir.Update
+		want string
+	}{
+		{"update-empty-puid", &pir.Update{Block: 1}, "PUID of 0 bytes"},
+		{"update-long-puid", &pir.Update{PUID: watch.PUID(strings.Repeat("x", 4097)), Block: 1}, "PUID of 4097 bytes"},
+		{"update-negative-block", &pir.Update{PUID: "p", Block: -1, Channel: -1}, "negative block -1"},
+		{"update-negative-signal", &pir.Update{PUID: "p", Channel: -1, SignalUnits: -5}, "signal -5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			version := db.Meta().Version
+			if err := db.ApplyUpdate(tc.u); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a refusal saying %q", err, tc.want)
+			}
+			if v := db.Meta().Version; v != version {
+				t.Fatalf("version %d after a refused update, want %d", v, version)
 			}
 		})
 	}
@@ -127,7 +143,7 @@ func TestGobMalformedFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer client.Close()
-			if _, _, err := client.Fetch(context.Background(), pir.TableBitmap, 3); err == nil || !strings.Contains(err.Error(), "malformed answer row") {
+			if _, _, err := client.Fetch(context.Background(), 3); err == nil || !strings.Contains(err.Error(), "malformed answer row") {
 				t.Fatalf("err = %v, want the client to refuse the row", err)
 			}
 		})

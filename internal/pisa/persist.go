@@ -37,7 +37,8 @@ const (
 // which this build ignores. Version 2's NPack could lag its updates (a
 // column still being rebuilt), and version 1 stored updates the SDC
 // shifted into their slot itself (and, before packing, unpacked
-// budgets). RestoreSDC refuses the three by name.
+// budgets). RestoreSDC refuses every version but this build's with one
+// message: the PUs re-send what an older snapshot held.
 type sdcState struct {
 	Version   int
 	Serial    uint64
@@ -105,16 +106,8 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 		if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&st); err != nil {
 			return nil, fmt.Errorf("pisa: decode SDC snapshot: %w", err)
 		}
-		switch st.Version {
-		case 1:
-			return nil, fmt.Errorf("pisa: SDC snapshot version 1 holds PU updates for the SDC to shift into their slots, which this build no longer does; boot without the snapshot and let the PUs re-send")
-		case 2:
-			return nil, fmt.Errorf("pisa: SDC snapshot version 2 may hold a PU update its budget column does not fold, which this build no longer recomputes; boot without the snapshot and let the PUs re-send")
-		case 3:
-			return nil, fmt.Errorf("pisa: SDC snapshot version 3 holds its PU updates in an encoding this build no longer reads; boot without the snapshot and its log and let the PUs re-send")
-		case sdcStateVersion:
-		default:
-			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads %d", st.Version, sdcStateVersion)
+		if st.Version != sdcStateVersion {
+			return nil, fmt.Errorf("pisa: SDC snapshot version %d, this build reads version %d only; boot without the snapshot and its log and let the PUs re-send", st.Version, sdcStateVersion)
 		}
 		if st.NPack == nil {
 			return nil, fmt.Errorf("pisa: SDC snapshot has no budget matrix")
@@ -151,9 +144,6 @@ func RestoreSDC(issuer string, params Params, transmitters []watch.TVTransmitter
 			// The log checks every record's CRC, so a record that does not
 			// decode was almost certainly written in the older encoding.
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w: a build that nested each PU update in a gob encoding of its own most likely wrote it; boot without the snapshot and its log and let the PUs re-send", rec.Index, err)
-		}
-		if u.Slots == 0 {
-			return nil, fmt.Errorf("pisa: SDC WAL record %d is a PU update without a slot layout, for the SDC to shift into its slot, which this build no longer does; boot without the snapshot and its log and let the PUs re-send", rec.Index)
 		}
 		if err := s.registerRestored(u); err != nil {
 			return nil, fmt.Errorf("pisa: SDC WAL record %d: %w", rec.Index, err)

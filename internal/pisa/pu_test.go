@@ -237,8 +237,9 @@ func TestPUWithoutLayoutRefusedByName(t *testing.T) {
 }
 
 // TestRestoreRefusesOldLayoutByName: a snapshot written before PUs
-// encrypted into their slot and a WAL record without a layout are each
-// refused with an error that tells the operator to let the PUs re-send.
+// encrypted into their slot is refused with an error that tells the
+// operator to let the PUs re-send, and a WAL record without a layout
+// with the error that names the layout a PU must pack for.
 func TestRestoreRefusesOldLayoutByName(t *testing.T) {
 	d := newDurableDeployment(t)
 	sig := d.params.Watch.Quantize(d.params.Watch.SMinPUmW)
@@ -272,8 +273,8 @@ func TestRestoreRefusesOldLayoutByName(t *testing.T) {
 		}
 		tail := []store.Record{{Index: 7, Type: RecordPUUpdate, Payload: payload}}
 		_, err = RestoreSDC("sdc-test", d.params, nil, d.stp, nil, tail)
-		if err == nil || !strings.Contains(err.Error(), "record 7") || !strings.Contains(err.Error(), "let the PUs re-send") {
-			t.Fatalf("err = %v, want a refusal of record 7 telling the PUs to re-send", err)
+		if err == nil || !strings.Contains(err.Error(), "record 7") || !strings.Contains(err.Error(), "NewPU's layout argument") {
+			t.Fatalf("err = %v, want a refusal of record 7 naming NewPU's layout argument", err)
 		}
 	})
 }

@@ -76,47 +76,6 @@ type Router struct {
 	lic     *Licenser
 	shards  []ShardService
 	windows [][2]int
-
-	mu    sync.Mutex
-	stats RouterStats
-}
-
-// RouterStats are the router's cumulative counters, one struct per
-// Router (the obs registry aggregates process-wide). Stage fields are
-// summed nanoseconds. FanoutNs and ShardNs grow on every request that
-// reached the fan-out, failed ones included; MergeNs and LicenseNs only
-// on the Requests - Errors that completed — LogAttrs divides each by its
-// own count. ShardNs[i] sums shard i's ProcessShard latency as seen by
-// the router (queueing, transport and failover included for remote
-// shards).
-type RouterStats struct {
-	Requests  uint64
-	Errors    uint64
-	Updates   uint64
-	FanoutNs  int64
-	MergeNs   int64
-	LicenseNs int64
-	ShardNs   []int64
-}
-
-// LogAttrs is the shutdown digest of a router as slog key/value pairs:
-// request/update volume, the mean per-stage split (fan-out, merge,
-// license) and each shard's mean service time.
-func (st RouterStats) LogAttrs() []any {
-	attrs := []any{"requests", st.Requests, "errors", st.Errors, "updates", st.Updates}
-	meanMs := func(ns int64, n uint64) float64 { return float64(ns) / float64(n) / 1e6 }
-	if st.Requests > 0 {
-		attrs = append(attrs, "fanoutMeanMs", meanMs(st.FanoutNs, st.Requests))
-		for i, ns := range st.ShardNs {
-			attrs = append(attrs, fmt.Sprintf("shard%dMeanMs", i), meanMs(ns, st.Requests))
-		}
-	}
-	if done := st.Requests - st.Errors; done > 0 {
-		attrs = append(attrs,
-			"mergeMeanMs", meanMs(st.MergeNs, done),
-			"licenseMeanMs", meanMs(st.LicenseNs, done))
-	}
-	return attrs
 }
 
 // NewRouter builds a router over the given shards. Shard i must own
@@ -162,7 +121,6 @@ func newRouter(public *publicData, suKeys *SUKeyCache, lic *Licenser, shards []S
 		lic:        lic,
 		shards:     shards,
 		windows:    windows,
-		stats:      RouterStats{ShardNs: make([]int64, len(shards))},
 	}, nil
 }
 
@@ -172,15 +130,6 @@ func (r *Router) Window(i int) (lo, hi int) { return r.windows[i][0], r.windows[
 // VerifyKey returns the public key SUs use to check license
 // signatures — the router's own, since only the router signs.
 func (r *Router) VerifyKey() *rsa.PublicKey { return r.lic.VerifyKey() }
-
-// Stats snapshots the router's counters.
-func (r *Router) Stats() RouterStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.stats
-	out.ShardNs = append([]int64(nil), r.stats.ShardNs...)
-	return out
-}
 
 // sliceFor returns req restricted to shard i's channel window: same
 // coordinates and dimensions, only the window rows populated, shared
@@ -211,12 +160,6 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 	start := time.Now()
 	defer func() {
 		m.stage["total"].ObserveSince(start)
-		r.mu.Lock()
-		r.stats.Requests++
-		if err != nil {
-			r.stats.Errors++
-		}
-		r.mu.Unlock()
 		if err != nil {
 			m.requestErrors.Inc()
 		}
@@ -244,7 +187,6 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 	stageStart := time.Now()
 	n := len(r.shards)
 	answers := make([]*ShardAnswer, n)
-	shardNs := make([]int64, n)
 	errs := make([]error, n)
 	_ = parallel.For(n, n, func(i int) error {
 		sub, err := r.sliceFor(req, i)
@@ -260,21 +202,11 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 		}
 		t0 := time.Now()
 		answers[i], errs[i] = r.shards[i].ProcessShard(sub)
-		shardNs[i] = time.Since(t0).Nanoseconds()
+		// Observed before the errors are inspected: a failed call still
+		// took its time, and the shards that did complete did the work.
 		m.shardCall(i).ObserveSince(t0)
 		return nil
 	})
-	// Merge fan-out timings before inspecting errors: when a shard
-	// fails, the shards that DID complete still did the work, and dropping
-	// their latencies would make the shutdown summary under-report
-	// exactly when a shard is misbehaving.
-	fanoutNs := time.Since(stageStart).Nanoseconds()
-	r.mu.Lock()
-	r.stats.FanoutNs += fanoutNs
-	for i, ns := range shardNs {
-		r.stats.ShardNs[i] += ns
-	}
-	r.mu.Unlock()
 	for i, e := range errs {
 		if e != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, e)
@@ -297,7 +229,6 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 		return nil, fmt.Errorf("pisa: request matrix is empty")
 	}
 	m.stage["merge"].ObserveSince(stageStart)
-	mergeNs := time.Since(stageStart).Nanoseconds()
 
 	// Steps 10-11: sign the license, encrypt it under the SU key, mask
 	// it with eta (x) D~ for every indicator (eq. 17).
@@ -306,10 +237,6 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 		return nil, err
 	}
 	m.stage["license"].ObserveSince(stageStart)
-	r.mu.Lock()
-	r.stats.MergeNs += mergeNs
-	r.stats.LicenseNs += time.Since(stageStart).Nanoseconds()
-	r.mu.Unlock()
 	return resp, nil
 }
 
@@ -324,9 +251,6 @@ func (r *Router) ProcessRequest(req *TransmissionRequest) (resp *Response, err e
 // that already applied it converge.
 func (r *Router) HandlePUUpdate(u *PUUpdate) error {
 	m := routerMetrics()
-	r.mu.Lock()
-	r.stats.Updates++
-	r.mu.Unlock()
 	start := time.Now()
 	defer m.stage["update"].ObserveSince(start)
 	n := len(r.shards)

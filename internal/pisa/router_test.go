@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -422,8 +421,8 @@ func TestMonolithIsOneShardRouter(t *testing.T) {
 	}
 	defer sdc.Close()
 	router := sdc.Router()
-	if router == nil || len(router.Stats().ShardNs) != 1 {
-		t.Fatalf("full-window SDC's router = %v, want one shard", router)
+	if router == nil {
+		t.Fatal("full-window SDC has no router")
 	}
 	if lo, hi := router.Window(0); lo != 0 || hi != wp.Channels {
 		t.Fatalf("one-shard router window [%d, %d), want [0, %d)", lo, hi, wp.Channels)
@@ -464,9 +463,6 @@ func TestMonolithIsOneShardRouter(t *testing.T) {
 		if d := c.Value() - before[name]; d != 1 {
 			t.Errorf("one request moved the %s counter by %d, want 1", name, d)
 		}
-	}
-	if st := router.Stats(); st.Requests != 1 || st.Errors != 0 {
-		t.Errorf("router stats %+v, want 1 request and no error", st)
 	}
 	if lic := resp.License; lic.Serial != 1 || lic.IssuedUnix != now.Unix() || lic.ExpiresUnix != now.Add(24*time.Hour).Unix() {
 		t.Errorf("license serial %d issued %d expires %d; want 1, %d, %d",
@@ -522,36 +518,6 @@ func TestOnlyTheRouterIssues(t *testing.T) {
 	defer cli.Close()
 	if _, err := cli.VerifyKey(); err == nil || !strings.Contains(err.Error(), "ask the router") {
 		t.Fatalf("VerifyKey from a shard server: error = %v, want a refusal naming the router", err)
-	}
-}
-
-// TestRouterStats checks the shutdown-summary inputs: per-shard
-// latency accumulation and the merge-stage split.
-func TestRouterStats(t *testing.T) {
-	w := newShardedWorld(t, false, 3)
-	su, err := pisa.NewSU(rand.Reader, "su-1", 7, w.params, w.router.Planner(), w.stp.GroupKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	eirp := map[int]int64{1: 1}
-	w.ask(t, su, eirp, 7)
-	st := w.router.Stats()
-	if st.Requests != 1 || st.Errors != 0 {
-		t.Fatalf("stats = %+v, want 1 request, 0 errors", st)
-	}
-	if len(st.ShardNs) != 3 {
-		t.Fatalf("ShardNs has %d entries, want 3", len(st.ShardNs))
-	}
-	for i, ns := range st.ShardNs {
-		if ns <= 0 {
-			t.Errorf("shard %d accumulated no latency", i)
-		}
-	}
-	if st.MergeNs <= 0 || st.LicenseNs <= 0 || st.FanoutNs <= 0 {
-		t.Errorf("stage sums not populated: %+v", st)
 	}
 }
 
@@ -612,67 +578,92 @@ func newFailingRouter(t *testing.T, every int64) (*pisa.Router, *pisa.Transmissi
 	return router, req
 }
 
-// TestRouterStatsOnShardError pins the failover accounting fix: when
-// one shard errors, the latencies of the shards that DID complete must
-// still land in Stats.ShardNs — the old early return dropped them,
-// under-reporting the shutdown summary exactly when a shard
-// misbehaves.
+// routerSeriesDelta reads the router's request counters and the count
+// of every stage and per-shard histogram of a 3-shard router, and
+// returns a func that reports how far each has grown since. The series
+// must already be registered: call it after the router has taken one
+// request.
+func routerSeriesDelta() func() map[string]uint64 {
+	reg := obs.Default()
+	series := map[string]func() uint64{
+		"requests": reg.Counter("pisa_router_requests_total", "", nil).Value,
+		"errors":   reg.Counter("pisa_router_request_errors_total", "", nil).Value,
+	}
+	for _, stage := range []string{"fanout", "merge", "license", "total"} {
+		series[stage] = reg.Histogram("pisa_router_stage_seconds", "", obs.Labels{"stage": stage}, nil).Count
+	}
+	for _, shard := range []string{"0", "1", "2"} {
+		series["shard"+shard] = reg.Histogram("pisa_router_shard_seconds", "", obs.Labels{"shard": shard}, nil).Count
+	}
+	before := map[string]uint64{}
+	for name, read := range series {
+		before[name] = read()
+	}
+	return func() map[string]uint64 {
+		d := map[string]uint64{}
+		for name, read := range series {
+			d[name] = read() - before[name]
+		}
+		return d
+	}
+}
+
+// TestRouterStatsOnShardError pins the failover accounting: when one
+// shard errors, the calls of the shards that DID complete, and the
+// failed call itself, still land in pisa_router_shard_seconds, and the
+// request is counted as an error; the stages after the fan-out never
+// ran and are not timed.
 func TestRouterStatsOnShardError(t *testing.T) {
 	router, req := newFailingRouter(t, 1)
+	// The first request registers every series read below.
+	if _, err := router.ProcessRequest(req); err == nil {
+		t.Fatal("ProcessRequest succeeded with shard 1 failing every call")
+	}
+	delta := routerSeriesDelta()
 	if _, err := router.ProcessRequest(req); err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("ProcessRequest error = %v, want a shard 1 failure", err)
 	}
-	st := router.Stats()
-	if st.Requests != 1 || st.Errors != 1 {
-		t.Fatalf("stats = %+v, want 1 request, 1 error", st)
+	want := map[string]uint64{
+		"requests": 1, "errors": 1, "total": 1,
+		"fanout": 0, "merge": 0, "license": 0,
+		"shard0": 1, "shard1": 1, "shard2": 1,
 	}
-	if st.FanoutNs <= 0 {
-		t.Error("FanoutNs not recorded on the error path")
-	}
-	for _, i := range []int{0, 2} {
-		if st.ShardNs[i] <= 0 {
-			t.Errorf("completed shard %d's latency dropped on the error path", i)
+	for name, d := range delta() {
+		if d != want[name] {
+			t.Errorf("%s grew by %d over one failed request, want %d", name, d, want[name])
 		}
 	}
 }
 
-// TestRouterSummaryMeansUnderShardErrors pins what the daemons log at
-// shutdown when a shard fails every other request: the merge and
-// license stages ran only for the requests that completed and are
-// averaged over those, while fan-out and per-shard time, which failed
-// requests spend too, are averaged over all of them.
+// TestRouterSummaryMeansUnderShardErrors pins the split the router's
+// series give when shard 1 fails every other request: every shard call
+// lands in pisa_router_shard_seconds, the failed ones included, while
+// the fan-out, merge and license stages are timed only for the
+// requests that completed, and the request counters tell the two
+// apart — so a mean per completed request and a mean per request can
+// both be read off them.
 func TestRouterSummaryMeansUnderShardErrors(t *testing.T) {
 	router, req := newFailingRouter(t, 2)
+	// The first request succeeds and registers every series read below.
+	if _, err := router.ProcessRequest(req); err != nil {
+		t.Fatal(err)
+	}
+	delta := routerSeriesDelta()
 	for i := 0; i < 4; i++ {
-		if _, err := router.ProcessRequest(req); (err != nil) != (i%2 == 1) {
+		if _, err := router.ProcessRequest(req); (err != nil) != (i%2 == 0) {
 			t.Fatalf("request %d: error = %v, want every other one to fail", i, err)
+		} else if err != nil && !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("request %d: error = %v, want a shard 1 failure", i, err)
 		}
 	}
-	st := router.Stats()
-	if st.Requests != 4 || st.Errors != 2 || st.MergeNs <= 0 || st.LicenseNs <= 0 {
-		t.Fatalf("stats = %+v, want 4 requests, 2 errors and both tail stages timed", st)
+	want := map[string]uint64{
+		"requests": 4, "errors": 2, "total": 4,
+		"fanout": 2, "merge": 2, "license": 2,
+		"shard0": 4, "shard1": 4, "shard2": 4,
 	}
-	got := map[string]any{}
-	attrs := st.LogAttrs()
-	for i := 0; i+1 < len(attrs); i += 2 {
-		got[attrs[i].(string)] = attrs[i+1]
-	}
-	want := map[string]any{
-		"requests": uint64(4), "errors": uint64(2), "updates": uint64(0),
-		"fanoutMeanMs":  float64(st.FanoutNs) / 4 / 1e6,
-		"mergeMeanMs":   float64(st.MergeNs) / 2 / 1e6,
-		"licenseMeanMs": float64(st.LicenseNs) / 2 / 1e6,
-		"shard0MeanMs":  float64(st.ShardNs[0]) / 4 / 1e6,
-		"shard1MeanMs":  float64(st.ShardNs[1]) / 4 / 1e6,
-		"shard2MeanMs":  float64(st.ShardNs[2]) / 4 / 1e6,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("LogAttrs = %v\nwant      %v", got, want)
-	}
-	// No completed request: no tail means to print, and no division by zero.
-	for _, a := range (pisa.RouterStats{Requests: 3, Errors: 3, ShardNs: []int64{1}}).LogAttrs() {
-		if a == "mergeMeanMs" || a == "licenseMeanMs" {
-			t.Errorf("LogAttrs of an all-failed run carries %v", a)
+	for name, d := range delta() {
+		if d != want[name] {
+			t.Errorf("%s grew by %d over 4 requests, want %d", name, d, want[name])
 		}
 	}
 }

@@ -61,13 +61,13 @@ const (
 
 	// PIR kinds (appended for the same numbering reason): the
 	// multi-server spectrum-query backend. An SU fans one
-	// KindPIRQuery out to each of k replicas; KindPIRSync carries
-	// plaintext PU churn to every replica.
+	// KindPIRQuery out to each of k replicas. The blank after them is
+	// the retired replica-sync kind, which carried plaintext PU churn.
 	KindPIRMetaRequest // SU -> replica, database geometry fetch
 	KindPIRMeta
 	KindPIRQuery // SU -> replica, one selection-vector share
 	KindPIRAnswer
-	KindPIRSync // PU feed -> replica, reply KindAck
+	_
 
 	// Shard kinds (appended): the channel-sharded SDC. A router fans
 	// one KindShardQuery (carrying the SU request, usually
@@ -124,8 +124,6 @@ func (k Kind) String() string {
 		return "pir-query"
 	case KindPIRAnswer:
 		return "pir-answer"
-	case KindPIRSync:
-		return "pir-sync"
 	case KindShardQuery:
 		return "shard-query"
 	case KindShardAnswer:
@@ -163,11 +161,10 @@ type Envelope struct {
 	Partials    []*paillier.Partial
 
 	// PIR fields carry the multi-server spectrum-query backend's
-	// frames (KindPIRMetaRequest/Meta/Query/Answer/Sync).
+	// frames (KindPIRMeta/Query/Answer).
 	PIRMeta   *pir.Meta
 	PIRQuery  *pir.Query
 	PIRAnswer *pir.Answer
-	PIRSync   *pir.Update
 
 	// ShardAnswer carries one shard's partial encrypted sum
 	// (KindShardAnswer); the matching KindShardQuery reuses Request.

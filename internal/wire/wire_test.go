@@ -107,28 +107,20 @@ func TestEnvelopeCarriesPIRFrames(t *testing.T) {
 	go func() {
 		_ = a.Send(&Envelope{
 			Kind:     KindPIRQuery,
-			PIRQuery: &pir.Query{Table: pir.TableBitmap, Sel: []byte{0xA5, 0x01}},
+			PIRQuery: &pir.Query{Sel: []byte{0xA5, 0x01}},
 		})
 		_ = a.Send(&Envelope{
 			Kind:      KindPIRAnswer,
 			PIRAnswer: &pir.Answer{Version: 3, Row: []byte{0x0F}},
 		})
-		_ = a.Send(&Envelope{
-			Kind:    KindPIRSync,
-			PIRSync: &pir.Update{PUID: "pu-1", Block: 7, Channel: 2, SignalUnits: 5},
-		})
 	}()
 	q, err := b.Recv()
-	if err != nil || q.PIRQuery == nil || q.PIRQuery.Table != pir.TableBitmap || !bytes.Equal(q.PIRQuery.Sel, []byte{0xA5, 0x01}) {
+	if err != nil || q.PIRQuery == nil || !bytes.Equal(q.PIRQuery.Sel, []byte{0xA5, 0x01}) {
 		t.Fatalf("query frame mangled: %+v, %v", q, err)
 	}
 	ans, err := b.Recv()
 	if err != nil || ans.PIRAnswer == nil || ans.PIRAnswer.Version != 3 || !bytes.Equal(ans.PIRAnswer.Row, []byte{0x0F}) {
 		t.Fatalf("answer frame mangled: %+v, %v", ans, err)
-	}
-	u, err := b.Recv()
-	if err != nil || u.PIRSync == nil || u.PIRSync.PUID != "pu-1" || u.PIRSync.Block != 7 {
-		t.Fatalf("sync frame mangled: %+v, %v", u, err)
 	}
 }
 
@@ -236,7 +228,7 @@ func TestKindStrings(t *testing.T) {
 		KindEColumnRequest, KindEColumn, KindVerifyKeyRequest, KindVerifyKey,
 		KindConvertRequest, KindConvertResponse, KindSUKeyRequest, KindSUKey,
 		KindGroupKeyRequest, KindGroupKey, KindRegisterSU, KindAck,
-		KindPIRMetaRequest, KindPIRMeta, KindPIRQuery, KindPIRAnswer, KindPIRSync,
+		KindPIRMetaRequest, KindPIRMeta, KindPIRQuery, KindPIRAnswer,
 	}
 	seen := make(map[string]bool, len(kinds))
 	for _, k := range kinds {
