@@ -224,8 +224,8 @@ func printReport(r *bench.LoadReport) {
 			r.Registered, r.Fleet, r.Prepared, r.Refreshed)
 		fmt.Printf("cache     %.0f%% hit rate (%d hits, %d misses, %d stale)\n",
 			r.CacheHitRate*100, r.CacheHits, r.CacheMisses, r.CacheStale)
-		fmt.Printf("pu churn  %d updates applied, %d failed\n", r.PUUpdates, r.PUErrors)
 	}
+	fmt.Printf("pu churn  %d updates applied, %d failed\n", r.PUUpdates, r.PUErrors)
 	if len(r.Stages) == 0 {
 		return
 	}

@@ -402,42 +402,45 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		out.decided(grant.Granted)
 	}
 
-	// PU churn replay runs alongside the request load.
-	var churn sync.WaitGroup
-	var puUpdates, puErrors atomic.Int64
-	if cfg.PUs > 0 {
-		schedule, err := trace.PUSchedule(trace.PUConfig{
-			Seed:             cfg.Seed + 1,
-			PUs:              cfg.PUs,
-			Blocks:           wp.Grid.Blocks(),
-			Channels:         wp.Channels,
-			SwitchesPerHour:  max(cfg.PUSwitchesPerHour, 1),
-			OffProbability:   cfg.OffProbability,
-			ZipfS:            cfg.PUZipfS,
-			DiurnalAmplitude: cfg.DiurnalAmplitude,
-			DiurnalPeriod:    cfg.Duration, // one compressed TV-viewing day
-			Horizon:          cfg.Duration,
-		})
-		if err != nil {
-			return nil, err
+	// PU churn replay runs alongside the request load: each PU is stood
+	// up on its first switch.
+	pus := map[watch.PUID]*pisa.PU{}
+	churn, err := cfg.replayChurn(wp, func(ev trace.PUSwitch, signal int64) error {
+		pu, ok := pus[ev.PU]
+		if !ok {
+			eCol, err := target.Front.EColumn(ev.Block)
+			if err != nil {
+				return err
+			}
+			if pu, err = pisa.NewPU(rand.Reader, ev.PU, ev.Block, eCol, target.STP.GroupKey(), params); err != nil {
+				return err
+			}
+			pus[ev.PU] = pu
 		}
-		churn.Add(1)
-		go func() {
-			defer churn.Done()
-			replayPUs(target, params, schedule, &puUpdates, &puErrors)
-		}()
+		var u *pisa.PUUpdate
+		var err error
+		if ev.Channel < 0 {
+			u, err = pu.Off()
+		} else {
+			u, err = pu.Tune(ev.Channel, signal)
+		}
+		if err != nil {
+			return err
+		}
+		return target.Front.HandlePUUpdate(u)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	elapsed, peakBacklog := cfg.drive(events, exec)
-	churn.Wait()
+	report.PUUpdates, report.PUErrors = churn()
 
 	out.fill(report, elapsed, peakBacklog)
 	// A member whose bring-up failed withdrew itself from the fleet.
 	report.Registered = int64(len(members))
 	report.Prepared = prepared.Load()
 	report.Refreshed = refreshed.Load()
-	report.PUUpdates = puUpdates.Load()
-	report.PUErrors = puErrors.Load()
 	report.CacheHits, report.CacheMisses = cacheEvents["hit"](), cacheEvents["miss"]()
 	report.CacheStale = cacheEvents["stale"]()
 	if lookups := report.CacheHits + report.CacheMisses + report.CacheStale; lookups > 0 {
@@ -590,51 +593,58 @@ func e2eBracket() *histBracket {
 		nil, nil))
 }
 
-// replayPUs walks the schedule in time order, lazily standing up each
-// PU on first appearance and pushing its tune/off updates at their
-// trace times.
-func replayPUs(target Target, params pisa.Params, schedule []trace.PUSwitch,
-	updates, errors *atomic.Int64) {
-	wp := target.Planner.Params()
-	pus := map[string]*pisa.PU{}
-	signal := wp.Quantize(wp.SMinPUmW * 100)
-	start := time.Now()
-	for _, ev := range schedule {
-		if d := ev.At - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		id := string(ev.PU)
-		pu, ok := pus[id]
-		if !ok {
-			eCol, err := target.Front.EColumn(ev.Block)
-			if err != nil {
-				errors.Add(1)
-				continue
-			}
-			pu, err = pisa.NewPU(rand.Reader, watch.PUID(id), ev.Block, eCol, target.STP.GroupKey(), params)
-			if err != nil {
-				errors.Add(1)
-				continue
-			}
-			pus[id] = pu
-		}
-		var u *pisa.PUUpdate
-		var err error
-		if ev.Channel < 0 {
-			u, err = pu.Off()
-		} else {
-			u, err = pu.Tune(ev.Channel, signal)
-		}
-		if err != nil {
-			errors.Add(1)
-			continue
-		}
-		if err := target.Front.HandlePUUpdate(u); err != nil {
-			errors.Add(1)
-			continue
-		}
-		updates.Add(1)
+// puSchedule is the run's PU switching schedule over wp's grid and
+// channels (trace.PUSchedule), nil when PUs is 0. Both backends replay
+// the same one.
+func (c LoadConfig) puSchedule(wp watch.Params) ([]trace.PUSwitch, error) {
+	if c.PUs == 0 {
+		return nil, nil
 	}
+	return trace.PUSchedule(trace.PUConfig{
+		Seed:             c.Seed + 1,
+		PUs:              c.PUs,
+		Blocks:           wp.Grid.Blocks(),
+		Channels:         wp.Channels,
+		SwitchesPerHour:  max(c.PUSwitchesPerHour, 1),
+		OffProbability:   c.OffProbability,
+		ZipfS:            c.PUZipfS,
+		DiurnalAmplitude: c.DiurnalAmplitude,
+		DiurnalPeriod:    c.Duration, // one compressed TV-viewing day
+		Horizon:          c.Duration,
+	})
+}
+
+// replayChurn walks the run's PU schedule in time order on a goroutine
+// of its own, handing each switch to apply at its trace time with the
+// signal every PU tunes in at. The returned wait blocks until the
+// schedule is spent and reports the switches applied and those apply
+// failed.
+func (c LoadConfig) replayChurn(wp watch.Params, apply func(ev trace.PUSwitch, signal int64) error) (wait func() (applied, failed int64), err error) {
+	schedule, err := c.puSchedule(wp)
+	if err != nil {
+		return nil, err
+	}
+	signal := wp.Quantize(wp.SMinPUmW * 100)
+	var applied, failed int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		start := time.Now()
+		for _, ev := range schedule {
+			if d := ev.At - time.Since(start); d > 0 {
+				time.Sleep(d)
+			}
+			if apply(ev, signal) != nil {
+				failed++
+			} else {
+				applied++
+			}
+		}
+	}()
+	return func() (int64, int64) {
+		<-done
+		return applied, failed
+	}, nil
 }
 
 // collectSLOs turns the bracketed histograms into per-stage quantile
@@ -668,9 +678,9 @@ func collectSLOs(brackets []*histBracket) []StageSLO {
 }
 
 // runPIRLoad drives the multi-server PIR backend with the same fleet
-// trace, over a replica fleet it stands up on loopback: each arrival
-// fetches its block's bitmap row obliviously and decides the requested
-// channels locally. No registration, no licensing, no decision cache —
+// trace and PU schedule, over a replica fleet it stands up on loopback:
+// each arrival fetches its block's bitmap row obliviously and decides
+// the requested channels locally. No registration, no licensing, no decision cache —
 // the report's zero cache fields are the honest trade against the PISA
 // side.
 func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
@@ -683,16 +693,13 @@ func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
 		replicas = k + 1
 	}
 	addrs := make([]string, replicas)
+	dbs := make([]*pir.Database, replicas)
 	for i := range addrs {
 		db, err := pir.NewDatabase(params.Watch)
 		if err != nil {
 			return nil, err
 		}
-		u := &pir.Update{PUID: "load-tv", Block: 1, Channel: 0,
-			SignalUnits: params.Watch.Quantize(params.Watch.SMinPUmW)}
-		if err := db.ApplyUpdate(u); err != nil {
-			return nil, err
-		}
+		dbs[i] = db
 		srv := node.NewPIRServer(db, nil, 0)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -744,7 +751,24 @@ func runPIRLoad(cfg LoadConfig) (*LoadReport, error) {
 		out.decided(available)
 	}
 
+	// The PISA run's PU schedule, applied to every replica in turn: a
+	// fetch whose answers span two versions is refused by the client's
+	// version check and retried.
+	churn, err := cfg.replayChurn(params.Watch, func(ev trace.PUSwitch, signal int64) error {
+		u := &pir.Update{PUID: ev.PU, Block: ev.Block, Channel: ev.Channel, SignalUnits: signal}
+		for _, db := range dbs {
+			if err := db.ApplyUpdate(u); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	elapsed, peakBacklog := cfg.drive(events, exec)
+	report.PUUpdates, report.PUErrors = churn()
 	out.fill(report, elapsed, peakBacklog)
 	report.Stages = collectSLOs([]*histBracket{e2e})
 	return report, nil

@@ -168,6 +168,42 @@ func TestRunLoadPIRBackend(t *testing.T) {
 	}
 }
 
+// TestRunLoadReplaysPUSchedule: both backends replay the run's whole PU
+// schedule, the PISA one as encrypted updates to the SDC and the PIR one
+// into every replica's database, with one seed giving both the same.
+func TestRunLoadReplaysPUSchedule(t *testing.T) {
+	cfg := loadConfig("closed")
+	cfg.Duration = time.Second
+	cfg.Replicas, cfg.K = 3, 2
+	cfg.PUs = 2
+	cfg.PUSwitchesPerHour = 36000 // ~10 switches over the 1 s horizon
+	params, err := SmallParams(cfg.Channels, cfg.Cols, cfg.Rows, cfg.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, err := cfg.puSchedule(params.Watch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(schedule) == 0 {
+		t.Fatal("the schedule holds no switch")
+	}
+	for _, backend := range []string{"pisa", "pir"} {
+		cfg.Backend = backend
+		rep, err := RunLoad(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PUUpdates != int64(len(schedule)) || rep.PUErrors != 0 {
+			t.Errorf("%s: %d PU updates applied and %d failed, want the schedule's %d",
+				backend, rep.PUUpdates, rep.PUErrors, len(schedule))
+		}
+		if rep.Errors != 0 {
+			t.Errorf("%s: %d of %d requests failed under churn: %s", backend, rep.Errors, rep.Requests, rep.FirstError)
+		}
+	}
+}
+
 func TestLoadConfigValidate(t *testing.T) {
 	cases := []func(*LoadConfig){
 		func(c *LoadConfig) { c.Mode = "burst" },

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -85,6 +86,26 @@ func BenchmarkGenerateKey(b *testing.B) {
 		if _, err := GenerateKey(rand.Reader, 2048); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPrimeSearch runs eight 1 024-bit prime searches per
+// iteration, from the readers seeded 1 to 8: a 2048-bit key's half (a
+// 256-bit a) and Prime's (a = 1). Every iteration and every build
+// visits the same windows and finds the same primes, so only the cost
+// of the sieve and of ProbablyPrime moves — unlike BenchmarkGenerateKey,
+// whose single keys spread 2x and more.
+func BenchmarkPrimeSearch(b *testing.B) {
+	for _, a := range searchA() {
+		b.Run(fmt.Sprintf("a=%d-bit", a.BitLen()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for seed := int64(1); seed <= 8; seed++ {
+					if _, err := primeWithFactor(mrand.New(mrand.NewSource(seed)), 1024, a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -52,6 +52,9 @@ func (sk *PrivateKey) GobDecode(data []byte) error {
 	if err := gobDecode(data, &payload); err != nil {
 		return fmt.Errorf("paillier: decode private key: %w", err)
 	}
+	// These primes come from a file, not from this package's random
+	// search, so the count for random candidates (confirmRounds) does
+	// not apply: an adversarial composite needs the full 20 rounds.
 	if payload.P == nil || payload.Q == nil ||
 		!payload.P.ProbablyPrime(20) || !payload.Q.ProbablyPrime(20) ||
 		payload.P.Cmp(payload.Q) == 0 {

@@ -37,20 +37,20 @@ func scanWindow(k0, a, hi *big.Int) *big.Int {
 // first to the second and every strike to its prime.
 func checkWindow(t *testing.T, k0, a, hi *big.Int) *big.Int {
 	t.Helper()
-	var struck [sieveWindow]uint16
-	got := primeInWindow(&struck, k0, a, hi)
+	s := newPrimeSearch(a)
+	got := s.primeInWindow(k0, hi)
 	if want := scanWindow(k0, a, hi); (got == nil) != (want == nil) || got != nil && got.Cmp(want) != 0 {
 		t.Fatalf("a=%s k0=%s: sieve found %v, scan found %v", a, k0, got, want)
 	}
 	twoA := new(big.Int).Lsh(a, 1)
 	c, r := new(big.Int), new(big.Int)
-	for i, s := range struck {
-		if s == 0 {
+	for i, r0 := range s.struck {
+		if r0 == 0 {
 			continue
 		}
 		c.SetInt64(int64(i)).Add(c, k0).Mul(c, twoA).Add(c, one)
-		if r.SetUint64(uint64(s)); r.Mod(c, r).Sign() != 0 {
-			t.Fatalf("a=%s k0=%s: index %d struck by %d, which does not divide %s", a, k0, i, s, c)
+		if r.SetUint64(uint64(r0)); r.Mod(c, r).Sign() != 0 {
+			t.Fatalf("a=%s k0=%s: index %d struck by %d, which does not divide %s", a, k0, i, r0, c)
 		}
 	}
 	if got != nil && new(big.Int).Mod(new(big.Int).Sub(got, one), twoA).Sign() != 0 {
@@ -127,9 +127,69 @@ func TestPrimeMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Prime(rand.Reader, 15); err == nil {
-		t.Fatal("a 15-bit prime, whose candidates reach below the sieve bound, was drawn")
+	if _, err := Prime(rand.Reader, 16); err == nil {
+		t.Fatal("a 16-bit prime, whose candidates reach below the sieve bound, was drawn")
 	}
+}
+
+// searchA are the factors a TestSieveLeavesFewCandidates and
+// BenchmarkPrimeSearch search with: a 256-bit prime, as a 2048-bit
+// Paillier key draws it, and 1, Prime's progression.
+func searchA() []*big.Int {
+	return []*big.Int{nextPrime(new(big.Int).Lsh(big.NewInt(3), 254)), one}
+}
+
+// TestSieveLeavesFewCandidates counts the work the sieve leaves the
+// Miller–Rabin test, one ProbablyPrime call per unstruck candidate:
+// over 1 024-bit prime searches from seeded readers, as
+// primeWithFactor runs them, each window's unstruck candidates up to its
+// first prime, or all of them in a window that holds none. A sieve to
+// 2^12 leaves about 47 per prime, one to 2^16 about 35.5: ∏(1 − 1/r)
+// over the sieve primes times the ~355 candidates per prime at this
+// width. The count is the saving; no clock is read.
+func TestSieveLeavesFewCandidates(t *testing.T) {
+	const bits, searches, bound = 1024, 150, 38
+	as := searchA()
+	total := 0
+	for _, a := range as {
+		count := unstruckPerSearch(t, a, bits, searches)
+		t.Logf("a of %d bits: %.1f unstruck candidates per prime", a.BitLen(), float64(count)/searches)
+		total += count
+	}
+	if mean := float64(total) / float64(searches*len(as)); mean >= bound {
+		t.Fatalf("%.1f unstruck candidates per prime over %d searches, want < %d", mean, searches*len(as), bound)
+	}
+}
+
+// unstruckPerSearch runs primeWithFactor's window loop from the readers
+// seeded 1 to searches and returns the unstruck candidates it handed to
+// ProbablyPrime.
+func unstruckPerSearch(t *testing.T, a *big.Int, bits, searches int) int {
+	lo, hi := cofactorRange(bits, a)
+	twoA := new(big.Int).Lsh(a, 1)
+	s := newPrimeSearch(a)
+	count := 0
+	for seed := int64(1); seed <= int64(searches); seed++ {
+		random := mrand.New(mrand.NewSource(seed))
+		for p := (*big.Int)(nil); p == nil; {
+			k0, err := RandomInRange(random, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = s.primeInWindow(k0, hi)
+			tested := s.struck[:] // hi never cuts a window short at this width
+			if p != nil {
+				last := new(big.Int).Sub(p, one)
+				tested = tested[:last.Div(last, twoA).Sub(last, k0).Int64()+1]
+			}
+			for _, r := range tested {
+				if r == 0 {
+					count++
+				}
+			}
+		}
+	}
+	return count
 }
 
 // FuzzSubgroupSieve holds the sieved window to the plain scan for
@@ -140,6 +200,8 @@ func FuzzSubgroupSieve(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0xc0, 0x01})
 	f.Add([]byte{0x12, 0x34, 0x56, 0x78, 0x9a}, []byte{0x0f, 0xf1}) // a = 4081, a sieve prime
 	f.Add([]byte{0x9e, 0x37, 0x79, 0xb9}, []byte{0x01})             // a = 1, Prime's progression
+	f.Add([]byte{0x01}, []byte{0xff, 0xf1})                         // a = 65521, the largest sieve prime
+	f.Add([]byte{}, []byte{0x01})                                   // the first start above the bound
 	f.Fuzz(func(t *testing.T, start, aRaw []byte) {
 		if len(start) > 8 || len(aRaw) > 3 {
 			t.Skip()

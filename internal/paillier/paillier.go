@@ -22,10 +22,12 @@ package paillier
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -260,11 +262,11 @@ func subgroupPrime(random io.Reader, bits, aBits int) (p, a *big.Int, err error)
 // so that the product of two such primes has exactly twice the bits. It
 // runs the sieved window search of the Paillier primes with a = 1
 // (primeWithFactor), and draws from random, which must be a
-// cryptographically secure source. bits must be at least 16, so that
-// every candidate exceeds the sieve bound.
+// cryptographically secure source. bits must be at least minPrimeBits,
+// so that every candidate exceeds the sieve bound.
 func Prime(random io.Reader, bits int) (*big.Int, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("paillier: prime of %d bits too small (min 16)", bits)
+	if bits < minPrimeBits {
+		return nil, fmt.Errorf("paillier: prime of %d bits too small (min %d)", bits, minPrimeBits)
 	}
 	return primeWithFactor(random, bits, one)
 }
@@ -275,13 +277,13 @@ func Prime(random io.Reader, bits int) (*big.Int, error) {
 // without a prime costs a new start.
 func primeWithFactor(random io.Reader, bits int, a *big.Int) (*big.Int, error) {
 	lo, hi := cofactorRange(bits, a)
-	var struck [sieveWindow]uint16
+	s := newPrimeSearch(a)
 	for {
 		k0, err := RandomInRange(random, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		if p := primeInWindow(&struck, k0, a, hi); p != nil {
+		if p := s.primeInWindow(k0, hi); p != nil {
 			return p, nil
 		}
 	}
@@ -301,7 +303,7 @@ func cofactorRange(bits int, a *big.Int) (lo, hi *big.Int) {
 // The prime search is incremental: from a random start it sieves a
 // window of consecutive candidates against the odd primes below
 // sieveBound and hands only the survivors, in ascending order, to
-// ProbablyPrime — about one candidate in seven at this bound, against
+// ProbablyPrime — about one candidate in ten at this bound, against
 // the one in four that ProbablyPrime's own trial division (up to 53)
 // lets through to a Miller–Rabin round. A prime is returned with
 // probability proportional to the run of composites below it, a bias
@@ -309,11 +311,28 @@ func cofactorRange(bits int, a *big.Int) (lo, hi *big.Int) {
 // argument and the sizing.
 const (
 	sieveWindow = 1024
-	sieveBound  = 1 << 12
+	sieveBits   = 16
+	sieveBound  = 1 << sieveBits
+	// minPrimeBits is the narrowest prime Prime draws: with its top two
+	// bits set, a candidate of sieveBits+1 bits is at least
+	// 3·2^(sieveBits-1), above every sieve prime, so a struck candidate
+	// is never the sieve prime itself.
+	minPrimeBits = sieveBits + 1
+	// confirmRounds is the number of random-base Miller–Rabin rounds a
+	// survivor gets besides ProbablyPrime's base-2 round and Lucas test:
+	// FIPS 186-5 Table B.1's count for the primes of a 2048-bit modulus
+	// when a Lucas test follows. A composite survivor almost always
+	// fails its first round, so the count is paid by the prime alone.
+	// Input this package did not draw (a decoded key) keeps
+	// ProbablyPrime(20).
+	confirmRounds = 4
 )
 
-// sievePrimes are the odd primes below sieveBound.
-var sievePrimes = func() []uint32 {
+// sievePrimes are the odd primes below sieveBound, and sieveGroups cut
+// them into consecutive runs whose product fits in 64 bits: x mod r for
+// every sieve prime r is then one 64-bit division per run and 64-bit
+// limb of x, and one per prime (residues).
+var sievePrimes, sieveGroups = func() ([]uint32, []sieveGroup) {
 	composite := make([]bool, sieveBound)
 	var primes []uint32
 	for r := 3; r < sieveBound; r += 2 {
@@ -325,65 +344,126 @@ var sievePrimes = func() []uint32 {
 			composite[m] = true
 		}
 	}
-	return primes
+	var groups []sieveGroup
+	g := sieveGroup{m: 1}
+	for j, r := range primes {
+		if hi, _ := bits.Mul64(g.m, uint64(r)); hi != 0 {
+			groups = append(groups, g)
+			g = sieveGroup{m: 1}
+		}
+		g.m *= uint64(r)
+		g.end = j + 1
+	}
+	return primes, append(groups, g)
 }()
+
+// sieveGroup is the run of sievePrimes that ends before index end, with
+// the product m of its primes.
+type sieveGroup struct {
+	m   uint64
+	end int
+}
+
+// primeSearch is one search's sieve state. a is fixed for the whole
+// search, so −(2a)⁻¹ mod r is computed once per sieve prime; a window
+// then costs the residues of its start and the strikes.
+type primeSearch struct {
+	twoA *big.Int
+	// negInv[j] is −(2a)⁻¹ mod sievePrimes[j], or 0 where the prime
+	// divides a: every candidate is then 1 modulo it.
+	negInv []uint32
+	res    []uint32 // residues' output
+	buf    []byte   // residues' big-endian copy of its argument
+	// struck[i] is an odd prime below sieveBound that divides the
+	// window's candidate at k0+i, or 0 when none does.
+	struck [sieveWindow]uint16
+}
+
+func newPrimeSearch(a *big.Int) *primeSearch {
+	s := &primeSearch{
+		twoA:   new(big.Int).Lsh(a, 1),
+		negInv: make([]uint32, len(sievePrimes)),
+		res:    make([]uint32, len(sievePrimes)),
+	}
+	s.residues(s.twoA)
+	for j, r := range sievePrimes {
+		if x := s.res[j]; x != 0 {
+			s.negInv[j] = r - inverseMod(x, r)
+		}
+	}
+	return s
+}
+
+// residues sets s.res[j] to x mod sievePrimes[j].
+func (s *primeSearch) residues(x *big.Int) {
+	n := (x.BitLen() + 63) / 64 * 8
+	if cap(s.buf) < n {
+		s.buf = make([]byte, n)
+	}
+	buf := x.FillBytes(s.buf[:n])
+	start := 0
+	for _, g := range sieveGroups {
+		var rem uint64
+		for i := 0; i < n; i += 8 {
+			_, rem = bits.Div64(rem, binary.BigEndian.Uint64(buf[i:]), g.m)
+		}
+		for j := start; j < g.end; j++ {
+			s.res[j] = uint32(rem % uint64(sievePrimes[j]))
+		}
+		start = g.end
+	}
+}
 
 // primeInWindow returns the first prime p = 2*a*k + 1 with k in
 // [k0, min(k0+sieveWindow, hi)), or nil when the window holds none. It
-// first fills struck: struck[i] is an odd prime below sieveBound that
-// divides the candidate at k0+i, or 0 when none does — r strikes every
-// i ≡ -p0*(2a)^-1 (mod r), p0 = 2*a*k0 + 1 being the window's first
-// candidate. Only the candidates left at 0 are tested, each with
-// ProbablyPrime(20). Every candidate must exceed sieveBound (p has at
-// least 64 bits in a Paillier key and 16 from Prime), so a struck one is
-// composite.
-func primeInWindow(struck *[sieveWindow]uint16, k0, a, hi *big.Int) *big.Int {
+// first fills s.struck: a sieve prime r strikes every
+// i ≡ −p0·(2a)⁻¹ = −k0 − (2a)⁻¹ (mod r), p0 = 2*a*k0 + 1 being the
+// window's first candidate. Only the candidates left at 0 are tested,
+// each with ProbablyPrime(confirmRounds). Every candidate must exceed
+// sieveBound (p has at least 64 bits in a Paillier key and minPrimeBits
+// from Prime), so a struck one is composite.
+func (s *primeSearch) primeInWindow(k0, hi *big.Int) *big.Int {
 	width := sieveWindow
 	if left := new(big.Int).Sub(hi, k0); left.Cmp(big.NewInt(sieveWindow)) < 0 {
 		width = int(left.Int64())
 	}
-	twoA := new(big.Int).Lsh(a, 1)
-	*struck = [sieveWindow]uint16{}
-	var quo, rem, div big.Int
-	mod := func(x *big.Int, r uint32) uint32 {
-		quo.QuoRem(x, div.SetUint64(uint64(r)), &rem)
-		return uint32(rem.Uint64())
-	}
-	for _, r := range sievePrimes {
-		twoAr := mod(twoA, r)
-		if twoAr == 0 {
-			continue // r divides 2a: every candidate is 1 mod r
+	s.struck = [sieveWindow]uint16{}
+	s.residues(k0)
+	for j, r := range sievePrimes {
+		if s.negInv[j] == 0 {
+			continue
 		}
-		// -p0*(2a)^-1 = -k0 - (2a)^-1 (mod r)
-		i := (2*r - mod(k0, r) - inverseMod(twoAr, r)) % r
-		for ; int(i) < width; i += r {
-			struck[i] = uint16(r)
+		for i := (s.negInv[j] + r - s.res[j]) % r; int(i) < width; i += r {
+			s.struck[i] = uint16(r)
 		}
 	}
 	p := new(big.Int)
 	for i := 0; i < width; i++ {
-		if struck[i] != 0 {
+		if s.struck[i] != 0 {
 			continue
 		}
-		p.SetInt64(int64(i)).Add(p, k0).Mul(p, twoA).Add(p, one)
-		if p.ProbablyPrime(20) {
+		p.SetInt64(int64(i)).Add(p, k0).Mul(p, s.twoA).Add(p, one)
+		if p.ProbablyPrime(confirmRounds) {
 			return p
 		}
 	}
 	return nil
 }
 
-// inverseMod returns x^-1 mod r for a prime r that does not divide x,
-// as x^(r-2) (Fermat); r < sieveBound keeps every product in 32 bits.
+// inverseMod returns x⁻¹ mod r for a prime r and 0 < x < r,
+// by the extended Euclidean algorithm.
 func inverseMod(x, r uint32) uint32 {
-	inv := uint32(1)
-	for e := r - 2; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			inv = inv * x % r
-		}
-		x = x * x % r
+	t, newT := int64(0), int64(1)
+	g, newG := int64(r), int64(x)
+	for newG != 0 {
+		q := g / newG
+		t, newT = newT, t-q*newT
+		g, newG = newG, g-q*newG
 	}
-	return inv
+	if t < 0 {
+		t += int64(r)
+	}
+	return uint32(t)
 }
 
 // newPrivateKey derives all cached fields from the prime factors and
