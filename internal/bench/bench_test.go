@@ -3,6 +3,9 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"pisa/internal/geo"
+	"pisa/internal/paillier"
 )
 
 func TestMeasurePaillierSmall(t *testing.T) {
@@ -76,10 +79,32 @@ func TestUniverseFigure6(t *testing.T) {
 	if stats.Prepare <= 0 || stats.Process <= 0 || stats.PUUpdate <= 0 || stats.Refresh <= 0 {
 		t.Errorf("non-positive durations: %+v", stats)
 	}
-	// The refresh path must beat fresh preparation (the paper's
-	// 221 s vs 11 s claim, here at reduced scale).
-	if stats.Refresh >= stats.Prepare {
-		t.Errorf("refresh (%v) not faster than prepare (%v)", stats.Refresh, stats.Prepare)
+	t.Logf("prepare %v, refresh %v", stats.Prepare, stats.Refresh)
+	// The refresh is cheaper than a fresh preparation (the paper's 221 s
+	// vs 11 s claim) because it draws no nonce online: each ciphertext
+	// takes one of the nonces precomputed for it. Counted, not timed —
+	// two single samples of about half a millisecond are ordered by the
+	// scheduler as often as by the work. A second refresh of the same
+	// request draws all its nonces online, which shows that the first
+	// took exactly its count from the pool and that MeasureFigure6's
+	// refresh left none there.
+	w := u.Params.Watch
+	req, err := u.SU.PrepareRequest(map[int]int64{0: w.Quantize(w.SUMaxEIRPmW) / 2}, geo.Disclosure{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := uint64(req.Ciphertexts())
+	if err := u.SU.PrecomputeNonces(req.Ciphertexts()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint64{0, cts} {
+		before := paillier.Nonces()
+		if _, err := u.SU.RerandomizeRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		if drawn := paillier.Nonces() - before; drawn != want {
+			t.Fatalf("a refresh of %d ciphertexts drew %d nonces online, want %d", cts, drawn, want)
+		}
 	}
 }
 

@@ -47,6 +47,14 @@
 // exponents, a = b = 34: 7 entries, 66 operations, built by 68
 // squarings and 4 multiplications.
 //
+// A build is one chain of squarings, which is serial, and then one
+// multiplication per remaining entry. A block's entries need only the
+// chain's powers for that block and each other, so the blocks are
+// built on all parallel.Auto() workers at once, each with working state
+// of its own, into disjoint ranges of the slab. The slab is the same
+// at any worker count. A single-block table never leaves the caller's
+// goroutine.
+//
 // A Modulus and a Table are immutable once built, so any number of
 // goroutines may exponentiate over them concurrently.
 package fbexp
@@ -55,6 +63,8 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+
+	"pisa/internal/parallel"
 )
 
 // Comb height bounds (the window argument of New). Heights above
@@ -95,8 +105,9 @@ type Table struct {
 // block's entries buys exactly one block. The build is one chain of
 // squarings up to the highest tabled power of two plus one
 // multiplication per remaining entry (an entry is the entry without its
-// top row times that row's power) — about 3000 half-width operations
-// for the 2816-entry table of a Paillier nonce base, 72 for one block of
+// top row times that row's power), the blocks' multiplications spread
+// over parallel.Auto() workers — about 3000 half-width operations for
+// the 2816-entry table of a Paillier nonce base, 72 for one block of
 // height 3 over a 100-bit exponent.
 func New(base *big.Int, m *Modulus, window, maxBits, maxEntries int) (*Table, error) {
 	if base == nil || m == nil {
@@ -138,21 +149,28 @@ func New(base *big.Int, m *Modulus, window, maxBits, maxEntries int) (*Table, er
 		}
 		p.sqr()
 	}
-	var u, v big.Int
-	for j := 0; j < t.blocks; j++ {
+	// The blocks are independent now: each is built with a pair of its
+	// own (block 0 takes the chain's).
+	err := parallel.For(parallel.Auto(), t.blocks, func(j int) error {
+		q := p
+		if j > 0 {
+			q, _ = newPair(m, 0)
+		}
+		var u, v big.Int
 		for idx := 3; idx <= perBlock; idx++ {
 			top := 1 << uint(bits.Len(uint(idx))-1)
 			if idx == top {
 				continue // single row: stored by the chain
 			}
 			t.entries.at(t.index(j, idx&^top), &u, &v)
-			p.set(&u, &v)
+			q.set(&u, &v)
 			t.entries.at(t.index(j, top), &u, &v)
-			p.mul(&u, &v)
-			t.entries.store(t.index(j, idx), p)
+			q.mul(&u, &v)
+			t.entries.store(t.index(j, idx), q)
 		}
-	}
-	return t, nil
+		return nil
+	})
+	return t, err
 }
 
 // index returns where entry G[block][idx] sits among the entries.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -132,6 +133,44 @@ func TestEveryGeometry(t *testing.T) {
 		}
 	}
 	t.Logf("%d distinct (h, v) geometries", len(seen))
+}
+
+// TestNewSameAtAnyWorkerCount: the blocks of a table are built on
+// every worker, and the slab they fill is byte-identical to the one a
+// single worker fills — at the Paillier nonce geometry (11 blocks over a
+// 2048-bit n) and at a single block, which never leaves the calling
+// goroutine.
+func TestNewSameAtAnyWorkerCount(t *testing.T) {
+	n := randMod(t, 2048)
+	m := modOf(t, n)
+	base, err := rand.Int(rand.Reader, square(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                  string
+		h, maxBits, budget, v int
+	}{
+		{"nonce", 8, 256, nonceEntries, 11},
+		{"one-block", 3, 100, oneBlock, 1},
+	} {
+		var slabs [2][]big.Word
+		for i, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			tab, err := New(base, m, c.h, c.maxBits, c.budget)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.blocks != c.v {
+				t.Fatalf("%s: %d blocks, want %d", c.name, tab.blocks, c.v)
+			}
+			slabs[i] = tab.entries.slab
+		}
+		if !slices.Equal(slabs[0], slabs[1]) {
+			t.Fatalf("%s: the slab built at GOMAXPROCS=2 differs from the one at GOMAXPROCS=1", c.name)
+		}
+	}
 }
 
 // TestExpEdgeExponents pins the degenerate exponents.
@@ -444,8 +483,8 @@ func FuzzExp(f *testing.F) {
 
 // BenchmarkExp compares the three ways to a power at the Paillier shape,
 // 2048-bit n (4096-bit n^2): the comb of a tabled base over a 256-bit
-// exponent (a group key's full comb and an SU key's lean one, each
-// with the cost of its build), the general loop, and big.Int.Exp, which
+// exponent (a group key's full comb and an SU key's lean one; their
+// builds are BenchmarkTableBuild), the general loop, and big.Int.Exp, which
 // the general loop replaced, at the exponent widths in use (100-bit
 // blinding scalars, 256-bit nonce exponents and n-sized legacy
 // nonces). (The one-block table's rows are paillier's
@@ -480,14 +519,6 @@ func BenchmarkExp(b *testing.B) {
 				tab.Exp(e)
 			}
 		})
-		b.Run("build/"+comb.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := New(base, m, comb.window, 256, comb.entries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 	for _, bits := range []int{100, 256, 2048} {
 		e := exp(bits)
@@ -501,6 +532,33 @@ func BenchmarkExp(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				new(big.Int).Exp(base, e, mod)
+			}
+		})
+	}
+}
+
+// BenchmarkTableBuild builds the tables a key builds on its first
+// nonce, over a 2048-bit n: the group key's full comb (11 blocks of
+// height 8, 2 816 entries) and an SU key's lean one (2 blocks of height
+// 6). Both run their blocks on every worker; set -cpu 1,2 to see the
+// split.
+func BenchmarkTableBuild(b *testing.B) {
+	n := randMod(b, 2048)
+	m := modOf(b, n)
+	base, err := rand.Int(rand.Reader, square(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, comb := range []struct {
+		name            string
+		window, entries int
+	}{{"full", 8, nonceEntries}, {"lean", leanWindow, leanEntries}} {
+		b.Run(comb.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(base, m, comb.window, 256, comb.entries); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,101 @@ func TestPrimeMatchesScan(t *testing.T) {
 	}
 }
 
+// atProcs runs f at GOMAXPROCS procs and restores the old value, as
+// parallel.TestAuto toggles it: the window search reads its worker count
+// from parallel.Auto at each window.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestPrimeSearchSameAtAnyWorkerCount: a window's survivors are tested
+// on every worker, and the seeded searches return the same primes at
+// GOMAXPROCS 1 and 2 — a 2048-bit key's half (a 256-bit a) through
+// primeWithFactor, the signer's through Prime.
+func TestPrimeSearchSameAtAnyWorkerCount(t *testing.T) {
+	search := func(a *big.Int, seed int64) *big.Int {
+		random := mrand.New(mrand.NewSource(seed))
+		var p *big.Int
+		var err error
+		if a.Cmp(one) == 0 {
+			p, err = Prime(random, 1024)
+		} else {
+			p, err = primeWithFactor(random, 1024, a)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, a := range searchA() {
+		for seed := int64(1); seed <= 4; seed++ {
+			var serial, concurrent *big.Int
+			atProcs(1, func() { serial = search(a, seed) })
+			atProcs(2, func() { concurrent = search(a, seed) })
+			if serial.Cmp(concurrent) != 0 {
+				t.Fatalf("a of %d bits, seed %d: %s at GOMAXPROCS=1, %s at 2", a.BitLen(), seed, serial, concurrent)
+			}
+		}
+	}
+}
+
+// TestPrimeInWindowConfirmsFermatPseudoprime opens an a = 1 window at
+// 3825123056546413051 = 149491 · 747451 · 34233211, a base-2 Fermat
+// (indeed strong) pseudoprime whose factors all exceed the sieve bound:
+// the sieve keeps it, the Fermat test passes it, and only the
+// ProbablyPrime confirmation stands between it and the result. The
+// window must return what the scan returns, at either worker count.
+func TestPrimeInWindowConfirmsFermatPseudoprime(t *testing.T) {
+	psp, _ := new(big.Int).SetString("3825123056546413051", 10)
+	pm1 := new(big.Int).Sub(psp, one)
+	if new(big.Int).Exp(two, pm1, psp).Cmp(one) != 0 || psp.ProbablyPrime(20) {
+		t.Fatal("3825123056546413051 is not a base-2 Fermat pseudoprime")
+	}
+	k0 := new(big.Int).Rsh(psp, 1) // 2*k0 + 1 = psp
+	hi := new(big.Int).Add(k0, big.NewInt(sieveWindow))
+	for _, procs := range []int{1, 2} {
+		atProcs(procs, func() {
+			s := newPrimeSearch(one)
+			got := s.primeInWindow(k0, hi)
+			if s.struck[0] != 0 {
+				t.Fatalf("the sieve struck the pseudoprime with %d", s.struck[0])
+			}
+			if want := scanWindow(k0, one, hi); got == nil || got.Cmp(want) != 0 {
+				t.Fatalf("GOMAXPROCS=%d: window returned %v, the scan %v", procs, got, want)
+			}
+		})
+	}
+}
+
+// TestSubgroupElementMatchesFullExponent: H's half, lifted from mod d,
+// is y^(d(d-1)/a) mod d^2 for the y drawn from the same reader bytes, at
+// a 2048-bit key's widths and at a test key's.
+func TestSubgroupElementMatchesFullExponent(t *testing.T) {
+	for _, w := range []struct{ bits, aBits, draws int }{{1024, 256, 3}, {64, 16, 50}} {
+		d, a, err := subgroupPrime(mrand.New(mrand.NewSource(int64(w.bits))), w.bits, w.aBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dSquared := new(big.Int).Mul(d, d)
+		e := new(big.Int).Sub(d, one)
+		e.Div(e, a).Mul(e, d)
+		for seed := int64(0); seed < int64(w.draws); seed++ {
+			h, ds, err := subgroupElement(mrand.New(mrand.NewSource(seed)), d, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := rand.Int(mrand.New(mrand.NewSource(seed)), dSquared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := y.Exp(y, e, dSquared); h.Cmp(want) != 0 || ds.Cmp(dSquared) != 0 {
+				t.Fatalf("%d bits, seed %d: H's half %s, want %s", w.bits, seed, h, want)
+			}
+		}
+	}
+}
+
 // searchA are the factors a TestSieveLeavesFewCandidates and
 // BenchmarkPrimeSearch search with: a 256-bit prime, as a 2048-bit
 // Paillier key draws it, and 1, Prime's progression.
@@ -140,13 +236,15 @@ func searchA() []*big.Int {
 }
 
 // TestSieveLeavesFewCandidates counts the work the sieve leaves the
-// Miller–Rabin test, one ProbablyPrime call per unstruck candidate:
+// primality tests, one base-2 Fermat test per unstruck candidate:
 // over 1 024-bit prime searches from seeded readers, as
 // primeWithFactor runs them, each window's unstruck candidates up to its
 // first prime, or all of them in a window that holds none. A sieve to
 // 2^12 leaves about 47 per prime, one to 2^16 about 35.5: ∏(1 − 1/r)
 // over the sieve primes times the ~355 candidates per prime at this
-// width. The count is the saving; no clock is read.
+// width. The count is the saving; no clock is read. The searches run
+// one after another, but each window tests its survivors on every
+// worker, so the test occupies all cores while it runs.
 func TestSieveLeavesFewCandidates(t *testing.T) {
 	const bits, searches, bound = 1024, 150, 38
 	as := searchA()
@@ -162,8 +260,9 @@ func TestSieveLeavesFewCandidates(t *testing.T) {
 }
 
 // unstruckPerSearch runs primeWithFactor's window loop from the readers
-// seeded 1 to searches and returns the unstruck candidates it handed to
-// ProbablyPrime.
+// seeded 1 to searches and returns the unstruck candidates up to each
+// prime: those a serial scan tests (a parallel one may test one more per
+// other worker past the prime).
 func unstruckPerSearch(t *testing.T, a *big.Int, bits, searches int) int {
 	lo, hi := cofactorRange(bits, a)
 	twoA := new(big.Int).Lsh(a, 1)

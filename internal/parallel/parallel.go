@@ -3,7 +3,8 @@
 // element-wise homomorphic matrix operations, Paillier batch
 // encryption/decryption, and the precomputation pools. It provides a
 // bounded worker pool sized from GOMAXPROCS with chunked index-range
-// scheduling and first-error cancellation.
+// scheduling and first-error cancellation, and a search for the lowest
+// index that passes a test (First), which the prime search runs on.
 //
 // Every role passes Auto() — GOMAXPROCS, read at the call — so the Go
 // runtime's GOMAXPROCS is the one control, and GOMAXPROCS=1 is the
@@ -122,4 +123,54 @@ func ForChunks(workers, n int, fn func(lo, hi int) error) error {
 	return For(workers, workers, func(w int) error {
 		return fn(w*n/workers, (w+1)*n/workers)
 	})
+}
+
+// First returns the lowest i in [0, n) for which test(i) is true, or -1
+// when there is none, calling test on at most workers goroutines. It is
+// For for a search: indices are claimed one at a time in ascending
+// order, and none is claimed once a lower one has passed, so the calls
+// made past the answer are the ones the other workers start while the
+// answer's own call runs: about one per other worker when calls cost
+// the same. The answer does not depend on the schedule: every
+// index below it was claimed while no lower index had passed, so it was
+// tested and failed. workers <= 1 tests in index order on the calling
+// goroutine and stops at the first pass. test must be safe for
+// concurrent invocation when workers > 1.
+func First(workers, n int, test func(i int) bool) int {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if test(i) {
+				return i
+			}
+		}
+		return -1
+	}
+	var (
+		next, best atomic.Int64
+		wg         sync.WaitGroup
+	)
+	best.Store(int64(n))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= best.Load() {
+					return
+				}
+				if test(int(i)) {
+					for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
+					}
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b := int(best.Load()); b < n {
+		return b
+	}
+	return -1
 }

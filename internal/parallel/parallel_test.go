@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestAuto: the worker count every role fans out over is GOMAXPROCS, read
@@ -186,5 +187,40 @@ func TestForChunks(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the chunk's error", err)
+	}
+}
+
+// TestFirst: the lowest passing index at every pool size, whatever
+// order the workers finish in; -1 when nothing passes or n <= 0; a
+// serial pool stops at the first pass.
+func TestFirst(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 3, 8} {
+		for _, tc := range []struct {
+			n    int
+			pass []int
+			want int
+		}{
+			{0, nil, -1}, {-2, nil, -1}, {5, nil, -1}, {1, []int{0}, 0},
+			{40, []int{17}, 17}, {40, []int{31, 5, 6, 39}, 5}, {40, []int{39}, 39},
+		} {
+			pass := map[int]bool{}
+			for _, i := range tc.pass {
+				pass[i] = true
+			}
+			var calls atomic.Int64
+			got := First(workers, tc.n, func(i int) bool {
+				calls.Add(1)
+				// Later indices answer sooner, so a worker holding a
+				// higher pass often reports before a lower one.
+				time.Sleep(time.Duration(tc.n-i) * 20 * time.Microsecond)
+				return pass[i]
+			})
+			if got != tc.want {
+				t.Errorf("workers=%d n=%d pass=%v: First = %d, want %d", workers, tc.n, tc.pass, got, tc.want)
+			}
+			if workers <= 1 && tc.want >= 0 && calls.Load() != int64(tc.want+1) {
+				t.Errorf("workers=%d: %d calls for an answer at %d, want %d", workers, calls.Load(), tc.want, tc.want+1)
+			}
+		}
 	}
 }
