@@ -8,8 +8,7 @@
 //	pisabench -sizes           # message sizes at paper scale
 //	pisabench -fhe             # generic-FHE baseline (DGHV)
 //	pisabench -ablation        # bit-wise comparison vs blinded sign test
-//	pisabench -sweep           # homomorphic-kernel worker-count sweep
-//	pisabench -all             # everything (except the sweep)
+//	pisabench -all             # everything
 //
 // That is its whole job: the paper's own tables. End-to-end and
 // per-layer cost of the deployment as it ships is `go run ./benchmark`;
@@ -21,34 +20,30 @@
 // pool gauges — the same registry the daemons serve on /metrics) in
 // Prometheus text format.
 //
-// By default the end-to-end pipeline is measured at a reduced matrix
-// scale and extrapolated (the pipeline is exactly linear in matrix
-// cells); -paper runs the full 100x600 grid with 2048-bit keys, the
-// scale of the paper's own figures (the whole command takes tens of
-// seconds on two cores, where the paper reports minutes per stage).
-//
-// Every homomorphic kernel fans out over GOMAXPROCS workers, so
-// GOMAXPROCS=1 is the paper's single-threaded configuration; -sweep
-// re-measures the request pipeline at doubling GOMAXPROCS up to the
-// process's own.
-//
-// -cache N arms the SDC's encrypted-decision cache (DESIGN.md §14) in
-// the end-to-end experiments; it defaults to off so repeated
-// measurements stay cold. Every key tables its nonce base on its first
-// nonce (DESIGN.md §10); there is no engine switch.
+// -figure6 and -tradeoff measure one deployment at the paper's own
+// scale: 100 channels on a 30x20 grid, 2048-bit keys, k = 12 block
+// cells per ciphertext. -figure6 judges its request against the
+// plaintext WATCH oracle and fails when the license disagrees. Every
+// homomorphic kernel fans out over GOMAXPROCS workers, so GOMAXPROCS=1
+// is the paper's single-threaded configuration.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"syscall"
 	"time"
 
 	"pisa/internal/bench"
 	"pisa/internal/config"
+	"pisa/internal/deploy"
 	"pisa/internal/obs"
+	"pisa/internal/pisa"
+	"pisa/internal/store"
 )
 
 func main() {
@@ -60,12 +55,8 @@ func main() {
 
 type options struct {
 	table1, table2, figure6, tradeoff, sizes, fhe, ablation bool
-	sweep                                                   bool
-	paper                                                   bool
 	bits                                                    int
 	iters                                                   int
-	cache                                                   string
-	cacheEntries                                            int
 	metricsDump                                             string
 }
 
@@ -80,28 +71,18 @@ func run(args []string) error {
 	fs.BoolVar(&opt.sizes, "sizes", false, "print message sizes at paper scale")
 	fs.BoolVar(&opt.fhe, "fhe", false, "run the generic-FHE (DGHV) baseline")
 	fs.BoolVar(&opt.ablation, "ablation", false, "run the secure-comparison ablation")
-	fs.BoolVar(&opt.sweep, "sweep", false, "sweep homomorphic worker counts over the request pipeline")
-	fs.BoolVar(&opt.paper, "paper", false, "measure at full paper scale (very slow)")
 	fs.IntVar(&opt.bits, "bits", 2048, "Paillier modulus bits for Table II")
 	fs.IntVar(&opt.iters, "iters", 30, "iterations per Table II measurement (paper uses 30)")
-	fs.StringVar(&opt.cache, "cache", "off",
-		"decision cache in end-to-end experiments: entry count or 'off' (default off so repeated "+
-			"measurements stay cold)")
 	fs.StringVar(&opt.metricsDump, "metrics-dump", "",
 		"after the experiments, dump the obs registry in Prometheus text format to this path (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	entries, err := config.ParseCacheFlag(opt.cache)
-	if err != nil {
-		return err
-	}
-	opt.cacheEntries = entries
 	if *all {
 		opt.table1, opt.table2, opt.figure6 = true, true, true
 		opt.tradeoff, opt.sizes, opt.fhe, opt.ablation = true, true, true, true
 	}
-	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation || opt.sweep) {
+	if !(opt.table1 || opt.table2 || opt.figure6 || opt.tradeoff || opt.sizes || opt.fhe || opt.ablation) {
 		fs.Usage()
 		return fmt.Errorf("select at least one experiment (or -all)")
 	}
@@ -117,12 +98,16 @@ func run(args []string) error {
 		runSizes()
 	}
 	if opt.figure6 {
-		if err := runFigure6(opt); err != nil {
+		params, err := paperParams()
+		if err != nil {
+			return err
+		}
+		if _, err := runFigure6(params); err != nil {
 			return err
 		}
 	}
 	if opt.tradeoff {
-		if err := runTradeoff(opt); err != nil {
+		if err := runTradeoff(); err != nil {
 			return err
 		}
 	}
@@ -133,11 +118,6 @@ func run(args []string) error {
 	}
 	if opt.ablation {
 		if err := runAblation(); err != nil {
-			return err
-		}
-	}
-	if opt.sweep {
-		if err := runParallelSweep(opt); err != nil {
 			return err
 		}
 	}
@@ -216,78 +196,146 @@ func runSizes() {
 	fmt.Println()
 }
 
-// figureScale picks the measured matrix scale. The default keeps the
-// paper's 2048-bit keys (so per-cell costs are directly comparable)
-// and shrinks only the matrix, which the pipeline is linear in.
-func figureScale(opt options) (channels, cols, rows, bits int) {
-	if opt.paper {
-		return 100, 30, 20, 2048
-	}
-	return 5, 4, 3, 2048
+// paperParams is the paper's deployment (Table I): 100 channels on a
+// 30x20 grid of 10 m blocks with 2048-bit keys.
+func paperParams() (pisa.Params, error) {
+	c, _, bits := bench.PaperScaleParams()
+	return bench.SmallParams(c, 30, 20, bits)
 }
 
-func runFigure6(opt options) error {
-	channels, cols, rows, bits := figureScale(opt)
-	cells := channels * cols * rows
-	paperC, paperB, _ := bench.PaperScaleParams()
-	paperCells := paperC * paperB
-
-	fmt.Printf("Figure 6: System evaluation (measured at C=%d, B=%d, n=%d-bit)\n",
-		channels, cols*rows, bits)
-	params, err := bench.SmallParams(channels, cols, rows, bits)
-	if err != nil {
-		return err
-	}
-	params.CacheEntries = opt.cacheEntries
+// runFigure6 measures Figure 6 on one deployment of params and prints
+// its rows beside the paper's. A license verdict the plaintext WATCH
+// oracle disagrees with is an error.
+func runFigure6(params pisa.Params) (bench.Figure6Stats, error) {
+	w := params.Watch
+	fmt.Printf("Figure 6: System evaluation (C=%d, B=%d, n=%d-bit, k=%d, GOMAXPROCS=%d)\n",
+		w.Channels, w.Grid.Blocks(), params.PaillierBits, params.PackSlots(), runtime.GOMAXPROCS(0))
 	fmt.Println("  setting up deployment (keys + initial budget encryption)...")
 	u, err := bench.NewUniverse(params)
 	if err != nil {
-		return err
+		return bench.Figure6Stats{}, err
 	}
 	stats, err := u.MeasureFigure6()
 	if err != nil {
-		return err
+		return stats, err
 	}
-	report := func(name string, d time.Duration, perCellScale int, paperRef string) {
-		extrap := bench.Extrapolate(d, perCellScale, paperCells)
-		fmt.Printf("  %-34s measured %-12v -> paper scale est. %-12v (paper: %s)\n",
-			name, d.Round(time.Microsecond), extrap.Round(100*time.Millisecond), paperRef)
+	restoreEmpty, restoreTail, err := measureRestore(u)
+	if err != nil {
+		return stats, err
 	}
-	report("SU request preparation", stats.Prepare, cells, "~221 s")
-	report("SU request refresh (reuse)", stats.Refresh, cells, "~11 s")
-	report("SDC-side request processing", stats.ProcessSDC, cells, "~219 s")
-	report("STP sign conversion (excl. in paper)", stats.ProcessSTP, cells, "n/a")
-	// The PU update cost scales with C, not C*B.
-	extrapUpdate := bench.Extrapolate(stats.PUUpdate, channels, paperC)
-	fmt.Printf("  %-34s measured %-12v -> paper scale est. %-12v (paper: ~2.6 s)\n",
-		"PU update processing", stats.PUUpdate.Round(time.Microsecond),
-		extrapUpdate.Round(time.Millisecond))
-	fmt.Printf("  %-34s %d bytes\n", "request size at this scale", stats.RequestBytes)
+	row := func(name string, d time.Duration, paper string) {
+		r := time.Duration(1) // about three significant digits
+		for r*1000 <= d {
+			r *= 10
+		}
+		fmt.Printf("  %-44s %-12v %s\n", name, d.Round(r), paper)
+	}
+	row("SU request preparation", stats.Prepare, "(paper: ~221 s)")
+	row("SU request refresh (re-randomised, pooled)", stats.Refresh, "(paper: ~11 s)")
+	row("SU request resend (byte-identical)", stats.Resend, "")
+	row("SDC request processing", stats.ProcessSDC, "(paper: ~219 s)")
+	row("  of which aggregate (eqs. 11-12)", stats.Aggregate, "")
+	row("  of which blind (eq. 14)", stats.Blind, "")
+	row("STP decrypt + convert (outside the 219 s)", stats.ProcessSTP, "")
+	row("SU open (decrypt + verify license)", stats.Open, "")
+	row("PU update, slot 0 of its group", stats.PUUpdate, "(paper: ~2.6 s)")
+	row(fmt.Sprintf("PU update, slot %d of its group", params.PackSlots()-1), stats.PUUpdateLast, "(paper: ~2.6 s)")
+	row(fmt.Sprintf("RestoreSDC, %d PU groups, empty tail", stats.PUGroups), restoreEmpty, "")
+	row(fmt.Sprintf("RestoreSDC, %d PU groups, one-group tail", stats.PUGroups), restoreTail, "")
+	sizes := bench.ComputeSizes(stats.Channels, stats.Blocks, params.PaillierBits)
+	fmt.Printf("  %-44s %.2f MB   (k=%d)\n", "request size (packed)", float64(stats.RequestBytes)/(1<<20), params.PackSlots())
+	fmt.Printf("  %-44s %.1f MB   (paper: ~29 MB)\n", "request size at k=1 (size identity)", float64(sizes.RequestBytes)/(1<<20))
+	fmt.Printf("  %-44s %.3f MB  (paper: ~0.05 MB)\n", "PU update size", float64(stats.UpdateBytes)/(1<<20))
+	fmt.Printf("  %-44s %.1f kb   (paper: ~4.1 kb)\n", "SDC response size", float64(stats.CiphertextBytes*8)/1e3)
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return stats, err
+	}
+	// Linux reports ru_maxrss in KiB.
+	fmt.Printf("  %-44s %.0f MiB\n", "peak RSS", float64(ru.Maxrss)/1024)
+	verdict := map[bool]string{true: "GRANTED", false: "DENIED"}
+	fmt.Printf("  %-44s %s (WATCH oracle: %s)\n", "license", verdict[stats.Granted], verdict[stats.OracleGranted])
 	fmt.Println()
-	return nil
+	if stats.Granted != stats.OracleGranted {
+		return stats, fmt.Errorf("figure 6: license %s but the WATCH oracle %s the request",
+			verdict[stats.Granted], verdict[stats.OracleGranted])
+	}
+	return stats, nil
 }
 
-func runTradeoff(opt options) error {
-	channels, cols, rows, bits := 4, 6, 8, 1024
-	if opt.paper {
-		channels, cols, rows, bits = 100, 30, 20, 2048
+// measureRestore snapshots the universe's SDC into a scratch store
+// directory and boots deploy.New on it, as sdcd does, twice: with an
+// empty WAL tail, and after a PU joining in block 1 reached the first
+// boot's log.
+func measureRestore(u *bench.Universe) (empty, tail time.Duration, err error) {
+	dir, err := os.MkdirTemp("", "pisabench-")
+	if err != nil {
+		return 0, 0, err
 	}
-	fmt.Printf("Privacy/time trade-off (C=%d, full grid %dx%d, n=%d-bit):\n",
-		channels, cols, rows, bits)
-	params, err := bench.SmallParams(channels, cols, rows, bits)
+	defer os.RemoveAll(dir)
+	state, err := u.SDC.ExportState()
+	if err != nil {
+		return 0, 0, err
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := errors.Join(st.SaveSnapshot(state), st.Close()); err != nil {
+		return 0, 0, err
+	}
+	boot := func() (*deploy.Deployment, time.Duration, error) {
+		start := time.Now()
+		d, err := deploy.New(deploy.Config{Issuer: "bench-sdc", Params: u.Params, STP: u.STP, Store: config.StoreSpec{Dir: dir}})
+		return d, time.Since(start), err
+	}
+	d, empty, err := boot()
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := errors.Join(joinPU(d.SDC, u), d.Close(false)); err != nil {
+		return 0, 0, err
+	}
+	if d, tail, err = boot(); err != nil {
+		return 0, 0, err
+	}
+	return empty, tail, d.Close(false)
+}
+
+// joinPU sends sdc the first update of a PU in block 1 of u's grid.
+func joinPU(sdc *pisa.SDC, u *bench.Universe) error {
+	eCol, err := sdc.EColumn(1)
 	if err != nil {
 		return err
 	}
-	params.CacheEntries = opt.cacheEntries
-	u, err := bench.NewUniverse(params)
+	pu, err := pisa.NewPU(nil, "restore-pu", 1, eCol, u.STP.GroupKey(), u.Params)
+	if err != nil {
+		return err
+	}
+	w := u.Params.Watch
+	update, err := pu.Tune(0, w.Quantize(w.SMinPUmW*100))
+	if err != nil {
+		return err
+	}
+	return sdc.HandlePUUpdate(update)
+}
+
+func runTradeoff() error {
+	params, err := paperParams()
 	if err != nil {
 		return err
 	}
 	grid := params.Watch.Grid
+	fmt.Printf("Privacy/time trade-off (C=%d, full grid %dx%d, n=%d-bit):\n",
+		params.Watch.Channels, grid.Cols(), grid.Rows(), params.PaillierBits)
+	u, err := bench.NewUniverse(params)
+	if err != nil {
+		return err
+	}
 	eirp := map[int]int64{0: params.Watch.Quantize(1)}
 	fractions := []int{4, 2, 1} // quarter, half, full disclosure
 	for _, f := range fractions {
-		top := rows / f
+		top := grid.Rows() / f
 		if top < 1 {
 			top = 1
 		}
@@ -353,67 +401,6 @@ func runAblation() error {
 		stats.PISATime.Round(time.Microsecond), stats.PISARounds)
 	fmt.Printf("  speedup: %.1fx per comparison, and PISA batches all cells into one round trip\n",
 		float64(stats.BitwiseTime)/float64(stats.PISATime))
-	fmt.Println()
-	return nil
-}
-
-// sweepWorkerCounts doubles from 1 up to the CPU count (always
-// including both endpoints).
-func sweepWorkerCounts() []int {
-	max := runtime.GOMAXPROCS(0)
-	counts := []int{1}
-	for w := 2; w < max; w *= 2 {
-		counts = append(counts, w)
-	}
-	if max > 1 {
-		counts = append(counts, max)
-	}
-	return counts
-}
-
-// runParallelSweep re-measures the request pipeline (fresh prepare,
-// SDC processing, PU update) on one deployment at each worker count,
-// set as GOMAXPROCS for its row, reporting the speedup over the serial
-// baseline. On a single-CPU machine the sweep degenerates to the serial
-// row.
-func runParallelSweep(opt options) error {
-	channels, cols, rows, bits := figureScale(opt)
-	fmt.Printf("Worker-count sweep (C=%d, B=%d, n=%d-bit, %d CPUs):\n",
-		channels, cols*rows, bits, runtime.GOMAXPROCS(0))
-	params, err := bench.SmallParams(channels, cols, rows, bits)
-	if err != nil {
-		return err
-	}
-	params.CacheEntries = opt.cacheEntries
-	fmt.Println("  setting up deployment (keys + initial budget encryption)...")
-	u, err := bench.NewUniverse(params)
-	if err != nil {
-		return err
-	}
-	var serial bench.Figure6Stats
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for i, w := range sweepWorkerCounts() {
-		runtime.GOMAXPROCS(w)
-		stats, err := u.MeasureFigure6()
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			serial = stats
-		}
-		speedup := func(base, cur time.Duration) float64 {
-			if cur <= 0 {
-				return 0
-			}
-			return float64(base) / float64(cur)
-		}
-		fmt.Printf("  workers=%-3d prepare %-12v (%.2fx)  process %-12v (%.2fx)  update %-12v (%.2fx)\n",
-			w,
-			stats.Prepare.Round(time.Microsecond), speedup(serial.Prepare, stats.Prepare),
-			stats.Process.Round(time.Microsecond), speedup(serial.Process, stats.Process),
-			stats.PUUpdate.Round(time.Microsecond), speedup(serial.PUUpdate, stats.PUUpdate))
-	}
-	fmt.Println("  (speedups are relative to workers=1 on this machine)")
 	fmt.Println()
 	return nil
 }

@@ -1,9 +1,10 @@
 package main
 
 import (
-	"runtime"
 	"strings"
 	"testing"
+
+	"pisa/internal/bench"
 )
 
 func TestRunRequiresExperimentSelection(t *testing.T) {
@@ -47,51 +48,48 @@ func TestRunTable2SmallKey(t *testing.T) {
 	}
 }
 
-// TestRunFigure6AndSweep drives MeasureFigure6 through the CLI's scale
-// selection and cache flag, once per experiment that calls it. The sweep
-// sets GOMAXPROCS per row and gives the process its own back.
-func TestRunFigure6AndSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds 2048-bit deployments")
-	}
-	if err := run([]string{"-figure6", "-cache", "16"}); err != nil {
-		t.Fatalf("run -figure6: %v", err)
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if err := run([]string{"-sweep"}); err != nil {
-		t.Fatalf("run -sweep: %v", err)
-	}
-	if got := runtime.GOMAXPROCS(0); got != procs {
-		t.Errorf("GOMAXPROCS after the sweep = %d, want %d", got, procs)
+// TestFigure6AgreesWithOracle runs -figure6's measurement at a small
+// shape for a request the plaintext WATCH oracle denies (half the SU's
+// 4 W cap, in the block of a PU on the same channel) and one it grants
+// (the same request under a 100 mW cap): each license verdict must be
+// the oracle's.
+func TestFigure6AgreesWithOracle(t *testing.T) {
+	for _, tc := range []struct {
+		maxEIRPmW float64
+		grant     bool
+	}{{4000, false}, {100, true}} {
+		params, err := bench.SmallParams(2, 3, 2, 576)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params.Watch.SUMaxEIRPmW = tc.maxEIRPmW
+		stats, err := runFigure6(params)
+		if err != nil {
+			t.Fatalf("cap %g mW: %v", tc.maxEIRPmW, err)
+		}
+		if stats.OracleGranted != tc.grant {
+			t.Errorf("cap %g mW: oracle granted = %v, want %v", tc.maxEIRPmW, stats.OracleGranted, tc.grant)
+		}
+		if stats.Granted != stats.OracleGranted {
+			t.Errorf("cap %g mW: license granted = %v, oracle %v", tc.maxEIRPmW, stats.Granted, stats.OracleGranted)
+		}
 	}
 }
 
 // TestRunRejectsRemovedFlags: the JSON micro-benchmark report, its
-// shard sweep, the nonce-table switches and the worker count are gone,
+// shard sweep, the nonce-table switches, the worker count, the decision
+// cache, the reduced-scale switch and the worker-count sweep are gone,
 // and asking for them says so instead of running something else.
 func TestRunRejectsRemovedFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-json", "x"}, {"-table1", "-shards", "1,2"},
 		{"-table1", "-engine=false"}, {"-table1", "-window", "4"}, {"-table1", "-shortbits", "128"},
 		{"-table1", "-parallel", "2"},
+		{"-figure6", "-cache", "16"}, {"-figure6", "-paper"}, {"-sweep"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("run %v: error = %v, want an unknown-flag refusal", args, err)
 		}
-	}
-}
-
-func TestFigureScale(t *testing.T) {
-	c, cols, rows, bits := figureScale(options{})
-	if c*cols*rows >= 100*600 {
-		t.Error("default scale not reduced")
-	}
-	if bits != 2048 {
-		t.Errorf("default bits = %d, want the paper's 2048", bits)
-	}
-	c, cols, rows, bits = figureScale(options{paper: true})
-	if c != 100 || cols*rows != 600 || bits != 2048 {
-		t.Errorf("paper scale = C=%d B=%d n=%d", c, cols*rows, bits)
 	}
 }

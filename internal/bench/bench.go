@@ -87,59 +87,30 @@ func MeasurePaillier(bits, iters int) (PaillierStats, error) {
 		return PaillierStats{}, err
 	}
 
-	stats.Encrypt, err = timeOp(iters, func() error {
-		_, err := textbook()
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
-	}
 	// The repo's key as deployed: the published H, tabled by the first
 	// encryption, which stays out of the timing.
-	if _, err := pk.Encrypt(rand.Reader, msg); err != nil {
-		return PaillierStats{}, err
-	}
-	stats.EncryptFast, err = timeOp(iters, func() error {
+	deployed := func() error {
 		_, err := pk.Encrypt(rand.Reader, msg)
 		return err
-	})
-	if err != nil {
+	}
+	if err := deployed(); err != nil {
 		return PaillierStats{}, err
 	}
-	stats.Decrypt, err = timeOp(iters, func() error {
-		_, err := sk.Decrypt(ct)
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
-	}
-	stats.Add, err = timeOp(iters, func() error {
-		_, err := pk.Add(ct, ct)
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
-	}
-	stats.Sub, err = timeOp(iters, func() error {
-		_, err := pk.Sub(ct, ct)
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
-	}
-	stats.ScalarSmall, err = timeOp(iters, func() error {
-		_, err := pk.ScalarMul(small, ct)
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
-	}
-	stats.ScalarFull, err = timeOp(iters, func() error {
-		_, err := pk.ScalarMul(full, ct)
-		return err
-	})
-	if err != nil {
-		return PaillierStats{}, err
+	for _, m := range []struct {
+		d  *time.Duration
+		op func() error
+	}{
+		{&stats.Encrypt, func() error { _, err := textbook(); return err }},
+		{&stats.EncryptFast, deployed},
+		{&stats.Decrypt, func() error { _, err := sk.Decrypt(ct); return err }},
+		{&stats.Add, func() error { _, err := pk.Add(ct, ct); return err }},
+		{&stats.Sub, func() error { _, err := pk.Sub(ct, ct); return err }},
+		{&stats.ScalarSmall, func() error { _, err := pk.ScalarMul(small, ct); return err }},
+		{&stats.ScalarFull, func() error { _, err := pk.ScalarMul(full, ct); return err }},
+	} {
+		if *m.d, err = timeOp(iters, m.op); err != nil {
+			return PaillierStats{}, err
+		}
 	}
 	return stats, nil
 }
@@ -155,101 +126,125 @@ func timeOp(iters int, op func() error) (time.Duration, error) {
 }
 
 // Universe is an in-process PISA deployment used for end-to-end cost
-// measurement.
+// measurement: the STP, the SDC built by internal/deploy, and one SU at
+// block 0.
 type Universe struct {
 	Params pisa.Params
 	STP    *pisa.STP
 	SDC    *pisa.SDC
 	SU     *pisa.SU
-	PU     *pisa.PU
-
-	// stpTime accumulates time spent inside STP calls, so end-to-end
-	// processing can be split into SDC-side and STP-side shares.
-	stpTime time.Duration
 }
 
-// timingSTP decorates an STP service, charging sign-conversion time to
-// the universe's stpTime counter.
-type timingSTP struct {
-	pisa.STPService
-	u *Universe
-}
-
-func (t timingSTP) ConvertSigns(req *pisa.SignRequest) (*pisa.SignResponse, error) {
-	start := time.Now()
-	defer func() { t.u.stpTime += time.Since(start) }()
-	return t.STPService.ConvertSigns(req)
-}
-
-// NewUniverse stands up STP + SDC + one SU (at block 0) + one PU (at
-// block 1) with keys of params.PaillierBits, the SDC by internal/deploy.
+// NewUniverse stands up STP + SDC + one SU (at block 0) with keys of
+// params.PaillierBits, the SDC by internal/deploy.
 func NewUniverse(params pisa.Params) (*Universe, error) {
-	u := &Universe{Params: params}
 	stp, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {
 		return nil, err
 	}
-	d, err := deploy.New(deploy.Config{Issuer: "bench-sdc", Params: params, STP: timingSTP{STPService: stp, u: u}})
+	d, err := deploy.New(deploy.Config{Issuer: "bench-sdc", Params: params, STP: stp})
 	if err != nil {
 		return nil, err
 	}
-	sdc := d.SDC
-	su, err := pisa.NewSU(rand.Reader, "bench-su", 0, params, sdc.Planner(), stp.GroupKey())
+	su, err := pisa.NewSU(rand.Reader, "bench-su", 0, params, d.SDC.Planner(), stp.GroupKey())
 	if err != nil {
 		return nil, err
 	}
 	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 		return nil, err
 	}
-	eCol, err := sdc.EColumn(1)
-	if err != nil {
-		return nil, err
-	}
-	pu, err := pisa.NewPU(rand.Reader, "bench-pu", 1, eCol, stp.GroupKey(), params)
-	if err != nil {
-		return nil, err
-	}
-	u.STP, u.SDC, u.SU, u.PU = stp, sdc, su, pu
-	return u, nil
+	return &Universe{Params: params, STP: stp, SDC: d.SDC, SU: su}, nil
 }
 
-// Figure6Stats captures the end-to-end costs Figure 6 reports,
-// measured at the universe's (C, B) scale.
+// Figure6Stats captures the costs Figure 6 reports, measured on one
+// deployment at the universe's (C, B) scale.
 type Figure6Stats struct {
 	Channels, Blocks int
 	CiphertextBytes  int
 
-	// Prepare is a full fresh request preparation (C*B encryptions).
+	// Prepare is a full fresh request preparation.
 	Prepare time.Duration
-	// Refresh is the re-randomisation reuse path.
-	Refresh time.Duration
-	// Process is the end-to-end request processing; ProcessSDC and
-	// ProcessSTP split it into the SDC-side homomorphic work
-	// (eqs. 11, 12, 14, 16, 17 — what the paper's 219 s covers) and
-	// the STP's decrypt/convert work (eq. 15).
-	Process    time.Duration
-	ProcessSDC time.Duration
-	ProcessSTP time.Duration
-	// PUUpdate is one PU channel switch end to end (eqs. 9-10).
-	PUUpdate time.Duration
+	// Refresh is the paper's reuse path: every ciphertext re-randomised
+	// with a nonce precomputed offline. Resend is the byte-identical
+	// resend of SU.RefreshRequest.
+	Refresh, Resend time.Duration
+	// Process is the request's processing end to end: ProcessSTP is the
+	// STP's decrypt/convert (eq. 15), which the paper's 219 s leaves out,
+	// and ProcessSDC the rest. ProcessSTP, Aggregate (eqs. 11-12) and
+	// Blind (eq. 14) are the sums of the SDC's own stage timers
+	// (pisa_sdc_request_stage_seconds).
+	Process, ProcessSDC, ProcessSTP, Aggregate, Blind time.Duration
+	// Open is the SU's decryption and check of its license. Granted is
+	// the license's verdict, OracleGranted the plaintext WATCH system's
+	// on the same request and PU registrations.
+	Open                   time.Duration
+	Granted, OracleGranted bool
+	// PUUpdate and PUUpdateLast are one PU channel switch end to end
+	// (eqs. 9-10) for a PU in slot 0 and one in slot k-1 of group 0;
+	// PUGroups slot groups hold a PU when the request is judged.
+	PUUpdate, PUUpdateLast time.Duration
+	PUGroups               int
 
-	// RequestBytes and UpdateBytes are the measured message sizes;
-	// ResponseBytes is the single-ciphertext reply.
-	RequestBytes  int
-	UpdateBytes   int
-	ResponseBytes int
+	// RequestBytes and UpdateBytes are the measured message sizes; the
+	// response is one ciphertext.
+	RequestBytes, UpdateBytes int
 }
 
-// MeasureFigure6 runs each pipeline stage once at the universe scale.
+// MeasureFigure6 runs Figure 6's pipeline once on the universe. PUs tune
+// to channel 0 in slots 0 and k-1 of group 0, each update timed, and in
+// slot k-1 of further groups, up to 25 groups (half the paper's 50 at
+// k = 12). The SU at block 0 then asks for half its maximum EIRP on
+// channel 0 over the full grid: the request is prepared, refreshed both
+// ways, processed and opened, and the plaintext WATCH oracle, fed the
+// same registrations, judges it.
 func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 	w := u.Params.Watch
+	group := u.STP.GroupKey()
 	stats := Figure6Stats{
 		Channels:        w.Channels,
 		Blocks:          w.Grid.Blocks(),
-		CiphertextBytes: u.STP.GroupKey().CiphertextBytes(),
+		CiphertextBytes: group.CiphertextBytes(),
 	}
-	eirp := map[int]int64{0: w.Quantize(w.SUMaxEIRPmW) / 2}
+	oracle, err := watch.NewSystem(w, nil)
+	if err != nil {
+		return stats, err
+	}
+	k, signal := u.Params.PackSlots(), w.Quantize(w.SMinPUmW*100)
+	blocks := []int{0}
+	for g := 0; g < 25 && g*k < stats.Blocks; g++ {
+		blocks = append(blocks, min(g*k+k, stats.Blocks)-1)
+	}
+	stats.PUGroups = len(blocks) - 1
+	for i, b := range blocks {
+		id := watch.PUID(fmt.Sprintf("bench-pu-%d", b))
+		eCol, err := u.SDC.EColumn(geo.BlockID(b))
+		if err != nil {
+			return stats, err
+		}
+		pu, err := pisa.NewPU(rand.Reader, id, geo.BlockID(b), eCol, group, u.Params)
+		if err != nil {
+			return stats, err
+		}
+		update, err := pu.Tune(0, signal)
+		if err != nil {
+			return stats, err
+		}
+		start := time.Now()
+		if err := u.SDC.HandlePUUpdate(update); err != nil {
+			return stats, err
+		}
+		if i == 0 {
+			stats.PUUpdate = time.Since(start)
+		} else if i == 1 {
+			stats.PUUpdateLast = time.Since(start)
+		}
+		stats.UpdateBytes = len(update.Cts) * stats.CiphertextBytes
+		if err := oracle.UpdatePU(id, watch.Registration{Block: geo.BlockID(b), Channel: 0, SignalUnits: signal}); err != nil {
+			return stats, err
+		}
+	}
 
+	eirp := map[int]int64{0: w.Quantize(w.SUMaxEIRPmW) / 2}
 	start := time.Now()
 	req, err := u.SU.PrepareRequest(eirp, geo.Disclosure{})
 	if err != nil {
@@ -271,41 +266,36 @@ func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 		return stats, err
 	}
 	stats.Refresh = time.Since(start)
+	start = time.Now()
+	if _, err := u.SU.RefreshRequest(req); err != nil {
+		return stats, err
+	}
+	stats.Resend = time.Since(start)
 
 	// The SDC draws its blinding tuples inline, E(beta) included, as every
 	// deployment does; the paper's 219 s assumed them precomputed offline.
-	u.stpTime = 0
+	aggregate, blind, convert := sdcStage("aggregate"), sdcStage("blind"), sdcStage("stp_convert")
+	before := [3]float64{aggregate.Sum(), blind.Sum(), convert.Sum()}
 	start = time.Now()
-	if _, err := u.SDC.ProcessRequest(req); err != nil {
-		return stats, err
-	}
-	stats.Process = time.Since(start)
-	stats.ProcessSTP = u.stpTime
-	stats.ProcessSDC = stats.Process - stats.ProcessSTP
-	stats.ResponseBytes = stats.CiphertextBytes
-
-	update, err := u.PU.Tune(0, w.Quantize(w.SMinPUmW*100))
+	resp, err := u.SDC.ProcessRequest(req)
 	if err != nil {
 		return stats, err
 	}
-	stats.UpdateBytes = len(update.Cts) * stats.CiphertextBytes
+	stats.Process = time.Since(start)
+	stats.Aggregate = time.Duration((aggregate.Sum() - before[0]) * 1e9)
+	stats.Blind = time.Duration((blind.Sum() - before[1]) * 1e9)
+	stats.ProcessSTP = time.Duration((convert.Sum() - before[2]) * 1e9)
+	stats.ProcessSDC = stats.Process - stats.ProcessSTP
+
 	start = time.Now()
-	if err := u.SDC.HandlePUUpdate(update); err != nil {
+	grant, err := u.SU.OpenResponse(resp, req, u.SDC.VerifyKey())
+	if err != nil {
 		return stats, err
 	}
-	stats.PUUpdate = time.Since(start)
-	return stats, nil
-}
-
-// Extrapolate scales a per-cell measurement from the measured (C, B)
-// to a target (C, B) — the homomorphic pipeline is exactly linear in
-// the number of matrix cells, which is what the paper's trade-off
-// section exploits.
-func Extrapolate(measured time.Duration, fromCells, toCells int) time.Duration {
-	if fromCells <= 0 {
-		return 0
-	}
-	return time.Duration(float64(measured) * float64(toCells) / float64(fromCells))
+	stats.Open = time.Since(start)
+	decision, err := oracle.Evaluate(watch.Request{Block: 0, EIRPUnits: eirp})
+	stats.Granted, stats.OracleGranted = grant.Granted, decision.Granted
+	return stats, err
 }
 
 // FHEStats measures the generic-FHE baseline (DGHV).
@@ -502,10 +492,13 @@ func ComputeSizes(channels, blocks, paillierBits int) MessageSizes {
 	return s
 }
 
-// SmallParams builds a reduced-scale pisa.Params for timed runs:
-// channels x (cols x rows) cells with the given key size. The key
+// SmallParams builds the pisa.Params of a timed run at any shape, the
+// paper's included: channels x (cols x rows) cells with the given key
+// size. The key
 // must be at least 576 bits so the license signer fits (the signer
-// needs 512 bits plus 64 bits of masking headroom).
+// needs 512 bits plus 64 bits of masking headroom). The decision cache
+// is off, so repeated requests measure the cold pipeline; the load
+// engine opts in.
 func SmallParams(channels, cols, rows, paillierBits int) (pisa.Params, error) {
 	if paillierBits < 576 {
 		return pisa.Params{}, fmt.Errorf("bench: paillierBits %d too small for the license signer (min 576)", paillierBits)
@@ -532,10 +525,6 @@ func SmallParams(channels, cols, rows, paillierBits int) (pisa.Params, error) {
 		BetaBits:      80,
 		EtaBits:       min(256, paillierBits/4),
 		SignerBits:    paillierBits - 64,
-		// The decision cache stays off so repeated-request benchmarks
-		// measure the cold pipeline; pisabench -cache and the load engine
-		// opt in explicitly.
-		CacheEntries: 0,
 	}
 	return p, p.Validate()
 }

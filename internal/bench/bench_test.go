@@ -108,15 +108,6 @@ func TestUniverseFigure6(t *testing.T) {
 	}
 }
 
-func TestExtrapolateLinear(t *testing.T) {
-	if got := Extrapolate(time.Second, 10, 100); got != 10*time.Second {
-		t.Errorf("Extrapolate = %v, want 10s", got)
-	}
-	if got := Extrapolate(time.Second, 0, 100); got != 0 {
-		t.Errorf("zero cells should yield 0, got %v", got)
-	}
-}
-
 func TestComputeSizesMatchPaper(t *testing.T) {
 	c, b, bits := PaperScaleParams()
 	sizes := ComputeSizes(c, b, bits)

@@ -284,9 +284,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	e2e := e2eBracket()
 	brackets := []*histBracket{e2e}
 	for _, s := range []string{"snapshot", "aggregate", "blind", "stp_convert", "unblind", "total"} {
-		brackets = append(brackets, bracket("sdc_"+s, r.Histogram("pisa_sdc_request_stage_seconds",
-			"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
-			obs.Labels{"stage": s}, nil)))
+		brackets = append(brackets, bracket("sdc_"+s, sdcStage(s)))
 	}
 	for _, s := range []string{"fanout", "merge", "license", "total"} {
 		brackets = append(brackets, bracket("router_"+s, r.Histogram("pisa_router_stage_seconds",
@@ -584,6 +582,13 @@ func (t *tally) fill(r *LoadReport, elapsed time.Duration, peakBacklog int64) {
 // bracket starts a delta bracket on h, reported as stage.
 func bracket(stage string, h *obs.Histogram) *histBracket {
 	return &histBracket{stage: stage, h: h, before: h.Snapshot()}
+}
+
+// sdcStage is the SDC's per-stage request histogram for stage.
+func sdcStage(stage string) *obs.Histogram {
+	return obs.Default().Histogram("pisa_sdc_request_stage_seconds",
+		"per-stage SU request processing time in one SDC (Figure 5, eqs. 11-16; the license is the router's)",
+		obs.Labels{"stage": stage}, nil)
 }
 
 // e2eBracket brackets the harness's own end-to-end latency histogram.
