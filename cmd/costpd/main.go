@@ -34,6 +34,7 @@ import (
 	"pisa/internal/node"
 	"pisa/internal/obs"
 	"pisa/internal/paillier"
+	"pisa/internal/store"
 )
 
 func main() {
@@ -96,7 +97,7 @@ func dealShares(configPath string, count int, dir string) error {
 			return fmt.Errorf("encode share %d: %w", i+1, err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("share-%d.gob", i+1))
-		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		if err := store.WriteFileAtomic(path, 0o600, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Println("wrote", path)
@@ -106,7 +107,7 @@ func dealShares(configPath string, count int, dir string) error {
 		return fmt.Errorf("encode group key: %w", err)
 	}
 	pubPath := filepath.Join(dir, "group-public.gob")
-	if err := os.WriteFile(pubPath, pub.Bytes(), 0o644); err != nil {
+	if err := store.WriteFileAtomic(pubPath, 0o644, pub.Bytes()); err != nil {
 		return err
 	}
 	fmt.Println("wrote", pubPath)

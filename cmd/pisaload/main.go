@@ -36,6 +36,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -89,7 +90,7 @@ func run(args []string) error {
 	k := fs.Int("k", 2, "in-process PIR: replicas each query fans out to")
 
 	addr := fs.String("addr", "", "remote SDC address (sdcd or sdcrouterd), exactly one (requires -config or defaults)")
-	stpAddr := fs.String("stp", "", "remote STP address(es), comma-separated")
+	stpAddr := fs.String("stp", "", "remote STP address, exactly one (overrides config stpAddr)")
 	configPath := fs.String("config", "", "deployment config JSON for remote runs (defaults built in)")
 
 	jsonPath := fs.String("json", "", "write the LoadReport as JSON to this path")
@@ -98,7 +99,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sdcAddr, err := config.OneSDCAddr("-addr", *addr)
+	sdcAddr, err := config.OneAddr("-addr", "SDC", *addr)
+	if err != nil {
+		return err
+	}
+	stpTarget, err := config.OneAddr("-stp", "STP", *stpAddr)
 	if err != nil {
 		return err
 	}
@@ -149,11 +154,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		stpTargets := file.STPTargets()
-		if *stpAddr != "" {
-			stpTargets = config.SplitAddrs(*stpAddr)
-		}
-		stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+		stp, err := node.DialSTPWith(rpcOpts, cmp.Or(stpTarget, file.STPAddr))
 		if err != nil {
 			return err
 		}

@@ -59,6 +59,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-addr") || !strings.Contains(err.Error(), "replica") {
 		t.Fatalf("-addr a:1,b:2: %v, want a refusal naming -addr and replica groups", err)
 	}
+	// An STP takes one address too: STP replica groups were removed.
+	err = run([]string{"-addr", "127.0.0.1:1", "-stp", "127.0.0.1:1,127.0.0.1:2"})
+	if err == nil || !strings.Contains(err.Error(), "-stp takes one STP address") {
+		t.Errorf("-stp 127.0.0.1:1,127.0.0.1:2: %v, want a refusal naming -stp and STP replica groups", err)
+	}
 	// The PIR comparison runs in process only: there is no replica
 	// daemon to point -pir or -addr at.
 	if err := run([]string{"-backend", "pir", "-pir", "a:1,b:2"}); err == nil || !strings.Contains(err.Error(), "-pir") {

@@ -34,7 +34,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("puctl", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
 	sdcAddr := fs.String("sdc", "", "SDC address (sdcd or sdcrouterd), exactly one (overrides config)")
-	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config)")
+	stpAddr := fs.String("stp", "", "STP address, exactly one (overrides config)")
 	id := fs.String("id", "", "PU identifier (required)")
 	block := fs.Int("block", -1, "registered receiver block (required)")
 	channel := fs.Int("channel", -1, "channel to tune to")
@@ -43,7 +43,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sdcTarget, err := config.OneSDCAddr("-sdc", *sdcAddr)
+	sdcTarget, err := config.OneAddr("-sdc", "SDC", *sdcAddr)
+	if err != nil {
+		return err
+	}
+	stpTarget, err := config.OneAddr("-stp", "STP", *stpAddr)
 	if err != nil {
 		return err
 	}
@@ -60,10 +64,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	stpTargets := cfg.STPTargets()
-	if *stpAddr != "" {
-		stpTargets = config.SplitAddrs(*stpAddr)
-	}
 	params, err := cfg.PisaParams()
 	if err != nil {
 		return err
@@ -73,7 +73,7 @@ func run(args []string) error {
 		return err
 	}
 
-	stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+	stp, err := node.DialSTPWith(rpcOpts, cmp.Or(stpTarget, cfg.STPAddr))
 	if err != nil {
 		return err
 	}

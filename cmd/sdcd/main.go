@@ -12,14 +12,14 @@
 // restart recovers the exact pre-crash state from snapshot + WAL tail.
 // The daemon's one SDC is assembled by internal/deploy (DESIGN.md §15).
 //
-// The -stp flag (and the config's stpAddr/stpAddrs) may list several
-// comma-separated STP replicas; the client retries transient faults
-// with backoff and fails over between replicas when one stops
-// answering (see the rpc config section for the knobs).
+// The -stp flag (or the config's stpAddr) names the one STP; the client
+// retries transient faults with backoff, which also rides out an STP
+// restart on the same address (see the rpc config section for the
+// knobs).
 //
 // Usage:
 //
-//	sdcd [-config pisa.json] [-listen host:port] [-stp host:port,host:port]
+//	sdcd [-config pisa.json] [-listen host:port] [-stp host:port]
 //	     [-issuer name] [-store dir] [-snapshot-on-exit=true]
 //	     [-metrics host:port]
 //	     [-cache entries|off]
@@ -51,6 +51,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -78,7 +79,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("sdcd", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
 	listen := fs.String("listen", "", "listen address (overrides config sdcAddr)")
-	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config stpAddr/stpAddrs)")
+	stpAddr := fs.String("stp", "", "STP address (overrides config stpAddr)")
 	issuer := fs.String("issuer", "pisa-sdc", "license issuer name")
 	storeDir := fs.String("store", "", "state directory for WAL + snapshots (overrides config store.dir; empty = in-memory)")
 	snapOnExit := fs.Bool("snapshot-on-exit", true, "take a final snapshot during graceful shutdown")
@@ -87,6 +88,10 @@ func run(args []string) error {
 	shardIndex := fs.Int("shard-index", -1, "serve exactly one channel shard of a -shard-count partition (for multi-host sharding behind cmd/sdcrouterd)")
 	shardCount := fs.Int("shard-count", 0, "total shard count of the partition this -shard-index belongs to")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	stpTarget, err := config.OneAddr("-stp", "STP", *stpAddr)
+	if err != nil {
 		return err
 	}
 	cfg, err := config.Load(*configPath)
@@ -103,10 +108,6 @@ func run(args []string) error {
 	addr := cfg.SDCAddr
 	if *listen != "" {
 		addr = *listen
-	}
-	stpTargets := cfg.STPTargets()
-	if *stpAddr != "" {
-		stpTargets = config.SplitAddrs(*stpAddr)
 	}
 	rpcOpts, err := cfg.RPC.Options()
 	if err != nil {
@@ -145,8 +146,9 @@ func run(args []string) error {
 		dcfg.Windows, dcfg.Index = *shardCount, *shardIndex
 	}
 
-	log.Info("connecting to STP", "addrs", stpTargets)
-	stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+	stpTarget = cmp.Or(stpTarget, cfg.STPAddr)
+	log.Info("connecting to STP", "addr", stpTarget)
+	stp, err := node.DialSTPWith(rpcOpts, stpTarget)
 	if err != nil {
 		return err
 	}
@@ -252,18 +254,9 @@ func logSummary(log *slog.Logger, d *deploy.Deployment) {
 }
 
 // logSTPClient emits the STP link's resilience counters so operators
-// can see whether the run leaned on retries or failover.
+// can see whether the run leaned on retries.
 func logSTPClient(log *slog.Logger, stp *node.STPClient) {
 	stats := stp.Stats()
-	attrs := []any{
-		"calls", stats.Calls,
-		"retries", stats.Retries,
-		"transportFaults", stats.TransportFaults,
-		"failovers", stats.Failovers,
-		"breakerOpens", stats.BreakerOpens,
-	}
-	for _, ep := range stats.Endpoints {
-		attrs = append(attrs, "endpoint."+ep.Addr, ep.BreakerState)
-	}
-	log.Info("stp client summary", attrs...)
+	log.Info("stp client summary", "calls", stats.Calls, "retries", stats.Retries,
+		"transportFaults", stats.TransportFaults)
 }

@@ -30,6 +30,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// The STP takes one address: a list is refused by name before any
+	// dial, not by the dial that follows.
+	err := run([]string{"-stp", "127.0.0.1:1,127.0.0.1:2", "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "-stp takes one STP address") {
+		t.Errorf("-stp 127.0.0.1:1,127.0.0.1:2: %v, want a refusal naming -stp and STP replica groups", err)
+	}
 }
 
 // TestRunRejectsUnknownBackend: sdcd serves PISA and nothing else. A

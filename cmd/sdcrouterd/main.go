@@ -18,7 +18,7 @@
 //
 //	sdcrouterd -shards "h1:9101;h2:9102;h3:9103"
 //	           [-config pisa.json] [-listen host:port]
-//	           [-stp host:port,host:port] [-issuer name]
+//	           [-stp host:port] [-issuer name]
 //	           [-metrics host:port]
 package main
 
@@ -50,11 +50,15 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("sdcrouterd", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
 	listen := fs.String("listen", "", "listen address (overrides config sdcAddr)")
-	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config stpAddr/stpAddrs)")
+	stpAddr := fs.String("stp", "", "STP address (overrides config stpAddr)")
 	issuer := fs.String("issuer", "pisa-sdc", "license issuer name")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address (empty = disabled)")
 	shardFlag := fs.String("shards", "", "shard addresses 'addr1;addr2;...', one per channel shard in window order")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	stpTarget, err := config.OneAddr("-stp", "STP", *stpAddr)
+	if err != nil {
 		return err
 	}
 	cfg, err := config.Load(*configPath)
@@ -69,10 +73,7 @@ func run(args []string) error {
 		return fmt.Errorf("-shards is required (semicolon-separated shard addresses)")
 	}
 	addr := cmp.Or(*listen, cfg.SDCAddr)
-	stpTargets := cfg.STPTargets()
-	if *stpAddr != "" {
-		stpTargets = config.SplitAddrs(*stpAddr)
-	}
+	stpTarget = cmp.Or(stpTarget, cfg.STPAddr)
 	rpcOpts, err := cfg.RPC.Options()
 	if err != nil {
 		return err
@@ -95,8 +96,8 @@ func run(args []string) error {
 		log.Info("metrics serving", "addr", obsSrv.Addr(), "endpoints", "/metrics /debug/pprof/")
 	}
 
-	log.Info("connecting to STP", "addrs", stpTargets)
-	stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+	log.Info("connecting to STP", "addr", stpTarget)
+	stp, err := node.DialSTPWith(rpcOpts, stpTarget)
 	if err != nil {
 		return err
 	}
@@ -137,7 +138,7 @@ func run(args []string) error {
 		for i, c := range clients {
 			cs := c.Stats()
 			log.Info("shard client summary", "shard", i, "calls", cs.Calls, "retries", cs.Retries,
-				"transportFaults", cs.TransportFaults, "breakerOpens", cs.BreakerOpens)
+				"transportFaults", cs.TransportFaults)
 		}
 		return srv.Close()
 	case err := <-errCh:

@@ -33,6 +33,11 @@ func TestRunRequiresShards(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-shards") || !strings.Contains(err.Error(), "replica") {
 		t.Errorf("-shards a:1,a:2;b:1: %v, want a refusal naming -shards and replica groups", err)
 	}
+	// An STP takes one address too: STP replica groups were removed.
+	err = run([]string{"-shards", "a:1", "-stp", "127.0.0.1:1,127.0.0.1:2", "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "-stp takes one STP address") {
+		t.Errorf("-stp 127.0.0.1:1,127.0.0.1:2: %v, want a refusal naming -stp and STP replica groups", err)
+	}
 }
 
 // serve puts srv behind a loopback listener and returns its address.

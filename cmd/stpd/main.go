@@ -2,18 +2,16 @@
 // holds) the group Paillier key, registers SU public keys, and
 // performs the blinded sign-test key conversion for the SDC.
 //
-// The group key persists via -key (its own restricted file — losing
-// it invalidates every ciphertext in the deployment). With -store the
-// SU key registry is durable too: registrations are journalled to a
-// WAL and compacted into snapshots, so a restart keeps every SU
-// enrolled.
+// The group key persists via -key (its own restricted file, written
+// with fsync and an atomic rename before the daemon serves — losing it
+// invalidates every ciphertext in the deployment). With -store the SU
+// key registry is durable too: registrations are journalled to a WAL
+// before they are acknowledged and compacted into snapshots, so a
+// restart keeps every SU enrolled.
 //
-// For failover, run several stpd processes with the SAME -key file
-// (so they serve one group key) and list them all in the clients'
-// stpAddrs config or -stp flags: clients register SUs with every
-// replica and rotate to the next address when one stops answering.
-// Replicas with distinct keys are NOT interchangeable — a client that
-// failed over between them would mix ciphertext domains.
+// A deployment has one STP, at one address (DESIGN.md §9). Its failure
+// mode is a restart with the same -key and -store on the same address:
+// clients retry their idempotent calls across the gap.
 //
 // Usage:
 //
@@ -187,7 +185,7 @@ func loadOrCreateKey(keyPath string, bits int, log *slog.Logger) (*paillier.Priv
 		if err := gob.NewEncoder(&buf).Encode(sk); err != nil {
 			return nil, fmt.Errorf("encode key: %w", err)
 		}
-		if err := os.WriteFile(keyPath, buf.Bytes(), 0o600); err != nil {
+		if err := store.WriteFileAtomic(keyPath, 0o600, buf.Bytes()); err != nil {
 			return nil, err
 		}
 		log.Info("persisted group key", "path", keyPath)

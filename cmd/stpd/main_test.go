@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"os"
@@ -52,6 +53,27 @@ func TestLoadOrCreateKeyPersists(t *testing.T) {
 	}
 	if info.Mode().Perm() != 0o600 {
 		t.Errorf("key file mode %v, want 0600", info.Mode().Perm())
+	}
+	// The key is written to a temp sibling and renamed into place: no
+	// temp file is left behind, and a torn temp file from a crash
+	// mid-write is never read as the key.
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("key dir holds %v (%v), want the key file alone", entries, err)
+	}
+	torn := filepath.Join(t.TempDir(), "group.key")
+	if err := os.WriteFile(torn+".tmp", []byte("half a key"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err := loadOrCreateKey(torn, 256, log)
+	if err != nil {
+		t.Fatalf("create beside a torn temp file: %v", err)
+	}
+	d, err := loadOrCreateKey(torn, 256, log)
+	if err != nil || c.N.Cmp(d.N) != 0 {
+		t.Fatalf("reload beside a torn temp file: %v", err)
+	}
+	if _, err := os.Stat(torn + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("torn temp file still present after the key was written: %v", err)
 	}
 	// Corrupt file must be rejected, not silently regenerated.
 	if err := os.WriteFile(path, []byte("junk"), 0o600); err != nil {

@@ -39,7 +39,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("suctl", flag.ContinueOnError)
 	configPath := fs.String("config", "", "deployment config JSON (defaults built in)")
 	sdcAddr := fs.String("sdc", "", "SDC address (sdcd or sdcrouterd), exactly one (overrides config)")
-	stpAddr := fs.String("stp", "", "comma-separated STP addresses (overrides config)")
+	stpAddr := fs.String("stp", "", "STP address, exactly one (overrides config)")
 	id := fs.String("id", "", "SU identifier (required)")
 	block := fs.Int("block", -1, "SU location block (required, stays private)")
 	request := fs.String("request", "", "channel=eirpMW pairs, e.g. \"1=100,2=50\" (required)")
@@ -47,7 +47,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sdcTarget, err := config.OneSDCAddr("-sdc", *sdcAddr)
+	sdcTarget, err := config.OneAddr("-sdc", "SDC", *sdcAddr)
+	if err != nil {
+		return err
+	}
+	stpTarget, err := config.OneAddr("-stp", "STP", *stpAddr)
 	if err != nil {
 		return err
 	}
@@ -57,10 +61,6 @@ func run(args []string) error {
 	}
 	if *id == "" || *block < 0 || *request == "" {
 		return errors.New("-id, -block and -request are required")
-	}
-	stpTargets := cfg.STPTargets()
-	if *stpAddr != "" {
-		stpTargets = config.SplitAddrs(*stpAddr)
 	}
 	params, err := cfg.PisaParams()
 	if err != nil {
@@ -85,7 +85,7 @@ func run(args []string) error {
 		}
 	}
 
-	stp, err := node.DialSTPWith(rpcOpts, stpTargets...)
+	stp, err := node.DialSTPWith(rpcOpts, cmp.Or(stpTarget, cfg.STPAddr))
 	if err != nil {
 		return err
 	}

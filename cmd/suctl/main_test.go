@@ -61,6 +61,11 @@ func TestRunFlagValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-sdc") || !strings.Contains(err.Error(), "replica") {
 		t.Errorf("-sdc a:1,b:2: %v, want a refusal naming -sdc and replica groups", err)
 	}
+	// An STP takes one address too: STP replica groups were removed.
+	err = run([]string{"-stp", "127.0.0.1:1,127.0.0.1:2", "-id", "su-1", "-block", "3", "-request", "1=5"})
+	if err == nil || !strings.Contains(err.Error(), "-stp takes one STP address") {
+		t.Errorf("-stp 127.0.0.1:1,127.0.0.1:2: %v, want a refusal naming -stp and STP replica groups", err)
+	}
 }
 
 // TestRunPIRFlagValidation: suctl speaks PISA only. The networked PIR

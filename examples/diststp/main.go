@@ -5,10 +5,11 @@
 // against one operator) yields nothing — yet the spectrum decisions
 // come out exactly the same.
 //
-// The co-STPs here are real TCP servers, and each share is served by
-// two replicas: mid-run one replica is killed, and the sign
-// conversions keep flowing because the combiner's client fails over
-// to the surviving replica of the same share.
+// The co-STPs here are real TCP servers, one per share: mid-run co-STP
+// A is closed and served again on its address, as after a restart, and
+// the sign conversions keep flowing because the combiner's client
+// retries the partial decryption (a pure function of the ciphertexts)
+// on a fresh connection.
 //
 // Run with:
 //
@@ -35,10 +36,11 @@ func main() {
 	}
 }
 
-// serveShare boots one co-STP replica on an ephemeral loopback port.
-func serveShare(share *paillier.KeyShare) (*node.ShareServer, string, error) {
+// serveShare boots one co-STP on addr ("127.0.0.1:0" picks a port) and
+// returns the address it listens on.
+func serveShare(share *paillier.KeyShare, addr string) (*node.ShareServer, string, error) {
 	srv := node.NewShareServer(share, nil, 30*time.Second)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
@@ -94,36 +96,32 @@ func run() error {
 		return fmt.Errorf("single share decrypted; the split is broken")
 	}
 
-	// Each share goes behind TWO replica servers (same share, distinct
-	// processes in a real deployment). Replication is per share:
-	// replicas of different shares are never interchangeable.
-	fmt.Println("serving each share from 2 TCP replicas...")
-	var clients []*node.ShareClient
+	// Each share is served by its own co-STP (a distinct process on a
+	// distinct host in a real deployment).
+	fmt.Println("serving each share from its own TCP co-STP...")
+	servers := make([]*node.ShareServer, len(shares))
+	addrs := make([]string, len(shares))
+	clients := make([]*node.ShareClient, len(shares))
 	services := make([]pisa.ShareService, len(shares))
-	var killable *node.ShareServer
+	defer func() {
+		for _, srv := range servers {
+			if srv != nil {
+				srv.Close()
+			}
+		}
+	}()
 	opts := node.Options{
 		CallTimeout: 30 * time.Second,
 		Retry:       node.RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond},
-		Breaker:     node.BreakerConfig{FailureThreshold: 1, Cooldown: 5 * time.Second},
 	}
 	for i, share := range shares {
-		var addrs []string
-		for r := 0; r < 2; r++ {
-			srv, addr, err := serveShare(share)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			addrs = append(addrs, addr)
-			if i == 0 && r == 0 {
-				killable = srv
-			}
+		if servers[i], addrs[i], err = serveShare(share, "127.0.0.1:0"); err != nil {
+			return err
 		}
-		cli := node.DialShareWith(opts, addrs...)
-		defer cli.Close()
-		clients = append(clients, cli)
-		services[i] = cli
-		fmt.Printf("co-STP %c replicas: %v\n", 'A'+i, addrs)
+		clients[i] = node.DialShareWith(opts, addrs[i])
+		defer clients[i].Close()
+		services[i] = clients[i]
+		fmt.Printf("co-STP %c: %s\n", 'A'+i, addrs[i])
 	}
 
 	// The combiner holds no key material; it reaches the co-STPs over
@@ -180,20 +178,24 @@ func run() error {
 	}
 	fmt.Printf("4 W next to the active TV: granted=%v\n", big)
 
-	// Kill one replica of share A mid-run. The next conversion rides
-	// the retry + failover path to the surviving replica.
-	fmt.Println("killing one replica of co-STP A...")
-	if err := killable.Close(); err != nil {
+	// Restart co-STP A mid-run on its address. The client's pooled
+	// connection died with the old server; the next conversion retries
+	// on a fresh one.
+	fmt.Println("restarting co-STP A on its address...")
+	if err := servers[0].Close(); err != nil {
+		return err
+	}
+	if servers[0], _, err = serveShare(shares[0], addrs[0]); err != nil {
 		return err
 	}
 	small, err := ask(1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("1 mW next to the active TV: granted=%v (served despite the dead replica)\n", small)
+	fmt.Printf("1 mW next to the active TV: granted=%v (served across the restart)\n", small)
 	stats := clients[0].Stats()
-	fmt.Printf("co-STP A client: %d calls, %d transport faults, %d failovers\n",
-		stats.Calls, stats.TransportFaults, stats.Failovers)
+	fmt.Printf("co-STP A client: %d calls, %d transport faults, %d retries\n",
+		stats.Calls, stats.TransportFaults, stats.Retries)
 	if big || !small {
 		return fmt.Errorf("decisions wrong under distributed STP")
 	}

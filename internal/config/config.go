@@ -98,15 +98,12 @@ type File struct {
 	// "cacheEntries": 0 (or the daemons' -cache=off) switches it off.
 	CacheEntries int `json:"cacheEntries"`
 
-	// Network addresses. STPAddrs lists additional equivalent STP
-	// replicas (same group key, shared SU registry) that clients fail
-	// over to when STPAddr stops answering.
-	SDCAddr  string   `json:"sdcAddr"`
-	STPAddr  string   `json:"stpAddr"`
-	STPAddrs []string `json:"stpAddrs,omitempty"`
+	// Network addresses: one SDC and one STP (DESIGN.md §9).
+	SDCAddr string `json:"sdcAddr"`
+	STPAddr string `json:"stpAddr"`
 
 	// RPC tunes the client resilience layer (internal/node): dial vs
-	// call deadlines, retry budget, pool size, circuit breaker.
+	// call deadlines, retry budget, pool size.
 	RPC RPCSpec `json:"rpc,omitempty"`
 
 	// Store configures WAL + snapshot durability for the daemons. An
@@ -171,18 +168,12 @@ type RPCSpec struct {
 	// (defaults 50 and 2 000).
 	RetryBaseMS int `json:"retryBaseMS,omitempty"`
 	RetryMaxMS  int `json:"retryMaxMS,omitempty"`
-	// BreakerFailures is the consecutive-fault threshold that opens an
-	// endpoint's circuit breaker (default 3); BreakerCooldownMS is how
-	// long it stays open before a probe (default 3 000).
-	BreakerFailures   int `json:"breakerFailures,omitempty"`
-	BreakerCooldownMS int `json:"breakerCooldownMS,omitempty"`
 }
 
 // Options translates the spec into node client options.
 func (r RPCSpec) Options() (node.Options, error) {
 	if r.DialTimeoutMS < 0 || r.CallTimeoutMS < 0 || r.PoolSize < 0 ||
-		r.RetryAttempts < 0 || r.RetryBaseMS < 0 || r.RetryMaxMS < 0 ||
-		r.BreakerFailures < 0 || r.BreakerCooldownMS < 0 {
+		r.RetryAttempts < 0 || r.RetryBaseMS < 0 || r.RetryMaxMS < 0 {
 		return node.Options{}, fmt.Errorf("config: rpc values must be non-negative")
 	}
 	return node.Options{
@@ -193,10 +184,6 @@ func (r RPCSpec) Options() (node.Options, error) {
 			MaxAttempts: r.RetryAttempts,
 			BaseDelay:   time.Duration(r.RetryBaseMS) * time.Millisecond,
 			MaxDelay:    time.Duration(r.RetryMaxMS) * time.Millisecond,
-		},
-		Breaker: node.BreakerConfig{
-			FailureThreshold: r.BreakerFailures,
-			Cooldown:         time.Duration(r.BreakerCooldownMS) * time.Millisecond,
 		},
 	}, nil
 }
@@ -224,7 +211,7 @@ func ParseShardFlag(v string) ([]string, error) {
 	}
 	var addrs []string
 	for i, decl := range strings.Split(v, ";") {
-		a, err := OneSDCAddr("-shards", decl)
+		a, err := OneAddr("-shards", "SDC", decl)
 		if err != nil {
 			return nil, err
 		}
@@ -236,19 +223,20 @@ func ParseShardFlag(v string) ([]string, error) {
 	return addrs, nil
 }
 
-// OneSDCAddr parses an SDC-facing address flag (puctl/suctl -sdc, pisaload
-// -addr, a shard of -shards): one address or "". A list is refused by name:
-// a PU update reaches one address, so a standby would grant on stale budgets.
-func OneSDCAddr(flag, v string) (string, error) {
+// OneAddr parses an address flag of the named role, "SDC" (puctl/suctl
+// -sdc, pisaload -addr, a shard of -shards) or "STP" (every -stp): one
+// address or "". A list is refused by name: a replica misses the writes
+// made while it is down and would then serve stale state.
+func OneAddr(flag, role, v string) (string, error) {
 	addrs := SplitAddrs(v)
 	if len(addrs) > 1 {
-		return "", fmt.Errorf("config: %s takes one SDC address, got %q: SDC replica groups were removed: a standby never sees PU updates", flag, v)
+		return "", fmt.Errorf("config: %s takes one %s address, got %q: %s replica groups were removed: a replica misses every write made while it is down (PU updates at an SDC, SU registrations at an STP)", flag, role, v, role)
 	}
 	return strings.Join(addrs, ""), nil // the one address, or ""
 }
 
-// SplitAddrs parses a comma-separated address list (the form the -stp
-// flags accept), trimming whitespace and dropping empties.
+// SplitAddrs parses a comma-separated address list, trimming whitespace
+// and dropping empties.
 func SplitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {
@@ -257,21 +245,6 @@ func SplitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// STPTargets returns the full failover list: STPAddr followed by
-// every distinct STPAddrs entry.
-func (f File) STPTargets() []string {
-	targets := []string{}
-	seen := map[string]bool{}
-	for _, a := range append([]string{f.STPAddr}, f.STPAddrs...) {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		targets = append(targets, a)
-	}
-	return targets
 }
 
 // Options translates the spec into store open options.
@@ -342,7 +315,6 @@ func Default() File {
 		RPC: RPCSpec{
 			DialTimeoutMS: 10_000, CallTimeoutMS: 300_000, PoolSize: 4,
 			RetryAttempts: 4, RetryBaseMS: 50, RetryMaxMS: 2_000,
-			BreakerFailures: 3, BreakerCooldownMS: 3_000,
 		},
 	}
 }
@@ -383,8 +355,10 @@ func Load(path string) (File, error) {
 	// for another backend. "packing": true, "fastExp": true,
 	// "parallelism": -1 and zeros, which every file written by an earlier
 	// Save contains, "shards": 1, an empty "cacheDomains" and "backend":
-	// "pisa" ask for what is still there. The "pir" section an earlier
-	// Save wrote is ignored: only the removed PIR tools read it.
+	// "pisa" ask for what is still there. A non-empty "stpAddrs" asks for
+	// an STP replica group, whose registries could not be kept current.
+	// The "pir" section and the "rpc" breaker keys an earlier Save wrote
+	// are ignored: only removed code read them.
 	var removed struct {
 		Packed        *bool               `json:"packing"`
 		BatchWindowMS int                 `json:"stpBatchWindowMS"`
@@ -397,6 +371,7 @@ func Load(path string) (File, error) {
 		Shards        int                 `json:"shards"`
 		Domains       map[string][]string `json:"cacheDomains"`
 		Backend       string              `json:"backend"`
+		STPReplicas   []string            `json:"stpAddrs"`
 	}
 	if err := json.Unmarshal(raw, &removed); err != nil {
 		return File{}, fmt.Errorf("config: parse %s: %w", path, err)
@@ -424,6 +399,8 @@ func Load(path string) (File, error) {
 		return File{}, fmt.Errorf(`config: %s: "cacheDomains" asks for cache entries shared across SUs, which was removed (an entry serves only the request whose ciphertexts filled it)`, path)
 	case removed.Backend != "" && removed.Backend != "pisa":
 		return File{}, fmt.Errorf(`config: %s: "backend": %q asks for a query backend other than PISA; the networked PIR backend was removed (the PIR comparison runs in process: pisaload -backend pir)`, path, removed.Backend)
+	case len(removed.STPReplicas) > 0:
+		return File{}, fmt.Errorf(`config: %s: "stpAddrs" asks for STP replicas, which were removed (a replica down when an SU registers never learns its key; one "stpAddr" restarts from its -store instead)`, path)
 	}
 	return f, nil
 }

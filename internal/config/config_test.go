@@ -82,7 +82,7 @@ func TestRPCSpecOptions(t *testing.T) {
 	if opts.DialTimeout != 10*time.Second || opts.CallTimeout != 5*time.Minute {
 		t.Errorf("timeouts %v/%v", opts.DialTimeout, opts.CallTimeout)
 	}
-	if opts.PoolSize != 4 || opts.Retry.MaxAttempts != 4 || opts.Breaker.FailureThreshold != 3 {
+	if opts.PoolSize != 4 || opts.Retry.MaxAttempts != 4 {
 		t.Errorf("defaults lost: %+v", opts)
 	}
 	if _, err := (RPCSpec{RetryAttempts: -1}).Options(); err == nil {
@@ -91,19 +91,6 @@ func TestRPCSpecOptions(t *testing.T) {
 	// The zero spec is valid: node fills its own defaults.
 	if _, err := (RPCSpec{}).Options(); err != nil {
 		t.Errorf("zero RPC spec rejected: %v", err)
-	}
-}
-
-func TestSTPTargets(t *testing.T) {
-	f := Default()
-	if got := f.STPTargets(); len(got) != 1 || got[0] != f.STPAddr {
-		t.Errorf("targets = %v", got)
-	}
-	f.STPAddrs = []string{"10.0.0.2:7411", f.STPAddr, "", "10.0.0.2:7411"}
-	got := f.STPTargets()
-	want := []string{f.STPAddr, "10.0.0.2:7411"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("targets = %v, want %v (deduplicated, empties dropped)", got, want)
 	}
 }
 
@@ -172,13 +159,14 @@ func TestModelSpecBuild(t *testing.T) {
 // TestLoadRefusesRemovedBehaviour: a file that asks for the unpacked
 // layout, for sign-test coalescing, for a cache TTL, for a switched-off
 // or resized nonce table, for a kernel worker count, for an in-process
-// channel partition, for cache entries shared across SUs or for a
-// backend other than PISA must not silently run without them; the
-// values every file saved by an earlier build contains ("packing": true,
-// "fastExp": true, "parallelism": -1, zeros, "backend": "pisa" and the
-// default "pir" section), "shards": 1 and an empty "cacheDomains" ask
-// for what is still there and keep loading, as does a file without the
-// keys.
+// channel partition, for cache entries shared across SUs, for a
+// backend other than PISA or for STP replicas must not silently run
+// without them; the values every file saved by an earlier build
+// contains ("packing": true, "fastExp": true, "parallelism": -1, zeros,
+// "backend": "pisa", the default "pir" section and the "rpc" breaker
+// keys), "shards": 1, an empty "cacheDomains" and an empty "stpAddrs"
+// ask for what is still there and keep loading, as does a file without
+// the keys.
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -199,7 +187,9 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"no cache domains", `{"channels": 5, "cacheDomains": {}}`, ""},
 		{"pir backend", `{"backend": "pir"}`, `"backend"`},
 		{"unknown backend", `{"backend": "smoke-signals"}`, `"backend"`},
-		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1, "backend": "pisa", "pir": {"addrs": ["127.0.0.1:7420", "127.0.0.1:7421", "127.0.0.1:7422"]}}`, ""},
+		{"stp replicas", `{"stpAddrs": ["127.0.0.1:7412"]}`, `"stpAddrs"`},
+		{"no stp replicas", `{"channels": 5, "stpAddrs": []}`, ""},
+		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1, "backend": "pisa", "pir": {"addrs": ["127.0.0.1:7420", "127.0.0.1:7421", "127.0.0.1:7422"]}, "rpc": {"retryAttempts": 4, "breakerFailures": 3, "breakerCooldownMS": 3000}}`, ""},
 		{"without the keys", `{"channels": 5}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,12 +52,15 @@ func TestParseShardFlag(t *testing.T) {
 
 func TestOneSDCAddr(t *testing.T) {
 	for in, want := range map[string]string{"": "", " , ": "", " a:1 ": "a:1", "a:1,": "a:1"} {
-		if got, err := OneSDCAddr("-sdc", in); err != nil || got != want {
-			t.Errorf("OneSDCAddr(%q) = %q, %v; want %q", in, got, err, want)
+		if got, err := OneAddr("-sdc", "SDC", in); err != nil || got != want {
+			t.Errorf("OneAddr(-sdc, %q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	_, err := OneSDCAddr("-sdc", "a:1,b:2")
-	if err == nil || !strings.Contains(err.Error(), "-sdc") || !strings.Contains(err.Error(), "a standby never sees PU updates") {
-		t.Fatalf("OneSDCAddr(a:1,b:2): %v, want the replica-group refusal naming -sdc", err)
+	for _, tc := range []struct{ flag, role string }{{"-sdc", "SDC"}, {"-stp", "STP"}} {
+		_, err := OneAddr(tc.flag, tc.role, "a:1,b:2")
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" takes one "+tc.role+" address") ||
+			!strings.Contains(err.Error(), tc.role+" replica groups were removed") {
+			t.Errorf("OneAddr(%s, a:1,b:2): %v, want the replica-group refusal naming %s and %s", tc.flag, err, tc.flag, tc.role)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +18,7 @@ import (
 
 // Options configures a resilient client: how connects and calls are
 // bounded, how many connections may run concurrently, and how retries
-// and endpoint failover behave. The zero value takes sensible
-// defaults everywhere.
+// behave. The zero value takes sensible defaults everywhere.
 type Options struct {
 	// DialTimeout bounds the TCP connect only; it never eats into the
 	// per-call I/O budget. Default 10 s.
@@ -28,15 +26,12 @@ type Options struct {
 	// CallTimeout bounds each attempt's request/reply exchange.
 	// Default 5 min (paper-scale requests take minutes of compute).
 	CallTimeout time.Duration
-	// PoolSize bounds both the idle connections kept per endpoint and
-	// the calls in flight at once, so concurrent callers are neither
-	// serialised on one socket nor free to open unbounded sockets.
-	// Default 4.
+	// PoolSize bounds both the idle connections kept and the calls in
+	// flight at once, so concurrent callers are neither serialised on
+	// one socket nor free to open unbounded sockets. Default 4.
 	PoolSize int
 	// Retry governs backoff for idempotent calls and dial failures.
 	Retry RetryPolicy
-	// Breaker governs per-endpoint health tracking and failover.
-	Breaker BreakerConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -50,7 +45,6 @@ func (o Options) withDefaults() Options {
 		o.PoolSize = 4
 	}
 	o.Retry = o.Retry.withDefaults()
-	o.Breaker = o.Breaker.withDefaults()
 	return o
 }
 
@@ -69,20 +63,6 @@ type ClientStats struct {
 	// TransportFaults counts dropped/desynchronised connections.
 	RemoteErrors    uint64
 	TransportFaults uint64
-	// Failovers counts rotations of the preferred endpoint;
-	// BreakerOpens counts circuit-breaker open transitions.
-	Failovers    uint64
-	BreakerOpens uint64
-	// Endpoints reports per-address health.
-	Endpoints []EndpointStats
-}
-
-// EndpointStats is the health snapshot of one configured address.
-type EndpointStats struct {
-	Addr                string
-	BreakerState        string
-	ConsecutiveFailures int
-	IdleConns           int
 }
 
 // dialFunc establishes the raw transport; swapped in tests to model
@@ -93,98 +73,57 @@ func netDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
-// endpoint is one configured server address with its breaker and its
-// bounded idle-connection pool.
-type endpoint struct {
-	addr string
-	brk  breaker
-
-	mu   sync.Mutex
-	idle []*wire.Conn
-}
-
 // client is the shared resilient RPC core: a bounded connection pool
-// over one or more equivalent endpoints, with retry/backoff for
-// idempotent calls, per-call deadlines, circuit breaking and
-// failover.
+// to one server address, with retry/backoff for idempotent calls and
+// per-call deadlines. A server that goes down is waited out by the
+// retry budget; one that comes back on the same address (a restart
+// from its state directory) is redialled on the next attempt.
 type client struct {
-	opts      Options
-	dial      dialFunc
-	endpoints []*endpoint
+	opts Options
+	dial dialFunc
+	addr string
 	// slots bounds connections in flight (capacity PoolSize).
 	slots chan struct{}
-	// cur indexes the preferred endpoint; it advances on failover.
-	cur atomic.Int64
 
 	calls, dials, dialFailures, retries atomic.Uint64
 	remoteErrors, transportFaults       atomic.Uint64
-	failovers, breakerOpens             atomic.Uint64
 
-	closeMu sync.Mutex
-	closed  bool
+	// mu guards the idle pool and the closed flag together, so a
+	// connection checked in after Close is closed instead of pooled.
+	mu     sync.Mutex
+	idle   []*wire.Conn
+	closed bool
 }
 
-func newClient(addrs []string, opts Options) *client {
+func newClient(addr string, opts Options) *client {
 	opts = opts.withDefaults()
-	c := &client{
+	return &client{
 		opts:  opts,
 		dial:  netDial,
+		addr:  addr,
 		slots: make(chan struct{}, opts.PoolSize),
 	}
-	for _, a := range addrs {
-		ep := &endpoint{addr: a}
-		ep.brk.cfg = opts.Breaker
-		c.endpoints = append(c.endpoints, ep)
-	}
-	return c
 }
 
-// Stats returns a snapshot of the client's lifetime counters and
-// per-endpoint health.
+// Stats returns a snapshot of the client's lifetime counters.
 //
 // The counters are independent atomics, so the snapshot is not a
 // single instant — but it never tears the monotonic pairs: every
 // increment path bumps the containing counter before the contained
-// one (dials before dialFailures; transportFaults before breakerOpens
-// before failovers; calls before retries), and the loads below read
-// each contained counter BEFORE its container. Anything the contained
-// load saw was preceded by its container's increment, so the
-// invariants DialFailures <= Dials, Failovers <= BreakerOpens <=
-// TransportFaults, and Retries <= (MaxAttempts-1)·Calls hold in every
-// snapshot.
+// one (dials before dialFailures; calls before retries), and the
+// loads below read each contained counter BEFORE its container.
+// Anything the contained load saw was preceded by its container's
+// increment, so DialFailures <= Dials and Retries <=
+// (MaxAttempts-1)·Calls hold in every snapshot.
 func (c *client) Stats() ClientStats {
-	s := ClientStats{
+	return ClientStats{
 		DialFailures:    c.dialFailures.Load(),
 		Dials:           c.dials.Load(),
 		Retries:         c.retries.Load(),
 		Calls:           c.calls.Load(),
-		Failovers:       c.failovers.Load(),
-		BreakerOpens:    c.breakerOpens.Load(),
 		TransportFaults: c.transportFaults.Load(),
 		RemoteErrors:    c.remoteErrors.Load(),
 	}
-	for _, ep := range c.endpoints {
-		state, fails := ep.brk.snapshot()
-		ep.mu.Lock()
-		idle := len(ep.idle)
-		ep.mu.Unlock()
-		s.Endpoints = append(s.Endpoints, EndpointStats{
-			Addr:                ep.addr,
-			BreakerState:        state,
-			ConsecutiveFailures: fails,
-			IdleConns:           idle,
-		})
-	}
-	return s
-}
-
-// addrList names every configured endpoint for error messages.
-func (c *client) addrList() string {
-	addrs := make([]string, len(c.endpoints))
-	for i, ep := range c.endpoints {
-		addrs[i] = ep.addr
-	}
-	return strings.Join(addrs, ",")
 }
 
 // acquire takes a connection slot, bounding in-flight calls.
@@ -204,60 +143,23 @@ func (c *client) acquire(ctx context.Context) error {
 
 func (c *client) release() { <-c.slots }
 
-// pick chooses the endpoint for the next attempt: the first one from
-// the preferred index whose breaker admits traffic. When every
-// breaker is open the preferred endpoint is probed anyway — total
-// lockout would otherwise turn a transient outage permanent.
-func (c *client) pick() *endpoint {
-	n := len(c.endpoints)
-	start := int(c.cur.Load()) % n
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		ep := c.endpoints[(start+i)%n]
-		if ep.brk.allow(now) {
-			return ep
-		}
-	}
-	return c.endpoints[start]
-}
-
-// fault records a transport fault against an endpoint; when the fault
-// opens the breaker and the endpoint was the preferred one, the
-// client fails over to the next address.
-func (c *client) fault(ep *endpoint) {
-	c.transportFaults.Add(1)
-	if !ep.brk.failure(time.Now()) {
-		return
-	}
-	c.breakerOpens.Add(1)
-	n := len(c.endpoints)
-	if n < 2 {
-		return
-	}
-	cur := c.cur.Load()
-	if c.endpoints[int(cur)%n] == ep {
-		c.cur.CompareAndSwap(cur, cur+1)
-		c.failovers.Add(1)
-	}
-}
-
-// checkout returns a connection to the endpoint: a pooled idle one if
-// available, else a fresh dial bounded by DialTimeout only.
-func (c *client) checkout(ep *endpoint) (*wire.Conn, error) {
-	ep.mu.Lock()
-	for len(ep.idle) > 0 {
-		conn := ep.idle[len(ep.idle)-1]
-		ep.idle = ep.idle[:len(ep.idle)-1]
+// checkout returns a connection: a pooled idle one if available, else
+// a fresh dial bounded by DialTimeout only.
+func (c *client) checkout() (*wire.Conn, error) {
+	c.mu.Lock()
+	for len(c.idle) > 0 {
+		conn := c.idle[len(c.idle)-1]
+		c.idle = c.idle[:len(c.idle)-1]
 		if conn.Dead() {
 			conn.Close()
 			continue
 		}
-		ep.mu.Unlock()
+		c.mu.Unlock()
 		return conn, nil
 	}
-	ep.mu.Unlock()
+	c.mu.Unlock()
 	c.dials.Add(1)
-	raw, err := c.dial(ep.addr, c.opts.DialTimeout)
+	raw, err := c.dial(c.addr, c.opts.DialTimeout)
 	if err != nil {
 		c.dialFailures.Add(1)
 		return nil, err
@@ -268,62 +170,42 @@ func (c *client) checkout(ep *endpoint) (*wire.Conn, error) {
 // checkin returns a healthy connection to the idle pool, or closes it
 // when the pool is full, the connection is dead, or the client is
 // closed.
-func (c *client) checkin(ep *endpoint, conn *wire.Conn) {
-	if conn.Dead() {
-		conn.Close()
-		return
+func (c *client) checkin(conn *wire.Conn) {
+	if !conn.Dead() {
+		c.mu.Lock()
+		if !c.closed && len(c.idle) < c.opts.PoolSize {
+			c.idle = append(c.idle, conn)
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
 	}
-	c.closeMu.Lock()
-	closed := c.closed
-	c.closeMu.Unlock()
-	if closed {
-		conn.Close()
-		return
-	}
-	ep.mu.Lock()
-	if len(ep.idle) < c.opts.PoolSize {
-		ep.idle = append(ep.idle, conn)
-		ep.mu.Unlock()
-		return
-	}
-	ep.mu.Unlock()
 	conn.Close()
 }
 
-// attemptOn runs one request/reply exchange against a specific
-// endpoint. Any non-remote failure drops the connection — after a
-// transport fault mid-call the gob framing is unsynchronised, and a
-// reused socket could deliver the previous call's stale reply to the
-// next caller.
-func (c *client) attemptOn(ctx context.Context, ep *endpoint, req *wire.Envelope, want wire.Kind) (*wire.Envelope, error) {
-	conn, err := c.checkout(ep)
+// attempt runs one request/reply exchange. Any non-remote failure
+// drops the connection — after a transport fault mid-call the gob
+// framing is unsynchronised, and a reused socket could deliver the
+// previous call's stale reply to the next caller.
+func (c *client) attempt(ctx context.Context, req *wire.Envelope, want wire.Kind) (*wire.Envelope, error) {
+	conn, err := c.checkout()
 	if err != nil {
-		c.fault(ep)
-		return nil, &dialError{addr: ep.addr, err: err}
+		c.transportFaults.Add(1)
+		return nil, &dialError{addr: c.addr, err: err}
 	}
-	attemptCtx := ctx
-	cancel := context.CancelFunc(func() {})
-	if c.opts.CallTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-	}
+	attemptCtx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 	resp, err := conn.CallContext(attemptCtx, req, want)
 	cancel()
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			// The peer answered: transport is healthy, the error is
-			// the application's.
-			c.checkin(ep, conn)
-			ep.brk.success()
-			return nil, err
-		}
+	var remote *wire.RemoteError
+	if err != nil && !errors.As(err, &remote) {
 		conn.Close()
-		c.fault(ep)
+		c.transportFaults.Add(1)
 		return nil, err
 	}
-	c.checkin(ep, conn)
-	ep.brk.success()
-	return resp, nil
+	// Success, or the peer answered with an application error: either
+	// way the transport is healthy.
+	c.checkin(conn)
+	return resp, err
 }
 
 // call performs one RPC with the default (background) context.
@@ -331,10 +213,10 @@ func (c *client) call(req *wire.Envelope, want wire.Kind) (*wire.Envelope, error
 	return c.callCtx(context.Background(), req, want)
 }
 
-// callCtx performs one RPC with retry, backoff, and failover.
-// Idempotent kinds retry any transport fault up to the retry budget;
-// other kinds retry only failures that provably never reached the
-// wire (dial errors). Remote errors return immediately.
+// callCtx performs one RPC with retry and backoff. Idempotent kinds
+// retry any transport fault up to the retry budget; other kinds retry
+// only failures that provably never reached the wire (dial errors).
+// Remote errors return immediately.
 func (c *client) callCtx(ctx context.Context, req *wire.Envelope, want wire.Kind) (*wire.Envelope, error) {
 	c.calls.Add(1)
 	if err := c.acquire(ctx); err != nil {
@@ -350,7 +232,7 @@ func (c *client) callCtx(ctx context.Context, req *wire.Envelope, want wire.Kind
 			}
 			c.retries.Add(1)
 		}
-		resp, err := c.attemptOn(ctx, c.pick(), req, want)
+		resp, err := c.attempt(ctx, req, want)
 		if err == nil {
 			return resp, nil
 		}
@@ -370,7 +252,7 @@ func (c *client) callCtx(ctx context.Context, req *wire.Envelope, want wire.Kind
 		}
 		if attempt >= c.opts.Retry.MaxAttempts {
 			return nil, fmt.Errorf("node: %s to %s: retry budget exhausted after %d attempts: %w",
-				req.Kind, c.addrList(), attempt, lastErr)
+				req.Kind, c.addr, attempt, lastErr)
 		}
 	}
 }
@@ -388,76 +270,23 @@ func (c *client) backoff(ctx context.Context, n int) error {
 	}
 }
 
-// broadcast delivers one idempotent request to every configured
-// endpoint (used for SU registration, so failover replicas share the
-// registry). A remote error from any replica is authoritative and
-// surfaces immediately; transport faults are tolerated as long as at
-// least one replica accepted.
-func (c *client) broadcast(ctx context.Context, req *wire.Envelope, want wire.Kind) error {
-	c.calls.Add(1)
-	if err := c.acquire(ctx); err != nil {
-		return err
-	}
-	defer c.release()
-	delivered := 0
-	var lastErr error
-	for _, ep := range c.endpoints {
-		var err error
-		for attempt := 1; attempt <= c.opts.Retry.MaxAttempts; attempt++ {
-			if attempt > 1 {
-				if berr := c.backoff(ctx, attempt-1); berr != nil {
-					err = berr
-					break
-				}
-				c.retries.Add(1)
-			}
-			_, err = c.attemptOn(ctx, ep, req, want)
-			if err == nil || !Retryable(err) {
-				break
-			}
-		}
-		if err == nil {
-			delivered++
-			continue
-		}
-		if !Retryable(err) {
-			c.remoteErrors.Add(1)
-			return err
-		}
-		lastErr = err
-	}
-	if delivered == 0 {
-		return fmt.Errorf("node: %s reached no endpoint of %s: %w", req.Kind, c.addrList(), lastErr)
-	}
-	return nil
-}
-
 // Close tears down every pooled connection; in-flight calls fail.
 func (c *client) Close() error {
-	c.closeMu.Lock()
-	if c.closed {
-		c.closeMu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.closeMu.Unlock()
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
 	var err error
-	for _, ep := range c.endpoints {
-		ep.mu.Lock()
-		idle := ep.idle
-		ep.idle = nil
-		ep.mu.Unlock()
-		for _, conn := range idle {
-			if cerr := conn.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
+	for _, conn := range idle {
+		if cerr := conn.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err
 }
 
-// STPClient is the SDC's (and SUs') view of one or more equivalent
-// remote STP servers. It implements pisa.STPService.
+// STPClient is the SDC's (and SUs') view of the remote STP server. It
+// implements pisa.STPService.
 type STPClient struct {
 	*client
 
@@ -466,22 +295,20 @@ type STPClient struct {
 
 var _ pisa.STPService = (*STPClient)(nil)
 
-// DialSTP connects to a single STP server with default resilience
-// options; timeout bounds each call's I/O (zero takes the default).
+// DialSTP connects to the STP server with default resilience options;
+// timeout bounds each call's I/O (zero takes the default).
 func DialSTP(addr string, timeout time.Duration) (*STPClient, error) {
 	return DialSTPWith(Options{CallTimeout: timeout}, addr)
 }
 
-// DialSTPWith connects to one or more equivalent STP servers (same
-// group key, shared SU registry) and eagerly fetches the group key,
-// so the error surface stays on the constructor (GroupKey itself
-// cannot fail, per pisa.STPService). On consecutive transport faults
-// the client fails over to the next address.
-func DialSTPWith(opts Options, addrs ...string) (*STPClient, error) {
-	if len(addrs) == 0 {
+// DialSTPWith connects to the STP server at addr and eagerly fetches
+// the group key, so the error surface stays on the constructor
+// (GroupKey itself cannot fail, per pisa.STPService).
+func DialSTPWith(opts Options, addr string) (*STPClient, error) {
+	if addr == "" {
 		return nil, errors.New("node: no STP address configured")
 	}
-	c := &STPClient{client: newClient(addrs, opts)}
+	c := &STPClient{client: newClient(addr, opts)}
 	c.bridgeObs("stp")
 	resp, err := c.call(&wire.Envelope{Kind: wire.KindGroupKeyRequest}, wire.KindGroupKey)
 	if err != nil {
@@ -532,13 +359,12 @@ func (c *STPClient) SUKey(id string) (*paillier.PublicKey, error) {
 	return resp.Paillier, nil
 }
 
-// RegisterSU uploads an SU public key to the STP registry — to every
-// configured STP replica, so a later failover target already knows
-// the key. Registration is idempotent server-side (same-key
-// re-registration is a no-op), which is what makes the broadcast and
-// its retries safe.
+// RegisterSU uploads an SU public key to the STP registry.
+// Registration is idempotent server-side (same-key re-registration is
+// a no-op), which is what makes its retries safe.
 func (c *STPClient) RegisterSU(id string, pk *paillier.PublicKey) error {
-	return c.broadcast(context.Background(), &wire.Envelope{Kind: wire.KindRegisterSU, SUID: id, Paillier: pk}, wire.KindAck)
+	_, err := c.call(&wire.Envelope{Kind: wire.KindRegisterSU, SUID: id, Paillier: pk}, wire.KindAck)
+	return err
 }
 
 // SDCClient is the PU/SU view of a remote SDC server.
@@ -554,7 +380,7 @@ func DialSDC(addr string, timeout time.Duration) *SDCClient {
 
 // DialSDCWith connects lazily to one SDC server (it has no standby, DESIGN.md §9).
 func DialSDCWith(opts Options, addr string) *SDCClient {
-	c := &SDCClient{client: newClient([]string{addr}, opts)}
+	c := &SDCClient{client: newClient(addr, opts)}
 	c.bridgeObs("sdc")
 	return c
 }

@@ -23,10 +23,6 @@ func (c *client) bridgeObs(role string) {
 		"authoritative peer errors (never retried)", labels, c.remoteErrors.Load)
 	r.CounterFunc("pisa_node_client_transport_faults_total",
 		"dropped or desynchronised connections", labels, c.transportFaults.Load)
-	r.CounterFunc("pisa_node_client_failovers_total",
-		"rotations of the preferred endpoint", labels, c.failovers.Load)
-	r.CounterFunc("pisa_node_client_breaker_opens_total",
-		"circuit-breaker open transitions", labels, c.breakerOpens.Load)
 }
 
 // bridgeObs mirrors the server's lifetime counters into the process

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pisa/internal/geo"
@@ -52,22 +53,39 @@ func (s *PIRServer) dispatch(env *wire.Envelope) (*wire.Envelope, error) {
 	}
 }
 
+// pirFaultCooldown is how long a replica whose last call ended in a
+// transport fault is ordered behind the spares. A var so in-package
+// tests can shorten it.
+var pirFaultCooldown = 3 * time.Second
+
 // pirReplica pairs one replica address with its own resilient client:
-// separate pools, breakers and retry budgets per replica, because the
-// replicas are NOT equivalent endpoints of one service — each share of
-// a query must reach a DIFFERENT replica, so the usual single-client
-// failover (which hides endpoints behind one pick) cannot be reused.
+// separate pools and retry budgets per replica, because the replicas
+// are NOT equivalent endpoints of one service — each share of a query
+// must reach a DIFFERENT replica.
 type pirReplica struct {
 	addr string
 	c    *client
+	// faultedAt is the UnixNano time at which the replica's last call
+	// ended in a transport fault, or 0 when it ended otherwise.
+	faultedAt atomic.Int64
 }
 
-// healthy reports whether the replica's breaker would currently admit
-// traffic (used to order the fan-out: open-breaker replicas become
-// last-resort spares). Read-only: it must not consume the breaker's
-// half-open probe, which belongs to the share that actually calls.
+// healthy reports whether the replica belongs among the primaries of
+// a fan-out started at now: its last call did not end in a transport
+// fault within pirFaultCooldown. Faulted replicas become last-resort
+// spares.
 func (r *pirReplica) healthy(now time.Time) bool {
-	return r.c.endpoints[0].brk.viable(now)
+	at := r.faultedAt.Load()
+	return at == 0 || now.Sub(time.Unix(0, at)) >= pirFaultCooldown
+}
+
+// record notes how the replica's last call ended.
+func (r *pirReplica) record(err error) {
+	var at int64
+	if err != nil && Retryable(err) {
+		at = time.Now().UnixNano()
+	}
+	r.faultedAt.Store(at)
 }
 
 // PIRClient drives the k-way PIR fan-out: it splits each fetch into k
@@ -144,7 +162,7 @@ func DialPIRWith(opts Options, k int, addrs ...string) (*PIRClient, error) {
 	}
 	c := &PIRClient{k: k}
 	for i, a := range addrs {
-		r := &pirReplica{addr: a, c: newClient([]string{a}, opts)}
+		r := &pirReplica{addr: a, c: newClient(a, opts)}
 		r.c.bridgeObs(fmt.Sprintf("pir-replica-%d", i))
 		c.replicas = append(c.replicas, r)
 	}
@@ -152,6 +170,7 @@ func DialPIRWith(opts Options, k int, addrs ...string) (*PIRClient, error) {
 	var lastErr error
 	for _, r := range c.replicas {
 		resp, err := r.c.call(&wire.Envelope{Kind: wire.KindPIRMetaRequest}, wire.KindPIRMeta)
+		r.record(err)
 		if err != nil {
 			lastErr = err
 			continue
@@ -249,12 +268,10 @@ func (c *PIRClient) fetchOnce(ctx context.Context, b geo.BlockID) ([]byte, uint6
 	// Order replicas healthy-first; the first k are the primaries, the
 	// rest are spares. Every replica serves at most one share per
 	// query — consuming assignments from a shared channel enforces it.
-	// Health is evaluated exactly once per replica: evaluating it per
-	// partition double-listed a replica whose breaker flipped between
-	// the two reads (allow() used to consume the open → half-open probe
-	// on the first read), letting two shares of one query reach the
-	// same replica — exactly what the k-distinct-replicas fan-out
-	// exists to prevent.
+	// Health is evaluated exactly once per replica: a replica whose
+	// health flipped between two reads would otherwise be listed twice,
+	// letting two shares of one query reach the same replica — exactly
+	// what the k-distinct-replicas fan-out exists to prevent.
 	order := make([]*pirReplica, 0, len(c.replicas))
 	now := time.Now()
 	isHealthy := make([]bool, len(c.replicas))
@@ -302,6 +319,7 @@ func (c *PIRClient) fetchOnce(ctx context.Context, b geo.BlockID) ([]byte, uint6
 				t0 := time.Now()
 				resp, err := rep.c.callCtx(ctx, req, wire.KindPIRAnswer)
 				m.stage["replica_rtt"].Observe(time.Since(t0).Seconds())
+				rep.record(err)
 				if err != nil {
 					shareErr = fmt.Errorf("replica %s: %w", rep.addr, err)
 					if ctx.Err() != nil {

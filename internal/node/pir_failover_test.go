@@ -2,81 +2,87 @@ package node
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"pisa/internal/wire"
 )
 
-// TestBreakerViableReadOnly pins the contract split between allow and
-// viable: allow consumes the open → half-open probe (exactly one
-// caller per cooldown window), viable merely predicts it. Health
-// ordering that used allow saw the two reads of one decision disagree.
-func TestBreakerViableReadOnly(t *testing.T) {
-	b := &breaker{cfg: BreakerConfig{FailureThreshold: 1, Cooldown: 50 * time.Millisecond}.withDefaults()}
+// shortFaultCooldown shortens the PIR replica fault cooldown for one
+// test.
+func shortFaultCooldown(t *testing.T, d time.Duration) {
+	old := pirFaultCooldown
+	pirFaultCooldown = d
+	t.Cleanup(func() { pirFaultCooldown = old })
+}
+
+// TestPIRReplicaCooldown pins the fan-out ordering rule: a replica
+// whose last call ended in a transport fault is ordered behind the
+// spares for the cooldown, reading its health changes nothing, and a
+// call that ends any other way (an answer, a remote error) restores it
+// at once.
+func TestPIRReplicaCooldown(t *testing.T) {
+	shortFaultCooldown(t, time.Minute)
+	r := &pirReplica{addr: "replica"}
 	now := time.Now()
-	if !b.viable(now) || !b.allow(now) {
-		t.Fatal("closed breaker rejects traffic")
+	if !r.healthy(now) {
+		t.Fatal("a replica that never failed is ordered behind the spares")
 	}
-	if !b.failure(now) {
-		t.Fatal("threshold-1 failure did not open the breaker")
+	r.record(errors.New("connection reset"))
+	if r.healthy(time.Now()) {
+		t.Fatal("a replica whose last call faulted stays among the primaries")
 	}
-	if b.viable(now) || b.allow(now) {
-		t.Fatal("freshly opened breaker admits traffic")
-	}
-	later := now.Add(100 * time.Millisecond)
-	// viable is repeatable: any number of reads, no state change.
+	later := time.Now().Add(2 * time.Minute)
 	for i := 0; i < 3; i++ {
-		if !b.viable(later) {
-			t.Fatalf("viable read %d false after cooldown elapsed", i)
+		if !r.healthy(later) {
+			t.Fatalf("health read %d false after the cooldown elapsed", i)
 		}
 	}
-	if state, _ := b.snapshot(); state != "open" {
-		t.Fatalf("viable mutated breaker state to %q", state)
+	if r.healthy(time.Now()) {
+		t.Fatal("reading health changed the replica's state")
 	}
-	// allow hands out the single probe; both predicates then reject
-	// until the probe resolves.
-	if !b.allow(later) {
-		t.Fatal("first allow after cooldown did not admit the probe")
+	r.record(&wire.RemoteError{Msg: "no such block"})
+	if !r.healthy(time.Now()) {
+		t.Fatal("a remote error (a healthy transport) left the replica behind the spares")
 	}
-	if b.viable(later) || b.allow(later) {
-		t.Fatal("second caller admitted while the half-open probe is in flight")
-	}
-	b.success()
-	if !b.viable(later) {
-		t.Fatal("probe success did not re-close the breaker")
+	r.record(errors.New("connection reset"))
+	r.record(nil)
+	if !r.healthy(time.Now()) {
+		t.Fatal("a successful call left the replica behind the spares")
 	}
 }
 
 // TestPIRNoDoubleListAfterCooldown is the regression for the
-// double-listed-replica bug: with m = k = 2 and one replica dead with
-// its breaker open past cooldown, the health partition used to consume
-// the breaker's probe on the first read and flip on the second — the
-// dead replica landed in BOTH the healthy and spare partitions, so a
-// share could be "reassigned" to the very replica that just failed it
-// (and, with a live-but-flapping replica, two shares of one query
-// could reach the same replica, breaking the non-collusion argument).
-// Post-fix the replica is listed once: the failing share exhausts the
-// pool immediately and no reassignment is counted.
+// double-listed-replica bug: with m = k = 2 and one replica dead past
+// its fault cooldown, a health partition that read each replica's
+// health twice could see it flip between the reads and list the dead
+// replica in BOTH the healthy and spare partitions, so a share could
+// be "reassigned" to the very replica that just failed it (and, with a
+// live-but-flapping replica, two shares of one query could reach the
+// same replica, breaking the non-collusion argument). Listed once, the
+// failing share exhausts the pool immediately and no reassignment is
+// counted.
 func TestPIRNoDoubleListAfterCooldown(t *testing.T) {
+	shortFaultCooldown(t, time.Millisecond)
 	n := startPIRNet(t, 2)
-	opts := fastOpts()
-	opts.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: time.Millisecond}
-	c, err := DialPIRWith(opts, 2, n.addrs...)
+	c, err := DialPIRWith(fastOpts(), 2, n.addrs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	n.servers[1].Close()
-	// First fetch fails and opens the dead replica's breaker.
+	// First fetch fails and orders the dead replica behind the spares.
 	if _, _, err := c.Fetch(context.Background(), 0); err == nil {
 		t.Fatal("fetch with a dead replica of an m=k fleet succeeded")
 	}
-	if state, _ := c.replicas[1].c.endpoints[0].brk.snapshot(); state != "open" {
-		t.Fatalf("dead replica breaker %q, want open", state)
+	if c.replicas[1].faultedAt.Load() == 0 {
+		t.Fatal("dead replica's transport fault was not recorded")
 	}
-	time.Sleep(10 * time.Millisecond) // cooldown elapses; breaker stays open until probed
+	time.Sleep(10 * time.Millisecond) // the cooldown elapses
 
 	m := pirMetrics()
 	before := m.reassign.Value()
@@ -94,9 +100,9 @@ func TestPIRNoDoubleListAfterCooldown(t *testing.T) {
 // succeeds, reassignments are counted) and the per-replica ClientStats
 // invariants the resilience layer promises.
 func TestPIRFailoverStatsInvariants(t *testing.T) {
+	shortFaultCooldown(t, 50*time.Millisecond)
 	n := startPIRNet(t, 4)
 	opts := fastOpts()
-	opts.Breaker = BreakerConfig{FailureThreshold: 1, Cooldown: 50 * time.Millisecond}
 	c, err := DialPIRWith(opts, 2, n.addrs...)
 	if err != nil {
 		t.Fatal(err)
@@ -139,12 +145,6 @@ func TestPIRFailoverStatsInvariants(t *testing.T) {
 		addr, s := r.addr, r.c.Stats()
 		if s.DialFailures > s.Dials {
 			t.Errorf("%s: DialFailures %d > Dials %d", addr, s.DialFailures, s.Dials)
-		}
-		if s.BreakerOpens > s.TransportFaults {
-			t.Errorf("%s: BreakerOpens %d > TransportFaults %d", addr, s.BreakerOpens, s.TransportFaults)
-		}
-		if s.Failovers > s.BreakerOpens {
-			t.Errorf("%s: Failovers %d > BreakerOpens %d (single-endpoint replica clients never rotate)", addr, s.Failovers, s.BreakerOpens)
 		}
 		maxRetries := uint64(opts.Retry.MaxAttempts-1) * s.Calls
 		if s.Retries > maxRetries {

@@ -322,80 +322,6 @@ func TestNonIdempotentCallsDoNotRetryTransportFaults(t *testing.T) {
 	}
 }
 
-// TestFailoverToSecondSTP kills the preferred of two equivalent STP
-// servers and requires the client to keep answering through the
-// second, with the rotation visible in the stats.
-func TestFailoverToSecondSTP(t *testing.T) {
-	params := pisa.TestParams(testWatchParams(t))
-	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var addrs []string
-	var servers []*STPServer
-	for i := 0; i < 2; i++ {
-		srv := NewSTPServer(stp, nil, 10*time.Second)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(ln) }()
-		t.Cleanup(func() { srv.Close() })
-		addrs = append(addrs, ln.Addr().String())
-		servers = append(servers, srv)
-	}
-	cli, err := DialSTPWith(Options{
-		CallTimeout: 5 * time.Second,
-		Retry:       fastRetry(5),
-		Breaker:     BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
-	}, addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	isRemote := func(err error) bool {
-		var remote *wire.RemoteError
-		return errors.As(err, &remote)
-	}
-	// Healthy baseline: an unknown-SU lookup answers remotely.
-	if err := func() error { _, err := cli.SUKey("ghost"); return err }(); !isRemote(err) {
-		t.Fatalf("baseline lookup: %v, want RemoteError", err)
-	}
-
-	servers[0].Close()
-
-	// The preferred endpoint is dead; the call must still get an
-	// authoritative (remote) answer via the second STP.
-	start := time.Now()
-	if err := func() error { _, err := cli.SUKey("ghost"); return err }(); !isRemote(err) {
-		t.Fatalf("post-kill lookup: %v, want RemoteError via failover", err)
-	}
-	t.Logf("first call after kill answered in %v (retry + failover latency)", time.Since(start))
-	stats := cli.Stats()
-	if stats.Failovers < 1 {
-		t.Errorf("failovers = %d, want >= 1", stats.Failovers)
-	}
-	if stats.BreakerOpens < 1 {
-		t.Errorf("breaker opens = %d, want >= 1", stats.BreakerOpens)
-	}
-	if stats.Endpoints[0].BreakerState != "open" {
-		t.Errorf("dead endpoint breaker %q, want open", stats.Endpoints[0].BreakerState)
-	}
-	// Registration broadcast tolerates the dead replica: at least one
-	// healthy endpoint suffices.
-	su, err := pisa.NewSU(rand.Reader, "su-fo", 3, params, mustPlanner(t, params.Watch), cli.GroupKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.RegisterSU(su.ID(), su.PublicKey()); err != nil {
-		t.Fatalf("RegisterSU with one dead replica: %v", err)
-	}
-	if _, err := cli.SUKey(su.ID()); err != nil {
-		t.Fatalf("SUKey after degraded registration: %v", err)
-	}
-}
-
 func mustPlanner(t *testing.T, wp watch.Params) *watch.Planner {
 	t.Helper()
 	p, err := watch.NewPlanner(wp)
@@ -403,72 +329,6 @@ func mustPlanner(t *testing.T, wp watch.Params) *watch.Planner {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestBreakerOpensAndRecovers walks the breaker through
-// closed → open → half-open probe → closed against a restarting
-// server.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // server starts dead
-
-	cli := DialSDCWith(Options{
-		CallTimeout: time.Second,
-		Retry:       fastRetry(1),
-		Breaker:     BreakerConfig{FailureThreshold: 2, Cooldown: 100 * time.Millisecond},
-	}, addr)
-	defer cli.Close()
-
-	for i := 0; i < 2; i++ {
-		if _, err := cli.EColumn(0); err == nil {
-			t.Fatal("call succeeded against a dead server")
-		}
-	}
-	stats := cli.Stats()
-	if stats.BreakerOpens != 1 {
-		t.Fatalf("breaker opens = %d, want 1", stats.BreakerOpens)
-	}
-	if stats.Endpoints[0].BreakerState != "open" {
-		t.Fatalf("breaker state %q, want open", stats.Endpoints[0].BreakerState)
-	}
-
-	// Serve a minimal e-column responder on the same address.
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	defer ln2.Close()
-	go func() {
-		for {
-			conn, err := ln2.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				wc := wire.NewConn(conn, 10*time.Second)
-				for {
-					if _, err := wc.Recv(); err != nil {
-						return
-					}
-					if err := wc.Send(&wire.Envelope{Kind: wire.KindEColumn, EColumn: []int64{1}}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	time.Sleep(150 * time.Millisecond) // let the cooldown elapse
-	if _, err := cli.EColumn(0); err != nil {
-		t.Fatalf("half-open probe failed after recovery: %v", err)
-	}
-	if state := cli.Stats().Endpoints[0].BreakerState; state != "closed" {
-		t.Fatalf("breaker state %q after successful probe, want closed", state)
-	}
 }
 
 // TestPoolRaceMixedLoad hammers one pooled client from concurrent
@@ -654,7 +514,6 @@ func TestFaultInjectionFlakyListener(t *testing.T) {
 	cli, err := DialSTPWith(Options{
 		CallTimeout: 5 * time.Second,
 		Retry:       RetryPolicy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond},
-		Breaker:     BreakerConfig{FailureThreshold: 1 << 30}, // isolate the retry path
 	}, ln.Addr().String())
 	if err != nil {
 		t.Fatalf("DialSTP through flaky listener: %v", err)

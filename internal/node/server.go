@@ -3,20 +3,18 @@
 // the SDC-to-STP link. Message framing comes from internal/wire; all
 // protocol logic stays in internal/pisa.
 //
-// Clients are resilient by default. Each client drives a bounded
-// connection pool per endpoint (so concurrent callers are not
-// serialised on one socket), separates the dial timeout from the
-// per-call I/O deadline, retries idempotent calls — public-data
-// fetches, sign conversion, partial decryption, SU registration —
-// with exponential backoff and jitter, and tracks per-endpoint health
-// with a circuit breaker. A client configured with several equivalent
-// addresses (STP replicas sharing a group key and registry, or co-STP
-// replicas holding the same key share) fails over to the next address
-// when the breaker opens. Remote (application) errors are
+// Clients are resilient by default. Each client talks to one address
+// and drives a bounded connection pool to it (so concurrent callers
+// are not serialised on one socket), separates the dial timeout from
+// the per-call I/O deadline, and retries idempotent calls — public-data
+// fetches, sign conversion, partial decryption, SU registration — with
+// exponential backoff and jitter, which also rides out a server
+// restarted on its address. Remote (application) errors are
 // authoritative answers and are never retried; any transport fault
 // drops the connection so a desynchronised gob stream can never feed
 // a stale reply to a later call. Lifetime counters are exposed via
-// ClientStats, mirroring the server-side Stats.
+// ClientStats, mirroring the server-side Stats. The PIR fan-out is the
+// one place that chooses among addresses (PIRClient).
 package node
 
 import (

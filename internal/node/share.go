@@ -50,17 +50,14 @@ type ShareClient struct {
 
 var _ pisa.ShareService = (*ShareClient)(nil)
 
-// DialShareWith connects lazily to one or more replicas of the same
-// co-STP key share. The addresses must hold identical shares —
-// failover between holders of different shares would corrupt the
-// threshold combination.
-func DialShareWith(opts Options, addrs ...string) *ShareClient {
-	return &ShareClient{client: newClient(addrs, opts)}
+// DialShareWith connects lazily to the co-STP serving one key share.
+func DialShareWith(opts Options, addr string) *ShareClient {
+	return &ShareClient{client: newClient(addr, opts)}
 }
 
 // PartialDecryptBatch implements pisa.ShareService over the wire.
 // Partial decryption is a pure function of the ciphertexts, so
-// transport faults retry freely across the replica set.
+// transport faults retry freely, also across a co-STP restart.
 func (c *ShareClient) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
 	resp, err := c.call(&wire.Envelope{Kind: wire.KindPartialRequest, Ciphertexts: cts}, wire.KindPartialResponse)
 	if err != nil {

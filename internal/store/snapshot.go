@@ -37,40 +37,47 @@ func snapshotName(index uint64) string {
 // path.
 func writeSnapshot(dir string, index uint64, payload []byte) (string, error) {
 	final := filepath.Join(dir, snapshotName(index))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("store: snapshot temp: %w", err)
-	}
 	hdr := make([]byte, snapHeaderLen)
 	copy(hdr, snapMagic)
 	binary.BigEndian.PutUint64(hdr[8:16], index)
 	binary.BigEndian.PutUint64(hdr[16:24], uint64(len(payload)))
 	binary.BigEndian.PutUint32(hdr[24:28], crc32.Checksum(payload, crcTable))
+	if err := WriteFileAtomic(final, 0o644, hdr, payload); err != nil {
+		return "", fmt.Errorf("store: write snapshot: %w", err)
+	}
+	return final, nil
+}
+
+// WriteFileAtomic writes the concatenated parts to path so that a
+// crash at any point leaves either the old file or the complete new
+// one under that name: it writes a .tmp sibling, fsyncs it, renames
+// it into place and fsyncs the directory. The parts are written in
+// turn, never copied into one buffer.
+func WriteFileAtomic(path string, perm os.FileMode, parts ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
 	err = func() error {
-		if _, err := f.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := f.Write(payload); err != nil {
-			return err
+		for _, p := range parts {
+			if _, err := f.Write(p); err != nil {
+				return err
+			}
 		}
 		return f.Sync()
 	}()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("store: write snapshot: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("store: publish snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return final, nil
+	return syncDir(filepath.Dir(path))
 }
 
 // readSnapshot loads and verifies one snapshot file.
