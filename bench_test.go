@@ -45,7 +45,7 @@ func BenchmarkAblation_PlaintextWATCH(b *testing.B) {
 // (decrypt + re-encrypt per cell) for comparison with the distributed
 // variant below.
 func BenchmarkExtension_STPConvert(b *testing.B) {
-	params, err := bench.SmallParams(5, 4, 3, 1024)
+	params, err := bench.SmallParams(5, 4, 3, 2048)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func BenchmarkExtension_STPConvert(b *testing.B) {
 
 // BenchmarkExtension_DistSTPConvert times the 2-of-2 threshold
 // variant (the paper's §VII extension): two partial exponentiations
-// plus a combine replace one CRT decryption per cell.
+// plus a combine replace one decryption per ciphertext.
 func BenchmarkExtension_DistSTPConvert(b *testing.B) {
-	params, err := bench.SmallParams(5, 4, 3, 1024)
+	params, err := bench.SmallParams(5, 4, 3, 2048)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dist, _, err := pisa.NewDistSTP(rand.Reader, params.PaillierBits, 2)
+	dist, err := pisa.NewDistSTP(rand.Reader, params.PaillierBits, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func (c *client) bridgeObs(role string) {
 }
 
 // bridgeObs mirrors the server's lifetime counters into the process
-// obs registry, labeled by the server's role ("sdc", "stp", "costp").
+// obs registry, labeled by the server's role ("sdc", "stp", "pirdb").
 func (s *server) bridgeObs() {
 	r := obs.Default()
 	labels := obs.Labels{"server": s.name}

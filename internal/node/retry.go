@@ -96,22 +96,20 @@ func Retryable(err error) bool {
 
 // idempotentKind reports whether a request may be safely re-sent even
 // though a previous attempt might have reached the server. Fetches of
-// public material (group key, SU keys, E columns, verify key), the
-// sign conversion (a pure function of the request) and the co-STP
-// partial-decryption fan-out all qualify; SU registration does too
-// because the STP registry treats a same-key re-registration as a
-// no-op. The PIR kinds qualify: metadata and selection-vector queries
-// are pure reads. A shard
-// query qualifies too: ProcessShard reads a budget snapshot and never
-// bumps the license serial, so replaying it after a lost reply
-// re-derives equivalent grant indicators. PU updates and SU
-// transmission requests mutate budget state and are sent at most once
-// per transport attempt that reaches the wire.
+// public material (group key, SU keys, E columns, verify key) and the
+// sign conversion (a pure function of the request) qualify; SU
+// registration does too because the STP registry treats a same-key
+// re-registration as a no-op. The PIR kinds qualify: metadata and
+// selection-vector queries are pure reads. A shard query qualifies
+// too: ProcessShard reads a budget snapshot and never bumps the
+// license serial, so replaying it after a lost reply re-derives
+// equivalent grant indicators. PU updates and SU transmission requests
+// mutate budget state and are sent at most once per transport attempt
+// that reaches the wire.
 func idempotentKind(k wire.Kind) bool {
 	switch k {
 	case wire.KindGroupKeyRequest, wire.KindSUKeyRequest, wire.KindEColumnRequest,
-		wire.KindVerifyKeyRequest, wire.KindConvertRequest,
-		wire.KindPartialRequest, wire.KindRegisterSU,
+		wire.KindVerifyKeyRequest, wire.KindConvertRequest, wire.KindRegisterSU,
 		wire.KindPIRMetaRequest, wire.KindPIRQuery,
 		wire.KindShardQuery:
 		return true

@@ -15,20 +15,6 @@ import (
 // Instead of one semi-trusted party holding the group secret key, the
 // decryption exponent is additively split across share holders;
 // nobody can decrypt alone.
-//
-// Construction: let d be the unique exponent modulo n*lambda with
-//
-//	d = 0 (mod lambda)   and   d = 1 (mod n).
-//
-// Then for any ciphertext c = (1+n)^m * r^n:
-//
-//	c^d = (1+n)^(m*d) * r^(n*d) = (1+n)^m  (mod n^2),
-//
-// because n*d = 0 (mod n*lambda) kills the random factor and
-// d = 1 (mod n) preserves the message in the (1+n)-subgroup. So
-// m = L(c^d mod n^2). Splitting d = d_1 + ... + d_k over the integers
-// makes decryption a product of per-party partials c^(d_i).
-type thresholdExponent struct{}
 
 // KeyShare is one additive share of the threshold decryption
 // exponent. It can compute partial decryptions but reveals nothing
@@ -56,6 +42,24 @@ var errThresholdShares = errors.New("paillier: threshold needs at least 2 shares
 // key and splits it additively into count shares. The private key can
 // be destroyed afterwards; the shares jointly (and only jointly)
 // decrypt.
+//
+// Construction: let d be the unique exponent modulo n*lambda with
+//
+//	d = 0 (mod lambda)   and   d = 1 (mod n).
+//
+// Then for any ciphertext c = (1+n)^m * r^n:
+//
+//	c^d = (1+n)^(m*d) * r^(n*d) = (1+n)^m  (mod n^2),
+//
+// because n*d = 0 (mod n*lambda) kills the random factor and
+// d = 1 (mod n) preserves the message in the (1+n)-subgroup. So
+// m = L(c^d mod n^2). Splitting d = d_1 + ... + d_k over the integers
+// makes decryption a product of per-party partials c^(d_i).
+//
+// Each share is drawn uniformly below the exponent still to split, so
+// every share is non-negative and a lower bound on d, and with k >= 3
+// the later shares shrink. This is not the statistically hiding integer
+// sharing of Damgård–Jurik or Shoup.
 func (sk *PrivateKey) SplitKey(random io.Reader, count int) ([]*KeyShare, error) {
 	if count < 2 {
 		return nil, errThresholdShares
@@ -87,36 +91,6 @@ func (sk *PrivateKey) SplitKey(random io.Reader, count int) ([]*KeyShare, error)
 	}
 	shares[count-1] = &KeyShare{Index: count, pk: sk.Public(), d: rest}
 	return shares, nil
-}
-
-// keyShareGob is the serialised form of a share, used when a dealer
-// distributes shares to remote co-STPs.
-type keyShareGob struct {
-	Index int
-	N     *big.Int
-	D     *big.Int
-}
-
-// GobEncode implements gob.GobEncoder. The encoded share is secret
-// key material — transport it only over an authenticated, encrypted
-// channel.
-func (s *KeyShare) GobEncode() ([]byte, error) {
-	return gobEncode(keyShareGob{Index: s.Index, N: s.pk.N, D: s.d})
-}
-
-// GobDecode implements gob.GobDecoder.
-func (s *KeyShare) GobDecode(data []byte) error {
-	var payload keyShareGob
-	if err := gobDecode(data, &payload); err != nil {
-		return fmt.Errorf("paillier: decode key share: %w", err)
-	}
-	if payload.N == nil || payload.N.Sign() <= 0 || payload.D == nil || payload.D.Sign() < 0 {
-		return errors.New("paillier: decoded key share malformed")
-	}
-	s.Index = payload.Index
-	s.pk = &PublicKey{N: payload.N}
-	s.d = payload.D
-	return nil
 }
 
 // PartialDecrypt computes this share's contribution c^(d_i) mod n^2.

@@ -19,31 +19,24 @@ import (
 // combiner (which sees only the blinded, sign-scrambled V values, as
 // the original STP did) drives the sign conversion.
 
-// ShareService is one co-STP: it partially decrypts ciphertexts with
-// its key share. A network deployment would put each instance behind
-// its own server; LocalShare is the in-process implementation.
-type ShareService interface {
+// shareService is one co-STP: it partially decrypts ciphertexts with
+// its key share. localShare is the implementation; the tests fake a
+// holder that fails or answers late.
+type shareService interface {
 	// PartialDecryptBatch computes this holder's partial for every
 	// ciphertext.
 	PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error)
 }
 
-// LocalShare wraps a key share as an in-process ShareService.
-type LocalShare struct {
+// localShare wraps a key share as a shareService.
+type localShare struct {
 	share *paillier.KeyShare
 }
 
-var _ ShareService = (*LocalShare)(nil)
-
-// NewLocalShare wraps one key share.
-func NewLocalShare(share *paillier.KeyShare) *LocalShare {
-	return &LocalShare{share: share}
-}
-
-// PartialDecryptBatch implements ShareService. Partial decryptions
+// PartialDecryptBatch implements shareService. Partial decryptions
 // are pure modular exponentiations, so they fan out over
 // parallel.Auto() workers.
-func (l *LocalShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
+func (l localShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
 	out := make([]*paillier.Partial, len(cts))
 	err := parallel.For(parallel.Auto(), len(cts), func(i int) error {
 		p, err := l.share.PartialDecrypt(cts[i])
@@ -59,31 +52,13 @@ func (l *LocalShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillie
 	return out, nil
 }
 
-// CoSTPError marks a failure attributable to one share holder, so
-// callers can tell which co-STP is unhealthy (and, say, swap in a
-// replica of the same share) instead of treating the whole
-// distributed conversion as opaquely broken.
-type CoSTPError struct {
-	// Holder is the failing co-STP's index in the holder set.
-	Holder int
-	// Err is the underlying failure.
-	Err error
-}
-
-// Error implements error.
-func (e *CoSTPError) Error() string {
-	return fmt.Sprintf("pisa: co-STP %d: %v", e.Holder, e.Err)
-}
-
-// Unwrap exposes the underlying failure to errors.Is/As.
-func (e *CoSTPError) Unwrap() error { return e.Err }
-
 // DistSTP is the distributed replacement for STP: same STPService
 // interface towards the SDC, but decryption requires every co-STP's
-// cooperation. The DistSTP process itself holds no key material.
+// cooperation. The combining code reads no key material: each share
+// stays behind its holder's shareService.
 type DistSTP struct {
 	group   *paillier.PublicKey
-	holders []ShareService
+	holders []shareService
 	random  io.Reader
 
 	// sus is the SU key registry, shared in kind with STP.
@@ -93,38 +68,32 @@ type DistSTP struct {
 var _ STPService = (*DistSTP)(nil)
 
 // NewDistSTP generates a fresh group key, splits it into count
-// shares, and returns the combiner plus the co-STP share services.
-// The dealer's private key material lives only inside this function;
-// production deployments would run the dealer inside an enclave or
-// use a distributed key-generation ceremony instead.
-func NewDistSTP(random io.Reader, paillierBits, count int) (*DistSTP, []*LocalShare, error) {
+// shares, and returns the combiner over one in-process co-STP per
+// share. The dealer's private key material lives only inside this
+// function; production deployments would run the dealer inside an
+// enclave or use a distributed key-generation ceremony instead.
+func NewDistSTP(random io.Reader, paillierBits, count int) (*DistSTP, error) {
 	if random == nil {
 		random = rand.Reader
 	}
 	sk, err := paillier.GenerateKey(random, paillierBits)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pisa: generate group key: %w", err)
+		return nil, fmt.Errorf("pisa: generate group key: %w", err)
 	}
 	shares, err := sk.SplitKey(random, count)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	locals := make([]*LocalShare, len(shares))
-	services := make([]ShareService, len(shares))
+	holders := make([]shareService, len(shares))
 	for i, s := range shares {
-		locals[i] = NewLocalShare(s)
-		services[i] = locals[i]
+		holders[i] = localShare{s}
 	}
-	dist, err := NewDistSTPWithShares(random, sk.Public(), services)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dist, locals, nil
+	return newDistSTPWithShares(random, sk.Public(), holders)
 }
 
-// NewDistSTPWithShares assembles a combiner over existing share
-// services (e.g. network clients to remote co-STPs).
-func NewDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders []ShareService) (*DistSTP, error) {
+// newDistSTPWithShares assembles a combiner over existing share
+// holders.
+func newDistSTPWithShares(random io.Reader, group *paillier.PublicKey, holders []shareService) (*DistSTP, error) {
 	if len(holders) < 2 {
 		return nil, fmt.Errorf("pisa: distributed STP needs at least 2 share holders, got %d", len(holders))
 	}
@@ -180,18 +149,17 @@ func (d *DistSTP) ConvertSigns(req *SignRequest) (*SignResponse, error) {
 
 // decryptAll is the threshold decryption of one request's elements.
 func (d *DistSTP) decryptAll(flat []*paillier.Ciphertext) ([]*big.Int, error) {
-	// Ask every co-STP at once, one goroutine each — in a network
-	// deployment the holders are independent servers, so the slowest
+	// Ask every co-STP at once, one goroutine each, so the slowest
 	// holder gates the round, not the sum of all of them.
 	n := len(d.holders)
 	batches := make([][]*paillier.Partial, n)
 	err := parallel.For(n, n, func(h int) error {
 		batch, err := d.holders[h].PartialDecryptBatch(flat)
 		if err != nil {
-			return &CoSTPError{Holder: h, Err: err}
+			return fmt.Errorf("pisa: co-STP %d: %w", h, err)
 		}
 		if len(batch) != len(flat) {
-			return &CoSTPError{Holder: h, Err: fmt.Errorf("returned %d partials, want %d", len(batch), len(flat))}
+			return fmt.Errorf("pisa: co-STP %d: returned %d partials, want %d", h, len(batch), len(flat))
 		}
 		batches[h] = batch
 		return nil

@@ -3,6 +3,7 @@ package pisa
 import (
 	"crypto/rand"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 func distDeployment(t *testing.T, holders int) (*DistSTP, *SDC, Params) {
 	t.Helper()
 	params := TestParams(testWatchParams(t))
-	dist, _, err := NewDistSTP(rand.Reader, params.PaillierBits, holders)
+	dist, err := NewDistSTP(rand.Reader, params.PaillierBits, holders)
 	if err != nil {
 		t.Fatalf("NewDistSTP: %v", err)
 	}
@@ -114,8 +115,8 @@ func TestDistSTPRequiresAllHolders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crippled, err := NewDistSTPWithShares(rand.Reader, sk.Public(),
-		[]ShareService{NewLocalShare(shares[0]), NewLocalShare(shares[1])}) // share 3 missing
+	crippled, err := newDistSTPWithShares(rand.Reader, sk.Public(),
+		[]shareService{localShare{shares[0]}, localShare{shares[1]}}) // share 3 missing
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestDistSTPRequiresAllHolders(t *testing.T) {
 	}
 }
 
-// brokenShare is a ShareService whose holder has gone bad.
+// brokenShare is a shareService whose holder has gone bad.
 type brokenShare struct{ err error }
 
 func (b brokenShare) PartialDecryptBatch([]*paillier.Ciphertext) ([]*paillier.Partial, error) {
@@ -148,8 +149,8 @@ func TestDistSTPNamesFailingHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	cause := errors.New("share holder unreachable")
-	dist, err := NewDistSTPWithShares(rand.Reader, sk.Public(),
-		[]ShareService{NewLocalShare(shares[0]), brokenShare{cause}})
+	dist, err := newDistSTPWithShares(rand.Reader, sk.Public(),
+		[]shareService{localShare{shares[0]}, brokenShare{cause}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,28 +165,23 @@ func TestDistSTPNamesFailingHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = dist.ConvertSigns(&SignRequest{SUID: "su-b", V: []*paillier.Ciphertext{ct}, Slots: 1, SlotBits: 64, AnswerBits: 64})
-	var coErr *CoSTPError
-	if !errors.As(err, &coErr) {
-		t.Fatalf("got %v, want CoSTPError", err)
-	}
-	if coErr.Holder != 1 {
-		t.Errorf("Holder = %d, want 1", coErr.Holder)
+	if err == nil || !strings.Contains(err.Error(), "co-STP 1:") {
+		t.Fatalf("got %v, want an error naming co-STP 1", err)
 	}
 	if !errors.Is(err, cause) {
-		t.Error("CoSTPError does not unwrap to the holder's failure")
+		t.Error("the error does not unwrap to the holder's failure")
 	}
 }
 
-// slowShare is a ShareService whose holder answers after a delay, as a
-// remote co-STP does.
+// slowShare is a shareService whose holder answers after a delay.
 type slowShare struct {
-	ShareService
+	shareService
 	delay time.Duration
 }
 
 func (s slowShare) PartialDecryptBatch(cts []*paillier.Ciphertext) ([]*paillier.Partial, error) {
 	time.Sleep(s.delay)
-	return s.ShareService.PartialDecryptBatch(cts)
+	return s.shareService.PartialDecryptBatch(cts)
 }
 
 // TestDistSTPAsksHoldersConcurrently: the combiner asks every co-STP at
@@ -200,9 +196,9 @@ func TestDistSTPAsksHoldersConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	const delay = 100 * time.Millisecond
-	dist, err := NewDistSTPWithShares(rand.Reader, sk.Public(), []ShareService{
-		slowShare{NewLocalShare(shares[0]), delay},
-		slowShare{NewLocalShare(shares[1]), delay},
+	dist, err := newDistSTPWithShares(rand.Reader, sk.Public(), []shareService{
+		slowShare{localShare{shares[0]}, delay},
+		slowShare{localShare{shares[1]}, delay},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +220,7 @@ func TestDistSTPAsksHoldersConcurrently(t *testing.T) {
 }
 
 func TestDistSTPValidation(t *testing.T) {
-	if _, _, err := NewDistSTP(rand.Reader, 768, 1); err == nil {
+	if _, err := NewDistSTP(rand.Reader, 768, 1); err == nil {
 		t.Error("single holder accepted")
 	}
 	sk, err := paillier.GenerateKey(rand.Reader, 256)
@@ -235,11 +231,11 @@ func TestDistSTPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDistSTPWithShares(rand.Reader, nil,
-		[]ShareService{NewLocalShare(shares[0]), NewLocalShare(shares[1])}); err == nil {
+	if _, err := newDistSTPWithShares(rand.Reader, nil,
+		[]shareService{localShare{shares[0]}, localShare{shares[1]}}); err == nil {
 		t.Error("nil group key accepted")
 	}
-	dist, _, err := NewDistSTP(rand.Reader, 256, 2)
+	dist, err := NewDistSTP(rand.Reader, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

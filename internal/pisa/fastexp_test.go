@@ -111,7 +111,7 @@ func TestSUKeysTableOnFirstConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _, err := NewDistSTP(rand.Reader, 768, 2)
+	dist, err := NewDistSTP(rand.Reader, 768, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

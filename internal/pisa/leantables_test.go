@@ -46,7 +46,7 @@ func TestSUKeyTablesAreLean(t *testing.T) {
 	}
 	sdcLink, suLink := dial(), dial()
 
-	dist, _, err := pisa.NewDistSTP(nil, params.PaillierBits, 2)
+	dist, err := pisa.NewDistSTP(nil, params.PaillierBits, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,17 +45,18 @@ const (
 	KindGroupKey
 	KindRegisterSU // SU -> STP, reply KindAck
 
-	KindPartialRequest // DistSTP combiner -> co-STP share holder
-	KindPartialResponse
+	// Two retired slots (the co-STP partial-decryption kinds). A
+	// retired kind stays blank so that every kind after it keeps its
+	// number: a number names one message in every build, so a frame from
+	// a build that encodes that message differently fails to decode
+	// instead of being read as another kind. Builds do not interoperate:
+	// every role upgrades together.
+	_
+	_
 
 	KindAck
 
-	// Two retired slots (the coalesced sign-test kinds): left blank so
-	// that the kinds appended after them — PIR, shard — keep their
-	// numbers. A number names one message in every build, so a frame
-	// from a build that encodes that message differently fails to decode
-	// instead of being read as another kind. Builds do not interoperate:
-	// every role upgrades together.
+	// Two more retired slots (the coalesced sign-test kinds).
 	_
 	_
 
@@ -110,10 +111,6 @@ func (k Kind) String() string {
 		return "group-key"
 	case KindRegisterSU:
 		return "register-su"
-	case KindPartialRequest:
-		return "partial-request"
-	case KindPartialResponse:
-		return "partial-response"
 	case KindAck:
 		return "ack"
 	case KindPIRMetaRequest:
@@ -154,11 +151,6 @@ type Envelope struct {
 	EColumn   []int64
 	Paillier  *paillier.PublicKey
 	VerifyKey *rsa.PublicKey
-
-	// Ciphertexts and Partials carry threshold-decryption batches
-	// between the DistSTP combiner and co-STP share holders.
-	Ciphertexts []*paillier.Ciphertext
-	Partials    []*paillier.Partial
 
 	// PIR fields carry the multi-server spectrum-query backend's
 	// frames (KindPIRMeta/Query/Answer).

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/big"
 	"net"
 	"runtime"
@@ -222,24 +223,47 @@ func TestRecvTimesOut(t *testing.T) {
 	}
 }
 
+// TestKindStrings pins every live kind's number and name, and checks
+// that the retired numbers stay blank: a kind keeps its number in every
+// build.
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{
-		KindError, KindPUUpdate, KindSURequest, KindSUResponse,
-		KindEColumnRequest, KindEColumn, KindVerifyKeyRequest, KindVerifyKey,
-		KindConvertRequest, KindConvertResponse, KindSUKeyRequest, KindSUKey,
-		KindGroupKeyRequest, KindGroupKey, KindRegisterSU, KindAck,
-		KindPIRMetaRequest, KindPIRMeta, KindPIRQuery, KindPIRAnswer,
+	live := []struct {
+		kind Kind
+		num  uint8
+		name string
+	}{
+		{KindError, 1, "error"},
+		{KindPUUpdate, 2, "pu-update"},
+		{KindSURequest, 3, "su-request"},
+		{KindSUResponse, 4, "su-response"},
+		{KindEColumnRequest, 5, "e-column-request"},
+		{KindEColumn, 6, "e-column"},
+		{KindVerifyKeyRequest, 7, "verify-key-request"},
+		{KindVerifyKey, 8, "verify-key"},
+		{KindConvertRequest, 9, "convert-request"},
+		{KindConvertResponse, 10, "convert-response"},
+		{KindSUKeyRequest, 11, "su-key-request"},
+		{KindSUKey, 12, "su-key"},
+		{KindGroupKeyRequest, 13, "group-key-request"},
+		{KindGroupKey, 14, "group-key"},
+		{KindRegisterSU, 15, "register-su"},
+		{KindAck, 18, "ack"},
+		{KindPIRMetaRequest, 21, "pir-meta-request"},
+		{KindPIRMeta, 22, "pir-meta"},
+		{KindPIRQuery, 23, "pir-query"},
+		{KindPIRAnswer, 24, "pir-answer"},
+		{KindShardQuery, 26, "shard-query"},
+		{KindShardAnswer, 27, "shard-answer"},
 	}
-	seen := make(map[string]bool, len(kinds))
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Errorf("kind %d has empty or duplicate name %q", k, s)
+	for _, c := range live {
+		if uint8(c.kind) != c.num || c.kind.String() != c.name {
+			t.Errorf("kind %q is %d named %q, want %d named %q", c.name, uint8(c.kind), c.kind.String(), c.num, c.name)
 		}
-		seen[s] = true
 	}
-	if Kind(200).String() == "" {
-		t.Error("unknown kind has empty name")
+	for _, n := range []uint8{0, 16, 17, 19, 20, 25, 28, 200} {
+		if got, want := Kind(n).String(), fmt.Sprintf("kind(%d)", n); got != want {
+			t.Errorf("Kind(%d) is named %q, want %q", n, got, want)
+		}
 	}
 }
 
