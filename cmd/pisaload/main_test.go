@@ -175,6 +175,7 @@ func TestRunAgainstLiveDaemons(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels, cfg.GridCols, cfg.GridRows = 3, 4, 3
 	params, err := cfg.PisaParams()
 	if err != nil {
@@ -206,4 +207,11 @@ func TestRunAgainstLiveDaemons(t *testing.T) {
 		t.Errorf("%d requests at %d bits; want some at the config's %d",
 			rep.Requests, rep.PaillierBits, params.PaillierBits)
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

@@ -43,6 +43,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 5
 	cfg.GridRows = 4
@@ -114,4 +115,11 @@ func TestRunEndToEnd(t *testing.T) {
 	if err == nil {
 		t.Fatal("puctl accepted a moved receiver")
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

@@ -74,6 +74,7 @@ func TestRunServesAgainstRealSTP(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 2
 	cfg.GridCols = 3
 	cfg.GridRows = 2
@@ -142,6 +143,7 @@ func TestShardDaemonRefusesVerifyKey(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels, cfg.GridCols, cfg.GridRows = 2, 3, 2
 	params, err := cfg.PisaParams()
 	if err != nil {
@@ -210,6 +212,7 @@ func TestRunRecoversFromStore(t *testing.T) {
 		t.Skip("spins real servers twice")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 5
 	cfg.GridRows = 4
@@ -335,6 +338,7 @@ func TestRunRecoversFromStore(t *testing.T) {
 // leaves a full-window SDC unlabelled.
 func TestStateSummaryNamesEachShard(t *testing.T) {
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels, cfg.GridCols, cfg.GridRows = 4, 3, 2
 	params, err := cfg.PisaParams()
 	if err != nil {
@@ -373,4 +377,11 @@ func TestStateSummaryNamesEachShard(t *testing.T) {
 		}
 		d.Close(false)
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

@@ -26,6 +26,7 @@ func TestRunServesMetrics(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 2
 	cfg.GridCols = 3
 	cfg.GridRows = 2

@@ -64,6 +64,7 @@ func TestRunFrontsShardDaemons(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels, cfg.GridCols, cfg.GridRows = 3, 5, 4
 	params, err := cfg.PisaParams()
 	if err != nil {
@@ -198,4 +199,11 @@ func TestRunFrontsShardDaemons(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sdcrouterd did not exit on SIGTERM")
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

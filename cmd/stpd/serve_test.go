@@ -29,7 +29,9 @@ func TestRunServesAndRestarts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "pisa.json")
-	if err := config.Default().Save(cfgPath); err != nil {
+	cfg := config.Default()
+	testKeys(&cfg)
+	if err := cfg.Save(cfgPath); err != nil {
 		t.Fatal(err)
 	}
 	boot := func() (*node.STPClient, chan error) {
@@ -144,4 +146,11 @@ func TestRunServesAndRestarts(t *testing.T) {
 	if _, now := paillier.Decrypts(); now != full {
 		t.Fatalf("%d decryptions took the full exponent (pisa_paillier_decrypt_total{path=\"full\"}), want 0", now-full)
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

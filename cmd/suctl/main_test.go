@@ -91,6 +91,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Skip("spins real servers")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 5
 	cfg.GridRows = 4
@@ -162,4 +163,11 @@ func TestRequestQuantisation(t *testing.T) {
 	if got[0] != wp.Quantize(4000) {
 		t.Errorf("4 W quantised to %d, want %d", got[0], wp.Quantize(4000))
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

@@ -34,6 +34,7 @@ func TestSystemIntegration(t *testing.T) {
 		t.Skip("full networked system")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 6
 	cfg.GridRows = 4
@@ -198,6 +199,7 @@ func TestSTPRestartUnderLoad(t *testing.T) {
 		t.Skip("full networked system")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 5
 	cfg.GridRows = 4
@@ -215,7 +217,7 @@ func TestSTPRestartUnderLoad(t *testing.T) {
 	// the registry is restored from dir, then every registration is
 	// journalled (and fsynced) before it is acknowledged.
 	serveSTP := func(addr string) (*node.STPServer, *store.Store, string) {
-		st, err := store.Open(dir, store.Options{Fsync: store.FsyncAlways})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,6 +397,7 @@ func TestRestartRecovery(t *testing.T) {
 		t.Skip("full recovery cycle with real crypto")
 	}
 	cfg := config.Default()
+	testKeys(&cfg)
 	cfg.Channels = 3
 	cfg.GridCols = 5
 	cfg.GridRows = 4
@@ -409,7 +412,7 @@ func TestRestartRecovery(t *testing.T) {
 	stp := pisa.NewSTPWithKey(nil, sk)
 
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Fsync: store.FsyncAlways})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +540,7 @@ func TestRestartRecovery(t *testing.T) {
 	}
 
 	// Phase 4: recover.
-	st2, err := store.Open(dir, store.Options{Fsync: store.FsyncAlways})
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1077,4 +1080,11 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 			t.Errorf("STP client %d fetched the SU key %d times over %d requests, want 1", i, got, requests)
 		}
 	}
+}
+
+// testKeys sets test-size crypto widths: config.Default() carries the
+// paper's 2048-bit keys.
+func testKeys(cfg *config.File) {
+	cfg.PaillierBits, cfg.PlaintextBits, cfg.SignerBits = 768, 60, 512
+	cfg.AlphaBits, cfg.BetaBits, cfg.EtaBits = 128, 64, 64
 }

@@ -131,16 +131,12 @@ type ObsSpec struct {
 func (o ObsSpec) Enabled() bool { return o.MetricsAddr != "" }
 
 // StoreSpec configures the internal/store durability layer. A daemon
-// with an empty Dir keeps all state in memory and loses it on exit.
+// with an empty Dir keeps all state in memory and loses it on exit; with
+// one, every WAL append is fsynced before it is acknowledged.
 type StoreSpec struct {
 	// Dir is the state directory (WAL segments + snapshots). The SDC
 	// and STP must use distinct directories.
 	Dir string `json:"dir,omitempty"`
-	// Fsync is "always", "interval" or "never" (store.ParseFsyncPolicy).
-	Fsync string `json:"fsync,omitempty"`
-	// FsyncIntervalMS is the background sync cadence under the
-	// "interval" policy; 0 uses the store default (100 ms).
-	FsyncIntervalMS int `json:"fsyncIntervalMS,omitempty"`
 	// SegmentBytes rotates WAL segments past this size; 0 uses the
 	// store default (64 MiB).
 	SegmentBytes int64 `json:"segmentBytes,omitempty"`
@@ -249,20 +245,10 @@ func SplitAddrs(s string) []string {
 
 // Options translates the spec into store open options.
 func (s StoreSpec) Options() (store.Options, error) {
-	var opts store.Options
-	if s.Fsync != "" {
-		policy, err := store.ParseFsyncPolicy(s.Fsync)
-		if err != nil {
-			return store.Options{}, fmt.Errorf("config: store.fsync: %w", err)
-		}
-		opts.Fsync = policy
-	}
-	if s.FsyncIntervalMS < 0 || s.SegmentBytes < 0 || s.SnapshotIntervalSec < 0 || s.SnapshotEveryRecords < 0 {
+	if s.SegmentBytes < 0 || s.SnapshotIntervalSec < 0 || s.SnapshotEveryRecords < 0 {
 		return store.Options{}, fmt.Errorf("config: store intervals must be non-negative")
 	}
-	opts.FsyncEvery = time.Duration(s.FsyncIntervalMS) * time.Millisecond
-	opts.SegmentBytes = s.SegmentBytes
-	return opts, nil
+	return store.Options{SegmentBytes: s.SegmentBytes}, nil
 }
 
 // SnapshotInterval returns the time-based snapshot trigger.
@@ -282,9 +268,12 @@ func (s StoreSpec) SnapshotThreshold() uint64 {
 }
 
 // Default returns a laptop-scale deployment: the paper's Table I
-// geometry scaled down (10 channels, 10x6 blocks) with test-size keys
-// so requests complete in seconds rather than minutes.
+// geometry scaled down (10 channels, 10x6 blocks) with the crypto
+// widths of pisa.DefaultParams — 2048-bit Paillier and Table I's
+// blinding widths. At this grid a request takes a fraction of a second;
+// tests that want smaller keys set them.
 func Default() File {
+	p := pisa.DefaultParams(watch.Params{})
 	return File{
 		Channels:        10,
 		GridCols:        10,
@@ -297,19 +286,19 @@ func Default() File {
 		DeltaRednDB:     3,
 		Secondary:       ModelSpec{Type: "log-distance", RefLossDB: 40, Exponent: 3.5},
 		WorstCase:       ModelSpec{Type: "log-distance", RefLossDB: 60, Exponent: 4},
-		PaillierBits:    768,
-		PlaintextBits:   60,
-		AlphaBits:       128,
-		BetaBits:        64,
-		EtaBits:         64,
-		SignerBits:      512,
-		CacheEntries:    1024,
+		PaillierBits:    p.PaillierBits,
+		PlaintextBits:   p.PlaintextBits,
+		AlphaBits:       p.AlphaBits,
+		BetaBits:        p.BetaBits,
+		EtaBits:         p.EtaBits,
+		SignerBits:      p.SignerBits,
+		CacheEntries:    p.CacheEntries,
 		SDCAddr:         "127.0.0.1:7410",
 		STPAddr:         "127.0.0.1:7411",
 		// Durability stays off until a state directory is configured
 		// (or -store is passed to a daemon); these are the defaults
 		// that kick in when it is.
-		Store: StoreSpec{Fsync: "interval", FsyncIntervalMS: 100, SnapshotIntervalSec: 300, SnapshotEveryRecords: 256},
+		Store: StoreSpec{SnapshotIntervalSec: 300, SnapshotEveryRecords: 256},
 		// The resilience knobs are spelled out so generated configs
 		// document them; they match the internal/node defaults.
 		RPC: RPCSpec{
@@ -319,17 +308,13 @@ func Default() File {
 	}
 }
 
-// Paper returns the paper's full Table I configuration: 100 channels,
-// 600 blocks, and the crypto widths of pisa.DefaultParams.
+// Paper returns the paper's full Table I configuration: Default() at
+// 100 channels and 600 blocks.
 func Paper() File {
 	f := Default()
 	f.Channels = 100
 	f.GridCols = 30
 	f.GridRows = 20
-	p := pisa.DefaultParams(watch.Params{})
-	f.PaillierBits, f.PlaintextBits = p.PaillierBits, p.PlaintextBits
-	f.AlphaBits, f.BetaBits, f.EtaBits = p.AlphaBits, p.BetaBits, p.EtaBits
-	f.SignerBits = p.SignerBits
 	return f
 }
 
@@ -357,8 +342,9 @@ func Load(path string) (File, error) {
 	// Save contains, "shards": 1, an empty "cacheDomains" and "backend":
 	// "pisa" ask for what is still there. A non-empty "stpAddrs" asks for
 	// an STP replica group, whose registries could not be kept current.
-	// The "pir" section and the "rpc" breaker keys an earlier Save wrote
-	// are ignored: only removed code read them.
+	// The "pir" section, the "rpc" breaker keys and the "store" fsync
+	// keys an earlier Save wrote are ignored: only removed code read
+	// them (every append is fsynced).
 	var removed struct {
 		Packed        *bool               `json:"packing"`
 		BatchWindowMS int                 `json:"stpBatchWindowMS"`

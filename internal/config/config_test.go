@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pisa/internal/pisa"
 )
 
 func TestDefaultBuilds(t *testing.T) {
@@ -16,6 +18,38 @@ func TestDefaultBuilds(t *testing.T) {
 	}
 	if _, err := f.PisaParams(); err != nil {
 		t.Fatalf("default PisaParams: %v", err)
+	}
+}
+
+// TestLoadWithoutCryptoKeysUsesPaperWidths: a file that names no crypto
+// widths runs at pisa.DefaultParams' — 2048-bit Paillier and Table I's
+// blinding widths — not at test-size keys, and Default() and Paper()
+// differ only in the grid.
+func TestLoadWithoutCryptoKeysUsesPaperWidths(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pisa.json")
+	if err := os.WriteFile(path, []byte(`{"channels": 5, "sdcAddr": "127.0.0.1:7510"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.PisaParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pisa.DefaultParams(got.Watch)
+	if got.PaillierBits != 2048 || got.PaillierBits != want.PaillierBits ||
+		got.PlaintextBits != want.PlaintextBits || got.SignerBits != want.SignerBits ||
+		got.AlphaBits != want.AlphaBits || got.BetaBits != want.BetaBits || got.EtaBits != want.EtaBits {
+		t.Errorf("widths Paillier %d, plaintext %d, signer %d, α %d, β %d, η %d; want pisa.DefaultParams' %d, %d, %d, %d, %d, %d",
+			got.PaillierBits, got.PlaintextBits, got.SignerBits, got.AlphaBits, got.BetaBits, got.EtaBits,
+			want.PaillierBits, want.PlaintextBits, want.SignerBits, want.AlphaBits, want.BetaBits, want.EtaBits)
+	}
+	paper := Paper()
+	paper.Channels, paper.GridCols, paper.GridRows = Default().Channels, Default().GridCols, Default().GridRows
+	if !reflect.DeepEqual(paper, Default()) {
+		t.Errorf("Paper() differs from Default() beyond the grid:\n%+v\n%+v", paper, Default())
 	}
 }
 
@@ -166,7 +200,9 @@ func TestModelSpecBuild(t *testing.T) {
 // "backend": "pisa", the default "pir" section and the "rpc" breaker
 // keys), "shards": 1, an empty "cacheDomains" and an empty "stpAddrs"
 // ask for what is still there and keep loading, as does a file without
-// the keys.
+// the keys. The "store" fsync keys an earlier build saved are ignored:
+// every append is synced (internal/deploy's TestSavedFsyncKeysSyncEveryAppend
+// opens a store from such a file).
 func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -191,6 +227,8 @@ func TestLoadRefusesRemovedBehaviour(t *testing.T) {
 		{"no stp replicas", `{"channels": 5, "stpAddrs": []}`, ""},
 		{"saved by an earlier build", `{"channels": 5, "packing": true, "stpBatchWindowMS": 0, "stpBatchMax": 0, "cacheTTLSec": 0, "fastExp": true, "parallelism": -1, "backend": "pisa", "pir": {"addrs": ["127.0.0.1:7420", "127.0.0.1:7421", "127.0.0.1:7422"]}, "rpc": {"retryAttempts": 4, "breakerFailures": 3, "breakerCooldownMS": 3000}}`, ""},
 		{"without the keys", `{"channels": 5}`, ""},
+		{"interval fsync saved by an earlier build", `{"channels": 5, "store": {"dir": "state", "fsync": "interval", "fsyncIntervalMS": 100}}`, ""},
+		{"never fsync saved by an earlier build", `{"channels": 5, "store": {"fsync": "never"}}`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "pisa.json")

@@ -12,6 +12,7 @@ import (
 	"pisa/internal/config"
 	"pisa/internal/deploy"
 	"pisa/internal/geo"
+	"pisa/internal/obs"
 	"pisa/internal/pisa"
 	"pisa/internal/propagation"
 	"pisa/internal/watch"
@@ -118,7 +119,7 @@ func testCrashRecovery(t *testing.T, n int) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	durable := config.StoreSpec{Dir: root, Fsync: "always"}
+	durable := config.StoreSpec{Dir: root}
 	build := func(spec config.StoreSpec) *partition {
 		t.Helper()
 		windows := n
@@ -309,5 +310,65 @@ func testCrashRecovery(t *testing.T, n int) {
 	}
 	if n > 1 && u.SDC.Summary().PUs != pusAt {
 		t.Errorf("lone window recovered %d PUs, the partition's window %d %d", u.SDC.Summary().PUs, n-1, pusAt)
+	}
+}
+
+// TestSavedFsyncKeysSyncEveryAppend: a config an earlier build saved
+// with an "interval" or "never" fsync policy still loads, and the store
+// deploy.New opens from it fsyncs every journalled PU update before
+// HandlePUUpdate returns.
+func TestSavedFsyncKeysSyncEveryAppend(t *testing.T) {
+	params := testParams(t)
+	stp, err := pisa.NewSTP(rand.Reader, params.PaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range []string{`"fsync": "interval", "fsyncIntervalMS": 100`, `"fsync": "never"`} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "pisa.json")
+		body := fmt.Sprintf(`{"store": {"dir": %q, %s}}`, filepath.Join(dir, "state"), keys)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := config.Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", keys, err)
+		}
+		d, err := deploy.New(deploy.Config{Issuer: "sdc", Params: params, STP: stp, Store: cfg.Store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eCol, err := d.SDC.Router().EColumn(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pu, err := pisa.NewPU(rand.Reader, "tv-1", 8, eCol, stp.GroupKey(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tune := func(channel int) {
+			t.Helper()
+			u, err := pu.Tune(channel, params.Watch.Quantize(params.Watch.SMinPUmW))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SDC.Router().HandlePUUpdate(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tune(0) // the first append registers the store's metrics
+		fsyncs := obs.Default().Histogram("pisa_store_wal_fsync_seconds", "", nil, obs.IOBuckets)
+		before, last := fsyncs.Count(), d.Store.Stats().LastIndex
+		tune(1)
+		tune(2)
+		if got := fsyncs.Count() - before; got != 2 {
+			t.Errorf("%s: %d fsyncs for 2 acknowledged updates, want 2", keys, got)
+		}
+		if got := d.Store.Stats().LastIndex - last; got != 2 {
+			t.Errorf("%s: %d records journalled for 2 updates, want 2", keys, got)
+		}
+		if err := d.Close(false); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -27,28 +27,26 @@ func benchPayload(b *testing.B, n int) []byte {
 	return p
 }
 
+// BenchmarkStore_Append measures one acknowledged append of a
+// paper-scale record: frame, write and fsync.
 func BenchmarkStore_Append(b *testing.B) {
-	for _, policy := range []FsyncPolicy{FsyncNever, FsyncInterval, FsyncAlways} {
-		b.Run(policy.String(), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{Fsync: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			payload := benchPayload(b, benchRecordBytes)
-			b.SetBytes(benchRecordBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Append(1, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	payload := benchPayload(b, benchRecordBytes)
+	b.SetBytes(benchRecordBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Append(1, payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkStore_Snapshot(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
+	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func BenchmarkStore_Replay(b *testing.B) {
 	for _, records := range []int{16, 128, 1024} {
 		b.Run(fmt.Sprintf("records-%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			s, err := Open(dir, Options{Fsync: FsyncNever})
+			s, err := Open(dir, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

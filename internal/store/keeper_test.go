@@ -9,7 +9,7 @@ import (
 )
 
 func TestKeeperThresholdSnapshot(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestKeeperThresholdSnapshot(t *testing.T) {
 
 func TestKeeperAppendsDuringSnapshotNotLost(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fsync: FsyncNever})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func smetrics() *storeMetrics {
 		}
 		storeM = &storeMetrics{
 			appendSeconds: r.Histogram("pisa_store_wal_append_seconds",
-				"one WAL record append (frame + write, plus fsync under the always policy)",
+				"one WAL record append: frame, write and fsync",
 				nil, obs.IOBuckets),
 			appendBytes: r.Counter("pisa_store_wal_append_bytes_total",
 				"framed bytes appended to the WAL", nil),

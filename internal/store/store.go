@@ -8,9 +8,11 @@
 // registries — only in memory, so a crash silently discarded all
 // spectrum state. This package makes that state survive restarts:
 //
-//   - every accepted mutation is appended to the WAL before the caller
-//     acknowledges it (framing: length + CRC32-C per record, single
-//     write(2) per append, so a kill -9 tears at most the final record);
+//   - every accepted mutation is appended to the WAL and fsynced before
+//     the caller acknowledges it (framing: length + CRC32-C per record,
+//     single write(2) per append, so a crash tears at most the final
+//     record); the first failed write or fsync stops the log until the
+//     store is reopened, so nothing is ever appended behind a torn frame;
 //   - a snapshot of the whole state is persisted atomically (a temp
 //     file, renamed into place, then a directory fsync) and supersedes
 //     the log prefix it covers, after which older segments and snapshots
@@ -20,8 +22,8 @@
 //
 // The package knows nothing about PISA message types: records are
 // (type byte, payload) pairs and snapshots are opaque byte slices.
-// internal/pisa supplies the encodings; cmd/sdcd and cmd/stpd wire the
-// policies.
+// internal/pisa supplies the encodings; internal/deploy and cmd/stpd
+// wire the snapshot policy.
 package store
 
 import (
@@ -33,69 +35,27 @@ import (
 	"time"
 )
 
-// FsyncPolicy selects when appended records are forced to disk.
-type FsyncPolicy int
-
-const (
-	// FsyncInterval (the default) syncs the active segment from a
-	// background ticker every Options.FsyncEvery. A crash loses at
-	// most the last interval's worth of acknowledged records — the
-	// usual production trade-off.
-	FsyncInterval FsyncPolicy = iota
-	// FsyncAlways syncs after every append: nothing acknowledged is
-	// ever lost, at the price of one fsync per mutation.
-	FsyncAlways
-	// FsyncNever leaves write-back entirely to the OS page cache.
-	// Process crashes (kill -9) still lose nothing — the cache
-	// survives the process — but power loss may. Fastest.
-	FsyncNever
-)
-
-// ParseFsyncPolicy maps the config strings to a policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "", "interval":
-		return FsyncInterval, nil
-	case "always":
-		return FsyncAlways, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval or never)", s)
-}
-
-// String names the policy for logs.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncNever:
-		return "never"
-	default:
-		return "interval"
-	}
-}
-
 // Options tunes one Store.
 type Options struct {
-	// Fsync selects the append durability policy.
-	Fsync FsyncPolicy
-	// FsyncEvery is the background sync period under FsyncInterval
-	// (default 100ms).
-	FsyncEvery time.Duration
 	// SegmentBytes rotates the active segment once it grows past this
 	// size (default 64 MiB).
 	SegmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
 	return o
+}
+
+// segment is the active WAL segment as the Store writes it. *os.File is
+// the only production implementation; tests substitute one that counts
+// syncs and injects write and sync faults.
+type segment interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // RecordType discriminates WAL record payloads. The values are owned
@@ -143,8 +103,7 @@ type Store struct {
 	opts Options
 
 	mu          sync.Mutex
-	f           *os.File // active segment
-	activeFirst uint64
+	f           segment // active segment
 	activeBytes int64
 	segments    int // segment files on disk, including the active one
 	lastIndex   uint64
@@ -152,13 +111,12 @@ type Store struct {
 	snapshot    []byte
 	tail        []Record
 	recovery    Recovery
-	dirty       bool // unsynced appends outstanding
-	syncErr     error
-	closing     bool // Close in progress: stopSync already closed
-	closed      bool
-
-	stopSync chan struct{}
-	syncDone chan struct{}
+	// failed is the first write, sync or rotation failure. It stops
+	// the log until the store is reopened: a partial or unsynced frame
+	// may sit at the end of the active segment, and a frame appended
+	// behind it would turn a torn tail into mid-log corruption.
+	failed error
+	closed bool
 }
 
 // ShardDir names the state subdirectory for one channel shard of a
@@ -256,6 +214,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	// torn tail first so the next append starts on a frame boundary.
 	if len(segs) == 0 {
 		if err := s.createSegmentLocked(s.lastIndex + 1); err != nil {
+			if s.f != nil {
+				s.f.Close()
+			}
 			return nil, err
 		}
 	} else {
@@ -282,7 +243,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: seek active segment: %w", err)
 		}
 		s.f = f
-		s.activeFirst = activeRef.first
 		s.activeBytes = activeScan.goodBytes
 	}
 
@@ -299,27 +259,23 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.recovery.Source = "empty"
 	}
 
-	if s.opts.Fsync == FsyncInterval {
-		s.stopSync = make(chan struct{})
-		s.syncDone = make(chan struct{})
-		go s.syncLoop()
-	}
 	s.bridgeObs()
 	return s, nil
 }
 
 // createSegmentLocked starts a fresh segment whose first record will
-// have the given index. Caller holds s.mu (or is still constructing).
+// have the given index, and syncs the directory so the file's name is
+// as durable as the frames later synced into it. Caller holds s.mu (or
+// is still constructing).
 func (s *Store) createSegmentLocked(first uint64) error {
 	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(first)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create segment: %w", err)
 	}
 	s.f = f
-	s.activeFirst = first
 	s.activeBytes = 0
 	s.segments++
-	return nil
+	return syncDir(s.dir)
 }
 
 // Recovery reports what Open reconstructed.
@@ -347,10 +303,12 @@ func (s *Store) Tail() []Record {
 	return s.tail
 }
 
-// Append writes one record, returning its assigned index. Under
-// FsyncAlways the record is durable when Append returns; under the
-// other policies durability lags by at most the sync interval (or the
-// life of the page cache).
+// Append writes one record and syncs the active segment, returning the
+// record's index: a record Append acknowledges is on disk. The first
+// failed write, sync or rotation stops the log — this and every later
+// Append and SaveSnapshot return an error naming it — until the store
+// is reopened, and Open then truncates whatever part of the failed
+// frame reached the file as a torn tail.
 func (s *Store) Append(t RecordType, payload []byte) (idx uint64, err error) {
 	m := smetrics()
 	defer m.appendSeconds.ObserveSince(time.Now())
@@ -361,11 +319,8 @@ func (s *Store) Append(t RecordType, payload []byte) (idx uint64, err error) {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("store: append on closed store")
-	}
-	if s.syncErr != nil {
-		return 0, fmt.Errorf("store: background sync failed: %w", s.syncErr)
+	if err := s.usableLocked("append"); err != nil {
+		return 0, err
 	}
 	if len(payload) >= maxRecordBytes {
 		return 0, fmt.Errorf("store: record payload %d bytes exceeds limit", len(payload))
@@ -375,38 +330,49 @@ func (s *Store) Append(t RecordType, payload []byte) (idx uint64, err error) {
 	}
 	if s.activeBytes >= s.opts.SegmentBytes {
 		if err := s.rotateLocked(); err != nil {
-			return 0, err
+			return 0, s.stopLocked(err)
 		}
 	}
 	frame := appendFrame(nil, t, payload)
 	if _, err := s.f.Write(frame); err != nil {
-		return 0, fmt.Errorf("store: append: %w", err)
+		return 0, s.stopLocked(fmt.Errorf("store: append: %w", err))
 	}
+	t0 := time.Now()
+	if err := s.f.Sync(); err != nil {
+		m.fsyncErrs.Inc()
+		return 0, s.stopLocked(fmt.Errorf("store: fsync: %w", err))
+	}
+	m.fsyncSeconds.ObserveSince(t0)
 	s.lastIndex++
 	s.activeBytes += int64(len(frame))
 	m.appendBytes.Add(uint64(len(frame)))
-	if s.opts.Fsync == FsyncAlways {
-		t0 := time.Now()
-		if err := s.f.Sync(); err != nil {
-			m.fsyncErrs.Inc()
-			return 0, fmt.Errorf("store: fsync: %w", err)
-		}
-		m.fsyncSeconds.ObserveSince(t0)
-	} else {
-		s.dirty = true
-	}
 	return s.lastIndex, nil
 }
 
-// rotateLocked closes the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if s.opts.Fsync != FsyncNever {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync before rotate: %w", err)
-		}
-		s.dirty = false
+// usableLocked refuses an operation on a closed or stopped store.
+func (s *Store) usableLocked(op string) error {
+	if s.closed {
+		return fmt.Errorf("store: %s on closed store", op)
 	}
-	if err := s.f.Close(); err != nil {
+	if s.failed != nil {
+		return fmt.Errorf("store: %s refused: the log stopped at an earlier failure (reopen to recover): %w", op, s.failed)
+	}
+	return nil
+}
+
+// stopLocked records err as the failure that stops the log and
+// returns it.
+func (s *Store) stopLocked(err error) error {
+	s.failed = err
+	return err
+}
+
+// rotateLocked closes the active segment and starts the next one.
+// Every frame in the old segment was synced by its Append.
+func (s *Store) rotateLocked() error {
+	err := s.f.Close()
+	s.f = nil
+	if err != nil {
 		return fmt.Errorf("store: close segment: %w", err)
 	}
 	return s.createSegmentLocked(s.lastIndex + 1)
@@ -429,18 +395,13 @@ func (s *Store) SaveSnapshot(state []byte) (err error) {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: snapshot on closed store")
+	if err := s.usableLocked("snapshot"); err != nil {
+		return err
 	}
+	// Every record up to index was synced by its Append, so a crash
+	// while the snapshot is written still recovers snapshot[old] plus
+	// the complete log.
 	index := s.lastIndex
-	// Make the WAL prefix durable first: if the snapshot write crashes
-	// midway, recovery still has snapshot[old] + complete log.
-	if s.opts.Fsync != FsyncNever && s.f != nil {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync before snapshot: %w", err)
-		}
-		s.dirty = false
-	}
 	if _, err := writeSnapshot(s.dir, index, state); err != nil {
 		return err
 	}
@@ -472,51 +433,10 @@ func (s *Store) SaveSnapshot(state []byte) (err error) {
 	if err := s.createSegmentLocked(index + 1); err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
 	s.snapIndex = index
 	s.snapshot = nil // recovery payload only; do not pin post-boot
 	s.tail = nil
 	return nil
-}
-
-// Sync forces outstanding appends to disk regardless of policy.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncLocked()
-}
-
-func (s *Store) syncLocked() error {
-	if s.closed || s.f == nil || !s.dirty {
-		return s.syncErr
-	}
-	m := smetrics()
-	t0 := time.Now()
-	if err := s.f.Sync(); err != nil {
-		m.fsyncErrs.Inc()
-		s.syncErr = err
-		return err
-	}
-	m.fsyncSeconds.ObserveSince(t0)
-	s.dirty = false
-	return nil
-}
-
-// syncLoop is the FsyncInterval background ticker.
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
-	t := time.NewTicker(s.opts.FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.Sync()
-		case <-s.stopSync:
-			return
-		}
-	}
 }
 
 // Stats returns the current counters.
@@ -535,33 +455,20 @@ func (s *Store) Stats() Stats {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close flushes and releases the store. Records already appended
-// remain on disk for the next Open. Safe for concurrent and repeated
-// calls: only the first proceeds, the rest return nil immediately.
+// Close releases the store. Every record Append acknowledged is
+// already on disk for the next Open. Safe for concurrent and repeated
+// calls: only the first closes the segment, the rest return nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.closed || s.closing {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil
 	}
-	s.closing = true
-	s.mu.Unlock()
-	if s.stopSync != nil {
-		close(s.stopSync)
-		<-s.syncDone
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var err error
-	if s.f != nil {
-		if s.opts.Fsync != FsyncNever && s.dirty {
-			err = s.f.Sync()
-		}
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-		s.f = nil
-	}
 	s.closed = true
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
 	return err
 }

@@ -2,13 +2,16 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
@@ -59,7 +62,7 @@ func countFiles(t *testing.T, dir, prefix string) int {
 }
 
 func TestStoreEmptyDir(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 	rec := s.Recovery()
 	if rec.Source != "empty" || rec.TailRecords != 0 || rec.TornBytes != 0 {
@@ -72,13 +75,13 @@ func TestStoreEmptyDir(t *testing.T) {
 
 func TestStoreAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 7, 5, "rec")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	rec := s2.Recovery()
 	if rec.Source != "wal" {
@@ -106,7 +109,7 @@ func TestStoreAppendReplay(t *testing.T) {
 
 func TestStoreSnapshotSupersedesAndCompacts(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 64})
+	s := mustOpen(t, dir, Options{SegmentBytes: 64})
 	appendN(t, s, 1, 10, "old") // tiny SegmentBytes forces several segments
 	if countFiles(t, dir, "wal-") < 2 {
 		t.Fatal("rotation did not produce multiple segments")
@@ -152,7 +155,7 @@ func TestStoreSnapshotSupersedesAndCompacts(t *testing.T) {
 
 func TestStoreSnapshotOnly(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 1, 4, "x")
 	if err := s.SaveSnapshot([]byte("S")); err != nil {
 		t.Fatal(err)
@@ -173,7 +176,7 @@ func TestStoreTornTail(t *testing.T) {
 	for _, cut := range []int{1, frameHeaderLen - 1, frameHeaderLen, frameHeaderLen + 3, frame - 1} {
 		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
-			s := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			s := mustOpen(t, dir, Options{})
 			appendN(t, s, 3, 4, "payload")
 			s.Close()
 
@@ -221,7 +224,7 @@ func TestStoreTornTail(t *testing.T) {
 // payload: a complete-but-corrupt final frame also counts as torn.
 func TestStoreTornChecksumTail(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 3, 3, "v")
 	s.Close()
 	seg := lastSegmentPath(t, dir)
@@ -248,7 +251,7 @@ func TestStoreTornChecksumTail(t *testing.T) {
 // append, and recovery must refuse rather than drop acknowledged data.
 func TestStoreRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 3, 3, "v")
 	s.Close()
 	seg := lastSegmentPath(t, dir)
@@ -270,7 +273,7 @@ func TestStoreRejectsMidLogCorruption(t *testing.T) {
 // back silently would lose state.
 func TestStoreRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 1, 2, "x")
 	if err := s.SaveSnapshot([]byte("precious")); err != nil {
 		t.Fatal(err)
@@ -299,7 +302,7 @@ func TestStoreRejectsCorruptSnapshot(t *testing.T) {
 // leaves a .tmp file; recovery must ignore and remove it.
 func TestStoreLeftoverTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 1, 2, "x")
 	s.Close()
 	tmp := filepath.Join(dir, snapshotName(99)+".tmp")
@@ -318,7 +321,7 @@ func TestStoreLeftoverTmpIgnored(t *testing.T) {
 
 func TestStoreRotationAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever, SegmentBytes: 48})
+	s := mustOpen(t, dir, Options{SegmentBytes: 48})
 	appendN(t, s, 9, 20, "r")
 	if s.Stats().Segments < 3 {
 		t.Fatalf("segments = %d, want several", s.Stats().Segments)
@@ -337,48 +340,11 @@ func TestStoreRotationAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestStoreFsyncPolicies(t *testing.T) {
-	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		t.Run(p.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := mustOpen(t, dir, Options{Fsync: p, FsyncEvery: time.Millisecond})
-			appendN(t, s, 1, 10, "p")
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s2 := mustOpen(t, dir, Options{})
-			defer s2.Close()
-			if got := len(s2.Tail()); got != 10 {
-				t.Fatalf("%d records, want 10", got)
-			}
-		})
-	}
-}
-
-func TestParseFsyncPolicy(t *testing.T) {
-	cases := map[string]FsyncPolicy{
-		"": FsyncInterval, "interval": FsyncInterval,
-		"always": FsyncAlways, "ALWAYS": FsyncAlways, "never": FsyncNever,
-	}
-	for in, want := range cases {
-		got, err := ParseFsyncPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
 // TestStoreConcurrentAppend exercises the append path under -race and
 // checks the indices come back gapless.
 func TestStoreConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncInterval, FsyncEvery: time.Millisecond, SegmentBytes: 256})
+	s := mustOpen(t, dir, Options{SegmentBytes: 256})
 	const goroutines, each = 8, 25
 	var wg sync.WaitGroup
 	seen := make([]map[uint64]bool, goroutines)
@@ -424,7 +390,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 // instead of wedging on a nil segment close forever.
 func TestStoreSnapshotRetryAfterFailedCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 1, 3, "x")
 	// Put the store in the post-failure state: segment closed and
 	// detached, exactly as a SaveSnapshot aborted mid-compaction does.
@@ -450,26 +416,22 @@ func TestStoreSnapshotRetryAfterFailedCompaction(t *testing.T) {
 	}
 }
 
-// TestStoreCloseConcurrent: racing Close calls must not double-close
-// the sync-loop channel (run under -race in CI).
+// TestStoreCloseConcurrent: racing Close calls close the segment once
+// and all return nil (run under -race in CI).
 func TestStoreCloseConcurrent(t *testing.T) {
-	for _, p := range []FsyncPolicy{FsyncInterval, FsyncNever} {
-		t.Run(p.String(), func(t *testing.T) {
-			s := mustOpen(t, t.TempDir(), Options{Fsync: p, FsyncEvery: time.Millisecond})
-			appendN(t, s, 1, 3, "x")
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := s.Close(); err != nil {
-						t.Error(err)
-					}
-				}()
+	s := mustOpen(t, t.TempDir(), Options{})
+	appendN(t, s, 1, 3, "x")
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.Close(); err != nil {
+				t.Error(err)
 			}
-			wg.Wait()
-		})
+		}()
 	}
+	wg.Wait()
 }
 
 // TestStoreCrashBetweenSnapshotAndCompaction simulates a crash after
@@ -477,7 +439,7 @@ func TestStoreCloseConcurrent(t *testing.T) {
 // segments whose records the snapshot covers must be skipped.
 func TestStoreCrashBetweenSnapshotAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	s := mustOpen(t, dir, Options{})
 	appendN(t, s, 1, 5, "pre")
 	s.Close()
 	// Write the snapshot by hand (as SaveSnapshot would) without
@@ -493,5 +455,142 @@ func TestStoreCrashBetweenSnapshotAndCompaction(t *testing.T) {
 	}
 	if idx, err := s2.Append(1, []byte("next")); err != nil || idx != 6 {
 		t.Fatalf("append after partial compaction: idx=%d err=%v", idx, err)
+	}
+}
+
+// faultSegment wraps the active segment: it logs every write and sync
+// in order, and can fail one write halfway (what a short write(2)
+// leaves behind) or fail syncs.
+type faultSegment struct {
+	segment
+	ops       []string
+	shortNext bool // the next Write stores half the frame and fails
+	failSync  bool // every Sync fails
+}
+
+func (f *faultSegment) Write(p []byte) (int, error) {
+	f.ops = append(f.ops, "write")
+	if f.shortNext {
+		f.shortNext = false
+		n, _ := f.segment.Write(p[:len(p)/2])
+		return n, io.ErrShortWrite
+	}
+	return f.segment.Write(p)
+}
+
+func (f *faultSegment) Sync() error {
+	f.ops = append(f.ops, "sync")
+	if f.failSync {
+		return errors.New("injected fsync failure")
+	}
+	return f.segment.Sync()
+}
+
+// injectFaults puts a faultSegment in front of the store's active
+// segment.
+func injectFaults(s *Store) *faultSegment {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := &faultSegment{segment: s.f}
+	s.f = f
+	return f
+}
+
+// TestStoreAppendSyncsBeforeAck: every Append that returns nil wrote
+// its frame and then synced the segment holding it exactly once, and
+// Open starts no background goroutine to sync later.
+func TestStoreAppendSyncsBeforeAck(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "store.(*Store).") {
+			t.Fatalf("Open left a goroutine running in the store:\n%s", g)
+		}
+	}
+	seg := injectFaults(s)
+	for i := 1; i <= 5; i++ {
+		seg.ops = nil
+		idx, err := s.Append(1, []byte("acked"))
+		if err != nil || idx != uint64(i) {
+			t.Fatalf("append %d: idx=%d err=%v", i, idx, err)
+		}
+		if want := []string{"write", "sync"}; !slices.Equal(seg.ops, want) {
+			t.Fatalf("append %d did %v before returning, want %v", i, seg.ops, want)
+		}
+	}
+}
+
+// TestStoreTornShortWriteStopsLog: a write that stores half a frame
+// stops the log, so no later frame lands behind the torn one; the next
+// Open truncates it as a torn tail and the log continues.
+func TestStoreTornShortWriteStopsLog(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	if idx, err := s.Append(1, []byte("first")); err != nil || idx != 1 {
+		t.Fatalf("append 1: idx=%d err=%v", idx, err)
+	}
+	seg := injectFaults(s)
+	seg.shortNext = true
+	if _, err := s.Append(1, []byte("torn by a short write")); err == nil {
+		t.Fatal("short write acknowledged")
+	}
+	idx, err := s.Append(1, []byte("behind the torn frame"))
+	if err == nil || !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("append after a short write: idx=%d err=%v, want a refusal naming the short write", idx, err)
+	}
+	if err := s.SaveSnapshot([]byte("S")); err == nil || !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("snapshot after a short write: err=%v, want a refusal naming the short write", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	tail := s2.Tail()
+	if len(tail) != 1 || string(tail[0].Payload) != "first" {
+		t.Fatalf("recovered %+v, want record 1 only", tail)
+	}
+	if s2.Recovery().TornBytes <= 0 {
+		t.Fatalf("recovery = %+v, want the half frame truncated as torn", s2.Recovery())
+	}
+	if idx, err := s2.Append(1, []byte("after reopen")); err != nil || idx != 2 {
+		t.Fatalf("append after reopen: idx=%d err=%v, want 2", idx, err)
+	}
+}
+
+// TestStoreCrashFailedSyncStopsLog: a failed fsync is not retried —
+// Linux may have dropped the dirty pages — so it stops the log like a
+// failed write, and a reopen continues from what reached the file.
+func TestStoreCrashFailedSyncStopsLog(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	appendN(t, s, 1, 2, "ok")
+	seg := injectFaults(s)
+	seg.failSync = true
+	if _, err := s.Append(1, []byte("unsynced")); err == nil {
+		t.Fatal("append with a failed fsync acknowledged")
+	}
+	seg.failSync = false
+	seg.ops = nil
+	if _, err := s.Append(1, []byte("next")); err == nil || !strings.Contains(err.Error(), "injected fsync failure") {
+		t.Fatalf("append after a failed fsync: err=%v, want a refusal naming the fsync failure", err)
+	}
+	if len(seg.ops) != 0 {
+		t.Fatalf("refused append touched the segment: %v", seg.ops)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	n := len(s2.Tail())
+	if n < 2 {
+		t.Fatalf("recovered %d records, want the 2 acknowledged ones", n)
+	}
+	if idx, err := s2.Append(1, []byte("after reopen")); err != nil || idx != uint64(n+1) {
+		t.Fatalf("append after reopen: idx=%d err=%v, want %d", idx, err, n+1)
 	}
 }
