@@ -184,7 +184,8 @@ func TestRunServesMetrics(t *testing.T) {
 		{`(?m)^pisa_sdc_cache_events_total\{event="(\w+)"\}`,
 			map[string]bool{"hit": true, "miss": true, "stale": true, "evict": true, "admit": true}},
 		{`(?m)^pisa_paillier_(\w+)`, map[string]bool{
-			"nonce_total": true, "nonce_tables_total": true, "fullwidth_nonce_total": true, "decrypt_total": true,
+			"nonce_total": true, "nonce_tables_total": true, "fullwidth_nonce_total": true,
+			"decrypt_total": true, "decrypt_lanes_total": true,
 			"nonce_pool_depth": true, "nonce_pool_refills_total": true, "nonce_fallbacks_total": true}},
 	} {
 		for _, m := range regexp.MustCompile(family.re).FindAllSubmatch(body, -1) {

@@ -45,30 +45,97 @@ func SharedReader(random io.Reader) io.Reader {
 	return &syncReader{r: random}
 }
 
+// laneDecrypt lets DecryptBatch take the lane path on a CPU that has
+// it; tests clear it to run the scalar loop on the same keys.
+var laneDecrypt = true
+
+// laneMinRun is the shortest run DecryptBatch gives the lane kernel: a
+// kernel run costs the same for one ciphertext as for eight, at 2048
+// bits about one and a half scalar decryptions (BenchmarkDecryptBatch),
+// so a run of one stays on math/big.
+const laneMinRun = 2
+
 // DecryptBatch decrypts every ciphertext with up to workers
-// goroutines. Output slot i corresponds to cts[i]. Unlike a loop over
-// Decrypt, the per-key CRT context (cached constants plus big.Int
-// scratch) is set up once per worker and reused across that worker's
-// whole share of the batch, so only the two modular exponentiations
-// remain in the per-ciphertext loop.
+// goroutines. Output slot i corresponds to cts[i], and an invalid
+// ciphertext fails the batch with its index; with workers <= 1 the
+// ciphertexts before it are decrypted and counted, as a loop over
+// Decrypt would.
+//
+// On a CPU with the lane kernel the batch is cut into runs of
+// laneWidth ciphertexts, which the workers claim one at a time: a run
+// raises all its ciphertexts to a modulo p^2 in one kernel pass and to
+// a modulo q^2 in another (decryptRun). Elsewhere each worker takes a
+// contiguous chunk and decrypts it ciphertext by ciphertext. Either way
+// the per-key CRT context (cached constants plus big.Int scratch) is
+// set up once per chunk or run and reused across it.
 func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, workers int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(cts))
-	// One context per contiguous chunk, so the scratch is never shared.
-	err := parallel.ForChunks(workers, len(cts), func(lo, hi int) error {
-		d := sk.newDecContext()
-		for i := lo; i < hi; i++ {
-			m, err := d.decrypt(cts[i])
-			if err != nil {
-				return fmt.Errorf("paillier: decrypt batch element %d: %w", i, err)
+	var err error
+	if laneDecrypt && sk.p.lane != nil && sk.q.lane != nil {
+		runs := (len(cts) + laneWidth - 1) / laneWidth
+		err = parallel.For(workers, runs, func(r int) error {
+			lo := r * laneWidth
+			hi := min(lo+laneWidth, len(cts))
+			return sk.newDecContext().decryptRun(cts[lo:hi], out[lo:hi], lo)
+		})
+	} else {
+		// One context per contiguous chunk, so the scratch is never shared.
+		err = parallel.ForChunks(workers, len(cts), func(lo, hi int) error {
+			d := sk.newDecContext()
+			for i := lo; i < hi; i++ {
+				m, err := d.decrypt(cts[i])
+				if err != nil {
+					return batchError(i, err)
+				}
+				out[i] = m
 			}
-			out[i] = m
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// batchError is DecryptBatch's error for an invalid element i.
+func batchError(i int, err error) error {
+	return fmt.Errorf("paillier: decrypt batch element %d: %w", i, err)
+}
+
+// decryptRun decrypts a run of at most laneWidth ciphertexts, element
+// base of the batch first, into out. The ciphertexts before the run's
+// first invalid one are decrypted, on the kernel when there are at
+// least laneMinRun of them (the empty lanes are padding), and the
+// invalid one is returned as the batch's error. Each lane whose residue
+// shows a nonce outside <H> finishes on the scalar continuation, and
+// the plaintexts are recombined and counted as Decrypt does.
+func (d *decContext) decryptRun(cts []*Ciphertext, out []*big.Int, base int) error {
+	sk := d.sk
+	var bad error
+	for i, ct := range cts {
+		if err := sk.validate(ct); err != nil {
+			cts, bad = cts[:i], batchError(base+i, err)
+			break
+		}
+	}
+	if len(cts) < laneMinRun {
+		for i, ct := range cts {
+			out[i], _ = d.decrypt(ct) // validated above: no error
+		}
+		return bad
+	}
+	xs := make([]*big.Int, len(cts))
+	for i, ct := range cts {
+		xs[i] = ct.C
+	}
+	up, uq := sk.p.lane.exp(xs, sk.p.a), sk.q.lane.exp(xs, sk.q.a)
+	for i := range cts {
+		out[i] = d.combine(d.finish(&d.mp, &sk.p, up[i]), d.finish(&d.mq, &sk.q, uq[i]))
+	}
+	decryptLanes.used.Add(uint64(len(cts)))
+	decryptLanes.padding.Add(uint64(laneWidth - len(cts)))
+	return bad
 }
 
 // NegBatch is Neg over a batch with one modular inversion for all of

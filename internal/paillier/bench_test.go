@@ -81,6 +81,39 @@ func BenchmarkDecrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkDecryptBatch measures DecryptBatch at 2048 bits on one
+// worker, on the lane kernel and with it switched off, for batches of
+// 1 to 32 short ciphertexts: where a padded kernel run starts to beat
+// the scalar loop sets laneMinRun. Run it at -cpu 1; the lane rows skip
+// where the kernel is not built.
+func BenchmarkDecryptBatch(b *testing.B) {
+	sk := benchKey(b, 2048)
+	cts := make([]*Ciphertext, 32)
+	for i := range cts {
+		ct, err := sk.PublicKey.Encrypt(rand.Reader, big.NewInt(int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cts[i] = ct
+	}
+	for _, lanes := range []bool{true, false} {
+		path := map[bool]string{true: "lanes", false: "scalar"}[lanes]
+		for _, size := range []int{1, 2, 4, 8, 12, 32} {
+			b.Run(fmt.Sprintf("%s/n=%d", path, size), func(b *testing.B) {
+				if lanes {
+					requireLanes(b)
+				}
+				withLanes(b, lanes)
+				for i := 0; i < b.N; i++ {
+					if _, err := sk.DecryptBatch(cts[:size], 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkGenerateKey measures key generation at 2048 bits: two
 // primes of the form 2*a*k+1 and the nonce base H. cores is the
 // process's CPU time over the wall time, i.e. how many cores a key

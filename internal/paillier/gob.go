@@ -54,11 +54,18 @@ func (sk *PrivateKey) GobDecode(data []byte) error {
 	}
 	// These primes come from a file, not from this package's random
 	// search, so the count for random candidates (confirmRounds) does
-	// not apply: an adversarial composite needs the full 20 rounds.
+	// not apply: an adversarial composite needs the full 20 rounds. Both
+	// must be odd, as GenerateKey's are: 2 passes ProbablyPrime, but no
+	// Montgomery reduction works modulo an even d^2.
 	if payload.P == nil || payload.Q == nil ||
+		payload.P.Bit(0) == 0 || payload.Q.Bit(0) == 0 ||
 		!payload.P.ProbablyPrime(20) || !payload.Q.ProbablyPrime(20) ||
 		payload.P.Cmp(payload.Q) == 0 {
 		return errors.New("paillier: decoded private key malformed")
+	}
+	// The floor GenerateKey and PublicKey.Check enforce.
+	if new(big.Int).Mul(payload.P, payload.Q).BitLen() < 128 {
+		return fmt.Errorf("paillier: decoded private key malformed: %w", ErrKeyTooSmall)
 	}
 	key, err := newPrivateKey(payload.P, payload.Q, payload.AP, payload.AQ, payload.H)
 	if err != nil {

@@ -134,6 +134,9 @@ type crtPrime struct {
 	cofactor    *big.Int // (d-1)/a
 	invShort    *big.Int // L_d(g^a mod d^2)^{-1} mod d
 	invFull     *big.Int // L_d(g^(d-1) mod d^2)^{-1} mod d
+	// lane is d^2 prepared for the eight-lane kernel that DecryptBatch
+	// raises ciphertexts to a on; nil on a CPU without it.
+	lane *laneModulus
 }
 
 // Ciphertext is a Paillier ciphertext: an element of Z_{n^2}^*.
@@ -549,6 +552,7 @@ func newCRTPrime(n, d, a, h *big.Int) (crtPrime, error) {
 		return l.ModInverse(l.Mod(l, d), d)
 	}
 	c.invShort, c.invFull = inv(a), inv(dMinusOne)
+	c.lane = newLaneModulus(c.dSquared)
 	return c, nil
 }
 
@@ -611,7 +615,10 @@ func (pk *PublicKey) PrepareLean() *PublicKey {
 // EncryptWithNonce still pays. decrypts counts decryptions by the
 // exponent they paid: short when both CRT halves stopped at the
 // subgroup order, full when either ran on to p-1 because the nonce was
-// not a power of the key's H. All are bridged to the obs registry, so a
+// not a power of the key's H. decryptLanes counts the lanes of
+// DecryptBatch's kernel runs, used by a ciphertext or padding: used
+// over used plus padding is the share of the kernel's work that was
+// useful. All are bridged to the obs registry, so a
 // sender whose key lost its H (it draws a private base) or a snapshot
 // from before H existed shows on /metrics as a full-decrypt counter
 // that keeps growing.
@@ -620,6 +627,7 @@ var (
 	nonceTables     struct{ full, lean atomic.Uint64 }
 	fullWidthNonces atomic.Uint64
 	decrypts        struct{ short, full atomic.Uint64 }
+	decryptLanes    struct{ used, padding atomic.Uint64 }
 )
 
 func init() {
@@ -635,6 +643,9 @@ func init() {
 	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
+	const lanesHelp = "lanes of DecryptBatch's eight-lane kernel runs: used = a ciphertext, padding = empty"
+	obs.Default().CounterFunc("pisa_paillier_decrypt_lanes_total", lanesHelp, obs.Labels{"lane": "used"}, decryptLanes.used.Load)
+	obs.Default().CounterFunc("pisa_paillier_decrypt_lanes_total", lanesHelp, obs.Labels{"lane": "padding"}, decryptLanes.padding.Load)
 }
 
 // Nonces reports how many nonce factors this process has drawn: one per
@@ -894,16 +905,19 @@ func (sk *PrivateKey) newDecContext() *decContext {
 }
 
 // residue sets m to the plaintext of ct modulo the prime c.d and
-// reports whether it took the full exponent. u = ct^a mod d^2 comes
-// first. Write ct = (1+n)^m * t with t in the subgroup of order d-1:
-// then u is (1+n)^(m*a) * t^a, and d divides u-1 exactly when t^a = 1 —
-// for every nonce in <H>, and for a foreign one with probability
-// a/(d-1). If it does not, u^cofactor = ct^(d-1) finishes the textbook
-// decryption; the short exponentiation was its first quarter, not
-// wasted work.
+// reports whether it took the full exponent.
 func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full bool) {
+	return d.finish(m, c, d.u.Exp(ct, c.a, c.dSquared))
+}
+
+// finish is residue from u = ct^a mod d^2, which it overwrites. Write
+// ct = (1+n)^m * t with t in the subgroup of order d-1: then u is
+// (1+n)^(m*a) * t^a, and d divides u-1 exactly when t^a = 1 — for every
+// nonce in <H>, and for a foreign one with probability a/(d-1). If it
+// does not, u^cofactor = ct^(d-1) finishes the textbook decryption; the
+// short exponentiation was its first quarter, not wasted work.
+func (d *decContext) finish(m *big.Int, c *crtPrime, u *big.Int) (full bool) {
 	inv := c.invShort
-	u := d.u.Exp(ct, c.a, c.dSquared)
 	m.Sub(u, one)
 	// m = L_d(u) if the remainder is zero.
 	if m.QuoRem(m, c.d, &d.r); d.r.Sign() != 0 {
@@ -920,12 +934,16 @@ func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full bool) {
 // decrypt runs the CRT decryption using the context's scratch. The
 // returned plaintext is freshly allocated (the scratch never escapes).
 func (d *decContext) decrypt(ct *Ciphertext) (*big.Int, error) {
-	sk := d.sk
-	if err := sk.validate(ct); err != nil {
+	if err := d.sk.validate(ct); err != nil {
 		return nil, err
 	}
-	fullP := d.residue(&d.mp, &sk.p, ct.C)
-	fullQ := d.residue(&d.mq, &sk.q, ct.C)
+	return d.combine(d.residue(&d.mp, &d.sk.p, ct.C), d.residue(&d.mq, &d.sk.q, ct.C)), nil
+}
+
+// combine counts the decryption by the exponents its residues d.mp and
+// d.mq took and recombines them into the centred plaintext.
+func (d *decContext) combine(fullP, fullQ bool) *big.Int {
+	sk := d.sk
 	if fullP || fullQ {
 		decrypts.full.Add(1)
 	} else {
@@ -939,9 +957,9 @@ func (d *decContext) decrypt(ct *Ciphertext) (*big.Int, error) {
 	m.Add(m, &d.mq)
 	// Centred decode into a fresh integer — m aliases the scratch.
 	if m.Cmp(sk.half) > 0 {
-		return new(big.Int).Sub(m, sk.N), nil
+		return new(big.Int).Sub(m, sk.N)
 	}
-	return new(big.Int).Set(m), nil
+	return new(big.Int).Set(m)
 }
 
 // Decrypt recovers the signed plaintext from ct, using CRT over the

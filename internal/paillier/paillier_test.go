@@ -459,6 +459,31 @@ func TestPrivateKeyGobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrivateKeyGobRejectsTinyAndEvenKeys: a key file must meet the
+// floor GenerateKey and PublicKey.Check enforce, and both its primes
+// must be odd, which 2 is not although it passes ProbablyPrime.
+func TestPrivateKeyGobRejectsTinyAndEvenKeys(t *testing.T) {
+	big130, err := Prime(rand.Reader, 130)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pq := range map[string][2]*big.Int{
+		"P = 2, Q = 3":             {big.NewInt(2), big.NewInt(3)},
+		"40-bit modulus":           {big.NewInt(1000003), big.NewInt(1000033)},
+		"P = 2 beside a 130-bit Q": {big.NewInt(2), big130},
+		"Q = 2 beside a 130-bit P": {big130, big.NewInt(2)},
+	} {
+		blob, err := gobEncode(privateKeyGob{P: pq[0], Q: pq[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sk PrivateKey
+		if err := sk.GobDecode(blob); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func FuzzDecryptArbitraryCiphertext(f *testing.F) {
 	sk := testKey()
 	f.Add([]byte{0x01})
