@@ -185,7 +185,7 @@ func TestRunServesMetrics(t *testing.T) {
 			map[string]bool{"hit": true, "miss": true, "stale": true, "evict": true, "admit": true}},
 		{`(?m)^pisa_paillier_(\w+)`, map[string]bool{
 			"nonce_total": true, "nonce_tables_total": true, "fullwidth_nonce_total": true,
-			"decrypt_total": true, "decrypt_lanes_total": true,
+			"decrypt_total": true, "lanes_total": true,
 			"nonce_pool_depth": true, "nonce_pool_refills_total": true, "nonce_fallbacks_total": true}},
 	} {
 		for _, m := range regexp.MustCompile(family.re).FindAllSubmatch(body, -1) {

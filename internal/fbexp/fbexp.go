@@ -123,14 +123,12 @@ func New(base *big.Int, m *Modulus, window, maxBits, maxEntries int) (*Table, er
 		return nil, fmt.Errorf("fbexp: entry budget %d below 1", maxEntries)
 	}
 	perBlock := 1<<uint(window) - 1
-	rowBits := (maxBits + window - 1) / window
-	maxBlocks := min(max(maxEntries/perBlock, 1), rowBits)
-	blockBits := (rowBits + maxBlocks - 1) / maxBlocks
+	rowBits, blocks, blockBits := Geometry(window, maxBits, maxEntries)
 	t := &Table{
 		m:         m,
 		height:    window,
 		rowBits:   rowBits,
-		blocks:    (rowBits + blockBits - 1) / blockBits, // fewest blocks of that width
+		blocks:    blocks,
 		blockBits: blockBits,
 		maxBits:   maxBits,
 	}
@@ -171,6 +169,18 @@ func New(base *big.Int, m *Modulus, window, maxBits, maxEntries int) (*Table, er
 		return nil
 	})
 	return t, err
+}
+
+// Geometry returns the comb New builds for a height, an exponent width
+// and an entry budget: rows of a = ceil(maxBits/window) bits, cut into
+// as many blocks as keep blocks*(2^window - 1) entries inside maxEntries
+// (at least one, at most a), of b = ceil(a/v) bits each, and then the
+// fewest blocks of that width. The arguments must be in New's ranges.
+func Geometry(window, maxBits, maxEntries int) (rowBits, blocks, blockBits int) {
+	rowBits = (maxBits + window - 1) / window
+	maxBlocks := min(max(maxEntries/(1<<uint(window)-1), 1), rowBits)
+	blockBits = (rowBits + maxBlocks - 1) / maxBlocks
+	return rowBits, (rowBits + blockBits - 1) / blockBits, blockBits
 }
 
 // index returns where entry G[block][idx] sits among the entries.

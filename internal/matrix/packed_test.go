@@ -132,14 +132,14 @@ func corruptPackedFrames(t testing.TB) map[string][]byte {
 		"zero channels":          func(g *packedGob) { g.Channels = 0 },
 		"negative blocks":        func(g *packedGob) { g.Blocks = -1 },
 		"cell bomb":              func(g *packedGob) { g.Channels = 1 << 20; g.Blocks = 1 << 20 },
-		"overflowing dimensions": func(g *packedGob) { g.Channels = 1 << 62; g.Blocks = 1 << 3 },
+		"overflowing dimensions": func(g *packedGob) { g.Channels = math.MaxInt/2 + 1; g.Blocks = 1 << 3 },
 		"nil key":                func(g *packedGob) { g.KeyN = nil },
 		"negative key":           func(g *packedGob) { g.KeyN = big.NewInt(-17) },
 		"bad codec":              func(g *packedGob) { g.SlotBits = 1 },
 		"codec too wide for key": func(g *packedGob) { g.Slots = 100; g.SlotBits = 100 },
 		// Slot geometries whose width products overflow an int.
-		"slot width overflow":    func(g *packedGob) { g.Slots = 2; g.SlotBits = 1 << 62; g.PayloadBits = 1 },
-		"slot width wraps":       func(g *packedGob) { g.Slots = 4; g.SlotBits = 1 << 62; g.PayloadBits = 1 },
+		"slot width overflow":    func(g *packedGob) { g.Slots = 2; g.SlotBits = math.MaxInt/2 + 1; g.PayloadBits = 1 },
+		"slot width wraps":       func(g *packedGob) { g.Slots = 4; g.SlotBits = math.MaxInt/2 + 1; g.PayloadBits = 1 },
 		"payload width overflow": func(g *packedGob) { g.Slots = 1; g.SlotBits = 3; g.PayloadBits = math.MaxInt },
 		"index out of range":     func(g *packedGob) { g.Index = []int32{5} },
 		"negative index":         func(g *packedGob) { g.Index = []int32{-1} },

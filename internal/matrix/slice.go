@@ -1,12 +1,12 @@
 package matrix
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
 
 	"pisa/internal/paillier"
-	"pisa/internal/parallel"
 )
 
 // Channel-slice views and window-ranged encryption back the sharded
@@ -60,33 +60,31 @@ func PackEncryptIntsWindow(random io.Reader, key *paillier.PublicKey, codec *pai
 	if err != nil {
 		return nil, err
 	}
-	if workers > 1 {
-		random = paillier.SharedReader(random)
-	}
 	k := codec.Slots()
 	base := lo * out.groups
-	err = parallel.For(workers, (hi-lo)*out.groups, func(j int) error {
+	vals := make([][]*big.Int, (hi-lo)*out.groups)
+	for j := range vals {
 		i := base + j
 		c, g := i/out.groups, i%out.groups
-		vals := make([]*big.Int, k)
+		vals[j] = make([]*big.Int, k)
 		for s := 0; s < k; s++ {
-			b := g*k + s
-			if b < m.blocks {
-				vals[s] = big.NewInt(m.data[c*m.blocks+b])
+			if b := g*k + s; b < m.blocks {
+				vals[j][s] = big.NewInt(m.data[c*m.blocks+b])
 			} else {
-				vals[s] = big.NewInt(pad)
+				vals[j][s] = big.NewInt(pad)
 			}
 		}
-		ct, err := key.PackEncrypt(random, codec, vals)
-		if err != nil {
-			return fmt.Errorf("pack-encrypt group (%d, %d): %w", c, g, err)
-		}
-		out.data[i] = ct
-		return nil
-	})
+	}
+	cts, err := key.PackEncryptBatch(random, codec, vals, workers)
 	if err != nil {
+		var be *paillier.BatchError
+		if errors.As(err, &be) {
+			i := base + be.Index
+			return nil, fmt.Errorf("pack-encrypt group (%d, %d): %w", i/out.groups, i%out.groups, be.Err)
+		}
 		return nil, err
 	}
+	copy(out.data[base:], cts)
 	out.populated = (hi - lo) * out.groups
 	return out, nil
 }

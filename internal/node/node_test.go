@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"log/slog"
+	"math"
 	"math/big"
 	"net"
 	"strings"
@@ -265,7 +266,7 @@ func TestSDCServerRefusesHostileSlotWidth(t *testing.T) {
 		Request *request
 	}{wire.KindSURequest, &request{
 		SUID: "su-1",
-		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: 1 << 62, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
+		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: math.MaxInt/2 + 1, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -45,10 +45,6 @@ func SharedReader(random io.Reader) io.Reader {
 	return &syncReader{r: random}
 }
 
-// laneDecrypt lets DecryptBatch take the lane path on a CPU that has
-// it; tests clear it to run the scalar loop on the same keys.
-var laneDecrypt = true
-
 // laneMinRun is the shortest run DecryptBatch gives the lane kernel: a
 // kernel run costs the same for one ciphertext as for eight, at 2048
 // bits about one and a half scalar decryptions (BenchmarkDecryptBatch),
@@ -71,7 +67,7 @@ const laneMinRun = 2
 func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, workers int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(cts))
 	var err error
-	if laneDecrypt && sk.p.lane != nil && sk.q.lane != nil {
+	if lanesOn() && sk.p.lane != nil && sk.q.lane != nil {
 		runs := (len(cts) + laneWidth - 1) / laneWidth
 		err = parallel.For(workers, runs, func(r int) error {
 			lo := r * laneWidth
@@ -98,10 +94,23 @@ func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, workers int) ([]*big.Int, 
 	return out, nil
 }
 
-// batchError is DecryptBatch's error for an invalid element i.
-func batchError(i int, err error) error {
-	return fmt.Errorf("paillier: decrypt batch element %d: %w", i, err)
+// BatchError is a batch call's error for one element: the first that
+// a loop over the element-at-a-time call would have failed on, with
+// that call's error.
+type BatchError struct {
+	Op    string // the batch: "decrypt", "scalar-mul", "encrypt", "pack" or "nonce"
+	Index int
+	Err   error
 }
+
+func (e *BatchError) Error() string {
+	return fmt.Sprintf("paillier: %s batch element %d: %v", e.Op, e.Index, e.Err)
+}
+
+func (e *BatchError) Unwrap() error { return e.Err }
+
+// batchError is DecryptBatch's error for an invalid element i.
+func batchError(i int, err error) error { return &BatchError{Op: "decrypt", Index: i, Err: err} }
 
 // decryptRun decrypts a run of at most laneWidth ciphertexts, element
 // base of the batch first, into out. The ciphertexts before the run's
@@ -109,7 +118,8 @@ func batchError(i int, err error) error {
 // least laneMinRun of them (the empty lanes are padding), and the
 // invalid one is returned as the batch's error. Each lane whose residue
 // shows a nonce outside <H> finishes on the scalar continuation, and
-// the plaintexts are recombined and counted as Decrypt does.
+// the plaintexts are recombined and counted as Decrypt does; a lane
+// that shares a prime with n is invalid too, and stops the run there.
 func (d *decContext) decryptRun(cts []*Ciphertext, out []*big.Int, base int) error {
 	sk := d.sk
 	var bad error
@@ -121,21 +131,90 @@ func (d *decContext) decryptRun(cts []*Ciphertext, out []*big.Int, base int) err
 	}
 	if len(cts) < laneMinRun {
 		for i, ct := range cts {
-			out[i], _ = d.decrypt(ct) // validated above: no error
+			var err error
+			if out[i], err = d.decrypt(ct); err != nil {
+				return batchError(base+i, err)
+			}
 		}
 		return bad
 	}
 	xs := make([]*big.Int, len(cts))
+	ap, aq := make([]*big.Int, len(cts)), make([]*big.Int, len(cts))
 	for i, ct := range cts {
-		xs[i] = ct.C
+		xs[i], ap[i], aq[i] = ct.C, sk.p.a, sk.q.a
 	}
-	up, uq := sk.p.lane.exp(xs, sk.p.a), sk.q.lane.exp(xs, sk.q.a)
+	up, uq := sk.p.lane.exp(xs, ap), sk.q.lane.exp(xs, aq)
+	laneRuns.decrypt.add(len(cts))
 	for i := range cts {
-		out[i] = d.combine(d.finish(&d.mp, &sk.p, up[i]), d.finish(&d.mq, &sk.q, uq[i]))
+		fullP, unitP := d.finish(&d.mp, &sk.p, up[i])
+		fullQ, unitQ := d.finish(&d.mq, &sk.q, uq[i])
+		if !unitP || !unitQ {
+			return batchError(base+i, ErrInvalidCiphertext)
+		}
+		out[i] = d.combine(fullP, fullQ)
 	}
-	decryptLanes.used.Add(uint64(len(cts)))
-	decryptLanes.padding.Add(uint64(laneWidth - len(cts)))
 	return bad
+}
+
+// scalarMinRun is the shortest run ScalarMulBatch gives the lane
+// kernel: a kernel run costs the same for one cell as for eight, at 2048
+// bits and 100-bit scalars about 2.4 ScalarMuls (BenchmarkScalarMulBatch),
+// so runs of one and two stay on fbexp.
+const scalarMinRun = 3
+
+// ScalarMulBatch returns what ScalarMul(ks[i], cts[i]) returns for
+// every i, bit for bit, or the error of the first element ScalarMul
+// refuses, with its index. On a CPU with the lane kernel the elements go
+// through it in runs of laneWidth, each raised to its own |k| modulo n^2
+// in one pass (the power of a negative k is then inverted, which fails
+// where ScalarMul fails, for a ciphertext that is not a unit); a run
+// shorter than scalarMinRun, and every element elsewhere, takes
+// ScalarMul itself. It runs on the caller's goroutine.
+func (pk *PublicKey) ScalarMulBatch(ks []*big.Int, cts []*Ciphertext) ([]*Ciphertext, error) {
+	if len(ks) != len(cts) {
+		return nil, fmt.Errorf("paillier: scalar-mul batch of %d scalars for %d ciphertexts", len(ks), len(cts))
+	}
+	fail := func(i int, err error) error { return &BatchError{Op: "scalar-mul", Index: i, Err: err} }
+	var bad error
+	for i, ct := range cts {
+		if err := pk.validate(ct); err != nil {
+			cts, bad = cts[:i], fail(i, err)
+			break
+		}
+	}
+	out := make([]*Ciphertext, len(cts))
+	lm := pk.squareLanes()
+	for lo := 0; lo < len(cts); lo += laneWidth {
+		hi := min(lo+laneWidth, len(cts))
+		if lm == nil || hi-lo < scalarMinRun {
+			for i := lo; i < hi; i++ {
+				var err error
+				if out[i], err = pk.ScalarMul(ks[i], cts[i]); err != nil {
+					return nil, fail(i, err)
+				}
+			}
+			continue
+		}
+		xs, es := make([]*big.Int, hi-lo), make([]*big.Int, hi-lo)
+		for i := lo; i < hi; i++ {
+			xs[i-lo], es[i-lo] = cts[i].C, ks[i]
+			if ks[i].Sign() < 0 {
+				es[i-lo] = new(big.Int).Neg(ks[i])
+			}
+		}
+		ys := lm.exp(xs, es)
+		laneRuns.scalarMul.add(hi - lo)
+		for l, y := range ys {
+			if ks[lo+l].Sign() < 0 && y.ModInverse(y, pk.nSquared) == nil {
+				return nil, fail(lo+l, ErrInvalidCiphertext)
+			}
+			out[lo+l] = &Ciphertext{C: y}
+		}
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	return out, nil
 }
 
 // NegBatch is Neg over a batch with one modular inversion for all of
@@ -195,23 +274,45 @@ func (pk *PublicKey) NegBatch(cts []*Ciphertext) ([]*Ciphertext, error) {
 }
 
 // NewNonceBatch precomputes count re-randomisation factors with up to
-// workers goroutines — the bulk producer behind NoncePool refills.
+// workers goroutines — the bulk producer behind NoncePool refills. The
+// exponents are drawn in index order (newRns), so the factors are the
+// same at any worker count.
 func (pk *PublicKey) NewNonceBatch(random io.Reader, count, workers int) ([]*Nonce, error) {
-	random = orDefaultRand(random)
-	if workers > 1 {
-		random = SharedReader(random)
-	}
-	out := make([]*Nonce, count)
-	err := parallel.For(workers, count, func(i int) error {
-		n, err := pk.NewNonce(random)
-		if err != nil {
-			return fmt.Errorf("paillier: nonce batch element %d: %w", i, err)
-		}
-		out[i] = n
-		return nil
-	})
+	rns, err := pk.newRns(random, count, workers)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]*Nonce, count)
+	for i, rn := range rns {
+		out[i] = &Nonce{rn: rn}
+	}
+	return out, nil
+}
+
+// EncryptBatch encrypts every message of ms under pk with up to workers
+// goroutines: out[i] encrypts ms[i] under the i-th nonce of one newRns
+// draw, so the ciphertexts are the same at any worker count and on
+// either comb, and on a lane comb the nonces are raised eight at a time.
+// A message outside the plaintext domain fails the batch with its index
+// before any nonce is drawn.
+func (pk *PublicKey) EncryptBatch(random io.Reader, ms []*big.Int, workers int) ([]*Ciphertext, error) {
+	encs := make([]*big.Int, len(ms))
+	for i, m := range ms {
+		var err error
+		if encs[i], err = pk.encode(m); err != nil {
+			return nil, &BatchError{Op: "encrypt", Index: i, Err: err}
+		}
+	}
+	rns, err := pk.newRns(random, len(ms), workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Ciphertext, len(ms))
+	_ = parallel.ForChunks(workers, len(ms), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			out[i] = pk.encryptEncoded(encs[i], rns[i])
+		}
+		return nil
+	})
 	return out, nil
 }

@@ -357,6 +357,95 @@ func BenchmarkScalarMul(b *testing.B) {
 	})
 }
 
+// BenchmarkScalarMulBatch is alpha blinding of a miss's cells at
+// Table I's scale (2048-bit n, a fresh 100-bit scalar per ciphertext),
+// on the lane kernel and with it switched off, for runs of 1 to 16
+// cells: where a padded kernel run starts to beat ScalarMul sets
+// scalarMinRun. Run it at -cpu 1; the lane rows skip where the kernel is
+// not built.
+func BenchmarkScalarMulBatch(b *testing.B) {
+	const alphaBits = 100
+	sk := benchKey(b, 2048)
+	pk := sk.Public()
+	top := new(big.Int).Lsh(one, alphaBits-1)
+	ks, cts := make([]*big.Int, 16), make([]*Ciphertext, 16)
+	for i := range cts {
+		var err error
+		if cts[i], err = pk.EncryptInt(rand.Reader, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if ks[i], err = RandomInRange(rand.Reader, top, new(big.Int).Lsh(top, 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, lanes := range []bool{true, false} {
+		path := map[bool]string{true: "lanes", false: "scalar"}[lanes]
+		for _, size := range []int{1, 2, 3, 4, 8, 16} {
+			b.Run(fmt.Sprintf("%s/n=%d", path, size), func(b *testing.B) {
+				if lanes {
+					requireLanes(b)
+				}
+				withLanes(b, lanes)
+				for i := 0; i < b.N; i++ {
+					if _, err := pk.ScalarMulBatch(ks[:size], cts[:size]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNonceBatch draws n nonces H^s with one worker from the full
+// comb of a 2048-bit key, the lane comb and with the kernel switched
+// off at the table's build fbexp's: what a batch of n encryptions pays
+// for its nonces, and at n = 1 what a single Encrypt does.
+func BenchmarkNonceBatch(b *testing.B) {
+	sk := benchKey(b, 2048)
+	for _, lanes := range []bool{true, false} {
+		path := map[bool]string{true: "lanes", false: "scalar"}[lanes]
+		for _, size := range []int{1, 8, 32} {
+			b.Run(fmt.Sprintf("%s/n=%d", path, size), func(b *testing.B) {
+				if lanes {
+					requireLanes(b)
+				}
+				withLanes(b, lanes)
+				pk := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
+				if _, err := pk.NewNonce(rand.Reader); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pk.NewNonceBatch(rand.Reader, size, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNonceTableBuild builds a 2048-bit key's full nonce table:
+// the lane comb on the kernel, and with the kernel switched off fbexp's
+// comb of the same geometry — what a group key's first nonce pays.
+func BenchmarkNonceTableBuild(b *testing.B) {
+	sk := benchKey(b, 2048)
+	for _, lanes := range []bool{true, false} {
+		b.Run(map[bool]string{true: "lanes", false: "scalar"}[lanes], func(b *testing.B) {
+			if lanes {
+				requireLanes(b)
+			}
+			withLanes(b, lanes)
+			for i := 0; i < b.N; i++ {
+				pk := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
+				if _, err := pk.table(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkInvert is homomorphic negation of 32 ciphertexts (one
 // full-grid request at the benchmark's scale), one modular inversion
 // each against one for the batch; ns/op is per batch.

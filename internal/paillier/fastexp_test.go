@@ -361,16 +361,34 @@ func TestLeanTableSameNonces(t *testing.T) {
 		}
 	}
 
+	// The full comb is fbexp's where the lane kernel is off, and the
+	// lane comb of the same 2805 entries, one limb per word, where it
+	// runs.
 	word := bits.UintSize / 8
 	limbs := len(sk.N.Bits())
-	if got, want := full.NonceTableBytes(), 11*255*2*limbs*word; got != want {
-		t.Errorf("full comb %d B, want %d (11 blocks of height 8)", got, want)
+	fbFull := 11 * 255 * 2 * limbs * word
+	if lm := full.squareLanes(); lm != nil {
+		if got, want := full.NonceTableBytes(), 2805*lm.n*8; got != want {
+			t.Errorf("full lane comb %d B, want %d (11 blocks of height 8, %d limbs)", got, want, lm.n)
+		}
+		was := SetLaneKernel(false)
+		off := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
+		_, err := off.NewNonce(rand.Reader)
+		SetLaneKernel(was)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := off.NonceTableBytes(); got != fbFull {
+			t.Errorf("full comb, kernel off: %d B, want %d (11 blocks of height 8)", got, fbFull)
+		}
+	} else if got := full.NonceTableBytes(); got != fbFull {
+		t.Errorf("full comb %d B, want %d (11 blocks of height 8)", got, fbFull)
 	}
 	if got, want := lean.NonceTableBytes(), 2*63*2*limbs*word; got != want {
 		t.Errorf("lean comb %d B, want %d (2 blocks of height 6)", got, want)
 	}
-	if 126*full.NonceTableBytes() != 2805*lean.NonceTableBytes() {
-		t.Errorf("full/lean = %d/%d B, want 2805/126", full.NonceTableBytes(), lean.NonceTableBytes())
+	if 126*fbFull != 2805*lean.NonceTableBytes() {
+		t.Errorf("full/lean = %d/%d B, want 2805/126", fbFull, lean.NonceTableBytes())
 	}
 
 	s0, f0 := Decrypts()

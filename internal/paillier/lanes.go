@@ -4,15 +4,38 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 )
 
 // This file drives the eight-lane Montgomery kernel (ammLanes, in
-// lanes_amd64.s): x_l^e mod m for eight bases x_l and one exponent e,
-// which is what DecryptBatch needs — every ciphertext of a batch is
-// raised to the same subgroup order a modulo the same d^2 (DESIGN.md
-// §10). A number is n limbs of 52 bits; a lane vector stores limb j of
-// lane l at word laneWidth*j + l, so that one ZMM register holds one
-// limb of all eight lanes.
+// lanes_amd64.s): x_l^e_l mod m for eight bases x_l and an exponent of
+// each lane's own. DecryptBatch raises every ciphertext of a run to one
+// subgroup order a modulo d^2, ScalarMulBatch every cell to its own
+// alpha modulo n^2, and the lane comb (lanecomb.go) every nonce base to
+// its own s (DESIGN.md §10). A number is n limbs of 52 bits; a lane
+// vector stores limb j of lane l at word laneWidth*j + l, so that one
+// ZMM register holds one limb of all eight lanes.
+
+// laneKernel is whether the lane paths run on a CPU that has the
+// kernel: DecryptBatch, ScalarMulBatch and the full nonce comb of every
+// table built while it is set. Tests clear it (SetLaneKernel) to hold
+// the lane paths to the scalar ones on the same keys.
+var laneKernel atomic.Bool
+
+func init() { laneKernel.Store(true) }
+
+// SetLaneKernel switches this process's lane paths on or off and
+// reports whether they ran before the call (on a CPU without the
+// kernel, never). It is the seam for tests that compare the lane paths
+// with the scalar ones bit for bit: off, every batch call takes the
+// scalar code, and every nonce table built from then on is an fbexp
+// comb, as on a CPU without the kernel. Tables built before keep their
+// kind.
+func SetLaneKernel(on bool) (ran bool) { return laneKernel.Swap(on) && laneCPU }
+
+// lanesOn reports whether the lane paths may run: the CPU has the
+// kernel and the seam is set.
+func lanesOn() bool { return laneCPU && laneKernel.Load() }
 
 const (
 	// laneWidth is the kernel's lane count: eight 64-bit lanes of a
@@ -21,7 +44,9 @@ const (
 	limbBits  = 52
 	limbMask  = 1<<limbBits - 1
 	// maxLaneLimbs keeps the kernel's unnormalised limbs below 2^61:
-	// each of its n passes adds at most four 52-bit terms to a limb.
+	// each of its n passes adds at most four terms below 2^52 to a limb,
+	// so a limb stays below 4n*2^52, which is below 2^61 exactly when
+	// n < 128. A 2048-bit key's n^2 is 79 limbs, its primes' squares 40.
 	maxLaneLimbs = 127
 	// laneWindow is big.Int.Exp's window: the same schedule of
 	// squarings and table multiplications, the same table index per
@@ -118,25 +143,32 @@ func (lm *laneModulus) amm(z, a, b []uint64) {
 	ammLanes(&z[0], &a[0], &b[0], &lm.limbs[0], lm.k0, lm.n)
 }
 
-// exp returns xs[l]^e mod m for every base (at most laneWidth of them,
-// each non-negative; e >= 0). It runs big.Int.Exp's Montgomery schedule
-// on all lanes at once: a table of x^0..x^15, then per 4-bit window of
-// e, from the top word down, four squarings (but before the first
-// window) and one multiplication by the window's entry, zero windows
-// included. The table index is a window of the exponent shared by every
-// lane, as in big.Int.Exp, and nothing else depends on e or the bases.
-// Lanes past len(xs) compute 0^e and are discarded.
-func (lm *laneModulus) exp(xs []*big.Int, e *big.Int) []*big.Int {
+// exp returns xs[l]^es[l] mod m for every base (at most laneWidth of
+// them, each non-negative; es as long as xs, each >= 0). It runs
+// big.Int.Exp's Montgomery schedule on all lanes at once: a table of
+// x^0..x^15 in every lane, then per 4-bit window, from the top window of
+// the longest exponent down, four squarings (but before the first
+// window) and one multiplication by each lane's entry for its own
+// window, gathered from its table; a lane's windows above its own
+// exponent are zero and multiply by x^0. Where every lane's window is
+// the same, as in DecryptBatch's runs, the entry is used in place. The
+// table index is a window of a lane's exponent, and nothing else depends
+// on the exponents or the bases. Lanes past len(xs) hold the base 0 and
+// are discarded.
+func (lm *laneModulus) exp(xs, es []*big.Int) []*big.Int {
 	w := laneWidth * lm.n
-	scratch := make([]uint64, (1<<laneWindow+2)*w)
+	scratch := make([]uint64, (1<<laneWindow+3)*w)
 	powers := scratch[:w<<laneWindow]
-	z, zz := scratch[w<<laneWindow:][:w], scratch[(1<<laneWindow+1)*w:]
+	z, zz := scratch[w<<laneWindow:][:w], scratch[(1<<laneWindow+1)*w:][:w]
+	gathered := scratch[(1<<laneWindow+2)*w:]
 	entry := func(i uint) []uint64 { return powers[int(i)*w:][:w] }
 
 	buf := lm.bytes()
 	var x big.Int
+	windows := 0
 	for l, xl := range xs {
 		toLimbs(zz[l:], laneWidth, lm.n, x.Mod(xl, lm.m), buf)
+		windows = max(windows, (es[l].BitLen()+laneWindow-1)/laneWindow)
 	}
 	copy(entry(0), lm.rOne)
 	lm.amm(entry(1), zz, lm.rr)
@@ -144,26 +176,60 @@ func (lm *laneModulus) exp(xs []*big.Int, e *big.Int) []*big.Int {
 		lm.amm(entry(i), entry(i-1), entry(1))
 	}
 	copy(z, lm.rOne)
-	ys := e.Bits()
-	for i := len(ys) - 1; i >= 0; i-- {
-		yi := uint(ys[i])
-		for j := 0; j < bits.UintSize; j += laneWindow {
-			if i != len(ys)-1 || j != 0 {
-				lm.amm(zz, z, z)
-				lm.amm(z, zz, zz)
-				lm.amm(zz, z, z)
-				lm.amm(z, zz, zz)
-			}
-			lm.amm(zz, z, entry(yi>>(bits.UintSize-laneWindow)))
-			z, zz = zz, z
-			yi <<= laneWindow
+	var idx [laneWidth]uint
+	for k := windows - 1; k >= 0; k-- {
+		same := true
+		for l, e := range es {
+			idx[l] = expWindow(e, k)
+			same = same && idx[l] == idx[0]
 		}
+		b := entry(idx[0])
+		if !same {
+			b = gathered
+			for l := range es {
+				gather(b, l, entry(idx[l]), lm.n)
+			}
+		}
+		if k == windows-1 {
+			copy(z, b) // 1 * b
+			continue
+		}
+		lm.amm(zz, z, z)
+		lm.amm(z, zz, zz)
+		lm.amm(zz, z, z)
+		lm.amm(z, zz, zz)
+		lm.amm(zz, z, b)
+		z, zz = zz, z
 	}
-	// Leaving Montgomery form gives z*R^-1 mod m in [0, m]: m only for
-	// z = 0 mod m, reduced below like big.Int.Exp's last subtraction.
+	return lm.leave(z, zz, len(xs), buf)
+}
+
+// expWindow returns bits [4k, 4k+4) of e >= 0.
+func expWindow(e *big.Int, k int) uint {
+	ws := e.Bits()
+	off := laneWindow * k
+	if off/bits.UintSize >= len(ws) {
+		return 0
+	}
+	return uint(ws[off/bits.UintSize]) >> (off % bits.UintSize) & (1<<laneWindow - 1)
+}
+
+// gather copies lane l of the lane vector src, n limbs, into lane l of
+// dst.
+func gather(dst []uint64, l int, src []uint64, n int) {
+	for j := l; j < laneWidth*n; j += laneWidth {
+		dst[j] = src[j]
+	}
+}
+
+// leave returns lanes 0..count-1 of z, in Montgomery form, as integers
+// in [0, m); zz is scratch. Leaving Montgomery form gives z*R^-1 mod m in
+// [0, m]: m only for z = 0 mod m, reduced below like big.Int.Exp's last
+// subtraction.
+func (lm *laneModulus) leave(z, zz []uint64, count int, buf []byte) []*big.Int {
 	lm.amm(zz, z, lm.unit)
-	out := make([]*big.Int, len(xs))
-	for l := range xs {
+	out := make([]*big.Int, count)
+	for l := range out {
 		out[l] = fromLimbs(new(big.Int), zz[l:], laneWidth, lm.n, buf)
 		if out[l].Cmp(lm.m) >= 0 {
 			out[l].Sub(out[l], lm.m)

@@ -30,10 +30,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // broadcast to every lane by the .BCST forms; k0 = -m^-1 mod 2^52.
 // Per limb b_i the loop adds a*b_i and q*m into the accumulator z
 // (q = z_0 * k0 mod 2^52, the factor that clears its low limb) and
-// shifts z down one limb in the same pass. The limbs grow by at most
-// four 52-bit terms per pass, so they stay below 2^61 for n <= 64 and
-// are normalised to 52 bits once, after the last pass. n >= 2; z must
-// not overlap a or b. No branch depends on the data.
+// shifts z down one limb in the same pass. A limb grows by at most four
+// terms below 2^52 per pass, so after n passes it is below 4n*2^52, which
+// is below 2^61 exactly when n < 128 (lanes.go's maxLaneLimbs = 127), and
+// the limbs are normalised to 52 bits once, after the last pass. n >= 2;
+// z must not overlap a or b. No branch depends on the data.
 TEXT ·ammLanes(SB), NOSPLIT, $0-48
 	MOVQ z+0(FP), DI
 	MOVQ a+8(FP), SI

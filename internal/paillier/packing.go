@@ -211,6 +211,24 @@ func (pk *PublicKey) PackEncrypt(random io.Reader, codec *SlotCodec, vals []*big
 	return pk.Encrypt(random, p)
 }
 
+// PackEncryptBatch packs every value list of vals and encrypts the
+// packed plaintexts with EncryptBatch, over up to workers goroutines. A
+// list the codec refuses fails the batch with its index before any
+// nonce is drawn.
+func (pk *PublicKey) PackEncryptBatch(random io.Reader, codec *SlotCodec, vals [][]*big.Int, workers int) ([]*Ciphertext, error) {
+	if err := codec.CheckKey(pk); err != nil {
+		return nil, err
+	}
+	ps := make([]*big.Int, len(vals))
+	for i, v := range vals {
+		var err error
+		if ps[i], err = codec.Pack(v); err != nil {
+			return nil, &BatchError{Op: "pack", Index: i, Err: err}
+		}
+	}
+	return pk.EncryptBatch(random, ps, workers)
+}
+
 // DecryptSlots decrypts ct and unpacks it into the codec's slots.
 func (sk *PrivateKey) DecryptSlots(codec *SlotCodec, ct *Ciphertext) ([]*big.Int, error) {
 	if err := codec.CheckKey(&sk.PublicKey); err != nil {

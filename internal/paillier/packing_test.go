@@ -66,11 +66,11 @@ func TestSlotCodecGeometry(t *testing.T) {
 		{4, 40, 0},                  // empty payload
 		{1 << 15, 64, 20},           // total width over cap
 		// Geometries whose width products overflow an int past the caps.
-		{2, 1 << 62, 1},      // slots*slotBits wraps negative
-		{4, 1 << 62, 1},      // slots*slotBits wraps to zero
-		{1, 3, math.MaxInt},  // payloadBits+2 wraps negative
-		{1, math.MaxInt, 20}, // slot width over cap on its own
-		{1, 40, -1},          // negative payload
+		{2, math.MaxInt/2 + 1, 1}, // slots*slotBits wraps negative
+		{4, math.MaxInt/2 + 1, 1}, // slots*slotBits wraps to zero
+		{1, 3, math.MaxInt},       // payloadBits+2 wraps negative
+		{1, math.MaxInt, 20},      // slot width over cap on its own
+		{1, 40, -1},               // negative payload
 	}
 	for _, tc := range bad {
 		if _, err := NewSlotCodec(tc.slots, tc.slotBits, tc.payloadBits); err == nil {

@@ -98,19 +98,65 @@ type PublicKey struct {
 	// on, shared by the nonce table and every PowerTable of the key.
 	mod *fbexp.Modulus
 	// nt holds the comb table every nonce of the key comes from, built
-	// by the first one. A pointer, so that copies of a prepared key
-	// share one table and the key itself stays copyable.
+	// by the first one, and n^2 prepared for the lane kernel. A pointer,
+	// so that copies of a prepared key share them and the key itself
+	// stays copyable.
 	nt *nonceTable
 }
 
 // nonceTable is a key's nonce table, built at most once: tab is set,
 // under mu, by the first draw whose build succeeds and never changes
 // after, so later draws read it without the lock. lean, set by
-// PrepareLean, gives that build the lean entry budget.
+// PrepareLean, gives that build the lean entry budget. lane is n^2 for
+// the lane kernel, built by the first caller that needs it (the full
+// comb's build, ScalarMulBatch) and nil on a CPU without the kernel.
 type nonceTable struct {
 	mu   sync.Mutex
 	lean atomic.Bool
-	tab  atomic.Pointer[fbexp.Table]
+	tab  atomic.Pointer[nonceComb]
+
+	laneOnce sync.Once
+	lane     *laneModulus
+}
+
+// nonceComb is a built nonce table: the lane comb where the key's full
+// comb runs on the kernel, the fbexp comb otherwise (a lean table, a
+// CPU without the kernel, the kernel switched off at the build).
+type nonceComb struct {
+	fb   *fbexp.Table
+	lane *laneComb
+}
+
+// exp returns H^s for every s of ss, each in [0, 2^DefaultShortExpBits),
+// over up to workers goroutines: on the lane comb in runs of laneWidth
+// exponents, the last one padded, and on the fbexp comb one at a time.
+func (c *nonceComb) exp(ss []*big.Int, workers int) []*big.Int {
+	out := make([]*big.Int, len(ss))
+	if c.lane == nil {
+		_ = parallel.ForChunks(workers, len(ss), func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				out[i] = c.fb.Exp(ss[i])
+			}
+			return nil
+		})
+		return out
+	}
+	_ = parallel.For(workers, (len(ss)+laneWidth-1)/laneWidth, func(r int) error {
+		lo := r * laneWidth
+		hi := min(lo+laneWidth, len(ss))
+		copy(out[lo:hi], c.lane.exp(ss[lo:hi]))
+		laneRuns.nonce.add(hi - lo)
+		return nil
+	})
+	return out
+}
+
+// sizeBytes reports the table's memory footprint.
+func (c *nonceComb) sizeBytes() int {
+	if c.lane != nil {
+		return c.lane.sizeBytes()
+	}
+	return c.fb.SizeBytes()
 }
 
 // PrivateKey holds the Paillier key pair: the prime factors of n, each
@@ -556,6 +602,19 @@ func newCRTPrime(n, d, a, h *big.Int) (crtPrime, error) {
 	return c, nil
 }
 
+// squareLanes returns n^2 prepared for the lane kernel, building it on
+// the first call, or nil where the lane paths do not run (lanesOn) or
+// n^2 is outside the kernel's range.
+func (pk *PublicKey) squareLanes() *laneModulus {
+	if !lanesOn() {
+		return nil
+	}
+	pk.ensureCache()
+	nt := pk.nt
+	nt.laneOnce.Do(func() { nt.lane = newLaneModulus(pk.nSquared) })
+	return nt.lane
+}
+
 // Public returns the public half of the key.
 func (sk *PrivateKey) Public() *PublicKey { return &sk.PublicKey }
 
@@ -615,10 +674,11 @@ func (pk *PublicKey) PrepareLean() *PublicKey {
 // EncryptWithNonce still pays. decrypts counts decryptions by the
 // exponent they paid: short when both CRT halves stopped at the
 // subgroup order, full when either ran on to p-1 because the nonce was
-// not a power of the key's H. decryptLanes counts the lanes of
-// DecryptBatch's kernel runs, used by a ciphertext or padding: used
-// over used plus padding is the share of the kernel's work that was
-// useful. All are bridged to the obs registry, so a
+// not a power of the key's H. laneRuns counts the lanes of the kernel's
+// runs by operation (DecryptBatch, ScalarMulBatch, the lane comb's
+// nonces), used by an element or padding: used over used plus padding
+// is the share of the kernel's work that was useful. All are bridged to
+// the obs registry, so a
 // sender whose key lost its H (it draws a private base) or a snapshot
 // from before H existed shows on /metrics as a full-decrypt counter
 // that keeps growing.
@@ -627,8 +687,17 @@ var (
 	nonceTables     struct{ full, lean atomic.Uint64 }
 	fullWidthNonces atomic.Uint64
 	decrypts        struct{ short, full atomic.Uint64 }
-	decryptLanes    struct{ used, padding atomic.Uint64 }
+	laneRuns        struct{ decrypt, scalarMul, nonce laneCount }
 )
+
+// laneCount counts the lanes of one operation's kernel runs.
+type laneCount struct{ used, padding atomic.Uint64 }
+
+// add counts a run of used lanes.
+func (c *laneCount) add(used int) {
+	c.used.Add(uint64(used))
+	c.padding.Add(uint64(laneWidth - used))
+}
 
 func init() {
 	obs.Default().CounterFunc("pisa_paillier_nonce_total",
@@ -643,9 +712,14 @@ func init() {
 	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
-	const lanesHelp = "lanes of DecryptBatch's eight-lane kernel runs: used = a ciphertext, padding = empty"
-	obs.Default().CounterFunc("pisa_paillier_decrypt_lanes_total", lanesHelp, obs.Labels{"lane": "used"}, decryptLanes.used.Load)
-	obs.Default().CounterFunc("pisa_paillier_decrypt_lanes_total", lanesHelp, obs.Labels{"lane": "padding"}, decryptLanes.padding.Load)
+	const lanesHelp = "lanes of the eight-lane kernel's runs by operation (decrypt = DecryptBatch, scalarmul = ScalarMulBatch, nonce = the lane comb): used = an element, padding = empty"
+	for _, op := range []struct {
+		name string
+		c    *laneCount
+	}{{"decrypt", &laneRuns.decrypt}, {"scalarmul", &laneRuns.scalarMul}, {"nonce", &laneRuns.nonce}} {
+		obs.Default().CounterFunc("pisa_paillier_lanes_total", lanesHelp, obs.Labels{"op": op.name, "lane": "used"}, op.c.used.Load)
+		obs.Default().CounterFunc("pisa_paillier_lanes_total", lanesHelp, obs.Labels{"op": op.name, "lane": "padding"}, op.c.padding.Load)
+	}
 }
 
 // Nonces reports how many nonce factors this process has drawn: one per
@@ -735,7 +809,7 @@ func (pk *PublicKey) checkH() error {
 // to tens of milliseconds at 2048 bits, so never draw a key's first
 // nonce under a lock others need); a failed build is left to the next
 // draw.
-func (pk *PublicKey) table(random io.Reader) (*fbexp.Table, error) {
+func (pk *PublicKey) table(random io.Reader) (*nonceComb, error) {
 	pk.ensureCache()
 	nt := pk.nt
 	if tab := nt.tab.Load(); tab != nil {
@@ -754,16 +828,27 @@ func (pk *PublicKey) table(random io.Reader) (*fbexp.Table, error) {
 		}
 		h = fbexp.Exp(x, pk.N, pk.mod)
 	}
-	window, entries, built := DefaultFastExpWindow, fastExpEntries, &nonceTables.full
+	tab := new(nonceComb)
 	if nt.lean.Load() {
-		window, entries, built = leanExpWindow, leanExpEntries, &nonceTables.lean
-	}
-	tab, err := fbexp.New(h, pk.mod, window, DefaultShortExpBits, entries)
-	if err != nil {
-		return nil, fmt.Errorf("nonce table: %w", err)
+		fb, err := fbexp.New(h, pk.mod, leanExpWindow, DefaultShortExpBits, leanExpEntries)
+		if err != nil {
+			return nil, fmt.Errorf("nonce table: %w", err)
+		}
+		tab.fb = fb
+		nonceTables.lean.Add(1)
+	} else {
+		if lm := pk.squareLanes(); lm != nil {
+			tab.lane = newLaneComb(lm, h, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries)
+		} else {
+			fb, err := fbexp.New(h, pk.mod, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries)
+			if err != nil {
+				return nil, fmt.Errorf("nonce table: %w", err)
+			}
+			tab.fb = fb
+		}
+		nonceTables.full.Add(1)
 	}
 	nt.tab.Store(tab)
-	built.Add(1)
 	return tab, nil
 }
 
@@ -774,9 +859,44 @@ func (pk *PublicKey) NonceTableBytes() int {
 		return 0
 	}
 	if tab := pk.nt.tab.Load(); tab != nil {
-		return tab.SizeBytes()
+		return tab.sizeBytes()
 	}
 	return 0
+}
+
+// drawShortExp draws a nonce exponent s uniform in
+// [1, 2^DefaultShortExpBits): h^0 = 1 would be a non-blinding nonce.
+func drawShortExp(random io.Reader) (*big.Int, error) {
+	for {
+		s, err := rand.Int(random, shortExpLimit)
+		if err != nil {
+			return nil, fmt.Errorf("draw short exponent: %w", err)
+		}
+		if s.Sign() != 0 {
+			return s, nil
+		}
+	}
+}
+
+// newRns draws count nonce factors from the key's table: every s in
+// index order from random (the table's build reads it first on a key
+// without H), then H^s mod n^2 for each over up to workers goroutines,
+// so the factors are the same at any worker count and on either comb.
+// The error of a failed draw names its index.
+func (pk *PublicKey) newRns(random io.Reader, count, workers int) ([]*big.Int, error) {
+	nonces.Add(uint64(count))
+	random = orDefaultRand(random)
+	tab, err := pk.table(random)
+	if err != nil {
+		return nil, err
+	}
+	ss := make([]*big.Int, count)
+	for i := range ss {
+		if ss[i], err = drawShortExp(random); err != nil {
+			return nil, &BatchError{Op: "nonce", Index: i, Err: err}
+		}
+	}
+	return tab.exp(ss, workers), nil
 }
 
 // newRn draws one nonce factor: H^s mod n^2 from the key's table, for s
@@ -788,16 +908,11 @@ func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		s, err := rand.Int(random, shortExpLimit)
-		if err != nil {
-			return nil, fmt.Errorf("draw short exponent: %w", err)
-		}
-		if s.Sign() == 0 {
-			continue // h^0 = 1 would be a non-blinding nonce
-		}
-		return tab.Exp(s), nil
+	s, err := drawShortExp(random)
+	if err != nil {
+		return nil, err
 	}
+	return tab.exp([]*big.Int{s}, 1)[0], nil
 }
 
 // encode maps a signed message into Z_n, rejecting values outside the
@@ -873,13 +988,19 @@ func (pk *PublicKey) encryptWithRn(m, rn *big.Int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
+	return pk.encryptEncoded(enc, rn), nil
+}
+
+// encryptEncoded is encryptWithRn for a message already encoded into
+// Z_n.
+func (pk *PublicKey) encryptEncoded(enc, rn *big.Int) *Ciphertext {
 	// (1 + m*n) mod n^2
 	gm := new(big.Int).Mul(enc, pk.N)
 	gm.Add(gm, one)
 	gm.Mod(gm, pk.nSquared)
 	c := gm.Mul(gm, rn)
 	c.Mod(c, pk.nSquared)
-	return &Ciphertext{C: c}, nil
+	return &Ciphertext{C: c}
 }
 
 // EncryptInt is a convenience wrapper around Encrypt for int64
@@ -905,8 +1026,8 @@ func (sk *PrivateKey) newDecContext() *decContext {
 }
 
 // residue sets m to the plaintext of ct modulo the prime c.d and
-// reports whether it took the full exponent.
-func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full bool) {
+// reports whether it took the full exponent; see finish for unit.
+func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full, unit bool) {
 	return d.finish(m, c, d.u.Exp(ct, c.a, c.dSquared))
 }
 
@@ -915,12 +1036,18 @@ func (d *decContext) residue(m *big.Int, c *crtPrime, ct *big.Int) (full bool) {
 // (1+n)^(m*a) * t^a, and d divides u-1 exactly when t^a = 1 — for every
 // nonce in <H>, and for a foreign one with probability a/(d-1). If it
 // does not, u^cofactor = ct^(d-1) finishes the textbook decryption; the
-// short exponentiation was its first quarter, not wasted work.
-func (d *decContext) finish(m *big.Int, c *crtPrime, u *big.Int) (full bool) {
+// short exponentiation was its first quarter, not wasted work. unit is
+// false when d divides ct, and so u: such a ct is not a ciphertext, and
+// m is not set. It is checked on the continuation only, which every
+// such u takes (u - 1 = -1 mod d).
+func (d *decContext) finish(m *big.Int, c *crtPrime, u *big.Int) (full, unit bool) {
 	inv := c.invShort
 	m.Sub(u, one)
 	// m = L_d(u) if the remainder is zero.
 	if m.QuoRem(m, c.d, &d.r); d.r.Sign() != 0 {
+		if d.r.Rem(u, c.d).Sign() == 0 {
+			return true, false
+		}
 		u.Exp(u, c.cofactor, c.dSquared)
 		m.Sub(u, one)
 		m.Quo(m, c.d)
@@ -928,16 +1055,23 @@ func (d *decContext) finish(m *big.Int, c *crtPrime, u *big.Int) (full bool) {
 	}
 	m.Mul(m, inv)
 	m.Mod(m, c.d)
-	return full
+	return full, true
 }
 
 // decrypt runs the CRT decryption using the context's scratch. The
 // returned plaintext is freshly allocated (the scratch never escapes).
+// A ct that validate passes but that shares a prime with n is refused
+// like one outside Z_{n^2}: it encrypts nothing.
 func (d *decContext) decrypt(ct *Ciphertext) (*big.Int, error) {
 	if err := d.sk.validate(ct); err != nil {
 		return nil, err
 	}
-	return d.combine(d.residue(&d.mp, &d.sk.p, ct.C), d.residue(&d.mq, &d.sk.q, ct.C)), nil
+	fullP, unitP := d.residue(&d.mp, &d.sk.p, ct.C)
+	fullQ, unitQ := d.residue(&d.mq, &d.sk.q, ct.C)
+	if !unitP || !unitQ {
+		return nil, ErrInvalidCiphertext
+	}
+	return d.combine(fullP, fullQ), nil
 }
 
 // combine counts the decryption by the exponents its residues d.mp and

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -204,8 +205,9 @@ func (s *SDC) blind(r *shardRequest) error {
 	})
 }
 
-// newBlindFactors draws one (alpha, E(-eps*beta), epsilon) tuple of
-// eq. 14. Safe for concurrent use (the randomness source is
+// newBlindFactors draws one (alpha, epsilon) pair of eq. 14 and the
+// betas its E(-eps*beta) packs, which blindChunk encrypts for its whole
+// chunk at once. Safe for concurrent use (the randomness source is
 // shared-reader wrapped at construction).
 //
 // One tuple blinds one group ciphertext: alpha and epsilon are shared
@@ -213,17 +215,17 @@ func (s *SDC) blind(r *shardRequest) error {
 // the shared epsilon leaks only the group's relative sign pattern to
 // the STP, see DESIGN.md §12), while beta is drawn fresh per slot and
 // the tuple's betaEnc is a packed encryption of the k betas.
-func (s *SDC) newBlindFactors() (blindFactors, error) {
+func (s *SDC) newBlindFactors() (blindFactors, []*big.Int, error) {
 	alphaLo := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits-1))
 	alphaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.AlphaBits))
 	betaHi := new(big.Int).Lsh(big.NewInt(1), uint(s.params.BetaBits))
 	alpha, err := paillier.RandomInRange(s.random, alphaLo, alphaHi)
 	if err != nil {
-		return blindFactors{}, err
+		return blindFactors{}, nil, err
 	}
 	epsBit := make([]byte, 1)
 	if _, err := io.ReadFull(s.random, epsBit); err != nil {
-		return blindFactors{}, fmt.Errorf("draw epsilon: %w", err)
+		return blindFactors{}, nil, fmt.Errorf("draw epsilon: %w", err)
 	}
 	eps := int64(1)
 	if epsBit[0]&1 == 1 {
@@ -234,66 +236,95 @@ func (s *SDC) newBlindFactors() (blindFactors, error) {
 	betas := make([]*big.Int, s.codec.Slots())
 	for j := range betas {
 		if betas[j], err = paillier.RandomInRange(s.random, big.NewInt(1), betaHi); err != nil {
-			return blindFactors{}, err
+			return blindFactors{}, nil, err
 		}
 		if eps > 0 {
 			betas[j].Neg(betas[j])
 		}
 	}
-	betaEnc, err := s.group.PackEncrypt(s.random, s.betaCodec, betas)
-	if err != nil {
-		return blindFactors{}, err
-	}
-	return blindFactors{alpha: alpha, betaEnc: betaEnc, eps: eps}, nil
+	return blindFactors{alpha: alpha, eps: eps}, betas, nil
 }
 
 // blindChunk applies eq. 14 to the cells [lo, hi): vs[k] becomes the
 // blinding of the encrypted budget slack is[k] under a tuple drawn here
-// for cells[k] (one packed encryption each). One-time alpha > beta > 0
-// hide the magnitude, epsilon in {-1, +1} hides the sign from the STP.
-// The tuple carries E(-eps*beta), so V~ = eps*(alpha*I - beta) is
-// I~^(eps*alpha) times that: I~^alpha from tabs[k] where the cell has a
-// table and by the general exponentiation where not, inverted where
-// eps = -1 — one modular inversion for the chunk — and multiplied by
-// the beta factor.
+// for cells[k]. One-time alpha > beta > 0 hide the magnitude, epsilon in
+// {-1, +1} hides the sign from the STP. The tuple carries E(-eps*beta),
+// one packed encryption per cell, all of the chunk's in one batch (its
+// nonces drawn after every tuple, eight to a lane-comb run), so
+// V~ = eps*(alpha*I - beta) is I~^(eps*alpha) times that: I~^alpha from
+// tabs[k] where the cell has a table and by the general exponentiation
+// where not — one ScalarMulBatch over those cells, eight to a kernel run
+// — inverted where eps = -1 — one modular inversion for the chunk — and
+// multiplied by the beta factor.
 // Touches only its own range of vs and cells — callable concurrently on
 // disjoint ranges.
 func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTable, cells []requestCell, lo, hi int) error {
-	var flipped []int // the chunk's cells with eps = -1
+	fail := func(k int, err error) error {
+		return fmt.Errorf("blind (%d, %d): %w", cells[k].c, cells[k].b, err)
+	}
+	// failAt names the cell of a batch's failing element, ats[i] being
+	// the cell at the batch's index i.
+	failAt := func(ats []int, err error) error {
+		var be *paillier.BatchError
+		if errors.As(err, &be) {
+			return fail(ats[be.Index], be.Err)
+		}
+		return fmt.Errorf("blind: %w", err)
+	}
+	all := make([]int, hi-lo)
+	betas := make([][]*big.Int, hi-lo)
+	for k := lo; k < hi; k++ {
+		all[k-lo] = k
+		var err error
+		if cells[k].bf, betas[k-lo], err = s.newBlindFactors(); err != nil {
+			return fail(k, err)
+		}
+	}
+	betaEncs, err := s.group.PackEncryptBatch(s.random, s.betaCodec, betas, 1)
+	if err != nil {
+		return failAt(all, err)
+	}
+	var plain []int // the chunk's cells without a table
 	for k := lo; k < hi; k++ {
 		cell := &cells[k]
-		var err error
-		if cell.bf, err = s.newBlindFactors(); err != nil {
-			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		cell.bf.betaEnc = betaEncs[k-lo]
+		if tabs == nil || tabs[k] == nil {
+			plain = append(plain, k)
+		} else if vs[k], err = tabs[k].ScalarMul(cell.bf.alpha); err != nil {
+			return fail(k, err)
 		}
-		if tabs != nil && tabs[k] != nil {
-			vs[k], err = tabs[k].ScalarMul(cell.bf.alpha)
-		} else {
-			vs[k], err = s.group.ScalarMul(cell.bf.alpha, is[k])
-		}
-		if err != nil {
-			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
-		}
-		if cell.bf.eps < 0 {
+	}
+	alphas, bases := make([]*big.Int, len(plain)), make([]*paillier.Ciphertext, len(plain))
+	for j, k := range plain {
+		alphas[j], bases[j] = cells[k].bf.alpha, is[k]
+	}
+	powers, err := s.group.ScalarMulBatch(alphas, bases)
+	if err != nil {
+		return failAt(plain, err)
+	}
+	for j, k := range plain {
+		vs[k] = powers[j]
+	}
+	var flipped []int // the chunk's cells with eps = -1
+	for k := lo; k < hi; k++ {
+		if cells[k].bf.eps < 0 {
 			flipped = append(flipped, k)
 		}
 	}
-	powers := make([]*paillier.Ciphertext, len(flipped))
+	powers = make([]*paillier.Ciphertext, len(flipped))
 	for j, k := range flipped {
 		powers[j] = vs[k]
 	}
 	negs, err := s.group.NegBatch(powers)
 	if err != nil {
-		cell := &cells[flipped[slices.Index(negs, nil)]]
-		return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, paillier.ErrInvalidCiphertext)
+		return fail(flipped[slices.Index(negs, nil)], paillier.ErrInvalidCiphertext)
 	}
 	for j, k := range flipped {
 		vs[k] = negs[j]
 	}
 	for k := lo; k < hi; k++ {
-		cell := &cells[k]
-		if vs[k], err = s.group.Add(vs[k], cell.bf.betaEnc); err != nil {
-			return fmt.Errorf("blind (%d, %d): %w", cell.c, cell.b, err)
+		if vs[k], err = s.group.Add(vs[k], cells[k].bf.betaEnc); err != nil {
+			return fail(k, err)
 		}
 	}
 	return nil

@@ -16,7 +16,9 @@ import (
 // registry's of either STP flavour, and the license issuer's, fetched
 // over a socket from a TCP STP — tables the lean comb of two height-6
 // blocks, while the group key, under which the SU and the SDC draw a
-// nonce per ciphertext, keeps the full comb of eleven. The lean nonces
+// nonce per ciphertext, keeps the full comb of eleven — on a CPU with
+// the lane kernel as the lane comb, the same entries each stored as n^2
+// in 52-bit limbs of one word. The lean nonces
 // are powers of the same H: the SU opens its license and no decryption
 // anywhere leaves the short path.
 func TestSUKeyTablesAreLean(t *testing.T) {
@@ -24,6 +26,12 @@ func TestSUKeyTablesAreLean(t *testing.T) {
 	words := (params.PaillierBits + bits.UintSize - 1) / bits.UintSize
 	slab := func(blocks, height int) int { return blocks * (1<<height - 1) * 2 * words * bits.UintSize / 8 }
 	lean, full := slab(2, 6), slab(11, 8)
+	// Whether the lane paths run, the seam left as it was.
+	lanes := paillier.SetLaneKernel(true)
+	paillier.SetLaneKernel(lanes)
+	if lanes {
+		full = 11 * 255 * ((2*params.PaillierBits + 2 + 51) / 52) * 8
+	}
 
 	single, err := pisa.NewSTP(nil, params.PaillierBits)
 	if err != nil {

@@ -123,20 +123,16 @@ func (p *PU) Off() (*PUUpdate, error) {
 }
 
 // update encrypts the W column defined by w, each value already in the
-// PU's slot (W(c)*2^(slot*SlotBits)), over parallel.Auto() workers.
+// PU's slot (W(c)*2^(slot*SlotBits)), as one batch over parallel.Auto()
+// workers.
 func (p *PU) update(w func(c int) int64) (*PUUpdate, error) {
-	cts := make([]*paillier.Ciphertext, len(p.eColumn))
-	err := parallel.For(parallel.Auto(), len(cts), func(c int) error {
-		v := new(big.Int).Mul(big.NewInt(w(c)), p.shift)
-		ct, err := p.group.Encrypt(p.random, v)
-		if err != nil {
-			return fmt.Errorf("pisa: encrypt W(%d): %w", c, err)
-		}
-		cts[c] = ct
-		return nil
-	})
+	vs := make([]*big.Int, len(p.eColumn))
+	for c := range vs {
+		vs[c] = new(big.Int).Mul(big.NewInt(w(c)), p.shift)
+	}
+	cts, err := p.group.EncryptBatch(p.random, vs, parallel.Auto())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pisa: encrypt W: %w", err)
 	}
 	return &PUUpdate{PUID: p.id, Block: p.block, Slots: p.codec.Slots(), SlotBits: p.codec.SlotBits(), Cts: cts}, nil
 }
@@ -274,46 +270,46 @@ func (s *SDC) groupUpdatesLocked(g int, except watch.PUID) []*PUUpdate {
 // (padding packs 1, the always-positive indicator) plus the W~ columns of
 // updates, which their PUs encrypted into their slots (PU.Tune) — on the
 // worker pool, for HandlePUUpdate and RestoreSDC alike.
-func (s *SDC) groupColumn(g int, updates []*PUUpdate) ([]*paillier.Ciphertext, error) {
+func (s *SDC) groupColumn(g int, updates []*PUUpdate) (col []*paillier.Ciphertext, err error) {
 	m := metrics()
 	start := time.Now()
+	defer func() {
+		if err != nil {
+			m.colRebuildErr.ObserveSince(start)
+		} else {
+			m.colRebuildOK.ObserveSince(start)
+		}
+	}()
 	k := s.codec.Slots()
 	lo, hi := g*k, (g+1)*k
 	if blocks := s.params.Watch.Grid.Blocks(); hi > blocks {
 		hi = blocks
 	}
-	col := make([]*paillier.Ciphertext, s.chanHi-s.chanLo)
-	err := parallel.For(parallel.Auto(), len(col), func(j int) error {
-		c := s.chanLo + j
-		vals := make([]*big.Int, k)
-		for j := range vals {
-			if b := lo + j; b < hi {
-				ev, err := s.ePlain.At(c, b)
+	vals := make([][]*big.Int, s.chanHi-s.chanLo)
+	for j := range vals {
+		vals[j] = make([]*big.Int, k)
+		for i := range vals[j] {
+			if b := lo + i; b < hi {
+				ev, err := s.ePlain.At(s.chanLo+j, b)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				vals[j] = big.NewInt(ev)
+				vals[j][i] = big.NewInt(ev)
 			} else {
-				vals[j] = big.NewInt(1)
+				vals[j][i] = big.NewInt(1)
 			}
 		}
-		acc, err := s.group.PackEncrypt(s.random, s.codec, vals)
-		if err != nil {
-			return fmt.Errorf("pisa: pack-encrypt E(%d, group %d): %w", c, g, err)
-		}
-		for _, u := range updates {
-			if acc, err = s.group.Add(acc, u.Cts[c]); err != nil {
-				return fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
-			}
-		}
-		col[j] = acc
-		return nil
-	})
-	if err != nil {
-		m.colRebuildErr.ObserveSince(start)
-		return nil, err
 	}
-	m.colRebuildOK.ObserveSince(start)
+	if col, err = s.group.PackEncryptBatch(s.random, s.codec, vals, parallel.Auto()); err != nil {
+		return nil, fmt.Errorf("pisa: pack-encrypt E(group %d): %w", g, err)
+	}
+	for j := range col {
+		for _, u := range updates {
+			if col[j], err = s.group.Add(col[j], u.Cts[s.chanLo+j]); err != nil {
+				return nil, fmt.Errorf("pisa: fold update from %q: %w", u.PUID, err)
+			}
+		}
+	}
 	return col, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"log/slog"
+	"math"
 	"math/big"
 	"net"
 	"strings"
@@ -195,7 +196,7 @@ func TestSignRequestGobRejectsMalformed(t *testing.T) {
 		{"negative slots", func(r *pisa.SignRequest) { r.Slots = -1 }, "slot count -1"},
 		{"narrow slot", func(r *pisa.SignRequest) { r.SlotBits = 2 }, "slot width 2"},
 		{"huge slot", func(r *pisa.SignRequest) { r.SlotBits = 1<<20 + 1 }, "slot width"},
-		{"overflowing slot", func(r *pisa.SignRequest) { r.Slots, r.SlotBits = 2, 1<<62 }, "slot width"},
+		{"overflowing slot", func(r *pisa.SignRequest) { r.Slots, r.SlotBits = 2, math.MaxInt/2+1 }, "slot width"},
 		{"negative answer width", func(r *pisa.SignRequest) { r.AnswerBits = -1 }, "answer bits"},
 		{"huge answer width", func(r *pisa.SignRequest) { r.AnswerBits = 1<<20 + 1 }, "slot count"},
 	}

@@ -155,9 +155,9 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure) (*Transmiss
 		return nil, err
 	}
 	// Enumerate the shipped groups in ascending order, then expand
-	// group-major/channel-minor into one work list so a serial run
-	// (GOMAXPROCS=1) draws randomness in the identical sequence as any
-	// worker count.
+	// group-major/channel-minor into one work list, encrypted as one
+	// batch: its nonces are drawn in the list's order at any worker
+	// count.
 	seen := make(map[int]bool, len(disclosure.Blocks))
 	groups := make([]int, 0, len(disclosure.Blocks))
 	for _, b := range disclosure.Blocks {
@@ -176,30 +176,28 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure) (*Transmiss
 			work = append(work, groupRef{c: c, g: g})
 		}
 	}
-	cts := make([]*paillier.Ciphertext, len(work))
-	err = parallel.For(parallel.Auto(), len(work), func(i int) error {
-		c, g := work[i].c, work[i].g
-		vals := make([]*big.Int, k)
+	vals := make([][]*big.Int, len(work))
+	for i, w := range work {
+		vals[i] = make([]*big.Int, k)
 		for s := 0; s < k; s++ {
-			if b := g*k + s; b < blocks {
-				v, err := f.At(c, b)
+			if b := w.g*k + s; b < blocks {
+				v, err := f.At(w.c, b)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				vals[s] = big.NewInt(v)
+				vals[i][s] = big.NewInt(v)
 			} else {
-				vals[s] = big.NewInt(0)
+				vals[i][s] = big.NewInt(0)
 			}
 		}
-		ct, err := u.group.PackEncrypt(u.random, u.codec, vals)
-		if err != nil {
-			return fmt.Errorf("pisa: pack-encrypt F(%d, group %d): %w", c, g, err)
-		}
-		cts[i] = ct
-		return nil
-	})
+	}
+	cts, err := u.group.PackEncryptBatch(u.random, u.codec, vals, parallel.Auto())
 	if err != nil {
-		return nil, err
+		var be *paillier.BatchError
+		if errors.As(err, &be) {
+			return nil, fmt.Errorf("pisa: pack-encrypt F(%d, group %d): %w", work[be.Index].c, work[be.Index].g, be.Err)
+		}
+		return nil, fmt.Errorf("pisa: pack-encrypt F: %w", err)
 	}
 	for i, ct := range cts {
 		if err := fp.SetGroup(work[i].c, work[i].g, ct); err != nil {

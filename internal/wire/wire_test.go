@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"net"
 	"runtime"
@@ -465,7 +466,7 @@ func encodeHostileSURequest(enc *gob.Encoder) error {
 	}
 	return enc.Encode(&envelope{Kind: KindSURequest, Request: &request{
 		SUID: "su-1",
-		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: 1 << 62, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
+		FP:   hostilePacked{Channels: 1, Blocks: 2, Slots: 2, SlotBits: math.MaxInt/2 + 1, PayloadBits: 1, KeyN: big.NewInt(1<<61 - 1)},
 	}})
 }
 
