@@ -98,7 +98,7 @@ func (sk *PrivateKey) DecryptBatch(cts []*Ciphertext, workers int) ([]*big.Int, 
 // a loop over the element-at-a-time call would have failed on, with
 // that call's error.
 type BatchError struct {
-	Op    string // the batch: "decrypt", "scalar-mul", "encrypt", "pack" or "nonce"
+	Op    string // the batch: "decrypt", "scalar-mul", "encrypt", "pack", "nonce" or "table"
 	Index int
 	Err   error
 }
@@ -158,8 +158,9 @@ func (d *decContext) decryptRun(cts []*Ciphertext, out []*big.Int, base int) err
 
 // scalarMinRun is the shortest run ScalarMulBatch gives the lane
 // kernel: a kernel run costs the same for one cell as for eight, at 2048
-// bits and 100-bit scalars about 2.4 ScalarMuls (BenchmarkScalarMulBatch),
-// so runs of one and two stay on fbexp.
+// bits and 100-bit scalars about 2.2 ScalarMuls (1.11 against 0.50 ms,
+// BenchmarkScalarMulBatch at -cpu 1), so runs of one and two stay on
+// fbexp.
 const scalarMinRun = 3
 
 // ScalarMulBatch returns what ScalarMul(ks[i], cts[i]) returns for
@@ -197,24 +198,40 @@ func (pk *PublicKey) ScalarMulBatch(ks []*big.Int, cts []*Ciphertext) ([]*Cipher
 		}
 		xs, es := make([]*big.Int, hi-lo), make([]*big.Int, hi-lo)
 		for i := lo; i < hi; i++ {
-			xs[i-lo], es[i-lo] = cts[i].C, ks[i]
-			if ks[i].Sign() < 0 {
-				es[i-lo] = new(big.Int).Neg(ks[i])
-			}
+			xs[i-lo], es[i-lo] = cts[i].C, abs(ks[i])
 		}
 		ys := lm.exp(xs, es)
 		laneRuns.scalarMul.add(hi - lo)
 		for l, y := range ys {
-			if ks[lo+l].Sign() < 0 && y.ModInverse(y, pk.nSquared) == nil {
-				return nil, fail(lo+l, ErrInvalidCiphertext)
+			var err error
+			if out[lo+l], err = pk.signedPower(ks[lo+l], y); err != nil {
+				return nil, fail(lo+l, err)
 			}
-			out[lo+l] = &Ciphertext{C: y}
 		}
 	}
 	if bad != nil {
 		return nil, bad
 	}
 	return out, nil
+}
+
+// abs returns |k|: k itself when k >= 0.
+func abs(k *big.Int) *big.Int {
+	if k.Sign() < 0 {
+		return new(big.Int).Neg(k)
+	}
+	return k
+}
+
+// signedPower returns what ScalarMul(k, ct) returns given y = ct^|k|
+// mod n^2: y for k >= 0, else its inverse, the unique one mod n^2 and
+// so also the power of ct's inverse, which fails, as ScalarMul fails,
+// exactly when ct is not a unit. It inverts y in place.
+func (pk *PublicKey) signedPower(k, y *big.Int) (*Ciphertext, error) {
+	if k.Sign() < 0 && y.ModInverse(y, pk.nSquared) == nil {
+		return nil, ErrInvalidCiphertext
+	}
+	return &Ciphertext{C: y}, nil
 }
 
 // NegBatch is Neg over a batch with one modular inversion for all of

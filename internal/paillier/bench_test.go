@@ -336,25 +336,81 @@ func BenchmarkScalarMul(b *testing.B) {
 		}
 	})
 	b.Run("table", func(b *testing.B) {
-		tab, err := pk.PowerTable(ct, alphaBits)
+		tabs, err := pk.PowerTables([]*Ciphertext{ct}, alphaBits)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(tab.SizeBytes()), "table-B")
+		b.ReportMetric(float64(tabs[0].SizeBytes()), "table-B")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tab.ScalarMul(k); err != nil {
+			if _, err := pk.ScalarMulTables([]*big.Int{k}, tabs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("table-build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pk.PowerTable(ct, alphaBits); err != nil {
+			if _, err := pk.PowerTables([]*Ciphertext{ct}, alphaBits); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkPowerTables is a cache hit's tabled alpha at Table I's scale
+// (2048-bit n, a fresh 100-bit scalar per cell) for runs of 1 to 8
+// cells — 6 is what blind hands each of two workers for a 12-ciphertext
+// band request — on lane tables and, with the kernel switched off at the
+// build, fbexp's: exp raises every cell from its table, build tables
+// them all, the first hit's cost. Run it at -cpu 1; the lane rows skip
+// where the kernel is not built.
+func BenchmarkPowerTables(b *testing.B) {
+	const alphaBits = 100
+	sk := benchKey(b, 2048)
+	pk := sk.Public()
+	top := new(big.Int).Lsh(one, alphaBits-1)
+	ks, cts := make([]*big.Int, 8), make([]*Ciphertext, 8)
+	for i := range cts {
+		var err error
+		if cts[i], err = pk.EncryptInt(rand.Reader, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if ks[i], err = RandomInRange(rand.Reader, top, new(big.Int).Lsh(top, 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, lanes := range []bool{true, false} {
+		path := map[bool]string{true: "lanes", false: "scalar"}[lanes]
+		for _, size := range []int{1, 2, 3, 6, 8} {
+			b.Run(fmt.Sprintf("exp/%s/n=%d", path, size), func(b *testing.B) {
+				if lanes {
+					requireLanes(b)
+				}
+				withLanes(b, lanes)
+				tabs, err := pk.PowerTables(cts[:size], alphaBits)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pk.ScalarMulTables(ks[:size], tabs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("build/%s/n=%d", path, size), func(b *testing.B) {
+				if lanes {
+					requireLanes(b)
+				}
+				withLanes(b, lanes)
+				for i := 0; i < b.N; i++ {
+					if _, err := pk.PowerTables(cts[:size], alphaBits); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkScalarMulBatch is alpha blinding of a miss's cells at

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -65,6 +66,38 @@ type laneModulus struct {
 	rr    []uint64 // R^2 mod m in every lane: multiplying by it enters Montgomery form
 	rOne  []uint64 // R mod m in every lane: 1 in Montgomery form
 	unit  []uint64 // 1 in every lane: multiplying by it leaves Montgomery form
+
+	// scratch pools the working memory of the modulus's runs
+	// (*laneScratch), so that a run on the request path allocates its
+	// results and nothing else.
+	scratch sync.Pool
+}
+
+// laneScratchVectors is the lane vectors of a laneScratch: exp's 16
+// window entries, accumulator, spare and gathered entry.
+const laneScratchVectors = 1<<laneWindow + 3
+
+// laneScratch is one run's working memory: laneScratchVectors lane
+// vectors and a byte buffer for toLimbs and fromLimbs.
+type laneScratch struct {
+	v   []uint64
+	buf []byte
+}
+
+// vector returns the i-th lane vector of s.
+func (s *laneScratch) vector(i, n int) []uint64 {
+	w := laneWidth * n
+	return s.v[i*w:][:w]
+}
+
+// getScratch takes a laneScratch from the modulus's pool, or makes one;
+// the caller gives it back with lm.scratch.Put. Its contents are
+// whatever the last run left.
+func (lm *laneModulus) getScratch() *laneScratch {
+	if s, ok := lm.scratch.Get().(*laneScratch); ok {
+		return s
+	}
+	return &laneScratch{v: make([]uint64, laneScratchVectors*laneWidth*lm.n), buf: lm.bytes()}
 }
 
 // newLaneModulus prepares m for the kernel, or returns nil when the CPU
@@ -156,16 +189,16 @@ func (lm *laneModulus) amm(z, a, b []uint64) {
 // on the exponents or the bases. Lanes past len(xs) hold the base 0 and
 // are discarded.
 func (lm *laneModulus) exp(xs, es []*big.Int) []*big.Int {
-	w := laneWidth * lm.n
-	scratch := make([]uint64, (1<<laneWindow+3)*w)
-	powers := scratch[:w<<laneWindow]
-	z, zz := scratch[w<<laneWindow:][:w], scratch[(1<<laneWindow+1)*w:][:w]
-	gathered := scratch[(1<<laneWindow+2)*w:]
-	entry := func(i uint) []uint64 { return powers[int(i)*w:][:w] }
+	s := lm.getScratch()
+	defer lm.scratch.Put(s)
+	entry := func(i uint) []uint64 { return s.vector(int(i), lm.n) }
+	z, zz := s.vector(1<<laneWindow, lm.n), s.vector(1<<laneWindow+1, lm.n)
+	gathered := s.vector(1<<laneWindow+2, lm.n)
 
-	buf := lm.bytes()
+	buf := s.buf
 	var x big.Int
 	windows := 0
+	clear(zz)
 	for l, xl := range xs {
 		toLimbs(zz[l:], laneWidth, lm.n, x.Mod(xl, lm.m), buf)
 		windows = max(windows, (es[l].BitLen()+laneWindow-1)/laneWindow)

@@ -8,6 +8,8 @@ import (
 	"math/big"
 	"math/bits"
 	mrand "math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pisa/internal/fbexp"
@@ -275,6 +277,122 @@ func FuzzLaneExp(f *testing.F) {
 	})
 }
 
+// FuzzLaneTable holds the per-lane gather of combExp to big.Int.Exp:
+// eight bases — 0, 1, m-1, m, beyond m and arbitrary — each with a comb
+// of its own, built in one chain (newLaneCombs), raised to an exponent
+// of each lane's own, in a full run, a short one and with one comb in
+// every lane (laneComb.exp), over odd moduli of 64 to 4 160 bits, comb
+// heights 1 to 8, one block or several, and exponents of 0 up to the
+// combs' width of 1 to 300 bits.
+func FuzzLaneTable(f *testing.F) {
+	ones := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xff
+		}
+		return b
+	}
+	f.Add(ones(512), uint16(4096-64), ones(300), ones(13), uint16(99), uint8(2), uint16(6), uint8(3))
+	f.Add(ones(96), uint16(768-64), ones(100), ones(38), uint16(255), uint8(7), uint16(2815), uint8(0))
+	f.Add([]byte{1}, uint16(0), []byte{}, []byte{}, uint16(0), uint8(0), uint16(0), uint8(7))
+	f.Add(ones(520), uint16(4160-64), ones(520), ones(38), uint16(299), uint8(4), uint16(44), uint8(5))
+	f.Fuzz(func(t *testing.T, mRaw []byte, mBits uint16, xRaw, eRaw []byte, eBits uint16, height uint8, entries uint16, lanes uint8) {
+		requireLanes(t)
+		truncate := func(raw []byte, bits int) *big.Int {
+			x := new(big.Int).SetBytes(raw)
+			return x.And(x, new(big.Int).Sub(new(big.Int).Lsh(one, uint(bits)), one))
+		}
+		bits := 64 + int(mBits)%(4160-64+1)
+		m := truncate(mRaw, bits)
+		m.SetBit(m, bits-1, 1).SetBit(m, 0, 1)
+		window := 1 + int(height)%8
+		maxBits := 1 + int(eBits)%300
+		budget := 1 + int(entries)%600
+		x := new(big.Int).SetBytes(xRaw)
+		xs := []*big.Int{
+			new(big.Int), big.NewInt(1), new(big.Int).Sub(m, one), new(big.Int).Set(m),
+			new(big.Int).Add(m, x), x, new(big.Int).Mod(x, m), new(big.Int).Mul(x, x),
+		}
+		// Lane l's exponent: e shifted by 7l bits and cut to the combs'
+		// width, so that lanes differ in every window.
+		e := new(big.Int).SetBytes(eRaw)
+		es := make([]*big.Int, laneWidth)
+		for l := range es {
+			es[l] = truncate(new(big.Int).Rsh(e, uint(7*l)).Bytes(), maxBits)
+		}
+		lm := newLaneModulus(m)
+		if lm == nil {
+			t.Fatalf("no lane modulus for an odd %d-bit m", bits)
+		}
+		combs := newLaneCombs(lm, xs, window, maxBits, budget, 2)
+		cut := int(lanes) % laneWidth
+		check := func(what string, got, xs, es []*big.Int) {
+			for l := range got {
+				if want := new(big.Int).Exp(xs[l], es[l], m); got[l].Cmp(want) != 0 {
+					t.Fatalf("%s, lane %d of %d, height %d, %d bits, budget %d: %x^%x mod %x = %x, want %x",
+						what, l, len(got), window, maxBits, budget, xs[l], es[l], m, got[l], want)
+				}
+			}
+		}
+		check("full run", combExp(combs, es), xs, es)
+		check("short run", combExp(combs[cut:], es[cut:]), xs[cut:], es[cut:])
+		same := make([]*big.Int, laneWidth-cut)
+		for l := range same {
+			same[l] = xs[cut]
+		}
+		check("one comb", combs[cut].exp(es[cut:]), same, es[cut:])
+	})
+}
+
+// TestLaneRunsReuseScratch: a lane run takes its working memory from its
+// modulus's pool, so that a run of eight 2048-bit cells, with tables or
+// without, allocates little more than its eight results — not the lane
+// vectors (96 KiB for ScalarMulBatch, 15 KiB for a comb) it allocated
+// per run before. The garbage collector is off while it measures, so the
+// pool keeps what the runs put back.
+func TestLaneRunsReuseScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	requireLanes(t)
+	withLanes(t, true)
+	sk := laneKey(t, 2048)
+	pk := sk.Public()
+	ks, cts := laneCells(t, sk, laneWidth)
+	for _, k := range ks {
+		k.Abs(k) // no inversions, whose allocations are not the run's
+	}
+	tabs, err := pk.PowerTables(cts, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	scratch := uint64(8 * laneScratchVectors * laneWidth * pk.squareLanes().n)
+	for _, run := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"ScalarMulBatch", func() error { _, err := pk.ScalarMulBatch(ks, cts); return err }},
+		{"ScalarMulTables", func() error { _, err := pk.ScalarMulTables(ks, tabs); return err }},
+	} {
+		if err := run.fn(); err != nil { // fills the pool
+			t.Fatal(err)
+		}
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if err := run.fn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > scratch/8 {
+			t.Errorf("%s of eight cells allocates %d B per run; its scratch is %d B", run.name, perRun, scratch)
+		}
+	}
+}
+
 // TestLaneCombMatchesFbexp holds the lane comb to fbexp's comb of the
 // same base and geometry, lane by lane, at the nonce tables' geometry
 // (height 8, 256-bit exponents, 11 blocks) and at a short-rowed one:
@@ -294,7 +412,7 @@ func TestLaneCombMatchesFbexp(t *testing.T) {
 			{DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries},
 			{5, 97, 40},
 		} {
-			comb := newLaneComb(lm, sk.H, g.window, g.maxBits, g.entries)
+			comb := newLaneCombs(lm, []*big.Int{sk.H}, g.window, g.maxBits, g.entries, 2)[0]
 			fb, err := fbexp.New(sk.H, sk.mod, g.window, g.maxBits, g.entries)
 			if err != nil {
 				t.Fatal(err)

@@ -109,7 +109,8 @@ type PublicKey struct {
 // after, so later draws read it without the lock. lean, set by
 // PrepareLean, gives that build the lean entry budget. lane is n^2 for
 // the lane kernel, built by the first caller that needs it (the full
-// comb's build, ScalarMulBatch) and nil on a CPU without the kernel.
+// comb's build, ScalarMulBatch, PowerTables) and nil on a CPU without
+// the kernel.
 type nonceTable struct {
 	mu   sync.Mutex
 	lean atomic.Bool
@@ -676,8 +677,9 @@ func (pk *PublicKey) PrepareLean() *PublicKey {
 // subgroup order, full when either ran on to p-1 because the nonce was
 // not a power of the key's H. laneRuns counts the lanes of the kernel's
 // runs by operation (DecryptBatch, ScalarMulBatch, the lane comb's
-// nonces), used by an element or padding: used over used plus padding
-// is the share of the kernel's work that was useful. All are bridged to
+// nonces, ScalarMulTables), used by an element or padding: used over
+// used plus padding is the share of the kernel's work that was useful.
+// All are bridged to
 // the obs registry, so a
 // sender whose key lost its H (it draws a private base) or a snapshot
 // from before H existed shows on /metrics as a full-decrypt counter
@@ -687,7 +689,7 @@ var (
 	nonceTables     struct{ full, lean atomic.Uint64 }
 	fullWidthNonces atomic.Uint64
 	decrypts        struct{ short, full atomic.Uint64 }
-	laneRuns        struct{ decrypt, scalarMul, nonce laneCount }
+	laneRuns        struct{ decrypt, scalarMul, nonce, table laneCount }
 )
 
 // laneCount counts the lanes of one operation's kernel runs.
@@ -712,11 +714,11 @@ func init() {
 	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
-	const lanesHelp = "lanes of the eight-lane kernel's runs by operation (decrypt = DecryptBatch, scalarmul = ScalarMulBatch, nonce = the lane comb): used = an element, padding = empty"
+	const lanesHelp = "lanes of the eight-lane kernel's runs by operation (decrypt = DecryptBatch, scalarmul = ScalarMulBatch, nonce = the lane comb, table = ScalarMulTables): used = an element, padding = empty"
 	for _, op := range []struct {
 		name string
 		c    *laneCount
-	}{{"decrypt", &laneRuns.decrypt}, {"scalarmul", &laneRuns.scalarMul}, {"nonce", &laneRuns.nonce}} {
+	}{{"decrypt", &laneRuns.decrypt}, {"scalarmul", &laneRuns.scalarMul}, {"nonce", &laneRuns.nonce}, {"table", &laneRuns.table}} {
 		obs.Default().CounterFunc("pisa_paillier_lanes_total", lanesHelp, obs.Labels{"op": op.name, "lane": "used"}, op.c.used.Load)
 		obs.Default().CounterFunc("pisa_paillier_lanes_total", lanesHelp, obs.Labels{"op": op.name, "lane": "padding"}, op.c.padding.Load)
 	}
@@ -838,7 +840,7 @@ func (pk *PublicKey) table(random io.Reader) (*nonceComb, error) {
 		nonceTables.lean.Add(1)
 	} else {
 		if lm := pk.squareLanes(); lm != nil {
-			tab.lane = newLaneComb(lm, h, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries)
+			tab.lane = newLaneCombs(lm, []*big.Int{h}, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries, parallel.Auto())[0]
 		} else {
 			fb, err := fbexp.New(h, pk.mod, DefaultFastExpWindow, DefaultShortExpBits, fastExpEntries)
 			if err != nil {

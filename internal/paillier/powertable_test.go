@@ -10,6 +10,25 @@ import (
 	"testing"
 )
 
+// powerTable tables ct alone.
+func powerTable(t testing.TB, pk *PublicKey, ct *Ciphertext, bits int) *PowerTable {
+	t.Helper()
+	tabs, err := pk.PowerTables([]*Ciphertext{ct}, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs[0]
+}
+
+// tabledMul raises one table to k.
+func tabledMul(pk *PublicKey, tab *PowerTable, k *big.Int) (*Ciphertext, error) {
+	out, err := pk.ScalarMulTables([]*big.Int{k}, []*PowerTable{tab})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // TestPowerTableMatchesScalarMul holds the tabled scalar multiplication
 // against the plain one bit for bit, at a test-sized and a production
 // modulus and both blinding widths in use, over random ciphertexts and
@@ -45,16 +64,13 @@ func TestPowerTableMatchesScalarMul(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tab, err := pk.PowerTable(ct, alphaBits)
-					if err != nil {
-						t.Fatal(err)
-					}
+					tab := powerTable(t, pk, ct, alphaBits)
 					for _, k := range ks {
 						want, err := pk.ScalarMul(k, ct)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := tab.ScalarMul(k)
+						got, err := tabledMul(pk, tab, k)
 						if err != nil {
 							t.Fatalf("k=%s: %v", k, err)
 						}
@@ -68,66 +84,174 @@ func TestPowerTableMatchesScalarMul(t *testing.T) {
 	}
 }
 
-// TestPowerTableFailsClosed: what ScalarMul refuses, the table refuses
-// the same way — an out-of-range ciphertext at construction, a
-// non-unit at the inversion a negative scalar needs.
-func TestPowerTableFailsClosed(t *testing.T) {
-	sk := fastKey(t, 512)
-	pk := sk.Public()
-	for _, bad := range []*Ciphertext{nil, {}, {C: big.NewInt(0)}, {C: new(big.Int).Set(pk.NSquared())}} {
-		if _, err := pk.PowerTable(bad, 100); !errors.Is(err, ErrInvalidCiphertext) {
-			t.Fatalf("PowerTable(%v): err = %v, want ErrInvalidCiphertext", bad, err)
+// TestPowerTablesMatchScalarMul holds ScalarMulTables, on lane tables
+// and on fbexp's (the kernel switched off at the build), to ScalarMul
+// element by element, for batches of 1 to 17 tables built together —
+// full runs of eight, padded ones — at 576, 768 and 2048 bits, with
+// scalars 0, 1, negative ones and ones wider than the tables (which
+// leave the comb for the general exponentiation) among them. Both kinds
+// give ScalarMul's bytes, so they give each other's; only lane tables
+// count lanes, op="table", one kernel run per eight elements on the comb.
+func TestPowerTablesMatchScalarMul(t *testing.T) {
+	const alphaBits = 100
+	for _, keyBits := range []int{576, 768, 2048} {
+		sk := laneKey(t, keyBits)
+		pk := sk.Public()
+		ks, cts := laneCells(t, sk, 17)
+		wide := new(big.Int).Lsh(one, alphaBits)
+		ks[1], ks[9] = big.NewInt(0), big.NewInt(1)
+		ks[5], ks[13] = new(big.Int).Add(wide, ks[5]), new(big.Int).Neg(wide)
+		want := make([]*Ciphertext, len(cts))
+		for i := range cts {
+			var err error
+			if want[i], err = pk.ScalarMul(ks[i], cts[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	nonUnit := &Ciphertext{C: new(big.Int).Mul(sk.p.d, big.NewInt(3))}
-	tab, err := pk.PowerTable(nonUnit, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := big.NewInt(-12345)
-	if _, want := pk.ScalarMul(k, nonUnit); !errors.Is(want, ErrInvalidCiphertext) {
-		t.Fatalf("ScalarMul on a non-unit: err = %v", want)
-	}
-	if _, err := tab.ScalarMul(k); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Fatalf("tabled ScalarMul on a non-unit: err = %v, want ErrInvalidCiphertext", err)
+		for _, lanes := range []bool{true, false} {
+			t.Run(fmt.Sprintf("bits=%d/lanes=%v", keyBits, lanes), func(t *testing.T) {
+				if lanes {
+					requireLanes(t)
+				}
+				withLanes(t, lanes)
+				for size := 1; size <= len(cts); size++ {
+					tabs, err := pk.PowerTables(cts[:size], alphaBits)
+					if err != nil {
+						t.Fatalf("size %d: %v", size, err)
+					}
+					if onLanes := tabs[0].lane != nil; onLanes != lanes {
+						t.Fatalf("size %d: lane table %v with the kernel on %v", size, onLanes, lanes)
+					}
+					u0, p0 := laneRuns.table.used.Load(), laneRuns.table.padding.Load()
+					got, err := pk.ScalarMulTables(ks[:size], tabs)
+					if err != nil {
+						t.Fatalf("size %d: %v", size, err)
+					}
+					var combed uint64 // elements whose scalar fits the tables
+					for i := range got {
+						if !got[i].Equal(want[i]) {
+							t.Fatalf("size %d, element %d (k = %s): tables differ from ScalarMul", size, i, ks[i])
+						}
+						if ks[i].BitLen() <= alphaBits {
+							combed++
+						}
+					}
+					var wantUsed, wantPadding uint64
+					if lanes {
+						wantUsed = combed
+						wantPadding = (combed+laneWidth-1)/laneWidth*laneWidth - combed
+					}
+					used, padding := laneRuns.table.used.Load()-u0, laneRuns.table.padding.Load()-p0
+					if used != wantUsed || padding != wantPadding {
+						t.Fatalf("size %d: table lanes used %d, padding %d; want %d, %d", size, used, padding, wantUsed, wantPadding)
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestPowerTableConcurrent shares one table between goroutines (-race).
+// TestPowerTableFailsClosed: what ScalarMul refuses, the tables refuse
+// the same way and name the element, on lane tables and fbexp's — a
+// ciphertext outside Z_{n^2} at PowerTables, a non-unit at the inversion
+// a negative scalar needs, inside a full run of eight and alone in a
+// short one — while a non-unit under a positive scalar gives ScalarMul's
+// power. A width outside [1, 2^16] is refused before any table is built.
+func TestPowerTableFailsClosed(t *testing.T) {
+	sk := laneKey(t, 512)
+	pk := sk.Public()
+	ks, cts := laneCells(t, sk, 9)
+	for i := range ks {
+		ks[i].Abs(ks[i])
+	}
+	nonUnit := &Ciphertext{C: new(big.Int).Mul(sk.p.d, big.NewInt(3))}
+	for _, lanes := range []bool{true, false} {
+		if lanes && !laneCPU {
+			continue
+		}
+		withLanes(t, lanes)
+		for _, width := range []int{0, -3, maxTableBits + 1} {
+			if _, err := pk.PowerTables(cts, width); err == nil {
+				t.Fatalf("lanes=%v: width %d accepted", lanes, width)
+			}
+		}
+		for _, at := range []int{0, 5, 8} {
+			for _, bad := range []*Ciphertext{nil, {}, {C: big.NewInt(0)}, {C: new(big.Int).Set(pk.NSquared())}} {
+				batch := append([]*Ciphertext(nil), cts...)
+				batch[at] = bad
+				_, err := pk.PowerTables(batch, 100)
+				var be *BatchError
+				if !errors.As(err, &be) || be.Index != at || !errors.Is(err, ErrInvalidCiphertext) {
+					t.Fatalf("lanes=%v: PowerTables with %v at %d: %v", lanes, bad, at, err)
+				}
+			}
+			batch := append([]*Ciphertext(nil), cts...)
+			batch[at] = nonUnit
+			tabs, err := pk.PowerTables(batch, 100)
+			if err != nil {
+				t.Fatalf("lanes=%v: non-unit at %d: %v", lanes, at, err)
+			}
+			got, err := pk.ScalarMulTables(ks, tabs)
+			if err != nil {
+				t.Fatalf("lanes=%v: non-unit at %d under a positive scalar: %v", lanes, at, err)
+			}
+			if want, _ := pk.ScalarMul(ks[at], nonUnit); !got[at].Equal(want) {
+				t.Fatalf("lanes=%v: non-unit at %d: tables differ from ScalarMul", lanes, at)
+			}
+			negK := append([]*big.Int(nil), ks...)
+			negK[at] = new(big.Int).Neg(ks[at])
+			if _, want := pk.ScalarMul(negK[at], nonUnit); !errors.Is(want, ErrInvalidCiphertext) {
+				t.Fatalf("ScalarMul on a non-unit: err = %v", want)
+			}
+			_, err = pk.ScalarMulTables(negK, tabs)
+			var be *BatchError
+			if !errors.As(err, &be) || be.Index != at || !errors.Is(err, ErrInvalidCiphertext) {
+				t.Fatalf("lanes=%v: non-unit at %d under a negative scalar: %v", lanes, at, err)
+			}
+		}
+	}
+}
+
+// TestPowerTableConcurrent shares tables between goroutines (-race),
+// lane tables and fbexp's: the lane runs draw their working memory from
+// one pool.
 func TestPowerTableConcurrent(t *testing.T) {
-	sk := fastKey(t, 512)
+	sk := laneKey(t, 512)
 	pk := sk.Public()
 	ct, err := pk.EncryptInt(rand.Reader, -77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := pk.PowerTable(ct, 100)
-	if err != nil {
-		t.Fatal(err)
+	for _, lanes := range []bool{true, false} {
+		if lanes && !laneCPU {
+			continue
+		}
+		withLanes(t, lanes)
+		tab := powerTable(t, pk, ct, 100)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					k := big.NewInt(int64((g+1)*1_000_003 + i))
+					if g%2 == 1 {
+						k.Neg(k)
+					}
+					want, err := pk.ScalarMul(k, ct)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := tabledMul(pk, tab, k); err != nil || !got.Equal(want) {
+						t.Errorf("lanes=%v, goroutine %d: k=%s: got %v (err %v)", lanes, g, k, got, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				k := big.NewInt(int64((g+1)*1_000_003 + i))
-				if g%2 == 1 {
-					k.Neg(k)
-				}
-				want, err := pk.ScalarMul(k, ct)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got, err := tab.ScalarMul(k); err != nil || !got.Equal(want) {
-					t.Errorf("goroutine %d: k=%s: got %v (err %v)", g, k, got, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestNegBatchMatchesNeg: simultaneous inversion returns, element for

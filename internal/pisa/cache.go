@@ -23,16 +23,19 @@ import (
 //
 // What a hit still pays is that blinding, and its Ĩ^alpha is a power of
 // a base that has not changed since the last serving. So a hit tables
-// every cached Ĩ that has no table yet (paillier.PowerTable, one comb
-// block each) and later servings exponentiate from the tables, at under
-// half the cost and to the same bits. Not at insert: an entry that is
-// never hit would pay a build worth half an exponentiation per ciphertext
-// for nothing. The same holds for the entry itself: a miss installs its
+// every cached Ĩ that has no table yet (paillier.PowerTables, one comb
+// block each, eight to a chain of kernel squarings on a lane CPU) and
+// later servings exponentiate from the tables (ScalarMulTables, eight
+// cells to a kernel pass on a lane CPU, one by one elsewhere), at about
+// half the cost of the untabled path and to the same bits. Not at
+// insert: an entry that is never hit would pay a build worth about half
+// an exponentiation per ciphertext for nothing. The same holds for the entry itself: a miss installs its
 // column only if its key has missed before and the first-miss set still
 // remembers it (admit, TinyLFU's doorkeeper), so a request that is never
 // sent again costs one key in that set instead of an entry.
-// Tables are memory the entry bound does not see — seven times
-// the entry's own ciphertexts — so they have their own byte budget:
+// Tables are memory the entry bound does not see — seven entries per
+// ciphertext, 7 to 8.6 times the entry's own bytes — so they have their
+// own byte budget:
 // over it, the least recently used entries lose their tables (not their
 // place), serve through the general exponentiation, and are tabled
 // again by their next hit.
@@ -453,10 +456,12 @@ func (s *SDC) installEntry(l *cacheLookup, is []*paillier.Ciphertext) {
 	s.cache.countTabled(l.install.tabs)
 }
 
-// tableEntry builds, on the worker pool, a power table for every cell of
-// a cache entry's column that has none in have — the entry's tables as
-// of the caller's lookup — and installs the completed set. The blind stage
-// calls it outside s.mu, from the one hit whose lookup claimed the build.
+// tableEntry builds a power table for every cell of a cache entry's
+// column that has none in have — the entry's tables as of the caller's
+// lookup — on the worker pool, in runs of paillier.LaneWidth cells (one
+// chain of kernel squarings per run on a lane CPU), and installs the
+// completed set. The blind stage calls it outside s.mu, from the one hit
+// whose lookup claimed the build.
 // The returned tables serve that request whatever became of the entry
 // meanwhile; when a cell cannot be tabled they are have, and the plain
 // path, whose error names the cell, takes over.
@@ -469,9 +474,17 @@ func (s *SDC) tableEntry(e *cacheEntry, have []*paillier.PowerTable) []*paillier
 			missing = append(missing, k)
 		}
 	}
-	err := parallel.For(parallel.Auto(), len(missing), func(i int) (err error) {
-		k := missing[i]
-		tabs[k], err = s.group.PowerTable(e.is[k], s.params.AlphaBits)
+	runs := (len(missing) + paillier.LaneWidth - 1) / paillier.LaneWidth
+	err := parallel.For(parallel.Auto(), runs, func(r int) error {
+		run := missing[r*paillier.LaneWidth : min((r+1)*paillier.LaneWidth, len(missing))]
+		cts := make([]*paillier.Ciphertext, len(run))
+		for j, k := range run {
+			cts[j] = e.is[k]
+		}
+		built, err := s.group.PowerTables(cts, s.params.AlphaBits)
+		for j, t := range built {
+			tabs[run[j]] = t
+		}
 		return err
 	})
 	if err != nil {

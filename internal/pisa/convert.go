@@ -252,10 +252,11 @@ func (s *SDC) newBlindFactors() (blindFactors, []*big.Int, error) {
 // one packed encryption per cell, all of the chunk's in one batch (its
 // nonces drawn after every tuple, eight to a lane-comb run), so
 // V~ = eps*(alpha*I - beta) is I~^(eps*alpha) times that: I~^alpha from
-// tabs[k] where the cell has a table and by the general exponentiation
-// where not — one ScalarMulBatch over those cells, eight to a kernel run
-// — inverted where eps = -1 — one modular inversion for the chunk — and
-// multiplied by the beta factor.
+// tabs[k] where the cell has a table — one ScalarMulTables over those
+// cells — and by the general exponentiation where not — one
+// ScalarMulBatch over the others, each eight to a kernel run — inverted
+// where eps = -1 — one modular inversion for the chunk — and multiplied
+// by the beta factor.
 // Touches only its own range of vs and cells — callable concurrently on
 // disjoint ranges.
 func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTable, cells []requestCell, lo, hi int) error {
@@ -284,26 +285,32 @@ func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTa
 	if err != nil {
 		return failAt(all, err)
 	}
-	var plain []int // the chunk's cells without a table
+	var plain, tabled []int // the chunk's cells without a table and with one
+	var plainKs, tabledKs []*big.Int
+	var bases []*paillier.Ciphertext
+	var ts []*paillier.PowerTable
 	for k := lo; k < hi; k++ {
-		cell := &cells[k]
-		cell.bf.betaEnc = betaEncs[k-lo]
+		bf := &cells[k].bf
+		bf.betaEnc = betaEncs[k-lo]
 		if tabs == nil || tabs[k] == nil {
-			plain = append(plain, k)
-		} else if vs[k], err = tabs[k].ScalarMul(cell.bf.alpha); err != nil {
-			return fail(k, err)
+			plain, plainKs, bases = append(plain, k), append(plainKs, bf.alpha), append(bases, is[k])
+		} else {
+			tabled, tabledKs, ts = append(tabled, k), append(tabledKs, bf.alpha), append(ts, tabs[k])
 		}
 	}
-	alphas, bases := make([]*big.Int, len(plain)), make([]*paillier.Ciphertext, len(plain))
-	for j, k := range plain {
-		alphas[j], bases[j] = cells[k].bf.alpha, is[k]
-	}
-	powers, err := s.group.ScalarMulBatch(alphas, bases)
+	plainPowers, err := s.group.ScalarMulBatch(plainKs, bases)
 	if err != nil {
 		return failAt(plain, err)
 	}
+	tabledPowers, err := s.group.ScalarMulTables(tabledKs, ts)
+	if err != nil {
+		return failAt(tabled, err)
+	}
 	for j, k := range plain {
-		vs[k] = powers[j]
+		vs[k] = plainPowers[j]
+	}
+	for j, k := range tabled {
+		vs[k] = tabledPowers[j]
 	}
 	var flipped []int // the chunk's cells with eps = -1
 	for k := lo; k < hi; k++ {
@@ -311,7 +318,7 @@ func (s *SDC) blindChunk(vs, is []*paillier.Ciphertext, tabs []*paillier.PowerTa
 			flipped = append(flipped, k)
 		}
 	}
-	powers = make([]*paillier.Ciphertext, len(flipped))
+	powers := make([]*paillier.Ciphertext, len(flipped))
 	for j, k := range flipped {
 		powers[j] = vs[k]
 	}

@@ -18,7 +18,8 @@ import (
 // compute, never what. With one seeded source per call, the kernel
 // switched on (paillier.SetLaneKernel) and off gives byte-identical
 // V~ from SDC.blind — runs of 1, 7, 8 and 9 cells, all on the general
-// exponentiation or some on power tables — the ciphertexts of
+// exponentiation or some on power tables built in the mode under test —
+// the ciphertexts of
 // SU.PrepareRequest and of a PU.update, and the beta encryptions under
 // the group key, each drawn on a key object of its own so that its nonce
 // table is built in the mode under test; both modes draw as many nonces,
@@ -40,13 +41,6 @@ func TestLanesParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tabs := make([]*paillier.PowerTable, len(is))
-	for _, k := range []int{0, 4, 8} {
-		var err error
-		if tabs[k], err = group.PowerTable(is[k], d.params.AlphaBits); err != nil {
-			t.Fatal(err)
-		}
-	}
 	request := map[int]int64{0: 100, 2: 80}
 
 	// run returns every output of one mode, serialised in order.
@@ -61,6 +55,15 @@ func TestLanesParity(t *testing.T) {
 				out = append(out, ct.C.Bytes())
 			}
 		}
+		// Tables of cells 0, 4 and 8, built in this mode: lane tables
+		// with the kernel on, fbexp tables off.
+		tabs := make([]*paillier.PowerTable, len(is))
+		built, err := group.PowerTables([]*paillier.Ciphertext{is[0], is[4], is[8]}, d.params.AlphaBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[0], tabs[4], tabs[8] = built[0], built[1], built[2]
+
 		sdcGroup, sdcRandom := d.sdc.group, d.sdc.random
 		defer func() { d.sdc.group, d.sdc.random = sdcGroup, sdcRandom }()
 		for _, n := range []int{1, 7, 8, 9} {
@@ -104,19 +107,19 @@ func TestLanesParity(t *testing.T) {
 
 	lanes := paillier.SetLaneKernel(true)
 	paillier.SetLaneKernel(lanes)
-	s0, a0, n0 := paillier.Nonces(), lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce")
+	s0, a0, n0, b0 := paillier.Nonces(), lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce"), lanesUsed(t, "table")
 	on := run(true)
 	perMode := paillier.Nonces() - s0
-	a1, n1 := lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce")
-	if lanes && (a1 == a0 || n1 == n0) {
-		t.Errorf("lanes on: %d alpha and %d nonce lanes used, want both > 0", a1-a0, n1-n0)
+	a1, n1, b1 := lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce"), lanesUsed(t, "table")
+	if lanes && (a1 == a0 || n1 == n0 || b1 == b0) {
+		t.Errorf("lanes on: %d alpha, %d nonce and %d tabled alpha lanes used, want all > 0", a1-a0, n1-n0, b1-b0)
 	}
 	off := run(false)
 	if got := paillier.Nonces() - s0 - perMode; got != perMode {
 		t.Errorf("lanes on drew %d nonces, off %d", perMode, got)
 	}
-	if a2, n2 := lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce"); a2 != a1 || n2 != n1 {
-		t.Errorf("lanes off: %d alpha and %d nonce lanes used, want 0", a2-a1, n2-n1)
+	if a2, n2, b2 := lanesUsed(t, "scalarmul"), lanesUsed(t, "nonce"), lanesUsed(t, "table"); a2 != a1 || n2 != n1 || b2 != b1 {
+		t.Errorf("lanes off: %d alpha, %d nonce and %d tabled alpha lanes used, want 0", a2-a1, n2-n1, b2-b1)
 	}
 	if len(on) != len(off) {
 		t.Fatalf("lanes on gave %d ciphertexts, off %d", len(on), len(off))
