@@ -186,13 +186,11 @@ func run(args []string) error {
 		log.Info("shutting down", "signal", s.String())
 		logSummary(log, d)
 		logSTPClient(log, stp)
-		// Both decrypt counts stay 0 (this process holds no secret key)
-		// and fullWidthNonces too (nothing on the request path calls
-		// EncryptWithNonce). nonceTables grows by one per key that
-		// encrypts: the group key, and each SU key the license tail used.
+		// Both decrypt counts stay 0 (this process holds no secret key).
+		// nonceTables grows by one per key that encrypts: the group key,
+		// and each SU key the license tail used.
 		short, full := paillier.Decrypts()
-		log.Info("paillier summary", "fullWidthNonces", paillier.FullWidthNonces(),
-			"nonceTables", paillier.NonceTables(),
+		log.Info("paillier summary", "nonceTables", paillier.NonceTables(),
 			"decryptShort", short, "decryptFull", full)
 		err := srv.Close()
 		if snapErr := d.Close(*snapOnExit); err == nil {

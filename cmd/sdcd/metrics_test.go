@@ -175,7 +175,7 @@ func TestRunServesMetrics(t *testing.T) {
 	}
 	// The blinding, cache and Paillier families carry what the process
 	// still has and nothing else: no blinding-pool series, no age-expiry
-	// event, no engine switch.
+	// event, no engine switch, no nonce pool and no full-width nonce.
 	for _, family := range []struct {
 		re   string
 		want map[string]bool
@@ -184,9 +184,7 @@ func TestRunServesMetrics(t *testing.T) {
 		{`(?m)^pisa_sdc_cache_events_total\{event="(\w+)"\}`,
 			map[string]bool{"hit": true, "miss": true, "stale": true, "evict": true, "admit": true}},
 		{`(?m)^pisa_paillier_(\w+)`, map[string]bool{
-			"nonce_total": true, "nonce_tables_total": true, "fullwidth_nonce_total": true,
-			"decrypt_total": true, "lanes_total": true,
-			"nonce_pool_depth": true, "nonce_pool_refills_total": true, "nonce_fallbacks_total": true}},
+			"nonce_total": true, "nonce_tables_total": true, "decrypt_total": true, "lanes_total": true}},
 	} {
 		for _, m := range regexp.MustCompile(family.re).FindAllSubmatch(body, -1) {
 			if !family.want[string(m[1])] {

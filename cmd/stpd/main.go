@@ -21,7 +21,7 @@
 // With -metrics (or an obs.metricsAddr in the config) the daemon
 // serves Prometheus metrics on /metrics and net/http/pprof on
 // /debug/pprof/: RPC server counters, WAL timings for the SU
-// registry, and nonce-pool health.
+// registry, and the Paillier nonce and decryption counters.
 package main
 
 import (
@@ -144,14 +144,13 @@ func run(args []string) error {
 		log.Info("server summary", "connections", stats.Connections,
 			"requests", stats.Requests, "errors", stats.Errors,
 			"sus", stp.RegisteredSUs())
-		// decryptFull > 0 names a sender whose nonces are not powers of
-		// the group key's H: one holding the group key without H (it
-		// tables a private base), or budgets from a snapshot that predates
-		// H. nonceTables counts the SU keys answers were encrypted under.
+		// decryptFull > 0 names ciphertexts whose nonces are not powers
+		// of the group key's H: budgets from a snapshot that predates H,
+		// or a sender that drew its own r^n. nonceTables counts the SU
+		// keys answers were encrypted under.
 		short, full := paillier.Decrypts()
 		log.Info("paillier summary", "decryptShort", short, "decryptFull", full,
-			"nonceTables", paillier.NonceTables(),
-			"fullWidthNonces", paillier.FullWidthNonces())
+			"nonceTables", paillier.NonceTables())
 		return srv.Close()
 	case err := <-errCh:
 		return err

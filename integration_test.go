@@ -362,36 +362,21 @@ func TestSTPRestartUnderLoad(t *testing.T) {
 		len(requests), carriedOver, stats.Retries, stats.TransportFaults)
 }
 
-// TestRestartRecovery drives a durable SDC and an identical
-// uninterrupted control through the same update stream, crashes the
-// durable one (including a torn final WAL record, as after kill -9
-// mid-write), recovers it from snapshot + WAL tail, and requires the
-// recovered controller to be indistinguishable from the control:
-// identical public E columns, identical decrypted budget matrix, and
-// identical SU decisions.
-//
-// The crashed SDC is moreover a pre-upgrade one: it tabled a private
-// nonce base, so the budgets in its snapshot carry nonces outside the
-// group key's <H>. The recovered controller must decide correctly on
-// them all the same (the STP's decryption detects them and continues to
-// the full exponent) and be back on the short exponent as soon as the
-// last such column has been rebuilt.
 // decryptBudgets opens an SDC's budget matrix for the recovery
 // comparison below.
 func decryptBudgets(sk *paillier.PrivateKey, sdc *pisa.SDC) (*matrix.Int, error) {
 	return matrix.DecryptPacked(sk, sdc.PackedBudgetSnapshot())
 }
 
-// preUpgradeSTP serves the group key as a build from before the nonce
-// base was published did: the bare modulus. An SDC built over it tables
-// a private base, and every nonce it draws is foreign to the STP.
-type preUpgradeSTP struct {
-	pisa.STPService
-	bare *paillier.PublicKey
-}
-
-func (p preUpgradeSTP) GroupKey() *paillier.PublicKey { return p.bare }
-
+// TestRestartRecovery drives a durable SDC and an identical
+// uninterrupted control through the same update stream, crashes the
+// durable one (including a torn final WAL record, as after kill -9
+// mid-write), recovers it from snapshot + WAL tail, and requires the
+// recovered controller to be indistinguishable from the control:
+// identical public E columns, identical decrypted budget matrix, and
+// identical SU decisions, every ciphertext of which the STP decrypts on
+// the short exponent: both lives draw their nonces from the group key's
+// published H.
 func TestRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recovery cycle with real crypto")
@@ -416,8 +401,7 @@ func TestRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durable, err := pisa.RestoreSDC("it-sdc", params, nil,
-		preUpgradeSTP{STPService: stp, bare: &paillier.PublicKey{N: sk.N}}, nil, nil)
+	durable, err := pisa.RestoreSDC("it-sdc", params, nil, stp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,44 +571,18 @@ func TestRestartRecovery(t *testing.T) {
 	if !gotBudgets.Equal(wantBudgets) {
 		t.Fatal("recovered budget matrix decrypts differently from the uninterrupted control")
 	}
+	_, full := paillier.Decrypts()
 	for name, eirp := range map[string]map[int]int64{
 		"max power ch1": maxPower,
 		"max power ch0": {0: params.Watch.Quantize(params.Watch.SUMaxEIRPmW)},
 		"modest ch2":    {2: params.Watch.Quantize(params.Watch.SUMaxEIRPmW) / 1000},
 	} {
-		_, full := paillier.Decrypts()
-		d := decide(restored, eirp)
-		if _, after := paillier.Decrypts(); after == full {
-			t.Fatalf("post-recovery decision %q: the snapshot's private-base budgets decrypted without a continuation", name)
-		}
-		if c := decide(control, eirp); d != c {
+		if d, c := decide(restored, eirp), decide(control, eirp); d != c {
 			t.Fatalf("post-recovery decision %q diverges: restored=%v control=%v", name, d, c)
 		}
 	}
-
-	// A receiver appears in every block: the rebuilds replace the last
-	// column the pre-upgrade build encrypted, and the recovered
-	// controller is back on the short exponent.
-	apply = func(u *pisa.PUUpdate) {
-		t.Helper()
-		if err := restored.HandlePUUpdate(u); err != nil {
-			t.Fatal(err)
-		}
-		if err := control.HandlePUUpdate(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for b := 0; b < params.Watch.Grid.Blocks(); b++ {
-		apply(tune(newPU(watch.PUID(fmt.Sprintf("tv-new-%d", b)), geo.BlockID(b)), 2, sigMin))
-	}
-	short, full := paillier.Decrypts()
-	d := decide(restored, maxPower)
-	if shortAfter, fullAfter := paillier.Decrypts(); fullAfter != full || shortAfter == short {
-		t.Fatalf("after every column was rebuilt: %d short and %d full decryptions, want short only",
-			shortAfter-short, fullAfter-full)
-	}
-	if c := decide(control, maxPower); d != c {
-		t.Fatalf("post-rebuild decision diverges: restored=%v control=%v", d, c)
+	if _, after := paillier.Decrypts(); after != full {
+		t.Fatalf("%d post-recovery decryptions continued to the full exponent, want 0", after-full)
 	}
 }
 
@@ -852,8 +810,7 @@ func (c *countingSTP) SUKey(id string) (*paillier.PublicKey, error) {
 // its derived fields from several workers at once). Both topologies the
 // daemons run — one SDC, and a router over windowed shards, every role
 // with its own STP client — must ask the STP for an SU's key at most
-// once per client and compute no full-width nonce once the first
-// request has warmed the caches.
+// once per client.
 //
 // Every key here crossed a socket, with its owner's nonce base H beside
 // the modulus, and each copy tables H on its first nonce. So once set-up is
@@ -970,7 +927,6 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(su.Close)
 	if err := suSTP.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -1013,7 +969,6 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 		}
 		// Looked up once the SDC has registered the family, help text included.
 		tabled := obs.Default().Counter("pisa_sdc_blind_total", "", obs.Labels{"path": "table"})
-		var warm uint64
 		var prepared *pisa.TransmissionRequest
 		for i, step := range []struct {
 			disclosure  geo.Disclosure // of a first serving
@@ -1063,12 +1018,6 @@ func TestNetworkedSUKeyFetchedOnce(t *testing.T) {
 			if short, _ := paillier.Decrypts(); short == shortBefore {
 				t.Errorf("%s request %d: OpenResponse decrypted nothing on the short exponent", front.name, i)
 			}
-			if i == 0 {
-				warm = paillier.FullWidthNonces()
-			}
-		}
-		if got := paillier.FullWidthNonces(); got != warm {
-			t.Errorf("%s: %d full-width nonce exponentiations after the first request, want 0", front.name, got-warm)
 		}
 		if _, full := paillier.Decrypts(); full != fullAfterSetup {
 			t.Errorf("%s: %d decryptions continued to the full exponent, want 0 (STP and SU.OpenResponse alike)",

@@ -14,6 +14,7 @@ import (
 
 	"pisa/internal/deploy"
 	"pisa/internal/dghv"
+	"pisa/internal/fbexp"
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
 	"pisa/internal/pisa"
@@ -72,15 +73,23 @@ func MeasurePaillier(bits, iters int) (PaillierStats, error) {
 	if err != nil {
 		return PaillierStats{}, err
 	}
-	// Table II is the paper's plain Paillier: a full-width r^n for a
-	// fresh random unit r per encryption, which the owner decrypts on the
-	// full exponent.
+	// Table II is the paper's plain Paillier: (1 + m*n) * r^n mod n^2
+	// with a full-width r^n for a fresh random r per encryption, on the
+	// kernel every power modulo n^2 runs on. Its nonce is not a power of
+	// H, so the owner decrypts it on the full exponent.
+	mod, err := fbexp.NewModulus(sk.N)
+	if err != nil {
+		return PaillierStats{}, err
+	}
+	nSquared := pk.NSquared()
 	textbook := func() (*paillier.Ciphertext, error) {
 		r, err := paillier.RandomInRange(rand.Reader, big.NewInt(1), sk.N)
 		if err != nil {
 			return nil, err
 		}
-		return pk.EncryptWithNonce(msg, r)
+		c := new(big.Int).Mul(msg, sk.N)
+		c.Add(c, big.NewInt(1)).Mul(c, fbexp.Exp(r, sk.N, mod)).Mod(c, nSquared)
+		return &paillier.Ciphertext{C: c}, nil
 	}
 	ct, err := textbook()
 	if err != nil {
@@ -255,9 +264,9 @@ func (u *Universe) MeasureFigure6() (Figure6Stats, error) {
 
 	// Refresh is the paper's: every ciphertext re-randomised
 	// (SU.RerandomizeRequest), not the byte-identical resend of
-	// SU.RefreshRequest. It uses the offline-precomputed nonce pool,
-	// matching the paper's reuse accounting (the r^n factors are prepared
-	// while idle; only the per-ciphertext multiplication is online).
+	// SU.RefreshRequest. It uses offline-precomputed nonces, matching the
+	// paper's reuse accounting (the nonce factors are prepared while
+	// idle; only the per-ciphertext multiplication is online).
 	if err := u.SU.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		return stats, err
 	}

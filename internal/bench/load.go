@@ -326,10 +326,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		// lifetime, not per request (the PR-10 workload bugfix).
 		su, err := pisa.NewSU(rand.Reader, ev.SU, ev.Block, params, target.Planner, target.STP.GroupKey())
 		if err == nil {
-			if rerr := target.STP.RegisterSU(su.ID(), su.PublicKey()); rerr != nil {
-				su.Close()
-				err = rerr
-			}
+			err = target.STP.RegisterSU(su.ID(), su.PublicKey())
 		}
 		if err != nil {
 			// Withdraw the placeholder so a later arrival can retry the

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 	"pisa/internal/pisa"
 	"pisa/internal/watch"
 	"pisa/internal/wire"
@@ -86,6 +87,44 @@ func TestDialSTPClosesConnOnRemoteError(t *testing.T) {
 		t.Fatalf("constructor error %v, want wrapped RemoteError", err)
 	}
 	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDialSTPRefusesKeyWithoutNonceBase: an STP that serves its group
+// key as the bare modulus, as a build from before the nonce base was
+// published did, is refused at the dial, by name: every nonce an SDC, SU
+// or PU draws under the group key is a power of its H.
+func TestDialSTPRefusesKeyWithoutNonceBase(t *testing.T) {
+	sk, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		wc := wire.NewConn(conn, 5*time.Second)
+		if _, err := wc.Recv(); err != nil {
+			served <- err
+			return
+		}
+		served <- wc.Send(&wire.Envelope{Kind: wire.KindGroupKey, Paillier: &paillier.PublicKey{N: sk.N}})
+	}()
+	_, err = DialSTP(ln.Addr().String(), 5*time.Second)
+	if !errors.Is(err, paillier.ErrNoNonceBase) {
+		t.Fatalf("DialSTP against a bare group key: %v, want ErrNoNonceBase", err)
+	}
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,8 +7,8 @@
 // online SDC work per request, dominated by the homomorphic stages of
 // eqs. 11-17), yet until this package existed the only operational
 // signal was counters logged at shutdown. Every layer now reports
-// live: per-stage SU-request timings (internal/pisa), blinding/nonce
-// pool depth and refill outcomes, WAL append/fsync/snapshot timings
+// live: per-stage SU-request timings (internal/pisa), nonce draws and
+// decryption paths (internal/paillier), WAL append/fsync/snapshot timings
 // (internal/store) and the RPC client/server counters
 // (internal/node). The daemons expose it all over HTTP (-metrics)
 // alongside net/http/pprof.

@@ -291,7 +291,7 @@ func (pk *PublicKey) NegBatch(cts []*Ciphertext) ([]*Ciphertext, error) {
 }
 
 // NewNonceBatch precomputes count re-randomisation factors with up to
-// workers goroutines — the bulk producer behind NoncePool refills. The
+// workers goroutines, on a lane comb eight per kernel pass. The
 // exponents are drawn in index order (newRns), so the factors are the
 // same at any worker count.
 func (pk *PublicKey) NewNonceBatch(random io.Reader, count, workers int) ([]*Nonce, error) {

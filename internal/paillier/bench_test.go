@@ -59,14 +59,7 @@ func BenchmarkDecrypt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := sk.randomUnit(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	continued, err := sk.EncryptWithNonce(m, r)
-	if err != nil {
-		b.Fatal(err)
-	}
+	continued := foreignCiphertext(b, sk.Public(), m)
 	for _, tc := range []struct {
 		name string
 		ct   *Ciphertext
@@ -206,7 +199,7 @@ func BenchmarkRerandomize(b *testing.B) {
 		// modular multiplication) is identical either way.
 		nonces := make([]*Nonce, 64)
 		for i := range nonces {
-			n, err := sk.PublicKey.NewNonce(rand.Reader)
+			n, err := newNonce(sk.Public(), rand.Reader)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +234,7 @@ func BenchmarkHotPath(b *testing.B) {
 	})
 	b.Run("newNonce", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pk.NewNonce(rand.Reader); err != nil {
+			if _, err := newNonce(pk, rand.Reader); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -467,7 +460,7 @@ func BenchmarkNonceBatch(b *testing.B) {
 				}
 				withLanes(b, lanes)
 				pk := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
-				if _, err := pk.NewNonce(rand.Reader); err != nil {
+				if _, err := newNonce(pk, rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
@@ -494,7 +487,7 @@ func BenchmarkNonceTableBuild(b *testing.B) {
 			withLanes(b, lanes)
 			for i := 0; i < b.N; i++ {
 				pk := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
-				if _, err := pk.table(nil); err != nil {
+				if _, err := pk.table(); err != nil {
 					b.Fatal(err)
 				}
 			}

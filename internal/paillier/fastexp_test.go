@@ -2,13 +2,12 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"math/bits"
 	mrand "math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func fastKey(t testing.TB, bits int) *PrivateKey {
@@ -21,10 +20,11 @@ func fastKey(t testing.TB, bits int) *PrivateKey {
 }
 
 // TestFastExpCrossParity proves ciphertexts drawn from the published H
-// and from a private base (what a key rebuilt from its bare modulus
-// tables) are interchangeable: each decrypts under the same private
-// key, and they compose homomorphically in both directions (enc fast /
-// add legacy / dec, and vice versa).
+// and ones carrying a foreign nonce r^n (what a sender that drew its
+// own nonce sends) are interchangeable: each decrypts under the same
+// private key, and they compose homomorphically in both directions,
+// under the owner's key and under a copy of its bare modulus, which
+// draws no nonce but adds.
 func TestFastExpCrossParity(t *testing.T) {
 	sk := fastKey(t, 512)
 	legacy := PublicKey{N: sk.N}
@@ -34,10 +34,7 @@ func TestFastExpCrossParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := legacy.Encrypt(rand.Reader, big.NewInt(-234))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := foreignCiphertext(t, &fast, big.NewInt(-234))
 
 	// Fast ciphertext decrypts directly.
 	if m, err := sk.DecryptInt(a); err != nil || m != 1234 {
@@ -62,18 +59,14 @@ func TestFastExpCrossParity(t *testing.T) {
 		t.Fatalf("legacy+fast sum: m=%d err=%v", m, err)
 	}
 
-	// Rerandomising a legacy ciphertext on the fast path preserves the
-	// plaintext and changes the bits; and the other way round.
+	// Rerandomising a foreign ciphertext on the fast path preserves the
+	// plaintext and changes the bits.
 	ra := refresh(t, &fast, b)
 	if ra.Equal(b) {
 		t.Fatal("fast rerandomize left ciphertext unchanged")
 	}
 	if m, err := sk.DecryptInt(ra); err != nil || m != -234 {
-		t.Fatalf("fast rerandomize of legacy ciphertext: m=%d err=%v", m, err)
-	}
-	rb := refresh(t, &legacy, a)
-	if m, err := sk.DecryptInt(rb); err != nil || m != 1234 {
-		t.Fatalf("legacy rerandomize of fast ciphertext: m=%d err=%v", m, err)
+		t.Fatalf("fast rerandomize of foreign ciphertext: m=%d err=%v", m, err)
 	}
 }
 
@@ -84,7 +77,7 @@ func TestFastExpNonceIsNthResidue(t *testing.T) {
 	sk := fastKey(t, 512)
 	pk := sk.PublicKey
 	for i := 0; i < 8; i++ {
-		n, err := pk.NewNonce(rand.Reader)
+		n, err := newNonce(&pk, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +90,7 @@ func TestFastExpNonceIsNthResidue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := pk.NewNonce(rand.Reader)
+	n, err := newNonce(&pk, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +108,9 @@ func TestFastExpNonceIsNthResidue(t *testing.T) {
 
 // TestFirstNonceBuildsOneTable: a key builds its nonce table on its
 // first nonce, once, however many goroutines draw that first nonce at
-// the same time (run under -race). A key with H tables H, so its
-// ciphertexts decrypt on the short exponent; a bare modulus tables a
-// private base, whose ciphertexts take the full one. A value copy of a
-// prepared key shares its table.
+// the same time (run under -race). A key tables H, so its ciphertexts
+// decrypt on the short exponent; a bare modulus builds no table and
+// draws no nonce. A value copy of a prepared key shares its table.
 func TestFirstNonceBuildsOneTable(t *testing.T) {
 	sk := fastKey(t, 512)
 	const drawers = 8
@@ -181,13 +173,12 @@ func TestFirstNonceBuildsOneTable(t *testing.T) {
 	}
 
 	bare := (&PublicKey{N: sk.N}).Prepare()
-	tables = NonceTables()
-	cts = encryptAll(bare)
-	if got := NonceTables() - tables; got != 1 {
-		t.Fatalf("bare modulus: %d concurrent first nonces built %d tables, want 1", drawers, got)
+	tables, nonces := NonceTables(), Nonces()
+	if _, err := bare.EncryptInt(rand.Reader, 1); !errors.Is(err, ErrNoNonceBase) {
+		t.Fatalf("encrypt under a bare modulus: %v, want ErrNoNonceBase", err)
 	}
-	if short, full := decryptAll(cts); short != 0 || full != drawers {
-		t.Fatalf("ciphertexts under a private base: short/full = %d/%d, want 0/%d", short, full, drawers)
+	if NonceTables() != tables || Nonces() != nonces || bare.NonceTableBytes() != 0 {
+		t.Fatal("a bare modulus built a table or counted a nonce")
 	}
 }
 
@@ -226,7 +217,7 @@ func TestFastExpSharedTableRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 24; i++ {
-			n, err := pk.NewNonce(rand.Reader)
+			n, err := newNonce(pk, rand.Reader)
 			if err == nil {
 				_, err = pk.RerandomizeWith(ct, n)
 			}
@@ -243,85 +234,17 @@ func TestFastExpSharedTableRace(t *testing.T) {
 	}
 }
 
-// waitForGoroutines polls until the goroutine count drops back to at
-// most want, failing after a generous deadline.
-func waitForGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutine leak: %d alive, want <= %d", runtime.NumGoroutine(), want)
-}
-
-// TestNoncePoolCloseStopsRefills is the goroutine-leak regression test
-// for the auto-refill machinery: after Close, no background refill may
-// be running or ever start again.
-func TestNoncePoolCloseStopsRefills(t *testing.T) {
-	sk := fastKey(t, 256)
-	baseline := runtime.NumGoroutine()
-	pool := NewNoncePool(&sk.PublicKey, rand.Reader)
-	if err := pool.SetAutoRefill(16); err != nil {
-		t.Fatal(err)
-	}
-	// Drain an empty pool a few times to kick background refills off.
-	for i := 0; i < 4; i++ {
-		if _, err := pool.Get(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pool.Close()
-	// Gets after Close still work (online generation) and must not
-	// resurrect the refill goroutine.
-	for i := 0; i < pool.Len()+2; i++ {
-		if _, err := pool.Get(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pool.SetAutoRefill(8); err == nil {
-		t.Fatal("SetAutoRefill succeeded on a closed pool")
-	}
-	pool.Close() // double Close is fine
-	waitForGoroutines(t, baseline)
-}
-
-// TestFullWidthNonceCounter pins what pisa_paillier_fullwidth_nonce_total
-// counts: the r^n of EncryptWithNonce and nothing else — not what a key
-// without H draws, nor the private base its table is built on.
-func TestFullWidthNonceCounter(t *testing.T) {
-	sk := fastKey(t, 512)
-	bare := &PublicKey{N: sk.N}
-	before := FullWidthNonces()
-	ct, err := bare.Encrypt(rand.Reader, big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refresh(t, bare, ct)
-	if got := FullWidthNonces() - before; got != 0 {
-		t.Fatalf("bare-modulus encrypt + refresh counted %d full-width nonces, want 0", got)
-	}
-	if _, err := sk.EncryptWithNonce(big.NewInt(7), big.NewInt(65537)); err != nil {
-		t.Fatal(err)
-	}
-	if got := FullWidthNonces() - before; got != 1 {
-		t.Fatalf("EncryptWithNonce counted %d full-width nonces, want 1", got)
-	}
-}
-
 // TestPrepareMakesBareKeyShareable: a key that arrived with only its
-// modulus is safe to hand to concurrent workers once Prepare ran (the
-// lazy fill it replaces is an unsynchronised write; run under -race).
+// modulus and nonce base is safe to hand to concurrent workers once
+// Prepare ran (the lazy fill it replaces is an unsynchronised write;
+// run under -race).
 func TestPrepareMakesBareKeyShareable(t *testing.T) {
 	sk := fastKey(t, 512)
 	ct, err := sk.Encrypt(rand.Reader, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := (&PublicKey{N: sk.N}).Prepare()
+	bare := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -351,7 +274,7 @@ func TestLeanTableSameNonces(t *testing.T) {
 		}
 		want := new(big.Int).Exp(sk.H, s, full.NSquared())
 		for name, pk := range map[string]*PublicKey{"full": full, "lean": lean} {
-			nonce, err := pk.NewNonce(mrand.New(mrand.NewSource(seed)))
+			nonce, err := newNonce(pk, mrand.New(mrand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +296,7 @@ func TestLeanTableSameNonces(t *testing.T) {
 		}
 		was := SetLaneKernel(false)
 		off := (&PublicKey{N: sk.N, H: sk.H}).Prepare()
-		_, err := off.NewNonce(rand.Reader)
+		_, err := newNonce(off, rand.Reader)
 		SetLaneKernel(was)
 		if err != nil {
 			t.Fatal(err)

@@ -24,9 +24,8 @@ func gobDecode(data []byte, v interface{}) error {
 
 // privateKeyGob is the serialised private key: the prime factors, plus
 // the subgroup orders and the nonce base that go with them. Every
-// cached field is rebuilt from these. A key written before the last
-// three existed decodes to one without a nonce base, which decrypts
-// everything with the full exponent.
+// cached field is rebuilt from these. A key file written before the
+// last three existed is refused.
 type privateKeyGob struct {
 	P, Q   *big.Int
 	AP, AQ *big.Int
@@ -37,11 +36,7 @@ type privateKeyGob struct {
 // STP storing its group key across restarts). The encoding is secret
 // key material; store it with restrictive permissions.
 func (sk *PrivateKey) GobEncode() ([]byte, error) {
-	payload := privateKeyGob{P: sk.p.d, Q: sk.q.d}
-	if sk.H != nil {
-		payload.AP, payload.AQ, payload.H = sk.p.a, sk.q.a, sk.H
-	}
-	return gobEncode(payload)
+	return gobEncode(privateKeyGob{P: sk.p.d, Q: sk.q.d, AP: sk.p.a, AQ: sk.q.a, H: sk.H})
 }
 
 // GobDecode implements gob.GobDecoder. The subgroup fields are checked
@@ -62,6 +57,9 @@ func (sk *PrivateKey) GobDecode(data []byte) error {
 		!payload.P.ProbablyPrime(20) || !payload.Q.ProbablyPrime(20) ||
 		payload.P.Cmp(payload.Q) == 0 {
 		return errors.New("paillier: decoded private key malformed")
+	}
+	if payload.AP == nil || payload.AQ == nil || payload.H == nil {
+		return errors.New("paillier: decoded private key lacks its subgroup orders and nonce base (AP, AQ, H): a key file from before H was published; generate a new key")
 	}
 	// The floor GenerateKey and PublicKey.Check enforce.
 	if new(big.Int).Mul(payload.P, payload.Q).BitLen() < 128 {

@@ -55,16 +55,12 @@ func laneCiphertexts(t testing.TB, sk *PrivateKey, count int, foreign map[int]bo
 	ms := make([]*big.Int, count)
 	for i := range cts {
 		ms[i] = big.NewInt(int64(7*i - 100))
-		var err error
 		if foreign[i] {
-			var r *big.Int
-			if r, err = sk.randomUnit(rand.Reader); err == nil {
-				cts[i], err = sk.EncryptWithNonce(ms[i], r)
-			}
-		} else {
-			cts[i], err = sk.Encrypt(rand.Reader, ms[i])
+			cts[i] = foreignCiphertext(t, sk.Public(), ms[i])
+			continue
 		}
-		if err != nil {
+		var err error
+		if cts[i], err = sk.Encrypt(rand.Reader, ms[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

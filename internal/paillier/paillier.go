@@ -42,6 +42,7 @@ var (
 	ErrInvalidCiphertext = errors.New("paillier: ciphertext outside Z_{n^2} or not invertible")
 	ErrKeyTooSmall       = errors.New("paillier: modulus must be at least 128 bits")
 	ErrInvalidNonceBase  = errors.New("paillier: nonce base H outside (1, n^2) or not a unit")
+	ErrNoNonceBase       = errors.New("paillier: key has no nonce base H")
 )
 
 var (
@@ -83,12 +84,11 @@ type PublicKey struct {
 	// H is the nonce base the key owner publishes: an n-th residue
 	// mod n^2 whose order (a_p*a_q, about 2^512) only the owner knows.
 	// Nonce factors are h^s for a short random s, so every ciphertext
-	// built from Encrypt, NewNonce and the homomorphic operations on
+	// built from Encrypt, NewNonceBatch and the homomorphic operations on
 	// them carries a nonce inside <H>, which is what lets the owner
 	// decrypt with a_p and a_q in place of p-1 and q-1 (DESIGN.md §10).
-	// Nil on a key that predates the field or was rebuilt from its
-	// modulus alone; such a key's first nonce draws a private base x^n
-	// instead, whose nonces its owner decrypts with the full exponent.
+	// Every key carries it: Check refuses a key without H, and drawing a
+	// nonce under one fails with ErrNoNonceBase.
 	H *big.Int
 
 	nSquared *big.Int // n^2
@@ -172,12 +172,10 @@ type PrivateKey struct {
 // crtPrime is one prime factor d of n with what decryption modulo d^2
 // needs. a divides d-1 and is the order of H modulo d^2: for a
 // ciphertext c = (1+n)^m * H^s, c^a = (1+n)^(m*a) already — the nonce
-// is gone after an exponent of a's width, not (d-1)'s. A key without H
-// has a = 1: the first step is the identity and every decryption runs
-// the continuation, i.e. the textbook c^(d-1).
+// is gone after an exponent of a's width, not (d-1)'s.
 type crtPrime struct {
 	d, dSquared *big.Int
-	a           *big.Int // order of H mod d^2; 1 without H
+	a           *big.Int // order of H mod d^2
 	cofactor    *big.Int // (d-1)/a
 	invShort    *big.Int // L_d(g^a mod d^2)^{-1} mod d
 	invFull     *big.Int // L_d(g^(d-1) mod d^2)^{-1} mod d
@@ -546,18 +544,15 @@ func inverseMod(x, r uint32) uint32 {
 // the subgroup description (ap, aq, h), verifying the latter: ap | p-1,
 // aq | q-1, h a unit in (1, n^2), h^ap = 1 mod p^2 and h^aq = 1 mod
 // q^2 — the condition under which the short exponent strips every
-// nonce h^s — and h != 1 modulo either square. A nil h (with nil ap,
-// aq) builds a key without a nonce base.
+// nonce h^s — and h != 1 modulo either square.
 func newPrivateKey(p, q, ap, aq, h *big.Int) (*PrivateKey, error) {
-	if (ap == nil) != (h == nil) || (aq == nil) != (h == nil) {
-		return nil, errors.New("paillier: subgroup orders and nonce base must come together")
+	if ap == nil || aq == nil || h == nil {
+		return nil, errors.New("paillier: a private key needs its subgroup orders and nonce base")
 	}
 	n := new(big.Int).Mul(p, q)
 	sk := &PrivateKey{PublicKey: PublicKey{N: n, H: h}}
 	sk.ensureCache()
-	if h == nil {
-		ap, aq = one, one
-	} else if err := sk.PublicKey.checkH(); err != nil {
+	if err := sk.PublicKey.checkH(); err != nil {
 		return nil, err
 	}
 	var err error
@@ -583,11 +578,9 @@ func newCRTPrime(n, d, a, h *big.Int) (crtPrime, error) {
 		a:        new(big.Int).Set(a),
 		cofactor: new(big.Int).Quo(dMinusOne, a),
 	}
-	if h != nil {
-		hd := new(big.Int).Mod(h, c.dSquared)
-		if hd.Cmp(one) == 0 || hd.Exp(hd, a, c.dSquared).Cmp(one) != 0 {
-			return crtPrime{}, errors.New("paillier: nonce base does not have the declared order")
-		}
+	hd := new(big.Int).Mod(h, c.dSquared)
+	if hd.Cmp(one) == 0 || hd.Exp(hd, a, c.dSquared).Cmp(one) != 0 {
+		return crtPrime{}, errors.New("paillier: nonce base does not have the declared order")
 	}
 	// inv = L_d(g^e mod d^2)^{-1} mod d for e = a and e = d-1: what
 	// turns L_d(c^e) = m * L_d(g^e) back into m mod d. With g = n+1,
@@ -669,27 +662,22 @@ func (pk *PublicKey) PrepareLean() *PublicKey {
 // nonceTables counts key objects whose first nonce built their table,
 // by comb: one per key that encrypts, so a count that keeps growing
 // means keys are being rebuilt per request, and one that grows inside a
-// request window shows where a build's milliseconds landed.
-// fullWidthNonces counts nonce factors produced by a full-width
-// exponentiation r^n (exponent n, modulus n^2), which only
-// EncryptWithNonce still pays. decrypts counts decryptions by the
-// exponent they paid: short when both CRT halves stopped at the
-// subgroup order, full when either ran on to p-1 because the nonce was
-// not a power of the key's H. laneRuns counts the lanes of the kernel's
-// runs by operation (DecryptBatch, ScalarMulBatch, the lane comb's
-// nonces, ScalarMulTables), used by an element or padding: used over
-// used plus padding is the share of the kernel's work that was useful.
-// All are bridged to
-// the obs registry, so a
-// sender whose key lost its H (it draws a private base) or a snapshot
-// from before H existed shows on /metrics as a full-decrypt counter
-// that keeps growing.
+// request window shows where a build's milliseconds landed. decrypts
+// counts decryptions by the exponent they paid: short when both CRT
+// halves stopped at the subgroup order, full when either ran on to p-1
+// because the nonce was not a power of the key's H. laneRuns counts the
+// lanes of the kernel's runs by operation (DecryptBatch, ScalarMulBatch,
+// the lane comb's nonces, ScalarMulTables), used by an element or
+// padding: used over used plus padding is the share of the kernel's
+// work that was useful. All are bridged to the obs registry, so a
+// ciphertext from outside whose nonce is not a power of H (a snapshot
+// from before H existed, a sender that drew its own r^n) shows on
+// /metrics as a full-decrypt counter that keeps growing.
 var (
-	nonces          atomic.Uint64
-	nonceTables     struct{ full, lean atomic.Uint64 }
-	fullWidthNonces atomic.Uint64
-	decrypts        struct{ short, full atomic.Uint64 }
-	laneRuns        struct{ decrypt, scalarMul, nonce, table laneCount }
+	nonces      atomic.Uint64
+	nonceTables struct{ full, lean atomic.Uint64 }
+	decrypts    struct{ short, full atomic.Uint64 }
+	laneRuns    struct{ decrypt, scalarMul, nonce, table laneCount }
 )
 
 // laneCount counts the lanes of one operation's kernel runs.
@@ -703,15 +691,12 @@ func (c *laneCount) add(used int) {
 
 func init() {
 	obs.Default().CounterFunc("pisa_paillier_nonce_total",
-		"nonce factors H^s drawn from a key's nonce table (Encrypt, NewNonce)",
+		"nonce factors H^s drawn from a key's nonce table (Encrypt, EncryptBatch, NewNonceBatch)",
 		nil, nonces.Load)
 	const tablesHelp = "key objects whose first nonce built their nonce table, by comb: full = group key (Prepare), lean = SU key (PrepareLean)"
 	obs.Default().CounterFunc("pisa_paillier_nonce_tables_total", tablesHelp, obs.Labels{"comb": "full"}, nonceTables.full.Load)
 	obs.Default().CounterFunc("pisa_paillier_nonce_tables_total", tablesHelp, obs.Labels{"comb": "lean"}, nonceTables.lean.Load)
-	obs.Default().CounterFunc("pisa_paillier_fullwidth_nonce_total",
-		"nonce factors r^n computed by a full-width exponentiation (EncryptWithNonce only)",
-		nil, fullWidthNonces.Load)
-	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce or key without H)"
+	const help = "decryptions by CRT exponent: short = subgroup order (nonce in <H>), full = continued to p-1 (foreign nonce)"
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "short"}, decrypts.short.Load)
 	obs.Default().CounterFunc("pisa_paillier_decrypt_total", help, obs.Labels{"path": "full"}, decrypts.full.Load)
 	const lanesHelp = "lanes of the eight-lane kernel's runs by operation (decrypt = DecryptBatch, scalarmul = ScalarMulBatch, nonce = the lane comb, table = ScalarMulTables): used = an element, padding = empty"
@@ -725,17 +710,12 @@ func init() {
 }
 
 // Nonces reports how many nonce factors this process has drawn: one per
-// Encrypt and NewNonce.
+// encryption and per precomputed nonce.
 func Nonces() uint64 { return nonces.Load() }
 
 // NonceTables reports how many key objects in this process have built
 // their nonce table, full and lean combs together.
 func NonceTables() uint64 { return nonceTables.full.Load() + nonceTables.lean.Load() }
-
-// FullWidthNonces reports how many nonce factors this process has
-// computed by full-width exponentiation (EncryptWithNonce). The private
-// base a key without H draws for its table is not counted.
-func FullWidthNonces() uint64 { return fullWidthNonces.Load() }
 
 // Decrypts reports how many decryptions this process has run on the
 // short (subgroup-order) exponent alone and how many continued to the
@@ -759,20 +739,18 @@ func (pk *PublicKey) Equal(other *PublicKey) bool {
 }
 
 // SameKey reports whether two public keys are the same published key:
-// modulus and nonce base.
+// modulus and nonce base. Both must carry H, as every checked key does.
 func (pk *PublicKey) SameKey(other *PublicKey) bool {
-	if !pk.Equal(other) || (pk.H == nil) != (other.H == nil) {
-		return false
-	}
-	return pk.H == nil || pk.H.Cmp(other.H) == 0
+	return pk.Equal(other) && pk.H.Cmp(other.H) == 0
 }
 
 // Check validates the public fields of a key that arrived from outside
 // (a socket, a store): a modulus of at least 128 bits, and a nonce base
-// that is absent or a unit of Z_{n^2} other than 1. Whether H is an
-// n-th residue of the order its owner claims cannot be checked without
-// the secret key; a wrong H harms only ciphertexts under this key, i.e.
-// its owner.
+// that is a unit of Z_{n^2} other than 1. A key without H is refused
+// (ErrNoNonceBase): every nonce of this package is a power of it.
+// Whether H is an n-th residue of the order its owner claims cannot be
+// checked without the secret key; a wrong H harms only ciphertexts
+// under this key, i.e. its owner.
 func (pk *PublicKey) Check() error {
 	if pk.N == nil || pk.N.Sign() <= 0 || pk.N.BitLen() < 128 {
 		return ErrKeyTooSmall
@@ -783,7 +761,7 @@ func (pk *PublicKey) Check() error {
 // checkH is the nonce-base half of Check.
 func (pk *PublicKey) checkH() error {
 	if pk.H == nil {
-		return nil
+		return ErrNoNonceBase
 	}
 	pk.ensureCache()
 	if pk.H.Cmp(one) <= 0 || pk.H.Cmp(pk.nSquared) >= 0 ||
@@ -798,12 +776,8 @@ func (pk *PublicKey) checkH() error {
 // DefaultShortExpBits bits, a fraction of a square-and-multiply per
 // nonce (see DESIGN.md §10 for the short-exponent security argument).
 // Every copy of a key tables the same H, so nonces drawn by any party
-// stay inside the subgroup whose order the owner decrypts with.
-//
-// A key without H (rebuilt from a bare modulus) tables a private base
-// h = x^n for a unit x drawn from random, as every key did before H was
-// published: its nonces are valid but foreign to the owner, who pays
-// the full decryption exponent for them.
+// stay inside the subgroup whose order the owner decrypts with; a key
+// without H has no table and draws no nonce (ErrNoNonceBase).
 //
 // The comb has height DefaultFastExpWindow and fastExpEntries entries,
 // or height leanExpWindow and leanExpEntries on a key prepared with
@@ -811,7 +785,10 @@ func (pk *PublicKey) checkH() error {
 // to tens of milliseconds at 2048 bits, so never draw a key's first
 // nonce under a lock others need); a failed build is left to the next
 // draw.
-func (pk *PublicKey) table(random io.Reader) (*nonceComb, error) {
+func (pk *PublicKey) table() (*nonceComb, error) {
+	if pk.H == nil {
+		return nil, ErrNoNonceBase
+	}
 	pk.ensureCache()
 	nt := pk.nt
 	if tab := nt.tab.Load(); tab != nil {
@@ -823,13 +800,6 @@ func (pk *PublicKey) table(random io.Reader) (*nonceComb, error) {
 		return tab, nil
 	}
 	h := pk.H
-	if h == nil {
-		x, err := pk.randomUnit(random)
-		if err != nil {
-			return nil, fmt.Errorf("nonce base: %w", err)
-		}
-		h = fbexp.Exp(x, pk.N, pk.mod)
-	}
 	tab := new(nonceComb)
 	if nt.lean.Load() {
 		fb, err := fbexp.New(h, pk.mod, leanExpWindow, DefaultShortExpBits, leanExpEntries)
@@ -881,17 +851,16 @@ func drawShortExp(random io.Reader) (*big.Int, error) {
 }
 
 // newRns draws count nonce factors from the key's table: every s in
-// index order from random (the table's build reads it first on a key
-// without H), then H^s mod n^2 for each over up to workers goroutines,
-// so the factors are the same at any worker count and on either comb.
-// The error of a failed draw names its index.
+// index order from random, then H^s mod n^2 for each over up to workers
+// goroutines, so the factors are the same at any worker count and on
+// either comb. The error of a failed draw names its index.
 func (pk *PublicKey) newRns(random io.Reader, count, workers int) ([]*big.Int, error) {
-	nonces.Add(uint64(count))
-	random = orDefaultRand(random)
-	tab, err := pk.table(random)
+	tab, err := pk.table()
 	if err != nil {
 		return nil, err
 	}
+	nonces.Add(uint64(count))
+	random = orDefaultRand(random)
 	ss := make([]*big.Int, count)
 	for i := range ss {
 		if ss[i], err = drawShortExp(random); err != nil {
@@ -899,22 +868,6 @@ func (pk *PublicKey) newRns(random io.Reader, count, workers int) ([]*big.Int, e
 		}
 	}
 	return tab.exp(ss, workers), nil
-}
-
-// newRn draws one nonce factor: H^s mod n^2 from the key's table, for s
-// uniform in [1, 2^DefaultShortExpBits).
-func (pk *PublicKey) newRn(random io.Reader) (*big.Int, error) {
-	nonces.Add(1)
-	random = orDefaultRand(random)
-	tab, err := pk.table(random)
-	if err != nil {
-		return nil, err
-	}
-	s, err := drawShortExp(random)
-	if err != nil {
-		return nil, err
-	}
-	return tab.exp([]*big.Int{s}, 1)[0], nil
 }
 
 // encode maps a signed message into Z_n, rejecting values outside the
@@ -946,45 +899,19 @@ func orDefaultRand(random io.Reader) io.Reader {
 	return random
 }
 
-// randomUnit draws r uniformly from Z_n^*.
-func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
-	random = orDefaultRand(random)
-	for {
-		r, err := rand.Int(random, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("draw nonce: %w", err)
-		}
-		if r.Sign() == 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			return r, nil
-		}
-	}
-}
-
 // Encrypt encrypts the signed message m under pk using a fresh random
-// nonce from random (see newRn; the key's first nonce builds its table).
+// nonce H^s from random (see newRns; the key's first nonce builds its
+// table).
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	rn, err := pk.newRn(random)
+	rns, err := pk.newRns(random, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptWithRn(m, rn)
-}
-
-// EncryptWithNonce encrypts m with the caller-supplied nonce r in
-// Z_n^*. Deterministic given (m, r); used by tests and by the textbook
-// cost row of Table II. Always costs a full-width r^n, here and — r^n
-// being outside <H> — again at decryption.
-func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	pk.ensureCache()
-	fullWidthNonces.Add(1)
-	return pk.encryptWithRn(m, fbexp.Exp(r, pk.N, pk.mod))
+	return pk.encryptWithRn(m, rns[0])
 }
 
 // encryptWithRn assembles the ciphertext (1 + m*n) * rn mod n^2 from a
-// ready-made nonce factor rn, whichever way it was drawn.
+// ready-made nonce factor rn.
 func (pk *PublicKey) encryptWithRn(m, rn *big.Int) (*Ciphertext, error) {
 	enc, err := pk.encode(m)
 	if err != nil {
@@ -1204,24 +1131,14 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, k *big.Int) (*Ciphertext, error) {
 }
 
 // Nonce is a precomputed re-randomisation factor, an n-th residue mod
-// n^2: h^s for the key's tabled base h (H, or a private x^n on a key
-// without H). The expensive exponentiation
-// happens at construction (offline); applying it to a ciphertext is a
-// single modular multiplication. This is the mechanism behind the
-// paper's cheap request-reuse path (§VI-A: the SU "can simply multiply
-// the pre-stored ciphertexts by r^n with a new randomly selected r").
+// n^2: H^s from the key's table (NewNonceBatch). The expensive
+// exponentiation happens at construction (offline); applying it to a
+// ciphertext is a single modular multiplication. This is the mechanism
+// behind the paper's cheap request-reuse path (§VI-A: the SU "can
+// simply multiply the pre-stored ciphertexts by r^n with a new randomly
+// selected r").
 type Nonce struct {
 	rn *big.Int
-}
-
-// NewNonce precomputes one re-randomisation factor (see newRn); the
-// batch and pool layers draw theirs through here.
-func (pk *PublicKey) NewNonce(random io.Reader) (*Nonce, error) {
-	rn, err := pk.newRn(random)
-	if err != nil {
-		return nil, err
-	}
-	return &Nonce{rn: rn}, nil
 }
 
 // RerandomizeWith refreshes a ciphertext with a precomputed nonce:

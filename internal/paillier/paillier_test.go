@@ -2,6 +2,8 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
+	"io"
 	"math/big"
 	"sync"
 	"testing"
@@ -29,11 +31,20 @@ func mustEncrypt(t *testing.T, pk *PublicKey, m int64) *Ciphertext {
 	return ct
 }
 
+// newNonce draws one precomputed nonce: a NewNonceBatch of one.
+func newNonce(pk *PublicKey, random io.Reader) (*Nonce, error) {
+	ns, err := pk.NewNonceBatch(random, 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ns[0], nil
+}
+
 // refresh re-randomises ct the way an SU refreshes a request (§VI-A):
-// a fresh nonce from NewNonce, applied by RerandomizeWith.
+// a precomputed nonce, applied by RerandomizeWith.
 func refresh(t testing.TB, pk *PublicKey, ct *Ciphertext) *Ciphertext {
 	t.Helper()
-	n, err := pk.NewNonce(rand.Reader)
+	n, err := newNonce(pk, rand.Reader)
 	if err != nil {
 		t.Fatalf("nonce: %v", err)
 	}
@@ -223,22 +234,6 @@ func TestRerandomizePreservesPlaintextChangesCiphertext(t *testing.T) {
 	}
 }
 
-func TestEncryptWithNonceDeterministic(t *testing.T) {
-	sk := testKey()
-	r := big.NewInt(12347)
-	a, err := sk.PublicKey.EncryptWithNonce(big.NewInt(55), r)
-	if err != nil {
-		t.Fatalf("encrypt: %v", err)
-	}
-	b, err := sk.PublicKey.EncryptWithNonce(big.NewInt(55), r)
-	if err != nil {
-		t.Fatalf("encrypt: %v", err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("same (m, r) produced different ciphertexts")
-	}
-}
-
 func TestValidateRejectsBadCiphertexts(t *testing.T) {
 	sk := testKey()
 	pk := &sk.PublicKey
@@ -355,16 +350,24 @@ func TestPublicKeyEqual(t *testing.T) {
 }
 
 func TestDeserializedPublicKeyWorks(t *testing.T) {
-	// A key rebuilt from its modulus alone (a store that kept only N)
-	// must still encrypt and operate correctly.
+	// A key rebuilt from its modulus and nonce base (as it crosses a
+	// socket) must encrypt and operate correctly; one rebuilt from its
+	// modulus alone draws no nonce.
 	sk := testKey()
-	bare := &PublicKey{N: new(big.Int).Set(sk.N)}
-	ct, err := bare.EncryptInt(rand.Reader, -777)
+	wire := &PublicKey{N: new(big.Int).Set(sk.N), H: new(big.Int).Set(sk.H)}
+	ct, err := wire.EncryptInt(rand.Reader, -777)
 	if err != nil {
-		t.Fatalf("encrypt with bare key: %v", err)
+		t.Fatalf("encrypt with a key off the wire: %v", err)
 	}
 	if got := mustDecrypt(t, sk, ct); got != -777 {
-		t.Fatalf("bare-key round trip = %d", got)
+		t.Fatalf("round trip = %d", got)
+	}
+	bare := &PublicKey{N: new(big.Int).Set(sk.N)}
+	if _, err := bare.EncryptInt(rand.Reader, 1); !errors.Is(err, ErrNoNonceBase) {
+		t.Fatalf("encrypt under a bare modulus: %v, want ErrNoNonceBase", err)
+	}
+	if _, err := bare.NewNonceBatch(rand.Reader, 3, 1); !errors.Is(err, ErrNoNonceBase) {
+		t.Fatalf("nonces under a bare modulus: %v, want ErrNoNonceBase", err)
 	}
 }
 
@@ -372,9 +375,9 @@ func TestNoncePoolRerandomize(t *testing.T) {
 	sk := testKey()
 	pk := &sk.PublicKey
 	ct := mustEncrypt(t, pk, 321)
-	nonce, err := pk.NewNonce(rand.Reader)
+	nonce, err := newNonce(pk, rand.Reader)
 	if err != nil {
-		t.Fatalf("NewNonce: %v", err)
+		t.Fatalf("nonce: %v", err)
 	}
 	rr, err := pk.RerandomizeWith(ct, nonce)
 	if err != nil {
@@ -395,14 +398,14 @@ func TestNoncePoolRerandomize(t *testing.T) {
 }
 
 func TestNonceRefreshMuchCheaperThanFresh(t *testing.T) {
-	// The whole point of the pool: applying a nonce is one modular
+	// The whole point of precomputing: applying a nonce is one modular
 	// multiplication, so it beats a fresh exponentiation clearly.
 	sk := testKey()
 	pk := &sk.PublicKey
 	ct := mustEncrypt(t, pk, 5)
 	nonces := make([]*Nonce, 64)
 	for i := range nonces {
-		n, err := pk.NewNonce(rand.Reader)
+		n, err := newNonce(pk, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}

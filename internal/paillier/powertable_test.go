@@ -378,20 +378,11 @@ func TestExponentiationsMatchBigInt(t *testing.T) {
 			t.Fatalf("n=%d: negative scalar on a non-unit: %v, want ErrInvalidCiphertext", bits, err)
 		}
 
-		r := big.NewInt(0xC0FFEE)
-		legacy, err := pk.EncryptWithNonce(big.NewInt(0), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := new(big.Int).Exp(r, pk.N, nn); legacy.C.Cmp(want) != 0 {
-			t.Fatalf("n=%d: legacy nonce r^n differs from big.Int.Exp", bits)
-		}
-
 		// A fresh key with H draws s from the source (its table build
 		// reads none) and returns H^s from the table.
 		fresh := PublicKey{N: pk.N, H: pk.H}
 		seed := strings.Repeat("pisa-nonce-seed:", 8)
-		nonce, err := fresh.NewNonce(strings.NewReader(seed))
+		nonce, err := newNonce(&fresh, strings.NewReader(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

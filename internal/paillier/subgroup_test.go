@@ -2,7 +2,9 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -88,17 +90,32 @@ func keyCopies(t testing.TB, sk *PrivateKey) map[string]*PublicKey {
 	}
 }
 
+// encryptWithNonce is the textbook encryption (1 + m*n) * r^n mod n^2
+// under a caller-chosen r in Z_n^*. The package never builds such a
+// nonce: r^n is not a power of H, which is what a ciphertext from a
+// sender that drew its own nonce looks like to the owner.
+func encryptWithNonce(pk *PublicKey, m, r *big.Int) (*Ciphertext, error) {
+	return pk.encryptWithRn(m, new(big.Int).Exp(r, pk.N, pk.NSquared()))
+}
+
+// foreignCiphertext encrypts m under a random unit's r^n
+// (encryptWithNonce): its nonce is foreign to <H>.
 func foreignCiphertext(t testing.TB, pk *PublicKey, m *big.Int) *Ciphertext {
 	t.Helper()
-	r, err := pk.randomUnit(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	for {
+		r, err := rand.Int(rand.Reader, pk.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Sign() == 0 || new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) != 0 {
+			continue
+		}
+		ct, err := encryptWithNonce(pk, m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
 	}
-	ct, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ct
 }
 
 func TestGenerateKeySubgroupStructure(t *testing.T) {
@@ -163,23 +180,18 @@ func TestOwnNoncesDecryptShort(t *testing.T) {
 				t.Fatalf("%s: slot %d = %s, want %s", name, i, slots[i], vals[i])
 			}
 		}
-		wantShort(t, name+" NewNonce+RerandomizeWith", sk, refresh(t, pk, ct))
+		wantShort(t, name+" NewNonceBatch+RerandomizeWith", sk, refresh(t, pk, ct))
 	}
 }
 
 // (b) a caller-chosen nonce is foreign: detected, continued, correct.
+// The package draws no such nonce, but a ciphertext from outside can
+// carry one, and decryption stays total.
 func TestForeignNonceContinues(t *testing.T) {
 	sk := subgroupKey()
 	for name, pk := range keyCopies(t, sk) {
-		wantFull(t, name+" EncryptWithNonce", sk, foreignCiphertext(t, pk, big.NewInt(99)))
+		wantFull(t, name+" r^n", sk, foreignCiphertext(t, pk, big.NewInt(99)))
 	}
-	// A party holding the bare modulus tables a private base.
-	private := &PublicKey{N: sk.N}
-	ct, err := private.Encrypt(rand.Reader, big.NewInt(-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFull(t, "private base", sk, ct)
 }
 
 // (c) homomorphic mixes: <H> is closed under every operation, so mixes
@@ -205,7 +217,7 @@ func TestHomomorphicMixesKeepTheirPath(t *testing.T) {
 		}
 		pk := copies["owner"]
 		foreign := foreignCiphertext(t, pk, big.NewInt(b))
-		nonce, err := pk.NewNonce(rand.Reader)
+		nonce, err := newNonce(pk, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,35 +275,23 @@ func TestHomomorphicMixesKeepTheirPath(t *testing.T) {
 	}
 }
 
-// (d) a key file from before the subgroup fields existed: same primes,
-// no H, every decryption on the full exponent, and ciphertexts made
-// under the new form of the key still open.
-func TestLegacyGobDecryptsWithFullExponent(t *testing.T) {
+// (d) a key file from before the subgroup fields existed — the primes
+// alone — is refused by name: a key without H would draw no nonce. The
+// current encoding round-trips the subgroup and decrypts short.
+func TestLegacyGobRefused(t *testing.T) {
 	sk := subgroupKey()
 	blob, err := gobEncode(struct{ P, Q *big.Int }{sk.p.d, sk.q.d})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var old PrivateKey
-	if err := old.GobDecode(blob); err != nil {
-		t.Fatalf("old {P,Q} key refused: %v", err)
-	}
-	if old.H != nil || old.p.a.Cmp(one) != 0 || old.q.a.Cmp(one) != 0 {
-		t.Fatal("old key grew a nonce base")
+	if err := old.GobDecode(blob); err == nil || !strings.Contains(err.Error(), "(AP, AQ, H)") {
+		t.Fatalf("old {P,Q} key file: %v, want a refusal naming AP, AQ and H", err)
 	}
 	ct, err := sk.Encrypt(rand.Reader, big.NewInt(31337))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFull(t, "new-form ciphertext under the old key", &old, ct)
-	own, err := old.Encrypt(rand.Reader, big.NewInt(-8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFull(t, "old key's own ciphertext", &old, own)
-	wantFull(t, "old key's ciphertext under the new form", sk, own)
-
-	// The new encoding round-trips the subgroup and goes short again.
 	blob, err = sk.GobEncode()
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +318,7 @@ func TestPrivateKeyGobRejectsBadSubgroup(t *testing.T) {
 		"swapped orders":         func(k *privateKeyGob) { k.AP, k.AQ = k.AQ, k.AP },
 		"orders without H":       func(k *privateKeyGob) { k.H = nil },
 		"H without orders":       func(k *privateKeyGob) { k.AP, k.AQ = nil, nil },
+		"no AQ":                  func(k *privateKeyGob) { k.AQ = nil },
 		"H = 1":                  func(k *privateKeyGob) { k.H = big.NewInt(1) },
 		"H = n^2":                func(k *privateKeyGob) { k.H = new(big.Int).Set(sk.nSquared) },
 		"H sharing a factor":     func(k *privateKeyGob) { k.H = new(big.Int).Set(sk.p.d) },
@@ -339,8 +340,11 @@ func TestPrivateKeyGobRejectsBadSubgroup(t *testing.T) {
 
 func TestPublicKeyCheck(t *testing.T) {
 	sk := subgroupKey()
-	if err := (&PublicKey{N: sk.N}).Check(); err != nil {
-		t.Errorf("key without H refused: %v", err)
+	if err := (&PublicKey{N: sk.N}).Check(); !errors.Is(err, ErrNoNonceBase) {
+		t.Errorf("key without H: %v, want ErrNoNonceBase", err)
+	}
+	if err := (&PublicKey{N: sk.N, H: sk.H}).Check(); err != nil {
+		t.Errorf("key with H refused: %v", err)
 	}
 	bad := map[string]*PublicKey{
 		"nil modulus":     {},
@@ -359,8 +363,9 @@ func TestPublicKeyCheck(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if sk.Public().SameKey(&PublicKey{N: sk.N}) || !sk.Public().Equal(&PublicKey{N: sk.N}) {
-		t.Error("SameKey must tell a key from its bare modulus, Equal must not")
+	other := &PublicKey{N: sk.N, H: new(big.Int).Add(sk.H, one)}
+	if sk.Public().SameKey(other) || !sk.Public().Equal(other) || !sk.Public().SameKey(&PublicKey{N: sk.N, H: sk.H}) {
+		t.Error("SameKey must tell two nonce bases of one modulus apart, Equal must not")
 	}
 }
 
@@ -463,7 +468,7 @@ func FuzzShortThenContinue(f *testing.F) {
 		r.Mod(r, sk.N)
 		foreign := r.Cmp(one) > 0 && new(big.Int).GCD(nil, nil, r, sk.N).Cmp(one) == 0
 		if foreign {
-			zero, err := sk.EncryptWithNonce(new(big.Int), r)
+			zero, err := encryptWithNonce(sk.Public(), new(big.Int), r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -357,7 +357,6 @@ func TestCacheEntriesGaugeSumsInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer su.Close()
 	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pisa/internal/geo"
+	"pisa/internal/paillier"
 )
 
 // TestConcurrentRequestsAndUpdates hammers one SDC with parallel SU
@@ -86,8 +87,11 @@ func TestConcurrentRequestsAndUpdates(t *testing.T) {
 	}
 }
 
-// TestNoncePoolAccounting checks the pooled-refresh bookkeeping of
-// RerandomizeRequest, the one path that draws from the pool.
+// TestNoncePoolAccounting checks the refresh's nonce bookkeeping.
+// RerandomizeRequest takes the SU's precomputed nonces first and draws
+// only the shortfall, in one batch: paillier.Nonces() moves by exactly
+// that. On a CPU with the lane kernel the batch fills whole runs of
+// eight, so a dry refresh of G ciphertexts pads at most 7 nonce lanes.
 func TestNoncePoolAccounting(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-nonce", 7)
@@ -96,55 +100,74 @@ func TestNoncePoolAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := req.Ciphertexts()
+	if cells <= 8 {
+		t.Fatalf("a request of %d ciphertexts fills no lane run", cells)
+	}
 
 	if err := su.PrecomputeNonces(-1); err == nil {
 		t.Error("negative count accepted")
 	}
+	drawn := paillier.Nonces()
 	if err := su.PrecomputeNonces(cells + 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := su.nonces.Len(); got != cells+3 {
-		t.Fatalf("pool = %d, want %d", got, cells+3)
+	if got := paillier.Nonces() - drawn; got != uint64(cells+3) {
+		t.Fatalf("precomputing %d nonces drew %d", cells+3, got)
 	}
-	if _, err := su.RerandomizeRequest(req); err != nil {
-		t.Fatal(err)
-	}
-	if got := su.nonces.Len(); got != 3 {
-		t.Fatalf("pool after refresh = %d, want 3", got)
-	}
-	// Pool exhaustion falls back to the slow path and still works.
-	fresh, err := su.RerandomizeRequest(req)
-	if err != nil {
-		t.Fatalf("refresh with dry pool: %v", err)
-	}
-	if got := su.nonces.Len(); got != 0 {
-		t.Fatalf("pool after dry refresh = %d, want 0", got)
-	}
-	if g := d.decide(t, su, fresh); !g.Granted {
-		t.Error("dry-pool refreshed request denied")
+	lanes := paillier.SetLaneKernel(true)
+	paillier.SetLaneKernel(lanes)
+	for _, step := range []struct {
+		name        string
+		held, short int // precomputed nonces before the refresh, and the shortfall
+	}{
+		{"covered", cells + 3, 0},
+		{"partly covered", 3, cells - 3},
+		{"dry", 0, cells},
+	} {
+		if got := len(su.nonces); got != step.held {
+			t.Fatalf("%s: %d precomputed nonces before the refresh, want %d", step.name, got, step.held)
+		}
+		drawn, used, padding := paillier.Nonces(), laneCount(t, "nonce", "used"), laneCount(t, "nonce", "padding")
+		fresh, err := su.RerandomizeRequest(req)
+		if err != nil {
+			t.Fatalf("%s refresh: %v", step.name, err)
+		}
+		if got := paillier.Nonces() - drawn; got != uint64(step.short) {
+			t.Errorf("%s refresh drew %d nonces, want the shortfall %d", step.name, got, step.short)
+		}
+		if got := len(su.nonces); got != max(step.held-cells, 0) {
+			t.Errorf("%s refresh left %d precomputed nonces, want %d", step.name, got, max(step.held-cells, 0))
+		}
+		if lanes {
+			if got := laneCount(t, "nonce", "used") - used; got != uint64(step.short) {
+				t.Errorf("%s refresh ran %d nonce lanes, want %d", step.name, got, step.short)
+			}
+			if got := laneCount(t, "nonce", "padding") - padding; got > 7 {
+				t.Errorf("%s refresh of %d ciphertexts padded %d nonce lanes, want at most 7", step.name, cells, got)
+			}
+		}
+		if g := d.decide(t, su, fresh); !g.Granted {
+			t.Errorf("%s refreshed request denied", step.name)
+		}
 	}
 }
 
 // TestConcurrentPoolsUnderMixedLoad hammers one SDC, its kernels fanned
-// out over GOMAXPROCS, with the SUs' nonce pools armed for background
-// auto-refill, mixing PU updates, fresh SU requests, and pooled
-// refreshes. Run with -race: this is the path where nonce refill
-// goroutines, the worker pools, and the SDC state lock all interleave.
+// out over GOMAXPROCS, mixing PU updates, fresh SU requests, and
+// refreshes that take their SU's precomputed nonces and draw the rest.
+// Run with -race: this is the path where the SUs' nonce slices, the
+// worker pools, and the SDC state lock all interleave.
 func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 	d := newDeployment(t)
 	const (
 		workers    = 3
 		rounds     = 2
-		poolTarget = 8
+		precompute = 8
 	)
-	// Armed pools on the SUs.
 	sus := make([]*SU, workers)
 	for i := range sus {
 		sus[i] = d.newSU(t, fmt.Sprintf("su-pool-%d", i), geo.BlockID(i))
-		if err := sus[i].EnableNonceAutoRefill(poolTarget); err != nil {
-			t.Fatal(err)
-		}
-		if err := sus[i].PrecomputeNonces(poolTarget); err != nil {
+		if err := sus[i].PrecomputeNonces(precompute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,8 +202,8 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
-				// Refresh drains the nonce pool below its low-water
-				// mark, racing the background refill it triggers.
+				// The first refresh drains the precomputed nonces and
+				// draws the rest; later ones draw them all.
 				fresh, err := su.RerandomizeRequest(req)
 				if err != nil {
 					errs <- err
@@ -203,16 +226,9 @@ func TestConcurrentPoolsUnderMixedLoad(t *testing.T) {
 	for err := range errs {
 		t.Errorf("mixed-load worker: %v", err)
 	}
-
-	// After the storm settles, background refills must have restocked
-	// the pools (the traffic drained them to empty every round, so a
-	// non-empty pool proves a refill ran). The exact level is not
-	// deterministic — a refill snapshots its need before concurrent
-	// drains finish — so only restocking is asserted.
 	for i, su := range sus {
-		su.nonces.Wait()
-		if got := su.nonces.Len(); got == 0 {
-			t.Errorf("su %d nonce auto-refill never restocked the pool", i)
+		if got := len(su.nonces); got != 0 {
+			t.Errorf("su %d holds %d precomputed nonces after its refreshes, want 0", i, got)
 		}
 	}
 }

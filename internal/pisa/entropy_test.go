@@ -47,7 +47,6 @@ func TestSDCEntropyFailureNamesCell(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSU: %v", err)
 	}
-	defer su.Close()
 	if err := stp.RegisterSU("su-1", su.PublicKey()); err != nil {
 		t.Fatalf("RegisterSU: %v", err)
 	}

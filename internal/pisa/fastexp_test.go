@@ -2,14 +2,13 @@ package pisa
 
 import (
 	"crypto/rand"
-	"math/big"
+	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	"pisa/internal/geo"
 	"pisa/internal/paillier"
-	"pisa/internal/watch"
 )
 
 // bareGroupSTP serves the group key as a peer from before the nonce
@@ -21,83 +20,99 @@ type bareGroupSTP struct {
 
 func (b bareGroupSTP) GroupKey() *paillier.PublicKey { return b.bare }
 
-// newDeploymentEngine builds a deployment whose SDC, SUs and PUs hold
-// the group key with its published nonce base H (engine) or as its bare
-// modulus (legacy): then every nonce they draw comes from a private
-// base, and the STP decrypts it on the full exponent.
-func newDeploymentEngine(t *testing.T, engine bool) *deployment {
-	t.Helper()
-	wp := testWatchParams(t)
-	params := TestParams(wp)
-	stp, err := NewSTP(rand.Reader, params.PaillierBits)
-	if err != nil {
-		t.Fatalf("NewSTP: %v", err)
-	}
-	var front STPService = stp
-	if !engine {
-		front = bareGroupSTP{STP: stp, bare: &paillier.PublicKey{N: stp.GroupKey().N}}
-	}
-	sdc, err := NewSDC("sdc-test", params, nil, front)
-	if err != nil {
-		t.Fatalf("NewSDC: %v", err)
-	}
-	oracle, err := watch.NewSystem(wp, nil)
-	if err != nil {
-		t.Fatalf("oracle: %v", err)
-	}
-	return &deployment{params: params, stp: stp, sdc: sdc, oracle: oracle}
+// TestEngineOnOffDecisionParity runs the same scenario through a
+// deployment whose senders table the published H ("engine"): it must
+// agree with the plaintext oracle on every decision, fresh and
+// refreshed, and the STP must decrypt every ciphertext on the short
+// exponent. A deployment over an STP that serves the bare modulus, as a
+// peer from before H was published did ("legacy"), is refused when its
+// SDC is built, fresh or restored: it could draw no nonce.
+func TestEngineOnOffDecisionParity(t *testing.T) {
+	t.Run("legacy", func(t *testing.T) {
+		params := TestParams(testWatchParams(t))
+		stp, err := NewSTP(rand.Reader, params.PaillierBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := bareGroupSTP{STP: stp, bare: &paillier.PublicKey{N: stp.GroupKey().N}}
+		if _, err := NewSDC("sdc-test", params, nil, front); !errors.Is(err, paillier.ErrNoNonceBase) {
+			t.Errorf("NewSDC over a bare group key: %v, want ErrNoNonceBase", err)
+		}
+		if _, err := RestoreSDC("sdc-test", params, nil, front, nil, nil); !errors.Is(err, paillier.ErrNoNonceBase) {
+			t.Errorf("RestoreSDC over a bare group key: %v, want ErrNoNonceBase", err)
+		}
+	})
+	t.Run("engine", func(t *testing.T) {
+		d := newDeployment(t)
+		_, full0 := paillier.Decrypts()
+		su := d.newSU(t, "su-1", 7)
+		eirp := map[int]int64{1: maxEIRP(d)}
+
+		req, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.decide(t, su, req).Granted, d.oracleDecision(t, 7, eirp); got != want {
+			t.Fatalf("no-PU decision %v, oracle says %v", got, want)
+		}
+
+		pu := d.newPU(t, "tv-1", 8)
+		d.tune(t, pu, 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
+		req2, err := su.PrepareRequest(eirp, geo.Disclosure{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.decide(t, su, req2).Granted, d.oracleDecision(t, 7, eirp); got != want {
+			t.Fatalf("active-PU decision %v, oracle says %v", got, want)
+		}
+
+		// The refresh path (precomputed nonces) must preserve decisions too.
+		if err := su.PrecomputeNonces(8); err != nil {
+			t.Fatal(err)
+		}
+		req3, err := su.RerandomizeRequest(req2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.decide(t, su, req3).Granted, d.oracleDecision(t, 7, eirp); got != want {
+			t.Fatalf("refreshed decision %v, oracle says %v", got, want)
+		}
+		if _, full := paillier.Decrypts(); full != full0 {
+			t.Fatalf("%d full decryptions at the STP", full-full0)
+		}
+	})
 }
 
-// TestEngineOnOffDecisionParity runs the same scenario through a
-// deployment whose senders table the published H and one whose senders
-// table private bases: both must agree with the plaintext oracle on
-// every decision, and the STP's decrypt counters must say which nonces
-// it saw.
-func TestEngineOnOffDecisionParity(t *testing.T) {
-	for _, engine := range []bool{false, true} {
-		name := "legacy"
-		if engine {
-			name = "engine"
+// TestKeyWithoutNonceBaseRefused: both STP flavours refuse to register
+// an SU key without its nonce base H (ErrNoNonceBase) and store
+// nothing; the same key with H registers.
+func TestKeyWithoutNonceBaseRefused(t *testing.T) {
+	single, err := NewSTP(rand.Reader, 768)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := NewDistSTP(rand.Reader, 768, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skSU, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stp := range map[string]interface {
+		RegisterSU(string, *paillier.PublicKey) error
+		SUKey(string) (*paillier.PublicKey, error)
+	}{"stp": single, "dist": dist} {
+		err := stp.RegisterSU("su-1", &paillier.PublicKey{N: skSU.N})
+		if !errors.Is(err, paillier.ErrNoNonceBase) {
+			t.Errorf("%s: RegisterSU of a bare modulus: %v, want ErrNoNonceBase", name, err)
 		}
-		t.Run(name, func(t *testing.T) {
-			d := newDeploymentEngine(t, engine)
-			_, full0 := paillier.Decrypts()
-			su := d.newSU(t, "su-1", 7)
-			eirp := map[int]int64{1: maxEIRP(d)}
-
-			req, err := su.PrepareRequest(eirp, geo.Disclosure{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := d.decide(t, su, req).Granted, d.oracleDecision(t, 7, eirp); got != want {
-				t.Fatalf("no-PU decision %v, oracle says %v", got, want)
-			}
-
-			pu := d.newPU(t, "tv-1", 8)
-			d.tune(t, pu, 1, d.params.Watch.Quantize(d.params.Watch.SMinPUmW))
-			req2, err := su.PrepareRequest(eirp, geo.Disclosure{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := d.decide(t, su, req2).Granted, d.oracleDecision(t, 7, eirp); got != want {
-				t.Fatalf("active-PU decision %v, oracle says %v", got, want)
-			}
-
-			// The refresh path (pooled nonces) must preserve decisions too.
-			if err := su.PrecomputeNonces(8); err != nil {
-				t.Fatal(err)
-			}
-			req3, err := su.RerandomizeRequest(req2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := d.decide(t, su, req3).Granted, d.oracleDecision(t, 7, eirp); got != want {
-				t.Fatalf("refreshed decision %v, oracle says %v", got, want)
-			}
-			if _, full := paillier.Decrypts(); (full > full0) != !engine {
-				t.Fatalf("%d full decryptions at the STP with engine=%v", full-full0, engine)
-			}
-		})
+		if _, err := stp.SUKey("su-1"); err == nil {
+			t.Errorf("%s: a refused key was stored", name)
+		}
+		if err := stp.RegisterSU("su-1", skSU.Public()); err != nil {
+			t.Errorf("%s: RegisterSU with H: %v", name, err)
+		}
 	}
 }
 
@@ -134,8 +149,10 @@ func TestSUKeysTableOnFirstConversion(t *testing.T) {
 			if stored == skSU.Public() || stored.NonceTableBytes() != 0 {
 				t.Fatal("registry shares the caller's key object or tabled it at registration")
 			}
-			// A full-width nonce keeps the group key's own table unbuilt.
-			v, err := stp.GroupKey().EncryptWithNonce(big.NewInt(-42), big.NewInt(65537))
+			// Encrypted under a copy, so the group key's own table stays
+			// unbuilt.
+			g := stp.GroupKey()
+			v, err := (&paillier.PublicKey{N: g.N, H: g.H}).PrepareLean().EncryptInt(rand.Reader, -42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,8 +193,10 @@ func waitGoroutines(t *testing.T, want int) {
 	t.Fatalf("goroutine leak: %d alive, want <= %d", runtime.NumGoroutine(), want)
 }
 
-// TestSUCloseStopsNonceRefills is the SU-side leak regression: Close
-// stops the nonce pool's background refills.
+// TestSUCloseStopsNonceRefills is the SU-side leak regression: a
+// refresh draws the nonces its precomputed ones do not cover inline, so
+// no goroutine outlives it, and the deprecated EnableNonceAutoRefill
+// and Close are no-ops that leave the SU working.
 func TestSUCloseStopsNonceRefills(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	d := newDeployment(t)
@@ -189,19 +208,16 @@ func TestSUCloseStopsNonceRefills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Refreshing drains the (empty) pool and kicks a refill off.
 	if _, err := su.RerandomizeRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	su.Close()
-	if err := su.EnableNonceAutoRefill(8); err == nil {
-		t.Fatal("EnableNonceAutoRefill succeeded on a closed SU")
-	}
-	// Refreshes still work after Close (online nonce generation).
 	if _, err := su.RerandomizeRequest(req); err != nil {
 		t.Fatalf("RerandomizeRequest after Close: %v", err)
 	}
-	su.Close() // double Close is fine
+	if len(su.nonces) != 0 {
+		t.Fatalf("%d nonces left after dry refreshes, want 0", len(su.nonces))
+	}
 	d.sdc.Close()
 	waitGoroutines(t, baseline)
 }

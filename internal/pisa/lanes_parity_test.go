@@ -31,7 +31,6 @@ func TestLanesParity(t *testing.T) {
 	d := newDeployment(t)
 	defer d.sdc.Close()
 	su := d.newSU(t, "su-lanes", 7)
-	defer su.Close()
 	pu := d.newPU(t, "pu-lanes", 9)
 	group := d.sdc.group
 	is := make([]*paillier.Ciphertext, 9)
@@ -133,15 +132,19 @@ func TestLanesParity(t *testing.T) {
 
 // lanesUsed reads pisa_paillier_lanes_total{lane="used", op=op} off the
 // process's registry.
-func lanesUsed(t *testing.T, op string) uint64 {
+func lanesUsed(t *testing.T, op string) uint64 { return laneCount(t, op, "used") }
+
+// laneCount reads pisa_paillier_lanes_total{lane=lane, op=op} off the
+// process's registry.
+func laneCount(t *testing.T, op, lane string) uint64 {
 	t.Helper()
 	var b bytes.Buffer
 	if err := obs.Default().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	m := regexp.MustCompile(`(?m)^pisa_paillier_lanes_total\{lane="used",op="` + op + `"\} (\d+)$`).FindSubmatch(b.Bytes())
+	m := regexp.MustCompile(`(?m)^pisa_paillier_lanes_total\{lane="` + lane + `",op="` + op + `"\} (\d+)$`).FindSubmatch(b.Bytes())
 	if m == nil {
-		t.Fatalf("no pisa_paillier_lanes_total series for op %q", op)
+		t.Fatalf("no pisa_paillier_lanes_total series for op %q, lane %q", op, lane)
 	}
 	v, err := strconv.ParseUint(string(m[1]), 10, 64)
 	if err != nil {

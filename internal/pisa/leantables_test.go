@@ -80,7 +80,6 @@ func TestSUKeyTablesAreLean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer su.Close()
 			if err := c.register(su.ID(), su.PublicKey()); err != nil {
 				t.Fatal(err)
 			}

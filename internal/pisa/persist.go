@@ -246,9 +246,9 @@ func (s *SDC) PackedBudgetSnapshot() *matrix.Packed {
 // stpRegistryV1 is the serialised SU key registry (snapshot payload
 // for the STP's store). Only public key material is persisted — the
 // group secret key lives in its own restricted file (see cmd/stpd).
-// Bases holds each key's nonce base H, parallel to Moduli, with zero
-// standing for a key that has none (gob cannot carry a nil element); a
-// snapshot written before the field existed decodes with Bases empty.
+// Bases holds each key's nonce base H, parallel to Moduli; a snapshot
+// written before the field existed decodes with Bases empty, and one
+// with a key that had none carries a zero there. Both are refused.
 type stpRegistryV1 struct {
 	Version int
 	IDs     []string
@@ -267,12 +267,8 @@ func (s *STP) ExportRegistry() ([]byte, error) {
 	}
 	sort.Strings(reg.IDs)
 	for _, id := range reg.IDs {
-		h := keys[id].H
-		if h == nil {
-			h = new(big.Int)
-		}
 		reg.Moduli = append(reg.Moduli, keys[id].N)
-		reg.Bases = append(reg.Bases, h)
+		reg.Bases = append(reg.Bases, keys[id].H)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&reg); err != nil {
@@ -295,19 +291,21 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 		if reg.Version != stpRegistryVersion {
 			return fmt.Errorf("pisa: SU registry snapshot version %d, this build reads %d", reg.Version, stpRegistryVersion)
 		}
-		if len(reg.IDs) != len(reg.Moduli) || (len(reg.Bases) != 0 && len(reg.Bases) != len(reg.IDs)) {
-			return fmt.Errorf("pisa: SU registry snapshot has %d ids but %d moduli and %d bases",
+		if len(reg.IDs) != len(reg.Moduli) || len(reg.IDs) != len(reg.Bases) {
+			return fmt.Errorf("pisa: SU registry snapshot has %d ids but %d moduli and %d nonce bases",
 				len(reg.IDs), len(reg.Moduli), len(reg.Bases))
 		}
 		for i, id := range reg.IDs {
 			if id == "" {
 				return fmt.Errorf("pisa: SU registry snapshot entry %d malformed", i)
 			}
-			pk := &paillier.PublicKey{N: reg.Moduli[i]}
-			if len(reg.Bases) != 0 && reg.Bases[i].Sign() != 0 {
-				pk.H = reg.Bases[i]
+			if _, dup := keys[id]; dup {
+				return fmt.Errorf("pisa: SU registry snapshot names SU %q twice", id)
 			}
-			keys[id] = pk
+			if reg.Bases[i].Sign() == 0 {
+				return fmt.Errorf("pisa: SU registry snapshot entry %d (SU %q): %w", i, id, paillier.ErrNoNonceBase)
+			}
+			keys[id] = &paillier.PublicKey{N: reg.Moduli[i], H: reg.Bases[i]}
 		}
 	}
 	for _, rec := range tail {
@@ -336,8 +334,8 @@ func (s *STP) RestoreRegistry(snapshot []byte, tail []store.Record) error {
 }
 
 // suRegistrationV1 is one WAL record of the STP registry log. Base is
-// the key's nonce base H, absent on a key without one and in records
-// written before the field existed.
+// the key's nonce base H; a record written before the field existed
+// lacks it and is refused (checkWireKey).
 type suRegistrationV1 struct {
 	ID      string
 	Modulus *big.Int

@@ -487,27 +487,63 @@ func TestRegistryExportRestore(t *testing.T) {
 		}
 	}
 
-	// A snapshot and a WAL record from before keys carried a nonce base
-	// restore to keys without one.
+	// A snapshot and a WAL record from before keys carried a nonce base,
+	// and a snapshot entry whose base is zero, are refused by name: a key
+	// without H draws no nonce.
 	t.Run("pre-H snapshot and tail", func(t *testing.T) {
-		var old bytes.Buffer
-		reg := stpRegistryV1{Version: stpRegistryVersion, IDs: []string{"su-1"}, Moduli: []*big.Int{su1.PublicKey().N}}
-		if err := gob.NewEncoder(&old).Encode(&reg); err != nil {
-			t.Fatal(err)
+		encode := func(v any) []byte {
+			var b bytes.Buffer
+			if err := gob.NewEncoder(&b).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			return b.Bytes()
 		}
-		var rec bytes.Buffer
-		if err := gob.NewEncoder(&rec).Encode(&suRegistrationV1{ID: "su-2", Modulus: su2.PublicKey().N}); err != nil {
-			t.Fatal(err)
+		n1, n2 := su1.PublicKey().N, su2.PublicKey().N
+		for name, c := range map[string]struct {
+			snapshot []byte
+			tail     []store.Record
+			want     string
+		}{
+			"snapshot without bases": {
+				snapshot: encode(&stpRegistryV1{Version: stpRegistryVersion, IDs: []string{"su-1"}, Moduli: []*big.Int{n1}}),
+				want:     "nonce bases",
+			},
+			"snapshot with a zero base": {
+				snapshot: encode(&stpRegistryV1{Version: stpRegistryVersion, IDs: []string{"su-1", "su-2"},
+					Moduli: []*big.Int{n1, n2}, Bases: []*big.Int{su1.PublicKey().H, new(big.Int)}}),
+				want: "no nonce base",
+			},
+			"WAL record without a base": {
+				tail: []store.Record{{Index: 1, Type: RecordSURegistration,
+					Payload: encode(&suRegistrationV1{ID: "su-2", Modulus: n2})}},
+				want: "no nonce base",
+			},
+		} {
+			s := NewSTPWithKey(rand.Reader, d.sk)
+			err := s.RestoreRegistry(c.snapshot, c.tail)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %v, want a refusal naming %q", name, err, c.want)
+			}
+			if got := s.RegisteredSUs(); got != 0 {
+				t.Errorf("%s: a refused registry left %d SUs", name, got)
+			}
 		}
-		s := NewSTPWithKey(rand.Reader, d.sk)
-		err := s.RestoreRegistry(old.Bytes(), []store.Record{{Index: 1, Type: RecordSURegistration, Payload: rec.Bytes()}})
-		if err != nil {
-			t.Fatalf("pre-H registry refused: %v", err)
-		}
-		for id, want := range map[string]*paillier.PublicKey{"su-1": su1.PublicKey(), "su-2": su2.PublicKey()} {
-			pk, err := s.SUKey(id)
-			if err != nil || !pk.Equal(want) || pk.H != nil {
-				t.Fatalf("SUKey(%s) after a pre-H restore: err %v, H set %v", id, err, pk != nil && pk.H != nil)
+	})
+
+	// A snapshot that names one SU twice is refused, whichever key each
+	// entry carries: a WAL tail or a live registration that re-registers
+	// an SU with another key is refused too.
+	t.Run("duplicate id in snapshot", func(t *testing.T) {
+		for name, second := range map[string]*paillier.PublicKey{"other key": su2.PublicKey(), "same key": su1.PublicKey()} {
+			var b bytes.Buffer
+			reg := stpRegistryV1{Version: stpRegistryVersion, IDs: []string{"su-1", "su-1"},
+				Moduli: []*big.Int{su1.PublicKey().N, second.N}, Bases: []*big.Int{su1.PublicKey().H, second.H}}
+			if err := gob.NewEncoder(&b).Encode(&reg); err != nil {
+				t.Fatal(err)
+			}
+			s := NewSTPWithKey(rand.Reader, d.sk)
+			if err := s.RestoreRegistry(b.Bytes(), nil); err == nil || !strings.Contains(err.Error(), `"su-1" twice`) {
+				t.Errorf("%s: %v, want a refusal naming su-1 twice", name, err)
 			}
 		}
 	})

@@ -457,8 +457,8 @@ func TestRefreshRequestUnlinkableSameDecision(t *testing.T) {
 }
 
 // TestRefreshWithDigestDrawsNothing pins SU.RefreshRequest: it re-sends
-// the prepared ciphertexts — no nonce drawn, the pool untouched — and
-// the license still verifies and binds to them.
+// the prepared ciphertexts — no nonce drawn, the precomputed ones
+// untouched — and the license still verifies and binds to them.
 func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	d := newDeployment(t)
 	su := d.newSU(t, "su-1", 7)
@@ -469,7 +469,7 @@ func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	if err := su.PrecomputeNonces(req.Ciphertexts()); err != nil {
 		t.Fatal(err)
 	}
-	pooled, drawn := su.nonces.Len(), paillier.Nonces()
+	pooled, drawn := len(su.nonces), paillier.Nonces()
 	again, err := su.RefreshRequest(req)
 	if err != nil {
 		t.Fatalf("RefreshRequest: %v", err)
@@ -477,8 +477,8 @@ func TestRefreshWithDigestDrawsNothing(t *testing.T) {
 	if got := paillier.Nonces() - drawn; got != 0 {
 		t.Errorf("refresh drew %d nonces", got)
 	}
-	if got := su.nonces.Len(); got != pooled {
-		t.Errorf("refresh took the nonce pool from %d to %d", pooled, got)
+	if got := len(su.nonces); got != pooled {
+		t.Errorf("refresh took the precomputed nonces from %d to %d", pooled, got)
 	}
 	if again == req || again.SUID != req.SUID {
 		t.Fatal("refresh is not a copy of the request")

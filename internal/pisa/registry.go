@@ -19,7 +19,7 @@ const maxWireKeyBytes = 1 << 15
 // checkWireKey validates a public key that came from outside the
 // process — an SU's registration, a key fetched from the STP, a
 // registry record read back from disk: modulus present and of plausible
-// size, nonce base absent or a unit of Z_{n^2} other than 1
+// size, nonce base present and a unit of Z_{n^2} other than 1
 // (paillier.PublicKey.Check). That is all anyone but the owner can
 // check; a key whose H is not the n-th residue of hidden order it
 // should be weakens or garbles only ciphertexts under that key, i.e.

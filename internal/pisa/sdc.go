@@ -190,6 +190,11 @@ func newSDCBase(issuer string, params Params, transmitters []watch.TVTransmitter
 	// passed through) without changing the byte stream.
 	s.random = paillier.SharedReader(s.random)
 	s.suKeys = newSUKeyCache(stp)
+	// The in-process STP's key meets the check a fetched one does
+	// (node.DialSTPWith): every nonce the SDC draws is a power of its H.
+	if err := s.group.Check(); err != nil {
+		return nil, fmt.Errorf("pisa: group key: %w", err)
+	}
 	// Budget encryptions, column rebuilds and blinding-factor generation
 	// share the group key across workers; the first of their nonces
 	// builds its table.

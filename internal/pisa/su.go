@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"pisa/internal/dsig"
@@ -30,9 +32,10 @@ type SU struct {
 	// codec is the deployment's slot codec (Params.SlotCodec): requests
 	// ship as packed matrices, codec.Slots() block slots per ciphertext.
 	codec *paillier.SlotCodec
-	// nonces is the precomputed r^n pool for RerandomizeRequest (§VI-A's
-	// ~11 s reuse path versus ~221 s fresh preparation).
-	nonces *paillier.NoncePool
+	// nonces holds the precomputed nonces for RerandomizeRequest (§VI-A's
+	// ~11 s reuse path versus ~221 s fresh preparation), under noncesMu.
+	noncesMu sync.Mutex
+	nonces   []*paillier.Nonce
 }
 
 // NewSU creates a secondary user at the given block with a fresh
@@ -55,8 +58,8 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 	if err != nil {
 		return nil, fmt.Errorf("pisa: generate SU key: %w", err)
 	}
-	// Worker goroutines and background refills share the randomness
-	// source (SharedReader passes crypto/rand through unchanged).
+	// Worker goroutines share the randomness source (SharedReader passes
+	// crypto/rand through unchanged).
 	random = paillier.SharedReader(random)
 	// Request encryption fans out over parallel.Auto() workers; on an
 	// in-process group key another role already prepared this only reads.
@@ -76,7 +79,6 @@ func NewSU(random io.Reader, id string, block geo.BlockID, params Params, planne
 		planner: planner,
 		random:  random,
 		codec:   codec,
-		nonces:  paillier.NewNoncePool(group, random),
 	}, nil
 }
 
@@ -87,7 +89,7 @@ func (u *SU) ID() string { return u.id }
 func (u *SU) PublicKey() *paillier.PublicKey { return u.key.Public() }
 
 // MoveTo relocates the SU to another grid block. The key pair, STP
-// registration, and nonce pool survive the move — a roaming fleet
+// registration, and precomputed nonces survive the move — a roaming fleet
 // member does not re-register — but previously prepared requests
 // still encode the old block; the next PrepareRequest picks up the
 // new location. Not safe to call concurrently with request
@@ -211,44 +213,61 @@ func (u *SU) preparePacked(f *matrix.Int, disclosure geo.Disclosure) (*Transmiss
 	}, nil
 }
 
-// PrecomputeNonces extends the SU's offline pool of re-randomisation
-// factors. Each pooled nonce turns one ciphertext refresh into a single
-// modular multiplication instead of a fixed-base exponentiation. Only
-// RerandomizeRequest draws from the pool (the paper's refresh, 11 s
-// against 221 s for a fresh preparation); RefreshRequest re-sends a
-// request as it is and draws nothing.
+// PrecomputeNonces draws count re-randomisation factors offline, in one
+// NewNonceBatch, and keeps them for RerandomizeRequest. Each turns one
+// ciphertext refresh into a single modular multiplication instead of an
+// exponentiation (the paper's refresh, 11 s against 221 s for a fresh
+// preparation); RefreshRequest re-sends a request as it is and draws
+// nothing.
 func (u *SU) PrecomputeNonces(count int) error {
 	if count < 0 {
 		return fmt.Errorf("pisa: negative nonce count %d", count)
 	}
-	if err := u.nonces.Fill(count); err != nil {
-		return fmt.Errorf("pisa: precompute nonce: %w", err)
+	fresh, err := u.group.NewNonceBatch(u.random, count, parallel.Auto())
+	if err != nil {
+		return fmt.Errorf("pisa: precompute nonces: %w", err)
 	}
+	u.noncesMu.Lock()
+	u.nonces = append(u.nonces, fresh...)
+	u.noncesMu.Unlock()
 	return nil
 }
 
-// EnableNonceAutoRefill arms (target > 0) or disarms (target == 0)
-// background refilling of the nonce pool: whenever a refresh leaves
-// fewer than target/4 (at least 1) nonces pooled, a background
-// goroutine tops the pool back up to target, keeping sustained
-// refresh traffic on the cheap path without an operator calling
-// PrecomputeNonces between requests.
-func (u *SU) EnableNonceAutoRefill(target int) error {
-	if target < 0 {
-		return fmt.Errorf("pisa: negative nonce target %d", target)
+// takeNonces returns count nonces: as many precomputed ones as the SU
+// holds, and the shortfall drawn in one NewNonceBatch, so that a lane
+// comb raises it in whole runs of eight.
+func (u *SU) takeNonces(count int) ([]*paillier.Nonce, error) {
+	u.noncesMu.Lock()
+	k := max(len(u.nonces)-count, 0)
+	out := slices.Clone(u.nonces[k:])
+	// Cleared, so the slice's array does not keep the used nonces alive.
+	clear(u.nonces[k:])
+	u.nonces = u.nonces[:k]
+	u.noncesMu.Unlock()
+	if short := count - len(out); short > 0 {
+		fresh, err := u.group.NewNonceBatch(u.random, short, parallel.Auto())
+		if err != nil {
+			return nil, err
+		}
+		out = append(fresh, out...)
 	}
-	return u.nonces.SetAutoRefill(target)
+	return out, nil
 }
 
-// Close disarms the nonce pool's background refills and waits for any
-// in-flight refill goroutine to exit. The SU remains usable (refreshes
-// fall back to online nonce generation); Close only guarantees no
-// goroutine outlives an SU the caller is done with.
-func (u *SU) Close() { u.nonces.Close() }
+// EnableNonceAutoRefill does nothing: the SU draws what its precomputed
+// nonces do not cover inside RerandomizeRequest, in one batch.
+//
+// Deprecated: there is no background refill; call PrecomputeNonces.
+func (u *SU) EnableNonceAutoRefill(int) error { return nil }
+
+// Close does nothing: an SU starts no goroutine that outlives a call.
+//
+// Deprecated: there is nothing to close.
+func (u *SU) Close() {}
 
 // RefreshRequest readies a previously prepared request for another
 // submission: a copy that shares the read-only matrix, no nonce drawn,
-// no pool traffic. The SUID in the message already says "same SU" to the
+// no precomputed nonce taken. The SUID in the message already says "same SU" to the
 // SDC and to anyone on the wire, and a byte-identical resend adds "same
 // request": the trade for the SDC's decision cache, which serves a
 // resend from the column its first sendings computed. The STP only ever
@@ -279,9 +298,9 @@ func (u *SU) owns(req *TransmissionRequest) error {
 // parameters are unlinkable by their bytes: the cheap reuse path the
 // paper reports at about 11 s versus 221 s for a fresh preparation
 // (§VI-A). Precomputed nonces from PrecomputeNonces are consumed one per
-// ciphertext; when the pool runs dry the refresh falls back to drawing
-// them online. The result has bytes the SDC has never seen, so its
-// decision cache can only miss on it.
+// ciphertext, and the ones they do not cover are drawn here in one
+// batch. The result has bytes the SDC has never seen, so its decision
+// cache can only miss on it.
 func (u *SU) RerandomizeRequest(req *TransmissionRequest) (*TransmissionRequest, error) {
 	if err := u.owns(req); err != nil {
 		return nil, err
@@ -302,17 +321,16 @@ func (u *SU) RerandomizeRequest(req *TransmissionRequest) (*TransmissionRequest,
 	if err != nil {
 		return nil, err
 	}
+	nonces, err := u.takeNonces(len(work))
+	if err != nil {
+		return nil, fmt.Errorf("pisa: refresh nonces: %w", err)
+	}
 	out := make([]*paillier.Ciphertext, len(work))
 	err = parallel.For(parallel.Auto(), len(work), func(k int) error {
-		nonce, err := u.nonces.Get()
-		if err != nil {
+		var err error
+		if out[k], err = u.group.RerandomizeWith(work[k].ct, nonces[k]); err != nil {
 			return fmt.Errorf("pisa: refresh F(%d, group %d): %w", work[k].c, work[k].g, err)
 		}
-		rr, err := u.group.RerandomizeWith(work[k].ct, nonce)
-		if err != nil {
-			return fmt.Errorf("pisa: refresh F(%d, group %d): %w", work[k].c, work[k].g, err)
-		}
-		out[k] = rr
 		return nil
 	})
 	if err != nil {

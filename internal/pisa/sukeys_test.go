@@ -70,7 +70,6 @@ func TestSUKeyCacheStaleEntryFailsClosed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(su.Close)
 		if err := stp.RegisterSU("su-1", su.PublicKey()); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +279,6 @@ func TestSUKeyCacheEntriesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer su.Close()
 	if err := stp.RegisterSU(su.ID(), su.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +342,8 @@ func TestSUKeyCacheConcurrentMissesShareOneFetch(t *testing.T) {
 
 // gateReader passes reads through to crypto/rand, except that once
 // armed the next Read parks until release is closed. Installed as the
-// STP's randomness source it holds one conversion inside the first-use
-// table build of a key without a published nonce base, which draws a
-// private base from the reader.
+// STP's randomness source it holds one conversion inside its first
+// answer nonce's draw.
 type gateReader struct {
 	armed   atomic.Bool
 	entered chan struct{}
@@ -366,12 +363,12 @@ func (g *gateReader) Read(p []byte) (int, error) {
 }
 
 // TestRegistrationDoesNotBlockLookups parks one sign conversion inside
-// the first-use table build of its SU's key and checks that conversions
-// and key lookups for other SUs, and new registrations, keep going
-// meanwhile: a key's build holds only that key (an SU key tables itself
-// on the first answer encrypted under it, tens of milliseconds at 2048
-// bits), never the registry. Then the parked conversion completes, into
-// a key that now carries its table.
+// the first nonce drawn under its SU's key — the draw that builds the
+// key's table, tens of milliseconds at 2048 bits — and checks that
+// conversions and key lookups for other SUs, and new registrations,
+// keep going meanwhile: a key's first draw holds only that key, never
+// the registry. Then the parked conversion completes, into a key that
+// now carries its table.
 func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 	gate := newGateReader()
 	params := TestParams(testWatchParams(t))
@@ -380,7 +377,7 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 		t.Fatal(err)
 	}
 	stp := NewSTPWithKey(rand.Reader, group)
-	stp.random = gate // what conversions draw answer nonces (and private bases) from
+	stp.random = gate // what conversions draw answer nonces from
 	sdc, err := NewSDC("sdc-test", params, nil, stp)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +387,6 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer su.Close()
 	if err := stp.RegisterSU("su-1", su.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +402,11 @@ func TestRegistrationDoesNotBlockLookups(t *testing.T) {
 		}
 		return sk
 	}
-	// Only a bare-modulus key reads the gate while building its table.
+	// The gate parks the first read of the STP's source after arming:
+	// the exponent of the first answer nonce under "late", drawn once the
+	// key's table is built.
 	late := keyOf()
-	if err := stp.RegisterSU("late", &paillier.PublicKey{N: late.N}); err != nil {
+	if err := stp.RegisterSU("late", late.Public()); err != nil {
 		t.Fatal(err)
 	}
 	v, err := stp.GroupKey().Encrypt(rand.Reader, big.NewInt(-9))
